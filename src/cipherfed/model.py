@@ -4,7 +4,10 @@ read-out head, softmax cross-entropy.
 The front-end activation is pi * tanh, which maps the dense output into
 the embedding range [-pi, pi]. Dense gradients come from ordinary
 backpropagation; the quantum layer's come from the parameter-shift rule,
-chained with the downstream gradient. Training is plain mini-batch SGD.
+chained with the downstream gradient. Each gradient of the quantum layer
+stacks all its shifted circuits into one simulator call, split into
+calls of at most max(batch, STACK_AMPLITUDES // 2^n) rows (see `qsim`).
+Training is plain mini-batch SGD.
 """
 
 from __future__ import annotations
@@ -241,24 +244,42 @@ def save_checkpoint(model: HybridModel) -> bytes:
 
 
 def load_checkpoint(data: bytes) -> HybridModel:
+    """Inverse of `save_checkpoint`; any malformed layout, including a
+    truncated blob or trailing bytes, raises FormatError."""
     if data[:4] != CHECKPOINT_MAGIC:
         raise FormatError("not a model checkpoint artifact")
-    feat, nq, depth, classes, n_read = struct.unpack("<HBBHB", data[4:11])
+    if len(data) < 11:
+        raise FormatError("checkpoint header truncated")
+    feat, nq, depth, classes, n_read = struct.unpack_from("<HBBHB", data, 4)
     pos = 11
-    readout = struct.unpack(f"<{n_read}B", data[pos:pos + n_read])
-    pos += n_read
     axes_len = depth * nq
-    axes_blob = data[pos:pos + axes_len].decode("ascii")
+    if len(data) < pos + n_read + axes_len + 4:
+        raise FormatError("checkpoint header truncated")
+    readout = tuple(data[pos:pos + n_read])
+    pos += n_read
+    try:
+        axes_blob = data[pos:pos + axes_len].decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise FormatError("checkpoint axes are not ASCII") from exc
     pos += axes_len
     axes = tuple(tuple(axes_blob[l * nq + q] for q in range(nq))
                  for l in range(depth))
-    arch = PqcArchitecture(qubit_count=nq, depth=depth, axes=axes,
-                           readout=readout)
-    (count,) = struct.unpack("<I", data[pos:pos + 4])
+    (count,) = struct.unpack_from("<I", data, pos)
     pos += 4
-    vec = np.frombuffer(data[pos:pos + count * 8], dtype="<f8")
-    template = HybridModel(
-        w_in=np.zeros((feat, nq)), b_in=np.zeros(nq), arch=arch,
-        angles=np.zeros((depth, nq)),
-        w_out=np.zeros((n_read, classes)), b_out=np.zeros(classes))
-    return unflatten_weights(template, vec)
+    if len(data) != pos + count * 8:
+        raise FormatError(f"checkpoint weights take {len(data) - pos} "
+                          f"bytes, {count} values need {count * 8}")
+    try:
+        arch = PqcArchitecture(qubit_count=nq, depth=depth, axes=axes,
+                               readout=readout)
+        template = HybridModel(
+            w_in=np.zeros((feat, nq)), b_in=np.zeros(nq), arch=arch,
+            angles=np.zeros((depth, nq)),
+            w_out=np.zeros((n_read, classes)), b_out=np.zeros(classes))
+        if count != template.param_count:
+            raise FormatError(f"checkpoint holds {count} values, its "
+                              f"architecture needs {template.param_count}")
+        return unflatten_weights(
+            template, np.frombuffer(data, dtype="<f8", offset=pos))
+    except ShapeError as exc:
+        raise FormatError(f"invalid checkpoint: {exc}") from exc

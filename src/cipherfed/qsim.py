@@ -7,12 +7,18 @@ training runs are deterministic. States carry at most MAX_QUBITS qubits
 to bound the 2^n amplitude array.
 
 Internally every routine works on a batch of states shaped
-(batch, 2^n); the public single-sample API wraps batch size 1.
+(batch, 2^n); the public single-sample API wraps batch size 1. The
+parameter-shift gradients stack every +-pi/2 shifted copy of the batch
+on the batch axis and simulate them in one `run_pqc_batch` call. To
+bound memory, the stacked rows are split into calls of at most
+max(batch, STACK_AMPLITUDES // 2^n) rows: one call for small circuits,
+about one batch per call at MAX_QUBITS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,6 +26,8 @@ from .errors import ShapeError
 
 MAX_QUBITS = 12
 AXES = ("X", "Y", "Z")
+# Amplitudes simulated per call when gradients stack shifted circuits.
+STACK_AMPLITUDES = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -122,20 +130,32 @@ def _batch_rotate(amps: np.ndarray, n: int, qubit: int, axis: str,
         phase_hi = (c + 1j * s)
         n0 = phase_lo * a0
         n1 = phase_hi * a1
-    out = amps.copy()
+    out = np.empty_like(amps)
     ov = out.reshape(b, 2 ** qubit, 2, 2 ** (n - qubit - 1))
     ov[:, :, 0, :] = n0.reshape(b, 2 ** qubit, -1)
     ov[:, :, 1, :] = n1.reshape(b, 2 ** qubit, -1)
     return out
 
 
-def _batch_cnot(amps: np.ndarray, n: int, control: int, target: int) -> np.ndarray:
-    b = amps.shape[0]
+def _cnot_perm(n: int, control: int, target: int) -> np.ndarray:
     idx = np.arange(2 ** n)
     c_bit = (idx >> (n - 1 - control)) & 1
     flipped = idx ^ (1 << (n - 1 - target))
-    perm = np.where(c_bit == 1, flipped, idx)
-    return amps[:, perm]
+    return np.where(c_bit == 1, flipped, idx)
+
+
+def _batch_cnot(amps: np.ndarray, n: int, control: int, target: int) -> np.ndarray:
+    return amps[:, _cnot_perm(n, control, target)]
+
+
+@lru_cache(maxsize=MAX_QUBITS)
+def _ring_perm(n: int) -> np.ndarray:
+    """The CNOT ring i -> (i+1) mod n, in order, as one gather index."""
+    perm = np.arange(2 ** n)
+    for qubit in range(n):
+        perm = perm[_cnot_perm(n, qubit, (qubit + 1) % n)]
+    perm.flags.writeable = False
+    return perm
 
 
 def _batch_z_expect(amps: np.ndarray, n: int, qubit: int) -> np.ndarray:
@@ -159,8 +179,7 @@ def _batch_layers(amps: np.ndarray, arch: PqcArchitecture,
             amps = _batch_rotate(amps, n, qubit, arch.axes[layer][qubit],
                                  angles[:, layer, qubit])
         if n >= 2:
-            for qubit in range(n):
-                amps = _batch_cnot(amps, n, qubit, (qubit + 1) % n)
+            amps = amps[:, _ring_perm(n)]
     return amps
 
 
@@ -233,24 +252,38 @@ def run_pqc(features, arch: PqcArchitecture, params: PqcParams) -> np.ndarray:
     return run_pqc_batch(f[None, :], arch, angles)[0]
 
 
+def _run_stacked(feats: np.ndarray, arch: PqcArchitecture,
+                 angles: np.ndarray, batch: int) -> np.ndarray:
+    """run_pqc_batch over stacked shifted rows, in calls of at most
+    max(batch, STACK_AMPLITUDES // 2^n) rows. `angles` is shared
+    (depth, qubits) or per row."""
+    per_call = max(batch, STACK_AMPLITUDES >> arch.qubit_count)
+    return np.concatenate([
+        run_pqc_batch(feats[i:i + per_call], arch,
+                      angles if angles.ndim == 2 else angles[i:i + per_call])
+        for i in range(0, feats.shape[0], per_call)])
+
+
 def grad_angles_batch(features: np.ndarray, arch: PqcArchitecture,
                       angles: np.ndarray) -> np.ndarray:
     """Parameter-shift derivatives of every readout w.r.t. every angle.
 
     Returns (batch, depth, qubit_count, len(readout)):
-    d<Z_r> / d angle[l, q] per batch element.
+    d<Z_r> / d angle[l, q] per batch element. The 2*depth*qubit_count
+    shifted circuits of every batch element are stacked on the batch
+    axis and run in one simulator call, split into calls of at most
+    max(batch, STACK_AMPLITUDES // 2^n) rows.
     """
     feats = np.asarray(features, dtype=np.float64)
     b = feats.shape[0]
-    out = np.empty((b, arch.depth, arch.qubit_count, len(arch.readout)))
-    for layer in range(arch.depth):
-        for qubit in range(arch.qubit_count):
-            shift = np.zeros_like(angles)
-            shift[layer, qubit] = np.pi / 2
-            plus = run_pqc_batch(feats, arch, angles + shift)
-            minus = run_pqc_batch(feats, arch, angles - shift)
-            out[:, layer, qubit, :] = (plus - minus) / 2.0
-    return out
+    d, n = arch.depth, arch.qubit_count
+    eye = np.eye(d * n).reshape(d * n, d, n) * (np.pi / 2)
+    shifted = (np.asarray(angles, dtype=np.float64)
+               + np.concatenate([eye, -eye]))
+    out = _run_stacked(np.repeat(feats, 2 * d * n, axis=0), arch,
+                       np.tile(shifted, (b, 1, 1)), b)
+    out = out.reshape(b, 2, d, n, -1)
+    return (out[:, 0] - out[:, 1]) / 2.0
 
 
 def grad_features_batch(features: np.ndarray, arch: PqcArchitecture,
@@ -259,17 +292,16 @@ def grad_features_batch(features: np.ndarray, arch: PqcArchitecture,
 
     Returns (batch, qubit_count, len(readout)). Valid because the
     embedding gates are RX rotations, so the same +-pi/2 rule applies.
+    The 2*qubit_count shifted circuits of every batch element are
+    stacked and run as in `grad_angles_batch`.
     """
     feats = np.asarray(features, dtype=np.float64)
     b = feats.shape[0]
-    out = np.empty((b, arch.qubit_count, len(arch.readout)))
-    for qubit in range(arch.qubit_count):
-        shift = np.zeros_like(feats)
-        shift[:, qubit] = np.pi / 2
-        plus = run_pqc_batch(feats + shift, arch, angles)
-        minus = run_pqc_batch(feats - shift, arch, angles)
-        out[:, qubit, :] = (plus - minus) / 2.0
-    return out
+    n = arch.qubit_count
+    eye = np.eye(n) * (np.pi / 2)
+    rows = (feats[:, None, :] + np.concatenate([eye, -eye])).reshape(-1, n)
+    out = _run_stacked(rows, arch, np.asarray(angles), b).reshape(b, 2, n, -1)
+    return (out[:, 0] - out[:, 1]) / 2.0
 
 
 def param_shift_grad(features, arch: PqcArchitecture, params: PqcParams,

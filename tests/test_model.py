@@ -1,9 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
 from cipherfed import model as M
 from cipherfed import qsim
-from cipherfed.errors import DomainError, ShapeError
+from cipherfed.errors import DomainError, FormatError, ShapeError
 from cipherfed.qsim import PqcArchitecture, PqcParams
 
 
@@ -242,3 +244,32 @@ def test_checkpoint_roundtrip(rng):
     back = M.load_checkpoint(M.save_checkpoint(m))
     assert np.array_equal(M.flatten_weights(back), M.flatten_weights(m))
     assert back.arch == m.arch
+
+
+@pytest.mark.parametrize("keep", [5, 12, 20])
+def test_checkpoint_truncated_header_rejected(keep):
+    blob = M.save_checkpoint(toy_model(seed=14, features=5, qubits=3))
+    with pytest.raises(FormatError):
+        M.load_checkpoint(blob[:keep])
+
+
+def test_checkpoint_truncated_weights_rejected():
+    blob = M.save_checkpoint(toy_model(seed=14, features=5, qubits=3))
+    with pytest.raises(FormatError):
+        M.load_checkpoint(blob[:-12])
+
+
+def test_checkpoint_trailing_bytes_rejected():
+    blob = M.save_checkpoint(toy_model(seed=14, features=5, qubits=3))
+    with pytest.raises(FormatError):
+        M.load_checkpoint(blob + b"\x00\x00")
+
+
+def test_checkpoint_count_must_match_architecture():
+    m = toy_model(seed=14, features=5, qubits=3)
+    blob = M.save_checkpoint(m)
+    pos = len(blob) - 8 * m.param_count - 4
+    short = (blob[:pos] + struct.pack("<I", m.param_count - 1)
+             + blob[pos + 4:-8])
+    with pytest.raises(FormatError):
+        M.load_checkpoint(short)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -205,3 +207,102 @@ def test_angle_shape_validation(rng):
     arch = qsim.PqcArchitecture(qubit_count=2, depth=2)
     with pytest.raises(ShapeError):
         qsim.run_pqc([0.0, 0.0], arch, qsim.PqcParams(np.zeros((1, 2))))
+
+
+# --- stacked parameter-shift gradients vs the per-shift reference ---------
+
+def reference_run(feats, arch, angles):
+    """run_pqc_batch gate by gate, one CNOT at a time."""
+    n = arch.qubit_count
+    a = np.broadcast_to(angles, (feats.shape[0],) + angles.shape)
+    amps = qsim._batch_embed(feats, n)
+    for layer in range(arch.depth):
+        for q in range(n):
+            amps = qsim._batch_rotate(amps, n, q, arch.axes[layer][q],
+                                      a[:, layer, q])
+        if n >= 2:
+            for q in range(n):
+                amps = qsim._batch_cnot(amps, n, q, (q + 1) % n)
+    return np.stack([qsim._batch_z_expect(amps, n, r) for r in arch.readout],
+                    axis=1)
+
+
+def reference_grad_angles(feats, arch, angles):
+    """One pair of simulator runs per shifted angle."""
+    out = np.empty((feats.shape[0], arch.depth, arch.qubit_count,
+                    len(arch.readout)))
+    for layer in range(arch.depth):
+        for q in range(arch.qubit_count):
+            shift = np.zeros_like(angles)
+            shift[layer, q] = np.pi / 2
+            plus = reference_run(feats, arch, angles + shift)
+            minus = reference_run(feats, arch, angles - shift)
+            out[:, layer, q, :] = (plus - minus) / 2.0
+    return out
+
+
+def reference_grad_features(feats, arch, angles):
+    """One pair of simulator runs per shifted embedding angle."""
+    out = np.empty((feats.shape[0], arch.qubit_count, len(arch.readout)))
+    for q in range(arch.qubit_count):
+        shift = np.zeros_like(feats)
+        shift[:, q] = np.pi / 2
+        plus = reference_run(feats + shift, arch, angles)
+        minus = reference_run(feats - shift, arch, angles)
+        out[:, q, :] = (plus - minus) / 2.0
+    return out
+
+
+def random_arch(rng):
+    n = int(rng.integers(1, 6))
+    d = int(rng.integers(1, 4))
+    axes = tuple(tuple(str(ax) for ax in rng.choice(qsim.AXES, n))
+                 for _ in range(d))
+    k = int(rng.integers(1, n + 1))
+    readout = tuple(sorted(int(r) for r in rng.choice(n, k, replace=False)))
+    return qsim.PqcArchitecture(qubit_count=n, depth=d, axes=axes,
+                                readout=readout)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 16, 33])
+def test_stacked_gradients_match_per_shift_reference(batch):
+    rng = np.random.default_rng(2009 + batch)
+    for _ in range(12):
+        arch = random_arch(rng)
+        feats = rng.uniform(-np.pi, np.pi, (batch, arch.qubit_count))
+        angles = rng.uniform(-np.pi, np.pi, (arch.depth, arch.qubit_count))
+        pairs = [
+            (qsim.run_pqc_batch(feats, arch, angles),
+             reference_run(feats, arch, angles)),
+            (qsim.grad_angles_batch(feats, arch, angles),
+             reference_grad_angles(feats, arch, angles)),
+            (qsim.grad_features_batch(feats, arch, angles),
+             reference_grad_features(feats, arch, angles)),
+        ]
+        for got, want in pairs:
+            assert got.shape == want.shape
+            if batch >= 2:
+                assert np.array_equal(got, want)
+            else:
+                # The reference simulates a single row, and numpy sums
+                # one (1, 2^n) row in _batch_z_expect in a different
+                # order than a row of a multi-row array, so the two
+                # agree only to rounding.
+                assert np.abs(got - want).max() <= 1e-15
+
+
+def test_stacked_gradient_memory_bounded_at_max_qubits():
+    rng = np.random.default_rng(12)
+    arch = qsim.PqcArchitecture(qubit_count=qsim.MAX_QUBITS, depth=2)
+    feats = rng.uniform(-np.pi, np.pi, (32, arch.qubit_count))
+    angles = rng.uniform(-np.pi, np.pi, (arch.depth, arch.qubit_count))
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn(feats, arch, angles)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(qsim.grad_angles_batch) <= 2 * peak(qsim.run_pqc_batch)
