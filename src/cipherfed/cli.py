@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .config import load_config
-from .errors import CipherfedError, ConfigError
+from .errors import CipherfedError, ConfigError, FormatError
 from .federation.metrics import MetricsSink
 from .model import CHECKPOINT_MAGIC, save_checkpoint
 from .pipeline import (build_keys, compare_runs, execute_run,
@@ -120,31 +120,43 @@ def cmd_compare(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    data = Path(args.path).read_bytes()
+    try:
+        _describe(data)
+    except struct.error:
+        raise FormatError(f"{data[:4]!r} header truncated at "
+                          f"{len(data)} bytes") from None
+    return EXIT_OK
+
+
+def _describe(data: bytes) -> None:
     from .fhe.serial import (MAGIC_CIPHERTEXT, MAGIC_FLOAT_VECTOR,
                              MAGIC_GALOIS_KEYS, MAGIC_PUBLIC_KEY,
                              MAGIC_SECRET_KEY)
-    data = Path(args.path).read_bytes()
     magic = data[:4]
     size = len(data)
+    if magic in (MAGIC_SECRET_KEY, MAGIC_PUBLIC_KEY, MAGIC_GALOIS_KEYS,
+                 MAGIC_CIPHERTEXT):
+        (digest,) = struct.unpack_from("8s", data, 4)
     if magic == MAGIC_SECRET_KEY:
         print("kind   : secret key")
-        print(f"digest : {data[4:12].hex()}")
+        print(f"digest : {digest.hex()}")
         print(f"size   : {size} bytes")
         print("coefficients withheld (secret material is never printed)")
     elif magic == MAGIC_PUBLIC_KEY:
         print("kind   : public key")
-        print(f"digest : {data[4:12].hex()}")
+        print(f"digest : {digest.hex()}")
         print(f"size   : {size} bytes")
     elif magic == MAGIC_GALOIS_KEYS:
         (count,) = struct.unpack_from("<H", data, 12)
         print("kind   : galois key set")
-        print(f"digest : {data[4:12].hex()}")
+        print(f"digest : {digest.hex()}")
         print(f"steps  : {count}")
         print(f"size   : {size} bytes")
     elif magic == MAGIC_CIPHERTEXT:
         level, scale = struct.unpack_from("<Bd", data, 12)
         print("kind   : ciphertext")
-        print(f"digest : {data[4:12].hex()}")
+        print(f"digest : {digest.hex()}")
         print(f"level  : {level}")
         print(f"scale  : {scale:.6g}")
         print(f"size   : {size} bytes")
@@ -162,9 +174,7 @@ def cmd_inspect(args) -> int:
         print(f"classes  : {classes}")
         print(f"size     : {size} bytes")
     else:
-        from .errors import FormatError
         raise FormatError(f"unknown magic bytes {magic!r}")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,11 +1,11 @@
-"""Federated round execution: parallel local training, weighted
-aggregation (encrypted or plaintext), decryption, redistribution, and
-the loop to convergence."""
+"""Federated round execution: local training of each client in turn,
+weighted aggregation (encrypted or plaintext), decryption,
+redistribution, and the loop to convergence. `client_step` is the
+client's part of a round on every transport."""
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from ..errors import ConfigError, ProtocolError
@@ -71,15 +71,20 @@ def _clock(config: RoundConfig):
     return time.perf_counter
 
 
-def _train_one_client(global_model, features, labels, config: RoundConfig,
-                      round_index: int, client_id: int, mode: str, keys):
-    seed = derive_seed(config.base_seed, round_index, client_id, 1)
+def client_step(model: HybridModel, dataset, config: RoundConfig,
+                round_index: int, client_id: int, mode: str, keys):
+    """One client's part of a round: train from `model` on `dataset`,
+    build the encrypted (fhe) or plain update, and time both into the
+    client's metrics row. Returns (update, row)."""
+    clock = _clock(config)
+    t0 = clock()
     tcfg = TrainingConfig(learning_rate=config.learning_rate,
                           batch_size=config.batch_size,
                           epochs_per_round=config.epochs_per_round,
-                          rng_seed=seed)
-    local = train_epochs(global_model, features, labels, tcfg)
-    train_acc, train_loss = evaluate(local, features, labels)
+                          rng_seed=derive_seed(config.base_seed, round_index,
+                                               client_id, 1))
+    local = train_epochs(model, dataset.features, dataset.labels, tcfg)
+    train_acc, train_loss = evaluate(local, dataset.features, dataset.labels)
     n_k = config.sample_counts[client_id]
     if mode == "fhe":
         upd = encrypt_model(local, config.quantization, keys,
@@ -90,15 +95,17 @@ def _train_one_client(global_model, features, labels, config: RoundConfig,
     else:
         upd = plain_update(local, config.quantization, client_id, n_k,
                            round_index)
-    return upd, train_loss, train_acc
+    return upd, metrics_row(round_index, f"client_{client_id}",
+                            train_loss=train_loss, train_acc=train_acc,
+                            wall_ms=(clock() - t0) * 1000.0)
 
 
 def run_round(global_model: HybridModel, config: RoundConfig, client_datasets,
-              test_data, keys, round_index: int, mode: str = "fhe",
-              pqc_hook=None):
+              test_data, keys, round_index: int, mode: str = "fhe"):
     """One federation round. Every client trains from the same incoming
-    global model; a failed client aborts the round with a protocol error
-    naming it. Returns (new global model, metric rows)."""
+    global model, one after another in client-id order; a failed client
+    aborts the round with a protocol error naming it. Returns (new
+    global model, metric rows)."""
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
     if len(client_datasets) != config.client_count:
@@ -109,41 +116,24 @@ def run_round(global_model: HybridModel, config: RoundConfig, client_datasets,
             raise ConfigError(f"client {k} dataset size {len(ds)} does not "
                               f"match configured {config.sample_counts[k]}")
     clock = _clock(config)
-    rows = []
     round_start = clock()
+    updates, rows = [], []
+    for k, ds in enumerate(client_datasets):
+        try:
+            upd, row = client_step(global_model, ds, config, round_index, k,
+                                   mode, keys)
+        except Exception as exc:
+            raise ProtocolError(f"client {k} failed during round "
+                                f"{round_index}: {exc}") from exc
+        updates.append(upd)
+        rows.append(row)
 
-    def work(k):
-        ds = client_datasets[k]
-        t0 = clock()
-        upd, loss, acc = _train_one_client(
-            global_model, ds.features, ds.labels, config, round_index, k,
-            mode, keys)
-        wall = (clock() - t0) * 1000.0
-        return upd, metrics_row(round_index, f"client_{k}", train_loss=loss,
-                                train_acc=acc, wall_ms=wall)
-
-    updates = []
-    with ThreadPoolExecutor(max_workers=config.client_count) as pool:
-        futures = [pool.submit(work, k) for k in range(config.client_count)]
-        for k, fut in enumerate(futures):
-            try:
-                upd, row = fut.result()
-            except Exception as exc:
-                raise ProtocolError(f"client {k} failed during round "
-                                    f"{round_index}: {exc}") from exc
-            updates.append(upd)
-            rows.append(row)
-
+    public = keys.public if isinstance(keys, KeyMaterial) else keys
+    agg = server.server_step(updates, mode, public)
     if mode == "fhe":
-        public = keys.public if isinstance(keys, KeyMaterial) else keys
-        agg = server.aggregate(updates, public)
         new_model = decrypt_and_load(agg, keys, global_model)
     else:
-        vec = server.aggregate_plain(updates)
-        new_model = unflatten_weights(global_model, vec)
-
-    if pqc_hook is not None:
-        new_model = pqc_hook(new_model)
+        new_model = unflatten_weights(global_model, agg)
 
     test_acc, test_loss = evaluate(new_model, test_data.features,
                                    test_data.labels)
@@ -155,8 +145,7 @@ def run_round(global_model: HybridModel, config: RoundConfig, client_datasets,
 
 def run_federated_training(initial_model: HybridModel, config: RoundConfig,
                            client_datasets, test_data, keys,
-                           mode: str = "fhe", sink: MetricsSink | None = None,
-                           pqc_hook=None):
+                           mode: str = "fhe", sink: MetricsSink | None = None):
     """Loop run_round for config.rounds rounds, or stop early when the
     global test loss moves less than convergence_delta. In plaintext
     mode the aggregation is the same weighted sum without encryption.
@@ -166,15 +155,13 @@ def run_federated_training(initial_model: HybridModel, config: RoundConfig,
     prev_loss = None
     for r in range(config.rounds):
         model, rows = run_round(model, config, client_datasets, test_data,
-                                keys, round_index=r, mode=mode,
-                                pqc_hook=pqc_hook)
+                                keys, round_index=r, mode=mode)
         history.extend(rows)
         if sink is not None:
             for row in rows:
                 sink.write(row)
         g_loss = rows[-1]["test_loss"]
-        if (config.convergence_delta is not None and prev_loss is not None
-                and abs(prev_loss - g_loss) < config.convergence_delta):
+        if server.converged(prev_loss, g_loss, config.convergence_delta):
             break
         prev_loss = g_loss
     return model, history

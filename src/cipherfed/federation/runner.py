@@ -1,7 +1,8 @@
 """Transport-backed federation runners.
 
-The same training computation as the direct path in rounds.py, but every
-update, global model, and metrics row crosses a byte channel. Because
+The same round as the direct path in rounds.py -- each client runs
+`client_step`, the coordinator runs `server_step` -- but every update,
+global model, and metrics row crosses a byte channel. Because
 serialization is lossless, a run's metrics are identical across the
 direct, loopback, and socket paths for the same seeds.
 """
@@ -16,7 +17,7 @@ from ..fhe.keys import KeyMaterial
 from ..model import HybridModel, evaluate, unflatten_weights
 from .client import decrypt_and_load
 from .metrics import MetricsSink, metrics_row
-from .rounds import RoundConfig, _clock, _train_one_client
+from .rounds import RoundConfig, _clock, client_step
 from .server import FederationCoordinator
 from .transport import (CONVERGED_REASON, MSG_ABORT, MSG_GLOBAL, MSG_JOIN,
                         MSG_METRICS, MSG_UPDATE, Message, SocketChannel,
@@ -36,13 +37,9 @@ def run_transport_client(channel, client_id: int, dataset, test_data,
     model = initial_model
     for r in range(config.rounds):
         t0 = clock()
-        upd, train_loss, train_acc = _train_one_client(
-            model, dataset.features, dataset.labels, config, r, client_id,
-            mode, keys)
-        wall = (clock() - t0) * 1000.0
+        upd, row = client_step(model, dataset, config, r, client_id, mode,
+                               keys)
         channel.send(Message(MSG_UPDATE, r, encode_update(upd)))
-        row = metrics_row(r, f"client_{client_id}", train_loss=train_loss,
-                          train_acc=train_acc, wall_ms=wall)
         channel.send(Message(MSG_METRICS, r, encode_metrics(row)))
 
         msg = channel.recv()
@@ -73,21 +70,14 @@ def run_transport_client(channel, client_id: int, dataset, test_data,
 
 def _run_with_channels(initial_model, config, client_datasets, test_data,
                        keys, mode, sink, server_channels, client_channels):
+    """Each client in its own thread, the coordinator in the caller's."""
     material = keys.public if isinstance(keys, KeyMaterial) else keys
     coordinator = FederationCoordinator(
         expected_clients=config.client_count, rounds=config.rounds,
         mode=mode, material=material if mode == "fhe" else None, sink=sink,
         convergence_delta=config.convergence_delta)
-
-    server_error = []
     results: dict[int, HybridModel] = {}
     client_errors: dict[int, Exception] = {}
-
-    def server_body():
-        try:
-            coordinator.run(server_channels)
-        except Exception as exc:  # surfaced after joins
-            server_error.append(exc)
 
     def client_body(k):
         try:
@@ -97,31 +87,27 @@ def _run_with_channels(initial_model, config, client_datasets, test_data,
         except Exception as exc:
             client_errors[k] = exc
 
-    server_thread = threading.Thread(target=server_body, daemon=True)
     client_threads = [threading.Thread(target=client_body, args=(k,),
                                        daemon=True)
                       for k in range(config.client_count)]
-    server_thread.start()
     for t in client_threads:
         t.start()
-    server_thread.join(timeout=600.0)
-    if server_error:
+    try:
+        coordinator.run(server_channels)
+    except Exception as exc:
         # unblock clients stuck in send/recv before collecting them
         for ch in server_channels:
             ch.close()
-    for t in client_threads:
-        t.join(timeout=120.0)
-
-    if server_error:
-        exc = server_error[0]
-        raise exc if isinstance(exc, ProtocolError) \
-            else ProtocolError(f"server failed: {exc}")
+        if isinstance(exc, ProtocolError):
+            raise
+        raise ProtocolError(f"server failed: {exc}") from exc
+    finally:
+        for t in client_threads:
+            t.join(timeout=120.0)
     for k in sorted(client_errors):
         exc = client_errors[k]
         raise exc if isinstance(exc, ProtocolError) \
             else ProtocolError(f"client {k} failed: {exc}")
-    if config.rounds == 0:
-        return initial_model, coordinator.history
     return results[0], coordinator.history
 
 

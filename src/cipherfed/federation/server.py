@@ -11,10 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import AlignmentError, ParameterError, ProtocolError
+from ..errors import (AlignmentError, CipherfedError, ParameterError,
+                      ProtocolError)
 from ..fhe.encoding import encode_scalar
 from ..fhe.keys import PublicMaterial
 from ..fhe.ops import Ciphertext, add_ct, mul_plain, rescale
+from .transport import (CONVERGED_REASON, MSG_ABORT, MSG_GLOBAL, MSG_JOIN,
+                        MSG_METRICS, MSG_UPDATE, Message, decode_join,
+                        decode_metrics, decode_update, encode_global)
 
 
 def _require_public(material) -> PublicMaterial:
@@ -30,6 +34,8 @@ def _check_updates(updates) -> None:
         raise ProtocolError("no client updates to aggregate")
     rnd = updates[0].round_index
     n_chunks = len(updates[0].chunks) if hasattr(updates[0], "chunks") else None
+    if n_chunks == 0:
+        raise ProtocolError(f"client {updates[0].client_id} sent no chunks")
     seen = set()
     for u in updates:
         if u.round_index != rnd:
@@ -39,6 +45,9 @@ def _check_updates(updates) -> None:
         if u.client_id in seen:
             raise ProtocolError(f"duplicate update from client {u.client_id}")
         seen.add(u.client_id)
+        if u.sample_count < 1:
+            raise ProtocolError(f"client {u.client_id} sent sample count "
+                                f"{u.sample_count}")
         if n_chunks is not None and len(u.chunks) != n_chunks:
             raise AlignmentError(
                 f"client {u.client_id} sent {len(u.chunks)} chunks, "
@@ -86,13 +95,29 @@ def aggregate_plain(updates) -> np.ndarray:
     return acc
 
 
+def server_step(updates, mode: str, material):
+    """The server's part of a round on every transport: the encrypted
+    weighted sum under public material in fhe mode, the plain one
+    otherwise."""
+    if mode == "fhe":
+        return aggregate(updates, material)
+    return aggregate_plain(updates)
+
+
+def converged(prev_loss, loss, delta) -> bool:
+    """Early-stop rule of every round loop: the global test loss moved
+    less than delta since the previous round."""
+    return (delta is not None and prev_loss is not None and loss is not None
+            and abs(prev_loss - loss) < delta)
+
+
 class FederationCoordinator:
     """Server side of the wire protocol, driven over abstract channels.
 
     State is limited to public material, the round plan, and collected
-    metric rows; decryption never happens here. Raises ProtocolError on
-    any malformed or out-of-order message, after telling every client to
-    abort.
+    metric rows; decryption never happens here. On any failure it tells
+    every client to abort, then raises the error (as a ProtocolError
+    unless it is already a CipherfedError).
     """
 
     def __init__(self, expected_clients: int, rounds: int, mode: str,
@@ -110,7 +135,6 @@ class FederationCoordinator:
         self.history: list[dict] = []
 
     def _abort_all(self, channels, reason: str) -> None:
-        from .transport import MSG_ABORT, Message
         for ch in channels:
             try:
                 ch.send(Message(MSG_ABORT, 0, reason.encode("utf-8")))
@@ -120,79 +144,74 @@ class FederationCoordinator:
     def run(self, channels) -> list[dict]:
         try:
             return self._run(channels)
-        except ProtocolError:
-            self._abort_all(channels, "server aborted: protocol error")
-            raise
+        except Exception as exc:
+            self._abort_all(channels, f"{type(exc).__name__}: {exc}")
+            if isinstance(exc, CipherfedError):
+                raise
+            raise ProtocolError(f"server failed: {exc}") from exc
+
+    @staticmethod
+    def _recv(ch, cid: int, mtype: int, r: int) -> Message:
+        msg = ch.recv()
+        if msg.mtype == MSG_ABORT:
+            raise ProtocolError(f"client {cid} aborted round {r}: "
+                                f"{msg.payload.decode('utf-8', 'replace')}")
+        if msg.mtype != mtype or msg.round_index != r:
+            raise ProtocolError(
+                f"client {cid}: expected type {mtype} for round {r}, got "
+                f"type {msg.mtype} for round {msg.round_index}")
+        return msg
 
     def _run(self, channels) -> list[dict]:
-        from .transport import (CONVERGED_REASON, MSG_ABORT, MSG_GLOBAL,
-                                MSG_JOIN, MSG_METRICS, MSG_UPDATE, Message,
-                                decode_join, decode_metrics, decode_update,
-                                encode_global)
         if len(channels) != self.expected_clients:
             raise ProtocolError(
                 f"{len(channels)} channels for {self.expected_clients} clients")
-        by_id = {}
+        by_id, joined = {}, {}
         for ch in channels:
             msg = ch.recv()
             if msg.mtype != MSG_JOIN:
                 raise ProtocolError(f"expected JOIN, got type {msg.mtype}")
-            cid, _count = decode_join(msg.payload)
+            cid, count = decode_join(msg.payload)
             if cid in by_id:
                 raise ProtocolError(f"duplicate JOIN from client {cid}")
-            by_id[cid] = ch
+            if count < 1:
+                raise ProtocolError(f"client {cid} joined with {count} samples")
+            by_id[cid], joined[cid] = ch, count
         if sorted(by_id) != list(range(self.expected_clients)):
             raise ProtocolError(f"client ids {sorted(by_id)} do not cover "
                                 f"0..{self.expected_clients - 1}")
+        clients = [(cid, by_id[cid]) for cid in sorted(by_id)]
 
         params = self.material.params if self.material is not None else None
         prev_loss = None
         for r in range(self.rounds):
             updates = []
-            for cid in sorted(by_id):
-                msg = by_id[cid].recv()
-                if msg.mtype == MSG_ABORT:
+            for cid, ch in clients:
+                upd = decode_update(self._recv(ch, cid, MSG_UPDATE, r).payload,
+                                    r, params)
+                if upd.sample_count != joined[cid]:
                     raise ProtocolError(
-                        f"client {cid} aborted round {r}: "
-                        f"{msg.payload.decode('utf-8', 'replace')}")
-                if msg.mtype != MSG_UPDATE:
-                    raise ProtocolError(
-                        f"client {cid}: expected UPDATE, got type {msg.mtype}")
-                if msg.round_index != r:
-                    raise ProtocolError(
-                        f"client {cid} sent round {msg.round_index}, "
-                        f"server is at round {r}")
-                updates.append(decode_update(msg.payload, r, params))
+                        f"client {cid} sent sample count {upd.sample_count}, "
+                        f"joined with {joined[cid]}")
+                updates.append(upd)
 
-            if self.mode == "fhe":
-                agg = aggregate(updates, self.material)
-            else:
-                agg = aggregate_plain(updates)
-            payload = encode_global(agg)
-            for cid in sorted(by_id):
-                by_id[cid].send(Message(MSG_GLOBAL, r, payload))
+            payload = encode_global(server_step(updates, self.mode,
+                                                self.material))
+            for _cid, ch in clients:
+                ch.send(Message(MSG_GLOBAL, r, payload))
 
-            rows = []
-            for cid in sorted(by_id):
-                msg = by_id[cid].recv()
-                if msg.mtype != MSG_METRICS:
-                    raise ProtocolError(
-                        f"client {cid}: expected METRICS, got {msg.mtype}")
-                rows.append(decode_metrics(msg.payload))
-            gmsg = by_id[0].recv()
-            if gmsg.mtype != MSG_METRICS:
-                raise ProtocolError("expected global METRICS row")
-            # rows already arrive in client-id order; global row goes last
-            rows.append(decode_metrics(gmsg.payload))
+            # one training row per client in client-id order, then client
+            # 0's global row last
+            rows = [decode_metrics(self._recv(ch, cid, MSG_METRICS, r).payload)
+                    for cid, ch in clients + clients[:1]]
             self.history.extend(rows)
             if self.sink is not None:
                 for row in rows:
                     self.sink.write(row)
 
             g_loss = rows[-1].get("test_loss")
-            if (self.convergence_delta is not None and prev_loss is not None
-                    and g_loss is not None
-                    and abs(prev_loss - g_loss) < self.convergence_delta
+            # no ABORT after the last round: the clients stop there anyway
+            if (converged(prev_loss, g_loss, self.convergence_delta)
                     and r < self.rounds - 1):
                 self._abort_all(channels, CONVERGED_REASON)
                 # clients are already training the next round and will

@@ -163,14 +163,21 @@ def _encode_blobs(blobs) -> bytes:
 
 
 def _decode_blobs(buf: bytes, offset: int) -> list[bytes]:
+    """The blob list at `offset`, which must end exactly at the end of
+    `buf`; any misfit raises struct.error, as a short read does."""
     (count,) = struct.unpack_from("<H", buf, offset)
     offset += 2
     blobs = []
     for _ in range(count):
         (ln,) = struct.unpack_from("<I", buf, offset)
         offset += 4
+        if offset + ln > len(buf):
+            raise struct.error(f"blob of {ln} bytes runs past the payload")
         blobs.append(buf[offset:offset + ln])
         offset += ln
+    if offset != len(buf):
+        raise struct.error(f"{len(buf) - offset} trailing bytes after the "
+                           "blob list")
     return blobs
 
 

@@ -107,8 +107,8 @@ def forward(model: HybridModel, batch: np.ndarray):
     """Logits for a (batch, features) matrix, plus the intermediates the
     backward pass needs."""
     x = np.asarray(batch, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.feature_count:
-        raise ShapeError(f"batch must be (B, {model.feature_count})")
+    if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] != model.feature_count:
+        raise ShapeError(f"batch must be (B >= 1, {model.feature_count})")
     z1 = x @ model.w_in + model.b_in
     act = np.pi * np.tanh(z1)
     readouts = run_pqc_batch(act, model.arch, model.angles)

@@ -174,6 +174,16 @@ def test_inspect_unknown_magic_exits_3(tmp_path, capsys):
     assert "magic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("magic,size", [("CKV1", 9), ("CKM1", 7),
+                                        ("CKG1", 13), ("CKF1", 6),
+                                        ("CKS1", 11), ("CKP1", 11)])
+def test_inspect_truncated_header_exits_3(tmp_path, capsys, magic, size):
+    p = tmp_path / "short.bin"
+    p.write_bytes(magic.encode().ljust(size, b"\0"))
+    assert main(["inspect", str(p)]) == 3
+    assert "truncated" in capsys.readouterr().err
+
+
 def test_inspect_missing_file_exits_4(tmp_path):
     assert main(["inspect", str(tmp_path / "ghost.bin")]) == 4
 

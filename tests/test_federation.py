@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,18 @@ def test_aggregate_plain_equal_clients_is_exact_mean():
     assert np.array_equal(got, 0.5 * v1 + 0.5 * v2)
 
 
+def test_aggregate_rejects_zero_sample_count():
+    with pytest.raises(ProtocolError, match="sample count 0"):
+        server.aggregate_plain([PlainUpdate(0, np.ones(3), 0, 0)])
+
+
+def test_aggregate_rejects_update_without_chunks(toy_world):
+    from cipherfed.federation.client import ClientUpdate
+    with pytest.raises(ProtocolError, match="no chunks"):
+        server.aggregate([ClientUpdate(0, (), 5, 0, 0)],
+                         toy_world["keys"].public)
+
+
 def test_run_round_single_client_matches_standalone(toy_world):
     parts = [toy_world["parts"][0]]
     cfg = make_config(parts, rounds=1)
@@ -222,6 +236,24 @@ def test_run_round_client_failure_named(toy_world):
     with pytest.raises(ProtocolError, match="client 1"):
         run_round(toy_world["init"], cfg, parts, toy_world["test"],
                   toy_world["keys"], 0, mode="fhe")
+
+
+def test_run_round_trains_clients_in_order_in_caller_thread(toy_world,
+                                                            monkeypatch):
+    from cipherfed.federation import rounds
+    seen = []
+
+    def recording(model, features, labels, tcfg):
+        seen.append((threading.get_ident(), tcfg.rng_seed))
+        return M.train_epochs(model, features, labels, tcfg)
+
+    monkeypatch.setattr(rounds, "train_epochs", recording)
+    parts = toy_world["parts"]
+    cfg = make_config(parts, rounds=1)
+    run_round(toy_world["init"], cfg, parts, toy_world["test"],
+              toy_world["keys"], 0, mode="plaintext")
+    assert seen == [(threading.get_ident(), derive_seed(cfg.base_seed, 0, k, 1))
+                    for k in range(len(parts))]
 
 
 def test_training_zero_rounds_returns_initial(toy_world):
@@ -286,17 +318,3 @@ def test_round_config_validation():
     with pytest.raises(ConfigError):
         RoundConfig(client_count=1, rounds=1, sample_counts=(5,),
                     learning_rate=-0.1)
-
-
-def test_pqc_hook_applied(toy_world):
-    parts = toy_world["parts"]
-    cfg = make_config(parts, rounds=1)
-    marker = {"calls": 0}
-
-    def hook(model):
-        marker["calls"] += 1
-        return model
-
-    run_round(toy_world["init"], cfg, parts, toy_world["test"],
-              toy_world["keys"], 0, mode="plaintext", pqc_hook=hook)
-    assert marker["calls"] == 1

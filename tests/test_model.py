@@ -96,6 +96,14 @@ def test_label_out_of_range(rng):
         M.loss_and_grads(m, rng.uniform(-1, 1, (2, 3)), [0, 5])
 
 
+def test_empty_batch_rejected():
+    m = toy_model()
+    with pytest.raises(ShapeError):
+        M.forward(m, np.zeros((0, 3)))
+    with pytest.raises(ShapeError):
+        M.loss_and_grads(m, np.zeros((0, 3)), np.zeros(0, dtype=int))
+
+
 def test_sgd_step_arithmetic():
     m = toy_model()
     grads = {k: np.zeros_like(getattr(m, k)) for k in

@@ -7,13 +7,17 @@ import pytest
 
 from cipherfed import data as D
 from cipherfed import model as M
-from cipherfed.errors import ProtocolError
+from cipherfed.errors import (CipherfedError, FormatError, LevelError,
+                              ProtocolError)
 from cipherfed.federation import transport as T
+from cipherfed.federation.client import PlainUpdate, encrypt_model
+from cipherfed.federation.quantize import QuantizationSpec
 from cipherfed.federation.rounds import RoundConfig, run_federated_training
 from cipherfed.federation.runner import (run_loopback_federation,
                                          run_socket_federation,
                                          run_transport_client)
 from cipherfed.federation.server import FederationCoordinator
+from cipherfed.fhe.serial import serialize_ciphertext
 from cipherfed.model import flatten_weights
 from cipherfed.qsim import PqcArchitecture
 
@@ -253,3 +257,133 @@ def test_converged_abort_over_loopback(world):
                                     world["keys"], mode="fhe")
     assert {r["round"] for r in h2} == rounds_seen
     assert history == h2
+
+
+# --- hostile payloads -------------------------------------------------------
+
+def blob_list(*blobs) -> bytes:
+    return struct.pack("<H", len(blobs)) + b"".join(
+        struct.pack("<I", len(b)) + b for b in blobs)
+
+
+def update_payload(kind, param_count, blobs, client_id=0, sample_count=10):
+    return (struct.pack("<HQBI", client_id, sample_count, kind, param_count)
+            + blobs)
+
+
+OVERRUN = struct.pack("<HI", 1, 100) + b"abc"  # one blob of 100 bytes, 3 sent
+
+
+def decode_update(payload):
+    return T.decode_update(payload, 0, None)
+
+
+def decode_global(payload):
+    return T.decode_global(payload, None)
+
+
+@pytest.mark.parametrize("decode,payload", [
+    (decode_update, update_payload(T.KIND_PLAIN, 3, OVERRUN)),
+    (decode_update,
+     T.encode_update(PlainUpdate(0, np.array([1.0, 2.0]), 5, 0)) + b"junk"),
+    (decode_global, struct.pack("<B", T.KIND_PLAIN) + OVERRUN),
+    (decode_global, T.encode_global(np.array([0.5, -0.5])) + b"junk"),
+], ids=["update-overrun", "update-trailing", "global-overrun",
+        "global-trailing"])
+def test_blob_list_must_fill_payload(decode, payload):
+    with pytest.raises(ProtocolError, match="malformed"):
+        decode(payload)
+
+
+def scripted_round(mode, material, *frames):
+    """A one-client coordinator against a scripted client that has
+    queued `frames`. Returns the coordinator's error (None if the run
+    finished) and the next message the client receives, within 5 s."""
+    server_end, client_end = T.loopback_pair()
+    for mtype, payload in frames:
+        client_end.send(T.Message(mtype, 0, payload))
+    coordinator = FederationCoordinator(expected_clients=1, rounds=1,
+                                        mode=mode, material=material)
+    try:
+        coordinator.run([server_end])
+        error = None
+    except CipherfedError as exc:
+        error = exc
+    return error, client_end.recv(timeout=5.0)
+
+
+def encrypted_update(world):
+    upd = encrypt_model(world["init"], QuantizationSpec(), world["keys"],
+                        client_id=0, sample_count=10, round_index=0)
+    return [serialize_ciphertext(ct) for ct in upd.chunks], upd.param_count
+
+
+def assert_aborted(world, payload):
+    error, reply = scripted_round(
+        "fhe", world["keys"].public, (T.MSG_JOIN, T.encode_join(0, 10)),
+        (T.MSG_UPDATE, payload))
+    assert error is not None
+    assert reply.mtype == T.MSG_ABORT
+    return error
+
+
+def test_truncated_ciphertext_update_aborts_clients(world):
+    blobs, count = encrypted_update(world)
+    payload = update_payload(T.KIND_FHE, count, blob_list(blobs[0][:-100]))
+    assert isinstance(assert_aborted(world, payload), FormatError)
+
+
+def test_patched_level_update_aborts_clients(world):
+    blobs, count = encrypted_update(world)
+    bad = bytearray(blobs[0])
+    bad[12] = 9  # level byte, past the end of the chain
+    payload = update_payload(T.KIND_FHE, count, blob_list(bytes(bad)))
+    assert isinstance(assert_aborted(world, payload), LevelError)
+
+
+def test_update_without_chunks_aborts_clients(world):
+    _blobs, count = encrypted_update(world)
+    payload = update_payload(T.KIND_FHE, count, blob_list())
+    error = assert_aborted(world, payload)
+    assert isinstance(error, ProtocolError) and "no chunks" in str(error)
+
+
+def test_non_protocol_failure_aborts_and_is_wrapped():
+    class Broken:
+        def __init__(self):
+            self.sent = []
+
+        def send(self, msg):
+            self.sent.append(msg)
+
+        def recv(self, timeout=120.0):
+            raise RuntimeError("disk on fire")
+
+    chan = Broken()
+    coordinator = FederationCoordinator(expected_clients=1, rounds=1,
+                                        mode="plaintext")
+    with pytest.raises(ProtocolError, match="disk on fire"):
+        coordinator.run([chan])
+    assert [m.mtype for m in chan.sent] == [T.MSG_ABORT]
+
+
+def plain_frames(join_count, update_count):
+    upd = PlainUpdate(0, np.array([1.0, 2.0]), update_count, 0)
+    row = T.encode_metrics({"round": 0, "actor": "client_0"})
+    grow = T.encode_metrics({"round": 0, "actor": "global",
+                             "test_loss": 0.5})
+    return ((T.MSG_JOIN, T.encode_join(0, join_count)),
+            (T.MSG_UPDATE, T.encode_update(upd)),
+            (T.MSG_METRICS, row), (T.MSG_METRICS, grow))
+
+
+def test_join_without_samples_rejected():
+    error, reply = scripted_round("plaintext", None, *plain_frames(0, 0))
+    assert isinstance(error, ProtocolError) and "0 samples" in str(error)
+    assert reply.mtype == T.MSG_ABORT
+
+
+def test_update_count_must_match_join():
+    error, reply = scripted_round("plaintext", None, *plain_frames(10, 12))
+    assert isinstance(error, ProtocolError) and "sample count 12" in str(error)
+    assert reply.mtype == T.MSG_ABORT
