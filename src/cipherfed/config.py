@@ -124,7 +124,8 @@ def parse_config(doc: dict, overrides: dict | None = None) -> RunConfig:
                                 chain_bits=tuple(chain_bits))
     except Exception as exc:
         raise ConfigError(f"encryption: {exc}") from None
-    steps = enc.get("rotation_steps", [1])
+    # the federation never rotates, so no Galois keys unless asked for
+    steps = enc.get("rotation_steps", [])
     if not isinstance(steps, (list, tuple)):
         raise ConfigError("encryption.rotation_steps must be a list")
     rotation_steps = tuple(int(s) for s in steps)

@@ -30,7 +30,24 @@ def run_transport_client(channel, client_id: int, dataset, test_data,
                          keys, mode: str) -> HybridModel:
     """Client worker: JOIN, then per round train / UPDATE / METRICS,
     receive GLOBAL, decrypt and load. Client 0 additionally evaluates the
-    global model on the test split and reports the global metrics row."""
+    global model on the test split and reports the global metrics row.
+    On any failure the client sends ABORT (reason `<ErrorType>: <message>`)
+    so the coordinator stops at once, then raises the error."""
+    try:
+        return _client_rounds(channel, client_id, dataset, test_data,
+                              initial_model, config, keys, mode)
+    except Exception as exc:
+        try:
+            channel.send(Message(MSG_ABORT, 0, f"{type(exc).__name__}: "
+                                 f"{exc}".encode("utf-8")))
+        except Exception:
+            pass  # the channel is gone; the coordinator sees that instead
+        raise
+
+
+def _client_rounds(channel, client_id: int, dataset, test_data,
+                   initial_model: HybridModel, config: RoundConfig,
+                   keys, mode: str) -> HybridModel:
     clock = _clock(config)
     channel.send(Message(MSG_JOIN, 0,
                          encode_join(client_id, len(dataset))))

@@ -16,6 +16,7 @@ from ..errors import (AlignmentError, CipherfedError, ParameterError,
 from ..fhe.encoding import encode_scalar
 from ..fhe.keys import PublicMaterial
 from ..fhe.ops import Ciphertext, add_ct, mul_plain, rescale
+from .client import chunk_count_for
 from .transport import (CONVERGED_REASON, MSG_ABORT, MSG_GLOBAL, MSG_JOIN,
                         MSG_METRICS, MSG_UPDATE, Message, decode_join,
                         decode_metrics, decode_update, encode_global)
@@ -30,12 +31,17 @@ def _require_public(material) -> PublicMaterial:
 
 
 def _check_updates(updates) -> None:
+    """Reject a set of updates that cannot be averaged: every encrypted
+    update must carry the chunk count its parameter count needs, all at
+    the level and scale of the first chunk, which the weights are encoded
+    for."""
     if not updates:
         raise ProtocolError("no client updates to aggregate")
     rnd = updates[0].round_index
     n_chunks = len(updates[0].chunks) if hasattr(updates[0], "chunks") else None
     if n_chunks == 0:
         raise ProtocolError(f"client {updates[0].client_id} sent no chunks")
+    first = updates[0].chunks[0] if n_chunks else None
     seen = set()
     for u in updates:
         if u.round_index != rnd:
@@ -48,10 +54,23 @@ def _check_updates(updates) -> None:
         if u.sample_count < 1:
             raise ProtocolError(f"client {u.client_id} sent sample count "
                                 f"{u.sample_count}")
-        if n_chunks is not None and len(u.chunks) != n_chunks:
+        if first is None:
+            continue
+        if len(u.chunks) != n_chunks:
             raise AlignmentError(
                 f"client {u.client_id} sent {len(u.chunks)} chunks, "
                 f"expected {n_chunks}")
+        need = chunk_count_for(u.param_count, first.params.slot_count)
+        if need != n_chunks:
+            raise ProtocolError(
+                f"client {u.client_id} sent {n_chunks} chunks for "
+                f"{u.param_count} parameters, which need {need}")
+        for ct in u.chunks:
+            if ct.level != first.level or ct.scale != first.scale:
+                raise AlignmentError(
+                    f"client {u.client_id} sent a chunk at level "
+                    f"{ct.level}, scale {ct.scale}; expected level "
+                    f"{first.level}, scale {first.scale}")
 
 
 def aggregation_weights(updates) -> list[float]:

@@ -228,6 +228,8 @@ def decode_global(payload: bytes, params):
     except (struct.error, IndexError) as exc:
         raise ProtocolError(f"malformed GLOBAL payload: {exc}") from None
     if kind == KIND_PLAIN:
+        if len(blobs) != 1:
+            raise ProtocolError("plain global must carry one vector")
         return deserialize_float_vector(blobs[0])
     if kind == KIND_FHE:
         return [deserialize_ciphertext(b, params) for b in blobs]

@@ -9,14 +9,17 @@ cyclic slot rotations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ..errors import CapacityError, DomainError, LevelError
 from .nttmath import addmod, shoup_constant, shoup_mul, submod
 from .params import EncryptionParams
-from .poly import COEFF, RingPoly, from_signed_coeffs, ntt_forward, ntt_inverse
+from .poly import (COEFF, NTT, RingPoly, from_signed_coeffs, ntt_forward,
+                   ntt_inverse)
 
 
 @dataclass(frozen=True)
@@ -30,6 +33,14 @@ class Plaintext:
             raise DomainError("plaintext scale must be positive")
         if not 0 <= self.level <= self.poly.params.max_level:
             raise LevelError(f"level {self.level} outside the modulus chain")
+
+    @cached_property
+    def shoup(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """(w, Shoup constants of w): the multiplier mul_plain applies,
+        built on first use. encode_scalar sets a one-column table that
+        broadcasts over the ring instead."""
+        w = self.poly.residues
+        return w, shoup_constant(w, self.poly.q_column)
 
 
 def _slot_spectrum(values: np.ndarray, params: EncryptionParams) -> np.ndarray:
@@ -49,11 +60,7 @@ def encode(values, params: EncryptionParams, level: int | None = None,
     Shorter inputs are zero-padded to the slot count. Decoding the result
     recovers the inputs to within ~2^-30 at the default scale of 2^40.
     """
-    if level is None:
-        level = params.max_level
-    if not 0 <= level <= params.max_level:
-        raise LevelError(f"level {level} outside the modulus chain")
-    scale = params.scale if scale is None else scale
+    level, scale = _level_and_scale(params, level, scale)
     vals = np.asarray(values, dtype=np.float64).ravel()
     if vals.size > params.slot_count:
         raise CapacityError(
@@ -63,9 +70,7 @@ def encode(values, params: EncryptionParams, level: int | None = None,
 
     spec = _slot_spectrum(vals * scale, params)
     coeffs = np.fft.fft(spec)[:params.ring_degree].real / params.ring_degree
-    rounded = np.round(coeffs)
-    if np.any(np.abs(rounded) > 2 ** 62):
-        raise DomainError("encoded coefficients overflow the RNS word size")
+    rounded = _check_word(np.round(coeffs))
     poly = from_signed_coeffs(rounded.astype(np.int64), params,
                               tuple(range(level + 1)))
     return Plaintext(poly=ntt_forward(poly), scale=scale, level=level)
@@ -73,8 +78,38 @@ def encode(values, params: EncryptionParams, level: int | None = None,
 
 def encode_scalar(c: float, params: EncryptionParams, level: int | None = None,
                   scale: float | None = None) -> Plaintext:
-    """Encode one scalar broadcast to every slot (used by weighted sums)."""
-    return encode(np.full(params.slot_count, float(c)), params, level, scale)
+    """Encode one scalar broadcast to every slot (used by weighted sums).
+
+    c in every slot encodes to the constant polynomial round(c * scale),
+    as encode() computes it, and the NTT of a constant is that constant
+    in every slot, so this needs no FFT and no NTT. Its Shoup table is
+    one column, built from Python ints, that broadcasts over the ring.
+    """
+    level, scale = _level_and_scale(params, level, scale)
+    if not math.isfinite(c):
+        raise DomainError("cannot encode non-finite values")
+    k = int(_check_word(np.round(float(c) * scale)))
+    w = np.array([[k % q] for q in params.primes[:level + 1]], dtype=np.uint64)
+    poly = RingPoly(params, tuple(range(level + 1)),
+                    np.repeat(w, params.ring_degree, axis=1), NTT)
+    pt = Plaintext(poly=poly, scale=scale, level=level)
+    pt.__dict__["shoup"] = (w, shoup_constant(w, poly.q_column))
+    return pt
+
+
+def _level_and_scale(params: EncryptionParams, level: int | None,
+                     scale: float | None) -> tuple[int, float]:
+    if level is None:
+        level = params.max_level
+    if not 0 <= level <= params.max_level:
+        raise LevelError(f"level {level} outside the modulus chain")
+    return level, params.scale if scale is None else scale
+
+
+def _check_word(rounded):
+    if np.any(np.abs(rounded) > 2 ** 62):
+        raise DomainError("encoded coefficients overflow the RNS word size")
+    return rounded
 
 
 def decode(pt: Plaintext, count: int) -> np.ndarray:

@@ -25,16 +25,16 @@ class ShoupPoly:
     """NTT-domain polynomial with precomputed Shoup constants so it can
     multiply ciphertext rows without big-int arithmetic."""
     poly: RingPoly
-    shoup: np.ndarray
+    shoup: tuple[np.ndarray, np.ndarray]  # 32-bit halves, as shoup_constant
 
     @classmethod
     def wrap(cls, poly: RingPoly) -> "ShoupPoly":
         if poly.domain_tag != NTT:
             raise ParameterError("Shoup tables require NTT domain")
-        sh = np.empty_like(poly.residues)
-        for i, q in enumerate(poly.primes):
-            sh[i] = shoup_constant(poly.residues[i], q)
-        return cls(poly=poly, shoup=sh)
+        # row by row, so that the Python-int temporaries stay small
+        halves = [shoup_constant(row, q)
+                  for row, q in zip(poly.residues, poly.primes)]
+        return cls(poly=poly, shoup=tuple(np.stack(h) for h in zip(*halves)))
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,20 @@
 """Vectorized modular arithmetic and negacyclic NTT over word-sized primes.
 
-All residue vectors are numpy uint64 arrays. Products that would overflow
-64 bits go through Shoup multiplication (precomputed floor(w<<64 / q)
-constants, high words via 32-bit limb splitting) when one operand is
-fixed, and through Python-int object arithmetic otherwise. Primes must be
-below 2^62 so that sums of two residues stay clear of the wrap point.
+All residues are numpy uint64 arrays, and every kernel works on a whole
+(rows, N) residue matrix at once, broadcasting against a (rows, 1)
+column of primes. Products that would overflow 64 bits go through Shoup
+multiplication (Harvey 2014): the fixed operand w carries the constant
+floor(w << 64 / q), stored as its two 32-bit halves, so its high product
+word takes 32-bit limb products and no 128-bit type. Reductions are
+branch-free: for r < 2q, min(r, r - q) is r mod q, because r - q wraps
+above r when r < q. Primes must be below 2^62 so that sums of two
+residues stay clear of the wrap point. Only one-off key generation
+multiplies two varying residues, through Python-int arithmetic (mulmod).
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -83,39 +90,78 @@ def _bit_reverse_indices(n: int) -> np.ndarray:
     return rev
 
 
+def _mulhi_into(hi, a, b_lo, b_hi, t0, t1, t2):
+    """hi = high 64 bits of a * b, where b = b_hi << 32 | b_lo is given as
+    its 32-bit halves; t0, t1 and t2 are scratch of hi's shape."""
+    np.bitwise_and(a, _M32, out=t0)
+    np.right_shift(a, _S32, out=hi)
+    np.multiply(t0, b_lo, out=t1)
+    t1 >>= _S32
+    np.multiply(hi, b_lo, out=t2)
+    t1 += t2                  # a_hi * b_lo + carry, below 2^64
+    t0 *= b_hi
+    np.bitwise_and(t1, _M32, out=t2)
+    t0 += t2                  # a_lo * b_hi + low half of t1
+    t1 >>= _S32
+    hi *= b_hi
+    hi += t1
+    t0 >>= _S32
+    hi += t0
+    return hi
+
+
+def _shoup_into(out, a, w, w_lo, w_hi, q, hi, t0, t1, t2):
+    """out = a * w mod q for any a < 2^64 and a fixed w < q whose Shoup
+    constant floor(w << 64 / q) has the 32-bit halves w_lo, w_hi.
+
+    The quotient estimate is off by at most one, so the raw remainder lies
+    in [0, 2q) and one branch-free subtraction finishes the reduction.
+    out may alias a; hi, t0, t1 and t2 are scratch of out's shape.
+    """
+    _mulhi_into(hi, a, w_lo, w_hi, t0, t1, t2)
+    hi *= q
+    np.multiply(a, w, out=t0)
+    t0 -= hi
+    np.subtract(t0, q, out=hi)
+    return np.minimum(t0, hi, out=out)
+
+
 def mulhi64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """High 64 bits of the 128-bit product, elementwise."""
-    a_lo = a & _M32
-    a_hi = a >> _S32
-    b_lo = b & _M32
-    b_hi = b >> _S32
-    t = a_lo * b_lo
-    t1 = a_hi * b_lo + (t >> _S32)
-    t2 = a_lo * b_hi + (t1 & _M32)
-    return a_hi * b_hi + (t1 >> _S32) + (t2 >> _S32)
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.uint64),
+                               np.asarray(b, dtype=np.uint64))
+    hi = np.empty(a.shape, dtype=np.uint64)
+    return _mulhi_into(hi, a, b & _M32, b >> _S32,
+                       *np.empty((3,) + a.shape, dtype=np.uint64))
 
 
-def shoup_constant(w, q: int):
-    """floor(w << 64 / q) for a fixed multiplier (scalar or array)."""
-    if isinstance(w, np.ndarray):
-        return ((w.astype(object) << 64) // q).astype(np.uint64)
-    return np.uint64((int(w) << 64) // q)
+def shoup_constant(w, q) -> tuple[np.ndarray, np.ndarray]:
+    """floor(w << 64 / q) for a fixed multiplier w < q, as its 32-bit
+    halves (lo, hi) so that no product has to split it again.
 
-
-def shoup_mul(a: np.ndarray, w, w_shoup, q: np.uint64) -> np.ndarray:
-    """a * w mod q with w fixed and w_shoup = floor(w<<64/q).
-
-    Valid for any a < 2^64; the quotient estimate is off by at most one,
-    so the raw result lands in [0, 2q) and one conditional subtract
-    finishes the reduction.
+    w and q are ints or uint64 arrays that broadcast. The division runs
+    in Python ints, once per table.
     """
-    hi = mulhi64(a, w_shoup)
-    r = a * w - hi * q
-    return np.where(r >= q, r - q, r)
+    big = ((np.asarray(w, dtype=np.uint64).astype(object) << 64)
+           // np.asarray(q, dtype=np.uint64).astype(object))
+    big = np.asarray(big, dtype=np.uint64)
+    return big & _M32, big >> _S32
+
+
+def shoup_mul(a: np.ndarray, w, w_shoup, q) -> np.ndarray:
+    """a * w mod q for any a < 2^64, with w < q fixed and
+    w_shoup = shoup_constant(w, q). All operands broadcast."""
+    a = np.asarray(a, dtype=np.uint64)
+    shape = np.broadcast_shapes(a.shape, np.shape(w), np.shape(w_shoup[0]),
+                                np.shape(q))
+    out = np.empty(shape, dtype=np.uint64)
+    return _shoup_into(out, a, w, *w_shoup, q,
+                       *np.empty((4,) + shape, dtype=np.uint64))
 
 
 def mulmod(a: np.ndarray, b, q: int) -> np.ndarray:
-    """Generic a * b mod q via object arithmetic (both operands varying)."""
+    """Generic a * b mod q via object arithmetic (both operands varying):
+    exact but slow, so only one-off key generation uses it."""
     if isinstance(b, np.ndarray):
         r = (a.astype(object) * b.astype(object)) % int(q)
     else:
@@ -123,31 +169,29 @@ def mulmod(a: np.ndarray, b, q: int) -> np.ndarray:
     return r.astype(np.uint64)
 
 
-def addmod(a: np.ndarray, b: np.ndarray, q: np.uint64) -> np.ndarray:
+def addmod(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:
+    """(a + b) mod q for a + b < 2q."""
     r = a + b
-    return np.where(r >= q, r - q, r)
+    return np.minimum(r, r - q)
 
 
-def submod(a: np.ndarray, b: np.ndarray, q: np.uint64) -> np.ndarray:
-    r = a + (q - b)
-    return np.where(r >= q, r - q, r)
+def submod(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:
+    """(a - b) mod q for a < q and b <= q."""
+    r = a - b
+    return np.minimum(r, r + q)
 
 
 class PrimeNtt:
-    """Negacyclic NTT context for one prime q = 1 (mod 2n).
-
-    forward() maps natural-order coefficients to the bit-reversed
-    evaluation order; inverse() undoes it. Pointwise products in the
-    transformed domain correspond to multiplication in Z_q[X]/(X^n + 1).
-    """
+    """Negacyclic NTT tables for one prime q = 1 (mod 2n): the powers of a
+    primitive 2n-th root psi and of its inverse in bit-reversed order,
+    each with its Shoup constants. StackedNtt runs the transforms."""
 
     def __init__(self, q: int, n: int):
         if n & (n - 1) != 0:
             raise ValueError("ring degree must be a power of two")
         if not is_prime(q) or (q - 1) % (2 * n) != 0:
             raise ValueError(f"q={q} is not an NTT prime for degree {n}")
-        self.q = np.uint64(q)
-        self.q_int = q
+        self.q = q
         self.n = n
 
         psi = _find_2nth_root(q, 2 * n)
@@ -162,117 +206,88 @@ class PrimeNtt:
             ipows[i] = iacc
             acc = acc * psi % q
             iacc = iacc * ipsi % q
-        self.psi_br = pows[rev].copy()
-        self.ipsi_br = ipows[rev].copy()
+        self.psi_br = pows[rev]
+        self.ipsi_br = ipows[rev]
         self.psi_br_shoup = shoup_constant(self.psi_br, q)
         self.ipsi_br_shoup = shoup_constant(self.ipsi_br, q)
-        n_inv = pow(n, q - 2, q)
-        self.n_inv = np.uint64(n_inv)
-        self.n_inv_shoup = shoup_constant(n_inv, q)
-
-    def forward(self, a: np.ndarray) -> np.ndarray:
-        q = self.q
-        out = np.ascontiguousarray(a, dtype=np.uint64).copy()
-        n = self.n
-        t = n
-        m = 1
-        while m < n:
-            t >>= 1
-            blk = out.reshape(m, 2, t)
-            s = self.psi_br[m:2 * m, None]
-            ss = self.psi_br_shoup[m:2 * m, None]
-            u = blk[:, 0, :]
-            v = shoup_mul(blk[:, 1, :], s, ss, q)
-            s0 = addmod(u, v, q)
-            s1 = submod(u, v, q)
-            blk[:, 0, :] = s0
-            blk[:, 1, :] = s1
-            m <<= 1
-        return out
-
-    def inverse(self, a: np.ndarray) -> np.ndarray:
-        q = self.q
-        out = np.ascontiguousarray(a, dtype=np.uint64).copy()
-        n = self.n
-        t = 1
-        m = n
-        while m > 1:
-            h = m >> 1
-            blk = out.reshape(h, 2, t)
-            s = self.ipsi_br[h:2 * h, None]
-            ss = self.ipsi_br_shoup[h:2 * h, None]
-            u = blk[:, 0, :]
-            v = blk[:, 1, :]
-            s0 = addmod(u, v, q)
-            d = u + (q - v)  # lazy, < 2q; shoup_mul tolerates it
-            s1 = shoup_mul(d, s, ss, q)
-            blk[:, 0, :] = s0
-            blk[:, 1, :] = s1
-            t <<= 1
-            m = h
-        return shoup_mul(out, self.n_inv, self.n_inv_shoup, q)
 
 
 class StackedNtt:
-    """Transforms several prime rows in one pass.
+    """Negacyclic NTT over a (rows, n) residue matrix, one prime per row.
 
-    Stacking the per-prime twiddle tables lets every butterfly stage run
-    as a single broadcast operation over a (rows, n) matrix, which cuts
-    the Python-level overhead roughly in proportion to the row count.
+    forward() maps natural-order coefficients to the bit-reversed
+    evaluation order; inverse() undoes it. Pointwise products in the
+    transformed domain correspond to multiplication in Z_q[X]/(X^n + 1).
+    Each butterfly stage is one set of in-place broadcast operations over
+    all rows, against the stacked per-row twiddle tables.
     """
 
     def __init__(self, contexts: tuple[PrimeNtt, ...]):
         self.n = contexts[0].n
-        self.q = np.array([c.q for c in contexts], dtype=np.uint64)
-        self.psi_br = np.stack([c.psi_br for c in contexts])
-        self.psi_br_shoup = np.stack([c.psi_br_shoup for c in contexts])
-        self.ipsi_br = np.stack([c.ipsi_br for c in contexts])
-        self.ipsi_br_shoup = np.stack([c.ipsi_br_shoup for c in contexts])
-        self.n_inv = np.array([c.n_inv for c in contexts],
-                              dtype=np.uint64)[:, None]
-        self.n_inv_shoup = np.array([c.n_inv_shoup for c in contexts],
-                                    dtype=np.uint64)[:, None]
+        self.q = np.array([c.q for c in contexts], dtype=np.uint64)[:, None]
+        self.q.flags.writeable = False
+        # (3, rows, n) tables: twiddles w and the halves of their Shoup
+        # constants, for forward and inverse, and (3, rows, 1) for 1/n
+        self.psi = np.array([[c.psi_br for c in contexts],
+                             *zip(*(c.psi_br_shoup for c in contexts))])
+        self.ipsi = np.array([[c.ipsi_br for c in contexts],
+                              *zip(*(c.ipsi_br_shoup for c in contexts))])
+        n_inv = np.array([pow(self.n, -1, c.q) for c in contexts],
+                         dtype=np.uint64)[:, None]
+        self.n_inv = np.array([n_inv, *shoup_constant(n_inv, self.q)])
+
+    def rows(self, sel) -> "StackedNtt":
+        """The context for the rows `sel` (a slice shares the tables)."""
+        sub = copy.copy(self)
+        sub.q = self.q[sel]
+        sub.q.flags.writeable = False
+        sub.psi, sub.ipsi, sub.n_inv = (t[:, sel] for t in (
+            self.psi, self.ipsi, self.n_inv))
+        return sub
+
+    def _stages(self, out: np.ndarray, table, forward: bool):
+        """Per butterfly stage over m blocks of 2t coefficients in each row
+        (m doubles going forward, halves going back): the halves u and v,
+        the stage's twiddle rows of `table` shaped to broadcast against
+        them, and five scratch arrays of their shape."""
+        rows, n = out.shape
+        buf = np.empty((5, rows, n // 2), dtype=np.uint64)
+        ms = [1 << s for s in range(n.bit_length() - 1)]
+        for m in ms if forward else ms[::-1]:
+            t = n // (2 * m)
+            blk = out.reshape(rows, m, 2, t)
+            u, v, tw = blk[:, :, 0, :], blk[:, :, 1, :], np.s_[:, m:2 * m, None]
+            if t < 16:
+                # numpy runs a short inner loop slowly, so put the longer
+                # block axis innermost
+                u, v = u.transpose(0, 2, 1), v.transpose(0, 2, 1)
+                tw = np.s_[:, None, m:2 * m]
+            yield (u, v, [w[tw] for w in table],
+                   [b.reshape(u.shape) for b in buf])
 
     def forward(self, mat: np.ndarray) -> np.ndarray:
-        n = self.n
-        rows = mat.shape[0]
-        out = np.ascontiguousarray(mat, dtype=np.uint64).copy()
-        q = self.q[:, None, None]
-        t = n
-        m = 1
-        while m < n:
-            t >>= 1
-            blk = out.reshape(rows, m, 2, t)
-            s = self.psi_br[:, m:2 * m, None]
-            ss = self.psi_br_shoup[:, m:2 * m, None]
-            u = blk[:, :, 0, :]
-            v = shoup_mul(blk[:, :, 1, :], s, ss, q)
-            s0 = addmod(u, v, q)
-            s1 = submod(u, v, q)
-            blk[:, :, 0, :] = s0
-            blk[:, :, 1, :] = s1
-            m <<= 1
+        out = np.array(mat, dtype=np.uint64, order="C")
+        q = self.q[:, :, None]
+        for u, v, w, (x, hi, t0, t1, t2) in self._stages(out, self.psi, True):
+            _shoup_into(x, v, *w, q, hi, t0, t1, t2)
+            np.subtract(u, x, out=hi)
+            np.add(hi, q, out=t0)
+            np.minimum(hi, t0, out=v)
+            u += x
+            np.subtract(u, q, out=hi)
+            np.minimum(u, hi, out=u)
         return out
 
     def inverse(self, mat: np.ndarray) -> np.ndarray:
-        n = self.n
-        rows = mat.shape[0]
-        out = np.ascontiguousarray(mat, dtype=np.uint64).copy()
-        q = self.q[:, None, None]
-        t = 1
-        m = n
-        while m > 1:
-            h = m >> 1
-            blk = out.reshape(rows, h, 2, t)
-            s = self.ipsi_br[:, h:2 * h, None]
-            ss = self.ipsi_br_shoup[:, h:2 * h, None]
-            u = blk[:, :, 0, :]
-            v = blk[:, :, 1, :]
-            s0 = addmod(u, v, q)
-            d = u + (q - v)
-            s1 = shoup_mul(d, s, ss, q)
-            blk[:, :, 0, :] = s0
-            blk[:, :, 1, :] = s1
-            t <<= 1
-            m = h
-        return shoup_mul(out, self.n_inv, self.n_inv_shoup, self.q[:, None])
+        out = np.array(mat, dtype=np.uint64, order="C")
+        q = self.q[:, :, None]
+        for u, v, w, (x, hi, t0, t1, t2) in self._stages(out, self.ipsi,
+                                                         False):
+            np.subtract(u, v, out=x)
+            x += q                # lazy, below 2q; the Shoup product takes it
+            u += v
+            np.subtract(u, q, out=hi)
+            np.minimum(u, hi, out=u)
+            _shoup_into(v, x, *w, q, hi, t0, t1, t2)
+        n_inv, *n_inv_shoup = self.n_inv
+        return shoup_mul(out, n_inv, n_inv_shoup, self.q)

@@ -15,10 +15,10 @@ import numpy as np
 from ..errors import AlignmentError, DomainError, LevelError, ParameterError
 from .encoding import Plaintext
 from .keys import KeyMaterial, PublicMaterial, ShoupPoly
-from .nttmath import shoup_constant, shoup_mul
-from .params import EncryptionParams
-from .poly import (NTT, RingPoly, ntt_forward, ntt_inverse, sample_gaussian,
-                   sample_ternary)
+from .nttmath import shoup_constant, shoup_mul, submod
+from .params import EncryptionParams, basis_rows
+from .poly import (NTT, RingPoly, from_signed_coeffs, ntt_forward,
+                   ntt_inverse, sample_gaussian, sample_ternary)
 
 SCALE_MATCH_RTOL = 2.0 ** -30
 
@@ -47,16 +47,12 @@ def _public_part(keys) -> PublicMaterial:
     return keys.public if isinstance(keys, KeyMaterial) else keys
 
 
-def _mul_fixed(p: RingPoly, fixed: ShoupPoly, rows: tuple[int, ...]) -> RingPoly:
-    """Pointwise product with a fixed (Shoup-precomputed) polynomial,
-    using the key rows whose basis indices are `rows`."""
-    out = np.empty_like(p.residues)
-    for i, idx in enumerate(p.prime_indices):
-        pos = fixed.poly.prime_indices.index(idx)
-        q = np.uint64(fixed.poly.primes[pos])
-        out[i] = shoup_mul(p.residues[i], fixed.poly.residues[pos],
-                           fixed.shoup[pos], q)
-    return RingPoly(p.params, p.prime_indices, out, NTT)
+def _mul_fixed(p: RingPoly, fixed: ShoupPoly) -> RingPoly:
+    """Pointwise product of an NTT-domain polynomial with the rows of a
+    fixed (Shoup-precomputed) polynomial for p's basis."""
+    rows = basis_rows(fixed.poly.prime_indices, p.prime_indices)
+    return p.mul_fixed(fixed.poly.residues[rows],
+                       tuple(h[rows] for h in fixed.shoup))
 
 
 def encrypt(pt: Plaintext, keys, rng_seed: int = 0) -> Ciphertext:
@@ -70,8 +66,8 @@ def encrypt(pt: Plaintext, keys, rng_seed: int = 0) -> Ciphertext:
     v = ntt_forward(sample_ternary(params, basis, rng))
     e0 = ntt_forward(sample_gaussian(params, basis, rng))
     e1 = ntt_forward(sample_gaussian(params, basis, rng))
-    c0 = _mul_fixed(v, pub.pk0, basis).add(e0).add(pt.poly)
-    c1 = _mul_fixed(v, pub.pk1, basis).add(e1)
+    c0 = _mul_fixed(v, pub.pk0).add(e0).add(pt.poly)
+    c1 = _mul_fixed(v, pub.pk1).add(e1)
     return Ciphertext(c0=c0, c1=c1, scale=pt.scale, level=pt.level)
 
 
@@ -81,8 +77,7 @@ def decrypt(ct: Ciphertext, keys: KeyMaterial) -> Plaintext:
         raise ParameterError("decryption requires full key material")
     if keys.params != ct.params:
         raise ParameterError("ciphertext and keys use different parameters")
-    basis = ct.c0.prime_indices
-    m = ct.c0.add(_mul_fixed(ct.c1, keys.secret_key, basis))
+    m = ct.c0.add(_mul_fixed(ct.c1, keys.secret_key))
     return Plaintext(poly=m, scale=ct.scale, level=ct.level)
 
 
@@ -96,12 +91,17 @@ def add_ct(a: Ciphertext, b: Ciphertext) -> Ciphertext:
 
 
 def mul_plain(ct: Ciphertext, pt: Plaintext) -> Ciphertext:
-    """Slotwise ciphertext * plaintext; scales multiply. Follow with
-    rescale() to bring the scale back down."""
+    """Slotwise ciphertext * plaintext through the plaintext's Shoup
+    table; scales multiply. Follow with rescale() to bring the scale back
+    down."""
     if ct.level != pt.level:
         raise AlignmentError(f"level mismatch: {ct.level} vs {pt.level}")
-    return Ciphertext(c0=ct.c0.mul_pointwise(pt.poly),
-                      c1=ct.c1.mul_pointwise(pt.poly),
+    ct.c0._check_compatible(pt.poly)
+    if pt.poly.domain_tag != NTT:
+        raise DomainError("pointwise product requires NTT domain")
+    w, w_shoup = pt.shoup
+    return Ciphertext(c0=ct.c0.mul_fixed(w, w_shoup),
+                      c1=ct.c1.mul_fixed(w, w_shoup),
                       scale=ct.scale * pt.scale, level=ct.level)
 
 
@@ -109,25 +109,20 @@ def _div_round_drop(p: RingPoly, drop_index: int) -> RingPoly:
     """Exact rounded division by the basis prime at drop_index; that
     prime leaves the basis. Input and output are NTT-domain."""
     params = p.params
-    full = params.modulus_chain + (params.key_switch_prime,)
-    q_drop = full[drop_index]
+    q_drop = params.primes[drop_index]
     pos = p.prime_indices.index(drop_index)
-    ntts = params.ntts
-    dropped = ntts[drop_index].inverse(p.residues[pos]).astype(np.int64)
+    dropped = params.stacked_ntt((drop_index,)).inverse(
+        p.residues[pos:pos + 1])[0].astype(np.int64)
     dropped = np.where(dropped > q_drop // 2, dropped - q_drop, dropped)
 
-    keep = tuple(i for i in p.prime_indices if i != drop_index)
-    out = np.empty((len(keep), params.ring_degree), dtype=np.uint64)
-    for row, idx in enumerate(keep):
-        qj = full[idx]
-        qq = np.uint64(qj)
-        corr = ntts[idx].forward(np.mod(dropped, qj).astype(np.uint64))
-        src = p.residues[p.prime_indices.index(idx)]
-        diff = src + (qq - corr)
-        diff = np.where(diff >= qq, diff - qq, diff)
-        inv = pow(q_drop % qj, qj - 2, qj)
-        out[row] = shoup_mul(diff, np.uint64(inv), shoup_constant(inv, qj), qq)
-    return RingPoly(params, keep, out, NTT)
+    keep = p.prime_indices[:pos] + p.prime_indices[pos + 1:]
+    corr = ntt_forward(from_signed_coeffs(dropped, params, keep))
+    q = corr.q_column
+    inv = np.array([pow(q_drop, -1, qj) for qj in corr.primes],
+                   dtype=np.uint64)[:, None]
+    diff = submod(np.delete(p.residues, pos, axis=0), corr.residues, q)
+    return RingPoly(params, keep, shoup_mul(diff, inv, shoup_constant(inv, q),
+                                            q), NTT)
 
 
 def rescale(ct: Ciphertext) -> Ciphertext:
@@ -163,21 +158,16 @@ def rotate(ct: Ciphertext, step: int, keys) -> Ciphertext:
     active = ct.c0.prime_indices
     special = len(params.modulus_chain)
     ext = active + (special,)
-    full = params.modulus_chain + (params.key_switch_prime,)
-    ntts = params.ntts
 
     acc_b = None
     acc_a = None
     for digit_pos, digit_idx in enumerate(active):
-        qi = full[digit_idx]
+        qi = params.primes[digit_idx]
         d = c1_auto.residues[digit_pos].astype(np.int64)
         d = np.where(d > qi // 2, d - qi, d)
-        rows = np.empty((len(ext), params.ring_degree), dtype=np.uint64)
-        for row, idx in enumerate(ext):
-            rows[row] = ntts[idx].forward(np.mod(d, full[idx]).astype(np.uint64))
-        d_ext = RingPoly(params, ext, rows, NTT)
-        term_b = _mul_fixed(d_ext, gkey.ks_b[digit_idx], ext)
-        term_a = _mul_fixed(d_ext, gkey.ks_a[digit_idx], ext)
+        d_ext = ntt_forward(from_signed_coeffs(d, params, ext))
+        term_b = _mul_fixed(d_ext, gkey.ks_b[digit_idx])
+        term_a = _mul_fixed(d_ext, gkey.ks_a[digit_idx])
         acc_b = term_b if acc_b is None else acc_b.add(term_b)
         acc_a = term_a if acc_a is None else acc_a.add(term_a)
 

@@ -43,6 +43,9 @@ class EncryptionParams:
         if len(set(chain)) != len(chain):
             raise ParameterError("modulus_chain primes must be distinct")
         for q in chain:
+            if q >= 1 << 62:
+                raise ParameterError(
+                    f"modulus {q} is not below 2^62, the word-size limit")
             if not is_prime(q):
                 raise ParameterError(f"modulus {q} is not prime")
             if q % (2 * n) != 1:
@@ -80,19 +83,24 @@ class EncryptionParams:
         raise ParameterError("could not derive a key-switch prime")
 
     @cached_property
-    def ntts(self) -> tuple[PrimeNtt, ...]:
-        """One NTT context per chain prime, plus one for the key-switch
-        prime in the final slot."""
-        n = self.ring_degree
-        primes = self.modulus_chain + (self.key_switch_prime,)
-        return tuple(PrimeNtt(q, n) for q in primes)
+    def primes(self) -> tuple[int, ...]:
+        """Every basis prime by index: the chain, then the key-switch
+        prime."""
+        return self.modulus_chain + (self.key_switch_prime,)
+
+    @cached_property
+    def ntt(self) -> StackedNtt:
+        """NTT context over every prime of `primes`."""
+        return StackedNtt(tuple(PrimeNtt(q, self.ring_degree)
+                                for q in self.primes))
 
     def stacked_ntt(self, prime_indices: tuple[int, ...]) -> StackedNtt:
-        """Multi-row NTT context for a basis subset (cached)."""
+        """NTT context for a basis subset (cached), on the rows of `ntt`."""
         cache = self.__dict__.setdefault("_stacked_cache", {})
         ctx = cache.get(prime_indices)
         if ctx is None:
-            ctx = StackedNtt(tuple(self.ntts[i] for i in prime_indices))
+            ctx = self.ntt.rows(basis_rows(tuple(range(len(self.primes))),
+                                           prime_indices))
             cache[prime_indices] = ctx
         return ctx
 
@@ -117,6 +125,16 @@ class EncryptionParams:
             out.append(g)
             g = g * 5 % two_n
         return out
+
+
+def basis_rows(basis: tuple[int, ...], sub: tuple[int, ...]):
+    """Where the primes of `sub` sit among the rows of `basis`: a slice,
+    which views the rows, when they are a run; else a list, which copies
+    them."""
+    pos = [basis.index(i) for i in sub]
+    if pos == list(range(pos[0], pos[-1] + 1)):
+        return slice(pos[0], pos[-1] + 1)
+    return pos
 
 
 def default_params(ring_degree: int = 4096,

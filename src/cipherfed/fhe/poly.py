@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DomainError, ParameterError
-from .nttmath import addmod, mulmod, submod
+from .nttmath import addmod, mulmod, shoup_mul, submod
 from .params import EncryptionParams
 
 GAUSSIAN_STDDEV = 3.2
@@ -38,8 +38,13 @@ class RingPoly:
 
     @property
     def primes(self) -> tuple[int, ...]:
-        full = self.params.modulus_chain + (self.params.key_switch_prime,)
-        return tuple(full[i] for i in self.prime_indices)
+        return tuple(self.params.primes[i] for i in self.prime_indices)
+
+    @property
+    def q_column(self) -> np.ndarray:
+        """The basis primes as a read-only (rows, 1) column for
+        broadcasting, cached with the basis's NTT context."""
+        return self.params.stacked_ntt(self.prime_indices).q
 
     def _check_compatible(self, other: "RingPoly") -> None:
         if self.params is not other.params and self.params != other.params:
@@ -50,43 +55,42 @@ class RingPoly:
             raise DomainError(
                 f"domain mismatch: {self.domain_tag} vs {other.domain_tag}")
 
+    def _like(self, residues: np.ndarray) -> "RingPoly":
+        return RingPoly(self.params, self.prime_indices, residues,
+                        self.domain_tag)
+
     def add(self, other: "RingPoly") -> "RingPoly":
         self._check_compatible(other)
-        out = np.empty_like(self.residues)
-        for i, q in enumerate(self.primes):
-            out[i] = addmod(self.residues[i], other.residues[i], np.uint64(q))
-        return RingPoly(self.params, self.prime_indices, out, self.domain_tag)
+        return self._like(addmod(self.residues, other.residues, self.q_column))
 
     def sub(self, other: "RingPoly") -> "RingPoly":
         self._check_compatible(other)
-        out = np.empty_like(self.residues)
-        for i, q in enumerate(self.primes):
-            out[i] = submod(self.residues[i], other.residues[i], np.uint64(q))
-        return RingPoly(self.params, self.prime_indices, out, self.domain_tag)
+        return self._like(submod(self.residues, other.residues, self.q_column))
 
     def neg(self) -> "RingPoly":
-        out = np.empty_like(self.residues)
-        for i, q in enumerate(self.primes):
-            qq = np.uint64(q)
-            r = self.residues[i]
-            out[i] = np.where(r == 0, r, qq - r)
-        return RingPoly(self.params, self.prime_indices, out, self.domain_tag)
+        return self._like(submod(0, self.residues, self.q_column))
+
+    def mul_fixed(self, w: np.ndarray, w_shoup) -> "RingPoly":
+        """Pointwise product with a fixed multiplier w that broadcasts
+        over the residue matrix, given its Shoup constants."""
+        return self._like(shoup_mul(self.residues, w, w_shoup,
+                                    self.q_column))
 
     def mul_pointwise(self, other: "RingPoly") -> "RingPoly":
         """Slotwise product; both operands must be in the NTT domain."""
         self._check_compatible(other)
         if self.domain_tag != NTT:
             raise DomainError("pointwise product requires NTT domain")
-        out = np.empty_like(self.residues)
-        for i, q in enumerate(self.primes):
-            out[i] = mulmod(self.residues[i], other.residues[i], q)
-        return RingPoly(self.params, self.prime_indices, out, NTT)
+        # row by row, as keygen's other object arithmetic, so that the
+        # Python-int temporaries stay small
+        return self._like(np.stack([
+            mulmod(a, b, q) for a, b, q in zip(self.residues, other.residues,
+                                               self.primes)]))
 
     def mul_scalar(self, c: int) -> "RingPoly":
-        out = np.empty_like(self.residues)
-        for i, q in enumerate(self.primes):
-            out[i] = mulmod(self.residues[i], int(c) % q, q)
-        return RingPoly(self.params, self.prime_indices, out, self.domain_tag)
+        return self._like(np.stack([
+            mulmod(a, int(c) % q, q) for a, q in zip(self.residues,
+                                                     self.primes)]))
 
     def automorphism(self, g: int) -> "RingPoly":
         """Apply X -> X^g (g odd). Coefficient domain only."""
@@ -99,14 +103,8 @@ class RingPoly:
         sign_flip = dest >= n
         dest = np.where(sign_flip, dest - n, dest)
         out = np.empty_like(self.residues)
-        for i, q in enumerate(self.primes):
-            qq = np.uint64(q)
-            row = self.residues[i]
-            vals = np.where(sign_flip, np.where(row == 0, row, qq - row), row)
-            tgt = np.empty_like(row)
-            tgt[dest] = vals
-            out[i] = tgt
-        return RingPoly(self.params, self.prime_indices, out, COEFF)
+        out[:, dest] = np.where(sign_flip, self.neg().residues, self.residues)
+        return self._like(out)
 
     def drop_primes(self, keep: tuple[int, ...]) -> "RingPoly":
         """Restrict to a sub-basis (rows are selected, not recomputed)."""
@@ -133,11 +131,10 @@ def ntt_inverse(p: RingPoly) -> RingPoly:
 
 def from_signed_coeffs(values: np.ndarray, params: EncryptionParams,
                        prime_indices: tuple[int, ...]) -> RingPoly:
-    """Build a coefficient-domain polynomial from signed int64 coefficients."""
-    full = params.modulus_chain + (params.key_switch_prime,)
-    res = np.empty((len(prime_indices), params.ring_degree), dtype=np.uint64)
-    for row, idx in enumerate(prime_indices):
-        res[row] = np.mod(values, full[idx]).astype(np.uint64)
+    """Build a coefficient-domain polynomial from signed int64
+    coefficients."""
+    q = params.stacked_ntt(prime_indices).q.view(np.int64)
+    res = np.mod(values, q).view(np.uint64)
     return RingPoly(params, prime_indices, res, COEFF)
 
 
@@ -158,10 +155,9 @@ def sample_uniform(params: EncryptionParams, prime_indices: tuple[int, ...],
                    rng: np.random.Generator) -> RingPoly:
     """Uniform element of the RNS ring (independent uniform residues are
     exactly uniform mod the product, by CRT)."""
-    full = params.modulus_chain + (params.key_switch_prime,)
     res = np.empty((len(prime_indices), params.ring_degree), dtype=np.uint64)
     for row, idx in enumerate(prime_indices):
-        res[row] = rng.integers(0, full[idx], params.ring_degree,
+        res[row] = rng.integers(0, params.primes[idx], params.ring_degree,
                                 dtype=np.uint64)
     return RingPoly(params, prime_indices, res, COEFF)
 

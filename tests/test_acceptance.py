@@ -115,7 +115,7 @@ def test_criterion_02_aggregation_oracle(std):
 
 @criterion(3, 10, "NTT products equal schoolbook negacyclic products exactly")
 def test_criterion_03_ntt_vs_schoolbook():
-    from cipherfed.fhe.nttmath import PrimeNtt, find_ntt_primes
+    from cipherfed.fhe.nttmath import PrimeNtt, StackedNtt, find_ntt_primes
 
     def schoolbook(a, b, q, n):
         res = [0] * n
@@ -132,13 +132,13 @@ def test_criterion_03_ntt_vs_schoolbook():
     rng = np.random.default_rng(303)
     for n in (8, 16):
         q = find_ntt_primes(13, 1, 2 * n)[0]
-        ntt = PrimeNtt(q, n)
+        ntt = StackedNtt((PrimeNtt(q, n),))
         for _ in range(1000):
             a = rng.integers(0, q, n).astype(np.uint64)
             b = rng.integers(0, q, n).astype(np.uint64)
-            prod = (ntt.forward(a).astype(object)
-                    * ntt.forward(b).astype(object)) % q
-            got = ntt.inverse(prod.astype(np.uint64))
+            prod = (ntt.forward(a[None])[0].astype(object)
+                    * ntt.forward(b[None])[0].astype(object)) % q
+            got = ntt.inverse(prod.astype(np.uint64)[None])[0]
             assert np.array_equal(got, schoolbook(a, b, q, n))
     print("  2000 random products, all bit-exact")
 

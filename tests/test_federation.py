@@ -318,3 +318,48 @@ def test_round_config_validation():
     with pytest.raises(ConfigError):
         RoundConfig(client_count=1, rounds=1, sample_counts=(5,),
                     learning_rate=-0.1)
+
+
+def encrypted_chunks(params, keys, *levels_and_scales):
+    from cipherfed.fhe import encode, encrypt
+    return tuple(encrypt(encode([0.5], params, level=lvl, scale=sc), keys, i)
+                 for i, (lvl, sc) in enumerate(levels_and_scales))
+
+
+def test_aggregate_rejects_param_count_that_needs_other_chunks(
+        toy_world, small_params):
+    from cipherfed.federation.client import ClientUpdate
+    keys = toy_world["keys"]
+    top, scale = small_params.max_level, small_params.scale
+    one = encrypted_chunks(small_params, keys, (top, scale))
+    ok = ClientUpdate(0, one, 5, 0, 3)
+    for count in (0, small_params.slot_count + 1):
+        bad = ClientUpdate(1, one, 5, 0, count)
+        with pytest.raises(ProtocolError, match="which need"):
+            server.aggregate([ok, bad], keys.public)
+
+
+def test_aggregate_rejects_chunk_at_other_level(toy_world, small_params):
+    from cipherfed.federation.client import ClientUpdate
+    keys = toy_world["keys"]
+    top, scale = small_params.max_level, small_params.scale
+    slots = small_params.slot_count
+    ok = ClientUpdate(0, encrypted_chunks(small_params, keys, (top, scale),
+                                          (top, scale)), 5, 0, slots + 1)
+    # the second chunk of the second client sits one level lower
+    bad = ClientUpdate(1, encrypted_chunks(small_params, keys, (top, scale),
+                                           (top - 1, scale)), 5, 0, slots + 1)
+    with pytest.raises(AlignmentError, match="at level 1, .* expected level"):
+        server.aggregate([ok, bad], keys.public)
+
+
+def test_aggregate_rejects_chunk_at_other_scale(toy_world, small_params):
+    from cipherfed.federation.client import ClientUpdate
+    keys = toy_world["keys"]
+    top, scale = small_params.max_level, small_params.scale
+    # one client whose second chunk was encoded at half the scale
+    upd = ClientUpdate(0, encrypted_chunks(small_params, keys, (top, scale),
+                                           (top, scale / 2)),
+                       5, 0, small_params.slot_count + 1)
+    with pytest.raises(AlignmentError, match="scale .* expected level"):
+        server.aggregate([upd], keys.public)

@@ -1,0 +1,211 @@
+"""Bitwise oracles for the word-size RNS kernel.
+
+Every modular primitive, the NTT, scalar encoding and the plaintext
+multiply are checked against Python-int references, with Hypothesis
+leaning on edge residues: 0, 1, q - 1, q and the lazy values up to
+2q - 1 that the butterflies and Shoup products feed each other. All four
+primes of the default parameters are covered, the key-switch prime
+included.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cipherfed.fhe import default_params, encode, encode_scalar, encrypt
+from cipherfed.fhe import keygen, mul_plain
+from cipherfed.fhe.nttmath import (PrimeNtt, StackedNtt, addmod, mulhi64,
+                                   shoup_constant, shoup_mul, submod)
+
+PARAMS = default_params()
+PRIMES = PARAMS.primes
+U64 = 2 ** 64
+
+
+def edge_ints(high: int, edges) -> st.SearchStrategy:
+    """Integers in [0, high], drawn often from the given edge values."""
+    picks = sorted({e for e in edges if 0 <= e <= high})
+    return st.one_of(st.sampled_from(picks), st.integers(0, high))
+
+
+def residue_lists(q: int, high: int, size: int):
+    edges = (0, 1, q - 1, q, q + 1, 2 * q - 1, 2 * q, U64 - 1)
+    return st.lists(edge_ints(high, edges), min_size=size, max_size=size)
+
+
+def u64(values) -> np.ndarray:
+    return np.array(values, dtype=np.uint64)
+
+
+prime = st.sampled_from(PRIMES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=prime, data=st.data())
+def test_addmod_submod_match_python(q, data):
+    a = data.draw(residue_lists(q, q - 1, 16))
+    b = data.draw(residue_lists(q, q - 1, 16))
+    assert addmod(u64(a), u64(b), np.uint64(q)).tolist() == \
+        [(x + y) % q for x, y in zip(a, b)]
+    assert submod(u64(a), u64(b), np.uint64(q)).tolist() == \
+        [(x - y) % q for x, y in zip(a, b)]
+    # addmod takes a lazy operand as long as the sum stays below 2q
+    lazy = [2 * q - 1 - y for y in b]
+    assert addmod(u64(lazy), u64(b), np.uint64(q)).tolist() == \
+        [(x + y) % q for x, y in zip(lazy, b)]
+    # submod takes a subtrahend of exactly q
+    assert submod(u64(a), u64([q] * len(a)), np.uint64(q)).tolist() == a
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=prime, data=st.data())
+def test_shoup_mul_matches_python_on_lazy_inputs(q, data):
+    a = data.draw(residue_lists(q, U64 - 1, 16))
+    w = data.draw(edge_ints(q - 1, (0, 1, 2, q - 2, q - 1)))
+    got = shoup_mul(u64(a), np.uint64(w), shoup_constant(w, q), np.uint64(q))
+    assert got.tolist() == [x * w % q for x in a]
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=prime, data=st.data())
+def test_shoup_mul_with_per_row_constants(q, data):
+    # a (rows, n) matrix against a (rows, 1) column, as mul_plain and
+    # rescale use it
+    rows = data.draw(st.lists(residue_lists(q, 2 * q - 1, 8), min_size=2,
+                              max_size=3))
+    ws = data.draw(st.lists(edge_ints(q - 1, (0, 1, q - 1)),
+                            min_size=len(rows), max_size=len(rows)))
+    w = u64(ws)[:, None]
+    qq = np.full((len(rows), 1), q, dtype=np.uint64)
+    got = shoup_mul(u64(rows), w, shoup_constant(w, qq), qq)
+    assert got.tolist() == [[x * wk % q for x in r] for r, wk in zip(rows, ws)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mulhi64_matches_python_at_the_edges(data):
+    edges = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, U64 - 1)
+    a = data.draw(st.lists(edge_ints(U64 - 1, edges), min_size=8, max_size=8))
+    b = data.draw(st.lists(edge_ints(U64 - 1, edges), min_size=8, max_size=8))
+    assert mulhi64(u64(a), u64(b)).tolist() == \
+        [x * y >> 64 for x, y in zip(a, b)]
+
+
+def bit_reverse(j: int, bits: int) -> int:
+    return int(format(j, f"0{bits}b")[::-1], 2) if bits else 0
+
+
+def evaluations(coeffs, q: int, psi: int) -> list[int]:
+    """The negacyclic NTT by definition: slot j holds a(psi^(2 rev(j) + 1))
+    mod q, for a primitive 2n-th root psi."""
+    n = len(coeffs)
+    bits = n.bit_length() - 1
+    out = []
+    for j in range(n):
+        x = pow(psi, 2 * bit_reverse(j, bits) + 1, q)
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * x + c) % q
+        out.append(acc)
+    return out
+
+
+def root_of(ntt: PrimeNtt) -> int:
+    """psi from the bit-reversed table (slot n/2 holds psi^1), checked to
+    be a primitive 2n-th root."""
+    psi = int(ntt.psi_br[ntt.n // 2])
+    assert pow(psi, ntt.n, ntt.q) == ntt.q - 1
+    return psi
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_ntt_matches_evaluation_on_every_prime(n, data):
+    ctxs = tuple(PrimeNtt(q, n) for q in PRIMES)
+    stacked = StackedNtt(ctxs)
+    mat = [data.draw(residue_lists(q, q - 1, n)) for q in PRIMES]
+    fwd = stacked.forward(u64(mat))
+    expect = [evaluations(row, c.q, root_of(c)) for row, c in zip(mat, ctxs)]
+    assert fwd.tolist() == expect
+    assert stacked.inverse(u64(expect)).tolist() == mat
+
+
+FULL_SIZE = [PrimeNtt(q, PARAMS.ring_degree) for q in PRIMES]
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_full_size_ntt_of_monomials(data):
+    # c * X^k transforms to c * psi^((2 rev(j) + 1) k) in slot j: this
+    # checks every stage layout of the N = 4096 transform without an
+    # O(N^2) reference
+    n = PARAMS.ring_degree
+    ctxs = FULL_SIZE
+    stacked = PARAMS.ntt
+    k = data.draw(st.sampled_from([0, 1, n // 2, n - 1])
+                  | st.integers(0, n - 1))
+    cs = [data.draw(edge_ints(q - 1, (0, 1, q - 1))) for q in PRIMES]
+    mat = np.zeros((len(PRIMES), n), dtype=np.uint64)
+    mat[:, k] = cs
+    fwd = stacked.forward(mat)
+    bits = n.bit_length() - 1
+    for row, (c, ctx) in enumerate(zip(cs, ctxs)):
+        q, psi = ctx.q, root_of(ctx)
+        expect = [c * pow(psi, (2 * bit_reverse(j, bits) + 1) * k, q) % q
+                  for j in range(n)]
+        assert fwd[row].tolist() == expect
+    assert np.array_equal(stacked.inverse(fwd), mat)
+
+
+FRACTIONS = sorted({Fraction(k, t) for t in range(1, 65) for k in range(t + 1)})
+
+
+@pytest.mark.parametrize("level", range(PARAMS.max_level + 1))
+def test_encode_scalar_equals_fft_encode_for_every_fraction(level):
+    slots = PARAMS.slot_count
+    for f in FRACTIONS:
+        c = f.numerator / f.denominator
+        got = encode_scalar(c, PARAMS, level=level)
+        ref = encode(np.full(slots, c), PARAMS, level=level)
+        assert np.array_equal(got.poly.residues, ref.poly.residues), f
+        assert (got.scale, got.level) == (ref.scale, ref.level)
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=st.floats(-2.0 ** 20, 2.0 ** 20, allow_nan=False),
+       level=st.integers(0, PARAMS.max_level))
+def test_encode_scalar_equals_fft_encode_for_floats(c, level):
+    got = encode_scalar(c, PARAMS, level=level)
+    ref = encode(np.full(PARAMS.slot_count, c), PARAMS, level=level)
+    assert np.array_equal(got.poly.residues, ref.poly.residues)
+
+
+@pytest.fixture(scope="module")
+def keys():
+    return keygen(PARAMS, rng_seed=41)
+
+
+def object_product(residues: np.ndarray, w: np.ndarray, primes) -> np.ndarray:
+    q = np.array(primes, dtype=object)[:, None]
+    return ((residues.astype(object) * w.astype(object)) % q).astype(np.uint64)
+
+
+@settings(max_examples=25, deadline=None)
+@given(w=st.floats(0.0, 1.0), level=st.integers(0, PARAMS.max_level),
+       seed=st.integers(0, 2 ** 32))
+def test_mul_plain_matches_object_reference(keys, w, level, seed):
+    vals = np.random.default_rng(seed).uniform(-8, 8, 64)
+    ct = encrypt(encode(vals, PARAMS, level=level), keys, rng_seed=seed)
+    for pt in (encode_scalar(w, PARAMS, level=level),
+               encode(vals, PARAMS, level=level)):
+        got = mul_plain(ct, pt)
+        primes = ct.c0.primes
+        for half, ref in ((got.c0, ct.c0), (got.c1, ct.c1)):
+            assert np.array_equal(
+                half.residues,
+                object_product(ref.residues, pt.poly.residues, primes))
+        assert got.scale == ct.scale * pt.scale and got.level == level

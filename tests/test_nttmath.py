@@ -20,6 +20,19 @@ def schoolbook_negacyclic(a, b, q, n):
     return np.array(res, dtype=np.uint64)
 
 
+class OnePrime:
+    """Single-row transforms through a one-row StackedNtt."""
+
+    def __init__(self, q, n):
+        self.ctx = StackedNtt((PrimeNtt(q, n),))
+
+    def forward(self, a):
+        return self.ctx.forward(a[None])[0]
+
+    def inverse(self, a):
+        return self.ctx.inverse(a[None])[0]
+
+
 def test_is_prime_known_values():
     assert is_prime(2) and is_prime(17) and is_prime(1099511799809)
     assert not is_prime(1) and not is_prime(561) and not is_prime(2 ** 40 + 1)
@@ -57,7 +70,7 @@ def test_shoup_mul_matches_python():
 @pytest.mark.parametrize("n", [8, 16])
 def test_roundtrip_exact(n):
     q = find_ntt_primes(13, 1, 2 * n)[0]
-    ntt = PrimeNtt(q, n)
+    ntt = OnePrime(q, n)
     rng = np.random.default_rng(2)
     for _ in range(50):
         a = rng.integers(0, q, n).astype(np.uint64)
@@ -66,7 +79,7 @@ def test_roundtrip_exact(n):
 
 def test_ntt_of_zero_is_zero():
     q = find_ntt_primes(13, 1, 16)[0]
-    ntt = PrimeNtt(q, 8)
+    ntt = OnePrime(q, 8)
     z = np.zeros(8, dtype=np.uint64)
     assert np.array_equal(ntt.forward(z), z)
     assert np.array_equal(ntt.inverse(z), z)
@@ -75,7 +88,7 @@ def test_ntt_of_zero_is_zero():
 @pytest.mark.parametrize("n", [8, 16])
 def test_pointwise_equals_schoolbook(n):
     q = find_ntt_primes(13, 1, 2 * n)[0]
-    ntt = PrimeNtt(q, n)
+    ntt = OnePrime(q, n)
     rng = np.random.default_rng(3)
     for _ in range(100):
         a = rng.integers(0, q, n).astype(np.uint64)
@@ -89,8 +102,8 @@ def test_pointwise_equals_schoolbook(n):
 def test_stacked_matches_single():
     n = 64
     primes = find_ntt_primes(40, 3, 2 * n)
-    singles = [PrimeNtt(q, n) for q in primes]
-    stacked = StackedNtt(tuple(singles))
+    singles = [OnePrime(q, n) for q in primes]
+    stacked = StackedNtt(tuple(PrimeNtt(q, n) for q in primes))
     rng = np.random.default_rng(4)
     mat = np.stack([rng.integers(0, q, n).astype(np.uint64) for q in primes])
     fwd = stacked.forward(mat)

@@ -61,6 +61,14 @@ def test_rejects_wrong_residue_class():
         EncryptionParams(ring_degree=1024, modulus_chain=(good, bad))
 
 
+def test_rejects_prime_above_word_limit():
+    # residue sums must stay below 2^64
+    good = find_ntt_primes(40, 1, 2048)[0]
+    big = find_ntt_primes(62, 1, 2048)[0]
+    with pytest.raises(ParameterError, match="2\\^62"):
+        EncryptionParams(ring_degree=1024, modulus_chain=(good, big))
+
+
 def test_rejects_duplicate_primes():
     q = find_ntt_primes(40, 1, 2048)[0]
     with pytest.raises(ParameterError, match="distinct"):

@@ -1,6 +1,7 @@
 import socket
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from cipherfed.federation.runner import (run_loopback_federation,
                                          run_socket_federation,
                                          run_transport_client)
 from cipherfed.federation.server import FederationCoordinator
-from cipherfed.fhe.serial import serialize_ciphertext
+from cipherfed.fhe.serial import serialize_ciphertext, serialize_float_vector
 from cipherfed.model import flatten_weights
 from cipherfed.qsim import PqcArchitecture
 
@@ -387,3 +388,25 @@ def test_update_count_must_match_join():
     error, reply = scripted_round("plaintext", None, *plain_frames(10, 12))
     assert isinstance(error, ProtocolError) and "sample count 12" in str(error)
     assert reply.mtype == T.MSG_ABORT
+
+
+@pytest.mark.parametrize("blobs", [
+    blob_list(),
+    blob_list(serialize_float_vector(np.array([1.0])),
+              serialize_float_vector(np.array([2.0])))], ids=["none", "two"])
+def test_plain_global_needs_exactly_one_blob(blobs):
+    with pytest.raises(ProtocolError, match="one vector"):
+        decode_global(struct.pack("<B", T.KIND_PLAIN) + blobs)
+
+
+def test_failing_transport_client_aborts_run_at_once(world):
+    parts = list(world["parts"])
+    bad = D.Dataset(parts[1].features, parts[1].labels, parts[1].class_count)
+    object.__setattr__(bad, "labels", parts[1].labels.copy())
+    bad.labels[0] = 99  # out-of-range label -> client 1 fails in training
+    parts[1] = bad
+    start = time.monotonic()
+    with pytest.raises(ProtocolError, match="client 1 aborted round 0"):
+        run_loopback_federation(world["init"], world["cfg"], parts,
+                                world["test"], None, mode="plaintext")
+    assert time.monotonic() - start < 30.0
