@@ -12,7 +12,6 @@ import argparse
 import json
 import logging
 import os
-import struct
 import sys
 from pathlib import Path
 
@@ -120,24 +119,16 @@ def cmd_compare(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    data = Path(args.path).read_bytes()
-    try:
-        _describe(data)
-    except struct.error:
-        raise FormatError(f"{data[:4]!r} header truncated at "
-                          f"{len(data)} bytes") from None
-    return EXIT_OK
-
-
-def _describe(data: bytes) -> None:
     from .fhe.serial import (MAGIC_CIPHERTEXT, MAGIC_FLOAT_VECTOR,
                              MAGIC_GALOIS_KEYS, MAGIC_PUBLIC_KEY,
-                             MAGIC_SECRET_KEY)
-    magic = data[:4]
+                             MAGIC_SECRET_KEY, Reader)
+    data = Path(args.path).read_bytes()
     size = len(data)
+    r = Reader(data, f"{data[:4]!r} header")
+    magic = r.take(4)
     if magic in (MAGIC_SECRET_KEY, MAGIC_PUBLIC_KEY, MAGIC_GALOIS_KEYS,
                  MAGIC_CIPHERTEXT):
-        (digest,) = struct.unpack_from("8s", data, 4)
+        digest = r.take(8)
     if magic == MAGIC_SECRET_KEY:
         print("kind   : secret key")
         print(f"digest : {digest.hex()}")
@@ -148,26 +139,25 @@ def _describe(data: bytes) -> None:
         print(f"digest : {digest.hex()}")
         print(f"size   : {size} bytes")
     elif magic == MAGIC_GALOIS_KEYS:
-        (count,) = struct.unpack_from("<H", data, 12)
+        (count,) = r.unpack("H")
         print("kind   : galois key set")
         print(f"digest : {digest.hex()}")
         print(f"steps  : {count}")
         print(f"size   : {size} bytes")
     elif magic == MAGIC_CIPHERTEXT:
-        level, scale = struct.unpack_from("<Bd", data, 12)
+        level, scale = r.unpack("Bd")
         print("kind   : ciphertext")
         print(f"digest : {digest.hex()}")
         print(f"level  : {level}")
         print(f"scale  : {scale:.6g}")
         print(f"size   : {size} bytes")
     elif magic == MAGIC_FLOAT_VECTOR:
-        (count,) = struct.unpack_from("<I", data, 4)
+        (count,) = r.unpack("I")
         print("kind   : float vector")
         print(f"length : {count}")
         print(f"size   : {size} bytes")
     elif magic == CHECKPOINT_MAGIC:
-        feat, nq, depth, classes, n_read = struct.unpack_from("<HBBHB",
-                                                              data, 4)
+        feat, nq, depth, classes, n_read = r.unpack("HBBHB")
         print("kind     : model checkpoint")
         print(f"features : {feat}")
         print(f"qubits   : {nq}  depth: {depth}  readouts: {n_read}")
@@ -175,6 +165,7 @@ def _describe(data: bytes) -> None:
         print(f"size     : {size} bytes")
     else:
         raise FormatError(f"unknown magic bytes {magic!r}")
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,7 +4,8 @@ The same round as the direct path in rounds.py -- each client runs
 `client_step`, the coordinator runs `server_step` -- but every update,
 global model, and metrics row crosses a byte channel. Because
 serialization is lossless, a run's metrics are identical across the
-direct, loopback, and socket paths for the same seeds.
+direct, loopback (an in-process socket pair), and socket (TCP) paths for
+the same seeds.
 """
 
 from __future__ import annotations
@@ -128,17 +129,24 @@ def _run_with_channels(initial_model, config, client_datasets, test_data,
     return results[0], coordinator.history
 
 
+def _run_and_close(server_channels, client_channels, *args):
+    """`_run_with_channels`, closing every channel on the way out."""
+    try:
+        return _run_with_channels(*args, server_channels, client_channels)
+    finally:
+        for ch in (*server_channels, *client_channels):
+            ch.close()
+
+
 def run_loopback_federation(initial_model, config: RoundConfig,
                             client_datasets, test_data, keys,
                             mode: str = "fhe",
                             sink: MetricsSink | None = None):
-    """Full protocol over in-process queue channels."""
+    """Full protocol over in-process stream socket pairs."""
     pairs = [loopback_pair() for _ in range(config.client_count)]
-    server_side = [p[0] for p in pairs]
-    client_side = [p[1] for p in pairs]
-    return _run_with_channels(initial_model, config, client_datasets,
-                              test_data, keys, mode, sink, server_side,
-                              client_side)
+    return _run_and_close([p[0] for p in pairs], [p[1] for p in pairs],
+                          initial_model, config, client_datasets, test_data,
+                          keys, mode, sink)
 
 
 def run_socket_federation(initial_model, config: RoundConfig,
@@ -167,12 +175,7 @@ def run_socket_federation(initial_model, config: RoundConfig,
         listener.close()
 
     # connections may be accepted out of order; identity comes from JOIN
-    server_side = [SocketChannel(s) for s in server_socks]
-    client_side = [SocketChannel(s) for s in client_socks]
-    try:
-        return _run_with_channels(initial_model, config, client_datasets,
-                                  test_data, keys, mode, sink, server_side,
-                                  client_side)
-    finally:
-        for ch in server_side + client_side:
-            ch.close()
+    return _run_and_close([SocketChannel(s) for s in server_socks],
+                          [SocketChannel(s) for s in client_socks],
+                          initial_model, config, client_datasets, test_data,
+                          keys, mode, sink)

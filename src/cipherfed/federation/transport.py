@@ -1,24 +1,25 @@
 """Pluggable transport for the federation protocol.
 
 Frame layout: u32 big-endian length, u8 message type, u16 big-endian
-round index, payload. The length counts everything after itself. Two
-channel implementations: an in-process loopback queue pair and a TCP
-stream socket; both move the same bytes, so a run's results do not
-depend on the transport.
+round index, payload. The length counts everything after itself. One
+channel implementation, over a stream socket: a TCP connection, or an
+in-process socket pair for loopback runs. Both move the same bytes, so
+a run's results do not depend on the transport. Every payload is read
+through one bounds-checked `Reader` and must be consumed exactly.
 """
 
 from __future__ import annotations
 
 import json
-import queue
 import socket
 import struct
 
 import numpy as np
 
 from ..errors import ProtocolError
-from ..fhe.serial import (deserialize_ciphertext, deserialize_float_vector,
-                          serialize_ciphertext, serialize_float_vector)
+from ..fhe.serial import (Reader, deserialize_ciphertext,
+                          deserialize_float_vector, serialize_ciphertext,
+                          serialize_float_vector)
 from .client import ClientUpdate, PlainUpdate
 
 MSG_JOIN = 1
@@ -53,45 +54,6 @@ def decode_body(body: bytes) -> Message:
     if mtype not in _VALID_TYPES:
         raise ProtocolError(f"unknown message type {mtype}")
     return Message(mtype, round_index, body[3:])
-
-
-class LoopbackChannel:
-    """One endpoint of an in-process queue pair carrying raw frames."""
-
-    def __init__(self, inbox: queue.Queue, outbox: queue.Queue):
-        self._in = inbox
-        self._out = outbox
-        self._closed = False
-
-    def send(self, msg: Message) -> None:
-        self._out.put(encode_frame(msg))
-
-    def recv(self, timeout: float = 120.0) -> Message:
-        try:
-            frame = self._in.get(timeout=timeout)
-        except queue.Empty:
-            raise ProtocolError("loopback recv timed out") from None
-        if frame is None:
-            raise ProtocolError("peer closed the loopback channel")
-        if len(frame) < 4:
-            raise ProtocolError("truncated frame")
-        (length,) = struct.unpack("!I", frame[:4])
-        if length > MAX_FRAME:
-            raise ProtocolError(f"frame length {length} exceeds bound")
-        if length != len(frame) - 4:
-            raise ProtocolError("frame length does not match body")
-        return decode_body(frame[4:])
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._out.put(None)
-
-
-def loopback_pair() -> tuple[LoopbackChannel, LoopbackChannel]:
-    a_to_b: queue.Queue = queue.Queue()
-    b_to_a: queue.Queue = queue.Queue()
-    return (LoopbackChannel(b_to_a, a_to_b), LoopbackChannel(a_to_b, b_to_a))
 
 
 class SocketChannel:
@@ -138,6 +100,12 @@ class SocketChannel:
             pass
 
 
+def loopback_pair() -> tuple[SocketChannel, SocketChannel]:
+    """Two connected in-process endpoints over a stream socket pair."""
+    a, b = socket.socketpair()
+    return SocketChannel(a), SocketChannel(b)
+
+
 # --- payload encodings ------------------------------------------------------
 
 KIND_PLAIN = 0
@@ -149,9 +117,10 @@ def encode_join(client_id: int, sample_count: int) -> bytes:
 
 
 def decode_join(payload: bytes) -> tuple[int, int]:
-    if len(payload) != 10:
-        raise ProtocolError("malformed JOIN payload")
-    return struct.unpack("<HQ", payload)
+    r = Reader(payload, "JOIN payload", ProtocolError)
+    client_id, sample_count = r.unpack("HQ")
+    r.end()
+    return client_id, sample_count
 
 
 def _encode_blobs(blobs) -> bytes:
@@ -162,23 +131,18 @@ def _encode_blobs(blobs) -> bytes:
     return b"".join(out)
 
 
-def _decode_blobs(buf: bytes, offset: int) -> list[bytes]:
-    """The blob list at `offset`, which must end exactly at the end of
-    `buf`; any misfit raises struct.error, as a short read does."""
-    (count,) = struct.unpack_from("<H", buf, offset)
-    offset += 2
-    blobs = []
-    for _ in range(count):
-        (ln,) = struct.unpack_from("<I", buf, offset)
-        offset += 4
-        if offset + ln > len(buf):
-            raise struct.error(f"blob of {ln} bytes runs past the payload")
-        blobs.append(buf[offset:offset + ln])
-        offset += ln
-    if offset != len(buf):
-        raise struct.error(f"{len(buf) - offset} trailing bytes after the "
-                           "blob list")
+def _read_blobs(r: Reader) -> list[bytes]:
+    """The blob list that ends the payload under `r`."""
+    (count,) = r.unpack("H")
+    blobs = [r.take(r.unpack("I")[0]) for _ in range(count)]
+    r.end()
     return blobs
+
+
+def _ciphertexts(blobs, params) -> list:
+    if params is None:
+        raise ProtocolError("encrypted payload on a plaintext run")
+    return [deserialize_ciphertext(b, params) for b in blobs]
 
 
 def encode_update(update) -> bytes:
@@ -193,15 +157,12 @@ def encode_update(update) -> bytes:
 
 
 def decode_update(payload: bytes, round_index: int, params):
-    try:
-        client_id, sample_count, kind, param_count = struct.unpack_from(
-            "<HQBI", payload, 0)
-        blobs = _decode_blobs(payload, 15)
-    except (struct.error, IndexError) as exc:
-        raise ProtocolError(f"malformed UPDATE payload: {exc}") from None
+    r = Reader(payload, "UPDATE payload", ProtocolError)
+    client_id, sample_count, kind, param_count = r.unpack("HQBI")
+    blobs = _read_blobs(r)
     if kind == KIND_FHE:
-        chunks = tuple(deserialize_ciphertext(b, params) for b in blobs)
-        return ClientUpdate(client_id=client_id, chunks=chunks,
+        return ClientUpdate(client_id=client_id,
+                            chunks=tuple(_ciphertexts(blobs, params)),
                             sample_count=sample_count,
                             round_index=round_index, param_count=param_count)
     if kind == KIND_PLAIN:
@@ -222,17 +183,15 @@ def encode_global(agg) -> bytes:
 
 
 def decode_global(payload: bytes, params):
-    try:
-        (kind,) = struct.unpack_from("<B", payload, 0)
-        blobs = _decode_blobs(payload, 1)
-    except (struct.error, IndexError) as exc:
-        raise ProtocolError(f"malformed GLOBAL payload: {exc}") from None
+    r = Reader(payload, "GLOBAL payload", ProtocolError)
+    (kind,) = r.unpack("B")
+    blobs = _read_blobs(r)
     if kind == KIND_PLAIN:
         if len(blobs) != 1:
             raise ProtocolError("plain global must carry one vector")
         return deserialize_float_vector(blobs[0])
     if kind == KIND_FHE:
-        return [deserialize_ciphertext(b, params) for b in blobs]
+        return _ciphertexts(blobs, params)
     raise ProtocolError(f"unknown global kind {kind}")
 
 
@@ -241,10 +200,17 @@ def encode_metrics(row: dict) -> bytes:
 
 
 def decode_metrics(payload: bytes) -> dict:
+    """A metrics row: an object with an actor, an int round, and loss and
+    accuracy fields that are numbers or null."""
     try:
         row = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ProtocolError(f"malformed METRICS payload: {exc}") from None
     if not isinstance(row, dict) or "actor" not in row:
         raise ProtocolError("metrics row missing actor")
+    if type(row.get("round")) is not int or any(
+            row.get(k) is not None and type(row[k]) not in (int, float)
+            for k in ("train_loss", "train_acc", "test_loss", "test_acc")):
+        raise ProtocolError("metrics row needs an int round and numeric or "
+                            "null loss and accuracy")
     return row

@@ -8,6 +8,7 @@ stored in the NTT domain. See docs/protocol.md for the exact layouts.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -29,14 +30,21 @@ _MAGICS = {MAGIC_CIPHERTEXT: "ciphertext", MAGIC_SECRET_KEY: "secret key",
            MAGIC_FLOAT_VECTOR: "float vector"}
 
 
-class _Reader:
-    def __init__(self, data: bytes):
+class Reader:
+    """Bounds-checked cursor over one encoded object. Every decoder reads
+    through it and finishes with `end()`, so a short input and unread
+    trailing bytes both raise `error`."""
+
+    def __init__(self, data: bytes, what: str, error=FormatError):
         self.data = data
+        self.what = what
+        self.error = error
         self.pos = 0
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.data):
-            raise FormatError("truncated artifact")
+            raise self.error(f"malformed {self.what}: truncated at "
+                             f"{len(self.data)} bytes, needs {self.pos + n}")
         out = self.data[self.pos:self.pos + n]
         self.pos += n
         return out
@@ -44,8 +52,15 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack("<" + fmt, self.take(struct.calcsize("<" + fmt)))
 
+    def end(self) -> None:
+        if self.pos != len(self.data):
+            raise self.error(f"malformed {self.what}: "
+                             f"{len(self.data) - self.pos} trailing bytes")
 
-def _check_header(r: _Reader, magic: bytes, params: EncryptionParams) -> None:
+
+def _open(data: bytes, magic: bytes, params: EncryptionParams) -> Reader:
+    """A Reader past the magic and the parameter digest of `data`."""
+    r = Reader(data, _MAGICS[magic])
     got = r.take(4)
     if got != magic:
         kind = _MAGICS.get(got)
@@ -56,6 +71,7 @@ def _check_header(r: _Reader, magic: bytes, params: EncryptionParams) -> None:
     if r.take(8) != params.digest:
         raise ParameterError("artifact was produced under different "
                              "encryption parameters (digest mismatch)")
+    return r
 
 
 def _poly_bytes(p: RingPoly) -> bytes:
@@ -64,15 +80,24 @@ def _poly_bytes(p: RingPoly) -> bytes:
     return b"".join(rows)
 
 
-def _read_poly(r: _Reader, params: EncryptionParams) -> RingPoly:
+def _read_poly(r: Reader, params: EncryptionParams, rows: range) -> RingPoly:
+    """A polynomial over the first `count` basis primes, `count` in
+    `rows`, each residue below its row's prime."""
     (count,) = r.unpack("B")
-    n_chain = len(params.modulus_chain)
-    if count > n_chain + 1:
-        raise FormatError(f"poly claims {count} primes, basis has {n_chain + 1}")
+    if count not in rows:
+        raise FormatError(f"poly has {count} primes, expected "
+                          f"{rows.start} to {rows.stop - 1}")
+    basis = tuple(range(count))
     raw = r.take(count * params.ring_degree * 8)
     res = np.frombuffer(raw, dtype="<u8").reshape(count, params.ring_degree)
-    return RingPoly(params, tuple(range(count)),
-                    np.ascontiguousarray(res, dtype=np.uint64), NTT)
+    if (res >= params.stacked_ntt(basis).q).any():
+        raise FormatError("poly residue not below its prime")
+    return RingPoly(params, basis, np.ascontiguousarray(res, dtype=np.uint64),
+                    NTT)
+
+
+def _read_key(r: Reader, params: EncryptionParams, rows: int) -> ShoupPoly:
+    return ShoupPoly.wrap(_read_poly(r, params, range(rows, rows + 1)))
 
 
 def serialize_ciphertext(ct: Ciphertext) -> bytes:
@@ -84,11 +109,15 @@ def serialize_ciphertext(ct: Ciphertext) -> bytes:
 
 
 def deserialize_ciphertext(data: bytes, params: EncryptionParams) -> Ciphertext:
-    r = _Reader(data)
-    _check_header(r, MAGIC_CIPHERTEXT, params)
+    r = _open(data, MAGIC_CIPHERTEXT, params)
     level, scale = r.unpack("Bd")
-    c0 = _read_poly(r, params)
-    c1 = _read_poly(r, params)
+    if not 0.0 < scale < math.inf:
+        raise FormatError(f"ciphertext scale {scale} is not finite and "
+                          "positive")
+    rows = range(1, len(params.modulus_chain) + 1)
+    c0 = _read_poly(r, params, rows)
+    c1 = _read_poly(r, params, rows)
+    r.end()
     return Ciphertext(c0=c0, c1=c1, scale=scale, level=level)
 
 
@@ -116,33 +145,36 @@ def serialize_galois_keys(pub: PublicMaterial) -> bytes:
 
 def deserialize_public_material(public_data: bytes, params: EncryptionParams,
                                 galois_data: bytes | None = None) -> PublicMaterial:
-    r = _Reader(public_data)
-    _check_header(r, MAGIC_PUBLIC_KEY, params)
-    pk0 = ShoupPoly.wrap(_read_poly(r, params))
-    pk1 = ShoupPoly.wrap(_read_poly(r, params))
+    n_chain = len(params.modulus_chain)
+    r = _open(public_data, MAGIC_PUBLIC_KEY, params)
+    pk0, pk1 = (_read_key(r, params, n_chain) for _ in range(2))
+    r.end()
     galois: dict[int, GaloisKey] = {}
     if galois_data is not None:
-        g = _Reader(galois_data)
-        _check_header(g, MAGIC_GALOIS_KEYS, params)
+        g = _open(galois_data, MAGIC_GALOIS_KEYS, params)
         (count,) = g.unpack("H")
         for _ in range(count):
             step, digits = g.unpack("HB")
-            ks_b = []
-            ks_a = []
-            for _ in range(digits):
-                ks_b.append(ShoupPoly.wrap(_read_poly(g, params)))
-                ks_a.append(ShoupPoly.wrap(_read_poly(g, params)))
-            galois[step] = GaloisKey(step=step, ks_b=tuple(ks_b),
-                                     ks_a=tuple(ks_a))
+            if not 1 <= step < params.slot_count or step in galois:
+                raise FormatError(f"galois key step {step} is out of range "
+                                  "or repeated")
+            if digits != n_chain:
+                raise FormatError(f"galois key has {digits} digits, the "
+                                  f"chain needs {n_chain}")
+            polys = [_read_key(g, params, n_chain + 1)
+                     for _ in range(2 * digits)]
+            galois[step] = GaloisKey(step=step, ks_b=tuple(polys[0::2]),
+                                     ks_a=tuple(polys[1::2]))
+        g.end()
     return PublicMaterial(params=params, pk0=pk0, pk1=pk1, galois_keys=galois)
 
 
 def deserialize_key_material(secret_data: bytes, public_data: bytes,
                              params: EncryptionParams,
                              galois_data: bytes | None = None) -> KeyMaterial:
-    r = _Reader(secret_data)
-    _check_header(r, MAGIC_SECRET_KEY, params)
-    secret = ShoupPoly.wrap(_read_poly(r, params))
+    r = _open(secret_data, MAGIC_SECRET_KEY, params)
+    secret = _read_key(r, params, len(params.modulus_chain) + 1)
+    r.end()
     pub = deserialize_public_material(public_data, params, galois_data)
     return KeyMaterial(public=pub, secret_key=secret)
 
@@ -153,11 +185,12 @@ def serialize_float_vector(values: np.ndarray) -> bytes:
 
 
 def deserialize_float_vector(data: bytes) -> np.ndarray:
-    r = _Reader(data)
+    r = Reader(data, "float vector")
     if r.take(4) != MAGIC_FLOAT_VECTOR:
         raise FormatError("not a float vector artifact")
     (count,) = r.unpack("I")
     raw = r.take(count * 8)
+    r.end()
     return np.frombuffer(raw, dtype="<f8").astype(np.float64)
 
 

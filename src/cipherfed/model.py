@@ -246,29 +246,20 @@ def save_checkpoint(model: HybridModel) -> bytes:
 def load_checkpoint(data: bytes) -> HybridModel:
     """Inverse of `save_checkpoint`; any malformed layout, including a
     truncated blob or trailing bytes, raises FormatError."""
-    if data[:4] != CHECKPOINT_MAGIC:
+    from .fhe.serial import Reader  # the model needs no FHE code otherwise
+    r = Reader(data, "checkpoint")
+    if r.take(4) != CHECKPOINT_MAGIC:
         raise FormatError("not a model checkpoint artifact")
-    if len(data) < 11:
-        raise FormatError("checkpoint header truncated")
-    feat, nq, depth, classes, n_read = struct.unpack_from("<HBBHB", data, 4)
-    pos = 11
-    axes_len = depth * nq
-    if len(data) < pos + n_read + axes_len + 4:
-        raise FormatError("checkpoint header truncated")
-    readout = tuple(data[pos:pos + n_read])
-    pos += n_read
+    feat, nq, depth, classes, n_read = r.unpack("HBBHB")
+    readout = tuple(r.take(n_read))
     try:
-        axes_blob = data[pos:pos + axes_len].decode("ascii")
+        axes_blob = r.take(depth * nq).decode("ascii")
     except UnicodeDecodeError as exc:
         raise FormatError("checkpoint axes are not ASCII") from exc
-    pos += axes_len
-    axes = tuple(tuple(axes_blob[l * nq + q] for q in range(nq))
-                 for l in range(depth))
-    (count,) = struct.unpack_from("<I", data, pos)
-    pos += 4
-    if len(data) != pos + count * 8:
-        raise FormatError(f"checkpoint weights take {len(data) - pos} "
-                          f"bytes, {count} values need {count * 8}")
+    axes = tuple(tuple(axes_blob[l * nq:(l + 1) * nq]) for l in range(depth))
+    (count,) = r.unpack("I")
+    weights = np.frombuffer(r.take(count * 8), dtype="<f8")
+    r.end()
     try:
         arch = PqcArchitecture(qubit_count=nq, depth=depth, axes=axes,
                                readout=readout)
@@ -279,7 +270,6 @@ def load_checkpoint(data: bytes) -> HybridModel:
         if count != template.param_count:
             raise FormatError(f"checkpoint holds {count} values, its "
                               f"architecture needs {template.param_count}")
-        return unflatten_weights(
-            template, np.frombuffer(data, dtype="<f8", offset=pos))
+        return unflatten_weights(template, weights)
     except ShapeError as exc:
         raise FormatError(f"invalid checkpoint: {exc}") from exc

@@ -1,0 +1,216 @@
+"""Hostile-input properties of every decoder.
+
+Each wire payload and file artifact is encoded from a valid object, then
+truncated, flipped at one byte, or extended. The decoder must return a
+valid object, one that the rest of the system can use without a raw
+Python error, or raise a CipherfedError. Binary layouts must be consumed
+exactly, so any non-empty append raises.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cipherfed import model as M
+from cipherfed.errors import CipherfedError
+from cipherfed.federation import transport as T
+from cipherfed.federation.client import (ClientUpdate, PlainUpdate,
+                                         encrypt_model)
+from cipherfed.federation.quantize import QuantizationSpec
+from cipherfed.fhe import (Ciphertext, decode, decrypt, encode, encrypt,
+                           keygen, rotate)
+from cipherfed.fhe.keys import KeyMaterial, PublicMaterial
+from cipherfed.fhe.serial import (deserialize_ciphertext,
+                                  deserialize_float_vector,
+                                  deserialize_key_material,
+                                  deserialize_public_material,
+                                  serialize_ciphertext, serialize_float_vector,
+                                  serialize_galois_keys, serialize_public_key,
+                                  serialize_secret_key)
+from cipherfed.qsim import PqcArchitecture
+
+class Format:
+    """A valid encoding, its decoder, and a check that the decoded
+    object is usable."""
+
+    def __init__(self, blob, decode_fn, use):
+        self.blob = blob
+        self.decode = decode_fn
+        self.use = use
+
+
+@pytest.fixture(scope="module")
+def formats(small_params):
+    params = small_params
+    keys = keygen(params, rotation_steps=(3,), rng_seed=41)
+    ct = encrypt(encode(np.linspace(-1, 1, 8), params), keys, 5)
+    sec = serialize_secret_key(keys)
+    pub = serialize_public_key(keys.public)
+    gal = serialize_galois_keys(keys.public)
+    arch = PqcArchitecture(qubit_count=2, depth=2,
+                           axes=(("X", "Y"), ("Z", "X")))
+    model = M.init_model(3, arch, 2, rng_seed=9)
+    fhe_upd = encrypt_model(model, QuantizationSpec(), keys, client_id=1,
+                            sample_count=12, round_index=0)
+    plain_upd = PlainUpdate(1, np.array([0.5, -1.5, 2.0]), 12, 0)
+    row = {"round": 2, "actor": "client_0", "train_loss": 0.5,
+           "train_acc": 0.75, "test_loss": None, "test_acc": None,
+           "wall_ms": 0.0}
+
+    def use_ct(got):
+        assert isinstance(got, Ciphertext)
+        decode(decrypt(got, keys), 8)
+
+    def use_public(got):
+        assert isinstance(got, PublicMaterial)
+        decode(decrypt(encrypt(encode([0.25], params), got, 1), keys), 1)
+
+    def use_galois(got):
+        assert isinstance(got, PublicMaterial) and len(got.galois_keys) <= 1
+        for step in got.galois_keys:
+            rotate(ct, step, got)
+
+    def use_secret(got):
+        assert isinstance(got, KeyMaterial)
+        decode(decrypt(ct, got), 8)
+
+    def use_vector(got):
+        assert isinstance(got, np.ndarray) and got.dtype == np.float64
+
+    def use_model(got):
+        assert isinstance(got, M.HybridModel)
+        M.forward(got, np.zeros((2, got.feature_count)))
+
+    def use_update(got):
+        if isinstance(got, ClientUpdate):
+            for chunk in got.chunks:
+                use_ct(chunk)
+        else:
+            use_vector(got.values)
+
+    def use_global(got):
+        if isinstance(got, np.ndarray):
+            use_vector(got)
+        else:
+            for chunk in got:
+                use_ct(chunk)
+
+    def use_metrics(got):
+        assert isinstance(got, dict) and type(got["round"]) is int
+
+    def use_frame(got):
+        assert got.mtype in T._VALID_TYPES
+
+    def use_join(got):
+        assert all(type(v) is int for v in got) and len(got) == 2
+
+    body = T.encode_frame(T.Message(T.MSG_UPDATE, 4, b"payload"))[4:]
+    return {
+        "frame-body": Format(body, T.decode_body, use_frame),
+        "JOIN": Format(T.encode_join(3, 40), T.decode_join, use_join),
+        "UPDATE-fhe": Format(T.encode_update(fhe_upd),
+                             lambda b: T.decode_update(b, 0, params),
+                             use_update),
+        "UPDATE-plain": Format(T.encode_update(plain_upd),
+                               lambda b: T.decode_update(b, 0, None),
+                               use_update),
+        "GLOBAL-fhe": Format(T.encode_global([ct, ct]),
+                             lambda b: T.decode_global(b, params), use_global),
+        "GLOBAL-plain": Format(T.encode_global(np.array([1.0, -2.0])),
+                               lambda b: T.decode_global(b, None), use_global),
+        "METRICS": Format(T.encode_metrics(row), T.decode_metrics,
+                          use_metrics),
+        "CKV1": Format(serialize_ciphertext(ct),
+                       lambda b: deserialize_ciphertext(b, params), use_ct),
+        "CKP1": Format(pub, lambda b: deserialize_public_material(b, params),
+                       use_public),
+        "CKG1": Format(gal, lambda b: deserialize_public_material(
+            pub, params, galois_data=b), use_galois),
+        "CKS1": Format(sec, lambda b: deserialize_key_material(b, pub, params),
+                       use_secret),
+        "CKF1": Format(serialize_float_vector(np.arange(5.0)),
+                       deserialize_float_vector, use_vector),
+        "CKM1": Format(M.save_checkpoint(model), M.load_checkpoint,
+                       use_model),
+    }
+
+
+NAMES = ["frame-body", "JOIN", "UPDATE-fhe", "UPDATE-plain", "GLOBAL-fhe",
+         "GLOBAL-plain", "METRICS", "CKV1", "CKP1", "CKG1", "CKS1", "CKF1",
+         "CKM1"]
+
+
+@st.composite
+def mutations(draw, size: int):
+    """A truncation, a one-byte flip, or an append; positions lean on
+    the first 64 bytes, where the headers and length fields sit."""
+    kind = draw(st.sampled_from(["truncate", "flip", "append"]))
+    pos = draw(st.one_of(st.integers(0, min(63, size - 1)),
+                         st.integers(0, size - 1)))
+    if kind == "truncate":
+        return lambda b: b[:pos]
+    if kind == "flip":
+        xor = draw(st.integers(1, 255))
+        return lambda b: b[:pos] + bytes([b[pos] ^ xor]) + b[pos + 1:]
+    extra = draw(st.binary(min_size=1, max_size=16))
+    return lambda b: b + extra
+
+
+def decode_and_use(fmt: Format, blob: bytes) -> bool:
+    """True if the blob decoded to a usable object, False if it was
+    rejected with a CipherfedError; any other error fails the test."""
+    try:
+        got = fmt.decode(blob)
+    except CipherfedError:
+        return False
+    try:
+        fmt.use(got)
+    except CipherfedError:
+        pass  # a well-formed object that an operation may still refuse
+    return True
+
+
+FUZZ = settings(max_examples=100, deadline=None)
+
+
+def test_every_valid_encoding_decodes(formats):
+    for name in NAMES:
+        fmt = formats[name]
+        fmt.use(fmt.decode(fmt.blob))
+
+
+@pytest.mark.parametrize("name", NAMES)
+@FUZZ
+@given(data=st.data())
+def test_mutated_input_decodes_or_raises(formats, name, data):
+    fmt = formats[name]
+    mutate = data.draw(mutations(len(fmt.blob)))
+    decode_and_use(fmt, mutate(fmt.blob))
+
+
+@pytest.mark.parametrize("name", [n for n in NAMES if n not in
+                                  ("frame-body", "METRICS")])
+@FUZZ
+@given(extra=st.binary(min_size=1, max_size=64))
+def test_binary_layouts_reject_any_append(formats, name, extra):
+    assert not decode_and_use(formats[name], formats[name].blob + extra)
+
+
+@FUZZ
+@given(extra=st.binary(min_size=1, max_size=64))
+def test_frame_body_append_extends_payload(formats, extra):
+    got = T.decode_body(formats["frame-body"].blob + extra)
+    assert got.payload == b"payload" + extra
+
+
+@FUZZ
+@given(extra=st.text(alphabet=" \t\r\n", min_size=1, max_size=8),
+       tail=st.binary(min_size=1, max_size=16).filter(
+           lambda b: b.strip(b" \t\r\n") != b""))
+def test_metrics_append_is_whitespace_or_rejected(formats, extra, tail):
+    blob = formats["METRICS"].blob
+    assert T.decode_metrics(blob + extra.encode()) == json.loads(blob)
+    assert not decode_and_use(formats["METRICS"], blob + extra.encode() + tail)

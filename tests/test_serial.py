@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -102,3 +104,127 @@ def test_peek_kind(small_params, small_keys):
     assert peek_kind(serialize_secret_key(small_keys)) == "secret key"
     with pytest.raises(FormatError):
         peek_kind(b"ZZZZ")
+
+
+# --- hostile artifacts ------------------------------------------------------
+
+def poly_bytes(residues) -> bytes:
+    return struct.pack("<B", len(residues)) + np.asarray(
+        residues, dtype="<u8").tobytes()
+
+
+@pytest.fixture(scope="module")
+def rot_keys(small_params):
+    return keygen(small_params, rotation_steps=(1,), rng_seed=77)
+
+
+@pytest.fixture(scope="module")
+def artifacts(small_params, rot_keys):
+    ct = encrypt(encode([0.5, -0.5], small_params), rot_keys, 3)
+    return {"ciphertext": serialize_ciphertext(ct),
+            "public": serialize_public_key(rot_keys.public),
+            "galois": serialize_galois_keys(rot_keys.public),
+            "secret": serialize_secret_key(rot_keys),
+            "vector": serialize_float_vector(np.arange(4.0))}
+
+
+def load(kind, blob, params, artifacts):
+    if kind == "ciphertext":
+        return deserialize_ciphertext(blob, params)
+    if kind == "public":
+        return deserialize_public_material(blob, params)
+    if kind == "galois":
+        return deserialize_public_material(artifacts["public"], params, blob)
+    if kind == "secret":
+        return deserialize_key_material(blob, artifacts["public"], params)
+    return deserialize_float_vector(blob)
+
+
+KINDS = ["ciphertext", "public", "galois", "secret", "vector"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_trailing_bytes_rejected(kind, small_params, artifacts):
+    load(kind, artifacts[kind], small_params, artifacts)
+    with pytest.raises(FormatError, match="1 trailing bytes"):
+        load(kind, artifacts[kind] + b"\x00", small_params, artifacts)
+
+
+# offset of the first residue, and the row to patch
+@pytest.mark.parametrize("kind,start,row", [
+    ("ciphertext", 22, 0), ("ciphertext", 22, 2), ("public", 13, 1),
+    ("galois", 18, 3), ("secret", 13, 3)])
+def test_residue_at_its_prime_rejected(kind, start, row, small_params,
+                                       artifacts):
+    n = small_params.ring_degree
+    blob = bytearray(artifacts[kind])
+    struct.pack_into("<Q", blob, start + 8 * (row * n + 5),
+                     small_params.primes[row])
+    with pytest.raises(FormatError, match="below its prime"):
+        load(kind, bytes(blob), small_params, artifacts)
+
+
+def key_blob(magic, params, *polys, head=b"") -> bytes:
+    return magic + params.digest + head + b"".join(polys)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 4])
+def test_public_key_needs_chain_rows(rows, small_params):
+    poly = poly_bytes(np.zeros((rows, small_params.ring_degree)))
+    with pytest.raises(FormatError, match=f"poly has {rows} primes"):
+        deserialize_public_material(
+            key_blob(b"CKP1", small_params, poly, poly), small_params)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_secret_key_needs_extended_rows(rows, small_params, artifacts):
+    poly = poly_bytes(np.zeros((rows, small_params.ring_degree)))
+    with pytest.raises(FormatError, match=f"poly has {rows} primes"):
+        deserialize_key_material(key_blob(b"CKS1", small_params, poly),
+                                 artifacts["public"], small_params)
+
+
+def galois_blob(params, step, digits, rows) -> bytes:
+    poly = poly_bytes(np.zeros((rows, params.ring_degree)))
+    return key_blob(b"CKG1", params, poly * (2 * digits),
+                    head=struct.pack("<HHB", 1, step, digits))
+
+
+@pytest.mark.parametrize("step,digits,rows,match", [
+    (1, 3, 3, "poly has 3 primes"),
+    (1, 2, 4, "2 digits"),
+    (1, 4, 4, "4 digits"),
+    (0, 3, 4, "step 0"),
+    (512, 3, 4, "step 512")], ids=["rows", "digits-2", "digits-4", "step-0",
+                                  "step-slots"])
+def test_galois_key_layout_checked(step, digits, rows, match, small_params,
+                                   artifacts):
+    with pytest.raises(FormatError, match=match):
+        deserialize_public_material(artifacts["public"], small_params,
+                                    galois_blob(small_params, step, digits,
+                                                rows))
+
+
+def test_galois_step_repeated_rejected(small_params, artifacts):
+    one = artifacts["galois"][14:]  # the step entry after the count
+    blob = key_blob(b"CKG1", small_params, one, one,
+                    head=struct.pack("<H", 2))
+    with pytest.raises(FormatError, match="repeated"):
+        deserialize_public_material(artifacts["public"], small_params, blob)
+
+
+def test_ciphertext_beyond_chain_rejected(small_params, artifacts):
+    poly = poly_bytes(np.zeros((4, small_params.ring_degree)))
+    blob = key_blob(b"CKV1", small_params, poly, poly,
+                    head=struct.pack("<Bd", 3, small_params.scale))
+    with pytest.raises(FormatError, match="poly has 4 primes"):
+        deserialize_ciphertext(blob, small_params)
+
+
+@pytest.mark.parametrize("scale", [float("nan"), -1.0, 0.0, float("inf")])
+def test_ciphertext_scale_must_be_finite_positive(scale, small_params,
+                                                  artifacts):
+    blob = bytearray(artifacts["ciphertext"])
+    struct.pack_into("<d", blob, 13, scale)
+    with pytest.raises(FormatError, match="finite and positive"):
+        deserialize_ciphertext(bytes(blob), small_params)

@@ -61,6 +61,7 @@ def test_decode_short_body():
 
 def test_loopback_channel_roundtrip():
     a, b = T.loopback_pair()
+    assert isinstance(a, T.SocketChannel) and isinstance(b, T.SocketChannel)
     a.send(T.Message(T.MSG_JOIN, 0, b"x"))
     got = b.recv(timeout=1.0)
     assert got.mtype == T.MSG_JOIN and got.payload == b"x"
@@ -301,8 +302,16 @@ def scripted_round(mode, material, *frames):
     queued `frames`. Returns the coordinator's error (None if the run
     finished) and the next message the client receives, within 5 s."""
     server_end, client_end = T.loopback_pair()
-    for mtype, payload in frames:
-        client_end.send(T.Message(mtype, 0, payload))
+
+    def send_all():  # from a thread, so no frame waits on a full buffer
+        try:
+            for mtype, payload in frames:
+                client_end.send(T.Message(mtype, 0, payload))
+        except ProtocolError:
+            pass  # the coordinator stopped reading
+
+    sender = threading.Thread(target=send_all, daemon=True)
+    sender.start()
     coordinator = FederationCoordinator(expected_clients=1, rounds=1,
                                         mode=mode, material=material)
     try:
@@ -310,7 +319,11 @@ def scripted_round(mode, material, *frames):
         error = None
     except CipherfedError as exc:
         error = exc
-    return error, client_end.recv(timeout=5.0)
+    reply = client_end.recv(timeout=5.0)
+    server_end.close()
+    sender.join(timeout=5.0)
+    client_end.close()
+    return error, reply
 
 
 def encrypted_update(world):
@@ -410,3 +423,46 @@ def test_failing_transport_client_aborts_run_at_once(world):
         run_loopback_federation(world["init"], world["cfg"], parts,
                                 world["test"], None, mode="plaintext")
     assert time.monotonic() - start < 30.0
+
+
+def test_loopback_run_closes_every_channel(world, monkeypatch):
+    from cipherfed.federation import runner
+    made = []
+
+    def recording_pair():
+        pair = T.loopback_pair()
+        made.extend(pair)
+        return pair
+
+    monkeypatch.setattr(runner, "loopback_pair", recording_pair)
+    run_loopback_federation(world["init"], world["cfg"], world["parts"],
+                            world["test"], None, mode="plaintext")
+    assert len(made) == 4
+    assert all(ch._sock.fileno() == -1 for ch in made)
+
+
+def test_ciphertext_payload_on_plaintext_run_rejected(world):
+    blobs, count = encrypted_update(world)
+    with pytest.raises(ProtocolError, match="plaintext run"):
+        T.decode_update(update_payload(T.KIND_FHE, count, blob_list(*blobs)),
+                        0, None)
+    with pytest.raises(ProtocolError, match="plaintext run"):
+        T.decode_global(struct.pack("<B", T.KIND_FHE) + blob_list(*blobs),
+                        None)
+
+
+def test_deeply_nested_metrics_rejected():
+    with pytest.raises(ProtocolError, match="malformed METRICS"):
+        T.decode_metrics(b"[" * 100000)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("round", "1"), ("round", 1.5), ("round", True), ("round", None),
+    ("train_loss", "0.5"), ("test_loss", [0.5]), ("train_acc", True),
+    ("test_acc", {"v": 1})])
+def test_metrics_field_types_checked(field, value):
+    row = {"round": 0, "actor": "client_0", "train_loss": 0.5,
+           "train_acc": 1.0, "test_loss": None, "test_acc": None}
+    row[field] = value
+    with pytest.raises(ProtocolError, match="int round"):
+        T.decode_metrics(T.encode_metrics(row))
