@@ -25,9 +25,9 @@ def derive_seed(*parts: int) -> int:
 
 @dataclass(frozen=True)
 class ClientUpdate:
-    """Quantized, encrypted weight vector plus the client's sample count."""
+    """One ciphertext batch of quantized weights, and the sample count."""
     client_id: int
-    chunks: tuple[Ciphertext, ...]
+    chunks: Ciphertext
     sample_count: int
     round_index: int
     param_count: int
@@ -49,15 +49,15 @@ def chunk_count_for(param_count: int, slot_count: int) -> int:
 def encrypt_model(model: HybridModel, spec: QuantizationSpec, keys,
                   client_id: int, sample_count: int, round_index: int,
                   rng_seed: int = 0) -> ClientUpdate:
-    """Flatten -> quantize -> chunk into slot-sized vectors -> encrypt."""
+    """Flatten -> quantize -> zero-pad to n slot-sized chunks -> encode
+    and encrypt as one batch, chunk i under derive_seed(rng_seed, i)."""
     params = keys.params
     weights = quantize(flatten_weights(model), spec)
-    slots = params.slot_count
-    chunks = []
-    for i, start in enumerate(range(0, weights.size, slots)):
-        pt = encode(weights[start:start + slots], params)
-        chunks.append(encrypt(pt, keys, rng_seed=derive_seed(rng_seed, i)))
-    return ClientUpdate(client_id=client_id, chunks=tuple(chunks),
+    n = chunk_count_for(weights.size, params.slot_count)
+    pt = encode(np.pad(weights, (0, n * params.slot_count - weights.size))
+                .reshape(n, params.slot_count), params)
+    chunks = encrypt(pt, keys, [derive_seed(rng_seed, i) for i in range(n)])
+    return ClientUpdate(client_id=client_id, chunks=chunks,
                         sample_count=sample_count, round_index=round_index,
                         param_count=weights.size)
 
@@ -70,23 +70,14 @@ def plain_update(model: HybridModel, spec: QuantizationSpec, client_id: int,
                        sample_count=sample_count, round_index=round_index)
 
 
-def decrypt_and_load(agg_chunks, keys: KeyMaterial,
+def decrypt_and_load(agg: Ciphertext, keys: KeyMaterial,
                      template: HybridModel) -> HybridModel:
-    """Decrypt the aggregated chunks and load them into a model with the
+    """Decrypt the aggregated batch and load it into a model with the
     template's architecture."""
-    params = keys.params
-    slots = params.slot_count
+    slots = keys.params.slot_count
     need = template.param_count
-    if len(agg_chunks) * slots < need:
-        raise ShapeError(
-            f"{len(agg_chunks)} chunks of {slots} slots cannot hold "
-            f"{need} parameters")
-    pieces = []
-    remaining = need
-    for ct in agg_chunks:
-        take = min(slots, remaining)
-        pieces.append(decode(decrypt(ct, keys), take))
-        remaining -= take
-        if remaining == 0:
-            break
-    return unflatten_weights(template, np.concatenate(pieces))
+    if len(agg) * slots < need:
+        raise ShapeError(f"{len(agg)} chunks of {slots} slots cannot hold "
+                         f"{need} parameters")
+    values = decode(decrypt(agg, keys), slots).ravel()[:need]
+    return unflatten_weights(template, values)

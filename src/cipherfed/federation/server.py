@@ -3,8 +3,8 @@
 This module is the server's entire capability surface: it imports no
 decryption routine and no secret-bearing type, and it rejects key
 material that carries more than the public part. Aggregation computes
-the sample-count-weighted sum chunk by chunk, with a single rescale
-after the additions.
+the sample-count-weighted sum over each client's whole ciphertext batch
+at once, with a single rescale after the additions.
 """
 
 from __future__ import annotations
@@ -32,16 +32,15 @@ def _require_public(material) -> PublicMaterial:
 
 def _check_updates(updates) -> None:
     """Reject a set of updates that cannot be averaged: every encrypted
-    update must carry the chunk count its parameter count needs, all at
-    the level and scale of the first chunk, which the weights are encoded
+    update must carry the chunk count its parameter count needs, at the
+    level and scale of the first update, which the weights are encoded
     for."""
     if not updates:
         raise ProtocolError("no client updates to aggregate")
     rnd = updates[0].round_index
-    n_chunks = len(updates[0].chunks) if hasattr(updates[0], "chunks") else None
-    if n_chunks == 0:
+    first = getattr(updates[0], "chunks", None)
+    if first is not None and len(first) == 0:
         raise ProtocolError(f"client {updates[0].client_id} sent no chunks")
-    first = updates[0].chunks[0] if n_chunks else None
     seen = set()
     for u in updates:
         if u.round_index != rnd:
@@ -56,21 +55,17 @@ def _check_updates(updates) -> None:
                                 f"{u.sample_count}")
         if first is None:
             continue
-        if len(u.chunks) != n_chunks:
+        got, want = ((len(c), c.level, c.scale) for c in (u.chunks, first))
+        if got != want:
             raise AlignmentError(
-                f"client {u.client_id} sent {len(u.chunks)} chunks, "
-                f"expected {n_chunks}")
+                f"client {u.client_id} sent {got[0]} chunks at level "
+                f"{got[1]}, scale {got[2]}; expected {want[0]} at level "
+                f"{want[1]}, scale {want[2]}")
         need = chunk_count_for(u.param_count, first.params.slot_count)
-        if need != n_chunks:
+        if need != want[0]:
             raise ProtocolError(
-                f"client {u.client_id} sent {n_chunks} chunks for "
+                f"client {u.client_id} sent {want[0]} chunks for "
                 f"{u.param_count} parameters, which need {need}")
-        for ct in u.chunks:
-            if ct.level != first.level or ct.scale != first.scale:
-                raise AlignmentError(
-                    f"client {u.client_id} sent a chunk at level "
-                    f"{ct.level}, scale {ct.scale}; expected level "
-                    f"{first.level}, scale {first.scale}")
 
 
 def aggregation_weights(updates) -> list[float]:
@@ -78,26 +73,19 @@ def aggregation_weights(updates) -> list[float]:
     return [u.sample_count / total for u in updates]
 
 
-def aggregate(updates, material: PublicMaterial) -> list[Ciphertext]:
-    """Weighted encrypted sum: S = sum_k E(w_k) * (n_k / n_total),
-    rescaled once at the end. The result sits one level below the
-    inputs."""
+def aggregate(updates, material: PublicMaterial) -> Ciphertext:
+    """Weighted encrypted sum: S = sum_k E(w_k) * (n_k / n_total) over
+    the clients' ciphertext batches, rescaled once at the end. The result
+    is one batch, one level below the inputs."""
     public = _require_public(material)
     _check_updates(updates)
     updates = sorted(updates, key=lambda u: u.client_id)
-    weights = aggregation_weights(updates)
-    params = public.params
-    level = updates[0].chunks[0].level
-
-    out = []
-    for chunk_idx in range(len(updates[0].chunks)):
-        acc = None
-        for w, u in zip(weights, updates):
-            coef = encode_scalar(w, params, level=level)
-            term = mul_plain(u.chunks[chunk_idx], coef)
-            acc = term if acc is None else add_ct(acc, term)
-        out.append(rescale(acc))
-    return out
+    params, level = public.params, updates[0].chunks.level
+    acc = None
+    for w, u in zip(aggregation_weights(updates), updates):
+        term = mul_plain(u.chunks, encode_scalar(w, params, level=level))
+        acc = term if acc is None else add_ct(acc, term)
+    return rescale(acc)
 
 
 def aggregate_plain(updates) -> np.ndarray:
@@ -206,8 +194,11 @@ class FederationCoordinator:
         for r in range(self.rounds):
             updates = []
             for cid, ch in clients:
-                upd = decode_update(self._recv(ch, cid, MSG_UPDATE, r).payload,
-                                    r, params)
+                payload = self._recv(ch, cid, MSG_UPDATE, r).payload
+                try:
+                    upd = decode_update(payload, r, params)
+                except CipherfedError as e:
+                    raise type(e)(f"UPDATE from client {cid}: {e}") from e
                 if upd.sample_count != joined[cid]:
                     raise ProtocolError(
                         f"client {cid} sent sample count {upd.sample_count}, "

@@ -17,6 +17,7 @@ import struct
 import numpy as np
 
 from ..errors import ProtocolError
+from ..fhe.ops import Ciphertext, stack
 from ..fhe.serial import (Reader, deserialize_ciphertext,
                           deserialize_float_vector, serialize_ciphertext,
                           serialize_float_vector)
@@ -139,10 +140,13 @@ def _read_blobs(r: Reader) -> list[bytes]:
     return blobs
 
 
-def _ciphertexts(blobs, params) -> list:
+def _batch(blobs, params) -> Ciphertext:
+    """The chunks of an encrypted payload, stacked into one batch."""
     if params is None:
         raise ProtocolError("encrypted payload on a plaintext run")
-    return [deserialize_ciphertext(b, params) for b in blobs]
+    if not blobs:
+        raise ProtocolError("encrypted payload carries no chunks")
+    return stack([deserialize_ciphertext(b, params) for b in blobs])
 
 
 def encode_update(update) -> bytes:
@@ -162,7 +166,7 @@ def decode_update(payload: bytes, round_index: int, params):
     blobs = _read_blobs(r)
     if kind == KIND_FHE:
         return ClientUpdate(client_id=client_id,
-                            chunks=tuple(_ciphertexts(blobs, params)),
+                            chunks=_batch(blobs, params),
                             sample_count=sample_count,
                             round_index=round_index, param_count=param_count)
     if kind == KIND_PLAIN:
@@ -191,7 +195,7 @@ def decode_global(payload: bytes, params):
             raise ProtocolError("plain global must carry one vector")
         return deserialize_float_vector(blobs[0])
     if kind == KIND_FHE:
-        return _ciphertexts(blobs, params)
+        return _batch(blobs, params)
     raise ProtocolError(f"unknown global kind {kind}")
 
 

@@ -44,12 +44,12 @@ class Plaintext:
 
 
 def _slot_spectrum(values: np.ndarray, params: EncryptionParams) -> np.ndarray:
-    """Place slot values (and conjugates) on the length-2N spectrum."""
+    """Place slot values (last axis) and conjugates on the 2N spectrum."""
     two_n = 2 * params.ring_degree
-    spec = np.zeros(two_n, dtype=np.complex128)
-    idx = np.asarray(params.rot_group[:values.size], dtype=np.int64)
-    spec[idx] = values
-    spec[two_n - idx] = np.conj(values)
+    spec = np.zeros(values.shape[:-1] + (two_n,), dtype=np.complex128)
+    idx = np.asarray(params.rot_group[:values.shape[-1]], dtype=np.int64)
+    spec[..., idx] = values
+    spec[..., two_n - idx] = np.conj(values)
     return spec
 
 
@@ -57,19 +57,21 @@ def encode(values, params: EncryptionParams, level: int | None = None,
            scale: float | None = None) -> Plaintext:
     """Encode real values into a plaintext at the given level.
 
-    Shorter inputs are zero-padded to the slot count. Decoding the result
-    recovers the inputs to within ~2^-30 at the default scale of 2^40.
+    A (chunks, count) matrix gives a batch, one plaintext per row. Rows
+    are zero-padded to the slot count. Decoding the result recovers the
+    inputs to within ~2^-30 at the default scale of 2^40.
     """
     level, scale = _level_and_scale(params, level, scale)
-    vals = np.asarray(values, dtype=np.float64).ravel()
-    if vals.size > params.slot_count:
-        raise CapacityError(
-            f"{vals.size} values exceed the {params.slot_count}-slot capacity")
+    vals = np.atleast_1d(np.asarray(values, dtype=np.float64))
+    if vals.shape[-1] > params.slot_count:
+        raise CapacityError(f"{vals.shape[-1]} values exceed the "
+                            f"{params.slot_count}-slot capacity")
     if vals.size and not np.all(np.isfinite(vals)):
         raise DomainError("cannot encode non-finite values")
 
     spec = _slot_spectrum(vals * scale, params)
-    coeffs = np.fft.fft(spec)[:params.ring_degree].real / params.ring_degree
+    n = params.ring_degree
+    coeffs = np.fft.fft(spec)[..., :n].real / n
     rounded = _check_word(np.round(coeffs))
     poly = from_signed_coeffs(rounded.astype(np.int64), params,
                               tuple(range(level + 1)))
@@ -113,7 +115,8 @@ def _check_word(rounded):
 
 
 def decode(pt: Plaintext, count: int) -> np.ndarray:
-    """First `count` slot values of a plaintext, scale divided out."""
+    """First `count` slot values of a plaintext, scale divided out:
+    shaped (count,), or (chunks, count) for a batch."""
     params = pt.poly.params
     if count > params.slot_count:
         raise CapacityError(
@@ -159,19 +162,19 @@ def _centered_float_coeffs(poly: RingPoly) -> np.ndarray:
     """
     primes = poly.primes
     consts = _garner_constants(primes)
-    digits = [_center(poly.residues[0], primes[0])]
+    digits = [_center(poly.residues[..., 0, :], primes[0])]
     for k in range(1, len(primes)):
         qk = primes[k]
         qk64 = np.uint64(qk)
         radixes, inv, inv_shoup = consts[k - 1]
         # acc = sum_{j<k} digits[j] * prod_{i<j} q_i, reduced mod qk
-        acc = np.zeros(poly.params.ring_degree, dtype=np.uint64)
+        acc = np.zeros_like(poly.residues[..., 0, :])
         for j in range(k):
             r, r_shoup = radixes[j]
             term = shoup_mul(np.mod(digits[j], qk).astype(np.uint64),
                              r, r_shoup, qk64)
             acc = addmod(acc, term, qk64)
-        diff = submod(poly.residues[k], acc, qk64)
+        diff = submod(poly.residues[..., k, :], acc, qk64)
         digits.append(_center(shoup_mul(diff, inv, inv_shoup, qk64), qk))
     out = digits[-1].astype(np.float64)
     for k in range(len(primes) - 2, -1, -1):
@@ -183,6 +186,5 @@ def _evaluate_slots(coeffs: np.ndarray, params: EncryptionParams,
                     count: int) -> np.ndarray:
     two_n = 2 * params.ring_degree
     evals = np.fft.ifft(coeffs, n=two_n) * two_n
-    rot = params.rot_group
-    idx = np.asarray(rot[:count], dtype=np.int64)
-    return evals[idx].real if count else np.zeros(0)
+    idx = np.asarray(params.rot_group[:count], dtype=np.int64)
+    return evals[..., idx].real

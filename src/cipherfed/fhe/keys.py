@@ -77,10 +77,6 @@ class KeyMaterial:
     def galois_keys(self) -> dict[int, GaloisKey]:
         return self.public.galois_keys
 
-    @property
-    def public_key(self) -> tuple[ShoupPoly, ShoupPoly]:
-        return self.public.pk0, self.public.pk1
-
 
 def _crt_selector_times_p(params: EncryptionParams, digit: int) -> int:
     """P * T_digit where T_digit is 1 mod q_digit and 0 mod other chain

@@ -1,15 +1,16 @@
 """Vectorized modular arithmetic and negacyclic NTT over word-sized primes.
 
 All residues are numpy uint64 arrays, and every kernel works on a whole
-(rows, N) residue matrix at once, broadcasting against a (rows, 1)
-column of primes. Products that would overflow 64 bits go through Shoup
-multiplication (Harvey 2014): the fixed operand w carries the constant
-floor(w << 64 / q), stored as its two 32-bit halves, so its high product
-word takes 32-bit limb products and no 128-bit type. Reductions are
-branch-free: for r < 2q, min(r, r - q) is r mod q, because r - q wraps
-above r when r < q. Primes must be below 2^62 so that sums of two
-residues stay clear of the wrap point. Only one-off key generation
-multiplies two varying residues, through Python-int arithmetic (mulmod).
+(..., rows, N) batch of residue matrices at once, broadcasting against
+a (rows, 1) column of primes. Products that would overflow 64 bits go
+through Shoup multiplication (Harvey 2014): the fixed operand w carries
+the constant floor(w << 64 / q), stored as its two 32-bit halves, so
+its high product word takes 32-bit limb products and no 128-bit type.
+Reductions are branch-free: for r < 2q, min(r, r - q) is r mod q,
+because r - q wraps above r when r < q. Primes must be below 2^62 so
+that sums of two residues stay clear of the wrap point. Only one-off key
+generation multiplies two varying residues, through Python-int
+arithmetic (mulmod).
 """
 
 from __future__ import annotations
@@ -213,7 +214,7 @@ class PrimeNtt:
 
 
 class StackedNtt:
-    """Negacyclic NTT over a (rows, n) residue matrix, one prime per row.
+    """Negacyclic NTT over (..., rows, n) residues, one prime per row.
 
     forward() maps natural-order coefficients to the bit-reversed
     evaluation order; inverse() undoes it. Pointwise products in the
@@ -250,17 +251,17 @@ class StackedNtt:
         (m doubles going forward, halves going back): the halves u and v,
         the stage's twiddle rows of `table` shaped to broadcast against
         them, and five scratch arrays of their shape."""
-        rows, n = out.shape
-        buf = np.empty((5, rows, n // 2), dtype=np.uint64)
+        *lead, rows, n = out.shape
+        buf = np.empty((5, *lead, rows, n // 2), dtype=np.uint64)
         ms = [1 << s for s in range(n.bit_length() - 1)]
         for m in ms if forward else ms[::-1]:
             t = n // (2 * m)
-            blk = out.reshape(rows, m, 2, t)
-            u, v, tw = blk[:, :, 0, :], blk[:, :, 1, :], np.s_[:, m:2 * m, None]
+            blk = out.reshape(*lead, rows, m, 2, t)
+            u, v, tw = blk[..., 0, :], blk[..., 1, :], np.s_[:, m:2 * m, None]
             if t < 16:
                 # numpy runs a short inner loop slowly, so put the longer
                 # block axis innermost
-                u, v = u.transpose(0, 2, 1), v.transpose(0, 2, 1)
+                u, v = u.swapaxes(-1, -2), v.swapaxes(-1, -2)
                 tw = np.s_[:, None, m:2 * m]
             yield (u, v, [w[tw] for w in table],
                    [b.reshape(u.shape) for b in buf])

@@ -1,9 +1,10 @@
 """Homomorphic operations: encrypt, decrypt, addition, plaintext
 multiplication, rescaling, and slot rotation.
 
-Ciphertexts are (c0, c1) pairs in the NTT domain. Only the operations the
-encrypted weighted-average pipeline needs are provided; there is no
-ciphertext-ciphertext multiplication and no bootstrapping.
+Ciphertexts are (c0, c1) pairs in the NTT domain; residues shaped
+(chunks, rows, N) make a batch with one level and one scale. Only the
+operations the encrypted weighted-average pipeline needs are provided;
+there is no ciphertext-ciphertext multiplication and no bootstrapping.
 """
 
 from __future__ import annotations
@@ -12,12 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import AlignmentError, DomainError, LevelError, ParameterError
+from ..errors import (AlignmentError, DomainError, LevelError,
+                      ParameterError, ShapeError)
 from .encoding import Plaintext
 from .keys import KeyMaterial, PublicMaterial, ShoupPoly
 from .nttmath import shoup_constant, shoup_mul, submod
 from .params import EncryptionParams, basis_rows
-from .poly import (NTT, RingPoly, from_signed_coeffs, ntt_forward,
+from .poly import (COEFF, NTT, RingPoly, from_signed_coeffs, ntt_forward,
                    ntt_inverse, sample_gaussian, sample_ternary)
 
 SCALE_MATCH_RTOL = 2.0 ** -30
@@ -42,6 +44,32 @@ class Ciphertext:
     def params(self) -> EncryptionParams:
         return self.c0.params
 
+    def __len__(self) -> int:
+        if not self.c0.batch_shape:
+            raise ShapeError("a single ciphertext is not a batch of chunks")
+        return self.c0.batch_shape[0]
+
+    def __getitem__(self, i) -> "Ciphertext":
+        """Chunk i of a batch (a slice gives a sub-batch), as a view."""
+        len(self)  # a single ciphertext has no chunks
+        return Ciphertext(self.c0._like(self.c0.residues[i]),
+                          self.c1._like(self.c1.residues[i]), self.scale,
+                          self.level)
+
+
+def stack(cts) -> Ciphertext:
+    """One batch of ciphertexts that share a level and a scale: chunk i
+    of the result is cts[i]."""
+    first = cts[0]
+    for i, ct in enumerate(cts):
+        if (ct.level, ct.scale) != (first.level, first.scale):
+            raise AlignmentError(
+                f"chunk {i} at level {ct.level}, scale {ct.scale}; "
+                f"expected level {first.level}, scale {first.scale}")
+    return Ciphertext(first.c0._like(np.stack([c.c0.residues for c in cts])),
+                      first.c1._like(np.stack([c.c1.residues for c in cts])),
+                      first.scale, first.level)
+
 
 def _public_part(keys) -> PublicMaterial:
     return keys.public if isinstance(keys, KeyMaterial) else keys
@@ -55,17 +83,24 @@ def _mul_fixed(p: RingPoly, fixed: ShoupPoly) -> RingPoly:
                        tuple(h[rows] for h in fixed.shoup))
 
 
-def encrypt(pt: Plaintext, keys, rng_seed: int = 0) -> Ciphertext:
-    """Public-key encryption; deterministic in rng_seed."""
+def encrypt(pt: Plaintext, keys, rng_seed=0) -> Ciphertext:
+    """Public-key encryption, deterministic in rng_seed: one int per
+    chunk of a batch, each seeding its chunk's noise as it would alone."""
     pub = _public_part(keys)
     params = pub.params
     if pt.poly.params != params:
         raise ParameterError("plaintext was encoded under different parameters")
-    basis = tuple(range(pt.level + 1))
-    rng = np.random.default_rng(np.random.SeedSequence([rng_seed, 0xE2C]))
-    v = ntt_forward(sample_ternary(params, basis, rng))
-    e0 = ntt_forward(sample_gaussian(params, basis, rng))
-    e1 = ntt_forward(sample_gaussian(params, basis, rng))
+    seeds = np.asarray(rng_seed, dtype=object)
+    if seeds.shape != pt.poly.batch_shape:
+        raise ShapeError(f"one seed per chunk needed, got {seeds.shape}")
+    basis, shape = tuple(range(pt.level + 1)), pt.poly.residues.shape
+    rngs = [np.random.default_rng(np.random.SeedSequence([int(s), 0xE2C]))
+            for s in seeds.flat]
+    # v, e0 and e1 over the whole batch; each chunk's generator draws
+    # them in that order, as for a single ciphertext
+    v, e0, e1 = (ntt_forward(RingPoly(params, basis, np.reshape(
+        [sample(params, basis, rng).residues for rng in rngs], shape), COEFF))
+        for sample in (sample_ternary, sample_gaussian, sample_gaussian))
     c0 = _mul_fixed(v, pub.pk0).add(e0).add(pt.poly)
     c1 = _mul_fixed(v, pub.pk1).add(e1)
     return Ciphertext(c0=c0, c1=c1, scale=pt.scale, level=pt.level)
@@ -96,7 +131,7 @@ def mul_plain(ct: Ciphertext, pt: Plaintext) -> Ciphertext:
     down."""
     if ct.level != pt.level:
         raise AlignmentError(f"level mismatch: {ct.level} vs {pt.level}")
-    ct.c0._check_compatible(pt.poly)
+    ct.c0._check_compatible(pt.poly, broadcast=True)
     if pt.poly.domain_tag != NTT:
         raise DomainError("pointwise product requires NTT domain")
     w, w_shoup = pt.shoup
@@ -112,7 +147,7 @@ def _div_round_drop(p: RingPoly, drop_index: int) -> RingPoly:
     q_drop = params.primes[drop_index]
     pos = p.prime_indices.index(drop_index)
     dropped = params.stacked_ntt((drop_index,)).inverse(
-        p.residues[pos:pos + 1])[0].astype(np.int64)
+        p.residues[..., pos:pos + 1, :])[..., 0, :].astype(np.int64)
     dropped = np.where(dropped > q_drop // 2, dropped - q_drop, dropped)
 
     keep = p.prime_indices[:pos] + p.prime_indices[pos + 1:]
@@ -120,7 +155,7 @@ def _div_round_drop(p: RingPoly, drop_index: int) -> RingPoly:
     q = corr.q_column
     inv = np.array([pow(q_drop, -1, qj) for qj in corr.primes],
                    dtype=np.uint64)[:, None]
-    diff = submod(np.delete(p.residues, pos, axis=0), corr.residues, q)
+    diff = submod(np.delete(p.residues, pos, axis=-2), corr.residues, q)
     return RingPoly(params, keep, shoup_mul(diff, inv, shoup_constant(inv, q),
                                             q), NTT)
 
@@ -163,7 +198,7 @@ def rotate(ct: Ciphertext, step: int, keys) -> Ciphertext:
     acc_a = None
     for digit_pos, digit_idx in enumerate(active):
         qi = params.primes[digit_idx]
-        d = c1_auto.residues[digit_pos].astype(np.int64)
+        d = c1_auto.residues[..., digit_pos, :].astype(np.int64)
         d = np.where(d > qi // 2, d - qi, d)
         d_ext = ntt_forward(from_signed_coeffs(d, params, ext))
         term_b = _mul_fixed(d_ext, gkey.ks_b[digit_idx])

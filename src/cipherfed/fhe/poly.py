@@ -1,9 +1,10 @@
 """RNS polynomials over Z_q[X]/(X^N + 1).
 
-A RingPoly holds one uint64 residue row per active prime. The active
-basis is described by indices into the parameter set's full prime list
-(modulus chain + key-switch prime), so level drops and key material can
-share one representation. Values are immutable by convention: operations
+A RingPoly holds one uint64 residue row per active prime; leading axes
+make it a batch of polynomials on one basis. The active basis is
+described by indices into the parameter set's full prime list (modulus
+chain + key-switch prime), so level drops and key material can share
+one representation. Values are immutable by convention: operations
 return new polynomials.
 """
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DomainError, ParameterError
+from ..errors import DomainError, ParameterError, ShapeError
 from .nttmath import addmod, mulmod, shoup_mul, submod
 from .params import EncryptionParams
 
@@ -27,11 +28,12 @@ NTT = "ntt"
 class RingPoly:
     params: EncryptionParams
     prime_indices: tuple[int, ...]
-    residues: np.ndarray  # shape (len(prime_indices), ring_degree), uint64
+    residues: np.ndarray  # (..., len(prime_indices), ring_degree), uint64
     domain_tag: str
 
     def __post_init__(self):
-        if self.residues.shape != (len(self.prime_indices), self.params.ring_degree):
+        if self.residues.shape[-2:] != (len(self.prime_indices),
+                                        self.params.ring_degree):
             raise ParameterError("residue matrix shape does not match basis")
         if self.domain_tag not in (COEFF, NTT):
             raise DomainError(f"unknown domain tag {self.domain_tag!r}")
@@ -41,12 +43,18 @@ class RingPoly:
         return tuple(self.params.primes[i] for i in self.prime_indices)
 
     @property
+    def batch_shape(self) -> tuple[int, ...]:
+        return self.residues.shape[:-2]
+
+    @property
     def q_column(self) -> np.ndarray:
         """The basis primes as a read-only (rows, 1) column for
         broadcasting, cached with the basis's NTT context."""
         return self.params.stacked_ntt(self.prime_indices).q
 
-    def _check_compatible(self, other: "RingPoly") -> None:
+    def _check_compatible(self, other: "RingPoly", broadcast=False) -> None:
+        """Same basis, domain and batch shape (batches must not broadcast);
+        with `broadcast`, a single `other` may meet a whole batch."""
         if self.params is not other.params and self.params != other.params:
             raise ParameterError("polynomials from different parameter sets")
         if self.prime_indices != other.prime_indices:
@@ -54,6 +62,10 @@ class RingPoly:
         if self.domain_tag != other.domain_tag:
             raise DomainError(
                 f"domain mismatch: {self.domain_tag} vs {other.domain_tag}")
+        if (self.batch_shape != other.batch_shape
+                and not (broadcast and other.batch_shape == ())):
+            raise ShapeError(f"batch shapes differ: {self.batch_shape} vs "
+                             f"{other.batch_shape}")
 
     def _like(self, residues: np.ndarray) -> "RingPoly":
         return RingPoly(self.params, self.prime_indices, residues,
@@ -100,17 +112,18 @@ class RingPoly:
         two_n = 2 * n
         k = np.arange(n, dtype=np.int64)
         dest = (k * (g % two_n)) % two_n
-        sign_flip = dest >= n
-        dest = np.where(sign_flip, dest - n, dest)
+        flip = dest >= n
+        dest = np.where(flip, dest - n, dest)
         out = np.empty_like(self.residues)
-        out[:, dest] = np.where(sign_flip, self.neg().residues, self.residues)
+        out[..., dest] = np.where(flip, self.neg().residues, self.residues)
         return self._like(out)
 
     def drop_primes(self, keep: tuple[int, ...]) -> "RingPoly":
         """Restrict to a sub-basis (rows are selected, not recomputed)."""
         pos = [self.prime_indices.index(i) for i in keep]
         return RingPoly(self.params, tuple(keep),
-                        np.ascontiguousarray(self.residues[pos]), self.domain_tag)
+                        np.ascontiguousarray(self.residues[..., pos, :]),
+                        self.domain_tag)
 
 
 def ntt_forward(p: RingPoly) -> RingPoly:
@@ -132,9 +145,9 @@ def ntt_inverse(p: RingPoly) -> RingPoly:
 def from_signed_coeffs(values: np.ndarray, params: EncryptionParams,
                        prime_indices: tuple[int, ...]) -> RingPoly:
     """Build a coefficient-domain polynomial from signed int64
-    coefficients."""
+    coefficients, shaped (..., ring_degree)."""
     q = params.stacked_ntt(prime_indices).q.view(np.int64)
-    res = np.mod(values, q).view(np.uint64)
+    res = np.mod(values[..., None, :], q).view(np.uint64)
     return RingPoly(params, prime_indices, res, COEFF)
 
 

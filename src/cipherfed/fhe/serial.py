@@ -191,7 +191,10 @@ def deserialize_float_vector(data: bytes) -> np.ndarray:
     (count,) = r.unpack("I")
     raw = r.take(count * 8)
     r.end()
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    if not np.isfinite(values).all():
+        raise FormatError("float vector holds a non-finite value")
+    return values
 
 
 def peek_kind(data: bytes) -> str:

@@ -6,13 +6,13 @@ Expectations are computed exactly (no shot sampling), so gradients and
 training runs are deterministic. States carry at most MAX_QUBITS qubits
 to bound the 2^n amplitude array.
 
-Internally every routine works on a batch of states shaped
-(batch, 2^n); the public single-sample API wraps batch size 1. The
-parameter-shift gradients stack every +-pi/2 shifted copy of the batch
-on the batch axis and simulate them in one `run_pqc_batch` call. To
-bound memory, the stacked rows are split into calls of at most
-max(batch, STACK_AMPLITUDES // 2^n) rows: one call for small circuits,
-about one batch per call at MAX_QUBITS.
+Every routine works on a batch of states shaped (batch, 2^n); `run_pqc`
+and `param_shift_grad` wrap batch size 1. The parameter-shift gradients
+stack every +-pi/2 shifted copy of the batch on the batch axis and
+simulate them in one `run_pqc_batch` call. To bound memory, the stacked
+rows are split into calls of at most max(batch, STACK_AMPLITUDES // 2^n)
+rows: one call for small circuits, about one batch per call at
+MAX_QUBITS.
 """
 
 from __future__ import annotations
@@ -28,22 +28,6 @@ MAX_QUBITS = 12
 AXES = ("X", "Y", "Z")
 # Amplitudes simulated per call when gradients stack shifted circuits.
 STACK_AMPLITUDES = 2 ** 17
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Normalized pure state on `qubit_count` qubits."""
-    amplitudes: np.ndarray
-    qubit_count: int
-
-    def __post_init__(self):
-        if self.qubit_count < 1 or self.qubit_count > MAX_QUBITS:
-            raise ShapeError(f"qubit count must be in [1, {MAX_QUBITS}]")
-        if self.amplitudes.shape != (2 ** self.qubit_count,):
-            raise ShapeError("amplitude length must be 2^qubit_count")
-
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
 
 
 @dataclass(frozen=True)
@@ -144,10 +128,6 @@ def _cnot_perm(n: int, control: int, target: int) -> np.ndarray:
     return np.where(c_bit == 1, flipped, idx)
 
 
-def _batch_cnot(amps: np.ndarray, n: int, control: int, target: int) -> np.ndarray:
-    return amps[:, _cnot_perm(n, control, target)]
-
-
 @lru_cache(maxsize=MAX_QUBITS)
 def _ring_perm(n: int) -> np.ndarray:
     """The CNOT ring i -> (i+1) mod n, in order, as one gather index."""
@@ -202,45 +182,6 @@ def run_pqc_batch(features: np.ndarray, arch: PqcArchitecture,
     out = np.stack([_batch_z_expect(amps, arch.qubit_count, r)
                     for r in arch.readout], axis=1)
     return out
-
-
-# --- public single-state API ----------------------------------------------
-
-def embed(features, qubit_count: int) -> StateVector:
-    """Angle embedding: tensor product of RX(feature_i)|0>."""
-    f = np.asarray(features, dtype=np.float64).ravel()
-    if f.size != qubit_count:
-        raise ShapeError(f"{f.size} features for {qubit_count} qubits")
-    amps = _batch_embed(f[None, :], qubit_count)[0]
-    return StateVector(amplitudes=amps, qubit_count=qubit_count)
-
-
-def apply_rotation(state: StateVector, qubit: int, axis: str,
-                   angle: float) -> StateVector:
-    if not 0 <= qubit < state.qubit_count:
-        raise ShapeError(f"qubit {qubit} out of range")
-    if axis not in AXES:
-        raise ShapeError(f"unknown rotation axis {axis!r}")
-    amps = _batch_rotate(state.amplitudes[None, :], state.qubit_count,
-                         qubit, axis, float(angle))[0]
-    return StateVector(amplitudes=amps, qubit_count=state.qubit_count)
-
-
-def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
-    n = state.qubit_count
-    if control == target:
-        raise ShapeError("control and target must differ")
-    if not (0 <= control < n and 0 <= target < n):
-        raise ShapeError("qubit index out of range")
-    amps = _batch_cnot(state.amplitudes[None, :], n, control, target)[0]
-    return StateVector(amplitudes=amps, qubit_count=n)
-
-
-def expectation_z(state: StateVector, qubit: int) -> float:
-    if not 0 <= qubit < state.qubit_count:
-        raise ShapeError(f"qubit {qubit} out of range")
-    return float(_batch_z_expect(state.amplitudes[None, :],
-                                 state.qubit_count, qubit)[0])
 
 
 def run_pqc(features, arch: PqcArchitecture, params: PqcParams) -> np.ndarray:

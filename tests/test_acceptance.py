@@ -13,7 +13,7 @@ from cipherfed import model as M
 from cipherfed import qsim
 from cipherfed.errors import ParameterError, ProtocolError
 from cipherfed.fhe import (decode, decrypt, default_params, encode, encrypt,
-                           keygen)
+                           keygen, stack)
 from cipherfed.federation import server
 from cipherfed.federation.client import ClientUpdate, derive_seed
 from cipherfed.federation.metrics import MetricsSink
@@ -100,7 +100,7 @@ def test_criterion_02_aggregation_oracle(std):
         for k, (vec, n_k) in enumerate(zip(vecs, counts)):
             ct = encrypt(encode(vec, params), keys,
                          rng_seed=derive_seed(trial, k))
-            updates.append(ClientUpdate(client_id=k, chunks=(ct,),
+            updates.append(ClientUpdate(client_id=k, chunks=stack([ct]),
                                         sample_count=int(n_k),
                                         round_index=trial,
                                         param_count=length))
@@ -370,7 +370,7 @@ def test_criterion_09_server_blindness(std):
     rng = np.random.default_rng(909)
     vec = rng.uniform(-1, 1, 64)
     ct = encrypt(encode(vec, params), pub, 1)
-    upd = ClientUpdate(0, (ct,), 5, 0, 64)
+    upd = ClientUpdate(0, stack([ct]), 5, 0, 64)
     agg = server.aggregate([upd], pub)
     got = decode(decrypt(agg[0], keys), 64)
     assert np.abs(got - vec).max() < 1e-4

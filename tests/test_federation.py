@@ -110,13 +110,13 @@ def test_aggregate_identical_models_fixed_point(toy_world):
 
 def test_aggregate_weighted_example(toy_world, small_params):
     # w1=[1,2], w2=[3,4], n1=1, n2=3 -> 0.25*w1 + 0.75*w2 = [2.5, 3.5]
-    from cipherfed.fhe import encode, encrypt
+    from cipherfed.fhe import encode, encrypt, stack
     from cipherfed.federation.client import ClientUpdate
     keys = toy_world["keys"]
     c1 = encrypt(encode([1.0, 2.0], small_params), keys, 1)
     c2 = encrypt(encode([3.0, 4.0], small_params), keys, 2)
-    u1 = ClientUpdate(0, (c1,), 1, 0, 2)
-    u2 = ClientUpdate(1, (c2,), 3, 0, 2)
+    u1 = ClientUpdate(0, stack([c1]), 1, 0, 2)
+    u2 = ClientUpdate(1, stack([c2]), 3, 0, 2)
     agg = server.aggregate([u1, u2], keys.public)
     from cipherfed.fhe import decode, decrypt
     got = decode(decrypt(agg[0], keys), 2)
@@ -138,12 +138,13 @@ def test_aggregate_round_mismatch(toy_world):
 
 
 def test_aggregate_chunk_mismatch(toy_world):
+    from cipherfed.fhe import stack
     keys = toy_world["keys"]
     m = toy_world["init"]
     u1 = encrypt_model(m, QuantizationSpec(), keys, 0, 5, 0)
     u2 = encrypt_model(m, QuantizationSpec(), keys, 1, 5, 0)
-    u2 = type(u2)(client_id=1, chunks=u2.chunks * 2, sample_count=5,
-                  round_index=0, param_count=u2.param_count)
+    u2 = type(u2)(client_id=1, chunks=stack([u2.chunks[0]] * 2),
+                  sample_count=5, round_index=0, param_count=u2.param_count)
     with pytest.raises(AlignmentError, match="chunks"):
         server.aggregate([u1, u2], keys.public)
 
@@ -180,9 +181,11 @@ def test_aggregate_rejects_zero_sample_count():
 
 def test_aggregate_rejects_update_without_chunks(toy_world):
     from cipherfed.federation.client import ClientUpdate
+    keys = toy_world["keys"]
+    empty = encrypt_model(toy_world["init"], QuantizationSpec(), keys, 0, 5,
+                          0).chunks[:0]
     with pytest.raises(ProtocolError, match="no chunks"):
-        server.aggregate([ClientUpdate(0, (), 5, 0, 0)],
-                         toy_world["keys"].public)
+        server.aggregate([ClientUpdate(0, empty, 5, 0, 0)], keys.public)
 
 
 def test_run_round_single_client_matches_standalone(toy_world):
@@ -321,9 +324,11 @@ def test_round_config_validation():
 
 
 def encrypted_chunks(params, keys, *levels_and_scales):
-    from cipherfed.fhe import encode, encrypt
-    return tuple(encrypt(encode([0.5], params, level=lvl, scale=sc), keys, i)
-                 for i, (lvl, sc) in enumerate(levels_and_scales))
+    """One batch of one chunk per (level, scale); `stack` rejects chunks
+    that differ in either."""
+    from cipherfed.fhe import encode, encrypt, stack
+    return stack([encrypt(encode([0.5], params, level=lvl, scale=sc), keys, i)
+                  for i, (lvl, sc) in enumerate(levels_and_scales)])
 
 
 def test_aggregate_rejects_param_count_that_needs_other_chunks(
@@ -339,27 +344,37 @@ def test_aggregate_rejects_param_count_that_needs_other_chunks(
             server.aggregate([ok, bad], keys.public)
 
 
+# An update is one batch with one level and one scale, so a chunk at
+# another level or scale cannot reach `aggregate`: `stack`, which builds
+# every batch the server decodes, rejects it.
+
 def test_aggregate_rejects_chunk_at_other_level(toy_world, small_params):
-    from cipherfed.federation.client import ClientUpdate
     keys = toy_world["keys"]
     top, scale = small_params.max_level, small_params.scale
-    slots = small_params.slot_count
-    ok = ClientUpdate(0, encrypted_chunks(small_params, keys, (top, scale),
-                                          (top, scale)), 5, 0, slots + 1)
-    # the second chunk of the second client sits one level lower
-    bad = ClientUpdate(1, encrypted_chunks(small_params, keys, (top, scale),
-                                           (top - 1, scale)), 5, 0, slots + 1)
+    # the second chunk sits one level lower
     with pytest.raises(AlignmentError, match="at level 1, .* expected level"):
-        server.aggregate([ok, bad], keys.public)
+        encrypted_chunks(small_params, keys, (top, scale), (top - 1, scale))
 
 
 def test_aggregate_rejects_chunk_at_other_scale(toy_world, small_params):
+    keys = toy_world["keys"]
+    top, scale = small_params.max_level, small_params.scale
+    # the second chunk was encoded at half the scale
+    with pytest.raises(AlignmentError, match="scale .* expected level"):
+        encrypted_chunks(small_params, keys, (top, scale), (top, scale / 2))
+
+
+@pytest.mark.parametrize("level_drop,scale_div", [(1, 1), (0, 2)],
+                         ids=["level", "scale"])
+def test_aggregate_rejects_update_at_other_level_or_scale(
+        toy_world, small_params, level_drop, scale_div):
     from cipherfed.federation.client import ClientUpdate
     keys = toy_world["keys"]
     top, scale = small_params.max_level, small_params.scale
-    # one client whose second chunk was encoded at half the scale
-    upd = ClientUpdate(0, encrypted_chunks(small_params, keys, (top, scale),
-                                           (top, scale / 2)),
-                       5, 0, small_params.slot_count + 1)
-    with pytest.raises(AlignmentError, match="scale .* expected level"):
-        server.aggregate([upd], keys.public)
+    ok = ClientUpdate(0, encrypted_chunks(small_params, keys, (top, scale)),
+                      5, 0, 3)
+    bad = ClientUpdate(1, encrypted_chunks(
+        small_params, keys, (top - level_drop, scale / scale_div)), 5, 0, 3)
+    with pytest.raises(AlignmentError,
+                       match="client 1 sent 1 chunks at .* expected 1 at"):
+        server.aggregate([ok, bad], keys.public)

@@ -8,8 +8,8 @@ import pytest
 
 from cipherfed import data as D
 from cipherfed import model as M
-from cipherfed.errors import (CipherfedError, FormatError, LevelError,
-                              ProtocolError)
+from cipherfed.errors import (AlignmentError, CipherfedError, FormatError,
+                              LevelError, ProtocolError)
 from cipherfed.federation import transport as T
 from cipherfed.federation.client import PlainUpdate, encrypt_model
 from cipherfed.federation.quantize import QuantizationSpec
@@ -466,3 +466,123 @@ def test_metrics_field_types_checked(field, value):
     row[field] = value
     with pytest.raises(ProtocolError, match="int round"):
         T.decode_metrics(T.encode_metrics(row))
+
+
+# --- chunks of one batch, and non-finite plain values -----------------------
+
+def mixed_level_blobs(keys, params):
+    """Two ciphertext blobs, the second one level below the first."""
+    from cipherfed.fhe import encode, encrypt
+    top = params.max_level
+    return [serialize_ciphertext(encrypt(encode([0.5], params, level=lvl),
+                                         keys, i))
+            for i, lvl in enumerate((top, top - 1))]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_plain_update_with_non_finite_value_rejected(bad):
+    upd = PlainUpdate(0, np.array([1.0, bad, 2.0]), 5, 0)
+    with pytest.raises(FormatError, match="non-finite"):
+        T.decode_update(T.encode_update(upd), 0, None)
+    with pytest.raises(FormatError, match="non-finite"):
+        T.decode_global(T.encode_global(upd.values), None)
+
+
+def test_mixed_level_chunks_rejected_on_decode(world, small_params):
+    blobs = mixed_level_blobs(world["keys"], small_params)
+    payload = update_payload(T.KIND_FHE, small_params.slot_count + 1,
+                             blob_list(*blobs))
+    with pytest.raises(AlignmentError, match="chunk 1 at level 1"):
+        T.decode_update(payload, 0, small_params)
+    with pytest.raises(AlignmentError, match="chunk 1 at level 1"):
+        T.decode_global(struct.pack("<B", T.KIND_FHE) + blob_list(*blobs),
+                        small_params)
+
+
+def rogue_round(world, mode, keys, payload):
+    """A loopback round of two clients: client 0 runs for real, client 1
+    joins and sends `payload` as its round-0 UPDATE. Returns the
+    coordinator's error, client 0's error and the next message client 1
+    receives."""
+    material = keys.public if keys is not None else None
+    (srv0, cli0), (srv1, cli1) = T.loopback_pair(), T.loopback_pair()
+    real_err = []
+
+    def real_client():
+        try:
+            run_transport_client(cli0, 0, world["parts"][0], world["test"],
+                                 world["init"], world["cfg"], keys, mode)
+        except CipherfedError as exc:
+            real_err.append(exc)
+
+    def rogue():
+        cli1.send(T.Message(T.MSG_JOIN, 0, T.encode_join(1, 10)))
+        cli1.send(T.Message(T.MSG_UPDATE, 0, payload))
+
+    threads = [threading.Thread(target=f, daemon=True)
+               for f in (real_client, rogue)]
+    for t in threads:
+        t.start()
+    coordinator = FederationCoordinator(expected_clients=2, rounds=1,
+                                        mode=mode, material=material)
+    with pytest.raises(CipherfedError) as info:
+        coordinator.run([srv0, srv1])
+    reply = cli1.recv(timeout=5.0)
+    for t in threads:
+        t.join(timeout=30.0)
+    for ch in (srv0, cli0, srv1, cli1):
+        ch.close()
+    return info.value, real_err, reply
+
+
+def test_nan_plain_update_aborts_every_client(world):
+    upd = PlainUpdate(1, np.array([np.nan] * world["init"].param_count), 10,
+                      0)
+    error, real_err, reply = rogue_round(world, "plaintext", None,
+                                         T.encode_update(upd))
+    assert isinstance(error, FormatError)
+    assert "UPDATE from client 1" in str(error)
+    assert reply.mtype == T.MSG_ABORT
+    assert b"client 1" in reply.payload
+    assert real_err and "server aborted" in str(real_err[0])
+    assert "client 1" in str(real_err[0])
+
+
+def test_mixed_level_update_aborts_every_client(world, small_params):
+    blobs = mixed_level_blobs(world["keys"], small_params)
+    payload = update_payload(T.KIND_FHE, small_params.slot_count + 1,
+                             blob_list(*blobs), client_id=1)
+    error, real_err, reply = rogue_round(world, "fhe", world["keys"],
+                                         payload)
+    assert isinstance(error, AlignmentError)
+    assert "UPDATE from client 1" in str(error)
+    assert reply.mtype == T.MSG_ABORT
+    assert real_err and "server aborted" in str(real_err[0])
+
+
+def test_mixed_level_global_rejected_by_client(world, small_params):
+    server_end, client_end = T.loopback_pair()
+    client_err = []
+
+    def client():
+        try:
+            run_transport_client(client_end, 0, world["parts"][0],
+                                 world["test"], world["init"], world["cfg"],
+                                 world["keys"], "fhe")
+        except CipherfedError as exc:
+            client_err.append(exc)
+
+    thread = threading.Thread(target=client, daemon=True)
+    thread.start()
+    got = [server_end.recv(timeout=30.0).mtype for _ in range(3)]
+    assert got == [T.MSG_JOIN, T.MSG_UPDATE, T.MSG_METRICS]
+    blobs = mixed_level_blobs(world["keys"], small_params)
+    server_end.send(T.Message(T.MSG_GLOBAL, 0, struct.pack("<B", T.KIND_FHE)
+                              + blob_list(*blobs)))
+    reply = server_end.recv(timeout=30.0)
+    thread.join(timeout=30.0)
+    server_end.close()
+    client_end.close()
+    assert reply.mtype == T.MSG_ABORT
+    assert reply.payload.startswith(b"AlignmentError: chunk 1 at level 1")
+    assert client_err and isinstance(client_err[0], AlignmentError)
