@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import load_config
+from .config import MODES, TRANSPORTS, load_config
 from .errors import CipherfedError, ConfigError, FormatError
 from .federation.metrics import MetricsSink
 from .model import CHECKPOINT_MAGIC, save_checkpoint
@@ -177,11 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="YAML run config")
-    common.add_argument("--mode", choices=("fhe", "plaintext"))
+    common.add_argument("--mode", choices=MODES)
     common.add_argument("--rounds", type=int)
     common.add_argument("--seed", type=int)
-    common.add_argument("--transport", choices=("direct", "loopback",
-                                                "socket"))
+    common.add_argument("--transport", choices=TRANSPORTS)
     common.add_argument("--metrics", help="metrics JSONL path override")
     common.add_argument("--checkpoint", help="checkpoint path override")
 

@@ -17,10 +17,10 @@ from .errors import ConfigError
 from .data import PartitionSpec
 from .fhe.params import EncryptionParams, default_params
 from .federation.quantize import QuantizationSpec
+from .federation.rounds import MODES
 from .qsim import PqcArchitecture
 
-MODES = ("fhe", "plaintext")
-TRANSPORTS = ("direct", "loopback", "socket")
+TRANSPORTS = ("direct", "socket")
 DATA_KINDS = ("blobs", "two_moons", "xor", "csv")
 
 
@@ -151,6 +151,9 @@ def parse_config(doc: dict, overrides: dict | None = None) -> RunConfig:
         raise ConfigError("federation.learning_rate must be positive")
     if batch < 1:
         raise ConfigError("federation.batch_size must be >= 1")
+    if delta is not None and not delta > 0:
+        raise ConfigError("federation.convergence_delta must be positive "
+                          "when set")
     q = _section(fed, "quantization")
     try:
         quant = QuantizationSpec(
@@ -199,6 +202,10 @@ def parse_config(doc: dict, overrides: dict | None = None) -> RunConfig:
         if not dcfg.path or not dcfg.label_column:
             raise ConfigError("data.kind=csv requires data.path and "
                               "data.label_column")
+    elif not dcfg.noise >= 0:
+        raise ConfigError("data.noise must be >= 0")
+    elif dcfg.classes < 1:
+        raise ConfigError("data.classes must be >= 1")
     elif dcfg.samples < dcfg.classes:
         raise ConfigError("data.samples must cover every class")
 

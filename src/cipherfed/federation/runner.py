@@ -1,11 +1,10 @@
-"""Transport-backed federation runners.
+"""The wire federation runner.
 
 The same round as the direct path in rounds.py -- each client runs
 `client_step`, the coordinator runs `server_step` -- but every update,
-global model, and metrics row crosses a byte channel. Because
-serialization is lossless, a run's metrics are identical across the
-direct, loopback (an in-process socket pair), and socket (TCP) paths for
-the same seeds.
+global model, and metrics row crosses a TCP socket. Because
+serialization is lossless, a run's metrics are identical on the direct
+and socket transports for the same seeds.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from .server import FederationCoordinator
 from .transport import (CONVERGED_REASON, MSG_ABORT, MSG_GLOBAL, MSG_JOIN,
                         MSG_METRICS, MSG_UPDATE, Message, SocketChannel,
                         decode_global, encode_join, encode_metrics,
-                        encode_update, loopback_pair)
+                        encode_update)
 
 
 def run_transport_client(channel, client_id: int, dataset, test_data,
@@ -86,9 +85,14 @@ def _client_rounds(channel, client_id: int, dataset, test_data,
     return model
 
 
-def _run_with_channels(initial_model, config, client_datasets, test_data,
-                       keys, mode, sink, server_channels, client_channels):
-    """Each client in its own thread, the coordinator in the caller's."""
+def run_socket_federation(initial_model, config: RoundConfig,
+                          client_datasets, test_data, keys,
+                          mode: str = "fhe",
+                          sink: MetricsSink | None = None,
+                          host: str = "127.0.0.1"):
+    """Full protocol over TCP on the loopback interface: each client in
+    its own thread, the coordinator in the caller's. Every socket is
+    closed on the way out, also when setup fails partway."""
     material = keys.public if isinstance(keys, KeyMaterial) else keys
     coordinator = FederationCoordinator(
         expected_clients=config.client_count, rounds=config.rounds,
@@ -96,6 +100,9 @@ def _run_with_channels(initial_model, config, client_datasets, test_data,
         convergence_delta=config.convergence_delta)
     results: dict[int, HybridModel] = {}
     client_errors: dict[int, Exception] = {}
+    client_channels: list[SocketChannel] = []
+    server_channels: list[SocketChannel] = []
+    client_threads: list[threading.Thread] = []
 
     def client_body(k):
         try:
@@ -105,77 +112,39 @@ def _run_with_channels(initial_model, config, client_datasets, test_data,
         except Exception as exc:
             client_errors[k] = exc
 
-    client_threads = [threading.Thread(target=client_body, args=(k,),
-                                       daemon=True)
-                      for k in range(config.client_count)]
-    for t in client_threads:
-        t.start()
     try:
-        coordinator.run(server_channels)
-    except Exception as exc:
-        # unblock clients stuck in send/recv before collecting them
-        for ch in server_channels:
-            ch.close()
-        if isinstance(exc, ProtocolError):
-            raise
-        raise ProtocolError(f"server failed: {exc}") from exc
+        with socket.create_server((host, 0),
+                                  backlog=config.client_count) as listener:
+            listener.settimeout(30.0)
+            port = listener.getsockname()[1]
+            for _ in range(config.client_count):
+                client_channels.append(SocketChannel(
+                    socket.create_connection((host, port), timeout=30.0)))
+            # connections may be accepted out of order; identity comes
+            # from JOIN
+            for _ in range(config.client_count):
+                server_channels.append(SocketChannel(listener.accept()[0]))
+        client_threads = [threading.Thread(target=client_body, args=(k,),
+                                           daemon=True)
+                          for k in range(config.client_count)]
+        for t in client_threads:
+            t.start()
+        try:
+            coordinator.run(server_channels)
+        except Exception as exc:
+            # unblock clients stuck in send/recv before collecting them
+            for ch in server_channels:
+                ch.close()
+            if isinstance(exc, ProtocolError):
+                raise
+            raise ProtocolError(f"server failed: {exc}") from exc
     finally:
         for t in client_threads:
             t.join(timeout=120.0)
+        for ch in (*server_channels, *client_channels):
+            ch.close()
     for k in sorted(client_errors):
         exc = client_errors[k]
         raise exc if isinstance(exc, ProtocolError) \
             else ProtocolError(f"client {k} failed: {exc}")
     return results[0], coordinator.history
-
-
-def _run_and_close(server_channels, client_channels, *args):
-    """`_run_with_channels`, closing every channel on the way out."""
-    try:
-        return _run_with_channels(*args, server_channels, client_channels)
-    finally:
-        for ch in (*server_channels, *client_channels):
-            ch.close()
-
-
-def run_loopback_federation(initial_model, config: RoundConfig,
-                            client_datasets, test_data, keys,
-                            mode: str = "fhe",
-                            sink: MetricsSink | None = None):
-    """Full protocol over in-process stream socket pairs."""
-    pairs = [loopback_pair() for _ in range(config.client_count)]
-    return _run_and_close([p[0] for p in pairs], [p[1] for p in pairs],
-                          initial_model, config, client_datasets, test_data,
-                          keys, mode, sink)
-
-
-def run_socket_federation(initial_model, config: RoundConfig,
-                          client_datasets, test_data, keys,
-                          mode: str = "fhe",
-                          sink: MetricsSink | None = None,
-                          host: str = "127.0.0.1"):
-    """Full protocol over TCP stream sockets on the loopback interface."""
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    listener.bind((host, 0))
-    listener.listen(config.client_count)
-    port = listener.getsockname()[1]
-    listener.settimeout(30.0)
-
-    client_socks = []
-    server_socks = []
-    try:
-        for _ in range(config.client_count):
-            client_socks.append(socket.create_connection((host, port),
-                                                         timeout=30.0))
-        for _ in range(config.client_count):
-            conn, _addr = listener.accept()
-            server_socks.append(conn)
-    finally:
-        listener.close()
-
-    # connections may be accepted out of order; identity comes from JOIN
-    return _run_and_close([SocketChannel(s) for s in server_socks],
-                          [SocketChannel(s) for s in client_socks],
-                          initial_model, config, client_datasets, test_data,
-                          keys, mode, sink)

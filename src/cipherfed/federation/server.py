@@ -230,7 +230,7 @@ class FederationCoordinator:
                 for ch in channels:
                     for _ in range(2):
                         try:
-                            ch.recv(timeout=120.0)
+                            ch.recv()
                         except Exception:
                             break
                 break

@@ -1,11 +1,11 @@
-"""Pluggable transport for the federation protocol.
+"""Wire format of the federation protocol.
 
 Frame layout: u32 big-endian length, u8 message type, u16 big-endian
 round index, payload. The length counts everything after itself. One
-channel implementation, over a stream socket: a TCP connection, or an
-in-process socket pair for loopback runs. Both move the same bytes, so
-a run's results do not depend on the transport. Every payload is read
-through one bounds-checked `Reader` and must be consumed exactly.
+channel implementation, `SocketChannel`, carries frames over a stream
+socket. Serialization is lossless, so a socket run's results equal the
+direct transport's. Every payload is read through one bounds-checked
+`Reader` and must be consumed exactly.
 """
 
 from __future__ import annotations
@@ -99,12 +99,6 @@ class SocketChannel:
             self._sock.close()
         except OSError:
             pass
-
-
-def loopback_pair() -> tuple[SocketChannel, SocketChannel]:
-    """Two connected in-process endpoints over a stream socket pair."""
-    a, b = socket.socketpair()
-    return SocketChannel(a), SocketChannel(b)
 
 
 # --- payload encodings ------------------------------------------------------

@@ -75,12 +75,8 @@ class EncryptionParams:
         above 2^60 not already in the chain, so both endpoints of a
         transfer reconstruct the same value from the public parameters.
         """
-        skip = tuple(self.modulus_chain)
-        cand = find_ntt_primes(60, len(skip) + 1, 2 * self.ring_degree)
-        for q in cand:
-            if q not in skip:
-                return q
-        raise ParameterError("could not derive a key-switch prime")
+        return find_ntt_primes(60, 1, 2 * self.ring_degree,
+                               skip=self.modulus_chain)[0]
 
     @cached_property
     def primes(self) -> tuple[int, ...]:
@@ -145,11 +141,7 @@ def default_params(ring_degree: int = 4096,
     two_n = 2 * ring_degree
     chain: list[int] = []
     for bits in chain_bits:
-        got = find_ntt_primes(bits, len(chain) + 1, two_n, skip=tuple(chain))
-        for q in got:
-            if q not in chain:
-                chain.append(q)
-                break
+        chain.append(find_ntt_primes(bits, 1, two_n, skip=tuple(chain))[0])
     return EncryptionParams(ring_degree=ring_degree,
                             modulus_chain=tuple(chain),
                             scale=float(1 << scale_bits))

@@ -75,10 +75,6 @@ class RingPoly:
         self._check_compatible(other)
         return self._like(addmod(self.residues, other.residues, self.q_column))
 
-    def sub(self, other: "RingPoly") -> "RingPoly":
-        self._check_compatible(other)
-        return self._like(submod(self.residues, other.residues, self.q_column))
-
     def neg(self) -> "RingPoly":
         return self._like(submod(0, self.residues, self.q_column))
 
@@ -173,9 +169,3 @@ def sample_uniform(params: EncryptionParams, prime_indices: tuple[int, ...],
         res[row] = rng.integers(0, params.primes[idx], params.ring_degree,
                                 dtype=np.uint64)
     return RingPoly(params, prime_indices, res, COEFF)
-
-
-def zero_poly(params: EncryptionParams, prime_indices: tuple[int, ...],
-              domain_tag: str = COEFF) -> RingPoly:
-    res = np.zeros((len(prime_indices), params.ring_degree), dtype=np.uint64)
-    return RingPoly(params, prime_indices, res, domain_tag)

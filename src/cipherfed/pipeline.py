@@ -15,7 +15,7 @@ from .fhe.serial import (deserialize_key_material, serialize_galois_keys,
                          serialize_public_key, serialize_secret_key)
 from .federation.metrics import MetricsSink
 from .federation.rounds import RoundConfig, run_federated_training
-from .federation.runner import run_loopback_federation, run_socket_federation
+from .federation.runner import run_socket_federation
 from .model import HybridModel, init_model
 
 log = logging.getLogger("cipherfed")
@@ -104,9 +104,6 @@ def execute_run(cfg: RunConfig, mode: str | None = None,
     if cfg.transport == "direct":
         final, history = run_federated_training(model0, rc, parts, test,
                                                 keys, mode=mode, sink=sink)
-    elif cfg.transport == "loopback":
-        final, history = run_loopback_federation(model0, rc, parts, test,
-                                                 keys, mode=mode, sink=sink)
     else:
         final, history = run_socket_federation(model0, rc, parts, test,
                                                keys, mode=mode, sink=sink)

@@ -1,7 +1,16 @@
+import socket
+
 import numpy as np
 import pytest
 
+from cipherfed.federation.transport import SocketChannel
 from cipherfed.fhe import default_params, keygen
+
+
+def channel_pair() -> tuple[SocketChannel, SocketChannel]:
+    """Two connected in-process channels over `socket.socketpair()`."""
+    a, b = socket.socketpair()
+    return SocketChannel(a), SocketChannel(b)
 
 
 @pytest.fixture(scope="session")

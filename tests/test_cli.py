@@ -113,6 +113,21 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_negative_noise_exits_2_before_any_write(workdir, capsys):
+    tmp, cfg = workdir
+    cfg.write_text(cfg.read_text().replace("noise: 0.4", "noise: -1"))
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert "data.noise" in capsys.readouterr().err
+    assert not (tmp / "metrics.jsonl").exists()
+
+
+def test_loopback_transport_flag_exits_2(workdir):
+    _tmp, cfg = workdir
+    with pytest.raises(SystemExit) as info:
+        main(["train", "--config", str(cfg), "--transport", "loopback"])
+    assert info.value.code == 2
+
+
 def test_missing_config_exits_2(tmp_path):
     assert main(["train", "--config", str(tmp_path / "none.yaml")]) == 2
 

@@ -43,6 +43,25 @@ def test_bad_transport():
         parse_config(doc)
 
 
+def test_loopback_transport_rejected():
+    allowed = r"transport must be one of \('direct', 'socket'\)"
+    with pytest.raises(ConfigError, match=allowed):
+        parse_config({"transport": "loopback"})
+
+
+@pytest.mark.parametrize("section,key,value,message", [
+    ("data", "noise", -1, "data.noise"),
+    ("data", "noise", float("nan"), "data.noise"),
+    ("data", "classes", 0, "data.classes"),
+    ("federation", "convergence_delta", -1, "convergence_delta"),
+    ("federation", "convergence_delta", 0, "convergence_delta")])
+def test_out_of_range_value_rejected_at_parse(section, key, value, message):
+    doc = minimal_doc()
+    doc[section][key] = value
+    with pytest.raises(ConfigError, match=message):
+        parse_config(doc)
+
+
 def test_bad_data_kind():
     doc = minimal_doc()
     doc["data"]["kind"] = "imagenet"

@@ -26,6 +26,16 @@ def test_digest_stable_and_distinct():
     assert a.digest != c.digest
 
 
+def test_default_primes_and_digest_pinned():
+    # the digest goes on the wire; a change to the prime search moves it
+    p = default_params()
+    assert p.modulus_chain == (1152921504606904321, 1099511799809,
+                               1099511922689)
+    assert p.key_switch_prime == 1152921504606994433
+    assert p.digest.hex() == "bdbd562be051e7f8"
+    assert default_params(ring_degree=1024).digest.hex() == "8f6a7a451eb49811"
+
+
 def test_rejects_non_power_of_two_degree():
     chain = find_ntt_primes(40, 2, 2048)
     with pytest.raises(ParameterError):

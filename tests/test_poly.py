@@ -3,8 +3,7 @@ import pytest
 
 from cipherfed.errors import DomainError
 from cipherfed.fhe.poly import (COEFF, NTT, from_signed_coeffs, ntt_forward,
-                                ntt_inverse, sample_gaussian, sample_ternary,
-                                zero_poly)
+                                ntt_inverse, sample_gaussian, sample_ternary)
 
 
 def random_poly(params, rng, basis=None):
@@ -83,9 +82,3 @@ def test_sampling_shapes_and_ranges(small_params):
     grow = g.residues[0].astype(np.int64)
     gcent = np.where(grow > q0 // 2, grow - q0, grow)
     assert np.abs(gcent).max() < 30  # ~9 sigma of the 3.2 gaussian
-
-
-def test_zero_poly(small_params):
-    z = zero_poly(small_params, (0, 1, 2))
-    assert np.all(z.residues == 0)
-    assert np.all(ntt_forward(z).residues == 0)

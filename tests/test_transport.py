@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import channel_pair
 
 from cipherfed import data as D
 from cipherfed import model as M
@@ -14,8 +15,8 @@ from cipherfed.federation import transport as T
 from cipherfed.federation.client import PlainUpdate, encrypt_model
 from cipherfed.federation.quantize import QuantizationSpec
 from cipherfed.federation.rounds import RoundConfig, run_federated_training
-from cipherfed.federation.runner import (run_loopback_federation,
-                                         run_socket_federation,
+from cipherfed.federation import runner
+from cipherfed.federation.runner import (run_socket_federation,
                                          run_transport_client)
 from cipherfed.federation.server import FederationCoordinator
 from cipherfed.fhe.serial import serialize_ciphertext, serialize_float_vector
@@ -60,7 +61,7 @@ def test_decode_short_body():
 
 
 def test_loopback_channel_roundtrip():
-    a, b = T.loopback_pair()
+    a, b = channel_pair()
     assert isinstance(a, T.SocketChannel) and isinstance(b, T.SocketChannel)
     a.send(T.Message(T.MSG_JOIN, 0, b"x"))
     got = b.recv(timeout=1.0)
@@ -68,13 +69,16 @@ def test_loopback_channel_roundtrip():
     b.send(T.Message(T.MSG_ABORT, 2, b"stop"))
     back = a.recv(timeout=1.0)
     assert back.mtype == T.MSG_ABORT and back.round_index == 2
+    a.close()
+    b.close()
 
 
 def test_loopback_close_wakes_peer():
-    a, b = T.loopback_pair()
+    a, b = channel_pair()
     a.close()
     with pytest.raises(ProtocolError, match="closed"):
         b.recv(timeout=1.0)
+    b.close()
 
 
 def test_socket_channel_roundtrip():
@@ -160,15 +164,14 @@ def test_plaintext_socket_run_without_keys(world):
     assert history[-1]["test_acc"] is not None
 
 
-def test_three_runners_agree(world):
+@pytest.mark.parametrize("mode", ["fhe", "plaintext"])
+def test_direct_and_socket_agree(world, mode):
     args = (world["init"], world["cfg"], world["parts"], world["test"],
-            world["keys"])
-    m_direct, h_direct = run_federated_training(*args, mode="fhe")
-    m_loop, h_loop = run_loopback_federation(*args, mode="fhe")
-    m_sock, h_sock = run_socket_federation(*args, mode="fhe")
-    assert np.array_equal(flatten_weights(m_direct), flatten_weights(m_loop))
+            world["keys"] if mode == "fhe" else None)
+    m_direct, h_direct = run_federated_training(*args, mode=mode)
+    m_sock, h_sock = run_socket_federation(*args, mode=mode)
     assert np.array_equal(flatten_weights(m_direct), flatten_weights(m_sock))
-    assert h_direct == h_loop == h_sock
+    assert h_direct == h_sock
 
 
 def test_socket_runs_byte_identical(world, tmp_path):
@@ -244,13 +247,13 @@ def test_corrupted_frame_aborts_round_over_socket(world, small_params):
     assert "abort" in str(client_err[0]).lower()
 
 
-def test_converged_abort_over_loopback(world):
+def test_converged_abort_over_socket(world):
     parts = world["parts"]
     cfg = RoundConfig.for_datasets(parts, rounds=5, learning_rate=0.2,
                                    batch_size=16, epochs_per_round=0,
                                    base_seed=3, deterministic_timing=True,
                                    convergence_delta=1e-3)
-    model, history = run_loopback_federation(
+    model, history = run_socket_federation(
         world["init"], cfg, parts, world["test"], world["keys"], mode="fhe")
     rounds_seen = {r["round"] for r in history}
     assert len(rounds_seen) == 2
@@ -301,7 +304,7 @@ def scripted_round(mode, material, *frames):
     """A one-client coordinator against a scripted client that has
     queued `frames`. Returns the coordinator's error (None if the run
     finished) and the next message the client receives, within 5 s."""
-    server_end, client_end = T.loopback_pair()
+    server_end, client_end = channel_pair()
 
     def send_all():  # from a thread, so no frame waits on a full buffer
         try:
@@ -420,25 +423,48 @@ def test_failing_transport_client_aborts_run_at_once(world):
     parts[1] = bad
     start = time.monotonic()
     with pytest.raises(ProtocolError, match="client 1 aborted round 0"):
-        run_loopback_federation(world["init"], world["cfg"], parts,
-                                world["test"], None, mode="plaintext")
+        run_socket_federation(world["init"], world["cfg"], parts,
+                              world["test"], None, mode="plaintext")
     assert time.monotonic() - start < 30.0
 
 
-def test_loopback_run_closes_every_channel(world, monkeypatch):
-    from cipherfed.federation import runner
+def recording_channels(monkeypatch):
+    """Every `SocketChannel` the runner makes, in order of creation."""
     made = []
 
-    def recording_pair():
-        pair = T.loopback_pair()
-        made.extend(pair)
-        return pair
+    def recording(sock):
+        made.append(T.SocketChannel(sock))
+        return made[-1]
 
-    monkeypatch.setattr(runner, "loopback_pair", recording_pair)
-    run_loopback_federation(world["init"], world["cfg"], world["parts"],
-                            world["test"], None, mode="plaintext")
+    monkeypatch.setattr(runner, "SocketChannel", recording)
+    return made
+
+
+def test_socket_run_closes_every_channel(world, monkeypatch):
+    made = recording_channels(monkeypatch)
+    run_socket_federation(world["init"], world["cfg"], world["parts"],
+                          world["test"], None, mode="plaintext")
     assert len(made) == 4
     assert all(ch._sock.fileno() == -1 for ch in made)
+
+
+def test_failed_connect_closes_opened_sockets(world, monkeypatch):
+    made = recording_channels(monkeypatch)
+    connect = socket.create_connection
+    calls = []
+
+    def second_fails(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise ConnectionRefusedError("refused for the test")
+        return connect(*args, **kwargs)
+
+    monkeypatch.setattr(socket, "create_connection", second_fails)
+    with pytest.raises(ConnectionRefusedError, match="for the test"):
+        run_socket_federation(world["init"], world["cfg"], world["parts"],
+                              world["test"], None, mode="plaintext")
+    assert len(calls) == 2 and len(made) == 1
+    assert made[0]._sock.fileno() == -1
 
 
 def test_ciphertext_payload_on_plaintext_run_rejected(world):
@@ -500,12 +526,12 @@ def test_mixed_level_chunks_rejected_on_decode(world, small_params):
 
 
 def rogue_round(world, mode, keys, payload):
-    """A loopback round of two clients: client 0 runs for real, client 1
-    joins and sends `payload` as its round-0 UPDATE. Returns the
-    coordinator's error, client 0's error and the next message client 1
-    receives."""
+    """A round of two clients over socket pairs: client 0 runs for
+    real, client 1 joins and sends `payload` as its round-0 UPDATE.
+    Returns the coordinator's error, client 0's error and the next
+    message client 1 receives."""
     material = keys.public if keys is not None else None
-    (srv0, cli0), (srv1, cli1) = T.loopback_pair(), T.loopback_pair()
+    (srv0, cli0), (srv1, cli1) = channel_pair(), channel_pair()
     real_err = []
 
     def real_client():
@@ -561,7 +587,7 @@ def test_mixed_level_update_aborts_every_client(world, small_params):
 
 
 def test_mixed_level_global_rejected_by_client(world, small_params):
-    server_end, client_end = T.loopback_pair()
+    server_end, client_end = channel_pair()
     client_err = []
 
     def client():
