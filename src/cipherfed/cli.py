@@ -145,11 +145,12 @@ def cmd_inspect(args) -> int:
         print(f"steps  : {count}")
         print(f"size   : {size} bytes")
     elif magic == MAGIC_CIPHERTEXT:
-        level, scale = r.unpack("Bd")
+        level, scale, chunks = r.unpack("BdH")
         print("kind   : ciphertext")
         print(f"digest : {digest.hex()}")
         print(f"level  : {level}")
         print(f"scale  : {scale:.6g}")
+        print(f"chunks : {chunks}")
         print(f"size   : {size} bytes")
     elif magic == MAGIC_FLOAT_VECTOR:
         (count,) = r.unpack("I")

@@ -27,15 +27,13 @@ def format_row(row: dict) -> str:
 
 
 class MetricsSink:
-    """Writes metric rows to a JSONL file and keeps them in memory."""
+    """Writes metric rows to a JSONL file."""
 
     def __init__(self, path=None):
         self.path = path
-        self.rows: list[dict] = []
         self._fh = open(path, "a") if path is not None else None
 
     def write(self, row: dict) -> None:
-        self.rows.append(row)
         if self._fh is not None:
             self._fh.write(format_row(row) + "\n")
             self._fh.flush()

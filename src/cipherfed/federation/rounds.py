@@ -143,25 +143,37 @@ def run_round(global_model: HybridModel, config: RoundConfig, client_datasets,
     return new_model, rows
 
 
-def run_federated_training(initial_model: HybridModel, config: RoundConfig,
-                           client_datasets, test_data, keys,
-                           mode: str = "fhe", sink: MetricsSink | None = None):
-    """Loop run_round for config.rounds rounds, or stop early when the
-    global test loss moves less than convergence_delta. In plaintext
-    mode the aggregation is the same weighted sum without encryption.
-    Returns (final model, all metric rows)."""
+def federated_rounds(initial_model: HybridModel, config: RoundConfig,
+                     client_datasets, test_data, keys, mode: str = "fhe",
+                     sink: MetricsSink | None = None):
+    """The round loop: run_round for config.rounds rounds, or until the
+    global test loss moves less than convergence_delta. Writes each
+    round's rows to `sink`, then yields (new global model, rows)."""
     model = initial_model
-    history = []
     prev_loss = None
     for r in range(config.rounds):
         model, rows = run_round(model, config, client_datasets, test_data,
                                 keys, round_index=r, mode=mode)
-        history.extend(rows)
         if sink is not None:
             for row in rows:
                 sink.write(row)
+        yield model, rows
         g_loss = rows[-1]["test_loss"]
         if server.converged(prev_loss, g_loss, config.convergence_delta):
-            break
+            return
         prev_loss = g_loss
+
+
+def run_federated_training(initial_model: HybridModel, config: RoundConfig,
+                           client_datasets, test_data, keys,
+                           mode: str = "fhe", sink: MetricsSink | None = None):
+    """Every round of federated_rounds. In plaintext mode the
+    aggregation is the same weighted sum without encryption. Returns
+    (final model, all metric rows)."""
+    model = initial_model
+    history = []
+    for model, rows in federated_rounds(initial_model, config,
+                                        client_datasets, test_data, keys,
+                                        mode, sink):
+        history.extend(rows)
     return model, history

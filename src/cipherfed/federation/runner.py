@@ -69,7 +69,7 @@ def _client_rounds(channel, client_id: int, dataset, test_data,
             raise ProtocolError(f"client {client_id}: unexpected message "
                                 f"type {msg.mtype} round {msg.round_index}")
         agg = decode_global(msg.payload,
-                            keys.params if keys is not None else None)
+                            keys.params if mode == "fhe" else None)
         if mode == "fhe":
             model = decrypt_and_load(agg, keys, model)
         else:

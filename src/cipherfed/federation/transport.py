@@ -5,7 +5,8 @@ round index, payload. The length counts everything after itself. One
 channel implementation, `SocketChannel`, carries frames over a stream
 socket. Serialization is lossless, so a socket run's results equal the
 direct transport's. Every payload is read through one bounds-checked
-`Reader` and must be consumed exactly.
+`Reader` and must be consumed exactly. An UPDATE or GLOBAL carries one
+artifact, and the run's mode says which one.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import struct
 import numpy as np
 
 from ..errors import ProtocolError
-from ..fhe.ops import Ciphertext, stack
 from ..fhe.serial import (Reader, deserialize_ciphertext,
                           deserialize_float_vector, serialize_ciphertext,
                           serialize_float_vector)
@@ -103,10 +103,6 @@ class SocketChannel:
 
 # --- payload encodings ------------------------------------------------------
 
-KIND_PLAIN = 0
-KIND_FHE = 1
-
-
 def encode_join(client_id: int, sample_count: int) -> bytes:
     return struct.pack("<HQ", client_id, sample_count)
 
@@ -118,79 +114,45 @@ def decode_join(payload: bytes) -> tuple[int, int]:
     return client_id, sample_count
 
 
-def _encode_blobs(blobs) -> bytes:
-    out = [struct.pack("<H", len(blobs))]
-    for b in blobs:
-        out.append(struct.pack("<I", len(b)))
-        out.append(b)
-    return b"".join(out)
-
-
-def _read_blobs(r: Reader) -> list[bytes]:
-    """The blob list that ends the payload under `r`."""
-    (count,) = r.unpack("H")
-    blobs = [r.take(r.unpack("I")[0]) for _ in range(count)]
-    r.end()
-    return blobs
-
-
-def _batch(blobs, params) -> Ciphertext:
-    """The chunks of an encrypted payload, stacked into one batch."""
-    if params is None:
-        raise ProtocolError("encrypted payload on a plaintext run")
-    if not blobs:
-        raise ProtocolError("encrypted payload carries no chunks")
-    return stack([deserialize_ciphertext(b, params) for b in blobs])
-
-
 def encode_update(update) -> bytes:
     if isinstance(update, ClientUpdate):
-        head = struct.pack("<HQBI", update.client_id, update.sample_count,
-                           KIND_FHE, update.param_count)
-        chunks = [serialize_ciphertext(ct) for ct in update.chunks]
-        return head + _encode_blobs(chunks)
-    head = struct.pack("<HQBI", update.client_id, update.sample_count,
-                       KIND_PLAIN, update.values.size)
-    return head + _encode_blobs([serialize_float_vector(update.values)])
+        count, artifact = (update.param_count,
+                           serialize_ciphertext(update.chunks))
+    else:
+        count, artifact = (update.values.size,
+                           serialize_float_vector(update.values))
+    return struct.pack("<HQI", update.client_id, update.sample_count,
+                       count) + artifact
 
 
 def decode_update(payload: bytes, round_index: int, params):
     r = Reader(payload, "UPDATE payload", ProtocolError)
-    client_id, sample_count, kind, param_count = r.unpack("HQBI")
-    blobs = _read_blobs(r)
-    if kind == KIND_FHE:
-        return ClientUpdate(client_id=client_id,
-                            chunks=_batch(blobs, params),
+    client_id, sample_count, param_count = r.unpack("HQI")
+    artifact = decode_global(payload[r.pos:], params)
+    if params is not None:
+        return ClientUpdate(client_id=client_id, chunks=artifact,
                             sample_count=sample_count,
                             round_index=round_index, param_count=param_count)
-    if kind == KIND_PLAIN:
-        if len(blobs) != 1:
-            raise ProtocolError("plain update must carry one vector")
-        return PlainUpdate(client_id=client_id,
-                           values=deserialize_float_vector(blobs[0]),
-                           sample_count=sample_count, round_index=round_index)
-    raise ProtocolError(f"unknown update kind {kind}")
+    if artifact.size != param_count:
+        raise ProtocolError(f"plain update carries {artifact.size} values "
+                            f"for {param_count} parameters")
+    return PlainUpdate(client_id=client_id, values=artifact,
+                       sample_count=sample_count, round_index=round_index)
 
 
 def encode_global(agg) -> bytes:
     if isinstance(agg, np.ndarray):
-        return struct.pack("<B", KIND_PLAIN) + _encode_blobs(
-            [serialize_float_vector(agg)])
-    return struct.pack("<B", KIND_FHE) + _encode_blobs(
-        [serialize_ciphertext(ct) for ct in agg])
+        return serialize_float_vector(agg)
+    return serialize_ciphertext(agg)
 
 
 def decode_global(payload: bytes, params):
-    r = Reader(payload, "GLOBAL payload", ProtocolError)
-    (kind,) = r.unpack("B")
-    blobs = _read_blobs(r)
-    if kind == KIND_PLAIN:
-        if len(blobs) != 1:
-            raise ProtocolError("plain global must carry one vector")
-        return deserialize_float_vector(blobs[0])
-    if kind == KIND_FHE:
-        return _batch(blobs, params)
-    raise ProtocolError(f"unknown global kind {kind}")
+    """The one artifact that is a GLOBAL payload and ends an UPDATE: a
+    `CKV2` ciphertext batch on an fhe run, where `params` is given, and a
+    `CKF1` vector on a plaintext run."""
+    if params is None:
+        return deserialize_float_vector(payload)
+    return deserialize_ciphertext(payload, params)
 
 
 def encode_metrics(row: dict) -> bytes:

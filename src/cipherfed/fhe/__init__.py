@@ -9,7 +9,7 @@ Parameters here target correctness demonstrations, not audited security.
 from .encoding import Plaintext, decode, encode, encode_scalar
 from .keys import GaloisKey, KeyMaterial, PublicMaterial, keygen
 from .ops import (Ciphertext, add_ct, decrypt, encrypt, mul_plain, rescale,
-                  rotate, stack)
+                  rotate)
 from .params import EncryptionParams, default_params
 from .poly import RingPoly, ntt_forward, ntt_inverse
 
@@ -17,6 +17,6 @@ __all__ = [
     "Plaintext", "decode", "encode", "encode_scalar",
     "GaloisKey", "KeyMaterial", "PublicMaterial", "keygen",
     "Ciphertext", "add_ct", "decrypt", "encrypt", "mul_plain", "rescale",
-    "rotate", "stack", "EncryptionParams", "default_params", "RingPoly",
+    "rotate", "EncryptionParams", "default_params", "RingPoly",
     "ntt_forward", "ntt_inverse",
 ]

@@ -57,20 +57,6 @@ class Ciphertext:
                           self.level)
 
 
-def stack(cts) -> Ciphertext:
-    """One batch of ciphertexts that share a level and a scale: chunk i
-    of the result is cts[i]."""
-    first = cts[0]
-    for i, ct in enumerate(cts):
-        if (ct.level, ct.scale) != (first.level, first.scale):
-            raise AlignmentError(
-                f"chunk {i} at level {ct.level}, scale {ct.scale}; "
-                f"expected level {first.level}, scale {first.scale}")
-    return Ciphertext(first.c0._like(np.stack([c.c0.residues for c in cts])),
-                      first.c1._like(np.stack([c.c1.residues for c in cts])),
-                      first.scale, first.level)
-
-
 def _public_part(keys) -> PublicMaterial:
     return keys.public if isinstance(keys, KeyMaterial) else keys
 

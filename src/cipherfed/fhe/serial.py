@@ -19,7 +19,7 @@ from .ops import Ciphertext
 from .params import EncryptionParams
 from .poly import NTT, RingPoly
 
-MAGIC_CIPHERTEXT = b"CKV1"
+MAGIC_CIPHERTEXT = b"CKV2"
 MAGIC_SECRET_KEY = b"CKS1"
 MAGIC_PUBLIC_KEY = b"CKP1"
 MAGIC_GALOIS_KEYS = b"CKG1"
@@ -80,16 +80,19 @@ def _poly_bytes(p: RingPoly) -> bytes:
     return b"".join(rows)
 
 
-def _read_poly(r: Reader, params: EncryptionParams, rows: range) -> RingPoly:
-    """A polynomial over the first `count` basis primes, `count` in
-    `rows`, each residue below its row's prime."""
+def _read_poly(r: Reader, params: EncryptionParams, rows: range,
+               batch: tuple[int, ...] = ()) -> RingPoly:
+    """A polynomial, or a batch of `batch` polynomials, over the first
+    `count` basis primes, `count` in `rows`, each residue below its
+    row's prime."""
     (count,) = r.unpack("B")
     if count not in rows:
         raise FormatError(f"poly has {count} primes, expected "
                           f"{rows.start} to {rows.stop - 1}")
     basis = tuple(range(count))
-    raw = r.take(count * params.ring_degree * 8)
-    res = np.frombuffer(raw, dtype="<u8").reshape(count, params.ring_degree)
+    shape = (*batch, count, params.ring_degree)
+    raw = r.take(math.prod(shape) * 8)
+    res = np.frombuffer(raw, dtype="<u8").reshape(shape)
     if (res >= params.stacked_ntt(basis).q).any():
         raise FormatError("poly residue not below its prime")
     return RingPoly(params, basis, np.ascontiguousarray(res, dtype=np.uint64),
@@ -101,22 +104,25 @@ def _read_key(r: Reader, params: EncryptionParams, rows: int) -> ShoupPoly:
 
 
 def serialize_ciphertext(ct: Ciphertext) -> bytes:
-    out = [MAGIC_CIPHERTEXT, ct.params.digest,
-           struct.pack("<Bd", ct.level, ct.scale)]
-    out.append(_poly_bytes(ct.c0))
-    out.append(_poly_bytes(ct.c1))
-    return b"".join(out)
+    """One `CKV2` batch; a ciphertext without a batch axis is a batch of
+    one chunk."""
+    chunks = math.prod(ct.c0.batch_shape)
+    return b"".join([MAGIC_CIPHERTEXT, ct.params.digest,
+                     struct.pack("<BdH", ct.level, ct.scale, chunks),
+                     _poly_bytes(ct.c0), _poly_bytes(ct.c1)])
 
 
 def deserialize_ciphertext(data: bytes, params: EncryptionParams) -> Ciphertext:
+    """A `CKV2` artifact as a batch of at least one chunk."""
     r = _open(data, MAGIC_CIPHERTEXT, params)
-    level, scale = r.unpack("Bd")
+    level, scale, chunks = r.unpack("BdH")
     if not 0.0 < scale < math.inf:
         raise FormatError(f"ciphertext scale {scale} is not finite and "
                           "positive")
+    if chunks < 1:
+        raise FormatError("ciphertext batch has no chunks")
     rows = range(1, len(params.modulus_chain) + 1)
-    c0 = _read_poly(r, params, rows)
-    c1 = _read_poly(r, params, rows)
+    c0, c1 = (_read_poly(r, params, rows, (chunks,)) for _ in range(2))
     r.end()
     return Ciphertext(c0=c0, c1=c1, scale=scale, level=level)
 
@@ -195,12 +201,3 @@ def deserialize_float_vector(data: bytes) -> np.ndarray:
     if not np.isfinite(values).all():
         raise FormatError("float vector holds a non-finite value")
     return values
-
-
-def peek_kind(data: bytes) -> str:
-    """Human-readable artifact kind from the magic bytes."""
-    magic = data[:4]
-    kind = _MAGICS.get(magic)
-    if kind is None:
-        raise FormatError(f"unknown magic bytes {magic!r}")
-    return kind

@@ -14,7 +14,8 @@ from .fhe.keys import KeyMaterial, keygen
 from .fhe.serial import (deserialize_key_material, serialize_galois_keys,
                          serialize_public_key, serialize_secret_key)
 from .federation.metrics import MetricsSink
-from .federation.rounds import RoundConfig, run_federated_training
+from .federation.rounds import (MODES, RoundConfig, federated_rounds,
+                                run_federated_training)
 from .federation.runner import run_socket_federation
 from .model import HybridModel, init_model
 
@@ -81,6 +82,15 @@ def round_config(cfg: RunConfig, parts) -> RoundConfig:
         deterministic_timing=cfg.deterministic_timing)
 
 
+def _start(cfg: RunConfig, parts, test: Dataset):
+    """The initial model and the round config of a run on `parts`."""
+    if len(parts) != cfg.clients:
+        raise ConfigError(f"partition produced {len(parts)} shares for "
+                          f"{cfg.clients} clients")
+    model0 = build_model(cfg, parts[0].features.shape[1], test.class_count)
+    return model0, round_config(cfg, parts)
+
+
 def execute_run(cfg: RunConfig, mode: str | None = None,
                 sink: MetricsSink | None = None, keys=None, parts=None,
                 test: Dataset | None = None):
@@ -92,13 +102,9 @@ def execute_run(cfg: RunConfig, mode: str | None = None,
     mode = mode or cfg.mode
     if parts is None or test is None:
         parts, test = build_datasets(cfg)
-    if len(parts) != cfg.clients:
-        raise ConfigError(f"partition produced {len(parts)} shares for "
-                          f"{cfg.clients} clients")
+    model0, rc = _start(cfg, parts, test)
     if keys is None and mode == "fhe":
         keys = build_keys(cfg)
-    model0 = build_model(cfg, parts[0].features.shape[1], test.class_count)
-    rc = round_config(cfg, parts)
 
     t0 = time.perf_counter()
     if cfg.transport == "direct":
@@ -137,19 +143,51 @@ def summarize_history(history) -> dict:
     return out
 
 
+def _lockstep(cfg: RunConfig, parts, test: Dataset, keys, sinks: dict):
+    """Both arms on the direct transport, one round of each in turn.
+    Returns each arm's metric rows and the wall seconds of its rounds."""
+    model0, rc = _start(cfg, parts, test)
+    runs = {mode: federated_rounds(model0, rc, parts, test, keys, mode,
+                                   sinks[mode]) for mode in MODES}
+    history = {mode: [] for mode in MODES}
+    wall = dict.fromkeys(MODES, 0.0)
+    while runs:
+        for mode in list(runs):
+            t0 = time.perf_counter()
+            step = next(runs[mode], None)
+            wall[mode] += time.perf_counter() - t0
+            if step is None:
+                del runs[mode]
+            else:
+                history[mode].extend(step[1])
+    return history, wall
+
+
 def compare_runs(cfg: RunConfig, sink_fhe: MetricsSink | None = None,
                  sink_plain: MetricsSink | None = None) -> dict:
     """Run the encrypted and plaintext arms with identical seeds and
-    report the accuracy gap and wall times."""
+    report the accuracy gap and wall times.
+
+    On the direct transport the arms alternate round by round, and an
+    arm's wall time is the sum of its own rounds, so a host that slows
+    down during the run slows both arms alike. A socket arm is one
+    federation whose coordinator and client threads drive all of its
+    rounds, so on that transport the arms run one after the other."""
     parts, test = build_datasets(cfg)
     keys = build_keys(cfg)
+    sinks = {"fhe": sink_fhe, "plaintext": sink_plain}
+    if cfg.transport == "direct":
+        history, wall = _lockstep(cfg, parts, test, keys, sinks)
+    else:
+        history, wall = {}, {}
+        for mode in MODES:
+            _model, history[mode], wall[mode] = execute_run(
+                cfg, mode=mode, sink=sinks[mode], keys=keys, parts=parts,
+                test=test)
     report = {}
-    for mode, sink in (("fhe", sink_fhe), ("plaintext", sink_plain)):
-        _model, history, wall = execute_run(cfg, mode=mode, sink=sink,
-                                            keys=keys, parts=parts, test=test)
-        summary = summarize_history(history)
-        summary["wall_seconds"] = wall
-        report[mode] = summary
+    for mode in MODES:
+        report[mode] = summarize_history(history[mode])
+        report[mode]["wall_seconds"] = wall[mode]
     gap = None
     if (report["fhe"]["test_acc"] is not None
             and report["plaintext"]["test_acc"] is not None):

@@ -13,7 +13,7 @@ from cipherfed import model as M
 from cipherfed import qsim
 from cipherfed.errors import ParameterError, ProtocolError
 from cipherfed.fhe import (decode, decrypt, default_params, encode, encrypt,
-                           keygen, stack)
+                           keygen)
 from cipherfed.federation import server
 from cipherfed.federation.client import ClientUpdate, derive_seed
 from cipherfed.federation.metrics import MetricsSink
@@ -98,9 +98,9 @@ def test_criterion_02_aggregation_oracle(std):
         counts = rng.integers(1, 1000, n_clients)
         updates = []
         for k, (vec, n_k) in enumerate(zip(vecs, counts)):
-            ct = encrypt(encode(vec, params), keys,
-                         rng_seed=derive_seed(trial, k))
-            updates.append(ClientUpdate(client_id=k, chunks=stack([ct]),
+            ct = encrypt(encode(vec[None, :], params), keys,
+                         rng_seed=[derive_seed(trial, k)])
+            updates.append(ClientUpdate(client_id=k, chunks=ct,
                                         sample_count=int(n_k),
                                         round_index=trial,
                                         param_count=length))
@@ -302,13 +302,16 @@ def test_criterion_08_protocol_determinism(tmp_path):
 
     def serve():
         chans = []
-        for _ in range(2):
-            conn, _ = listener.accept()
-            chans.append(T.SocketChannel(conn))
         try:
+            for _ in range(2):
+                conn, _ = listener.accept()
+                chans.append(T.SocketChannel(conn))
             coordinator.run(chans)
         except ProtocolError as exc:
             server_err.append(exc)
+        finally:
+            for ch in chans:
+                ch.close()
 
     srv = threading.Thread(target=serve, daemon=True)
     srv.start()
@@ -369,8 +372,8 @@ def test_criterion_09_server_blindness(std):
     assert isinstance(pub, PublicMaterial)
     rng = np.random.default_rng(909)
     vec = rng.uniform(-1, 1, 64)
-    ct = encrypt(encode(vec, params), pub, 1)
-    upd = ClientUpdate(0, stack([ct]), 5, 0, 64)
+    ct = encrypt(encode(vec[None, :], params), pub, [1])
+    upd = ClientUpdate(0, ct, 5, 0, 64)
     agg = server.aggregate([upd], pub)
     got = decode(decrypt(agg[0], keys), 64)
     assert np.abs(got - vec).max() < 1e-4

@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from cipherfed import model as M
-from cipherfed.errors import AlignmentError, ShapeError
+from cipherfed.errors import ShapeError
 from cipherfed.federation import server
 from cipherfed.federation import transport as T
 from cipherfed.federation.client import derive_seed, encrypt_model
 from cipherfed.federation.quantize import QuantizationSpec, quantize
 from cipherfed.fhe import (add_ct, decode, decrypt, encode, encode_scalar,
-                           encrypt, mul_plain, rescale, rotate, stack)
-from cipherfed.fhe.serial import serialize_ciphertext
+                           encrypt, mul_plain, rescale, rotate)
 from cipherfed.model import flatten_weights
 from cipherfed.qsim import PqcArchitecture
 
@@ -98,18 +97,24 @@ def test_batch_ntt_equals_per_matrix(small_params, chunks):
 
 def per_chunk_update(model, keys, client_id, sample_count, rng_seed):
     """The UPDATE payload built chunk by chunk, one encode and one
-    encrypt per slot-sized slice: the reference for the batch path."""
+    encrypt per slot-sized slice, laid out by hand: the header, then each
+    half's prime count and every chunk's residues, chunk after chunk.
+    The reference for the batch path and for `CKV2`."""
     params = keys.params
     weights = quantize(flatten_weights(model), QuantizationSpec())
     slots = params.slot_count
-    blobs = []
-    for i, start in enumerate(range(0, weights.size, slots)):
-        pt = encode(weights[start:start + slots], params)
-        ct = encrypt(pt, keys, rng_seed=derive_seed(rng_seed, i))
-        blobs.append(serialize_ciphertext(ct))
-    head = struct.pack("<HQBIH", client_id, sample_count, T.KIND_FHE,
-                       weights.size, len(blobs))
-    return head + b"".join(struct.pack("<I", len(b)) + b for b in blobs)
+    cts = [encrypt(encode(weights[start:start + slots], params), keys,
+                   rng_seed=derive_seed(rng_seed, i))
+           for i, start in enumerate(range(0, weights.size, slots))]
+    top = cts[0]
+    out = [struct.pack("<HQI", client_id, sample_count, weights.size),
+           b"CKV2", params.digest,
+           struct.pack("<BdH", top.level, top.scale, len(cts))]
+    for half in ("c0", "c1"):
+        out.append(struct.pack("<B", top.level + 1))
+        out.extend(getattr(ct, half).residues.astype("<u8").tobytes()
+                   for ct in cts)
+    return b"".join(out)
 
 
 @pytest.mark.parametrize("dims,params_expected", [(2, 27), (4096, 12309)])
@@ -145,16 +150,6 @@ def test_single_ciphertext_is_not_a_batch(small_params, small_keys):
         ct[0]
     with pytest.raises(ShapeError, match="one seed per chunk"):
         encrypt(encode(np.ones((2, 4)), small_params), small_keys, 0)
-
-
-def test_stack_round_trips_chunks(small_params, small_keys):
-    cts = [encrypt(encode([float(i)], small_params), small_keys, i)
-           for i in range(3)]
-    batch = stack(cts)
-    assert len(batch) == 3 and len(batch[1:]) == 2
-    assert_batch_equal(batch, cts)
-    with pytest.raises(AlignmentError, match="chunk 1 at level"):
-        stack([cts[0], rescale(cts[1])])
 
 
 def test_aggregate_is_one_batch(small_params, small_keys):

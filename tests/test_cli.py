@@ -182,6 +182,19 @@ def test_inspect_checkpoint(workdir, capsys):
     assert "checkpoint" in out and "qubits" in out
 
 
+def test_inspect_ciphertext_batch(tmp_path, capsys, small_params,
+                                  small_keys):
+    from cipherfed.fhe import encode, encrypt
+    from cipherfed.fhe.serial import serialize_ciphertext
+    ct = encrypt(encode(np.ones((3, 4)), small_params), small_keys, [1, 2, 3])
+    p = tmp_path / "update.ct"
+    p.write_bytes(serialize_ciphertext(ct))
+    assert main(["inspect", str(p)]) == 0
+    out = capsys.readouterr().out
+    assert "ciphertext" in out and "level  : 2" in out
+    assert "chunks : 3" in out
+
+
 def test_inspect_unknown_magic_exits_3(tmp_path, capsys):
     p = tmp_path / "junk.bin"
     p.write_bytes(b"WHAT is this file")
@@ -189,7 +202,7 @@ def test_inspect_unknown_magic_exits_3(tmp_path, capsys):
     assert "magic" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("magic,size", [("CKV1", 9), ("CKM1", 7),
+@pytest.mark.parametrize("magic,size", [("CKV2", 9), ("CKM1", 7),
                                         ("CKG1", 13), ("CKF1", 6),
                                         ("CKS1", 11), ("CKP1", 11)])
 def test_inspect_truncated_header_exits_3(tmp_path, capsys, magic, size):

@@ -47,6 +47,9 @@ def formats(small_params):
     params = small_params
     keys = keygen(params, rotation_steps=(3,), rng_seed=41)
     ct = encrypt(encode(np.linspace(-1, 1, 8), params), keys, 5)
+    batches = {n: encrypt(encode(np.linspace(-1, 1, 8 * n).reshape(n, 8),
+                                 params), keys, list(range(n)))
+               for n in (2, 7)}
     sec = serialize_secret_key(keys)
     pub = serialize_public_key(keys.public)
     gal = serialize_galois_keys(keys.public)
@@ -117,14 +120,16 @@ def formats(small_params):
         "UPDATE-plain": Format(T.encode_update(plain_upd),
                                lambda b: T.decode_update(b, 0, None),
                                use_update),
-        "GLOBAL-fhe": Format(T.encode_global([ct, ct]),
+        "GLOBAL-fhe": Format(T.encode_global(batches[2]),
                              lambda b: T.decode_global(b, params), use_global),
         "GLOBAL-plain": Format(T.encode_global(np.array([1.0, -2.0])),
                                lambda b: T.decode_global(b, None), use_global),
         "METRICS": Format(T.encode_metrics(row), T.decode_metrics,
                           use_metrics),
-        "CKV1": Format(serialize_ciphertext(ct),
-                       lambda b: deserialize_ciphertext(b, params), use_ct),
+        **{f"CKV2-{n}": Format(serialize_ciphertext(c),
+                               lambda b: deserialize_ciphertext(b, params),
+                               use_ct)
+           for n, c in ((1, ct), *batches.items())},
         "CKP1": Format(pub, lambda b: deserialize_public_material(b, params),
                        use_public),
         "CKG1": Format(gal, lambda b: deserialize_public_material(
@@ -139,8 +144,8 @@ def formats(small_params):
 
 
 NAMES = ["frame-body", "JOIN", "UPDATE-fhe", "UPDATE-plain", "GLOBAL-fhe",
-         "GLOBAL-plain", "METRICS", "CKV1", "CKP1", "CKG1", "CKS1", "CKF1",
-         "CKM1"]
+         "GLOBAL-plain", "METRICS", "CKV2-1", "CKV2-2", "CKV2-7", "CKP1",
+         "CKG1", "CKS1", "CKF1", "CKM1"]
 
 
 @st.composite

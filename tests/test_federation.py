@@ -110,13 +110,13 @@ def test_aggregate_identical_models_fixed_point(toy_world):
 
 def test_aggregate_weighted_example(toy_world, small_params):
     # w1=[1,2], w2=[3,4], n1=1, n2=3 -> 0.25*w1 + 0.75*w2 = [2.5, 3.5]
-    from cipherfed.fhe import encode, encrypt, stack
+    from cipherfed.fhe import encode, encrypt
     from cipherfed.federation.client import ClientUpdate
     keys = toy_world["keys"]
-    c1 = encrypt(encode([1.0, 2.0], small_params), keys, 1)
-    c2 = encrypt(encode([3.0, 4.0], small_params), keys, 2)
-    u1 = ClientUpdate(0, stack([c1]), 1, 0, 2)
-    u2 = ClientUpdate(1, stack([c2]), 3, 0, 2)
+    c1 = encrypt(encode([[1.0, 2.0]], small_params), keys, [1])
+    c2 = encrypt(encode([[3.0, 4.0]], small_params), keys, [2])
+    u1 = ClientUpdate(0, c1, 1, 0, 2)
+    u2 = ClientUpdate(1, c2, 3, 0, 2)
     agg = server.aggregate([u1, u2], keys.public)
     from cipherfed.fhe import decode, decrypt
     got = decode(decrypt(agg[0], keys), 2)
@@ -137,14 +137,15 @@ def test_aggregate_round_mismatch(toy_world):
         server.aggregate([u1, u2], keys.public)
 
 
-def test_aggregate_chunk_mismatch(toy_world):
-    from cipherfed.fhe import stack
+def test_aggregate_chunk_mismatch(toy_world, small_params):
+    from cipherfed.fhe import encode, encrypt
     keys = toy_world["keys"]
     m = toy_world["init"]
     u1 = encrypt_model(m, QuantizationSpec(), keys, 0, 5, 0)
     u2 = encrypt_model(m, QuantizationSpec(), keys, 1, 5, 0)
-    u2 = type(u2)(client_id=1, chunks=stack([u2.chunks[0]] * 2),
-                  sample_count=5, round_index=0, param_count=u2.param_count)
+    two = encrypt(encode(np.zeros((2, 4)), small_params), keys, [1, 2])
+    u2 = type(u2)(client_id=1, chunks=two, sample_count=5, round_index=0,
+                  param_count=u2.param_count)
     with pytest.raises(AlignmentError, match="chunks"):
         server.aggregate([u1, u2], keys.public)
 
@@ -323,12 +324,11 @@ def test_round_config_validation():
                     learning_rate=-0.1)
 
 
-def encrypted_chunks(params, keys, *levels_and_scales):
-    """One batch of one chunk per (level, scale); `stack` rejects chunks
-    that differ in either."""
-    from cipherfed.fhe import encode, encrypt, stack
-    return stack([encrypt(encode([0.5], params, level=lvl, scale=sc), keys, i)
-                  for i, (lvl, sc) in enumerate(levels_and_scales)])
+def encrypted_chunk(params, keys, level, scale):
+    """A batch of one chunk at `level` and `scale`."""
+    from cipherfed.fhe import encode, encrypt
+    return encrypt(encode([[0.5]], params, level=level, scale=scale), keys,
+                   [0])
 
 
 def test_aggregate_rejects_param_count_that_needs_other_chunks(
@@ -336,32 +336,12 @@ def test_aggregate_rejects_param_count_that_needs_other_chunks(
     from cipherfed.federation.client import ClientUpdate
     keys = toy_world["keys"]
     top, scale = small_params.max_level, small_params.scale
-    one = encrypted_chunks(small_params, keys, (top, scale))
+    one = encrypted_chunk(small_params, keys, top, scale)
     ok = ClientUpdate(0, one, 5, 0, 3)
     for count in (0, small_params.slot_count + 1):
         bad = ClientUpdate(1, one, 5, 0, count)
         with pytest.raises(ProtocolError, match="which need"):
             server.aggregate([ok, bad], keys.public)
-
-
-# An update is one batch with one level and one scale, so a chunk at
-# another level or scale cannot reach `aggregate`: `stack`, which builds
-# every batch the server decodes, rejects it.
-
-def test_aggregate_rejects_chunk_at_other_level(toy_world, small_params):
-    keys = toy_world["keys"]
-    top, scale = small_params.max_level, small_params.scale
-    # the second chunk sits one level lower
-    with pytest.raises(AlignmentError, match="at level 1, .* expected level"):
-        encrypted_chunks(small_params, keys, (top, scale), (top - 1, scale))
-
-
-def test_aggregate_rejects_chunk_at_other_scale(toy_world, small_params):
-    keys = toy_world["keys"]
-    top, scale = small_params.max_level, small_params.scale
-    # the second chunk was encoded at half the scale
-    with pytest.raises(AlignmentError, match="scale .* expected level"):
-        encrypted_chunks(small_params, keys, (top, scale), (top, scale / 2))
 
 
 @pytest.mark.parametrize("level_drop,scale_div", [(1, 1), (0, 2)],
@@ -371,10 +351,10 @@ def test_aggregate_rejects_update_at_other_level_or_scale(
     from cipherfed.federation.client import ClientUpdate
     keys = toy_world["keys"]
     top, scale = small_params.max_level, small_params.scale
-    ok = ClientUpdate(0, encrypted_chunks(small_params, keys, (top, scale)),
+    ok = ClientUpdate(0, encrypted_chunk(small_params, keys, top, scale),
                       5, 0, 3)
-    bad = ClientUpdate(1, encrypted_chunks(
-        small_params, keys, (top - level_drop, scale / scale_div)), 5, 0, 3)
+    bad = ClientUpdate(1, encrypted_chunk(
+        small_params, keys, top - level_drop, scale / scale_div), 5, 0, 3)
     with pytest.raises(AlignmentError,
                        match="client 1 sent 1 chunks at .* expected 1 at"):
         server.aggregate([ok, bad], keys.public)

@@ -8,7 +8,7 @@ from cipherfed.fhe import decode, decrypt, encode, encrypt, keygen, rotate
 from cipherfed.fhe.serial import (deserialize_ciphertext,
                                   deserialize_float_vector,
                                   deserialize_key_material,
-                                  deserialize_public_material, peek_kind,
+                                  deserialize_public_material,
                                   serialize_ciphertext, serialize_float_vector,
                                   serialize_galois_keys, serialize_public_key,
                                   serialize_secret_key)
@@ -19,8 +19,10 @@ def test_ciphertext_roundtrip_bitwise(small_params, small_keys, rng):
     ct = encrypt(encode(v, small_params), small_keys, 5)
     blob = serialize_ciphertext(ct)
     back = deserialize_ciphertext(blob, small_params)
-    assert np.array_equal(back.c0.residues, ct.c0.residues)
-    assert np.array_equal(back.c1.residues, ct.c1.residues)
+    # a ciphertext without a batch axis reads back as a batch of one
+    assert len(back) == 1
+    assert np.array_equal(back.c0.residues[0], ct.c0.residues)
+    assert np.array_equal(back.c1.residues[0], ct.c1.residues)
     assert back.scale == ct.scale and back.level == ct.level
     # serialization is bitwise stable
     assert serialize_ciphertext(back) == blob
@@ -98,14 +100,6 @@ def test_float_vector_roundtrip(rng):
     assert np.array_equal(back, v)
 
 
-def test_peek_kind(small_params, small_keys):
-    ct = encrypt(encode([1.0], small_params), small_keys, 0)
-    assert peek_kind(serialize_ciphertext(ct)) == "ciphertext"
-    assert peek_kind(serialize_secret_key(small_keys)) == "secret key"
-    with pytest.raises(FormatError):
-        peek_kind(b"ZZZZ")
-
-
 # --- hostile artifacts ------------------------------------------------------
 
 def poly_bytes(residues) -> bytes:
@@ -152,7 +146,7 @@ def test_trailing_bytes_rejected(kind, small_params, artifacts):
 
 # offset of the first residue, and the row to patch
 @pytest.mark.parametrize("kind,start,row", [
-    ("ciphertext", 22, 0), ("ciphertext", 22, 2), ("public", 13, 1),
+    ("ciphertext", 24, 0), ("ciphertext", 24, 2), ("public", 13, 1),
     ("galois", 18, 3), ("secret", 13, 3)])
 def test_residue_at_its_prime_rejected(kind, start, row, small_params,
                                        artifacts):
@@ -215,10 +209,37 @@ def test_galois_step_repeated_rejected(small_params, artifacts):
 
 def test_ciphertext_beyond_chain_rejected(small_params, artifacts):
     poly = poly_bytes(np.zeros((4, small_params.ring_degree)))
-    blob = key_blob(b"CKV1", small_params, poly, poly,
-                    head=struct.pack("<Bd", 3, small_params.scale))
+    blob = key_blob(b"CKV2", small_params, poly, poly,
+                    head=struct.pack("<BdH", 3, small_params.scale, 1))
     with pytest.raises(FormatError, match="poly has 4 primes"):
         deserialize_ciphertext(blob, small_params)
+
+
+def test_ciphertext_without_chunks_rejected(small_params):
+    # a header that announces no chunks, then two empty blocks
+    blob = key_blob(b"CKV2", small_params, poly_bytes(np.zeros((3, 0))) * 2,
+                    head=struct.pack("<BdH", 2, small_params.scale, 0))
+    with pytest.raises(FormatError, match="no chunks"):
+        deserialize_ciphertext(blob, small_params)
+
+
+@pytest.mark.parametrize("chunks", [1, 2, 7])
+def test_ciphertext_batch_roundtrip_bitwise(chunks, small_params, small_keys,
+                                            rng):
+    values = rng.uniform(-1, 1, (chunks, 16))
+    ct = encrypt(encode(values, small_params), small_keys,
+                 list(range(chunks)))
+    blob = serialize_ciphertext(ct)
+    back = deserialize_ciphertext(blob, small_params)
+    assert len(back) == chunks
+    assert np.array_equal(back.c0.residues, ct.c0.residues)
+    assert np.array_equal(back.c1.residues, ct.c1.residues)
+    assert serialize_ciphertext(back) == blob
+    # one chunk alone, without a batch axis, reads back as a batch of one
+    alone = deserialize_ciphertext(serialize_ciphertext(ct[chunks - 1]),
+                                   small_params)
+    assert len(alone) == 1
+    assert np.array_equal(alone.c0.residues[0], ct.c0.residues[-1])
 
 
 @pytest.mark.parametrize("scale", [float("nan"), -1.0, 0.0, float("inf")])

@@ -164,6 +164,14 @@ def test_plaintext_socket_run_without_keys(world):
     assert history[-1]["test_acc"] is not None
 
 
+def test_plaintext_socket_run_ignores_keys(world):
+    # the mode, not the key material a caller passes, picks the artifact
+    args = (world["init"], world["cfg"], world["parts"], world["test"])
+    with_keys = run_socket_federation(*args, world["keys"], mode="plaintext")
+    without = run_socket_federation(*args, None, mode="plaintext")
+    assert with_keys[1] == without[1]
+
+
 @pytest.mark.parametrize("mode", ["fhe", "plaintext"])
 def test_direct_and_socket_agree(world, mode):
     args = (world["init"], world["cfg"], world["parts"], world["test"],
@@ -202,13 +210,16 @@ def test_corrupted_frame_aborts_round_over_socket(world, small_params):
 
     def serve():
         chans = []
-        for _ in range(2):
-            conn, _ = listener.accept()
-            chans.append(T.SocketChannel(conn))
         try:
+            for _ in range(2):
+                conn, _ = listener.accept()
+                chans.append(T.SocketChannel(conn))
             coordinator.run(chans)
         except ProtocolError as exc:
             server_err.append(exc)
+        finally:
+            for ch in chans:
+                ch.close()
 
     srv_thread = threading.Thread(target=serve, daemon=True)
     srv_thread.start()
@@ -266,17 +277,12 @@ def test_converged_abort_over_socket(world):
 
 # --- hostile payloads -------------------------------------------------------
 
-def blob_list(*blobs) -> bytes:
-    return struct.pack("<H", len(blobs)) + b"".join(
-        struct.pack("<I", len(b)) + b for b in blobs)
+def update_payload(param_count, artifact, client_id=0, sample_count=10):
+    return (struct.pack("<HQI", client_id, sample_count, param_count)
+            + artifact)
 
 
-def update_payload(kind, param_count, blobs, client_id=0, sample_count=10):
-    return (struct.pack("<HQBI", client_id, sample_count, kind, param_count)
-            + blobs)
-
-
-OVERRUN = struct.pack("<HI", 1, 100) + b"abc"  # one blob of 100 bytes, 3 sent
+OVERRUN = b"CKF1" + struct.pack("<I", 100) + b"abc"  # 100 values, 3 bytes sent
 
 
 def decode_update(payload):
@@ -288,15 +294,15 @@ def decode_global(payload):
 
 
 @pytest.mark.parametrize("decode,payload", [
-    (decode_update, update_payload(T.KIND_PLAIN, 3, OVERRUN)),
+    (decode_update, update_payload(100, OVERRUN)),
     (decode_update,
      T.encode_update(PlainUpdate(0, np.array([1.0, 2.0]), 5, 0)) + b"junk"),
-    (decode_global, struct.pack("<B", T.KIND_PLAIN) + OVERRUN),
+    (decode_global, OVERRUN),
     (decode_global, T.encode_global(np.array([0.5, -0.5])) + b"junk"),
 ], ids=["update-overrun", "update-trailing", "global-overrun",
         "global-trailing"])
-def test_blob_list_must_fill_payload(decode, payload):
-    with pytest.raises(ProtocolError, match="malformed"):
+def test_artifact_must_fill_payload(decode, payload):
+    with pytest.raises(FormatError, match="malformed float vector"):
         decode(payload)
 
 
@@ -330,9 +336,10 @@ def scripted_round(mode, material, *frames):
 
 
 def encrypted_update(world):
+    """A client's `CKV2` batch and its parameter count."""
     upd = encrypt_model(world["init"], QuantizationSpec(), world["keys"],
                         client_id=0, sample_count=10, round_index=0)
-    return [serialize_ciphertext(ct) for ct in upd.chunks], upd.param_count
+    return serialize_ciphertext(upd.chunks), upd.param_count
 
 
 def assert_aborted(world, payload):
@@ -345,24 +352,25 @@ def assert_aborted(world, payload):
 
 
 def test_truncated_ciphertext_update_aborts_clients(world):
-    blobs, count = encrypted_update(world)
-    payload = update_payload(T.KIND_FHE, count, blob_list(blobs[0][:-100]))
+    blob, count = encrypted_update(world)
+    payload = update_payload(count, blob[:-100])
     assert isinstance(assert_aborted(world, payload), FormatError)
 
 
 def test_patched_level_update_aborts_clients(world):
-    blobs, count = encrypted_update(world)
-    bad = bytearray(blobs[0])
+    blob, count = encrypted_update(world)
+    bad = bytearray(blob)
     bad[12] = 9  # level byte, past the end of the chain
-    payload = update_payload(T.KIND_FHE, count, blob_list(bytes(bad)))
+    payload = update_payload(count, bytes(bad))
     assert isinstance(assert_aborted(world, payload), LevelError)
 
 
 def test_update_without_chunks_aborts_clients(world):
-    _blobs, count = encrypted_update(world)
-    payload = update_payload(T.KIND_FHE, count, blob_list())
-    error = assert_aborted(world, payload)
-    assert isinstance(error, ProtocolError) and "no chunks" in str(error)
+    blob, count = encrypted_update(world)
+    bad = bytearray(blob)
+    struct.pack_into("<H", bad, 21, 0)  # chunk count, after level and scale
+    error = assert_aborted(world, update_payload(count, bytes(bad)))
+    assert isinstance(error, FormatError) and "no chunks" in str(error)
 
 
 def test_non_protocol_failure_aborts_and_is_wrapped():
@@ -407,12 +415,21 @@ def test_update_count_must_match_join():
 
 
 @pytest.mark.parametrize("blobs", [
-    blob_list(),
-    blob_list(serialize_float_vector(np.array([1.0])),
-              serialize_float_vector(np.array([2.0])))], ids=["none", "two"])
+    b"",
+    serialize_float_vector(np.array([1.0]))
+    + serialize_float_vector(np.array([2.0]))], ids=["none", "two"])
 def test_plain_global_needs_exactly_one_blob(blobs):
-    with pytest.raises(ProtocolError, match="one vector"):
-        decode_global(struct.pack("<B", T.KIND_PLAIN) + blobs)
+    with pytest.raises(FormatError, match="malformed float vector"):
+        decode_global(blobs)
+
+
+def test_plain_update_param_count_must_match_vector():
+    payload = T.encode_update(PlainUpdate(0, np.array([1.0, 2.0]), 5, 0))
+    assert T.decode_update(payload, 0, None).values.size == 2
+    for count in (1, 3):
+        bad = payload[:10] + struct.pack("<I", count) + payload[14:]
+        with pytest.raises(ProtocolError, match=f"2 values for {count} "):
+            T.decode_update(bad, 0, None)
 
 
 def test_failing_transport_client_aborts_run_at_once(world):
@@ -468,13 +485,21 @@ def test_failed_connect_closes_opened_sockets(world, monkeypatch):
 
 
 def test_ciphertext_payload_on_plaintext_run_rejected(world):
-    blobs, count = encrypted_update(world)
-    with pytest.raises(ProtocolError, match="plaintext run"):
-        T.decode_update(update_payload(T.KIND_FHE, count, blob_list(*blobs)),
-                        0, None)
-    with pytest.raises(ProtocolError, match="plaintext run"):
-        T.decode_global(struct.pack("<B", T.KIND_FHE) + blob_list(*blobs),
-                        None)
+    blob, count = encrypted_update(world)
+    with pytest.raises(FormatError, match="not a float vector"):
+        T.decode_update(update_payload(count, blob), 0, None)
+    with pytest.raises(FormatError, match="not a float vector"):
+        T.decode_global(blob, None)
+
+
+def test_plain_payload_on_fhe_run_rejected(small_params):
+    upd = PlainUpdate(0, np.array([0.5, -0.5]), 5, 0)
+    with pytest.raises(FormatError, match="expected ciphertext but found "
+                                          "float vector"):
+        T.decode_update(T.encode_update(upd), 0, small_params)
+    with pytest.raises(FormatError, match="expected ciphertext but found "
+                                          "float vector"):
+        T.decode_global(T.encode_global(upd.values), small_params)
 
 
 def test_deeply_nested_metrics_rejected():
@@ -494,16 +519,7 @@ def test_metrics_field_types_checked(field, value):
         T.decode_metrics(T.encode_metrics(row))
 
 
-# --- chunks of one batch, and non-finite plain values -----------------------
-
-def mixed_level_blobs(keys, params):
-    """Two ciphertext blobs, the second one level below the first."""
-    from cipherfed.fhe import encode, encrypt
-    top = params.max_level
-    return [serialize_ciphertext(encrypt(encode([0.5], params, level=lvl),
-                                         keys, i))
-            for i, lvl in enumerate((top, top - 1))]
-
+# --- non-finite plain values, and updates the others cannot join ------------
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_plain_update_with_non_finite_value_rejected(bad):
@@ -512,17 +528,6 @@ def test_plain_update_with_non_finite_value_rejected(bad):
         T.decode_update(T.encode_update(upd), 0, None)
     with pytest.raises(FormatError, match="non-finite"):
         T.decode_global(T.encode_global(upd.values), None)
-
-
-def test_mixed_level_chunks_rejected_on_decode(world, small_params):
-    blobs = mixed_level_blobs(world["keys"], small_params)
-    payload = update_payload(T.KIND_FHE, small_params.slot_count + 1,
-                             blob_list(*blobs))
-    with pytest.raises(AlignmentError, match="chunk 1 at level 1"):
-        T.decode_update(payload, 0, small_params)
-    with pytest.raises(AlignmentError, match="chunk 1 at level 1"):
-        T.decode_global(struct.pack("<B", T.KIND_FHE) + blob_list(*blobs),
-                        small_params)
 
 
 def rogue_round(world, mode, keys, payload):
@@ -574,41 +579,33 @@ def test_nan_plain_update_aborts_every_client(world):
     assert "client 1" in str(real_err[0])
 
 
+def test_wrong_mode_update_aborts_every_client(world):
+    """A `CKF1` UPDATE on an fhe run does not decode; the coordinator
+    names its sender and aborts every client."""
+    upd = PlainUpdate(1, flatten_weights(world["init"]), 10, 0)
+    error, real_err, reply = rogue_round(world, "fhe", world["keys"],
+                                         T.encode_update(upd))
+    assert isinstance(error, FormatError)
+    assert "UPDATE from client 1" in str(error)
+    assert reply.mtype == T.MSG_ABORT
+    assert b"client 1" in reply.payload
+    assert real_err and "server aborted" in str(real_err[0])
+    assert "client 1" in str(real_err[0])
+
+
 def test_mixed_level_update_aborts_every_client(world, small_params):
-    blobs = mixed_level_blobs(world["keys"], small_params)
-    payload = update_payload(T.KIND_FHE, small_params.slot_count + 1,
-                             blob_list(*blobs), client_id=1)
+    """Client 1 sends a well-formed batch one level below client 0's:
+    it decodes, but the updates cannot be averaged together."""
+    from cipherfed.fhe import encode, encrypt
+    weights = flatten_weights(world["init"])
+    low = encrypt(encode(weights[None, :], small_params,
+                         level=small_params.max_level - 1),
+                  world["keys"], [0])
+    payload = update_payload(weights.size, serialize_ciphertext(low),
+                             client_id=1)
     error, real_err, reply = rogue_round(world, "fhe", world["keys"],
                                          payload)
     assert isinstance(error, AlignmentError)
-    assert "UPDATE from client 1" in str(error)
+    assert "client 1 sent 1 chunks at level 1" in str(error)
     assert reply.mtype == T.MSG_ABORT
     assert real_err and "server aborted" in str(real_err[0])
-
-
-def test_mixed_level_global_rejected_by_client(world, small_params):
-    server_end, client_end = channel_pair()
-    client_err = []
-
-    def client():
-        try:
-            run_transport_client(client_end, 0, world["parts"][0],
-                                 world["test"], world["init"], world["cfg"],
-                                 world["keys"], "fhe")
-        except CipherfedError as exc:
-            client_err.append(exc)
-
-    thread = threading.Thread(target=client, daemon=True)
-    thread.start()
-    got = [server_end.recv(timeout=30.0).mtype for _ in range(3)]
-    assert got == [T.MSG_JOIN, T.MSG_UPDATE, T.MSG_METRICS]
-    blobs = mixed_level_blobs(world["keys"], small_params)
-    server_end.send(T.Message(T.MSG_GLOBAL, 0, struct.pack("<B", T.KIND_FHE)
-                              + blob_list(*blobs)))
-    reply = server_end.recv(timeout=30.0)
-    thread.join(timeout=30.0)
-    server_end.close()
-    client_end.close()
-    assert reply.mtype == T.MSG_ABORT
-    assert reply.payload.startswith(b"AlignmentError: chunk 1 at level 1")
-    assert client_err and isinstance(client_err[0], AlignmentError)
