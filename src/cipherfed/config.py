@@ -109,7 +109,11 @@ def parse_config(doc: dict, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"transport must be one of {TRANSPORTS}, "
                           f"got {transport!r}")
     seed = _get(doc, "seed", 0, int, "top level")
-    det = bool(doc.get("deterministic_timing", False))
+    if seed is None or seed < 0:
+        raise ConfigError("seed must be a non-negative integer")
+    det = doc.get("deterministic_timing", False)
+    if not isinstance(det, bool):
+        raise ConfigError("deterministic_timing must be true or false")
 
     enc = _section(doc, "encryption")
     ring = _get(enc, "ring_degree", 4096, int, "encryption")
@@ -128,7 +132,10 @@ def parse_config(doc: dict, overrides: dict | None = None) -> RunConfig:
     steps = enc.get("rotation_steps", [])
     if not isinstance(steps, (list, tuple)):
         raise ConfigError("encryption.rotation_steps must be a list")
-    rotation_steps = tuple(int(s) for s in steps)
+    try:
+        rotation_steps = tuple(int(s) for s in steps)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"encryption.rotation_steps: {exc}") from None
     for s in rotation_steps:
         if not 1 <= s < params.slot_count:
             raise ConfigError(f"rotation step {s} outside "

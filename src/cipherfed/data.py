@@ -9,6 +9,7 @@ full-scale image corpora; they are deterministic in their seed.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -166,7 +167,7 @@ def load_csv(path, label_column: str) -> Dataset:
                 raise IngestionError(
                     f"{p}: row {line_no}: non-numeric cell ({exc})") from None
             lbl = vals.pop(label_idx)
-            if lbl != int(lbl):
+            if not math.isfinite(lbl) or lbl != int(lbl):
                 raise IngestionError(
                     f"{p}: row {line_no}: label {lbl} is not an integer")
             rows.append(vals)

@@ -9,7 +9,7 @@ import time
 from dataclasses import dataclass, field
 
 from ..errors import ConfigError, ProtocolError
-from ..fhe.keys import KeyMaterial
+from ..fhe.keys import public_part
 from ..model import HybridModel, TrainingConfig, evaluate, train_epochs, unflatten_weights
 from . import server
 from .client import (decrypt_and_load, derive_seed, encrypt_model,
@@ -128,7 +128,7 @@ def run_round(global_model: HybridModel, config: RoundConfig, client_datasets,
         updates.append(upd)
         rows.append(row)
 
-    public = keys.public if isinstance(keys, KeyMaterial) else keys
+    public = public_part(keys)
     agg = server.server_step(updates, mode, public)
     if mode == "fhe":
         new_model = decrypt_and_load(agg, keys, global_model)

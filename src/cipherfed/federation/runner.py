@@ -13,7 +13,7 @@ import socket
 import threading
 
 from ..errors import ProtocolError
-from ..fhe.keys import KeyMaterial
+from ..fhe.keys import public_part
 from ..model import HybridModel, evaluate, unflatten_weights
 from .client import decrypt_and_load
 from .metrics import MetricsSink, metrics_row
@@ -93,7 +93,7 @@ def run_socket_federation(initial_model, config: RoundConfig,
     """Full protocol over TCP on the loopback interface: each client in
     its own thread, the coordinator in the caller's. Every socket is
     closed on the way out, also when setup fails partway."""
-    material = keys.public if isinstance(keys, KeyMaterial) else keys
+    material = public_part(keys)
     coordinator = FederationCoordinator(
         expected_clients=config.client_count, rounds=config.rounds,
         mode=mode, material=material if mode == "fhe" else None, sink=sink,

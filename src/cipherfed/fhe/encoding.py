@@ -18,8 +18,8 @@ import numpy as np
 from ..errors import CapacityError, DomainError, LevelError
 from .nttmath import addmod, shoup_constant, shoup_mul, submod
 from .params import EncryptionParams
-from .poly import (COEFF, NTT, RingPoly, from_signed_coeffs, ntt_forward,
-                   ntt_inverse)
+from .poly import (COEFF, RingPoly, ShoupPoly, from_signed_coeffs,
+                   ntt_forward, ntt_inverse)
 
 
 @dataclass(frozen=True)
@@ -35,12 +35,10 @@ class Plaintext:
             raise LevelError(f"level {self.level} outside the modulus chain")
 
     @cached_property
-    def shoup(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        """(w, Shoup constants of w): the multiplier mul_plain applies,
-        built on first use. encode_scalar sets a one-column table that
-        broadcasts over the ring instead."""
-        w = self.poly.residues
-        return w, shoup_constant(w, self.poly.q_column)
+    def shoup(self) -> ShoupPoly:
+        """The multiplier mul_plain applies, built on first use.
+        encode_scalar sets a constant one instead."""
+        return ShoupPoly.wrap(self.poly)
 
 
 def _slot_spectrum(values: np.ndarray, params: EncryptionParams) -> np.ndarray:
@@ -85,17 +83,15 @@ def encode_scalar(c: float, params: EncryptionParams, level: int | None = None,
     c in every slot encodes to the constant polynomial round(c * scale),
     as encode() computes it, and the NTT of a constant is that constant
     in every slot, so this needs no FFT and no NTT. Its Shoup table is
-    one column, built from Python ints, that broadcasts over the ring.
+    one column that broadcasts over the ring.
     """
     level, scale = _level_and_scale(params, level, scale)
     if not math.isfinite(c):
         raise DomainError("cannot encode non-finite values")
     k = int(_check_word(np.round(float(c) * scale)))
-    w = np.array([[k % q] for q in params.primes[:level + 1]], dtype=np.uint64)
-    poly = RingPoly(params, tuple(range(level + 1)),
-                    np.repeat(w, params.ring_degree, axis=1), NTT)
-    pt = Plaintext(poly=poly, scale=scale, level=level)
-    pt.__dict__["shoup"] = (w, shoup_constant(w, poly.q_column))
+    fixed = ShoupPoly.constant(k, params, tuple(range(level + 1)))
+    pt = Plaintext(poly=fixed.poly, scale=scale, level=level)
+    pt.__dict__["shoup"] = fixed
     return pt
 
 

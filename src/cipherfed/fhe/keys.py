@@ -5,6 +5,8 @@ prime P: the key for digit i encrypts P * T_i * phi(s), where T_i is the
 CRT selector of chain prime i. Switching then costs one inner product
 over the digits followed by an exact divide-by-P, keeping the added
 noise around (max_prime / P) * fresh-noise.
+
+Keys are poly.ShoupPolys, and keygen multiplies through their tables too.
 """
 
 from __future__ import annotations
@@ -14,27 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ParameterError, RotationKeyError
-from .nttmath import shoup_constant
 from .params import EncryptionParams
-from .poly import (NTT, RingPoly, ntt_forward, sample_gaussian,
-                   sample_ternary, sample_uniform)
-
-
-@dataclass(frozen=True)
-class ShoupPoly:
-    """NTT-domain polynomial with precomputed Shoup constants so it can
-    multiply ciphertext rows without big-int arithmetic."""
-    poly: RingPoly
-    shoup: tuple[np.ndarray, np.ndarray]  # 32-bit halves, as shoup_constant
-
-    @classmethod
-    def wrap(cls, poly: RingPoly) -> "ShoupPoly":
-        if poly.domain_tag != NTT:
-            raise ParameterError("Shoup tables require NTT domain")
-        # row by row, so that the Python-int temporaries stay small
-        halves = [shoup_constant(row, q)
-                  for row, q in zip(poly.residues, poly.primes)]
-        return cls(poly=poly, shoup=tuple(np.stack(h) for h in zip(*halves)))
+from .poly import (ShoupPoly, ntt_forward, sample_gaussian, sample_ternary,
+                   sample_uniform)
 
 
 @dataclass(frozen=True)
@@ -78,6 +62,11 @@ class KeyMaterial:
         return self.public.galois_keys
 
 
+def public_part(keys: KeyMaterial | PublicMaterial) -> PublicMaterial:
+    """The public half of a key set; public material is its own."""
+    return keys.public if isinstance(keys, KeyMaterial) else keys
+
+
 def _crt_selector_times_p(params: EncryptionParams, digit: int) -> int:
     """P * T_digit where T_digit is 1 mod q_digit and 0 mod other chain
     primes (an integer; callers reduce it per basis prime)."""
@@ -104,15 +93,12 @@ def keygen(params: EncryptionParams, rotation_steps=(),
     chain = tuple(range(n_chain))
 
     s_coeff = sample_ternary(params, full, rng)
-    s_ntt = ntt_forward(s_coeff)
-    secret = ShoupPoly.wrap(s_ntt)
+    secret = ShoupPoly.wrap(ntt_forward(s_coeff))
 
     # public key over the chain basis: pk0 = -(a*s) + e, pk1 = a
     a = ntt_forward(sample_uniform(params, chain, rng))
     e = ntt_forward(sample_gaussian(params, chain, rng))
-    s_chain = s_ntt.drop_primes(chain)
-    pk0 = a.mul_pointwise(s_chain).neg().add(e)
-    public_pair = (ShoupPoly.wrap(pk0), ShoupPoly.wrap(a))
+    pk0 = ShoupPoly.wrap(a.mul_fixed(secret).neg().add(e))
 
     galois: dict[int, GaloisKey] = {}
     two_n = 2 * params.ring_degree
@@ -124,12 +110,13 @@ def keygen(params: EncryptionParams, rotation_steps=(),
         for digit in range(n_chain):
             a_i = ntt_forward(sample_uniform(params, full, rng))
             e_i = ntt_forward(sample_gaussian(params, full, rng))
-            body = phi_s.mul_scalar(_crt_selector_times_p(params, digit))
-            b_i = a_i.mul_pointwise(s_ntt).neg().add(e_i).add(body)
+            body = phi_s.mul_fixed(ShoupPoly.constant(
+                _crt_selector_times_p(params, digit), params, full))
+            b_i = a_i.mul_fixed(secret).neg().add(e_i).add(body)
             ks_b.append(ShoupPoly.wrap(b_i))
             ks_a.append(ShoupPoly.wrap(a_i))
         galois[step] = GaloisKey(step=step, ks_b=tuple(ks_b), ks_a=tuple(ks_a))
 
-    pub = PublicMaterial(params=params, pk0=public_pair[0],
-                         pk1=public_pair[1], galois_keys=galois)
+    pub = PublicMaterial(params=params, pk0=pk0, pk1=ShoupPoly.wrap(a),
+                         galois_keys=galois)
     return KeyMaterial(public=pub, secret_key=secret)

@@ -8,9 +8,9 @@ the constant floor(w << 64 / q), stored as its two 32-bit halves, so
 its high product word takes 32-bit limb products and no 128-bit type.
 Reductions are branch-free: for r < 2q, min(r, r - q) is r mod q,
 because r - q wraps above r when r < q. Primes must be below 2^62 so
-that sums of two residues stay clear of the wrap point. Only one-off key
-generation multiplies two varying residues, through Python-int
-arithmetic (mulmod).
+that sums of two residues stay clear of the wrap point. No multiply uses
+object dtype: only shoup_constant's one division per table runs in
+Python ints. poly.ShoupPoly carries a fixed polynomial with its tables.
 """
 
 from __future__ import annotations
@@ -158,16 +158,6 @@ def shoup_mul(a: np.ndarray, w, w_shoup, q) -> np.ndarray:
     out = np.empty(shape, dtype=np.uint64)
     return _shoup_into(out, a, w, *w_shoup, q,
                        *np.empty((4,) + shape, dtype=np.uint64))
-
-
-def mulmod(a: np.ndarray, b, q: int) -> np.ndarray:
-    """Generic a * b mod q via object arithmetic (both operands varying):
-    exact but slow, so only one-off key generation uses it."""
-    if isinstance(b, np.ndarray):
-        r = (a.astype(object) * b.astype(object)) % int(q)
-    else:
-        r = (a.astype(object) * int(b)) % int(q)
-    return r.astype(np.uint64)
 
 
 def addmod(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:

@@ -16,9 +16,9 @@ import numpy as np
 from ..errors import (AlignmentError, DomainError, LevelError,
                       ParameterError, ShapeError)
 from .encoding import Plaintext
-from .keys import KeyMaterial, PublicMaterial, ShoupPoly
+from .keys import KeyMaterial, public_part
 from .nttmath import shoup_constant, shoup_mul, submod
-from .params import EncryptionParams, basis_rows
+from .params import EncryptionParams
 from .poly import (COEFF, NTT, RingPoly, from_signed_coeffs, ntt_forward,
                    ntt_inverse, sample_gaussian, sample_ternary)
 
@@ -57,22 +57,10 @@ class Ciphertext:
                           self.level)
 
 
-def _public_part(keys) -> PublicMaterial:
-    return keys.public if isinstance(keys, KeyMaterial) else keys
-
-
-def _mul_fixed(p: RingPoly, fixed: ShoupPoly) -> RingPoly:
-    """Pointwise product of an NTT-domain polynomial with the rows of a
-    fixed (Shoup-precomputed) polynomial for p's basis."""
-    rows = basis_rows(fixed.poly.prime_indices, p.prime_indices)
-    return p.mul_fixed(fixed.poly.residues[rows],
-                       tuple(h[rows] for h in fixed.shoup))
-
-
 def encrypt(pt: Plaintext, keys, rng_seed=0) -> Ciphertext:
     """Public-key encryption, deterministic in rng_seed: one int per
     chunk of a batch, each seeding its chunk's noise as it would alone."""
-    pub = _public_part(keys)
+    pub = public_part(keys)
     params = pub.params
     if pt.poly.params != params:
         raise ParameterError("plaintext was encoded under different parameters")
@@ -87,8 +75,8 @@ def encrypt(pt: Plaintext, keys, rng_seed=0) -> Ciphertext:
     v, e0, e1 = (ntt_forward(RingPoly(params, basis, np.reshape(
         [sample(params, basis, rng).residues for rng in rngs], shape), COEFF))
         for sample in (sample_ternary, sample_gaussian, sample_gaussian))
-    c0 = _mul_fixed(v, pub.pk0).add(e0).add(pt.poly)
-    c1 = _mul_fixed(v, pub.pk1).add(e1)
+    c0 = v.mul_fixed(pub.pk0).add(e0).add(pt.poly)
+    c1 = v.mul_fixed(pub.pk1).add(e1)
     return Ciphertext(c0=c0, c1=c1, scale=pt.scale, level=pt.level)
 
 
@@ -98,7 +86,7 @@ def decrypt(ct: Ciphertext, keys: KeyMaterial) -> Plaintext:
         raise ParameterError("decryption requires full key material")
     if keys.params != ct.params:
         raise ParameterError("ciphertext and keys use different parameters")
-    m = ct.c0.add(_mul_fixed(ct.c1, keys.secret_key))
+    m = ct.c0.add(ct.c1.mul_fixed(keys.secret_key))
     return Plaintext(poly=m, scale=ct.scale, level=ct.level)
 
 
@@ -118,11 +106,8 @@ def mul_plain(ct: Ciphertext, pt: Plaintext) -> Ciphertext:
     if ct.level != pt.level:
         raise AlignmentError(f"level mismatch: {ct.level} vs {pt.level}")
     ct.c0._check_compatible(pt.poly, broadcast=True)
-    if pt.poly.domain_tag != NTT:
-        raise DomainError("pointwise product requires NTT domain")
-    w, w_shoup = pt.shoup
-    return Ciphertext(c0=ct.c0.mul_fixed(w, w_shoup),
-                      c1=ct.c1.mul_fixed(w, w_shoup),
+    return Ciphertext(c0=ct.c0.mul_fixed(pt.shoup),
+                      c1=ct.c1.mul_fixed(pt.shoup),
                       scale=ct.scale * pt.scale, level=ct.level)
 
 
@@ -164,7 +149,7 @@ def rotate(ct: Ciphertext, step: int, keys) -> Ciphertext:
     Requires the Galois key for the reduced step; step 0 is the identity
     and needs no key.
     """
-    pub = _public_part(keys)
+    pub = public_part(keys)
     params = ct.params
     step = int(step) % params.slot_count
     if step == 0:
@@ -187,8 +172,8 @@ def rotate(ct: Ciphertext, step: int, keys) -> Ciphertext:
         d = c1_auto.residues[..., digit_pos, :].astype(np.int64)
         d = np.where(d > qi // 2, d - qi, d)
         d_ext = ntt_forward(from_signed_coeffs(d, params, ext))
-        term_b = _mul_fixed(d_ext, gkey.ks_b[digit_idx])
-        term_a = _mul_fixed(d_ext, gkey.ks_a[digit_idx])
+        term_b = d_ext.mul_fixed(gkey.ks_b[digit_idx])
+        term_a = d_ext.mul_fixed(gkey.ks_a[digit_idx])
         acc_b = term_b if acc_b is None else acc_b.add(term_b)
         acc_a = term_a if acc_a is None else acc_a.add(term_a)
 

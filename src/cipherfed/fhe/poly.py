@@ -6,17 +6,22 @@ described by indices into the parameter set's full prime list (modulus
 chain + key-switch prime), so level drops and key material can share
 one representation. Values are immutable by convention: operations
 return new polynomials.
+
+A ShoupPoly is a fixed multiplier (a key, a plaintext, a constant): an
+NTT-domain polynomial with its Shoup tables. RingPoly.mul_fixed takes
+one, in word arithmetic; no multiply uses object dtype.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import cycle
 
 import numpy as np
 
 from ..errors import DomainError, ParameterError, ShapeError
-from .nttmath import addmod, mulmod, shoup_mul, submod
-from .params import EncryptionParams
+from .nttmath import addmod, shoup_constant, shoup_mul, submod
+from .params import EncryptionParams, basis_rows
 
 GAUSSIAN_STDDEV = 3.2
 
@@ -78,27 +83,15 @@ class RingPoly:
     def neg(self) -> "RingPoly":
         return self._like(submod(0, self.residues, self.q_column))
 
-    def mul_fixed(self, w: np.ndarray, w_shoup) -> "RingPoly":
-        """Pointwise product with a fixed multiplier w that broadcasts
-        over the residue matrix, given its Shoup constants."""
-        return self._like(shoup_mul(self.residues, w, w_shoup,
-                                    self.q_column))
-
-    def mul_pointwise(self, other: "RingPoly") -> "RingPoly":
-        """Slotwise product; both operands must be in the NTT domain."""
-        self._check_compatible(other)
+    def mul_fixed(self, fixed: "ShoupPoly") -> "RingPoly":
+        """Pointwise product with a fixed multiplier whose basis holds
+        this one's primes; a single multiplier broadcasts over a batch."""
         if self.domain_tag != NTT:
-            raise DomainError("pointwise product requires NTT domain")
-        # row by row, as keygen's other object arithmetic, so that the
-        # Python-int temporaries stay small
-        return self._like(np.stack([
-            mulmod(a, b, q) for a, b, q in zip(self.residues, other.residues,
-                                               self.primes)]))
-
-    def mul_scalar(self, c: int) -> "RingPoly":
-        return self._like(np.stack([
-            mulmod(a, int(c) % q, q) for a, q in zip(self.residues,
-                                                     self.primes)]))
+            raise DomainError("fixed multiply requires NTT domain")
+        rows = basis_rows(fixed.poly.prime_indices, self.prime_indices)
+        return self._like(shoup_mul(
+            self.residues, fixed.poly.residues[..., rows, :],
+            tuple(h[..., rows, :] for h in fixed.shoup), self.q_column))
 
     def automorphism(self, g: int) -> "RingPoly":
         """Apply X -> X^g (g odd). Coefficient domain only."""
@@ -114,12 +107,36 @@ class RingPoly:
         out[..., dest] = np.where(flip, self.neg().residues, self.residues)
         return self._like(out)
 
-    def drop_primes(self, keep: tuple[int, ...]) -> "RingPoly":
-        """Restrict to a sub-basis (rows are selected, not recomputed)."""
-        pos = [self.prime_indices.index(i) for i in keep]
-        return RingPoly(self.params, tuple(keep),
-                        np.ascontiguousarray(self.residues[..., pos, :]),
-                        self.domain_tag)
+
+@dataclass(frozen=True)
+class ShoupPoly:
+    """NTT-domain polynomial with the Shoup constants of its residues, so
+    that it multiplies other residues without big-int arithmetic."""
+    poly: RingPoly
+    shoup: tuple[np.ndarray, np.ndarray]  # 32-bit halves, as shoup_constant
+
+    @classmethod
+    def wrap(cls, poly: RingPoly) -> "ShoupPoly":
+        if poly.domain_tag != NTT:
+            raise DomainError("Shoup tables require NTT domain")
+        # row by row, so that the Python-int temporaries stay small
+        rows = poly.residues.reshape(-1, poly.params.ring_degree)
+        halves = [shoup_constant(row, q)
+                  for row, q in zip(rows, cycle(poly.primes))]
+        return cls(poly, tuple(np.reshape(h, poly.residues.shape)
+                               for h in zip(*halves)))
+
+    @classmethod
+    def constant(cls, k: int, params: EncryptionParams,
+                 prime_indices: tuple[int, ...]) -> "ShoupPoly":
+        """The constant polynomial k, which is k in every NTT slot: one
+        column of residues and of table, the residues broadcast over the
+        ring as a read-only view."""
+        w = np.array([[k % params.primes[i]] for i in prime_indices],
+                     dtype=np.uint64)
+        poly = RingPoly(params, prime_indices,
+                        np.broadcast_to(w, (len(w), params.ring_degree)), NTT)
+        return cls(poly, shoup_constant(w, poly.q_column))
 
 
 def ntt_forward(p: RingPoly) -> RingPoly:

@@ -14,10 +14,10 @@ import struct
 import numpy as np
 
 from ..errors import FormatError, ParameterError
-from .keys import GaloisKey, KeyMaterial, PublicMaterial, ShoupPoly
+from .keys import GaloisKey, KeyMaterial, PublicMaterial
 from .ops import Ciphertext
 from .params import EncryptionParams
-from .poly import NTT, RingPoly
+from .poly import NTT, RingPoly, ShoupPoly
 
 MAGIC_CIPHERTEXT = b"CKV2"
 MAGIC_SECRET_KEY = b"CKS1"

@@ -121,6 +121,14 @@ def test_negative_noise_exits_2_before_any_write(workdir, capsys):
     assert not (tmp / "metrics.jsonl").exists()
 
 
+def test_negative_seed_exits_2_before_any_write(workdir, capsys):
+    tmp, cfg = workdir
+    cfg.write_text(cfg.read_text().replace("seed: 11", "seed: -1"))
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp / "metrics.jsonl").exists()
+
+
 def test_loopback_transport_flag_exits_2(workdir):
     _tmp, cfg = workdir
     with pytest.raises(SystemExit) as info:

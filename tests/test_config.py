@@ -97,6 +97,24 @@ def test_rotation_step_out_of_range():
         parse_config(doc)
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("seed", -1, "seed"),
+    ("deterministic_timing", "no", "deterministic_timing"),
+    ("deterministic_timing", 1, "deterministic_timing")])
+def test_bad_top_level_value_rejected_at_parse(key, value, message):
+    doc = minimal_doc()
+    doc[key] = value
+    with pytest.raises(ConfigError, match=message):
+        parse_config(doc)
+
+
+def test_non_integer_rotation_step_rejected():
+    doc = minimal_doc()
+    doc["encryption"] = {"rotation_steps": ["a"]}
+    with pytest.raises(ConfigError, match="rotation_steps"):
+        parse_config(doc)
+
+
 def test_bad_model_section():
     doc = minimal_doc()
     doc["model"]["depth"] = 0

@@ -94,6 +94,14 @@ def test_load_csv_non_numeric_cell_names_row(tmp_path):
         D.load_csv(p, "label")
 
 
+@pytest.mark.parametrize("label", ["nan", "inf", "-inf", "1.5"])
+def test_load_csv_non_integer_label_names_row(tmp_path, label):
+    p = tmp_path / "toy.csv"
+    p.write_text(f"a,label\n1,0\n2,{label}\n")
+    with pytest.raises(IngestionError, match="row 3"):
+        D.load_csv(p, "label")
+
+
 def test_load_csv_ragged_row_rejected(tmp_path):
     p = tmp_path / "toy.csv"
     p.write_text("a,b,label\n1,2,0\n1,0\n")

@@ -236,3 +236,32 @@ def test_params_mismatch_rejected(small_params, small_keys, std_params,
     ct = encrypt(encode([1.0], small_params), small_keys, 0)
     with pytest.raises(ParameterError):
         decrypt(ct, std_keys)
+
+
+@pytest.mark.parametrize("n,key_digest,ct_digest", [
+    (1024, "f7a1d9e4b35d0f5d", "c8fade7a54a69343"),
+    (4096, "ea89e9c919d97a0f", "b5af3707ac236fbb")])
+def test_integer_pipeline_bytes_pinned(n, key_digest, ct_digest):
+    # keygen, scalar encoding, encrypt, mul_plain, add, rescale, rotate
+    # and decrypt are exact integer arithmetic: no FFT encoding and no
+    # float training, so these bytes are the same on every CPU
+    from hashlib import sha256
+
+    from cipherfed.fhe import default_params
+    from cipherfed.fhe.serial import (serialize_ciphertext,
+                                      serialize_galois_keys,
+                                      serialize_public_key,
+                                      serialize_secret_key)
+    p = default_params(ring_degree=n)
+    k = keygen(p, rotation_steps=(1, 3), rng_seed=7)
+    key_bytes = (serialize_secret_key(k) + serialize_public_key(k.public)
+                 + serialize_galois_keys(k.public))
+    a = encrypt(encode_scalar(0.375, p), k, 11)
+    b = encrypt(encode_scalar(-1.25, p), k, 12)
+    s = rescale(add_ct(mul_plain(a, encode_scalar(0.25, p, level=2)),
+                       mul_plain(b, encode_scalar(0.75, p, level=2))))
+    r = rotate(s, 3, k)
+    ct_bytes = (serialize_ciphertext(s) + serialize_ciphertext(r)
+                + decrypt(r, k).poly.residues.tobytes())
+    assert sha256(key_bytes).hexdigest()[:16] == key_digest
+    assert sha256(ct_bytes).hexdigest()[:16] == ct_digest

@@ -19,6 +19,7 @@ from cipherfed.fhe import default_params, encode, encode_scalar, encrypt
 from cipherfed.fhe import keygen, mul_plain
 from cipherfed.fhe.nttmath import (PrimeNtt, StackedNtt, addmod, mulhi64,
                                    shoup_constant, shoup_mul, submod)
+from cipherfed.fhe.poly import NTT, RingPoly, ShoupPoly
 
 PARAMS = default_params()
 PRIMES = PARAMS.primes
@@ -209,3 +210,49 @@ def test_mul_plain_matches_object_reference(keys, w, level, seed):
                 half.residues,
                 object_product(ref.residues, pt.poly.residues, primes))
         assert got.scale == ct.scale * pt.scale and got.level == level
+
+
+SMALL = default_params(ring_degree=1024)
+EXTENDED = tuple(range(len(SMALL.primes)))   # chain primes + key-switch prime
+# sub-bases of the extended basis: the chain levels, and rows that are
+# not a run, as rotate's key switch at levels 0 and 1 uses them
+SUB_BASES = [(0,), (0, 1), (0, 1, 2), (0, 3), (0, 1, 3), (1, 3)]
+
+
+def random_ntt_poly(rng, basis, batch=()) -> RingPoly:
+    """Uniform residues with 0 and q - 1 in the first two slots of every
+    row."""
+    q = np.array([SMALL.primes[i] for i in basis], dtype=np.uint64)[:, None]
+    res = rng.integers(0, q, (*batch, len(basis), SMALL.ring_degree),
+                       dtype=np.uint64)
+    res[..., 0] = 0
+    res[..., 1] = (q - np.uint64(1))[:, 0]
+    return RingPoly(SMALL, basis, res, NTT)
+
+
+@settings(max_examples=30, deadline=None)
+@given(batch=st.sampled_from([1, 2, 7]), sub=st.sampled_from(SUB_BASES),
+       batched=st.booleans(), seed=st.integers(0, 2 ** 32))
+def test_mul_fixed_matches_python_on_a_sub_basis(batch, sub, batched, seed):
+    # a receiver on some rows of an extended-basis multiplier, as keys
+    # meet ciphertexts; the multiplier is a single polynomial or a batch
+    rng = np.random.default_rng(seed)
+    fixed = ShoupPoly.wrap(random_ntt_poly(
+        rng, EXTENDED, (batch,) if batched else ()))
+    p = random_ntt_poly(rng, sub, (batch,))
+    got = p.mul_fixed(fixed)
+    w = fixed.poly.residues[..., list(sub), :]
+    assert got.prime_indices == sub
+    assert np.array_equal(got.residues,
+                          object_product(p.residues, w, p.primes))
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.sampled_from([0, 1, -1]) | st.integers(-2 ** 200, 2 ** 200),
+       sub=st.sampled_from(SUB_BASES), seed=st.integers(0, 2 ** 32))
+def test_constant_mul_fixed_matches_python(k, sub, seed):
+    p = random_ntt_poly(np.random.default_rng(seed), sub, (2,))
+    got = p.mul_fixed(ShoupPoly.constant(k, SMALL, EXTENDED))
+    q = np.array(p.primes, dtype=object)[:, None]
+    assert np.array_equal(
+        got.residues, ((p.residues.astype(object) * k) % q).astype(np.uint64))

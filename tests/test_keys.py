@@ -56,8 +56,7 @@ def test_public_key_is_encryption_of_zero(small_params, small_keys):
     chain = tuple(range(len(small_params.modulus_chain)))
     pk0 = small_keys.public.pk0.poly
     pk1 = small_keys.public.pk1.poly
-    s = small_keys.secret_key.poly.drop_primes(chain)
-    m = pk0.add(pk1.mul_pointwise(s))
+    m = pk0.add(pk1.mul_fixed(small_keys.secret_key))
     pt = Plaintext(poly=m, scale=small_params.scale,
                    level=len(chain) - 1)
     vals = decode(pt, small_params.slot_count)

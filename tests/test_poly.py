@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from cipherfed.errors import DomainError
-from cipherfed.fhe.poly import (COEFF, NTT, from_signed_coeffs, ntt_forward,
-                                ntt_inverse, sample_gaussian, sample_ternary)
+from cipherfed.fhe.poly import (COEFF, NTT, ShoupPoly, from_signed_coeffs,
+                                ntt_forward, ntt_inverse, sample_gaussian,
+                                sample_ternary)
 
 
 def random_poly(params, rng, basis=None):
@@ -41,7 +42,7 @@ def test_mixed_bases_rejected(small_params, rng):
 def test_pointwise_requires_ntt_domain(small_params, rng):
     a = random_poly(small_params, rng)
     with pytest.raises(DomainError, match="NTT"):
-        a.mul_pointwise(a)
+        a.mul_fixed(ShoupPoly.wrap(ntt_forward(a)))
 
 
 def test_add_neg_cancels(small_params, rng):
