@@ -8,6 +8,7 @@ objects constructed) before any computation or file write happens.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -73,14 +74,39 @@ def _section(doc: dict, name: str) -> dict:
     return sec
 
 
-def _get(sec: dict, key: str, default, caster, where: str):
-    val = sec.get(key, default)
-    if val is None:
-        return None
+def _num(value, name: str, kind: type = float, low=None, above=None):
+    """`value` as a finite `kind` (int or float) of at least `low` and
+    above `above`; anything else, a bool, a string and null included,
+    raises ConfigError naming the dotted key."""
     try:
-        return caster(val)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}.{key}: {exc}") from None
+        ok = not isinstance(value, bool) and math.isfinite(value) and (
+            kind is float or float(value).is_integer())
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        what = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    if low is not None and value < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value}")
+    if above is not None and not value > above:
+        raise ConfigError(f"{name} must be > {above}, got {value}")
+    return kind(value)
+
+
+def _ints(value, name: str) -> tuple[int, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list, got {value!r}")
+    return tuple(_num(v, f"{name} item", int) for v in value)
+
+
+def _str(value, name: str, optional: bool = False) -> str | None:
+    """A non-empty string, or None for an optional key left out."""
+    if value is None and optional:
+        return None
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{name} must be a non-empty string, "
+                          f"got {value!r}")
+    return value
 
 
 def parse_config(doc: dict, overrides: dict | None = None) -> RunConfig:
@@ -108,79 +134,62 @@ def parse_config(doc: dict, overrides: dict | None = None) -> RunConfig:
     if transport not in TRANSPORTS:
         raise ConfigError(f"transport must be one of {TRANSPORTS}, "
                           f"got {transport!r}")
-    seed = _get(doc, "seed", 0, int, "top level")
-    if seed is None or seed < 0:
-        raise ConfigError("seed must be a non-negative integer")
+    seed = _num(doc.get("seed", 0), "seed", int, low=0)
     det = doc.get("deterministic_timing", False)
     if not isinstance(det, bool):
         raise ConfigError("deterministic_timing must be true or false")
 
     enc = _section(doc, "encryption")
-    ring = _get(enc, "ring_degree", 4096, int, "encryption")
-    scale_bits = _get(enc, "scale_bits", 40, int, "encryption")
-    chain_bits = enc.get("chain_bits", [60, 40, 40])
-    if (not isinstance(chain_bits, (list, tuple)) or len(chain_bits) < 2
-            or not all(isinstance(b, int) for b in chain_bits)):
-        raise ConfigError("encryption.chain_bits must list >= 2 integer "
-                          "bit sizes")
+    chain_bits = _ints(enc.get("chain_bits", [60, 40, 40]),
+                       "encryption.chain_bits")
+    if len(chain_bits) < 2:
+        raise ConfigError("encryption.chain_bits must list >= 2 bit sizes")
+    ring = _num(enc.get("ring_degree", 4096), "encryption.ring_degree", int)
+    scale_bits = _num(enc.get("scale_bits", 40), "encryption.scale_bits", int)
     try:
         params = default_params(ring_degree=ring, scale_bits=scale_bits,
-                                chain_bits=tuple(chain_bits))
+                                chain_bits=chain_bits)
     except Exception as exc:
         raise ConfigError(f"encryption: {exc}") from None
     # the federation never rotates, so no Galois keys unless asked for
-    steps = enc.get("rotation_steps", [])
-    if not isinstance(steps, (list, tuple)):
-        raise ConfigError("encryption.rotation_steps must be a list")
-    try:
-        rotation_steps = tuple(int(s) for s in steps)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"encryption.rotation_steps: {exc}") from None
+    rotation_steps = _ints(enc.get("rotation_steps", []),
+                           "encryption.rotation_steps")
     for s in rotation_steps:
         if not 1 <= s < params.slot_count:
             raise ConfigError(f"rotation step {s} outside "
                               f"[1, {params.slot_count})")
 
     fed = _section(doc, "federation")
-    clients = _get(fed, "clients", 2, int, "federation")
-    rounds = _get(fed, "rounds", 5, int, "federation")
-    epochs = _get(fed, "epochs_per_round", 1, int, "federation")
-    lr = _get(fed, "learning_rate", 0.1, float, "federation")
-    batch = _get(fed, "batch_size", 32, int, "federation")
-    delta = _get(fed, "convergence_delta", None, float, "federation")
-    if clients < 1:
-        raise ConfigError("federation.clients must be >= 1")
-    if rounds < 0:
-        raise ConfigError("federation.rounds must be >= 0")
-    if epochs < 0:
-        raise ConfigError("federation.epochs_per_round must be >= 0")
-    if not lr > 0:
-        raise ConfigError("federation.learning_rate must be positive")
-    if batch < 1:
-        raise ConfigError("federation.batch_size must be >= 1")
-    if delta is not None and not delta > 0:
-        raise ConfigError("federation.convergence_delta must be positive "
-                          "when set")
+    clients = _num(fed.get("clients", 2), "federation.clients", int, low=1)
+    rounds = _num(fed.get("rounds", 5), "federation.rounds", int, low=0)
+    epochs = _num(fed.get("epochs_per_round", 1),
+                  "federation.epochs_per_round", int, low=0)
+    lr = _num(fed.get("learning_rate", 0.1), "federation.learning_rate",
+              above=0)
+    batch = _num(fed.get("batch_size", 32), "federation.batch_size", int,
+                 low=1)
+    delta = fed.get("convergence_delta")
+    if delta is not None:
+        delta = _num(delta, "federation.convergence_delta", above=0)
     q = _section(fed, "quantization")
+    bits = _num(q.get("fractional_bits", 16),
+                "federation.quantization.fractional_bits", int)
+    clip = _num(q.get("clip_range", 8.0), "federation.quantization.clip_range")
     try:
-        quant = QuantizationSpec(
-            fractional_bits=_get(q, "fractional_bits", 16, int,
-                                 "federation.quantization"),
-            clip_range=_get(q, "clip_range", 8.0, float,
-                            "federation.quantization"))
+        quant = QuantizationSpec(fractional_bits=bits, clip_range=clip)
     except Exception as exc:
         raise ConfigError(f"federation.quantization: {exc}") from None
 
     mdl = _section(doc, "model")
-    qubits = _get(mdl, "qubits", 3, int, "model")
-    depth = _get(mdl, "depth", 2, int, "model")
+    qubits = _num(mdl.get("qubits", 3), "model.qubits", int)
+    depth = _num(mdl.get("depth", 2), "model.depth", int)
     axes = mdl.get("axes")
-    readout = mdl.get("readout")
+    readout = _ints(mdl.get("readout", []), "model.readout")
     try:
         arch = PqcArchitecture(
             qubit_count=qubits, depth=depth,
             axes=tuple(tuple(row) for row in axes) if axes else (),
-            readout=tuple(int(r) for r in readout) if readout else ())
+            readout=readout)
     except Exception as exc:
         raise ConfigError(f"model: {exc}") from None
 
@@ -190,40 +199,41 @@ def parse_config(doc: dict, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"data.kind must be one of {DATA_KINDS}")
     part = _section(dat, "partition")
     strategy = part.get("strategy", "iid")
+    alpha = _num(part.get("alpha", 0.5), "data.partition.alpha")
     try:
         pspec = PartitionSpec(client_count=clients, strategy=strategy,
-                              alpha=_get(part, "alpha", 0.5, float,
-                                         "data.partition"),
-                              rng_seed=seed)
+                              alpha=alpha, rng_seed=seed)
     except Exception as exc:
         raise ConfigError(f"data.partition: {exc}") from None
-    dcfg = DataConfig(kind=kind,
-                      samples=_get(dat, "samples", 1500, int, "data"),
-                      noise=_get(dat, "noise", 0.5, float, "data"),
-                      classes=_get(dat, "classes", 3, int, "data"),
-                      dims=_get(dat, "dims", 2, int, "data"),
-                      path=dat.get("path"),
-                      label_column=dat.get("label_column"),
-                      partition=pspec)
+    dcfg = DataConfig(
+        kind=kind,
+        samples=_num(dat.get("samples", 1500), "data.samples", int),
+        noise=_num(dat.get("noise", 0.5), "data.noise", low=0),
+        classes=_num(dat.get("classes", 3), "data.classes", int, low=1),
+        dims=_num(dat.get("dims", 2), "data.dims", int, low=2),
+        path=_str(dat.get("path"), "data.path", optional=True),
+        label_column=_str(dat.get("label_column"), "data.label_column",
+                          optional=True),
+        partition=pspec)
     if kind == "csv":
         if not dcfg.path or not dcfg.label_column:
             raise ConfigError("data.kind=csv requires data.path and "
                               "data.label_column")
-    elif not dcfg.noise >= 0:
-        raise ConfigError("data.noise must be >= 0")
-    elif dcfg.classes < 1:
-        raise ConfigError("data.classes must be >= 1")
+    elif kind != "blobs" and dcfg.dims != 2:
+        raise ConfigError(f"data.dims must be 2 for data.kind={kind}")
     elif dcfg.samples < dcfg.classes:
         raise ConfigError("data.samples must cover every class")
 
     out = _section(doc, "output")
     ocfg = OutputConfig(
-        metrics_path=str(out.get("metrics_path", "metrics.jsonl")),
-        checkpoint_path=str(out.get("checkpoint_path", "model.ckpt")),
-        report_path=out.get("report_path"))
-
-    keys_sec = _section(doc, "keys")
-    key_dir = keys_sec.get("dir")
+        metrics_path=_str(out.get("metrics_path", "metrics.jsonl"),
+                          "output.metrics_path"),
+        checkpoint_path=_str(out.get("checkpoint_path", "model.ckpt"),
+                             "output.checkpoint_path"),
+        report_path=_str(out.get("report_path"), "output.report_path",
+                         optional=True))
+    key_dir = _str(_section(doc, "keys").get("dir"), "keys.dir",
+                   optional=True)
 
     return RunConfig(mode=mode, seed=seed, transport=transport,
                      deterministic_timing=det, encryption=params,
@@ -231,8 +241,7 @@ def parse_config(doc: dict, overrides: dict | None = None) -> RunConfig:
                      rounds=rounds, epochs_per_round=epochs,
                      learning_rate=lr, batch_size=batch,
                      convergence_delta=delta, quantization=quant, arch=arch,
-                     data=dcfg, output=ocfg,
-                     key_dir=str(key_dir) if key_dir else None)
+                     data=dcfg, output=ocfg, key_dir=key_dir)
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:

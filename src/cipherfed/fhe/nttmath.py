@@ -8,9 +8,10 @@ the constant floor(w << 64 / q), stored as its two 32-bit halves, so
 its high product word takes 32-bit limb products and no 128-bit type.
 Reductions are branch-free: for r < 2q, min(r, r - q) is r mod q,
 because r - q wraps above r when r < q. Primes must be below 2^62 so
-that sums of two residues stay clear of the wrap point. No multiply uses
-object dtype: only shoup_constant's one division per table runs in
-Python ints. poly.ShoupPoly carries a fixed polynomial with its tables.
+that sums of two residues stay clear of the wrap point. No table or
+multiply uses object dtype: only shoup_constant's few per-prime
+constants run in Python ints (in fhe/, only encrypt's seed array does
+too). poly.ShoupPoly carries a fixed polynomial with its tables.
 """
 
 from __future__ import annotations
@@ -82,15 +83,6 @@ def _find_2nth_root(q: int, two_n: int) -> int:
     raise ValueError(f"no primitive {two_n}-th root mod {q}")
 
 
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for b in range(bits):
-        rev |= ((idx >> b) & 1) << (bits - 1 - b)
-    return rev
-
-
 def _mulhi_into(hi, a, b_lo, b_hi, t0, t1, t2):
     """hi = high 64 bits of a * b, where b = b_hi << 32 | b_lo is given as
     its 32-bit halves; t0, t1 and t2 are scratch of hi's shape."""
@@ -140,12 +132,18 @@ def shoup_constant(w, q) -> tuple[np.ndarray, np.ndarray]:
     """floor(w << 64 / q) for a fixed multiplier w < q, as its 32-bit
     halves (lo, hi) so that no product has to split it again.
 
-    w and q are ints or uint64 arrays that broadcast. The division runs
-    in Python ints, once per table.
+    w and q are ints or uint64 arrays that broadcast; a scalar comes back
+    as shape (1,). With 2^64 = R*q + S, the constant is w*R + floor(w*S/q),
+    a Shoup quotient by the fixed S.
     """
-    big = ((np.asarray(w, dtype=np.uint64).astype(object) << 64)
-           // np.asarray(q, dtype=np.uint64).astype(object))
-    big = np.asarray(big, dtype=np.uint64)
+    w, q = (np.atleast_1d(np.asarray(a, dtype=np.uint64)) for a in (w, q))
+    # R, S and the Shoup constant of S: Python ints, once per prime
+    r, s = (1 << 64) // q.astype(object), (1 << 64) % q.astype(object)
+    s_shoup = (s << 64) // q.astype(object)
+    r, s, s_shoup = (c.astype(np.uint64) for c in (r, s, s_shoup))
+    quot = mulhi64(w, s_shoup)
+    quot += (w * s - quot * q) >= q    # the estimate is off by at most one
+    big = w * r + quot
     return big & _M32, big >> _S32
 
 
@@ -172,37 +170,6 @@ def submod(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:
     return np.minimum(r, r + q)
 
 
-class PrimeNtt:
-    """Negacyclic NTT tables for one prime q = 1 (mod 2n): the powers of a
-    primitive 2n-th root psi and of its inverse in bit-reversed order,
-    each with its Shoup constants. StackedNtt runs the transforms."""
-
-    def __init__(self, q: int, n: int):
-        if n & (n - 1) != 0:
-            raise ValueError("ring degree must be a power of two")
-        if not is_prime(q) or (q - 1) % (2 * n) != 0:
-            raise ValueError(f"q={q} is not an NTT prime for degree {n}")
-        self.q = q
-        self.n = n
-
-        psi = _find_2nth_root(q, 2 * n)
-        ipsi = pow(psi, q - 2, q)
-        rev = _bit_reverse_indices(n)
-        pows = np.empty(n, dtype=np.uint64)
-        ipows = np.empty(n, dtype=np.uint64)
-        acc = 1
-        iacc = 1
-        for i in range(n):
-            pows[i] = acc
-            ipows[i] = iacc
-            acc = acc * psi % q
-            iacc = iacc * ipsi % q
-        self.psi_br = pows[rev]
-        self.ipsi_br = ipows[rev]
-        self.psi_br_shoup = shoup_constant(self.psi_br, q)
-        self.ipsi_br_shoup = shoup_constant(self.ipsi_br, q)
-
-
 class StackedNtt:
     """Negacyclic NTT over (..., rows, n) residues, one prime per row.
 
@@ -210,21 +177,40 @@ class StackedNtt:
     evaluation order; inverse() undoes it. Pointwise products in the
     transformed domain correspond to multiplication in Z_q[X]/(X^n + 1).
     Each butterfly stage is one set of in-place broadcast operations over
-    all rows, against the stacked per-row twiddle tables.
+    all rows, against the stacked per-row twiddle tables: the powers of a
+    primitive 2n-th root psi of each prime and of its inverse, in
+    bit-reversed order, each with its Shoup constants.
     """
 
-    def __init__(self, contexts: tuple[PrimeNtt, ...]):
-        self.n = contexts[0].n
-        self.q = np.array([c.q for c in contexts], dtype=np.uint64)[:, None]
+    def __init__(self, primes: tuple[int, ...], n: int):
+        if n & (n - 1) != 0:
+            raise ValueError("ring degree must be a power of two")
+        for q in primes:
+            if not is_prime(q) or (q - 1) % (2 * n) != 0:
+                raise ValueError(f"q={q} is not an NTT prime for degree {n}")
+        self.n = n
+        self.q = np.array(primes, dtype=np.uint64)[:, None]
         self.q.flags.writeable = False
+        psi = [_find_2nth_root(q, 2 * n) for q in primes]
+        ipsi = [pow(p, -1, q) for p, q in zip(psi, primes)]
         # (3, rows, n) tables: twiddles w and the halves of their Shoup
         # constants, for forward and inverse, and (3, rows, 1) for 1/n
-        self.psi = np.array([[c.psi_br for c in contexts],
-                             *zip(*(c.psi_br_shoup for c in contexts))])
-        self.ipsi = np.array([[c.ipsi_br for c in contexts],
-                              *zip(*(c.ipsi_br_shoup for c in contexts))])
-        n_inv = np.array([pow(self.n, -1, c.q) for c in contexts],
-                         dtype=np.uint64)[:, None]
+        self.psi, self.ipsi = np.empty((2, 3, len(primes), n),
+                                       dtype=np.uint64)
+        for table, roots in ((self.psi, psi), (self.ipsi, ipsi)):
+            # slot rev(i) holds root^i, so each doubling step is one
+            # strided product: the slots of i < k are every (n/k)-th one,
+            # and the slot of i + k lies n/2k past that of i
+            w = table[0]
+            w[:, 0] = 1
+            for k in (1 << i for i in range(n.bit_length() - 1)):
+                rk = np.array([[pow(r, k, q)] for r, q in zip(roots, primes)],
+                              dtype=np.uint64)
+                gap = n // k
+                w[:, gap // 2::gap] = shoup_mul(
+                    w[:, ::gap], rk, shoup_constant(rk, self.q), self.q)
+            table[1], table[2] = shoup_constant(w, self.q)
+        n_inv = np.array([[pow(n, -1, q)] for q in primes], dtype=np.uint64)
         self.n_inv = np.array([n_inv, *shoup_constant(n_inv, self.q)])
 
     def rows(self, sel) -> "StackedNtt":

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ..errors import ParameterError
-from .nttmath import PrimeNtt, StackedNtt, find_ntt_primes, is_prime
+from .nttmath import StackedNtt, find_ntt_primes, is_prime
 
 DEFAULT_SCALE_BITS = 40
 
@@ -87,8 +87,7 @@ class EncryptionParams:
     @cached_property
     def ntt(self) -> StackedNtt:
         """NTT context over every prime of `primes`."""
-        return StackedNtt(tuple(PrimeNtt(q, self.ring_degree)
-                                for q in self.primes))
+        return StackedNtt(self.primes, self.ring_degree)
 
     def stacked_ntt(self, prime_indices: tuple[int, ...]) -> StackedNtt:
         """NTT context for a basis subset (cached), on the rows of `ntt`."""

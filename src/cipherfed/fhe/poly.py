@@ -15,7 +15,6 @@ one, in word arithmetic; no multiply uses object dtype.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import cycle
 
 import numpy as np
 
@@ -119,12 +118,7 @@ class ShoupPoly:
     def wrap(cls, poly: RingPoly) -> "ShoupPoly":
         if poly.domain_tag != NTT:
             raise DomainError("Shoup tables require NTT domain")
-        # row by row, so that the Python-int temporaries stay small
-        rows = poly.residues.reshape(-1, poly.params.ring_degree)
-        halves = [shoup_constant(row, q)
-                  for row, q in zip(rows, cycle(poly.primes))]
-        return cls(poly, tuple(np.reshape(h, poly.residues.shape)
-                               for h in zip(*halves)))
+        return cls(poly, shoup_constant(poly.residues, poly.q_column))
 
     @classmethod
     def constant(cls, k: int, params: EncryptionParams,

@@ -129,6 +129,14 @@ def test_negative_seed_exits_2_before_any_write(workdir, capsys):
     assert not (tmp / "metrics.jsonl").exists()
 
 
+def test_null_rounds_exits_2_before_any_write(workdir, capsys):
+    tmp, cfg = workdir
+    cfg.write_text(cfg.read_text().replace("rounds: 1", "rounds: null"))
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert "federation.rounds" in capsys.readouterr().err
+    assert not (tmp / "metrics.jsonl").exists()
+
+
 def test_loopback_transport_flag_exits_2(workdir):
     _tmp, cfg = workdir
     with pytest.raises(SystemExit) as info:

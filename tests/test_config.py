@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from cipherfed.config import load_config, parse_config
@@ -60,6 +62,66 @@ def test_out_of_range_value_rejected_at_parse(section, key, value, message):
     doc[section][key] = value
     with pytest.raises(ConfigError, match=message):
         parse_config(doc)
+
+
+def with_value(dotted: str, value) -> dict:
+    doc = minimal_doc()
+    *sections, key = dotted.split(".")
+    target = doc
+    for name in sections:
+        target = target.setdefault(name, {})
+    target[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("dotted,value", [
+    # integers: no bools, strings, nulls or non-integral numbers
+    ("seed", 1.7),
+    ("seed", "3"),
+    ("federation.clients", 2.9),
+    ("federation.clients", None),
+    ("federation.rounds", True),
+    ("federation.rounds", None),
+    ("encryption.ring_degree", 4096.7),
+    ("encryption.chain_bits", [60, 40.5, 40]),
+    ("encryption.chain_bits", [60, True, 40]),
+    ("encryption.rotation_steps", [1.5]),
+    ("model.readout", [0.5]),
+    ("data.samples", None),
+    # floats: no bools, strings, nulls or non-finite values
+    ("federation.learning_rate", None),
+    ("federation.learning_rate", float("inf")),
+    ("federation.learning_rate", "0.1"),
+    ("federation.learning_rate", True),
+    ("data.noise", float("inf")),
+    # paths and columns: non-empty strings
+    ("output.report_path", 3),
+    ("output.metrics_path", None),
+    ("output.checkpoint_path", ""),
+    ("keys.dir", 0),
+    ("data.path", 7),
+    # at least 2 feature dims, and exactly 2 for the 2-d generators
+    ("data.dims", 1),
+    ("data.dims", 2.5)])
+def test_bad_value_names_its_key(dotted, value):
+    with pytest.raises(ConfigError, match=re.escape(dotted)):
+        parse_config(with_value(dotted, value))
+
+
+@pytest.mark.parametrize("kind", ["two_moons", "xor"])
+def test_two_dim_generators_reject_other_dims(kind):
+    doc = with_value("data.dims", 3)
+    doc["data"]["kind"] = kind
+    with pytest.raises(ConfigError, match="data.dims"):
+        parse_config(doc)
+
+
+def test_integral_floats_read_as_ints():
+    doc = with_value("encryption.ring_degree", 1024.0)
+    doc["federation"]["clients"] = 3.0
+    cfg = parse_config(doc)
+    assert cfg.encryption.ring_degree == 1024 and cfg.clients == 3
+    assert type(cfg.clients) is int
 
 
 def test_bad_data_kind():

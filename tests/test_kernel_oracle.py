@@ -1,13 +1,14 @@
 """Bitwise oracles for the word-size RNS kernel.
 
-Every modular primitive, the NTT, scalar encoding and the plaintext
-multiply are checked against Python-int references, with Hypothesis
-leaning on edge residues: 0, 1, q - 1, q and the lazy values up to
-2q - 1 that the butterflies and Shoup products feed each other. All four
-primes of the default parameters are covered, the key-switch prime
-included.
+Every modular primitive and Shoup constant, the NTT, scalar encoding,
+the plaintext multiply and decode's CRT reconstruction are checked
+against Python-int references, with Hypothesis leaning on edge
+residues: 0, 1, q - 1, q and the lazy values up to 2q - 1 that the
+butterflies and Shoup products feed each other. All four primes of the
+default parameters are covered, the key-switch prime included.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -17,9 +18,11 @@ from hypothesis import strategies as st
 
 from cipherfed.fhe import default_params, encode, encode_scalar, encrypt
 from cipherfed.fhe import keygen, mul_plain
-from cipherfed.fhe.nttmath import (PrimeNtt, StackedNtt, addmod, mulhi64,
-                                   shoup_constant, shoup_mul, submod)
-from cipherfed.fhe.poly import NTT, RingPoly, ShoupPoly
+from cipherfed.fhe.encoding import _centered_float_coeffs
+from cipherfed.fhe.nttmath import (StackedNtt, addmod, find_ntt_primes,
+                                   is_prime, mulhi64, shoup_constant,
+                                   shoup_mul, submod)
+from cipherfed.fhe.poly import COEFF, NTT, RingPoly, ShoupPoly
 
 PARAMS = default_params()
 PRIMES = PARAMS.primes
@@ -95,6 +98,32 @@ def test_mulhi64_matches_python_at_the_edges(data):
         [x * y >> 64 for x, y in zip(a, b)]
 
 
+# the default primes, small NTT primes and the largest primes below 2^62
+SHOUP_PRIMES = (*PRIMES, *find_ntt_primes(13, 2, 16), 17, 97,
+                *[q for q in range(2 ** 62 - 1, 2 ** 62 - 400, -2)
+                  if is_prime(q)][:2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.sampled_from([(), (3, 1), (3, 8), (2, 3, 8)]),
+       data=st.data())
+def test_shoup_constant_matches_python_division(shape, data):
+    # a scalar, a (rows, 1) column, a (rows, n) table and a batch of
+    # tables, one prime per row
+    rows = shape[-2] if shape else 1
+    qs = data.draw(st.lists(st.sampled_from(SHOUP_PRIMES), min_size=rows,
+                            max_size=rows))
+    row_q = [qs[(i // shape[-1]) % rows] if shape else qs[0]
+             for i in range(math.prod(shape))]
+    ws = [data.draw(edge_ints(q - 1, (0, 1, q - 1))) for q in row_q]
+    if shape:
+        lo, hi = shoup_constant(u64(ws).reshape(shape), u64(qs)[:, None])
+    else:
+        lo, hi = shoup_constant(ws[0], qs[0])
+    assert (hi << 32 | lo).ravel().tolist() == \
+        [(w << 64) // q for w, q in zip(ws, row_q)]
+
+
 def bit_reverse(j: int, bits: int) -> int:
     return int(format(j, f"0{bits}b")[::-1], 2) if bits else 0
 
@@ -114,11 +143,11 @@ def evaluations(coeffs, q: int, psi: int) -> list[int]:
     return out
 
 
-def root_of(ntt: PrimeNtt) -> int:
-    """psi from the bit-reversed table (slot n/2 holds psi^1), checked to
-    be a primitive 2n-th root."""
-    psi = int(ntt.psi_br[ntt.n // 2])
-    assert pow(psi, ntt.n, ntt.q) == ntt.q - 1
+def root_of(ntt: StackedNtt, row: int) -> int:
+    """psi of row `row` from the bit-reversed table (slot n/2 holds
+    psi^1), checked to be a primitive 2n-th root."""
+    psi, q = int(ntt.psi[0, row, ntt.n // 2]), int(ntt.q[row, 0])
+    assert pow(psi, ntt.n, q) == q - 1
     return psi
 
 
@@ -126,16 +155,13 @@ def root_of(ntt: PrimeNtt) -> int:
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_ntt_matches_evaluation_on_every_prime(n, data):
-    ctxs = tuple(PrimeNtt(q, n) for q in PRIMES)
-    stacked = StackedNtt(ctxs)
+    stacked = StackedNtt(PRIMES, n)
     mat = [data.draw(residue_lists(q, q - 1, n)) for q in PRIMES]
     fwd = stacked.forward(u64(mat))
-    expect = [evaluations(row, c.q, root_of(c)) for row, c in zip(mat, ctxs)]
+    expect = [evaluations(row, q, root_of(stacked, r))
+              for r, (row, q) in enumerate(zip(mat, PRIMES))]
     assert fwd.tolist() == expect
     assert stacked.inverse(u64(expect)).tolist() == mat
-
-
-FULL_SIZE = [PrimeNtt(q, PARAMS.ring_degree) for q in PRIMES]
 
 
 @settings(max_examples=20, deadline=None)
@@ -145,7 +171,6 @@ def test_full_size_ntt_of_monomials(data):
     # checks every stage layout of the N = 4096 transform without an
     # O(N^2) reference
     n = PARAMS.ring_degree
-    ctxs = FULL_SIZE
     stacked = PARAMS.ntt
     k = data.draw(st.sampled_from([0, 1, n // 2, n - 1])
                   | st.integers(0, n - 1))
@@ -154,8 +179,8 @@ def test_full_size_ntt_of_monomials(data):
     mat[:, k] = cs
     fwd = stacked.forward(mat)
     bits = n.bit_length() - 1
-    for row, (c, ctx) in enumerate(zip(cs, ctxs)):
-        q, psi = ctx.q, root_of(ctx)
+    for row, (c, q) in enumerate(zip(cs, PRIMES)):
+        psi = root_of(stacked, row)
         expect = [c * pow(psi, (2 * bit_reverse(j, bits) + 1) * k, q) % q
                   for j in range(n)]
         assert fwd[row].tolist() == expect
@@ -256,3 +281,26 @@ def test_constant_mul_fixed_matches_python(k, sub, seed):
     q = np.array(p.primes, dtype=object)[:, None]
     assert np.array_equal(
         got.residues, ((p.residues.astype(object) * k) % q).astype(np.uint64))
+
+
+@settings(max_examples=30, deadline=None)
+@given(level=st.integers(0, SMALL.max_level), batch=st.sampled_from([1, 5]),
+       edges=st.lists(st.integers(0, 4), max_size=8),
+       seed=st.integers(0, 2 ** 32))
+def test_centered_crt_matches_python_ints(level, batch, edges, seed):
+    # full-range residues, whose CRT values reach far beyond 2^53, against
+    # the centered Python-int CRT value within the docstring's 2^-50
+    basis = tuple(range(level + 1))
+    qs = [SMALL.primes[i] for i in basis]
+    res = np.random.default_rng(seed).integers(
+        0, u64(qs)[:, None], (batch, len(qs), SMALL.ring_degree),
+        dtype=np.uint64)
+    for j, e in enumerate(edges):
+        res[..., j] = [(0, 1, q - 1, q // 2, q // 2 + 1)[e] for q in qs]
+    got = _centered_float_coeffs(RingPoly(SMALL, basis, res, COEFF))
+    big_q = math.prod(qs)
+    crt = [big_q // q * pow(big_q // q, -1, q) for q in qs]
+    x = sum(res[..., i, :].astype(object) * c
+            for i, c in enumerate(crt)) % big_q
+    exact = np.where(x > big_q // 2, x - big_q, x).astype(np.float64)
+    assert np.all(np.abs(got - exact) <= 2.0 ** -50 * np.abs(exact))

@@ -1,9 +1,11 @@
+from hashlib import sha256
+
 import numpy as np
 import pytest
 
-from cipherfed.fhe.nttmath import (PrimeNtt, StackedNtt, find_ntt_primes,
-                                   is_prime, mulhi64, shoup_constant,
-                                   shoup_mul)
+from cipherfed.fhe import default_params
+from cipherfed.fhe.nttmath import (StackedNtt, find_ntt_primes, is_prime,
+                                   mulhi64, shoup_constant, shoup_mul)
 
 
 def schoolbook_negacyclic(a, b, q, n):
@@ -24,7 +26,7 @@ class OnePrime:
     """Single-row transforms through a one-row StackedNtt."""
 
     def __init__(self, q, n):
-        self.ctx = StackedNtt((PrimeNtt(q, n),))
+        self.ctx = StackedNtt((q,), n)
 
     def forward(self, a):
         return self.ctx.forward(a[None])[0]
@@ -103,7 +105,7 @@ def test_stacked_matches_single():
     n = 64
     primes = find_ntt_primes(40, 3, 2 * n)
     singles = [OnePrime(q, n) for q in primes]
-    stacked = StackedNtt(tuple(PrimeNtt(q, n) for q in primes))
+    stacked = StackedNtt(tuple(primes), n)
     rng = np.random.default_rng(4)
     mat = np.stack([rng.integers(0, q, n).astype(np.uint64) for q in primes])
     fwd = stacked.forward(mat)
@@ -114,6 +116,18 @@ def test_stacked_matches_single():
 
 def test_rejects_non_ntt_prime():
     with pytest.raises(ValueError):
-        PrimeNtt(7919, 8)  # prime, but 7919 % 16 != 1
+        StackedNtt((7919,), 8)  # prime, but 7919 % 16 != 1
     with pytest.raises(ValueError):
-        PrimeNtt(99, 8)
+        StackedNtt((99,), 8)
+    with pytest.raises(ValueError):
+        StackedNtt((97,), 12)  # 24 divides 96, but 12 is no power of two
+
+
+@pytest.mark.parametrize("n,digest", [(1024, "ba31d72c95b3b924"),
+                                      (4096, "368bb1d4602beaac")])
+def test_default_tables_pinned(n, digest):
+    # every table entry is exact modular arithmetic, so the tables of the
+    # default primes are the same bytes however they are built
+    t = default_params(ring_degree=n).ntt
+    tables = b"".join(a.tobytes() for a in (t.q, t.psi, t.ipsi, t.n_inv))
+    assert sha256(tables).hexdigest()[:16] == digest
