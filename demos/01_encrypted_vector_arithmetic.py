@@ -12,7 +12,7 @@ import numpy as np
 
 from cipherfed.fhe import (add_ct, decode, decrypt, default_params, encode,
                            encode_scalar, encrypt, keygen, mul_plain,
-                           rescale, rotate)
+                           rescale)
 
 params = default_params()
 print(f"ring degree N = {params.ring_degree}, "
@@ -20,7 +20,7 @@ print(f"ring degree N = {params.ring_degree}, "
 print(f"modulus chain bits: {[q.bit_length() for q in params.modulus_chain]}, "
       f"scale 2^40\n")
 
-keys = keygen(params, rotation_steps=(1, 4), rng_seed=2024)
+keys = keygen(params, rng_seed=2024)
 
 # -- encrypt two vectors and add them ---------------------------------------
 rng = np.random.default_rng(7)
@@ -40,13 +40,4 @@ scaled = rescale(mul_plain(cx, encode_scalar(0.25, params)))
 got = decode(decrypt(scaled, keys), 8)
 print("dec(0.25 * x) =", np.round(got, 6))
 print("max error    :", f"{np.abs(got - 0.25 * x).max():.2e}")
-print(f"level dropped {cx.level} -> {scaled.level} by the rescale\n")
-
-# -- rotate the slot vector under encryption --------------------------------
-marker = np.zeros(params.slot_count)
-marker[:5] = [1, 2, 3, 4, 5]
-cm = encrypt(encode(marker, params), keys, rng_seed=3)
-rotated = decode(decrypt(rotate(cm, 4, keys), keys), params.slot_count)
-print("first slots before rotation:", marker[:8])
-print("first slots after  rotate 4:", np.round(rotated[:8], 6))
-print("(the Galois key permutes slots without ever decrypting)")
+print(f"level dropped {cx.level} -> {scaled.level} by the rescale")

@@ -61,7 +61,6 @@ def cmd_keygen(args) -> int:
     print(f"modulus chain    : {[q.bit_length() for q in params.modulus_chain]}"
           f" bits")
     print(f"scale            : 2^{int(params.scale).bit_length() - 1}")
-    print(f"rotation steps   : {list(cfg.rotation_steps)}")
     print(f"params digest    : {params.digest.hex()}")
     for name, path in paths.items():
         print(f"wrote {name:7s}: {path} ({path.stat().st_size} bytes)")
@@ -120,14 +119,12 @@ def cmd_compare(args) -> int:
 
 def cmd_inspect(args) -> int:
     from .fhe.serial import (MAGIC_CIPHERTEXT, MAGIC_FLOAT_VECTOR,
-                             MAGIC_GALOIS_KEYS, MAGIC_PUBLIC_KEY,
-                             MAGIC_SECRET_KEY, Reader)
+                             MAGIC_PUBLIC_KEY, MAGIC_SECRET_KEY, Reader)
     data = Path(args.path).read_bytes()
     size = len(data)
     r = Reader(data, f"{data[:4]!r} header")
     magic = r.take(4)
-    if magic in (MAGIC_SECRET_KEY, MAGIC_PUBLIC_KEY, MAGIC_GALOIS_KEYS,
-                 MAGIC_CIPHERTEXT):
+    if magic in (MAGIC_SECRET_KEY, MAGIC_PUBLIC_KEY, MAGIC_CIPHERTEXT):
         digest = r.take(8)
     if magic == MAGIC_SECRET_KEY:
         print("kind   : secret key")
@@ -137,12 +134,6 @@ def cmd_inspect(args) -> int:
     elif magic == MAGIC_PUBLIC_KEY:
         print("kind   : public key")
         print(f"digest : {digest.hex()}")
-        print(f"size   : {size} bytes")
-    elif magic == MAGIC_GALOIS_KEYS:
-        (count,) = r.unpack("H")
-        print("kind   : galois key set")
-        print(f"digest : {digest.hex()}")
-        print(f"steps  : {count}")
         print(f"size   : {size} bytes")
     elif magic == MAGIC_CIPHERTEXT:
         level, scale, chunks = r.unpack("BdH")

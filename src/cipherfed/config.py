@@ -19,6 +19,7 @@ from .data import PartitionSpec
 from .fhe.params import EncryptionParams, default_params
 from .federation.quantize import QuantizationSpec
 from .federation.rounds import MODES
+from .federation.transport import MAX_WIRE_COUNT
 from .qsim import PqcArchitecture
 
 TRANSPORTS = ("direct", "socket")
@@ -51,7 +52,6 @@ class RunConfig:
     transport: str
     deterministic_timing: bool
     encryption: EncryptionParams
-    rotation_steps: tuple[int, ...]
     clients: int
     rounds: int
     epochs_per_round: int
@@ -151,17 +151,14 @@ def parse_config(doc: dict, overrides: dict | None = None) -> RunConfig:
                                 chain_bits=chain_bits)
     except Exception as exc:
         raise ConfigError(f"encryption: {exc}") from None
-    # the federation never rotates, so no Galois keys unless asked for
-    rotation_steps = _ints(enc.get("rotation_steps", []),
-                           "encryption.rotation_steps")
-    for s in rotation_steps:
-        if not 1 <= s < params.slot_count:
-            raise ConfigError(f"rotation step {s} outside "
-                              f"[1, {params.slot_count})")
 
     fed = _section(doc, "federation")
     clients = _num(fed.get("clients", 2), "federation.clients", int, low=1)
     rounds = _num(fed.get("rounds", 5), "federation.rounds", int, low=0)
+    for key, value in (("clients", clients), ("rounds", rounds)):
+        if transport == "socket" and value > MAX_WIRE_COUNT:
+            raise ConfigError(f"federation.{key} must be <= {MAX_WIRE_COUNT}"
+                              f" on the socket transport, got {value}")
     epochs = _num(fed.get("epochs_per_round", 1),
                   "federation.epochs_per_round", int, low=0)
     lr = _num(fed.get("learning_rate", 0.1), "federation.learning_rate",
@@ -237,8 +234,7 @@ def parse_config(doc: dict, overrides: dict | None = None) -> RunConfig:
 
     return RunConfig(mode=mode, seed=seed, transport=transport,
                      deterministic_timing=det, encryption=params,
-                     rotation_steps=rotation_steps, clients=clients,
-                     rounds=rounds, epochs_per_round=epochs,
+                     clients=clients, rounds=rounds, epochs_per_round=epochs,
                      learning_rate=lr, batch_size=batch,
                      convergence_delta=delta, quantization=quant, arch=arch,
                      data=dcfg, output=ocfg, key_dir=key_dir)

@@ -31,10 +31,6 @@ class AlignmentError(CipherfedError):
     """Operands disagree on level, scale, or chunking."""
 
 
-class RotationKeyError(CipherfedError):
-    """No Galois key available for the requested rotation step."""
-
-
 class ShapeError(CipherfedError):
     """Array or layer shapes do not chain consistently."""
 

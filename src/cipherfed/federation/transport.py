@@ -31,6 +31,9 @@ MSG_ABORT = 5
 _VALID_TYPES = (MSG_JOIN, MSG_UPDATE, MSG_GLOBAL, MSG_METRICS, MSG_ABORT)
 
 MAX_FRAME = 1 << 28  # 256 MiB sanity bound; larger lengths are corruption
+# frames carry the round index, and JOIN and UPDATE the client id, as u16:
+# the most rounds and clients a socket run can take
+MAX_WIRE_COUNT = 0xFFFF
 CONVERGED_REASON = "converged"
 
 

@@ -1,22 +1,20 @@
 """CKKS-style approximate homomorphic encryption over power-of-two
 cyclotomic rings: exactly the operations an encrypted weighted average
-needs (encode, encrypt, add, multiply-by-plaintext, rescale, decrypt)
-plus Galois slot rotations.
+needs (encode, encrypt, add, multiply-by-plaintext, rescale, decrypt).
 
 Parameters here target correctness demonstrations, not audited security.
 """
 
 from .encoding import Plaintext, decode, encode, encode_scalar
-from .keys import GaloisKey, KeyMaterial, PublicMaterial, keygen
-from .ops import (Ciphertext, add_ct, decrypt, encrypt, mul_plain, rescale,
-                  rotate)
+from .keys import KeyMaterial, PublicMaterial, keygen
+from .ops import Ciphertext, add_ct, decrypt, encrypt, mul_plain, rescale
 from .params import EncryptionParams, default_params
 from .poly import RingPoly, ntt_forward, ntt_inverse
 
 __all__ = [
     "Plaintext", "decode", "encode", "encode_scalar",
-    "GaloisKey", "KeyMaterial", "PublicMaterial", "keygen",
+    "KeyMaterial", "PublicMaterial", "keygen",
     "Ciphertext", "add_ct", "decrypt", "encrypt", "mul_plain", "rescale",
-    "rotate", "EncryptionParams", "default_params", "RingPoly",
+    "EncryptionParams", "default_params", "RingPoly",
     "ntt_forward", "ntt_inverse",
 ]

@@ -2,9 +2,9 @@
 
 A real vector of up to N/2 values is interpolated into an integer
 polynomial whose evaluations at the 2N-th roots of unity zeta^(5^j)
-reproduce the scaled inputs. Using the 5^j orbit (rather than plain
-ascending odd exponents) makes Galois automorphisms X -> X^(5^r) act as
-cyclic slot rotations.
+reproduce the scaled inputs. The 5^j order is the one slot rotations
+need, and no rotation runs; it stays because every ciphertext's bytes
+depend on it.
 """
 
 from __future__ import annotations

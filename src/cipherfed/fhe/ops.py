@@ -1,5 +1,5 @@
 """Homomorphic operations: encrypt, decrypt, addition, plaintext
-multiplication, rescaling, and slot rotation.
+multiplication and rescaling.
 
 Ciphertexts are (c0, c1) pairs in the NTT domain; residues shaped
 (chunks, rows, N) make a batch with one level and one scale. Only the
@@ -20,7 +20,7 @@ from .keys import KeyMaterial, public_part
 from .nttmath import shoup_constant, shoup_mul, submod
 from .params import EncryptionParams
 from .poly import (COEFF, NTT, RingPoly, from_signed_coeffs, ntt_forward,
-                   ntt_inverse, sample_gaussian, sample_ternary)
+                   sample_gaussian, sample_ternary)
 
 SCALE_MATCH_RTOL = 2.0 ** -30
 
@@ -115,7 +115,7 @@ def _div_round_drop(p: RingPoly, drop_index: int) -> RingPoly:
     """Exact rounded division by the basis prime at drop_index; that
     prime leaves the basis. Input and output are NTT-domain."""
     params = p.params
-    q_drop = params.primes[drop_index]
+    q_drop = params.modulus_chain[drop_index]
     pos = p.prime_indices.index(drop_index)
     dropped = params.stacked_ntt((drop_index,)).inverse(
         p.residues[..., pos:pos + 1, :])[..., 0, :].astype(np.int64)
@@ -141,43 +141,3 @@ def rescale(ct: Ciphertext) -> Ciphertext:
     return Ciphertext(c0=_div_round_drop(ct.c0, drop),
                       c1=_div_round_drop(ct.c1, drop),
                       scale=ct.scale / q_drop, level=ct.level - 1)
-
-
-def rotate(ct: Ciphertext, step: int, keys) -> Ciphertext:
-    """Cyclic left shift of the slot vector by `step`.
-
-    Requires the Galois key for the reduced step; step 0 is the identity
-    and needs no key.
-    """
-    pub = public_part(keys)
-    params = ct.params
-    step = int(step) % params.slot_count
-    if step == 0:
-        return ct
-    gkey = pub.galois_key(step)
-
-    two_n = 2 * params.ring_degree
-    g = pow(5, step, two_n)
-    c0_auto = ntt_inverse(ct.c0).automorphism(g)
-    c1_auto = ntt_inverse(ct.c1).automorphism(g)
-
-    active = ct.c0.prime_indices
-    special = len(params.modulus_chain)
-    ext = active + (special,)
-
-    acc_b = None
-    acc_a = None
-    for digit_pos, digit_idx in enumerate(active):
-        qi = params.primes[digit_idx]
-        d = c1_auto.residues[..., digit_pos, :].astype(np.int64)
-        d = np.where(d > qi // 2, d - qi, d)
-        d_ext = ntt_forward(from_signed_coeffs(d, params, ext))
-        term_b = d_ext.mul_fixed(gkey.ks_b[digit_idx])
-        term_a = d_ext.mul_fixed(gkey.ks_a[digit_idx])
-        acc_b = term_b if acc_b is None else acc_b.add(term_b)
-        acc_a = term_a if acc_a is None else acc_a.add(term_a)
-
-    ks0 = _div_round_drop(acc_b, special)
-    ks1 = _div_round_drop(acc_a, special)
-    c0 = ntt_forward(c0_auto).add(ks0)
-    return Ciphertext(c0=c0, c1=ks1, scale=ct.scale, level=ct.level)

@@ -1,4 +1,4 @@
-"""Encryption parameter set and derived per-prime NTT contexts.
+"""Encryption parameter set and its NTT contexts.
 
 SECURITY NOTE: the default parameters are sized for correctness
 demonstrations and reproducible tests, not for audited security levels.
@@ -68,34 +68,18 @@ class EncryptionParams:
         return len(self.modulus_chain) - 1
 
     @cached_property
-    def key_switch_prime(self) -> int:
-        """Auxiliary prime used only inside key-switching keys.
-
-        Derived deterministically from the chain: the smallest NTT prime
-        above 2^60 not already in the chain, so both endpoints of a
-        transfer reconstruct the same value from the public parameters.
-        """
-        return find_ntt_primes(60, 1, 2 * self.ring_degree,
-                               skip=self.modulus_chain)[0]
-
-    @cached_property
-    def primes(self) -> tuple[int, ...]:
-        """Every basis prime by index: the chain, then the key-switch
-        prime."""
-        return self.modulus_chain + (self.key_switch_prime,)
-
-    @cached_property
     def ntt(self) -> StackedNtt:
-        """NTT context over every prime of `primes`."""
-        return StackedNtt(self.primes, self.ring_degree)
+        """NTT context over every prime of the chain."""
+        return StackedNtt(self.modulus_chain, self.ring_degree)
 
     def stacked_ntt(self, prime_indices: tuple[int, ...]) -> StackedNtt:
-        """NTT context for a basis subset (cached), on the rows of `ntt`."""
+        """NTT context for a run of chain primes (cached), on the rows of
+        `ntt`."""
         cache = self.__dict__.setdefault("_stacked_cache", {})
         ctx = cache.get(prime_indices)
         if ctx is None:
-            ctx = self.ntt.rows(basis_rows(tuple(range(len(self.primes))),
-                                           prime_indices))
+            ctx = self.ntt.rows(basis_rows(
+                tuple(range(len(self.modulus_chain))), prime_indices))
             cache[prime_indices] = ctx
         return ctx
 
@@ -112,7 +96,7 @@ class EncryptionParams:
     @cached_property
     def rot_group(self) -> list[int]:
         """Slot-to-root exponent map: slot j reads the evaluation at
-        zeta^(5^j mod 2N)."""
+        zeta^(5^j mod 2N); see encoding.py for why the order stays."""
         two_n = 2 * self.ring_degree
         out = []
         g = 1
@@ -122,14 +106,13 @@ class EncryptionParams:
         return out
 
 
-def basis_rows(basis: tuple[int, ...], sub: tuple[int, ...]):
-    """Where the primes of `sub` sit among the rows of `basis`: a slice,
-    which views the rows, when they are a run; else a list, which copies
-    them."""
-    pos = [basis.index(i) for i in sub]
-    if pos == list(range(pos[0], pos[-1] + 1)):
-        return slice(pos[0], pos[-1] + 1)
-    return pos
+def basis_rows(basis: tuple[int, ...], sub: tuple[int, ...]) -> slice:
+    """Where the primes of `sub`, a run of `basis`, sit among its rows:
+    a slice, which views them."""
+    start = basis.index(sub[0])
+    if basis[start:start + len(sub)] != sub:
+        raise ParameterError(f"basis {sub} is not a run of {basis}")
+    return slice(start, start + len(sub))
 
 
 def default_params(ring_degree: int = 4096,

@@ -2,10 +2,9 @@
 
 A RingPoly holds one uint64 residue row per active prime; leading axes
 make it a batch of polynomials on one basis. The active basis is
-described by indices into the parameter set's full prime list (modulus
-chain + key-switch prime), so level drops and key material can share
-one representation. Values are immutable by convention: operations
-return new polynomials.
+described by indices into the modulus chain, so level drops and key
+material share one representation. Values are immutable by convention:
+operations return new polynomials.
 
 A ShoupPoly is a fixed multiplier (a key, a plaintext, a constant): an
 NTT-domain polynomial with its Shoup tables. RingPoly.mul_fixed takes
@@ -44,7 +43,7 @@ class RingPoly:
 
     @property
     def primes(self) -> tuple[int, ...]:
-        return tuple(self.params.primes[i] for i in self.prime_indices)
+        return tuple(self.params.modulus_chain[i] for i in self.prime_indices)
 
     @property
     def batch_shape(self) -> tuple[int, ...]:
@@ -92,20 +91,6 @@ class RingPoly:
             self.residues, fixed.poly.residues[..., rows, :],
             tuple(h[..., rows, :] for h in fixed.shoup), self.q_column))
 
-    def automorphism(self, g: int) -> "RingPoly":
-        """Apply X -> X^g (g odd). Coefficient domain only."""
-        if self.domain_tag != COEFF:
-            raise DomainError("automorphism requires coefficient domain")
-        n = self.params.ring_degree
-        two_n = 2 * n
-        k = np.arange(n, dtype=np.int64)
-        dest = (k * (g % two_n)) % two_n
-        flip = dest >= n
-        dest = np.where(flip, dest - n, dest)
-        out = np.empty_like(self.residues)
-        out[..., dest] = np.where(flip, self.neg().residues, self.residues)
-        return self._like(out)
-
 
 @dataclass(frozen=True)
 class ShoupPoly:
@@ -126,8 +111,8 @@ class ShoupPoly:
         """The constant polynomial k, which is k in every NTT slot: one
         column of residues and of table, the residues broadcast over the
         ring as a read-only view."""
-        w = np.array([[k % params.primes[i]] for i in prime_indices],
-                     dtype=np.uint64)
+        w = np.array([[k % params.modulus_chain[i]]
+                      for i in prime_indices], dtype=np.uint64)
         poly = RingPoly(params, prime_indices,
                         np.broadcast_to(w, (len(w), params.ring_degree)), NTT)
         return cls(poly, shoup_constant(w, poly.q_column))
@@ -177,6 +162,6 @@ def sample_uniform(params: EncryptionParams, prime_indices: tuple[int, ...],
     exactly uniform mod the product, by CRT)."""
     res = np.empty((len(prime_indices), params.ring_degree), dtype=np.uint64)
     for row, idx in enumerate(prime_indices):
-        res[row] = rng.integers(0, params.primes[idx], params.ring_degree,
-                                dtype=np.uint64)
+        res[row] = rng.integers(0, params.modulus_chain[idx],
+                                params.ring_degree, dtype=np.uint64)
     return RingPoly(params, prime_indices, res, COEFF)

@@ -14,20 +14,23 @@ import struct
 import numpy as np
 
 from ..errors import FormatError, ParameterError
-from .keys import GaloisKey, KeyMaterial, PublicMaterial
+from .keys import KeyMaterial, PublicMaterial
 from .ops import Ciphertext
 from .params import EncryptionParams
-from .poly import NTT, RingPoly, ShoupPoly
+from .poly import NTT, RingPoly, ShoupPoly, ntt_inverse
 
 MAGIC_CIPHERTEXT = b"CKV2"
-MAGIC_SECRET_KEY = b"CKS1"
+MAGIC_SECRET_KEY = b"CKS2"
 MAGIC_PUBLIC_KEY = b"CKP1"
-MAGIC_GALOIS_KEYS = b"CKG1"
 MAGIC_FLOAT_VECTOR = b"CKF1"
 
 _MAGICS = {MAGIC_CIPHERTEXT: "ciphertext", MAGIC_SECRET_KEY: "secret key",
-           MAGIC_PUBLIC_KEY: "public key", MAGIC_GALOIS_KEYS: "galois keys",
-           MAGIC_FLOAT_VECTOR: "float vector"}
+           MAGIC_PUBLIC_KEY: "public key", MAGIC_FLOAT_VECTOR: "float vector"}
+
+# pk0 + pk1*s of a matching key pair is the key noise e, whose
+# coefficients stay within a few standard deviations (3.2) of 0; for a
+# secret key that belongs to another public key they sit near q/2
+KEY_NOISE_BOUND = 1 << 10
 
 
 class Reader:
@@ -99,7 +102,9 @@ def _read_poly(r: Reader, params: EncryptionParams, rows: range,
                     NTT)
 
 
-def _read_key(r: Reader, params: EncryptionParams, rows: int) -> ShoupPoly:
+def _read_key(r: Reader, params: EncryptionParams) -> ShoupPoly:
+    """A key polynomial, which has one row per chain prime."""
+    rows = len(params.modulus_chain)
     return ShoupPoly.wrap(_read_poly(r, params, range(rows, rows + 1)))
 
 
@@ -138,50 +143,31 @@ def serialize_public_key(pub: PublicMaterial) -> bytes:
 
 
 def serialize_galois_keys(pub: PublicMaterial) -> bytes:
-    out = [MAGIC_GALOIS_KEYS, pub.params.digest,
-           struct.pack("<H", len(pub.galois_keys))]
-    for step in sorted(pub.galois_keys):
-        gk = pub.galois_keys[step]
-        out.append(struct.pack("<HB", step, len(gk.ks_b)))
-        for b, a in zip(gk.ks_b, gk.ks_a):
-            out.append(_poly_bytes(b.poly))
-            out.append(_poly_bytes(a.poly))
-    return b"".join(out)
+    """An empty `CKG1` key set, which nothing reads. Only perfbench's
+    `key_bytes` calls it; it goes with ROADMAP item 1."""
+    return b"CKG1" + pub.params.digest + struct.pack("<H", 0)
 
 
-def deserialize_public_material(public_data: bytes, params: EncryptionParams,
-                                galois_data: bytes | None = None) -> PublicMaterial:
-    n_chain = len(params.modulus_chain)
+def deserialize_public_material(public_data: bytes,
+                                params: EncryptionParams) -> PublicMaterial:
     r = _open(public_data, MAGIC_PUBLIC_KEY, params)
-    pk0, pk1 = (_read_key(r, params, n_chain) for _ in range(2))
+    pk0, pk1 = (_read_key(r, params) for _ in range(2))
     r.end()
-    galois: dict[int, GaloisKey] = {}
-    if galois_data is not None:
-        g = _open(galois_data, MAGIC_GALOIS_KEYS, params)
-        (count,) = g.unpack("H")
-        for _ in range(count):
-            step, digits = g.unpack("HB")
-            if not 1 <= step < params.slot_count or step in galois:
-                raise FormatError(f"galois key step {step} is out of range "
-                                  "or repeated")
-            if digits != n_chain:
-                raise FormatError(f"galois key has {digits} digits, the "
-                                  f"chain needs {n_chain}")
-            polys = [_read_key(g, params, n_chain + 1)
-                     for _ in range(2 * digits)]
-            galois[step] = GaloisKey(step=step, ks_b=tuple(polys[0::2]),
-                                     ks_a=tuple(polys[1::2]))
-        g.end()
-    return PublicMaterial(params=params, pk0=pk0, pk1=pk1, galois_keys=galois)
+    return PublicMaterial(params=params, pk0=pk0, pk1=pk1)
 
 
 def deserialize_key_material(secret_data: bytes, public_data: bytes,
-                             params: EncryptionParams,
-                             galois_data: bytes | None = None) -> KeyMaterial:
+                             params: EncryptionParams) -> KeyMaterial:
+    """A secret key and the public key it belongs to; a pair whose public
+    key does not decrypt to small noise under the secret is rejected."""
     r = _open(secret_data, MAGIC_SECRET_KEY, params)
-    secret = _read_key(r, params, len(params.modulus_chain) + 1)
+    secret = _read_key(r, params)
     r.end()
-    pub = deserialize_public_material(public_data, params, galois_data)
+    pub = deserialize_public_material(public_data, params)
+    e = ntt_inverse(pub.pk0.poly.add(pub.pk1.poly.mul_fixed(secret)))
+    if (np.minimum(e.residues, e.q_column - e.residues)
+            > KEY_NOISE_BOUND).any():
+        raise FormatError("secret key does not belong to the public key")
     return KeyMaterial(public=pub, secret_key=secret)
 
 

@@ -11,8 +11,8 @@ from .config import RunConfig
 from .data import Dataset, generate_synthetic, load_csv, partition, stratified_split
 from .errors import ConfigError
 from .fhe.keys import KeyMaterial, keygen
-from .fhe.serial import (deserialize_key_material, serialize_galois_keys,
-                         serialize_public_key, serialize_secret_key)
+from .fhe.serial import (deserialize_key_material, serialize_public_key,
+                         serialize_secret_key)
 from .federation.metrics import MetricsSink
 from .federation.rounds import (MODES, RoundConfig, federated_rounds,
                                 run_federated_training)
@@ -21,8 +21,7 @@ from .model import HybridModel, init_model
 
 log = logging.getLogger("cipherfed")
 
-KEY_FILES = {"secret": "secret.key", "public": "public.key",
-             "galois": "galois.key"}
+KEY_FILES = {"secret": "secret.key", "public": "public.key"}
 
 
 def build_datasets(cfg: RunConfig):
@@ -47,14 +46,10 @@ def build_keys(cfg: RunConfig) -> KeyMaterial:
         kd = Path(cfg.key_dir)
         secret = (kd / KEY_FILES["secret"]).read_bytes()
         public = (kd / KEY_FILES["public"]).read_bytes()
-        gpath = kd / KEY_FILES["galois"]
-        galois = gpath.read_bytes() if gpath.exists() else None
         log.info("keys: loaded from %s", kd)
-        return deserialize_key_material(secret, public, cfg.encryption,
-                                        galois_data=galois)
+        return deserialize_key_material(secret, public, cfg.encryption)
     log.info("keys: generating from seed %d", cfg.seed)
-    return keygen(cfg.encryption, rotation_steps=cfg.rotation_steps,
-                  rng_seed=cfg.seed)
+    return keygen(cfg.encryption, rng_seed=cfg.seed)
 
 
 def write_key_files(keys: KeyMaterial, out_dir) -> dict[str, Path]:
@@ -63,7 +58,6 @@ def write_key_files(keys: KeyMaterial, out_dir) -> dict[str, Path]:
     paths = {name: out / fname for name, fname in KEY_FILES.items()}
     paths["secret"].write_bytes(serialize_secret_key(keys))
     paths["public"].write_bytes(serialize_public_key(keys.public))
-    paths["galois"].write_bytes(serialize_galois_keys(keys.public))
     return paths
 
 

@@ -21,7 +21,7 @@ def small_params():
 
 @pytest.fixture(scope="session")
 def small_keys(small_params):
-    return keygen(small_params, rotation_steps=(1, 2, 3), rng_seed=7)
+    return keygen(small_params, rng_seed=7)
 
 
 @pytest.fixture(scope="session")
@@ -31,7 +31,7 @@ def std_params():
 
 @pytest.fixture(scope="session")
 def std_keys(std_params):
-    return keygen(std_params, rotation_steps=(1,), rng_seed=7)
+    return keygen(std_params, rng_seed=7)
 
 
 @pytest.fixture()

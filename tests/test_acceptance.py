@@ -44,7 +44,7 @@ def criterion(num, budget_s, desc):
 @pytest.fixture(scope="module")
 def std():
     params = default_params()
-    keys = keygen(params, rotation_steps=(1,), rng_seed=50)
+    keys = keygen(params, rng_seed=50)
     return params, keys
 
 
@@ -351,7 +351,6 @@ def test_criterion_09_server_blindness(std):
     from cipherfed.fhe.keys import KeyMaterial, PublicMaterial
     from cipherfed.fhe.ops import decrypt as decrypt_fn
     from cipherfed.fhe.serial import (deserialize_public_material,
-                                      serialize_galois_keys,
                                       serialize_public_key)
 
     # 1. the public material type carries no secret field
@@ -367,8 +366,7 @@ def test_criterion_09_server_blindness(std):
 
     # 3. aggregation runs against material rebuilt from public bytes only
     pub = deserialize_public_material(serialize_public_key(keys.public),
-                                      params,
-                                      serialize_galois_keys(keys.public))
+                                      params)
     assert isinstance(pub, PublicMaterial)
     rng = np.random.default_rng(909)
     vec = rng.uniform(-1, 1, 64)

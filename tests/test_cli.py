@@ -45,12 +45,12 @@ def workdir(tmp_path):
     return tmp_path, cfg
 
 
-def test_keygen_writes_three_files(workdir, capsys):
+def test_keygen_writes_key_files(workdir, capsys):
     tmp, cfg = workdir
     rc = main(["keygen", "--config", str(cfg), "--out", str(tmp / "keys")])
     assert rc == 0
-    for name in ("secret.key", "public.key", "galois.key"):
-        assert (tmp / "keys" / name).exists()
+    assert sorted(p.name for p in (tmp / "keys").iterdir()) == \
+        ["public.key", "secret.key"]
     out = capsys.readouterr().out
     assert "ring degree" in out and "4096" in out
 
@@ -59,7 +59,7 @@ def test_keygen_deterministic(workdir):
     tmp, cfg = workdir
     main(["keygen", "--config", str(cfg), "--out", str(tmp / "k1")])
     main(["keygen", "--config", str(cfg), "--out", str(tmp / "k2")])
-    for name in ("secret.key", "public.key", "galois.key"):
+    for name in ("secret.key", "public.key"):
         assert (tmp / "k1" / name).read_bytes() == \
             (tmp / "k2" / name).read_bytes()
 
@@ -89,21 +89,46 @@ def test_train_zero_rounds_checkpoint_is_init(workdir):
     assert np.array_equal(flatten_weights(ckpt), flatten_weights(expect))
 
 
-def test_train_with_pregenerated_keys(workdir, tmp_path):
+def with_key_dir(cfg: Path, key_dir: Path) -> Path:
+    out = cfg.with_name("keyed.yaml")
+    out.write_text(cfg.read_text() + f"\nkeys:\n  dir: {key_dir}\n")
+    return out
+
+
+def test_train_with_pregenerated_keys(workdir):
+    # a run on the files keygen writes is, byte for byte, the run that
+    # derives the keys from the seed; a secret key in the old CKS1 layout
+    # does not load
     tmp, cfg = workdir
     main(["keygen", "--config", str(cfg), "--out", str(tmp / "keys")])
-    doc = cfg.read_text() + f"\nkeys:\n  dir: {tmp / 'keys'}\n"
-    cfg2 = tmp / "run2.yaml"
-    cfg2.write_text(doc)
-    assert main(["train", "--config", str(cfg2)]) == 0
+    assert main(["train", "--config", str(cfg),
+                 "--metrics", str(tmp / "seed.jsonl")]) == 0
+    keyed = with_key_dir(cfg, tmp / "keys")
+    assert main(["train", "--config", str(keyed),
+                 "--metrics", str(tmp / "files.jsonl")]) == 0
+    assert (tmp / "files.jsonl").read_bytes() == \
+        (tmp / "seed.jsonl").read_bytes()
+    secret = tmp / "keys" / "secret.key"
+    secret.write_bytes(b"CKS1" + secret.read_bytes()[4:])
+    assert main(["train", "--config", str(keyed)]) == 3
+
+
+def test_train_on_mixed_key_files_exits_3(workdir, capsys):
+    tmp, cfg = workdir
+    main(["keygen", "--config", str(cfg), "--out", str(tmp / "keys")])
+    main(["keygen", "--config", str(cfg), "--seed", "12",
+          "--out", str(tmp / "other")])
+    (tmp / "keys" / "public.key").write_bytes(
+        (tmp / "other" / "public.key").read_bytes())
+    assert main(["train", "--config", str(with_key_dir(cfg, tmp / "keys"))]) \
+        == 3
+    assert "does not belong" in capsys.readouterr().err
 
 
 def test_train_missing_key_dir_is_io_error(workdir):
     tmp, cfg = workdir
-    doc = cfg.read_text() + f"\nkeys:\n  dir: {tmp / 'absent'}\n"
-    cfg2 = tmp / "run2.yaml"
-    cfg2.write_text(doc)
-    assert main(["train", "--config", str(cfg2)]) == 4
+    assert main(["train", "--config",
+                 str(with_key_dir(cfg, tmp / "absent"))]) == 4
 
 
 def test_invalid_config_exits_2(tmp_path, capsys):
@@ -219,8 +244,8 @@ def test_inspect_unknown_magic_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("magic,size", [("CKV2", 9), ("CKM1", 7),
-                                        ("CKG1", 13), ("CKF1", 6),
-                                        ("CKS1", 11), ("CKP1", 11)])
+                                        ("CKF1", 6), ("CKS2", 11),
+                                        ("CKP1", 11)])
 def test_inspect_truncated_header_exits_3(tmp_path, capsys, magic, size):
     p = tmp_path / "short.bin"
     p.write_bytes(magic.encode().ljust(size, b"\0"))

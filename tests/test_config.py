@@ -4,6 +4,7 @@ import pytest
 
 from cipherfed.config import load_config, parse_config
 from cipherfed.errors import ConfigError
+from cipherfed.federation.transport import MAX_WIRE_COUNT
 
 
 def minimal_doc():
@@ -51,6 +52,23 @@ def test_loopback_transport_rejected():
         parse_config({"transport": "loopback"})
 
 
+@pytest.mark.parametrize("key", ["clients", "rounds"])
+def test_socket_counts_fit_the_wire(key):
+    # the round index and the client id are u16 fields on the wire, so a
+    # socket run that outgrows them is rejected before it starts
+    doc = minimal_doc()
+    doc["transport"] = "socket"
+    doc["federation"][key] = MAX_WIRE_COUNT + 1
+    with pytest.raises(ConfigError, match=f"federation.{key}"):
+        parse_config(doc)
+    doc["federation"][key] = MAX_WIRE_COUNT
+    assert getattr(parse_config(doc), key) == MAX_WIRE_COUNT
+    # the direct transport has no wire
+    doc["transport"] = "direct"
+    doc["federation"][key] = MAX_WIRE_COUNT + 1
+    assert getattr(parse_config(doc), key) == MAX_WIRE_COUNT + 1
+
+
 @pytest.mark.parametrize("section,key,value,message", [
     ("data", "noise", -1, "data.noise"),
     ("data", "noise", float("nan"), "data.noise"),
@@ -85,7 +103,7 @@ def with_value(dotted: str, value) -> dict:
     ("encryption.ring_degree", 4096.7),
     ("encryption.chain_bits", [60, 40.5, 40]),
     ("encryption.chain_bits", [60, True, 40]),
-    ("encryption.rotation_steps", [1.5]),
+    ("model.readout", [True]),
     ("model.readout", [0.5]),
     ("data.samples", None),
     # floats: no bools, strings, nulls or non-finite values
@@ -152,13 +170,6 @@ def test_bad_chain_bits():
         parse_config(doc)
 
 
-def test_rotation_step_out_of_range():
-    doc = minimal_doc()
-    doc["encryption"] = {"rotation_steps": [99999]}
-    with pytest.raises(ConfigError, match="rotation step"):
-        parse_config(doc)
-
-
 @pytest.mark.parametrize("key,value,message", [
     ("seed", -1, "seed"),
     ("deterministic_timing", "no", "deterministic_timing"),
@@ -167,13 +178,6 @@ def test_bad_top_level_value_rejected_at_parse(key, value, message):
     doc = minimal_doc()
     doc[key] = value
     with pytest.raises(ConfigError, match=message):
-        parse_config(doc)
-
-
-def test_non_integer_rotation_step_rejected():
-    doc = minimal_doc()
-    doc["encryption"] = {"rotation_steps": ["a"]}
-    with pytest.raises(ConfigError, match="rotation_steps"):
         parse_config(doc)
 
 

@@ -21,15 +21,14 @@ from cipherfed.federation.client import (ClientUpdate, PlainUpdate,
                                          encrypt_model)
 from cipherfed.federation.quantize import QuantizationSpec
 from cipherfed.fhe import (Ciphertext, decode, decrypt, encode, encrypt,
-                           keygen, rotate)
+                           keygen)
 from cipherfed.fhe.keys import KeyMaterial, PublicMaterial
 from cipherfed.fhe.serial import (deserialize_ciphertext,
                                   deserialize_float_vector,
                                   deserialize_key_material,
                                   deserialize_public_material,
                                   serialize_ciphertext, serialize_float_vector,
-                                  serialize_galois_keys, serialize_public_key,
-                                  serialize_secret_key)
+                                  serialize_public_key, serialize_secret_key)
 from cipherfed.qsim import PqcArchitecture
 
 class Format:
@@ -45,14 +44,13 @@ class Format:
 @pytest.fixture(scope="module")
 def formats(small_params):
     params = small_params
-    keys = keygen(params, rotation_steps=(3,), rng_seed=41)
+    keys = keygen(params, rng_seed=41)
     ct = encrypt(encode(np.linspace(-1, 1, 8), params), keys, 5)
     batches = {n: encrypt(encode(np.linspace(-1, 1, 8 * n).reshape(n, 8),
                                  params), keys, list(range(n)))
                for n in (2, 7)}
     sec = serialize_secret_key(keys)
     pub = serialize_public_key(keys.public)
-    gal = serialize_galois_keys(keys.public)
     arch = PqcArchitecture(qubit_count=2, depth=2,
                            axes=(("X", "Y"), ("Z", "X")))
     model = M.init_model(3, arch, 2, rng_seed=9)
@@ -70,11 +68,6 @@ def formats(small_params):
     def use_public(got):
         assert isinstance(got, PublicMaterial)
         decode(decrypt(encrypt(encode([0.25], params), got, 1), keys), 1)
-
-    def use_galois(got):
-        assert isinstance(got, PublicMaterial) and len(got.galois_keys) <= 1
-        for step in got.galois_keys:
-            rotate(ct, step, got)
 
     def use_secret(got):
         assert isinstance(got, KeyMaterial)
@@ -132,9 +125,7 @@ def formats(small_params):
            for n, c in ((1, ct), *batches.items())},
         "CKP1": Format(pub, lambda b: deserialize_public_material(b, params),
                        use_public),
-        "CKG1": Format(gal, lambda b: deserialize_public_material(
-            pub, params, galois_data=b), use_galois),
-        "CKS1": Format(sec, lambda b: deserialize_key_material(b, pub, params),
+        "CKS2": Format(sec, lambda b: deserialize_key_material(b, pub, params),
                        use_secret),
         "CKF1": Format(serialize_float_vector(np.arange(5.0)),
                        deserialize_float_vector, use_vector),
@@ -145,7 +136,7 @@ def formats(small_params):
 
 NAMES = ["frame-body", "JOIN", "UPDATE-fhe", "UPDATE-plain", "GLOBAL-fhe",
          "GLOBAL-plain", "METRICS", "CKV2-1", "CKV2-2", "CKV2-7", "CKP1",
-         "CKG1", "CKS1", "CKF1", "CKM1"]
+         "CKS2", "CKF1", "CKM1"]
 
 
 @st.composite

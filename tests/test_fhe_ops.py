@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from cipherfed.errors import (AlignmentError, LevelError, ParameterError,
-                              RotationKeyError)
+from cipherfed.errors import AlignmentError, LevelError, ParameterError
 from cipherfed.fhe import (add_ct, decode, decrypt, encode, encode_scalar,
-                           encrypt, keygen, mul_plain, rescale, rotate)
+                           encrypt, keygen, mul_plain, rescale)
 
 
 def roundtrip(v, params, keys, seed=0):
@@ -177,43 +176,6 @@ def test_rescale_exhausts_levels(small_params, small_keys):
         rescale(ct)
 
 
-def test_rotate_shifts_slots(small_params, small_keys, rng):
-    slots = small_params.slot_count
-    v = np.zeros(slots)
-    v[:5] = [1, 2, 3, 4, 5]
-    ct = encrypt(encode(v, small_params), small_keys, 0)
-    for step in (1, 2, 3):
-        got = decode(decrypt(rotate(ct, step, small_keys), small_keys), slots)
-        assert np.abs(got - np.roll(v, -step)).max() < 1e-3
-
-
-def test_rotate_zero_is_identity(small_params, small_keys):
-    ct = encrypt(encode([1.0, 2.0], small_params), small_keys, 0)
-    assert rotate(ct, 0, small_keys) is ct
-
-
-def test_rotate_full_cycle_is_identity(small_params, small_keys):
-    ct = encrypt(encode([1.0, 2.0], small_params), small_keys, 0)
-    assert rotate(ct, small_params.slot_count, small_keys) is ct
-
-
-def test_rotate_missing_key(small_params, small_keys):
-    ct = encrypt(encode([1.0], small_params), small_keys, 0)
-    with pytest.raises(RotationKeyError):
-        rotate(ct, 7, small_keys)
-
-
-def test_rotation_composition(small_params, small_keys, rng):
-    slots = small_params.slot_count
-    v = rng.uniform(-1, 1, slots)
-    ct = encrypt(encode(v, small_params), small_keys, 0)
-    twice = rotate(rotate(ct, 1, small_keys), 2, small_keys)
-    once = rotate(ct, 3, small_keys)
-    a = decode(decrypt(twice, small_keys), slots)
-    b = decode(decrypt(once, small_keys), slots)
-    assert np.abs(a - b).max() < 1e-3
-
-
 def test_weighted_sum_linearity(small_params, small_keys, rng):
     # aggregation kernel: k <= 8 ciphertexts, convex weights
     slots = 128
@@ -239,29 +201,25 @@ def test_params_mismatch_rejected(small_params, small_keys, std_params,
 
 
 @pytest.mark.parametrize("n,key_digest,ct_digest", [
-    (1024, "f7a1d9e4b35d0f5d", "c8fade7a54a69343"),
-    (4096, "ea89e9c919d97a0f", "b5af3707ac236fbb")])
+    (1024, "db103db067600a1e", "37acf772f152a0c2"),
+    (4096, "8a52d5d166d1b21c", "043b380a42e9bbcf")])
 def test_integer_pipeline_bytes_pinned(n, key_digest, ct_digest):
-    # keygen, scalar encoding, encrypt, mul_plain, add, rescale, rotate
-    # and decrypt are exact integer arithmetic: no FFT encoding and no
-    # float training, so these bytes are the same on every CPU
+    # keygen, scalar encoding, encrypt, mul_plain, add, rescale and
+    # decrypt are exact integer arithmetic: no FFT encoding and no float
+    # training, so these bytes are the same on every CPU
     from hashlib import sha256
 
     from cipherfed.fhe import default_params
     from cipherfed.fhe.serial import (serialize_ciphertext,
-                                      serialize_galois_keys,
                                       serialize_public_key,
                                       serialize_secret_key)
     p = default_params(ring_degree=n)
-    k = keygen(p, rotation_steps=(1, 3), rng_seed=7)
-    key_bytes = (serialize_secret_key(k) + serialize_public_key(k.public)
-                 + serialize_galois_keys(k.public))
+    k = keygen(p, rng_seed=7)
+    key_bytes = serialize_secret_key(k) + serialize_public_key(k.public)
     a = encrypt(encode_scalar(0.375, p), k, 11)
     b = encrypt(encode_scalar(-1.25, p), k, 12)
     s = rescale(add_ct(mul_plain(a, encode_scalar(0.25, p, level=2)),
                        mul_plain(b, encode_scalar(0.75, p, level=2))))
-    r = rotate(s, 3, k)
-    ct_bytes = (serialize_ciphertext(s) + serialize_ciphertext(r)
-                + decrypt(r, k).poly.residues.tobytes())
+    ct_bytes = serialize_ciphertext(s) + decrypt(s, k).poly.residues.tobytes()
     assert sha256(key_bytes).hexdigest()[:16] == key_digest
     assert sha256(ct_bytes).hexdigest()[:16] == ct_digest

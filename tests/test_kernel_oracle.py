@@ -4,8 +4,8 @@ Every modular primitive and Shoup constant, the NTT, scalar encoding,
 the plaintext multiply and decode's CRT reconstruction are checked
 against Python-int references, with Hypothesis leaning on edge
 residues: 0, 1, q - 1, q and the lazy values up to 2q - 1 that the
-butterflies and Shoup products feed each other. All four primes of the
-default parameters are covered, the key-switch prime included.
+butterflies and Shoup products feed each other. All three primes of the
+default chain are covered.
 """
 
 import math
@@ -25,7 +25,7 @@ from cipherfed.fhe.nttmath import (StackedNtt, addmod, find_ntt_primes,
 from cipherfed.fhe.poly import COEFF, NTT, RingPoly, ShoupPoly
 
 PARAMS = default_params()
-PRIMES = PARAMS.primes
+PRIMES = PARAMS.modulus_chain
 U64 = 2 ** 64
 
 
@@ -238,16 +238,16 @@ def test_mul_plain_matches_object_reference(keys, w, level, seed):
 
 
 SMALL = default_params(ring_degree=1024)
-EXTENDED = tuple(range(len(SMALL.primes)))   # chain primes + key-switch prime
-# sub-bases of the extended basis: the chain levels, and rows that are
-# not a run, as rotate's key switch at levels 0 and 1 uses them
-SUB_BASES = [(0,), (0, 1), (0, 1, 2), (0, 3), (0, 1, 3), (1, 3)]
+CHAIN = tuple(range(len(SMALL.modulus_chain)))
+# runs of the chain: the prefix of each level, and runs that start later
+SUB_BASES = [(0,), (0, 1), (0, 1, 2), (1, 2), (2,)]
 
 
 def random_ntt_poly(rng, basis, batch=()) -> RingPoly:
     """Uniform residues with 0 and q - 1 in the first two slots of every
     row."""
-    q = np.array([SMALL.primes[i] for i in basis], dtype=np.uint64)[:, None]
+    q = np.array([SMALL.modulus_chain[i] for i in basis],
+                 dtype=np.uint64)[:, None]
     res = rng.integers(0, q, (*batch, len(basis), SMALL.ring_degree),
                        dtype=np.uint64)
     res[..., 0] = 0
@@ -259,11 +259,11 @@ def random_ntt_poly(rng, basis, batch=()) -> RingPoly:
 @given(batch=st.sampled_from([1, 2, 7]), sub=st.sampled_from(SUB_BASES),
        batched=st.booleans(), seed=st.integers(0, 2 ** 32))
 def test_mul_fixed_matches_python_on_a_sub_basis(batch, sub, batched, seed):
-    # a receiver on some rows of an extended-basis multiplier, as keys
-    # meet ciphertexts; the multiplier is a single polynomial or a batch
+    # a receiver on some rows of a chain-basis multiplier, as keys meet
+    # ciphertexts; the multiplier is a single polynomial or a batch
     rng = np.random.default_rng(seed)
     fixed = ShoupPoly.wrap(random_ntt_poly(
-        rng, EXTENDED, (batch,) if batched else ()))
+        rng, CHAIN, (batch,) if batched else ()))
     p = random_ntt_poly(rng, sub, (batch,))
     got = p.mul_fixed(fixed)
     w = fixed.poly.residues[..., list(sub), :]
@@ -277,7 +277,7 @@ def test_mul_fixed_matches_python_on_a_sub_basis(batch, sub, batched, seed):
        sub=st.sampled_from(SUB_BASES), seed=st.integers(0, 2 ** 32))
 def test_constant_mul_fixed_matches_python(k, sub, seed):
     p = random_ntt_poly(np.random.default_rng(seed), sub, (2,))
-    got = p.mul_fixed(ShoupPoly.constant(k, SMALL, EXTENDED))
+    got = p.mul_fixed(ShoupPoly.constant(k, SMALL, CHAIN))
     q = np.array(p.primes, dtype=object)[:, None]
     assert np.array_equal(
         got.residues, ((p.residues.astype(object) * k) % q).astype(np.uint64))
@@ -291,7 +291,7 @@ def test_centered_crt_matches_python_ints(level, batch, edges, seed):
     # full-range residues, whose CRT values reach far beyond 2^53, against
     # the centered Python-int CRT value within the docstring's 2^-50
     basis = tuple(range(level + 1))
-    qs = [SMALL.primes[i] for i in basis]
+    qs = [SMALL.modulus_chain[i] for i in basis]
     res = np.random.default_rng(seed).integers(
         0, u64(qs)[:, None], (batch, len(qs), SMALL.ring_degree),
         dtype=np.uint64)

@@ -123,8 +123,8 @@ def test_rejects_non_ntt_prime():
         StackedNtt((97,), 12)  # 24 divides 96, but 12 is no power of two
 
 
-@pytest.mark.parametrize("n,digest", [(1024, "ba31d72c95b3b924"),
-                                      (4096, "368bb1d4602beaac")])
+@pytest.mark.parametrize("n,digest", [(1024, "dbede8b7071ffe76"),
+                                      (4096, "623197f50408dfbb")])
 def test_default_tables_pinned(n, digest):
     # every table entry is exact modular arithmetic, so the tables of the
     # default primes are the same bytes however they are built

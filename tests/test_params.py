@@ -2,7 +2,7 @@ import pytest
 
 from cipherfed.errors import ParameterError
 from cipherfed.fhe.nttmath import find_ntt_primes
-from cipherfed.fhe.params import EncryptionParams, default_params
+from cipherfed.fhe.params import EncryptionParams, basis_rows, default_params
 
 
 def test_default_params_shape():
@@ -14,7 +14,6 @@ def test_default_params_shape():
     for q in p.modulus_chain:
         assert q % 8192 == 1
     assert p.scale < min(p.modulus_chain)
-    assert p.key_switch_prime not in p.modulus_chain
 
 
 def test_digest_stable_and_distinct():
@@ -31,7 +30,6 @@ def test_default_primes_and_digest_pinned():
     p = default_params()
     assert p.modulus_chain == (1152921504606904321, 1099511799809,
                                1099511922689)
-    assert p.key_switch_prime == 1152921504606994433
     assert p.digest.hex() == "bdbd562be051e7f8"
     assert default_params(ring_degree=1024).digest.hex() == "8f6a7a451eb49811"
 
@@ -105,3 +103,11 @@ def test_rot_group_orbit_covers_half():
     assert len(rot) == p.slot_count
     assert len(set(rot)) == p.slot_count
     assert rot[0] == 1 and rot[1] == 5
+
+
+def test_basis_rows_takes_runs_only():
+    # a run of the basis is a slice of its rows; nothing reads any other
+    # subset, and a slice could not hold one
+    assert basis_rows((0, 1, 2), (1, 2)) == slice(1, 3)
+    with pytest.raises(ParameterError, match="not a run"):
+        basis_rows((0, 1, 2), (0, 2))

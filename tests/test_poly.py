@@ -51,26 +51,6 @@ def test_add_neg_cancels(small_params, rng):
     assert np.all(z.residues == 0)
 
 
-def test_automorphism_needs_coeff_domain(small_params, rng):
-    a = ntt_forward(random_poly(small_params, rng))
-    with pytest.raises(DomainError, match="coefficient"):
-        a.automorphism(5)
-
-
-def test_automorphism_identity(small_params, rng):
-    a = random_poly(small_params, rng)
-    assert np.array_equal(a.automorphism(1).residues, a.residues)
-
-
-def test_automorphism_composition(small_params, rng):
-    two_n = 2 * small_params.ring_degree
-    a = random_poly(small_params, rng)
-    g1, g2 = 5, 25
-    left = a.automorphism(g1).automorphism(g2)
-    right = a.automorphism(g1 * g2 % two_n)
-    assert np.array_equal(left.residues, right.residues)
-
-
 def test_sampling_shapes_and_ranges(small_params):
     rng = np.random.default_rng(0)
     t = sample_ternary(small_params, (0, 1), rng)

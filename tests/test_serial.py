@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from cipherfed.errors import FormatError, ParameterError
-from cipherfed.fhe import decode, decrypt, encode, encrypt, keygen, rotate
+from cipherfed.fhe import decode, decrypt, encode, encrypt, keygen
 from cipherfed.fhe.serial import (deserialize_ciphertext,
                                   deserialize_float_vector,
                                   deserialize_key_material,
                                   deserialize_public_material,
                                   serialize_ciphertext, serialize_float_vector,
-                                  serialize_galois_keys, serialize_public_key,
-                                  serialize_secret_key)
+                                  serialize_public_key, serialize_secret_key)
 
 
 def test_ciphertext_roundtrip_bitwise(small_params, small_keys, rng):
@@ -65,24 +64,29 @@ def test_truncated_artifact_rejected(small_params, small_keys):
 
 
 def test_key_material_roundtrip(small_params):
-    keys = keygen(small_params, rotation_steps=(1, 2), rng_seed=77)
+    keys = keygen(small_params, rng_seed=77)
     sec = serialize_secret_key(keys)
     pub = serialize_public_key(keys.public)
-    gal = serialize_galois_keys(keys.public)
-    back = deserialize_key_material(sec, pub, small_params, galois_data=gal)
+    back = deserialize_key_material(sec, pub, small_params)
     assert np.array_equal(back.secret_key.poly.residues,
                           keys.secret_key.poly.residues)
-    assert sorted(back.galois_keys) == [1, 2]
-    # restored keys decrypt and rotate like the originals
-    v = np.zeros(small_params.slot_count)
-    v[:3] = [1.0, 2.0, 3.0]
-    ct = encrypt(encode(v, small_params), back, 9)
-    got = decode(decrypt(rotate(ct, 2, back), back), small_params.slot_count)
-    assert np.abs(got - np.roll(v, -2)).max() < 1e-3
+    # restored keys encrypt and decrypt like the originals
+    v = np.array([1.0, 2.0, 3.0])
+    got = decode(decrypt(encrypt(encode(v, small_params), back, 9), keys), 3)
+    assert np.abs(got - v).max() < 1e-3
     # and re-serialize to identical bytes
     assert serialize_secret_key(back) == sec
     assert serialize_public_key(back.public) == pub
-    assert serialize_galois_keys(back.public) == gal
+
+
+def test_mismatched_key_pair_rejected(small_params):
+    # a secret key from one seed and a public key from another decrypt
+    # nothing, so the pair does not load
+    one, two = (keygen(small_params, rng_seed=s) for s in (1, 2))
+    with pytest.raises(FormatError, match="does not belong"):
+        deserialize_key_material(serialize_secret_key(one),
+                                 serialize_public_key(two.public),
+                                 small_params)
 
 
 def test_public_material_alone(small_params, small_keys):
@@ -108,17 +112,11 @@ def poly_bytes(residues) -> bytes:
 
 
 @pytest.fixture(scope="module")
-def rot_keys(small_params):
-    return keygen(small_params, rotation_steps=(1,), rng_seed=77)
-
-
-@pytest.fixture(scope="module")
-def artifacts(small_params, rot_keys):
-    ct = encrypt(encode([0.5, -0.5], small_params), rot_keys, 3)
+def artifacts(small_params, small_keys):
+    ct = encrypt(encode([0.5, -0.5], small_params), small_keys, 3)
     return {"ciphertext": serialize_ciphertext(ct),
-            "public": serialize_public_key(rot_keys.public),
-            "galois": serialize_galois_keys(rot_keys.public),
-            "secret": serialize_secret_key(rot_keys),
+            "public": serialize_public_key(small_keys.public),
+            "secret": serialize_secret_key(small_keys),
             "vector": serialize_float_vector(np.arange(4.0))}
 
 
@@ -127,14 +125,12 @@ def load(kind, blob, params, artifacts):
         return deserialize_ciphertext(blob, params)
     if kind == "public":
         return deserialize_public_material(blob, params)
-    if kind == "galois":
-        return deserialize_public_material(artifacts["public"], params, blob)
     if kind == "secret":
         return deserialize_key_material(blob, artifacts["public"], params)
     return deserialize_float_vector(blob)
 
 
-KINDS = ["ciphertext", "public", "galois", "secret", "vector"]
+KINDS = ["ciphertext", "public", "secret", "vector"]
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -147,13 +143,13 @@ def test_trailing_bytes_rejected(kind, small_params, artifacts):
 # offset of the first residue, and the row to patch
 @pytest.mark.parametrize("kind,start,row", [
     ("ciphertext", 24, 0), ("ciphertext", 24, 2), ("public", 13, 1),
-    ("galois", 18, 3), ("secret", 13, 3)])
+    ("secret", 13, 2)])
 def test_residue_at_its_prime_rejected(kind, start, row, small_params,
                                        artifacts):
     n = small_params.ring_degree
     blob = bytearray(artifacts[kind])
     struct.pack_into("<Q", blob, start + 8 * (row * n + 5),
-                     small_params.primes[row])
+                     small_params.modulus_chain[row])
     with pytest.raises(FormatError, match="below its prime"):
         load(kind, bytes(blob), small_params, artifacts)
 
@@ -170,41 +166,12 @@ def test_public_key_needs_chain_rows(rows, small_params):
             key_blob(b"CKP1", small_params, poly, poly), small_params)
 
 
-@pytest.mark.parametrize("rows", [1, 3])
-def test_secret_key_needs_extended_rows(rows, small_params, artifacts):
+@pytest.mark.parametrize("rows", [1, 2, 4])
+def test_secret_key_needs_chain_rows(rows, small_params, artifacts):
     poly = poly_bytes(np.zeros((rows, small_params.ring_degree)))
     with pytest.raises(FormatError, match=f"poly has {rows} primes"):
-        deserialize_key_material(key_blob(b"CKS1", small_params, poly),
+        deserialize_key_material(key_blob(b"CKS2", small_params, poly),
                                  artifacts["public"], small_params)
-
-
-def galois_blob(params, step, digits, rows) -> bytes:
-    poly = poly_bytes(np.zeros((rows, params.ring_degree)))
-    return key_blob(b"CKG1", params, poly * (2 * digits),
-                    head=struct.pack("<HHB", 1, step, digits))
-
-
-@pytest.mark.parametrize("step,digits,rows,match", [
-    (1, 3, 3, "poly has 3 primes"),
-    (1, 2, 4, "2 digits"),
-    (1, 4, 4, "4 digits"),
-    (0, 3, 4, "step 0"),
-    (512, 3, 4, "step 512")], ids=["rows", "digits-2", "digits-4", "step-0",
-                                  "step-slots"])
-def test_galois_key_layout_checked(step, digits, rows, match, small_params,
-                                   artifacts):
-    with pytest.raises(FormatError, match=match):
-        deserialize_public_material(artifacts["public"], small_params,
-                                    galois_blob(small_params, step, digits,
-                                                rows))
-
-
-def test_galois_step_repeated_rejected(small_params, artifacts):
-    one = artifacts["galois"][14:]  # the step entry after the count
-    blob = key_blob(b"CKG1", small_params, one, one,
-                    head=struct.pack("<H", 2))
-    with pytest.raises(FormatError, match="repeated"):
-        deserialize_public_material(artifacts["public"], small_params, blob)
 
 
 def test_ciphertext_beyond_chain_rejected(small_params, artifacts):
