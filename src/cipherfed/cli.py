@@ -119,12 +119,14 @@ def cmd_compare(args) -> int:
 
 def cmd_inspect(args) -> int:
     from .fhe.serial import (MAGIC_CIPHERTEXT, MAGIC_FLOAT_VECTOR,
-                             MAGIC_PUBLIC_KEY, MAGIC_SECRET_KEY, Reader)
+                             MAGIC_PUBLIC_KEY, MAGIC_SECRET_KEY, MAGIC_SEEDED,
+                             Reader)
     data = Path(args.path).read_bytes()
     size = len(data)
     r = Reader(data, f"{data[:4]!r} header")
     magic = r.take(4)
-    if magic in (MAGIC_SECRET_KEY, MAGIC_PUBLIC_KEY, MAGIC_CIPHERTEXT):
+    if magic in (MAGIC_SECRET_KEY, MAGIC_PUBLIC_KEY, MAGIC_CIPHERTEXT,
+                 MAGIC_SEEDED):
         digest = r.take(8)
     if magic == MAGIC_SECRET_KEY:
         print("kind   : secret key")
@@ -135,9 +137,10 @@ def cmd_inspect(args) -> int:
         print("kind   : public key")
         print(f"digest : {digest.hex()}")
         print(f"size   : {size} bytes")
-    elif magic == MAGIC_CIPHERTEXT:
+    elif magic in (MAGIC_CIPHERTEXT, MAGIC_SEEDED):
         level, scale, chunks = r.unpack("BdH")
-        print("kind   : ciphertext")
+        print("kind   : " + ("ciphertext" if magic == MAGIC_CIPHERTEXT
+                             else "seeded ciphertext"))
         print(f"digest : {digest.hex()}")
         print(f"level  : {level}")
         print(f"scale  : {scale:.6g}")

@@ -97,7 +97,8 @@ def run_socket_federation(initial_model, config: RoundConfig,
     coordinator = FederationCoordinator(
         expected_clients=config.client_count, rounds=config.rounds,
         mode=mode, material=material if mode == "fhe" else None, sink=sink,
-        convergence_delta=config.convergence_delta)
+        convergence_delta=config.convergence_delta,
+        quantization=config.quantization)
     results: dict[int, HybridModel] = {}
     client_errors: dict[int, Exception] = {}
     client_channels: list[SocketChannel] = []

@@ -2,12 +2,14 @@
 
 This module is the server's entire capability surface: it imports no
 decryption routine and no secret-bearing type, and it rejects key
-material that carries more than the public part. Aggregation computes
-the sample-count-weighted sum over each client's whole ciphertext batch
-at once, with a single rescale after the additions.
+material that carries more than the public part. Aggregation multiplies
+each client's whole ciphertext batch by its integer sample count, adds
+the products and divides by the total through the scale: no rescale.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -15,8 +17,10 @@ from ..errors import (AlignmentError, CipherfedError, ParameterError,
                       ProtocolError)
 from ..fhe.encoding import encode_scalar
 from ..fhe.keys import PublicMaterial
-from ..fhe.ops import Ciphertext, add_ct, mul_plain, rescale
-from .client import chunk_count_for
+from ..fhe.ops import Ciphertext, add_ct, mul_plain
+from ..fhe.ops import rescale  # perfbench --trace wraps it; ROADMAP item 1
+from .client import chunk_count_for, sample_capacity
+from .quantize import QuantizationSpec
 from .transport import (CONVERGED_REASON, MSG_ABORT, MSG_GLOBAL, MSG_JOIN,
                         MSG_METRICS, MSG_UPDATE, Message, decode_join,
                         decode_metrics, decode_update, encode_global)
@@ -74,18 +78,21 @@ def aggregation_weights(updates) -> list[float]:
 
 
 def aggregate(updates, material: PublicMaterial) -> Ciphertext:
-    """Weighted encrypted sum: S = sum_k E(w_k) * (n_k / n_total) over
-    the clients' ciphertext batches, rescaled once at the end. The result
-    is one batch, one level below the inputs."""
+    """Weighted encrypted mean over the clients' ciphertext batches:
+    S = sum_k n_k * E(w_k), each n_k an integer plaintext of scale 1, at
+    scale (input scale) * n_total, so that decoding divides by n_total.
+    The result is one batch at the inputs' level."""
     public = _require_public(material)
     _check_updates(updates)
     updates = sorted(updates, key=lambda u: u.client_id)
-    params, level = public.params, updates[0].chunks.level
+    params, first = public.params, updates[0].chunks
     acc = None
-    for w, u in zip(aggregation_weights(updates), updates):
-        term = mul_plain(u.chunks, encode_scalar(w, params, level=level))
+    for u in updates:
+        term = mul_plain(u.chunks, encode_scalar(
+            u.sample_count, params, level=first.level, scale=1.0))
         acc = term if acc is None else add_ct(acc, term)
-    return rescale(acc)
+    return replace(acc, scale=first.scale
+                   * sum(u.sample_count for u in updates))
 
 
 def aggregate_plain(updates) -> np.ndarray:
@@ -129,11 +136,15 @@ class FederationCoordinator:
 
     def __init__(self, expected_clients: int, rounds: int, mode: str,
                  material: PublicMaterial | None = None, sink=None,
-                 convergence_delta: float | None = None):
+                 convergence_delta: float | None = None,
+                 quantization: QuantizationSpec = QuantizationSpec()):
         if mode == "fhe":
             self.material = _require_public(material)
+            self.sample_capacity = sample_capacity(self.material.params,
+                                                   quantization)
         else:
             self.material = None
+            self.sample_capacity = None
         self.expected_clients = expected_clients
         self.rounds = rounds
         self.mode = mode
@@ -187,6 +198,11 @@ class FederationCoordinator:
         if sorted(by_id) != list(range(self.expected_clients)):
             raise ProtocolError(f"client ids {sorted(by_id)} do not cover "
                                 f"0..{self.expected_clients - 1}")
+        total = sum(joined.values())
+        if self.sample_capacity is not None and total > self.sample_capacity:
+            raise ProtocolError(
+                f"clients joined with {total} samples; a level-0 encrypted "
+                f"sum holds at most {self.sample_capacity}")
         clients = [(cid, by_id[cid]) for cid in sorted(by_id)]
 
         params = self.material.params if self.material is not None else None

@@ -6,7 +6,8 @@ channel implementation, `SocketChannel`, carries frames over a stream
 socket. Serialization is lossless, so a socket run's results equal the
 direct transport's. Every payload is read through one bounds-checked
 `Reader` and must be consumed exactly. An UPDATE or GLOBAL carries one
-artifact, and the run's mode says which one.
+artifact, and the run's mode says which one: on an fhe run a `CKV3`
+seeded batch up and a `CKV2` batch down.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ import numpy as np
 
 from ..errors import ProtocolError
 from ..fhe.serial import (Reader, deserialize_ciphertext,
-                          deserialize_float_vector, serialize_ciphertext,
-                          serialize_float_vector)
+                          deserialize_float_vector, deserialize_seeded,
+                          serialize_ciphertext, serialize_float_vector,
+                          serialize_seeded)
 from .client import ClientUpdate, PlainUpdate
 
 MSG_JOIN = 1
@@ -119,8 +121,7 @@ def decode_join(payload: bytes) -> tuple[int, int]:
 
 def encode_update(update) -> bytes:
     if isinstance(update, ClientUpdate):
-        count, artifact = (update.param_count,
-                           serialize_ciphertext(update.chunks))
+        count, artifact = update.param_count, serialize_seeded(update.chunks)
     else:
         count, artifact = (update.values.size,
                            serialize_float_vector(update.values))
@@ -131,11 +132,13 @@ def encode_update(update) -> bytes:
 def decode_update(payload: bytes, round_index: int, params):
     r = Reader(payload, "UPDATE payload", ProtocolError)
     client_id, sample_count, param_count = r.unpack("HQI")
-    artifact = decode_global(payload[r.pos:], params)
     if params is not None:
-        return ClientUpdate(client_id=client_id, chunks=artifact,
+        return ClientUpdate(client_id=client_id,
+                            chunks=deserialize_seeded(payload[r.pos:],
+                                                      params),
                             sample_count=sample_count,
                             round_index=round_index, param_count=param_count)
+    artifact = deserialize_float_vector(payload[r.pos:])
     if artifact.size != param_count:
         raise ProtocolError(f"plain update carries {artifact.size} values "
                             f"for {param_count} parameters")
@@ -150,9 +153,9 @@ def encode_global(agg) -> bytes:
 
 
 def decode_global(payload: bytes, params):
-    """The one artifact that is a GLOBAL payload and ends an UPDATE: a
-    `CKV2` ciphertext batch on an fhe run, where `params` is given, and a
-    `CKF1` vector on a plaintext run."""
+    """The one artifact that is a GLOBAL payload: a `CKV2` ciphertext
+    batch on an fhe run, where `params` is given, and a `CKF1` vector on
+    a plaintext run."""
     if params is None:
         return deserialize_float_vector(payload)
     return deserialize_ciphertext(payload, params)

@@ -59,6 +59,15 @@ def encode(values, params: EncryptionParams, level: int | None = None,
     are zero-padded to the slot count. Decoding the result recovers the
     inputs to within ~2^-30 at the default scale of 2^40.
     """
+    pt = encode_coeffs(values, params, level, scale)
+    return Plaintext(poly=ntt_forward(pt.poly), scale=pt.scale,
+                     level=pt.level)
+
+
+def encode_coeffs(values, params: EncryptionParams, level: int | None = None,
+                  scale: float | None = None) -> Plaintext:
+    """encode() before its NTT: the coefficient-domain plaintext, to
+    which encrypt_symmetric adds its error before the one NTT."""
     level, scale = _level_and_scale(params, level, scale)
     vals = np.atleast_1d(np.asarray(values, dtype=np.float64))
     if vals.shape[-1] > params.slot_count:
@@ -73,7 +82,7 @@ def encode(values, params: EncryptionParams, level: int | None = None,
     rounded = _check_word(np.round(coeffs))
     poly = from_signed_coeffs(rounded.astype(np.int64), params,
                               tuple(range(level + 1)))
-    return Plaintext(poly=ntt_forward(poly), scale=scale, level=level)
+    return Plaintext(poly=poly, scale=scale, level=level)
 
 
 def encode_scalar(c: float, params: EncryptionParams, level: int | None = None,

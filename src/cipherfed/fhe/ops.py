@@ -9,6 +9,7 @@ there is no ciphertext-ciphertext multiplication and no bootstrapping.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +20,13 @@ from .encoding import Plaintext
 from .keys import KeyMaterial, public_part
 from .nttmath import shoup_constant, shoup_mul, submod
 from .params import EncryptionParams
-from .poly import (COEFF, NTT, RingPoly, from_signed_coeffs, ntt_forward,
-                   sample_gaussian, sample_ternary)
+from .poly import (COEFF, NTT, RingPoly, expand_seed, from_signed_coeffs,
+                   ntt_forward, sample_gaussian, sample_ternary)
 
 SCALE_MATCH_RTOL = 2.0 ** -30
+SEED_BYTES = 32
+# hashed with a chunk's seed int into the 32-byte seed of its c1
+_SEED_TAG = b"cipherfed CKV3 c1"
 
 
 @dataclass(frozen=True)
@@ -31,6 +35,9 @@ class Ciphertext:
     c1: RingPoly
     scale: float
     level: int
+    # a level-0 batch from encrypt_symmetric or the `CKV3` reader: chunk
+    # i's c1 is expanded from seeds[i], 32 bytes
+    seeds: tuple[bytes, ...] | None = None
 
     def __post_init__(self):
         if self.c0.domain_tag != self.c1.domain_tag:
@@ -50,7 +57,8 @@ class Ciphertext:
         return self.c0.batch_shape[0]
 
     def __getitem__(self, i) -> "Ciphertext":
-        """Chunk i of a batch (a slice gives a sub-batch), as a view."""
+        """Chunk i of a batch (a slice gives a sub-batch), as a view
+        without the seeds."""
         len(self)  # a single ciphertext has no chunks
         return Ciphertext(self.c0._like(self.c0.residues[i]),
                           self.c1._like(self.c1.residues[i]), self.scale,
@@ -78,6 +86,50 @@ def encrypt(pt: Plaintext, keys, rng_seed=0) -> Ciphertext:
     c0 = v.mul_fixed(pub.pk0).add(e0).add(pt.poly)
     c1 = v.mul_fixed(pub.pk1).add(e1)
     return Ciphertext(c0=c0, c1=c1, scale=pt.scale, level=pt.level)
+
+
+def expand_c1(seeds, params: EncryptionParams) -> RingPoly:
+    """The level-0 NTT-domain batch whose chunk i is expanded from
+    seeds[i]: the c1 of a seeded ciphertext."""
+    q0, n = params.modulus_chain[0], params.ring_degree
+    return RingPoly(params, (0,), np.stack(
+        [expand_seed(s, q0, n) for s in seeds])[:, None, :], NTT)
+
+
+def encrypt_symmetric(pt: Plaintext, keys: KeyMaterial,
+                      rng_seed) -> Ciphertext:
+    """Seeded secret-key encryption of a coefficient-domain level-0
+    batch (encode_coeffs), deterministic in rng_seed: one int per chunk.
+
+    Chunk i's 32-byte seed is SHA-256 of a tag and its int; c1 = a is
+    expanded from that seed, and c0 = -a*s + NTT(m + e). The error e goes
+    into the coefficients, so a chunk takes one 1-row NTT. e is drawn
+    from a generator seeded by the int itself, which never goes on the
+    wire. This is the compressed symmetric ciphertext of SEAL's
+    Encryptor::encrypt_symmetric.
+    """
+    if not isinstance(keys, KeyMaterial):
+        raise ParameterError("secret-key encryption requires full key "
+                             "material")
+    params, poly = keys.params, pt.poly
+    if poly.params != params:
+        raise ParameterError("plaintext was encoded under different parameters")
+    if pt.level != 0 or poly.domain_tag != COEFF:
+        raise DomainError("seeded encryption takes a level-0 "
+                          "coefficient-domain plaintext")
+    ints = np.asarray(rng_seed, dtype=object)
+    if ints.ndim != 1 or ints.shape != poly.batch_shape:
+        raise ShapeError(f"one seed per chunk of a batch needed, got "
+                         f"{ints.shape}")
+    seeds = tuple(hashlib.sha256(_SEED_TAG + int(s).to_bytes(8, "little"))
+                  .digest() for s in ints)
+    e = np.reshape([sample_gaussian(params, (0,), np.random.default_rng(
+        np.random.SeedSequence([int(s), 0x5EC]))).residues for s in ints],
+        poly.residues.shape)
+    a = expand_c1(seeds, params)
+    c0 = a.mul_fixed(keys.secret_key).neg().add(
+        ntt_forward(poly.add(poly._like(e))))
+    return Ciphertext(c0=c0, c1=a, scale=pt.scale, level=0, seeds=seeds)
 
 
 def decrypt(ct: Ciphertext, keys: KeyMaterial) -> Plaintext:

@@ -13,6 +13,7 @@ one, in word arithmetic; no multiply uses object dtype.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,3 +166,21 @@ def sample_uniform(params: EncryptionParams, prime_indices: tuple[int, ...],
         res[row] = rng.integers(0, params.modulus_chain[idx],
                                 params.ring_degree, dtype=np.uint64)
     return RingPoly(params, prime_indices, res, COEFF)
+
+
+def expand_seed(seed: bytes, q: int, n: int) -> np.ndarray:
+    """The n residues below q that `seed` expands to: its SHAKE-128
+    stream read as 8-byte little-endian words, each masked to q's bit
+    length and kept if below q, the first n kept in order (see
+    docs/protocol.md). The stream is read far enough for n with a wide
+    margin, and further in the rare case that is short."""
+    bits = q.bit_length()
+    mask, q64 = np.uint64((1 << bits) - 1), np.uint64(q)
+    words = n * (1 << bits) // q + n // 8 + 64
+    while True:
+        w = np.frombuffer(hashlib.shake_128(seed).digest(8 * words),
+                          dtype="<u8") & mask
+        kept = w[w < q64]
+        if kept.size >= n:
+            return kept[:n].astype(np.uint64)
+        words *= 2

@@ -15,16 +15,18 @@ import numpy as np
 
 from ..errors import FormatError, ParameterError
 from .keys import KeyMaterial, PublicMaterial
-from .ops import Ciphertext
+from .ops import SEED_BYTES, Ciphertext, expand_c1
 from .params import EncryptionParams
 from .poly import NTT, RingPoly, ShoupPoly, ntt_inverse
 
 MAGIC_CIPHERTEXT = b"CKV2"
+MAGIC_SEEDED = b"CKV3"
 MAGIC_SECRET_KEY = b"CKS2"
 MAGIC_PUBLIC_KEY = b"CKP1"
 MAGIC_FLOAT_VECTOR = b"CKF1"
 
-_MAGICS = {MAGIC_CIPHERTEXT: "ciphertext", MAGIC_SECRET_KEY: "secret key",
+_MAGICS = {MAGIC_CIPHERTEXT: "ciphertext",
+           MAGIC_SEEDED: "seeded ciphertext", MAGIC_SECRET_KEY: "secret key",
            MAGIC_PUBLIC_KEY: "public key", MAGIC_FLOAT_VECTOR: "float vector"}
 
 # pk0 + pk1*s of a matching key pair is the key noise e, whose
@@ -108,28 +110,59 @@ def _read_key(r: Reader, params: EncryptionParams) -> ShoupPoly:
     return ShoupPoly.wrap(_read_poly(r, params, range(rows, rows + 1)))
 
 
+def _header(ct: Ciphertext, magic: bytes, chunks: int) -> bytes:
+    return magic + ct.params.digest + struct.pack("<BdH", ct.level, ct.scale,
+                                                  chunks)
+
+
+def _read_header(r: Reader) -> tuple[int, float, int]:
+    """Level, scale and chunk count of a `CKV2` or `CKV3` batch."""
+    level, scale, chunks = r.unpack("BdH")
+    if not 0.0 < scale < math.inf:
+        raise FormatError(f"ciphertext scale {scale} is not finite and "
+                          "positive")
+    if chunks < 1:
+        raise FormatError(f"{r.what} batch has no chunks")
+    return level, scale, chunks
+
+
 def serialize_ciphertext(ct: Ciphertext) -> bytes:
     """One `CKV2` batch; a ciphertext without a batch axis is a batch of
     one chunk."""
-    chunks = math.prod(ct.c0.batch_shape)
-    return b"".join([MAGIC_CIPHERTEXT, ct.params.digest,
-                     struct.pack("<BdH", ct.level, ct.scale, chunks),
+    return b"".join([_header(ct, MAGIC_CIPHERTEXT,
+                             math.prod(ct.c0.batch_shape)),
                      _poly_bytes(ct.c0), _poly_bytes(ct.c1)])
 
 
 def deserialize_ciphertext(data: bytes, params: EncryptionParams) -> Ciphertext:
     """A `CKV2` artifact as a batch of at least one chunk."""
     r = _open(data, MAGIC_CIPHERTEXT, params)
-    level, scale, chunks = r.unpack("BdH")
-    if not 0.0 < scale < math.inf:
-        raise FormatError(f"ciphertext scale {scale} is not finite and "
-                          "positive")
-    if chunks < 1:
-        raise FormatError("ciphertext batch has no chunks")
+    level, scale, chunks = _read_header(r)
     rows = range(1, len(params.modulus_chain) + 1)
     c0, c1 = (_read_poly(r, params, rows, (chunks,)) for _ in range(2))
     r.end()
     return Ciphertext(c0=c0, c1=c1, scale=scale, level=level)
+
+
+def serialize_seeded(ct: Ciphertext) -> bytes:
+    """One `CKV3` batch, an encrypt_symmetric output: the `CKV2` header,
+    each chunk's seed, then c0; c1 is left for the reader to expand."""
+    if ct.seeds is None:
+        raise FormatError("only a seeded ciphertext is written as CKV3")
+    return b"".join([_header(ct, MAGIC_SEEDED, len(ct.seeds)), *ct.seeds,
+                     _poly_bytes(ct.c0)])
+
+
+def deserialize_seeded(data: bytes, params: EncryptionParams) -> Ciphertext:
+    """A `CKV3` artifact as a level-0 batch, its c1 re-expanded from the
+    seeds."""
+    r = _open(data, MAGIC_SEEDED, params)
+    level, scale, chunks = _read_header(r)
+    seeds = tuple(r.take(SEED_BYTES) for _ in range(chunks))
+    c0 = _read_poly(r, params, range(1, 2), (chunks,))
+    r.end()
+    return Ciphertext(c0=c0, c1=expand_c1(seeds, params), scale=scale,
+                      level=level, seeds=seeds)
 
 
 def serialize_secret_key(keys: KeyMaterial) -> bytes:

@@ -13,6 +13,7 @@ from .errors import ConfigError
 from .fhe.keys import KeyMaterial, keygen
 from .fhe.serial import (deserialize_key_material, serialize_public_key,
                          serialize_secret_key)
+from .federation.client import sample_capacity
 from .federation.metrics import MetricsSink
 from .federation.rounds import (MODES, RoundConfig, federated_rounds,
                                 run_federated_training)
@@ -68,12 +69,23 @@ def build_model(cfg: RunConfig, feature_count: int,
 
 
 def round_config(cfg: RunConfig, parts) -> RoundConfig:
-    return RoundConfig.for_datasets(
+    """The round config of a run on `parts`. Its sample total must fit a
+    level-0 encrypted sum under the run's encryption and quantization,
+    whichever arm runs, so that one config serves both."""
+    rc = RoundConfig.for_datasets(
         parts, rounds=cfg.rounds, learning_rate=cfg.learning_rate,
         batch_size=cfg.batch_size, epochs_per_round=cfg.epochs_per_round,
         base_seed=cfg.seed, convergence_delta=cfg.convergence_delta,
         quantization=cfg.quantization,
         deterministic_timing=cfg.deterministic_timing)
+    total = sum(rc.sample_counts)
+    capacity = sample_capacity(cfg.encryption, cfg.quantization)
+    if total > capacity:
+        raise ConfigError(
+            f"{total} samples across the clients exceed the {capacity} "
+            "that a level-0 encrypted sum holds: n_total * (clip_range * "
+            "scale + 2^10) must stay below q0 / 2")
+    return rc
 
 
 def _start(cfg: RunConfig, parts, test: Dataset):

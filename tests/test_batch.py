@@ -12,8 +12,9 @@ from cipherfed.federation import server
 from cipherfed.federation import transport as T
 from cipherfed.federation.client import derive_seed, encrypt_model
 from cipherfed.federation.quantize import QuantizationSpec, quantize
-from cipherfed.fhe import (add_ct, decode, decrypt, encode, encode_scalar,
-                           encrypt, mul_plain, rescale)
+from cipherfed.fhe import (add_ct, decode, decrypt, encode, encode_coeffs,
+                           encode_scalar, encrypt, encrypt_symmetric,
+                           mul_plain, rescale)
 from cipherfed.model import flatten_weights
 from cipherfed.qsim import PqcArchitecture
 
@@ -86,25 +87,37 @@ def test_batch_ntt_equals_per_matrix(small_params, chunks):
         assert np.array_equal(inv, mats)
 
 
+def test_seeded_batch_equals_per_chunk(small_params, small_keys):
+    params, keys = small_params, small_keys
+    vals = np.random.default_rng(5).uniform(-1, 1, (7, params.slot_count))
+    seeds = [derive_seed(9, i) for i in range(7)]
+    ct = encrypt_symmetric(encode_coeffs(vals, params, level=0), keys, seeds)
+    cts = [encrypt_symmetric(encode_coeffs(v[None], params, level=0), keys,
+                             [s]) for v, s in zip(vals, seeds)]
+    assert_batch_equal(ct, [c[0] for c in cts])
+    assert ct.seeds == tuple(c.seeds[0] for c in cts)
+    assert ct.level == 0 and ct.scale == params.scale
+
+
 def per_chunk_update(model, keys, client_id, sample_count, rng_seed):
-    """The UPDATE payload built chunk by chunk, one encode and one
-    encrypt per slot-sized slice, laid out by hand: the header, then each
-    half's prime count and every chunk's residues, chunk after chunk.
-    The reference for the batch path and for `CKV2`."""
+    """The UPDATE payload built chunk by chunk, one encode and one seeded
+    encrypt per slot-sized slice, laid out by hand: the header, every
+    chunk's seed, then c0's prime count and every chunk's residues,
+    chunk after chunk. The reference for the batch path and for `CKV3`."""
     params = keys.params
     weights = quantize(flatten_weights(model), QuantizationSpec())
     slots = params.slot_count
-    cts = [encrypt(encode(weights[start:start + slots], params), keys,
-                   rng_seed=derive_seed(rng_seed, i))
+    cts = [encrypt_symmetric(encode_coeffs(weights[None, start:start + slots],
+                                           params, level=0), keys,
+                             [derive_seed(rng_seed, i)])
            for i, start in enumerate(range(0, weights.size, slots))]
     top = cts[0]
     out = [struct.pack("<HQI", client_id, sample_count, weights.size),
-           b"CKV2", params.digest,
+           b"CKV3", params.digest,
            struct.pack("<BdH", top.level, top.scale, len(cts))]
-    for half in ("c0", "c1"):
-        out.append(struct.pack("<B", top.level + 1))
-        out.extend(getattr(ct, half).residues.astype("<u8").tobytes()
-                   for ct in cts)
+    out.extend(ct.seeds[0] for ct in cts)
+    out.append(struct.pack("<B", top.level + 1))
+    out.extend(ct.c0.residues.astype("<u8").tobytes() for ct in cts)
     return b"".join(out)
 
 
@@ -150,4 +163,6 @@ def test_aggregate_is_one_batch(small_params, small_keys):
                          0, rng_seed=k) for k in range(3)]
     agg = server.aggregate(ups, small_keys.public)
     assert len(agg) == len(ups[0].chunks) == 4
-    assert agg.level == small_params.max_level - 1
+    # uploads are level 0 and aggregation does not rescale
+    assert agg.level == ups[0].chunks.level == 0
+    assert agg.scale == small_params.scale * (5 + 15 + 25)

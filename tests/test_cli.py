@@ -236,6 +236,19 @@ def test_inspect_ciphertext_batch(tmp_path, capsys, small_params,
     assert "chunks : 3" in out
 
 
+def test_inspect_seeded_batch(tmp_path, capsys, small_params, small_keys):
+    from cipherfed.fhe import encode_coeffs, encrypt_symmetric
+    from cipherfed.fhe.serial import serialize_seeded
+    ct = encrypt_symmetric(encode_coeffs(np.ones((2, 4)), small_params,
+                                         level=0), small_keys, [1, 2])
+    p = tmp_path / "update.ct"
+    p.write_bytes(serialize_seeded(ct))
+    assert main(["inspect", str(p)]) == 0
+    out = capsys.readouterr().out
+    assert "seeded ciphertext" in out and "level  : 0" in out
+    assert "scale  : 1.09951e+12" in out and "chunks : 2" in out
+
+
 def test_inspect_unknown_magic_exits_3(tmp_path, capsys):
     p = tmp_path / "junk.bin"
     p.write_bytes(b"WHAT is this file")
@@ -243,7 +256,8 @@ def test_inspect_unknown_magic_exits_3(tmp_path, capsys):
     assert "magic" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("magic,size", [("CKV2", 9), ("CKM1", 7),
+@pytest.mark.parametrize("magic,size", [("CKV2", 9), ("CKV3", 9),
+                                        ("CKM1", 7),
                                         ("CKF1", 6), ("CKS2", 11),
                                         ("CKP1", 11)])
 def test_inspect_truncated_header_exits_3(tmp_path, capsys, magic, size):

@@ -8,6 +8,7 @@ exactly, so any non-empty append raises.
 """
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -15,20 +16,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cipherfed import model as M
-from cipherfed.errors import CipherfedError
+from cipherfed.errors import CipherfedError, FormatError, ParameterError
 from cipherfed.federation import transport as T
 from cipherfed.federation.client import (ClientUpdate, PlainUpdate,
                                          encrypt_model)
 from cipherfed.federation.quantize import QuantizationSpec
-from cipherfed.fhe import (Ciphertext, decode, decrypt, encode, encrypt,
-                           keygen)
+from cipherfed.fhe import (Ciphertext, decode, decrypt, encode, encode_coeffs,
+                           encrypt, encrypt_symmetric, keygen)
 from cipherfed.fhe.keys import KeyMaterial, PublicMaterial
 from cipherfed.fhe.serial import (deserialize_ciphertext,
                                   deserialize_float_vector,
                                   deserialize_key_material,
                                   deserialize_public_material,
-                                  serialize_ciphertext, serialize_float_vector,
-                                  serialize_public_key, serialize_secret_key)
+                                  deserialize_seeded, serialize_ciphertext,
+                                  serialize_float_vector,
+                                  serialize_public_key, serialize_secret_key,
+                                  serialize_seeded)
 from cipherfed.qsim import PqcArchitecture
 
 class Format:
@@ -49,6 +52,9 @@ def formats(small_params):
     batches = {n: encrypt(encode(np.linspace(-1, 1, 8 * n).reshape(n, 8),
                                  params), keys, list(range(n)))
                for n in (2, 7)}
+    seeded = {n: encrypt_symmetric(encode_coeffs(
+        np.linspace(-1, 1, 8 * n).reshape(n, 8), params, level=0), keys,
+        list(range(n))) for n in (1, 2, 7)}
     sec = serialize_secret_key(keys)
     pub = serialize_public_key(keys.public)
     arch = PqcArchitecture(qubit_count=2, depth=2,
@@ -123,6 +129,10 @@ def formats(small_params):
                                lambda b: deserialize_ciphertext(b, params),
                                use_ct)
            for n, c in ((1, ct), *batches.items())},
+        **{f"CKV3-{n}": Format(serialize_seeded(c),
+                               lambda b: deserialize_seeded(b, params),
+                               use_ct)
+           for n, c in seeded.items()},
         "CKP1": Format(pub, lambda b: deserialize_public_material(b, params),
                        use_public),
         "CKS2": Format(sec, lambda b: deserialize_key_material(b, pub, params),
@@ -135,8 +145,8 @@ def formats(small_params):
 
 
 NAMES = ["frame-body", "JOIN", "UPDATE-fhe", "UPDATE-plain", "GLOBAL-fhe",
-         "GLOBAL-plain", "METRICS", "CKV2-1", "CKV2-2", "CKV2-7", "CKP1",
-         "CKS2", "CKF1", "CKM1"]
+         "GLOBAL-plain", "METRICS", "CKV2-1", "CKV2-2", "CKV2-7", "CKV3-1",
+         "CKV3-2", "CKV3-7", "CKP1", "CKS2", "CKF1", "CKM1"]
 
 
 @st.composite
@@ -210,3 +220,62 @@ def test_metrics_append_is_whitespace_or_rejected(formats, extra, tail):
     blob = formats["METRICS"].blob
     assert T.decode_metrics(blob + extra.encode()) == json.loads(blob)
     assert not decode_and_use(formats["METRICS"], blob + extra.encode() + tail)
+
+
+# --- the seeded upload, `CKV3` ----------------------------------------------
+
+SEEDED = ["CKV3-1", "CKV3-2", "CKV3-7"]
+
+
+@pytest.mark.parametrize("name", SEEDED)
+def test_seeded_every_truncation_rejected(formats, name):
+    fmt = formats[name]
+    for cut in range(len(fmt.blob)):
+        assert not decode_and_use(fmt, fmt.blob[:cut])
+
+
+@pytest.mark.parametrize("name", SEEDED)
+def test_seeded_trailing_bytes_rejected(formats, name):
+    fmt = formats[name]
+    for extra in (b"\0", b"\xff" * 8, fmt.blob[-32:]):
+        with pytest.raises(FormatError, match="trailing bytes"):
+            fmt.decode(fmt.blob + extra)
+
+
+def seeded_chunks(blob: bytes) -> int:
+    return struct.unpack_from("<H", blob, 21)[0]
+
+
+@pytest.mark.parametrize("name", SEEDED)
+def test_seeded_residue_at_prime_rejected(formats, small_params, name):
+    blob = bytearray(formats[name].blob)
+    # c0's first residue, past the header, the seeds and the row count
+    at = 23 + 32 * seeded_chunks(blob) + 1
+    struct.pack_into("<Q", blob, at, small_params.modulus_chain[0])
+    with pytest.raises(FormatError, match="not below its prime"):
+        formats[name].decode(bytes(blob))
+
+
+def test_seeded_without_chunks_rejected(formats):
+    blob = bytearray(formats["CKV3-1"].blob)
+    struct.pack_into("<H", blob, 21, 0)
+    with pytest.raises(FormatError, match="no chunks"):
+        formats["CKV3-1"].decode(bytes(blob))
+
+
+def test_seeded_wrong_digest_rejected(formats):
+    blob = bytearray(formats["CKV3-2"].blob)
+    blob[4] ^= 1
+    with pytest.raises(ParameterError, match="digest mismatch"):
+        formats["CKV3-2"].decode(bytes(blob))
+
+
+def test_public_key_batch_in_fhe_update_rejected(formats, small_params):
+    """On an fhe run an UPDATE carries `CKV3` only; a `CKV2` batch, the
+    GLOBAL artifact, is a malformed payload."""
+    update = formats["UPDATE-fhe"]
+    header = update.blob[:14]  # client id, sample count, param count
+    ckv2 = formats["GLOBAL-fhe"].blob
+    with pytest.raises(FormatError, match="expected seeded ciphertext but "
+                                          "found ciphertext artifact"):
+        update.decode(header + ckv2)

@@ -84,6 +84,17 @@ def test_decrypt_and_load_template_mismatch(toy_world):
         decrypt_and_load(upd.chunks[:0], keys, big)
 
 
+def test_decrypt_and_load_requires_exact_chunk_count(toy_world):
+    """A batch with a chunk more than the model fills is refused, not
+    cut down to size."""
+    from cipherfed.errors import ShapeError
+    keys, m = toy_world["keys"], toy_world["init"]
+    upd = encrypt_model(m, QuantizationSpec(), keys, 0, 1, 0)
+    assert len(upd.chunks) == 1
+    with pytest.raises(ShapeError, match="2 chunks .* which fill 1"):
+        decrypt_and_load(upd.chunks[[0, 0]], keys, m)
+
+
 def test_aggregate_single_client_identity(toy_world):
     keys = toy_world["keys"]
     m = toy_world["init"]

@@ -1,6 +1,11 @@
+import pytest
+
 from cipherfed import pipeline
 from cipherfed.config import parse_config
+from cipherfed.errors import ConfigError
+from cipherfed.federation.client import sample_capacity
 from cipherfed.federation.metrics import MetricsSink
+from cipherfed.federation.quantize import QuantizationSpec
 
 DOC = {"mode": "fhe", "seed": 7, "transport": "direct",
        "deterministic_timing": True,
@@ -53,3 +58,29 @@ def test_compare_rows_equal_each_arm_alone(tmp_path):
             pipeline.execute_run(cfg, mode=mode, sink=sink)
         assert path.read_bytes() == alone.read_bytes()
         assert path.read_bytes()
+
+
+def test_sample_capacity_at_the_defaults():
+    cfg = parse_config(DOC)
+    assert sample_capacity(cfg.encryption, cfg.quantization) == 65535
+    # half the clip range holds twice the samples
+    assert sample_capacity(cfg.encryption,
+                           QuantizationSpec(clip_range=4.0)) == 131071
+
+
+def test_round_config_rejects_samples_beyond_capacity():
+    cfg = parse_config(DOC)
+    assert sum(pipeline.round_config(
+        cfg, [range(40000), range(25535)]).sample_counts) == 65535
+    with pytest.raises(ConfigError, match="65536 samples across the clients "
+                                          "exceed the 65535"):
+        pipeline.round_config(cfg, [range(40000), range(25536)])
+
+
+def test_round_config_rejects_upload_without_room_for_one_sample():
+    """A 40-bit base prime at scale 2^40 and clip range 8 cannot hold a
+    single quantized weight at level 0."""
+    cfg = parse_config({**DOC, "encryption": {"ring_degree": 1024,
+                                              "chain_bits": [40, 40, 40]}})
+    with pytest.raises(ConfigError, match="exceed the 0 that a level-0"):
+        pipeline.round_config(cfg, [range(1), range(1)])

@@ -216,3 +216,106 @@ def test_ciphertext_scale_must_be_finite_positive(scale, small_params,
     struct.pack_into("<d", blob, 13, scale)
     with pytest.raises(FormatError, match="finite and positive"):
         deserialize_ciphertext(bytes(blob), small_params)
+
+
+# --- the seeded upload, `CKV3` ----------------------------------------------
+
+def spec_expansion(seed: bytes, q: int, n: int, shake=None) -> list[int]:
+    """The expansion as docs/protocol.md words it, one word at a time."""
+    import hashlib
+    shake = shake or hashlib.shake_128
+    bits = q.bit_length()
+    out, length = [], 0
+    while len(out) < n:
+        length += 1024
+        stream = shake(seed).digest(8 * length)
+        out = [w & ((1 << bits) - 1)
+               for w in (int.from_bytes(stream[i:i + 8], "little")
+                         for i in range(0, len(stream), 8))]
+        out = [v for v in out if v < q]
+    return out[:n]
+
+
+def test_seed_expansion_follows_protocol(small_params):
+    from cipherfed.fhe.poly import expand_seed
+    for q in (small_params.modulus_chain[0], small_params.modulus_chain[1],
+              (1 << 61) - 1):
+        for seed in (bytes(32), bytes(range(32))):
+            got = expand_seed(seed, q, 1024)
+            assert got.dtype == np.uint64
+            assert got.tolist() == spec_expansion(seed, q, 1024)
+    # a modulus just above a power of two keeps about half of the words
+    q = (1 << 40) + 1
+    assert expand_seed(b"s" * 32, q, 5000).tolist() == spec_expansion(
+        b"s" * 32, q, 5000)
+
+
+def test_seed_expansion_reads_on_past_a_short_stream(monkeypatch,
+                                                     small_params):
+    """A stream whose first words are all rejected: the expansion reads
+    further until it has n values, as the protocol says."""
+    import hashlib
+
+    from cipherfed.fhe import poly
+
+    real = hashlib.shake_128
+
+    class Shake:  # SHAKE-128 behind 4096 words that every prime rejects
+        def __init__(self, seed):
+            self.seed = seed
+
+        def digest(self, size):
+            return (b"\xff" * 8 * 4096 + real(self.seed).digest(size))[:size]
+
+    monkeypatch.setattr(poly.hashlib, "shake_128", Shake)
+    q = small_params.modulus_chain[0]
+    got = poly.expand_seed(bytes(32), q, 1024)
+    monkeypatch.undo()
+    assert got.tolist() == spec_expansion(bytes(32), q, 1024, Shake)
+    # the rejected words add nothing: the values are the real stream's
+    assert got.tolist() == poly.expand_seed(bytes(32), q, 1024).tolist()
+
+
+@pytest.mark.parametrize("chunks", [1, 2, 7])
+def test_seeded_batch_roundtrip_bitwise(chunks, small_params, small_keys,
+                                        rng):
+    from cipherfed.fhe import encode_coeffs, encrypt_symmetric
+    from cipherfed.fhe.serial import deserialize_seeded, serialize_seeded
+    values = rng.uniform(-8, 8, (chunks, 16))
+    ct = encrypt_symmetric(encode_coeffs(values, small_params, level=0),
+                           small_keys, list(range(10, 10 + chunks)))
+    blob = serialize_seeded(ct)
+    assert len(blob) == 23 + 32 * chunks + 1 + 8 * chunks * 1024
+    back = deserialize_seeded(blob, small_params)
+    assert back.seeds == ct.seeds and len(set(ct.seeds)) == chunks
+    assert np.array_equal(back.c0.residues, ct.c0.residues)
+    # the reader's c1, re-expanded from the seeds, is the sender's
+    assert np.array_equal(back.c1.residues, ct.c1.residues)
+    assert (back.level, back.scale) == (0, small_params.scale)
+    assert serialize_seeded(back) == blob
+    got = decode(decrypt(back, small_keys), 16)
+    assert np.abs(got - values).max() < 2.0 ** -28
+
+
+def test_seeded_encryption_needs_secret_key_and_level_0(small_params,
+                                                         small_keys):
+    from cipherfed.errors import DomainError, ShapeError
+    from cipherfed.fhe import encode_coeffs, encrypt_symmetric
+    pt = encode_coeffs(np.ones((2, 4)), small_params, level=0)
+    with pytest.raises(ParameterError, match="full key material"):
+        encrypt_symmetric(pt, small_keys.public, [1, 2])
+    with pytest.raises(ShapeError, match="one seed per chunk"):
+        encrypt_symmetric(pt, small_keys, [1])
+    for other in (encode(np.ones((2, 4)), small_params, level=0),
+                  encode_coeffs(np.ones((2, 4)), small_params, level=1)):
+        with pytest.raises(DomainError, match="level-0 coefficient"):
+            encrypt_symmetric(other, small_keys, [1, 2])
+
+
+def test_only_seeded_ciphertexts_are_written_as_ckv3(small_params,
+                                                     small_keys):
+    from cipherfed.fhe.serial import serialize_seeded
+    ct = encrypt(encode(np.ones((1, 4)), small_params, level=0), small_keys,
+                 [3])
+    with pytest.raises(FormatError, match="only a seeded ciphertext"):
+        serialize_seeded(ct)

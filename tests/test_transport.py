@@ -18,8 +18,11 @@ from cipherfed.federation.rounds import RoundConfig, run_federated_training
 from cipherfed.federation import runner
 from cipherfed.federation.runner import (run_socket_federation,
                                          run_transport_client)
+from cipherfed.federation import server
 from cipherfed.federation.server import FederationCoordinator
-from cipherfed.fhe.serial import serialize_ciphertext, serialize_float_vector
+from cipherfed.fhe import Ciphertext
+from cipherfed.fhe.serial import (serialize_ciphertext, serialize_float_vector,
+                                  serialize_seeded)
 from cipherfed.model import flatten_weights
 from cipherfed.qsim import PqcArchitecture
 
@@ -336,10 +339,10 @@ def scripted_round(mode, material, *frames):
 
 
 def encrypted_update(world):
-    """A client's `CKV2` batch and its parameter count."""
+    """A client's `CKV3` batch and its parameter count."""
     upd = encrypt_model(world["init"], QuantizationSpec(), world["keys"],
                         client_id=0, sample_count=10, round_index=0)
-    return serialize_ciphertext(upd.chunks), upd.param_count
+    return serialize_seeded(upd.chunks), upd.param_count
 
 
 def assert_aborted(world, payload):
@@ -371,6 +374,76 @@ def test_update_without_chunks_aborts_clients(world):
     struct.pack_into("<H", bad, 21, 0)  # chunk count, after level and scale
     error = assert_aborted(world, update_payload(count, bytes(bad)))
     assert isinstance(error, FormatError) and "no chunks" in str(error)
+
+
+def test_public_key_update_aborts_clients(world):
+    """A `CKV2` batch is a GLOBAL artifact; as an fhe UPDATE it is a
+    malformed payload."""
+    upd = encrypt_model(world["init"], QuantizationSpec(), world["keys"],
+                        client_id=0, sample_count=10, round_index=0)
+    public = serialize_ciphertext(upd.chunks)
+    error = assert_aborted(world, update_payload(upd.param_count, public))
+    assert isinstance(error, FormatError)
+    assert "expected seeded ciphertext but found ciphertext" in str(error)
+
+
+def joins_beyond_capacity(world, counts):
+    """Clients that JOIN with `counts` on an fhe run; returns the
+    coordinator's error and the next message each client receives."""
+    pairs = [channel_pair() for _ in counts]
+    for cid, (_srv, cli) in enumerate(pairs):
+        cli.send(T.Message(T.MSG_JOIN, 0, T.encode_join(cid, counts[cid])))
+    coordinator = FederationCoordinator(expected_clients=len(counts),
+                                        rounds=1, mode="fhe",
+                                        material=world["keys"].public)
+    with pytest.raises(ProtocolError) as info:
+        coordinator.run([srv for srv, _cli in pairs])
+    replies = [cli.recv(timeout=5.0) for _srv, cli in pairs]
+    for pair in pairs:
+        for ch in pair:
+            ch.close()
+    return info.value, replies
+
+
+@pytest.mark.parametrize("counts", [(40000, 30000), (1, 2 ** 64 - 1)])
+def test_join_counts_beyond_capacity_abort_every_client(world, counts):
+    error, replies = joins_beyond_capacity(world, counts)
+    assert f"joined with {sum(counts)} samples" in str(error)
+    assert "at most 65535" in str(error)
+    assert [m.mtype for m in replies] == [T.MSG_ABORT, T.MSG_ABORT]
+
+
+def test_padded_global_aborts_transport_client(world, small_params):
+    """A GLOBAL with one chunk more than the model fills is refused: the
+    client sends ABORT instead of loading it."""
+    srv, cli = channel_pair()
+    errors = []
+
+    def client():
+        try:
+            run_transport_client(cli, 0, world["parts"][0], world["test"],
+                                 world["init"], world["cfg"], world["keys"],
+                                 "fhe")
+        except CipherfedError as exc:
+            errors.append(exc)
+
+    thread = threading.Thread(target=client, daemon=True)
+    thread.start()
+    assert srv.recv(timeout=30.0).mtype == T.MSG_JOIN
+    upd = T.decode_update(srv.recv(timeout=30.0).payload, 0, small_params)
+    assert srv.recv(timeout=30.0).mtype == T.MSG_METRICS
+    one = upd.chunks
+    padded = Ciphertext(*(half._like(np.concatenate([half.residues] * 2))
+                          for half in (one.c0, one.c1)), one.scale, one.level)
+    srv.send(T.Message(T.MSG_GLOBAL, 0, T.encode_global(padded)))
+    reply = srv.recv(timeout=30.0)
+    thread.join(timeout=30.0)
+    srv.close()
+    cli.close()
+    assert not thread.is_alive()
+    assert reply.mtype == T.MSG_ABORT
+    assert reply.payload.startswith(b"ShapeError: 2 chunks")
+    assert errors and "fill 1" in str(errors[0])
 
 
 def test_non_protocol_failure_aborts_and_is_wrapped():
@@ -494,8 +567,8 @@ def test_ciphertext_payload_on_plaintext_run_rejected(world):
 
 def test_plain_payload_on_fhe_run_rejected(small_params):
     upd = PlainUpdate(0, np.array([0.5, -0.5]), 5, 0)
-    with pytest.raises(FormatError, match="expected ciphertext but found "
-                                          "float vector"):
+    with pytest.raises(FormatError, match="expected seeded ciphertext but "
+                                          "found float vector"):
         T.decode_update(T.encode_update(upd), 0, small_params)
     with pytest.raises(FormatError, match="expected ciphertext but found "
                                           "float vector"):
@@ -593,19 +666,50 @@ def test_wrong_mode_update_aborts_every_client(world):
     assert "client 1" in str(real_err[0])
 
 
-def test_mixed_level_update_aborts_every_client(world, small_params):
-    """Client 1 sends a well-formed batch one level below client 0's:
-    it decodes, but the updates cannot be averaged together."""
-    from cipherfed.fhe import encode, encrypt
-    weights = flatten_weights(world["init"])
-    low = encrypt(encode(weights[None, :], small_params,
-                         level=small_params.max_level - 1),
-                  world["keys"], [0])
-    payload = update_payload(weights.size, serialize_ciphertext(low),
-                             client_id=1)
+def test_mixed_scale_update_aborts_every_client(world, small_params):
+    """Client 1 sends a well-formed batch at half client 0's scale: it
+    decodes, but the updates cannot be averaged together. (Every `CKV3`
+    batch is at level 0, so the scale is what can differ.)"""
+    upd = encrypt_model(world["init"], QuantizationSpec(), world["keys"],
+                        client_id=1, sample_count=10, round_index=0,
+                        rng_seed=77)
+    blob = bytearray(serialize_seeded(upd.chunks))
+    struct.pack_into("<d", blob, 13, small_params.scale / 2)
+    payload = update_payload(upd.param_count, bytes(blob), client_id=1)
     error, real_err, reply = rogue_round(world, "fhe", world["keys"],
                                          payload)
     assert isinstance(error, AlignmentError)
-    assert "client 1 sent 1 chunks at level 1" in str(error)
+    assert (f"client 1 sent 1 chunks at level 0, scale "
+            f"{small_params.scale / 2}") in str(error)
     assert reply.mtype == T.MSG_ABORT
     assert real_err and "server aborted" in str(real_err[0])
+
+
+@pytest.mark.parametrize("transport", ["direct", "socket"])
+def test_upload_seeds_never_repeat(small_params, monkeypatch, transport):
+    """Two uploads that shared a seed would share `a`, and their
+    difference would show the server the difference of the weights:
+    across 2 chunks, 3 clients and 3 rounds every seed is new."""
+    from cipherfed.fhe import keygen
+    train, test = D.generate_synthetic("blobs", 150, 0.5, seed=8, classes=2,
+                                       dims=300)
+    parts = D.partition(train, D.PartitionSpec(client_count=3, rng_seed=1))
+    init = M.init_model(300, PqcArchitecture(qubit_count=2, depth=1), 2,
+                        rng_seed=3)
+    assert -(-init.param_count // small_params.slot_count) == 2
+    cfg = RoundConfig.for_datasets(parts, rounds=3, learning_rate=0.2,
+                                   batch_size=16, epochs_per_round=1,
+                                   base_seed=4, deterministic_timing=True)
+    seen = []
+    step = server.server_step
+
+    def recording(updates, mode, material):
+        seen.extend(s for u in updates for s in u.chunks.seeds)
+        return step(updates, mode, material)
+
+    monkeypatch.setattr(server, "server_step", recording)
+    run = (run_federated_training if transport == "direct"
+           else run_socket_federation)
+    run(init, cfg, parts, test, keygen(small_params, rng_seed=5), mode="fhe")
+    assert len(seen) == 2 * 3 * 3
+    assert len(set(seen)) == len(seen)
