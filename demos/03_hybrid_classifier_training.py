@@ -27,5 +27,6 @@ for epoch in range(8):
     print(f"{epoch + 1:>5} {tr_acc:>10.4f} {tr_loss:>11.4f} "
           f"{te_acc:>9.4f} {te_loss:>10.4f}")
 
-print("\nGradients for the quantum angles come from the parameter-shift "
-      "rule,\nchained with ordinary backprop through the dense layers.")
+print("\nGradients for the quantum angles come from one adjoint sweep back "
+      "through\nthe circuit per mini-batch, chained with ordinary backprop "
+      "through the\ndense layers.")

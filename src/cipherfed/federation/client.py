@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import ConfigError, ShapeError
 from ..fhe.encoding import decode, encode_coeffs
 from ..fhe.encoding import encode  # perfbench --trace wraps it; ROADMAP item 1
 from ..fhe.keys import KeyMaterial
@@ -63,6 +63,17 @@ def sample_capacity(params: EncryptionParams, spec: QuantizationSpec) -> int:
     prime. 65,535 at the defaults; 0 when q0 cannot hold one sample."""
     per_sample = math.ceil(spec.clip_range * params.scale) + NOISE_MARGIN
     return params.modulus_chain[0] // 2 // per_sample
+
+
+def check_sample_capacity(total: int, params: EncryptionParams,
+                          spec: QuantizationSpec) -> None:
+    """ConfigError unless `total` samples fit `sample_capacity`."""
+    capacity = sample_capacity(params, spec)
+    if total > capacity:
+        raise ConfigError(
+            f"{total} samples across the clients exceed the {capacity} "
+            "that a level-0 encrypted sum holds: n_total * (clip_range * "
+            "scale + 2^10) must stay below q0 / 2")
 
 
 def encrypt_model(model: HybridModel, spec: QuantizationSpec,

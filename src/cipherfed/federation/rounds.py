@@ -12,8 +12,8 @@ from ..errors import ConfigError, ProtocolError
 from ..fhe.keys import public_part
 from ..model import HybridModel, TrainingConfig, evaluate, train_epochs, unflatten_weights
 from . import server
-from .client import (decrypt_and_load, derive_seed, encrypt_model,
-                     plain_update)
+from .client import (check_sample_capacity, decrypt_and_load, derive_seed,
+                     encrypt_model, plain_update)
 from .metrics import MetricsSink, metrics_row
 from .quantize import QuantizationSpec
 
@@ -104,8 +104,9 @@ def run_round(global_model: HybridModel, config: RoundConfig, client_datasets,
               test_data, keys, round_index: int, mode: str = "fhe"):
     """One federation round. Every client trains from the same incoming
     global model, one after another in client-id order; a failed client
-    aborts the round with a protocol error naming it. Returns (new
-    global model, metric rows)."""
+    aborts the round with a protocol error naming it. In fhe mode a
+    sample total beyond `sample_capacity` is a ConfigError before any
+    training. Returns (new global model, metric rows)."""
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
     if len(client_datasets) != config.client_count:
@@ -115,6 +116,9 @@ def run_round(global_model: HybridModel, config: RoundConfig, client_datasets,
         if len(ds) != config.sample_counts[k]:
             raise ConfigError(f"client {k} dataset size {len(ds)} does not "
                               f"match configured {config.sample_counts[k]}")
+    if mode == "fhe":
+        check_sample_capacity(sum(config.sample_counts), keys.params,
+                              config.quantization)
     clock = _clock(config)
     round_start = clock()
     updates, rows = [], []

@@ -3,10 +3,10 @@ read-out head, softmax cross-entropy.
 
 The front-end activation is pi * tanh, which maps the dense output into
 the embedding range [-pi, pi]. Dense gradients come from ordinary
-backpropagation; the quantum layer's come from the parameter-shift rule,
-chained with the downstream gradient. Each gradient of the quantum layer
-stacks all its shifted circuits into one simulator call, split into
-calls of at most max(batch, STACK_AMPLITUDES // 2^n) rows (see `qsim`).
+backpropagation. The quantum layer's come from the adjoint method:
+`forward` keeps the circuit's final states, and `loss_and_grads` hands
+them with the downstream readout gradient to `qsim.readout_vjp`, one
+backward sweep per mini-batch for the angle and embedding gradients.
 Training is plain mini-batch SGD.
 """
 
@@ -18,8 +18,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, FormatError, ShapeError
-from .qsim import (PqcArchitecture, grad_angles_batch, grad_features_batch,
-                   run_pqc_batch)
+from .qsim import PqcArchitecture, expectations, final_states, readout_vjp
+# perfbench --trace wraps these three by these names; training calls none
+from .qsim import grad_angles_batch, grad_features_batch, run_pqc_batch
 
 CHECKPOINT_MAGIC = b"CKM1"
 
@@ -111,9 +112,11 @@ def forward(model: HybridModel, batch: np.ndarray):
         raise ShapeError(f"batch must be (B >= 1, {model.feature_count})")
     z1 = x @ model.w_in + model.b_in
     act = np.pi * np.tanh(z1)
-    readouts = run_pqc_batch(act, model.arch, model.angles)
+    states = final_states(act, model.arch, model.angles)
+    readouts = expectations(states, model.arch)
     logits = readouts @ model.w_out + model.b_out
-    cache = {"x": x, "z1": z1, "act": act, "readouts": readouts}
+    cache = {"x": x, "z1": z1, "act": act, "states": states,
+             "readouts": readouts}
     return logits, cache
 
 
@@ -138,11 +141,8 @@ def loss_and_grads(model: HybridModel, batch: np.ndarray, labels):
     g_b_out = dlogits.sum(axis=0)
     d_read = dlogits @ model.w_out.T  # (B, readouts)
 
-    act = cache["act"]
-    d_angles_per = grad_angles_batch(act, model.arch, model.angles)
-    g_angles = np.einsum("bdnr,br->dn", d_angles_per, d_read)
-    d_feat_per = grad_features_batch(act, model.arch, model.angles)
-    d_act = np.einsum("bnr,br->bn", d_feat_per, d_read)
+    g_angles, d_act = readout_vjp(cache["states"], cache["act"], model.arch,
+                                  model.angles, d_read)
 
     dz1 = d_act * np.pi * (1.0 - np.tanh(cache["z1"]) ** 2)
     g_w_in = cache["x"].T @ dz1

@@ -13,7 +13,7 @@ from .errors import ConfigError
 from .fhe.keys import KeyMaterial, keygen
 from .fhe.serial import (deserialize_key_material, serialize_public_key,
                          serialize_secret_key)
-from .federation.client import sample_capacity
+from .federation.client import check_sample_capacity
 from .federation.metrics import MetricsSink
 from .federation.rounds import (MODES, RoundConfig, federated_rounds,
                                 run_federated_training)
@@ -78,13 +78,8 @@ def round_config(cfg: RunConfig, parts) -> RoundConfig:
         base_seed=cfg.seed, convergence_delta=cfg.convergence_delta,
         quantization=cfg.quantization,
         deterministic_timing=cfg.deterministic_timing)
-    total = sum(rc.sample_counts)
-    capacity = sample_capacity(cfg.encryption, cfg.quantization)
-    if total > capacity:
-        raise ConfigError(
-            f"{total} samples across the clients exceed the {capacity} "
-            "that a level-0 encrypted sum holds: n_total * (clip_range * "
-            "scale + 2^10) must stay below q0 / 2")
+    check_sample_capacity(sum(rc.sample_counts), cfg.encryption,
+                          cfg.quantization)
     return rc
 
 

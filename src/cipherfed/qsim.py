@@ -7,12 +7,15 @@ training runs are deterministic. States carry at most MAX_QUBITS qubits
 to bound the 2^n amplitude array.
 
 Every routine works on a batch of states shaped (batch, 2^n); `run_pqc`
-and `param_shift_grad` wrap batch size 1. The parameter-shift gradients
-stack every +-pi/2 shifted copy of the batch on the batch axis and
-simulate them in one `run_pqc_batch` call. To bound memory, the stacked
-rows are split into calls of at most max(batch, STACK_AMPLITUDES // 2^n)
-rows: one call for small circuits, about one batch per call at
-MAX_QUBITS.
+and `param_shift_grad` wrap batch size 1. Training differentiates by
+the adjoint method (Jones & Gacon 2020, arXiv:2009.02823):
+`final_states` runs the circuit once, and `readout_vjp` contracts the
+readout gradient with the circuit in one backward sweep over the gates,
+for every angle and embedding feature at once. The parameter-shift
+gradients (`grad_angles_batch`, `grad_features_batch`) are the oracle:
+they stack every +-pi/2 shifted copy of the batch on the batch axis and
+simulate them in calls of at most max(batch, STACK_AMPLITUDES // 2^n)
+rows.
 """
 
 from __future__ import annotations
@@ -138,10 +141,34 @@ def _ring_perm(n: int) -> np.ndarray:
     return perm
 
 
-def _batch_z_expect(amps: np.ndarray, n: int, qubit: int) -> np.ndarray:
+@lru_cache(maxsize=MAX_QUBITS)
+def _ring_unperm(n: int) -> np.ndarray:
+    """The gather index that undoes `_ring_perm(n)`."""
+    inv = np.argsort(_ring_perm(n))
+    inv.flags.writeable = False
+    return inv
+
+
+@lru_cache(maxsize=MAX_QUBITS)
+def _z_signs(n: int) -> np.ndarray:
+    """(n, 2^n): row q is the diagonal of Pauli Z on qubit q."""
     idx = np.arange(2 ** n)
-    sign = 1.0 - 2.0 * ((idx >> (n - 1 - qubit)) & 1)
-    return np.sum((np.abs(amps) ** 2) * sign, axis=1)
+    signs = 1.0 - 2.0 * ((idx >> (n - 1 - np.arange(n)[:, None])) & 1)
+    signs.flags.writeable = False
+    return signs
+
+
+@lru_cache(maxsize=MAX_QUBITS)
+def _bit_flips(n: int) -> np.ndarray:
+    """(n, 2^n): row q is the gather index that flips qubit q."""
+    idx = np.arange(2 ** n)
+    flips = idx ^ (1 << (n - 1 - np.arange(n)[:, None]))
+    flips.flags.writeable = False
+    return flips
+
+
+def _batch_z_expect(amps: np.ndarray, n: int, qubit: int) -> np.ndarray:
+    return np.sum((np.abs(amps) ** 2) * _z_signs(n)[qubit], axis=1)
 
 
 def _batch_embed(features: np.ndarray, n: int) -> np.ndarray:
@@ -163,13 +190,12 @@ def _batch_layers(amps: np.ndarray, arch: PqcArchitecture,
     return amps
 
 
-def run_pqc_batch(features: np.ndarray, arch: PqcArchitecture,
-                  angles: np.ndarray) -> np.ndarray:
-    """Z expectations for a feature batch.
+def final_states(features: np.ndarray, arch: PqcArchitecture,
+                 angles: np.ndarray) -> np.ndarray:
+    """The (batch, 2^n) amplitudes the circuit leaves for a feature batch.
 
     features: (batch, qubit_count); angles: (depth, qubit_count) shared,
-    or (batch, depth, qubit_count) per element. Returns
-    (batch, len(readout)).
+    or (batch, depth, qubit_count) per element.
     """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[1] != arch.qubit_count:
@@ -177,11 +203,20 @@ def run_pqc_batch(features: np.ndarray, arch: PqcArchitecture,
     a = np.asarray(angles, dtype=np.float64)
     if a.ndim == 2:
         a = np.broadcast_to(a, (feats.shape[0],) + a.shape)
-    amps = _batch_embed(feats, arch.qubit_count)
-    amps = _batch_layers(amps, arch, a)
-    out = np.stack([_batch_z_expect(amps, arch.qubit_count, r)
-                    for r in arch.readout], axis=1)
-    return out
+    return _batch_layers(_batch_embed(feats, arch.qubit_count), arch, a)
+
+
+def expectations(states: np.ndarray, arch: PqcArchitecture) -> np.ndarray:
+    """(batch, len(readout)) Z expectations of `final_states` output."""
+    return np.stack([_batch_z_expect(states, arch.qubit_count, r)
+                     for r in arch.readout], axis=1)
+
+
+def run_pqc_batch(features: np.ndarray, arch: PqcArchitecture,
+                  angles: np.ndarray) -> np.ndarray:
+    """Z expectations for a feature batch, shaped (batch, len(readout));
+    arguments as for `final_states`."""
+    return expectations(final_states(features, arch, angles), arch)
 
 
 def run_pqc(features, arch: PqcArchitecture, params: PqcParams) -> np.ndarray:
@@ -243,6 +278,64 @@ def grad_features_batch(features: np.ndarray, arch: PqcArchitecture,
     rows = (feats[:, None, :] + np.concatenate([eye, -eye])).reshape(-1, n)
     out = _run_stacked(rows, arch, np.asarray(angles), b).reshape(b, 2, n, -1)
     return (out[:, 0] - out[:, 1]) / 2.0
+
+
+def _batch_pauli(amps: np.ndarray, n: int, qubit: int,
+                 axis: str) -> np.ndarray:
+    """A new array: sigma_axis on one qubit of every row. Z signs the
+    qubit's bit, X flips it, and sigma_y psi = -i sign * (psi flipped)."""
+    if axis == "Z":
+        return amps * _z_signs(n)[qubit]
+    flipped = amps[:, _bit_flips(n)[qubit]]
+    if axis == "Y":
+        flipped *= -1j * _z_signs(n)[qubit]
+    return flipped
+
+
+def _unrotate(pair: np.ndarray, sig: np.ndarray, half) -> None:
+    """pair <- (cos(half) + i sin(half) sigma) pair in place, the inverse
+    of a rotation by 2 * half, given sig = sigma pair (overwritten)."""
+    sig *= 1j * np.sin(half)
+    pair *= np.cos(half)
+    pair += sig
+
+
+def readout_vjp(states: np.ndarray, features: np.ndarray,
+                arch: PqcArchitecture, angles: np.ndarray,
+                d_read: np.ndarray):
+    """Adjoint gradient of sum_{b,r} d_read[b, r] <Z_r>_b.
+
+    `states` is `final_states(features, arch, angles)` for shared
+    (depth, qubit_count) angles; d_read is (batch, len(readout)).
+    Returns (g_angles (depth, qubit_count), d_features (batch,
+    qubit_count)). The observable is diagonal, so lambda = O psi. The
+    sweep walks the gates in reverse: at each rotation exp(-i t/2 sigma)
+    it adds Im<lambda|sigma|psi> to the gradient of t, then un-applies
+    the gate to psi and lambda stacked as one (2 * batch, 2^n) array.
+    """
+    n, b = arch.qubit_count, states.shape[0]
+    feats = np.asarray(features, dtype=np.float64)
+    angles = np.asarray(angles, dtype=np.float64)
+    signs = _z_signs(n)[list(arch.readout)]
+    pair = np.concatenate([states, (np.asarray(d_read) @ signs) * states])
+    g_angles = np.empty((arch.depth, n))
+    for layer in reversed(range(arch.depth)):
+        if n >= 2:
+            pair = pair[:, _ring_unperm(n)]
+        for qubit in reversed(range(n)):
+            axis, half = arch.axes[layer][qubit], angles[layer, qubit] / 2.0
+            sig = _batch_pauli(pair, n, qubit, axis)
+            g_angles[layer, qubit] = np.vdot(pair[b:], sig[:b]).imag
+            _unrotate(pair, sig, half)
+    half = np.concatenate([feats, feats]) / 2.0
+    d_features = np.empty((b, n))
+    for qubit in reversed(range(n)):
+        sig = _batch_pauli(pair, n, qubit, "X")
+        d_features[:, qubit] = np.einsum("bi,bi->b", pair[b:].conj(),
+                                         sig[:b]).imag
+        if qubit:
+            _unrotate(pair, sig, half[:, qubit, None])
+    return g_angles, d_features
 
 
 def param_shift_grad(features, arch: PqcArchitecture, params: PqcParams,

@@ -271,6 +271,37 @@ def test_run_round_trains_clients_in_order_in_caller_thread(toy_world,
                     for k in range(len(parts))]
 
 
+def test_run_round_rejects_samples_beyond_capacity(toy_world, monkeypatch):
+    """A RoundConfig built directly, not by pipeline.round_config, is
+    held to the level-0 capacity (65,535 samples) before any client
+    trains; a larger total would decrypt to a wrong mean."""
+    from cipherfed.federation import rounds
+
+    def training(*args):
+        raise AssertionError("a client trained")
+
+    monkeypatch.setattr(rounds, "train_epochs", training)
+
+    def blank(rows):
+        return D.Dataset(np.zeros((rows, 2)), np.zeros(rows, dtype=np.int64),
+                         3)
+
+    for counts, error, match in (
+            ((40000, 25536), ConfigError,
+             "65536 samples across the clients exceed the 65535"),
+            ((40000, 25535), ProtocolError, "a client trained")):
+        parts = [blank(c) for c in counts]
+        cfg = make_config(parts, rounds=1)
+        with pytest.raises(error, match=match):
+            run_round(toy_world["init"], cfg, parts, toy_world["test"],
+                      toy_world["keys"], 0, mode="fhe")
+    # the plaintext arm holds any total
+    with pytest.raises(ProtocolError, match="a client trained"):
+        run_round(toy_world["init"], make_config([blank(70000)], rounds=1),
+                  [blank(70000)], toy_world["test"], toy_world["keys"], 0,
+                  mode="plaintext")
+
+
 def test_training_zero_rounds_returns_initial(toy_world):
     parts = toy_world["parts"]
     cfg = make_config(parts, rounds=0)

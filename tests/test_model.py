@@ -90,6 +90,31 @@ def test_gradients_match_finite_differences(rng):
     assert rel.max() < 1e-4
 
 
+def test_forward_readouts_equal_run_pqc_batch(rng):
+    m = toy_model(seed=6, qubits=3)
+    _, cache = M.forward(m, rng.uniform(-1, 1, (9, 3)))
+    assert np.array_equal(cache["readouts"],
+                          qsim.run_pqc_batch(cache["act"], m.arch, m.angles))
+
+
+def test_training_never_simulates_shifted_circuits(rng, monkeypatch):
+    """The quantum layer's gradients come from one adjoint sweep, so the
+    stacked parameter-shift simulation must not run during training."""
+    def stacked(*args):
+        raise AssertionError("training ran the stacked shifted circuits")
+
+    monkeypatch.setattr(qsim, "_run_stacked", stacked)
+    m = toy_model(seed=21)
+    X = rng.uniform(-1, 1, (20, 3))
+    y = rng.integers(0, 2, 20)
+    _, grads = M.loss_and_grads(m, X, y)
+    assert np.all(np.isfinite(grads["angles"]))
+    cfg = M.TrainingConfig(learning_rate=0.1, batch_size=8,
+                           epochs_per_round=1, rng_seed=4)
+    trained = M.train_epochs(m, X, y, cfg)
+    assert not np.array_equal(trained.angles, m.angles)
+
+
 def test_label_out_of_range(rng):
     m = toy_model()
     with pytest.raises(DomainError):

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cipherfed import qsim
 from cipherfed.errors import ShapeError
@@ -306,3 +308,77 @@ def test_stacked_gradient_memory_bounded_at_max_qubits():
             tracemalloc.stop()
 
     assert peak(qsim.grad_angles_batch) <= 2 * peak(qsim.run_pqc_batch)
+
+
+# --- adjoint VJP vs the parameter-shift oracle -----------------------------
+
+@st.composite
+def architectures(draw):
+    """1-5 qubits, depth 1-3, a random axis grid and readout subset."""
+    n = draw(st.integers(1, 5))
+    depth = draw(st.integers(1, 3))
+    row = st.lists(st.sampled_from(qsim.AXES), min_size=n, max_size=n)
+    axes = draw(st.lists(row, min_size=depth, max_size=depth))
+    readout = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                            unique=True))
+    return qsim.PqcArchitecture(qubit_count=n, depth=depth,
+                                axes=tuple(map(tuple, axes)),
+                                readout=tuple(readout))
+
+
+@settings(max_examples=80, deadline=None)
+@given(arch=architectures(), batch=st.sampled_from([1, 32]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(arch=qsim.PqcArchitecture(qubit_count=1, depth=1), batch=1, seed=0)
+@example(arch=qsim.PqcArchitecture(qubit_count=1, depth=3, axes=(
+    ("X",), ("Y",), ("Z",))), batch=32, seed=1)
+def test_readout_vjp_matches_parameter_shift(arch, batch, seed):
+    rng = np.random.default_rng(seed)
+    feats = rng.uniform(-np.pi, np.pi, (batch, arch.qubit_count))
+    angles = rng.uniform(-np.pi, np.pi, (arch.depth, arch.qubit_count))
+    d_read = rng.normal(size=(batch, len(arch.readout)))
+    states = qsim.final_states(feats, arch, angles)
+    g_angles, d_feats = qsim.readout_vjp(states, feats, arch, angles, d_read)
+    want_angles = np.einsum("bdnr,br->dn",
+                            qsim.grad_angles_batch(feats, arch, angles),
+                            d_read)
+    want_feats = np.einsum("bnr,br->bn",
+                           qsim.grad_features_batch(feats, arch, angles),
+                           d_read)
+    assert g_angles.shape == want_angles.shape
+    assert d_feats.shape == want_feats.shape
+    assert np.abs(g_angles - want_angles).max() <= 1e-12
+    assert np.abs(d_feats - want_feats).max() <= 1e-12
+
+
+def test_per_architecture_constants_are_cached_read_only():
+    for table in (qsim._ring_perm, qsim._ring_unperm, qsim._z_signs,
+                  qsim._bit_flips):
+        assert table(5) is table(5)
+        assert not table(5).flags.writeable
+    assert np.array_equal(qsim._ring_perm(5)[qsim._ring_unperm(5)],
+                          np.arange(32))
+
+
+@pytest.mark.parametrize("qubits", [10, qsim.MAX_QUBITS])
+def test_readout_vjp_memory_bounded(qubits):
+    """The backward sweep holds psi and lambda plus one Pauli product:
+    within twice the forward simulation's peak."""
+    rng = np.random.default_rng(qubits)
+    arch = qsim.PqcArchitecture(qubit_count=qubits, depth=2, axes=(
+        tuple(qsim.AXES[q % 3] for q in range(qubits)),) * 2)
+    feats = rng.uniform(-np.pi, np.pi, (32, qubits))
+    angles = rng.uniform(-np.pi, np.pi, (arch.depth, qubits))
+    d_read = rng.normal(size=(32, qubits))
+    states = qsim.final_states(feats, arch, angles)
+
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert (peak(qsim.readout_vjp, states, feats, arch, angles, d_read)
+            <= 2 * peak(qsim.run_pqc_batch, feats, arch, angles))
