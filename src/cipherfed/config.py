@@ -18,7 +18,7 @@ from .errors import ConfigError
 from .data import PartitionSpec
 from .fhe.params import EncryptionParams, default_params
 from .federation.quantize import QuantizationSpec
-from .federation.rounds import MODES
+from .federation.server import MODES
 from .federation.transport import MAX_WIRE_COUNT
 from .qsim import PqcArchitecture
 

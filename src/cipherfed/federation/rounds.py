@@ -17,9 +17,6 @@ from .client import (check_sample_capacity, decrypt_and_load, derive_seed,
 from .metrics import MetricsSink, metrics_row
 from .quantize import QuantizationSpec
 
-MODES = ("fhe", "plaintext")
-
-
 @dataclass(frozen=True)
 class RoundConfig:
     """Federation hyperparameters for one run."""
@@ -45,9 +42,6 @@ class RoundConfig:
             raise ConfigError("sample_counts must list one entry per client")
         if any(c < 1 for c in counts):
             raise ConfigError("every client needs at least one sample")
-        total = sum(counts)
-        if abs(sum(c / total for c in counts) - 1.0) > 1e-12:
-            raise ConfigError("aggregation weights failed to normalize")
         if not self.learning_rate > 0:
             raise ConfigError("learning_rate must be positive")
         if self.batch_size < 1:
@@ -107,8 +101,7 @@ def run_round(global_model: HybridModel, config: RoundConfig, client_datasets,
     aborts the round with a protocol error naming it. In fhe mode a
     sample total beyond `sample_capacity` is a ConfigError before any
     training. Returns (new global model, metric rows)."""
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}")
+    server.check_mode(mode)
     if len(client_datasets) != config.client_count:
         raise ConfigError(f"{len(client_datasets)} datasets for "
                           f"{config.client_count} clients")

@@ -13,8 +13,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..errors import (AlignmentError, CipherfedError, ParameterError,
-                      ProtocolError)
+from ..errors import (AlignmentError, CipherfedError, ConfigError,
+                      ParameterError, ProtocolError)
 from ..fhe.encoding import encode_scalar
 from ..fhe.keys import PublicMaterial
 from ..fhe.ops import Ciphertext, add_ct, mul_plain
@@ -24,6 +24,14 @@ from .quantize import QuantizationSpec
 from .transport import (CONVERGED_REASON, MSG_ABORT, MSG_GLOBAL, MSG_JOIN,
                         MSG_METRICS, MSG_UPDATE, Message, decode_join,
                         decode_metrics, decode_update, encode_global)
+
+MODES = ("fhe", "plaintext")
+
+
+def check_mode(mode: str) -> None:
+    """A run's mode must be one of MODES; anything else is a ConfigError."""
+    if mode not in MODES:
+        raise ConfigError(f"unknown mode {mode!r}")
 
 
 def _require_public(material) -> PublicMaterial:
@@ -138,6 +146,7 @@ class FederationCoordinator:
                  material: PublicMaterial | None = None, sink=None,
                  convergence_delta: float | None = None,
                  quantization: QuantizationSpec = QuantizationSpec()):
+        check_mode(mode)
         if mode == "fhe":
             self.material = _require_public(material)
             self.sample_capacity = sample_capacity(self.material.params,

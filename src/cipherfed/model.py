@@ -120,15 +120,21 @@ def forward(model: HybridModel, batch: np.ndarray):
     return logits, cache
 
 
-def loss_and_grads(model: HybridModel, batch: np.ndarray, labels):
-    """Mean cross-entropy over the batch and the full gradient structure."""
+def _check_labels(model: HybridModel, labels, count: int) -> np.ndarray:
+    """`count` labels as a flat int64 array of `model`'s class indices."""
     y = np.asarray(labels, dtype=np.int64).ravel()
+    if y.size != count:
+        raise ShapeError(f"{y.size} labels for {count} samples")
     if np.any(y < 0) or np.any(y >= model.class_count):
         raise DomainError(f"labels must lie in [0, {model.class_count})")
+    return y
+
+
+def loss_and_grads(model: HybridModel, batch: np.ndarray, labels):
+    """Mean cross-entropy over the batch and the full gradient structure."""
     logits, cache = forward(model, batch)
     b = logits.shape[0]
-    if y.size != b:
-        raise ShapeError("labels and batch sizes differ")
+    y = _check_labels(model, labels, b)
     probs = _softmax(logits)
     loss = float(-np.mean(np.log(probs[np.arange(b), y] + 1e-300)))
 
@@ -197,7 +203,7 @@ def evaluate(model: HybridModel, features: np.ndarray, labels: np.ndarray,
     """(accuracy, mean loss) over a dataset; argmax ties resolve to the
     lowest class index."""
     x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64).ravel()
+    y = _check_labels(model, labels, x.shape[0])
     if x.shape[0] == 0:
         raise DomainError("cannot evaluate on an empty dataset")
     correct = 0

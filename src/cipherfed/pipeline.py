@@ -15,9 +15,10 @@ from .fhe.serial import (deserialize_key_material, serialize_public_key,
                          serialize_secret_key)
 from .federation.client import check_sample_capacity
 from .federation.metrics import MetricsSink
-from .federation.rounds import (MODES, RoundConfig, federated_rounds,
+from .federation.rounds import (RoundConfig, federated_rounds,
                                 run_federated_training)
 from .federation.runner import run_socket_federation
+from .federation.server import MODES
 from .model import HybridModel, init_model
 
 log = logging.getLogger("cipherfed")

@@ -7,7 +7,9 @@ training runs are deterministic. States carry at most MAX_QUBITS qubits
 to bound the 2^n amplitude array.
 
 Every routine works on a batch of states shaped (batch, 2^n); `run_pqc`
-and `param_shift_grad` wrap batch size 1. Training differentiates by
+and `param_shift_grad` wrap batch size 1. Every rotation, forward or
+backward, is the in-place update psi <- cos(h) psi + sin(h) (-i sigma
+psi) of `_rotate`. Training differentiates by
 the adjoint method (Jones & Gacon 2020, arXiv:2009.02823):
 `final_states` runs the circuit once, and `readout_vjp` contracts the
 readout gradient with the circuit in one backward sweep over the gates,
@@ -89,41 +91,6 @@ def _check_angles(arch: PqcArchitecture, params: PqcParams) -> np.ndarray:
 
 # --- batched kernels ------------------------------------------------------
 
-def _batch_zero(batch: int, n: int) -> np.ndarray:
-    amps = np.zeros((batch, 2 ** n), dtype=np.complex128)
-    amps[:, 0] = 1.0
-    return amps
-
-
-def _batch_rotate(amps: np.ndarray, n: int, qubit: int, axis: str,
-                  angles) -> np.ndarray:
-    """Apply exp(-i*angle/2 * sigma_axis) on one qubit; `angles` is a
-    scalar or a per-batch-element vector."""
-    b = amps.shape[0]
-    half = np.broadcast_to(np.asarray(angles, dtype=np.float64) / 2.0, (b,))
-    c = np.cos(half)[:, None]
-    s = np.sin(half)[:, None]
-    view = amps.reshape(b, 2 ** qubit, 2, 2 ** (n - qubit - 1))
-    a0 = view[:, :, 0, :].reshape(b, -1)
-    a1 = view[:, :, 1, :].reshape(b, -1)
-    if axis == "X":
-        n0 = c * a0 - 1j * s * a1
-        n1 = -1j * s * a0 + c * a1
-    elif axis == "Y":
-        n0 = c * a0 - s * a1
-        n1 = s * a0 + c * a1
-    else:  # Z
-        phase_lo = (c - 1j * s)
-        phase_hi = (c + 1j * s)
-        n0 = phase_lo * a0
-        n1 = phase_hi * a1
-    out = np.empty_like(amps)
-    ov = out.reshape(b, 2 ** qubit, 2, 2 ** (n - qubit - 1))
-    ov[:, :, 0, :] = n0.reshape(b, 2 ** qubit, -1)
-    ov[:, :, 1, :] = n1.reshape(b, 2 ** qubit, -1)
-    return out
-
-
 def _cnot_perm(n: int, control: int, target: int) -> np.ndarray:
     idx = np.arange(2 ** n)
     c_bit = (idx >> (n - 1 - control)) & 1
@@ -159,6 +126,14 @@ def _z_signs(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=MAX_QUBITS)
+def _neg_i_z_signs(n: int) -> np.ndarray:
+    """(n, 2^n): row q is the diagonal of -i Z on qubit q."""
+    table = -1j * _z_signs(n)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=MAX_QUBITS)
 def _bit_flips(n: int) -> np.ndarray:
     """(n, 2^n): row q is the gather index that flips qubit q."""
     idx = np.arange(2 ** n)
@@ -167,26 +142,51 @@ def _bit_flips(n: int) -> np.ndarray:
     return flips
 
 
+def _generator(amps: np.ndarray, n: int, qubit: int,
+               axis: str) -> np.ndarray:
+    """A new array: -i sigma_axis on one qubit of every row. X flips the
+    qubit's bit, Z signs it, and -i sigma_y psi = -sign * (psi flipped)
+    has a real factor."""
+    if axis == "Z":
+        return amps * _neg_i_z_signs(n)[qubit]
+    gen = np.take(amps, _bit_flips(n)[qubit], axis=1)
+    gen *= -1j if axis == "X" else -_z_signs(n)[qubit]
+    return gen
+
+
+def _rotate(amps: np.ndarray, gen: np.ndarray, half) -> None:
+    """amps <- cos(half) amps + sin(half) gen in place, given gen =
+    `_generator(amps, ...)` (overwritten). That is exp(-i half sigma):
+    half = theta / 2 applies the rotation by theta, -theta / 2 undoes
+    it. `half` is a scalar or a per-row (rows, 1) column."""
+    gen *= np.sin(half)
+    amps *= np.cos(half)
+    amps += gen
+
+
 def _batch_z_expect(amps: np.ndarray, n: int, qubit: int) -> np.ndarray:
     return np.sum((np.abs(amps) ** 2) * _z_signs(n)[qubit], axis=1)
 
 
 def _batch_embed(features: np.ndarray, n: int) -> np.ndarray:
-    amps = _batch_zero(features.shape[0], n)
+    amps = np.zeros((features.shape[0], 2 ** n), dtype=np.complex128)
+    amps[:, 0] = 1.0
     for qubit in range(n):
-        amps = _batch_rotate(amps, n, qubit, "X", features[:, qubit])
+        _rotate(amps, _generator(amps, n, qubit, "X"),
+                features[:, qubit, None] / 2.0)
     return amps
 
 
 def _batch_layers(amps: np.ndarray, arch: PqcArchitecture,
                   angles: np.ndarray) -> np.ndarray:
+    """The layers applied to `amps`, which they update in place."""
     n = arch.qubit_count
     for layer in range(arch.depth):
         for qubit in range(n):
-            amps = _batch_rotate(amps, n, qubit, arch.axes[layer][qubit],
-                                 angles[:, layer, qubit])
+            _rotate(amps, _generator(amps, n, qubit, arch.axes[layer][qubit]),
+                    angles[:, layer, qubit, None] / 2.0)
         if n >= 2:
-            amps = amps[:, _ring_perm(n)]
+            amps = np.take(amps, _ring_perm(n), axis=1)
     return amps
 
 
@@ -280,24 +280,12 @@ def grad_features_batch(features: np.ndarray, arch: PqcArchitecture,
     return (out[:, 0] - out[:, 1]) / 2.0
 
 
-def _batch_pauli(amps: np.ndarray, n: int, qubit: int,
-                 axis: str) -> np.ndarray:
-    """A new array: sigma_axis on one qubit of every row. Z signs the
-    qubit's bit, X flips it, and sigma_y psi = -i sign * (psi flipped)."""
-    if axis == "Z":
-        return amps * _z_signs(n)[qubit]
-    flipped = amps[:, _bit_flips(n)[qubit]]
-    if axis == "Y":
-        flipped *= -1j * _z_signs(n)[qubit]
-    return flipped
-
-
-def _unrotate(pair: np.ndarray, sig: np.ndarray, half) -> None:
-    """pair <- (cos(half) + i sin(half) sigma) pair in place, the inverse
-    of a rotation by 2 * half, given sig = sigma pair (overwritten)."""
-    sig *= 1j * np.sin(half)
-    pair *= np.cos(half)
-    pair += sig
+def _re_inner(lam: np.ndarray, gen: np.ndarray):
+    """Re<lam|gen> over the last axis, per row of 2-D arrays: a dot
+    product of the float64 views, so no full-size temporary is made."""
+    lam, gen = lam.view(np.float64), gen.view(np.float64)
+    return np.dot(lam, gen) if lam.ndim == 1 else np.einsum("bi,bi->b",
+                                                            lam, gen)
 
 
 def readout_vjp(states: np.ndarray, features: np.ndarray,
@@ -309,32 +297,34 @@ def readout_vjp(states: np.ndarray, features: np.ndarray,
     (depth, qubit_count) angles; d_read is (batch, len(readout)).
     Returns (g_angles (depth, qubit_count), d_features (batch,
     qubit_count)). The observable is diagonal, so lambda = O psi. The
-    sweep walks the gates in reverse: at each rotation exp(-i t/2 sigma)
-    it adds Im<lambda|sigma|psi> to the gradient of t, then un-applies
-    the gate to psi and lambda stacked as one (2 * batch, 2^n) array.
+    sweep walks the gates in reverse over psi and lambda stacked as one
+    (2 * batch, 2^n) array: at each rotation exp(-i t/2 sigma) it adds
+    Re<lambda|-i sigma psi> to the gradient of t, then undoes the gate
+    on both with the forward pass's kernel at -t/2.
     """
     n, b = arch.qubit_count, states.shape[0]
     feats = np.asarray(features, dtype=np.float64)
     angles = np.asarray(angles, dtype=np.float64)
-    signs = _z_signs(n)[list(arch.readout)]
-    pair = np.concatenate([states, (np.asarray(d_read) @ signs) * states])
+    pair = np.concatenate([states, states])
+    pair[b:] *= np.asarray(d_read) @ _z_signs(n)[list(arch.readout)]
     g_angles = np.empty((arch.depth, n))
     for layer in reversed(range(arch.depth)):
         if n >= 2:
-            pair = pair[:, _ring_unperm(n)]
+            pair = np.take(pair, _ring_unperm(n), axis=1)
         for qubit in reversed(range(n)):
-            axis, half = arch.axes[layer][qubit], angles[layer, qubit] / 2.0
-            sig = _batch_pauli(pair, n, qubit, axis)
-            g_angles[layer, qubit] = np.vdot(pair[b:], sig[:b]).imag
-            _unrotate(pair, sig, half)
+            gen = _generator(pair, n, qubit, arch.axes[layer][qubit])
+            g_angles[layer, qubit] = _re_inner(pair[b:].ravel(),
+                                               gen[:b].ravel())
+            _rotate(pair, gen, -angles[layer, qubit] / 2.0)
+            del gen  # else the next generator is a third copy of pair
     half = np.concatenate([feats, feats]) / 2.0
     d_features = np.empty((b, n))
     for qubit in reversed(range(n)):
-        sig = _batch_pauli(pair, n, qubit, "X")
-        d_features[:, qubit] = np.einsum("bi,bi->b", pair[b:].conj(),
-                                         sig[:b]).imag
+        gen = _generator(pair, n, qubit, "X")
+        d_features[:, qubit] = _re_inner(pair[b:], gen[:b])
         if qubit:
-            _unrotate(pair, sig, half[:, qubit, None])
+            _rotate(pair, gen, -half[:, qubit, None])
+        del gen
     return g_angles, d_features
 
 

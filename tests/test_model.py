@@ -237,6 +237,24 @@ def test_evaluate_matches_per_sample_oracle(rng):
     assert acc == correct / 30
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_evaluate_rejects_labels_outside_the_classes(rng, bad):
+    m = toy_model(classes=3)
+    X = rng.uniform(-1, 1, (4, 3))
+    for fn in (M.evaluate, M.loss_and_grads):
+        with pytest.raises(DomainError, match=r"\[0, 3\)"):
+            fn(m, X, [0, 1, 2, bad])
+
+
+@pytest.mark.parametrize("labels", [[0, 1], [0, 1, 2, 0, 1, 2]])
+def test_evaluate_rejects_a_label_count_other_than_the_samples(rng, labels):
+    m = toy_model(classes=3)
+    X = rng.uniform(-1, 1, (4, 3))
+    for fn in (M.evaluate, M.loss_and_grads):
+        with pytest.raises(ShapeError, match="labels for 4 samples"):
+            fn(m, X, labels)
+
+
 def test_evaluate_empty_rejected():
     m = toy_model()
     with pytest.raises(DomainError):

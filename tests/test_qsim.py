@@ -23,6 +23,14 @@ def norm_sq(amps):
     return float(np.sum(np.abs(amps) ** 2))
 
 
+def rotate(amps, qubit, axis, theta):
+    """A copy of `amps` with exp(-i theta/2 sigma_axis) on one qubit."""
+    out = amps.copy()
+    n = int(np.log2(out.shape[1]))
+    qsim._rotate(out, qsim._generator(out, n, qubit, axis), theta / 2.0)
+    return out
+
+
 def test_embed_zero_features_is_ground_state():
     s = embed([0.0, 0.0, 0.0])
     expect = np.zeros(8, dtype=complex)
@@ -49,12 +57,12 @@ def test_embed_shape_error():
 
 def test_rotation_zero_angle_identity(rng):
     s = embed(rng.uniform(-np.pi, np.pi, 2))
-    assert np.allclose(qsim._batch_rotate(s, 2, 0, "X", 0.0), s)
+    assert np.allclose(rotate(s, 0, "X", 0.0), s)
 
 
 def test_rotation_two_pi_negates_state(rng):
     s = embed(rng.uniform(-np.pi, np.pi, 2))
-    s2 = qsim._batch_rotate(s, 2, 1, "X", 2 * np.pi)
+    s2 = rotate(s, 1, "X", 2 * np.pi)
     assert np.allclose(s2, -s)
     for q in range(2):
         assert abs(z(s, q) - z(s2, q)) < 1e-12
@@ -62,15 +70,53 @@ def test_rotation_two_pi_negates_state(rng):
 
 def test_rotation_closed_form_cosine():
     theta = 0.7
-    s = qsim._batch_rotate(embed([0.0]), 1, 0, "X", theta)
+    s = rotate(embed([0.0]), 0, "X", theta)
     assert abs(z(s, 0) - np.cos(theta)) < 1e-12
 
 
 def test_rotation_norm_preserved(rng):
     s = embed(rng.uniform(-np.pi, np.pi, 3))
     for axis in ("X", "Y", "Z"):
-        s = qsim._batch_rotate(s, 3, 1, axis, rng.uniform(-np.pi, np.pi))
+        s = rotate(s, 1, axis, rng.uniform(-np.pi, np.pi))
     assert abs(norm_sq(s) - 1.0) < 1e-10
+
+
+PAULI = {"X": np.array([[0, 1], [1, 0]], dtype=complex),
+         "Y": np.array([[0, -1j], [1j, 0]]),
+         "Z": np.array([[1, 0], [0, -1]], dtype=complex)}
+
+
+def dense_rotation(n, qubit, axis, theta):
+    """exp(-i theta/2 sigma_axis) on one qubit as a 2^n x 2^n matrix;
+    qubit 0 is the most significant bit of an amplitude's index."""
+    gate = (np.cos(theta / 2) * np.eye(2)
+            - 1j * np.sin(theta / 2) * PAULI[axis])
+    return np.kron(np.kron(np.eye(2 ** qubit), gate),
+                   np.eye(2 ** (n - qubit - 1)))
+
+
+@pytest.mark.parametrize("axis", qsim.AXES)
+@pytest.mark.parametrize("n", range(1, 6))
+def test_rotation_kernel_matches_dense_matrix(axis, n):
+    """The in-place update at theta/2 is the dense gate, for a shared
+    (scalar) and a per-row angle; at -theta/2 it restores the state."""
+    rng = np.random.default_rng(n)
+    rows = 4
+    start = (rng.normal(size=(rows, 2 ** n))
+             + 1j * rng.normal(size=(rows, 2 ** n)))
+    start /= np.linalg.norm(start, axis=1, keepdims=True)
+    for qubit in range(n):
+        shared = rng.uniform(-np.pi, np.pi)
+        per_row = rng.uniform(-np.pi, np.pi, rows)
+        for theta, half in ((np.full(rows, shared), shared / 2),
+                            (per_row, per_row[:, None] / 2)):
+            want = np.stack([dense_rotation(n, qubit, axis, t) @ row
+                             for t, row in zip(theta, start)])
+            amps = start.copy()
+            qsim._rotate(amps, qsim._generator(amps, n, qubit, axis), half)
+            assert np.abs(amps - want).max() <= 1e-14
+            qsim._rotate(amps, qsim._generator(amps, n, qubit, axis), -half)
+            assert np.abs(amps - start).max() <= 1e-14
 
 
 def test_rotation_index_out_of_range():
@@ -167,14 +213,14 @@ def test_layer_inverse_restores_state(rng):
     s = embed(rng.uniform(-np.pi, np.pi, n))
     fwd = s
     for q in range(n):
-        fwd = qsim._batch_rotate(fwd, n, q, "X", theta[q])
+        fwd = rotate(fwd, q, "X", theta[q])
     for q in range(n):
         fwd = fwd[:, qsim._cnot_perm(n, q, (q + 1) % n)]
     back = fwd
     for q in reversed(range(n)):
         back = back[:, qsim._cnot_perm(n, q, (q + 1) % n)]
     for q in reversed(range(n)):
-        back = qsim._batch_rotate(back, n, q, "X", -theta[q])
+        back = rotate(back, q, "X", -theta[q])
     assert np.abs(back - s).max() < 1e-10
 
 
@@ -220,11 +266,12 @@ def reference_run(feats, arch, angles):
     amps = qsim._batch_embed(feats, n)
     for layer in range(arch.depth):
         for q in range(n):
-            amps = qsim._batch_rotate(amps, n, q, arch.axes[layer][q],
-                                      a[:, layer, q])
+            gen = qsim._generator(amps, n, q, arch.axes[layer][q])
+            qsim._rotate(amps, gen, a[:, layer, q, None] / 2.0)
         if n >= 2:
             for q in range(n):
-                amps = amps[:, qsim._cnot_perm(n, q, (q + 1) % n)]
+                amps = np.take(amps, qsim._cnot_perm(n, q, (q + 1) % n),
+                               axis=1)
     return np.stack([qsim._batch_z_expect(amps, n, r) for r in arch.readout],
                     axis=1)
 
@@ -353,7 +400,7 @@ def test_readout_vjp_matches_parameter_shift(arch, batch, seed):
 
 def test_per_architecture_constants_are_cached_read_only():
     for table in (qsim._ring_perm, qsim._ring_unperm, qsim._z_signs,
-                  qsim._bit_flips):
+                  qsim._neg_i_z_signs, qsim._bit_flips):
         assert table(5) is table(5)
         assert not table(5).flags.writeable
     assert np.array_equal(qsim._ring_perm(5)[qsim._ring_unperm(5)],

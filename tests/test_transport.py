@@ -9,8 +9,8 @@ from conftest import channel_pair
 
 from cipherfed import data as D
 from cipherfed import model as M
-from cipherfed.errors import (AlignmentError, CipherfedError, FormatError,
-                              LevelError, ProtocolError)
+from cipherfed.errors import (AlignmentError, CipherfedError, ConfigError,
+                              FormatError, LevelError, ProtocolError)
 from cipherfed.federation import transport as T
 from cipherfed.federation.client import PlainUpdate, encrypt_model
 from cipherfed.federation.quantize import QuantizationSpec
@@ -536,6 +536,21 @@ def test_socket_run_closes_every_channel(world, monkeypatch):
                           world["test"], None, mode="plaintext")
     assert len(made) == 4
     assert all(ch._sock.fileno() == -1 for ch in made)
+
+
+@pytest.mark.parametrize("mode", ["FHE", "bogus"])
+def test_unknown_mode_rejected_before_any_socket_opens(world, monkeypatch,
+                                                       mode):
+    opened = []
+    monkeypatch.setattr(socket, "create_server",
+                        lambda *a, **kw: opened.append(a))
+    with pytest.raises(ConfigError, match="unknown mode"):
+        FederationCoordinator(expected_clients=1, rounds=1, mode=mode)
+    for keys in (None, world["keys"]):
+        with pytest.raises(ConfigError, match="unknown mode"):
+            run_socket_federation(world["init"], world["cfg"], world["parts"],
+                                  world["test"], keys, mode=mode)
+    assert opened == []
 
 
 def test_failed_connect_closes_opened_sockets(world, monkeypatch):
