@@ -17,9 +17,10 @@ from cipherfed import qsim
 # -- single qubit: everything has a closed form ------------------------------
 arch1 = qsim.PqcArchitecture(qubit_count=1, depth=1)
 theta = 0.8
-out = qsim.run_pqc([0.0], arch1, qsim.PqcParams(np.array([[theta]])))
-grad = qsim.param_shift_grad([0.0], arch1,
-                             qsim.PqcParams(np.array([[theta]])), [1.0])
+# a single feature vector is a batch of one row
+out = qsim.run_pqc_batch(np.zeros((1, 1)), arch1, np.array([[theta]]))[0]
+grad = qsim.grad_angles_batch(np.zeros((1, 1)), arch1,
+                              np.array([[theta]]))[0] @ [1.0]
 print(f"RX({theta}) on |0>:")
 print(f"  <Z>        = {out[0]:+.8f}   (cos theta  = {np.cos(theta):+.8f})")
 print(f"  d<Z>/dtheta = {grad[0, 0]:+.8f}   (-sin theta = {-np.sin(theta):+.8f})\n")
@@ -27,23 +28,23 @@ print(f"  d<Z>/dtheta = {grad[0, 0]:+.8f}   (-sin theta = {-np.sin(theta):+.8f})
 # -- three qubits, two layers: compare with finite differences ---------------
 rng = np.random.default_rng(11)
 arch = qsim.PqcArchitecture(qubit_count=3, depth=2)
-params = qsim.PqcParams.random(arch, rng)
-features = rng.uniform(-np.pi, np.pi, 3)
+angles = rng.uniform(-np.pi, np.pi, (arch.depth, arch.qubit_count))
+features = rng.uniform(-np.pi, np.pi, (1, 3))
 weights = rng.uniform(-1, 1, 3)
 
-ps = qsim.param_shift_grad(features, arch, params, weights)
-states = qsim.final_states(features[None, :], arch, params.angles)
-adjoint, _ = qsim.readout_vjp(states, features[None, :], arch, params.angles,
+ps = qsim.grad_angles_batch(features, arch, angles)[0] @ weights
+states = qsim.final_states(features, arch, angles)
+adjoint, _ = qsim.readout_vjp(states, features, arch, angles,
                               weights[None, :])
 h = 1e-5
 fd = np.zeros_like(ps)
 for layer in range(arch.depth):
     for q in range(arch.qubit_count):
-        angles = params.angles.copy()
-        angles[layer, q] += h
-        up = qsim.run_pqc(features, arch, qsim.PqcParams(angles)) @ weights
-        angles[layer, q] -= 2 * h
-        dn = qsim.run_pqc(features, arch, qsim.PqcParams(angles)) @ weights
+        shifted = angles.copy()
+        shifted[layer, q] += h
+        up = qsim.run_pqc_batch(features, arch, shifted)[0] @ weights
+        shifted[layer, q] -= 2 * h
+        dn = qsim.run_pqc_batch(features, arch, shifted)[0] @ weights
         fd[layer, q] = (up - dn) / (2 * h)
 
 print("3-qubit depth-2 circuit, gradient of a weighted readout sum:")

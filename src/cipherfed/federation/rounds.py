@@ -94,13 +94,11 @@ def client_step(model: HybridModel, dataset, config: RoundConfig,
                             wall_ms=(clock() - t0) * 1000.0)
 
 
-def run_round(global_model: HybridModel, config: RoundConfig, client_datasets,
-              test_data, keys, round_index: int, mode: str = "fhe"):
-    """One federation round. Every client trains from the same incoming
-    global model, one after another in client-id order; a failed client
-    aborts the round with a protocol error naming it. In fhe mode a
-    sample total beyond `sample_capacity` is a ConfigError before any
-    training. Returns (new global model, metric rows)."""
+def check_run_inputs(config: RoundConfig, client_datasets, keys,
+                     mode: str) -> None:
+    """ConfigError before any client trains, on every transport, unless
+    the mode is known, each client has one dataset of its configured
+    size, and an fhe sample total fits `sample_capacity`."""
     server.check_mode(mode)
     if len(client_datasets) != config.client_count:
         raise ConfigError(f"{len(client_datasets)} datasets for "
@@ -112,6 +110,15 @@ def run_round(global_model: HybridModel, config: RoundConfig, client_datasets,
     if mode == "fhe":
         check_sample_capacity(sum(config.sample_counts), keys.params,
                               config.quantization)
+
+
+def run_round(global_model: HybridModel, config: RoundConfig, client_datasets,
+              test_data, keys, round_index: int, mode: str = "fhe"):
+    """One federation round, after `check_run_inputs`. Every client
+    trains from the same incoming global model, one after another in
+    client-id order; a failed client aborts the round with a protocol
+    error naming it. Returns (new global model, metric rows)."""
+    check_run_inputs(config, client_datasets, keys, mode)
     clock = _clock(config)
     round_start = clock()
     updates, rows = [], []

@@ -17,7 +17,7 @@ from ..fhe.keys import public_part
 from ..model import HybridModel, evaluate, unflatten_weights
 from .client import decrypt_and_load
 from .metrics import MetricsSink, metrics_row
-from .rounds import RoundConfig, _clock, client_step
+from .rounds import RoundConfig, _clock, check_run_inputs, client_step
 from .server import FederationCoordinator
 from .transport import (CONVERGED_REASON, MSG_ABORT, MSG_GLOBAL, MSG_JOIN,
                         MSG_METRICS, MSG_UPDATE, Message, SocketChannel,
@@ -90,9 +90,10 @@ def run_socket_federation(initial_model, config: RoundConfig,
                           mode: str = "fhe",
                           sink: MetricsSink | None = None,
                           host: str = "127.0.0.1"):
-    """Full protocol over TCP on the loopback interface: each client in
-    its own thread, the coordinator in the caller's. Every socket is
-    closed on the way out, also when setup fails partway."""
+    """Full protocol over TCP on the loopback interface, after
+    `check_run_inputs`: each client in its own thread, the coordinator in
+    the caller's. Every socket is closed, also when setup fails partway."""
+    check_run_inputs(config, client_datasets, keys, mode)
     material = public_part(keys)
     coordinator = FederationCoordinator(
         expected_clients=config.client_count, rounds=config.rounds,

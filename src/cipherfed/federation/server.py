@@ -224,6 +224,9 @@ class FederationCoordinator:
                     upd = decode_update(payload, r, params)
                 except CipherfedError as e:
                     raise type(e)(f"UPDATE from client {cid}: {e}") from e
+                if upd.client_id != cid:
+                    raise ProtocolError(f"client {cid} sent an UPDATE "
+                                        f"naming client {upd.client_id}")
                 if upd.sample_count != joined[cid]:
                     raise ProtocolError(
                         f"client {cid} sent sample count {upd.sample_count}, "
@@ -236,9 +239,17 @@ class FederationCoordinator:
                 ch.send(Message(MSG_GLOBAL, r, payload))
 
             # one training row per client in client-id order, then client
-            # 0's global row last
-            rows = [decode_metrics(self._recv(ch, cid, MSG_METRICS, r).payload)
-                    for cid, ch in clients + clients[:1]]
+            # 0's global row last; each must name its round and sender
+            rows = []
+            senders = [(cid, ch, f"client_{cid}") for cid, ch in clients]
+            for cid, ch, actor in senders + [(0, clients[0][1], "global")]:
+                row = decode_metrics(self._recv(ch, cid, MSG_METRICS,
+                                                r).payload)
+                if (row["round"], row["actor"]) != (r, actor):
+                    raise ProtocolError(
+                        f"client {cid} sent a METRICS row for round "
+                        f"{row['round']}, actor {row['actor']!r}")
+                rows.append(row)
             self.history.extend(rows)
             if self.sink is not None:
                 for row in rows:

@@ -6,18 +6,19 @@ Expectations are computed exactly (no shot sampling), so gradients and
 training runs are deterministic. States carry at most MAX_QUBITS qubits
 to bound the 2^n amplitude array.
 
-Every routine works on a batch of states shaped (batch, 2^n); `run_pqc`
-and `param_shift_grad` wrap batch size 1. Every rotation, forward or
-backward, is the in-place update psi <- cos(h) psi + sin(h) (-i sigma
-psi) of `_rotate`. Training differentiates by
-the adjoint method (Jones & Gacon 2020, arXiv:2009.02823):
-`final_states` runs the circuit once, and `readout_vjp` contracts the
-readout gradient with the circuit in one backward sweep over the gates,
-for every angle and embedding feature at once. The parameter-shift
-gradients (`grad_angles_batch`, `grad_features_batch`) are the oracle:
-they stack every +-pi/2 shifted copy of the batch on the batch axis and
-simulate them in calls of at most max(batch, STACK_AMPLITUDES // 2^n)
-rows.
+Every routine works on a batch of states shaped (batch, 2^n); a single
+feature vector is a batch of one row. Every function that takes angles
+or features checks their shapes through `_check_angles` and
+`_check_features`. Every rotation, forward or backward, is the in-place
+update psi <- cos(h) psi + sin(h) (-i sigma psi) of `_rotate`. Training
+differentiates by the adjoint method (Jones & Gacon 2020,
+arXiv:2009.02823): `final_states` runs the circuit once, and
+`readout_vjp` contracts the readout gradient with the circuit in one
+backward sweep over the gates, for every angle and embedding feature at
+once. The parameter-shift gradients (`grad_angles_batch`,
+`grad_features_batch`) are the oracle: they stack every +-pi/2 shifted
+copy of the batch on the batch axis and simulate them in calls of at
+most max(batch, STACK_AMPLITUDES // 2^n) rows.
 """
 
 from __future__ import annotations
@@ -66,27 +67,28 @@ class PqcArchitecture:
         object.__setattr__(self, "readout", tuple(readout))
 
 
-@dataclass(frozen=True)
-class PqcParams:
-    """Rotation angles, shape depth x qubit_count, radians."""
-    angles: np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.angles)):
-            raise ShapeError("angles must be finite")
-
-    @staticmethod
-    def random(arch: PqcArchitecture, rng: np.random.Generator) -> "PqcParams":
-        return PqcParams(rng.uniform(-np.pi, np.pi,
-                                     (arch.depth, arch.qubit_count)))
+def _check_angles(arch: PqcArchitecture, angles,
+                  rows: int | None = None) -> np.ndarray:
+    """Finite float64 angles, shared (depth, qubit_count); given `rows`,
+    one set per row, (rows, depth, qubit_count), a shared set broadcast."""
+    a = np.asarray(angles, dtype=np.float64)
+    shape = (arch.depth, arch.qubit_count)
+    if a.shape not in (shape, (rows,) + shape):
+        raise ShapeError(f"angles shape {a.shape} does not match {shape}")
+    if not np.isfinite(a).all():
+        raise ShapeError("angles must be finite")
+    return a if rows is None else np.broadcast_to(a, (rows,) + shape)
 
 
-def _check_angles(arch: PqcArchitecture, params: PqcParams) -> np.ndarray:
-    a = np.asarray(params.angles, dtype=np.float64)
-    if a.shape != (arch.depth, arch.qubit_count):
-        raise ShapeError(f"angles shape {a.shape} does not match "
-                         f"({arch.depth}, {arch.qubit_count})")
-    return a
+def _check_features(arch: PqcArchitecture, features,
+                    rows: int | None = None) -> np.ndarray:
+    """float64 features (batch, qubit_count), `rows` rows if given."""
+    f = np.asarray(features, dtype=np.float64)
+    if f.ndim != 2 or rows not in (None, len(f)) or (
+            f.shape[1] != arch.qubit_count):
+        raise ShapeError(f"features shape {f.shape} does not match "
+                         f"({rows or 'batch'}, {arch.qubit_count})")
+    return f
 
 
 # --- batched kernels ------------------------------------------------------
@@ -195,15 +197,12 @@ def final_states(features: np.ndarray, arch: PqcArchitecture,
     """The (batch, 2^n) amplitudes the circuit leaves for a feature batch.
 
     features: (batch, qubit_count); angles: (depth, qubit_count) shared,
-    or (batch, depth, qubit_count) per element.
+    or (batch, depth, qubit_count) per element. Any other shape raises
+    ShapeError.
     """
-    feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[1] != arch.qubit_count:
-        raise ShapeError(f"features must be (batch, {arch.qubit_count})")
-    a = np.asarray(angles, dtype=np.float64)
-    if a.ndim == 2:
-        a = np.broadcast_to(a, (feats.shape[0],) + a.shape)
-    return _batch_layers(_batch_embed(feats, arch.qubit_count), arch, a)
+    feats = _check_features(arch, features)
+    return _batch_layers(_batch_embed(feats, arch.qubit_count), arch,
+                         _check_angles(arch, angles, rows=len(feats)))
 
 
 def expectations(states: np.ndarray, arch: PqcArchitecture) -> np.ndarray:
@@ -219,24 +218,13 @@ def run_pqc_batch(features: np.ndarray, arch: PqcArchitecture,
     return expectations(final_states(features, arch, angles), arch)
 
 
-def run_pqc(features, arch: PqcArchitecture, params: PqcParams) -> np.ndarray:
-    """Readout Z expectations for one feature vector, each in [-1, 1]."""
-    angles = _check_angles(arch, params)
-    f = np.asarray(features, dtype=np.float64).ravel()
-    if f.size != arch.qubit_count:
-        raise ShapeError(f"{f.size} features for {arch.qubit_count} qubits")
-    return run_pqc_batch(f[None, :], arch, angles)[0]
-
-
 def _run_stacked(feats: np.ndarray, arch: PqcArchitecture,
                  angles: np.ndarray, batch: int) -> np.ndarray:
-    """run_pqc_batch over stacked shifted rows, in calls of at most
-    max(batch, STACK_AMPLITUDES // 2^n) rows. `angles` is shared
-    (depth, qubits) or per row."""
+    """run_pqc_batch over stacked shifted rows and their per-row angles,
+    in calls of at most max(batch, STACK_AMPLITUDES // 2^n) rows."""
     per_call = max(batch, STACK_AMPLITUDES >> arch.qubit_count)
     return np.concatenate([
-        run_pqc_batch(feats[i:i + per_call], arch,
-                      angles if angles.ndim == 2 else angles[i:i + per_call])
+        run_pqc_batch(feats[i:i + per_call], arch, angles[i:i + per_call])
         for i in range(0, feats.shape[0], per_call)])
 
 
@@ -250,15 +238,13 @@ def grad_angles_batch(features: np.ndarray, arch: PqcArchitecture,
     axis and run in one simulator call, split into calls of at most
     max(batch, STACK_AMPLITUDES // 2^n) rows.
     """
-    feats = np.asarray(features, dtype=np.float64)
+    feats = _check_features(arch, features)
     b = feats.shape[0]
     d, n = arch.depth, arch.qubit_count
     eye = np.eye(d * n).reshape(d * n, d, n) * (np.pi / 2)
-    shifted = (np.asarray(angles, dtype=np.float64)
-               + np.concatenate([eye, -eye]))
+    shifted = _check_angles(arch, angles) + np.concatenate([eye, -eye])
     out = _run_stacked(np.repeat(feats, 2 * d * n, axis=0), arch,
-                       np.tile(shifted, (b, 1, 1)), b)
-    out = out.reshape(b, 2, d, n, -1)
+                       np.tile(shifted, (b, 1, 1)), b).reshape(b, 2, d, n, -1)
     return (out[:, 0] - out[:, 1]) / 2.0
 
 
@@ -271,12 +257,13 @@ def grad_features_batch(features: np.ndarray, arch: PqcArchitecture,
     The 2*qubit_count shifted circuits of every batch element are
     stacked and run as in `grad_angles_batch`.
     """
-    feats = np.asarray(features, dtype=np.float64)
+    feats = _check_features(arch, features)
     b = feats.shape[0]
     n = arch.qubit_count
     eye = np.eye(n) * (np.pi / 2)
     rows = (feats[:, None, :] + np.concatenate([eye, -eye])).reshape(-1, n)
-    out = _run_stacked(rows, arch, np.asarray(angles), b).reshape(b, 2, n, -1)
+    out = _run_stacked(rows, arch, _check_angles(arch, angles, len(rows)),
+                       b).reshape(b, 2, n, -1)
     return (out[:, 0] - out[:, 1]) / 2.0
 
 
@@ -294,7 +281,8 @@ def readout_vjp(states: np.ndarray, features: np.ndarray,
     """Adjoint gradient of sum_{b,r} d_read[b, r] <Z_r>_b.
 
     `states` is `final_states(features, arch, angles)` for shared
-    (depth, qubit_count) angles; d_read is (batch, len(readout)).
+    (depth, qubit_count) angles; features and d_read, (batch,
+    len(readout)), have one row per state, or it raises ShapeError.
     Returns (g_angles (depth, qubit_count), d_features (batch,
     qubit_count)). The observable is diagonal, so lambda = O psi. The
     sweep walks the gates in reverse over psi and lambda stacked as one
@@ -302,11 +290,18 @@ def readout_vjp(states: np.ndarray, features: np.ndarray,
     Re<lambda|-i sigma psi> to the gradient of t, then undoes the gate
     on both with the forward pass's kernel at -t/2.
     """
-    n, b = arch.qubit_count, states.shape[0]
-    feats = np.asarray(features, dtype=np.float64)
-    angles = np.asarray(angles, dtype=np.float64)
+    n = arch.qubit_count
+    if np.ndim(states) != 2 or np.shape(states)[1] != 2 ** n:
+        raise ShapeError(f"states must be (batch, {2 ** n})")
+    b = len(states)
+    feats = _check_features(arch, features, rows=b)
+    angles = _check_angles(arch, angles)
+    d_read = np.asarray(d_read, dtype=np.float64)
+    if d_read.shape != (b, len(arch.readout)):
+        raise ShapeError(f"d_read shape {d_read.shape} is not "
+                         f"{(b, len(arch.readout))}")
     pair = np.concatenate([states, states])
-    pair[b:] *= np.asarray(d_read) @ _z_signs(n)[list(arch.readout)]
+    pair[b:] *= d_read @ _z_signs(n)[list(arch.readout)]
     g_angles = np.empty((arch.depth, n))
     for layer in reversed(range(arch.depth)):
         if n >= 2:
@@ -326,19 +321,3 @@ def readout_vjp(states: np.ndarray, features: np.ndarray,
             _rotate(pair, gen, -half[:, qubit, None])
         del gen
     return g_angles, d_features
-
-
-def param_shift_grad(features, arch: PqcArchitecture, params: PqcParams,
-                     readout_weights) -> np.ndarray:
-    """Gradient of sum_j w_j <Z_j> w.r.t. every variational angle, via
-    the exact +-pi/2 parameter-shift rule. Shape depth x qubit_count."""
-    angles = _check_angles(arch, params)
-    w = np.asarray(readout_weights, dtype=np.float64).ravel()
-    if w.size != len(arch.readout):
-        raise ShapeError(f"{w.size} readout weights for "
-                         f"{len(arch.readout)} readout qubits")
-    f = np.asarray(features, dtype=np.float64).ravel()
-    if f.size != arch.qubit_count:
-        raise ShapeError(f"{f.size} features for {arch.qubit_count} qubits")
-    per_readout = grad_angles_batch(f[None, :], arch, angles)[0]
-    return per_readout @ w

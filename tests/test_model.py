@@ -6,7 +6,7 @@ import pytest
 from cipherfed import model as M
 from cipherfed import qsim
 from cipherfed.errors import DomainError, FormatError, ShapeError
-from cipherfed.qsim import PqcArchitecture, PqcParams
+from cipherfed.qsim import PqcArchitecture
 
 
 def toy_model(seed=0, features=3, qubits=2, depth=2, classes=2):
@@ -65,7 +65,7 @@ def test_forward_matches_hand_composition(rng):
     x = rng.uniform(-1, 1, (1, 3))
     logits, cache = M.forward(m, x)
     act = np.pi * np.tanh(x @ m.w_in + m.b_in)
-    readout = qsim.run_pqc(act[0], m.arch, PqcParams(m.angles))
+    readout = qsim.run_pqc_batch(act[:1], m.arch, m.angles)[0]
     expect = readout @ m.w_out + m.b_out
     assert np.allclose(logits[0], expect)
 

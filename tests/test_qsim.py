@@ -51,8 +51,9 @@ def test_embed_half_pi_balances():
 
 def test_embed_shape_error():
     arch = qsim.PqcArchitecture(qubit_count=3, depth=1)
-    with pytest.raises(ShapeError):
-        qsim.run_pqc([0.0, 0.0], arch, qsim.PqcParams(np.zeros((1, 3))))
+    for feats in (np.zeros((1, 2)), np.zeros(3), np.zeros((1, 3, 1))):
+        with pytest.raises(ShapeError, match="features shape"):
+            qsim.run_pqc_batch(feats, arch, np.zeros((1, 3)))
 
 
 def test_rotation_zero_angle_identity(rng):
@@ -143,47 +144,56 @@ def test_cnot_involution(rng):
     assert np.allclose(s[:, perm][:, perm], s)
 
 
+def run_one(features, arch, angles):
+    """Readout expectations of one feature vector."""
+    return qsim.run_pqc_batch(np.asarray(features)[None], arch, angles)[0]
+
+
+def shift_grad(features, arch, angles, w):
+    """Parameter-shift gradient of sum_j w_j <Z_j> for one feature vector,
+    shaped (depth, qubit_count)."""
+    return qsim.grad_angles_batch(np.asarray(features)[None], arch,
+                                  angles)[0] @ w
+
+
 def test_run_pqc_all_zero_gives_plus_one():
     arch = qsim.PqcArchitecture(qubit_count=3, depth=2)
-    params = qsim.PqcParams(np.zeros((2, 3)))
-    out = qsim.run_pqc([0.0, 0.0, 0.0], arch, params)
+    out = run_one([0.0, 0.0, 0.0], arch, np.zeros((2, 3)))
     assert np.allclose(out, 1.0)
 
 
 def test_run_pqc_single_qubit_closed_form():
     arch = qsim.PqcArchitecture(qubit_count=1, depth=1)
     theta = 1.234
-    out = qsim.run_pqc([0.0], arch, qsim.PqcParams(np.array([[theta]])))
+    out = run_one([0.0], arch, np.array([[theta]]))
     assert abs(out[0] - np.cos(theta)) < 1e-12
 
 
 def test_run_pqc_outputs_bounded(rng):
     arch = qsim.PqcArchitecture(qubit_count=4, depth=3)
     for _ in range(20):
-        params = qsim.PqcParams.random(arch, rng)
+        angles = rng.uniform(-np.pi, np.pi, (3, 4))
         feats = rng.uniform(-np.pi, np.pi, 4)
-        out = qsim.run_pqc(feats, arch, params)
+        out = run_one(feats, arch, angles)
         assert np.all(np.abs(out) <= 1.0 + 1e-12)
 
 
 def test_run_pqc_readout_subset():
     arch = qsim.PqcArchitecture(qubit_count=3, depth=1, readout=(2,))
-    out = qsim.run_pqc([0.0] * 3, arch, qsim.PqcParams(np.zeros((1, 3))))
+    out = run_one([0.0] * 3, arch, np.zeros((1, 3)))
     assert out.shape == (1,)
 
 
 def test_param_shift_single_qubit_closed_form():
     arch = qsim.PqcArchitecture(qubit_count=1, depth=1)
     theta = 0.3
-    g = qsim.param_shift_grad([0.0], arch,
-                              qsim.PqcParams(np.array([[theta]])), [1.0])
+    g = shift_grad([0.0], arch, np.array([[theta]]), [1.0])
     assert abs(g[0, 0] + np.sin(theta)) < 1e-12
 
 
 def test_param_shift_zero_angles_zero_gradient():
     arch = qsim.PqcArchitecture(qubit_count=1, depth=1)
-    g = qsim.param_shift_grad([0.0], arch, qsim.PqcParams(np.zeros((1, 1))),
-                              [1.0])
+    g = shift_grad([0.0], arch, np.zeros((1, 1)), [1.0])
     assert abs(g[0, 0]) < 1e-12
 
 
@@ -193,17 +203,17 @@ def test_param_shift_matches_finite_difference(rng):
         n = int(rng.integers(1, 4))
         d = int(rng.integers(1, 3))
         arch = qsim.PqcArchitecture(qubit_count=n, depth=d)
-        params = qsim.PqcParams.random(arch, rng)
+        angles = rng.uniform(-np.pi, np.pi, (d, n))
         feats = rng.uniform(-np.pi, np.pi, n)
         w = rng.uniform(-1, 1, n)
-        ps = qsim.param_shift_grad(feats, arch, params, w)
+        ps = shift_grad(feats, arch, angles, w)
         for l in range(d):
             for q in range(n):
-                ang = params.angles.copy()
+                ang = angles.copy()
                 ang[l, q] += h
-                up = qsim.run_pqc(feats, arch, qsim.PqcParams(ang)) @ w
+                up = run_one(feats, arch, ang) @ w
                 ang[l, q] -= 2 * h
-                dn = qsim.run_pqc(feats, arch, qsim.PqcParams(ang)) @ w
+                dn = run_one(feats, arch, ang) @ w
                 assert abs(ps[l, q] - (up - dn) / (2 * h)) < 1e-6
 
 
@@ -226,12 +236,12 @@ def test_layer_inverse_restores_state(rng):
 
 def test_norm_preserved_through_deep_circuit(rng):
     arch = qsim.PqcArchitecture(qubit_count=4, depth=3)
-    params = qsim.PqcParams.random(arch, rng)
+    angles = rng.uniform(-np.pi, np.pi, (3, 4))
     feats = rng.uniform(-np.pi, np.pi, 4)
-    out = qsim.run_pqc_batch(feats[None, :], arch, params.angles)
+    out = qsim.run_pqc_batch(feats[None, :], arch, angles)
     assert np.all(np.abs(out) <= 1.0 + 1e-12)
     # expectations bounded implies normalized state; check directly too
-    s = qsim._batch_layers(embed(feats), arch, params.angles[None])
+    s = qsim._batch_layers(embed(feats), arch, angles[None])
     assert abs(norm_sq(s) - 1.0) < 1e-10
 
 
@@ -254,7 +264,77 @@ def test_architecture_validation():
 def test_angle_shape_validation(rng):
     arch = qsim.PqcArchitecture(qubit_count=2, depth=2)
     with pytest.raises(ShapeError):
-        qsim.run_pqc([0.0, 0.0], arch, qsim.PqcParams(np.zeros((1, 2))))
+        qsim.run_pqc_batch(np.zeros((1, 2)), arch, np.zeros((1, 2)))
+    for bad in (np.nan, np.inf):
+        angles = np.zeros((2, 2))
+        angles[1, 0] = bad
+        with pytest.raises(ShapeError, match="finite"):
+            qsim.run_pqc_batch(np.zeros((1, 2)), arch, angles)
+
+
+def vjp(features, arch, angles):
+    """readout_vjp with unit d_read at states of well-formed angles."""
+    states = qsim.final_states(features, arch, np.zeros((arch.depth,
+                                                         arch.qubit_count)))
+    return qsim.readout_vjp(states, features, arch, angles,
+                            np.ones((len(features), len(arch.readout))))
+
+
+ANGLE_TAKERS = {"final_states": qsim.final_states,
+                "readout_vjp": vjp,
+                "grad_angles_batch": qsim.grad_angles_batch,
+                "grad_features_batch": qsim.grad_features_batch}
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (1, 3), (3,), (5, 2, 3)],
+                         ids=["extra-layer", "missing-layer", "1-D",
+                              "5-sets-for-4-rows"])
+@pytest.mark.parametrize("name", ANGLE_TAKERS)
+def test_every_angle_taker_rejects_wrong_depth(name, shape):
+    """A depth-2 circuit takes (2, 3) angles; one set too many or too
+    few, or a flat row, is a ShapeError in every function that takes
+    angles, never a dropped layer or a raw IndexError."""
+    arch = qsim.PqcArchitecture(qubit_count=3, depth=2)
+    with pytest.raises(ShapeError, match="angles shape"):
+        ANGLE_TAKERS[name](np.zeros((4, 3)), arch, np.zeros(shape))
+
+
+def test_per_row_angles_only_where_a_row_has_its_own():
+    """`final_states` takes one angle set per feature row; the gradients
+    take shared angles only."""
+    arch = qsim.PqcArchitecture(qubit_count=3, depth=2)
+    feats = np.random.default_rng(7).uniform(-np.pi, np.pi, (4, 3))
+    shared = np.random.default_rng(8).uniform(-np.pi, np.pi, (2, 3))
+    per_row = np.broadcast_to(shared, (4, 2, 3))
+    assert np.array_equal(qsim.final_states(feats, arch, per_row),
+                          qsim.final_states(feats, arch, shared))
+    for name in ("readout_vjp", "grad_angles_batch", "grad_features_batch"):
+        with pytest.raises(ShapeError, match="angles shape"):
+            ANGLE_TAKERS[name](feats, arch, per_row)
+
+
+@pytest.mark.parametrize("rows", [3, 5])
+@pytest.mark.parametrize("argument", ["features", "d_read"])
+def test_readout_vjp_needs_one_row_per_state(argument, rows):
+    arch = qsim.PqcArchitecture(qubit_count=3, depth=2, readout=(0, 2))
+    feats, angles = np.zeros((4, 3)), np.zeros((2, 3))
+    args = {"features": feats, "d_read": np.ones((4, 2))}
+    args[argument] = np.ones((rows, args[argument].shape[1]))
+    states = qsim.final_states(feats, arch, angles)
+    with pytest.raises(ShapeError, match=f"{argument} shape"):
+        qsim.readout_vjp(states, args["features"], arch, angles,
+                         args["d_read"])
+
+
+def test_readout_vjp_rejects_malformed_states_and_readout_width():
+    arch = qsim.PqcArchitecture(qubit_count=3, depth=2, readout=(0, 2))
+    feats, angles = np.zeros((4, 3)), np.zeros((2, 3))
+    states = qsim.final_states(feats, arch, angles)
+    with pytest.raises(ShapeError, match="d_read shape"):
+        qsim.readout_vjp(states, feats, arch, angles, np.ones((4, 3)))
+    for bad in (states[:, :4], states[0]):
+        with pytest.raises(ShapeError, match="states must be"):
+            qsim.readout_vjp(bad, feats, arch, angles, np.ones((4, 2)))
 
 
 # --- stacked parameter-shift gradients vs the per-shift reference ---------

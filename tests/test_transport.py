@@ -312,7 +312,8 @@ def test_artifact_must_fill_payload(decode, payload):
 def scripted_round(mode, material, *frames):
     """A one-client coordinator against a scripted client that has
     queued `frames`. Returns the coordinator's error (None if the run
-    finished) and the next message the client receives, within 5 s."""
+    finished) and the next message the client receives, within 5 s;
+    if the run failed, the next one that is not a GLOBAL."""
     server_end, client_end = channel_pair()
 
     def send_all():  # from a thread, so no frame waits on a full buffer
@@ -332,6 +333,8 @@ def scripted_round(mode, material, *frames):
     except CipherfedError as exc:
         error = exc
     reply = client_end.recv(timeout=5.0)
+    while error is not None and reply.mtype == T.MSG_GLOBAL:
+        reply = client_end.recv(timeout=5.0)
     server_end.close()
     sender.join(timeout=5.0)
     client_end.close()
@@ -465,14 +468,46 @@ def test_non_protocol_failure_aborts_and_is_wrapped():
     assert [m.mtype for m in chan.sent] == [T.MSG_ABORT]
 
 
-def plain_frames(join_count, update_count):
-    upd = PlainUpdate(0, np.array([1.0, 2.0]), update_count, 0)
-    row = T.encode_metrics({"round": 0, "actor": "client_0"})
-    grow = T.encode_metrics({"round": 0, "actor": "global",
-                             "test_loss": 0.5})
+def plain_frames(join_count, update_count, update_id=0,
+                 rows=((0, "client_0"), (0, "global"))):
+    """Client 0's frames for one plaintext round: JOIN, an UPDATE that
+    names `update_id`, and a METRICS row per (round, actor) in `rows`."""
+    upd = PlainUpdate(update_id, np.array([1.0, 2.0]), update_count, 0)
     return ((T.MSG_JOIN, T.encode_join(0, join_count)),
             (T.MSG_UPDATE, T.encode_update(upd)),
-            (T.MSG_METRICS, row), (T.MSG_METRICS, grow))
+            *((T.MSG_METRICS, T.encode_metrics({"round": rnd,
+                                                "actor": actor}))
+              for rnd, actor in rows))
+
+
+def test_scripted_plain_round_completes():
+    error, reply = scripted_round("plaintext", None, *plain_frames(10, 10))
+    assert error is None and reply.mtype == T.MSG_GLOBAL
+
+
+def test_update_naming_another_client_aborts():
+    """Client 0 cannot send an UPDATE on another client's behalf."""
+    error, reply = scripted_round("plaintext", None,
+                                  *plain_frames(10, 10, update_id=7))
+    assert isinstance(error, ProtocolError)
+    assert "client 0 sent an UPDATE naming client 7" in str(error)
+    assert reply.mtype == T.MSG_ABORT
+
+
+@pytest.mark.parametrize("rows", [
+    ((1, "client_0"), (0, "global")),
+    ((0, "client_0"), (3, "global")),
+    ((0, "client_1"), (0, "global")),
+    ((0, "global"), (0, "global")),
+    ((0, "client_0"), (0, "client_0")),
+], ids=["train-row-round", "global-row-round", "other-client", "global-first",
+        "no-global-row"])
+def test_metrics_row_must_name_its_round_and_sender(rows):
+    error, reply = scripted_round("plaintext", None,
+                                  *plain_frames(10, 10, rows=rows))
+    assert isinstance(error, ProtocolError)
+    assert "sent a METRICS row for round" in str(error)
+    assert reply.mtype == T.MSG_ABORT
 
 
 def test_join_without_samples_rejected():
@@ -550,6 +585,32 @@ def test_unknown_mode_rejected_before_any_socket_opens(world, monkeypatch,
         with pytest.raises(ConfigError, match="unknown mode"):
             run_socket_federation(world["init"], world["cfg"], world["parts"],
                                   world["test"], keys, mode=mode)
+    assert opened == []
+
+
+def short_by_one(ds):
+    return D.Dataset(ds.features[:-1], ds.labels[:-1], ds.class_count)
+
+
+@pytest.mark.parametrize("mode", ["fhe", "plaintext"])
+@pytest.mark.parametrize("case", ["one-dataset", "one-sample-short"])
+def test_dataset_mismatch_rejected_before_any_socket_opens(world,
+                                                           monkeypatch, case,
+                                                           mode):
+    """The socket runner checks its datasets against the RoundConfig as
+    `run_round` does, at once, instead of failing a client thread."""
+    opened = []
+    monkeypatch.setattr(socket, "create_server",
+                        lambda *a, **kw: opened.append(a))
+    parts = list(world["parts"])
+    parts = parts[:1] if case == "one-dataset" else [short_by_one(parts[0]),
+                                                     parts[1]]
+    start = time.monotonic()
+    with pytest.raises(ConfigError, match="datasets for 2 clients"
+                       if case == "one-dataset" else "client 0 dataset size"):
+        run_socket_federation(world["init"], world["cfg"], parts,
+                              world["test"], world["keys"], mode=mode)
+    assert time.monotonic() - start < 5.0
     assert opened == []
 
 
