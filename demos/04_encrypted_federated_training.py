@@ -25,7 +25,7 @@ print(f"{len(train)} training samples split across 4 clients: "
 params = default_params()
 keys = keygen(params, rng_seed=50)
 print(f"CKKS-style context: N={params.ring_degree}, "
-      f"{params.slot_count} slots, scale 2^40\n")
+      f"{params.ring_degree} coefficients per upload chunk, scale 2^40\n")
 
 arch = PqcArchitecture(qubit_count=3, depth=2)
 init = model.init_model(2, arch, 3, rng_seed=100)
@@ -49,8 +49,8 @@ w_plain = flatten_weights(results["plaintext"][0])
 w_fhe = flatten_weights(results["fhe"][0])
 print(f"\nfinal-model weight difference between arms: "
       f"{np.abs(w_plain - w_fhe).max():.2e}")
-print("The encrypted arm reproduces the plaintext trajectory to within "
-      "quantization\nplus encryption noise; the server only ever held "
-      "public key material.")
+print("The encrypted arm reproduces the plaintext trajectory bit for bit: "
+      "decryption\nrounds the encryption noise away. The server only ever "
+      "held public key material.")
 print("\nFor socket-transport runs and the CLI, see README.md "
       "(cipherfed train/compare).")

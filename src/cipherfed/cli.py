@@ -119,14 +119,14 @@ def cmd_compare(args) -> int:
 
 def cmd_inspect(args) -> int:
     from .fhe.serial import (MAGIC_CIPHERTEXT, MAGIC_FLOAT_VECTOR,
-                             MAGIC_PUBLIC_KEY, MAGIC_SECRET_KEY, MAGIC_SEEDED,
-                             Reader)
+                             MAGIC_KINDS, MAGIC_PUBLIC_KEY, MAGIC_SECRET_KEY,
+                             MAGIC_SEEDED, MAGIC_SLOT_SEEDED, Reader)
+    batches = (MAGIC_CIPHERTEXT, MAGIC_SEEDED, MAGIC_SLOT_SEEDED)
     data = Path(args.path).read_bytes()
     size = len(data)
     r = Reader(data, f"{data[:4]!r} header")
     magic = r.take(4)
-    if magic in (MAGIC_SECRET_KEY, MAGIC_PUBLIC_KEY, MAGIC_CIPHERTEXT,
-                 MAGIC_SEEDED):
+    if magic in (MAGIC_SECRET_KEY, MAGIC_PUBLIC_KEY, *batches):
         digest = r.take(8)
     if magic == MAGIC_SECRET_KEY:
         print("kind   : secret key")
@@ -137,10 +137,9 @@ def cmd_inspect(args) -> int:
         print("kind   : public key")
         print(f"digest : {digest.hex()}")
         print(f"size   : {size} bytes")
-    elif magic in (MAGIC_CIPHERTEXT, MAGIC_SEEDED):
+    elif magic in batches:
         level, scale, chunks = r.unpack("BdH")
-        print("kind   : " + ("ciphertext" if magic == MAGIC_CIPHERTEXT
-                             else "seeded ciphertext"))
+        print(f"kind   : {MAGIC_KINDS[magic]}")
         print(f"digest : {digest.hex()}")
         print(f"level  : {level}")
         print(f"scale  : {scale:.6g}")

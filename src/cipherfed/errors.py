@@ -15,7 +15,7 @@ class ParameterError(CipherfedError):
 
 
 class CapacityError(CipherfedError):
-    """More values than the slot capacity allows."""
+    """More values than a plaintext holds, in slots or coefficients."""
 
 
 class DomainError(CipherfedError):

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, ShapeError
-from ..fhe.encoding import decode, encode_coeffs
-from ..fhe.encoding import encode  # perfbench --trace wraps it; ROADMAP item 1
+from ..errors import ConfigError, DomainError, ShapeError
+from ..fhe.encoding import decode_coeffs, encode_coeffs
+from ..fhe.encoding import decode, encode  # perfbench wraps; ROADMAP item 1
 from ..fhe.keys import KeyMaterial
 from ..fhe.ops import Ciphertext, decrypt, encrypt_symmetric
 from ..fhe.ops import encrypt  # perfbench --trace wraps it; ROADMAP item 1
@@ -21,9 +21,13 @@ from ..model import HybridModel, flatten_weights, unflatten_weights
 from .quantize import QuantizationSpec, quantize
 
 # A sample adds at most clip_range * scale to a coefficient of the
-# aggregate, plus 1/2 of encoding rounding and its error e, a rounded
-# Gaussian of deviation 3.2 that stays far below this margin
+# aggregate, plus its error e, a rounded Gaussian of deviation 3.2 that
+# stays far below this margin
 NOISE_MARGIN = 1 << 10
+# 40 deviations of that error: a sample's share of the bound below which
+# the aggregate's summed error must stay for decryption to be exact
+# (docs/protocol.md, "Level-0 capacity and exact decryption")
+NOISE_TAIL = 1 << 7
 
 
 def derive_seed(*parts: int) -> int:
@@ -52,17 +56,22 @@ class PlainUpdate:
     round_index: int
 
 
-def chunk_count_for(param_count: int, slot_count: int) -> int:
-    return -(-param_count // slot_count)
+def chunk_count_for(param_count: int, ring_degree: int) -> int:
+    return -(-param_count // ring_degree)
 
 
 def sample_capacity(params: EncryptionParams, spec: QuantizationSpec) -> int:
-    """The largest sample total n_total whose level-0 aggregate decodes:
-    n_total * (clip_range * scale + NOISE_MARGIN) < q0 / 2, so that every
-    coefficient of sum_k n_k * (m_k + e_k) stays below half the base
-    prime. 65,535 at the defaults; 0 when q0 cannot hold one sample."""
+    """The largest sample total n_total whose level-0 aggregate decrypts
+    exactly. Every coefficient of sum_k n_k * (m_k + e_k) must stay below
+    half the base prime, n_total * (clip_range * scale + NOISE_MARGIN) <
+    q0 / 2, and the summed error below half a quantization step of the
+    scale, n_total * NOISE_TAIL < scale / 2^(fractional_bits + 1), so
+    that rounding removes it. 65,535 at the defaults; 0 when one sample
+    cannot be held or rounded back."""
     per_sample = math.ceil(spec.clip_range * params.scale) + NOISE_MARGIN
-    return params.modulus_chain[0] // 2 // per_sample
+    rounds_back = params.scale / 2.0 ** (spec.fractional_bits + 1)
+    return min(params.modulus_chain[0] // 2 // per_sample,
+               math.ceil(rounds_back / NOISE_TAIL) - 1)
 
 
 def check_sample_capacity(total: int, params: EncryptionParams,
@@ -72,22 +81,24 @@ def check_sample_capacity(total: int, params: EncryptionParams,
     if total > capacity:
         raise ConfigError(
             f"{total} samples across the clients exceed the {capacity} "
-            "that a level-0 encrypted sum holds: n_total * (clip_range * "
-            "scale + 2^10) must stay below q0 / 2")
+            "that a level-0 encrypted sum holds exactly: n_total * "
+            "(clip_range * scale + 2^10) must stay below q0 / 2, and "
+            "n_total * 2^7 below scale / 2^(fractional_bits + 1)")
 
 
 def encrypt_model(model: HybridModel, spec: QuantizationSpec,
                   keys: KeyMaterial, client_id: int, sample_count: int,
                   round_index: int, rng_seed: int = 0) -> ClientUpdate:
-    """Flatten -> quantize -> zero-pad to n slot-sized chunks -> encode
+    """Flatten -> quantize -> zero-pad to n chunks of ring_degree values
+    -> pack into coefficients, exact integers x * scale on the 2^-f grid,
     and encrypt as one seeded level-0 batch under the secret key, chunk i
     under derive_seed(rng_seed, i)."""
     params = keys.params
     weights = quantize(flatten_weights(model), spec)
-    n = chunk_count_for(weights.size, params.slot_count)
-    pt = encode_coeffs(np.pad(weights, (0, n * params.slot_count
+    n = chunk_count_for(weights.size, params.ring_degree)
+    pt = encode_coeffs(np.pad(weights, (0, n * params.ring_degree
                                         - weights.size))
-                       .reshape(n, params.slot_count), params, level=0)
+                       .reshape(n, params.ring_degree), params, level=0)
     chunks = encrypt_symmetric(pt, keys,
                                [derive_seed(rng_seed, i) for i in range(n)])
     return ClientUpdate(client_id=client_id, chunks=chunks,
@@ -104,15 +115,33 @@ def plain_update(model: HybridModel, spec: QuantizationSpec, client_id: int,
 
 
 def decrypt_and_load(agg: Ciphertext, keys: KeyMaterial,
-                     template: HybridModel) -> HybridModel:
+                     template: HybridModel,
+                     spec: QuantizationSpec = QuantizationSpec()
+                     ) -> HybridModel:
     """Decrypt the aggregated batch and load it into a model with the
     template's architecture; the batch must have exactly the chunks the
-    template's parameters fill."""
-    slots = keys.params.slot_count
+    template's parameters fill, at scale * n_total for a sample total
+    within `sample_capacity`.
+
+    Each coefficient holds sum_k n_k * (x_k * scale + e_k). Dividing by
+    scale / 2^f with rounding drops the error and leaves the exact
+    integer sum_k n_k * x_k * 2^f, which one division by n_total * 2^f
+    turns into the weighted mean, bitwise as aggregate_plain computes it.
+    """
+    params = keys.params
+    n = params.ring_degree
     need = template.param_count
-    want = chunk_count_for(need, slots)
+    want = chunk_count_for(need, n)
     if len(agg) != want:
-        raise ShapeError(f"{len(agg)} chunks of {slots} slots for {need} "
+        raise ShapeError(f"{len(agg)} chunks of {n} coefficients for {need} "
                          f"parameters, which fill {want}")
-    values = decode(decrypt(agg, keys), slots).ravel()[:need]
-    return unflatten_weights(template, values)
+    total = agg.scale / params.scale
+    capacity = sample_capacity(params, spec)
+    if not (total.is_integer() and 1 <= total <= capacity):
+        raise DomainError(f"aggregate scale {agg.scale} is not the scale "
+                          f"times a sample total from 1 to {capacity}")
+    step = int(params.scale) >> spec.fractional_bits
+    coeffs = decode_coeffs(decrypt(agg, keys), n).ravel()[:need]
+    sums = (coeffs + step // 2) // step
+    return unflatten_weights(template,
+                             sums / (total * 2.0 ** spec.fractional_bits))

@@ -135,7 +135,8 @@ def run_round(global_model: HybridModel, config: RoundConfig, client_datasets,
     public = public_part(keys)
     agg = server.server_step(updates, mode, public)
     if mode == "fhe":
-        new_model = decrypt_and_load(agg, keys, global_model)
+        new_model = decrypt_and_load(agg, keys, global_model,
+                                     config.quantization)
     else:
         new_model = unflatten_weights(global_model, agg)
 

@@ -71,7 +71,7 @@ def _client_rounds(channel, client_id: int, dataset, test_data,
         agg = decode_global(msg.payload,
                             keys.params if mode == "fhe" else None)
         if mode == "fhe":
-            model = decrypt_and_load(agg, keys, model)
+            model = decrypt_and_load(agg, keys, model, config.quantization)
         else:
             model = unflatten_weights(model, agg)
 

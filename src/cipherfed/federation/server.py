@@ -73,16 +73,13 @@ def _check_updates(updates) -> None:
                 f"client {u.client_id} sent {got[0]} chunks at level "
                 f"{got[1]}, scale {got[2]}; expected {want[0]} at level "
                 f"{want[1]}, scale {want[2]}")
-        need = chunk_count_for(u.param_count, first.params.slot_count)
+        n = first.params.ring_degree
+        need = chunk_count_for(u.param_count, n)
         if need != want[0]:
             raise ProtocolError(
                 f"client {u.client_id} sent {want[0]} chunks for "
-                f"{u.param_count} parameters, which need {need}")
-
-
-def aggregation_weights(updates) -> list[float]:
-    total = sum(u.sample_count for u in updates)
-    return [u.sample_count / total for u in updates]
+                f"{u.param_count} parameters, which need {need} chunks of "
+                f"{n} coefficients")
 
 
 def aggregate(updates, material: PublicMaterial) -> Ciphertext:
@@ -104,17 +101,19 @@ def aggregate(updates, material: PublicMaterial) -> Ciphertext:
 
 
 def aggregate_plain(updates) -> np.ndarray:
-    """The same weighted sum on unencrypted update vectors."""
+    """The same weighted mean on unencrypted update vectors: sum_k n_k *
+    x_k, divided once by n_total. Quantized values lie on the 2^-f grid
+    within `sample_capacity`, so the sum is exact in float64 and the
+    mean is bitwise the one decrypt_and_load recovers."""
     _check_updates(updates)
     updates = sorted(updates, key=lambda u: u.client_id)
-    weights = aggregation_weights(updates)
     acc = np.zeros_like(updates[0].values)
-    for w, u in zip(weights, updates):
+    for u in updates:
         if u.values.shape != acc.shape:
             raise AlignmentError(
                 f"client {u.client_id} sent {u.values.shape} values")
-        acc = acc + w * u.values
-    return acc
+        acc = acc + u.sample_count * u.values
+    return acc / sum(u.sample_count for u in updates)
 
 
 def server_step(updates, mode: str, material):

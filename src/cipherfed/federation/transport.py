@@ -6,8 +6,8 @@ channel implementation, `SocketChannel`, carries frames over a stream
 socket. Serialization is lossless, so a socket run's results equal the
 direct transport's. Every payload is read through one bounds-checked
 `Reader` and must be consumed exactly. An UPDATE or GLOBAL carries one
-artifact, and the run's mode says which one: on an fhe run a `CKV3`
-seeded batch up and a `CKV2` batch down.
+artifact, and the run's mode says which one: on an fhe run a `CKV4`
+seeded batch up and a `CKV2` batch down, both coefficient-packed.
 """
 
 from __future__ import annotations

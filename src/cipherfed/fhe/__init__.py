@@ -1,12 +1,13 @@
 """CKKS-style approximate homomorphic encryption over power-of-two
 cyclotomic rings: exactly the operations an encrypted weighted average
-needs (encode, public- and seeded secret-key encrypt, add,
-multiply-by-plaintext, rescale, decrypt).
+needs (slot and coefficient encoding, public- and seeded secret-key
+encrypt, add, multiply-by-plaintext, rescale, decrypt).
 
 Parameters here target correctness demonstrations, not audited security.
 """
 
-from .encoding import Plaintext, decode, encode, encode_coeffs, encode_scalar
+from .encoding import (Plaintext, decode, decode_coeffs, encode,
+                       encode_coeffs, encode_scalar)
 from .keys import KeyMaterial, PublicMaterial, keygen
 from .ops import (Ciphertext, add_ct, decrypt, encrypt, encrypt_symmetric,
                   mul_plain, rescale)
@@ -14,7 +15,8 @@ from .params import EncryptionParams, default_params
 from .poly import RingPoly, ntt_forward, ntt_inverse
 
 __all__ = [
-    "Plaintext", "decode", "encode", "encode_coeffs", "encode_scalar",
+    "Plaintext", "decode", "decode_coeffs", "encode", "encode_coeffs",
+    "encode_scalar",
     "KeyMaterial", "PublicMaterial", "keygen",
     "Ciphertext", "add_ct", "decrypt", "encrypt", "encrypt_symmetric",
     "mul_plain", "rescale",

@@ -1,10 +1,16 @@
-"""Slot encoding via the canonical embedding.
+"""Two encodings of real values into plaintext polynomials.
 
-A real vector of up to N/2 values is interpolated into an integer
-polynomial whose evaluations at the 2N-th roots of unity zeta^(5^j)
-reproduce the scaled inputs. The 5^j order is the one slot rotations
-need, and no rotation runs; it stays because every ciphertext's bytes
-depend on it.
+Slot encoding (`encode`/`decode`) interpolates up to N/2 values through
+the canonical embedding: the polynomial's evaluations at the 2N-th roots
+of unity zeta^(5^j) reproduce the scaled inputs. The 5^j order is the
+one slot rotations need, and no rotation runs; it stays because every
+ciphertext's bytes depend on it.
+
+Coefficient packing (`encode_coeffs`/`decode_coeffs`) puts N values
+straight into the coefficients, m_j = round(x_j * scale), with no FFT.
+Adding ciphertexts and multiplying them by integer constants, all that
+federated averaging does, acts on each coefficient on its own, so the
+federation's uploads use it.
 """
 
 from __future__ import annotations
@@ -53,36 +59,64 @@ def _slot_spectrum(values: np.ndarray, params: EncryptionParams) -> np.ndarray:
 
 def encode(values, params: EncryptionParams, level: int | None = None,
            scale: float | None = None) -> Plaintext:
-    """Encode real values into a plaintext at the given level.
+    """Encode real values into the slots of an NTT-domain plaintext at
+    the given level.
 
     A (chunks, count) matrix gives a batch, one plaintext per row. Rows
     are zero-padded to the slot count. Decoding the result recovers the
     inputs to within ~2^-30 at the default scale of 2^40.
     """
-    pt = encode_coeffs(values, params, level, scale)
-    return Plaintext(poly=ntt_forward(pt.poly), scale=pt.scale,
-                     level=pt.level)
+    level, scale = _level_and_scale(params, level, scale)
+    vals = _finite_rows(values, params.slot_count, "slot")
+    spec = _slot_spectrum(vals * scale, params)
+    n = params.ring_degree
+    coeffs = np.fft.fft(spec)[..., :n].real / n
+    return Plaintext(poly=ntt_forward(_coeff_poly(coeffs, params, level)),
+                     scale=scale, level=level)
 
 
 def encode_coeffs(values, params: EncryptionParams, level: int | None = None,
                   scale: float | None = None) -> Plaintext:
-    """encode() before its NTT: the coefficient-domain plaintext, to
-    which encrypt_symmetric adds its error before the one NTT."""
+    """Coefficient packing: value j of a row becomes coefficient j,
+    round(value * scale), of a coefficient-domain plaintext, to which
+    encrypt_symmetric adds its error before the one NTT. A (chunks,
+    count) matrix gives a batch; rows are zero-padded to ring_degree."""
     level, scale = _level_and_scale(params, level, scale)
+    vals = _finite_rows(values, params.ring_degree, "coefficient")
+    scaled = np.zeros(vals.shape[:-1] + (params.ring_degree,))
+    scaled[..., :vals.shape[-1]] = vals * scale
+    return Plaintext(poly=_coeff_poly(scaled, params, level), scale=scale,
+                     level=level)
+
+
+def decode_coeffs(pt: Plaintext, count: int) -> np.ndarray:
+    """The inverse of encode_coeffs before its division by the scale:
+    the first `count` coefficients as exact int64, centered mod the base
+    prime q0, shaped (count,) or (chunks, count). Valid while every
+    coefficient stays below q0 / 2 in absolute value."""
+    params = pt.poly.params
+    if count > params.ring_degree:
+        raise CapacityError(f"count {count} exceeds the "
+                            f"{params.ring_degree}-coefficient capacity")
+    poly = pt.poly if pt.poly.domain_tag == COEFF else ntt_inverse(pt.poly)
+    return _center(poly.residues[..., 0, :count], poly.primes[0])
+
+
+def _finite_rows(values, capacity: int, unit: str) -> np.ndarray:
     vals = np.atleast_1d(np.asarray(values, dtype=np.float64))
-    if vals.shape[-1] > params.slot_count:
+    if vals.shape[-1] > capacity:
         raise CapacityError(f"{vals.shape[-1]} values exceed the "
-                            f"{params.slot_count}-slot capacity")
+                            f"{capacity}-{unit} capacity")
     if vals.size and not np.all(np.isfinite(vals)):
         raise DomainError("cannot encode non-finite values")
+    return vals
 
-    spec = _slot_spectrum(vals * scale, params)
-    n = params.ring_degree
-    coeffs = np.fft.fft(spec)[..., :n].real / n
-    rounded = _check_word(np.round(coeffs))
-    poly = from_signed_coeffs(rounded.astype(np.int64), params,
-                              tuple(range(level + 1)))
-    return Plaintext(poly=poly, scale=scale, level=level)
+
+def _coeff_poly(coeffs: np.ndarray, params: EncryptionParams,
+                level: int) -> RingPoly:
+    """The coefficients, rounded, over the chain primes up to `level`."""
+    return from_signed_coeffs(_check_word(np.round(coeffs)).astype(np.int64),
+                              params, tuple(range(level + 1)))
 
 
 def encode_scalar(c: float, params: EncryptionParams, level: int | None = None,

@@ -25,7 +25,8 @@ from .poly import (COEFF, NTT, RingPoly, expand_seed, from_signed_coeffs,
 
 SCALE_MATCH_RTOL = 2.0 ** -30
 SEED_BYTES = 32
-# hashed with a chunk's seed int into the 32-byte seed of its c1
+# hashed with a chunk's seed int into the 32-byte seed of its c1; the tag
+# predates `CKV4` and keeps its bytes, so the seeds do too
 _SEED_TAG = b"cipherfed CKV3 c1"
 
 
@@ -35,7 +36,7 @@ class Ciphertext:
     c1: RingPoly
     scale: float
     level: int
-    # a level-0 batch from encrypt_symmetric or the `CKV3` reader: chunk
+    # a level-0 batch from encrypt_symmetric or the `CKV4` reader: chunk
     # i's c1 is expanded from seeds[i], 32 bytes
     seeds: tuple[bytes, ...] | None = None
 

@@ -20,14 +20,20 @@ from .params import EncryptionParams
 from .poly import NTT, RingPoly, ShoupPoly, ntt_inverse
 
 MAGIC_CIPHERTEXT = b"CKV2"
-MAGIC_SEEDED = b"CKV3"
+MAGIC_SEEDED = b"CKV4"
+# the slot-packed upload that `CKV4` replaced: named, so that a reader
+# can say what it found, but never read
+MAGIC_SLOT_SEEDED = b"CKV3"
 MAGIC_SECRET_KEY = b"CKS2"
 MAGIC_PUBLIC_KEY = b"CKP1"
 MAGIC_FLOAT_VECTOR = b"CKF1"
 
-_MAGICS = {MAGIC_CIPHERTEXT: "ciphertext",
-           MAGIC_SEEDED: "seeded ciphertext", MAGIC_SECRET_KEY: "secret key",
-           MAGIC_PUBLIC_KEY: "public key", MAGIC_FLOAT_VECTOR: "float vector"}
+MAGIC_KINDS = {MAGIC_CIPHERTEXT: "ciphertext",
+               MAGIC_SEEDED: "seeded ciphertext",
+               MAGIC_SLOT_SEEDED: "slot-packed seeded ciphertext (CKV3, no "
+                                  "longer read)",
+               MAGIC_SECRET_KEY: "secret key", MAGIC_PUBLIC_KEY: "public key",
+               MAGIC_FLOAT_VECTOR: "float vector"}
 
 # pk0 + pk1*s of a matching key pair is the key noise e, whose
 # coefficients stay within a few standard deviations (3.2) of 0; for a
@@ -65,13 +71,13 @@ class Reader:
 
 def _open(data: bytes, magic: bytes, params: EncryptionParams) -> Reader:
     """A Reader past the magic and the parameter digest of `data`."""
-    r = Reader(data, _MAGICS[magic])
+    r = Reader(data, MAGIC_KINDS[magic])
     got = r.take(4)
     if got != magic:
-        kind = _MAGICS.get(got)
+        kind = MAGIC_KINDS.get(got)
         if kind is not None:
             raise FormatError(
-                f"expected {_MAGICS[magic]} but found {kind} artifact")
+                f"expected {MAGIC_KINDS[magic]} but found {kind} artifact")
         raise FormatError(f"unknown magic bytes {got!r}")
     if r.take(8) != params.digest:
         raise ParameterError("artifact was produced under different "
@@ -116,7 +122,7 @@ def _header(ct: Ciphertext, magic: bytes, chunks: int) -> bytes:
 
 
 def _read_header(r: Reader) -> tuple[int, float, int]:
-    """Level, scale and chunk count of a `CKV2` or `CKV3` batch."""
+    """Level, scale and chunk count of a `CKV2` or `CKV4` batch."""
     level, scale, chunks = r.unpack("BdH")
     if not 0.0 < scale < math.inf:
         raise FormatError(f"ciphertext scale {scale} is not finite and "
@@ -145,17 +151,18 @@ def deserialize_ciphertext(data: bytes, params: EncryptionParams) -> Ciphertext:
 
 
 def serialize_seeded(ct: Ciphertext) -> bytes:
-    """One `CKV3` batch, an encrypt_symmetric output: the `CKV2` header,
-    each chunk's seed, then c0; c1 is left for the reader to expand."""
+    """One `CKV4` batch, an encrypt_symmetric output of coefficient-packed
+    chunks: the `CKV2` header, each chunk's seed, then c0; c1 is left for
+    the reader to expand."""
     if ct.seeds is None:
-        raise FormatError("only a seeded ciphertext is written as CKV3")
+        raise FormatError("only a seeded ciphertext is written as CKV4")
     return b"".join([_header(ct, MAGIC_SEEDED, len(ct.seeds)), *ct.seeds,
                      _poly_bytes(ct.c0)])
 
 
 def deserialize_seeded(data: bytes, params: EncryptionParams) -> Ciphertext:
-    """A `CKV3` artifact as a level-0 batch, its c1 re-expanded from the
-    seeds."""
+    """A `CKV4` artifact as a level-0 batch, its c1 re-expanded from the
+    seeds. A `CKV3` upload is refused by its magic."""
     r = _open(data, MAGIC_SEEDED, params)
     level, scale, chunks = _read_header(r)
     seeds = tuple(r.take(SEED_BYTES) for _ in range(chunks))

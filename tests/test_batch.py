@@ -100,20 +100,21 @@ def test_seeded_batch_equals_per_chunk(small_params, small_keys):
 
 
 def per_chunk_update(model, keys, client_id, sample_count, rng_seed):
-    """The UPDATE payload built chunk by chunk, one encode and one seeded
-    encrypt per slot-sized slice, laid out by hand: the header, every
-    chunk's seed, then c0's prime count and every chunk's residues,
-    chunk after chunk. The reference for the batch path and for `CKV3`."""
+    """The UPDATE payload built chunk by chunk, one coefficient packing and
+    one seeded encrypt per ring_degree-sized slice, laid out by hand: the
+    header, every chunk's seed, then c0's prime count and every chunk's
+    residues, chunk after chunk. The reference for the batch path and for
+    `CKV4`."""
     params = keys.params
     weights = quantize(flatten_weights(model), QuantizationSpec())
-    slots = params.slot_count
-    cts = [encrypt_symmetric(encode_coeffs(weights[None, start:start + slots],
+    n = params.ring_degree
+    cts = [encrypt_symmetric(encode_coeffs(weights[None, start:start + n],
                                            params, level=0), keys,
                              [derive_seed(rng_seed, i)])
-           for i, start in enumerate(range(0, weights.size, slots))]
+           for i, start in enumerate(range(0, weights.size, n))]
     top = cts[0]
     out = [struct.pack("<HQI", client_id, sample_count, weights.size),
-           b"CKV3", params.digest,
+           b"CKV4", params.digest,
            struct.pack("<BdH", top.level, top.scale, len(cts))]
     out.extend(ct.seeds[0] for ct in cts)
     out.append(struct.pack("<B", top.level + 1))
@@ -129,7 +130,7 @@ def test_update_bytes_equal_per_chunk_loop(std_keys, dims, params_expected):
     for client_id, seed in ((0, 1), (3, 12345)):
         upd = encrypt_model(model, QuantizationSpec(), std_keys, client_id,
                             40 + client_id, 0, rng_seed=seed)
-        assert len(upd.chunks) == -(-params_expected // 2048)
+        assert len(upd.chunks) == -(-params_expected // 4096)
         assert T.encode_update(upd) == per_chunk_update(
             model, std_keys, client_id, 40 + client_id, seed)
 
@@ -158,7 +159,7 @@ def test_single_ciphertext_is_not_a_batch(small_params, small_keys):
 
 def test_aggregate_is_one_batch(small_params, small_keys):
     arch = PqcArchitecture(qubit_count=3, depth=2)
-    model = M.init_model(600, arch, 3, rng_seed=4)
+    model = M.init_model(1200, arch, 3, rng_seed=4)
     ups = [encrypt_model(model, QuantizationSpec(), small_keys, k, 10 * k + 5,
                          0, rng_seed=k) for k in range(3)]
     agg = server.aggregate(ups, small_keys.public)

@@ -247,6 +247,11 @@ def test_inspect_seeded_batch(tmp_path, capsys, small_params, small_keys):
     out = capsys.readouterr().out
     assert "seeded ciphertext" in out and "level  : 0" in out
     assert "scale  : 1.09951e+12" in out and "chunks : 2" in out
+    # an upload from before coefficient packing is named, not read
+    p.write_bytes(b"CKV3" + serialize_seeded(ct)[4:])
+    assert main(["inspect", str(p)]) == 0
+    assert ("kind   : slot-packed seeded ciphertext (CKV3, no longer read)"
+            in capsys.readouterr().out)
 
 
 def test_inspect_unknown_magic_exits_3(tmp_path, capsys):
@@ -257,7 +262,7 @@ def test_inspect_unknown_magic_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("magic,size", [("CKV2", 9), ("CKV3", 9),
-                                        ("CKM1", 7),
+                                        ("CKV4", 9), ("CKM1", 7),
                                         ("CKF1", 6), ("CKS2", 11),
                                         ("CKP1", 11)])
 def test_inspect_truncated_header_exits_3(tmp_path, capsys, magic, size):

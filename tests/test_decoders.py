@@ -12,17 +12,20 @@ import struct
 
 import numpy as np
 import pytest
+from conftest import channel_pair
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cipherfed import model as M
-from cipherfed.errors import CipherfedError, FormatError, ParameterError
+from cipherfed.errors import (CipherfedError, FormatError, ParameterError,
+                              ProtocolError)
 from cipherfed.federation import transport as T
 from cipherfed.federation.client import (ClientUpdate, PlainUpdate,
                                          encrypt_model)
 from cipherfed.federation.quantize import QuantizationSpec
-from cipherfed.fhe import (Ciphertext, decode, decrypt, encode, encode_coeffs,
-                           encrypt, encrypt_symmetric, keygen)
+from cipherfed.federation.server import FederationCoordinator
+from cipherfed.fhe import (Ciphertext, decode, decode_coeffs, decrypt, encode,
+                           encode_coeffs, encrypt, encrypt_symmetric, keygen)
 from cipherfed.fhe.keys import KeyMaterial, PublicMaterial
 from cipherfed.fhe.serial import (deserialize_ciphertext,
                                   deserialize_float_vector,
@@ -71,6 +74,10 @@ def formats(small_params):
         assert isinstance(got, Ciphertext)
         decode(decrypt(got, keys), 8)
 
+    def use_seeded(got):
+        assert isinstance(got, Ciphertext) and got.level == 0
+        decode_coeffs(decrypt(got, keys), 8)
+
     def use_public(got):
         assert isinstance(got, PublicMaterial)
         decode(decrypt(encrypt(encode([0.25], params), got, 1), keys), 1)
@@ -88,8 +95,7 @@ def formats(small_params):
 
     def use_update(got):
         if isinstance(got, ClientUpdate):
-            for chunk in got.chunks:
-                use_ct(chunk)
+            use_seeded(got.chunks)
         else:
             use_vector(got.values)
 
@@ -129,9 +135,9 @@ def formats(small_params):
                                lambda b: deserialize_ciphertext(b, params),
                                use_ct)
            for n, c in ((1, ct), *batches.items())},
-        **{f"CKV3-{n}": Format(serialize_seeded(c),
+        **{f"CKV4-{n}": Format(serialize_seeded(c),
                                lambda b: deserialize_seeded(b, params),
-                               use_ct)
+                               use_seeded)
            for n, c in seeded.items()},
         "CKP1": Format(pub, lambda b: deserialize_public_material(b, params),
                        use_public),
@@ -145,8 +151,14 @@ def formats(small_params):
 
 
 NAMES = ["frame-body", "JOIN", "UPDATE-fhe", "UPDATE-plain", "GLOBAL-fhe",
-         "GLOBAL-plain", "METRICS", "CKV2-1", "CKV2-2", "CKV2-7", "CKV3-1",
-         "CKV3-2", "CKV3-7", "CKP1", "CKS2", "CKF1", "CKM1"]
+         "GLOBAL-plain", "METRICS", "CKV2-1", "CKV2-2", "CKV2-7", "CKV4-1",
+         "CKV4-2", "CKV4-7", "CKP1", "CKS2", "CKF1", "CKM1"]
+
+
+def case_id(name: str) -> str:
+    """The seeded-upload cases keep the ids they had while the upload was
+    `CKV3`, so that their results compare across the format change."""
+    return name.replace("CKV4", "CKV3")
 
 
 @st.composite
@@ -188,7 +200,7 @@ def test_every_valid_encoding_decodes(formats):
         fmt.use(fmt.decode(fmt.blob))
 
 
-@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("name", NAMES, ids=case_id)
 @FUZZ
 @given(data=st.data())
 def test_mutated_input_decodes_or_raises(formats, name, data):
@@ -198,7 +210,7 @@ def test_mutated_input_decodes_or_raises(formats, name, data):
 
 
 @pytest.mark.parametrize("name", [n for n in NAMES if n not in
-                                  ("frame-body", "METRICS")])
+                                  ("frame-body", "METRICS")], ids=case_id)
 @FUZZ
 @given(extra=st.binary(min_size=1, max_size=64))
 def test_binary_layouts_reject_any_append(formats, name, extra):
@@ -222,19 +234,19 @@ def test_metrics_append_is_whitespace_or_rejected(formats, extra, tail):
     assert not decode_and_use(formats["METRICS"], blob + extra.encode() + tail)
 
 
-# --- the seeded upload, `CKV3` ----------------------------------------------
+# --- the seeded upload, `CKV4` ----------------------------------------------
 
-SEEDED = ["CKV3-1", "CKV3-2", "CKV3-7"]
+SEEDED = ["CKV4-1", "CKV4-2", "CKV4-7"]
 
 
-@pytest.mark.parametrize("name", SEEDED)
+@pytest.mark.parametrize("name", SEEDED, ids=case_id)
 def test_seeded_every_truncation_rejected(formats, name):
     fmt = formats[name]
     for cut in range(len(fmt.blob)):
         assert not decode_and_use(fmt, fmt.blob[:cut])
 
 
-@pytest.mark.parametrize("name", SEEDED)
+@pytest.mark.parametrize("name", SEEDED, ids=case_id)
 def test_seeded_trailing_bytes_rejected(formats, name):
     fmt = formats[name]
     for extra in (b"\0", b"\xff" * 8, fmt.blob[-32:]):
@@ -246,7 +258,7 @@ def seeded_chunks(blob: bytes) -> int:
     return struct.unpack_from("<H", blob, 21)[0]
 
 
-@pytest.mark.parametrize("name", SEEDED)
+@pytest.mark.parametrize("name", SEEDED, ids=case_id)
 def test_seeded_residue_at_prime_rejected(formats, small_params, name):
     blob = bytearray(formats[name].blob)
     # c0's first residue, past the header, the seeds and the row count
@@ -257,21 +269,21 @@ def test_seeded_residue_at_prime_rejected(formats, small_params, name):
 
 
 def test_seeded_without_chunks_rejected(formats):
-    blob = bytearray(formats["CKV3-1"].blob)
+    blob = bytearray(formats["CKV4-1"].blob)
     struct.pack_into("<H", blob, 21, 0)
     with pytest.raises(FormatError, match="no chunks"):
-        formats["CKV3-1"].decode(bytes(blob))
+        formats["CKV4-1"].decode(bytes(blob))
 
 
 def test_seeded_wrong_digest_rejected(formats):
-    blob = bytearray(formats["CKV3-2"].blob)
+    blob = bytearray(formats["CKV4-2"].blob)
     blob[4] ^= 1
     with pytest.raises(ParameterError, match="digest mismatch"):
-        formats["CKV3-2"].decode(bytes(blob))
+        formats["CKV4-2"].decode(bytes(blob))
 
 
 def test_public_key_batch_in_fhe_update_rejected(formats, small_params):
-    """On an fhe run an UPDATE carries `CKV3` only; a `CKV2` batch, the
+    """On an fhe run an UPDATE carries `CKV4` only; a `CKV2` batch, the
     GLOBAL artifact, is a malformed payload."""
     update = formats["UPDATE-fhe"]
     header = update.blob[:14]  # client id, sample count, param count
@@ -279,3 +291,90 @@ def test_public_key_batch_in_fhe_update_rejected(formats, small_params):
     with pytest.raises(FormatError, match="expected seeded ciphertext but "
                                           "found ciphertext artifact"):
         update.decode(header + ckv2)
+
+
+def test_seeded_header_bit_flips_decode_or_raise(formats):
+    """Every one-bit flip of a `CKV4` header and first seed decodes to a
+    usable batch or raises; one in the magic or the digest always
+    raises."""
+    fmt = formats["CKV4-1"]
+    for pos in range(23 + 32):
+        for bit in range(8):
+            blob = bytearray(fmt.blob)
+            blob[pos] ^= 1 << bit
+            decoded = decode_and_use(fmt, bytes(blob))
+            assert not (decoded and pos < 12)
+
+
+def as_ckv3(update_payload: bytes) -> bytes:
+    """The same UPDATE in the slot-packed `CKV3` upload's layout, which
+    `CKV4` kept and only renamed."""
+    at = 14  # client id, sample count, param count
+    return update_payload[:at] + b"CKV3" + update_payload[at + 4:]
+
+
+def coordinator_against(keys, payloads):
+    """A one-round fhe coordinator for one client per UPDATE payload:
+    each client JOINs with the payload's sample count and sends it.
+    Returns the coordinator's error and each client's next message."""
+    pairs = [channel_pair() for _ in payloads]
+    for cid, ((_srv, cli), payload) in enumerate(zip(pairs, payloads)):
+        count = struct.unpack_from("<Q", payload, 2)[0]
+        cli.send(T.Message(T.MSG_JOIN, 0, T.encode_join(cid, count)))
+        cli.send(T.Message(T.MSG_UPDATE, 0, payload))
+    coordinator = FederationCoordinator(expected_clients=len(payloads),
+                                        rounds=1, mode="fhe",
+                                        material=keys.public)
+    with pytest.raises(CipherfedError) as info:
+        coordinator.run([srv for srv, _cli in pairs])
+    replies = [cli.recv(timeout=5.0) for _srv, cli in pairs]
+    for pair in pairs:
+        for ch in pair:
+            ch.close()
+    return info.value, replies
+
+
+def client_update(keys, cid: int, dims: int = 3) -> bytes:
+    arch = PqcArchitecture(qubit_count=2, depth=1)
+    model = M.init_model(dims, arch, 2, rng_seed=cid)
+    return T.encode_update(encrypt_model(model, QuantizationSpec(), keys,
+                                         client_id=cid, sample_count=12,
+                                         round_index=0, rng_seed=cid))
+
+
+@pytest.fixture(scope="module")
+def keys(small_params):
+    return keygen(small_params, rng_seed=41)
+
+
+def test_ckv3_update_aborts_every_client(keys, small_params):
+    """A client that still uploads slot-packed `CKV3` is refused by its
+    magic, and the coordinator aborts every client."""
+    old = as_ckv3(client_update(keys, 1))
+    with pytest.raises(FormatError, match=r"found slot-packed seeded "
+                                          r"ciphertext \(CKV3"):
+        T.decode_update(old, 0, small_params)
+    error, replies = coordinator_against(keys, [client_update(keys, 0), old])
+    assert isinstance(error, FormatError)
+    assert "UPDATE from client 1" in str(error)
+    assert [m.mtype for m in replies] == [T.MSG_ABORT, T.MSG_ABORT]
+
+
+@pytest.mark.parametrize("dims,param_count", [(3, 1025), (600, 1024)],
+                         ids=["one-chunk-for-two", "two-chunks-for-one"])
+def test_chunk_count_off_ring_degree_aborts_every_client(keys, small_params,
+                                                         dims, param_count):
+    """The chunk count must be ceil(param_count / ring_degree): one chunk
+    for 1025 parameters, or two for 1024, is refused at aggregation."""
+    n = small_params.ring_degree
+    bad = bytearray(client_update(keys, 1, dims))
+    chunks = struct.unpack_from("<H", bad, 14 + 21)[0]
+    assert chunks != -(-param_count // n)
+    struct.pack_into("<I", bad, 10, param_count)
+    error, replies = coordinator_against(keys, [client_update(keys, 0, dims),
+                                                bytes(bad)])
+    assert isinstance(error, ProtocolError)
+    assert (f"client 1 sent {chunks} chunks for {param_count} parameters, "
+            f"which need {-(-param_count // n)} chunks of {n} "
+            "coefficients") in str(error)
+    assert [m.mtype for m in replies] == [T.MSG_ABORT, T.MSG_ABORT]

@@ -61,16 +61,18 @@ def test_encrypt_zero_model(toy_world, small_params):
 
 def test_chunk_count_ceiling(toy_world, small_params):
     from cipherfed.federation.client import chunk_count_for
-    assert chunk_count_for(5000, 2048) == 3
+    assert chunk_count_for(5000, 4096) == 2
+    assert chunk_count_for(8193, 4096) == 3
     keys = toy_world["keys"]
     arch = PqcArchitecture(qubit_count=4, depth=3)
-    big = M.init_model(200, arch, 60, rng_seed=1)  # > one chunk of slots
+    big = M.init_model(200, arch, 60, rng_seed=1)  # > one chunk of N
     upd = encrypt_model(big, QuantizationSpec(), keys, 0, 1, 0)
-    slots = small_params.slot_count
-    assert len(upd.chunks) == -(-big.param_count // slots)
+    n = small_params.ring_degree
+    assert big.param_count > n
+    assert len(upd.chunks) == -(-big.param_count // n)
     back = decrypt_and_load(upd.chunks, keys, big)
     expect = quantize(flatten_weights(big), QuantizationSpec())
-    assert np.abs(flatten_weights(back) - expect).max() < 2.0 ** -15
+    assert np.array_equal(flatten_weights(back), expect)
 
 
 def test_decrypt_and_load_template_mismatch(toy_world):
@@ -380,7 +382,7 @@ def test_aggregate_rejects_param_count_that_needs_other_chunks(
     top, scale = small_params.max_level, small_params.scale
     one = encrypted_chunk(small_params, keys, top, scale)
     ok = ClientUpdate(0, one, 5, 0, 3)
-    for count in (0, small_params.slot_count + 1):
+    for count in (0, small_params.ring_degree + 1):
         bad = ClientUpdate(1, one, 5, 0, count)
         with pytest.raises(ProtocolError, match="which need"):
             server.aggregate([ok, bad], keys.public)

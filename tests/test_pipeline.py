@@ -63,9 +63,13 @@ def test_compare_rows_equal_each_arm_alone(tmp_path):
 def test_sample_capacity_at_the_defaults():
     cfg = parse_config(DOC)
     assert sample_capacity(cfg.encryption, cfg.quantization) == 65535
-    # half the clip range holds twice the samples
+    # half the clip range leaves room in q0 for twice the samples, but
+    # the summed error must also round away under half a 2^-16 step
     assert sample_capacity(cfg.encryption,
-                           QuantizationSpec(clip_range=4.0)) == 131071
+                           QuantizationSpec(clip_range=4.0)) == 65535
+    # one fractional bit fewer doubles that room too
+    assert sample_capacity(cfg.encryption, QuantizationSpec(
+        clip_range=4.0, fractional_bits=15)) == 131071
 
 
 def test_round_config_rejects_samples_beyond_capacity():

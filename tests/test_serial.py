@@ -218,7 +218,7 @@ def test_ciphertext_scale_must_be_finite_positive(scale, small_params,
         deserialize_ciphertext(bytes(blob), small_params)
 
 
-# --- the seeded upload, `CKV3` ----------------------------------------------
+# --- the seeded upload, `CKV4` ----------------------------------------------
 
 def spec_expansion(seed: bytes, q: int, n: int, shake=None) -> list[int]:
     """The expansion as docs/protocol.md words it, one word at a time."""
@@ -279,7 +279,7 @@ def test_seed_expansion_reads_on_past_a_short_stream(monkeypatch,
 @pytest.mark.parametrize("chunks", [1, 2, 7])
 def test_seeded_batch_roundtrip_bitwise(chunks, small_params, small_keys,
                                         rng):
-    from cipherfed.fhe import encode_coeffs, encrypt_symmetric
+    from cipherfed.fhe import decode_coeffs, encode_coeffs, encrypt_symmetric
     from cipherfed.fhe.serial import deserialize_seeded, serialize_seeded
     values = rng.uniform(-8, 8, (chunks, 16))
     ct = encrypt_symmetric(encode_coeffs(values, small_params, level=0),
@@ -293,7 +293,7 @@ def test_seeded_batch_roundtrip_bitwise(chunks, small_params, small_keys,
     assert np.array_equal(back.c1.residues, ct.c1.residues)
     assert (back.level, back.scale) == (0, small_params.scale)
     assert serialize_seeded(back) == blob
-    got = decode(decrypt(back, small_keys), 16)
+    got = decode_coeffs(decrypt(back, small_keys), 16) / small_params.scale
     assert np.abs(got - values).max() < 2.0 ** -28
 
 

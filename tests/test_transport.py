@@ -342,7 +342,7 @@ def scripted_round(mode, material, *frames):
 
 
 def encrypted_update(world):
-    """A client's `CKV3` batch and its parameter count."""
+    """A client's `CKV4` batch and its parameter count."""
     upd = encrypt_model(world["init"], QuantizationSpec(), world["keys"],
                         client_id=0, sample_count=10, round_index=0)
     return serialize_seeded(upd.chunks), upd.param_count
@@ -744,7 +744,7 @@ def test_wrong_mode_update_aborts_every_client(world):
 
 def test_mixed_scale_update_aborts_every_client(world, small_params):
     """Client 1 sends a well-formed batch at half client 0's scale: it
-    decodes, but the updates cannot be averaged together. (Every `CKV3`
+    decodes, but the updates cannot be averaged together. (Every `CKV4`
     batch is at level 0, so the scale is what can differ.)"""
     upd = encrypt_model(world["init"], QuantizationSpec(), world["keys"],
                         client_id=1, sample_count=10, round_index=0,
@@ -768,11 +768,11 @@ def test_upload_seeds_never_repeat(small_params, monkeypatch, transport):
     across 2 chunks, 3 clients and 3 rounds every seed is new."""
     from cipherfed.fhe import keygen
     train, test = D.generate_synthetic("blobs", 150, 0.5, seed=8, classes=2,
-                                       dims=300)
+                                       dims=600)
     parts = D.partition(train, D.PartitionSpec(client_count=3, rng_seed=1))
-    init = M.init_model(300, PqcArchitecture(qubit_count=2, depth=1), 2,
+    init = M.init_model(600, PqcArchitecture(qubit_count=2, depth=1), 2,
                         rng_seed=3)
-    assert -(-init.param_count // small_params.slot_count) == 2
+    assert -(-init.param_count // small_params.ring_degree) == 2
     cfg = RoundConfig.for_datasets(parts, rounds=3, learning_rate=0.2,
                                    batch_size=16, epochs_per_round=1,
                                    base_seed=4, deterministic_timing=True)
