@@ -120,8 +120,10 @@ def cmd_compare(args) -> int:
 def cmd_inspect(args) -> int:
     from .fhe.serial import (MAGIC_CIPHERTEXT, MAGIC_FLOAT_VECTOR,
                              MAGIC_KINDS, MAGIC_PUBLIC_KEY, MAGIC_SECRET_KEY,
-                             MAGIC_SEEDED, MAGIC_SLOT_SEEDED, Reader)
-    batches = (MAGIC_CIPHERTEXT, MAGIC_SEEDED, MAGIC_SLOT_SEEDED)
+                             MAGIC_SEEDED, MAGIC_SEEDED_SUM,
+                             MAGIC_SLOT_SEEDED, Reader)
+    batches = (MAGIC_CIPHERTEXT, MAGIC_SEEDED, MAGIC_SEEDED_SUM,
+               MAGIC_SLOT_SEEDED)
     data = Path(args.path).read_bytes()
     size = len(data)
     r = Reader(data, f"{data[:4]!r} header")
@@ -144,6 +146,11 @@ def cmd_inspect(args) -> int:
         print(f"level  : {level}")
         print(f"scale  : {scale:.6g}")
         print(f"chunks : {chunks}")
+        if magic == MAGIC_SEEDED_SUM:
+            (k,) = r.unpack("H")
+            counts = r.unpack(f"{k}Q")
+            print(f"clients: {k}")
+            print(f"counts : {', '.join(map(str, counts))}")
         print(f"size   : {size} bytes")
     elif magic == MAGIC_FLOAT_VECTOR:
         (count,) = r.unpack("I")

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, DomainError, ShapeError
+from ..errors import ConfigError, DomainError, ProtocolError, ShapeError
 from ..fhe.encoding import decode_coeffs, encode_coeffs
 from ..fhe.encoding import decode, encode  # perfbench wraps; ROADMAP item 1
 from ..fhe.keys import KeyMaterial
@@ -58,6 +58,28 @@ class PlainUpdate:
 
 def chunk_count_for(param_count: int, ring_degree: int) -> int:
     return -(-param_count // ring_degree)
+
+
+def check_upload_chunks(client_id: int, chunks: int, param_count: int,
+                        ring_degree: int) -> None:
+    """ProtocolError unless an upload's chunk count is the one its
+    parameter count fills."""
+    need = chunk_count_for(param_count, ring_degree)
+    if chunks != need:
+        raise ProtocolError(
+            f"client {client_id} sent {chunks} chunks for {param_count} "
+            f"parameters, which need {need} chunks of {ring_degree} "
+            "coefficients")
+
+
+def check_global_chunks(chunks: int, param_count: int,
+                        ring_degree: int) -> None:
+    """ShapeError unless a GLOBAL's chunk count is the one a model of
+    `param_count` parameters fills."""
+    want = chunk_count_for(param_count, ring_degree)
+    if chunks != want:
+        raise ShapeError(f"{chunks} chunks of {ring_degree} coefficients "
+                         f"for {param_count} parameters, which fill {want}")
 
 
 def sample_capacity(params: EncryptionParams, spec: QuantizationSpec) -> int:
@@ -131,10 +153,7 @@ def decrypt_and_load(agg: Ciphertext, keys: KeyMaterial,
     params = keys.params
     n = params.ring_degree
     need = template.param_count
-    want = chunk_count_for(need, n)
-    if len(agg) != want:
-        raise ShapeError(f"{len(agg)} chunks of {n} coefficients for {need} "
-                         f"parameters, which fill {want}")
+    check_global_chunks(len(agg), need, n)
     total = agg.scale / params.scale
     capacity = sample_capacity(params, spec)
     if not (total.is_integer() and 1 <= total <= capacity):

@@ -15,7 +15,7 @@ import threading
 from ..errors import ProtocolError
 from ..fhe.keys import public_part
 from ..model import HybridModel, evaluate, unflatten_weights
-from .client import decrypt_and_load
+from .client import check_global_chunks, decrypt_and_load
 from .metrics import MetricsSink, metrics_row
 from .rounds import RoundConfig, _clock, check_run_inputs, client_step
 from .server import FederationCoordinator
@@ -68,12 +68,13 @@ def _client_rounds(channel, client_id: int, dataset, test_data,
         if msg.mtype != MSG_GLOBAL or msg.round_index != r:
             raise ProtocolError(f"client {client_id}: unexpected message "
                                 f"type {msg.mtype} round {msg.round_index}")
-        agg = decode_global(msg.payload,
-                            keys.params if mode == "fhe" else None)
         if mode == "fhe":
+            agg = decode_global(msg.payload, keys.params,
+                                _global_check(config, model, keys.params))
             model = decrypt_and_load(agg, keys, model, config.quantization)
         else:
-            model = unflatten_weights(model, agg)
+            model = unflatten_weights(model, decode_global(msg.payload,
+                                                           None))
 
         if client_id == 0:
             test_acc, test_loss = evaluate(model, test_data.features,
@@ -83,6 +84,20 @@ def _client_rounds(channel, client_id: int, dataset, test_data,
                                wall_ms=(clock() - t0) * 1000.0)
             channel.send(Message(MSG_METRICS, r, encode_metrics(grow)))
     return model
+
+
+def _global_check(config: RoundConfig, model: HybridModel, params):
+    """The check a client runs on a GLOBAL before it expands any seed:
+    the aggregate must carry this run's sample counts, client by client,
+    and the chunks the model fills."""
+    def check(chunks, counts):
+        if counts != config.sample_counts:
+            raise ProtocolError(
+                f"GLOBAL carries {len(counts)} sample counts totalling "
+                f"{sum(counts)}; the run's {config.client_count} clients "
+                f"hold {config.sample_counts}")
+        check_global_chunks(chunks, model.param_count, params.ring_degree)
+    return check
 
 
 def run_socket_federation(initial_model, config: RoundConfig,

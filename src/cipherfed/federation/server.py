@@ -19,7 +19,7 @@ from ..fhe.encoding import encode_scalar
 from ..fhe.keys import PublicMaterial
 from ..fhe.ops import Ciphertext, add_ct, mul_plain
 from ..fhe.ops import rescale  # perfbench --trace wraps it; ROADMAP item 1
-from .client import chunk_count_for, sample_capacity
+from .client import check_upload_chunks, sample_capacity
 from .quantize import QuantizationSpec
 from .transport import (CONVERGED_REASON, MSG_ABORT, MSG_GLOBAL, MSG_JOIN,
                         MSG_METRICS, MSG_UPDATE, Message, decode_join,
@@ -73,20 +73,17 @@ def _check_updates(updates) -> None:
                 f"client {u.client_id} sent {got[0]} chunks at level "
                 f"{got[1]}, scale {got[2]}; expected {want[0]} at level "
                 f"{want[1]}, scale {want[2]}")
-        n = first.params.ring_degree
-        need = chunk_count_for(u.param_count, n)
-        if need != want[0]:
-            raise ProtocolError(
-                f"client {u.client_id} sent {want[0]} chunks for "
-                f"{u.param_count} parameters, which need {need} chunks of "
-                f"{n} coefficients")
+        check_upload_chunks(u.client_id, got[0], u.param_count,
+                            first.params.ring_degree)
 
 
 def aggregate(updates, material: PublicMaterial) -> Ciphertext:
     """Weighted encrypted mean over the clients' ciphertext batches:
     S = sum_k n_k * E(w_k), each n_k an integer plaintext of scale 1, at
     scale (input scale) * n_total, so that decoding divides by n_total.
-    The result is one batch at the inputs' level."""
+    The result is one batch at the inputs' level. When every input is
+    seeded it carries their seeds, in client order, and counts scaled by
+    n_k, so that the GLOBAL can send them in place of c1."""
     public = _require_public(material)
     _check_updates(updates)
     updates = sorted(updates, key=lambda u: u.client_id)
@@ -96,8 +93,14 @@ def aggregate(updates, material: PublicMaterial) -> Ciphertext:
         term = mul_plain(u.chunks, encode_scalar(
             u.sample_count, params, level=first.level, scale=1.0))
         acc = term if acc is None else add_ct(acc, term)
+    seeds = counts = None
+    if all(u.chunks.seeds is not None for u in updates):
+        seeds = tuple(s for u in updates for s in u.chunks.seeds)
+        counts = tuple(u.sample_count * c for u in updates
+                       for c in u.chunks.counts)
     return replace(acc, scale=first.scale
-                   * sum(u.sample_count for u in updates))
+                   * sum(u.sample_count for u in updates), seeds=seeds,
+                   counts=counts)
 
 
 def aggregate_plain(updates) -> np.ndarray:

@@ -7,7 +7,8 @@ socket. Serialization is lossless, so a socket run's results equal the
 direct transport's. Every payload is read through one bounds-checked
 `Reader` and must be consumed exactly. An UPDATE or GLOBAL carries one
 artifact, and the run's mode says which one: on an fhe run a `CKV4`
-seeded batch up and a `CKV2` batch down, both coefficient-packed.
+seeded batch up and a `CKV5` seeded aggregate down, both
+coefficient-packed.
 """
 
 from __future__ import annotations
@@ -19,11 +20,13 @@ import struct
 import numpy as np
 
 from ..errors import ProtocolError
-from ..fhe.serial import (Reader, deserialize_ciphertext,
-                          deserialize_float_vector, deserialize_seeded,
-                          serialize_ciphertext, serialize_float_vector,
-                          serialize_seeded)
-from .client import ClientUpdate, PlainUpdate
+from ..fhe.serial import (Reader, deserialize_float_vector,
+                          deserialize_seeded, deserialize_seeded_sum,
+                          serialize_float_vector, serialize_seeded,
+                          serialize_seeded_sum)
+# perfbench --trace wraps these two; ROADMAP item 1
+from ..fhe.serial import deserialize_ciphertext, serialize_ciphertext
+from .client import ClientUpdate, PlainUpdate, check_upload_chunks
 
 MSG_JOIN = 1
 MSG_UPDATE = 2
@@ -130,12 +133,18 @@ def encode_update(update) -> bytes:
 
 
 def decode_update(payload: bytes, round_index: int, params):
+    """An UPDATE; on an fhe run its chunk count is checked against its
+    param count before any seed is expanded."""
     r = Reader(payload, "UPDATE payload", ProtocolError)
     client_id, sample_count, param_count = r.unpack("HQI")
     if params is not None:
+        def check(chunks, _counts):
+            check_upload_chunks(client_id, chunks, param_count,
+                                params.ring_degree)
+
         return ClientUpdate(client_id=client_id,
                             chunks=deserialize_seeded(payload[r.pos:],
-                                                      params),
+                                                      params, check),
                             sample_count=sample_count,
                             round_index=round_index, param_count=param_count)
     artifact = deserialize_float_vector(payload[r.pos:])
@@ -147,18 +156,21 @@ def decode_update(payload: bytes, round_index: int, params):
 
 
 def encode_global(agg) -> bytes:
+    """A plaintext mean as `CKF1`, an aggregate of seeded uploads as
+    `CKV5`; any other aggregate is a FormatError."""
     if isinstance(agg, np.ndarray):
         return serialize_float_vector(agg)
-    return serialize_ciphertext(agg)
+    return serialize_seeded_sum(agg)
 
 
-def decode_global(payload: bytes, params):
-    """The one artifact that is a GLOBAL payload: a `CKV2` ciphertext
-    batch on an fhe run, where `params` is given, and a `CKF1` vector on
-    a plaintext run."""
+def decode_global(payload: bytes, params, check=None):
+    """The one artifact that is a GLOBAL payload: a `CKV5` seeded
+    aggregate on an fhe run, where `params` is given, and a `CKF1`
+    vector on a plaintext run. `check(chunks, counts)`, if given, runs
+    before any seed is expanded."""
     if params is None:
         return deserialize_float_vector(payload)
-    return deserialize_ciphertext(payload, params)
+    return deserialize_seeded_sum(payload, params, check)
 
 
 def encode_metrics(row: dict) -> bytes:

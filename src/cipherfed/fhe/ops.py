@@ -20,8 +20,9 @@ from .encoding import Plaintext
 from .keys import KeyMaterial, public_part
 from .nttmath import shoup_constant, shoup_mul, submod
 from .params import EncryptionParams
-from .poly import (COEFF, NTT, RingPoly, expand_seed, from_signed_coeffs,
-                   ntt_forward, sample_gaussian, sample_ternary)
+from .poly import (COEFF, NTT, RingPoly, ShoupPoly, expand_seed,
+                   from_signed_coeffs, ntt_forward, sample_gaussian,
+                   sample_ternary)
 
 SCALE_MATCH_RTOL = 2.0 ** -30
 SEED_BYTES = 32
@@ -36,9 +37,13 @@ class Ciphertext:
     c1: RingPoly
     scale: float
     level: int
-    # a level-0 batch from encrypt_symmetric or the `CKV4` reader: chunk
-    # i's c1 is expanded from seeds[i], 32 bytes
+    # a level-0 batch of K clients' seeded uploads, each of c chunks:
+    # c1 = sum_k counts[k] * a_k (seeded_c1), where chunk j of a_k is
+    # expanded from seeds[k * c + j], 32 bytes. An upload from
+    # encrypt_symmetric or the `CKV4` reader has counts (1,); an
+    # aggregate of uploads has the clients' sample counts
     seeds: tuple[bytes, ...] | None = None
+    counts: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.c0.domain_tag != self.c1.domain_tag:
@@ -47,6 +52,11 @@ class Ciphertext:
             raise AlignmentError("ciphertext halves on different bases")
         if len(self.c0.prime_indices) != self.level + 1:
             raise LevelError("active prime count does not match level")
+        if (self.seeds is None) != (self.counts is None) or (
+                self.seeds is not None
+                and len(self.seeds) != len(self.counts) * len(self)):
+            raise ShapeError("a seeded batch needs one seed per client "
+                             "and chunk, and one count per client")
 
     @property
     def params(self) -> EncryptionParams:
@@ -89,12 +99,24 @@ def encrypt(pt: Plaintext, keys, rng_seed=0) -> Ciphertext:
     return Ciphertext(c0=c0, c1=c1, scale=pt.scale, level=pt.level)
 
 
-def expand_c1(seeds, params: EncryptionParams) -> RingPoly:
-    """The level-0 NTT-domain batch whose chunk i is expanded from
-    seeds[i]: the c1 of a seeded ciphertext."""
+def seeded_c1(seeds, counts, params: EncryptionParams) -> RingPoly:
+    """The level-0 NTT-domain c1 of a seeded batch: sum_k counts[k] * a_k,
+    where chunk j of a_k is expanded from seeds[k * c + j] for c chunks.
+    With counts (1,) that is one upload's c1; with the clients' sample
+    counts it is server.aggregate's, summed in client order with the
+    same modular products, so it is bitwise the server's. A count of 1
+    skips its product, which would multiply by 1."""
     q0, n = params.modulus_chain[0], params.ring_degree
-    return RingPoly(params, (0,), np.stack(
-        [expand_seed(s, q0, n) for s in seeds])[:, None, :], NTT)
+    c = len(seeds) // len(counts)
+    acc = None
+    for k, count in enumerate(counts):
+        a = RingPoly(params, (0,), np.stack(
+            [expand_seed(s, q0, n) for s in seeds[k * c:(k + 1) * c]]
+        )[:, None, :], NTT)
+        if count != 1:
+            a = a.mul_fixed(ShoupPoly.constant(count, params, (0,)))
+        acc = a if acc is None else acc.add(a)
+    return acc
 
 
 def encrypt_symmetric(pt: Plaintext, keys: KeyMaterial,
@@ -127,10 +149,11 @@ def encrypt_symmetric(pt: Plaintext, keys: KeyMaterial,
     e = np.reshape([sample_gaussian(params, (0,), np.random.default_rng(
         np.random.SeedSequence([int(s), 0x5EC]))).residues for s in ints],
         poly.residues.shape)
-    a = expand_c1(seeds, params)
+    a = seeded_c1(seeds, (1,), params)
     c0 = a.mul_fixed(keys.secret_key).neg().add(
         ntt_forward(poly.add(poly._like(e))))
-    return Ciphertext(c0=c0, c1=a, scale=pt.scale, level=0, seeds=seeds)
+    return Ciphertext(c0=c0, c1=a, scale=pt.scale, level=0, seeds=seeds,
+                      counts=(1,))
 
 
 def decrypt(ct: Ciphertext, keys: KeyMaterial) -> Plaintext:

@@ -13,14 +13,15 @@ import struct
 
 import numpy as np
 
-from ..errors import FormatError, ParameterError
+from ..errors import FormatError, LevelError, ParameterError
 from .keys import KeyMaterial, PublicMaterial
-from .ops import SEED_BYTES, Ciphertext, expand_c1
+from .ops import SEED_BYTES, Ciphertext, seeded_c1
 from .params import EncryptionParams
 from .poly import NTT, RingPoly, ShoupPoly, ntt_inverse
 
 MAGIC_CIPHERTEXT = b"CKV2"
 MAGIC_SEEDED = b"CKV4"
+MAGIC_SEEDED_SUM = b"CKV5"
 # the slot-packed upload that `CKV4` replaced: named, so that a reader
 # can say what it found, but never read
 MAGIC_SLOT_SEEDED = b"CKV3"
@@ -30,6 +31,7 @@ MAGIC_FLOAT_VECTOR = b"CKF1"
 
 MAGIC_KINDS = {MAGIC_CIPHERTEXT: "ciphertext",
                MAGIC_SEEDED: "seeded ciphertext",
+               MAGIC_SEEDED_SUM: "seeded aggregate",
                MAGIC_SLOT_SEEDED: "slot-packed seeded ciphertext (CKV3, no "
                                   "longer read)",
                MAGIC_SECRET_KEY: "secret key", MAGIC_PUBLIC_KEY: "public key",
@@ -67,6 +69,16 @@ class Reader:
         if self.pos != len(self.data):
             raise self.error(f"malformed {self.what}: "
                              f"{len(self.data) - self.pos} trailing bytes")
+
+    def rest_is(self, n: int) -> None:
+        """Raise, as `take` or `end` would, unless exactly n bytes are
+        left: a layout whose header fixes its size is checked whole
+        before any of it is read."""
+        extra = len(self.data) - self.pos - n
+        if extra < 0:
+            self.take(n)
+        if extra > 0:
+            raise self.error(f"malformed {self.what}: {extra} trailing bytes")
 
 
 def _open(data: bytes, magic: bytes, params: EncryptionParams) -> Reader:
@@ -154,22 +166,73 @@ def serialize_seeded(ct: Ciphertext) -> bytes:
     """One `CKV4` batch, an encrypt_symmetric output of coefficient-packed
     chunks: the `CKV2` header, each chunk's seed, then c0; c1 is left for
     the reader to expand."""
-    if ct.seeds is None:
-        raise FormatError("only a seeded ciphertext is written as CKV4")
-    return b"".join([_header(ct, MAGIC_SEEDED, len(ct.seeds)), *ct.seeds,
+    if ct.seeds is None or ct.counts != (1,):
+        raise FormatError("only a seeded ciphertext of one upload is "
+                          "written as CKV4")
+    return b"".join([_header(ct, MAGIC_SEEDED, len(ct)), *ct.seeds,
                      _poly_bytes(ct.c0)])
 
 
-def deserialize_seeded(data: bytes, params: EncryptionParams) -> Ciphertext:
-    """A `CKV4` artifact as a level-0 batch, its c1 re-expanded from the
-    seeds. A `CKV3` upload is refused by its magic."""
-    r = _open(data, MAGIC_SEEDED, params)
+def serialize_seeded_sum(ct: Ciphertext) -> bytes:
+    """One `CKV5` batch, a weighted sum of seeded uploads from
+    server.aggregate: the `CKV2` header, the client count K, the K
+    sample counts, each client's chunk seeds client after client, then
+    c0; the reader rebuilds c1 from the seeds and the counts."""
+    if ct.seeds is None:
+        raise FormatError("only a sum of seeded uploads is written as CKV5")
+    k = len(ct.counts)
+    return b"".join([_header(ct, MAGIC_SEEDED_SUM, len(ct)),
+                     struct.pack(f"<H{k}Q", k, *ct.counts), *ct.seeds,
+                     _poly_bytes(ct.c0)])
+
+
+def _read_seeded(r: Reader, params: EncryptionParams, summed: bool,
+                 check) -> Ciphertext:
+    """The rest of a `CKV4` (one upload, counts (1,)) or a `CKV5`
+    (`summed`) batch after its digest. Every check, `check(chunks,
+    counts)` included when it is given, runs before any seed is
+    expanded, and the layout's size is checked before it is read."""
     level, scale, chunks = _read_header(r)
-    seeds = tuple(r.take(SEED_BYTES) for _ in range(chunks))
+    counts = (1,)
+    if summed:
+        (k,) = r.unpack("H")
+        if k < 1:
+            raise FormatError("seeded aggregate names no clients")
+        counts = r.unpack(f"{k}Q")
+        if 0 in counts:
+            raise FormatError("seeded aggregate holds a sample count of 0")
+        if scale != params.scale * sum(counts):
+            raise FormatError(f"seeded aggregate scale {scale} is not the "
+                              f"scale times its {sum(counts)} samples")
+    if level != 0:
+        raise LevelError(f"{r.what} at level {level}; seeded batches are "
+                         "at level 0")
+    if check is not None:
+        check(chunks, counts)
+    r.rest_is(len(counts) * chunks * SEED_BYTES + 1
+              + chunks * params.ring_degree * 8)
+    seeds = tuple(r.take(SEED_BYTES) for _ in range(len(counts) * chunks))
     c0 = _read_poly(r, params, range(1, 2), (chunks,))
     r.end()
-    return Ciphertext(c0=c0, c1=expand_c1(seeds, params), scale=scale,
-                      level=level, seeds=seeds)
+    return Ciphertext(c0=c0, c1=seeded_c1(seeds, counts, params),
+                      scale=scale, level=level, seeds=seeds, counts=counts)
+
+
+def deserialize_seeded(data: bytes, params: EncryptionParams,
+                       check=None) -> Ciphertext:
+    """A `CKV4` artifact as a level-0 batch, its c1 re-expanded from the
+    seeds after `check(chunks, (1,))`, if given. A `CKV3` upload is
+    refused by its magic."""
+    return _read_seeded(_open(data, MAGIC_SEEDED, params), params, False,
+                        check)
+
+
+def deserialize_seeded_sum(data: bytes, params: EncryptionParams,
+                           check=None) -> Ciphertext:
+    """A `CKV5` artifact as a level-0 batch, its c1 rebuilt from the
+    seeds and counts after `check(chunks, counts)`, if given."""
+    return _read_seeded(_open(data, MAGIC_SEEDED_SUM, params), params, True,
+                        check)
 
 
 def serialize_secret_key(keys: KeyMaterial) -> bytes:

@@ -3,14 +3,36 @@ import socket
 import numpy as np
 import pytest
 
+from cipherfed.federation.client import ClientUpdate
+from cipherfed.federation.server import aggregate
 from cipherfed.federation.transport import SocketChannel
-from cipherfed.fhe import default_params, keygen
+from cipherfed.fhe import (default_params, encode_coeffs, encrypt_symmetric,
+                           keygen, ops)
 
 
 def channel_pair() -> tuple[SocketChannel, SocketChannel]:
     """Two connected in-process channels over `socket.socketpair()`."""
     a, b = socket.socketpair()
     return SocketChannel(a), SocketChannel(b)
+
+
+def seeded_aggregate(keys, chunks: int, counts):
+    """server.aggregate of one seeded upload of `chunks` chunks per
+    client, the clients holding `counts` samples."""
+    params = keys.params
+    ups = [ClientUpdate(k, encrypt_symmetric(encode_coeffs(
+        np.linspace(-1, 1, 8 * chunks).reshape(chunks, 8) / (k + 1), params,
+        level=0), keys, [100 * k + j for j in range(chunks)]), n, 0,
+        chunks * params.ring_degree) for k, n in enumerate(counts)]
+    return aggregate(ups, keys.public)
+
+
+def count_expansions(monkeypatch) -> list:
+    """A list that grows by one for each seed expanded from now on."""
+    calls, expand = [], ops.expand_seed
+    monkeypatch.setattr(ops, "expand_seed",
+                        lambda *a: calls.append(1) or expand(*a))
+    return calls
 
 
 @pytest.fixture(scope="session")

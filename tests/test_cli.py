@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import seeded_aggregate
 
 from cipherfed.cli import main
 from cipherfed.model import flatten_weights, init_model, load_checkpoint
@@ -254,6 +255,18 @@ def test_inspect_seeded_batch(tmp_path, capsys, small_params, small_keys):
             in capsys.readouterr().out)
 
 
+def test_inspect_seeded_aggregate(tmp_path, capsys, small_keys):
+    from cipherfed.fhe.serial import serialize_seeded_sum
+    p = tmp_path / "global.ct"
+    p.write_bytes(serialize_seeded_sum(seeded_aggregate(small_keys, 2,
+                                                        (3, 5))))
+    assert main(["inspect", str(p)]) == 0
+    out = capsys.readouterr().out
+    assert "kind   : seeded aggregate" in out and "level  : 0" in out
+    assert "scale  : 8.79609e+12" in out and "chunks : 2" in out
+    assert "clients: 2" in out and "counts : 3, 5" in out
+
+
 def test_inspect_unknown_magic_exits_3(tmp_path, capsys):
     p = tmp_path / "junk.bin"
     p.write_bytes(b"WHAT is this file")
@@ -262,7 +275,8 @@ def test_inspect_unknown_magic_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("magic,size", [("CKV2", 9), ("CKV3", 9),
-                                        ("CKV4", 9), ("CKM1", 7),
+                                        ("CKV4", 9), ("CKV5", 9),
+                                        ("CKV5", 24), ("CKM1", 7),
                                         ("CKF1", 6), ("CKS2", 11),
                                         ("CKP1", 11)])
 def test_inspect_truncated_header_exits_3(tmp_path, capsys, magic, size):

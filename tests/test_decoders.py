@@ -12,7 +12,7 @@ import struct
 
 import numpy as np
 import pytest
-from conftest import channel_pair
+from conftest import channel_pair, count_expansions, seeded_aggregate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,10 +31,11 @@ from cipherfed.fhe.serial import (deserialize_ciphertext,
                                   deserialize_float_vector,
                                   deserialize_key_material,
                                   deserialize_public_material,
-                                  deserialize_seeded, serialize_ciphertext,
+                                  deserialize_seeded, deserialize_seeded_sum,
+                                  serialize_ciphertext,
                                   serialize_float_vector,
                                   serialize_public_key, serialize_secret_key,
-                                  serialize_seeded)
+                                  serialize_seeded, serialize_seeded_sum)
 from cipherfed.qsim import PqcArchitecture
 
 class Format:
@@ -58,6 +59,8 @@ def formats(small_params):
     seeded = {n: encrypt_symmetric(encode_coeffs(
         np.linspace(-1, 1, 8 * n).reshape(n, 8), params, level=0), keys,
         list(range(n))) for n in (1, 2, 7)}
+    sums = {n: seeded_aggregate(keys, n, counts)
+            for n, counts in ((1, (12, 30)), (2, (5, 1, 7)))}
     sec = serialize_secret_key(keys)
     pub = serialize_public_key(keys.public)
     arch = PqcArchitecture(qubit_count=2, depth=2,
@@ -103,8 +106,7 @@ def formats(small_params):
         if isinstance(got, np.ndarray):
             use_vector(got)
         else:
-            for chunk in got:
-                use_ct(chunk)
+            use_seeded(got)
 
     def use_metrics(got):
         assert isinstance(got, dict) and type(got["round"]) is int
@@ -125,7 +127,7 @@ def formats(small_params):
         "UPDATE-plain": Format(T.encode_update(plain_upd),
                                lambda b: T.decode_update(b, 0, None),
                                use_update),
-        "GLOBAL-fhe": Format(T.encode_global(batches[2]),
+        "GLOBAL-fhe": Format(T.encode_global(sums[2]),
                              lambda b: T.decode_global(b, params), use_global),
         "GLOBAL-plain": Format(T.encode_global(np.array([1.0, -2.0])),
                                lambda b: T.decode_global(b, None), use_global),
@@ -139,6 +141,10 @@ def formats(small_params):
                                lambda b: deserialize_seeded(b, params),
                                use_seeded)
            for n, c in seeded.items()},
+        **{f"CKV5-{n}": Format(serialize_seeded_sum(c),
+                               lambda b: deserialize_seeded_sum(b, params),
+                               use_seeded)
+           for n, c in sums.items()},
         "CKP1": Format(pub, lambda b: deserialize_public_material(b, params),
                        use_public),
         "CKS2": Format(sec, lambda b: deserialize_key_material(b, pub, params),
@@ -152,7 +158,8 @@ def formats(small_params):
 
 NAMES = ["frame-body", "JOIN", "UPDATE-fhe", "UPDATE-plain", "GLOBAL-fhe",
          "GLOBAL-plain", "METRICS", "CKV2-1", "CKV2-2", "CKV2-7", "CKV4-1",
-         "CKV4-2", "CKV4-7", "CKP1", "CKS2", "CKF1", "CKM1"]
+         "CKV4-2", "CKV4-7", "CKV5-1", "CKV5-2", "CKP1", "CKS2", "CKF1",
+         "CKM1"]
 
 
 def case_id(name: str) -> str:
@@ -283,11 +290,11 @@ def test_seeded_wrong_digest_rejected(formats):
 
 
 def test_public_key_batch_in_fhe_update_rejected(formats, small_params):
-    """On an fhe run an UPDATE carries `CKV4` only; a `CKV2` batch, the
-    GLOBAL artifact, is a malformed payload."""
+    """On an fhe run an UPDATE carries `CKV4` only; a `CKV2` batch is a
+    malformed payload."""
     update = formats["UPDATE-fhe"]
     header = update.blob[:14]  # client id, sample count, param count
-    ckv2 = formats["GLOBAL-fhe"].blob
+    ckv2 = formats["CKV2-2"].blob
     with pytest.raises(FormatError, match="expected seeded ciphertext but "
                                           "found ciphertext artifact"):
         update.decode(header + ckv2)
@@ -378,3 +385,104 @@ def test_chunk_count_off_ring_degree_aborts_every_client(keys, small_params,
             f"which need {-(-param_count // n)} chunks of {n} "
             "coefficients") in str(error)
     assert [m.mtype for m in replies] == [T.MSG_ABORT, T.MSG_ABORT]
+
+
+def test_update_chunk_count_checked_before_any_expansion(keys, small_params,
+                                                         monkeypatch):
+    """An UPDATE whose chunk count does not fit its param count is
+    refused before the server expands any of its seeds."""
+    bad = bytearray(client_update(keys, 1, 600))  # 2 chunks
+    struct.pack_into("<I", bad, 10, 3)  # param count 3: 1 chunk
+    calls = count_expansions(monkeypatch)
+    with pytest.raises(ProtocolError, match="client 1 sent 2 chunks for 3 "
+                                            "parameters, which need 1"):
+        T.decode_update(bytes(bad), 0, small_params)
+    assert calls == []
+
+
+# --- the seeded aggregate, `CKV5` --------------------------------------------
+
+SUMS = ["CKV5-1", "CKV5-2"]
+AT_K = 23  # the client count, after the `CKV2` header
+
+
+def sum_layout(blob: bytes) -> tuple[int, int, int]:
+    """Chunks, client count, and the offset of the first seed."""
+    chunks, k = struct.unpack_from("<HH", blob, 21)
+    return chunks, k, AT_K + 2 + 8 * k
+
+
+def patched(blob: bytes, fmt: str, at: int, *values) -> bytes:
+    out = bytearray(blob)
+    struct.pack_into("<" + fmt, out, at, *values)
+    return bytes(out)
+
+
+def hostile_sums(blob: bytes, q0: int) -> dict:
+    chunks, k, seeds = sum_layout(blob)
+    c0 = seeds + 32 * k * chunks + 1
+    scale = struct.unpack_from("<d", blob, 13)[0]
+    total = sum(struct.unpack_from(f"<{k}Q", blob, AT_K + 2))
+    return {
+        "no clients": patched(blob, "H", AT_K, 0),
+        "a count of 0": patched(blob, "Q", AT_K + 2, 0),
+        "one seed short": blob[:seeds] + blob[seeds + 32:],
+        "one seed more": blob[:seeds] + bytes(32) + blob[seeds:],
+        # a client of 1 sample, its count and scale right, its seeds not
+        "one client more": patched(
+            patched(blob, "H", AT_K, k + 1), "d", 13,
+            scale / total * (total + 1))[:seeds] + struct.pack("<Q", 1)
+        + blob[seeds:],
+        "one chunk more": patched(blob, "H", 21, chunks + 1),
+        "scale off by one count": patched(blob, "d", 13, scale * 2),
+        "level 1": patched(blob, "B", 12, 1),
+        "residue at q0": patched(blob, "Q", c0, q0),
+        "trailing byte": blob + b"\0",
+    }
+
+
+# each hostile aggregate and what its refusal says
+HOSTILE = {"no clients": "names no clients",
+           "a count of 0": "sample count of 0",
+           "one seed short": "truncated", "one seed more": "trailing bytes",
+           "one client more": "truncated", "one chunk more": "truncated",
+           "scale off by one count": "not the scale times",
+           "level 1": "at level 1", "residue at q0": "not below its prime",
+           "trailing byte": "1 trailing bytes"}
+
+
+@pytest.mark.parametrize("name", SUMS)
+@pytest.mark.parametrize("hostile", HOSTILE)
+def test_hostile_seeded_aggregate_rejected_before_expansion(
+        formats, small_params, monkeypatch, name, hostile):
+    """Every malformed `CKV5` is refused with a CipherfedError before
+    any of its seeds is expanded."""
+    blob = hostile_sums(formats[name].blob, small_params.modulus_chain[0])[
+        hostile]
+    calls = count_expansions(monkeypatch)
+    with pytest.raises(CipherfedError, match=HOSTILE[hostile]):
+        deserialize_seeded_sum(blob, small_params)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", SUMS)
+def test_seeded_aggregate_every_truncation_rejected(formats, name):
+    fmt = formats[name]
+    for cut in range(len(fmt.blob)):
+        assert not decode_and_use(fmt, fmt.blob[:cut])
+
+
+def test_seeded_aggregate_check_runs_before_expansion(formats, small_params,
+                                                      monkeypatch):
+    """`check` sees the chunks and the counts first; what it raises
+    stops the reader before any seed is expanded."""
+    seen = []
+
+    def check(chunks, counts):
+        seen.append((chunks, counts))
+        raise ProtocolError("not this run's")
+
+    calls = count_expansions(monkeypatch)
+    with pytest.raises(ProtocolError, match="not this run's"):
+        deserialize_seeded_sum(formats["CKV5-2"].blob, small_params, check)
+    assert seen == [(2, (5, 1, 7))] and calls == []

@@ -5,14 +5,15 @@ import time
 
 import numpy as np
 import pytest
-from conftest import channel_pair
+from conftest import channel_pair, count_expansions, seeded_aggregate
 
 from cipherfed import data as D
 from cipherfed import model as M
 from cipherfed.errors import (AlignmentError, CipherfedError, ConfigError,
                               FormatError, LevelError, ProtocolError)
 from cipherfed.federation import transport as T
-from cipherfed.federation.client import PlainUpdate, encrypt_model
+from cipherfed.federation.client import (ClientUpdate, PlainUpdate,
+                                         encrypt_model)
 from cipherfed.federation.quantize import QuantizationSpec
 from cipherfed.federation.rounds import RoundConfig, run_federated_training
 from cipherfed.federation import runner
@@ -20,7 +21,7 @@ from cipherfed.federation.runner import (run_socket_federation,
                                          run_transport_client)
 from cipherfed.federation import server
 from cipherfed.federation.server import FederationCoordinator
-from cipherfed.fhe import Ciphertext
+from cipherfed.fhe import Ciphertext, encode, encrypt
 from cipherfed.fhe.serial import (serialize_ciphertext, serialize_float_vector,
                                   serialize_seeded)
 from cipherfed.model import flatten_weights
@@ -143,6 +144,44 @@ def test_global_payload_roundtrip_plain():
     vec = np.array([0.25, -0.75, 3.0])
     got = T.decode_global(T.encode_global(vec), None)
     assert np.array_equal(got, vec)
+
+
+@pytest.mark.parametrize("clients,chunks", [(4, 1), (4, 4), (2, 1)])
+def test_fhe_global_size_by_layout(world, small_params, clients, chunks):
+    """A GLOBAL is the `CKV5` layout of docs/protocol.md: the `CKV2`
+    header, the client count, a u64 count per client, a seed per client
+    and chunk, and c0 alone, a one-row batched block."""
+    payload = T.encode_global(seeded_aggregate(world["keys"], chunks,
+                                               range(10, 10 + clients)))
+    n = small_params.ring_degree
+    size = 23 + 2 + 8 * clients + 32 * clients * chunks + 1 + 8 * chunks * n
+    assert len(payload) == size
+    frame = T.encode_frame(T.Message(T.MSG_GLOBAL, 0, payload))
+    assert len(frame) == 7 + size
+
+
+def test_fhe_global_roundtrip_bitwise(world, small_params):
+    """The reader's c1, rebuilt from the seeds and the counts, is the
+    server's summed c1, residue for residue."""
+    agg = seeded_aggregate(world["keys"], 4, (10, 11, 12, 13))
+    back = T.decode_global(T.encode_global(agg), small_params)
+    assert np.array_equal(back.c0.residues, agg.c0.residues)
+    assert np.array_equal(back.c1.residues, agg.c1.residues)
+    assert (back.scale, back.level, back.seeds, back.counts) == (
+        agg.scale, agg.level, agg.seeds, agg.counts)
+    assert agg.counts == (10, 11, 12, 13) and len(agg.seeds) == 16
+
+
+def test_unseeded_aggregate_is_not_a_global(world):
+    """A public-key encryption has no seeds: it aggregates, but it has
+    no GLOBAL encoding."""
+    ct = encrypt(encode(np.zeros((1, 4)), world["keys"].params, level=0),
+                 world["keys"], [1])
+    agg = server.aggregate([ClientUpdate(0, ct, 3, 0, 4)],
+                           world["keys"].public)
+    assert agg.seeds is None and agg.scale == 3 * ct.scale
+    with pytest.raises(FormatError, match="only a sum of seeded uploads"):
+        T.encode_global(agg)
 
 
 def test_malformed_update_payload():
@@ -416,9 +455,10 @@ def test_join_counts_beyond_capacity_abort_every_client(world, counts):
     assert [m.mtype for m in replies] == [T.MSG_ABORT, T.MSG_ABORT]
 
 
-def test_padded_global_aborts_transport_client(world, small_params):
-    """A GLOBAL with one chunk more than the model fills is refused: the
-    client sends ABORT instead of loading it."""
+def global_against_client(world, small_params, make_global, monkeypatch):
+    """An fhe transport client that trains round 0 and uploads, then
+    receives `make_global(update)` as its GLOBAL. Returns the client's
+    reply, its error and how many seeds it expanded for the GLOBAL."""
     srv, cli = channel_pair()
     errors = []
 
@@ -435,18 +475,71 @@ def test_padded_global_aborts_transport_client(world, small_params):
     assert srv.recv(timeout=30.0).mtype == T.MSG_JOIN
     upd = T.decode_update(srv.recv(timeout=30.0).payload, 0, small_params)
     assert srv.recv(timeout=30.0).mtype == T.MSG_METRICS
-    one = upd.chunks
-    padded = Ciphertext(*(half._like(np.concatenate([half.residues] * 2))
-                          for half in (one.c0, one.c1)), one.scale, one.level)
-    srv.send(T.Message(T.MSG_GLOBAL, 0, T.encode_global(padded)))
+    # the client has encrypted its upload; count what the GLOBAL costs
+    expanded = count_expansions(monkeypatch)
+    srv.send(T.Message(T.MSG_GLOBAL, 0, make_global(upd)))
     reply = srv.recv(timeout=30.0)
     thread.join(timeout=30.0)
     srv.close()
     cli.close()
     assert not thread.is_alive()
+    return reply, errors, len(expanded)
+
+
+def seeded_global(upd, counts, chunks):
+    """A `CKV5` GLOBAL of `chunks` copies of the upload's chunk for
+    clients with `counts`; every client's seeds are the upload's."""
+    one = upd.chunks
+    padded = Ciphertext(*(half._like(np.concatenate([half.residues] * chunks))
+                          for half in (one.c0, one.c1)),
+                        one.scale * sum(counts), one.level,
+                        seeds=one.seeds * chunks * len(counts),
+                        counts=tuple(counts))
+    return T.encode_global(padded)
+
+
+def test_padded_global_aborts_transport_client(world, small_params,
+                                               monkeypatch):
+    """A `CKV5` GLOBAL with one chunk more than the model fills is
+    refused before any seed is expanded: the client sends ABORT instead
+    of loading it."""
+    counts = world["cfg"].sample_counts
+    reply, errors, expanded = global_against_client(
+        world, small_params, lambda upd: seeded_global(upd, counts, 2),
+        monkeypatch)
     assert reply.mtype == T.MSG_ABORT
     assert reply.payload.startswith(b"ShapeError: 2 chunks")
     assert errors and "fill 1" in str(errors[0])
+    assert expanded == 0
+
+
+def test_global_naming_a_thousand_clients_expands_no_seed(world,
+                                                          small_params,
+                                                          monkeypatch):
+    """A GLOBAL whose counts are not the run's is refused before any of
+    its 1,000 clients' seeds is expanded."""
+    reply, errors, expanded = global_against_client(
+        world, small_params, lambda upd: seeded_global(upd, [1] * 1000, 1),
+        monkeypatch)
+    assert reply.mtype == T.MSG_ABORT
+    assert reply.payload.startswith(b"ProtocolError: GLOBAL carries 1000 "
+                                    b"sample counts totalling 1000")
+    assert errors and isinstance(errors[0], ProtocolError)
+    assert expanded == 0
+
+
+def test_ckv2_global_aborts_transport_client(world, small_params,
+                                             monkeypatch):
+    """A full `CKV2` batch, the GLOBAL before seeded aggregates, is
+    refused by name on an fhe run, and the client sends ABORT."""
+    reply, errors, expanded = global_against_client(
+        world, small_params, lambda upd: serialize_ciphertext(upd.chunks),
+        monkeypatch)
+    assert reply.mtype == T.MSG_ABORT
+    assert reply.payload == (b"FormatError: expected seeded aggregate but "
+                             b"found ciphertext artifact")
+    assert errors and isinstance(errors[0], FormatError)
+    assert expanded == 0
 
 
 def test_non_protocol_failure_aborts_and_is_wrapped():
@@ -646,8 +739,8 @@ def test_plain_payload_on_fhe_run_rejected(small_params):
     with pytest.raises(FormatError, match="expected seeded ciphertext but "
                                           "found float vector"):
         T.decode_update(T.encode_update(upd), 0, small_params)
-    with pytest.raises(FormatError, match="expected ciphertext but found "
-                                          "float vector"):
+    with pytest.raises(FormatError, match="expected seeded aggregate but "
+                                          "found float vector"):
         T.decode_global(T.encode_global(upd.values), small_params)
 
 
