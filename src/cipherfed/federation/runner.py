@@ -112,7 +112,8 @@ def run_socket_federation(initial_model, config: RoundConfig,
     material = public_part(keys)
     coordinator = FederationCoordinator(
         expected_clients=config.client_count, rounds=config.rounds,
-        mode=mode, material=material if mode == "fhe" else None, sink=sink,
+        mode=mode, param_count=initial_model.param_count,
+        material=material if mode == "fhe" else None, sink=sink,
         convergence_delta=config.convergence_delta,
         quantization=config.quantization)
     results: dict[int, HybridModel] = {}

@@ -20,6 +20,7 @@ from ..fhe.keys import PublicMaterial
 from ..fhe.ops import Ciphertext, add_ct, mul_plain
 from ..fhe.ops import rescale  # perfbench --trace wraps it; ROADMAP item 1
 from .client import check_upload_chunks, sample_capacity
+from .metrics import metrics_row
 from .quantize import QuantizationSpec
 from .transport import (CONVERGED_REASON, MSG_ABORT, MSG_GLOBAL, MSG_JOIN,
                         MSG_METRICS, MSG_UPDATE, Message, decode_join,
@@ -46,7 +47,7 @@ def _check_updates(updates) -> None:
     """Reject a set of updates that cannot be averaged: every encrypted
     update must carry the chunk count its parameter count needs, at the
     level and scale of the first update, which the weights are encoded
-    for."""
+    for, and the first update's parameter count."""
     if not updates:
         raise ProtocolError("no client updates to aggregate")
     rnd = updates[0].round_index
@@ -75,6 +76,9 @@ def _check_updates(updates) -> None:
                 f"{want[1]}, scale {want[2]}")
         check_upload_chunks(u.client_id, got[0], u.param_count,
                             first.params.ring_degree)
+        if u.param_count != updates[0].param_count:
+            raise AlignmentError(f"client {u.client_id} sent {u.param_count} "
+                                 f"parameters, not {updates[0].param_count}")
 
 
 def aggregate(updates, material: PublicMaterial) -> Ciphertext:
@@ -138,15 +142,16 @@ def converged(prev_loss, loss, delta) -> bool:
 class FederationCoordinator:
     """Server side of the wire protocol, driven over abstract channels.
 
-    State is limited to public material, the round plan, and collected
-    metric rows; decryption never happens here. On any failure it tells
-    every client to abort, then raises the error (as a ProtocolError
-    unless it is already a CipherfedError).
+    State is limited to public material, the round plan, the run's
+    model size `param_count`, and collected metric rows; decryption
+    never happens here. On any failure it tells every client to abort,
+    then raises the error (as a ProtocolError unless it is already a
+    CipherfedError).
     """
 
     def __init__(self, expected_clients: int, rounds: int, mode: str,
-                 material: PublicMaterial | None = None, sink=None,
-                 convergence_delta: float | None = None,
+                 param_count: int, material: PublicMaterial | None = None,
+                 sink=None, convergence_delta: float | None = None,
                  quantization: QuantizationSpec = QuantizationSpec()):
         check_mode(mode)
         if mode == "fhe":
@@ -157,6 +162,7 @@ class FederationCoordinator:
             self.material = None
             self.sample_capacity = None
         self.expected_clients = expected_clients
+        self.param_count = param_count
         self.rounds = rounds
         self.mode = mode
         self.sink = sink
@@ -201,8 +207,6 @@ class FederationCoordinator:
             if msg.mtype != MSG_JOIN:
                 raise ProtocolError(f"expected JOIN, got type {msg.mtype}")
             cid, count = decode_join(msg.payload)
-            if cid in by_id:
-                raise ProtocolError(f"duplicate JOIN from client {cid}")
             if count < 1:
                 raise ProtocolError(f"client {cid} joined with {count} samples")
             by_id[cid], joined[cid] = ch, count
@@ -223,17 +227,11 @@ class FederationCoordinator:
             for cid, ch in clients:
                 payload = self._recv(ch, cid, MSG_UPDATE, r).payload
                 try:
-                    upd = decode_update(payload, r, params)
+                    updates.append(decode_update(payload, r, params, cid,
+                                                 joined[cid],
+                                                 self.param_count))
                 except CipherfedError as e:
                     raise type(e)(f"UPDATE from client {cid}: {e}") from e
-                if upd.client_id != cid:
-                    raise ProtocolError(f"client {cid} sent an UPDATE "
-                                        f"naming client {upd.client_id}")
-                if upd.sample_count != joined[cid]:
-                    raise ProtocolError(
-                        f"client {cid} sent sample count {upd.sample_count}, "
-                        f"joined with {joined[cid]}")
-                updates.append(upd)
 
             payload = encode_global(server_step(updates, self.mode,
                                                 self.material))
@@ -241,23 +239,18 @@ class FederationCoordinator:
                 ch.send(Message(MSG_GLOBAL, r, payload))
 
             # one training row per client in client-id order, then client
-            # 0's global row last; each must name its round and sender
-            rows = []
+            # 0's global row last: the position names each row's actor
             senders = [(cid, ch, f"client_{cid}") for cid, ch in clients]
-            for cid, ch, actor in senders + [(0, clients[0][1], "global")]:
-                row = decode_metrics(self._recv(ch, cid, MSG_METRICS,
-                                                r).payload)
-                if (row["round"], row["actor"]) != (r, actor):
-                    raise ProtocolError(
-                        f"client {cid} sent a METRICS row for round "
-                        f"{row['round']}, actor {row['actor']!r}")
-                rows.append(row)
+            senders.append((0, clients[0][1], "global"))
+            rows = [metrics_row(r, actor, **decode_metrics(
+                self._recv(ch, cid, MSG_METRICS, r).payload, actor))
+                for cid, ch, actor in senders]
             self.history.extend(rows)
             if self.sink is not None:
                 for row in rows:
                     self.sink.write(row)
 
-            g_loss = rows[-1].get("test_loss")
+            g_loss = rows[-1]["test_loss"]
             # no ABORT after the last round: the clients stop there anyway
             if (converged(prev_loss, g_loss, self.convergence_delta)
                     and r < self.rounds - 1):

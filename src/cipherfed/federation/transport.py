@@ -4,16 +4,16 @@ Frame layout: u32 big-endian length, u8 message type, u16 big-endian
 round index, payload. The length counts everything after itself. One
 channel implementation, `SocketChannel`, carries frames over a stream
 socket. Serialization is lossless, so a socket run's results equal the
-direct transport's. Every payload is read through one bounds-checked
-`Reader` and must be consumed exactly. An UPDATE or GLOBAL carries one
-artifact, and the run's mode says which one: on an fhe run a `CKV4`
-seeded batch up and a `CKV5` seeded aggregate down, both
-coefficient-packed.
+direct transport's. Every binary payload is read through a
+bounds-checked `Reader` and must be consumed exactly. An UPDATE or
+GLOBAL payload is one artifact, which the run's mode picks: on an fhe
+run `CKV4` up and `CKV5` down. A METRICS payload is a row's data.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import socket
 import struct
 
@@ -27,6 +27,7 @@ from ..fhe.serial import (Reader, deserialize_float_vector,
 # perfbench --trace wraps these two; ROADMAP item 1
 from ..fhe.serial import deserialize_ciphertext, serialize_ciphertext
 from .client import ClientUpdate, PlainUpdate, check_upload_chunks
+from .metrics import FIELDS
 
 MSG_JOIN = 1
 MSG_UPDATE = 2
@@ -36,10 +37,11 @@ MSG_ABORT = 5
 _VALID_TYPES = (MSG_JOIN, MSG_UPDATE, MSG_GLOBAL, MSG_METRICS, MSG_ABORT)
 
 MAX_FRAME = 1 << 28  # 256 MiB sanity bound; larger lengths are corruption
-# frames carry the round index, and JOIN and UPDATE the client id, as u16:
-# the most rounds and clients a socket run can take
+# frames carry the round index, and JOIN the client id, as u16: the most
+# rounds and clients a socket run can take
 MAX_WIRE_COUNT = 0xFFFF
 CONVERGED_REASON = "converged"
+METRICS_FIELDS = FIELDS[2:]  # a METRICS payload: no round, no actor
 
 
 class Message:
@@ -98,8 +100,6 @@ class SocketChannel:
         if length > MAX_FRAME:
             raise ProtocolError(f"frame length {length} exceeds bound "
                                 f"(corrupted length prefix?)")
-        if length < 3:
-            raise ProtocolError(f"frame length {length} below minimum")
         return decode_body(self._read_exact(length))
 
     def close(self) -> None:
@@ -123,36 +123,30 @@ def decode_join(payload: bytes) -> tuple[int, int]:
 
 
 def encode_update(update) -> bytes:
+    """An UPDATE payload: the update's artifact alone, `CKV4` or `CKF1`."""
     if isinstance(update, ClientUpdate):
-        count, artifact = update.param_count, serialize_seeded(update.chunks)
-    else:
-        count, artifact = (update.values.size,
-                           serialize_float_vector(update.values))
-    return struct.pack("<HQI", update.client_id, update.sample_count,
-                       count) + artifact
+        return serialize_seeded(update.chunks)
+    return serialize_float_vector(update.values)
 
 
-def decode_update(payload: bytes, round_index: int, params):
-    """An UPDATE; on an fhe run its chunk count is checked against its
-    param count before any seed is expanded."""
-    r = Reader(payload, "UPDATE payload", ProtocolError)
-    client_id, sample_count, param_count = r.unpack("HQI")
+def decode_update(payload: bytes, round_index: int, params, client_id: int,
+                  sample_count: int, param_count: int):
+    """The UPDATE of the client that joined as `client_id` with
+    `sample_count` samples, for the server's `param_count`: on an fhe
+    run (`params` given) the chunk count that count fills, checked
+    before any seed is expanded, and on a plaintext run that many
+    values."""
     if params is not None:
-        def check(chunks, _counts):
-            check_upload_chunks(client_id, chunks, param_count,
-                                params.ring_degree)
-
-        return ClientUpdate(client_id=client_id,
-                            chunks=deserialize_seeded(payload[r.pos:],
-                                                      params, check),
-                            sample_count=sample_count,
-                            round_index=round_index, param_count=param_count)
-    artifact = deserialize_float_vector(payload[r.pos:])
-    if artifact.size != param_count:
-        raise ProtocolError(f"plain update carries {artifact.size} values "
+        chunks = deserialize_seeded(payload, params, lambda c, _: (
+            check_upload_chunks(client_id, c, param_count,
+                                params.ring_degree)))
+        return ClientUpdate(client_id, chunks, sample_count, round_index,
+                            param_count)
+    values = deserialize_float_vector(payload)
+    if values.size != param_count:
+        raise ProtocolError(f"plain update carries {values.size} values "
                             f"for {param_count} parameters")
-    return PlainUpdate(client_id=client_id, values=artifact,
-                       sample_count=sample_count, round_index=round_index)
+    return PlainUpdate(client_id, values, sample_count, round_index)
 
 
 def encode_global(agg) -> bytes:
@@ -174,21 +168,32 @@ def decode_global(payload: bytes, params, check=None):
 
 
 def encode_metrics(row: dict) -> bytes:
-    return json.dumps(row, sort_keys=True).encode("utf-8")
+    """A METRICS payload: the row's fields but the round and the actor."""
+    return json.dumps({k: row[k] for k in METRICS_FIELDS},
+                      sort_keys=True).encode("utf-8")
 
 
-def decode_metrics(payload: bytes) -> dict:
-    """A metrics row: an object with an actor, an int round, and loss and
-    accuracy fields that are numbers or null."""
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not a number")
+
+
+def decode_metrics(payload: bytes, actor: str) -> dict:
+    """The data fields of the METRICS row the server stamps `actor`: a
+    client row's train loss and accuracy are finite numbers and its test
+    fields null, the `global` row's the reverse, and wall_ms finite."""
     try:
-        row = json.loads(payload.decode("utf-8"))
+        row = json.loads(payload.decode("utf-8"), parse_constant=_no_constant)
     except (ValueError, RecursionError) as exc:
         raise ProtocolError(f"malformed METRICS payload: {exc}") from None
-    if not isinstance(row, dict) or "actor" not in row:
-        raise ProtocolError("metrics row missing actor")
-    if type(row.get("round")) is not int or any(
-            row.get(k) is not None and type(row[k]) not in (int, float)
-            for k in ("train_loss", "train_acc", "test_loss", "test_acc")):
-        raise ProtocolError("metrics row needs an int round and numeric or "
-                            "null loss and accuracy")
+    if not isinstance(row, dict) or row.keys() != set(METRICS_FIELDS):
+        raise ProtocolError("METRICS payload must hold exactly "
+                            + ", ".join(METRICS_FIELDS))
+    given = (("test_loss", "test_acc") if actor == "global"
+             else ("train_loss", "train_acc")) + ("wall_ms",)
+    for k, v in row.items():
+        finite = type(v) is int or type(v) is float and math.isfinite(v)
+        if not (finite if k in given else v is None):
+            want = "a finite number" if k in given else "null"
+            raise ProtocolError(f"{actor} METRICS row: {k} must be {want}, "
+                                f"got {v!r:.40}")
     return row

@@ -201,9 +201,9 @@ def _read_seeded(r: Reader, params: EncryptionParams, summed: bool,
         counts = r.unpack(f"{k}Q")
         if 0 in counts:
             raise FormatError("seeded aggregate holds a sample count of 0")
-        if scale != params.scale * sum(counts):
-            raise FormatError(f"seeded aggregate scale {scale} is not the "
-                              f"scale times its {sum(counts)} samples")
+    if scale != params.scale * sum(counts):
+        raise FormatError(f"{r.what} scale {scale} is not the scale times "
+                          f"its {sum(counts)} samples")
     if level != 0:
         raise LevelError(f"{r.what} at level {level}; seeded batches are "
                          "at level 0")

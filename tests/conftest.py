@@ -16,15 +16,19 @@ def channel_pair() -> tuple[SocketChannel, SocketChannel]:
     return SocketChannel(a), SocketChannel(b)
 
 
-def seeded_aggregate(keys, chunks: int, counts):
-    """server.aggregate of one seeded upload of `chunks` chunks per
-    client, the clients holding `counts` samples."""
+def seeded_uploads(keys, chunks: int, counts) -> list:
+    """One seeded upload of `chunks` chunks per client, the clients
+    holding `counts` samples."""
     params = keys.params
-    ups = [ClientUpdate(k, encrypt_symmetric(encode_coeffs(
+    return [ClientUpdate(k, encrypt_symmetric(encode_coeffs(
         np.linspace(-1, 1, 8 * chunks).reshape(chunks, 8) / (k + 1), params,
         level=0), keys, [100 * k + j for j in range(chunks)]), n, 0,
         chunks * params.ring_degree) for k, n in enumerate(counts)]
-    return aggregate(ups, keys.public)
+
+
+def seeded_aggregate(keys, chunks: int, counts):
+    """server.aggregate of `seeded_uploads`."""
+    return aggregate(seeded_uploads(keys, chunks, counts), keys.public)
 
 
 def count_expansions(monkeypatch) -> list:

@@ -302,7 +302,9 @@ def test_criterion_08_protocol_determinism(tmp_path):
     listener.listen(2)
     port = listener.getsockname()[1]
     coordinator = FederationCoordinator(expected_clients=2, rounds=cfg.rounds,
-                                        mode="fhe", material=keys.public)
+                                        mode="fhe",
+                                        param_count=init.param_count,
+                                        material=keys.public)
     server_err = []
 
     def serve():
@@ -387,7 +389,8 @@ def test_criterion_09_server_blindness(std):
     coordinator_ok = False
     try:
         server.FederationCoordinator(expected_clients=1, rounds=1,
-                                     mode="fhe", material=keys)
+                                     mode="fhe", param_count=64,
+                                     material=keys)
     except ParameterError:
         coordinator_ok = True
     assert coordinator_ok

@@ -99,12 +99,12 @@ def test_seeded_batch_equals_per_chunk(small_params, small_keys):
     assert ct.level == 0 and ct.scale == params.scale
 
 
-def per_chunk_update(model, keys, client_id, sample_count, rng_seed):
+def per_chunk_update(model, keys, rng_seed):
     """The UPDATE payload built chunk by chunk, one coefficient packing and
     one seeded encrypt per ring_degree-sized slice, laid out by hand: the
-    header, every chunk's seed, then c0's prime count and every chunk's
-    residues, chunk after chunk. The reference for the batch path and for
-    `CKV4`."""
+    `CKV4` header, every chunk's seed, then c0's prime count and every
+    chunk's residues, chunk after chunk. The reference for the batch path
+    and for `CKV4`."""
     params = keys.params
     weights = quantize(flatten_weights(model), QuantizationSpec())
     n = params.ring_degree
@@ -113,8 +113,7 @@ def per_chunk_update(model, keys, client_id, sample_count, rng_seed):
                              [derive_seed(rng_seed, i)])
            for i, start in enumerate(range(0, weights.size, n))]
     top = cts[0]
-    out = [struct.pack("<HQI", client_id, sample_count, weights.size),
-           b"CKV4", params.digest,
+    out = [b"CKV4", params.digest,
            struct.pack("<BdH", top.level, top.scale, len(cts))]
     out.extend(ct.seeds[0] for ct in cts)
     out.append(struct.pack("<B", top.level + 1))
@@ -131,8 +130,8 @@ def test_update_bytes_equal_per_chunk_loop(std_keys, dims, params_expected):
         upd = encrypt_model(model, QuantizationSpec(), std_keys, client_id,
                             40 + client_id, 0, rng_seed=seed)
         assert len(upd.chunks) == -(-params_expected // 4096)
-        assert T.encode_update(upd) == per_chunk_update(
-            model, std_keys, client_id, 40 + client_id, seed)
+        assert T.encode_update(upd) == per_chunk_update(model, std_keys,
+                                                        seed)
 
 
 def test_add_ct_rejects_batches_of_different_shapes(small_params, small_keys):

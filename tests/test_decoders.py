@@ -22,6 +22,7 @@ from cipherfed.errors import (CipherfedError, FormatError, ParameterError,
 from cipherfed.federation import transport as T
 from cipherfed.federation.client import (ClientUpdate, PlainUpdate,
                                          encrypt_model)
+from cipherfed.federation.metrics import metrics_row
 from cipherfed.federation.quantize import QuantizationSpec
 from cipherfed.federation.server import FederationCoordinator
 from cipherfed.fhe import (Ciphertext, decode, decode_coeffs, decrypt, encode,
@@ -69,9 +70,7 @@ def formats(small_params):
     fhe_upd = encrypt_model(model, QuantizationSpec(), keys, client_id=1,
                             sample_count=12, round_index=0)
     plain_upd = PlainUpdate(1, np.array([0.5, -1.5, 2.0]), 12, 0)
-    row = {"round": 2, "actor": "client_0", "train_loss": 0.5,
-           "train_acc": 0.75, "test_loss": None, "test_acc": None,
-           "wall_ms": 0.0}
+    row = metrics_row(2, "client_0", train_loss=0.5, train_acc=0.75)
 
     def use_ct(got):
         assert isinstance(got, Ciphertext)
@@ -109,7 +108,7 @@ def formats(small_params):
             use_seeded(got)
 
     def use_metrics(got):
-        assert isinstance(got, dict) and type(got["round"]) is int
+        assert isinstance(got, dict) and set(got) == set(T.METRICS_FIELDS)
 
     def use_frame(got):
         assert got.mtype in T._VALID_TYPES
@@ -122,16 +121,18 @@ def formats(small_params):
         "frame-body": Format(body, T.decode_body, use_frame),
         "JOIN": Format(T.encode_join(3, 40), T.decode_join, use_join),
         "UPDATE-fhe": Format(T.encode_update(fhe_upd),
-                             lambda b: T.decode_update(b, 0, params),
+                             lambda b: T.decode_update(b, 0, params, 1, 12,
+                                                       model.param_count),
                              use_update),
         "UPDATE-plain": Format(T.encode_update(plain_upd),
-                               lambda b: T.decode_update(b, 0, None),
+                               lambda b: T.decode_update(b, 0, None, 1, 12, 3),
                                use_update),
         "GLOBAL-fhe": Format(T.encode_global(sums[2]),
                              lambda b: T.decode_global(b, params), use_global),
         "GLOBAL-plain": Format(T.encode_global(np.array([1.0, -2.0])),
                                lambda b: T.decode_global(b, None), use_global),
-        "METRICS": Format(T.encode_metrics(row), T.decode_metrics,
+        "METRICS": Format(T.encode_metrics(row),
+                          lambda b: T.decode_metrics(b, "client_0"),
                           use_metrics),
         **{f"CKV2-{n}": Format(serialize_ciphertext(c),
                                lambda b: deserialize_ciphertext(b, params),
@@ -237,7 +238,8 @@ def test_frame_body_append_extends_payload(formats, extra):
            lambda b: b.strip(b" \t\r\n") != b""))
 def test_metrics_append_is_whitespace_or_rejected(formats, extra, tail):
     blob = formats["METRICS"].blob
-    assert T.decode_metrics(blob + extra.encode()) == json.loads(blob)
+    assert T.decode_metrics(blob + extra.encode(),
+                            "client_0") == json.loads(blob)
     assert not decode_and_use(formats["METRICS"], blob + extra.encode() + tail)
 
 
@@ -282,6 +284,20 @@ def test_seeded_without_chunks_rejected(formats):
         formats["CKV4-1"].decode(bytes(blob))
 
 
+@pytest.mark.parametrize("factor", [2.0, 0.5])
+def test_seeded_scale_other_than_delta_rejected(formats, small_params,
+                                                monkeypatch, factor):
+    """A `CKV4` upload is the case K = 1, n = 1 of the rule scale =
+    Δ·Σ n, so a scale of 2Δ or Δ/2 is refused before any expansion."""
+    blob = patched(formats["CKV4-2"].blob, "d", 13,
+                   small_params.scale * factor)
+    calls = count_expansions(monkeypatch)
+    with pytest.raises(FormatError, match="seeded ciphertext scale .* is "
+                                          "not the scale times its 1 samples"):
+        formats["CKV4-2"].decode(blob)
+    assert calls == []
+
+
 def test_seeded_wrong_digest_rejected(formats):
     blob = bytearray(formats["CKV4-2"].blob)
     blob[4] ^= 1
@@ -292,12 +308,9 @@ def test_seeded_wrong_digest_rejected(formats):
 def test_public_key_batch_in_fhe_update_rejected(formats, small_params):
     """On an fhe run an UPDATE carries `CKV4` only; a `CKV2` batch is a
     malformed payload."""
-    update = formats["UPDATE-fhe"]
-    header = update.blob[:14]  # client id, sample count, param count
-    ckv2 = formats["CKV2-2"].blob
     with pytest.raises(FormatError, match="expected seeded ciphertext but "
                                           "found ciphertext artifact"):
-        update.decode(header + ckv2)
+        formats["UPDATE-fhe"].decode(formats["CKV2-2"].blob)
 
 
 def test_seeded_header_bit_flips_decode_or_raise(formats):
@@ -316,21 +329,21 @@ def test_seeded_header_bit_flips_decode_or_raise(formats):
 def as_ckv3(update_payload: bytes) -> bytes:
     """The same UPDATE in the slot-packed `CKV3` upload's layout, which
     `CKV4` kept and only renamed."""
-    at = 14  # client id, sample count, param count
-    return update_payload[:at] + b"CKV3" + update_payload[at + 4:]
+    return b"CKV3" + update_payload[4:]
 
 
-def coordinator_against(keys, payloads):
-    """A one-round fhe coordinator for one client per UPDATE payload:
-    each client JOINs with the payload's sample count and sends it.
-    Returns the coordinator's error and each client's next message."""
+def coordinator_against(keys, payloads, param_count: int):
+    """A one-round fhe coordinator for a model of `param_count`
+    parameters and one client per UPDATE payload: each client JOINs with
+    12 samples and sends it. Returns the coordinator's error and each
+    client's next message."""
     pairs = [channel_pair() for _ in payloads]
     for cid, ((_srv, cli), payload) in enumerate(zip(pairs, payloads)):
-        count = struct.unpack_from("<Q", payload, 2)[0]
-        cli.send(T.Message(T.MSG_JOIN, 0, T.encode_join(cid, count)))
+        cli.send(T.Message(T.MSG_JOIN, 0, T.encode_join(cid, 12)))
         cli.send(T.Message(T.MSG_UPDATE, 0, payload))
     coordinator = FederationCoordinator(expected_clients=len(payloads),
                                         rounds=1, mode="fhe",
+                                        param_count=param_count,
                                         material=keys.public)
     with pytest.raises(CipherfedError) as info:
         coordinator.run([srv for srv, _cli in pairs])
@@ -341,10 +354,14 @@ def coordinator_against(keys, payloads):
     return info.value, replies
 
 
+def client_model(cid: int, dims: int) -> M.HybridModel:
+    return M.init_model(dims, PqcArchitecture(qubit_count=2, depth=1), 2,
+                        rng_seed=cid)
+
+
 def client_update(keys, cid: int, dims: int = 3) -> bytes:
-    arch = PqcArchitecture(qubit_count=2, depth=1)
-    model = M.init_model(dims, arch, 2, rng_seed=cid)
-    return T.encode_update(encrypt_model(model, QuantizationSpec(), keys,
+    return T.encode_update(encrypt_model(client_model(cid, dims),
+                                         QuantizationSpec(), keys,
                                          client_id=cid, sample_count=12,
                                          round_index=0, rng_seed=cid))
 
@@ -358,10 +375,12 @@ def test_ckv3_update_aborts_every_client(keys, small_params):
     """A client that still uploads slot-packed `CKV3` is refused by its
     magic, and the coordinator aborts every client."""
     old = as_ckv3(client_update(keys, 1))
+    count = client_model(1, 3).param_count
     with pytest.raises(FormatError, match=r"found slot-packed seeded "
                                           r"ciphertext \(CKV3"):
-        T.decode_update(old, 0, small_params)
-    error, replies = coordinator_against(keys, [client_update(keys, 0), old])
+        T.decode_update(old, 0, small_params, 1, 12, count)
+    error, replies = coordinator_against(keys, [client_update(keys, 0), old],
+                                         count)
     assert isinstance(error, FormatError)
     assert "UPDATE from client 1" in str(error)
     assert [m.mtype for m in replies] == [T.MSG_ABORT, T.MSG_ABORT]
@@ -371,15 +390,16 @@ def test_ckv3_update_aborts_every_client(keys, small_params):
                          ids=["one-chunk-for-two", "two-chunks-for-one"])
 def test_chunk_count_off_ring_degree_aborts_every_client(keys, small_params,
                                                          dims, param_count):
-    """The chunk count must be ceil(param_count / ring_degree): one chunk
-    for 1025 parameters, or two for 1024, is refused at aggregation."""
+    """The chunk count must be ceil(param_count / ring_degree) for the
+    server's param count: one chunk for 1025 parameters, or two for
+    1024, is refused while the other client's fitting upload passes."""
     n = small_params.ring_degree
-    bad = bytearray(client_update(keys, 1, dims))
-    chunks = struct.unpack_from("<H", bad, 14 + 21)[0]
+    bad = client_update(keys, 1, dims)
+    chunks = struct.unpack_from("<H", bad, 21)[0]
     assert chunks != -(-param_count // n)
-    struct.pack_into("<I", bad, 10, param_count)
-    error, replies = coordinator_against(keys, [client_update(keys, 0, dims),
-                                                bytes(bad)])
+    good = client_update(keys, 0, 603 - dims)  # the other chunk count
+    assert struct.unpack_from("<H", good, 21)[0] == -(-param_count // n)
+    error, replies = coordinator_against(keys, [good, bad], param_count)
     assert isinstance(error, ProtocolError)
     assert (f"client 1 sent {chunks} chunks for {param_count} parameters, "
             f"which need {-(-param_count // n)} chunks of {n} "
@@ -389,14 +409,13 @@ def test_chunk_count_off_ring_degree_aborts_every_client(keys, small_params,
 
 def test_update_chunk_count_checked_before_any_expansion(keys, small_params,
                                                          monkeypatch):
-    """An UPDATE whose chunk count does not fit its param count is
-    refused before the server expands any of its seeds."""
-    bad = bytearray(client_update(keys, 1, 600))  # 2 chunks
-    struct.pack_into("<I", bad, 10, 3)  # param count 3: 1 chunk
+    """An UPDATE whose chunk count does not fit the server's param
+    count is refused before the server expands any of its seeds."""
+    bad = client_update(keys, 1, 600)  # 2 chunks
     calls = count_expansions(monkeypatch)
     with pytest.raises(ProtocolError, match="client 1 sent 2 chunks for 3 "
                                             "parameters, which need 1"):
-        T.decode_update(bytes(bad), 0, small_params)
+        T.decode_update(bad, 0, small_params, 1, 12, 3)
     assert calls == []
 
 

@@ -1,11 +1,15 @@
+import json
 import socket
 import struct
 import threading
 import time
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import channel_pair, count_expansions, seeded_aggregate
+from conftest import (channel_pair, count_expansions, seeded_aggregate,
+                      seeded_uploads)
 
 from cipherfed import data as D
 from cipherfed import model as M
@@ -14,6 +18,7 @@ from cipherfed.errors import (AlignmentError, CipherfedError, ConfigError,
 from cipherfed.federation import transport as T
 from cipherfed.federation.client import (ClientUpdate, PlainUpdate,
                                          encrypt_model)
+from cipherfed.federation.metrics import metrics_row
 from cipherfed.federation.quantize import QuantizationSpec
 from cipherfed.federation.rounds import RoundConfig, run_federated_training
 from cipherfed.federation import runner
@@ -108,6 +113,18 @@ def test_socket_corrupted_length_prefix():
     cli.close()
 
 
+def test_socket_frame_shorter_than_its_header():
+    """A length below the type byte and the round index is refused
+    where the body is decoded."""
+    srv, cli = socket.socketpair()
+    ch = T.SocketChannel(srv)
+    cli.sendall(struct.pack("!I", 2) + b"\x01\x00")
+    with pytest.raises(ProtocolError, match="too short"):
+        ch.recv(timeout=5.0)
+    ch.close()
+    cli.close()
+
+
 def test_socket_truncated_frame():
     srv, cli = socket.socketpair()
     ch = T.SocketChannel(srv)
@@ -125,7 +142,8 @@ def test_update_payload_roundtrip(world, small_params):
     upd = encrypt_model(world["init"], QuantizationSpec(), world["keys"],
                         client_id=1, sample_count=42, round_index=0)
     blob = T.encode_update(upd)
-    back = T.decode_update(blob, 0, small_params)
+    assert blob == serialize_seeded(upd.chunks)  # the artifact alone
+    back = T.decode_update(blob, 0, small_params, 1, 42, upd.param_count)
     assert back.client_id == 1 and back.sample_count == 42
     assert len(back.chunks) == len(upd.chunks)
     assert np.array_equal(back.chunks[0].c0.residues,
@@ -135,7 +153,7 @@ def test_update_payload_roundtrip(world, small_params):
 def test_plain_update_payload_roundtrip():
     from cipherfed.federation.client import PlainUpdate
     upd = PlainUpdate(3, np.array([1.5, -2.5]), 9, 1)
-    back = T.decode_update(T.encode_update(upd), 1, None)
+    back = T.decode_update(T.encode_update(upd), 1, None, 3, 9, 2)
     assert isinstance(back, PlainUpdate)
     assert np.array_equal(back.values, upd.values)
 
@@ -185,17 +203,21 @@ def test_unseeded_aggregate_is_not_a_global(world):
 
 
 def test_malformed_update_payload():
-    with pytest.raises(ProtocolError, match="malformed UPDATE"):
-        T.decode_update(b"\x01", 0, None)
+    with pytest.raises(FormatError, match="malformed float vector"):
+        T.decode_update(b"\x01", 0, None, 0, 10, 2)
 
 
 def test_metrics_payload_roundtrip():
-    row = {"round": 1, "actor": "client_0", "train_loss": 0.5,
-           "train_acc": 0.9, "test_loss": None, "test_acc": None,
-           "wall_ms": 0.0}
-    assert T.decode_metrics(T.encode_metrics(row)) == row
+    """A METRICS payload holds the five data fields; the server stamps
+    the round and the actor back."""
+    row = metrics_row(1, "client_0", train_loss=0.5, train_acc=0.9)
+    payload = T.encode_metrics(row)
+    assert list(json.loads(payload)) == sorted(T.METRICS_FIELDS)
+    assert len(T.METRICS_FIELDS) == 5
+    back = T.decode_metrics(payload, "client_0")
+    assert metrics_row(1, "client_0", **back) == row
     with pytest.raises(ProtocolError):
-        T.decode_metrics(b"not json{")
+        T.decode_metrics(b"not json{", "client_0")
 
 
 def test_plaintext_socket_run_without_keys(world):
@@ -247,7 +269,7 @@ def test_corrupted_frame_aborts_round_over_socket(world, small_params):
 
     coordinator = FederationCoordinator(
         expected_clients=2, rounds=cfg.rounds, mode="fhe",
-        material=world["keys"].public)
+        param_count=world["init"].param_count, material=world["keys"].public)
     server_err = []
 
     def serve():
@@ -319,16 +341,11 @@ def test_converged_abort_over_socket(world):
 
 # --- hostile payloads -------------------------------------------------------
 
-def update_payload(param_count, artifact, client_id=0, sample_count=10):
-    return (struct.pack("<HQI", client_id, sample_count, param_count)
-            + artifact)
-
-
 OVERRUN = b"CKF1" + struct.pack("<I", 100) + b"abc"  # 100 values, 3 bytes sent
 
 
 def decode_update(payload):
-    return T.decode_update(payload, 0, None)
+    return T.decode_update(payload, 0, None, 0, 10, 2)
 
 
 def decode_global(payload):
@@ -336,7 +353,7 @@ def decode_global(payload):
 
 
 @pytest.mark.parametrize("decode,payload", [
-    (decode_update, update_payload(100, OVERRUN)),
+    (decode_update, OVERRUN),
     (decode_update,
      T.encode_update(PlainUpdate(0, np.array([1.0, 2.0]), 5, 0)) + b"junk"),
     (decode_global, OVERRUN),
@@ -348,24 +365,26 @@ def test_artifact_must_fill_payload(decode, payload):
         decode(payload)
 
 
-def scripted_round(mode, material, *frames):
-    """A one-client coordinator against a scripted client that has
-    queued `frames`. Returns the coordinator's error (None if the run
-    finished) and the next message the client receives, within 5 s;
+def scripted_round(mode, material, *frames, param_count=2, sink=None):
+    """A one-client coordinator for a model of `param_count` parameters
+    against a scripted client that has queued `frames`, each (type,
+    round index, payload). Returns the coordinator's error (None if the
+    run finished) and the next message the client receives, within 5 s;
     if the run failed, the next one that is not a GLOBAL."""
     server_end, client_end = channel_pair()
 
     def send_all():  # from a thread, so no frame waits on a full buffer
         try:
-            for mtype, payload in frames:
-                client_end.send(T.Message(mtype, 0, payload))
+            for frame in frames:
+                client_end.send(T.Message(*frame))
         except ProtocolError:
             pass  # the coordinator stopped reading
 
     sender = threading.Thread(target=send_all, daemon=True)
     sender.start()
     coordinator = FederationCoordinator(expected_clients=1, rounds=1,
-                                        mode=mode, material=material)
+                                        mode=mode, param_count=param_count,
+                                        material=material, sink=sink)
     try:
         coordinator.run([server_end])
         error = None
@@ -380,53 +399,81 @@ def scripted_round(mode, material, *frames):
     return error, reply
 
 
+def client_upload(world):
+    """Client 0's round-0 upload of the initial model, one chunk."""
+    return encrypt_model(world["init"], QuantizationSpec(), world["keys"],
+                         client_id=0, sample_count=10, round_index=0)
+
+
 def encrypted_update(world):
-    """A client's `CKV4` batch and its parameter count."""
-    upd = encrypt_model(world["init"], QuantizationSpec(), world["keys"],
-                        client_id=0, sample_count=10, round_index=0)
-    return serialize_seeded(upd.chunks), upd.param_count
+    """A client's `CKV4` batch, which is its whole UPDATE payload."""
+    return serialize_seeded(client_upload(world).chunks)
 
 
 def assert_aborted(world, payload):
     error, reply = scripted_round(
-        "fhe", world["keys"].public, (T.MSG_JOIN, T.encode_join(0, 10)),
-        (T.MSG_UPDATE, payload))
+        "fhe", world["keys"].public, (T.MSG_JOIN, 0, T.encode_join(0, 10)),
+        (T.MSG_UPDATE, 0, payload), param_count=world["init"].param_count)
     assert error is not None
     assert reply.mtype == T.MSG_ABORT
     return error
 
 
 def test_truncated_ciphertext_update_aborts_clients(world):
-    blob, count = encrypted_update(world)
-    payload = update_payload(count, blob[:-100])
+    payload = encrypted_update(world)[:-100]
     assert isinstance(assert_aborted(world, payload), FormatError)
 
 
 def test_patched_level_update_aborts_clients(world):
-    blob, count = encrypted_update(world)
-    bad = bytearray(blob)
+    bad = bytearray(encrypted_update(world))
     bad[12] = 9  # level byte, past the end of the chain
-    payload = update_payload(count, bytes(bad))
-    assert isinstance(assert_aborted(world, payload), LevelError)
+    assert isinstance(assert_aborted(world, bytes(bad)), LevelError)
 
 
 def test_update_without_chunks_aborts_clients(world):
-    blob, count = encrypted_update(world)
-    bad = bytearray(blob)
+    bad = bytearray(encrypted_update(world))
     struct.pack_into("<H", bad, 21, 0)  # chunk count, after level and scale
-    error = assert_aborted(world, update_payload(count, bytes(bad)))
+    error = assert_aborted(world, bytes(bad))
     assert isinstance(error, FormatError) and "no chunks" in str(error)
 
 
 def test_public_key_update_aborts_clients(world):
     """A `CKV2` batch is a GLOBAL artifact; as an fhe UPDATE it is a
     malformed payload."""
-    upd = encrypt_model(world["init"], QuantizationSpec(), world["keys"],
-                        client_id=0, sample_count=10, round_index=0)
-    public = serialize_ciphertext(upd.chunks)
-    error = assert_aborted(world, update_payload(upd.param_count, public))
+    public = serialize_ciphertext(client_upload(world).chunks)
+    error = assert_aborted(world, public)
     assert isinstance(error, FormatError)
     assert "expected seeded ciphertext but found ciphertext" in str(error)
+
+
+def test_thousand_chunk_update_expands_no_seed(world, monkeypatch):
+    """An UPDATE of 1,000 chunks for a model that fills 1 is refused
+    against the server's own param count before any seed is expanded."""
+    one = client_upload(world).chunks
+    padded = Ciphertext(*(half._like(np.concatenate([half.residues] * 1000))
+                          for half in (one.c0, one.c1)), one.scale,
+                        one.level, seeds=one.seeds * 1000, counts=(1,))
+    payload = serialize_seeded(padded)
+    expanded = count_expansions(monkeypatch)
+    error = assert_aborted(world, payload)
+    count = world["init"].param_count
+    assert isinstance(error, ProtocolError)
+    assert (f"UPDATE from client 0: client 0 sent 1000 chunks for {count} "
+            "parameters, which need 1") in str(error)
+    assert expanded == []
+
+
+def test_update_in_parent_layout_refused_naming_client(world):
+    """The UPDATE layout that prefixed the artifact with the client id,
+    the sample count and the param count (14 bytes) is refused as a
+    malformed artifact that names its sender."""
+    upd = client_upload(world)
+    old = (struct.pack("<HQI", 1, 10, upd.param_count)
+           + serialize_seeded(upd.chunks))
+    error, real_err, reply = rogue_round(world, "fhe", world["keys"], old)
+    assert isinstance(error, FormatError)
+    assert "UPDATE from client 1: unknown magic bytes" in str(error)
+    assert reply.mtype == T.MSG_ABORT and b"client 1" in reply.payload
 
 
 def joins_beyond_capacity(world, counts):
@@ -437,6 +484,7 @@ def joins_beyond_capacity(world, counts):
         cli.send(T.Message(T.MSG_JOIN, 0, T.encode_join(cid, counts[cid])))
     coordinator = FederationCoordinator(expected_clients=len(counts),
                                         rounds=1, mode="fhe",
+                                        param_count=world["init"].param_count,
                                         material=world["keys"].public)
     with pytest.raises(ProtocolError) as info:
         coordinator.run([srv for srv, _cli in pairs])
@@ -445,6 +493,24 @@ def joins_beyond_capacity(world, counts):
         for ch in pair:
             ch.close()
     return info.value, replies
+
+
+def test_duplicate_join_aborts_every_client():
+    """Two of two connections JOIN as client 0: the ids do not cover
+    0..1, so the run aborts before any round."""
+    pairs = [channel_pair() for _ in range(2)]
+    for _srv, cli in pairs:
+        cli.send(T.Message(T.MSG_JOIN, 0, T.encode_join(0, 10)))
+    coordinator = FederationCoordinator(expected_clients=2, rounds=1,
+                                        mode="plaintext", param_count=2)
+    with pytest.raises(ProtocolError, match=r"client ids \[0\] do not "
+                                            r"cover 0\.\.1"):
+        coordinator.run([srv for srv, _cli in pairs])
+    assert [cli.recv(timeout=5.0).mtype for _srv, cli in pairs] == [
+        T.MSG_ABORT, T.MSG_ABORT]
+    for pair in pairs:
+        for ch in pair:
+            ch.close()
 
 
 @pytest.mark.parametrize("counts", [(40000, 30000), (1, 2 ** 64 - 1)])
@@ -473,7 +539,9 @@ def global_against_client(world, small_params, make_global, monkeypatch):
     thread = threading.Thread(target=client, daemon=True)
     thread.start()
     assert srv.recv(timeout=30.0).mtype == T.MSG_JOIN
-    upd = T.decode_update(srv.recv(timeout=30.0).payload, 0, small_params)
+    upd = T.decode_update(srv.recv(timeout=30.0).payload, 0, small_params,
+                          0, world["cfg"].sample_counts[0],
+                          world["init"].param_count)
     assert srv.recv(timeout=30.0).mtype == T.MSG_METRICS
     # the client has encrypted its upload; count what the GLOBAL costs
     expanded = count_expansions(monkeypatch)
@@ -555,63 +623,74 @@ def test_non_protocol_failure_aborts_and_is_wrapped():
 
     chan = Broken()
     coordinator = FederationCoordinator(expected_clients=1, rounds=1,
-                                        mode="plaintext")
+                                        mode="plaintext", param_count=2)
     with pytest.raises(ProtocolError, match="disk on fire"):
         coordinator.run([chan])
     assert [m.mtype for m in chan.sent] == [T.MSG_ABORT]
 
 
-def plain_frames(join_count, update_count, update_id=0,
-                 rows=((0, "client_0"), (0, "global"))):
-    """Client 0's frames for one plaintext round: JOIN, an UPDATE that
-    names `update_id`, and a METRICS row per (round, actor) in `rows`."""
-    upd = PlainUpdate(update_id, np.array([1.0, 2.0]), update_count, 0)
-    return ((T.MSG_JOIN, T.encode_join(0, join_count)),
-            (T.MSG_UPDATE, T.encode_update(upd)),
-            *((T.MSG_METRICS, T.encode_metrics({"round": rnd,
-                                                "actor": actor}))
-              for rnd, actor in rows))
+CLIENT_ROW = T.encode_metrics(metrics_row(0, "client_0", train_loss=0.5,
+                                         train_acc=1.0))
+GLOBAL_ROW = T.encode_metrics(metrics_row(0, "global", test_loss=0.5,
+                                         test_acc=1.0))
+
+
+def plain_frames(join_count, rows=((0, CLIENT_ROW), (0, GLOBAL_ROW))):
+    """Client 0's frames for one plaintext round: JOIN, an UPDATE of 2
+    values, and a METRICS frame per (round index, payload) in `rows`."""
+    upd = PlainUpdate(0, np.array([1.0, 2.0]), join_count, 0)
+    return ((T.MSG_JOIN, 0, T.encode_join(0, join_count)),
+            (T.MSG_UPDATE, 0, T.encode_update(upd)),
+            *((T.MSG_METRICS, rnd, payload) for rnd, payload in rows))
 
 
 def test_scripted_plain_round_completes():
-    error, reply = scripted_round("plaintext", None, *plain_frames(10, 10))
+    error, reply = scripted_round("plaintext", None, *plain_frames(10))
     assert error is None and reply.mtype == T.MSG_GLOBAL
 
 
-def test_update_naming_another_client_aborts():
-    """Client 0 cannot send an UPDATE on another client's behalf."""
-    error, reply = scripted_round("plaintext", None,
-                                  *plain_frames(10, 10, update_id=7))
-    assert isinstance(error, ProtocolError)
-    assert "client 0 sent an UPDATE naming client 7" in str(error)
-    assert reply.mtype == T.MSG_ABORT
+def test_metrics_rows_stamped_by_position():
+    """The server stamps each row with the frame's round and the actor
+    its position names: client 0's first row is `client_0`, its second
+    `global`."""
+    written = []
+    error, _reply = scripted_round("plaintext", None, *plain_frames(10),
+                                   sink=SimpleNamespace(write=written.append))
+    assert error is None
+    assert written == [
+        metrics_row(0, "client_0", train_loss=0.5, train_acc=1.0),
+        metrics_row(0, "global", test_loss=0.5, test_acc=1.0)]
 
 
-@pytest.mark.parametrize("rows", [
-    ((1, "client_0"), (0, "global")),
-    ((0, "client_0"), (3, "global")),
-    ((0, "client_1"), (0, "global")),
-    ((0, "global"), (0, "global")),
-    ((0, "client_0"), (0, "client_0")),
+NAMING_CLIENT_1 = json.dumps({**json.loads(CLIENT_ROW), "round": 0,
+                              "actor": "client_1"}).encode()
+
+
+@pytest.mark.parametrize("rows,refusal", [
+    (((1, CLIENT_ROW), (0, GLOBAL_ROW)), "round 0, got type 4 for round 1"),
+    (((0, CLIENT_ROW), (3, GLOBAL_ROW)), "round 0, got type 4 for round 3"),
+    (((0, NAMING_CLIENT_1), (0, GLOBAL_ROW)), "payload must hold exactly"),
+    (((0, GLOBAL_ROW), (0, GLOBAL_ROW)),
+     "client_0 METRICS row: test_acc must be null"),
+    (((0, CLIENT_ROW), (0, CLIENT_ROW)),
+     "global METRICS row: test_acc must be a finite number"),
 ], ids=["train-row-round", "global-row-round", "other-client", "global-first",
         "no-global-row"])
-def test_metrics_row_must_name_its_round_and_sender(rows):
+def test_metrics_row_must_name_its_round_and_sender(rows, refusal):
+    """A METRICS frame names its round in its header and its sender by
+    its position, never in its payload: a frame for another round, a
+    row that names a sender itself, or a row shaped for another
+    position aborts the run."""
     error, reply = scripted_round("plaintext", None,
-                                  *plain_frames(10, 10, rows=rows))
+                                  *plain_frames(10, rows=rows))
     assert isinstance(error, ProtocolError)
-    assert "sent a METRICS row for round" in str(error)
+    assert refusal in str(error)
     assert reply.mtype == T.MSG_ABORT
 
 
 def test_join_without_samples_rejected():
-    error, reply = scripted_round("plaintext", None, *plain_frames(0, 0))
+    error, reply = scripted_round("plaintext", None, *plain_frames(0))
     assert isinstance(error, ProtocolError) and "0 samples" in str(error)
-    assert reply.mtype == T.MSG_ABORT
-
-
-def test_update_count_must_match_join():
-    error, reply = scripted_round("plaintext", None, *plain_frames(10, 12))
-    assert isinstance(error, ProtocolError) and "sample count 12" in str(error)
     assert reply.mtype == T.MSG_ABORT
 
 
@@ -625,12 +704,12 @@ def test_plain_global_needs_exactly_one_blob(blobs):
 
 
 def test_plain_update_param_count_must_match_vector():
+    """A plain UPDATE must hold the server's param count of values."""
     payload = T.encode_update(PlainUpdate(0, np.array([1.0, 2.0]), 5, 0))
-    assert T.decode_update(payload, 0, None).values.size == 2
+    assert T.decode_update(payload, 0, None, 0, 5, 2).values.size == 2
     for count in (1, 3):
-        bad = payload[:10] + struct.pack("<I", count) + payload[14:]
         with pytest.raises(ProtocolError, match=f"2 values for {count} "):
-            T.decode_update(bad, 0, None)
+            T.decode_update(payload, 0, None, 0, 5, count)
 
 
 def test_failing_transport_client_aborts_run_at_once(world):
@@ -673,7 +752,8 @@ def test_unknown_mode_rejected_before_any_socket_opens(world, monkeypatch,
     monkeypatch.setattr(socket, "create_server",
                         lambda *a, **kw: opened.append(a))
     with pytest.raises(ConfigError, match="unknown mode"):
-        FederationCoordinator(expected_clients=1, rounds=1, mode=mode)
+        FederationCoordinator(expected_clients=1, rounds=1, mode=mode,
+                              param_count=2)
     for keys in (None, world["keys"]):
         with pytest.raises(ConfigError, match="unknown mode"):
             run_socket_federation(world["init"], world["cfg"], world["parts"],
@@ -727,9 +807,9 @@ def test_failed_connect_closes_opened_sockets(world, monkeypatch):
 
 
 def test_ciphertext_payload_on_plaintext_run_rejected(world):
-    blob, count = encrypted_update(world)
+    blob = encrypted_update(world)
     with pytest.raises(FormatError, match="not a float vector"):
-        T.decode_update(update_payload(count, blob), 0, None)
+        T.decode_update(blob, 0, None, 0, 10, world["init"].param_count)
     with pytest.raises(FormatError, match="not a float vector"):
         T.decode_global(blob, None)
 
@@ -738,7 +818,7 @@ def test_plain_payload_on_fhe_run_rejected(small_params):
     upd = PlainUpdate(0, np.array([0.5, -0.5]), 5, 0)
     with pytest.raises(FormatError, match="expected seeded ciphertext but "
                                           "found float vector"):
-        T.decode_update(T.encode_update(upd), 0, small_params)
+        T.decode_update(T.encode_update(upd), 0, small_params, 0, 5, 2)
     with pytest.raises(FormatError, match="expected seeded aggregate but "
                                           "found float vector"):
         T.decode_global(T.encode_global(upd.values), small_params)
@@ -746,7 +826,7 @@ def test_plain_payload_on_fhe_run_rejected(small_params):
 
 def test_deeply_nested_metrics_rejected():
     with pytest.raises(ProtocolError, match="malformed METRICS"):
-        T.decode_metrics(b"[" * 100000)
+        T.decode_metrics(b"[" * 100000, "client_0")
 
 
 @pytest.mark.parametrize("field,value", [
@@ -754,11 +834,29 @@ def test_deeply_nested_metrics_rejected():
     ("train_loss", "0.5"), ("test_loss", [0.5]), ("train_acc", True),
     ("test_acc", {"v": 1})])
 def test_metrics_field_types_checked(field, value):
-    row = {"round": 0, "actor": "client_0", "train_loss": 0.5,
-           "train_acc": 1.0, "test_loss": None, "test_acc": None}
+    """A client row's payload holds no round, numbers for its train
+    fields and nulls for its test fields."""
+    row = json.loads(CLIENT_ROW)
     row[field] = value
-    with pytest.raises(ProtocolError, match="int round"):
-        T.decode_metrics(T.encode_metrics(row))
+    with pytest.raises(ProtocolError, match="payload must hold exactly"
+                       if field == "round" else f"row: {field} must be"):
+        T.decode_metrics(json.dumps(row).encode(), "client_0")
+
+
+@pytest.mark.parametrize("actor,field,text", [
+    ("client_0", "train_loss", "NaN"), ("client_0", "train_acc", "Infinity"),
+    ("global", "test_loss", "-Infinity"), ("global", "test_acc", "1e400"),
+    ("client_0", "wall_ms", "NaN"), ("global", "wall_ms", "1e999"),
+    ("client_0", "wall_ms", '{"x": [1]}'), ("global", "wall_ms", '"1.0"'),
+    ("client_0", "wall_ms", "true"), ("global", "wall_ms", "null")])
+def test_metrics_non_finite_or_non_number_rejected(actor, field, text):
+    """NaN and the infinities would make the metrics file invalid JSON,
+    and `wall_ms` is a finite number on every row."""
+    row = json.loads(GLOBAL_ROW if actor == "global" else CLIENT_ROW)
+    row[field] = "@"
+    payload = json.dumps(row).replace('"@"', text).encode()
+    with pytest.raises(ProtocolError, match="METRICS"):
+        T.decode_metrics(payload, actor)
 
 
 # --- non-finite plain values, and updates the others cannot join ------------
@@ -767,7 +865,7 @@ def test_metrics_field_types_checked(field, value):
 def test_plain_update_with_non_finite_value_rejected(bad):
     upd = PlainUpdate(0, np.array([1.0, bad, 2.0]), 5, 0)
     with pytest.raises(FormatError, match="non-finite"):
-        T.decode_update(T.encode_update(upd), 0, None)
+        T.decode_update(T.encode_update(upd), 0, None, 0, 5, 3)
     with pytest.raises(FormatError, match="non-finite"):
         T.decode_global(T.encode_global(upd.values), None)
 
@@ -797,7 +895,9 @@ def rogue_round(world, mode, keys, payload):
     for t in threads:
         t.start()
     coordinator = FederationCoordinator(expected_clients=2, rounds=1,
-                                        mode=mode, material=material)
+                                        mode=mode,
+                                        param_count=world["init"].param_count,
+                                        material=material)
     with pytest.raises(CipherfedError) as info:
         coordinator.run([srv0, srv1])
     reply = cli1.recv(timeout=5.0)
@@ -836,22 +936,53 @@ def test_wrong_mode_update_aborts_every_client(world):
 
 
 def test_mixed_scale_update_aborts_every_client(world, small_params):
-    """Client 1 sends a well-formed batch at half client 0's scale: it
-    decodes, but the updates cannot be averaged together. (Every `CKV4`
-    batch is at level 0, so the scale is what can differ.)"""
+    """Client 1 sends a well-formed batch at half client 0's scale Δ.
+    A `CKV4` upload is the one-client, one-sample case of the scale rule
+    Δ·Σ n, so the server refuses it by name before it is averaged."""
     upd = encrypt_model(world["init"], QuantizationSpec(), world["keys"],
                         client_id=1, sample_count=10, round_index=0,
                         rng_seed=77)
     blob = bytearray(serialize_seeded(upd.chunks))
     struct.pack_into("<d", blob, 13, small_params.scale / 2)
-    payload = update_payload(upd.param_count, bytes(blob), client_id=1)
     error, real_err, reply = rogue_round(world, "fhe", world["keys"],
-                                         payload)
-    assert isinstance(error, AlignmentError)
-    assert (f"client 1 sent 1 chunks at level 0, scale "
-            f"{small_params.scale / 2}") in str(error)
+                                         bytes(blob))
+    assert isinstance(error, FormatError)
+    assert (f"UPDATE from client 1: seeded ciphertext scale "
+            f"{small_params.scale / 2} is not the scale times its 1 "
+            "samples") in str(error)
     assert reply.mtype == T.MSG_ABORT
     assert real_err and "server aborted" in str(real_err[0])
+
+
+def test_updates_of_different_model_sizes_not_averaged(world):
+    """Two one-chunk uploads for models of 27 and 1,000 parameters do
+    not average together."""
+    ups = [replace(u, param_count=n) for u, n in
+           zip(seeded_uploads(world["keys"], 1, (10, 10)), (27, 1000))]
+    with pytest.raises(AlignmentError, match="client 1 sent 1000 parameters, "
+                                             "not 27"):
+        server.aggregate(ups, world["keys"].public)
+
+
+@pytest.mark.parametrize("chunks", [1, 4])
+@pytest.mark.parametrize("clients", [1, 4])
+def test_update_and_global_frame_sizes(std_keys, clients, chunks):
+    """At N = 4,096 an UPDATE frame of c chunks is 7 + 23 + 32·c + 1 +
+    8·c·N bytes, and a GLOBAL frame of K clients 7 + 23 + 2 + 8·K +
+    32·K·c + 1 + 8·c·N, as docs/protocol.md gives them."""
+    n = std_keys.params.ring_degree
+    assert n == 4096
+    ups = seeded_uploads(std_keys, chunks, range(10, 10 + clients))
+
+    def frame(mtype, payload):
+        return len(T.encode_frame(T.Message(mtype, 0, payload)))
+
+    assert (frame(T.MSG_UPDATE, T.encode_update(ups[0]))
+            == 7 + 23 + 32 * chunks + 1 + 8 * chunks * n)
+    agg = server.aggregate(ups, std_keys.public)
+    assert (frame(T.MSG_GLOBAL, T.encode_global(agg))
+            == 7 + 23 + 2 + 8 * clients + 32 * clients * chunks + 1
+            + 8 * chunks * n)
 
 
 @pytest.mark.parametrize("transport", ["direct", "socket"])
