@@ -120,8 +120,8 @@ def cmd_compare(args) -> int:
 def cmd_inspect(args) -> int:
     from .fhe.serial import (MAGIC_CIPHERTEXT, MAGIC_FLOAT_VECTOR,
                              MAGIC_KINDS, MAGIC_PUBLIC_KEY, MAGIC_SECRET_KEY,
-                             MAGIC_SEEDED, MAGIC_SEEDED_SUM,
-                             MAGIC_SLOT_SEEDED, Reader)
+                             MAGIC_SEEDED, MAGIC_SEEDED_SUM, MAGIC_SLOT_SEEDED,
+                             Reader, _read_header, deserialize_float_vector)
     batches = (MAGIC_CIPHERTEXT, MAGIC_SEEDED, MAGIC_SEEDED_SUM,
                MAGIC_SLOT_SEEDED)
     data = Path(args.path).read_bytes()
@@ -140,20 +140,18 @@ def cmd_inspect(args) -> int:
         print(f"digest : {digest.hex()}")
         print(f"size   : {size} bytes")
     elif magic in batches:
-        level, scale, chunks = r.unpack("BdH")
+        level, scale, chunks, counts = _read_header(r, magic)
         print(f"kind   : {MAGIC_KINDS[magic]}")
         print(f"digest : {digest.hex()}")
         print(f"level  : {level}")
         print(f"scale  : {scale:.6g}")
         print(f"chunks : {chunks}")
         if magic == MAGIC_SEEDED_SUM:
-            (k,) = r.unpack("H")
-            counts = r.unpack(f"{k}Q")
-            print(f"clients: {k}")
+            print(f"clients: {len(counts)}")
             print(f"counts : {', '.join(map(str, counts))}")
         print(f"size   : {size} bytes")
     elif magic == MAGIC_FLOAT_VECTOR:
-        (count,) = r.unpack("I")
+        count = deserialize_float_vector(data).size
         print("kind   : float vector")
         print(f"length : {count}")
         print(f"size   : {size} bytes")

@@ -135,6 +135,8 @@ def parse_config(doc: dict, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"transport must be one of {TRANSPORTS}, "
                           f"got {transport!r}")
     seed = _num(doc.get("seed", 0), "seed", int, low=0)
+    if seed >= 2 ** 63:  # derive_seed packs it as a signed 64-bit integer
+        raise ConfigError(f"seed must be < 2^63, got {seed}")
     det = doc.get("deterministic_timing", False)
     if not isinstance(det, bool):
         raise ConfigError("deterministic_timing must be true or false")

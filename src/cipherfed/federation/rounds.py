@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from numbers import Integral
 
 from ..errors import ConfigError, ProtocolError
 from ..fhe.keys import public_part
@@ -32,6 +33,16 @@ class RoundConfig:
     deterministic_timing: bool = False
 
     def __post_init__(self):
+        # ints or numpy integers, never bools: int() would truncate 2.9
+        names = ("client_count", "rounds", "batch_size", "epochs_per_round",
+                 "base_seed")
+        for name, v in [*((n, getattr(self, n)) for n in names),
+                        *(("sample_counts item", c)
+                          for c in self.sample_counts)]:
+            if not isinstance(v, Integral) or isinstance(v, bool):
+                raise ConfigError(f"{name} must be an integer, got {v!r}")
+        if not -2 ** 63 <= self.base_seed < 2 ** 63:
+            raise ConfigError("base_seed must fit a signed 64-bit integer")
         if self.client_count < 1:
             raise ConfigError("client_count must be >= 1")
         if self.rounds < 0:

@@ -49,8 +49,7 @@ def _client_rounds(channel, client_id: int, dataset, test_data,
                    initial_model: HybridModel, config: RoundConfig,
                    keys, mode: str) -> HybridModel:
     clock = _clock(config)
-    channel.send(Message(MSG_JOIN, 0,
-                         encode_join(client_id, len(dataset))))
+    channel.send(Message(MSG_JOIN, 0, encode_join(client_id)))
     model = initial_model
     for r in range(config.rounds):
         t0 = clock()
@@ -111,11 +110,8 @@ def run_socket_federation(initial_model, config: RoundConfig,
     check_run_inputs(config, client_datasets, keys, mode)
     material = public_part(keys)
     coordinator = FederationCoordinator(
-        expected_clients=config.client_count, rounds=config.rounds,
-        mode=mode, param_count=initial_model.param_count,
-        material=material if mode == "fhe" else None, sink=sink,
-        convergence_delta=config.convergence_delta,
-        quantization=config.quantization)
+        config, mode, initial_model.param_count,
+        material=material if mode == "fhe" else None, sink=sink)
     results: dict[int, HybridModel] = {}
     client_errors: dict[int, Exception] = {}
     client_channels: list[SocketChannel] = []

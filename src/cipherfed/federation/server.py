@@ -19,9 +19,8 @@ from ..fhe.encoding import encode_scalar
 from ..fhe.keys import PublicMaterial
 from ..fhe.ops import Ciphertext, add_ct, mul_plain
 from ..fhe.ops import rescale  # perfbench --trace wraps it; ROADMAP item 1
-from .client import check_upload_chunks, sample_capacity
+from .client import check_sample_capacity, check_upload_chunks
 from .metrics import metrics_row
-from .quantize import QuantizationSpec
 from .transport import (CONVERGED_REASON, MSG_ABORT, MSG_GLOBAL, MSG_JOIN,
                         MSG_METRICS, MSG_UPDATE, Message, decode_join,
                         decode_metrics, decode_update, encode_global)
@@ -142,31 +141,28 @@ def converged(prev_loss, loss, delta) -> bool:
 class FederationCoordinator:
     """Server side of the wire protocol, driven over abstract channels.
 
-    State is limited to public material, the round plan, the run's
-    model size `param_count`, and collected metric rows; decryption
-    never happens here. On any failure it tells every client to abort,
+    It runs from the run's `config`, a RoundConfig, whose sample counts
+    weight the clients' UPDATEs: no peer states its own weight. State is
+    limited to that config, public material, the model size
+    `param_count` and collected metric rows; decryption never happens
+    here. An fhe sample total beyond `sample_capacity` is a ConfigError
+    at construction. On any failure it tells every client to abort,
     then raises the error (as a ProtocolError unless it is already a
     CipherfedError).
     """
 
-    def __init__(self, expected_clients: int, rounds: int, mode: str,
-                 param_count: int, material: PublicMaterial | None = None,
-                 sink=None, convergence_delta: float | None = None,
-                 quantization: QuantizationSpec = QuantizationSpec()):
+    def __init__(self, config, mode: str, param_count: int,
+                 material: PublicMaterial | None = None, sink=None):
         check_mode(mode)
+        self.material = None
         if mode == "fhe":
             self.material = _require_public(material)
-            self.sample_capacity = sample_capacity(self.material.params,
-                                                   quantization)
-        else:
-            self.material = None
-            self.sample_capacity = None
-        self.expected_clients = expected_clients
+            check_sample_capacity(sum(config.sample_counts),
+                                  self.material.params, config.quantization)
+        self.config = config
         self.param_count = param_count
-        self.rounds = rounds
         self.mode = mode
         self.sink = sink
-        self.convergence_delta = convergence_delta
         self.history: list[dict] = []
 
     def _abort_all(self, channels, reason: str) -> None:
@@ -198,37 +194,30 @@ class FederationCoordinator:
         return msg
 
     def _run(self, channels) -> list[dict]:
-        if len(channels) != self.expected_clients:
+        cfg = self.config
+        if len(channels) != cfg.client_count:
             raise ProtocolError(
-                f"{len(channels)} channels for {self.expected_clients} clients")
-        by_id, joined = {}, {}
+                f"{len(channels)} channels for {cfg.client_count} clients")
+        by_id = {}
         for ch in channels:
             msg = ch.recv()
             if msg.mtype != MSG_JOIN:
                 raise ProtocolError(f"expected JOIN, got type {msg.mtype}")
-            cid, count = decode_join(msg.payload)
-            if count < 1:
-                raise ProtocolError(f"client {cid} joined with {count} samples")
-            by_id[cid], joined[cid] = ch, count
-        if sorted(by_id) != list(range(self.expected_clients)):
+            by_id[decode_join(msg.payload)] = ch
+        if sorted(by_id) != list(range(cfg.client_count)):
             raise ProtocolError(f"client ids {sorted(by_id)} do not cover "
-                                f"0..{self.expected_clients - 1}")
-        total = sum(joined.values())
-        if self.sample_capacity is not None and total > self.sample_capacity:
-            raise ProtocolError(
-                f"clients joined with {total} samples; a level-0 encrypted "
-                f"sum holds at most {self.sample_capacity}")
+                                f"0..{cfg.client_count - 1}")
         clients = [(cid, by_id[cid]) for cid in sorted(by_id)]
 
         params = self.material.params if self.material is not None else None
         prev_loss = None
-        for r in range(self.rounds):
+        for r in range(cfg.rounds):
             updates = []
             for cid, ch in clients:
                 payload = self._recv(ch, cid, MSG_UPDATE, r).payload
                 try:
                     updates.append(decode_update(payload, r, params, cid,
-                                                 joined[cid],
+                                                 cfg.sample_counts[cid],
                                                  self.param_count))
                 except CipherfedError as e:
                     raise type(e)(f"UPDATE from client {cid}: {e}") from e
@@ -252,8 +241,8 @@ class FederationCoordinator:
 
             g_loss = rows[-1]["test_loss"]
             # no ABORT after the last round: the clients stop there anyway
-            if (converged(prev_loss, g_loss, self.convergence_delta)
-                    and r < self.rounds - 1):
+            if (converged(prev_loss, g_loss, cfg.convergence_delta)
+                    and r < cfg.rounds - 1):
                 self._abort_all(channels, CONVERGED_REASON)
                 # clients are already training the next round and will
                 # emit one UPDATE and one METRICS before they see the

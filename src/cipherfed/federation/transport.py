@@ -111,15 +111,16 @@ class SocketChannel:
 
 # --- payload encodings ------------------------------------------------------
 
-def encode_join(client_id: int, sample_count: int) -> bytes:
-    return struct.pack("<HQ", client_id, sample_count)
+def encode_join(client_id: int) -> bytes:
+    """A JOIN payload: the client id alone, never its FedAvg weight."""
+    return struct.pack("<H", client_id)
 
 
-def decode_join(payload: bytes) -> tuple[int, int]:
+def decode_join(payload: bytes) -> int:
     r = Reader(payload, "JOIN payload", ProtocolError)
-    client_id, sample_count = r.unpack("HQ")
+    (client_id,) = r.unpack("H")
     r.end()
-    return client_id, sample_count
+    return client_id
 
 
 def encode_update(update) -> bytes:
@@ -131,11 +132,11 @@ def encode_update(update) -> bytes:
 
 def decode_update(payload: bytes, round_index: int, params, client_id: int,
                   sample_count: int, param_count: int):
-    """The UPDATE of the client that joined as `client_id` with
-    `sample_count` samples, for the server's `param_count`: on an fhe
-    run (`params` given) the chunk count that count fills, checked
-    before any seed is expanded, and on a plaintext run that many
-    values."""
+    """The UPDATE of the client that joined as `client_id`, weighted by
+    the run's `sample_count` for it, for the server's `param_count`: on
+    an fhe run (`params` given) the chunk count that count fills,
+    checked before any seed is expanded, and on a plaintext run that
+    many values."""
     if params is not None:
         chunks = deserialize_seeded(payload, params, lambda c, _: (
             check_upload_chunks(client_id, c, param_count,

@@ -133,15 +133,29 @@ def _header(ct: Ciphertext, magic: bytes, chunks: int) -> bytes:
                                                   chunks)
 
 
-def _read_header(r: Reader) -> tuple[int, float, int]:
-    """Level, scale and chunk count of a `CKV2` or `CKV4` batch."""
+def _read_header(r: Reader, magic: bytes
+                 ) -> tuple[int, float, int, tuple[int, ...]]:
+    """Level, scale, chunk count and sample counts ((1,) but in a `CKV5`)
+    of a batch, read whole, so a short one reads as truncated, then put
+    to every check that needs no parameters (level 0 unless `CKV2`)."""
     level, scale, chunks = r.unpack("BdH")
+    counts = (1,)
+    if magic == MAGIC_SEEDED_SUM:
+        (k,) = r.unpack("H")
+        if k < 1:
+            raise FormatError("seeded aggregate names no clients")
+        counts = r.unpack(f"{k}Q")
+        if 0 in counts:
+            raise FormatError("seeded aggregate holds a sample count of 0")
     if not 0.0 < scale < math.inf:
         raise FormatError(f"ciphertext scale {scale} is not finite and "
                           "positive")
     if chunks < 1:
         raise FormatError(f"{r.what} batch has no chunks")
-    return level, scale, chunks
+    if magic != MAGIC_CIPHERTEXT and level != 0:
+        raise LevelError(f"{r.what} at level {level}; seeded batches are "
+                         "at level 0")
+    return level, scale, chunks, counts
 
 
 def serialize_ciphertext(ct: Ciphertext) -> bytes:
@@ -155,7 +169,7 @@ def serialize_ciphertext(ct: Ciphertext) -> bytes:
 def deserialize_ciphertext(data: bytes, params: EncryptionParams) -> Ciphertext:
     """A `CKV2` artifact as a batch of at least one chunk."""
     r = _open(data, MAGIC_CIPHERTEXT, params)
-    level, scale, chunks = _read_header(r)
+    level, scale, chunks, _ = _read_header(r, MAGIC_CIPHERTEXT)
     rows = range(1, len(params.modulus_chain) + 1)
     c0, c1 = (_read_poly(r, params, rows, (chunks,)) for _ in range(2))
     r.end()
@@ -186,27 +200,17 @@ def serialize_seeded_sum(ct: Ciphertext) -> bytes:
                      _poly_bytes(ct.c0)])
 
 
-def _read_seeded(r: Reader, params: EncryptionParams, summed: bool,
+def _read_seeded(data: bytes, params: EncryptionParams, magic: bytes,
                  check) -> Ciphertext:
-    """The rest of a `CKV4` (one upload, counts (1,)) or a `CKV5`
-    (`summed`) batch after its digest. Every check, `check(chunks,
-    counts)` included when it is given, runs before any seed is
-    expanded, and the layout's size is checked before it is read."""
-    level, scale, chunks = _read_header(r)
-    counts = (1,)
-    if summed:
-        (k,) = r.unpack("H")
-        if k < 1:
-            raise FormatError("seeded aggregate names no clients")
-        counts = r.unpack(f"{k}Q")
-        if 0 in counts:
-            raise FormatError("seeded aggregate holds a sample count of 0")
+    """A `CKV4` (one upload, counts (1,)) or a `CKV5` batch. Every check,
+    `check(chunks, counts)` included when it is given, runs before any
+    seed is expanded, and the layout's size is checked before it is
+    read."""
+    r = _open(data, magic, params)
+    level, scale, chunks, counts = _read_header(r, magic)
     if scale != params.scale * sum(counts):
         raise FormatError(f"{r.what} scale {scale} is not the scale times "
                           f"its {sum(counts)} samples")
-    if level != 0:
-        raise LevelError(f"{r.what} at level {level}; seeded batches are "
-                         "at level 0")
     if check is not None:
         check(chunks, counts)
     r.rest_is(len(counts) * chunks * SEED_BYTES + 1
@@ -223,16 +227,14 @@ def deserialize_seeded(data: bytes, params: EncryptionParams,
     """A `CKV4` artifact as a level-0 batch, its c1 re-expanded from the
     seeds after `check(chunks, (1,))`, if given. A `CKV3` upload is
     refused by its magic."""
-    return _read_seeded(_open(data, MAGIC_SEEDED, params), params, False,
-                        check)
+    return _read_seeded(data, params, MAGIC_SEEDED, check)
 
 
 def deserialize_seeded_sum(data: bytes, params: EncryptionParams,
                            check=None) -> Ciphertext:
     """A `CKV5` artifact as a level-0 batch, its c1 rebuilt from the
     seeds and counts after `check(chunks, counts)`, if given."""
-    return _read_seeded(_open(data, MAGIC_SEEDED_SUM, params), params, True,
-                        check)
+    return _read_seeded(data, params, MAGIC_SEEDED_SUM, check)
 
 
 def serialize_secret_key(keys: KeyMaterial) -> bytes:

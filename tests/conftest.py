@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cipherfed.federation.client import ClientUpdate
+from cipherfed.federation.rounds import RoundConfig
 from cipherfed.federation.server import aggregate
 from cipherfed.federation.transport import SocketChannel
 from cipherfed.fhe import (default_params, encode_coeffs, encrypt_symmetric,
@@ -14,6 +15,13 @@ def channel_pair() -> tuple[SocketChannel, SocketChannel]:
     """Two connected in-process channels over `socket.socketpair()`."""
     a, b = socket.socketpair()
     return SocketChannel(a), SocketChannel(b)
+
+
+def coordinator_config(counts, rounds: int = 1) -> RoundConfig:
+    """The RoundConfig a scripted coordinator runs from: one client per
+    entry of `counts`, which are the clients' FedAvg weights."""
+    return RoundConfig(client_count=len(counts), rounds=rounds,
+                       sample_counts=tuple(counts), learning_rate=0.1)
 
 
 def seeded_uploads(keys, chunks: int, counts) -> list:

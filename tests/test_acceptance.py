@@ -301,9 +301,7 @@ def test_criterion_08_protocol_determinism(tmp_path):
     listener.bind(("127.0.0.1", 0))
     listener.listen(2)
     port = listener.getsockname()[1]
-    coordinator = FederationCoordinator(expected_clients=2, rounds=cfg.rounds,
-                                        mode="fhe",
-                                        param_count=init.param_count,
+    coordinator = FederationCoordinator(cfg, "fhe", init.param_count,
                                         material=keys.public)
     server_err = []
 
@@ -338,7 +336,7 @@ def test_criterion_08_protocol_determinism(tmp_path):
     cli.start()
     rogue = socket_mod.create_connection(("127.0.0.1", port), timeout=10.0)
     rogue.sendall(T.encode_frame(T.Message(T.MSG_JOIN, 0,
-                                           T.encode_join(1, 10))))
+                                           T.encode_join(1))))
     frame = bytearray(T.encode_frame(T.Message(T.MSG_UPDATE, 0, b"x" * 32)))
     frame[0] |= 0x80  # flipped length byte
     rogue.sendall(bytes(frame))
@@ -388,9 +386,9 @@ def test_criterion_09_server_blindness(std):
         server.aggregate([upd], keys)
     coordinator_ok = False
     try:
-        server.FederationCoordinator(expected_clients=1, rounds=1,
-                                     mode="fhe", param_count=64,
-                                     material=keys)
+        server.FederationCoordinator(
+            RoundConfig(client_count=1, rounds=1, sample_counts=(5,),
+                        learning_rate=0.1), "fhe", 64, material=keys)
     except ParameterError:
         coordinator_ok = True
     assert coordinator_ok

@@ -1,4 +1,5 @@
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -284,6 +285,39 @@ def test_inspect_truncated_header_exits_3(tmp_path, capsys, magic, size):
     p.write_bytes(magic.encode().ljust(size, b"\0"))
     assert main(["inspect", str(p)]) == 3
     assert "truncated" in capsys.readouterr().err
+
+
+def batch_header(magic: str, level: int, scale: float, chunks: int,
+                 counts=None) -> bytes:
+    """A batch header under a zero digest; `counts`, if given, as the
+    client count K and the K sample counts of a `CKV5`."""
+    head = magic.encode() + bytes(8) + struct.pack("<BdH", level, scale,
+                                                   chunks)
+    if counts is None:
+        return head
+    return head + struct.pack(f"<H{len(counts)}Q", len(counts), *counts)
+
+
+@pytest.mark.parametrize("blob,refusal", [
+    (batch_header("CKV4", 0, float("nan"), 0), "not finite and positive"),
+    (batch_header("CKV2", 0, 0.0, 1), "not finite and positive"),
+    (batch_header("CKV4", 0, 2.0 ** 40, 0), "no chunks"),
+    (batch_header("CKV5", 7, 2.0 ** 40, 1, ()), "names no clients"),
+    (batch_header("CKV5", 0, 2.0 ** 40, 1, (3, 0)), "sample count of 0"),
+    (batch_header("CKV5", 7, 2.0 ** 40, 1, (1,)), "at level 7"),
+    (batch_header("CKV4", 2, 2.0 ** 40, 1), "at level 2"),
+    (b"CKF1" + struct.pack("<I", 100) + b"abc", "needs 808")],
+    ids=["nan-scale", "zero-scale", "no-chunks", "no-clients", "zero-count",
+         "seeded-sum-level", "seeded-level", "vector-overrun"])
+def test_inspect_refuses_headers_the_readers_refuse(tmp_path, capsys, blob,
+                                                    refusal):
+    """inspect reads a batch header, and a float vector, through the
+    readers' own checks, so every fault that needs no parameters exits
+    3."""
+    p = tmp_path / "bad.ct"
+    p.write_bytes(blob)
+    assert main(["inspect", str(p)]) == 3
+    assert refusal in capsys.readouterr().err
 
 
 def test_inspect_missing_file_exits_4(tmp_path):

@@ -181,6 +181,19 @@ def test_bad_top_level_value_rejected_at_parse(key, value, message):
         parse_config(doc)
 
 
+@pytest.mark.parametrize("seed", [2 ** 63, 2 ** 64])
+def test_seed_beyond_signed_64_bits_rejected_at_parse(seed):
+    """Every stream of a run is seeded through derive_seed, which packs
+    the seed as a signed 64-bit integer: a larger one would pass here
+    and fail in round 0."""
+    doc = minimal_doc()
+    doc["seed"] = seed
+    with pytest.raises(ConfigError, match=r"seed must be < 2\^63"):
+        parse_config(doc)
+    doc["seed"] = 2 ** 63 - 1
+    assert parse_config(doc).seed == 2 ** 63 - 1
+
+
 def test_bad_model_section():
     doc = minimal_doc()
     doc["model"]["depth"] = 0

@@ -12,7 +12,8 @@ import struct
 
 import numpy as np
 import pytest
-from conftest import channel_pair, count_expansions, seeded_aggregate
+from conftest import (channel_pair, coordinator_config, count_expansions,
+                      seeded_aggregate)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -114,12 +115,12 @@ def formats(small_params):
         assert got.mtype in T._VALID_TYPES
 
     def use_join(got):
-        assert all(type(v) is int for v in got) and len(got) == 2
+        assert type(got) is int
 
     body = T.encode_frame(T.Message(T.MSG_UPDATE, 4, b"payload"))[4:]
     return {
         "frame-body": Format(body, T.decode_body, use_frame),
-        "JOIN": Format(T.encode_join(3, 40), T.decode_join, use_join),
+        "JOIN": Format(T.encode_join(3), T.decode_join, use_join),
         "UPDATE-fhe": Format(T.encode_update(fhe_upd),
                              lambda b: T.decode_update(b, 0, params, 1, 12,
                                                        model.param_count),
@@ -334,17 +335,16 @@ def as_ckv3(update_payload: bytes) -> bytes:
 
 def coordinator_against(keys, payloads, param_count: int):
     """A one-round fhe coordinator for a model of `param_count`
-    parameters and one client per UPDATE payload: each client JOINs with
-    12 samples and sends it. Returns the coordinator's error and each
-    client's next message."""
+    parameters and one client per UPDATE payload, each of 12 samples:
+    each client JOINs and sends it. Returns the coordinator's error and
+    each client's next message."""
     pairs = [channel_pair() for _ in payloads]
     for cid, ((_srv, cli), payload) in enumerate(zip(pairs, payloads)):
-        cli.send(T.Message(T.MSG_JOIN, 0, T.encode_join(cid, 12)))
+        cli.send(T.Message(T.MSG_JOIN, 0, T.encode_join(cid)))
         cli.send(T.Message(T.MSG_UPDATE, 0, payload))
-    coordinator = FederationCoordinator(expected_clients=len(payloads),
-                                        rounds=1, mode="fhe",
-                                        param_count=param_count,
-                                        material=keys.public)
+    coordinator = FederationCoordinator(
+        coordinator_config([12] * len(payloads)), "fhe", param_count,
+        material=keys.public)
     with pytest.raises(CipherfedError) as info:
         coordinator.run([srv for srv, _cli in pairs])
     replies = [cli.recv(timeout=5.0) for _srv, cli in pairs]

@@ -368,6 +368,44 @@ def test_round_config_validation():
                     learning_rate=-0.1)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("client_count", 2.0), ("client_count", True), ("rounds", 1.5),
+    ("rounds", "1"), ("sample_counts", (2.9, "3")),
+    ("sample_counts", (True, 3)), ("sample_counts", (2.0, 3)),
+    ("batch_size", 2.5), ("batch_size", np.float64(2)),
+    ("epochs_per_round", False), ("base_seed", 0.5)])
+def test_round_config_refuses_non_integers(field, value):
+    """Counts, rounds and sizes are ints or numpy integers, never bools:
+    the sample counts become the server's FedAvg weights, and a float
+    would be truncated into one or fail mid-run."""
+    kw = dict(client_count=2, rounds=1, sample_counts=(2, 3),
+              learning_rate=0.1)
+    kw[field] = value
+    with pytest.raises(ConfigError, match=f"{field}.* must be an integer"):
+        RoundConfig(**kw)
+
+
+def test_round_config_takes_numpy_integers():
+    cfg = RoundConfig(client_count=np.int64(2), rounds=np.int32(1),
+                      sample_counts=tuple(np.int64([2, 3])),
+                      learning_rate=0.1, batch_size=np.int16(4),
+                      epochs_per_round=np.uint8(1), base_seed=np.int64(-1))
+    assert cfg.sample_counts == (2, 3)
+    assert all(type(c) is int for c in cfg.sample_counts)
+
+
+@pytest.mark.parametrize("seed", [2 ** 63, -2 ** 63 - 1])
+def test_round_config_base_seed_fits_signed_64_bits(seed):
+    """derive_seed packs the base seed as a signed 64-bit integer."""
+    with pytest.raises(ConfigError, match="base_seed must fit"):
+        RoundConfig(client_count=1, rounds=1, sample_counts=(5,),
+                    learning_rate=0.1, base_seed=seed)
+    for ok in (2 ** 63 - 1, -2 ** 63):
+        assert derive_seed(RoundConfig(
+            client_count=1, rounds=1, sample_counts=(5,), learning_rate=0.1,
+            base_seed=ok).base_seed, 0) >= 0
+
+
 def encrypted_chunk(params, keys, level, scale):
     """A batch of one chunk at `level` and `scale`."""
     from cipherfed.fhe import encode, encrypt

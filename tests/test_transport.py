@@ -8,8 +8,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import (channel_pair, count_expansions, seeded_aggregate,
-                      seeded_uploads)
+from conftest import (channel_pair, coordinator_config, count_expansions,
+                      seeded_aggregate, seeded_uploads)
 
 from cipherfed import data as D
 from cipherfed import model as M
@@ -268,8 +268,7 @@ def test_corrupted_frame_aborts_round_over_socket(world, small_params):
     port = listener.getsockname()[1]
 
     coordinator = FederationCoordinator(
-        expected_clients=2, rounds=cfg.rounds, mode="fhe",
-        param_count=world["init"].param_count, material=world["keys"].public)
+        cfg, "fhe", world["init"].param_count, material=world["keys"].public)
     server_err = []
 
     def serve():
@@ -305,7 +304,7 @@ def test_corrupted_frame_aborts_round_over_socket(world, small_params):
     cli_thread.start()
 
     rogue = socket.create_connection(("127.0.0.1", port), timeout=10.0)
-    good_join = T.encode_frame(T.Message(T.MSG_JOIN, 0, T.encode_join(1, 10)))
+    good_join = T.encode_frame(T.Message(T.MSG_JOIN, 0, T.encode_join(1)))
     rogue.sendall(good_join)
     # now a corrupted frame: valid layout, length byte flipped
     frame = bytearray(T.encode_frame(T.Message(T.MSG_UPDATE, 0, b"z" * 64)))
@@ -382,9 +381,9 @@ def scripted_round(mode, material, *frames, param_count=2, sink=None):
 
     sender = threading.Thread(target=send_all, daemon=True)
     sender.start()
-    coordinator = FederationCoordinator(expected_clients=1, rounds=1,
-                                        mode=mode, param_count=param_count,
-                                        material=material, sink=sink)
+    coordinator = FederationCoordinator(coordinator_config([10]), mode,
+                                        param_count, material=material,
+                                        sink=sink)
     try:
         coordinator.run([server_end])
         error = None
@@ -412,7 +411,7 @@ def encrypted_update(world):
 
 def assert_aborted(world, payload):
     error, reply = scripted_round(
-        "fhe", world["keys"].public, (T.MSG_JOIN, 0, T.encode_join(0, 10)),
+        "fhe", world["keys"].public, (T.MSG_JOIN, 0, T.encode_join(0)),
         (T.MSG_UPDATE, 0, payload), param_count=world["init"].param_count)
     assert error is not None
     assert reply.mtype == T.MSG_ABORT
@@ -476,33 +475,14 @@ def test_update_in_parent_layout_refused_naming_client(world):
     assert reply.mtype == T.MSG_ABORT and b"client 1" in reply.payload
 
 
-def joins_beyond_capacity(world, counts):
-    """Clients that JOIN with `counts` on an fhe run; returns the
-    coordinator's error and the next message each client receives."""
-    pairs = [channel_pair() for _ in counts]
-    for cid, (_srv, cli) in enumerate(pairs):
-        cli.send(T.Message(T.MSG_JOIN, 0, T.encode_join(cid, counts[cid])))
-    coordinator = FederationCoordinator(expected_clients=len(counts),
-                                        rounds=1, mode="fhe",
-                                        param_count=world["init"].param_count,
-                                        material=world["keys"].public)
-    with pytest.raises(ProtocolError) as info:
-        coordinator.run([srv for srv, _cli in pairs])
-    replies = [cli.recv(timeout=5.0) for _srv, cli in pairs]
-    for pair in pairs:
-        for ch in pair:
-            ch.close()
-    return info.value, replies
-
-
 def test_duplicate_join_aborts_every_client():
     """Two of two connections JOIN as client 0: the ids do not cover
     0..1, so the run aborts before any round."""
     pairs = [channel_pair() for _ in range(2)]
     for _srv, cli in pairs:
-        cli.send(T.Message(T.MSG_JOIN, 0, T.encode_join(0, 10)))
-    coordinator = FederationCoordinator(expected_clients=2, rounds=1,
-                                        mode="plaintext", param_count=2)
+        cli.send(T.Message(T.MSG_JOIN, 0, T.encode_join(0)))
+    coordinator = FederationCoordinator(coordinator_config([10, 10]),
+                                        "plaintext", 2)
     with pytest.raises(ProtocolError, match=r"client ids \[0\] do not "
                                             r"cover 0\.\.1"):
         coordinator.run([srv for srv, _cli in pairs])
@@ -513,12 +493,60 @@ def test_duplicate_join_aborts_every_client():
             ch.close()
 
 
-@pytest.mark.parametrize("counts", [(40000, 30000), (1, 2 ** 64 - 1)])
-def test_join_counts_beyond_capacity_abort_every_client(world, counts):
-    error, replies = joins_beyond_capacity(world, counts)
-    assert f"joined with {sum(counts)} samples" in str(error)
-    assert "at most 65535" in str(error)
-    assert [m.mtype for m in replies] == [T.MSG_ABORT, T.MSG_ABORT]
+def test_join_is_the_client_id_alone():
+    assert T.encode_join(3) == struct.pack("<H", 3)
+    assert T.decode_join(T.encode_join(3)) == 3
+
+
+def test_join_in_parent_layout_aborts_every_client():
+    """A 10-byte JOIN that also states a sample count, as the layout
+    before this one did, is refused for its trailing bytes."""
+    pairs = [channel_pair() for _ in range(2)]
+    pairs[0][1].send(T.Message(T.MSG_JOIN, 0, struct.pack("<HQ", 0, 10)))
+    pairs[1][1].send(T.Message(T.MSG_JOIN, 0, T.encode_join(1)))
+    coordinator = FederationCoordinator(coordinator_config([10, 10]),
+                                        "plaintext", 2)
+    with pytest.raises(ProtocolError, match="malformed JOIN payload: 8 "
+                                            "trailing bytes"):
+        coordinator.run([srv for srv, _cli in pairs])
+    assert [cli.recv(timeout=5.0).mtype for _srv, cli in pairs] == [
+        T.MSG_ABORT, T.MSG_ABORT]
+    for pair in pairs:
+        for ch in pair:
+            ch.close()
+
+
+def test_server_weights_updates_by_the_config_counts():
+    """With config counts (1, 3), uploads [1, 2] and [5, 6] average to
+    exactly [4, 5], whatever sample counts the clients hold."""
+    pairs = [channel_pair() for _ in range(2)]
+    for cid, values, held in ((0, [1.0, 2.0], 500), (1, [5.0, 6.0], 7)):
+        cli = pairs[cid][1]
+        cli.send(T.Message(T.MSG_JOIN, 0, T.encode_join(cid)))
+        cli.send(T.Message(T.MSG_UPDATE, 0, T.encode_update(
+            PlainUpdate(cid, np.array(values), held, 0))))
+        cli.send(T.Message(T.MSG_METRICS, 0, CLIENT_ROW))
+    pairs[0][1].send(T.Message(T.MSG_METRICS, 0, GLOBAL_ROW))
+    FederationCoordinator(coordinator_config([1, 3]), "plaintext",
+                          2).run([srv for srv, _cli in pairs])
+    for _srv, cli in pairs:
+        msg = cli.recv(timeout=5.0)
+        assert msg.mtype == T.MSG_GLOBAL
+        assert T.decode_global(msg.payload, None).tolist() == [4.0, 5.0]
+    for pair in pairs:
+        for ch in pair:
+            ch.close()
+
+
+def test_coordinator_refuses_counts_beyond_capacity_at_construction(world):
+    """Config counts (40000, 30000) exceed the 65,535 samples a level-0
+    sum holds: an fhe coordinator is refused before it has a channel to
+    read."""
+    with pytest.raises(ConfigError, match="70000 samples .* exceed the "
+                                          "65535"):
+        FederationCoordinator(coordinator_config([40000, 30000]), "fhe",
+                              world["init"].param_count,
+                              material=world["keys"].public)
 
 
 def global_against_client(world, small_params, make_global, monkeypatch):
@@ -622,8 +650,8 @@ def test_non_protocol_failure_aborts_and_is_wrapped():
             raise RuntimeError("disk on fire")
 
     chan = Broken()
-    coordinator = FederationCoordinator(expected_clients=1, rounds=1,
-                                        mode="plaintext", param_count=2)
+    coordinator = FederationCoordinator(coordinator_config([10]),
+                                        "plaintext", 2)
     with pytest.raises(ProtocolError, match="disk on fire"):
         coordinator.run([chan])
     assert [m.mtype for m in chan.sent] == [T.MSG_ABORT]
@@ -635,17 +663,17 @@ GLOBAL_ROW = T.encode_metrics(metrics_row(0, "global", test_loss=0.5,
                                          test_acc=1.0))
 
 
-def plain_frames(join_count, rows=((0, CLIENT_ROW), (0, GLOBAL_ROW))):
+def plain_frames(rows=((0, CLIENT_ROW), (0, GLOBAL_ROW))):
     """Client 0's frames for one plaintext round: JOIN, an UPDATE of 2
     values, and a METRICS frame per (round index, payload) in `rows`."""
-    upd = PlainUpdate(0, np.array([1.0, 2.0]), join_count, 0)
-    return ((T.MSG_JOIN, 0, T.encode_join(0, join_count)),
+    upd = PlainUpdate(0, np.array([1.0, 2.0]), 10, 0)
+    return ((T.MSG_JOIN, 0, T.encode_join(0)),
             (T.MSG_UPDATE, 0, T.encode_update(upd)),
             *((T.MSG_METRICS, rnd, payload) for rnd, payload in rows))
 
 
 def test_scripted_plain_round_completes():
-    error, reply = scripted_round("plaintext", None, *plain_frames(10))
+    error, reply = scripted_round("plaintext", None, *plain_frames())
     assert error is None and reply.mtype == T.MSG_GLOBAL
 
 
@@ -654,7 +682,7 @@ def test_metrics_rows_stamped_by_position():
     its position names: client 0's first row is `client_0`, its second
     `global`."""
     written = []
-    error, _reply = scripted_round("plaintext", None, *plain_frames(10),
+    error, _reply = scripted_round("plaintext", None, *plain_frames(),
                                    sink=SimpleNamespace(write=written.append))
     assert error is None
     assert written == [
@@ -682,15 +710,9 @@ def test_metrics_row_must_name_its_round_and_sender(rows, refusal):
     row that names a sender itself, or a row shaped for another
     position aborts the run."""
     error, reply = scripted_round("plaintext", None,
-                                  *plain_frames(10, rows=rows))
+                                  *plain_frames(rows=rows))
     assert isinstance(error, ProtocolError)
     assert refusal in str(error)
-    assert reply.mtype == T.MSG_ABORT
-
-
-def test_join_without_samples_rejected():
-    error, reply = scripted_round("plaintext", None, *plain_frames(0))
-    assert isinstance(error, ProtocolError) and "0 samples" in str(error)
     assert reply.mtype == T.MSG_ABORT
 
 
@@ -752,8 +774,7 @@ def test_unknown_mode_rejected_before_any_socket_opens(world, monkeypatch,
     monkeypatch.setattr(socket, "create_server",
                         lambda *a, **kw: opened.append(a))
     with pytest.raises(ConfigError, match="unknown mode"):
-        FederationCoordinator(expected_clients=1, rounds=1, mode=mode,
-                              param_count=2)
+        FederationCoordinator(coordinator_config([10]), mode, 2)
     for keys in (None, world["keys"]):
         with pytest.raises(ConfigError, match="unknown mode"):
             run_socket_federation(world["init"], world["cfg"], world["parts"],
@@ -887,16 +908,15 @@ def rogue_round(world, mode, keys, payload):
             real_err.append(exc)
 
     def rogue():
-        cli1.send(T.Message(T.MSG_JOIN, 0, T.encode_join(1, 10)))
+        cli1.send(T.Message(T.MSG_JOIN, 0, T.encode_join(1)))
         cli1.send(T.Message(T.MSG_UPDATE, 0, payload))
 
     threads = [threading.Thread(target=f, daemon=True)
                for f in (real_client, rogue)]
     for t in threads:
         t.start()
-    coordinator = FederationCoordinator(expected_clients=2, rounds=1,
-                                        mode=mode,
-                                        param_count=world["init"].param_count,
+    coordinator = FederationCoordinator(world["cfg"], mode,
+                                        world["init"].param_count,
                                         material=material)
     with pytest.raises(CipherfedError) as info:
         coordinator.run([srv0, srv1])
