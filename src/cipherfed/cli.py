@@ -18,7 +18,7 @@ from pathlib import Path
 from .config import MODES, TRANSPORTS, load_config
 from .errors import CipherfedError, ConfigError, FormatError
 from .federation.metrics import MetricsSink
-from .model import CHECKPOINT_MAGIC, save_checkpoint
+from .model import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
 from .pipeline import (build_keys, compare_runs, execute_run,
                        summarize_history, write_key_files)
 
@@ -121,49 +121,43 @@ def cmd_inspect(args) -> int:
     from .fhe.serial import (MAGIC_CIPHERTEXT, MAGIC_FLOAT_VECTOR,
                              MAGIC_KINDS, MAGIC_PUBLIC_KEY, MAGIC_SECRET_KEY,
                              MAGIC_SEEDED, MAGIC_SEEDED_SUM, MAGIC_SLOT_SEEDED,
-                             Reader, _read_header, deserialize_float_vector)
+                             RETIRED_KEYS, Reader, _read_header,
+                             deserialize_float_vector)
     batches = (MAGIC_CIPHERTEXT, MAGIC_SEEDED, MAGIC_SEEDED_SUM,
                MAGIC_SLOT_SEEDED)
     data = Path(args.path).read_bytes()
-    size = len(data)
     r = Reader(data, f"{data[:4]!r} header")
     magic = r.take(4)
-    if magic in (MAGIC_SECRET_KEY, MAGIC_PUBLIC_KEY, *batches):
-        digest = r.take(8)
-    if magic == MAGIC_SECRET_KEY:
-        print("kind   : secret key")
-        print(f"digest : {digest.hex()}")
-        print(f"size   : {size} bytes")
-        print("coefficients withheld (secret material is never printed)")
-    elif magic == MAGIC_PUBLIC_KEY:
-        print("kind   : public key")
-        print(f"digest : {digest.hex()}")
-        print(f"size   : {size} bytes")
+    if magic in (MAGIC_SECRET_KEY, MAGIC_PUBLIC_KEY, *RETIRED_KEYS, *batches):
+        rows = [("kind", MAGIC_KINDS[magic]), ("digest", r.take(8).hex())]
+    if magic in RETIRED_KEYS:
+        raise FormatError(MAGIC_KINDS[magic])
+    if magic == MAGIC_PUBLIC_KEY:
+        rows.append(("pk1", "a from seed"))
     elif magic in batches:
         level, scale, chunks, counts = _read_header(r, magic)
-        print(f"kind   : {MAGIC_KINDS[magic]}")
-        print(f"digest : {digest.hex()}")
-        print(f"level  : {level}")
-        print(f"scale  : {scale:.6g}")
-        print(f"chunks : {chunks}")
+        rows += [("level", level), ("scale", f"{scale:.6g}"),
+                 ("chunks", chunks)]
         if magic == MAGIC_SEEDED_SUM:
-            print(f"clients: {len(counts)}")
-            print(f"counts : {', '.join(map(str, counts))}")
-        print(f"size   : {size} bytes")
+            rows += [("clients", len(counts)),
+                     ("counts", ", ".join(map(str, counts)))]
     elif magic == MAGIC_FLOAT_VECTOR:
-        count = deserialize_float_vector(data).size
-        print("kind   : float vector")
-        print(f"length : {count}")
-        print(f"size   : {size} bytes")
+        rows = [("kind", "float vector"),
+                ("length", deserialize_float_vector(data).size)]
     elif magic == CHECKPOINT_MAGIC:
-        feat, nq, depth, classes, n_read = r.unpack("HBBHB")
-        print("kind     : model checkpoint")
-        print(f"features : {feat}")
-        print(f"qubits   : {nq}  depth: {depth}  readouts: {n_read}")
-        print(f"classes  : {classes}")
-        print(f"size     : {size} bytes")
-    else:
+        model = load_checkpoint(data)
+        arch = model.arch
+        rows = [("kind", "model checkpoint"),
+                ("features", model.feature_count),
+                ("qubits", f"{arch.qubit_count}  depth: {arch.depth}  "
+                           f"readouts: {len(arch.readout)}"),
+                ("classes", model.class_count)]
+    elif magic != MAGIC_SECRET_KEY:
         raise FormatError(f"unknown magic bytes {magic!r}")
+    for label, value in [*rows, ("size", f"{len(data)} bytes")]:
+        print(f"{label:<7}: {value}")
+    if magic == MAGIC_SECRET_KEY:
+        print("coefficients withheld (secret material is never printed)")
     return EXIT_OK
 
 

@@ -5,9 +5,11 @@ client's part of a round on every transport."""
 
 from __future__ import annotations
 
+import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 from ..errors import ConfigError, ProtocolError
 from ..fhe.keys import public_part
@@ -33,6 +35,9 @@ class RoundConfig:
     deterministic_timing: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.sample_counts, Sequence):
+            raise ConfigError(f"sample_counts must be a sequence of "
+                              f"integers, got {self.sample_counts!r}")
         # ints or numpy integers, never bools: int() would truncate 2.9
         names = ("client_count", "rounds", "batch_size", "epochs_per_round",
                  "base_seed")
@@ -53,15 +58,18 @@ class RoundConfig:
             raise ConfigError("sample_counts must list one entry per client")
         if any(c < 1 for c in counts):
             raise ConfigError("every client needs at least one sample")
-        if not self.learning_rate > 0:
-            raise ConfigError("learning_rate must be positive")
+        # finite positive reals, never bools or strings
+        delta = self.convergence_delta
+        for name, v in (("learning_rate", self.learning_rate),
+                        ("convergence_delta", 1 if delta is None else delta)):
+            if (not isinstance(v, Real) or isinstance(v, bool)
+                    or not 0 < v < math.inf):
+                raise ConfigError(f"{name} must be a finite positive "
+                                  f"number, got {v!r}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.epochs_per_round < 0:
             raise ConfigError("epochs_per_round must be >= 0")
-        if (self.convergence_delta is not None
-                and not self.convergence_delta > 0):
-            raise ConfigError("convergence_delta must be positive when set")
 
     @staticmethod
     def for_datasets(client_datasets, rounds, learning_rate, **kw) -> "RoundConfig":

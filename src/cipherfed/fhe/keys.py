@@ -1,17 +1,30 @@
 """Key generation: the secret key and the public encryption key.
 
 Keys are poly.ShoupPolys, and keygen multiplies through their tables too.
+The public key's uniform pk1 = a travels as a 32-byte seed.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .params import EncryptionParams
-from .poly import (ShoupPoly, ntt_forward, sample_gaussian, sample_ternary,
-                   sample_uniform)
+from .poly import (NTT, RingPoly, ShoupPoly, expand_seed, ntt_forward,
+                   sample_gaussian, sample_ternary)
+
+
+def expand_a(seed: bytes, params: EncryptionParams) -> ShoupPoly:
+    """pk1 = a over the chain basis: row i is the NTT-domain expansion
+    under prime i of SHA-256(tag || seed || u8 i), one stream a row."""
+    rows = [expand_seed(hashlib.sha256(b"cipherfed CKP2 a" + seed
+                                       + bytes([i])).digest(), q,
+                        params.ring_degree)
+            for i, q in enumerate(params.modulus_chain)]
+    return ShoupPoly.wrap(RingPoly(params, tuple(range(len(rows))),
+                                   np.stack(rows), NTT))
 
 
 @dataclass(frozen=True)
@@ -20,7 +33,8 @@ class PublicMaterial:
     and the encryption key. No decryption capability."""
     params: EncryptionParams
     pk0: ShoupPoly
-    pk1: ShoupPoly
+    pk1: ShoupPoly  # a, expanded from seed
+    seed: bytes
 
 
 @dataclass(frozen=True)
@@ -41,14 +55,15 @@ def public_part(keys: KeyMaterial | PublicMaterial) -> PublicMaterial:
 
 def keygen(params: EncryptionParams, rng_seed: int = 0) -> KeyMaterial:
     """Generate the secret and public keys, deterministically in the
-    seed."""
+    seed: s first, then the seed of a, then e."""
     rng = np.random.default_rng(np.random.SeedSequence([rng_seed, 0xC1F]))
     chain = tuple(range(len(params.modulus_chain)))
     secret = ShoupPoly.wrap(ntt_forward(sample_ternary(params, chain, rng)))
 
     # pk0 = -(a*s) + e, pk1 = a
-    a = ntt_forward(sample_uniform(params, chain, rng))
+    seed = rng.bytes(32)
+    a = expand_a(seed, params)
     e = ntt_forward(sample_gaussian(params, chain, rng))
-    pk0 = ShoupPoly.wrap(a.mul_fixed(secret).neg().add(e))
-    pub = PublicMaterial(params=params, pk0=pk0, pk1=ShoupPoly.wrap(a))
+    pk0 = ShoupPoly.wrap(a.poly.mul_fixed(secret).neg().add(e))
+    pub = PublicMaterial(params, pk0, a, seed)
     return KeyMaterial(public=pub, secret_key=secret)

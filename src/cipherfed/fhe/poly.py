@@ -157,17 +157,6 @@ def sample_gaussian(params: EncryptionParams, prime_indices: tuple[int, ...],
     return from_signed_coeffs(v, params, prime_indices)
 
 
-def sample_uniform(params: EncryptionParams, prime_indices: tuple[int, ...],
-                   rng: np.random.Generator) -> RingPoly:
-    """Uniform element of the RNS ring (independent uniform residues are
-    exactly uniform mod the product, by CRT)."""
-    res = np.empty((len(prime_indices), params.ring_degree), dtype=np.uint64)
-    for row, idx in enumerate(prime_indices):
-        res[row] = rng.integers(0, params.modulus_chain[idx],
-                                params.ring_degree, dtype=np.uint64)
-    return RingPoly(params, prime_indices, res, COEFF)
-
-
 def expand_seed(seed: bytes, q: int, n: int) -> np.ndarray:
     """The n residues below q that `seed` expands to: its SHAKE-128
     stream read as 8-byte little-endian words, each masked to q's bit

@@ -14,10 +14,11 @@ import struct
 import numpy as np
 
 from ..errors import FormatError, LevelError, ParameterError
-from .keys import KeyMaterial, PublicMaterial
+from .keys import KeyMaterial, PublicMaterial, expand_a
 from .ops import SEED_BYTES, Ciphertext, seeded_c1
 from .params import EncryptionParams
-from .poly import NTT, RingPoly, ShoupPoly, ntt_inverse
+from .poly import (NTT, RingPoly, ShoupPoly, from_signed_coeffs, ntt_forward,
+                   ntt_inverse)
 
 MAGIC_CIPHERTEXT = b"CKV2"
 MAGIC_SEEDED = b"CKV4"
@@ -25,8 +26,11 @@ MAGIC_SEEDED_SUM = b"CKV5"
 # the slot-packed upload that `CKV4` replaced: named, so that a reader
 # can say what it found, but never read
 MAGIC_SLOT_SEEDED = b"CKV3"
-MAGIC_SECRET_KEY = b"CKS2"
-MAGIC_PUBLIC_KEY = b"CKP1"
+MAGIC_SECRET_KEY = b"CKS3"
+MAGIC_PUBLIC_KEY = b"CKP2"
+# the key files that `CKS3` and `CKP2` replaced, named likewise
+RETIRED_KEYS = (b"CKS2", b"CKP1")
+_REGENERATE = "no longer read; regenerate with `cipherfed keygen`"
 MAGIC_FLOAT_VECTOR = b"CKF1"
 
 MAGIC_KINDS = {MAGIC_CIPHERTEXT: "ciphertext",
@@ -35,12 +39,17 @@ MAGIC_KINDS = {MAGIC_CIPHERTEXT: "ciphertext",
                MAGIC_SLOT_SEEDED: "slot-packed seeded ciphertext (CKV3, no "
                                   "longer read)",
                MAGIC_SECRET_KEY: "secret key", MAGIC_PUBLIC_KEY: "public key",
+               b"CKS2": f"secret key (CKS2, {_REGENERATE})",
+               b"CKP1": f"public key (CKP1, {_REGENERATE})",
                MAGIC_FLOAT_VECTOR: "float vector"}
 
 # pk0 + pk1*s of a matching key pair is the key noise e, whose
 # coefficients stay within a few standard deviations (3.2) of 0; for a
 # secret key that belongs to another public key they sit near q/2
 KEY_NOISE_BOUND = 1 << 10
+# `CKS3` packs secret coefficient j into bits 2*(j % 4) of byte j // 4:
+# 0b00 = 0, 0b01 = 1, 0b10 = -1, and 0b11 is refused
+_SHIFTS = np.arange(0, 8, 2, dtype=np.uint8)
 
 
 class Reader:
@@ -120,12 +129,6 @@ def _read_poly(r: Reader, params: EncryptionParams, rows: range,
         raise FormatError("poly residue not below its prime")
     return RingPoly(params, basis, np.ascontiguousarray(res, dtype=np.uint64),
                     NTT)
-
-
-def _read_key(r: Reader, params: EncryptionParams) -> ShoupPoly:
-    """A key polynomial, which has one row per chain prime."""
-    rows = len(params.modulus_chain)
-    return ShoupPoly.wrap(_read_poly(r, params, range(rows, rows + 1)))
 
 
 def _header(ct: Ciphertext, magic: bytes, chunks: int) -> bytes:
@@ -238,13 +241,19 @@ def deserialize_seeded_sum(data: bytes, params: EncryptionParams,
 
 
 def serialize_secret_key(keys: KeyMaterial) -> bytes:
-    return b"".join([MAGIC_SECRET_KEY, keys.params.digest,
-                     _poly_bytes(keys.secret_key.poly)])
+    """`CKS3`: the ternary secret's N coefficients, 2 bits each (a
+    secret that is not ternary would fail the key-pair check on load)."""
+    params = keys.params
+    s = params.stacked_ntt((0,)).inverse(keys.secret_key.poly.residues[:1])[0]
+    codes = np.where(s == params.modulus_chain[0] - 1, 2, s)
+    packed = (codes.reshape(-1, 4) << _SHIFTS).sum(axis=1, dtype=np.uint8)
+    return MAGIC_SECRET_KEY + params.digest + packed.tobytes()
 
 
 def serialize_public_key(pub: PublicMaterial) -> bytes:
+    """`CKP2`: pk0, then the 32-byte seed that pk1 = a expands from."""
     return b"".join([MAGIC_PUBLIC_KEY, pub.params.digest,
-                     _poly_bytes(pub.pk0.poly), _poly_bytes(pub.pk1.poly)])
+                     _poly_bytes(pub.pk0.poly), pub.seed])
 
 
 def serialize_galois_keys(pub: PublicMaterial) -> bytes:
@@ -255,10 +264,13 @@ def serialize_galois_keys(pub: PublicMaterial) -> bytes:
 
 def deserialize_public_material(public_data: bytes,
                                 params: EncryptionParams) -> PublicMaterial:
+    """A `CKP2` public key, read whole before a is expanded."""
     r = _open(public_data, MAGIC_PUBLIC_KEY, params)
-    pk0, pk1 = (_read_key(r, params) for _ in range(2))
+    rows = len(params.modulus_chain)
+    pk0 = ShoupPoly.wrap(_read_poly(r, params, range(rows, rows + 1)))
+    seed = r.take(SEED_BYTES)
     r.end()
-    return PublicMaterial(params=params, pk0=pk0, pk1=pk1)
+    return PublicMaterial(params, pk0, expand_a(seed, params), seed)
 
 
 def deserialize_key_material(secret_data: bytes, public_data: bytes,
@@ -266,9 +278,15 @@ def deserialize_key_material(secret_data: bytes, public_data: bytes,
     """A secret key and the public key it belongs to; a pair whose public
     key does not decrypt to small noise under the secret is rejected."""
     r = _open(secret_data, MAGIC_SECRET_KEY, params)
-    secret = _read_key(r, params)
+    packed = np.frombuffer(r.take(params.ring_degree // 4), dtype=np.uint8)
     r.end()
+    codes = (packed[:, None] >> _SHIFTS & 3).ravel()
+    if (codes == 3).any():
+        raise FormatError("secret key holds coefficient code 0b11")
     pub = deserialize_public_material(public_data, params)
+    secret = ShoupPoly.wrap(ntt_forward(from_signed_coeffs(
+        np.array([0, 1, -1], dtype=np.int64)[codes], params,
+        pub.pk0.poly.prime_indices)))
     e = ntt_inverse(pub.pk0.poly.add(pub.pk1.poly.mul_fixed(secret)))
     if (np.minimum(e.residues, e.q_column - e.residues)
             > KEY_NOISE_BOUND).any():

@@ -211,9 +211,28 @@ def test_inspect_key_files(workdir, capsys):
     assert main(["inspect", str(tmp / "keys" / "secret.key")]) == 0
     out = capsys.readouterr().out
     assert "secret key" in out
-    assert "withheld" in out
+    assert "withheld" in out and "size   : 1036 bytes" in out
     assert main(["inspect", str(tmp / "keys" / "public.key")]) == 0
-    assert "public key" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "public key" in out and "a from seed" in out
+    assert "size   : 98349 bytes" in out and "digest : " in out
+
+
+@pytest.mark.parametrize("name,old,new", [("secret.key", "CKS2", "CKS3"),
+                                          ("public.key", "CKP1", "CKP2")])
+def test_inspect_retired_key_files_exit_3(workdir, capsys, name, old, new):
+    """A key file in the layout before the seeded public key and the
+    packed secret is named and refused, with the way out."""
+    tmp, cfg = workdir
+    main(["keygen", "--config", str(cfg), "--out", str(tmp / "keys")])
+    path = tmp / "keys" / name
+    data = path.read_bytes()
+    assert data[:4] == new.encode()
+    path.write_bytes(old.encode() + data[4:])
+    capsys.readouterr()
+    assert main(["inspect", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert old in err and "regenerate with `cipherfed keygen`" in err
 
 
 def test_inspect_checkpoint(workdir, capsys):
@@ -223,6 +242,15 @@ def test_inspect_checkpoint(workdir, capsys):
     assert main(["inspect", str(tmp / "model.ckpt")]) == 0
     out = capsys.readouterr().out
     assert "checkpoint" in out and "qubits" in out
+
+
+def test_inspect_checkpoint_reads_through_load_checkpoint(tmp_path, capsys):
+    """A checkpoint header that load_checkpoint refuses is not described:
+    this 11-byte one names 2 features, 0 qubits and 0 classes."""
+    p = tmp_path / "short.ckpt"
+    p.write_bytes(b"CKM1" + struct.pack("<HBBHB", 2, 0, 0, 0, 0))
+    assert main(["inspect", str(p)]) == 3
+    assert "truncated" in capsys.readouterr().err
 
 
 def test_inspect_ciphertext_batch(tmp_path, capsys, small_params,
@@ -279,7 +307,8 @@ def test_inspect_unknown_magic_exits_3(tmp_path, capsys):
                                         ("CKV4", 9), ("CKV5", 9),
                                         ("CKV5", 24), ("CKM1", 7),
                                         ("CKF1", 6), ("CKS2", 11),
-                                        ("CKP1", 11)])
+                                        ("CKP1", 11), ("CKS3", 11),
+                                        ("CKP2", 11)])
 def test_inspect_truncated_header_exits_3(tmp_path, capsys, magic, size):
     p = tmp_path / "short.bin"
     p.write_bytes(magic.encode().ljust(size, b"\0"))

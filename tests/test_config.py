@@ -4,6 +4,7 @@ import pytest
 
 from cipherfed.config import load_config, parse_config
 from cipherfed.errors import ConfigError
+from cipherfed.federation.rounds import RoundConfig
 from cipherfed.federation.transport import MAX_WIRE_COUNT
 
 
@@ -245,3 +246,21 @@ def test_load_yaml_file(tmp_path):
     cfg = load_config(p)
     assert cfg.mode == "plaintext" and cfg.clients == 3
     assert cfg.data.kind == "xor"
+
+
+@pytest.mark.parametrize("field,value", [
+    ("learning_rate", True), ("learning_rate", float("inf")),
+    ("learning_rate", float("nan")), ("learning_rate", "0.1"),
+    ("learning_rate", None), ("convergence_delta", "1"),
+    ("convergence_delta", False), ("convergence_delta", float("inf")),
+    ("convergence_delta", 0.0), ("sample_counts", 5)])
+def test_round_config_refuses_non_reals_and_count_scalars(field, value):
+    """A RoundConfig built without parse_config checks its learning rate
+    and convergence delta as finite positive reals, never bools or
+    strings, and its sample counts as a sequence: each fault is a
+    ConfigError that names the field, not a raw TypeError."""
+    kw = dict(client_count=1, rounds=1, sample_counts=(5,),
+              learning_rate=0.1)
+    kw[field] = value
+    with pytest.raises(ConfigError, match=field):
+        RoundConfig(**kw)

@@ -147,9 +147,9 @@ def formats(small_params):
                                lambda b: deserialize_seeded_sum(b, params),
                                use_seeded)
            for n, c in sums.items()},
-        "CKP1": Format(pub, lambda b: deserialize_public_material(b, params),
+        "CKP2": Format(pub, lambda b: deserialize_public_material(b, params),
                        use_public),
-        "CKS2": Format(sec, lambda b: deserialize_key_material(b, pub, params),
+        "CKS3": Format(sec, lambda b: deserialize_key_material(b, pub, params),
                        use_secret),
         "CKF1": Format(serialize_float_vector(np.arange(5.0)),
                        deserialize_float_vector, use_vector),
@@ -160,14 +160,19 @@ def formats(small_params):
 
 NAMES = ["frame-body", "JOIN", "UPDATE-fhe", "UPDATE-plain", "GLOBAL-fhe",
          "GLOBAL-plain", "METRICS", "CKV2-1", "CKV2-2", "CKV2-7", "CKV4-1",
-         "CKV4-2", "CKV4-7", "CKV5-1", "CKV5-2", "CKP1", "CKS2", "CKF1",
+         "CKV4-2", "CKV4-7", "CKV5-1", "CKV5-2", "CKP2", "CKS3", "CKF1",
          "CKM1"]
 
 
+# the ids each format had before its last layout change
+_CASE_IDS = {"CKV4": "CKV3", "CKP2": "CKP1", "CKS3": "CKS2"}
+
+
 def case_id(name: str) -> str:
-    """The seeded-upload cases keep the ids they had while the upload was
-    `CKV3`, so that their results compare across the format change."""
-    return name.replace("CKV4", "CKV3")
+    """The seeded-upload and key-file cases keep the ids they had while
+    the upload was `CKV3` and the keys `CKP1` and `CKS2`, so that their
+    results compare across the format changes."""
+    return _CASE_IDS.get(name[:4], name[:4]) + name[4:]
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from cipherfed.fhe import decode, keygen
 from cipherfed.fhe.encoding import Plaintext
@@ -50,3 +51,36 @@ def test_secret_is_ternary(small_params, small_keys):
     row = coeffs.residues[0].astype(np.int64)
     centered = np.where(row > q0 // 2, row - q0, row)
     assert set(np.unique(centered)).issubset({-1, 0, 1})
+
+
+@pytest.mark.parametrize("n,digest", [
+    (1024, "106e8b66518eb6a4e8d8e014d8f10cca3fa98f1e226f1e6a858df09b714b0d24"),
+    (4096, "5d644d55346f04ecf3346017601b6c0a6751faad76557a65225bebdfd71264b6")])
+def test_secret_key_pinned(n, digest):
+    """keygen draws s first, so carrying a as a seed left s as it was
+    when a was drawn in full."""
+    from hashlib import sha256
+
+    from cipherfed.fhe import default_params
+    keys = keygen(default_params(ring_degree=n), rng_seed=7)
+    assert sha256(keys.secret_key.poly.residues).hexdigest() == digest
+
+
+def test_public_a_rows_come_from_distinct_streams(small_params, monkeypatch):
+    """Each prime's row of a is expanded from its own seed: one stream
+    read under two primes would give correlated residues, far from
+    uniform mod Q."""
+    from hashlib import sha256
+
+    from cipherfed.fhe import keys as K
+    seen, expand = [], K.expand_seed
+    monkeypatch.setattr(K, "expand_seed",
+                        lambda s, q, n: seen.append((s, q)) or expand(s, q, n))
+    keys = keygen(small_params, rng_seed=3)
+    chain = small_params.modulus_chain
+    assert [q for _, q in seen] == list(chain)
+    assert len({s for s, _ in seen}) == len(chain)
+    # row i's seed is SHA-256(tag || seed || u8 i), as docs/protocol.md says
+    assert seen == [(sha256(b"cipherfed CKP2 a" + keys.public.seed
+                            + bytes([i])).digest(), q)
+                    for i, q in enumerate(chain)]

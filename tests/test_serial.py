@@ -77,6 +77,14 @@ def test_key_material_roundtrip(small_params):
     # and re-serialize to identical bytes
     assert serialize_secret_key(back) == sec
     assert serialize_public_key(back.public) == pub
+    # pk1 = a comes back from its seed, bitwise
+    assert np.array_equal(back.public.pk1.poly.residues,
+                          keys.public.pk1.poly.residues)
+    # `CKS3`: magic, digest, 2 bits per coefficient; `CKP2`: magic,
+    # digest, pk0's block and the 32-byte seed of a
+    n, rows = small_params.ring_degree, len(small_params.modulus_chain)
+    assert len(sec) == 12 + n // 4
+    assert len(pub) == 12 + 1 + rows * n * 8 + 32
 
 
 def test_mismatched_key_pair_rejected(small_params):
@@ -142,8 +150,7 @@ def test_trailing_bytes_rejected(kind, small_params, artifacts):
 
 # offset of the first residue, and the row to patch
 @pytest.mark.parametrize("kind,start,row", [
-    ("ciphertext", 24, 0), ("ciphertext", 24, 2), ("public", 13, 1),
-    ("secret", 13, 2)])
+    ("ciphertext", 24, 0), ("ciphertext", 24, 2), ("public", 13, 1)])
 def test_residue_at_its_prime_rejected(kind, start, row, small_params,
                                        artifacts):
     n = small_params.ring_degree
@@ -163,15 +170,44 @@ def test_public_key_needs_chain_rows(rows, small_params):
     poly = poly_bytes(np.zeros((rows, small_params.ring_degree)))
     with pytest.raises(FormatError, match=f"poly has {rows} primes"):
         deserialize_public_material(
-            key_blob(b"CKP1", small_params, poly, poly), small_params)
+            key_blob(b"CKP2", small_params, poly, bytes(32)), small_params)
 
 
-@pytest.mark.parametrize("rows", [1, 2, 4])
-def test_secret_key_needs_chain_rows(rows, small_params, artifacts):
-    poly = poly_bytes(np.zeros((rows, small_params.ring_degree)))
-    with pytest.raises(FormatError, match=f"poly has {rows} primes"):
-        deserialize_key_material(key_blob(b"CKS2", small_params, poly),
-                                 artifacts["public"], small_params)
+@pytest.mark.parametrize("kind,cut,refusal", [
+    ("public", -1, "truncated"), ("public", -32, "truncated"),
+    ("public", 1, "1 trailing bytes"), ("secret", -1, "truncated")])
+def test_key_of_wrong_length_rejected(kind, cut, refusal, small_params,
+                                      artifacts, monkeypatch):
+    """A `CKP2` one byte or the whole seed short, or a byte long, and a
+    `CKS3` a byte short, are refused before a is expanded."""
+    from cipherfed.fhe import keys
+    blob = artifacts[kind]
+    blob = blob[:cut] if cut < 0 else blob + bytes(cut)
+    monkeypatch.setattr(keys, "expand_seed",
+                        lambda *a: pytest.fail("a expanded before the "
+                                               "size check"))
+    with pytest.raises(FormatError, match=refusal):
+        load(kind, blob, small_params, artifacts)
+
+
+@pytest.mark.parametrize("coefficient", [0, 1, 2, 3, 1021])
+def test_secret_key_code_3_rejected(coefficient, small_params, artifacts):
+    # coefficient j is bits 2*(j % 4) of byte j // 4 after the header
+    blob = bytearray(artifacts["secret"])
+    blob[12 + coefficient // 4] |= 3 << 2 * (coefficient % 4)
+    with pytest.raises(FormatError, match="code 0b11"):
+        deserialize_key_material(bytes(blob), artifacts["public"],
+                                 small_params)
+
+
+@pytest.mark.parametrize("kind,magic", [("secret", b"CKS2"),
+                                        ("public", b"CKP1")])
+def test_retired_key_formats_refused_by_name(kind, magic, small_params,
+                                             artifacts):
+    blob = magic + artifacts[kind][4:]
+    with pytest.raises(FormatError, match=f"{magic.decode()}, no longer "
+                                          "read; regenerate"):
+        load(kind, blob, small_params, artifacts)
 
 
 def test_ciphertext_beyond_chain_rejected(small_params, artifacts):
