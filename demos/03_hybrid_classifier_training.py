@@ -21,7 +21,7 @@ cfg = model.TrainingConfig(learning_rate=0.15, batch_size=32,
 print(f"{'epoch':>5} {'train acc':>10} {'train loss':>11} "
       f"{'test acc':>9} {'test loss':>10}")
 for epoch in range(8):
-    m = model.train_epochs(m, train.features, train.labels, cfg)
+    [m] = model.train_epochs(m, [(train.features, train.labels, cfg)])
     tr_acc, tr_loss = model.evaluate(m, train.features, train.labels)
     te_acc, te_loss = model.evaluate(m, test.features, test.labels)
     print(f"{epoch + 1:>5} {tr_acc:>10.4f} {tr_loss:>11.4f} "

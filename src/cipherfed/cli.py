@@ -117,6 +117,26 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+def _key_ring_degree(r, magic: bytes, size: int) -> int:
+    """The ring degree N that a key file's length gives, read past its
+    12-byte header: 12 + N/4 bytes for a `CKS3` secret key, 12 + 1 +
+    primes * N * 8 + 32 for a `CKP2` public key, whose byte after the
+    header is its prime count. A length that no power-of-two N >= 1,024
+    gives raises FormatError."""
+    from .fhe.serial import MAGIC_KINDS, MAGIC_SECRET_KEY, SEED_BYTES
+    if magic == MAGIC_SECRET_KEY:
+        n, layout = 4 * (size - 12), "12 + N/4"
+    else:
+        (primes,) = r.unpack("B")
+        body = size - 13 - SEED_BYTES
+        n = body // (8 * primes) if primes and body % (8 * primes) == 0 else 0
+        layout = f"12 + 1 + {primes} * N * 8 + {SEED_BYTES}"
+    if n < 1024 or n & (n - 1):
+        raise FormatError(f"a {MAGIC_KINDS[magic]} of {size} bytes is not "
+                          f"{layout} bytes for any power-of-two N >= 1024")
+    return n
+
+
 def cmd_inspect(args) -> int:
     from .fhe.serial import (MAGIC_CIPHERTEXT, MAGIC_FLOAT_VECTOR,
                              MAGIC_KINDS, MAGIC_PUBLIC_KEY, MAGIC_SECRET_KEY,
@@ -132,6 +152,8 @@ def cmd_inspect(args) -> int:
         rows = [("kind", MAGIC_KINDS[magic]), ("digest", r.take(8).hex())]
     if magic in RETIRED_KEYS:
         raise FormatError(MAGIC_KINDS[magic])
+    if magic in (MAGIC_SECRET_KEY, MAGIC_PUBLIC_KEY):
+        rows.append(("ring N", _key_ring_degree(r, magic, len(data))))
     if magic == MAGIC_PUBLIC_KEY:
         rows.append(("pk1", "a from seed"))
     elif magic in batches:

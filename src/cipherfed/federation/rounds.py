@@ -1,19 +1,21 @@
-"""Federated round execution: local training of each client in turn,
-weighted aggregation (encrypted or plaintext), decryption,
-redistribution, and the loop to convergence. `client_step` is the
-client's part of a round on every transport."""
+"""Federated round execution: local training of every client as one
+stacked batch, weighted aggregation (encrypted or plaintext),
+decryption, redistribution, and the loop to convergence. `client_steps`
+is the clients' part of a round on every transport."""
 
 from __future__ import annotations
 
 import math
 import time
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 
 from ..errors import ConfigError, ProtocolError
 from ..fhe.keys import public_part
-from ..model import HybridModel, TrainingConfig, evaluate, train_epochs, unflatten_weights
+from ..model import (HybridModel, TrainingConfig, check_data, evaluate,
+                     train_epochs, unflatten_weights)
 from . import server
 from .client import (check_sample_capacity, decrypt_and_load, derive_seed,
                      encrypt_model, plain_update)
@@ -84,33 +86,63 @@ def _clock(config: RoundConfig):
     return time.perf_counter
 
 
-def client_step(model: HybridModel, dataset, config: RoundConfig,
-                round_index: int, client_id: int, mode: str, keys):
-    """One client's part of a round: train from `model` on `dataset`,
-    build the encrypted (fhe) or plain update, and time both into the
-    client's metrics row. Returns (update, row)."""
+@contextmanager
+def _failure_of(client_ids, round_index: int):
+    """Any error inside re-raised as a ProtocolError that names the
+    clients."""
+    try:
+        yield
+    except Exception as exc:
+        names = ", ".join(map(str, client_ids))
+        raise ProtocolError(f"client{'s' * (len(client_ids) > 1)} {names} "
+                            f"failed during round {round_index}: "
+                            f"{exc}") from exc
+
+
+def client_steps(model: HybridModel, datasets, config: RoundConfig,
+                 round_index: int, client_ids, mode: str, keys):
+    """The clients' part of a round, on every transport: train each
+    client from `model` on its dataset, all in one `train_epochs` call,
+    then build each one's encrypted (fhe) or plain update and metrics
+    row. Every client's data is checked before any client trains. A
+    failure raises a ProtocolError naming the client, or every client
+    if it comes from the shared training. A row's wall time is
+    the shared training time plus that client's evaluation and update.
+    Returns [(update, row)] in the order of `client_ids`."""
     clock = _clock(config)
     t0 = clock()
-    tcfg = TrainingConfig(learning_rate=config.learning_rate,
-                          batch_size=config.batch_size,
-                          epochs_per_round=config.epochs_per_round,
-                          rng_seed=derive_seed(config.base_seed, round_index,
-                                               client_id, 1))
-    local = train_epochs(model, dataset.features, dataset.labels, tcfg)
-    train_acc, train_loss = evaluate(local, dataset.features, dataset.labels)
-    n_k = config.sample_counts[client_id]
-    if mode == "fhe":
-        upd = encrypt_model(local, config.quantization, keys,
-                            client_id=client_id, sample_count=n_k,
-                            round_index=round_index,
-                            rng_seed=derive_seed(config.base_seed, round_index,
-                                                 client_id, 2))
-    else:
-        upd = plain_update(local, config.quantization, client_id, n_k,
-                           round_index)
-    return upd, metrics_row(round_index, f"client_{client_id}",
-                            train_loss=train_loss, train_acc=train_acc,
-                            wall_ms=(clock() - t0) * 1000.0)
+    clients = []
+    for k, ds in zip(client_ids, datasets):
+        with _failure_of([k], round_index):
+            x, y = check_data(model, ds.features, ds.labels)
+        clients.append((x, y, TrainingConfig(
+            learning_rate=config.learning_rate,
+            batch_size=config.batch_size,
+            epochs_per_round=config.epochs_per_round,
+            rng_seed=derive_seed(config.base_seed, round_index, k, 1))))
+    with _failure_of(client_ids, round_index):
+        trained = train_epochs(model, clients)
+    train_s = clock() - t0
+    out = []
+    for k, (x, y, _), local in zip(client_ids, clients, trained):
+        t1 = clock()
+        with _failure_of([k], round_index):
+            train_acc, train_loss = evaluate(local, x, y)
+            n_k = config.sample_counts[k]
+            if mode == "fhe":
+                upd = encrypt_model(local, config.quantization, keys,
+                                    client_id=k, sample_count=n_k,
+                                    round_index=round_index,
+                                    rng_seed=derive_seed(config.base_seed,
+                                                         round_index, k, 2))
+            else:
+                upd = plain_update(local, config.quantization, k, n_k,
+                                   round_index)
+        out.append((upd, metrics_row(
+            round_index, f"client_{k}", train_loss=train_loss,
+            train_acc=train_acc,
+            wall_ms=(train_s + clock() - t1) * 1000.0)))
+    return out
 
 
 def check_run_inputs(config: RoundConfig, client_datasets, keys,
@@ -134,22 +166,16 @@ def check_run_inputs(config: RoundConfig, client_datasets, keys,
 def run_round(global_model: HybridModel, config: RoundConfig, client_datasets,
               test_data, keys, round_index: int, mode: str = "fhe"):
     """One federation round, after `check_run_inputs`. Every client
-    trains from the same incoming global model, one after another in
-    client-id order; a failed client aborts the round with a protocol
-    error naming it. Returns (new global model, metric rows)."""
+    trains from the same incoming global model, all of them together as
+    one stacked batch (`client_steps`); a failed client aborts the round
+    with a protocol error naming it. Returns (new global model, metric
+    rows)."""
     check_run_inputs(config, client_datasets, keys, mode)
     clock = _clock(config)
     round_start = clock()
-    updates, rows = [], []
-    for k, ds in enumerate(client_datasets):
-        try:
-            upd, row = client_step(global_model, ds, config, round_index, k,
-                                   mode, keys)
-        except Exception as exc:
-            raise ProtocolError(f"client {k} failed during round "
-                                f"{round_index}: {exc}") from exc
-        updates.append(upd)
-        rows.append(row)
+    updates, rows = map(list, zip(*client_steps(
+        global_model, client_datasets, config, round_index,
+        range(config.client_count), mode, keys)))
 
     public = public_part(keys)
     agg = server.server_step(updates, mode, public)

@@ -1,10 +1,10 @@
 """The wire federation runner.
 
 The same round as the direct path in rounds.py -- each client runs
-`client_step`, the coordinator runs `server_step` -- but every update,
-global model, and metrics row crosses a TCP socket. Because
-serialization is lossless, a run's metrics are identical on the direct
-and socket transports for the same seeds.
+`client_steps` for itself alone, the coordinator runs `server_step` --
+but every update, global model, and metrics row crosses a TCP socket.
+Because serialization is lossless, a run's metrics are identical on the
+direct and socket transports for the same seeds.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from ..fhe.keys import public_part
 from ..model import HybridModel, evaluate, unflatten_weights
 from .client import check_global_chunks, decrypt_and_load
 from .metrics import MetricsSink, metrics_row
-from .rounds import RoundConfig, _clock, check_run_inputs, client_step
+from .rounds import RoundConfig, _clock, check_run_inputs, client_steps
 from .server import FederationCoordinator
 from .transport import (CONVERGED_REASON, MSG_ABORT, MSG_GLOBAL, MSG_JOIN,
                         MSG_METRICS, MSG_UPDATE, Message, SocketChannel,
@@ -53,8 +53,8 @@ def _client_rounds(channel, client_id: int, dataset, test_data,
     model = initial_model
     for r in range(config.rounds):
         t0 = clock()
-        upd, row = client_step(model, dataset, config, r, client_id, mode,
-                               keys)
+        [(upd, row)] = client_steps(model, [dataset], config, r,
+                                    [client_id], mode, keys)
         channel.send(Message(MSG_UPDATE, r, encode_update(upd)))
         channel.send(Message(MSG_METRICS, r, encode_metrics(row)))
 

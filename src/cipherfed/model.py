@@ -3,11 +3,18 @@ read-out head, softmax cross-entropy.
 
 The front-end activation is pi * tanh, which maps the dense output into
 the embedding range [-pi, pi]. Dense gradients come from ordinary
-backpropagation. The quantum layer's come from the adjoint method:
-`forward` keeps the circuit's final states, and `loss_and_grads` hands
-them with the downstream readout gradient to `qsim.readout_vjp`, one
-backward sweep per mini-batch for the angle and embedding gradients.
-Training is plain mini-batch SGD.
+backpropagation. The quantum layer's come from the adjoint method: the
+forward pass keeps the circuit's final states, and the backward pass
+hands them with the downstream readout gradient to `qsim.readout_vjp`,
+one backward sweep per mini-batch for the angle and embedding gradients.
+
+There is one forward and one backward implementation, `_forward` and
+`_gradients`, and it runs K clients' mini-batches at once: every
+parameter carries a leading client axis, the dense layers are matmuls
+over it and the circuit takes one angle set per client. `forward` and
+`loss_and_grads` are its K = 1 case. Training is plain mini-batch SGD,
+and `train_epochs` runs all of a round's clients through it together,
+each client's weights bitwise those it would reach alone.
 """
 
 from __future__ import annotations
@@ -98,26 +105,21 @@ def init_model(feature_count: int, arch: PqcArchitecture, class_count: int,
     )
 
 
+PARAMS = ("w_in", "b_in", "angles", "w_out", "b_out")
+
+
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def forward(model: HybridModel, batch: np.ndarray):
-    """Logits for a (batch, features) matrix, plus the intermediates the
-    backward pass needs."""
-    x = np.asarray(batch, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] != model.feature_count:
-        raise ShapeError(f"batch must be (B >= 1, {model.feature_count})")
-    z1 = x @ model.w_in + model.b_in
-    act = np.pi * np.tanh(z1)
-    states = final_states(act, model.arch, model.angles)
-    readouts = expectations(states, model.arch)
-    logits = readouts @ model.w_out + model.b_out
-    cache = {"x": x, "z1": z1, "act": act, "states": states,
-             "readouts": readouts}
-    return logits, cache
+def _as_features(model: HybridModel, features, min_rows: int = 0):
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2 or len(x) < min_rows or x.shape[1] != model.feature_count:
+        raise ShapeError(f"features must be (rows >= {min_rows}, "
+                         f"{model.feature_count}), got {x.shape}")
+    return x
 
 
 def _check_labels(model: HybridModel, labels, count: int) -> np.ndarray:
@@ -130,49 +132,92 @@ def _check_labels(model: HybridModel, labels, count: int) -> np.ndarray:
     return y
 
 
-def loss_and_grads(model: HybridModel, batch: np.ndarray, labels):
-    """Mean cross-entropy over the batch and the full gradient structure."""
-    logits, cache = forward(model, batch)
-    b = logits.shape[0]
-    y = _check_labels(model, labels, b)
-    probs = _softmax(logits)
-    loss = float(-np.mean(np.log(probs[np.arange(b), y] + 1e-300)))
+def check_data(model: HybridModel, features, labels):
+    """A training set for `model` as (float64 (rows, features), int64
+    labels), or ShapeError / DomainError."""
+    x = _as_features(model, features)
+    return x, _check_labels(model, labels, len(x))
 
+
+def _stacked(model: HybridModel) -> dict:
+    """The parameters with a leading client axis of one."""
+    return {name: getattr(model, name)[None] for name in PARAMS}
+
+
+def _forward(p: dict, arch: PqcArchitecture, x: np.ndarray):
+    """Logits (K, B, classes) for K batches x (K, B, features), batch k
+    through weights p[name][k], plus the intermediates `_gradients`
+    needs. Every product is one matmul over the client axis, which runs
+    each client's slice as the same BLAS call as that client alone."""
+    k, b = x.shape[:2]
+    z1 = np.matmul(x, p["w_in"]) + p["b_in"][:, None]
+    act = np.pi * np.tanh(z1)
+    states = final_states(act.reshape(k * b, -1), arch, p["angles"])
+    readouts = expectations(states, arch).reshape(k, b, -1)
+    logits = np.matmul(readouts, p["w_out"]) + p["b_out"][:, None]
+    cache = {"x": x, "z1": z1, "act": act,
+             "states": states.reshape(k, b, -1), "readouts": readouts}
+    return logits, cache
+
+
+def _gradients(p: dict, arch: PqcArchitecture, x: np.ndarray,
+               y: np.ndarray):
+    """The forward and backward pass of K clients at once: batches x
+    (K, B, features) with labels y (K, B) through weights p. Returns the
+    softmax probabilities (K, B, classes) and, per parameter, the
+    gradients (K, ...) of each client's mean cross-entropy over its own
+    batch."""
+    logits, cache = _forward(p, arch, x)
+    k, b = y.shape
+    probs = _softmax(logits)
     dlogits = probs.copy()
-    dlogits[np.arange(b), y] -= 1.0
+    dlogits[np.arange(k)[:, None], np.arange(b), y] -= 1.0
     dlogits /= b
 
     readouts = cache["readouts"]
-    g_w_out = readouts.T @ dlogits
-    g_b_out = dlogits.sum(axis=0)
-    d_read = dlogits @ model.w_out.T  # (B, readouts)
+    g_w_out = np.matmul(readouts.transpose(0, 2, 1), dlogits)
+    g_b_out = dlogits.sum(axis=1)
+    d_read = np.matmul(dlogits, p["w_out"].transpose(0, 2, 1))
 
-    g_angles, d_act = readout_vjp(cache["states"], cache["act"], model.arch,
-                                  model.angles, d_read)
+    g_angles, d_act = readout_vjp(
+        cache["states"].reshape(k * b, -1), cache["act"].reshape(k * b, -1),
+        arch, p["angles"], d_read.reshape(k * b, -1))
 
-    dz1 = d_act * np.pi * (1.0 - np.tanh(cache["z1"]) ** 2)
-    g_w_in = cache["x"].T @ dz1
-    g_b_in = dz1.sum(axis=0)
+    dz1 = d_act.reshape(k, b, -1) * np.pi * (1.0 - np.tanh(cache["z1"]) ** 2)
+    g_w_in = np.matmul(x.transpose(0, 2, 1), dz1)
+    g_b_in = dz1.sum(axis=1)
 
     grads = {"w_in": g_w_in, "b_in": g_b_in, "angles": g_angles,
              "w_out": g_w_out, "b_out": g_b_out}
-    return loss, grads
+    return probs, grads
+
+
+def forward(model: HybridModel, batch: np.ndarray):
+    """Logits for a (batch, features) matrix, plus the intermediates the
+    backward pass needs: `_forward` for one client."""
+    x = _as_features(model, batch, min_rows=1)
+    logits, cache = _forward(_stacked(model), model.arch, x[None])
+    return logits[0], {name: v[0] for name, v in cache.items()}
+
+
+def loss_and_grads(model: HybridModel, batch: np.ndarray, labels):
+    """Mean cross-entropy over the batch and the full gradient structure:
+    `_gradients` for one client."""
+    x = _as_features(model, batch, min_rows=1)
+    y = _check_labels(model, labels, len(x))
+    probs, grads = _gradients(_stacked(model), model.arch, x[None], y[None])
+    loss = float(-np.mean(np.log(probs[0, np.arange(len(y)), y] + 1e-300)))
+    return loss, {name: g[0] for name, g in grads.items()}
 
 
 def sgd_step(model: HybridModel, grads: dict, learning_rate: float) -> HybridModel:
     """One gradient-descent update: every parameter moves by -lr * grad."""
-    for name in ("w_in", "b_in", "angles", "w_out", "b_out"):
+    for name in PARAMS:
         if grads[name].shape != getattr(model, name).shape:
             raise ShapeError(f"gradient shape mismatch on {name}")
     lr = float(learning_rate)
-    return replace(
-        model,
-        w_in=model.w_in - lr * grads["w_in"],
-        b_in=model.b_in - lr * grads["b_in"],
-        angles=model.angles - lr * grads["angles"],
-        w_out=model.w_out - lr * grads["w_out"],
-        b_out=model.b_out - lr * grads["b_out"],
-    )
+    return replace(model, **{name: getattr(model, name) - lr * grads[name]
+                             for name in PARAMS})
 
 
 def flatten_weights(model: HybridModel) -> np.ndarray:
@@ -190,7 +235,7 @@ def unflatten_weights(template: HybridModel, values) -> HybridModel:
                          f"got {v.size}")
     pos = 0
     parts = {}
-    for name in ("w_in", "b_in", "angles", "w_out", "b_out"):
+    for name in PARAMS:
         shape = getattr(template, name).shape
         size = int(np.prod(shape))
         parts[name] = v[pos:pos + size].reshape(shape).copy()
@@ -218,20 +263,62 @@ def evaluate(model: HybridModel, features: np.ndarray, labels: np.ndarray,
     return correct / x.shape[0], loss_sum / x.shape[0]
 
 
-def train_epochs(model: HybridModel, features: np.ndarray, labels: np.ndarray,
-                 config: TrainingConfig) -> HybridModel:
-    """Mini-batch SGD for config.epochs_per_round epochs; deterministic
-    in config.rng_seed."""
-    x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64).ravel()
+def _batch_rows(count: int, config: TrainingConfig, offset: int) -> list:
+    """A client's mini-batches over config.epochs_per_round epochs, as
+    row indices shifted by `offset`: each epoch a fresh permutation drawn
+    from config.rng_seed, cut into batches of config.batch_size rows."""
     rng = np.random.default_rng(np.random.SeedSequence([config.rng_seed, 0x7A1]))
+    batches = []
     for _ in range(config.epochs_per_round):
-        order = rng.permutation(x.shape[0])
-        for start in range(0, x.shape[0], config.batch_size):
-            sel = order[start:start + config.batch_size]
-            _, grads = loss_and_grads(model, x[sel], y[sel])
-            model = sgd_step(model, grads, config.learning_rate)
-    return model
+        order = rng.permutation(count) + offset
+        batches += [order[start:start + config.batch_size]
+                    for start in range(0, count, config.batch_size)]
+    return batches
+
+
+def train_epochs(model: HybridModel, clients) -> list[HybridModel]:
+    """Mini-batch SGD from `model` for K clients, each given as a
+    (features, labels, TrainingConfig) triple; returns the K trained
+    models, deterministic in each config's rng_seed.
+
+    The clients train together: step t takes every client's t-th
+    mini-batch, and the clients whose t-th batches hold the same number
+    of rows run it as one stacked `_gradients` call and one update. A
+    client's arithmetic is the same as alone, so its weights are bitwise
+    those of a one-client call. Every client's data is checked before
+    any step runs."""
+    data = [check_data(model, x, y) for x, y, _ in clients]
+    if not data:
+        return []
+    configs = [config for *_, config in clients]
+    offsets = np.cumsum([0] + [len(y) for _, y in data])
+    batches = [_batch_rows(len(y), config, offset)
+               for (_, y), config, offset in zip(data, configs, offsets)]
+    # one copy of every row, so that a step gathers all its batches at once
+    x_all, y_all = (data[0] if len(data) == 1 else
+                    map(np.concatenate, zip(*data)))
+    k_all = len(data)
+    rates = np.array([config.learning_rate for config in configs])
+    params = {name: np.repeat(v, k_all, axis=0)
+              for name, v in _stacked(model).items()}
+    for t in range(max(len(b) for b in batches)):
+        groups = {}
+        for k, client_batches in enumerate(batches):
+            if t < len(client_batches):
+                groups.setdefault(len(client_batches[t]), []).append(k)
+        for ks in groups.values():
+            rows = np.concatenate([batches[k][t] for k in ks])
+            sel = slice(None) if len(ks) == k_all else ks
+            p = {name: v[sel] for name, v in params.items()}
+            _, grads = _gradients(
+                p, model.arch, x_all[rows].reshape(len(ks), -1, x_all.shape[1]),
+                y_all[rows].reshape(len(ks), -1))
+            lr = rates[sel]
+            for name, g in grads.items():
+                params[name][sel] = p[name] - lr.reshape(
+                    (-1,) + (1,) * (g.ndim - 1)) * g
+    return [replace(model, **{name: v[k] for name, v in params.items()})
+            for k in range(k_all)]
 
 
 # --- checkpoint format ------------------------------------------------------

@@ -7,10 +7,13 @@ training runs are deterministic. States carry at most MAX_QUBITS qubits
 to bound the 2^n amplitude array.
 
 Every routine works on a batch of states shaped (batch, 2^n); a single
-feature vector is a batch of one row. Every function that takes angles
-or features checks their shapes through `_check_angles` and
-`_check_features`. Every rotation, forward or backward, is the in-place
-update psi <- cos(h) psi + sin(h) (-i sigma psi) of `_rotate`. Training
+feature vector is a batch of one row. `final_states` and `readout_vjp`
+also take one angle set per client for a batch of K equal contiguous
+groups of rows, so K clients' mini-batches run as one batch. Every
+function that takes angles or features checks their shapes through
+`_check_angles` and `_check_features`. Every rotation, forward or
+backward, is the in-place update psi <- cos(h) psi + sin(h)
+(-i sigma psi) of `_rotate`. Training
 differentiates by the adjoint method (Jones & Gacon 2020,
 arXiv:2009.02823): `final_states` runs the circuit once, and
 `readout_vjp` contracts the readout gradient with the circuit in one
@@ -70,14 +73,21 @@ class PqcArchitecture:
 def _check_angles(arch: PqcArchitecture, angles,
                   rows: int | None = None) -> np.ndarray:
     """Finite float64 angles, shared (depth, qubit_count); given `rows`,
-    one set per row, (rows, depth, qubit_count), a shared set broadcast."""
+    also one set per client, (K, depth, qubit_count) for rows that fall
+    in K equal contiguous groups, and returned as (K, depth,
+    qubit_count) either way, shared angles as K = 1."""
     a = np.asarray(angles, dtype=np.float64)
     shape = (arch.depth, arch.qubit_count)
-    if a.shape not in (shape, (rows,) + shape):
-        raise ShapeError(f"angles shape {a.shape} does not match {shape}")
+    if a.shape != shape and not (
+            rows is not None and a.ndim == 3 and a.shape[1:] == shape
+            and len(a) and rows % len(a) == 0):
+        raise ShapeError(f"angles shape {a.shape} does not match {shape}"
+                         + ("" if rows is None else
+                            f" or (K, {shape[0]}, {shape[1]}) for K "
+                            f"dividing {rows} rows"))
     if not np.isfinite(a).all():
         raise ShapeError("angles must be finite")
-    return a if rows is None else np.broadcast_to(a, (rows,) + shape)
+    return a if rows is None else a.reshape((-1,) + shape)
 
 
 def _check_features(arch: PqcArchitecture, features,
@@ -146,12 +156,12 @@ def _bit_flips(n: int) -> np.ndarray:
 
 def _generator(amps: np.ndarray, n: int, qubit: int,
                axis: str) -> np.ndarray:
-    """A new array: -i sigma_axis on one qubit of every row. X flips the
-    qubit's bit, Z signs it, and -i sigma_y psi = -sign * (psi flipped)
-    has a real factor."""
+    """A new array: -i sigma_axis on one qubit of every row of a
+    (..., 2^n) array. X flips the qubit's bit, Z signs it, and
+    -i sigma_y psi = -sign * (psi flipped) has a real factor."""
     if axis == "Z":
         return amps * _neg_i_z_signs(n)[qubit]
-    gen = np.take(amps, _bit_flips(n)[qubit], axis=1)
+    gen = np.take(amps, _bit_flips(n)[qubit], axis=-1)
     gen *= -1j if axis == "X" else -_z_signs(n)[qubit]
     return gen
 
@@ -160,7 +170,8 @@ def _rotate(amps: np.ndarray, gen: np.ndarray, half) -> None:
     """amps <- cos(half) amps + sin(half) gen in place, given gen =
     `_generator(amps, ...)` (overwritten). That is exp(-i half sigma):
     half = theta / 2 applies the rotation by theta, -theta / 2 undoes
-    it. `half` is a scalar or a per-row (rows, 1) column."""
+    it. `half` is a scalar or an array that broadcasts against amps,
+    such as a per-row (rows, 1) column or a per-group (K, 1, 1) one."""
     gen *= np.sin(half)
     amps *= np.cos(half)
     amps += gen
@@ -181,15 +192,17 @@ def _batch_embed(features: np.ndarray, n: int) -> np.ndarray:
 
 def _batch_layers(amps: np.ndarray, arch: PqcArchitecture,
                   angles: np.ndarray) -> np.ndarray:
-    """The layers applied to `amps`, which they update in place."""
+    """The layers applied to (rows, 2^n) `amps`, which they update in
+    place, with (K, depth, qubit_count) `angles` for K equal row groups."""
     n = arch.qubit_count
+    amps = amps.reshape(len(angles), -1, 2 ** n)
     for layer in range(arch.depth):
         for qubit in range(n):
             _rotate(amps, _generator(amps, n, qubit, arch.axes[layer][qubit]),
-                    angles[:, layer, qubit, None] / 2.0)
+                    angles[:, layer, qubit, None, None] / 2.0)
         if n >= 2:
-            amps = np.take(amps, _ring_perm(n), axis=1)
-    return amps
+            amps = np.take(amps, _ring_perm(n), axis=-1)
+    return amps.reshape(-1, 2 ** n)
 
 
 def final_states(features: np.ndarray, arch: PqcArchitecture,
@@ -197,8 +210,9 @@ def final_states(features: np.ndarray, arch: PqcArchitecture,
     """The (batch, 2^n) amplitudes the circuit leaves for a feature batch.
 
     features: (batch, qubit_count); angles: (depth, qubit_count) shared,
-    or (batch, depth, qubit_count) per element. Any other shape raises
-    ShapeError.
+    or (K, depth, qubit_count) for a batch of K equal contiguous groups
+    of rows, one angle set per group (K = batch gives each row its own).
+    Any other shape raises ShapeError.
     """
     feats = _check_features(arch, features)
     return _batch_layers(_batch_embed(feats, arch.qubit_count), arch,
@@ -262,8 +276,9 @@ def grad_features_batch(features: np.ndarray, arch: PqcArchitecture,
     n = arch.qubit_count
     eye = np.eye(n) * (np.pi / 2)
     rows = (feats[:, None, :] + np.concatenate([eye, -eye])).reshape(-1, n)
-    out = _run_stacked(rows, arch, _check_angles(arch, angles, len(rows)),
-                       b).reshape(b, 2, n, -1)
+    shared = _check_angles(arch, angles)
+    out = _run_stacked(rows, arch, np.broadcast_to(
+        shared, (len(rows),) + shared.shape), b).reshape(b, 2, n, -1)
     return (out[:, 0] - out[:, 1]) / 2.0
 
 
@@ -280,38 +295,47 @@ def readout_vjp(states: np.ndarray, features: np.ndarray,
                 d_read: np.ndarray):
     """Adjoint gradient of sum_{b,r} d_read[b, r] <Z_r>_b.
 
-    `states` is `final_states(features, arch, angles)` for shared
-    (depth, qubit_count) angles; features and d_read, (batch,
-    len(readout)), have one row per state, or it raises ShapeError.
-    Returns (g_angles (depth, qubit_count), d_features (batch,
-    qubit_count)). The observable is diagonal, so lambda = O psi. The
-    sweep walks the gates in reverse over psi and lambda stacked as one
-    (2 * batch, 2^n) array: at each rotation exp(-i t/2 sigma) it adds
-    Re<lambda|-i sigma psi> to the gradient of t, then undoes the gate
-    on both with the forward pass's kernel at -t/2.
+    `states` is `final_states(features, arch, angles)`, with angles
+    shared, (depth, qubit_count), or one set per group, (K, depth,
+    qubit_count), for K equal contiguous groups of rows; features and
+    d_read, (batch, len(readout)), have one row per state, or it raises
+    ShapeError. Returns (g_angles, d_features (batch, qubit_count)),
+    g_angles shaped as the angles: each group's gradient sums its own
+    rows only, one dot product per group. The observable is diagonal,
+    so lambda = O psi. The sweep walks the gates in reverse over psi and
+    lambda stacked as one (2, K, rows / K, 2^n) array: at each rotation
+    exp(-i t/2 sigma) it adds Re<lambda|-i sigma psi> to the gradient of
+    t, then undoes the gate on both with the forward pass's kernel at
+    -t/2.
     """
     n = arch.qubit_count
     if np.ndim(states) != 2 or np.shape(states)[1] != 2 ** n:
         raise ShapeError(f"states must be (batch, {2 ** n})")
     b = len(states)
     feats = _check_features(arch, features, rows=b)
-    angles = _check_angles(arch, angles)
+    shape = np.shape(angles)
+    angles = _check_angles(arch, angles, rows=b)
     d_read = np.asarray(d_read, dtype=np.float64)
     if d_read.shape != (b, len(arch.readout)):
         raise ShapeError(f"d_read shape {d_read.shape} is not "
                          f"{(b, len(arch.readout))}")
-    pair = np.concatenate([states, states])
-    pair[b:] *= d_read @ _z_signs(n)[list(arch.readout)]
-    g_angles = np.empty((arch.depth, n))
+    groups = len(angles)
+    pair = np.concatenate([states, states]).reshape(2, groups, -1, 2 ** n)
+    # one product per group, as the group alone would compute it
+    pair[1] *= np.matmul(d_read.reshape(groups, -1, d_read.shape[1]),
+                         _z_signs(n)[list(arch.readout)])
+    g_angles = np.empty(angles.shape)
     for layer in reversed(range(arch.depth)):
         if n >= 2:
-            pair = np.take(pair, _ring_unperm(n), axis=1)
+            pair = np.take(pair, _ring_unperm(n), axis=-1)
         for qubit in reversed(range(n)):
             gen = _generator(pair, n, qubit, arch.axes[layer][qubit])
-            g_angles[layer, qubit] = _re_inner(pair[b:].ravel(),
-                                               gen[:b].ravel())
-            _rotate(pair, gen, -angles[layer, qubit] / 2.0)
+            for k in range(groups):
+                g_angles[k, layer, qubit] = _re_inner(pair[1, k].ravel(),
+                                                      gen[0, k].ravel())
+            _rotate(pair, gen, -angles[:, layer, qubit, None, None] / 2.0)
             del gen  # else the next generator is a third copy of pair
+    pair = pair.reshape(2 * b, 2 ** n)
     half = np.concatenate([feats, feats]) / 2.0
     d_features = np.empty((b, n))
     for qubit in reversed(range(n)):
@@ -320,4 +344,4 @@ def readout_vjp(states: np.ndarray, features: np.ndarray,
         if qubit:
             _rotate(pair, gen, -half[:, qubit, None])
         del gen
-    return g_angles, d_features
+    return g_angles.reshape(shape), d_features

@@ -261,7 +261,8 @@ def test_criterion_07_single_client_degeneracy(std):
                               batch_size=cfg.batch_size,
                               epochs_per_round=cfg.epochs_per_round,
                               rng_seed=derive_seed(cfg.base_seed, r, 0, 1))
-        oracle = M.train_epochs(incoming, train.features, train.labels, tcfg)
+        [oracle] = M.train_epochs(incoming,
+                                  [(train.features, train.labels, tcfg)])
         diff = np.abs(flatten_weights(fed) - flatten_weights(oracle)).max()
         worst = max(worst, float(diff))
     print(f"  worst per-round deviation {worst:.3g} (bound {2 ** -15:.3g})")

@@ -218,6 +218,49 @@ def test_inspect_key_files(workdir, capsys):
     assert "size   : 98349 bytes" in out and "digest : " in out
 
 
+def test_inspect_key_files_print_ring_degree(workdir, capsys):
+    tmp, cfg = workdir
+    main(["keygen", "--config", str(cfg), "--out", str(tmp / "keys")])
+    for name in ("secret.key", "public.key"):
+        assert main(["inspect", str(tmp / "keys" / name)]) == 0
+        assert "ring N : 4096" in capsys.readouterr().out
+
+
+def public_key_blob(primes: int, coeffs: int, extra: int = 0) -> bytes:
+    """A `CKP2` layout under a zero digest: the prime count byte, the
+    residues and the seed, `extra` bytes longer."""
+    return (b"CKP2" + bytes(8) + bytes([primes])
+            + bytes(primes * coeffs * 8 + 32 + extra))
+
+
+@pytest.mark.parametrize("blob,degree", [
+    (b"CKS3" + bytes(8 + 256), 1024), (b"CKS3" + bytes(8 + 2048), 8192),
+    (public_key_blob(2, 1024), 1024), (public_key_blob(3, 4096), 4096),
+    (b"CKS3" + bytes(8 + 8), None), (b"CKS3" + bytes(8 + 128), None),
+    (b"CKS3" + bytes(8 + 300), None), (b"CKS3" + bytes(8), None),
+    (public_key_blob(2, 1024, extra=1), None),
+    (public_key_blob(2, 1024, extra=-8), None),
+    (public_key_blob(3, 1000), None), (public_key_blob(1, 512), None),
+    (public_key_blob(0, 1024), None), (public_key_blob(2, 1024)[:13], None)],
+    ids=["secret-1024", "secret-8192", "public-1024", "public-4096",
+         "secret-20-bytes", "secret-512", "secret-1200", "secret-empty",
+         "public-one-extra", "public-short", "public-1000", "public-512",
+         "public-no-primes", "public-no-body"])
+def test_inspect_key_length_must_give_a_ring_degree(tmp_path, capsys, blob,
+                                                    degree):
+    """A key file is described only if its length is 12 + N/4 (`CKS3`)
+    or 12 + 1 + primes * N * 8 + 32 (`CKP2`) for a power-of-two
+    N >= 1,024; any other length exits 3."""
+    p = tmp_path / "key.bin"
+    p.write_bytes(blob)
+    if degree is None:
+        assert main(["inspect", str(p)]) == 3
+        assert "power-of-two N >= 1024" in capsys.readouterr().err
+    else:
+        assert main(["inspect", str(p)]) == 0
+        assert f"ring N : {degree}" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("name,old,new", [("secret.key", "CKS2", "CKS3"),
                                           ("public.key", "CKP1", "CKP2")])
 def test_inspect_retired_key_files_exit_3(workdir, capsys, name, old, new):

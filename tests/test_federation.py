@@ -1,3 +1,4 @@
+import hashlib
 import threading
 
 import numpy as np
@@ -215,7 +216,8 @@ def test_run_round_single_client_matches_standalone(toy_world):
                           batch_size=cfg.batch_size,
                           epochs_per_round=cfg.epochs_per_round,
                           rng_seed=seed)
-    oracle = M.train_epochs(init, parts[0].features, parts[0].labels, tcfg)
+    [oracle] = M.train_epochs(init, [(parts[0].features, parts[0].labels,
+                                      tcfg)])
     diff = np.abs(flatten_weights(new_model) - flatten_weights(oracle)).max()
     assert diff <= 2.0 ** -15
 
@@ -260,17 +262,20 @@ def test_run_round_trains_clients_in_order_in_caller_thread(toy_world,
     from cipherfed.federation import rounds
     seen = []
 
-    def recording(model, features, labels, tcfg):
-        seen.append((threading.get_ident(), tcfg.rng_seed))
-        return M.train_epochs(model, features, labels, tcfg)
+    def recording(model, clients):
+        seen.append((threading.get_ident(),
+                     [tcfg.rng_seed for *_, tcfg in clients]))
+        return M.train_epochs(model, clients)
 
     monkeypatch.setattr(rounds, "train_epochs", recording)
     parts = toy_world["parts"]
     cfg = make_config(parts, rounds=1)
     run_round(toy_world["init"], cfg, parts, toy_world["test"],
               toy_world["keys"], 0, mode="plaintext")
-    assert seen == [(threading.get_ident(), derive_seed(cfg.base_seed, 0, k, 1))
-                    for k in range(len(parts))]
+    # one stacked call for every client, each with its own seed
+    assert seen == [(threading.get_ident(),
+                     [derive_seed(cfg.base_seed, 0, k, 1)
+                      for k in range(len(parts))])]
 
 
 def test_run_round_rejects_samples_beyond_capacity(toy_world, monkeypatch):
@@ -312,6 +317,28 @@ def test_training_zero_rounds_returns_initial(toy_world):
         mode="fhe")
     assert final is toy_world["init"]
     assert history == []
+
+
+# SHA-256 of the final global weights below, as the trainer that ran the
+# clients one after another produced them; any reordering of the
+# training arithmetic changes it.
+TRAINING_DIGEST = ("822b0f602be1ee41f04549b316b3d4a4"
+                   "c43fb08dea7c4da1207a35a002ec0244")
+
+
+@pytest.mark.parametrize("mode", ["fhe", "plaintext"])
+def test_training_digest_pinned(toy_world, mode):
+    """A small direct run: clients of 45, 28 and 9 samples, batches of
+    16 (ragged last batches, one client below a batch), 2 epochs, 2
+    rounds. Exact FedAvg gives both modes the same weights."""
+    parts = [D.Dataset(p.features[:n], p.labels[:n], p.class_count)
+             for p, n in zip(toy_world["parts"], (45, 28, 9))]
+    cfg = make_config(parts, rounds=2, epochs_per_round=2)
+    final, _ = run_federated_training(
+        toy_world["init"], cfg, parts, toy_world["test"],
+        toy_world["keys"] if mode == "fhe" else None, mode=mode)
+    digest = hashlib.sha256(flatten_weights(final).tobytes()).hexdigest()
+    assert digest == TRAINING_DIGEST
 
 
 def test_training_deterministic(toy_world):

@@ -111,7 +111,7 @@ def test_training_never_simulates_shifted_circuits(rng, monkeypatch):
     assert np.all(np.isfinite(grads["angles"]))
     cfg = M.TrainingConfig(learning_rate=0.1, batch_size=8,
                            epochs_per_round=1, rng_seed=4)
-    trained = M.train_epochs(m, X, y, cfg)
+    [trained] = M.train_epochs(m, [(X, y, cfg)])
     assert not np.array_equal(trained.angles, m.angles)
 
 
@@ -267,16 +267,74 @@ def test_training_deterministic(rng):
     y = rng.integers(0, 2, 40)
     cfg = M.TrainingConfig(learning_rate=0.1, batch_size=8,
                            epochs_per_round=2, rng_seed=99)
-    a = M.train_epochs(m, X, y, cfg)
-    b = M.train_epochs(m, X, y, cfg)
+    [a] = M.train_epochs(m, [(X, y, cfg)])
+    [b] = M.train_epochs(m, [(X, y, cfg)])
     assert np.array_equal(M.flatten_weights(a), M.flatten_weights(b))
+
+
+@pytest.mark.parametrize("epochs", [0, 1, 3])
+@pytest.mark.parametrize("batch", [8, 32])
+def test_stacked_training_equals_one_client_runs(rng, batch, epochs):
+    """Clients of 33, 64 and 7 rows trained in one call reach bitwise
+    the weights of three one-client calls. Their last batches are
+    ragged; the 7-row client is smaller than one batch and runs out of
+    steps before the others."""
+    m = toy_model(seed=15, qubits=3, classes=3)
+    clients = [(rng.uniform(-1, 1, (rows, 3)), rng.integers(0, 3, rows),
+                M.TrainingConfig(learning_rate=0.2, batch_size=batch,
+                                 epochs_per_round=epochs, rng_seed=seed))
+               for rows, seed in ((33, 1), (64, 2), (7, 3))]
+    stacked = M.train_epochs(m, clients)
+    assert len(stacked) == len(clients)
+    for got, client in zip(stacked, clients):
+        [alone] = M.train_epochs(m, [client])
+        assert np.array_equal(M.flatten_weights(got),
+                              M.flatten_weights(alone))
+    if epochs == 0:
+        assert all(np.array_equal(M.flatten_weights(got),
+                                  M.flatten_weights(m)) for got in stacked)
+
+
+def test_stacked_training_takes_each_clients_own_config(rng):
+    """Clients with their own learning rate, batch size and epoch count
+    in one call: each reaches its one-client weights bitwise."""
+    m = toy_model(seed=16, qubits=3, classes=3)
+    clients = [(rng.uniform(-1, 1, (rows, 3)), rng.integers(0, 3, rows),
+                M.TrainingConfig(learning_rate=lr, batch_size=batch,
+                                 epochs_per_round=epochs, rng_seed=rows))
+               for rows, lr, batch, epochs in ((20, 0.1, 8, 2),
+                                               (20, 0.3, 8, 1),
+                                               (12, 0.2, 5, 3))]
+    for got, client in zip(M.train_epochs(m, clients), clients):
+        [alone] = M.train_epochs(m, [client])
+        assert np.array_equal(M.flatten_weights(got),
+                              M.flatten_weights(alone))
+
+
+def test_training_checks_every_client_before_any_step(rng, monkeypatch):
+    """A bad label or feature width in any client is refused before the
+    first step runs, and no client is trained."""
+    def step(*args):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(M, "_gradients", step)
+    m = toy_model(qubits=3, classes=3)
+    cfg = M.TrainingConfig(learning_rate=0.1, batch_size=4)
+    good = (rng.uniform(-1, 1, (6, 3)), rng.integers(0, 3, 6), cfg)
+    for bad, error in (((np.zeros((6, 3)), [0, 1, 2, 0, 1, 3], cfg),
+                        DomainError),
+                       ((np.zeros((6, 4)), np.zeros(6, dtype=int), cfg),
+                        ShapeError)):
+        with pytest.raises(error):
+            M.train_epochs(m, [good, bad])
+    assert M.train_epochs(m, []) == []
 
 
 def test_zero_epochs_identity(rng):
     m = toy_model(seed=13)
     cfg = M.TrainingConfig(learning_rate=0.1, epochs_per_round=0)
-    out = M.train_epochs(m, rng.uniform(-1, 1, (10, 3)),
-                         rng.integers(0, 2, 10), cfg)
+    [out] = M.train_epochs(m, [(rng.uniform(-1, 1, (10, 3)),
+                                rng.integers(0, 2, 10), cfg)])
     assert np.array_equal(M.flatten_weights(out), M.flatten_weights(m))
 
 

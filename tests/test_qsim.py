@@ -300,17 +300,54 @@ def test_every_angle_taker_rejects_wrong_depth(name, shape):
 
 
 def test_per_row_angles_only_where_a_row_has_its_own():
-    """`final_states` takes one angle set per feature row; the gradients
-    take shared angles only."""
+    """`final_states` and `readout_vjp` take one angle set per client,
+    (K, depth, qubits) for rows in K equal contiguous groups; K = 1 is
+    the shared set and K = rows gives each row its own. The
+    parameter-shift gradients take shared angles only, and a row count
+    that K does not divide is refused."""
     arch = qsim.PqcArchitecture(qubit_count=3, depth=2)
     feats = np.random.default_rng(7).uniform(-np.pi, np.pi, (4, 3))
     shared = np.random.default_rng(8).uniform(-np.pi, np.pi, (2, 3))
+    for k in (1, 2, 4):
+        per_client = np.broadcast_to(shared, (k, 2, 3))
+        assert np.array_equal(qsim.final_states(feats, arch, per_client),
+                              qsim.final_states(feats, arch, shared))
+        g_shared, d_shared = vjp(feats, arch, shared)
+        g_client, d_client = vjp(feats, arch, per_client)
+        assert g_client.shape == (k, 2, 3)
+        assert np.allclose(g_client.sum(axis=0), g_shared, atol=1e-12)
+        assert np.array_equal(d_client, d_shared)
     per_row = np.broadcast_to(shared, (4, 2, 3))
-    assert np.array_equal(qsim.final_states(feats, arch, per_row),
-                          qsim.final_states(feats, arch, shared))
-    for name in ("readout_vjp", "grad_angles_batch", "grad_features_batch"):
+    for name in ("grad_angles_batch", "grad_features_batch"):
         with pytest.raises(ShapeError, match="angles shape"):
             ANGLE_TAKERS[name](feats, arch, per_row)
+    for name in ("final_states", "readout_vjp"):
+        with pytest.raises(ShapeError, match="angles shape"):
+            ANGLE_TAKERS[name](feats, arch, np.zeros((3, 2, 3)))
+
+
+@pytest.mark.parametrize("groups,rows", [(1, 5), (3, 1), (3, 7), (4, 32)])
+def test_readout_vjp_on_groups_equals_separate_calls(groups, rows):
+    """K groups of rows with their own angles in one `final_states` and
+    one `readout_vjp` give bitwise the states, angle gradients and
+    feature gradients of K separate calls."""
+    arch = qsim.PqcArchitecture(qubit_count=3, depth=2, axes=(
+        ("X", "Y", "Z"), ("Z", "X", "Y")), readout=(0, 2))
+    rng = np.random.default_rng(groups * 100 + rows)
+    feats = rng.uniform(-np.pi, np.pi, (groups, rows, 3))
+    angles = rng.uniform(-np.pi, np.pi, (groups, 2, 3))
+    d_read = rng.normal(size=(groups, rows, 2))
+    states = qsim.final_states(feats.reshape(-1, 3), arch, angles)
+    g_angles, d_feats = qsim.readout_vjp(states, feats.reshape(-1, 3), arch,
+                                         angles, d_read.reshape(-1, 2))
+    assert g_angles.shape == angles.shape
+    for k in range(groups):
+        alone = qsim.final_states(feats[k], arch, angles[k])
+        assert np.array_equal(states[k * rows:(k + 1) * rows], alone)
+        g_alone, d_alone = qsim.readout_vjp(alone, feats[k], arch, angles[k],
+                                            d_read[k])
+        assert np.array_equal(g_angles[k], g_alone)
+        assert np.array_equal(d_feats[k * rows:(k + 1) * rows], d_alone)
 
 
 @pytest.mark.parametrize("rows", [3, 5])
