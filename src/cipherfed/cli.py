@@ -117,52 +117,45 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _key_ring_degree(r, magic: bytes, size: int) -> int:
-    """The ring degree N that a key file's length gives, read past its
-    12-byte header: 12 + N/4 bytes for a `CKS3` secret key, 12 + 1 +
-    primes * N * 8 + 32 for a `CKP2` public key, whose byte after the
-    header is its prime count. A length that no power-of-two N >= 1,024
-    gives raises FormatError."""
-    from .fhe.serial import MAGIC_KINDS, MAGIC_SECRET_KEY, SEED_BYTES
-    if magic == MAGIC_SECRET_KEY:
-        n, layout = 4 * (size - 12), "12 + N/4"
-    else:
-        (primes,) = r.unpack("B")
-        body = size - 13 - SEED_BYTES
-        n = body // (8 * primes) if primes and body % (8 * primes) == 0 else 0
-        layout = f"12 + 1 + {primes} * N * 8 + {SEED_BYTES}"
-    if n < 1024 or n & (n - 1):
-        raise FormatError(f"a {MAGIC_KINDS[magic]} of {size} bytes is not "
-                          f"{layout} bytes for any power-of-two N >= 1024")
-    return n
-
-
 def cmd_inspect(args) -> int:
+    """Describe an artifact, read without parameters. A sealed one (see
+    fhe/serial.py) is checked whole: its trailer, then its header, then
+    the length its row widths give, which must fit a ring degree N;
+    a secret key's length must fit one too."""
     from .fhe.serial import (MAGIC_CIPHERTEXT, MAGIC_FLOAT_VECTOR,
                              MAGIC_KINDS, MAGIC_PUBLIC_KEY, MAGIC_SECRET_KEY,
-                             MAGIC_SEEDED, MAGIC_SEEDED_SUM, MAGIC_SLOT_SEEDED,
-                             RETIRED_KEYS, Reader, _read_header,
-                             deserialize_float_vector)
+                             MAGIC_SEEDED, MAGIC_SEEDED_SUM, RETIRED_BATCHES,
+                             RETIRED_KEYS, SEALED, Reader, _read_header,
+                             deserialize_float_vector, read_layout, unseal)
     batches = (MAGIC_CIPHERTEXT, MAGIC_SEEDED, MAGIC_SEEDED_SUM,
-               MAGIC_SLOT_SEEDED)
+               *RETIRED_BATCHES)
     data = Path(args.path).read_bytes()
-    r = Reader(data, f"{data[:4]!r} header")
+    r = Reader(data, f"{data[:4]!r} artifact")
     magic = r.take(4)
     if magic in (MAGIC_SECRET_KEY, MAGIC_PUBLIC_KEY, *RETIRED_KEYS, *batches):
         rows = [("kind", MAGIC_KINDS[magic]), ("digest", r.take(8).hex())]
     if magic in RETIRED_KEYS:
         raise FormatError(MAGIC_KINDS[magic])
-    if magic in (MAGIC_SECRET_KEY, MAGIC_PUBLIC_KEY):
-        rows.append(("ring N", _key_ring_degree(r, magic, len(data))))
-    if magic == MAGIC_PUBLIC_KEY:
+    if magic in SEALED:
+        unseal(r)
+    if magic == MAGIC_SECRET_KEY:
+        n = 4 * (len(data) - 12)
+        if n < 1024 or n & (n - 1):
+            raise FormatError(f"a secret key of {len(data)} bytes is not "
+                              "12 + N/4 bytes for any power-of-two N >= 1024")
+        rows.append(("ring N", n))
+    elif magic == MAGIC_PUBLIC_KEY:
+        rows += _layout_rows(read_layout(r, magic))
         rows.append(("pk1", "a from seed"))
     elif magic in batches:
         level, scale, chunks, counts = _read_header(r, magic)
         rows += [("level", level), ("scale", f"{scale:.6g}"),
                  ("chunks", chunks)]
-        if magic == MAGIC_SEEDED_SUM:
+        if RETIRED_BATCHES.get(magic, magic) == MAGIC_SEEDED_SUM:
             rows += [("clients", len(counts)),
                      ("counts", ", ".join(map(str, counts)))]
+        if magic in SEALED:
+            rows += _layout_rows(read_layout(r, magic, chunks, counts))
     elif magic == MAGIC_FLOAT_VECTOR:
         rows = [("kind", "float vector"),
                 ("length", deserialize_float_vector(data).size)]
@@ -174,13 +167,19 @@ def cmd_inspect(args) -> int:
                 ("qubits", f"{arch.qubit_count}  depth: {arch.depth}  "
                            f"readouts: {len(arch.readout)}"),
                 ("classes", model.class_count)]
-    elif magic != MAGIC_SECRET_KEY:
+    else:
         raise FormatError(f"unknown magic bytes {magic!r}")
     for label, value in [*rows, ("size", f"{len(data)} bytes")]:
         print(f"{label:<7}: {value}")
     if magic == MAGIC_SECRET_KEY:
         print("coefficients withheld (secret material is never printed)")
     return EXIT_OK
+
+
+def _layout_rows(layout: tuple[bytes, int]) -> list[tuple[str, str]]:
+    widths, n = layout
+    return [("widths", ", ".join(map(str, widths)) + " bits"),
+            ("ring N", n)]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,7 +7,7 @@ socket. Serialization is lossless, so a socket run's results equal the
 direct transport's. Every binary payload is read through a
 bounds-checked `Reader` and must be consumed exactly. An UPDATE or
 GLOBAL payload is one artifact, which the run's mode picks: on an fhe
-run `CKV4` up and `CKV5` down. A METRICS payload is a row's data.
+run `CKV7` up and `CKV8` down. A METRICS payload is a row's data.
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ def decode_join(payload: bytes) -> int:
 
 
 def encode_update(update) -> bytes:
-    """An UPDATE payload: the update's artifact alone, `CKV4` or `CKF1`."""
+    """An UPDATE payload: the update's artifact alone, `CKV7` or `CKF1`."""
     if isinstance(update, ClientUpdate):
         return serialize_seeded(update.chunks)
     return serialize_float_vector(update.values)
@@ -152,14 +152,14 @@ def decode_update(payload: bytes, round_index: int, params, client_id: int,
 
 def encode_global(agg) -> bytes:
     """A plaintext mean as `CKF1`, an aggregate of seeded uploads as
-    `CKV5`; any other aggregate is a FormatError."""
+    `CKV8`; any other aggregate is a FormatError."""
     if isinstance(agg, np.ndarray):
         return serialize_float_vector(agg)
     return serialize_seeded_sum(agg)
 
 
 def decode_global(payload: bytes, params, check=None):
-    """The one artifact that is a GLOBAL payload: a `CKV5` seeded
+    """The one artifact that is a GLOBAL payload: a `CKV8` seeded
     aggregate on an fhe run, where `params` is given, and a `CKF1`
     vector on a plaintext run. `check(chunks, counts)`, if given, runs
     before any seed is expanded."""

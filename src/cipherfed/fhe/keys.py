@@ -18,7 +18,9 @@ from .poly import (NTT, RingPoly, ShoupPoly, expand_seed, ntt_forward,
 
 def expand_a(seed: bytes, params: EncryptionParams) -> ShoupPoly:
     """pk1 = a over the chain basis: row i is the NTT-domain expansion
-    under prime i of SHA-256(tag || seed || u8 i), one stream a row."""
+    under prime i of SHA-256(tag || seed || u8 i), one stream a row; the
+    tag keeps the bytes it had under `CKP2`, so a key seed gives the
+    same a under `CKP3`."""
     rows = [expand_seed(hashlib.sha256(b"cipherfed CKP2 a" + seed
                                        + bytes([i])).digest(), q,
                         params.ring_degree)

@@ -27,7 +27,7 @@ from .poly import (COEFF, NTT, RingPoly, ShoupPoly, expand_seed,
 SCALE_MATCH_RTOL = 2.0 ** -30
 SEED_BYTES = 32
 # hashed with a chunk's seed int into the 32-byte seed of its c1; the tag
-# predates `CKV4` and keeps its bytes, so the seeds do too
+# predates `CKV4` and `CKV7` and keeps its bytes, so the seeds do too
 _SEED_TAG = b"cipherfed CKV3 c1"
 
 
@@ -40,7 +40,7 @@ class Ciphertext:
     # a level-0 batch of K clients' seeded uploads, each of c chunks:
     # c1 = sum_k counts[k] * a_k (seeded_c1), where chunk j of a_k is
     # expanded from seeds[k * c + j], 32 bytes. An upload from
-    # encrypt_symmetric or the `CKV4` reader has counts (1,); an
+    # encrypt_symmetric or the `CKV7` reader has counts (1,); an
     # aggregate of uploads has the clients' sample counts
     seeds: tuple[bytes, ...] | None = None
     counts: tuple[int, ...] | None = None

@@ -3,11 +3,16 @@
 All integers little-endian. Every artifact starts with a 4-byte magic and
 the 8-byte parameter digest, so a reader can reject material from a
 different parameter set before touching the payload. Polynomials are
-stored in the NTT domain. See docs/protocol.md for the exact layouts.
+stored in the NTT domain, each residue row packed at its prime's bit
+length. Every artifact that carries residues ends with the first 16
+bytes of the SHA-256 of the bytes before it, checked before anything
+past the parameter digest is read. See docs/protocol.md for the exact
+layouts.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import struct
 
@@ -20,27 +25,36 @@ from .params import EncryptionParams
 from .poly import (NTT, RingPoly, ShoupPoly, from_signed_coeffs, ntt_forward,
                    ntt_inverse)
 
-MAGIC_CIPHERTEXT = b"CKV2"
-MAGIC_SEEDED = b"CKV4"
-MAGIC_SEEDED_SUM = b"CKV5"
-# the slot-packed upload that `CKV4` replaced: named, so that a reader
-# can say what it found, but never read
-MAGIC_SLOT_SEEDED = b"CKV3"
+MAGIC_CIPHERTEXT = b"CKV6"
+MAGIC_SEEDED = b"CKV7"
+MAGIC_SEEDED_SUM = b"CKV8"
 MAGIC_SECRET_KEY = b"CKS3"
-MAGIC_PUBLIC_KEY = b"CKP2"
-# the key files that `CKS3` and `CKP2` replaced, named likewise
-RETIRED_KEYS = (b"CKS2", b"CKP1")
-_REGENERATE = "no longer read; regenerate with `cipherfed keygen`"
+MAGIC_PUBLIC_KEY = b"CKP3"
 MAGIC_FLOAT_VECTOR = b"CKF1"
+# the artifacts that carry residue blocks and end with a trailer
+SEALED = (MAGIC_CIPHERTEXT, MAGIC_SEEDED, MAGIC_SEEDED_SUM, MAGIC_PUBLIC_KEY)
+TRAILER_BYTES = 16
+# the batches that the packed ones replaced, each with the batch whose
+# header it shares: named, so that a reader can say what it found, but
+# never read (`CKV3` held slot-packed chunks, the rest 64-bit residues)
+RETIRED_BATCHES = {b"CKV2": MAGIC_CIPHERTEXT, b"CKV3": MAGIC_SEEDED,
+                   b"CKV4": MAGIC_SEEDED, b"CKV5": MAGIC_SEEDED_SUM}
+# the key files that `CKS3` and `CKP3` replaced, named likewise
+RETIRED_KEYS = (b"CKS2", b"CKP1", b"CKP2")
+_REGENERATE = "no longer read; regenerate with `cipherfed keygen`"
 
 MAGIC_KINDS = {MAGIC_CIPHERTEXT: "ciphertext",
                MAGIC_SEEDED: "seeded ciphertext",
                MAGIC_SEEDED_SUM: "seeded aggregate",
-               MAGIC_SLOT_SEEDED: "slot-packed seeded ciphertext (CKV3, no "
-                                  "longer read)",
+               b"CKV2": "ciphertext (CKV2, no longer read)",
+               b"CKV3": "slot-packed seeded ciphertext (CKV3, no longer "
+                        "read)",
+               b"CKV4": "seeded ciphertext (CKV4, no longer read)",
+               b"CKV5": "seeded aggregate (CKV5, no longer read)",
                MAGIC_SECRET_KEY: "secret key", MAGIC_PUBLIC_KEY: "public key",
                b"CKS2": f"secret key (CKS2, {_REGENERATE})",
                b"CKP1": f"public key (CKP1, {_REGENERATE})",
+               b"CKP2": f"public key (CKP2, {_REGENERATE})",
                MAGIC_FLOAT_VECTOR: "float vector"}
 
 # pk0 + pk1*s of a matching key pair is the key noise e, whose
@@ -90,8 +104,32 @@ class Reader:
             raise self.error(f"malformed {self.what}: {extra} trailing bytes")
 
 
+def _trailer(body: bytes) -> bytes:
+    return hashlib.sha256(body).digest()[:TRAILER_BYTES]
+
+
+def seal(body: bytes) -> bytes:
+    """`body` and its integrity trailer."""
+    return body + _trailer(body)
+
+
+def unseal(r: Reader) -> None:
+    """Check the trailer, the last TRAILER_BYTES of r's data, against
+    the bytes before it, then leave it out of what r reads: a bit
+    flipped anywhere raises before any field past r's position is
+    parsed."""
+    body = len(r.data) - TRAILER_BYTES
+    if body < r.pos:
+        r.take(TRAILER_BYTES)  # raises: no room for a trailer
+    if _trailer(memoryview(r.data)[:body]) != r.data[body:]:
+        raise r.error(f"malformed {r.what}: integrity trailer does not "
+                      "match its bytes")
+    r.data = r.data[:body]
+
+
 def _open(data: bytes, magic: bytes, params: EncryptionParams) -> Reader:
-    """A Reader past the magic and the parameter digest of `data`."""
+    """A Reader past the magic and the parameter digest of `data`, with
+    the trailer of a sealed artifact checked and set aside."""
     r = Reader(data, MAGIC_KINDS[magic])
     got = r.take(4)
     if got != magic:
@@ -103,32 +141,100 @@ def _open(data: bytes, magic: bytes, params: EncryptionParams) -> Reader:
     if r.take(8) != params.digest:
         raise ParameterError("artifact was produced under different "
                              "encryption parameters (digest mismatch)")
+    if magic in SEALED:
+        unseal(r)
     return r
 
 
+def _widths(params: EncryptionParams, count: int) -> bytes:
+    """The bit lengths of the first `count` chain primes, a byte each."""
+    return bytes(q.bit_length() for q in params.modulus_chain[:count])
+
+
 def _poly_bytes(p: RingPoly) -> bytes:
-    rows = [struct.pack("<B", len(p.prime_indices))]
-    rows.append(np.ascontiguousarray(p.residues, dtype="<u8").tobytes())
-    return b"".join(rows)
+    """The prime count, each row's width byte, then every row's N
+    residues at that width, bit i of residue j at bit j * width + i of
+    the row (least significant first), chunk after chunk."""
+    widths = _widths(p.params, len(p.prime_indices))
+    res = np.ascontiguousarray(p.residues, dtype="<u8")
+    res = res.reshape(-1, *res.shape[-2:]).view(np.uint8)
+    chunks, n = len(res), p.params.ring_degree
+    rows = []
+    for i, b in enumerate(widths):
+        bits = np.unpackbits(res[:, i].reshape(chunks, n, 8), axis=-1,
+                             count=b, bitorder="little")
+        rows.append(np.packbits(bits.reshape(chunks, -1), axis=-1,
+                                bitorder="little"))
+    return bytes([len(widths)]) + widths + np.concatenate(rows, -1).tobytes()
 
 
 def _read_poly(r: Reader, params: EncryptionParams, rows: range,
                batch: tuple[int, ...] = ()) -> RingPoly:
     """A polynomial, or a batch of `batch` polynomials, over the first
-    `count` basis primes, `count` in `rows`, each residue below its
-    row's prime."""
+    `count` basis primes, `count` in `rows`, each row packed at its
+    prime's bit length and each residue below its row's prime."""
     (count,) = r.unpack("B")
     if count not in rows:
         raise FormatError(f"poly has {count} primes, expected "
                           f"{rows.start} to {rows.stop - 1}")
-    basis = tuple(range(count))
-    shape = (*batch, count, params.ring_degree)
-    raw = r.take(math.prod(shape) * 8)
-    res = np.frombuffer(raw, dtype="<u8").reshape(shape)
+    widths, expected = r.take(count), _widths(params, count)
+    if widths != expected:
+        raise FormatError(f"poly rows packed at {list(widths)} bits, not "
+                          f"their primes' {list(expected)}")
+    basis, n = tuple(range(count)), params.ring_degree
+    chunks = math.prod(batch)
+    # n is a power of two, so every row fills whole bytes
+    packed = np.frombuffer(r.take(chunks * n * sum(widths) // 8),
+                           dtype=np.uint8).reshape(chunks, -1)
+    bits = np.zeros((chunks, count, n, 64), dtype=np.uint8)
+    at = 0
+    for i, b in enumerate(widths):
+        bits[:, i, :, :b] = np.unpackbits(
+            packed[:, at:at + n * b // 8], axis=-1,
+            bitorder="little").reshape(chunks, n, b)
+        at += n * b // 8
+    res = np.packbits(bits, axis=-1, bitorder="little").view("<u8")
+    res = res.reshape(*batch, count, n).astype(np.uint64, copy=False)
     if (res >= params.stacked_ntt(basis).q).any():
         raise FormatError("poly residue not below its prime")
-    return RingPoly(params, basis, np.ascontiguousarray(res, dtype=np.uint64),
-                    NTT)
+    return RingPoly(params, basis, res, NTT)
+
+
+def read_layout(r: Reader, magic: bytes, chunks: int = 1,
+                counts: tuple[int, ...] = (1,)) -> tuple[bytes, int]:
+    """The row widths and ring degree N of a sealed artifact, read
+    without parameters: r is past the trailer check and, in a batch,
+    past the header that gave `chunks` and `counts`. N comes from the
+    first block's prime count and width bytes and the length left, and
+    a `CKV6`'s c1 block must repeat them. Raises FormatError unless a
+    power-of-two N >= 1024 gives that length and every width is 1 to
+    64 bits."""
+    blocks, tail = 1, 0
+    if magic == MAGIC_PUBLIC_KEY:
+        tail = SEED_BYTES
+    elif magic == MAGIC_CIPHERTEXT:
+        blocks = 2
+    else:
+        r.take(len(counts) * chunks * SEED_BYTES)
+    (count,) = r.unpack("B")
+    widths = r.take(count)
+    if not all(0 < b <= 64 for b in widths):
+        raise FormatError(f"malformed {r.what}: row widths {list(widths)} "
+                          "are not 1 to 64 bits")
+    left = len(r.data) - r.pos - tail - (blocks - 1) * (1 + count)
+    bits = blocks * chunks * sum(widths)
+    n = left * 8 // bits if bits and left * 8 % bits == 0 else 0
+    if n < 1024 or n & (n - 1):
+        raise FormatError(f"malformed {r.what}: {left} bytes of {blocks} x "
+                          f"{chunks} polynomials with rows of "
+                          f"{list(widths)} bits are not N of them for any "
+                          "power-of-two N >= 1024")
+    if blocks == 2:
+        r.take(chunks * n * sum(widths) // 8)
+        if r.take(1 + count) != bytes([count]) + widths:
+            raise FormatError(f"malformed {r.what}: its blocks have "
+                              "different rows")
+    return widths, n
 
 
 def _header(ct: Ciphertext, magic: bytes, chunks: int) -> bytes:
@@ -138,9 +244,12 @@ def _header(ct: Ciphertext, magic: bytes, chunks: int) -> bytes:
 
 def _read_header(r: Reader, magic: bytes
                  ) -> tuple[int, float, int, tuple[int, ...]]:
-    """Level, scale, chunk count and sample counts ((1,) but in a `CKV5`)
+    """Level, scale, chunk count and sample counts ((1,) but in a `CKV8`)
     of a batch, read whole, so a short one reads as truncated, then put
-    to every check that needs no parameters (level 0 unless `CKV2`)."""
+    to every check that needs no parameters (level 0 unless `CKV6`). A
+    retired batch's header is read as that of the batch it shares it
+    with."""
+    magic = RETIRED_BATCHES.get(magic, magic)
     level, scale, chunks = r.unpack("BdH")
     counts = (1,)
     if magic == MAGIC_SEEDED_SUM:
@@ -162,15 +271,15 @@ def _read_header(r: Reader, magic: bytes
 
 
 def serialize_ciphertext(ct: Ciphertext) -> bytes:
-    """One `CKV2` batch; a ciphertext without a batch axis is a batch of
+    """One `CKV6` batch; a ciphertext without a batch axis is a batch of
     one chunk."""
-    return b"".join([_header(ct, MAGIC_CIPHERTEXT,
-                             math.prod(ct.c0.batch_shape)),
-                     _poly_bytes(ct.c0), _poly_bytes(ct.c1)])
+    return seal(b"".join([_header(ct, MAGIC_CIPHERTEXT,
+                                  math.prod(ct.c0.batch_shape)),
+                          _poly_bytes(ct.c0), _poly_bytes(ct.c1)]))
 
 
 def deserialize_ciphertext(data: bytes, params: EncryptionParams) -> Ciphertext:
-    """A `CKV2` artifact as a batch of at least one chunk."""
+    """A `CKV6` artifact as a batch of at least one chunk."""
     r = _open(data, MAGIC_CIPHERTEXT, params)
     level, scale, chunks, _ = _read_header(r, MAGIC_CIPHERTEXT)
     rows = range(1, len(params.modulus_chain) + 1)
@@ -180,32 +289,32 @@ def deserialize_ciphertext(data: bytes, params: EncryptionParams) -> Ciphertext:
 
 
 def serialize_seeded(ct: Ciphertext) -> bytes:
-    """One `CKV4` batch, an encrypt_symmetric output of coefficient-packed
-    chunks: the `CKV2` header, each chunk's seed, then c0; c1 is left for
+    """One `CKV7` batch, an encrypt_symmetric output of coefficient-packed
+    chunks: the `CKV6` header, each chunk's seed, then c0; c1 is left for
     the reader to expand."""
     if ct.seeds is None or ct.counts != (1,):
         raise FormatError("only a seeded ciphertext of one upload is "
-                          "written as CKV4")
-    return b"".join([_header(ct, MAGIC_SEEDED, len(ct)), *ct.seeds,
-                     _poly_bytes(ct.c0)])
+                          "written as CKV7")
+    return seal(b"".join([_header(ct, MAGIC_SEEDED, len(ct)), *ct.seeds,
+                          _poly_bytes(ct.c0)]))
 
 
 def serialize_seeded_sum(ct: Ciphertext) -> bytes:
-    """One `CKV5` batch, a weighted sum of seeded uploads from
-    server.aggregate: the `CKV2` header, the client count K, the K
+    """One `CKV8` batch, a weighted sum of seeded uploads from
+    server.aggregate: the `CKV6` header, the client count K, the K
     sample counts, each client's chunk seeds client after client, then
     c0; the reader rebuilds c1 from the seeds and the counts."""
     if ct.seeds is None:
-        raise FormatError("only a sum of seeded uploads is written as CKV5")
+        raise FormatError("only a sum of seeded uploads is written as CKV8")
     k = len(ct.counts)
-    return b"".join([_header(ct, MAGIC_SEEDED_SUM, len(ct)),
-                     struct.pack(f"<H{k}Q", k, *ct.counts), *ct.seeds,
-                     _poly_bytes(ct.c0)])
+    return seal(b"".join([_header(ct, MAGIC_SEEDED_SUM, len(ct)),
+                          struct.pack(f"<H{k}Q", k, *ct.counts), *ct.seeds,
+                          _poly_bytes(ct.c0)]))
 
 
 def _read_seeded(data: bytes, params: EncryptionParams, magic: bytes,
                  check) -> Ciphertext:
-    """A `CKV4` (one upload, counts (1,)) or a `CKV5` batch. Every check,
+    """A `CKV7` (one upload, counts (1,)) or a `CKV8` batch. Every check,
     `check(chunks, counts)` included when it is given, runs before any
     seed is expanded, and the layout's size is checked before it is
     read."""
@@ -216,8 +325,9 @@ def _read_seeded(data: bytes, params: EncryptionParams, magic: bytes,
                           f"its {sum(counts)} samples")
     if check is not None:
         check(chunks, counts)
-    r.rest_is(len(counts) * chunks * SEED_BYTES + 1
-              + chunks * params.ring_degree * 8)
+    # the seeds, then c0: its row count, q0's width byte and its rows
+    r.rest_is(len(counts) * chunks * SEED_BYTES + 2 + chunks
+              * params.ring_degree * params.modulus_chain[0].bit_length() // 8)
     seeds = tuple(r.take(SEED_BYTES) for _ in range(len(counts) * chunks))
     c0 = _read_poly(r, params, range(1, 2), (chunks,))
     r.end()
@@ -227,15 +337,15 @@ def _read_seeded(data: bytes, params: EncryptionParams, magic: bytes,
 
 def deserialize_seeded(data: bytes, params: EncryptionParams,
                        check=None) -> Ciphertext:
-    """A `CKV4` artifact as a level-0 batch, its c1 re-expanded from the
-    seeds after `check(chunks, (1,))`, if given. A `CKV3` upload is
-    refused by its magic."""
+    """A `CKV7` artifact as a level-0 batch, its c1 re-expanded from the
+    seeds after `check(chunks, (1,))`, if given. A `CKV3` or `CKV4`
+    upload is refused by its magic."""
     return _read_seeded(data, params, MAGIC_SEEDED, check)
 
 
 def deserialize_seeded_sum(data: bytes, params: EncryptionParams,
                            check=None) -> Ciphertext:
-    """A `CKV5` artifact as a level-0 batch, its c1 rebuilt from the
+    """A `CKV8` artifact as a level-0 batch, its c1 rebuilt from the
     seeds and counts after `check(chunks, counts)`, if given."""
     return _read_seeded(data, params, MAGIC_SEEDED_SUM, check)
 
@@ -251,9 +361,9 @@ def serialize_secret_key(keys: KeyMaterial) -> bytes:
 
 
 def serialize_public_key(pub: PublicMaterial) -> bytes:
-    """`CKP2`: pk0, then the 32-byte seed that pk1 = a expands from."""
-    return b"".join([MAGIC_PUBLIC_KEY, pub.params.digest,
-                     _poly_bytes(pub.pk0.poly), pub.seed])
+    """`CKP3`: pk0, then the 32-byte seed that pk1 = a expands from."""
+    return seal(b"".join([MAGIC_PUBLIC_KEY, pub.params.digest,
+                          _poly_bytes(pub.pk0.poly), pub.seed]))
 
 
 def serialize_galois_keys(pub: PublicMaterial) -> bytes:
@@ -264,7 +374,7 @@ def serialize_galois_keys(pub: PublicMaterial) -> bytes:
 
 def deserialize_public_material(public_data: bytes,
                                 params: EncryptionParams) -> PublicMaterial:
-    """A `CKP2` public key, read whole before a is expanded."""
+    """A `CKP3` public key, read whole before a is expanded."""
     r = _open(public_data, MAGIC_PUBLIC_KEY, params)
     rows = len(params.modulus_chain)
     pk0 = ShoupPoly.wrap(_read_poly(r, params, range(rows, rows + 1)))

@@ -1,4 +1,5 @@
 import socket
+import struct
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from cipherfed.federation.server import aggregate
 from cipherfed.federation.transport import SocketChannel
 from cipherfed.fhe import (default_params, encode_coeffs, encrypt_symmetric,
                            keygen, ops)
+from cipherfed.fhe.serial import SEALED, TRAILER_BYTES, seal
 
 
 def channel_pair() -> tuple[SocketChannel, SocketChannel]:
@@ -45,6 +47,56 @@ def count_expansions(monkeypatch) -> list:
     monkeypatch.setattr(ops, "expand_seed",
                         lambda *a: calls.append(1) or expand(*a))
     return calls
+
+
+def resealed(blob: bytes, change) -> bytes:
+    """`blob` with `change` applied to its bytes; in a sealed artifact,
+    to the bytes its trailer covers, with the trailer recomputed, so
+    that a hostile edit reaches the check it targets and not the
+    trailer's."""
+    if blob[:4] not in SEALED:
+        return bytes(change(bytearray(blob)))
+    return seal(bytes(change(bytearray(blob[:-TRAILER_BYTES]))))
+
+
+def patched(blob: bytes, fmt: str, at: int, *values) -> bytes:
+    """`blob`, resealed, with `values` packed as `fmt` at byte `at`."""
+    def put(body):
+        struct.pack_into("<" + fmt, body, at, *values)
+        return body
+    return resealed(blob, put)
+
+
+def with_field(blob: bytes, start: int, index: int, width: int,
+               value: int) -> bytes:
+    """`blob`, resealed, with field `index` of the packed row that begins
+    at byte `start`, `width` bits a field, set to `value`."""
+    bit = 8 * start + index * width
+    lo, hi = bit // 8, (bit + width + 7) // 8
+
+    def put(body):
+        word = int.from_bytes(body[lo:hi], "little")
+        mask = ((1 << width) - 1) << bit % 8
+        word = (word & ~mask) | ((value << bit % 8) & mask)
+        body[lo:hi] = word.to_bytes(hi - lo, "little")
+        return body
+    return resealed(blob, put)
+
+
+def pack_rows(residues, widths: bytes) -> bytes:
+    """Residue rows, chunk after chunk, each at its width as
+    docs/protocol.md words it: bit i of residue j is bit j * width + i
+    of the row, least significant bit of the first byte first. Python
+    integers only, as an oracle for the packer."""
+    rows = np.asarray(residues)
+    rows = rows.reshape(-1, len(widths), rows.shape[-1])
+    out = []
+    for chunk in rows:
+        for row, b in zip(chunk, widths):
+            stream = "".join(format(int(v), f"0{b}b")[::-1] for v in row)
+            out.append(int(stream[::-1] or "0", 2).to_bytes(
+                len(stream) // 8, "little"))
+    return b"".join(out)
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,12 @@
 """A ciphertext batch, shaped (chunks, rows, N), against the same
 operations on each chunk alone: every result must be bitwise equal."""
 
+import hashlib
 import struct
 
 import numpy as np
 import pytest
+from conftest import pack_rows
 
 from cipherfed import model as M
 from cipherfed.errors import ShapeError
@@ -102,9 +104,10 @@ def test_seeded_batch_equals_per_chunk(small_params, small_keys):
 def per_chunk_update(model, keys, rng_seed):
     """The UPDATE payload built chunk by chunk, one coefficient packing and
     one seeded encrypt per ring_degree-sized slice, laid out by hand: the
-    `CKV4` header, every chunk's seed, then c0's prime count and every
-    chunk's residues, chunk after chunk. The reference for the batch path
-    and for `CKV4`."""
+    `CKV7` header, every chunk's seed, then c0's prime count, q0's width
+    byte and every chunk's residues at that width, chunk after chunk,
+    then the trailer. The reference for the batch path and for
+    `CKV7`."""
     params = keys.params
     weights = quantize(flatten_weights(model), QuantizationSpec())
     n = params.ring_degree
@@ -113,12 +116,14 @@ def per_chunk_update(model, keys, rng_seed):
                              [derive_seed(rng_seed, i)])
            for i, start in enumerate(range(0, weights.size, n))]
     top = cts[0]
-    out = [b"CKV4", params.digest,
+    width = bytes([params.modulus_chain[0].bit_length()])
+    out = [b"CKV7", params.digest,
            struct.pack("<BdH", top.level, top.scale, len(cts))]
     out.extend(ct.seeds[0] for ct in cts)
-    out.append(struct.pack("<B", top.level + 1))
-    out.extend(ct.c0.residues.astype("<u8").tobytes() for ct in cts)
-    return b"".join(out)
+    out.append(struct.pack("<B", top.level + 1) + width)
+    out.extend(pack_rows(ct.c0.residues, width) for ct in cts)
+    body = b"".join(out)
+    return body + hashlib.sha256(body).digest()[:16]
 
 
 @pytest.mark.parametrize("dims,params_expected", [(2, 27), (4096, 12309)])

@@ -4,9 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import seeded_aggregate
+from conftest import resealed, seeded_aggregate
 
 from cipherfed.cli import main
+from cipherfed.fhe.serial import seal
 from cipherfed.model import flatten_weights, init_model, load_checkpoint
 from cipherfed.qsim import PqcArchitecture
 
@@ -215,7 +216,8 @@ def test_inspect_key_files(workdir, capsys):
     assert main(["inspect", str(tmp / "keys" / "public.key")]) == 0
     out = capsys.readouterr().out
     assert "public key" in out and "a from seed" in out
-    assert "size   : 98349 bytes" in out and "digest : " in out
+    assert "size   : 73280 bytes" in out and "digest : " in out
+    assert "widths : 61, 41, 41 bits" in out
 
 
 def test_inspect_key_files_print_ring_degree(workdir, capsys):
@@ -227,10 +229,13 @@ def test_inspect_key_files_print_ring_degree(workdir, capsys):
 
 
 def public_key_blob(primes: int, coeffs: int, extra: int = 0) -> bytes:
-    """A `CKP2` layout under a zero digest: the prime count byte, the
-    residues and the seed, `extra` bytes longer."""
-    return (b"CKP2" + bytes(8) + bytes([primes])
-            + bytes(primes * coeffs * 8 + 32 + extra))
+    """A `CKP3` layout under a zero digest: the prime count byte, the
+    default chain's width bytes, the packed residues and the seed,
+    `extra` bytes longer, and a trailer that matches."""
+    widths = bytes([61, 41, 41, 41][:primes])
+    body = (b"CKP3" + bytes(8) + bytes([primes]) + widths
+            + bytes(coeffs * sum(widths) // 8 + 32 + extra))
+    return seal(body)
 
 
 @pytest.mark.parametrize("blob,degree", [
@@ -241,7 +246,7 @@ def public_key_blob(primes: int, coeffs: int, extra: int = 0) -> bytes:
     (public_key_blob(2, 1024, extra=1), None),
     (public_key_blob(2, 1024, extra=-8), None),
     (public_key_blob(3, 1000), None), (public_key_blob(1, 512), None),
-    (public_key_blob(0, 1024), None), (public_key_blob(2, 1024)[:13], None)],
+    (public_key_blob(0, 1024), None), (public_key_blob(2, 0), None)],
     ids=["secret-1024", "secret-8192", "public-1024", "public-4096",
          "secret-20-bytes", "secret-512", "secret-1200", "secret-empty",
          "public-one-extra", "public-short", "public-1000", "public-512",
@@ -249,8 +254,8 @@ def public_key_blob(primes: int, coeffs: int, extra: int = 0) -> bytes:
 def test_inspect_key_length_must_give_a_ring_degree(tmp_path, capsys, blob,
                                                     degree):
     """A key file is described only if its length is 12 + N/4 (`CKS3`)
-    or 12 + 1 + primes * N * 8 + 32 (`CKP2`) for a power-of-two
-    N >= 1,024; any other length exits 3."""
+    or 12 + 1 + primes + N * (sum of widths) / 8 + 32 + 16 (`CKP3`) for
+    a power-of-two N >= 1,024; any other length exits 3."""
     p = tmp_path / "key.bin"
     p.write_bytes(blob)
     if degree is None:
@@ -262,7 +267,8 @@ def test_inspect_key_length_must_give_a_ring_degree(tmp_path, capsys, blob,
 
 
 @pytest.mark.parametrize("name,old,new", [("secret.key", "CKS2", "CKS3"),
-                                          ("public.key", "CKP1", "CKP2")])
+                                          ("public.key", "CKP1", "CKP3"),
+                                          ("public.key", "CKP2", "CKP3")])
 def test_inspect_retired_key_files_exit_3(workdir, capsys, name, old, new):
     """A key file in the layout before the seeded public key and the
     packed secret is named and refused, with the way out."""
@@ -307,6 +313,7 @@ def test_inspect_ciphertext_batch(tmp_path, capsys, small_params,
     out = capsys.readouterr().out
     assert "ciphertext" in out and "level  : 2" in out
     assert "chunks : 3" in out
+    assert "widths : 61, 41, 41 bits" in out and "ring N : 1024" in out
 
 
 def test_inspect_seeded_batch(tmp_path, capsys, small_params, small_keys):
@@ -320,6 +327,7 @@ def test_inspect_seeded_batch(tmp_path, capsys, small_params, small_keys):
     out = capsys.readouterr().out
     assert "seeded ciphertext" in out and "level  : 0" in out
     assert "scale  : 1.09951e+12" in out and "chunks : 2" in out
+    assert "widths : 61 bits" in out and "ring N : 1024" in out
     # an upload from before coefficient packing is named, not read
     p.write_bytes(b"CKV3" + serialize_seeded(ct)[4:])
     assert main(["inspect", str(p)]) == 0
@@ -337,6 +345,7 @@ def test_inspect_seeded_aggregate(tmp_path, capsys, small_keys):
     assert "kind   : seeded aggregate" in out and "level  : 0" in out
     assert "scale  : 8.79609e+12" in out and "chunks : 2" in out
     assert "clients: 2" in out and "counts : 3, 5" in out
+    assert "widths : 61 bits" in out and "ring N : 1024" in out
 
 
 def test_inspect_unknown_magic_exits_3(tmp_path, capsys):
@@ -351,7 +360,10 @@ def test_inspect_unknown_magic_exits_3(tmp_path, capsys):
                                         ("CKV5", 24), ("CKM1", 7),
                                         ("CKF1", 6), ("CKS2", 11),
                                         ("CKP1", 11), ("CKS3", 11),
-                                        ("CKP2", 11)])
+                                        ("CKP2", 11), ("CKV6", 9),
+                                        ("CKV7", 9), ("CKV8", 9),
+                                        ("CKV8", 24), ("CKP3", 11),
+                                        ("CKP3", 27)])
 def test_inspect_truncated_header_exits_3(tmp_path, capsys, magic, size):
     p = tmp_path / "short.bin"
     p.write_bytes(magic.encode().ljust(size, b"\0"))
@@ -361,23 +373,24 @@ def test_inspect_truncated_header_exits_3(tmp_path, capsys, magic, size):
 
 def batch_header(magic: str, level: int, scale: float, chunks: int,
                  counts=None) -> bytes:
-    """A batch header under a zero digest; `counts`, if given, as the
-    client count K and the K sample counts of a `CKV5`."""
+    """A batch header under a zero digest, and a trailer that matches;
+    `counts`, if given, as the client count K and the K sample counts
+    of a `CKV8`."""
     head = magic.encode() + bytes(8) + struct.pack("<BdH", level, scale,
                                                    chunks)
-    if counts is None:
-        return head
-    return head + struct.pack(f"<H{len(counts)}Q", len(counts), *counts)
+    if counts is not None:
+        head += struct.pack(f"<H{len(counts)}Q", len(counts), *counts)
+    return seal(head)
 
 
 @pytest.mark.parametrize("blob,refusal", [
-    (batch_header("CKV4", 0, float("nan"), 0), "not finite and positive"),
-    (batch_header("CKV2", 0, 0.0, 1), "not finite and positive"),
-    (batch_header("CKV4", 0, 2.0 ** 40, 0), "no chunks"),
-    (batch_header("CKV5", 7, 2.0 ** 40, 1, ()), "names no clients"),
-    (batch_header("CKV5", 0, 2.0 ** 40, 1, (3, 0)), "sample count of 0"),
-    (batch_header("CKV5", 7, 2.0 ** 40, 1, (1,)), "at level 7"),
-    (batch_header("CKV4", 2, 2.0 ** 40, 1), "at level 2"),
+    (batch_header("CKV7", 0, float("nan"), 0), "not finite and positive"),
+    (batch_header("CKV6", 0, 0.0, 1), "not finite and positive"),
+    (batch_header("CKV7", 0, 2.0 ** 40, 0), "no chunks"),
+    (batch_header("CKV8", 7, 2.0 ** 40, 1, ()), "names no clients"),
+    (batch_header("CKV8", 0, 2.0 ** 40, 1, (3, 0)), "sample count of 0"),
+    (batch_header("CKV8", 7, 2.0 ** 40, 1, (1,)), "at level 7"),
+    (batch_header("CKV7", 2, 2.0 ** 40, 1), "at level 2"),
     (b"CKF1" + struct.pack("<I", 100) + b"abc", "needs 808")],
     ids=["nan-scale", "zero-scale", "no-chunks", "no-clients", "zero-count",
          "seeded-sum-level", "seeded-level", "vector-overrun"])
@@ -390,6 +403,71 @@ def test_inspect_refuses_headers_the_readers_refuse(tmp_path, capsys, blob,
     p.write_bytes(blob)
     assert main(["inspect", str(p)]) == 3
     assert refusal in capsys.readouterr().err
+
+
+def seeded_upload_blob(small_params, small_keys) -> bytes:
+    from cipherfed.fhe import encode_coeffs, encrypt_symmetric
+    from cipherfed.fhe.serial import serialize_seeded
+    return serialize_seeded(encrypt_symmetric(encode_coeffs(
+        np.ones((1, 4)), small_params, level=0), small_keys, [1]))
+
+
+def test_inspect_refuses_a_cut_upload(tmp_path, capsys, small_params,
+                                      small_keys):
+    """A `CKV7` upload cut to 100 bytes fails its trailer; cut and
+    resealed, it fails the length its header and width byte imply."""
+    blob = seeded_upload_blob(small_params, small_keys)
+    p = tmp_path / "update.ct"
+    for cut, refusal in ((blob[:100], "integrity trailer does not match"),
+                         (resealed(blob, lambda b: b[:100]),
+                          "for any power-of-two N >= 1024")):
+        p.write_bytes(cut)
+        assert main(["inspect", str(p)]) == 3
+        captured = capsys.readouterr()
+        assert refusal in captured.err and "chunks" not in captured.out
+
+
+def test_inspect_refuses_a_flipped_public_key(workdir, capsys):
+    """One flipped byte of pk0 fails the key file's trailer."""
+    tmp, cfg = workdir
+    main(["keygen", "--config", str(cfg), "--out", str(tmp / "keys")])
+    path = tmp / "keys" / "public.key"
+    data = bytearray(path.read_bytes())
+    data[100] ^= 0x10
+    path.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert main(["inspect", str(path)]) == 3
+    assert "integrity trailer" in capsys.readouterr().err
+
+
+def test_inspect_refuses_blocks_with_different_rows(tmp_path, capsys,
+                                                     small_params, small_keys):
+    """The c1 block of a `CKV6` must repeat c0's row count and widths."""
+    from cipherfed.fhe import encode, encrypt
+    from cipherfed.fhe.serial import serialize_ciphertext
+    blob = serialize_ciphertext(encrypt(encode(np.ones((1, 4)),
+                                               small_params), small_keys, [1]))
+    c1 = 23 + 4 + 1024 * 143 // 8 + 1  # c1's first width byte
+
+    def narrow(b):
+        b[c1] = 40
+        return b
+    p = tmp_path / "batch.ct"
+    p.write_bytes(resealed(blob, narrow))
+    assert main(["inspect", str(p)]) == 3
+    assert "its blocks have different rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("widths", [b"\x00\x80", b"\x80"])
+def test_inspect_refuses_widths_beyond_a_word(tmp_path, capsys, widths):
+    """A row width of 0 or above 64 bits is refused, even where the
+    length would give a ring degree (128 bits at N = 1,024)."""
+    body = (b"CKP3" + bytes(8) + bytes([len(widths)]) + widths
+            + bytes(1024 * 128 // 8 + 32))
+    p = tmp_path / "public.key"
+    p.write_bytes(seal(body))
+    assert main(["inspect", str(p)]) == 3
+    assert "are not 1 to 64 bits" in capsys.readouterr().err
 
 
 def test_inspect_missing_file_exits_4(tmp_path):

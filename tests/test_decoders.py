@@ -4,7 +4,9 @@ Each wire payload and file artifact is encoded from a valid object, then
 truncated, flipped at one byte, or extended. The decoder must return a
 valid object, one that the rest of the system can use without a raw
 Python error, or raise a CipherfedError. Binary layouts must be consumed
-exactly, so any non-empty append raises.
+exactly, so any non-empty append raises. A sealed artifact's trailer is
+recomputed after each edit (`resealed`), so that the edit reaches the
+check it targets rather than the trailer's.
 """
 
 import json
@@ -13,7 +15,7 @@ import struct
 import numpy as np
 import pytest
 from conftest import (channel_pair, coordinator_config, count_expansions,
-                      seeded_aggregate)
+                      patched, resealed, seeded_aggregate, with_field)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,6 +40,7 @@ from cipherfed.fhe.serial import (deserialize_ciphertext,
                                   serialize_float_vector,
                                   serialize_public_key, serialize_secret_key,
                                   serialize_seeded, serialize_seeded_sum)
+from cipherfed.fhe.serial import SEALED, TRAILER_BYTES, seal
 from cipherfed.qsim import PqcArchitecture
 
 class Format:
@@ -135,19 +138,19 @@ def formats(small_params):
         "METRICS": Format(T.encode_metrics(row),
                           lambda b: T.decode_metrics(b, "client_0"),
                           use_metrics),
-        **{f"CKV2-{n}": Format(serialize_ciphertext(c),
+        **{f"CKV6-{n}": Format(serialize_ciphertext(c),
                                lambda b: deserialize_ciphertext(b, params),
                                use_ct)
            for n, c in ((1, ct), *batches.items())},
-        **{f"CKV4-{n}": Format(serialize_seeded(c),
+        **{f"CKV7-{n}": Format(serialize_seeded(c),
                                lambda b: deserialize_seeded(b, params),
                                use_seeded)
            for n, c in seeded.items()},
-        **{f"CKV5-{n}": Format(serialize_seeded_sum(c),
+        **{f"CKV8-{n}": Format(serialize_seeded_sum(c),
                                lambda b: deserialize_seeded_sum(b, params),
                                use_seeded)
            for n, c in sums.items()},
-        "CKP2": Format(pub, lambda b: deserialize_public_material(b, params),
+        "CKP3": Format(pub, lambda b: deserialize_public_material(b, params),
                        use_public),
         "CKS3": Format(sec, lambda b: deserialize_key_material(b, pub, params),
                        use_secret),
@@ -159,19 +162,20 @@ def formats(small_params):
 
 
 NAMES = ["frame-body", "JOIN", "UPDATE-fhe", "UPDATE-plain", "GLOBAL-fhe",
-         "GLOBAL-plain", "METRICS", "CKV2-1", "CKV2-2", "CKV2-7", "CKV4-1",
-         "CKV4-2", "CKV4-7", "CKV5-1", "CKV5-2", "CKP2", "CKS3", "CKF1",
+         "GLOBAL-plain", "METRICS", "CKV6-1", "CKV6-2", "CKV6-7", "CKV7-1",
+         "CKV7-2", "CKV7-7", "CKV8-1", "CKV8-2", "CKP3", "CKS3", "CKF1",
          "CKM1"]
 
 
-# the ids each format had before its last layout change
-_CASE_IDS = {"CKV4": "CKV3", "CKP2": "CKP1", "CKS3": "CKS2"}
+# the ids the formats' cases have kept across layout changes
+_CASE_IDS = {"CKV6": "CKV2", "CKV7": "CKV3", "CKV8": "CKV5", "CKP3": "CKP1",
+             "CKS3": "CKS2"}
 
 
 def case_id(name: str) -> str:
-    """The seeded-upload and key-file cases keep the ids they had while
-    the upload was `CKV3` and the keys `CKP1` and `CKS2`, so that their
-    results compare across the format changes."""
+    """The batch and key-file cases keep the ids they had while the
+    batches were `CKV2`, `CKV3` and `CKV5` and the keys `CKP1` and
+    `CKS2`, so that their results compare across the format changes."""
     return _CASE_IDS.get(name[:4], name[:4]) + name[4:]
 
 
@@ -219,8 +223,8 @@ def test_every_valid_encoding_decodes(formats):
 @given(data=st.data())
 def test_mutated_input_decodes_or_raises(formats, name, data):
     fmt = formats[name]
-    mutate = data.draw(mutations(len(fmt.blob)))
-    decode_and_use(fmt, mutate(fmt.blob))
+    mutate = data.draw(mutations(len(unsealed(fmt.blob))))
+    decode_and_use(fmt, resealed(fmt.blob, mutate))
 
 
 @pytest.mark.parametrize("name", [n for n in NAMES if n not in
@@ -228,7 +232,8 @@ def test_mutated_input_decodes_or_raises(formats, name, data):
 @FUZZ
 @given(extra=st.binary(min_size=1, max_size=64))
 def test_binary_layouts_reject_any_append(formats, name, extra):
-    assert not decode_and_use(formats[name], formats[name].blob + extra)
+    blob = resealed(formats[name].blob, lambda b: b + extra)
+    assert not decode_and_use(formats[name], blob)
 
 
 @FUZZ
@@ -249,16 +254,38 @@ def test_metrics_append_is_whitespace_or_rejected(formats, extra, tail):
     assert not decode_and_use(formats["METRICS"], blob + extra.encode() + tail)
 
 
-# --- the seeded upload, `CKV4` ----------------------------------------------
+def unsealed(blob: bytes) -> bytes:
+    """The bytes that a sealed artifact's trailer covers."""
+    return blob[:-TRAILER_BYTES] if blob[:4] in SEALED else blob
 
-SEEDED = ["CKV4-1", "CKV4-2", "CKV4-7"]
+
+def test_unsealed_bit_flip_anywhere_refused(formats, monkeypatch):
+    """One bit flipped anywhere in a `CKV7` UPDATE or a `CKV8` GLOBAL,
+    trailer included, and the trailer not recomputed, is refused before
+    any seed is expanded: nothing is averaged in silently."""
+    calls = count_expansions(monkeypatch)
+    for name in ("UPDATE-fhe", "CKV8-1"):
+        fmt = formats[name]
+        for pos in range(len(fmt.blob)):
+            blob = bytearray(fmt.blob)
+            for bit in range(8):
+                blob[pos] ^= 1 << bit
+                with pytest.raises(CipherfedError):
+                    fmt.decode(bytes(blob))
+                blob[pos] ^= 1 << bit
+    assert calls == []
+
+
+# --- the seeded upload, `CKV7` ----------------------------------------------
+
+SEEDED = ["CKV7-1", "CKV7-2", "CKV7-7"]
 
 
 @pytest.mark.parametrize("name", SEEDED, ids=case_id)
 def test_seeded_every_truncation_rejected(formats, name):
-    fmt = formats[name]
-    for cut in range(len(fmt.blob)):
-        assert not decode_and_use(fmt, fmt.blob[:cut])
+    fmt, body = formats[name], unsealed(formats[name].blob)
+    for cut in range(len(body)):
+        assert not decode_and_use(fmt, seal(body[:cut]))
 
 
 @pytest.mark.parametrize("name", SEEDED, ids=case_id)
@@ -266,7 +293,7 @@ def test_seeded_trailing_bytes_rejected(formats, name):
     fmt = formats[name]
     for extra in (b"\0", b"\xff" * 8, fmt.blob[-32:]):
         with pytest.raises(FormatError, match="trailing bytes"):
-            fmt.decode(fmt.blob + extra)
+            fmt.decode(resealed(fmt.blob, lambda b: b + extra))
 
 
 def seeded_chunks(blob: bytes) -> int:
@@ -275,66 +302,67 @@ def seeded_chunks(blob: bytes) -> int:
 
 @pytest.mark.parametrize("name", SEEDED, ids=case_id)
 def test_seeded_residue_at_prime_rejected(formats, small_params, name):
-    blob = bytearray(formats[name].blob)
-    # c0's first residue, past the header, the seeds and the row count
-    at = 23 + 32 * seeded_chunks(blob) + 1
-    struct.pack_into("<Q", blob, at, small_params.modulus_chain[0])
+    blob = formats[name].blob
+    # c0's first residue, past the header, the seeds, the row count and
+    # the width byte, 61 bits wide
+    at = 23 + 32 * seeded_chunks(blob) + 2
+    blob = with_field(blob, at, 0, 61, small_params.modulus_chain[0])
     with pytest.raises(FormatError, match="not below its prime"):
-        formats[name].decode(bytes(blob))
+        formats[name].decode(blob)
 
 
 def test_seeded_without_chunks_rejected(formats):
-    blob = bytearray(formats["CKV4-1"].blob)
-    struct.pack_into("<H", blob, 21, 0)
+    blob = patched(formats["CKV7-1"].blob, "H", 21, 0)
     with pytest.raises(FormatError, match="no chunks"):
-        formats["CKV4-1"].decode(bytes(blob))
+        formats["CKV7-1"].decode(blob)
 
 
 @pytest.mark.parametrize("factor", [2.0, 0.5])
 def test_seeded_scale_other_than_delta_rejected(formats, small_params,
                                                 monkeypatch, factor):
-    """A `CKV4` upload is the case K = 1, n = 1 of the rule scale =
+    """A `CKV7` upload is the case K = 1, n = 1 of the rule scale =
     Δ·Σ n, so a scale of 2Δ or Δ/2 is refused before any expansion."""
-    blob = patched(formats["CKV4-2"].blob, "d", 13,
+    blob = patched(formats["CKV7-2"].blob, "d", 13,
                    small_params.scale * factor)
     calls = count_expansions(monkeypatch)
     with pytest.raises(FormatError, match="seeded ciphertext scale .* is "
                                           "not the scale times its 1 samples"):
-        formats["CKV4-2"].decode(blob)
+        formats["CKV7-2"].decode(blob)
     assert calls == []
 
 
 def test_seeded_wrong_digest_rejected(formats):
-    blob = bytearray(formats["CKV4-2"].blob)
-    blob[4] ^= 1
+    blob = patched(formats["CKV7-2"].blob, "B", 4,
+                   formats["CKV7-2"].blob[4] ^ 1)
     with pytest.raises(ParameterError, match="digest mismatch"):
-        formats["CKV4-2"].decode(bytes(blob))
+        formats["CKV7-2"].decode(blob)
 
 
 def test_public_key_batch_in_fhe_update_rejected(formats, small_params):
-    """On an fhe run an UPDATE carries `CKV4` only; a `CKV2` batch is a
+    """On an fhe run an UPDATE carries `CKV7` only; a `CKV6` batch is a
     malformed payload."""
     with pytest.raises(FormatError, match="expected seeded ciphertext but "
                                           "found ciphertext artifact"):
-        formats["UPDATE-fhe"].decode(formats["CKV2-2"].blob)
+        formats["UPDATE-fhe"].decode(formats["CKV6-2"].blob)
 
 
 def test_seeded_header_bit_flips_decode_or_raise(formats):
-    """Every one-bit flip of a `CKV4` header and first seed decodes to a
-    usable batch or raises; one in the magic or the digest always
-    raises."""
-    fmt = formats["CKV4-1"]
+    """Every one-bit flip of a `CKV7` header and first seed, resealed,
+    decodes to a usable batch or raises; one in the magic or the digest
+    always raises."""
+    fmt = formats["CKV7-1"]
     for pos in range(23 + 32):
         for bit in range(8):
-            blob = bytearray(fmt.blob)
-            blob[pos] ^= 1 << bit
-            decoded = decode_and_use(fmt, bytes(blob))
+            def flip(b):
+                b[pos] ^= 1 << bit
+                return b
+            decoded = decode_and_use(fmt, resealed(fmt.blob, flip))
             assert not (decoded and pos < 12)
 
 
 def as_ckv3(update_payload: bytes) -> bytes:
-    """The same UPDATE in the slot-packed `CKV3` upload's layout, which
-    `CKV4` kept and only renamed."""
+    """The same UPDATE under the magic of the slot-packed `CKV3`
+    upload."""
     return b"CKV3" + update_payload[4:]
 
 
@@ -424,10 +452,10 @@ def test_update_chunk_count_checked_before_any_expansion(keys, small_params,
     assert calls == []
 
 
-# --- the seeded aggregate, `CKV5` --------------------------------------------
+# --- the seeded aggregate, `CKV8` --------------------------------------------
 
-SUMS = ["CKV5-1", "CKV5-2"]
-AT_K = 23  # the client count, after the `CKV2` header
+SUMS = ["CKV8-1", "CKV8-2"]
+AT_K = 23  # the client count, after the `CKV6` header
 
 
 def sum_layout(blob: bytes) -> tuple[int, int, int]:
@@ -436,32 +464,28 @@ def sum_layout(blob: bytes) -> tuple[int, int, int]:
     return chunks, k, AT_K + 2 + 8 * k
 
 
-def patched(blob: bytes, fmt: str, at: int, *values) -> bytes:
-    out = bytearray(blob)
-    struct.pack_into("<" + fmt, out, at, *values)
-    return bytes(out)
-
-
 def hostile_sums(blob: bytes, q0: int) -> dict:
     chunks, k, seeds = sum_layout(blob)
-    c0 = seeds + 32 * k * chunks + 1
+    c0 = seeds + 32 * k * chunks + 2  # past the row count and width byte
     scale = struct.unpack_from("<d", blob, 13)[0]
     total = sum(struct.unpack_from(f"<{k}Q", blob, AT_K + 2))
+    # a client of 1 sample, its count and scale right, its seeds not
+    one_more = patched(patched(blob, "H", AT_K, k + 1), "d", 13,
+                       scale / total * (total + 1))
     return {
         "no clients": patched(blob, "H", AT_K, 0),
         "a count of 0": patched(blob, "Q", AT_K + 2, 0),
-        "one seed short": blob[:seeds] + blob[seeds + 32:],
-        "one seed more": blob[:seeds] + bytes(32) + blob[seeds:],
-        # a client of 1 sample, its count and scale right, its seeds not
-        "one client more": patched(
-            patched(blob, "H", AT_K, k + 1), "d", 13,
-            scale / total * (total + 1))[:seeds] + struct.pack("<Q", 1)
-        + blob[seeds:],
+        "one seed short": resealed(blob, lambda b: b[:seeds]
+                                   + b[seeds + 32:]),
+        "one seed more": resealed(blob, lambda b: b[:seeds] + bytes(32)
+                                  + b[seeds:]),
+        "one client more": resealed(one_more, lambda b: b[:seeds]
+                                    + struct.pack("<Q", 1) + b[seeds:]),
         "one chunk more": patched(blob, "H", 21, chunks + 1),
         "scale off by one count": patched(blob, "d", 13, scale * 2),
         "level 1": patched(blob, "B", 12, 1),
-        "residue at q0": patched(blob, "Q", c0, q0),
-        "trailing byte": blob + b"\0",
+        "residue at q0": with_field(blob, c0, 0, 61, q0),
+        "trailing byte": resealed(blob, lambda b: b + b"\0"),
     }
 
 
@@ -475,11 +499,11 @@ HOSTILE = {"no clients": "names no clients",
            "trailing byte": "1 trailing bytes"}
 
 
-@pytest.mark.parametrize("name", SUMS)
+@pytest.mark.parametrize("name", SUMS, ids=case_id)
 @pytest.mark.parametrize("hostile", HOSTILE)
 def test_hostile_seeded_aggregate_rejected_before_expansion(
         formats, small_params, monkeypatch, name, hostile):
-    """Every malformed `CKV5` is refused with a CipherfedError before
+    """Every malformed `CKV8` is refused with a CipherfedError before
     any of its seeds is expanded."""
     blob = hostile_sums(formats[name].blob, small_params.modulus_chain[0])[
         hostile]
@@ -489,11 +513,11 @@ def test_hostile_seeded_aggregate_rejected_before_expansion(
     assert calls == []
 
 
-@pytest.mark.parametrize("name", SUMS)
+@pytest.mark.parametrize("name", SUMS, ids=case_id)
 def test_seeded_aggregate_every_truncation_rejected(formats, name):
-    fmt = formats[name]
-    for cut in range(len(fmt.blob)):
-        assert not decode_and_use(fmt, fmt.blob[:cut])
+    fmt, body = formats[name], unsealed(formats[name].blob)
+    for cut in range(len(body)):
+        assert not decode_and_use(fmt, seal(body[:cut]))
 
 
 def test_seeded_aggregate_check_runs_before_expansion(formats, small_params,
@@ -508,5 +532,5 @@ def test_seeded_aggregate_check_runs_before_expansion(formats, small_params,
 
     calls = count_expansions(monkeypatch)
     with pytest.raises(ProtocolError, match="not this run's"):
-        deserialize_seeded_sum(formats["CKV5-2"].blob, small_params, check)
+        deserialize_seeded_sum(formats["CKV8-2"].blob, small_params, check)
     assert seen == [(2, (5, 1, 7))] and calls == []

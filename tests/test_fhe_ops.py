@@ -200,27 +200,57 @@ def test_params_mismatch_rejected(small_params, small_keys, std_params,
         decrypt(ct, std_keys)
 
 
-@pytest.mark.parametrize("n,key_digest,ct_digest", [
-    (1024, "abb64cfe02c20320", "1dc0c1adc4b9ecea"),
-    (4096, "09085ee7d7413fc5", "15499b64b20d522d")])
-def test_integer_pipeline_bytes_pinned(n, key_digest, ct_digest):
-    # keygen, scalar encoding, encrypt, mul_plain, add, rescale and
-    # decrypt are exact integer arithmetic: no FFT encoding and no float
-    # training, so these bytes are the same on every CPU. The key files
-    # are `CKS3` + `CKP2`, whose a expands from a seed
-    from hashlib import sha256
-
+def integer_pipeline(n: int):
+    """Key material, a rescaled weighted sum of two ciphertexts and its
+    decryption at ring degree n: keygen, scalar encoding, encrypt,
+    mul_plain, add, rescale and decrypt are exact integer arithmetic,
+    with no FFT encoding and no float training, so their residues are
+    the same on every CPU."""
     from cipherfed.fhe import default_params
-    from cipherfed.fhe.serial import (serialize_ciphertext,
-                                      serialize_public_key,
-                                      serialize_secret_key)
     p = default_params(ring_degree=n)
     k = keygen(p, rng_seed=7)
-    key_bytes = serialize_secret_key(k) + serialize_public_key(k.public)
     a = encrypt(encode_scalar(0.375, p), k, 11)
     b = encrypt(encode_scalar(-1.25, p), k, 12)
     s = rescale(add_ct(mul_plain(a, encode_scalar(0.25, p, level=2)),
                        mul_plain(b, encode_scalar(0.75, p, level=2))))
-    ct_bytes = serialize_ciphertext(s) + decrypt(s, k).poly.residues.tobytes()
+    return k, s, decrypt(s, k).poly.residues
+
+
+def residue_digest(residues) -> str:
+    from hashlib import sha256
+    return sha256(np.ascontiguousarray(residues, dtype="<u8")
+                  .tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("n,pk0,c0,c1,decrypted", [
+    (1024, "52178e2662f83594", "edca767d3721283b", "ddbf1702ec84b32d",
+     "9dbaf81af147c979"),
+    (4096, "eccdacff7759e1f3", "78900645ce9cec37", "6ee34811029a93b8",
+     "40ca8ff2d9d07c57")])
+def test_integer_pipeline_residues_pinned(n, pk0, c0, c1, decrypted):
+    """The pipeline's residues as u64 words, whatever the wire layout:
+    the key's pk0, the sum's c0 and c1, and its decryption."""
+    k, s, d = integer_pipeline(n)
+    assert [residue_digest(r) for r in (k.public.pk0.poly.residues,
+                                        s.c0.residues, s.c1.residues, d)
+            ] == [pk0, c0, c1, decrypted]
+
+
+@pytest.mark.parametrize("n,key_digest,ct_digest", [
+    (1024, "bc82c740d7d33c1c", "ab9a780eff0e065e"),
+    (4096, "7200dce88571debd", "5cb834493cab9923")])
+def test_integer_pipeline_bytes_pinned(n, key_digest, ct_digest):
+    # the pipeline's serialized bytes: the key files are `CKS3` +
+    # `CKP3`, whose a expands from a seed, and the sum is a `CKV6`; each
+    # residue row is packed at its prime's width (the residues
+    # themselves are pinned above)
+    from hashlib import sha256
+
+    from cipherfed.fhe.serial import (serialize_ciphertext,
+                                      serialize_public_key,
+                                      serialize_secret_key)
+    k, s, d = integer_pipeline(n)
+    key_bytes = serialize_secret_key(k) + serialize_public_key(k.public)
+    ct_bytes = serialize_ciphertext(s) + d.tobytes()
     assert sha256(key_bytes).hexdigest()[:16] == key_digest
     assert sha256(ct_bytes).hexdigest()[:16] == ct_digest

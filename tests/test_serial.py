@@ -1,16 +1,27 @@
+import hashlib
 import struct
 
 import numpy as np
 import pytest
+from conftest import (count_expansions, pack_rows, patched, resealed,
+                      seeded_aggregate, with_field)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cipherfed.errors import FormatError, ParameterError
 from cipherfed.fhe import decode, decrypt, encode, encrypt, keygen
-from cipherfed.fhe.serial import (deserialize_ciphertext,
+from cipherfed.fhe.serial import (SEALED, TRAILER_BYTES,
+                                  deserialize_ciphertext, seal,
                                   deserialize_float_vector,
                                   deserialize_key_material,
                                   deserialize_public_material,
                                   serialize_ciphertext, serialize_float_vector,
                                   serialize_public_key, serialize_secret_key)
+
+
+def chain_widths(params, rows: int) -> bytes:
+    """The bit lengths of the first `rows` chain primes, a byte each."""
+    return bytes(q.bit_length() for q in params.modulus_chain[:rows])
 
 
 def test_ciphertext_roundtrip_bitwise(small_params, small_keys, rng):
@@ -60,7 +71,13 @@ def test_truncated_artifact_rejected(small_params, small_keys):
     ct = encrypt(encode([1.0], small_params), small_keys, 0)
     blob = serialize_ciphertext(ct)
     with pytest.raises(FormatError, match="truncated"):
+        deserialize_ciphertext(resealed(blob, lambda b: b[:40]),
+                               small_params)
+    # cut short without its trailer, it is refused by the trailer
+    with pytest.raises(FormatError, match="integrity trailer"):
         deserialize_ciphertext(blob[:40], small_params)
+    with pytest.raises(FormatError, match="truncated"):
+        deserialize_ciphertext(blob[:20], small_params)
 
 
 def test_key_material_roundtrip(small_params):
@@ -80,11 +97,13 @@ def test_key_material_roundtrip(small_params):
     # pk1 = a comes back from its seed, bitwise
     assert np.array_equal(back.public.pk1.poly.residues,
                           keys.public.pk1.poly.residues)
-    # `CKS3`: magic, digest, 2 bits per coefficient; `CKP2`: magic,
-    # digest, pk0's block and the 32-byte seed of a
+    # `CKS3`: magic, digest, 2 bits per coefficient; `CKP3`: magic,
+    # digest, pk0's block (its rows at 61, 41 and 41 bits), the 32-byte
+    # seed of a and the trailer
     n, rows = small_params.ring_degree, len(small_params.modulus_chain)
     assert len(sec) == 12 + n // 4
-    assert len(pub) == 12 + 1 + rows * n * 8 + 32
+    assert chain_widths(small_params, rows) == bytes([61, 41, 41])
+    assert len(pub) == 12 + 1 + rows + n * 143 // 8 + 32 + 16
 
 
 def test_mismatched_key_pair_rejected(small_params):
@@ -114,9 +133,9 @@ def test_float_vector_roundtrip(rng):
 
 # --- hostile artifacts ------------------------------------------------------
 
-def poly_bytes(residues) -> bytes:
-    return struct.pack("<B", len(residues)) + np.asarray(
-        residues, dtype="<u8").tobytes()
+def poly_bytes(residues, widths: bytes) -> bytes:
+    """A residue block: the row count, a width byte per row, the rows."""
+    return bytes([len(widths)]) + widths + pack_rows(residues, widths)
 
 
 @pytest.fixture(scope="module")
@@ -145,32 +164,37 @@ KINDS = ["ciphertext", "public", "secret", "vector"]
 def test_trailing_bytes_rejected(kind, small_params, artifacts):
     load(kind, artifacts[kind], small_params, artifacts)
     with pytest.raises(FormatError, match="1 trailing bytes"):
-        load(kind, artifacts[kind] + b"\x00", small_params, artifacts)
+        load(kind, resealed(artifacts[kind], lambda b: b + b"\x00"),
+             small_params, artifacts)
 
 
-# offset of the first residue, and the row to patch
+# offset of the block's first width byte, and the row to patch
 @pytest.mark.parametrize("kind,start,row", [
     ("ciphertext", 24, 0), ("ciphertext", 24, 2), ("public", 13, 1)])
 def test_residue_at_its_prime_rejected(kind, start, row, small_params,
                                        artifacts):
-    n = small_params.ring_degree
-    blob = bytearray(artifacts[kind])
-    struct.pack_into("<Q", blob, start + 8 * (row * n + 5),
-                     small_params.modulus_chain[row])
+    n, blob = small_params.ring_degree, artifacts[kind]
+    widths = blob[start:start + 3]
+    assert widths == chain_widths(small_params, 3)
+    at = start + 3 + sum(n * b // 8 for b in widths[:row])
+    blob = with_field(blob, at, 5, widths[row],
+                      small_params.modulus_chain[row])
     with pytest.raises(FormatError, match="below its prime"):
-        load(kind, bytes(blob), small_params, artifacts)
+        load(kind, blob, small_params, artifacts)
 
 
 def key_blob(magic, params, *polys, head=b"") -> bytes:
-    return magic + params.digest + head + b"".join(polys)
+    blob = magic + params.digest + head + b"".join(polys)
+    return seal(blob)
 
 
 @pytest.mark.parametrize("rows", [1, 2, 4])
 def test_public_key_needs_chain_rows(rows, small_params):
-    poly = poly_bytes(np.zeros((rows, small_params.ring_degree)))
+    poly = poly_bytes(np.zeros((rows, small_params.ring_degree), np.uint64),
+                      (chain_widths(small_params, 3) + b"\x29")[:rows])
     with pytest.raises(FormatError, match=f"poly has {rows} primes"):
         deserialize_public_material(
-            key_blob(b"CKP2", small_params, poly, bytes(32)), small_params)
+            key_blob(b"CKP3", small_params, poly, bytes(32)), small_params)
 
 
 @pytest.mark.parametrize("kind,cut,refusal", [
@@ -178,11 +202,11 @@ def test_public_key_needs_chain_rows(rows, small_params):
     ("public", 1, "1 trailing bytes"), ("secret", -1, "truncated")])
 def test_key_of_wrong_length_rejected(kind, cut, refusal, small_params,
                                       artifacts, monkeypatch):
-    """A `CKP2` one byte or the whole seed short, or a byte long, and a
+    """A `CKP3` one byte or the whole seed short, or a byte long, and a
     `CKS3` a byte short, are refused before a is expanded."""
     from cipherfed.fhe import keys
-    blob = artifacts[kind]
-    blob = blob[:cut] if cut < 0 else blob + bytes(cut)
+    blob = resealed(artifacts[kind], lambda b: b[:cut] if cut < 0
+                    else b + bytes(cut))
     monkeypatch.setattr(keys, "expand_seed",
                         lambda *a: pytest.fail("a expanded before the "
                                                "size check"))
@@ -201,7 +225,8 @@ def test_secret_key_code_3_rejected(coefficient, small_params, artifacts):
 
 
 @pytest.mark.parametrize("kind,magic", [("secret", b"CKS2"),
-                                        ("public", b"CKP1")])
+                                        ("public", b"CKP1"),
+                                        ("public", b"CKP2")])
 def test_retired_key_formats_refused_by_name(kind, magic, small_params,
                                              artifacts):
     blob = magic + artifacts[kind][4:]
@@ -211,16 +236,19 @@ def test_retired_key_formats_refused_by_name(kind, magic, small_params,
 
 
 def test_ciphertext_beyond_chain_rejected(small_params, artifacts):
-    poly = poly_bytes(np.zeros((4, small_params.ring_degree)))
-    blob = key_blob(b"CKV2", small_params, poly, poly,
+    poly = poly_bytes(np.zeros((4, small_params.ring_degree), np.uint64),
+                      chain_widths(small_params, 3) + b"\x29")
+    blob = key_blob(b"CKV6", small_params, poly, poly,
                     head=struct.pack("<BdH", 3, small_params.scale, 1))
     with pytest.raises(FormatError, match="poly has 4 primes"):
         deserialize_ciphertext(blob, small_params)
 
 
 def test_ciphertext_without_chunks_rejected(small_params):
-    # a header that announces no chunks, then two empty blocks
-    blob = key_blob(b"CKV2", small_params, poly_bytes(np.zeros((3, 0))) * 2,
+    # a header that announces no chunks, then two blocks of none
+    empty = np.zeros((0, 3, small_params.ring_degree), np.uint64)
+    blob = key_blob(b"CKV6", small_params,
+                    poly_bytes(empty, chain_widths(small_params, 3)) * 2,
                     head=struct.pack("<BdH", 2, small_params.scale, 0))
     with pytest.raises(FormatError, match="no chunks"):
         deserialize_ciphertext(blob, small_params)
@@ -248,13 +276,12 @@ def test_ciphertext_batch_roundtrip_bitwise(chunks, small_params, small_keys,
 @pytest.mark.parametrize("scale", [float("nan"), -1.0, 0.0, float("inf")])
 def test_ciphertext_scale_must_be_finite_positive(scale, small_params,
                                                   artifacts):
-    blob = bytearray(artifacts["ciphertext"])
-    struct.pack_into("<d", blob, 13, scale)
+    blob = patched(artifacts["ciphertext"], "d", 13, scale)
     with pytest.raises(FormatError, match="finite and positive"):
-        deserialize_ciphertext(bytes(blob), small_params)
+        deserialize_ciphertext(blob, small_params)
 
 
-# --- the seeded upload, `CKV4` ----------------------------------------------
+# --- the seeded upload, `CKV7` ----------------------------------------------
 
 def spec_expansion(seed: bytes, q: int, n: int, shake=None) -> list[int]:
     """The expansion as docs/protocol.md words it, one word at a time."""
@@ -321,7 +348,9 @@ def test_seeded_batch_roundtrip_bitwise(chunks, small_params, small_keys,
     ct = encrypt_symmetric(encode_coeffs(values, small_params, level=0),
                            small_keys, list(range(10, 10 + chunks)))
     blob = serialize_seeded(ct)
-    assert len(blob) == 23 + 32 * chunks + 1 + 8 * chunks * 1024
+    # the header, the seeds, c0's row count and width byte, its rows at
+    # 61 bits and the trailer
+    assert len(blob) == 23 + 32 * chunks + 2 + 61 * chunks * 1024 // 8 + 16
     back = deserialize_seeded(blob, small_params)
     assert back.seeds == ct.seeds and len(set(ct.seeds)) == chunks
     assert np.array_equal(back.c0.residues, ct.c0.residues)
@@ -355,3 +384,134 @@ def test_only_seeded_ciphertexts_are_written_as_ckv3(small_params,
                  [3])
     with pytest.raises(FormatError, match="only a seeded ciphertext"):
         serialize_seeded(ct)
+
+
+# --- the packed residue block and the trailer -------------------------------
+
+@pytest.fixture(scope="module")
+def chains():
+    """The default chain (rows of 61, 41 and 41 bits) at three ring
+    degrees, and a chain of 51, 34 and 28 bits."""
+    from cipherfed.fhe import default_params
+    out = {n: default_params(ring_degree=n) for n in (1024, 2048, 4096)}
+    out["odd"] = default_params(1024, scale_bits=20, chain_bits=(50, 33, 27))
+    return out
+
+
+def random_batch(params, rows: int, chunks: int, seed: int):
+    """A `CKV6` batch of random residues below each row's prime, with
+    the extremes 0 and q - 1 in every row."""
+    from cipherfed.fhe import Ciphertext
+    from cipherfed.fhe.poly import NTT, RingPoly
+    rng = np.random.default_rng(seed)
+    q = np.array(params.modulus_chain[:rows], dtype=np.uint64)[:, None]
+    halves = []
+    for _ in range(2):
+        res = rng.integers(0, q, (chunks, rows, params.ring_degree),
+                           dtype=np.uint64)
+        res[..., 0], res[..., -1] = 0, q[:, 0] - 1
+        halves.append(RingPoly(params, tuple(range(rows)), res, NTT))
+    return Ciphertext(*halves, scale=params.scale, level=rows - 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from([1024, 2048, 4096, "odd"]),
+       rows=st.integers(1, 3), chunks=st.integers(1, 7),
+       seed=st.integers(0, 2 ** 32))
+def test_packed_block_roundtrip(chains, name, rows, chunks, seed):
+    """Every residue comes back from its row's width bits, and the
+    rows are laid out bit for bit as docs/protocol.md words it."""
+    params = chains[name]
+    ct = random_batch(params, rows, chunks, seed)
+    blob = serialize_ciphertext(ct)
+    widths = chain_widths(params, rows)
+    block = bytes([rows]) + widths + pack_rows(ct.c0.residues, widths)
+    assert blob[23:23 + len(block)] == block
+    assert len(blob) == 23 + 2 * len(block) + TRAILER_BYTES
+    back = deserialize_ciphertext(blob, params)
+    assert np.array_equal(back.c0.residues, ct.c0.residues)
+    assert np.array_equal(back.c1.residues, ct.c1.residues)
+
+
+def test_trailer_is_sha256_of_the_bytes_before_it(small_params, small_keys,
+                                                   artifacts):
+    from cipherfed.fhe import encode_coeffs, encrypt_symmetric
+    from cipherfed.fhe.serial import serialize_seeded
+    seeded = serialize_seeded(encrypt_symmetric(
+        encode_coeffs(np.ones((2, 4)), small_params, level=0), small_keys,
+        [1, 2]))
+    for blob in (artifacts["ciphertext"], artifacts["public"], seeded):
+        assert blob[:4] in SEALED
+        assert blob[-16:] == hashlib.sha256(blob[:-16]).digest()[:16]
+
+
+@pytest.fixture(scope="module")
+def uploads(small_params, small_keys):
+    """`CKV7` uploads of 1, 2 and 7 chunks."""
+    from cipherfed.fhe import encode_coeffs, encrypt_symmetric
+    from cipherfed.fhe.serial import serialize_seeded
+    return {c: serialize_seeded(encrypt_symmetric(encode_coeffs(
+        np.linspace(-1, 1, 8 * c).reshape(c, 8), small_params, level=0),
+        small_keys, list(range(c)))) for c in (1, 2, 7)}
+
+
+def refused_before_expansion(blob, params, refusal):
+    from cipherfed.fhe.serial import deserialize_seeded
+    with pytest.MonkeyPatch.context() as patch:
+        calls = count_expansions(patch)
+        with pytest.raises(FormatError, match=refusal):
+            deserialize_seeded(blob, params)
+    assert calls == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(chunks=st.sampled_from([1, 2, 7]), data=st.data())
+def test_field_at_or_above_its_prime_refused(uploads, small_params, chunks,
+                                             data):
+    q0 = small_params.modulus_chain[0]
+    n = small_params.ring_degree
+    field = data.draw(st.integers(0, chunks * n - 1))
+    value = data.draw(st.integers(q0, (1 << 61) - 1))
+    blob = with_field(uploads[chunks], 23 + 32 * chunks + 2, field, 61, value)
+    refused_before_expansion(blob, small_params, "not below its prime")
+
+
+@settings(max_examples=40, deadline=None)
+@given(chunks=st.sampled_from([1, 2, 7]),
+       width=st.integers(0, 255).filter(lambda w: w != 61))
+def test_width_other_than_the_primes_refused(uploads, small_params, chunks,
+                                             width):
+    blob = patched(uploads[chunks], "B", 23 + 32 * chunks + 1, width)
+    refused_before_expansion(blob, small_params, rf"packed at \[{width}\] "
+                                                 r"bits, not their primes' "
+                                                 r"\[61\]")
+
+
+@pytest.mark.parametrize("chunks", [1, 2, 7])
+@pytest.mark.parametrize("cut,refusal", [(-1, "truncated"),
+                                         (1, "1 trailing bytes")])
+def test_length_off_by_one_byte_refused(uploads, small_params, chunks, cut,
+                                        refusal):
+    blob = resealed(uploads[chunks], lambda b: b[:cut] if cut < 0
+                    else b + bytes(cut))
+    refused_before_expansion(blob, small_params, refusal)
+
+
+@pytest.mark.parametrize("old", [b"CKV2", b"CKV3", b"CKV4", b"CKV5"])
+def test_retired_batch_formats_refused_by_name(old, small_params, small_keys,
+                                               artifacts, uploads):
+    """A batch under a magic of the 64-bit layouts (or the slot-packed
+    `CKV3`) is refused by its reader, which names what it found."""
+    from cipherfed.fhe.serial import (deserialize_seeded,
+                                      deserialize_seeded_sum,
+                                      serialize_seeded_sum)
+    blob, read = {
+        b"CKV2": (artifacts["ciphertext"], deserialize_ciphertext),
+        b"CKV3": (uploads[1], deserialize_seeded),
+        b"CKV4": (uploads[1], deserialize_seeded),
+        b"CKV5": (serialize_seeded_sum(seeded_aggregate(small_keys, 1,
+                                                        (2, 3))),
+                  deserialize_seeded_sum)}[old]
+    with pytest.raises(FormatError, match=rf"but found .*\({old.decode()}, "
+                                          r"no longer read\) artifact"):
+        read(old + blob[4:], small_params)

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from conftest import (channel_pair, coordinator_config, count_expansions,
-                      seeded_aggregate, seeded_uploads)
+                      patched, resealed, seeded_aggregate, seeded_uploads)
 
 from cipherfed import data as D
 from cipherfed import model as M
@@ -166,13 +166,15 @@ def test_global_payload_roundtrip_plain():
 
 @pytest.mark.parametrize("clients,chunks", [(4, 1), (4, 4), (2, 1)])
 def test_fhe_global_size_by_layout(world, small_params, clients, chunks):
-    """A GLOBAL is the `CKV5` layout of docs/protocol.md: the `CKV2`
+    """A GLOBAL is the `CKV8` layout of docs/protocol.md: the `CKV6`
     header, the client count, a u64 count per client, a seed per client
-    and chunk, and c0 alone, a one-row batched block."""
+    and chunk, c0 alone, a one-row batched block (its row count, q0's
+    width byte and the rows at 61 bits), and the 16-byte trailer."""
     payload = T.encode_global(seeded_aggregate(world["keys"], chunks,
                                                range(10, 10 + clients)))
     n = small_params.ring_degree
-    size = 23 + 2 + 8 * clients + 32 * clients * chunks + 1 + 8 * chunks * n
+    size = (23 + 2 + 8 * clients + 32 * clients * chunks + 2
+            + 61 * chunks * n // 8 + 16)
     assert len(payload) == size
     frame = T.encode_frame(T.Message(T.MSG_GLOBAL, 0, payload))
     assert len(frame) == 7 + size
@@ -405,7 +407,7 @@ def client_upload(world):
 
 
 def encrypted_update(world):
-    """A client's `CKV4` batch, which is its whole UPDATE payload."""
+    """A client's `CKV7` batch, which is its whole UPDATE payload."""
     return serialize_seeded(client_upload(world).chunks)
 
 
@@ -419,25 +421,26 @@ def assert_aborted(world, payload):
 
 
 def test_truncated_ciphertext_update_aborts_clients(world):
-    payload = encrypted_update(world)[:-100]
-    assert isinstance(assert_aborted(world, payload), FormatError)
+    payload = resealed(encrypted_update(world), lambda b: b[:-100])
+    error = assert_aborted(world, payload)
+    assert isinstance(error, FormatError) and "truncated" in str(error)
 
 
 def test_patched_level_update_aborts_clients(world):
-    bad = bytearray(encrypted_update(world))
-    bad[12] = 9  # level byte, past the end of the chain
-    assert isinstance(assert_aborted(world, bytes(bad)), LevelError)
+    # level byte, past the end of the chain
+    bad = patched(encrypted_update(world), "B", 12, 9)
+    assert isinstance(assert_aborted(world, bad), LevelError)
 
 
 def test_update_without_chunks_aborts_clients(world):
-    bad = bytearray(encrypted_update(world))
-    struct.pack_into("<H", bad, 21, 0)  # chunk count, after level and scale
-    error = assert_aborted(world, bytes(bad))
+    # chunk count, after level and scale
+    bad = patched(encrypted_update(world), "H", 21, 0)
+    error = assert_aborted(world, bad)
     assert isinstance(error, FormatError) and "no chunks" in str(error)
 
 
 def test_public_key_update_aborts_clients(world):
-    """A `CKV2` batch is a GLOBAL artifact; as an fhe UPDATE it is a
+    """A `CKV6` batch is no UPDATE artifact; as an fhe UPDATE it is a
     malformed payload."""
     public = serialize_ciphertext(client_upload(world).chunks)
     error = assert_aborted(world, public)
@@ -583,7 +586,7 @@ def global_against_client(world, small_params, make_global, monkeypatch):
 
 
 def seeded_global(upd, counts, chunks):
-    """A `CKV5` GLOBAL of `chunks` copies of the upload's chunk for
+    """A `CKV8` GLOBAL of `chunks` copies of the upload's chunk for
     clients with `counts`; every client's seeds are the upload's."""
     one = upd.chunks
     padded = Ciphertext(*(half._like(np.concatenate([half.residues] * chunks))
@@ -596,7 +599,7 @@ def seeded_global(upd, counts, chunks):
 
 def test_padded_global_aborts_transport_client(world, small_params,
                                                monkeypatch):
-    """A `CKV5` GLOBAL with one chunk more than the model fills is
+    """A `CKV8` GLOBAL with one chunk more than the model fills is
     refused before any seed is expanded: the client sends ABORT instead
     of loading it."""
     counts = world["cfg"].sample_counts
@@ -626,8 +629,9 @@ def test_global_naming_a_thousand_clients_expands_no_seed(world,
 
 def test_ckv2_global_aborts_transport_client(world, small_params,
                                              monkeypatch):
-    """A full `CKV2` batch, the GLOBAL before seeded aggregates, is
-    refused by name on an fhe run, and the client sends ABORT."""
+    """A full `CKV6` batch, the layout of the GLOBAL before seeded
+    aggregates, is refused by name on an fhe run, and the client sends
+    ABORT."""
     reply, errors, expanded = global_against_client(
         world, small_params, lambda upd: serialize_ciphertext(upd.chunks),
         monkeypatch)
@@ -957,15 +961,14 @@ def test_wrong_mode_update_aborts_every_client(world):
 
 def test_mixed_scale_update_aborts_every_client(world, small_params):
     """Client 1 sends a well-formed batch at half client 0's scale Δ.
-    A `CKV4` upload is the one-client, one-sample case of the scale rule
+    A `CKV7` upload is the one-client, one-sample case of the scale rule
     Δ·Σ n, so the server refuses it by name before it is averaged."""
     upd = encrypt_model(world["init"], QuantizationSpec(), world["keys"],
                         client_id=1, sample_count=10, round_index=0,
                         rng_seed=77)
-    blob = bytearray(serialize_seeded(upd.chunks))
-    struct.pack_into("<d", blob, 13, small_params.scale / 2)
-    error, real_err, reply = rogue_round(world, "fhe", world["keys"],
-                                         bytes(blob))
+    blob = patched(serialize_seeded(upd.chunks), "d", 13,
+                   small_params.scale / 2)
+    error, real_err, reply = rogue_round(world, "fhe", world["keys"], blob)
     assert isinstance(error, FormatError)
     assert (f"UPDATE from client 1: seeded ciphertext scale "
             f"{small_params.scale / 2} is not the scale times its 1 "
@@ -987,9 +990,10 @@ def test_updates_of_different_model_sizes_not_averaged(world):
 @pytest.mark.parametrize("chunks", [1, 4])
 @pytest.mark.parametrize("clients", [1, 4])
 def test_update_and_global_frame_sizes(std_keys, clients, chunks):
-    """At N = 4,096 an UPDATE frame of c chunks is 7 + 23 + 32·c + 1 +
-    8·c·N bytes, and a GLOBAL frame of K clients 7 + 23 + 2 + 8·K +
-    32·K·c + 1 + 8·c·N, as docs/protocol.md gives them."""
+    """At N = 4,096 an UPDATE frame of c chunks is 7 + 23 + 32·c + 2 +
+    61·c·N/8 + 16 bytes, and a GLOBAL frame of K clients 7 + 23 + 2 +
+    8·K + 32·K·c + 2 + 61·c·N/8 + 16, as docs/protocol.md gives them:
+    31,312 and 125,104 B up, 31,442 and 125,522 B down for 4 clients."""
     n = std_keys.params.ring_degree
     assert n == 4096
     ups = seeded_uploads(std_keys, chunks, range(10, 10 + clients))
@@ -997,12 +1001,14 @@ def test_update_and_global_frame_sizes(std_keys, clients, chunks):
     def frame(mtype, payload):
         return len(T.encode_frame(T.Message(mtype, 0, payload)))
 
-    assert (frame(T.MSG_UPDATE, T.encode_update(ups[0]))
-            == 7 + 23 + 32 * chunks + 1 + 8 * chunks * n)
+    up = frame(T.MSG_UPDATE, T.encode_update(ups[0]))
+    assert up == 7 + 23 + 32 * chunks + 2 + 61 * chunks * n // 8 + 16
     agg = server.aggregate(ups, std_keys.public)
-    assert (frame(T.MSG_GLOBAL, T.encode_global(agg))
-            == 7 + 23 + 2 + 8 * clients + 32 * clients * chunks + 1
-            + 8 * chunks * n)
+    down = frame(T.MSG_GLOBAL, T.encode_global(agg))
+    assert down == (7 + 23 + 2 + 8 * clients + 32 * clients * chunks + 2
+                    + 61 * chunks * n // 8 + 16)
+    if clients == 4:
+        assert (up, down) == {1: (31312, 31442), 4: (125104, 125522)}[chunks]
 
 
 @pytest.mark.parametrize("transport", ["direct", "socket"])
