@@ -1,7 +1,8 @@
-"""Federated round execution: local training of every client as one
-stacked batch, weighted aggregation (encrypted or plaintext),
-decryption, redistribution, and the loop to convergence. `client_steps`
-is the clients' part of a round on every transport."""
+"""Federated rounds on the direct transport: local training of every
+client as one stacked batch, weighted aggregation (encrypted or
+plaintext), decryption and redistribution, played by `server.round_loop`,
+the round loop of both transports. `client_steps` is the clients' part
+of a round on every transport."""
 
 from __future__ import annotations
 
@@ -177,8 +178,7 @@ def run_round(global_model: HybridModel, config: RoundConfig, client_datasets,
         global_model, client_datasets, config, round_index,
         range(config.client_count), mode, keys)))
 
-    public = public_part(keys)
-    agg = server.server_step(updates, mode, public)
+    agg = server.server_step(updates, mode, public_part(keys))
     if mode == "fhe":
         new_model = decrypt_and_load(agg, keys, global_model,
                                      config.quantization)
@@ -196,22 +196,13 @@ def run_round(global_model: HybridModel, config: RoundConfig, client_datasets,
 def federated_rounds(initial_model: HybridModel, config: RoundConfig,
                      client_datasets, test_data, keys, mode: str = "fhe",
                      sink: MetricsSink | None = None):
-    """The round loop: run_round for config.rounds rounds, or until the
-    global test loss moves less than convergence_delta. Writes each
-    round's rows to `sink`, then yields (new global model, rows)."""
-    model = initial_model
-    prev_loss = None
-    for r in range(config.rounds):
-        model, rows = run_round(model, config, client_datasets, test_data,
-                                keys, round_index=r, mode=mode)
-        if sink is not None:
-            for row in rows:
-                sink.write(row)
-        yield model, rows
-        g_loss = rows[-1]["test_loss"]
-        if server.converged(prev_loss, g_loss, config.convergence_delta):
-            return
-        prev_loss = g_loss
+    """run_round played by `server.round_loop`, the round loop of both
+    transports: yields (new global model, rows) each round, until
+    config.rounds or convergence."""
+    return server.round_loop(
+        config, lambda model, r: run_round(model, config, client_datasets,
+                                           test_data, keys, r, mode),
+        initial_model, sink)
 
 
 def run_federated_training(initial_model: HybridModel, config: RoundConfig,
@@ -220,8 +211,7 @@ def run_federated_training(initial_model: HybridModel, config: RoundConfig,
     """Every round of federated_rounds. In plaintext mode the
     aggregation is the same weighted sum without encryption. Returns
     (final model, all metric rows)."""
-    model = initial_model
-    history = []
+    model, history = initial_model, []
     for model, rows in federated_rounds(initial_model, config,
                                         client_datasets, test_data, keys,
                                         mode, sink):

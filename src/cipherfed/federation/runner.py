@@ -1,16 +1,18 @@
 """The wire federation runner.
 
 The same round as the direct path in rounds.py -- each client runs
-`client_steps` for itself alone, the coordinator runs `server_step` --
-but every update, global model, and metrics row crosses a TCP socket.
-Because serialization is lossless, a run's metrics are identical on the
-direct and socket transports for the same seeds.
+`client_steps` for itself alone, the coordinator runs `server_step` in
+the direct path's loop, `server.round_loop` -- but every update, global
+model, and metrics row crosses a TCP socket. Because serialization is
+lossless, a run's metrics are identical on the direct and socket
+transports for the same seeds.
 """
 
 from __future__ import annotations
 
 import socket
 import threading
+from contextlib import suppress
 
 from ..errors import ProtocolError
 from ..fhe.keys import public_part
@@ -37,11 +39,10 @@ def run_transport_client(channel, client_id: int, dataset, test_data,
         return _client_rounds(channel, client_id, dataset, test_data,
                               initial_model, config, keys, mode)
     except Exception as exc:
-        try:
+        # if the channel is gone, the coordinator sees that instead
+        with suppress(Exception):
             channel.send(Message(MSG_ABORT, 0, f"{type(exc).__name__}: "
                                  f"{exc}".encode("utf-8")))
-        except Exception:
-            pass  # the channel is gone; the coordinator sees that instead
         raise
 
 
@@ -108,10 +109,9 @@ def run_socket_federation(initial_model, config: RoundConfig,
     `check_run_inputs`: each client in its own thread, the coordinator in
     the caller's. Every socket is closed, also when setup fails partway."""
     check_run_inputs(config, client_datasets, keys, mode)
-    material = public_part(keys)
     coordinator = FederationCoordinator(
         config, mode, initial_model.param_count,
-        material=material if mode == "fhe" else None, sink=sink)
+        material=public_part(keys) if mode == "fhe" else None, sink=sink)
     results: dict[int, HybridModel] = {}
     client_errors: dict[int, Exception] = {}
     client_channels: list[SocketChannel] = []

@@ -5,10 +5,12 @@ decryption routine and no secret-bearing type, and it rejects key
 material that carries more than the public part. Aggregation multiplies
 each client's whole ciphertext batch by its integer sample count, adds
 the products and divides by the total through the scale: no rescale.
+`round_loop` is the one round loop of both transports.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import replace
 
 import numpy as np
@@ -21,9 +23,10 @@ from ..fhe.ops import Ciphertext, add_ct, mul_plain
 from ..fhe.ops import rescale  # perfbench --trace wraps it; ROADMAP item 1
 from .client import check_sample_capacity, check_upload_chunks
 from .metrics import metrics_row
-from .transport import (CONVERGED_REASON, MSG_ABORT, MSG_GLOBAL, MSG_JOIN,
-                        MSG_METRICS, MSG_UPDATE, Message, decode_join,
-                        decode_metrics, decode_update, encode_global)
+from .transport import (CONVERGED_REASON, MAX_WIRE_COUNT, MSG_ABORT,
+                        MSG_GLOBAL, MSG_JOIN, MSG_METRICS, MSG_UPDATE,
+                        Message, decode_join, decode_metrics, decode_update,
+                        encode_global)
 
 MODES = ("fhe", "plaintext")
 
@@ -131,11 +134,23 @@ def server_step(updates, mode: str, material):
     return aggregate_plain(updates)
 
 
-def converged(prev_loss, loss, delta) -> bool:
-    """Early-stop rule of every round loop: the global test loss moved
-    less than delta since the previous round."""
-    return (delta is not None and prev_loss is not None and loss is not None
-            and abs(prev_loss - loss) < delta)
+def round_loop(config, play_round, state, sink):
+    """The round loop of both transports: for r in range(config.rounds),
+    play_round(state, r) returns (state, rows), the global row last; the
+    rows go to `sink`, if any, and (state, rows) is yielded. It stops
+    once the global test loss moves less than config.convergence_delta
+    in a round."""
+    prev_loss, delta = None, config.convergence_delta
+    for r in range(config.rounds):
+        state, rows = play_round(state, r)
+        if sink is not None:
+            for row in rows:
+                sink.write(row)
+        yield state, rows
+        loss = rows[-1]["test_loss"]
+        if None not in (delta, prev_loss) and abs(prev_loss - loss) < delta:
+            return
+        prev_loss = loss
 
 
 class FederationCoordinator:
@@ -145,15 +160,19 @@ class FederationCoordinator:
     weight the clients' UPDATEs: no peer states its own weight. State is
     limited to that config, public material, the model size
     `param_count` and collected metric rows; decryption never happens
-    here. An fhe sample total beyond `sample_capacity` is a ConfigError
-    at construction. On any failure it tells every client to abort,
-    then raises the error (as a ProtocolError unless it is already a
-    CipherfedError).
+    here. An fhe sample total beyond `sample_capacity`, or rounds or
+    clients that outgrow the wire's u16 fields, is a ConfigError at
+    construction. `round_loop` plays its rounds. On any failure it
+    tells every client to abort, then raises the error (as a
+    ProtocolError unless it is already a CipherfedError).
     """
 
     def __init__(self, config, mode: str, param_count: int,
                  material: PublicMaterial | None = None, sink=None):
         check_mode(mode)
+        if max(config.rounds, config.client_count) > MAX_WIRE_COUNT:
+            raise ConfigError(f"rounds and client_count must be <= "
+                              f"{MAX_WIRE_COUNT} on the socket transport")
         self.material = None
         if mode == "fhe":
             self.material = _require_public(material)
@@ -167,10 +186,8 @@ class FederationCoordinator:
 
     def _abort_all(self, channels, reason: str) -> None:
         for ch in channels:
-            try:
+            with suppress(Exception):
                 ch.send(Message(MSG_ABORT, 0, reason.encode("utf-8")))
-            except Exception:
-                pass
 
     def run(self, channels) -> list[dict]:
         try:
@@ -209,50 +226,42 @@ class FederationCoordinator:
                                 f"0..{cfg.client_count - 1}")
         clients = [(cid, by_id[cid]) for cid in sorted(by_id)]
 
-        params = self.material.params if self.material is not None else None
-        prev_loss = None
-        for r in range(cfg.rounds):
-            updates = []
-            for cid, ch in clients:
-                payload = self._recv(ch, cid, MSG_UPDATE, r).payload
-                try:
-                    updates.append(decode_update(payload, r, params, cid,
-                                                 cfg.sample_counts[cid],
-                                                 self.param_count))
-                except CipherfedError as e:
-                    raise type(e)(f"UPDATE from client {cid}: {e}") from e
-
-            payload = encode_global(server_step(updates, self.mode,
-                                                self.material))
-            for _cid, ch in clients:
-                ch.send(Message(MSG_GLOBAL, r, payload))
-
-            # one training row per client in client-id order, then client
-            # 0's global row last: the position names each row's actor
-            senders = [(cid, ch, f"client_{cid}") for cid, ch in clients]
-            senders.append((0, clients[0][1], "global"))
-            rows = [metrics_row(r, actor, **decode_metrics(
-                self._recv(ch, cid, MSG_METRICS, r).payload, actor))
-                for cid, ch, actor in senders]
+        for _, rows in round_loop(cfg, self._round, clients, self.sink):
             self.history.extend(rows)
-            if self.sink is not None:
-                for row in rows:
-                    self.sink.write(row)
-
-            g_loss = rows[-1]["test_loss"]
-            # no ABORT after the last round: the clients stop there anyway
-            if (converged(prev_loss, g_loss, cfg.convergence_delta)
-                    and r < cfg.rounds - 1):
-                self._abort_all(channels, CONVERGED_REASON)
-                # clients are already training the next round and will
-                # emit one UPDATE and one METRICS before they see the
-                # abort; drain those so nobody blocks on a full buffer
-                for ch in channels:
-                    for _ in range(2):
-                        try:
-                            ch.recv()
-                        except Exception:
-                            break
-                break
-            prev_loss = g_loss
+        # no ABORT after the last round: the clients stop there anyway
+        if self.history and self.history[-1]["round"] < cfg.rounds - 1:
+            self._abort_all(channels, CONVERGED_REASON)
+            # clients are already training the next round and will emit
+            # one UPDATE and one METRICS before they see the abort; drain
+            # those so nobody blocks on a full buffer
+            for ch in channels:
+                with suppress(Exception):
+                    ch.recv()
+                    ch.recv()
         return self.history
+
+    def _round(self, clients, r: int):
+        """Round r: every UPDATE in, the GLOBAL out, the METRICS in."""
+        params = self.material.params if self.material is not None else None
+        updates = []
+        for cid, ch in clients:
+            payload = self._recv(ch, cid, MSG_UPDATE, r).payload
+            try:
+                updates.append(decode_update(payload, r, params, cid,
+                                             self.config.sample_counts[cid],
+                                             self.param_count))
+            except CipherfedError as e:
+                raise type(e)(f"UPDATE from client {cid}: {e}") from e
+
+        payload = encode_global(server_step(updates, self.mode,
+                                            self.material))
+        for _cid, ch in clients:
+            ch.send(Message(MSG_GLOBAL, r, payload))
+
+        # one training row per client in client-id order, then client 0's
+        # global row last: the position names each row's actor
+        senders = [(cid, ch, f"client_{cid}") for cid, ch in clients]
+        senders.append((0, clients[0][1], "global"))
+        return clients, [metrics_row(r, actor, **decode_metrics(
+            self._recv(ch, cid, MSG_METRICS, r).payload, actor))
+            for cid, ch, actor in senders]

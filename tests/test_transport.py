@@ -323,14 +323,27 @@ def test_corrupted_frame_aborts_round_over_socket(world, small_params):
     assert "abort" in str(client_err[0]).lower()
 
 
-def test_converged_abort_over_socket(world):
+@pytest.mark.parametrize("rounds", [5, 2])
+def test_converged_abort_over_socket(world, rounds, monkeypatch):
+    """The run converges after round 1. With 5 rounds the coordinator
+    sends ABORT(converged) and drains; with 2, round 1 is the last, so
+    it sends no ABORT and drains nothing (a drain would wait out the
+    channel's recv timeout)."""
+    aborts = []
+    abort_all = FederationCoordinator._abort_all
+
+    def recording(self, channels, reason):
+        aborts.append(reason)
+        abort_all(self, channels, reason)
+    monkeypatch.setattr(FederationCoordinator, "_abort_all", recording)
     parts = world["parts"]
-    cfg = RoundConfig.for_datasets(parts, rounds=5, learning_rate=0.2,
+    cfg = RoundConfig.for_datasets(parts, rounds=rounds, learning_rate=0.2,
                                    batch_size=16, epochs_per_round=0,
                                    base_seed=3, deterministic_timing=True,
                                    convergence_delta=1e-3)
     model, history = run_socket_federation(
         world["init"], cfg, parts, world["test"], world["keys"], mode="fhe")
+    assert aborts == ([T.CONVERGED_REASON] if rounds > 2 else [])
     rounds_seen = {r["round"] for r in history}
     assert len(rounds_seen) == 2
     # matches the direct path's early stop
@@ -550,6 +563,22 @@ def test_coordinator_refuses_counts_beyond_capacity_at_construction(world):
         FederationCoordinator(coordinator_config([40000, 30000]), "fhe",
                               world["init"].param_count,
                               material=world["keys"].public)
+
+
+@pytest.mark.parametrize("key", ["rounds", "client_count"])
+def test_coordinator_refuses_counts_beyond_the_wire(key):
+    """The round index and the client id are u16 fields on the wire: a
+    code-built RoundConfig that outgrows them is refused when the
+    coordinator is built, as `parse_config` refuses a socket config."""
+    def config(n):
+        counts = (1,) * (n if key == "client_count" else 1)
+        return RoundConfig(client_count=len(counts), sample_counts=counts,
+                           rounds=n if key == "rounds" else 1,
+                           learning_rate=0.1)
+    FederationCoordinator(config(T.MAX_WIRE_COUNT), "plaintext", 2)
+    with pytest.raises(ConfigError, match=f"{T.MAX_WIRE_COUNT} on the "
+                                          "socket transport"):
+        FederationCoordinator(config(T.MAX_WIRE_COUNT + 1), "plaintext", 2)
 
 
 def global_against_client(world, small_params, make_global, monkeypatch):
