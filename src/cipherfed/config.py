@@ -122,7 +122,9 @@ def parse_config(doc: dict, overrides: dict | None = None) -> RunConfig:
         parts = dotted.split(".")
         target = doc
         for p in parts[:-1]:
-            target = target.setdefault(p, {})
+            if target.get(p) is None:  # YAML's `section:` with no keys
+                target[p] = {}
+            target = target[p]
             if not isinstance(target, dict):
                 raise ConfigError(f"cannot override {dotted}")
         target[parts[-1]] = value

@@ -1,11 +1,11 @@
 """The wire federation runner.
 
 The same round as the direct path in rounds.py -- each client runs
-`client_steps` for itself alone, the coordinator runs `server_step` in
-the direct path's loop, `server.round_loop` -- but every update, global
-model, and metrics row crosses a TCP socket. Because serialization is
-lossless, a run's metrics are identical on the direct and socket
-transports for the same seeds.
+`client_steps` for itself alone, the coordinator runs `server_step`,
+and each plays its rounds through `server.round_loop` -- but every
+update, global model, and metrics row crosses a TCP socket. Because
+serialization is lossless, a run's metrics are identical on the direct
+and socket transports for the same seeds.
 """
 
 from __future__ import annotations
@@ -20,21 +20,20 @@ from ..model import HybridModel, evaluate, unflatten_weights
 from .client import check_global_chunks, decrypt_and_load
 from .metrics import MetricsSink, metrics_row
 from .rounds import RoundConfig, _clock, check_run_inputs, client_steps
-from .server import FederationCoordinator
-from .transport import (CONVERGED_REASON, MSG_ABORT, MSG_GLOBAL, MSG_JOIN,
-                        MSG_METRICS, MSG_UPDATE, Message, SocketChannel,
-                        decode_global, encode_join, encode_metrics,
-                        encode_update)
+from .server import FederationCoordinator, round_loop
+from .transport import (MSG_ABORT, MSG_GLOBAL, MSG_JOIN, MSG_METRICS,
+                        MSG_UPDATE, Message, SocketChannel, decode_global,
+                        encode_join, encode_metrics, encode_update)
 
 
 def run_transport_client(channel, client_id: int, dataset, test_data,
                          initial_model: HybridModel, config: RoundConfig,
                          keys, mode: str) -> HybridModel:
-    """Client worker: JOIN, then per round train / UPDATE / METRICS,
-    receive GLOBAL, decrypt and load. Client 0 additionally evaluates the
-    global model on the test split and reports the global metrics row.
-    On any failure the client sends ABORT (reason `<ErrorType>: <message>`)
-    so the coordinator stops at once, then raises the error."""
+    """Client worker: JOIN, then per round, played by `server.round_loop`,
+    train / UPDATE / METRICS, receive GLOBAL, decrypt and load, and
+    evaluate on the test split if client 0 (which sends the global row)
+    or if config.convergence_delta sets the stop rule. On any failure it
+    sends ABORT (reason `<ErrorType>: <message>`), then raises the error."""
     try:
         return _client_rounds(channel, client_id, dataset, test_data,
                               initial_model, config, keys, mode)
@@ -50,9 +49,9 @@ def _client_rounds(channel, client_id: int, dataset, test_data,
                    initial_model: HybridModel, config: RoundConfig,
                    keys, mode: str) -> HybridModel:
     clock = _clock(config)
-    channel.send(Message(MSG_JOIN, 0, encode_join(client_id)))
-    model = initial_model
-    for r in range(config.rounds):
+    evaluates = client_id == 0 or config.convergence_delta is not None
+
+    def play(model, r):
         t0 = clock()
         [(upd, row)] = client_steps(model, [dataset], config, r,
                                     [client_id], mode, keys)
@@ -61,10 +60,8 @@ def _client_rounds(channel, client_id: int, dataset, test_data,
 
         msg = channel.recv()
         if msg.mtype == MSG_ABORT:
-            reason = msg.payload.decode("utf-8", "replace")
-            if reason == CONVERGED_REASON:
-                return model
-            raise ProtocolError(f"server aborted: {reason}")
+            raise ProtocolError("server aborted: "
+                                + msg.payload.decode("utf-8", "replace"))
         if msg.mtype != MSG_GLOBAL or msg.round_index != r:
             raise ProtocolError(f"client {client_id}: unexpected message "
                                 f"type {msg.mtype} round {msg.round_index}")
@@ -76,13 +73,21 @@ def _client_rounds(channel, client_id: int, dataset, test_data,
             model = unflatten_weights(model, decode_global(msg.payload,
                                                            None))
 
-        if client_id == 0:
+        test_acc = test_loss = None
+        if evaluates:
             test_acc, test_loss = evaluate(model, test_data.features,
                                            test_data.labels)
-            grow = metrics_row(r, "global", test_loss=test_loss,
-                               test_acc=test_acc,
-                               wall_ms=(clock() - t0) * 1000.0)
+        grow = metrics_row(r, "global", test_loss=test_loss,
+                           test_acc=test_acc,
+                           wall_ms=(clock() - t0) * 1000.0)
+        if client_id == 0:
             channel.send(Message(MSG_METRICS, r, encode_metrics(grow)))
+        return model, [row, grow]
+
+    channel.send(Message(MSG_JOIN, 0, encode_join(client_id)))
+    model = initial_model
+    for model, _rows in round_loop(config, play, initial_model, None):
+        pass
     return model
 
 
@@ -146,16 +151,16 @@ def run_socket_federation(initial_model, config: RoundConfig,
         try:
             coordinator.run(server_channels)
         except Exception as exc:
-            # unblock clients stuck in send/recv before collecting them
-            for ch in server_channels:
-                ch.close()
             if isinstance(exc, ProtocolError):
                 raise
             raise ProtocolError(f"server failed: {exc}") from exc
     finally:
+        # a client stuck in send/recv, or in a round not played, fails now
+        for ch in server_channels:
+            ch.close()
         for t in client_threads:
             t.join(timeout=120.0)
-        for ch in (*server_channels, *client_channels):
+        for ch in client_channels:
             ch.close()
     for k in sorted(client_errors):
         exc = client_errors[k]

@@ -5,7 +5,7 @@ decryption routine and no secret-bearing type, and it rejects key
 material that carries more than the public part. Aggregation multiplies
 each client's whole ciphertext batch by its integer sample count, adds
 the products and divides by the total through the scale: no rescale.
-`round_loop` is the one round loop of both transports.
+`round_loop` is the one round loop of every actor on both transports.
 """
 
 from __future__ import annotations
@@ -23,10 +23,9 @@ from ..fhe.ops import Ciphertext, add_ct, mul_plain
 from ..fhe.ops import rescale  # perfbench --trace wraps it; ROADMAP item 1
 from .client import check_sample_capacity, check_upload_chunks
 from .metrics import metrics_row
-from .transport import (CONVERGED_REASON, MAX_WIRE_COUNT, MSG_ABORT,
-                        MSG_GLOBAL, MSG_JOIN, MSG_METRICS, MSG_UPDATE,
-                        Message, decode_join, decode_metrics, decode_update,
-                        encode_global)
+from .transport import (MAX_WIRE_COUNT, MSG_ABORT, MSG_GLOBAL, MSG_JOIN,
+                        MSG_METRICS, MSG_UPDATE, Message, decode_join,
+                        decode_metrics, decode_update, encode_global)
 
 MODES = ("fhe", "plaintext")
 
@@ -135,11 +134,11 @@ def server_step(updates, mode: str, material):
 
 
 def round_loop(config, play_round, state, sink):
-    """The round loop of both transports: for r in range(config.rounds),
-    play_round(state, r) returns (state, rows), the global row last; the
-    rows go to `sink`, if any, and (state, rows) is yielded. It stops
-    once the global test loss moves less than config.convergence_delta
-    in a round."""
+    """The round loop of every actor: the direct run, the socket
+    coordinator and each socket client. play_round(state, r) returns
+    (state, rows), the global row last, for r in range(config.rounds);
+    the rows go to `sink`, if any, and (state, rows) is yielded. It stops
+    once the global test loss moves less than config.convergence_delta."""
     prev_loss, delta = None, config.convergence_delta
     for r in range(config.rounds):
         state, rows = play_round(state, r)
@@ -162,9 +161,9 @@ class FederationCoordinator:
     `param_count` and collected metric rows; decryption never happens
     here. An fhe sample total beyond `sample_capacity`, or rounds or
     clients that outgrow the wire's u16 fields, is a ConfigError at
-    construction. `round_loop` plays its rounds. On any failure it
-    tells every client to abort, then raises the error (as a
-    ProtocolError unless it is already a CipherfedError).
+    construction. `round_loop` plays its rounds, as it plays each
+    client's. On any failure it tells every client to abort, then
+    raises the error (as a ProtocolError unless a CipherfedError).
     """
 
     def __init__(self, config, mode: str, param_count: int,
@@ -184,16 +183,14 @@ class FederationCoordinator:
         self.sink = sink
         self.history: list[dict] = []
 
-    def _abort_all(self, channels, reason: str) -> None:
-        for ch in channels:
-            with suppress(Exception):
-                ch.send(Message(MSG_ABORT, 0, reason.encode("utf-8")))
-
     def run(self, channels) -> list[dict]:
         try:
             return self._run(channels)
         except Exception as exc:
-            self._abort_all(channels, f"{type(exc).__name__}: {exc}")
+            reason = f"{type(exc).__name__}: {exc}".encode("utf-8")
+            for ch in channels:
+                with suppress(Exception):
+                    ch.send(Message(MSG_ABORT, 0, reason))
             if isinstance(exc, CipherfedError):
                 raise
             raise ProtocolError(f"server failed: {exc}") from exc
@@ -228,16 +225,6 @@ class FederationCoordinator:
 
         for _, rows in round_loop(cfg, self._round, clients, self.sink):
             self.history.extend(rows)
-        # no ABORT after the last round: the clients stop there anyway
-        if self.history and self.history[-1]["round"] < cfg.rounds - 1:
-            self._abort_all(channels, CONVERGED_REASON)
-            # clients are already training the next round and will emit
-            # one UPDATE and one METRICS before they see the abort; drain
-            # those so nobody blocks on a full buffer
-            for ch in channels:
-                with suppress(Exception):
-                    ch.recv()
-                    ch.recv()
         return self.history
 
     def _round(self, clients, r: int):

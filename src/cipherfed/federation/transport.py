@@ -40,7 +40,6 @@ MAX_FRAME = 1 << 28  # 256 MiB sanity bound; larger lengths are corruption
 # frames carry the round index, and JOIN the client id, as u16: the most
 # rounds and clients a socket run can take
 MAX_WIRE_COUNT = 0xFFFF
-CONVERGED_REASON = "converged"
 METRICS_FIELDS = FIELDS[2:]  # a METRICS payload: no round, no actor
 
 
@@ -181,9 +180,11 @@ def _no_constant(name: str):
 def decode_metrics(payload: bytes, actor: str) -> dict:
     """The data fields of the METRICS row the server stamps `actor`: a
     client row's train loss and accuracy are finite numbers and its test
-    fields null, the `global` row's the reverse, and wall_ms finite."""
+    fields null, the `global` row's the reverse, and wall_ms finite.
+    Numbers are read as float64, so a huge integer is infinite."""
     try:
-        row = json.loads(payload.decode("utf-8"), parse_constant=_no_constant)
+        row = json.loads(payload.decode("utf-8"), parse_constant=_no_constant,
+                         parse_int=float)
     except (ValueError, RecursionError) as exc:
         raise ProtocolError(f"malformed METRICS payload: {exc}") from None
     if not isinstance(row, dict) or row.keys() != set(METRICS_FIELDS):
@@ -192,7 +193,7 @@ def decode_metrics(payload: bytes, actor: str) -> dict:
     given = (("test_loss", "test_acc") if actor == "global"
              else ("train_loss", "train_acc")) + ("wall_ms",)
     for k, v in row.items():
-        finite = type(v) is int or type(v) is float and math.isfinite(v)
+        finite = type(v) is float and math.isfinite(v)
         if not (finite if k in given else v is None):
             want = "a finite number" if k in given else "null"
             raise ProtocolError(f"{actor} METRICS row: {k} must be {want}, "

@@ -219,9 +219,22 @@ def test_overrides_apply():
     assert cfg.output.metrics_path == "x.jsonl"
 
 
+@pytest.mark.parametrize("key,value,field", [
+    ("federation.rounds", 9, lambda c: c.rounds),
+    ("output.metrics_path", "x.jsonl", lambda c: c.output.metrics_path)])
+def test_override_into_empty_section(key, value, field):
+    """YAML reads `federation:` with no keys as null; an override goes
+    into it as into an empty section."""
+    doc = minimal_doc()
+    doc[key.split(".")[0]] = None
+    assert field(parse_config(doc, overrides={key: value})) == value
+
+
 def test_scalar_section_rejected():
     with pytest.raises(ConfigError, match="mapping"):
         parse_config({"federation": 5})
+    with pytest.raises(ConfigError, match="cannot override"):
+        parse_config({"federation": 5}, overrides={"federation.rounds": 9})
 
 
 def test_missing_file(tmp_path):

@@ -323,34 +323,70 @@ def test_corrupted_frame_aborts_round_over_socket(world, small_params):
     assert "abort" in str(client_err[0]).lower()
 
 
+def early_stop_config(world, rounds):
+    """No training moves the test loss less than 1e-3 in round 1, so a
+    run of this config stops after round 1."""
+    return RoundConfig.for_datasets(world["parts"], rounds=rounds,
+                                    learning_rate=0.2, batch_size=16,
+                                    epochs_per_round=0, base_seed=3,
+                                    deterministic_timing=True,
+                                    convergence_delta=1e-3)
+
+
 @pytest.mark.parametrize("rounds", [5, 2])
 def test_converged_abort_over_socket(world, rounds, monkeypatch):
-    """The run converges after round 1. With 5 rounds the coordinator
-    sends ABORT(converged) and drains; with 2, round 1 is the last, so
-    it sends no ABORT and drains nothing (a drain would wait out the
-    channel's recv timeout)."""
-    aborts = []
-    abort_all = FederationCoordinator._abort_all
+    """The run converges after round 1. Every actor applies the round
+    loop's stop rule, so the coordinator sends no ABORT, whether round 1
+    is the last (2 rounds) or not (5), and the history equals the
+    direct path's."""
+    sent = []
+    send = T.SocketChannel.send
 
-    def recording(self, channels, reason):
-        aborts.append(reason)
-        abort_all(self, channels, reason)
-    monkeypatch.setattr(FederationCoordinator, "_abort_all", recording)
-    parts = world["parts"]
-    cfg = RoundConfig.for_datasets(parts, rounds=rounds, learning_rate=0.2,
-                                   batch_size=16, epochs_per_round=0,
-                                   base_seed=3, deterministic_timing=True,
-                                   convergence_delta=1e-3)
+    def recording(self, msg):
+        sent.append(msg.mtype)
+        send(self, msg)
+    monkeypatch.setattr(T.SocketChannel, "send", recording)
+    parts, cfg = world["parts"], early_stop_config(world, rounds)
     model, history = run_socket_federation(
         world["init"], cfg, parts, world["test"], world["keys"], mode="fhe")
-    assert aborts == ([T.CONVERGED_REASON] if rounds > 2 else [])
-    rounds_seen = {r["round"] for r in history}
-    assert len(rounds_seen) == 2
-    # matches the direct path's early stop
+    assert T.MSG_ABORT not in sent
+    assert {r["round"] for r in history} == {0, 1}
     m2, h2 = run_federated_training(world["init"], cfg, parts, world["test"],
                                     world["keys"], mode="fhe")
-    assert {r["round"] for r in h2} == rounds_seen
     assert history == h2
+    assert np.array_equal(flatten_weights(model), flatten_weights(m2))
+
+
+def test_socket_clients_stop_with_the_coordinator(world, monkeypatch):
+    """Each client trains rounds 0 and 1 of a 5-round run that stops
+    after round 1, and no round beyond the stop."""
+    calls = []
+    steps = runner.client_steps
+
+    def recording(model, datasets, config, r, client_ids, *args):
+        calls.extend((k, r) for k in client_ids)
+        return steps(model, datasets, config, r, client_ids, *args)
+    monkeypatch.setattr(runner, "client_steps", recording)
+    run_socket_federation(world["init"], early_stop_config(world, 5),
+                          world["parts"], world["test"], world["keys"],
+                          mode="fhe")
+    assert sorted(calls) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def test_client_playing_past_the_stop_fails_at_once(world, monkeypatch):
+    """Clients that ignore the stop rule play round 2 after the
+    coordinator has stopped; the run fails at once, without waiting out
+    a recv timeout."""
+    def no_stop(config, play_round, state, sink):
+        return server.round_loop(replace(config, convergence_delta=None),
+                                 play_round, state, sink)
+    monkeypatch.setattr(runner, "round_loop", no_stop)
+    start = time.monotonic()
+    with pytest.raises(ProtocolError):
+        run_socket_federation(world["init"], early_stop_config(world, 5),
+                              world["parts"], world["test"], world["keys"],
+                              mode="fhe")
+    assert time.monotonic() - start < 30.0
 
 
 # --- hostile payloads -------------------------------------------------------
@@ -902,10 +938,13 @@ def test_metrics_field_types_checked(field, value):
     ("global", "test_loss", "-Infinity"), ("global", "test_acc", "1e400"),
     ("client_0", "wall_ms", "NaN"), ("global", "wall_ms", "1e999"),
     ("client_0", "wall_ms", '{"x": [1]}'), ("global", "wall_ms", '"1.0"'),
-    ("client_0", "wall_ms", "true"), ("global", "wall_ms", "null")])
+    ("client_0", "wall_ms", "true"), ("global", "wall_ms", "null"),
+    pytest.param("client_0", "train_loss", "1" + "0" * 400,
+                 id="client_0-train_loss-401-digit-int")])
 def test_metrics_non_finite_or_non_number_rejected(actor, field, text):
-    """NaN and the infinities would make the metrics file invalid JSON,
-    and `wall_ms` is a finite number on every row."""
+    """NaN and the infinities, also an integer beyond float64, would
+    make the metrics file invalid JSON, and `wall_ms` is a finite number
+    on every row."""
     row = json.loads(GLOBAL_ROW if actor == "global" else CLIENT_ROW)
     row[field] = "@"
     payload = json.dumps(row).replace('"@"', text).encode()
