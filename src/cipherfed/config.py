@@ -8,6 +8,7 @@ objects constructed) before any computation or file write happens.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -117,7 +118,7 @@ def parse_config(doc: dict, overrides: dict | None = None) -> RunConfig:
     """
     if not isinstance(doc, dict):
         raise ConfigError("configuration root must be a mapping")
-    doc = {k: (dict(v) if isinstance(v, dict) else v) for k, v in doc.items()}
+    doc = copy.deepcopy(doc)  # no override reaches the caller's mapping
     for dotted, value in (overrides or {}).items():
         parts = dotted.split(".")
         target = doc

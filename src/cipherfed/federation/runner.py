@@ -5,7 +5,10 @@ The same round as the direct path in rounds.py -- each client runs
 and each plays its rounds through `server.round_loop` -- but every
 update, global model, and metrics row crosses a TCP socket. Because
 serialization is lossless, a run's metrics are identical on the direct
-and socket transports for the same seeds.
+and socket transports for the same seeds. Clients compute in turns,
+under a lock none holds across a send or recv: numpy releases the GIL
+around every loop of over 500 elements, so client threads computing at
+once would trade it at each call.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from .server import FederationCoordinator, round_loop
 from .transport import (MSG_ABORT, MSG_GLOBAL, MSG_JOIN, MSG_METRICS,
                         MSG_UPDATE, Message, SocketChannel, decode_global,
                         encode_join, encode_metrics, encode_update)
+
+_COMPUTE = threading.Lock()  # held by a socket client while it computes
 
 
 def run_transport_client(channel, client_id: int, dataset, test_data,
@@ -51,37 +56,48 @@ def _client_rounds(channel, client_id: int, dataset, test_data,
     clock = _clock(config)
     evaluates = client_id == 0 or config.convergence_delta is not None
 
+    def io(r, call, *args):
+        """A send or recv of round r; its failure names client and round."""
+        try:
+            return call(*args)
+        except ProtocolError as exc:
+            raise ProtocolError(f"client {client_id}, round {r}: {exc}") \
+                from None
+
     def play(model, r):
         t0 = clock()
-        [(upd, row)] = client_steps(model, [dataset], config, r,
-                                    [client_id], mode, keys)
-        channel.send(Message(MSG_UPDATE, r, encode_update(upd)))
-        channel.send(Message(MSG_METRICS, r, encode_metrics(row)))
+        with _COMPUTE:
+            [(upd, row)] = client_steps(model, [dataset], config, r,
+                                        [client_id], mode, keys)
+            update, train_row = encode_update(upd), encode_metrics(row)
+        io(r, channel.send, Message(MSG_UPDATE, r, update))
+        io(r, channel.send, Message(MSG_METRICS, r, train_row))
 
-        msg = channel.recv()
+        msg = io(r, channel.recv)
         if msg.mtype == MSG_ABORT:
             raise ProtocolError("server aborted: "
                                 + msg.payload.decode("utf-8", "replace"))
         if msg.mtype != MSG_GLOBAL or msg.round_index != r:
             raise ProtocolError(f"client {client_id}: unexpected message "
                                 f"type {msg.mtype} round {msg.round_index}")
-        if mode == "fhe":
-            agg = decode_global(msg.payload, keys.params,
-                                _global_check(config, model, keys.params))
-            model = decrypt_and_load(agg, keys, model, config.quantization)
-        else:
-            model = unflatten_weights(model, decode_global(msg.payload,
-                                                           None))
-
-        test_acc = test_loss = None
-        if evaluates:
-            test_acc, test_loss = evaluate(model, test_data.features,
-                                           test_data.labels)
-        grow = metrics_row(r, "global", test_loss=test_loss,
-                           test_acc=test_acc,
-                           wall_ms=(clock() - t0) * 1000.0)
+        with _COMPUTE:
+            if mode == "fhe":
+                agg = decode_global(msg.payload, keys.params,
+                                    _global_check(config, model, keys.params))
+                model = decrypt_and_load(agg, keys, model, config.quantization)
+            else:
+                model = unflatten_weights(model, decode_global(msg.payload,
+                                                               None))
+            test_acc = test_loss = None
+            if evaluates:
+                test_acc, test_loss = evaluate(model, test_data.features,
+                                               test_data.labels)
+            grow = metrics_row(r, "global", test_loss=test_loss,
+                               test_acc=test_acc,
+                               wall_ms=(clock() - t0) * 1000.0)
+            payload = encode_metrics(grow)
         if client_id == 0:
-            channel.send(Message(MSG_METRICS, r, encode_metrics(grow)))
+            io(r, channel.send, Message(MSG_METRICS, r, payload))
         return model, [row, grow]
 
     channel.send(Message(MSG_JOIN, 0, encode_join(client_id)))

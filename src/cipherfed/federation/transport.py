@@ -72,6 +72,9 @@ class SocketChannel:
     def __init__(self, sock: socket.socket):
         self._sock = sock
         self._sock.settimeout(120.0)
+        if sock.family in (socket.AF_INET, socket.AF_INET6):
+            # no Nagle: METRICS would wait for the ACK of UPDATE
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
     def _read_exact(self, n: int) -> bytes:
         buf = bytearray()

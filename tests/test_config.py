@@ -219,6 +219,17 @@ def test_overrides_apply():
     assert cfg.output.metrics_path == "x.jsonl"
 
 
+def test_override_leaves_caller_mapping_unchanged():
+    """A three-part override applies to the run, never to the nested
+    mapping the caller passed in."""
+    doc = minimal_doc()
+    doc["federation"]["quantization"] = {"fractional_bits": 16}
+    key = "federation.quantization.fractional_bits"
+    cfg = parse_config(doc, overrides={key: 12})
+    assert cfg.quantization.fractional_bits == 12
+    assert doc["federation"]["quantization"] == {"fractional_bits": 16}
+
+
 @pytest.mark.parametrize("key,value,field", [
     ("federation.rounds", 9, lambda c: c.rounds),
     ("output.metrics_path", "x.jsonl", lambda c: c.output.metrics_path)])

@@ -1,6 +1,7 @@
 import json
 import socket
 import struct
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -371,6 +372,115 @@ def test_socket_clients_stop_with_the_coordinator(world, monkeypatch):
                           world["parts"], world["test"], world["keys"],
                           mode="fhe")
     assert sorted(calls) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def record_compute_spans(monkeypatch):
+    """(thread, start, end) of every `client_steps` and `evaluate` call
+    that a socket client makes."""
+    spans = []
+
+    def timed(fn):
+        def run(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spans.append((threading.get_ident(), start,
+                              time.perf_counter()))
+        return run
+    for name in ("client_steps", "evaluate"):
+        monkeypatch.setattr(runner, name, timed(getattr(runner, name)))
+    return spans
+
+
+def overlaps(spans):
+    """Pairs of spans from different threads that overlap in time."""
+    return [(a, b) for a in spans for b in spans
+            if a[0] != b[0] and a[1] < b[2] and b[1] < a[2]]
+
+
+@pytest.mark.parametrize("mode", ["fhe", "plaintext"])
+def test_socket_clients_compute_in_turns(world, mode, monkeypatch):
+    """No client trains or evaluates while another does: two client
+    threads computing at once would trade the GIL at every numpy call."""
+    spans = record_compute_spans(monkeypatch)
+    run_socket_federation(world["init"], replace(world["cfg"], rounds=3),
+                          world["parts"], world["test"],
+                          world["keys"] if mode == "fhe" else None, mode=mode)
+    assert len({thread for thread, _, _ in spans}) == 2
+    assert not overlaps(spans)
+
+
+def test_socket_clients_in_turns_under_stress(world, monkeypatch):
+    """Four client threads, more than a 2-core runner has cores, with a
+    thread switch every 10 us: they still compute in turns, none
+    deadlocks, and the run's results are the direct transport's."""
+    train, _ = D.generate_synthetic("blobs", 160, 0.5, seed=31, classes=2)
+    parts = D.partition(train, D.PartitionSpec(client_count=4, rng_seed=6))
+    cfg = RoundConfig.for_datasets(parts, rounds=3, learning_rate=0.2,
+                                   batch_size=16, deterministic_timing=True)
+    args = (world["init"], cfg, parts, world["test"], None)
+    m_direct, h_direct = run_federated_training(*args, mode="plaintext")
+    spans = record_compute_spans(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        start = time.monotonic()
+        model, history = run_socket_federation(*args, mode="plaintext")
+    finally:
+        sys.setswitchinterval(interval)
+    assert time.monotonic() - start < 30.0
+    assert len({thread for thread, _, _ in spans}) == 4
+    assert not overlaps(spans)
+    assert history == h_direct
+    assert np.array_equal(flatten_weights(model), flatten_weights(m_direct))
+
+
+def test_tcp_channels_disable_nagle(world, monkeypatch):
+    """Both ends of every TCP channel send small frames at once: a
+    METRICS frame never waits for the ACK of the UPDATE before it."""
+    nodelay = []
+
+    def recording(sock):
+        channel = T.SocketChannel(sock)
+        nodelay.append(sock.getsockopt(socket.IPPROTO_TCP,
+                                       socket.TCP_NODELAY))
+        return channel
+    monkeypatch.setattr(runner, "SocketChannel", recording)
+    run_socket_federation(world["init"], world["cfg"], world["parts"],
+                          world["test"], None, mode="plaintext")
+    assert len(nodelay) == 4 and all(nodelay)
+
+
+def test_client_io_failure_names_client_and_round(world):
+    """A coordinator that closes the connection after round 0 of a
+    2-round run: the client's failure in round 1 names it and the
+    round, not only the socket error."""
+    srv, cli = channel_pair()
+    errors = []
+
+    def client():
+        try:
+            run_transport_client(cli, 0, world["parts"][0], world["test"],
+                                 world["init"], world["cfg"], None,
+                                 "plaintext")
+        except ProtocolError as exc:
+            errors.append(exc)
+
+    thread = threading.Thread(target=client, daemon=True)
+    thread.start()
+    assert srv.recv(timeout=30.0).mtype == T.MSG_JOIN
+    upd = T.decode_update(srv.recv(timeout=30.0).payload, 0, None, 0,
+                          world["cfg"].sample_counts[0],
+                          world["init"].param_count)
+    assert srv.recv(timeout=30.0).mtype == T.MSG_METRICS
+    srv.send(T.Message(T.MSG_GLOBAL, 0, T.encode_global(upd.values)))
+    assert srv.recv(timeout=30.0).mtype == T.MSG_METRICS
+    srv.close()
+    thread.join(timeout=30.0)
+    cli.close()
+    assert not thread.is_alive()
+    assert errors and str(errors[0]).startswith("client 0, round 1: socket")
 
 
 def test_client_playing_past_the_stop_fails_at_once(world, monkeypatch):
