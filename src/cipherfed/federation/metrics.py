@@ -1,7 +1,8 @@
-"""Append-only JSON-lines metrics sink.
+"""JSON-lines metrics sink.
 
 One record per (round, actor) with a fixed field order so that runs with
-identical seeds produce byte-identical files. Wall-clock fields are
+identical seeds produce byte-identical files, also when a rerun writes
+to the same path: a sink truncates its file. Wall-clock fields are
 written as 0.0 when deterministic timing is requested.
 """
 
@@ -27,11 +28,11 @@ def format_row(row: dict) -> str:
 
 
 class MetricsSink:
-    """Writes metric rows to a JSONL file."""
+    """Writes metric rows to a JSONL file, replacing what it held."""
 
     def __init__(self, path=None):
         self.path = path
-        self._fh = open(path, "a") if path is not None else None
+        self._fh = open(path, "w") if path is not None else None
 
     def write(self, row: dict) -> None:
         if self._fh is not None:

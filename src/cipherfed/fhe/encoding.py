@@ -11,6 +11,10 @@ straight into the coefficients, m_j = round(x_j * scale), with no FFT.
 Adding ciphertexts and multiplying them by integer constants, all that
 federated averaging does, acts on each coefficient on its own, so the
 federation's uploads use it.
+
+Both decoders center each coefficient mod the base prime q0. On more
+primes its other residues must agree, which holds exactly while
+|x| < q0 / 2; past that (an un-rescaled product) decoding raises.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from functools import cached_property
 import numpy as np
 
 from ..errors import CapacityError, DomainError, LevelError
-from .nttmath import addmod, shoup_constant, shoup_mul, submod
 from .params import EncryptionParams
 from .poly import (COEFF, RingPoly, ShoupPoly, from_signed_coeffs,
                    ntt_forward, ntt_inverse)
@@ -91,15 +94,26 @@ def encode_coeffs(values, params: EncryptionParams, level: int | None = None,
 
 def decode_coeffs(pt: Plaintext, count: int) -> np.ndarray:
     """The inverse of encode_coeffs before its division by the scale:
-    the first `count` coefficients as exact int64, centered mod the base
-    prime q0, shaped (count,) or (chunks, count). Valid while every
-    coefficient stays below q0 / 2 in absolute value."""
+    the first `count` coefficients as exact int64, centered mod q0,
+    shaped (count,) or (chunks, count). Raises CapacityError past the
+    ring degree, and DomainError, asking for a rescale, when one has
+    reached q0 / 2: its residues on the other primes disagree."""
     params = pt.poly.params
     if count > params.ring_degree:
         raise CapacityError(f"count {count} exceeds the "
                             f"{params.ring_degree}-coefficient capacity")
     poly = pt.poly if pt.poly.domain_tag == COEFF else ntt_inverse(pt.poly)
-    return _center(poly.residues[..., 0, :count], poly.primes[0])
+    rows = poly.residues[..., :count]
+    q0 = poly.primes[0]
+    v = rows[..., 0, :].astype(np.int64)
+    v = np.where(v > q0 // 2, v - q0, v)
+    if len(poly.primes) > 1:
+        q = poly.q_column[1:].view(np.int64)
+        if np.any(np.mod(v[..., None, :], q).view(np.uint64)
+                  != rows[..., 1:, :]):
+            raise DomainError("plaintext coefficients reach half the base "
+                              "prime: rescale before decoding")
+    return v
 
 
 def _finite_rows(values, capacity: int, unit: str) -> np.ndarray:
@@ -155,70 +169,14 @@ def _check_word(rounded):
 
 def decode(pt: Plaintext, count: int) -> np.ndarray:
     """First `count` slot values of a plaintext, scale divided out:
-    shaped (count,), or (chunks, count) for a batch."""
+    shaped (count,), or (chunks, count) for a batch. Raises as
+    decode_coeffs does, and CapacityError past the slot count."""
     params = pt.poly.params
     if count > params.slot_count:
         raise CapacityError(
             f"count {count} exceeds the {params.slot_count}-slot capacity")
-    poly = pt.poly if pt.poly.domain_tag == COEFF else ntt_inverse(pt.poly)
-    coeffs = _centered_float_coeffs(poly)
+    coeffs = decode_coeffs(pt, params.ring_degree).astype(np.float64)
     return _evaluate_slots(coeffs, params, count) / pt.scale
-
-
-def _center(residues: np.ndarray, q: int) -> np.ndarray:
-    v = residues.astype(np.int64)
-    return np.where(v > q // 2, v - q, v)
-
-
-_GARNER_CACHE: dict[tuple[int, ...], list] = {}
-
-
-def _garner_constants(primes: tuple[int, ...]) -> list:
-    """Per-k fixed multipliers (with Shoup tables) for the mixed-radix
-    reconstruction below."""
-    consts = _GARNER_CACHE.get(primes)
-    if consts is None:
-        consts = []
-        for k in range(1, len(primes)):
-            qk = primes[k]
-            radixes = []
-            radix = 1
-            for j in range(k):
-                radixes.append((np.uint64(radix), shoup_constant(radix, qk)))
-                radix = radix * primes[j] % qk
-            inv = pow(radix, qk - 2, qk)
-            consts.append((radixes, np.uint64(inv), shoup_constant(inv, qk)))
-        _GARNER_CACHE[primes] = consts
-    return consts
-
-
-def _centered_float_coeffs(poly: RingPoly) -> np.ndarray:
-    """Centered CRT reconstruction via Garner's mixed-radix digits.
-
-    Digit k is reduced mod prime k, so every step stays in word
-    arithmetic; the final float64 combination is exact to ~2^-50
-    relative, far inside the decoding noise budget.
-    """
-    primes = poly.primes
-    consts = _garner_constants(primes)
-    digits = [_center(poly.residues[..., 0, :], primes[0])]
-    for k in range(1, len(primes)):
-        qk = primes[k]
-        qk64 = np.uint64(qk)
-        radixes, inv, inv_shoup = consts[k - 1]
-        # acc = sum_{j<k} digits[j] * prod_{i<j} q_i, reduced mod qk
-        acc = np.zeros_like(poly.residues[..., 0, :])
-        for j in range(k):
-            r, r_shoup = radixes[j]
-            term = shoup_mul(np.mod(digits[j], qk).astype(np.uint64),
-                             r, r_shoup, qk64)
-            acc = addmod(acc, term, qk64)
-        diff = submod(poly.residues[..., k, :], acc, qk64)
-        digits.append(_center(shoup_mul(diff, inv, inv_shoup, qk64), qk))
-    out = digits[-1].astype(np.float64)
-    for k in range(len(primes) - 2, -1, -1):
-        out = out * float(primes[k]) + digits[k].astype(np.float64)
-    return out
 
 
 def _evaluate_slots(coeffs: np.ndarray, params: EncryptionParams,

@@ -210,16 +210,6 @@ def loss_and_grads(model: HybridModel, batch: np.ndarray, labels):
     return loss, {name: g[0] for name, g in grads.items()}
 
 
-def sgd_step(model: HybridModel, grads: dict, learning_rate: float) -> HybridModel:
-    """One gradient-descent update: every parameter moves by -lr * grad."""
-    for name in PARAMS:
-        if grads[name].shape != getattr(model, name).shape:
-            raise ShapeError(f"gradient shape mismatch on {name}")
-    lr = float(learning_rate)
-    return replace(model, **{name: getattr(model, name) - lr * grads[name]
-                             for name in PARAMS})
-
-
 def flatten_weights(model: HybridModel) -> np.ndarray:
     """Fixed ordering: w_in row-major, b_in, angles layer-major, w_out
     row-major, b_out."""

@@ -82,6 +82,19 @@ def test_train_writes_outputs(workdir, capsys):
     assert "final test acc" in out and "wall time" in out
 
 
+def test_train_rerun_replaces_metrics(tmp_path):
+    """A second run into the same paths leaves the first run's bytes,
+    not both runs' rows."""
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(BASE_CONFIG.format(rounds=2, out=tmp_path))
+    outputs = [tmp_path / "metrics.jsonl", tmp_path / "model.ckpt"]
+    assert main(["train", "--config", str(cfg)]) == 0
+    first = [p.read_bytes() for p in outputs]
+    assert len(first[0].splitlines()) == 2 * (2 + 1)
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert [p.read_bytes() for p in outputs] == first
+
+
 def test_train_zero_rounds_checkpoint_is_init(workdir):
     tmp, cfg = workdir
     rc = main(["train", "--config", str(cfg), "--rounds", "0"])

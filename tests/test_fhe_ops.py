@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cipherfed.errors import AlignmentError, LevelError, ParameterError
+from cipherfed.errors import (AlignmentError, DomainError, LevelError,
+                              ParameterError)
 from cipherfed.fhe import (add_ct, decode, decrypt, encode, encode_scalar,
                            encrypt, keygen, mul_plain, rescale)
 
@@ -62,9 +63,9 @@ def test_wrong_secret_key_garbles(small_params, small_keys):
     other = keygen(small_params, rng_seed=999)
     v = np.full(32, 0.5)
     ct = encrypt(encode(v, small_params), small_keys, 0)
-    got = decode(decrypt(ct, other), 32)
-    # wrong key yields values far outside the noise bound
-    assert np.abs(got - v).max() > 1.0
+    # a wrong key leaves residues that agree on no centered value
+    with pytest.raises(DomainError):
+        decode(decrypt(ct, other), 32)
 
 
 def test_additive_homomorphism_thousand_pairs(small_params, small_keys):
@@ -116,6 +117,17 @@ def test_mul_plain_identity(small_params, small_keys, rng):
     ct = encrypt(encode(v, small_params), small_keys, 0)
     got = decode(decrypt(rescale(mul_plain(ct, encode_scalar(1.0, small_params))),
                          small_keys), 32)
+    assert np.abs(got - v).max() < 2.0 ** -15
+
+
+def test_decode_before_rescale_raises(small_params, small_keys, rng):
+    # the product's coefficients reach scale^2, far past q0 / 2
+    v = rng.uniform(-1, 1, 32)
+    ct = encrypt(encode(v, small_params), small_keys, 0)
+    prod = mul_plain(ct, encode_scalar(1.0, small_params))
+    with pytest.raises(DomainError):
+        decode(decrypt(prod, small_keys), 32)
+    got = decode(decrypt(rescale(prod), small_keys), 32)
     assert np.abs(got - v).max() < 2.0 ** -15
 
 

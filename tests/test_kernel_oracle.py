@@ -1,11 +1,11 @@
 """Bitwise oracles for the word-size RNS kernel.
 
 Every modular primitive and Shoup constant, the NTT, scalar encoding,
-the plaintext multiply and decode's CRT reconstruction are checked
-against Python-int references, with Hypothesis leaning on edge
-residues: 0, 1, q - 1, q and the lazy values up to 2q - 1 that the
-butterflies and Shoup products feed each other. All three primes of the
-default chain are covered.
+the plaintext multiply and decode_coeffs are checked against Python-int
+references, with Hypothesis leaning on edge residues: 0, 1, q - 1, q
+and the lazy values up to 2q - 1 that the butterflies and Shoup
+products feed each other. All three primes of the default chain are
+covered.
 """
 
 import math
@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cipherfed.errors import DomainError
 from cipherfed.fhe import default_params, encode, encode_scalar, encrypt
-from cipherfed.fhe import keygen, mul_plain
-from cipherfed.fhe.encoding import _centered_float_coeffs
+from cipherfed.fhe import Plaintext, decode_coeffs, keygen, mul_plain
 from cipherfed.fhe.nttmath import (StackedNtt, addmod, find_ntt_primes,
                                    is_prime, mulhi64, shoup_constant,
                                    shoup_mul, submod)
@@ -283,24 +283,38 @@ def test_constant_mul_fixed_matches_python(k, sub, seed):
         got.residues, ((p.residues.astype(object) * k) % q).astype(np.uint64))
 
 
+def coeff_plaintext(x: np.ndarray, basis) -> Plaintext:
+    """Python ints, shaped (batch, N), as residues on the basis."""
+    qs = np.array([SMALL.modulus_chain[i] for i in basis], dtype=object)
+    res = (x[..., None, :] % qs[:, None]).astype(np.uint64)
+    return Plaintext(RingPoly(SMALL, basis, res, COEFF), 1.0, basis[-1])
+
+
 @settings(max_examples=30, deadline=None)
 @given(level=st.integers(0, SMALL.max_level), batch=st.sampled_from([1, 5]),
-       edges=st.lists(st.integers(0, 4), max_size=8),
-       seed=st.integers(0, 2 ** 32))
-def test_centered_crt_matches_python_ints(level, batch, edges, seed):
-    # full-range residues, whose CRT values reach far beyond 2^53, against
-    # the centered Python-int CRT value within the docstring's 2^-50
+       edges=st.lists(st.integers(0, 2), max_size=8),
+       seed=st.integers(0, 2 ** 32), data=st.data())
+def test_decode_coeffs_exact_or_raises(level, batch, edges, seed, data):
+    # q0 is odd: every |x| <= q0 // 2 decodes to exactly x, and every
+    # x up to half the basis product beyond that raises
     basis = tuple(range(level + 1))
     qs = [SMALL.modulus_chain[i] for i in basis]
-    res = np.random.default_rng(seed).integers(
-        0, u64(qs)[:, None], (batch, len(qs), SMALL.ring_degree),
-        dtype=np.uint64)
+    half, top = qs[0] // 2, math.prod(qs) // 2
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-half, half, (batch, SMALL.ring_degree),
+                     endpoint=True).astype(object)
     for j, e in enumerate(edges):
-        res[..., j] = [(0, 1, q - 1, q // 2, q // 2 + 1)[e] for q in qs]
-    got = _centered_float_coeffs(RingPoly(SMALL, basis, res, COEFF))
-    big_q = math.prod(qs)
-    crt = [big_q // q * pow(big_q // q, -1, q) for q in qs]
-    x = sum(res[..., i, :].astype(object) * c
-            for i, c in enumerate(crt)) % big_q
-    exact = np.where(x > big_q // 2, x - big_q, x).astype(np.float64)
-    assert np.all(np.abs(got - exact) <= 2.0 ** -50 * np.abs(exact))
+        x[..., j] = (0, 1, -1)[e]
+    x[..., -2:] = (half, -half)
+    got = decode_coeffs(coeff_plaintext(x, basis), SMALL.ring_degree)
+    assert got.dtype == np.int64 and np.array_equal(got, x)
+    if level == 0:
+        return
+    far = data.draw(st.sampled_from([half + 1, top])
+                    | st.integers(half + 1, top))
+    # the product of all primes but the last agrees on every other row
+    for v in (half + 1, -(half + 1), far, -far, math.prod(qs[:-1])):
+        bad = x.copy()
+        bad[rng.integers(batch), rng.integers(SMALL.ring_degree)] = v
+        with pytest.raises(DomainError):
+            decode_coeffs(coeff_plaintext(bad, basis), SMALL.ring_degree)

