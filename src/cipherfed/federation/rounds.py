@@ -16,7 +16,7 @@ from numbers import Integral, Real
 from ..errors import ConfigError, ProtocolError
 from ..fhe.keys import public_part
 from ..model import (HybridModel, TrainingConfig, check_data, evaluate,
-                     train_epochs, unflatten_weights)
+                     evaluate_clients, train_epochs, unflatten_weights)
 from . import server
 from .client import (check_sample_capacity, decrypt_and_load, derive_seed,
                      encrypt_model, plain_update)
@@ -102,14 +102,14 @@ def _failure_of(client_ids, round_index: int):
 
 def client_steps(model: HybridModel, datasets, config: RoundConfig,
                  round_index: int, client_ids, mode: str, keys):
-    """The clients' part of a round, on every transport: train each
-    client from `model` on its dataset, all in one `train_epochs` call,
-    then build each one's encrypted (fhe) or plain update and metrics
-    row. Every client's data is checked before any client trains. A
-    failure raises a ProtocolError naming the client, or every client
-    if it comes from the shared training. A row's wall time is
-    the shared training time plus that client's evaluation and update.
-    Returns [(update, row)] in the order of `client_ids`."""
+    """The clients' part of a round, on every transport: train and
+    evaluate every client from `model` on its dataset, in one
+    `train_epochs` and one `evaluate_clients` call, then build each one's
+    encrypted (fhe) or plain update and metrics row. Every client's data
+    is checked before any client trains. A failure raises a ProtocolError
+    naming the client, or every client if it comes from the shared
+    training or evaluation. A row's wall time is the shared time plus
+    that client's update. Returns [(update, row)] in client_ids order."""
     clock = _clock(config)
     t0 = clock()
     clients = []
@@ -123,12 +123,12 @@ def client_steps(model: HybridModel, datasets, config: RoundConfig,
             rng_seed=derive_seed(config.base_seed, round_index, k, 1))))
     with _failure_of(client_ids, round_index):
         trained = train_epochs(model, clients)
+        scores = evaluate_clients(trained, [(x, y) for x, y, _ in clients])
     train_s = clock() - t0
     out = []
-    for k, (x, y, _), local in zip(client_ids, clients, trained):
+    for k, local, (train_acc, train_loss) in zip(client_ids, trained, scores):
         t1 = clock()
         with _failure_of([k], round_index):
-            train_acc, train_loss = evaluate(local, x, y)
             n_k = config.sample_counts[k]
             if mode == "fhe":
                 upd = encrypt_model(local, config.quantization, keys,

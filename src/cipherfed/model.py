@@ -5,16 +5,18 @@ The front-end activation is pi * tanh, which maps the dense output into
 the embedding range [-pi, pi]. Dense gradients come from ordinary
 backpropagation. The quantum layer's come from the adjoint method: the
 forward pass keeps the circuit's final states, and the backward pass
-hands them with the downstream readout gradient to `qsim.readout_vjp`,
-one backward sweep per mini-batch for the angle and embedding gradients.
+hands them with the downstream readout gradient to qsim's adjoint
+sweep, one per mini-batch for the angle and embedding gradients.
 
 There is one forward and one backward implementation, `_forward` and
 `_gradients`, and it runs K clients' mini-batches at once: every
-parameter carries a leading client axis, the dense layers are matmuls
-over it and the circuit takes one angle set per client. `forward` and
-`loss_and_grads` are its K = 1 case. Training is plain mini-batch SGD,
-and `train_epochs` runs all of a round's clients through it together,
-each client's weights bitwise those it would reach alone.
+parameter carries a leading client axis, each dense product runs each
+client's slice as that client alone would, and the circuit takes one
+angle set per client. `forward` and `loss_and_grads` are its K = 1
+case. Training is plain mini-batch SGD, and `train_epochs` runs all of
+a round's clients through it together, each client's weights bitwise
+those it would reach alone; `evaluate_clients` scores them the same
+way, and `evaluate` is its K = 1 case.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, FormatError, ShapeError
-from .qsim import PqcArchitecture, expectations, final_states, readout_vjp
+from .qsim import PqcArchitecture, _final_states, _readout_vjp, expectations
 # perfbench --trace wraps these three by these names; training calls none
 from .qsim import grad_angles_batch, grad_features_batch, run_pqc_batch
 
@@ -109,9 +111,9 @@ PARAMS = ("w_in", "b_in", "angles", "w_out", "b_out")
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
+    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def _as_features(model: HybridModel, features, min_rows: int = 0):
@@ -139,20 +141,22 @@ def check_data(model: HybridModel, features, labels):
     return x, _check_labels(model, labels, len(x))
 
 
-def _stacked(model: HybridModel) -> dict:
-    """The parameters with a leading client axis of one."""
-    return {name: getattr(model, name)[None] for name in PARAMS}
+def _stacked(models) -> dict:
+    """The parameters of `models` stacked on a leading client axis."""
+    return {name: np.array([getattr(m, name) for m in models])
+            for name in PARAMS}
 
 
-def _forward(p: dict, arch: PqcArchitecture, x: np.ndarray):
-    """Logits (K, B, classes) for K batches x (K, B, features), batch k
-    through weights p[name][k], plus the intermediates `_gradients`
-    needs. Every product is one matmul over the client axis, which runs
-    each client's slice as the same BLAS call as that client alone."""
-    k, b = x.shape[:2]
-    z1 = np.matmul(x, p["w_in"]) + p["b_in"][:, None]
+def _forward(p: dict, arch: PqcArchitecture, x: list):
+    """Logits (K, B, classes) for K batches x, a list of (B, features)
+    arrays, batch k through weights p[name][k], plus the intermediates
+    `_gradients` needs. Every product runs each client's slice as the
+    same BLAS call as that client alone."""
+    k, b = len(x), len(x[0])
+    z1 = np.array([np.matmul(xk, w) for xk, w in zip(x, p["w_in"])])
+    z1 += p["b_in"][:, None]
     act = np.pi * np.tanh(z1)
-    states = final_states(act.reshape(k * b, -1), arch, p["angles"])
+    states = _final_states(act.reshape(k * b, -1), arch, p["angles"])
     readouts = expectations(states, arch).reshape(k, b, -1)
     logits = np.matmul(readouts, p["w_out"]) + p["b_out"][:, None]
     cache = {"x": x, "z1": z1, "act": act,
@@ -160,13 +164,12 @@ def _forward(p: dict, arch: PqcArchitecture, x: np.ndarray):
     return logits, cache
 
 
-def _gradients(p: dict, arch: PqcArchitecture, x: np.ndarray,
-               y: np.ndarray):
-    """The forward and backward pass of K clients at once: batches x
-    (K, B, features) with labels y (K, B) through weights p. Returns the
-    softmax probabilities (K, B, classes) and, per parameter, the
-    gradients (K, ...) of each client's mean cross-entropy over its own
-    batch."""
+def _gradients(p: dict, arch: PqcArchitecture, x: list, y: np.ndarray):
+    """The forward and backward pass of K clients at once: batches x, a
+    list of (B, features) arrays, with labels y (K, B) through weights p.
+    Returns the softmax probabilities (K, B, classes) and, per parameter,
+    the gradients (K, ...) of each client's mean cross-entropy over its
+    own batch."""
     logits, cache = _forward(p, arch, x)
     k, b = y.shape
     probs = _softmax(logits)
@@ -176,16 +179,16 @@ def _gradients(p: dict, arch: PqcArchitecture, x: np.ndarray,
 
     readouts = cache["readouts"]
     g_w_out = np.matmul(readouts.transpose(0, 2, 1), dlogits)
-    g_b_out = dlogits.sum(axis=1)
+    g_b_out = np.add.reduce(dlogits, axis=1)
     d_read = np.matmul(dlogits, p["w_out"].transpose(0, 2, 1))
 
-    g_angles, d_act = readout_vjp(
+    g_angles, d_act = _readout_vjp(
         cache["states"].reshape(k * b, -1), cache["act"].reshape(k * b, -1),
         arch, p["angles"], d_read.reshape(k * b, -1))
 
     dz1 = d_act.reshape(k, b, -1) * np.pi * (1.0 - np.tanh(cache["z1"]) ** 2)
-    g_w_in = np.matmul(x.transpose(0, 2, 1), dz1)
-    g_b_in = dz1.sum(axis=1)
+    g_w_in = np.array([np.matmul(xk.T, d) for xk, d in zip(x, dz1)])
+    g_b_in = np.add.reduce(dz1, axis=1)
 
     grads = {"w_in": g_w_in, "b_in": g_b_in, "angles": g_angles,
              "w_out": g_w_out, "b_out": g_b_out}
@@ -196,7 +199,7 @@ def forward(model: HybridModel, batch: np.ndarray):
     """Logits for a (batch, features) matrix, plus the intermediates the
     backward pass needs: `_forward` for one client."""
     x = _as_features(model, batch, min_rows=1)
-    logits, cache = _forward(_stacked(model), model.arch, x[None])
+    logits, cache = _forward(_stacked([model]), model.arch, [x])
     return logits[0], {name: v[0] for name, v in cache.items()}
 
 
@@ -205,7 +208,7 @@ def loss_and_grads(model: HybridModel, batch: np.ndarray, labels):
     `_gradients` for one client."""
     x = _as_features(model, batch, min_rows=1)
     y = _check_labels(model, labels, len(x))
-    probs, grads = _gradients(_stacked(model), model.arch, x[None], y[None])
+    probs, grads = _gradients(_stacked([model]), model.arch, [x], y[None])
     loss = float(-np.mean(np.log(probs[0, np.arange(len(y)), y] + 1e-300)))
     return loss, {name: g[0] for name, g in grads.items()}
 
@@ -235,32 +238,47 @@ def unflatten_weights(template: HybridModel, values) -> HybridModel:
 
 def evaluate(model: HybridModel, features: np.ndarray, labels: np.ndarray,
              batch_size: int = 256):
-    """(accuracy, mean loss) over a dataset; argmax ties resolve to the
-    lowest class index."""
-    x = np.asarray(features, dtype=np.float64)
-    y = _check_labels(model, labels, x.shape[0])
-    if x.shape[0] == 0:
-        raise DomainError("cannot evaluate on an empty dataset")
-    correct = 0
-    loss_sum = 0.0
-    for start in range(0, x.shape[0], batch_size):
-        xb = x[start:start + batch_size]
-        yb = y[start:start + batch_size]
-        logits, _ = forward(model, xb)
-        probs = _softmax(logits)
-        loss_sum += float(-np.sum(np.log(probs[np.arange(len(yb)), yb] + 1e-300)))
-        correct += int(np.sum(np.argmax(logits, axis=1) == yb))
-    return correct / x.shape[0], loss_sum / x.shape[0]
+    """(accuracy, mean loss) over a dataset: `evaluate_clients`, K = 1."""
+    return evaluate_clients([model], [check_data(model, features, labels)],
+                            batch_size)[0]
 
 
-def _batch_rows(count: int, config: TrainingConfig, offset: int) -> list:
+def evaluate_clients(models, data, batch_size: int = 256) -> list:
+    """[(accuracy, mean loss)] of K models of one architecture, each over
+    its own (features, labels) as `check_data` returns them. The models
+    whose datasets hold as many rows run each batch as one stacked
+    `_forward`, each one's numbers bitwise those of its own `evaluate`.
+    Argmax ties resolve to the lowest class index."""
+    groups, scores = {}, [None] * len(data)
+    for k, (_, y) in enumerate(data):
+        groups.setdefault(len(y), []).append(k)
+    for count, ks in groups.items():
+        if not count:
+            raise DomainError("cannot evaluate on an empty dataset")
+        p = _stacked([models[k] for k in ks])
+        x, y = [data[k][0] for k in ks], np.array([data[k][1] for k in ks])
+        correct, loss_sum = np.zeros((2, len(ks)))
+        for start in range(0, count, batch_size):
+            yb = y[:, start:start + batch_size]
+            logits, _ = _forward(p, models[0].arch,
+                                 [xk[start:start + batch_size] for xk in x])
+            probs = _softmax(logits)
+            picked = np.take_along_axis(probs, yb[..., None], -1)[..., 0]
+            loss_sum -= np.add.reduce(np.log(picked + 1e-300), axis=1)
+            correct += np.add.reduce(logits.argmax(axis=-1) == yb, axis=1)
+        for k, right, loss in zip(ks, correct, loss_sum):
+            scores[k] = (int(right) / count, float(loss) / count)
+    return scores
+
+
+def _batch_rows(count: int, config: TrainingConfig) -> list:
     """A client's mini-batches over config.epochs_per_round epochs, as
-    row indices shifted by `offset`: each epoch a fresh permutation drawn
-    from config.rng_seed, cut into batches of config.batch_size rows."""
+    row indices: each epoch a fresh permutation drawn from
+    config.rng_seed, cut into batches of config.batch_size rows."""
     rng = np.random.default_rng(np.random.SeedSequence([config.rng_seed, 0x7A1]))
     batches = []
     for _ in range(config.epochs_per_round):
-        order = rng.permutation(count) + offset
+        order = rng.permutation(count)
         batches += [order[start:start + config.batch_size]
                     for start in range(0, count, config.batch_size)]
     return batches
@@ -281,32 +299,26 @@ def train_epochs(model: HybridModel, clients) -> list[HybridModel]:
     if not data:
         return []
     configs = [config for *_, config in clients]
-    offsets = np.cumsum([0] + [len(y) for _, y in data])
-    batches = [_batch_rows(len(y), config, offset)
-               for (_, y), config, offset in zip(data, configs, offsets)]
-    # one copy of every row, so that a step gathers all its batches at once
-    x_all, y_all = (data[0] if len(data) == 1 else
-                    map(np.concatenate, zip(*data)))
+    batches = [_batch_rows(len(y), config)
+               for (_, y), config in zip(data, configs)]
     k_all = len(data)
-    rates = np.array([config.learning_rate for config in configs])
-    params = {name: np.repeat(v, k_all, axis=0)
-              for name, v in _stacked(model).items()}
-    for t in range(max(len(b) for b in batches)):
+    params = _stacked([model] * k_all)
+    lrs = np.array([config.learning_rate for config in configs])
+    rates = {name: lrs.reshape((-1,) + (1,) * (v.ndim - 1))
+             for name, v in params.items()}
+    for t in range(max(map(len, batches))):
         groups = {}
         for k, client_batches in enumerate(batches):
             if t < len(client_batches):
                 groups.setdefault(len(client_batches[t]), []).append(k)
         for ks in groups.values():
-            rows = np.concatenate([batches[k][t] for k in ks])
             sel = slice(None) if len(ks) == k_all else ks
             p = {name: v[sel] for name, v in params.items()}
-            _, grads = _gradients(
-                p, model.arch, x_all[rows].reshape(len(ks), -1, x_all.shape[1]),
-                y_all[rows].reshape(len(ks), -1))
-            lr = rates[sel]
+            x = [data[k][0][batches[k][t]] for k in ks]
+            y = np.array([data[k][1][batches[k][t]] for k in ks])
+            _, grads = _gradients(p, model.arch, x, y)
             for name, g in grads.items():
-                params[name][sel] = p[name] - lr.reshape(
-                    (-1,) + (1,) * (g.ndim - 1)) * g
+                params[name][sel] = p[name] - rates[name][sel] * g
     return [replace(model, **{name: v[k] for name, v in params.items()})
             for k in range(k_all)]
 

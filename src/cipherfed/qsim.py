@@ -9,16 +9,16 @@ to bound the 2^n amplitude array.
 Every routine works on a batch of states shaped (batch, 2^n); a single
 feature vector is a batch of one row. `final_states` and `readout_vjp`
 also take one angle set per client for a batch of K equal contiguous
-groups of rows, so K clients' mini-batches run as one batch. Every
-function that takes angles or features checks their shapes through
-`_check_angles` and `_check_features`. Every rotation, forward or
-backward, is the in-place update psi <- cos(h) psi + sin(h)
-(-i sigma psi) of `_rotate`. Training
-differentiates by the adjoint method (Jones & Gacon 2020,
-arXiv:2009.02823): `final_states` runs the circuit once, and
-`readout_vjp` contracts the readout gradient with the circuit in one
-backward sweep over the gates, for every angle and embedding feature at
-once. The parameter-shift gradients (`grad_angles_batch`,
+groups of rows, so K clients' mini-batches run as one batch. They check
+angles and features; the model, whose data `check_data` has checked,
+calls their unchecked kernels `_final_states` and `_readout_vjp`. Every
+rotation is the in-place psi <- cos(h) psi + sin(h) (-i sigma psi) of
+`_rotate(amps, gen, cos, sin)`, each sweep taking cos and sin once over
+all its half angles h. Training differentiates by the adjoint method
+(Jones & Gacon 2020, arXiv:2009.02823): `final_states` runs the circuit
+once, and `readout_vjp` contracts the readout gradient with the circuit
+in one backward sweep over the gates, for every angle and embedding
+feature at once. The parameter-shift gradients (`grad_angles_batch`,
 `grad_features_batch`) are the oracle: they stack every +-pi/2 shifted
 copy of the batch on the batch axis and simulate them in calls of at
 most max(batch, STACK_AMPLITUDES // 2^n) rows.
@@ -161,47 +161,42 @@ def _generator(amps: np.ndarray, n: int, qubit: int,
     -i sigma_y psi = -sign * (psi flipped) has a real factor."""
     if axis == "Z":
         return amps * _neg_i_z_signs(n)[qubit]
-    gen = np.take(amps, _bit_flips(n)[qubit], axis=-1)
+    gen = amps.take(_bit_flips(n)[qubit], axis=-1)
     gen *= -1j if axis == "X" else -_z_signs(n)[qubit]
     return gen
 
 
-def _rotate(amps: np.ndarray, gen: np.ndarray, half) -> None:
-    """amps <- cos(half) amps + sin(half) gen in place, given gen =
-    `_generator(amps, ...)` (overwritten). That is exp(-i half sigma):
-    half = theta / 2 applies the rotation by theta, -theta / 2 undoes
-    it. `half` is a scalar or an array that broadcasts against amps,
-    such as a per-row (rows, 1) column or a per-group (K, 1, 1) one."""
-    gen *= np.sin(half)
-    amps *= np.cos(half)
+def _rotate(amps: np.ndarray, gen: np.ndarray, cos, sin) -> None:
+    """exp(-i h sigma) in place, amps <- cos(h) amps + sin(h) gen, given
+    gen = `_generator(amps, ...)` (overwritten): h = theta / 2 rotates by
+    theta, -theta / 2 undoes it. cos and sin broadcast against amps, as
+    scalars, per-row (rows, 1) or per-group (K, 1, 1) arrays."""
+    gen *= sin
+    amps *= cos
     amps += gen
 
 
-def _batch_z_expect(amps: np.ndarray, n: int, qubit: int) -> np.ndarray:
-    return np.sum((np.abs(amps) ** 2) * _z_signs(n)[qubit], axis=1)
-
-
-def _batch_embed(features: np.ndarray, n: int) -> np.ndarray:
-    amps = np.zeros((features.shape[0], 2 ** n), dtype=np.complex128)
-    amps[:, 0] = 1.0
-    for qubit in range(n):
-        _rotate(amps, _generator(amps, n, qubit, "X"),
-                features[:, qubit, None] / 2.0)
-    return amps
-
-
-def _batch_layers(amps: np.ndarray, arch: PqcArchitecture,
+def _final_states(features: np.ndarray, arch: PqcArchitecture,
                   angles: np.ndarray) -> np.ndarray:
-    """The layers applied to (rows, 2^n) `amps`, which they update in
-    place, with (K, depth, qubit_count) `angles` for K equal row groups."""
+    """`final_states` unchecked, for (K, depth, qubit_count) angles: the
+    RX embedding of each row, then the layers."""
     n = arch.qubit_count
+    amps = np.zeros((len(features), 2 ** n), dtype=np.complex128)
+    amps[:, 0] = 1.0
+    half = features[:, :, None] / 2.0
+    cos, sin = np.cos(half), np.sin(half)
+    for qubit in range(n):
+        _rotate(amps, _generator(amps, n, qubit, "X"), cos[:, qubit],
+                sin[:, qubit])
     amps = amps.reshape(len(angles), -1, 2 ** n)
-    for layer in range(arch.depth):
-        for qubit in range(n):
-            _rotate(amps, _generator(amps, n, qubit, arch.axes[layer][qubit]),
-                    angles[:, layer, qubit, None, None] / 2.0)
+    half = angles[..., None, None] / 2.0
+    cos, sin = np.cos(half), np.sin(half)
+    for layer, axes in enumerate(arch.axes):
+        for qubit, axis in enumerate(axes):
+            _rotate(amps, _generator(amps, n, qubit, axis),
+                    cos[:, layer, qubit], sin[:, layer, qubit])
         if n >= 2:
-            amps = np.take(amps, _ring_perm(n), axis=-1)
+            amps = amps.take(_ring_perm(n), axis=-1)
     return amps.reshape(-1, 2 ** n)
 
 
@@ -215,14 +210,16 @@ def final_states(features: np.ndarray, arch: PqcArchitecture,
     Any other shape raises ShapeError.
     """
     feats = _check_features(arch, features)
-    return _batch_layers(_batch_embed(feats, arch.qubit_count), arch,
-                         _check_angles(arch, angles, rows=len(feats)))
+    return _final_states(feats, arch, _check_angles(arch, angles, len(feats)))
 
 
 def expectations(states: np.ndarray, arch: PqcArchitecture) -> np.ndarray:
     """(batch, len(readout)) Z expectations of `final_states` output."""
-    return np.stack([_batch_z_expect(states, arch.qubit_count, r)
-                     for r in arch.readout], axis=1)
+    probs, signs = np.abs(states) ** 2, _z_signs(arch.qubit_count)
+    out = np.empty((len(probs), len(arch.readout)))
+    for i, r in enumerate(arch.readout):
+        out[:, i] = np.add.reduce(probs * signs[r], axis=1)
+    return out
 
 
 def run_pqc_batch(features: np.ndarray, arch: PqcArchitecture,
@@ -282,14 +279,6 @@ def grad_features_batch(features: np.ndarray, arch: PqcArchitecture,
     return (out[:, 0] - out[:, 1]) / 2.0
 
 
-def _re_inner(lam: np.ndarray, gen: np.ndarray):
-    """Re<lam|gen> over the last axis, per row of 2-D arrays: a dot
-    product of the float64 views, so no full-size temporary is made."""
-    lam, gen = lam.view(np.float64), gen.view(np.float64)
-    return np.dot(lam, gen) if lam.ndim == 1 else np.einsum("bi,bi->b",
-                                                            lam, gen)
-
-
 def readout_vjp(states: np.ndarray, features: np.ndarray,
                 arch: PqcArchitecture, angles: np.ndarray,
                 d_read: np.ndarray):
@@ -301,12 +290,7 @@ def readout_vjp(states: np.ndarray, features: np.ndarray,
     d_read, (batch, len(readout)), have one row per state, or it raises
     ShapeError. Returns (g_angles, d_features (batch, qubit_count)),
     g_angles shaped as the angles: each group's gradient sums its own
-    rows only, one dot product per group. The observable is diagonal,
-    so lambda = O psi. The sweep walks the gates in reverse over psi and
-    lambda stacked as one (2, K, rows / K, 2^n) array: at each rotation
-    exp(-i t/2 sigma) it adds Re<lambda|-i sigma psi> to the gradient of
-    t, then undoes the gate on both with the forward pass's kernel at
-    -t/2.
+    rows only. The sweep is `_readout_vjp`'s.
     """
     n = arch.qubit_count
     if np.ndim(states) != 2 or np.shape(states)[1] != 2 ** n:
@@ -319,29 +303,53 @@ def readout_vjp(states: np.ndarray, features: np.ndarray,
     if d_read.shape != (b, len(arch.readout)):
         raise ShapeError(f"d_read shape {d_read.shape} is not "
                          f"{(b, len(arch.readout))}")
-    groups = len(angles)
+    g_angles, d_features = _readout_vjp(states, feats, arch, angles, d_read)
+    return g_angles.reshape(shape), d_features
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.dot of each row pair of two (K, L) arrays, bitwise, as one
+    stacked matmul; np.einsum would sum in another order."""
+    return np.matmul(a[:, None], b[..., None])[:, 0, 0]
+
+
+def _readout_vjp(states, feats, arch, angles, d_read):
+    """`readout_vjp` unchecked, for (K, depth, qubit_count) angles and
+    g_angles. The observable is diagonal, so lambda = O psi. The sweep
+    walks the gates in reverse over psi and lambda stacked as one (2, K,
+    rows / K, 2^n) array: at each rotation exp(-i t/2 sigma) it adds
+    Re<lambda|-i sigma psi>, a dot product of float64 views that makes
+    no full-size temporary, to the gradient of t (one per group), then
+    undoes the gate on both with the forward pass's kernel at -t/2."""
+    n = arch.qubit_count
+    b, groups = len(states), len(angles)
     pair = np.concatenate([states, states]).reshape(2, groups, -1, 2 ** n)
     # one product per group, as the group alone would compute it
     pair[1] *= np.matmul(d_read.reshape(groups, -1, d_read.shape[1]),
                          _z_signs(n)[list(arch.readout)])
+    half = -angles[..., None, None] / 2.0
+    cos, sin = np.cos(half), np.sin(half)
     g_angles = np.empty(angles.shape)
     for layer in reversed(range(arch.depth)):
         if n >= 2:
-            pair = np.take(pair, _ring_unperm(n), axis=-1)
+            pair = pair.take(_ring_unperm(n), axis=-1)
+        lam = pair[1].view(np.float64).reshape(groups, -1)
         for qubit in reversed(range(n)):
             gen = _generator(pair, n, qubit, arch.axes[layer][qubit])
-            for k in range(groups):
-                g_angles[k, layer, qubit] = _re_inner(pair[1, k].ravel(),
-                                                      gen[0, k].ravel())
-            _rotate(pair, gen, -angles[:, layer, qubit, None, None] / 2.0)
+            g_angles[:, layer, qubit] = _row_dots(
+                lam, gen[0].view(np.float64).reshape(groups, -1))
+            _rotate(pair, gen, cos[:, layer, qubit], sin[:, layer, qubit])
             del gen  # else the next generator is a third copy of pair
-    pair = pair.reshape(2 * b, 2 ** n)
-    half = np.concatenate([feats, feats]) / 2.0
+    pair = pair.reshape(2, b, 2 ** n)
+    lam = pair[1].view(np.float64)
+    half = -(feats[:, :, None] / 2.0)
+    cos, sin = np.cos(half), np.sin(half)
     d_features = np.empty((b, n))
     for qubit in reversed(range(n)):
         gen = _generator(pair, n, qubit, "X")
-        d_features[:, qubit] = _re_inner(pair[b:], gen[:b])
+        d_features[:, qubit] = np.einsum("bi,bi->b", lam,
+                                         gen[0].view(np.float64))
         if qubit:
-            _rotate(pair, gen, -half[:, qubit, None])
+            _rotate(pair, gen, cos[:, qubit], sin[:, qubit])
         del gen
-    return g_angles.reshape(shape), d_features
+    return g_angles, d_features

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import threading
 
 import numpy as np
@@ -339,6 +340,32 @@ def test_training_digest_pinned(toy_world, mode):
         toy_world["keys"] if mode == "fhe" else None, mode=mode)
     digest = hashlib.sha256(flatten_weights(final).tobytes()).hexdigest()
     assert digest == TRAINING_DIGEST
+
+
+# SHA-256 of a desk-shaped run's final weights and metrics rows, as the
+# trainer that evaluated each client alone and reduced each group's
+# angle gradients with one np.dot per group produced them. Quantized
+# aggregation absorbs a last-bit change in a client's weights, so the
+# weights alone would miss one; the clients' train_loss rows do not.
+DESK_DIGEST = ("d0e3b98d6f613687907c1c7fe2b766b1"
+               "30d7c32b1c9457baebc97b15bea9326f")
+
+
+def test_desk_shaped_digest_pinned():
+    """Desk's shape: 3 qubits at depth 2 and 4 clients with 32-row
+    batches over 3 epochs, 2 rounds. Clients of 100, 100, 90 and 75 rows
+    step as one group of four, then in ragged groups of two and one."""
+    train, test = D.generate_synthetic("blobs", 480, 0.5, seed=8, classes=3)
+    parts = [D.Dataset(train.features[a:b], train.labels[a:b], 3)
+             for a, b in ((0, 100), (100, 200), (200, 290), (290, 365))]
+    init = M.init_model(2, PqcArchitecture(qubit_count=3, depth=2), 3,
+                        rng_seed=5)
+    cfg = make_config(parts, epochs_per_round=3, batch_size=32, base_seed=3)
+    final, history = run_federated_training(init, cfg, parts, test, None,
+                                            mode="plaintext")
+    digest = hashlib.sha256(flatten_weights(final).tobytes()
+                            + json.dumps(history).encode()).hexdigest()
+    assert digest == DESK_DIGEST
 
 
 def test_training_deterministic(toy_world):

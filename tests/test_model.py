@@ -236,6 +236,41 @@ def test_evaluate_empty_rejected():
         M.evaluate(m, np.zeros((0, 3)), np.zeros(0, dtype=int))
 
 
+@pytest.mark.parametrize("rows", [(40, 40, 40, 40), (81, 81, 80, 80),
+                                  (300, 257, 300), (81,)])
+def test_stacked_evaluation_equals_one_evaluate_per_client(rng, rows):
+    """evaluate_clients returns the floats of one `evaluate` call per
+    client, with equal and unequal row counts, one client, and a last
+    256-row batch of one row."""
+    m = toy_model(seed=17, qubits=3, classes=3)
+    data = [M.check_data(m, rng.uniform(-1, 1, (n, 3)),
+                         rng.integers(0, 3, n)) for n in rows]
+    cfg = M.TrainingConfig(learning_rate=0.2, batch_size=16)
+    models = M.train_epochs(m, [(x, y, cfg) for x, y in data])
+    got = M.evaluate_clients(models, data)
+    assert got == [M.evaluate(model, x, y)
+                   for model, (x, y) in zip(models, data)]
+    assert all(type(v) is float for score in got for v in score)
+
+
+def test_training_and_evaluation_run_no_input_checks(rng, monkeypatch):
+    """After `check_data`, training and stacked evaluation call the
+    circuit's unchecked kernels: the input checks never run."""
+    def check(*args, **kwargs):
+        raise AssertionError("an input check ran")
+
+    m = toy_model(seed=22, qubits=3, classes=3)
+    data = [M.check_data(m, rng.uniform(-1, 1, (n, 3)),
+                         rng.integers(0, 3, n)) for n in (20, 13)]
+    cfg = M.TrainingConfig(learning_rate=0.1, batch_size=8)
+    monkeypatch.setattr(qsim, "_check_angles", check)
+    monkeypatch.setattr(qsim, "_check_features", check)
+    models = M.train_epochs(m, [(x, y, cfg) for x, y in data])
+    assert len(M.evaluate_clients(models, data)) == 2
+    with pytest.raises(AssertionError, match="an input check ran"):
+        qsim.run_pqc_batch(np.zeros((1, 3)), m.arch, m.angles)
+
+
 def test_training_deterministic(rng):
     m = toy_model(seed=12)
     X = rng.uniform(-1, 1, (40, 3))

@@ -9,14 +9,27 @@ from cipherfed import qsim
 from cipherfed.errors import ShapeError
 
 
+def batch_embed(feats):
+    """The RX embedding of each row of a feature batch, gate by gate."""
+    n = feats.shape[1]
+    amps = np.zeros((len(feats), 2 ** n), dtype=np.complex128)
+    amps[:, 0] = 1.0
+    for q in range(n):
+        half = feats[:, q, None] / 2.0
+        qsim._rotate(amps, qsim._generator(amps, n, q, "X"), np.cos(half),
+                     np.sin(half))
+    return amps
+
+
 def embed(features):
     """The embedded state of one feature vector."""
-    f = np.asarray(features, dtype=np.float64)
-    return qsim._batch_embed(f[None, :], f.size)
+    return batch_embed(np.asarray(features, dtype=np.float64)[None, :])
 
 
 def z(amps, qubit):
-    return qsim._batch_z_expect(amps, int(np.log2(amps.shape[1])), qubit)[0]
+    arch = qsim.PqcArchitecture(qubit_count=int(np.log2(amps.shape[1])),
+                                depth=1, readout=(qubit,))
+    return qsim.expectations(amps, arch)[0, 0]
 
 
 def norm_sq(amps):
@@ -27,7 +40,9 @@ def rotate(amps, qubit, axis, theta):
     """A copy of `amps` with exp(-i theta/2 sigma_axis) on one qubit."""
     out = amps.copy()
     n = int(np.log2(out.shape[1]))
-    qsim._rotate(out, qsim._generator(out, n, qubit, axis), theta / 2.0)
+    half = theta / 2.0
+    qsim._rotate(out, qsim._generator(out, n, qubit, axis), np.cos(half),
+                 np.sin(half))
     return out
 
 
@@ -114,9 +129,11 @@ def test_rotation_kernel_matches_dense_matrix(axis, n):
             want = np.stack([dense_rotation(n, qubit, axis, t) @ row
                              for t, row in zip(theta, start)])
             amps = start.copy()
-            qsim._rotate(amps, qsim._generator(amps, n, qubit, axis), half)
+            qsim._rotate(amps, qsim._generator(amps, n, qubit, axis),
+                         np.cos(half), np.sin(half))
             assert np.abs(amps - want).max() <= 1e-14
-            qsim._rotate(amps, qsim._generator(amps, n, qubit, axis), -half)
+            qsim._rotate(amps, qsim._generator(amps, n, qubit, axis),
+                         np.cos(-half), np.sin(-half))
             assert np.abs(amps - start).max() <= 1e-14
 
 
@@ -241,7 +258,7 @@ def test_norm_preserved_through_deep_circuit(rng):
     out = qsim.run_pqc_batch(feats[None, :], arch, angles)
     assert np.all(np.abs(out) <= 1.0 + 1e-12)
     # expectations bounded implies normalized state; check directly too
-    s = qsim._batch_layers(embed(feats), arch, angles[None])
+    s = qsim.final_states(feats[None, :], arch, angles)
     assert abs(norm_sq(s) - 1.0) < 1e-10
 
 
@@ -377,20 +394,21 @@ def test_readout_vjp_rejects_malformed_states_and_readout_width():
 # --- stacked parameter-shift gradients vs the per-shift reference ---------
 
 def reference_run(feats, arch, angles):
-    """run_pqc_batch gate by gate, one CNOT at a time."""
+    """run_pqc_batch gate by gate, one CNOT at a time, embedding
+    included."""
     n = arch.qubit_count
     a = np.broadcast_to(angles, (feats.shape[0],) + angles.shape)
-    amps = qsim._batch_embed(feats, n)
+    amps = batch_embed(feats)
     for layer in range(arch.depth):
         for q in range(n):
             gen = qsim._generator(amps, n, q, arch.axes[layer][q])
-            qsim._rotate(amps, gen, a[:, layer, q, None] / 2.0)
+            half = a[:, layer, q, None] / 2.0
+            qsim._rotate(amps, gen, np.cos(half), np.sin(half))
         if n >= 2:
             for q in range(n):
                 amps = np.take(amps, qsim._cnot_perm(n, q, (q + 1) % n),
                                axis=1)
-    return np.stack([qsim._batch_z_expect(amps, n, r) for r in arch.readout],
-                    axis=1)
+    return qsim.expectations(amps, arch)
 
 
 def reference_grad_angles(feats, arch, angles):
@@ -451,7 +469,7 @@ def test_stacked_gradients_match_per_shift_reference(batch):
                 assert np.array_equal(got, want)
             else:
                 # The reference simulates a single row, and numpy sums
-                # one (1, 2^n) row in _batch_z_expect in a different
+                # one (1, 2^n) row in `expectations` in a different
                 # order than a row of a multi-row array, so the two
                 # agree only to rounding.
                 assert np.abs(got - want).max() <= 1e-15
@@ -513,6 +531,20 @@ def test_readout_vjp_matches_parameter_shift(arch, batch, seed):
     assert d_feats.shape == want_feats.shape
     assert np.abs(g_angles - want_angles).max() <= 1e-12
     assert np.abs(d_feats - want_feats).max() <= 1e-12
+
+
+@pytest.mark.parametrize("groups", [1, 2, 4])
+@pytest.mark.parametrize("length", [16, 48, 512, 1000, 1024])
+def test_row_dots_equal_one_dot_per_row(groups, length):
+    """The group reduction of the adjoint sweep is bitwise one np.dot per
+    group, for one group and for several: a reduction that sums in
+    another order, such as np.einsum's, would change trained weights."""
+    rng = np.random.default_rng(length + groups)
+    for _ in range(20):
+        a, b = rng.normal(size=(2, groups, length))
+        got = qsim._row_dots(a, b)
+        assert got.shape == (groups,)
+        assert all(got[k] == np.dot(a[k], b[k]) for k in range(groups))
 
 
 def test_per_architecture_constants_are_cached_read_only():
