@@ -10,15 +10,14 @@ into polynomial coefficients, where it is exact.
 Run: python demos/01_encrypted_vector_arithmetic.py
 """
 
-from dataclasses import replace
-
 import numpy as np
 
+from cipherfed.federation.client import ClientUpdate
 from cipherfed.federation.quantize import QuantizationSpec, quantize
-from cipherfed.fhe import (add_ct, decode, decode_coeffs, decrypt,
-                           default_params, encode, encode_coeffs,
-                           encode_scalar, encrypt, encrypt_symmetric, keygen,
-                           mul_plain)
+from cipherfed.federation.server import aggregate
+from cipherfed.fhe import (add_ct, decode, decrypt, decrypt_coeffs,
+                           default_params, encode, encode_coeffs, encrypt,
+                           encrypt_symmetric, keygen)
 
 params = default_params()
 print(f"ring degree N = {params.ring_degree}, "
@@ -45,25 +44,24 @@ print("max error:", f"{np.abs(total - (x + y)).max():.2e}\n")
 # -- the federated average: integer weights, no rescale ---------------------
 # Each client quantizes its vector to the 2^-16 grid and packs it into the
 # coefficients of one chunk, m = x * delta, an exact integer, encrypted at
-# level 0 under the secret key. The server multiplies client k's
-# ciphertext by its sample count n_k, an integer plaintext of scale 1,
-# adds the products, and sets the sum's scale to delta * n_total. Each
-# decrypted coefficient is sum_k n_k * (x_k * delta + e_k): dividing by
-# delta / 2^16 with rounding drops the errors e_k and leaves the integer
-# sum_k n_k * x_k * 2^16, which one division turns into the mean.
+# level 0 under the secret key. Only the 8 coefficients of c0 that carry
+# values are kept, and c1 travels as a 32-byte seed. The server adds
+# n_k * c0_k mod q0 over the clients, n_k its sample count, and sets the
+# sum's scale to delta * n_total. Each decrypted coefficient is
+# sum_k n_k * (x_k * delta + e_k): dividing by delta / 2^16 with rounding
+# drops the errors e_k and leaves the integer sum_k n_k * x_k * 2^16,
+# which one division turns into the mean.
 spec = QuantizationSpec()
 counts = (30, 50, 20)
 vectors = [quantize(rng.uniform(-1, 1, 8), spec) for _ in counts]
 uploads = [encrypt_symmetric(encode_coeffs(v[None, :], params, level=0),
-                             keys, [k]) for k, v in enumerate(vectors)]
-acc = None
-for n_k, ct in zip(counts, uploads):
-    term = mul_plain(ct, encode_scalar(n_k, params, level=0, scale=1.0))
-    acc = term if acc is None else add_ct(acc, term)
-mean_ct = replace(acc, scale=uploads[0].scale * sum(counts))
+                             keys, [k], count=8)
+           for k, v in enumerate(vectors)]
+mean_ct = aggregate([ClientUpdate(k, ct, n_k, 0, 8) for k, (n_k, ct)
+                     in enumerate(zip(counts, uploads))], keys.public)
 
 step = int(params.scale) >> spec.fractional_bits
-sums = (decode_coeffs(decrypt(mean_ct, keys), 8)[0] + step // 2) // step
+sums = (decrypt_coeffs(mean_ct, keys) + step // 2) // step
 got = sums / (sum(counts) * 2.0 ** spec.fractional_bits)
 want = sum(n_k * v for n_k, v in zip(counts, vectors)) / sum(counts)
 print(f"sample counts n_k  = {counts}")

@@ -120,13 +120,16 @@ def cmd_compare(args) -> int:
 def cmd_inspect(args) -> int:
     """Describe an artifact, read without parameters. A sealed one (see
     fhe/serial.py) is checked whole: its trailer, then its header, then
-    the length its row widths give, which must fit a ring degree N;
-    a secret key's length must fit one too."""
+    the length its row widths give, which must fit a ring degree N (or,
+    in a seeded batch, P coefficients in its chunks); a secret key's
+    length must fit one too. A retired key or batch is named, after its
+    header, and exits 3."""
     from .fhe.serial import (MAGIC_CIPHERTEXT, MAGIC_FLOAT_VECTOR,
                              MAGIC_KINDS, MAGIC_PUBLIC_KEY, MAGIC_SECRET_KEY,
                              MAGIC_SEEDED, MAGIC_SEEDED_SUM, RETIRED_BATCHES,
                              RETIRED_KEYS, SEALED, Reader, _read_header,
-                             deserialize_float_vector, read_layout, unseal)
+                             deserialize_float_vector, read_layout,
+                             read_seeded_layout, unseal)
     batches = (MAGIC_CIPHERTEXT, MAGIC_SEEDED, MAGIC_SEEDED_SUM,
                *RETIRED_BATCHES)
     data = Path(args.path).read_bytes()
@@ -154,8 +157,14 @@ def cmd_inspect(args) -> int:
         if RETIRED_BATCHES.get(magic, magic) == MAGIC_SEEDED_SUM:
             rows += [("clients", len(counts)),
                      ("counts", ", ".join(map(str, counts)))]
-        if magic in SEALED:
-            rows += _layout_rows(read_layout(r, magic, chunks, counts))
+        if magic in RETIRED_BATCHES:
+            raise FormatError(MAGIC_KINDS[magic])
+        if magic == MAGIC_CIPHERTEXT:
+            rows += _layout_rows(read_layout(r, magic, chunks))
+        else:
+            widths, p = read_seeded_layout(r, chunks, counts)
+            rows += [("widths", f"{widths[0]} bits"),
+                     ("P", f"{p} coefficients")]
     elif magic == MAGIC_FLOAT_VECTOR:
         rows = [("kind", "float vector"),
                 ("length", deserialize_float_vector(data).size)]

@@ -11,11 +11,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, DomainError, ProtocolError, ShapeError
-from ..fhe.encoding import decode_coeffs, encode_coeffs
+from ..fhe.encoding import encode_coeffs
 from ..fhe.encoding import decode, encode  # perfbench wraps; ROADMAP item 1
 from ..fhe.keys import KeyMaterial
-from ..fhe.ops import Ciphertext, decrypt, encrypt_symmetric
-from ..fhe.ops import encrypt  # perfbench --trace wraps it; ROADMAP item 1
+from ..fhe.ops import (Ciphertext, SeededBatch, decrypt_coeffs,
+                       encrypt_symmetric)
+# perfbench --trace wraps these two; ROADMAP item 1
+from ..fhe.ops import decrypt, encrypt
 from ..fhe.params import EncryptionParams
 from ..model import HybridModel, flatten_weights, unflatten_weights
 from .quantize import QuantizationSpec, quantize
@@ -38,10 +40,10 @@ def derive_seed(*parts: int) -> int:
 
 @dataclass(frozen=True)
 class ClientUpdate:
-    """One ciphertext batch of quantized weights (encrypt_model's is
-    seeded, at level 0), and the sample count."""
+    """One ciphertext batch of quantized weights (encrypt_model's is a
+    SeededBatch of param_count coefficients), and the sample count."""
     client_id: int
-    chunks: Ciphertext
+    chunks: SeededBatch | Ciphertext
     sample_count: int
     round_index: int
     param_count: int
@@ -113,8 +115,9 @@ def encrypt_model(model: HybridModel, spec: QuantizationSpec,
                   round_index: int, rng_seed: int = 0) -> ClientUpdate:
     """Flatten -> quantize -> zero-pad to n chunks of ring_degree values
     -> pack into coefficients, exact integers x * scale on the 2^-f grid,
-    and encrypt as one seeded level-0 batch under the secret key, chunk i
-    under derive_seed(rng_seed, i)."""
+    and encrypt as one seeded level-0 batch of the coefficients that the
+    weights fill, under the secret key, chunk i under
+    derive_seed(rng_seed, i)."""
     params = keys.params
     weights = quantize(flatten_weights(model), spec)
     n = chunk_count_for(weights.size, params.ring_degree)
@@ -122,7 +125,8 @@ def encrypt_model(model: HybridModel, spec: QuantizationSpec,
                                         - weights.size))
                        .reshape(n, params.ring_degree), params, level=0)
     chunks = encrypt_symmetric(pt, keys,
-                               [derive_seed(rng_seed, i) for i in range(n)])
+                               [derive_seed(rng_seed, i) for i in range(n)],
+                               weights.size)
     return ClientUpdate(client_id=client_id, chunks=chunks,
                         sample_count=sample_count, round_index=round_index,
                         param_count=weights.size)
@@ -136,14 +140,14 @@ def plain_update(model: HybridModel, spec: QuantizationSpec, client_id: int,
                        sample_count=sample_count, round_index=round_index)
 
 
-def decrypt_and_load(agg: Ciphertext, keys: KeyMaterial,
+def decrypt_and_load(agg: SeededBatch, keys: KeyMaterial,
                      template: HybridModel,
                      spec: QuantizationSpec = QuantizationSpec()
                      ) -> HybridModel:
-    """Decrypt the aggregated batch and load it into a model with the
-    template's architecture; the batch must have exactly the chunks the
-    template's parameters fill, at scale * n_total for a sample total
-    within `sample_capacity`.
+    """Decrypt the aggregated seeded batch and load it into a model with
+    the template's architecture; the batch must hold exactly the
+    template's parameters, in the chunks they fill, at scale * n_total
+    for a sample total within `sample_capacity`.
 
     Each coefficient holds sum_k n_k * (x_k * scale + e_k). Dividing by
     scale / 2^f with rounding drops the error and leaves the exact
@@ -154,13 +158,15 @@ def decrypt_and_load(agg: Ciphertext, keys: KeyMaterial,
     n = params.ring_degree
     need = template.param_count
     check_global_chunks(len(agg), need, n)
+    if not isinstance(agg, SeededBatch) or agg.c0.size != need:
+        raise ShapeError(f"a model of {need} parameters loads from a "
+                         f"seeded batch of {need} coefficients")
     total = agg.scale / params.scale
     capacity = sample_capacity(params, spec)
     if not (total.is_integer() and 1 <= total <= capacity):
         raise DomainError(f"aggregate scale {agg.scale} is not the scale "
                           f"times a sample total from 1 to {capacity}")
     step = int(params.scale) >> spec.fractional_bits
-    coeffs = decode_coeffs(decrypt(agg, keys), n).ravel()[:need]
-    sums = (coeffs + step // 2) // step
+    sums = (decrypt_coeffs(agg, keys) + step // 2) // step
     return unflatten_weights(template,
                              sums / (total * 2.0 ** spec.fractional_bits))

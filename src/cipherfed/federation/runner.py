@@ -83,11 +83,12 @@ def _client_rounds(channel, client_id: int, dataset, test_data,
         with _COMPUTE:
             if mode == "fhe":
                 agg = decode_global(msg.payload, keys.params,
+                                    model.param_count,
                                     _global_check(config, model, keys.params))
                 model = decrypt_and_load(agg, keys, model, config.quantization)
             else:
-                model = unflatten_weights(model, decode_global(msg.payload,
-                                                               None))
+                model = unflatten_weights(model, decode_global(
+                    msg.payload, None, model.param_count))
             test_acc = test_loss = None
             if evaluates:
                 test_acc, test_loss = evaluate(model, test_data.features,
@@ -108,9 +109,10 @@ def _client_rounds(channel, client_id: int, dataset, test_data,
 
 
 def _global_check(config: RoundConfig, model: HybridModel, params):
-    """The check a client runs on a GLOBAL before it expands any seed:
-    the aggregate must carry this run's sample counts, client by client,
-    and the chunks the model fills."""
+    """The check a client runs on a GLOBAL's header before the reader
+    checks its length, and long before any seed is expanded: the
+    aggregate must carry this run's sample counts, client by client, and
+    the chunks the model fills."""
     def check(chunks, counts):
         if counts != config.sample_counts:
             raise ProtocolError(

@@ -2,25 +2,29 @@
 
 This module is the server's entire capability surface: it imports no
 decryption routine and no secret-bearing type, and it rejects key
-material that carries more than the public part. Aggregation multiplies
-each client's whole ciphertext batch by its integer sample count, adds
-the products and divides by the total through the scale: no rescale.
-`round_loop` is the one round loop of every actor on both transports.
+material that carries more than the public part. Aggregation is one
+integer weighted sum mod the primes: each client's arrays times its
+sample count, added in client order, with the total divided out through
+the scale, so no rescale. Of seeded uploads it sums the P coefficients
+of c0, and the c1 halves only where they are already in memory; it
+never expands a seed. `round_loop` is the one round loop of every actor
+on both transports.
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import replace
 
 import numpy as np
 
 from ..errors import (AlignmentError, CipherfedError, ConfigError,
                       ParameterError, ProtocolError)
-from ..fhe.encoding import encode_scalar
 from ..fhe.keys import PublicMaterial
-from ..fhe.ops import Ciphertext, add_ct, mul_plain
-from ..fhe.ops import rescale  # perfbench --trace wraps it; ROADMAP item 1
+from ..fhe.nttmath import weighted_sum
+from ..fhe.ops import Ciphertext, SeededBatch
+# perfbench --trace wraps these four; ROADMAP item 1
+from ..fhe.encoding import encode_scalar
+from ..fhe.ops import add_ct, mul_plain, rescale
 from .client import check_sample_capacity, check_upload_chunks
 from .metrics import metrics_row
 from .transport import (MAX_WIRE_COUNT, MSG_ABORT, MSG_GLOBAL, MSG_JOIN,
@@ -48,7 +52,8 @@ def _check_updates(updates) -> None:
     """Reject a set of updates that cannot be averaged: every encrypted
     update must carry the chunk count its parameter count needs, at the
     level and scale of the first update, which the weights are encoded
-    for, and the first update's parameter count."""
+    for, in the same kind of batch, and the first update's parameter
+    count."""
     if not updates:
         raise ProtocolError("no client updates to aggregate")
     rnd = updates[0].round_index
@@ -75,6 +80,10 @@ def _check_updates(updates) -> None:
                 f"client {u.client_id} sent {got[0]} chunks at level "
                 f"{got[1]}, scale {got[2]}; expected {want[0]} at level "
                 f"{want[1]}, scale {want[2]}")
+        if type(u.chunks) is not type(first):
+            raise AlignmentError(f"client {u.client_id} sent a "
+                                 f"{type(u.chunks).__name__}, not a "
+                                 f"{type(first).__name__}")
         check_upload_chunks(u.client_id, got[0], u.param_count,
                             first.params.ring_degree)
         if u.param_count != updates[0].param_count:
@@ -82,30 +91,43 @@ def _check_updates(updates) -> None:
                                  f"parameters, not {updates[0].param_count}")
 
 
-def aggregate(updates, material: PublicMaterial) -> Ciphertext:
-    """Weighted encrypted mean over the clients' ciphertext batches:
-    S = sum_k n_k * E(w_k), each n_k an integer plaintext of scale 1, at
-    scale (input scale) * n_total, so that decoding divides by n_total.
-    The result is one batch at the inputs' level. When every input is
-    seeded it carries their seeds, in client order, and counts scaled by
-    n_k, so that the GLOBAL can send them in place of c1."""
+def aggregate(updates, material: PublicMaterial):
+    """Weighted encrypted mean over the clients' ciphertext batches: S =
+    sum_k n_k * E(w_k) mod the primes, at scale (input scale) * n_total,
+    so that decoding divides by n_total; the result is one batch at the
+    inputs' level. Of public-key Ciphertexts it sums both halves. Of
+    SeededBatches it sums the P coefficients of c0, carries the seeds in
+    client order and the counts times n_k, so that the GLOBAL sends them
+    in place of c1, and sums c1 only if every upload holds it in memory
+    (encryption on the direct transport): no seed is expanded here."""
     public = _require_public(material)
     _check_updates(updates)
     updates = sorted(updates, key=lambda u: u.client_id)
-    params, first = public.params, updates[0].chunks
-    acc = None
-    for u in updates:
-        term = mul_plain(u.chunks, encode_scalar(
-            u.sample_count, params, level=first.level, scale=1.0))
-        acc = term if acc is None else add_ct(acc, term)
-    seeds = counts = None
-    if all(u.chunks.seeds is not None for u in updates):
-        seeds = tuple(s for u in updates for s in u.chunks.seeds)
-        counts = tuple(u.sample_count * c for u in updates
-                       for c in u.chunks.counts)
-    return replace(acc, scale=first.scale
-                   * sum(u.sample_count for u in updates), seeds=seeds,
-                   counts=counts)
+    weights = [u.sample_count for u in updates]
+    cts = [u.chunks for u in updates]
+    first = cts[0]
+    scale = first.scale * sum(weights)
+
+    def total(arrays, q):
+        return weighted_sum(arrays, weights, q)
+
+    if isinstance(first, SeededBatch):
+        a = None
+        if all(ct.a is not None for ct in cts):
+            a = first.a._like(total([ct.a.residues for ct in cts],
+                                    first.a.q_column))
+        q0 = public.params.stacked_ntt((0,)).q[0]
+        return SeededBatch(
+            public.params, total([ct.c0 for ct in cts], q0), scale,
+            tuple(s for ct in cts for s in ct.seeds),
+            tuple(n * c for n, ct in zip(weights, cts) for c in ct.counts),
+            a)
+
+    def summed(half: str):
+        h = getattr(first, half)
+        return h._like(total([getattr(ct, half).residues for ct in cts],
+                             h.q_column))
+    return Ciphertext(summed("c0"), summed("c1"), scale, first.level)
 
 
 def aggregate_plain(updates) -> np.ndarray:

@@ -7,7 +7,11 @@ socket. Serialization is lossless, so a socket run's results equal the
 direct transport's. Every binary payload is read through a
 bounds-checked `Reader` and must be consumed exactly. An UPDATE or
 GLOBAL payload is one artifact, which the run's mode picks: on an fhe
-run `CKV7` up and `CKV8` down. A METRICS payload is a row's data.
+run a `CKU1` seeded upload up and a `CKA1` seeded aggregate down, each
+carrying the P = param_count coefficients of c0 that hold weights and
+seeds in place of c1; on a plaintext run `CKF1` both ways. Either
+reader takes P from the run, not from the payload. A METRICS payload is
+a row's data.
 """
 
 from __future__ import annotations
@@ -126,7 +130,7 @@ def decode_join(payload: bytes) -> int:
 
 
 def encode_update(update) -> bytes:
-    """An UPDATE payload: the update's artifact alone, `CKV7` or `CKF1`."""
+    """An UPDATE payload: the update's artifact alone, `CKU1` or `CKF1`."""
     if isinstance(update, ClientUpdate):
         return serialize_seeded(update.chunks)
     return serialize_float_vector(update.values)
@@ -136,13 +140,14 @@ def decode_update(payload: bytes, round_index: int, params, client_id: int,
                   sample_count: int, param_count: int):
     """The UPDATE of the client that joined as `client_id`, weighted by
     the run's `sample_count` for it, for the server's `param_count`: on
-    an fhe run (`params` given) the chunk count that count fills,
-    checked before any seed is expanded, and on a plaintext run that
-    many values."""
+    an fhe run (`params` given) that many coefficients in the chunks
+    they fill, checked before the rest of the header is read (no seed is
+    expanded), and on a plaintext run that many values."""
     if params is not None:
-        chunks = deserialize_seeded(payload, params, lambda c, _: (
-            check_upload_chunks(client_id, c, param_count,
-                                params.ring_degree)))
+        chunks = deserialize_seeded(payload, params, param_count,
+                                    lambda c, _: check_upload_chunks(
+                                        client_id, c, param_count,
+                                        params.ring_degree))
         return ClientUpdate(client_id, chunks, sample_count, round_index,
                             param_count)
     values = deserialize_float_vector(payload)
@@ -154,20 +159,26 @@ def decode_update(payload: bytes, round_index: int, params, client_id: int,
 
 def encode_global(agg) -> bytes:
     """A plaintext mean as `CKF1`, an aggregate of seeded uploads as
-    `CKV8`; any other aggregate is a FormatError."""
+    `CKA1`; any other aggregate is a FormatError."""
     if isinstance(agg, np.ndarray):
         return serialize_float_vector(agg)
     return serialize_seeded_sum(agg)
 
 
-def decode_global(payload: bytes, params, check=None):
-    """The one artifact that is a GLOBAL payload: a `CKV8` seeded
-    aggregate on an fhe run, where `params` is given, and a `CKF1`
-    vector on a plaintext run. `check(chunks, counts)`, if given, runs
-    before any seed is expanded."""
-    if params is None:
-        return deserialize_float_vector(payload)
-    return deserialize_seeded_sum(payload, params, check)
+def decode_global(payload: bytes, params, param_count: int, check=None):
+    """The one artifact that is a GLOBAL payload for a model of
+    `param_count` parameters: a `CKA1` seeded aggregate of that many
+    coefficients on an fhe run, where `params` is given, and a `CKF1`
+    vector of that many values on a plaintext run. `check(chunks,
+    counts)`, if given, runs before the aggregate's length is checked;
+    no seed is expanded until the aggregate is decrypted."""
+    if params is not None:
+        return deserialize_seeded_sum(payload, params, param_count, check)
+    values = deserialize_float_vector(payload)
+    if values.size != param_count:
+        raise ProtocolError(f"plain global carries {values.size} values "
+                            f"for {param_count} parameters")
+    return values
 
 
 def encode_metrics(row: dict) -> bytes:

@@ -9,8 +9,8 @@ Parameters here target correctness demonstrations, not audited security.
 from .encoding import (Plaintext, decode, decode_coeffs, encode,
                        encode_coeffs, encode_scalar)
 from .keys import KeyMaterial, PublicMaterial, keygen
-from .ops import (Ciphertext, add_ct, decrypt, encrypt, encrypt_symmetric,
-                  mul_plain, rescale)
+from .ops import (Ciphertext, SeededBatch, add_ct, decrypt, decrypt_coeffs,
+                  encrypt, encrypt_symmetric, mul_plain, rescale)
 from .params import EncryptionParams, default_params
 from .poly import RingPoly, ntt_forward, ntt_inverse
 
@@ -18,8 +18,8 @@ __all__ = [
     "Plaintext", "decode", "decode_coeffs", "encode", "encode_coeffs",
     "encode_scalar",
     "KeyMaterial", "PublicMaterial", "keygen",
-    "Ciphertext", "add_ct", "decrypt", "encrypt", "encrypt_symmetric",
-    "mul_plain", "rescale",
+    "Ciphertext", "SeededBatch", "add_ct", "decrypt", "decrypt_coeffs",
+    "encrypt", "encrypt_symmetric", "mul_plain", "rescale",
     "EncryptionParams", "default_params", "RingPoly",
     "ntt_forward", "ntt_inverse",
 ]

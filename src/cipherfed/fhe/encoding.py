@@ -27,8 +27,8 @@ import numpy as np
 
 from ..errors import CapacityError, DomainError, LevelError
 from .params import EncryptionParams
-from .poly import (COEFF, RingPoly, ShoupPoly, from_signed_coeffs,
-                   ntt_forward, ntt_inverse)
+from .poly import (COEFF, RingPoly, ShoupPoly, centered,
+                   from_signed_coeffs, ntt_forward, ntt_inverse)
 
 
 @dataclass(frozen=True)
@@ -104,9 +104,7 @@ def decode_coeffs(pt: Plaintext, count: int) -> np.ndarray:
                             f"{params.ring_degree}-coefficient capacity")
     poly = pt.poly if pt.poly.domain_tag == COEFF else ntt_inverse(pt.poly)
     rows = poly.residues[..., :count]
-    q0 = poly.primes[0]
-    v = rows[..., 0, :].astype(np.int64)
-    v = np.where(v > q0 // 2, v - q0, v)
+    v = centered(rows[..., 0, :], poly.primes[0])
     if len(poly.primes) > 1:
         q = poly.q_column[1:].view(np.int64)
         if np.any(np.mod(v[..., None, :], q).view(np.uint64)

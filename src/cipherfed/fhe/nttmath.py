@@ -158,6 +158,21 @@ def shoup_mul(a: np.ndarray, w, w_shoup, q) -> np.ndarray:
                        *np.empty((4,) + shape, dtype=np.uint64))
 
 
+def weighted_sum(arrays, weights, q) -> np.ndarray:
+    """sum_k weights[k] * arrays[k] mod q, added in order, for residue
+    arrays below q (a uint64 array of primes that broadcasts against
+    them) and non-negative integer weights. A weight of 1 adds its
+    array without a product."""
+    acc = None
+    for a, w in zip(arrays, weights):
+        if w != 1:
+            wq = np.array([w % int(p) for p in q.flat],
+                          dtype=np.uint64).reshape(q.shape)
+            a = shoup_mul(a, wq, shoup_constant(wq, q), q)
+        acc = a if acc is None else addmod(acc, a, q)
+    return acc
+
+
 def addmod(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:
     """(a + b) mod q for a + b < 2q."""
     r = a + b

@@ -2,7 +2,9 @@
 multiplication and rescaling.
 
 Ciphertexts are (c0, c1) pairs in the NTT domain; residues shaped
-(chunks, rows, N) make a batch with one level and one scale. Only the
+(chunks, rows, N) make a batch with one level and one scale. A
+SeededBatch is the federation's level-0 upload or aggregate: the
+coefficients of c0 that carry values, and seeds in place of c1. Only the
 operations the encrypted weighted-average pipeline needs are provided;
 there is no ciphertext-ciphertext multiplication and no bootstrapping.
 """
@@ -10,7 +12,7 @@ there is no ciphertext-ciphertext multiplication and no bootstrapping.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,16 +20,17 @@ from ..errors import (AlignmentError, DomainError, LevelError,
                       ParameterError, ShapeError)
 from .encoding import Plaintext
 from .keys import KeyMaterial, public_part
-from .nttmath import shoup_constant, shoup_mul, submod
+from .nttmath import addmod, shoup_constant, shoup_mul, submod, weighted_sum
 from .params import EncryptionParams
-from .poly import (COEFF, NTT, RingPoly, ShoupPoly, expand_seed,
-                   from_signed_coeffs, ntt_forward, sample_gaussian,
-                   sample_ternary)
+from .poly import (COEFF, NTT, RingPoly, centered, expand_seed,
+                   from_signed_coeffs, ntt_forward, ntt_inverse,
+                   sample_gaussian, sample_ternary)
 
 SCALE_MATCH_RTOL = 2.0 ** -30
 SEED_BYTES = 32
 # hashed with a chunk's seed int into the 32-byte seed of its c1; the tag
-# predates `CKV4` and `CKV7` and keeps its bytes, so the seeds do too
+# predates every seeded layout since `CKV4` and keeps its bytes, so the
+# seeds do too
 _SEED_TAG = b"cipherfed CKV3 c1"
 
 
@@ -37,13 +40,6 @@ class Ciphertext:
     c1: RingPoly
     scale: float
     level: int
-    # a level-0 batch of K clients' seeded uploads, each of c chunks:
-    # c1 = sum_k counts[k] * a_k (seeded_c1), where chunk j of a_k is
-    # expanded from seeds[k * c + j], 32 bytes. An upload from
-    # encrypt_symmetric or the `CKV7` reader has counts (1,); an
-    # aggregate of uploads has the clients' sample counts
-    seeds: tuple[bytes, ...] | None = None
-    counts: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.c0.domain_tag != self.c1.domain_tag:
@@ -52,11 +48,6 @@ class Ciphertext:
             raise AlignmentError("ciphertext halves on different bases")
         if len(self.c0.prime_indices) != self.level + 1:
             raise LevelError("active prime count does not match level")
-        if (self.seeds is None) != (self.counts is None) or (
-                self.seeds is not None
-                and len(self.seeds) != len(self.counts) * len(self)):
-            raise ShapeError("a seeded batch needs one seed per client "
-                             "and chunk, and one count per client")
 
     @property
     def params(self) -> EncryptionParams:
@@ -68,12 +59,62 @@ class Ciphertext:
         return self.c0.batch_shape[0]
 
     def __getitem__(self, i) -> "Ciphertext":
-        """Chunk i of a batch (a slice gives a sub-batch), as a view
-        without the seeds."""
+        """Chunk i of a batch (a slice gives a sub-batch), as a view."""
         len(self)  # a single ciphertext has no chunks
         return Ciphertext(self.c0._like(self.c0.residues[i]),
                           self.c1._like(self.c1.residues[i]), self.scale,
                           self.level)
+
+
+@dataclass(frozen=True)
+class SeededBatch:
+    """A level-0 seeded upload of P coefficients in c = ceil(P / N)
+    chunks, or the weighted sum of K such uploads.
+
+    c0 holds the first P coefficients of sum_k counts[k] * c0_k mod q0 in
+    the coefficient domain: coefficient j*N + i is coefficient i of chunk
+    j, and each chunk's coefficients past P are dropped. c1 = sum_k
+    counts[k] * a_k stays in the NTT domain and never travels: chunk j of
+    a_k is expanded from seeds[k * c + j]. `a`, when given, is that c1
+    already in memory, as encryption and an aggregate of such uploads
+    hold it; otherwise `c1` expands the seeds. An upload has counts (1,),
+    an aggregate the clients' sample counts.
+    """
+    params: EncryptionParams
+    c0: np.ndarray  # (P,) uint64 below q0
+    scale: float
+    seeds: tuple[bytes, ...]
+    counts: tuple[int, ...]
+    a: RingPoly | None = field(default=None, repr=False, compare=False)
+
+    level = 0
+
+    def __post_init__(self):
+        if self.c0.ndim != 1 or self.c0.size < 1:
+            raise ShapeError("a seeded batch holds a vector of at least "
+                             "one coefficient")
+        if not self.counts or len(self.seeds) != len(self.counts) * len(self):
+            raise ShapeError("a seeded batch needs one seed per client "
+                             "and chunk, and one count per client")
+
+    def __len__(self) -> int:
+        return -(-self.c0.size // self.params.ring_degree)
+
+    @property
+    def c1(self) -> RingPoly:
+        if self.a is not None:
+            return self.a
+        return seeded_c1(self.seeds, self.counts, self.params)
+
+    def __getitem__(self, i) -> Ciphertext:
+        """Chunk i (a slice gives a sub-batch) as an NTT-domain
+        Ciphertext whose dropped c0 coefficients are 0: its first P
+        coefficients decrypt as this batch's do."""
+        n = self.params.ring_degree
+        c0 = np.zeros((len(self), 1, n), dtype=np.uint64)
+        c0.reshape(-1)[:self.c0.size] = self.c0
+        c0 = ntt_forward(RingPoly(self.params, (0,), c0, COEFF))
+        return Ciphertext(c0, self.c1, self.scale, 0)[i]
 
 
 def encrypt(pt: Plaintext, keys, rng_seed=0) -> Ciphertext:
@@ -100,36 +141,36 @@ def encrypt(pt: Plaintext, keys, rng_seed=0) -> Ciphertext:
 
 
 def seeded_c1(seeds, counts, params: EncryptionParams) -> RingPoly:
-    """The level-0 NTT-domain c1 of a seeded batch: sum_k counts[k] * a_k,
-    where chunk j of a_k is expanded from seeds[k * c + j] for c chunks.
-    With counts (1,) that is one upload's c1; with the clients' sample
-    counts it is server.aggregate's, summed in client order with the
-    same modular products, so it is bitwise the server's. A count of 1
-    skips its product, which would multiply by 1."""
+    """The level-0 NTT-domain c1 of a seeded batch: sum_k counts[k] * a_k
+    mod q0, in client order, where chunk j of a_k is expanded from
+    seeds[k * c + j] for c chunks. With counts (1,) that is one upload's
+    c1; with the clients' sample counts it is, residue for residue, the
+    sum that server.aggregate forms from the uploads' a_k."""
     q0, n = params.modulus_chain[0], params.ring_degree
     c = len(seeds) // len(counts)
-    acc = None
-    for k, count in enumerate(counts):
-        a = RingPoly(params, (0,), np.stack(
-            [expand_seed(s, q0, n) for s in seeds[k * c:(k + 1) * c]]
-        )[:, None, :], NTT)
-        if count != 1:
-            a = a.mul_fixed(ShoupPoly.constant(count, params, (0,)))
-        acc = a if acc is None else acc.add(a)
-    return acc
+    a = (np.stack([expand_seed(s, q0, n) for s in seeds[k * c:(k + 1) * c]]
+                  )[:, None, :] for k in range(len(counts)))
+    return RingPoly(params, (0,), weighted_sum(
+        a, counts, params.stacked_ntt((0,)).q), NTT)
 
 
-def encrypt_symmetric(pt: Plaintext, keys: KeyMaterial,
-                      rng_seed) -> Ciphertext:
-    """Seeded secret-key encryption of a coefficient-domain level-0
-    batch (encode_coeffs), deterministic in rng_seed: one int per chunk.
+def encrypt_symmetric(pt: Plaintext, keys: KeyMaterial, rng_seed,
+                      count: int | None = None) -> SeededBatch:
+    """Seeded secret-key encryption of the first `count` coefficients
+    (all of them by default) of a coefficient-domain level-0 batch
+    (encode_coeffs), deterministic in rng_seed: one int per chunk, for
+    the ceil(count / N) chunks that `count` fills.
 
     Chunk i's 32-byte seed is SHA-256 of a tag and its int; c1 = a is
-    expanded from that seed, and c0 = -a*s + NTT(m + e). The error e goes
-    into the coefficients, so a chunk takes one 1-row NTT. e is drawn
-    from a generator seeded by the int itself, which never goes on the
-    wire. This is the compressed symmetric ciphertext of SEAL's
-    Encryptor::encrypt_symmetric.
+    expanded from that seed into the NTT domain, and c0 = INTT(-a*s) + m
+    + e in the coefficient domain, one inverse NTT a chunk, of which the
+    first `count` coefficients are kept. The error e is drawn from a
+    generator seeded by the int itself, which never goes on the wire.
+    This is the compressed symmetric ciphertext of SEAL's
+    Encryptor::encrypt_symmetric, cut to the coefficients that carry
+    values: coefficient i of c0 with c1 is an LWE ciphertext of m_i + e_i
+    under s (the sample extraction of TFHE), so the dropped ones reveal
+    nothing.
     """
     if not isinstance(keys, KeyMaterial):
         raise ParameterError("secret-key encryption requires full key "
@@ -144,24 +185,44 @@ def encrypt_symmetric(pt: Plaintext, keys: KeyMaterial,
     if ints.ndim != 1 or ints.shape != poly.batch_shape:
         raise ShapeError(f"one seed per chunk of a batch needed, got "
                          f"{ints.shape}")
+    n = params.ring_degree
+    count = ints.size * n if count is None else count
+    if not 0 < count or -(-count // n) != ints.size:
+        raise ShapeError(f"{count} coefficients do not fill the batch's "
+                         f"{ints.size} chunks of {n}")
     seeds = tuple(hashlib.sha256(_SEED_TAG + int(s).to_bytes(8, "little"))
                   .digest() for s in ints)
-    e = np.reshape([sample_gaussian(params, (0,), np.random.default_rng(
-        np.random.SeedSequence([int(s), 0x5EC]))).residues for s in ints],
-        poly.residues.shape)
+    e = np.concatenate([sample_gaussian(params, (0,), np.random.default_rng(
+        np.random.SeedSequence([int(s), 0x5EC]))).residues[0] for s in ints])
     a = seeded_c1(seeds, (1,), params)
-    c0 = a.mul_fixed(keys.secret_key).neg().add(
-        ntt_forward(poly.add(poly._like(e))))
-    return Ciphertext(c0=c0, c1=a, scale=pt.scale, level=0, seeds=seeds,
-                      counts=(1,))
+    q0 = a.q_column[0]
+    m_e = addmod(poly.residues.reshape(-1)[:count], e[:count], q0)
+    a_s = ntt_inverse(a.mul_fixed(keys.secret_key)).residues.reshape(-1)
+    return SeededBatch(params, submod(m_e, a_s[:count], q0), pt.scale, seeds,
+                       (1,), a=a)
+
+
+def _check_keys(keys, params: EncryptionParams) -> None:
+    if not isinstance(keys, KeyMaterial):
+        raise ParameterError("decryption requires full key material")
+    if keys.params != params:
+        raise ParameterError("ciphertext and keys use different parameters")
+
+
+def decrypt_coeffs(batch: SeededBatch, keys: KeyMaterial) -> np.ndarray:
+    """The P coefficients of c0 + c1*s, centered mod q0 as exact int64,
+    as decode_coeffs gives them: the first P coefficients of INTT(c1*s),
+    one inverse NTT a chunk, plus c0."""
+    _check_keys(keys, batch.params)
+    c1s = ntt_inverse(batch.c1.mul_fixed(keys.secret_key)).residues
+    q0 = batch.params.modulus_chain[0]
+    return centered(addmod(batch.c0, c1s.reshape(-1)[:batch.c0.size],
+                           np.uint64(q0)), q0)
 
 
 def decrypt(ct: Ciphertext, keys: KeyMaterial) -> Plaintext:
     """c0 + c1*s at the ciphertext's level and scale."""
-    if not isinstance(keys, KeyMaterial):
-        raise ParameterError("decryption requires full key material")
-    if keys.params != ct.params:
-        raise ParameterError("ciphertext and keys use different parameters")
+    _check_keys(keys, ct.params)
     m = ct.c0.add(ct.c1.mul_fixed(keys.secret_key))
     return Plaintext(poly=m, scale=ct.scale, level=ct.level)
 
@@ -193,9 +254,8 @@ def _div_round_drop(p: RingPoly, drop_index: int) -> RingPoly:
     params = p.params
     q_drop = params.modulus_chain[drop_index]
     pos = p.prime_indices.index(drop_index)
-    dropped = params.stacked_ntt((drop_index,)).inverse(
-        p.residues[..., pos:pos + 1, :])[..., 0, :].astype(np.int64)
-    dropped = np.where(dropped > q_drop // 2, dropped - q_drop, dropped)
+    dropped = centered(params.stacked_ntt((drop_index,)).inverse(
+        p.residues[..., pos:pos + 1, :])[..., 0, :], q_drop)
 
     keep = p.prime_indices[:pos] + p.prime_indices[pos + 1:]
     corr = ntt_forward(from_signed_coeffs(dropped, params, keep))

@@ -144,6 +144,12 @@ def from_signed_coeffs(values: np.ndarray, params: EncryptionParams,
     return RingPoly(params, prime_indices, res, COEFF)
 
 
+def centered(residues: np.ndarray, q: int) -> np.ndarray:
+    """Residues below q as int64 representatives in (-q/2, q/2]."""
+    v = residues.astype(np.int64)
+    return np.where(v > q // 2, v - q, v)
+
+
 def sample_ternary(params: EncryptionParams, prime_indices: tuple[int, ...],
                    rng: np.random.Generator) -> RingPoly:
     v = rng.integers(-1, 2, params.ring_degree).astype(np.int64)

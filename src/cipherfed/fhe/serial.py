@@ -4,8 +4,11 @@ All integers little-endian. Every artifact starts with a 4-byte magic and
 the 8-byte parameter digest, so a reader can reject material from a
 different parameter set before touching the payload. Polynomials are
 stored in the NTT domain, each residue row packed at its prime's bit
-length. Every artifact that carries residues ends with the first 16
-bytes of the SHA-256 of the bytes before it, checked before anything
+length; a seeded upload or aggregate carries only the first P
+coefficients of its coefficient-domain c0, packed at q0's, and seeds in
+place of c1. One codec, word shifts over u64, packs and unpacks every
+residue block. Every artifact that carries residues ends with the first
+16 bytes of the SHA-256 of the bytes before it, checked before anything
 past the parameter digest is read. See docs/protocol.md for the exact
 layouts.
 """
@@ -20,25 +23,27 @@ import numpy as np
 
 from ..errors import FormatError, LevelError, ParameterError
 from .keys import KeyMaterial, PublicMaterial, expand_a
-from .ops import SEED_BYTES, Ciphertext, seeded_c1
+from .ops import SEED_BYTES, Ciphertext, SeededBatch
 from .params import EncryptionParams
 from .poly import (NTT, RingPoly, ShoupPoly, from_signed_coeffs, ntt_forward,
                    ntt_inverse)
 
 MAGIC_CIPHERTEXT = b"CKV6"
-MAGIC_SEEDED = b"CKV7"
-MAGIC_SEEDED_SUM = b"CKV8"
+MAGIC_SEEDED = b"CKU1"
+MAGIC_SEEDED_SUM = b"CKA1"
 MAGIC_SECRET_KEY = b"CKS3"
 MAGIC_PUBLIC_KEY = b"CKP3"
 MAGIC_FLOAT_VECTOR = b"CKF1"
 # the artifacts that carry residue blocks and end with a trailer
 SEALED = (MAGIC_CIPHERTEXT, MAGIC_SEEDED, MAGIC_SEEDED_SUM, MAGIC_PUBLIC_KEY)
 TRAILER_BYTES = 16
-# the batches that the packed ones replaced, each with the batch whose
+# the batches that the current ones replaced, each with the batch whose
 # header it shares: named, so that a reader can say what it found, but
-# never read (`CKV3` held slot-packed chunks, the rest 64-bit residues)
+# never read (`CKV3` held slot-packed chunks, `CKV2`, `CKV4` and `CKV5`
+# 64-bit residues, and `CKV7` and `CKV8` all N coefficients of c0)
 RETIRED_BATCHES = {b"CKV2": MAGIC_CIPHERTEXT, b"CKV3": MAGIC_SEEDED,
-                   b"CKV4": MAGIC_SEEDED, b"CKV5": MAGIC_SEEDED_SUM}
+                   b"CKV4": MAGIC_SEEDED, b"CKV5": MAGIC_SEEDED_SUM,
+                   b"CKV7": MAGIC_SEEDED, b"CKV8": MAGIC_SEEDED_SUM}
 # the key files that `CKS3` and `CKP3` replaced, named likewise
 RETIRED_KEYS = (b"CKS2", b"CKP1", b"CKP2")
 _REGENERATE = "no longer read; regenerate with `cipherfed keygen`"
@@ -51,6 +56,9 @@ MAGIC_KINDS = {MAGIC_CIPHERTEXT: "ciphertext",
                         "read)",
                b"CKV4": "seeded ciphertext (CKV4, no longer read)",
                b"CKV5": "seeded aggregate (CKV5, no longer read)",
+               b"CKV7": "full-ring seeded ciphertext (CKV7, no longer "
+                        "read)",
+               b"CKV8": "full-ring seeded aggregate (CKV8, no longer read)",
                MAGIC_SECRET_KEY: "secret key", MAGIC_PUBLIC_KEY: "public key",
                b"CKS2": f"secret key (CKS2, {_REGENERATE})",
                b"CKP1": f"public key (CKP1, {_REGENERATE})",
@@ -151,28 +159,66 @@ def _widths(params: EncryptionParams, count: int) -> bytes:
     return bytes(q.bit_length() for q in params.modulus_chain[:count])
 
 
+def _bit_offsets(n: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The u64 word in which each of n fields `width` bits apart starts,
+    and its bit offset in that word."""
+    bit = np.arange(n, dtype=np.uint64) * np.uint64(width)
+    return (bit >> np.uint64(6)).astype(np.intp), bit & np.uint64(63)
+
+
+def _pack(values: np.ndarray, width: int) -> np.ndarray:
+    """(m, n) values below 2^width as m rows of ceil(n * width / 8)
+    bytes: bit t of value j is bit j * width + t of its row, least
+    significant bit of the first byte first, and the pad bits past the
+    last value are 0. Each value is shifted into the u64 word where it
+    starts and, for the bits that spill over, the next one."""
+    m, n = values.shape
+    size = -(-n * width // 8)
+    word, shift = _bit_offsets(n, width)
+    first = np.flatnonzero(np.diff(word, prepend=-1))  # each word's first
+    at = word[first]
+    out = np.zeros((m, size // 8 + 2), dtype="<u8")
+    out[:, at] = np.bitwise_or.reduceat(values << shift, first, axis=1)
+    # x >> 64 is undefined, so shift twice
+    spill = values >> (np.uint64(63) - shift) >> np.uint64(1)
+    out[:, at + 1] |= np.bitwise_or.reduceat(spill, first, axis=1)
+    return out.view(np.uint8)[:, :size]
+
+
+def _unpack(packed: np.ndarray, n: int, width: int) -> np.ndarray:
+    """The (m, n) values that `_pack` wrote to m rows of bytes; raises
+    FormatError unless every pad bit is 0."""
+    m, size = packed.shape
+    if n * width % 8 and (packed[:, -1] >> n * width % 8).any():
+        raise FormatError("packed residues end in pad bits that are not 0")
+    words = np.zeros((m, size // 8 + 2), dtype="<u8")
+    words.view(np.uint8)[:, :size] = packed
+    word, shift = _bit_offsets(n, width)
+    high = words[:, word + 1] << (np.uint64(63) - shift) << np.uint64(1)
+    return (words[:, word] >> shift | high) & np.uint64((1 << width) - 1)
+
+
+def _block_bytes(res: np.ndarray, widths: bytes) -> bytes:
+    """A residue block of m polynomials with k rows of n residues each,
+    res shaped (m, k, n): the row count, each row's width byte, then
+    each polynomial's rows, row i at widths[i] bits, polynomial after
+    polynomial."""
+    rows = [_pack(res[:, i], b) for i, b in enumerate(widths)]
+    return bytes([len(widths)]) + widths + np.concatenate(rows, 1).tobytes()
+
+
 def _poly_bytes(p: RingPoly) -> bytes:
-    """The prime count, each row's width byte, then every row's N
-    residues at that width, bit i of residue j at bit j * width + i of
-    the row (least significant first), chunk after chunk."""
-    widths = _widths(p.params, len(p.prime_indices))
-    res = np.ascontiguousarray(p.residues, dtype="<u8")
-    res = res.reshape(-1, *res.shape[-2:]).view(np.uint8)
-    chunks, n = len(res), p.params.ring_degree
-    rows = []
-    for i, b in enumerate(widths):
-        bits = np.unpackbits(res[:, i].reshape(chunks, n, 8), axis=-1,
-                             count=b, bitorder="little")
-        rows.append(np.packbits(bits.reshape(chunks, -1), axis=-1,
-                                bitorder="little"))
-    return bytes([len(widths)]) + widths + np.concatenate(rows, -1).tobytes()
+    """The block of a polynomial or a batch, each row at its prime's bit
+    length."""
+    return _block_bytes(p.residues.reshape(-1, *p.residues.shape[-2:]),
+                        _widths(p.params, len(p.prime_indices)))
 
 
-def _read_poly(r: Reader, params: EncryptionParams, rows: range,
-               batch: tuple[int, ...] = ()) -> RingPoly:
-    """A polynomial, or a batch of `batch` polynomials, over the first
-    `count` basis primes, `count` in `rows`, each row packed at its
-    prime's bit length and each residue below its row's prime."""
+def _read_block(r: Reader, params: EncryptionParams, rows: range, m: int,
+                n: int) -> np.ndarray:
+    """The (m, count, n) residues of a block over the first `count` basis
+    primes, `count` in `rows`, each row packed at its prime's bit length
+    and each residue below its row's prime."""
     (count,) = r.unpack("B")
     if count not in rows:
         raise FormatError(f"poly has {count} primes, expected "
@@ -181,41 +227,38 @@ def _read_poly(r: Reader, params: EncryptionParams, rows: range,
     if widths != expected:
         raise FormatError(f"poly rows packed at {list(widths)} bits, not "
                           f"their primes' {list(expected)}")
-    basis, n = tuple(range(count)), params.ring_degree
-    chunks = math.prod(batch)
-    # n is a power of two, so every row fills whole bytes
-    packed = np.frombuffer(r.take(chunks * n * sum(widths) // 8),
-                           dtype=np.uint8).reshape(chunks, -1)
-    bits = np.zeros((chunks, count, n, 64), dtype=np.uint8)
-    at = 0
-    for i, b in enumerate(widths):
-        bits[:, i, :, :b] = np.unpackbits(
-            packed[:, at:at + n * b // 8], axis=-1,
-            bitorder="little").reshape(chunks, n, b)
-        at += n * b // 8
-    res = np.packbits(bits, axis=-1, bitorder="little").view("<u8")
-    res = res.reshape(*batch, count, n).astype(np.uint64, copy=False)
-    if (res >= params.stacked_ntt(basis).q).any():
+    sizes = [-(-n * b // 8) for b in widths]
+    packed = np.frombuffer(r.take(m * sum(sizes)),
+                           dtype=np.uint8).reshape(m, -1)
+    res, at = np.empty((m, count, n), dtype=np.uint64), 0
+    for i, (b, size) in enumerate(zip(widths, sizes)):
+        res[:, i] = _unpack(packed[:, at:at + size], n, b)
+        at += size
+    if (res >= params.stacked_ntt(tuple(range(count))).q).any():
         raise FormatError("poly residue not below its prime")
-    return RingPoly(params, basis, res, NTT)
+    return res
 
 
-def read_layout(r: Reader, magic: bytes, chunks: int = 1,
-                counts: tuple[int, ...] = (1,)) -> tuple[bytes, int]:
-    """The row widths and ring degree N of a sealed artifact, read
+def _read_poly(r: Reader, params: EncryptionParams, rows: range,
+               batch: tuple[int, ...] = ()) -> RingPoly:
+    """An NTT-domain polynomial, or a batch of `batch` polynomials, read
+    as `_read_block`."""
+    n = params.ring_degree
+    res = _read_block(r, params, rows, math.prod(batch), n)
+    count = res.shape[1]
+    return RingPoly(params, tuple(range(count)),
+                    res.reshape(*batch, count, n), NTT)
+
+
+def read_layout(r: Reader, magic: bytes,
+                chunks: int = 1) -> tuple[bytes, int]:
+    """The row widths and ring degree N of a `CKV6` or `CKP3`, read
     without parameters: r is past the trailer check and, in a batch,
-    past the header that gave `chunks` and `counts`. N comes from the
-    first block's prime count and width bytes and the length left, and
-    a `CKV6`'s c1 block must repeat them. Raises FormatError unless a
-    power-of-two N >= 1024 gives that length and every width is 1 to
-    64 bits."""
-    blocks, tail = 1, 0
-    if magic == MAGIC_PUBLIC_KEY:
-        tail = SEED_BYTES
-    elif magic == MAGIC_CIPHERTEXT:
-        blocks = 2
-    else:
-        r.take(len(counts) * chunks * SEED_BYTES)
+    past the header that gave `chunks`. N comes from the first block's
+    prime count and width bytes and the length left, and a `CKV6`'s c1
+    block must repeat them. Raises FormatError unless a power-of-two N
+    >= 1024 gives that length and every width is 1 to 64 bits."""
+    blocks, tail = (1, SEED_BYTES) if magic == MAGIC_PUBLIC_KEY else (2, 0)
     (count,) = r.unpack("B")
     widths = r.take(count)
     if not all(0 < b <= 64 for b in widths):
@@ -237,6 +280,31 @@ def read_layout(r: Reader, magic: bytes, chunks: int = 1,
     return widths, n
 
 
+def read_seeded_layout(r: Reader, chunks: int,
+                       counts: tuple[int, ...]) -> tuple[bytes, int]:
+    """The width byte and the coefficient count P of a seeded upload or
+    aggregate, read without parameters: r is past the trailer check and
+    the header that gave `chunks` and `counts`. P is the count whose
+    packed residues fill the bytes left. Raises FormatError unless the
+    block has one row of 1 to 64 bits and `chunks` chunks of some
+    power-of-two N >= 1024 hold P: (chunks - 1) * N < P <= chunks * N."""
+    r.take(len(counts) * chunks * SEED_BYTES)
+    (count,) = r.unpack("B")
+    widths = r.take(count)
+    if count != 1 or not 0 < widths[0] <= 64:
+        raise FormatError(f"malformed {r.what}: its c0 block has rows of "
+                          f"{list(widths)} bits, not one row of 1 to 64")
+    left = len(r.data) - r.pos
+    p = left * 8 // widths[0]
+    if not (-(-p * widths[0] // 8) == left and any(
+            (chunks - 1) << k < p <= chunks << k for k in range(10, 64))):
+        raise FormatError(f"malformed {r.what}: {left} bytes of "
+                          f"{widths[0]}-bit residues are not the P "
+                          f"coefficients of {chunks} chunks for any "
+                          "power-of-two N >= 1024")
+    return widths, p
+
+
 def _header(ct: Ciphertext, magic: bytes, chunks: int) -> bytes:
     return magic + ct.params.digest + struct.pack("<BdH", ct.level, ct.scale,
                                                   chunks)
@@ -244,11 +312,11 @@ def _header(ct: Ciphertext, magic: bytes, chunks: int) -> bytes:
 
 def _read_header(r: Reader, magic: bytes
                  ) -> tuple[int, float, int, tuple[int, ...]]:
-    """Level, scale, chunk count and sample counts ((1,) but in a `CKV8`)
-    of a batch, read whole, so a short one reads as truncated, then put
-    to every check that needs no parameters (level 0 unless `CKV6`). A
-    retired batch's header is read as that of the batch it shares it
-    with."""
+    """Level, scale, chunk count and sample counts ((1,) but in an
+    aggregate) of a batch, read whole, so a short one reads as
+    truncated, then put to every check that needs no parameters (level
+    0 unless `CKV6`). A retired batch's header is read as that of the
+    batch it shares it with."""
     magic = RETIRED_BATCHES.get(magic, magic)
     level, scale, chunks = r.unpack("BdH")
     counts = (1,)
@@ -288,36 +356,45 @@ def deserialize_ciphertext(data: bytes, params: EncryptionParams) -> Ciphertext:
     return Ciphertext(c0=c0, c1=c1, scale=scale, level=level)
 
 
-def serialize_seeded(ct: Ciphertext) -> bytes:
-    """One `CKV7` batch, an encrypt_symmetric output of coefficient-packed
-    chunks: the `CKV6` header, each chunk's seed, then c0; c1 is left for
-    the reader to expand."""
-    if ct.seeds is None or ct.counts != (1,):
+def _seeded_bytes(batch: SeededBatch, magic: bytes, head: bytes) -> bytes:
+    """The `CKV6` header, `head`, the seeds, then the P coefficients of
+    c0 as a one-row block at q0's width, and the trailer."""
+    return seal(b"".join([_header(batch, magic, len(batch)), head,
+                          *batch.seeds, _block_bytes(batch.c0[None, None],
+                                                     _widths(batch.params,
+                                                             1))]))
+
+
+def serialize_seeded(batch: SeededBatch) -> bytes:
+    """One `CKU1` upload, an encrypt_symmetric output: the header, each
+    chunk's seed, then the P coefficients of c0; c1 is left to the
+    seeds."""
+    if not isinstance(batch, SeededBatch) or batch.counts != (1,):
         raise FormatError("only a seeded ciphertext of one upload is "
-                          "written as CKV7")
-    return seal(b"".join([_header(ct, MAGIC_SEEDED, len(ct)), *ct.seeds,
-                          _poly_bytes(ct.c0)]))
+                          "written as CKU1")
+    return _seeded_bytes(batch, MAGIC_SEEDED, b"")
 
 
-def serialize_seeded_sum(ct: Ciphertext) -> bytes:
-    """One `CKV8` batch, a weighted sum of seeded uploads from
-    server.aggregate: the `CKV6` header, the client count K, the K
-    sample counts, each client's chunk seeds client after client, then
-    c0; the reader rebuilds c1 from the seeds and the counts."""
-    if ct.seeds is None:
-        raise FormatError("only a sum of seeded uploads is written as CKV8")
-    k = len(ct.counts)
-    return seal(b"".join([_header(ct, MAGIC_SEEDED_SUM, len(ct)),
-                          struct.pack(f"<H{k}Q", k, *ct.counts), *ct.seeds,
-                          _poly_bytes(ct.c0)]))
+def serialize_seeded_sum(batch: SeededBatch) -> bytes:
+    """One `CKA1` aggregate, a weighted sum of seeded uploads from
+    server.aggregate: the header, the client count K, the K sample
+    counts, each client's chunk seeds client after client, then the P
+    coefficients of c0."""
+    if not isinstance(batch, SeededBatch):
+        raise FormatError("only a sum of seeded uploads is written as CKA1")
+    k = len(batch.counts)
+    return _seeded_bytes(batch, MAGIC_SEEDED_SUM,
+                         struct.pack(f"<H{k}Q", k, *batch.counts))
 
 
 def _read_seeded(data: bytes, params: EncryptionParams, magic: bytes,
-                 check) -> Ciphertext:
-    """A `CKV7` (one upload, counts (1,)) or a `CKV8` batch. Every check,
-    `check(chunks, counts)` included when it is given, runs before any
-    seed is expanded, and the layout's size is checked before it is
-    read."""
+                 param_count: int, check) -> SeededBatch:
+    """A `CKU1` (one upload, counts (1,)) or a `CKA1` batch of
+    `param_count` coefficients. Every check runs before any field past
+    the header is read: the scale, `check(chunks, counts)` when it is
+    given, a chunk count of ceil(param_count / N), and the exact length
+    that the counts, the chunks and P give. No seed is expanded: c1
+    waits for the batch's first use."""
     r = _open(data, magic, params)
     level, scale, chunks, counts = _read_header(r, magic)
     if scale != params.scale * sum(counts):
@@ -325,29 +402,33 @@ def _read_seeded(data: bytes, params: EncryptionParams, magic: bytes,
                           f"its {sum(counts)} samples")
     if check is not None:
         check(chunks, counts)
-    # the seeds, then c0: its row count, q0's width byte and its rows
-    r.rest_is(len(counts) * chunks * SEED_BYTES + 2 + chunks
-              * params.ring_degree * params.modulus_chain[0].bit_length() // 8)
+    fill = -(-param_count // params.ring_degree)
+    if chunks != fill:
+        raise FormatError(f"{r.what} holds {chunks} chunks; {param_count} "
+                          f"parameters fill {fill}")
+    # the seeds, then c0: its row count, q0's width byte and P residues
+    r.rest_is(len(counts) * chunks * SEED_BYTES + 2 + -(
+        -param_count * params.modulus_chain[0].bit_length() // 8))
     seeds = tuple(r.take(SEED_BYTES) for _ in range(len(counts) * chunks))
-    c0 = _read_poly(r, params, range(1, 2), (chunks,))
+    c0 = _read_block(r, params, range(1, 2), 1, param_count)[0, 0]
     r.end()
-    return Ciphertext(c0=c0, c1=seeded_c1(seeds, counts, params),
-                      scale=scale, level=level, seeds=seeds, counts=counts)
+    return SeededBatch(params, c0, scale, seeds, counts)
 
 
 def deserialize_seeded(data: bytes, params: EncryptionParams,
-                       check=None) -> Ciphertext:
-    """A `CKV7` artifact as a level-0 batch, its c1 re-expanded from the
-    seeds after `check(chunks, (1,))`, if given. A `CKV3` or `CKV4`
-    upload is refused by its magic."""
-    return _read_seeded(data, params, MAGIC_SEEDED, check)
+                       param_count: int, check=None) -> SeededBatch:
+    """A `CKU1` upload of `param_count` coefficients, after
+    `check(chunks, (1,))`, if given. A `CKV3`, `CKV4` or `CKV7` upload
+    is refused by its magic."""
+    return _read_seeded(data, params, MAGIC_SEEDED, param_count, check)
 
 
 def deserialize_seeded_sum(data: bytes, params: EncryptionParams,
-                           check=None) -> Ciphertext:
-    """A `CKV8` artifact as a level-0 batch, its c1 rebuilt from the
-    seeds and counts after `check(chunks, counts)`, if given."""
-    return _read_seeded(data, params, MAGIC_SEEDED_SUM, check)
+                           param_count: int, check=None) -> SeededBatch:
+    """A `CKA1` aggregate of `param_count` coefficients, after
+    `check(chunks, counts)`, if given. A `CKV5` or `CKV8` is refused by
+    its magic."""
+    return _read_seeded(data, params, MAGIC_SEEDED_SUM, param_count, check)
 
 
 def serialize_secret_key(keys: KeyMaterial) -> bytes:

@@ -26,19 +26,21 @@ def coordinator_config(counts, rounds: int = 1) -> RoundConfig:
                        sample_counts=tuple(counts), learning_rate=0.1)
 
 
-def seeded_uploads(keys, chunks: int, counts) -> list:
+def seeded_uploads(keys, chunks: int, counts, count=None) -> list:
     """One seeded upload of `chunks` chunks per client, the clients
-    holding `counts` samples."""
+    holding `counts` samples, each of `count` coefficients (all of the
+    chunks' by default)."""
     params = keys.params
+    count = chunks * params.ring_degree if count is None else count
     return [ClientUpdate(k, encrypt_symmetric(encode_coeffs(
         np.linspace(-1, 1, 8 * chunks).reshape(chunks, 8) / (k + 1), params,
-        level=0), keys, [100 * k + j for j in range(chunks)]), n, 0,
-        chunks * params.ring_degree) for k, n in enumerate(counts)]
+        level=0), keys, [100 * k + j for j in range(chunks)], count), n, 0,
+        count) for k, n in enumerate(counts)]
 
 
-def seeded_aggregate(keys, chunks: int, counts):
+def seeded_aggregate(keys, chunks: int, counts, count=None):
     """server.aggregate of `seeded_uploads`."""
-    return aggregate(seeded_uploads(keys, chunks, counts), keys.public)
+    return aggregate(seeded_uploads(keys, chunks, counts, count), keys.public)
 
 
 def count_expansions(monkeypatch) -> list:
@@ -47,6 +49,13 @@ def count_expansions(monkeypatch) -> list:
     monkeypatch.setattr(ops, "expand_seed",
                         lambda *a: calls.append(1) or expand(*a))
     return calls
+
+
+def forbid_expansion(monkeypatch) -> None:
+    """Make every seed expansion from now on raise."""
+    def expand(*_):
+        raise AssertionError("a seed was expanded")
+    monkeypatch.setattr(ops, "expand_seed", expand)
 
 
 def resealed(blob: bytes, change) -> bytes:
@@ -86,14 +95,16 @@ def with_field(blob: bytes, start: int, index: int, width: int,
 def pack_rows(residues, widths: bytes) -> bytes:
     """Residue rows, chunk after chunk, each at its width as
     docs/protocol.md words it: bit i of residue j is bit j * width + i
-    of the row, least significant bit of the first byte first. Python
-    integers only, as an oracle for the packer."""
+    of the row, least significant bit of the first byte first, and 0
+    bits pad a row to whole bytes. Python integers only, as an oracle
+    for the packer."""
     rows = np.asarray(residues)
     rows = rows.reshape(-1, len(widths), rows.shape[-1])
     out = []
     for chunk in rows:
         for row, b in zip(chunk, widths):
             stream = "".join(format(int(v), f"0{b}b")[::-1] for v in row)
+            stream += "0" * (-len(stream) % 8)
             out.append(int(stream[::-1] or "0", 2).to_bytes(
                 len(stream) // 8, "little"))
     return b"".join(out)

@@ -96,32 +96,38 @@ def test_seeded_batch_equals_per_chunk(small_params, small_keys):
     ct = encrypt_symmetric(encode_coeffs(vals, params, level=0), keys, seeds)
     cts = [encrypt_symmetric(encode_coeffs(v[None], params, level=0), keys,
                              [s]) for v, s in zip(vals, seeds)]
-    assert_batch_equal(ct, [c[0] for c in cts])
+    assert np.array_equal(ct.c0, np.concatenate([c.c0 for c in cts]))
+    assert np.array_equal(ct.a.residues,
+                          np.concatenate([c.a.residues for c in cts]))
     assert ct.seeds == tuple(c.seeds[0] for c in cts)
     assert ct.level == 0 and ct.scale == params.scale
+    # chunk i read as a Ciphertext is chunk i encrypted alone
+    assert_batch_equal(ct[:], [c[0] for c in cts])
 
 
 def per_chunk_update(model, keys, rng_seed):
     """The UPDATE payload built chunk by chunk, one coefficient packing and
     one seeded encrypt per ring_degree-sized slice, laid out by hand: the
-    `CKV7` header, every chunk's seed, then c0's prime count, q0's width
-    byte and every chunk's residues at that width, chunk after chunk,
-    then the trailer. The reference for the batch path and for
-    `CKV7`."""
+    `CKU1` header, every chunk's seed, then c0's prime count, q0's width
+    byte and the chunks' coefficients that hold parameters, chunk after
+    chunk, as one row at that width, then the trailer. The reference for
+    the batch path and for `CKU1`."""
     params = keys.params
     weights = quantize(flatten_weights(model), QuantizationSpec())
     n = params.ring_degree
     cts = [encrypt_symmetric(encode_coeffs(weights[None, start:start + n],
                                            params, level=0), keys,
-                             [derive_seed(rng_seed, i)])
+                             [derive_seed(rng_seed, i)],
+                             weights[start:start + n].size)
            for i, start in enumerate(range(0, weights.size, n))]
     top = cts[0]
     width = bytes([params.modulus_chain[0].bit_length()])
-    out = [b"CKV7", params.digest,
+    out = [b"CKU1", params.digest,
            struct.pack("<BdH", top.level, top.scale, len(cts))]
     out.extend(ct.seeds[0] for ct in cts)
     out.append(struct.pack("<B", top.level + 1) + width)
-    out.extend(pack_rows(ct.c0.residues, width) for ct in cts)
+    out.append(pack_rows(np.concatenate([ct.c0 for ct in cts])[None],
+                         width))
     body = b"".join(out)
     return body + hashlib.sha256(body).digest()[:16]
 

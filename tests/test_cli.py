@@ -333,32 +333,40 @@ def test_inspect_seeded_batch(tmp_path, capsys, small_params, small_keys):
     from cipherfed.fhe import encode_coeffs, encrypt_symmetric
     from cipherfed.fhe.serial import serialize_seeded
     ct = encrypt_symmetric(encode_coeffs(np.ones((2, 4)), small_params,
-                                         level=0), small_keys, [1, 2])
+                                         level=0), small_keys, [1, 2], 1027)
     p = tmp_path / "update.ct"
     p.write_bytes(serialize_seeded(ct))
     assert main(["inspect", str(p)]) == 0
     out = capsys.readouterr().out
     assert "seeded ciphertext" in out and "level  : 0" in out
     assert "scale  : 1.09951e+12" in out and "chunks : 2" in out
-    assert "widths : 61 bits" in out and "ring N : 1024" in out
-    # an upload from before coefficient packing is named, not read
-    p.write_bytes(b"CKV3" + serialize_seeded(ct)[4:])
-    assert main(["inspect", str(p)]) == 0
-    assert ("kind   : slot-packed seeded ciphertext (CKV3, no longer read)"
-            in capsys.readouterr().out)
+    assert "widths : 61 bits" in out and "P      : 1027 coefficients" in out
+    # an upload from before coefficient packing, or of all N
+    # coefficients, is named after its header, not read, and exits 3
+    for old, kind in ((b"CKV3", "slot-packed seeded ciphertext"),
+                      (b"CKV7", "full-ring seeded ciphertext")):
+        p.write_bytes(old + serialize_seeded(ct)[4:])
+        assert main(["inspect", str(p)]) == 3
+        captured = capsys.readouterr()
+        assert f"{kind} ({old.decode()}, no longer read)" in captured.err
+        assert "chunks" not in captured.out
 
 
 def test_inspect_seeded_aggregate(tmp_path, capsys, small_keys):
     from cipherfed.fhe.serial import serialize_seeded_sum
     p = tmp_path / "global.ct"
-    p.write_bytes(serialize_seeded_sum(seeded_aggregate(small_keys, 2,
-                                                        (3, 5))))
+    blob = serialize_seeded_sum(seeded_aggregate(small_keys, 2, (3, 5), 1030))
+    p.write_bytes(blob)
     assert main(["inspect", str(p)]) == 0
     out = capsys.readouterr().out
     assert "kind   : seeded aggregate" in out and "level  : 0" in out
     assert "scale  : 8.79609e+12" in out and "chunks : 2" in out
     assert "clients: 2" in out and "counts : 3, 5" in out
-    assert "widths : 61 bits" in out and "ring N : 1024" in out
+    assert "widths : 61 bits" in out and "P      : 1030 coefficients" in out
+    p.write_bytes(b"CKV8" + blob[4:])
+    assert main(["inspect", str(p)]) == 3
+    assert ("full-ring seeded aggregate (CKV8, no longer read)"
+            in capsys.readouterr().err)
 
 
 def test_inspect_unknown_magic_exits_3(tmp_path, capsys):
@@ -376,7 +384,9 @@ def test_inspect_unknown_magic_exits_3(tmp_path, capsys):
                                         ("CKP2", 11), ("CKV6", 9),
                                         ("CKV7", 9), ("CKV8", 9),
                                         ("CKV8", 24), ("CKP3", 11),
-                                        ("CKP3", 27)])
+                                        ("CKP3", 27), ("CKU1", 9),
+                                        ("CKU1", 22), ("CKA1", 9),
+                                        ("CKA1", 24)])
 def test_inspect_truncated_header_exits_3(tmp_path, capsys, magic, size):
     p = tmp_path / "short.bin"
     p.write_bytes(magic.encode().ljust(size, b"\0"))
@@ -388,7 +398,7 @@ def batch_header(magic: str, level: int, scale: float, chunks: int,
                  counts=None) -> bytes:
     """A batch header under a zero digest, and a trailer that matches;
     `counts`, if given, as the client count K and the K sample counts
-    of a `CKV8`."""
+    of a `CKA1`."""
     head = magic.encode() + bytes(8) + struct.pack("<BdH", level, scale,
                                                    chunks)
     if counts is not None:
@@ -397,13 +407,13 @@ def batch_header(magic: str, level: int, scale: float, chunks: int,
 
 
 @pytest.mark.parametrize("blob,refusal", [
-    (batch_header("CKV7", 0, float("nan"), 0), "not finite and positive"),
+    (batch_header("CKU1", 0, float("nan"), 0), "not finite and positive"),
     (batch_header("CKV6", 0, 0.0, 1), "not finite and positive"),
-    (batch_header("CKV7", 0, 2.0 ** 40, 0), "no chunks"),
-    (batch_header("CKV8", 7, 2.0 ** 40, 1, ()), "names no clients"),
-    (batch_header("CKV8", 0, 2.0 ** 40, 1, (3, 0)), "sample count of 0"),
-    (batch_header("CKV8", 7, 2.0 ** 40, 1, (1,)), "at level 7"),
-    (batch_header("CKV7", 2, 2.0 ** 40, 1), "at level 2"),
+    (batch_header("CKU1", 0, 2.0 ** 40, 0), "no chunks"),
+    (batch_header("CKA1", 7, 2.0 ** 40, 1, ()), "names no clients"),
+    (batch_header("CKA1", 0, 2.0 ** 40, 1, (3, 0)), "sample count of 0"),
+    (batch_header("CKA1", 7, 2.0 ** 40, 1, (1,)), "at level 7"),
+    (batch_header("CKU1", 2, 2.0 ** 40, 1), "at level 2"),
     (b"CKF1" + struct.pack("<I", 100) + b"abc", "needs 808")],
     ids=["nan-scale", "zero-scale", "no-chunks", "no-clients", "zero-count",
          "seeded-sum-level", "seeded-level", "vector-overrun"])
@@ -427,7 +437,7 @@ def seeded_upload_blob(small_params, small_keys) -> bytes:
 
 def test_inspect_refuses_a_cut_upload(tmp_path, capsys, small_params,
                                       small_keys):
-    """A `CKV7` upload cut to 100 bytes fails its trailer; cut and
+    """A `CKU1` upload cut to 100 bytes fails its trailer; cut and
     resealed, it fails the length its header and width byte imply."""
     blob = seeded_upload_blob(small_params, small_keys)
     p = tmp_path / "update.ct"

@@ -16,7 +16,8 @@ import struct
 import numpy as np
 import pytest
 from conftest import (channel_pair, coordinator_config, count_expansions,
-                      patched, resealed, seeded_aggregate, with_field)
+                      forbid_expansion, patched, resealed, seeded_aggregate,
+                      with_field)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,8 +30,9 @@ from cipherfed.federation.client import (ClientUpdate, PlainUpdate,
 from cipherfed.federation.metrics import metrics_row
 from cipherfed.federation.quantize import QuantizationSpec
 from cipherfed.federation.server import FederationCoordinator
-from cipherfed.fhe import (Ciphertext, decode, decode_coeffs, decrypt, encode,
-                           encode_coeffs, encrypt, encrypt_symmetric, keygen)
+from cipherfed.fhe import (Ciphertext, SeededBatch, decode, decrypt,
+                           decrypt_coeffs, encode, encode_coeffs, encrypt,
+                           encrypt_symmetric, keygen)
 from cipherfed.fhe.keys import KeyMaterial, PublicMaterial
 from cipherfed.fhe.serial import (deserialize_ciphertext,
                                   deserialize_float_vector,
@@ -62,10 +64,11 @@ def formats(small_params):
     batches = {n: encrypt(encode(np.linspace(-1, 1, 8 * n).reshape(n, 8),
                                  params), keys, list(range(n)))
                for n in (2, 7)}
+    # P = (n - 1) * N + 27 coefficients: 27 * 61 bits end in a pad bit
     seeded = {n: encrypt_symmetric(encode_coeffs(
         np.linspace(-1, 1, 8 * n).reshape(n, 8), params, level=0), keys,
-        list(range(n))) for n in (1, 2, 7)}
-    sums = {n: seeded_aggregate(keys, n, counts)
+        list(range(n)), tail_count(params, n)) for n in (1, 2, 7)}
+    sums = {n: seeded_aggregate(keys, n, counts, tail_count(params, n))
             for n, counts in ((1, (12, 30)), (2, (5, 1, 7)))}
     sec = serialize_secret_key(keys)
     pub = serialize_public_key(keys.public)
@@ -82,8 +85,8 @@ def formats(small_params):
         decode(decrypt(got, keys), 8)
 
     def use_seeded(got):
-        assert isinstance(got, Ciphertext) and got.level == 0
-        decode_coeffs(decrypt(got, keys), 8)
+        assert isinstance(got, SeededBatch) and got.level == 0
+        decrypt_coeffs(got, keys)
 
     def use_public(got):
         assert isinstance(got, PublicMaterial)
@@ -133,9 +136,12 @@ def formats(small_params):
                                lambda b: T.decode_update(b, 0, None, 1, 12, 3),
                                use_update),
         "GLOBAL-fhe": Format(T.encode_global(sums[2]),
-                             lambda b: T.decode_global(b, params), use_global),
+                             lambda b: T.decode_global(
+                                 b, params, tail_count(params, 2)),
+                             use_global),
         "GLOBAL-plain": Format(T.encode_global(np.array([1.0, -2.0])),
-                               lambda b: T.decode_global(b, None), use_global),
+                               lambda b: T.decode_global(b, None, 2),
+                               use_global),
         "METRICS": Format(T.encode_metrics(row),
                           lambda b: T.decode_metrics(b, "client_0"),
                           use_metrics),
@@ -143,12 +149,14 @@ def formats(small_params):
                                lambda b: deserialize_ciphertext(b, params),
                                use_ct)
            for n, c in ((1, ct), *batches.items())},
-        **{f"CKV7-{n}": Format(serialize_seeded(c),
-                               lambda b: deserialize_seeded(b, params),
+        **{f"CKU1-{n}": Format(serialize_seeded(c),
+                               lambda b, n=n: deserialize_seeded(
+                                   b, params, tail_count(params, n)),
                                use_seeded)
            for n, c in seeded.items()},
-        **{f"CKV8-{n}": Format(serialize_seeded_sum(c),
-                               lambda b: deserialize_seeded_sum(b, params),
+        **{f"CKA1-{n}": Format(serialize_seeded_sum(c),
+                               lambda b, n=n: deserialize_seeded_sum(
+                                   b, params, tail_count(params, n)),
                                use_seeded)
            for n, c in sums.items()},
         "CKP3": Format(pub, lambda b: deserialize_public_material(b, params),
@@ -162,14 +170,20 @@ def formats(small_params):
     }
 
 
+def tail_count(params, chunks: int) -> int:
+    """P for a seeded batch of `chunks` chunks whose last holds 27
+    coefficients."""
+    return (chunks - 1) * params.ring_degree + 27
+
+
 NAMES = ["frame-body", "JOIN", "UPDATE-fhe", "UPDATE-plain", "GLOBAL-fhe",
-         "GLOBAL-plain", "METRICS", "CKV6-1", "CKV6-2", "CKV6-7", "CKV7-1",
-         "CKV7-2", "CKV7-7", "CKV8-1", "CKV8-2", "CKP3", "CKS3", "CKF1",
+         "GLOBAL-plain", "METRICS", "CKV6-1", "CKV6-2", "CKV6-7", "CKU1-1",
+         "CKU1-2", "CKU1-7", "CKA1-1", "CKA1-2", "CKP3", "CKS3", "CKF1",
          "CKM1"]
 
 
 # the ids the formats' cases have kept across layout changes
-_CASE_IDS = {"CKV6": "CKV2", "CKV7": "CKV3", "CKV8": "CKV5", "CKP3": "CKP1",
+_CASE_IDS = {"CKV6": "CKV2", "CKU1": "CKV3", "CKA1": "CKV5", "CKP3": "CKP1",
              "CKS3": "CKS2"}
 
 
@@ -271,11 +285,11 @@ def sealed_cuts(body: bytes):
 
 
 def test_unsealed_bit_flip_anywhere_refused(formats, monkeypatch):
-    """One bit flipped anywhere in a `CKV7` UPDATE or a `CKV8` GLOBAL,
+    """One bit flipped anywhere in a `CKU1` UPDATE or a `CKA1` GLOBAL,
     trailer included, and the trailer not recomputed, is refused before
     any seed is expanded: nothing is averaged in silently."""
     calls = count_expansions(monkeypatch)
-    for name in ("UPDATE-fhe", "CKV8-1"):
+    for name in ("UPDATE-fhe", "CKA1-1"):
         fmt = formats[name]
         for pos in range(len(fmt.blob)):
             blob = bytearray(fmt.blob)
@@ -287,9 +301,9 @@ def test_unsealed_bit_flip_anywhere_refused(formats, monkeypatch):
     assert calls == []
 
 
-# --- the seeded upload, `CKV7` ----------------------------------------------
+# --- the seeded upload, `CKU1` ----------------------------------------------
 
-SEEDED = ["CKV7-1", "CKV7-2", "CKV7-7"]
+SEEDED = ["CKU1-1", "CKU1-2", "CKU1-7"]
 
 
 @pytest.mark.parametrize("name", SEEDED, ids=case_id)
@@ -323,34 +337,34 @@ def test_seeded_residue_at_prime_rejected(formats, small_params, name):
 
 
 def test_seeded_without_chunks_rejected(formats):
-    blob = patched(formats["CKV7-1"].blob, "H", 21, 0)
+    blob = patched(formats["CKU1-1"].blob, "H", 21, 0)
     with pytest.raises(FormatError, match="no chunks"):
-        formats["CKV7-1"].decode(blob)
+        formats["CKU1-1"].decode(blob)
 
 
 @pytest.mark.parametrize("factor", [2.0, 0.5])
 def test_seeded_scale_other_than_delta_rejected(formats, small_params,
                                                 monkeypatch, factor):
-    """A `CKV7` upload is the case K = 1, n = 1 of the rule scale =
+    """A `CKU1` upload is the case K = 1, n = 1 of the rule scale =
     Δ·Σ n, so a scale of 2Δ or Δ/2 is refused before any expansion."""
-    blob = patched(formats["CKV7-2"].blob, "d", 13,
+    blob = patched(formats["CKU1-2"].blob, "d", 13,
                    small_params.scale * factor)
     calls = count_expansions(monkeypatch)
     with pytest.raises(FormatError, match="seeded ciphertext scale .* is "
                                           "not the scale times its 1 samples"):
-        formats["CKV7-2"].decode(blob)
+        formats["CKU1-2"].decode(blob)
     assert calls == []
 
 
 def test_seeded_wrong_digest_rejected(formats):
-    blob = patched(formats["CKV7-2"].blob, "B", 4,
-                   formats["CKV7-2"].blob[4] ^ 1)
+    blob = patched(formats["CKU1-2"].blob, "B", 4,
+                   formats["CKU1-2"].blob[4] ^ 1)
     with pytest.raises(ParameterError, match="digest mismatch"):
-        formats["CKV7-2"].decode(blob)
+        formats["CKU1-2"].decode(blob)
 
 
 def test_public_key_batch_in_fhe_update_rejected(formats, small_params):
-    """On an fhe run an UPDATE carries `CKV7` only; a `CKV6` batch is a
+    """On an fhe run an UPDATE carries `CKU1` only; a `CKV6` batch is a
     malformed payload."""
     with pytest.raises(FormatError, match="expected seeded ciphertext but "
                                           "found ciphertext artifact"):
@@ -358,10 +372,10 @@ def test_public_key_batch_in_fhe_update_rejected(formats, small_params):
 
 
 def test_seeded_header_bit_flips_decode_or_raise(formats):
-    """Every one-bit flip of a `CKV7` header and first seed, resealed,
+    """Every one-bit flip of a `CKU1` header and first seed, resealed,
     decodes to a usable batch or raises; one in the magic or the digest
     always raises."""
-    fmt = formats["CKV7-1"]
+    fmt = formats["CKU1-1"]
     for pos in range(23 + 32):
         for bit in range(8):
             def flip(b):
@@ -430,18 +444,20 @@ def test_ckv3_update_aborts_every_client(keys, small_params):
     assert [m.mtype for m in replies] == [T.MSG_ABORT, T.MSG_ABORT]
 
 
-@pytest.mark.parametrize("dims,param_count", [(3, 1025), (600, 1024)],
+@pytest.mark.parametrize("dims,param_count", [(3, 1026), (600, 1024)],
                          ids=["one-chunk-for-two", "two-chunks-for-one"])
 def test_chunk_count_off_ring_degree_aborts_every_client(keys, small_params,
                                                          dims, param_count):
     """The chunk count must be ceil(param_count / ring_degree) for the
-    server's param count: one chunk for 1025 parameters, or two for
-    1024, is refused while the other client's fitting upload passes."""
+    server's param count: one chunk for 1026 parameters, or two for
+    1024, is refused while the other client's upload of exactly that
+    many parameters passes."""
     n = small_params.ring_degree
     bad = client_update(keys, 1, dims)
     chunks = struct.unpack_from("<H", bad, 21)[0]
     assert chunks != -(-param_count // n)
-    good = client_update(keys, 0, 603 - dims)  # the other chunk count
+    # 2 * dims + 10 parameters
+    good = client_update(keys, 0, (param_count - 10) // 2)
     assert struct.unpack_from("<H", good, 21)[0] == -(-param_count // n)
     error, replies = coordinator_against(keys, [good, bad], param_count)
     assert isinstance(error, ProtocolError)
@@ -463,9 +479,9 @@ def test_update_chunk_count_checked_before_any_expansion(keys, small_params,
     assert calls == []
 
 
-# --- the seeded aggregate, `CKV8` --------------------------------------------
+# --- the seeded aggregate, `CKA1` --------------------------------------------
 
-SUMS = ["CKV8-1", "CKV8-2"]
+SUMS = ["CKA1-1", "CKA1-2"]
 AT_K = 23  # the client count, after the `CKV6` header
 
 
@@ -473,6 +489,12 @@ def sum_layout(blob: bytes) -> tuple[int, int, int]:
     """Chunks, client count, and the offset of the first seed."""
     chunks, k = struct.unpack_from("<HH", blob, 21)
     return chunks, k, AT_K + 2 + 8 * k
+
+
+def set_last_bit(body: bytes) -> bytes:
+    """`body` with the top bit of its last byte set: in a seeded batch of
+    27 coefficients per last chunk, its one pad bit."""
+    return body[:-1] + bytes([body[-1] | 0x80])
 
 
 def hostile_sums(blob: bytes, q0: int) -> dict:
@@ -493,6 +515,7 @@ def hostile_sums(blob: bytes, q0: int) -> dict:
         "one client more": resealed(one_more, lambda b: b[:seeds]
                                     + struct.pack("<Q", 1) + b[seeds:]),
         "one chunk more": patched(blob, "H", 21, chunks + 1),
+        "pad bit set": resealed(blob, set_last_bit),
         "scale off by one count": patched(blob, "d", 13, scale * 2),
         "level 1": patched(blob, "B", 12, 1),
         "residue at q0": with_field(blob, c0, 0, 61, q0),
@@ -504,7 +527,8 @@ def hostile_sums(blob: bytes, q0: int) -> dict:
 HOSTILE = {"no clients": "names no clients",
            "a count of 0": "sample count of 0",
            "one seed short": "truncated", "one seed more": "trailing bytes",
-           "one client more": "truncated", "one chunk more": "truncated",
+           "one client more": "truncated",
+           "one chunk more": "parameters fill", "pad bit set": "pad bits",
            "scale off by one count": "not the scale times",
            "level 1": "at level 1", "residue at q0": "not below its prime",
            "trailing byte": "1 trailing bytes"}
@@ -514,13 +538,13 @@ HOSTILE = {"no clients": "names no clients",
 @pytest.mark.parametrize("hostile", HOSTILE)
 def test_hostile_seeded_aggregate_rejected_before_expansion(
         formats, small_params, monkeypatch, name, hostile):
-    """Every malformed `CKV8` is refused with a CipherfedError before
+    """Every malformed `CKA1` is refused with a CipherfedError before
     any of its seeds is expanded."""
     blob = hostile_sums(formats[name].blob, small_params.modulus_chain[0])[
         hostile]
     calls = count_expansions(monkeypatch)
     with pytest.raises(CipherfedError, match=HOSTILE[hostile]):
-        deserialize_seeded_sum(blob, small_params)
+        formats[name].decode(blob)
     assert calls == []
 
 
@@ -543,5 +567,85 @@ def test_seeded_aggregate_check_runs_before_expansion(formats, small_params,
 
     calls = count_expansions(monkeypatch)
     with pytest.raises(ProtocolError, match="not this run's"):
-        deserialize_seeded_sum(formats["CKV8-2"].blob, small_params, check)
+        deserialize_seeded_sum(formats["CKA1-2"].blob, small_params,
+                               tail_count(small_params, 2), check)
     assert seen == [(2, (5, 1, 7))] and calls == []
+
+
+# --- both seeded layouts -----------------------------------------------------
+
+BOTH = SEEDED + SUMS
+
+
+def header_bytes(blob: bytes) -> int:
+    """The length of a seeded batch's header: 23 bytes, and in a `CKA1`
+    the client count and its u64 counts."""
+    if blob[:4] == b"CKU1":
+        return 23
+    return AT_K + 2 + 8 * struct.unpack_from("<H", blob, AT_K)[0]
+
+
+@pytest.mark.parametrize("name", BOTH, ids=case_id)
+def test_seeded_header_bit_flip_refused(formats, monkeypatch, name):
+    """The run fixes every header field of a seeded batch: the level
+    (0), the scale (Δ times the counts), the chunks (the ones P fills)
+    and, through the scale and the length, the counts. So every
+    one-bit flip of the header, resealed, is refused, and no seed is
+    expanded."""
+    fmt = formats[name]
+    forbid_expansion(monkeypatch)
+    for pos in range(header_bytes(fmt.blob)):
+        for bit in range(8):
+            def flip(b):
+                b[pos] ^= 1 << bit
+                return b
+            with pytest.raises(CipherfedError):
+                fmt.decode(resealed(fmt.blob, flip))
+
+
+@pytest.mark.parametrize("name", BOTH, ids=case_id)
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_seeded_read_for_another_param_count_refused(formats, small_params,
+                                                     monkeypatch, name,
+                                                     delta):
+    """A reader takes P from the run: a valid batch read for one
+    parameter more or fewer is refused by its length, or, at a chunk
+    boundary, by its chunk count."""
+    fmt = formats[name]
+    n = small_params.ring_degree
+    chunks = struct.unpack_from("<H", fmt.blob, 21)[0]
+    read = (deserialize_seeded if name in SEEDED else deserialize_seeded_sum)
+    forbid_expansion(monkeypatch)
+    for p in (tail_count(small_params, chunks) + delta,
+              (chunks - 1) * n + (n if delta > 0 else 0) + delta):
+        with pytest.raises(FormatError, match="truncated|trailing bytes|"
+                                              "parameters fill"):
+            read(fmt.blob, small_params, p)
+
+
+@pytest.mark.parametrize("name", BOTH, ids=case_id)
+def test_seeded_pad_bits_refused(formats, monkeypatch, name):
+    """27 coefficients of 61 bits leave 1 pad bit in the last byte;
+    set, it is refused."""
+    fmt = formats[name]
+    blob = resealed(fmt.blob, set_last_bit)
+    forbid_expansion(monkeypatch)
+    with pytest.raises(FormatError, match="pad bits that are not 0"):
+        fmt.decode(blob)
+
+
+@pytest.mark.parametrize("name", BOTH, ids=case_id)
+def test_seeded_every_append_and_truncation_expands_nothing(formats,
+                                                            monkeypatch,
+                                                            name):
+    """Every truncation, resealed, and every append of up to 16 bytes is
+    refused, and no seed is expanded for any of them."""
+    fmt = formats[name]
+    forbid_expansion(monkeypatch)
+    body = unsealed(fmt.blob)
+    for blob in sealed_cuts(body):
+        with pytest.raises(CipherfedError):
+            fmt.decode(blob)
+    for extra in range(1, 17):
+        with pytest.raises(CipherfedError):
+            fmt.decode(resealed(fmt.blob, lambda b: b + bytes(extra)))

@@ -140,3 +140,60 @@ def test_inexact_fractional_bits_is_config_error(small_params, bits,
     for run in (run_federated_training, run_socket_federation):
         with pytest.raises(ConfigError, match="holds exactly"):
             run(init, cfg, parts, test, keys, mode="fhe")
+
+
+def full_ring_upload(pt, keys, ints):
+    """The full-ring seeded upload that `CKV7` carried, rebuilt from the
+    CKKS primitives: c1 = a expanded from each chunk's seed, and c0 =
+    NTT(m + e) - a*s over all N coefficients, with the seeds and the
+    error drawn as encrypt_symmetric draws them."""
+    import hashlib
+
+    from cipherfed.fhe import Ciphertext
+    from cipherfed.fhe.ops import _SEED_TAG, seeded_c1
+    from cipherfed.fhe.poly import ntt_forward, sample_gaussian
+    params = keys.params
+    seeds = [hashlib.sha256(_SEED_TAG + s.to_bytes(8, "little")).digest()
+             for s in ints]
+    a = seeded_c1(seeds, (1,), params)
+    e = np.reshape([sample_gaussian(params, (0,), np.random.default_rng(
+        np.random.SeedSequence([s, 0x5EC]))).residues for s in ints],
+        pt.poly.residues.shape)
+    c0 = a.mul_fixed(keys.secret_key).neg().add(
+        ntt_forward(pt.poly.add(pt.poly._like(e))))
+    return Ciphertext(c0, a, pt.scale, 0)
+
+
+@pytest.mark.parametrize("clients", [1, 2, 4])
+@pytest.mark.parametrize("count", [1, 27, 4095, 4096, 4097, 3093, 12309])
+def test_truncated_sum_decrypts_to_the_full_ring_integers(std_keys, count,
+                                                          clients):
+    """The P coefficients that a client decrypts from the weighted sum of
+    truncated uploads are the integers that the full-ring uploads'
+    weighted sum (mul_plain and add_ct by each sample count) decrypts
+    to in its first P coefficients, bit for bit."""
+    from cipherfed.federation.client import ClientUpdate
+    from cipherfed.fhe import (add_ct, decode_coeffs, decrypt,
+                               decrypt_coeffs, encode_coeffs, encode_scalar,
+                               encrypt_symmetric, mul_plain)
+    params = std_keys.params
+    n = params.ring_degree
+    chunks = -(-count // n)
+    rng = np.random.default_rng(count * 10 + clients)
+    weights = rng.integers(1, 1000, clients).tolist()
+    updates, full = [], None
+    for k, n_k in enumerate(weights):
+        values = np.zeros(chunks * n)
+        values[:count] = np.round(rng.uniform(-4, 4, count) * 2.0 ** 16)
+        values /= 2.0 ** 16
+        pt = encode_coeffs(values.reshape(chunks, n), params, level=0)
+        ints = [int(s) for s in rng.integers(0, 2 ** 62, chunks)]
+        updates.append(ClientUpdate(k, encrypt_symmetric(pt, std_keys, ints,
+                                                         count),
+                                    n_k, 0, count))
+        term = mul_plain(full_ring_upload(pt, std_keys, ints), encode_scalar(
+            n_k, params, level=0, scale=1.0))
+        full = term if full is None else add_ct(full, term)
+    got = decrypt_coeffs(server.aggregate(updates, std_keys.public), std_keys)
+    want = decode_coeffs(decrypt(full, std_keys), n).ravel()[:count]
+    assert got.dtype == want.dtype and np.array_equal(got, want)

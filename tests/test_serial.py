@@ -281,7 +281,7 @@ def test_ciphertext_scale_must_be_finite_positive(scale, small_params,
         deserialize_ciphertext(blob, small_params)
 
 
-# --- the seeded upload, `CKV7` ----------------------------------------------
+# --- the seeded upload, `CKU1` ----------------------------------------------
 
 def spec_expansion(seed: bytes, q: int, n: int, shake=None) -> list[int]:
     """The expansion as docs/protocol.md words it, one word at a time."""
@@ -342,24 +342,28 @@ def test_seed_expansion_reads_on_past_a_short_stream(monkeypatch,
 @pytest.mark.parametrize("chunks", [1, 2, 7])
 def test_seeded_batch_roundtrip_bitwise(chunks, small_params, small_keys,
                                         rng):
-    from cipherfed.fhe import decode_coeffs, encode_coeffs, encrypt_symmetric
+    from cipherfed.fhe import decrypt_coeffs, encode_coeffs, encrypt_symmetric
     from cipherfed.fhe.serial import deserialize_seeded, serialize_seeded
     values = rng.uniform(-8, 8, (chunks, 16))
+    count = (chunks - 1) * 1024 + 16  # the last chunk's first 16
     ct = encrypt_symmetric(encode_coeffs(values, small_params, level=0),
-                           small_keys, list(range(10, 10 + chunks)))
+                           small_keys, list(range(10, 10 + chunks)), count)
     blob = serialize_seeded(ct)
-    # the header, the seeds, c0's row count and width byte, its rows at
-    # 61 bits and the trailer
-    assert len(blob) == 23 + 32 * chunks + 2 + 61 * chunks * 1024 // 8 + 16
-    back = deserialize_seeded(blob, small_params)
+    # the header, the seeds, c0's row count and width byte, its P
+    # coefficients at 61 bits and the trailer
+    assert len(blob) == 23 + 32 * chunks + 2 + -(-61 * count // 8) + 16
+    back = deserialize_seeded(blob, small_params, count)
     assert back.seeds == ct.seeds and len(set(ct.seeds)) == chunks
-    assert np.array_equal(back.c0.residues, ct.c0.residues)
-    # the reader's c1, re-expanded from the seeds, is the sender's
+    assert np.array_equal(back.c0, ct.c0) and back.c0.size == count
+    # the reader's c1, expanded from the seeds on first use, is the
+    # sender's
+    assert back.a is None
     assert np.array_equal(back.c1.residues, ct.c1.residues)
     assert (back.level, back.scale) == (0, small_params.scale)
     assert serialize_seeded(back) == blob
-    got = decode_coeffs(decrypt(back, small_keys), 16) / small_params.scale
-    assert np.abs(got - values).max() < 2.0 ** -28
+    got = decrypt_coeffs(back, small_keys) / small_params.scale
+    assert np.abs(got.reshape(-1)[-16:] - values[-1]).max() < 2.0 ** -28
+    assert np.abs(got[:16] - values[0]).max() < 2.0 ** -28
 
 
 def test_seeded_encryption_needs_secret_key_and_level_0(small_params,
@@ -445,22 +449,29 @@ def test_trailer_is_sha256_of_the_bytes_before_it(small_params, small_keys,
         assert blob[-16:] == hashlib.sha256(blob[:-16]).digest()[:16]
 
 
+def upload_count(chunks: int) -> int:
+    """P of the uploads below: all but the last 1,000 of their chunks'
+    coefficients at N = 1,024."""
+    return chunks * 1024 - 1000
+
+
 @pytest.fixture(scope="module")
 def uploads(small_params, small_keys):
-    """`CKV7` uploads of 1, 2 and 7 chunks."""
+    """`CKU1` uploads of 1, 2 and 7 chunks."""
     from cipherfed.fhe import encode_coeffs, encrypt_symmetric
     from cipherfed.fhe.serial import serialize_seeded
     return {c: serialize_seeded(encrypt_symmetric(encode_coeffs(
         np.linspace(-1, 1, 8 * c).reshape(c, 8), small_params, level=0),
-        small_keys, list(range(c)))) for c in (1, 2, 7)}
+        small_keys, list(range(c)), upload_count(c))) for c in (1, 2, 7)}
 
 
 def refused_before_expansion(blob, params, refusal):
     from cipherfed.fhe.serial import deserialize_seeded
+    chunks = struct.unpack_from("<H", blob, 21)[0]
     with pytest.MonkeyPatch.context() as patch:
         calls = count_expansions(patch)
         with pytest.raises(FormatError, match=refusal):
-            deserialize_seeded(blob, params)
+            deserialize_seeded(blob, params, upload_count(chunks))
     assert calls == []
 
 
@@ -469,8 +480,7 @@ def refused_before_expansion(blob, params, refusal):
 def test_field_at_or_above_its_prime_refused(uploads, small_params, chunks,
                                              data):
     q0 = small_params.modulus_chain[0]
-    n = small_params.ring_degree
-    field = data.draw(st.integers(0, chunks * n - 1))
+    field = data.draw(st.integers(0, upload_count(chunks) - 1))
     value = data.draw(st.integers(q0, (1 << 61) - 1))
     blob = with_field(uploads[chunks], 23 + 32 * chunks + 2, field, 61, value)
     refused_before_expansion(blob, small_params, "not below its prime")
@@ -497,21 +507,55 @@ def test_length_off_by_one_byte_refused(uploads, small_params, chunks, cut,
     refused_before_expansion(blob, small_params, refusal)
 
 
-@pytest.mark.parametrize("old", [b"CKV2", b"CKV3", b"CKV4", b"CKV5"])
+@pytest.mark.parametrize("old", [b"CKV2", b"CKV3", b"CKV4", b"CKV5",
+                                 b"CKV7", b"CKV8"])
 def test_retired_batch_formats_refused_by_name(old, small_params, small_keys,
                                                artifacts, uploads):
-    """A batch under a magic of the 64-bit layouts (or the slot-packed
-    `CKV3`) is refused by its reader, which names what it found."""
+    """A batch under a magic of the 64-bit layouts, the slot-packed
+    `CKV3` or the full-ring `CKV7` and `CKV8` is refused by its reader,
+    which names what it found."""
     from cipherfed.fhe.serial import (deserialize_seeded,
                                       deserialize_seeded_sum,
                                       serialize_seeded_sum)
+    upload = (uploads[1], lambda b, p: deserialize_seeded(
+        b, p, upload_count(1)))
+    total = (serialize_seeded_sum(seeded_aggregate(small_keys, 1, (2, 3))),
+             lambda b, p: deserialize_seeded_sum(b, p, 1024))
     blob, read = {
         b"CKV2": (artifacts["ciphertext"], deserialize_ciphertext),
-        b"CKV3": (uploads[1], deserialize_seeded),
-        b"CKV4": (uploads[1], deserialize_seeded),
-        b"CKV5": (serialize_seeded_sum(seeded_aggregate(small_keys, 1,
-                                                        (2, 3))),
-                  deserialize_seeded_sum)}[old]
+        b"CKV3": upload, b"CKV4": upload, b"CKV7": upload,
+        b"CKV5": total, b"CKV8": total}[old]
     with pytest.raises(FormatError, match=rf"but found .*\({old.decode()}, "
                                           r"no longer read\) artifact"):
         read(old + blob[4:], small_params)
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from([1024, 4096, "odd"]),
+       count=st.integers(1, 3 * 1024), seed=st.integers(0, 2 ** 32))
+def test_seeded_block_roundtrip(chains, name, count, seed):
+    """The P coefficients of a seeded upload are one row of P residues
+    at q0's width, bit for bit as docs/protocol.md words it: P need not
+    be a multiple of 8, and the pad bits are 0. They come back as
+    written, and a pad bit set is refused."""
+    from cipherfed.fhe import SeededBatch
+    from cipherfed.fhe.serial import deserialize_seeded, serialize_seeded
+    params = chains[name]
+    n, q0 = params.ring_degree, params.modulus_chain[0]
+    rng = np.random.default_rng(seed)
+    c0 = rng.integers(0, q0, count, dtype=np.uint64)
+    c0[0], c0[-1] = q0 - 1, q0 - 1
+    chunks = -(-count // n)
+    batch = SeededBatch(params, c0, params.scale,
+                        tuple(bytes([j]) * 32 for j in range(chunks)), (1,))
+    blob = serialize_seeded(batch)
+    width = chain_widths(params, 1)
+    block = bytes([1]) + width + pack_rows(c0[None], width)
+    assert blob[23 + 32 * chunks:-TRAILER_BYTES] == block
+    back = deserialize_seeded(blob, params, count)
+    assert np.array_equal(back.c0, c0) and back.seeds == batch.seeds
+    pad = -count * width[0] % 8
+    if pad:
+        set_pad = resealed(blob, lambda b: b[:-1] + bytes([b[-1] | 0x80]))
+        with pytest.raises(FormatError, match="pad bits"):
+            deserialize_seeded(set_pad, params, count)

@@ -10,7 +10,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from conftest import (channel_pair, coordinator_config, count_expansions,
-                      patched, resealed, seeded_aggregate, seeded_uploads)
+                      forbid_expansion, patched, resealed, seeded_aggregate,
+                      seeded_uploads)
 
 from cipherfed import data as D
 from cipherfed import model as M
@@ -27,7 +28,7 @@ from cipherfed.federation.runner import (run_socket_federation,
                                          run_transport_client)
 from cipherfed.federation import server
 from cipherfed.federation.server import FederationCoordinator
-from cipherfed.fhe import Ciphertext, encode, encrypt
+from cipherfed.fhe import Ciphertext, SeededBatch, encode, encrypt
 from cipherfed.fhe.serial import (serialize_ciphertext, serialize_float_vector,
                                   serialize_seeded)
 from cipherfed.model import flatten_weights
@@ -147,8 +148,8 @@ def test_update_payload_roundtrip(world, small_params):
     back = T.decode_update(blob, 0, small_params, 1, 42, upd.param_count)
     assert back.client_id == 1 and back.sample_count == 42
     assert len(back.chunks) == len(upd.chunks)
-    assert np.array_equal(back.chunks[0].c0.residues,
-                          upd.chunks[0].c0.residues)
+    assert np.array_equal(back.chunks.c0, upd.chunks.c0)
+    assert back.chunks.c0.size == upd.param_count
 
 
 def test_plain_update_payload_roundtrip():
@@ -161,21 +162,23 @@ def test_plain_update_payload_roundtrip():
 
 def test_global_payload_roundtrip_plain():
     vec = np.array([0.25, -0.75, 3.0])
-    got = T.decode_global(T.encode_global(vec), None)
+    got = T.decode_global(T.encode_global(vec), None, 3)
     assert np.array_equal(got, vec)
 
 
 @pytest.mark.parametrize("clients,chunks", [(4, 1), (4, 4), (2, 1)])
 def test_fhe_global_size_by_layout(world, small_params, clients, chunks):
-    """A GLOBAL is the `CKV8` layout of docs/protocol.md: the `CKV6`
+    """A GLOBAL is the `CKA1` layout of docs/protocol.md: the `CKV6`
     header, the client count, a u64 count per client, a seed per client
-    and chunk, c0 alone, a one-row batched block (its row count, q0's
-    width byte and the rows at 61 bits), and the 16-byte trailer."""
-    payload = T.encode_global(seeded_aggregate(world["keys"], chunks,
-                                               range(10, 10 + clients)))
+    and chunk, the P coefficients of c0 as a one-row block (its row
+    count, q0's width byte and P residues at 61 bits, padded to a whole
+    byte), and the 16-byte trailer."""
     n = small_params.ring_degree
+    count = (chunks - 1) * n + 27
+    payload = T.encode_global(seeded_aggregate(
+        world["keys"], chunks, range(10, 10 + clients), count))
     size = (23 + 2 + 8 * clients + 32 * clients * chunks + 2
-            + 61 * chunks * n // 8 + 16)
+            + -(-61 * count // 8) + 16)
     assert len(payload) == size
     frame = T.encode_frame(T.Message(T.MSG_GLOBAL, 0, payload))
     assert len(frame) == 7 + size
@@ -184,9 +187,10 @@ def test_fhe_global_size_by_layout(world, small_params, clients, chunks):
 def test_fhe_global_roundtrip_bitwise(world, small_params):
     """The reader's c1, rebuilt from the seeds and the counts, is the
     server's summed c1, residue for residue."""
-    agg = seeded_aggregate(world["keys"], 4, (10, 11, 12, 13))
-    back = T.decode_global(T.encode_global(agg), small_params)
-    assert np.array_equal(back.c0.residues, agg.c0.residues)
+    agg = seeded_aggregate(world["keys"], 4, (10, 11, 12, 13), 3100)
+    back = T.decode_global(T.encode_global(agg), small_params, 3100)
+    assert np.array_equal(back.c0, agg.c0)
+    assert back.a is None and agg.a is not None
     assert np.array_equal(back.c1.residues, agg.c1.residues)
     assert (back.scale, back.level, back.seeds, back.counts) == (
         agg.scale, agg.level, agg.seeds, agg.counts)
@@ -200,7 +204,7 @@ def test_unseeded_aggregate_is_not_a_global(world):
                  world["keys"], [1])
     agg = server.aggregate([ClientUpdate(0, ct, 3, 0, 4)],
                            world["keys"].public)
-    assert agg.seeds is None and agg.scale == 3 * ct.scale
+    assert isinstance(agg, Ciphertext) and agg.scale == 3 * ct.scale
     with pytest.raises(FormatError, match="only a sum of seeded uploads"):
         T.encode_global(agg)
 
@@ -509,7 +513,7 @@ def decode_update(payload):
 
 
 def decode_global(payload):
-    return T.decode_global(payload, None)
+    return T.decode_global(payload, None, 2)
 
 
 @pytest.mark.parametrize("decode,payload", [
@@ -566,7 +570,7 @@ def client_upload(world):
 
 
 def encrypted_update(world):
-    """A client's `CKV7` batch, which is its whole UPDATE payload."""
+    """A client's `CKU1` batch, which is its whole UPDATE payload."""
     return serialize_seeded(client_upload(world).chunks)
 
 
@@ -601,7 +605,7 @@ def test_update_without_chunks_aborts_clients(world):
 def test_public_key_update_aborts_clients(world):
     """A `CKV6` batch is no UPDATE artifact; as an fhe UPDATE it is a
     malformed payload."""
-    public = serialize_ciphertext(client_upload(world).chunks)
+    public = serialize_ciphertext(client_upload(world).chunks[:])
     error = assert_aborted(world, public)
     assert isinstance(error, FormatError)
     assert "expected seeded ciphertext but found ciphertext" in str(error)
@@ -611,9 +615,9 @@ def test_thousand_chunk_update_expands_no_seed(world, monkeypatch):
     """An UPDATE of 1,000 chunks for a model that fills 1 is refused
     against the server's own param count before any seed is expanded."""
     one = client_upload(world).chunks
-    padded = Ciphertext(*(half._like(np.concatenate([half.residues] * 1000))
-                          for half in (one.c0, one.c1)), one.scale,
-                        one.level, seeds=one.seeds * 1000, counts=(1,))
+    n = world["keys"].params.ring_degree
+    padded = SeededBatch(one.params, np.resize(one.c0, 999 * n + 1),
+                         one.scale, one.seeds * 1000, (1,))
     payload = serialize_seeded(padded)
     expanded = count_expansions(monkeypatch)
     error = assert_aborted(world, payload)
@@ -694,7 +698,7 @@ def test_server_weights_updates_by_the_config_counts():
     for _srv, cli in pairs:
         msg = cli.recv(timeout=5.0)
         assert msg.mtype == T.MSG_GLOBAL
-        assert T.decode_global(msg.payload, None).tolist() == [4.0, 5.0]
+        assert T.decode_global(msg.payload, None, 2).tolist() == [4.0, 5.0]
     for pair in pairs:
         for ch in pair:
             ch.close()
@@ -749,9 +753,10 @@ def global_against_client(world, small_params, make_global, monkeypatch):
                           0, world["cfg"].sample_counts[0],
                           world["init"].param_count)
     assert srv.recv(timeout=30.0).mtype == T.MSG_METRICS
+    payload = make_global(upd)
     # the client has encrypted its upload; count what the GLOBAL costs
     expanded = count_expansions(monkeypatch)
-    srv.send(T.Message(T.MSG_GLOBAL, 0, make_global(upd)))
+    srv.send(T.Message(T.MSG_GLOBAL, 0, payload))
     reply = srv.recv(timeout=30.0)
     thread.join(timeout=30.0)
     srv.close()
@@ -761,20 +766,21 @@ def global_against_client(world, small_params, make_global, monkeypatch):
 
 
 def seeded_global(upd, counts, chunks):
-    """A `CKV8` GLOBAL of `chunks` copies of the upload's chunk for
-    clients with `counts`; every client's seeds are the upload's."""
+    """A `CKA1` GLOBAL of `chunks` chunks, the upload's coefficients
+    repeated to fill all but the last one's, for clients with `counts`;
+    every client's seeds are the upload's."""
     one = upd.chunks
-    padded = Ciphertext(*(half._like(np.concatenate([half.residues] * chunks))
-                          for half in (one.c0, one.c1)),
-                        one.scale * sum(counts), one.level,
-                        seeds=one.seeds * chunks * len(counts),
-                        counts=tuple(counts))
+    n = one.params.ring_degree
+    padded = SeededBatch(one.params, np.resize(one.c0, (chunks - 1) * n
+                                               + one.c0.size),
+                         one.scale * sum(counts),
+                         one.seeds * chunks * len(counts), tuple(counts))
     return T.encode_global(padded)
 
 
 def test_padded_global_aborts_transport_client(world, small_params,
                                                monkeypatch):
-    """A `CKV8` GLOBAL with one chunk more than the model fills is
+    """A `CKA1` GLOBAL with one chunk more than the model fills is
     refused before any seed is expanded: the client sends ABORT instead
     of loading it."""
     counts = world["cfg"].sample_counts
@@ -808,8 +814,8 @@ def test_ckv2_global_aborts_transport_client(world, small_params,
     aggregates, is refused by name on an fhe run, and the client sends
     ABORT."""
     reply, errors, expanded = global_against_client(
-        world, small_params, lambda upd: serialize_ciphertext(upd.chunks),
-        monkeypatch)
+        world, small_params,
+        lambda upd: serialize_ciphertext(upd.chunks[:]), monkeypatch)
     assert reply.mtype == T.MSG_ABORT
     assert reply.payload == (b"FormatError: expected seeded aggregate but "
                              b"found ciphertext artifact")
@@ -1011,7 +1017,7 @@ def test_ciphertext_payload_on_plaintext_run_rejected(world):
     with pytest.raises(FormatError, match="not a float vector"):
         T.decode_update(blob, 0, None, 0, 10, world["init"].param_count)
     with pytest.raises(FormatError, match="not a float vector"):
-        T.decode_global(blob, None)
+        T.decode_global(blob, None, world["init"].param_count)
 
 
 def test_plain_payload_on_fhe_run_rejected(small_params):
@@ -1021,7 +1027,7 @@ def test_plain_payload_on_fhe_run_rejected(small_params):
         T.decode_update(T.encode_update(upd), 0, small_params, 0, 5, 2)
     with pytest.raises(FormatError, match="expected seeded aggregate but "
                                           "found float vector"):
-        T.decode_global(T.encode_global(upd.values), small_params)
+        T.decode_global(T.encode_global(upd.values), small_params, 2)
 
 
 def test_deeply_nested_metrics_rejected():
@@ -1070,7 +1076,7 @@ def test_plain_update_with_non_finite_value_rejected(bad):
     with pytest.raises(FormatError, match="non-finite"):
         T.decode_update(T.encode_update(upd), 0, None, 0, 5, 3)
     with pytest.raises(FormatError, match="non-finite"):
-        T.decode_global(T.encode_global(upd.values), None)
+        T.decode_global(T.encode_global(upd.values), None, 3)
 
 
 def rogue_round(world, mode, keys, payload):
@@ -1139,7 +1145,7 @@ def test_wrong_mode_update_aborts_every_client(world):
 
 def test_mixed_scale_update_aborts_every_client(world, small_params):
     """Client 1 sends a well-formed batch at half client 0's scale Δ.
-    A `CKV7` upload is the one-client, one-sample case of the scale rule
+    A `CKU1` upload is the one-client, one-sample case of the scale rule
     Δ·Σ n, so the server refuses it by name before it is averaged."""
     upd = encrypt_model(world["init"], QuantizationSpec(), world["keys"],
                         client_id=1, sample_count=10, round_index=0,
@@ -1168,25 +1174,84 @@ def test_updates_of_different_model_sizes_not_averaged(world):
 @pytest.mark.parametrize("chunks", [1, 4])
 @pytest.mark.parametrize("clients", [1, 4])
 def test_update_and_global_frame_sizes(std_keys, clients, chunks):
-    """At N = 4,096 an UPDATE frame of c chunks is 7 + 23 + 32·c + 2 +
-    61·c·N/8 + 16 bytes, and a GLOBAL frame of K clients 7 + 23 + 2 +
-    8·K + 32·K·c + 2 + 61·c·N/8 + 16, as docs/protocol.md gives them:
-    31,312 and 125,104 B up, 31,442 and 125,522 B down for 4 clients."""
+    """At N = 4,096 an UPDATE frame of P coefficients in c chunks is 7 +
+    23 + 32·c + 2 + ceil(61·P/8) + 16 bytes, and a GLOBAL frame of K
+    clients 7 + 23 + 2 + 8·K + 32·K·c + 2 + ceil(61·P/8) + 16, as
+    docs/protocol.md gives them: for 4 clients, 286 B up and 416 B down
+    at desk's 27 parameters, 94,033 and 94,451 B at wide's 12,309."""
     n = std_keys.params.ring_degree
     assert n == 4096
-    ups = seeded_uploads(std_keys, chunks, range(10, 10 + clients))
+    count = {1: 27, 4: 12309}[chunks]
+    ups = seeded_uploads(std_keys, chunks, range(10, 10 + clients), count)
 
     def frame(mtype, payload):
         return len(T.encode_frame(T.Message(mtype, 0, payload)))
 
     up = frame(T.MSG_UPDATE, T.encode_update(ups[0]))
-    assert up == 7 + 23 + 32 * chunks + 2 + 61 * chunks * n // 8 + 16
+    assert up == 7 + 23 + 32 * chunks + 2 + -(-61 * count // 8) + 16
     agg = server.aggregate(ups, std_keys.public)
     down = frame(T.MSG_GLOBAL, T.encode_global(agg))
     assert down == (7 + 23 + 2 + 8 * clients + 32 * clients * chunks + 2
-                    + 61 * chunks * n // 8 + 16)
+                    + -(-61 * count // 8) + 16)
     if clients == 4:
-        assert (up, down) == {1: (31312, 31442), 4: (125104, 125522)}[chunks]
+        assert (up, down) == {1: (286, 416), 4: (94033, 94451)}[chunks]
+
+
+def test_socket_shape_frame_sizes(std_keys):
+    """The socket workload's shape, 3,093 parameters in 1 chunk and 2
+    clients: 23,665 B up and 23,715 B down."""
+    ups = seeded_uploads(std_keys, 1, (10, 11), 3093)
+    agg = server.aggregate(ups, std_keys.public)
+    assert [len(T.encode_frame(T.Message(t, 0, p))) for t, p in (
+        (T.MSG_UPDATE, T.encode_update(ups[0])),
+        (T.MSG_GLOBAL, T.encode_global(agg)))] == [23665, 23715]
+
+
+@pytest.mark.parametrize("dims,chunks", [(2, 1), (600, 2)])
+def test_direct_fhe_round_expands_each_upload_seed_once(small_params,
+                                                        monkeypatch, dims,
+                                                        chunks):
+    """A direct fhe round of K clients and c chunks expands K·c seeds:
+    one per chunk of each upload, at encryption. The aggregate sums the
+    a_k that encryption left in memory, and decryption uses that sum."""
+    from cipherfed.federation.rounds import run_round
+    from cipherfed.fhe import keygen
+    train, test = D.generate_synthetic("blobs", 90, 0.5, seed=8, classes=2,
+                                       dims=dims)
+    parts = D.partition(train, D.PartitionSpec(client_count=3, rng_seed=1))
+    init = M.init_model(dims, PqcArchitecture(qubit_count=2, depth=1), 2,
+                        rng_seed=3)
+    assert -(-init.param_count // small_params.ring_degree) == chunks
+    cfg = RoundConfig.for_datasets(parts, rounds=1, learning_rate=0.2,
+                                   batch_size=16, epochs_per_round=1,
+                                   deterministic_timing=True)
+    keys = keygen(small_params, rng_seed=5)
+    calls = count_expansions(monkeypatch)
+    run_round(init, cfg, parts, test, keys, 0, mode="fhe")
+    assert len(calls) == 3 * chunks
+
+
+def test_coordinator_expands_no_seed_and_runs_no_ntt(world, small_params,
+                                                     monkeypatch):
+    """The coordinator's fhe round, `decode_update`, `aggregate` and
+    `encode_global`, reads seeds and expands none, and runs no NTT; its
+    GLOBAL is byte for byte the one the direct transport's aggregate of
+    the same uploads would send."""
+    from cipherfed.fhe.nttmath import StackedNtt
+    counts = world["cfg"].sample_counts
+    ups = [encrypt_model(world["init"], QuantizationSpec(), world["keys"],
+                         client_id=k, sample_count=n, round_index=0,
+                         rng_seed=k) for k, n in enumerate(counts)]
+    direct = T.encode_global(server.aggregate(ups, world["keys"].public))
+    payloads = [T.encode_update(u) for u in ups]
+    forbid_expansion(monkeypatch)
+    for name in ("forward", "inverse"):
+        monkeypatch.setattr(StackedNtt, name, lambda *a: pytest.fail("NTT"))
+    decoded = [T.decode_update(p, 0, small_params, k, n,
+                               world["init"].param_count)
+               for k, (p, n) in enumerate(zip(payloads, counts))]
+    agg = server.server_step(decoded, "fhe", world["keys"].public)
+    assert agg.a is None and T.encode_global(agg) == direct
 
 
 @pytest.mark.parametrize("transport", ["direct", "socket"])
