@@ -122,12 +122,10 @@ def aggregate(updates, material: PublicMaterial):
             tuple(s for ct in cts for s in ct.seeds),
             tuple(n * c for n, ct in zip(weights, cts) for c in ct.counts),
             a)
-
-    def summed(half: str):
-        h = getattr(first, half)
-        return h._like(total([getattr(ct, half).residues for ct in cts],
-                             h.q_column))
-    return Ciphertext(summed("c0"), summed("c1"), scale, first.level)
+    c0, c1 = (first.c0._like(total([getattr(ct, half).residues for ct in cts],
+                                   first.c0.q_column))
+              for half in ("c0", "c1"))
+    return Ciphertext(c0, c1, scale, first.level)
 
 
 def aggregate_plain(updates) -> np.ndarray:

@@ -12,7 +12,7 @@ there is no ciphertext-ciphertext multiplication and no bootstrapping.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,7 +85,7 @@ class SeededBatch:
     scale: float
     seeds: tuple[bytes, ...]
     counts: tuple[int, ...]
-    a: RingPoly | None = field(default=None, repr=False, compare=False)
+    a: RingPoly | None = None
 
     level = 0
 

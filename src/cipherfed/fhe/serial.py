@@ -175,13 +175,14 @@ def _pack(values: np.ndarray, width: int) -> np.ndarray:
     m, n = values.shape
     size = -(-n * width // 8)
     word, shift = _bit_offsets(n, width)
-    first = np.flatnonzero(np.diff(word, prepend=-1))  # each word's first
-    at = word[first]
+    # the first field of each word; fields start at most 64 bits apart,
+    # so every word up to the last field's holds a start
+    first = np.flatnonzero(np.diff(word, prepend=-1))
     out = np.zeros((m, size // 8 + 2), dtype="<u8")
-    out[:, at] = np.bitwise_or.reduceat(values << shift, first, axis=1)
+    out[:, :first.size] = np.bitwise_or.reduceat(values << shift, first, 1)
     # x >> 64 is undefined, so shift twice
     spill = values >> (np.uint64(63) - shift) >> np.uint64(1)
-    out[:, at + 1] |= np.bitwise_or.reduceat(spill, first, axis=1)
+    out[:, 1:first.size + 1] |= np.bitwise_or.reduceat(spill, first, 1)
     return out.view(np.uint8)[:, :size]
 
 
@@ -359,10 +360,9 @@ def deserialize_ciphertext(data: bytes, params: EncryptionParams) -> Ciphertext:
 def _seeded_bytes(batch: SeededBatch, magic: bytes, head: bytes) -> bytes:
     """The `CKV6` header, `head`, the seeds, then the P coefficients of
     c0 as a one-row block at q0's width, and the trailer."""
+    c0 = _block_bytes(batch.c0[None, None], _widths(batch.params, 1))
     return seal(b"".join([_header(batch, magic, len(batch)), head,
-                          *batch.seeds, _block_bytes(batch.c0[None, None],
-                                                     _widths(batch.params,
-                                                             1))]))
+                          *batch.seeds, c0]))
 
 
 def serialize_seeded(batch: SeededBatch) -> bytes:
