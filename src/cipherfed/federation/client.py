@@ -74,16 +74,6 @@ def check_upload_chunks(client_id: int, chunks: int, param_count: int,
             "coefficients")
 
 
-def check_global_chunks(chunks: int, param_count: int,
-                        ring_degree: int) -> None:
-    """ShapeError unless a GLOBAL's chunk count is the one a model of
-    `param_count` parameters fills."""
-    want = chunk_count_for(param_count, ring_degree)
-    if chunks != want:
-        raise ShapeError(f"{chunks} chunks of {ring_degree} coefficients "
-                         f"for {param_count} parameters, which fill {want}")
-
-
 def sample_capacity(params: EncryptionParams, spec: QuantizationSpec) -> int:
     """The largest sample total n_total whose level-0 aggregate decrypts
     exactly. Every coefficient of sum_k n_k * (m_k + e_k) must stay below
@@ -155,9 +145,7 @@ def decrypt_and_load(agg: SeededBatch, keys: KeyMaterial,
     turns into the weighted mean, bitwise as aggregate_plain computes it.
     """
     params = keys.params
-    n = params.ring_degree
     need = template.param_count
-    check_global_chunks(len(agg), need, n)
     if not isinstance(agg, SeededBatch) or agg.c0.size != need:
         raise ShapeError(f"a model of {need} parameters loads from a "
                          f"seeded batch of {need} coefficients")

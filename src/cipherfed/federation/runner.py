@@ -20,7 +20,7 @@ from contextlib import suppress
 from ..errors import ProtocolError
 from ..fhe.keys import public_part
 from ..model import HybridModel, evaluate, unflatten_weights
-from .client import check_global_chunks, decrypt_and_load
+from .client import decrypt_and_load
 from .metrics import MetricsSink, metrics_row
 from .rounds import RoundConfig, _clock, check_run_inputs, client_steps
 from .server import FederationCoordinator, round_loop
@@ -84,7 +84,7 @@ def _client_rounds(channel, client_id: int, dataset, test_data,
             if mode == "fhe":
                 agg = decode_global(msg.payload, keys.params,
                                     model.param_count,
-                                    _global_check(config, model, keys.params))
+                                    _global_check(config))
                 model = decrypt_and_load(agg, keys, model, config.quantization)
             else:
                 model = unflatten_weights(model, decode_global(
@@ -108,18 +108,17 @@ def _client_rounds(channel, client_id: int, dataset, test_data,
     return model
 
 
-def _global_check(config: RoundConfig, model: HybridModel, params):
+def _global_check(config: RoundConfig):
     """The check a client runs on a GLOBAL's header before the reader
-    checks its length, and long before any seed is expanded: the
-    aggregate must carry this run's sample counts, client by client, and
-    the chunks the model fills."""
-    def check(chunks, counts):
+    checks its chunks and length, and long before any seed is expanded:
+    the aggregate must carry this run's sample counts, client by
+    client."""
+    def check(_chunks, counts):
         if counts != config.sample_counts:
             raise ProtocolError(
                 f"GLOBAL carries {len(counts)} sample counts totalling "
                 f"{sum(counts)}; the run's {config.client_count} clients "
                 f"hold {config.sample_counts}")
-        check_global_chunks(chunks, model.param_count, params.ring_degree)
     return check
 
 

@@ -30,7 +30,7 @@ from ..fhe.serial import (Reader, deserialize_float_vector,
                           serialize_seeded_sum)
 # perfbench --trace wraps these two; ROADMAP item 1
 from ..fhe.serial import deserialize_ciphertext, serialize_ciphertext
-from .client import ClientUpdate, PlainUpdate, check_upload_chunks
+from .client import ClientUpdate, PlainUpdate
 from .metrics import FIELDS
 
 MSG_JOIN = 1
@@ -141,13 +141,10 @@ def decode_update(payload: bytes, round_index: int, params, client_id: int,
     """The UPDATE of the client that joined as `client_id`, weighted by
     the run's `sample_count` for it, for the server's `param_count`: on
     an fhe run (`params` given) that many coefficients in the chunks
-    they fill, checked before the rest of the header is read (no seed is
-    expanded), and on a plaintext run that many values."""
+    they fill, checked before any field past the header is read (no seed
+    is expanded), and on a plaintext run that many values."""
     if params is not None:
-        chunks = deserialize_seeded(payload, params, param_count,
-                                    lambda c, _: check_upload_chunks(
-                                        client_id, c, param_count,
-                                        params.ring_degree))
+        chunks = deserialize_seeded(payload, params, param_count)
         return ClientUpdate(client_id, chunks, sample_count, round_index,
                             param_count)
     values = deserialize_float_vector(payload)

@@ -158,6 +158,15 @@ def shoup_mul(a: np.ndarray, w, w_shoup, q) -> np.ndarray:
                        *np.empty((4,) + shape, dtype=np.uint64))
 
 
+def fixed_multiplier(k: int, q) -> tuple[np.ndarray, tuple]:
+    """The integer k as a fixed multiplier mod each prime of
+    the uint64 array q: its residues, shaped as q, and their
+    shoup_constant."""
+    w = np.array([k % int(p) for p in q.flat],
+                 dtype=np.uint64).reshape(q.shape)
+    return w, shoup_constant(w, q)
+
+
 def weighted_sum(arrays, weights, q) -> np.ndarray:
     """sum_k weights[k] * arrays[k] mod q, added in order, for residue
     arrays below q (a uint64 array of primes that broadcasts against
@@ -166,9 +175,7 @@ def weighted_sum(arrays, weights, q) -> np.ndarray:
     acc = None
     for a, w in zip(arrays, weights):
         if w != 1:
-            wq = np.array([w % int(p) for p in q.flat],
-                          dtype=np.uint64).reshape(q.shape)
-            a = shoup_mul(a, wq, shoup_constant(wq, q), q)
+            a = shoup_mul(a, *fixed_multiplier(w, q), q)
         acc = a if acc is None else addmod(acc, a, q)
     return acc
 

@@ -155,9 +155,9 @@ def seeded_c1(seeds, counts, params: EncryptionParams) -> RingPoly:
 
 
 def encrypt_symmetric(pt: Plaintext, keys: KeyMaterial, rng_seed,
-                      count: int | None = None) -> SeededBatch:
+                      count: int) -> SeededBatch:
     """Seeded secret-key encryption of the first `count` coefficients
-    (all of them by default) of a coefficient-domain level-0 batch
+    of a coefficient-domain level-0 batch
     (encode_coeffs), deterministic in rng_seed: one int per chunk, for
     the ceil(count / N) chunks that `count` fills.
 
@@ -186,7 +186,6 @@ def encrypt_symmetric(pt: Plaintext, keys: KeyMaterial, rng_seed,
         raise ShapeError(f"one seed per chunk of a batch needed, got "
                          f"{ints.shape}")
     n = params.ring_degree
-    count = ints.size * n if count is None else count
     if not 0 < count or -(-count // n) != ints.size:
         raise ShapeError(f"{count} coefficients do not fill the batch's "
                          f"{ints.size} chunks of {n}")

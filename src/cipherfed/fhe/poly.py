@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DomainError, ParameterError, ShapeError
-from .nttmath import addmod, shoup_constant, shoup_mul, submod
+from .nttmath import (addmod, fixed_multiplier, shoup_constant, shoup_mul,
+                      submod)
 from .params import EncryptionParams, basis_rows
 
 GAUSSIAN_STDDEV = 3.2
@@ -112,11 +113,10 @@ class ShoupPoly:
         """The constant polynomial k, which is k in every NTT slot: one
         column of residues and of table, the residues broadcast over the
         ring as a read-only view."""
-        w = np.array([[k % params.modulus_chain[i]]
-                      for i in prime_indices], dtype=np.uint64)
+        w, shoup = fixed_multiplier(k, params.stacked_ntt(prime_indices).q)
         poly = RingPoly(params, prime_indices,
                         np.broadcast_to(w, (len(w), params.ring_degree)), NTT)
-        return cls(poly, shoup_constant(w, poly.q_column))
+        return cls(poly, shoup)
 
 
 def ntt_forward(p: RingPoly) -> RingPoly:

@@ -388,13 +388,14 @@ def serialize_seeded_sum(batch: SeededBatch) -> bytes:
 
 
 def _read_seeded(data: bytes, params: EncryptionParams, magic: bytes,
-                 param_count: int, check) -> SeededBatch:
+                 param_count: int, check=None) -> SeededBatch:
     """A `CKU1` (one upload, counts (1,)) or a `CKA1` batch of
     `param_count` coefficients. Every check runs before any field past
     the header is read: the scale, `check(chunks, counts)` when it is
-    given, a chunk count of ceil(param_count / N), and the exact length
-    that the counts, the chunks and P give. No seed is expanded: c1
-    waits for the batch's first use."""
+    given, a chunk count of ceil(param_count / N), which no other reader
+    of a batch checks again, and the exact length that the counts, the
+    chunks and P give. No seed is expanded: c1 waits for the batch's
+    first use."""
     r = _open(data, magic, params)
     level, scale, chunks, counts = _read_header(r, magic)
     if scale != params.scale * sum(counts):
@@ -416,11 +417,10 @@ def _read_seeded(data: bytes, params: EncryptionParams, magic: bytes,
 
 
 def deserialize_seeded(data: bytes, params: EncryptionParams,
-                       param_count: int, check=None) -> SeededBatch:
-    """A `CKU1` upload of `param_count` coefficients, after
-    `check(chunks, (1,))`, if given. A `CKV3`, `CKV4` or `CKV7` upload
-    is refused by its magic."""
-    return _read_seeded(data, params, MAGIC_SEEDED, param_count, check)
+                       param_count: int) -> SeededBatch:
+    """A `CKU1` upload of `param_count` coefficients. A `CKV3`, `CKV4`
+    or `CKV7` upload is refused by its magic."""
+    return _read_seeded(data, params, MAGIC_SEEDED, param_count)
 
 
 def deserialize_seeded_sum(data: bytes, params: EncryptionParams,

@@ -93,9 +93,11 @@ def test_seeded_batch_equals_per_chunk(small_params, small_keys):
     params, keys = small_params, small_keys
     vals = np.random.default_rng(5).uniform(-1, 1, (7, params.slot_count))
     seeds = [derive_seed(9, i) for i in range(7)]
-    ct = encrypt_symmetric(encode_coeffs(vals, params, level=0), keys, seeds)
+    n = params.ring_degree
+    ct = encrypt_symmetric(encode_coeffs(vals, params, level=0), keys, seeds,
+                           7 * n)
     cts = [encrypt_symmetric(encode_coeffs(v[None], params, level=0), keys,
-                             [s]) for v, s in zip(vals, seeds)]
+                             [s], n) for v, s in zip(vals, seeds)]
     assert np.array_equal(ct.c0, np.concatenate([c.c0 for c in cts]))
     assert np.array_equal(ct.a.residues,
                           np.concatenate([c.a.residues for c in cts]))

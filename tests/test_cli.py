@@ -432,7 +432,7 @@ def seeded_upload_blob(small_params, small_keys) -> bytes:
     from cipherfed.fhe import encode_coeffs, encrypt_symmetric
     from cipherfed.fhe.serial import serialize_seeded
     return serialize_seeded(encrypt_symmetric(encode_coeffs(
-        np.ones((1, 4)), small_params, level=0), small_keys, [1]))
+        np.ones((1, 4)), small_params, level=0), small_keys, [1], 1024))
 
 
 def test_inspect_refuses_a_cut_upload(tmp_path, capsys, small_params,

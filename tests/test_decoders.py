@@ -460,10 +460,10 @@ def test_chunk_count_off_ring_degree_aborts_every_client(keys, small_params,
     good = client_update(keys, 0, (param_count - 10) // 2)
     assert struct.unpack_from("<H", good, 21)[0] == -(-param_count // n)
     error, replies = coordinator_against(keys, [good, bad], param_count)
-    assert isinstance(error, ProtocolError)
-    assert (f"client 1 sent {chunks} chunks for {param_count} parameters, "
-            f"which need {-(-param_count // n)} chunks of {n} "
-            "coefficients") in str(error)
+    assert isinstance(error, FormatError)
+    assert (f"UPDATE from client 1: seeded ciphertext holds {chunks} "
+            f"chunks; {param_count} parameters fill "
+            f"{-(-param_count // n)}") in str(error)
     assert [m.mtype for m in replies] == [T.MSG_ABORT, T.MSG_ABORT]
 
 
@@ -473,8 +473,8 @@ def test_update_chunk_count_checked_before_any_expansion(keys, small_params,
     count is refused before the server expands any of its seeds."""
     bad = client_update(keys, 1, 600)  # 2 chunks
     calls = count_expansions(monkeypatch)
-    with pytest.raises(ProtocolError, match="client 1 sent 2 chunks for 3 "
-                                            "parameters, which need 1"):
+    with pytest.raises(FormatError, match="seeded ciphertext holds 2 "
+                                          "chunks; 3 parameters fill 1"):
         T.decode_update(bad, 0, small_params, 1, 12, 3)
     assert calls == []
 

@@ -92,11 +92,20 @@ def test_decrypt_and_load_requires_exact_chunk_count(toy_world):
     """A batch with a chunk more than the model fills is refused, not
     cut down to size."""
     from cipherfed.errors import ShapeError
+    from cipherfed.fhe import SeededBatch
     keys, m = toy_world["keys"], toy_world["init"]
     upd = encrypt_model(m, QuantizationSpec(), keys, 0, 1, 0)
-    assert len(upd.chunks) == 1
-    with pytest.raises(ShapeError, match="2 chunks .* which fill 1"):
-        decrypt_and_load(upd.chunks[[0, 0]], keys, m)
+    one = upd.chunks
+    assert len(one) == 1
+    two = SeededBatch(one.params, np.resize(one.c0, one.params.ring_degree
+                                            + one.c0.size),
+                      one.scale, one.seeds * 2, (1,))
+    assert len(two) == 2
+    for batch in (two, one[[0, 0]]):
+        with pytest.raises(ShapeError, match=f"a model of {m.param_count} "
+                                             "parameters loads from a "
+                                             "seeded batch"):
+            decrypt_and_load(batch, keys, m)
 
 
 def test_aggregate_single_client_identity(toy_world):

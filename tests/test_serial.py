@@ -362,8 +362,9 @@ def test_seeded_batch_roundtrip_bitwise(chunks, small_params, small_keys,
     assert (back.level, back.scale) == (0, small_params.scale)
     assert serialize_seeded(back) == blob
     got = decrypt_coeffs(back, small_keys) / small_params.scale
-    assert np.abs(got.reshape(-1)[-16:] - values[-1]).max() < 2.0 ** -28
-    assert np.abs(got[:16] - values[0]).max() < 2.0 ** -28
+    # every chunk's first 16 coefficients, which P covers
+    idx = np.arange(chunks)[:, None] * 1024 + np.arange(16)
+    assert np.abs(got[idx] - values).max() < 2.0 ** -28
 
 
 def test_seeded_encryption_needs_secret_key_and_level_0(small_params,
@@ -372,13 +373,13 @@ def test_seeded_encryption_needs_secret_key_and_level_0(small_params,
     from cipherfed.fhe import encode_coeffs, encrypt_symmetric
     pt = encode_coeffs(np.ones((2, 4)), small_params, level=0)
     with pytest.raises(ParameterError, match="full key material"):
-        encrypt_symmetric(pt, small_keys.public, [1, 2])
+        encrypt_symmetric(pt, small_keys.public, [1, 2], 2048)
     with pytest.raises(ShapeError, match="one seed per chunk"):
-        encrypt_symmetric(pt, small_keys, [1])
+        encrypt_symmetric(pt, small_keys, [1], 1024)
     for other in (encode(np.ones((2, 4)), small_params, level=0),
                   encode_coeffs(np.ones((2, 4)), small_params, level=1)):
         with pytest.raises(DomainError, match="level-0 coefficient"):
-            encrypt_symmetric(other, small_keys, [1, 2])
+            encrypt_symmetric(other, small_keys, [1, 2], 2048)
 
 
 def test_only_seeded_ciphertexts_are_written_as_ckv3(small_params,
@@ -443,7 +444,7 @@ def test_trailer_is_sha256_of_the_bytes_before_it(small_params, small_keys,
     from cipherfed.fhe.serial import serialize_seeded
     seeded = serialize_seeded(encrypt_symmetric(
         encode_coeffs(np.ones((2, 4)), small_params, level=0), small_keys,
-        [1, 2]))
+        [1, 2], 2048))
     for blob in (artifacts["ciphertext"], artifacts["public"], seeded):
         assert blob[:4] in SEALED
         assert blob[-16:] == hashlib.sha256(blob[:-16]).digest()[:16]

@@ -622,9 +622,9 @@ def test_thousand_chunk_update_expands_no_seed(world, monkeypatch):
     expanded = count_expansions(monkeypatch)
     error = assert_aborted(world, payload)
     count = world["init"].param_count
-    assert isinstance(error, ProtocolError)
-    assert (f"UPDATE from client 0: client 0 sent 1000 chunks for {count} "
-            "parameters, which need 1") in str(error)
+    assert isinstance(error, FormatError)
+    assert (f"UPDATE from client 0: seeded ciphertext holds 1000 chunks; "
+            f"{count} parameters fill 1") in str(error)
     assert expanded == []
 
 
@@ -788,7 +788,8 @@ def test_padded_global_aborts_transport_client(world, small_params,
         world, small_params, lambda upd: seeded_global(upd, counts, 2),
         monkeypatch)
     assert reply.mtype == T.MSG_ABORT
-    assert reply.payload.startswith(b"ShapeError: 2 chunks")
+    assert reply.payload.startswith(b"FormatError: seeded aggregate holds "
+                                    b"2 chunks")
     assert errors and "fill 1" in str(errors[0])
     assert expanded == 0
 
