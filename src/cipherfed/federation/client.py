@@ -6,7 +6,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -74,6 +74,12 @@ def check_upload_chunks(client_id: int, chunks: int, param_count: int,
             "coefficients")
 
 
+def _sample_bound(params: EncryptionParams, spec: QuantizationSpec) -> int:
+    """The most that one sample adds to a coefficient of the aggregate:
+    clip_range * scale for its weight, plus NOISE_MARGIN for its error."""
+    return math.ceil(spec.clip_range * params.scale) + NOISE_MARGIN
+
+
 def sample_capacity(params: EncryptionParams, spec: QuantizationSpec) -> int:
     """The largest sample total n_total whose level-0 aggregate decrypts
     exactly. Every coefficient of sum_k n_k * (m_k + e_k) must stay below
@@ -82,10 +88,29 @@ def sample_capacity(params: EncryptionParams, spec: QuantizationSpec) -> int:
     scale, n_total * NOISE_TAIL < scale / 2^(fractional_bits + 1), so
     that rounding removes it. 65,535 at the defaults; 0 when one sample
     cannot be held or rounded back."""
-    per_sample = math.ceil(spec.clip_range * params.scale) + NOISE_MARGIN
     rounds_back = params.scale / 2.0 ** (spec.fractional_bits + 1)
-    return min(params.modulus_chain[0] // 2 // per_sample,
+    return min(params.modulus_chain[0] // 2 // _sample_bound(params, spec),
                math.ceil(rounds_back / NOISE_TAIL) - 1)
+
+
+def dropped_bits(params: EncryptionParams, spec: QuantizationSpec,
+                 n_total: int) -> int:
+    """The low bits d that a GLOBAL of n_total samples rounds away from
+    each coefficient of its c0 (`CKA2`): the largest d >= 0 for which
+    both halves of the `sample_capacity` bound still hold with the up to
+    2^(d-1) that rounding to a multiple of 2^d adds. The server rounds
+    the sum, so that error enters once, not once per sample:
+    n_total * NOISE_TAIL + 2^(d-1) < scale / 2^(fractional_bits + 1) and
+    n_total * (clip_range * scale + NOISE_MARGIN) + 2^(d-1) < q0 / 2.
+    23 at the defaults for up to 32,767 samples, 7 at capacity, and 0
+    past it."""
+    # the step decrypt_and_load rounds by; twice the room each half
+    # leaves, in integers, must exceed 2 * 2^(d-1) = 2^d
+    step = int(params.scale) >> spec.fractional_bits
+    room = min(step - 2 * n_total * NOISE_TAIL,
+               params.modulus_chain[0] - 2 * n_total
+               * _sample_bound(params, spec))
+    return max(room - 1, 1).bit_length() - 1
 
 
 def check_sample_capacity(total: int, params: EncryptionParams,
@@ -107,16 +132,16 @@ def encrypt_model(model: HybridModel, spec: QuantizationSpec,
     -> pack into coefficients, exact integers x * scale on the 2^-f grid,
     and encrypt as one seeded level-0 batch of the coefficients that the
     weights fill, under the secret key, chunk i under
-    derive_seed(rng_seed, i)."""
+    derive_seed(rng_seed, i). The batch records `spec`."""
     params = keys.params
     weights = quantize(flatten_weights(model), spec)
     n = chunk_count_for(weights.size, params.ring_degree)
     pt = encode_coeffs(np.pad(weights, (0, n * params.ring_degree
                                         - weights.size))
                        .reshape(n, params.ring_degree), params, level=0)
-    chunks = encrypt_symmetric(pt, keys,
-                               [derive_seed(rng_seed, i) for i in range(n)],
-                               weights.size)
+    chunks = replace(encrypt_symmetric(
+        pt, keys, [derive_seed(rng_seed, i) for i in range(n)], weights.size),
+        quantization=spec)
     return ClientUpdate(client_id=client_id, chunks=chunks,
                         sample_count=sample_count, round_index=round_index,
                         param_count=weights.size)
@@ -136,8 +161,10 @@ def decrypt_and_load(agg: SeededBatch, keys: KeyMaterial,
                      ) -> HybridModel:
     """Decrypt the aggregated seeded batch and load it into a model with
     the template's architecture; the batch must hold exactly the
-    template's parameters, in the chunks they fill, at scale * n_total
-    for a sample total within `sample_capacity`.
+    template's parameters, in the chunks they fill, quantized under
+    `spec`, at scale * n_total for a sample total within
+    `sample_capacity`. A batch of another spec is refused: its rounding
+    step, and a GLOBAL's dropped bits, would be another's.
 
     Each coefficient holds sum_k n_k * (x_k * scale + e_k). Dividing by
     scale / 2^f with rounding drops the error and leaves the exact
@@ -149,6 +176,9 @@ def decrypt_and_load(agg: SeededBatch, keys: KeyMaterial,
     if not isinstance(agg, SeededBatch) or agg.c0.size != need:
         raise ShapeError(f"a model of {need} parameters loads from a "
                          f"seeded batch of {need} coefficients")
+    if agg.quantization != spec:
+        raise DomainError(f"a batch quantized under {agg.quantization} "
+                          f"does not load under {spec}")
     total = agg.scale / params.scale
     capacity = sample_capacity(params, spec)
     if not (total.is_integer() and 1 <= total <= capacity):

@@ -84,7 +84,8 @@ def _client_rounds(channel, client_id: int, dataset, test_data,
             if mode == "fhe":
                 agg = decode_global(msg.payload, keys.params,
                                     model.param_count,
-                                    _global_check(config))
+                                    _global_check(config),
+                                    config.quantization)
                 model = decrypt_and_load(agg, keys, model, config.quantization)
             else:
                 model = unflatten_weights(model, decode_global(

@@ -20,7 +20,7 @@ import numpy as np
 from ..errors import (AlignmentError, CipherfedError, ConfigError,
                       ParameterError, ProtocolError)
 from ..fhe.keys import PublicMaterial
-from ..fhe.nttmath import weighted_sum
+from ..fhe.nttmath import multipliers, weighted_sum
 from ..fhe.ops import Ciphertext, SeededBatch
 # perfbench --trace wraps these four; ROADMAP item 1
 from ..fhe.encoding import encode_scalar
@@ -52,8 +52,8 @@ def _check_updates(updates) -> None:
     """Reject a set of updates that cannot be averaged: every encrypted
     update must carry the chunk count its parameter count needs, at the
     level and scale of the first update, which the weights are encoded
-    for, in the same kind of batch, and the first update's parameter
-    count."""
+    for, in the same kind of batch under the same quantization, and the
+    first update's parameter count."""
     if not updates:
         raise ProtocolError("no client updates to aggregate")
     rnd = updates[0].round_index
@@ -84,6 +84,11 @@ def _check_updates(updates) -> None:
             raise AlignmentError(f"client {u.client_id} sent a "
                                  f"{type(u.chunks).__name__}, not a "
                                  f"{type(first).__name__}")
+        if (isinstance(first, SeededBatch)
+                and u.chunks.quantization != first.quantization):
+            raise AlignmentError(f"client {u.client_id} quantized under "
+                                 f"{u.chunks.quantization}, not "
+                                 f"{first.quantization}")
         check_upload_chunks(u.client_id, got[0], u.param_count,
                             first.params.ring_degree)
         if u.param_count != updates[0].param_count:
@@ -98,8 +103,10 @@ def aggregate(updates, material: PublicMaterial):
     inputs' level. Of public-key Ciphertexts it sums both halves. Of
     SeededBatches it sums the P coefficients of c0, carries the seeds in
     client order and the counts times n_k, so that the GLOBAL sends them
-    in place of c1, and sums c1 only if every upload holds it in memory
-    (encryption on the direct transport): no seed is expanded here."""
+    in place of c1, and the uploads' quantization, which sets the GLOBAL's
+    rounding, and sums c1 only if every upload holds it in memory
+    (encryption on the direct transport): no seed is expanded here. Each
+    client's weight becomes a Shoup multiplier once, for every sum."""
     public = _require_public(material)
     _check_updates(updates)
     updates = sorted(updates, key=lambda u: u.client_id)
@@ -107,24 +114,23 @@ def aggregate(updates, material: PublicMaterial):
     cts = [u.chunks for u in updates]
     first = cts[0]
     scale = first.scale * sum(weights)
-
-    def total(arrays, q):
-        return weighted_sum(arrays, weights, q)
-
     if isinstance(first, SeededBatch):
+        q0 = public.params.stacked_ntt((0,)).q[0]
+        factors = multipliers(weights, q0)
         a = None
         if all(ct.a is not None for ct in cts):
-            a = first.a._like(total([ct.a.residues for ct in cts],
-                                    first.a.q_column))
-        q0 = public.params.stacked_ntt((0,)).q[0]
+            a = first.a._like(weighted_sum([ct.a.residues for ct in cts],
+                                           factors, q0))
         return SeededBatch(
-            public.params, total([ct.c0 for ct in cts], q0), scale,
-            tuple(s for ct in cts for s in ct.seeds),
+            public.params, weighted_sum([ct.c0 for ct in cts], factors, q0),
+            scale, tuple(s for ct in cts for s in ct.seeds),
             tuple(n * c for n, ct in zip(weights, cts) for c in ct.counts),
-            a)
-    c0, c1 = (first.c0._like(total([getattr(ct, half).residues for ct in cts],
-                                   first.c0.q_column))
-              for half in ("c0", "c1"))
+            a, first.quantization)
+    q = first.c0.q_column
+    factors = multipliers(weights, q)
+    c0, c1 = (first.c0._like(weighted_sum(
+        [getattr(ct, half).residues for ct in cts], factors, q))
+        for half in ("c0", "c1"))
     return Ciphertext(c0, c1, scale, first.level)
 
 
@@ -176,7 +182,8 @@ class FederationCoordinator:
     """Server side of the wire protocol, driven over abstract channels.
 
     It runs from the run's `config`, a RoundConfig, whose sample counts
-    weight the clients' UPDATEs: no peer states its own weight. State is
+    weight the clients' UPDATEs and whose quantization spec each decoded
+    UPDATE carries: no peer states its own weight or spec. State is
     limited to that config, public material, the model size
     `param_count` and collected metric rows; decryption never happens
     here. An fhe sample total beyond `sample_capacity`, or rounds or
@@ -256,7 +263,8 @@ class FederationCoordinator:
             try:
                 updates.append(decode_update(payload, r, params, cid,
                                              self.config.sample_counts[cid],
-                                             self.param_count))
+                                             self.param_count,
+                                             self.config.quantization))
             except CipherfedError as e:
                 raise type(e)(f"UPDATE from client {cid}: {e}") from e
 

@@ -7,11 +7,14 @@ socket. Serialization is lossless, so a socket run's results equal the
 direct transport's. Every binary payload is read through a
 bounds-checked `Reader` and must be consumed exactly. An UPDATE or
 GLOBAL payload is one artifact, which the run's mode picks: on an fhe
-run a `CKU1` seeded upload up and a `CKA1` seeded aggregate down, each
+run a `CKU1` seeded upload up and a `CKA2` seeded aggregate down, each
 carrying the P = param_count coefficients of c0 that hold weights and
 seeds in place of c1; on a plaintext run `CKF1` both ways. Either
-reader takes P from the run, not from the payload. A METRICS payload is
-a row's data.
+reader takes P from the run, not from the payload. A `CKA2` rounds away
+the low bits of c0 that the run's quantization spec and the GLOBAL's
+sample counts leave to decryption's rounding (`client.dropped_bits`),
+and each end stamps a decoded batch with its own run's spec. A METRICS
+payload is a row's data.
 """
 
 from __future__ import annotations
@@ -20,18 +23,20 @@ import json
 import math
 import socket
 import struct
+from dataclasses import replace
 
 import numpy as np
 
-from ..errors import ProtocolError
+from ..errors import FormatError, ProtocolError
 from ..fhe.serial import (Reader, deserialize_float_vector,
                           deserialize_seeded, deserialize_seeded_sum,
                           serialize_float_vector, serialize_seeded,
                           serialize_seeded_sum)
 # perfbench --trace wraps these two; ROADMAP item 1
 from ..fhe.serial import deserialize_ciphertext, serialize_ciphertext
-from .client import ClientUpdate, PlainUpdate
+from .client import ClientUpdate, PlainUpdate, dropped_bits
 from .metrics import FIELDS
+from .quantize import QuantizationSpec
 
 MSG_JOIN = 1
 MSG_UPDATE = 2
@@ -137,14 +142,17 @@ def encode_update(update) -> bytes:
 
 
 def decode_update(payload: bytes, round_index: int, params, client_id: int,
-                  sample_count: int, param_count: int):
+                  sample_count: int, param_count: int,
+                  quantization: QuantizationSpec = QuantizationSpec()):
     """The UPDATE of the client that joined as `client_id`, weighted by
     the run's `sample_count` for it, for the server's `param_count`: on
     an fhe run (`params` given) that many coefficients in the chunks
     they fill, checked before any field past the header is read (no seed
-    is expanded), and on a plaintext run that many values."""
+    is expanded), and stamped with the run's `quantization`; on a
+    plaintext run that many values."""
     if params is not None:
-        chunks = deserialize_seeded(payload, params, param_count)
+        chunks = replace(deserialize_seeded(payload, params, param_count),
+                         quantization=quantization)
         return ClientUpdate(client_id, chunks, sample_count, round_index,
                             param_count)
     values = deserialize_float_vector(payload)
@@ -156,21 +164,33 @@ def decode_update(payload: bytes, round_index: int, params, client_id: int,
 
 def encode_global(agg) -> bytes:
     """A plaintext mean as `CKF1`, an aggregate of seeded uploads as
-    `CKA1`; any other aggregate is a FormatError."""
+    `CKA2`, rounded by the bits that its quantization and sample total
+    drop; any other aggregate, or one that records no quantization, is
+    a FormatError."""
     if isinstance(agg, np.ndarray):
         return serialize_float_vector(agg)
-    return serialize_seeded_sum(agg)
+    if getattr(agg, "quantization", None) is None:
+        raise FormatError("only a sum of seeded uploads that records its "
+                          "quantization spec is written as CKA2")
+    return serialize_seeded_sum(agg, dropped_bits(
+        agg.params, agg.quantization, sum(agg.counts)))
 
 
-def decode_global(payload: bytes, params, param_count: int, check=None):
+def decode_global(payload: bytes, params, param_count: int, check=None,
+                  quantization: QuantizationSpec = QuantizationSpec()):
     """The one artifact that is a GLOBAL payload for a model of
-    `param_count` parameters: a `CKA1` seeded aggregate of that many
-    coefficients on an fhe run, where `params` is given, and a `CKF1`
-    vector of that many values on a plaintext run. `check(chunks,
-    counts)`, if given, runs before the aggregate's length is checked;
-    no seed is expanded until the aggregate is decrypted."""
+    `param_count` parameters: on an fhe run, where `params` is given, a
+    `CKA2` seeded aggregate of that many coefficients whose c0 drops the
+    bits that the run's `quantization` gives for its sample counts,
+    stamped with that spec, and on a plaintext run a `CKF1` vector of
+    that many values. `check(chunks, counts)`, if given, runs before the
+    aggregate's length is checked; no seed is expanded until the
+    aggregate is decrypted."""
     if params is not None:
-        return deserialize_seeded_sum(payload, params, param_count, check)
+        return replace(deserialize_seeded_sum(
+            payload, params, param_count,
+            lambda n: dropped_bits(params, quantization, n), check),
+            quantization=quantization)
     values = deserialize_float_vector(payload)
     if values.size != param_count:
         raise ProtocolError(f"plain global carries {values.size} values "

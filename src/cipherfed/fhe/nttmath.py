@@ -167,15 +167,23 @@ def fixed_multiplier(k: int, q) -> tuple[np.ndarray, tuple]:
     return w, shoup_constant(w, q)
 
 
-def weighted_sum(arrays, weights, q) -> np.ndarray:
-    """sum_k weights[k] * arrays[k] mod q, added in order, for residue
-    arrays below q (a uint64 array of primes that broadcasts against
-    them) and non-negative integer weights. A weight of 1 adds its
-    array without a product."""
+def multipliers(weights, q) -> list:
+    """Each non-negative integer weight as its fixed_multiplier mod the
+    primes q, or None for a weight of 1, which multiplies nothing: the
+    factors of weighted_sum, built once for every sum with these
+    weights."""
+    return [None if w == 1 else fixed_multiplier(w, q) for w in weights]
+
+
+def weighted_sum(arrays, factors, q) -> np.ndarray:
+    """sum_k w_k * arrays[k] mod q, added in order, for residue arrays
+    below q (a uint64 array of primes that broadcasts against them) and
+    factors = multipliers(weights, q). A weight of 1 adds its array
+    without a product."""
     acc = None
-    for a, w in zip(arrays, weights):
-        if w != 1:
-            a = shoup_mul(a, *fixed_multiplier(w, q), q)
+    for a, f in zip(arrays, factors):
+        if f is not None:
+            a = shoup_mul(a, *f, q)
         acc = a if acc is None else addmod(acc, a, q)
     return acc
 

@@ -20,10 +20,11 @@ from ..errors import (AlignmentError, DomainError, LevelError,
                       ParameterError, ShapeError)
 from .encoding import Plaintext
 from .keys import KeyMaterial, public_part
-from .nttmath import addmod, shoup_constant, shoup_mul, submod, weighted_sum
+from .nttmath import (addmod, multipliers, shoup_constant, shoup_mul, submod,
+                      weighted_sum)
 from .params import EncryptionParams
-from .poly import (COEFF, NTT, RingPoly, centered, expand_seed,
-                   from_signed_coeffs, ntt_forward, ntt_inverse,
+from .poly import (COEFF, GAUSSIAN_STDDEV, NTT, RingPoly, centered,
+                   expand_seed, from_signed_coeffs, ntt_forward, ntt_inverse,
                    sample_gaussian, sample_ternary)
 
 SCALE_MATCH_RTOL = 2.0 ** -30
@@ -78,7 +79,10 @@ class SeededBatch:
     a_k is expanded from seeds[k * c + j]. `a`, when given, is that c1
     already in memory, as encryption and an aggregate of such uploads
     hold it; otherwise `c1` expands the seeds. An upload has counts (1,),
-    an aggregate the clients' sample counts.
+    an aggregate the clients' sample counts. `quantization` is the
+    federation's QuantizationSpec of the values it holds, which
+    encrypt_model records and aggregate and the readers of the wire
+    carry, or None; decrypt_and_load and a GLOBAL's rounding read it.
     """
     params: EncryptionParams
     c0: np.ndarray  # (P,) uint64 below q0
@@ -86,6 +90,7 @@ class SeededBatch:
     seeds: tuple[bytes, ...]
     counts: tuple[int, ...]
     a: RingPoly | None = None
+    quantization: object = None
 
     level = 0
 
@@ -150,8 +155,9 @@ def seeded_c1(seeds, counts, params: EncryptionParams) -> RingPoly:
     c = len(seeds) // len(counts)
     a = (np.stack([expand_seed(s, q0, n) for s in seeds[k * c:(k + 1) * c]]
                   )[:, None, :] for k in range(len(counts)))
-    return RingPoly(params, (0,), weighted_sum(
-        a, counts, params.stacked_ntt((0,)).q), NTT)
+    q = params.stacked_ntt((0,)).q
+    return RingPoly(params, (0,), weighted_sum(a, multipliers(counts, q), q),
+                    NTT)
 
 
 def encrypt_symmetric(pt: Plaintext, keys: KeyMaterial, rng_seed,
@@ -191,11 +197,16 @@ def encrypt_symmetric(pt: Plaintext, keys: KeyMaterial, rng_seed,
                          f"{ints.size} chunks of {n}")
     seeds = tuple(hashlib.sha256(_SEED_TAG + int(s).to_bytes(8, "little"))
                   .digest() for s in ints)
-    e = np.concatenate([sample_gaussian(params, (0,), np.random.default_rng(
-        np.random.SeedSequence([int(s), 0x5EC]))).residues[0] for s in ints])
+    # chunk j keeps min(N, count - j*N) coefficients, and its error is
+    # that many rounded normals: the prefix of the N its generator draws
+    # for a whole chunk, so the kept ones are the same
+    e = np.round(np.concatenate([np.random.default_rng(np.random.SeedSequence(
+        [int(s), 0x5EC])).normal(0.0, GAUSSIAN_STDDEV, min(n, count - j * n))
+        for j, s in enumerate(ints)])).astype(np.int64)
     a = seeded_c1(seeds, (1,), params)
     q0 = a.q_column[0]
-    m_e = addmod(poly.residues.reshape(-1)[:count], e[:count], q0)
+    e = np.where(e < 0, e + params.modulus_chain[0], e).view(np.uint64)
+    m_e = addmod(poly.residues.reshape(-1)[:count], e, q0)
     a_s = ntt_inverse(a.mul_fixed(keys.secret_key)).residues.reshape(-1)
     return SeededBatch(params, submod(m_e, a_s[:count], q0), pt.scale, seeds,
                        (1,), a=a)

@@ -1,10 +1,12 @@
 import socket
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cipherfed.federation.client import ClientUpdate
+from cipherfed.federation.quantize import QuantizationSpec
 from cipherfed.federation.rounds import RoundConfig
 from cipherfed.federation.server import aggregate
 from cipherfed.federation.transport import SocketChannel
@@ -29,13 +31,14 @@ def coordinator_config(counts, rounds: int = 1) -> RoundConfig:
 def seeded_uploads(keys, chunks: int, counts, count=None) -> list:
     """One seeded upload of `chunks` chunks per client, the clients
     holding `counts` samples, each of `count` coefficients (all of the
-    chunks' by default)."""
+    chunks' by default), under the default quantization spec."""
     params = keys.params
     count = chunks * params.ring_degree if count is None else count
-    return [ClientUpdate(k, encrypt_symmetric(encode_coeffs(
+    return [ClientUpdate(k, replace(encrypt_symmetric(encode_coeffs(
         np.linspace(-1, 1, 8 * chunks).reshape(chunks, 8) / (k + 1), params,
-        level=0), keys, [100 * k + j for j in range(chunks)], count), n, 0,
-        count) for k, n in enumerate(counts)]
+        level=0), keys, [100 * k + j for j in range(chunks)], count),
+        quantization=QuantizationSpec()), n, 0, count)
+        for k, n in enumerate(counts)]
 
 
 def seeded_aggregate(keys, chunks: int, counts, count=None):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import resealed, seeded_aggregate
+from conftest import patched, resealed, seeded_aggregate
 
 from cipherfed.cli import main
 from cipherfed.fhe.serial import seal
@@ -353,20 +353,33 @@ def test_inspect_seeded_batch(tmp_path, capsys, small_params, small_keys):
 
 
 def test_inspect_seeded_aggregate(tmp_path, capsys, small_keys):
-    from cipherfed.fhe.serial import serialize_seeded_sum
+    """A `CKA2` GLOBAL of 8 samples drops 23 of q0's 61 bits: inspect
+    prints its width, d, P, K and counts. The unrounded `CKA1` and the
+    full-ring `CKV8` are named after their header and exit 3."""
+    from cipherfed.federation.transport import encode_global
     p = tmp_path / "global.ct"
-    blob = serialize_seeded_sum(seeded_aggregate(small_keys, 2, (3, 5), 1030))
+    blob = encode_global(seeded_aggregate(small_keys, 2, (3, 5), 1030))
     p.write_bytes(blob)
     assert main(["inspect", str(p)]) == 0
     out = capsys.readouterr().out
     assert "kind   : seeded aggregate" in out and "level  : 0" in out
     assert "scale  : 8.79609e+12" in out and "chunks : 2" in out
     assert "clients: 2" in out and "counts : 3, 5" in out
-    assert "widths : 61 bits" in out and "P      : 1030 coefficients" in out
-    p.write_bytes(b"CKV8" + blob[4:])
+    assert "widths : 38 bits" in out and "dropped: 23 low bits" in out
+    assert "P      : 1030 coefficients" in out
+    assert f"size   : {len(blob)} bytes" in out
+    for old, kind in ((b"CKA1", "unrounded seeded aggregate"),
+                      (b"CKV8", "full-ring seeded aggregate")):
+        p.write_bytes(old + blob[4:])
+        assert main(["inspect", str(p)]) == 3
+        captured = capsys.readouterr()
+        assert f"{kind} ({old.decode()}, no longer read)" in captured.err
+        assert "chunks" not in captured.out
+    # a width and d that do not add up to at most 64 bits
+    at = len(blob) - 16 - -(-1030 * 38 // 8) - 2
+    p.write_bytes(patched(blob, "BB", at, 30, 38))
     assert main(["inspect", str(p)]) == 3
-    assert ("full-ring seeded aggregate (CKV8, no longer read)"
-            in capsys.readouterr().err)
+    assert "drops 30 low bits at 38 bits" in capsys.readouterr().err
 
 
 def test_inspect_unknown_magic_exits_3(tmp_path, capsys):
@@ -386,7 +399,8 @@ def test_inspect_unknown_magic_exits_3(tmp_path, capsys):
                                         ("CKV8", 24), ("CKP3", 11),
                                         ("CKP3", 27), ("CKU1", 9),
                                         ("CKU1", 22), ("CKA1", 9),
-                                        ("CKA1", 24)])
+                                        ("CKA1", 24), ("CKA2", 9),
+                                        ("CKA2", 24)])
 def test_inspect_truncated_header_exits_3(tmp_path, capsys, magic, size):
     p = tmp_path / "short.bin"
     p.write_bytes(magic.encode().ljust(size, b"\0"))
@@ -398,7 +412,7 @@ def batch_header(magic: str, level: int, scale: float, chunks: int,
                  counts=None) -> bytes:
     """A batch header under a zero digest, and a trailer that matches;
     `counts`, if given, as the client count K and the K sample counts
-    of a `CKA1`."""
+    of a `CKA2`."""
     head = magic.encode() + bytes(8) + struct.pack("<BdH", level, scale,
                                                    chunks)
     if counts is not None:
@@ -410,9 +424,9 @@ def batch_header(magic: str, level: int, scale: float, chunks: int,
     (batch_header("CKU1", 0, float("nan"), 0), "not finite and positive"),
     (batch_header("CKV6", 0, 0.0, 1), "not finite and positive"),
     (batch_header("CKU1", 0, 2.0 ** 40, 0), "no chunks"),
-    (batch_header("CKA1", 7, 2.0 ** 40, 1, ()), "names no clients"),
-    (batch_header("CKA1", 0, 2.0 ** 40, 1, (3, 0)), "sample count of 0"),
-    (batch_header("CKA1", 7, 2.0 ** 40, 1, (1,)), "at level 7"),
+    (batch_header("CKA2", 7, 2.0 ** 40, 1, ()), "names no clients"),
+    (batch_header("CKA2", 0, 2.0 ** 40, 1, (3, 0)), "sample count of 0"),
+    (batch_header("CKA2", 7, 2.0 ** 40, 1, (1,)), "at level 7"),
     (batch_header("CKU1", 2, 2.0 ** 40, 1), "at level 2"),
     (b"CKF1" + struct.pack("<I", 100) + b"abc", "needs 808")],
     ids=["nan-scale", "zero-scale", "no-chunks", "no-clients", "zero-count",

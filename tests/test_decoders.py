@@ -26,7 +26,7 @@ from cipherfed.errors import (CipherfedError, FormatError, ParameterError,
                               ProtocolError)
 from cipherfed.federation import transport as T
 from cipherfed.federation.client import (ClientUpdate, PlainUpdate,
-                                         encrypt_model)
+                                         dropped_bits, encrypt_model)
 from cipherfed.federation.metrics import metrics_row
 from cipherfed.federation.quantize import QuantizationSpec
 from cipherfed.federation.server import FederationCoordinator
@@ -69,7 +69,7 @@ def formats(small_params):
         np.linspace(-1, 1, 8 * n).reshape(n, 8), params, level=0), keys,
         list(range(n)), tail_count(params, n)) for n in (1, 2, 7)}
     sums = {n: seeded_aggregate(keys, n, counts, tail_count(params, n))
-            for n, counts in ((1, (12, 30)), (2, (5, 1, 7)))}
+            for n, counts in SUM_COUNTS.items()}
     sec = serialize_secret_key(keys)
     pub = serialize_public_key(keys.public)
     arch = PqcArchitecture(qubit_count=2, depth=2,
@@ -154,8 +154,8 @@ def formats(small_params):
                                    b, params, tail_count(params, n)),
                                use_seeded)
            for n, c in seeded.items()},
-        **{f"CKA1-{n}": Format(serialize_seeded_sum(c),
-                               lambda b, n=n: deserialize_seeded_sum(
+        **{f"CKA2-{n}": Format(T.encode_global(c),
+                               lambda b, n=n: read_sum(
                                    b, params, tail_count(params, n)),
                                use_seeded)
            for n, c in sums.items()},
@@ -170,6 +170,18 @@ def formats(small_params):
     }
 
 
+# the sample counts of the `CKA2` formats, by chunk count
+SUM_COUNTS = {1: (12, 30), 2: (5, 1, 7)}
+
+
+def read_sum(blob: bytes, params, count: int, check=None):
+    """deserialize_seeded_sum of `count` coefficients, rounded as the
+    default spec's run rounds them."""
+    return deserialize_seeded_sum(
+        blob, params, count,
+        lambda total: dropped_bits(params, QuantizationSpec(), total), check)
+
+
 def tail_count(params, chunks: int) -> int:
     """P for a seeded batch of `chunks` chunks whose last holds 27
     coefficients."""
@@ -178,12 +190,12 @@ def tail_count(params, chunks: int) -> int:
 
 NAMES = ["frame-body", "JOIN", "UPDATE-fhe", "UPDATE-plain", "GLOBAL-fhe",
          "GLOBAL-plain", "METRICS", "CKV6-1", "CKV6-2", "CKV6-7", "CKU1-1",
-         "CKU1-2", "CKU1-7", "CKA1-1", "CKA1-2", "CKP3", "CKS3", "CKF1",
+         "CKU1-2", "CKU1-7", "CKA2-1", "CKA2-2", "CKP3", "CKS3", "CKF1",
          "CKM1"]
 
 
 # the ids the formats' cases have kept across layout changes
-_CASE_IDS = {"CKV6": "CKV2", "CKU1": "CKV3", "CKA1": "CKV5", "CKP3": "CKP1",
+_CASE_IDS = {"CKV6": "CKV2", "CKU1": "CKV3", "CKA2": "CKV5", "CKP3": "CKP1",
              "CKS3": "CKS2"}
 
 
@@ -285,11 +297,11 @@ def sealed_cuts(body: bytes):
 
 
 def test_unsealed_bit_flip_anywhere_refused(formats, monkeypatch):
-    """One bit flipped anywhere in a `CKU1` UPDATE or a `CKA1` GLOBAL,
+    """One bit flipped anywhere in a `CKU1` UPDATE or a `CKA2` GLOBAL,
     trailer included, and the trailer not recomputed, is refused before
     any seed is expanded: nothing is averaged in silently."""
     calls = count_expansions(monkeypatch)
-    for name in ("UPDATE-fhe", "CKA1-1"):
+    for name in ("UPDATE-fhe", "CKA2-1"):
         fmt = formats[name]
         for pos in range(len(fmt.blob)):
             blob = bytearray(fmt.blob)
@@ -479,9 +491,9 @@ def test_update_chunk_count_checked_before_any_expansion(keys, small_params,
     assert calls == []
 
 
-# --- the seeded aggregate, `CKA1` --------------------------------------------
+# --- the seeded aggregate, `CKA2` --------------------------------------------
 
-SUMS = ["CKA1-1", "CKA1-2"]
+SUMS = ["CKA2-1", "CKA2-2"]
 AT_K = 23  # the client count, after the `CKV6` header
 
 
@@ -499,7 +511,8 @@ def set_last_bit(body: bytes) -> bytes:
 
 def hostile_sums(blob: bytes, q0: int) -> dict:
     chunks, k, seeds = sum_layout(blob)
-    c0 = seeds + 32 * k * chunks + 2  # past the row count and width byte
+    c0 = seeds + 32 * k * chunks + 2  # past d and the width byte
+    dropped, width = blob[c0 - 2], blob[c0 - 1]
     scale = struct.unpack_from("<d", blob, 13)[0]
     total = sum(struct.unpack_from(f"<{k}Q", blob, AT_K + 2))
     # a client of 1 sample, its count and scale right, its seeds not
@@ -518,7 +531,13 @@ def hostile_sums(blob: bytes, q0: int) -> dict:
         "pad bit set": resealed(blob, set_last_bit),
         "scale off by one count": patched(blob, "d", 13, scale * 2),
         "level 1": patched(blob, "B", 12, 1),
-        "residue at q0": with_field(blob, c0, 0, 61, q0),
+        # the least y whose y * 2^d is not below q0
+        "residue at q0": with_field(blob, c0, 0, width,
+                                    ((q0 - 1) >> dropped) + 1),
+        "d and width of one bit more": patched(blob, "BB", c0 - 2,
+                                               dropped + 1, width - 1),
+        "d and width of one bit fewer": patched(blob, "BB", c0 - 2,
+                                                dropped - 1, width + 1),
         "trailing byte": resealed(blob, lambda b: b + b"\0"),
     }
 
@@ -530,7 +549,9 @@ HOSTILE = {"no clients": "names no clients",
            "one client more": "truncated",
            "one chunk more": "parameters fill", "pad bit set": "pad bits",
            "scale off by one count": "not the scale times",
-           "level 1": "at level 1", "residue at q0": "not below its prime",
+           "level 1": "at level 1", "residue at q0": "not below q0",
+           "d and width of one bit more": "drops 24 low bits of c0 at 37",
+           "d and width of one bit fewer": "drops 22 low bits of c0 at 39",
            "trailing byte": "1 trailing bytes"}
 
 
@@ -538,7 +559,7 @@ HOSTILE = {"no clients": "names no clients",
 @pytest.mark.parametrize("hostile", HOSTILE)
 def test_hostile_seeded_aggregate_rejected_before_expansion(
         formats, small_params, monkeypatch, name, hostile):
-    """Every malformed `CKA1` is refused with a CipherfedError before
+    """Every malformed `CKA2` is refused with a CipherfedError before
     any of its seeds is expanded."""
     blob = hostile_sums(formats[name].blob, small_params.modulus_chain[0])[
         hostile]
@@ -567,8 +588,8 @@ def test_seeded_aggregate_check_runs_before_expansion(formats, small_params,
 
     calls = count_expansions(monkeypatch)
     with pytest.raises(ProtocolError, match="not this run's"):
-        deserialize_seeded_sum(formats["CKA1-2"].blob, small_params,
-                               tail_count(small_params, 2), check)
+        read_sum(formats["CKA2-2"].blob, small_params,
+                 tail_count(small_params, 2), check)
     assert seen == [(2, (5, 1, 7))] and calls == []
 
 
@@ -578,7 +599,7 @@ BOTH = SEEDED + SUMS
 
 
 def header_bytes(blob: bytes) -> int:
-    """The length of a seeded batch's header: 23 bytes, and in a `CKA1`
+    """The length of a seeded batch's header: 23 bytes, and in a `CKA2`
     the client count and its u64 counts."""
     if blob[:4] == b"CKU1":
         return 23
@@ -614,7 +635,7 @@ def test_seeded_read_for_another_param_count_refused(formats, small_params,
     fmt = formats[name]
     n = small_params.ring_degree
     chunks = struct.unpack_from("<H", fmt.blob, 21)[0]
-    read = (deserialize_seeded if name in SEEDED else deserialize_seeded_sum)
+    read = deserialize_seeded if name in SEEDED else read_sum
     forbid_expansion(monkeypatch)
     for p in (tail_count(small_params, chunks) + delta,
               (chunks - 1) * n + (n if delta > 0 else 0) + delta):
@@ -625,8 +646,9 @@ def test_seeded_read_for_another_param_count_refused(formats, small_params,
 
 @pytest.mark.parametrize("name", BOTH, ids=case_id)
 def test_seeded_pad_bits_refused(formats, monkeypatch, name):
-    """27 coefficients of 61 bits leave 1 pad bit in the last byte;
-    set, it is refused."""
+    """27 coefficients of 61 bits (`CKU1`) leave 1 pad bit in the last
+    byte, and of 38 bits (`CKA2`, d = 23) 6; the top one set is
+    refused."""
     fmt = formats[name]
     blob = resealed(fmt.blob, set_last_bit)
     forbid_expansion(monkeypatch)
@@ -649,3 +671,32 @@ def test_seeded_every_append_and_truncation_expands_nothing(formats,
     for extra in range(1, 17):
         with pytest.raises(CipherfedError):
             fmt.decode(resealed(fmt.blob, lambda b: b + bytes(extra)))
+
+
+@pytest.mark.parametrize("name", SUMS, ids=case_id)
+@pytest.mark.parametrize("delta", [-1, 1],
+                         ids=["one bit fewer", "one bit more"])
+def test_aggregate_rounded_off_the_rule_refused(formats, keys, small_params,
+                                                monkeypatch, name, delta):
+    """A `CKA2` written to drop one bit more, or one fewer, than the
+    reader's spec and its own counts give (d = 23 for both formats'
+    totals) is refused before any seed is expanded."""
+    chunks = int(name[-1])
+    count, counts = tail_count(small_params, chunks), SUM_COUNTS[chunks]
+    d = dropped_bits(small_params, QuantizationSpec(), sum(counts))
+    assert d == 23
+    agg = seeded_aggregate(keys, chunks, counts, count)
+    assert serialize_seeded_sum(agg, d) == formats[name].blob
+    forbid_expansion(monkeypatch)
+    with pytest.raises(FormatError, match="truncated|trailing bytes"):
+        formats[name].decode(serialize_seeded_sum(agg, d + delta))
+
+
+def test_unrounded_aggregate_refused_by_name(formats):
+    """A `CKA1`, the aggregate that sent every bit of c0, is refused by
+    its magic on an fhe run."""
+    blob = formats["GLOBAL-fhe"].blob
+    with pytest.raises(FormatError, match=r"found unrounded seeded "
+                                          r"aggregate \(CKA1, no longer "
+                                          r"read\) artifact"):
+        formats["GLOBAL-fhe"].decode(b"CKA1" + blob[4:])

@@ -2,6 +2,7 @@
 2^-f grid, so the decrypted aggregate rounds back to the integer
 sum_k n_k * x_k * 2^f, and both arms divide that same sum once."""
 
+import math
 import threading
 from collections import defaultdict
 from dataclasses import replace
@@ -12,9 +13,11 @@ import pytest
 from cipherfed import data as D
 from cipherfed import model as M
 from cipherfed.errors import ConfigError, DomainError
-from cipherfed.federation import runner, server
-from cipherfed.federation.client import (decrypt_and_load, encrypt_model,
-                                         plain_update, sample_capacity)
+from cipherfed.federation import runner, server, transport
+from cipherfed.federation.client import (NOISE_MARGIN, NOISE_TAIL,
+                                         decrypt_and_load, dropped_bits,
+                                         encrypt_model, plain_update,
+                                         sample_capacity)
 from cipherfed.federation.quantize import QuantizationSpec
 from cipherfed.federation.rounds import (RoundConfig, federated_rounds,
                                          run_federated_training)
@@ -113,6 +116,77 @@ def test_decryption_exact_at_capacity(small_params, small_keys):
     sums = sum(n_k * np.round(u.values * 2.0 ** 16).astype(np.int64)
                for n_k, u in zip(counts, plain))
     assert np.array_equal(got, sums / (65535 * 2.0 ** 16))
+
+
+# the three specs at their capacities and the benchmark's three sample
+# totals (desk, wide, socket), each with the low bits a GLOBAL drops
+ROUNDED = {"defaults-at-capacity": (QuantizationSpec(), 65535, 7),
+           "clip4-f15-at-capacity": (QuantizationSpec(15, 4.0), 131071, 7),
+           "f23-at-capacity": (QuantizationSpec(23), 511, 7),
+           "desk": (QuantizationSpec(), 1200, 23),
+           "wide": (QuantizationSpec(), 322, 23),
+           "socket": (QuantizationSpec(), 480, 23)}
+
+
+@pytest.mark.parametrize("case", ROUNDED)
+def test_dropped_bits_is_the_largest_within_both_bounds(std_params, case):
+    """d is the largest d >= 0 for which both halves of the capacity
+    bound hold with 2^(d-1) added once: d + 1 breaks one of them."""
+    spec, total, want = ROUNDED[case]
+    assert total <= sample_capacity(std_params, spec)
+    d = dropped_bits(std_params, spec, total)
+    assert d == want
+
+    def fits(bits):
+        half = 2 ** (bits - 1)
+        step = std_params.scale / 2 ** spec.fractional_bits
+        q0 = std_params.modulus_chain[0]
+        per = math.ceil(spec.clip_range * std_params.scale) + NOISE_MARGIN
+        return (total * NOISE_TAIL + half < step / 2
+                and total * per + half < q0 / 2)
+    assert fits(d) and not fits(d + 1)
+
+
+def test_dropped_bits_edges(std_params):
+    """23 bits up to 32,767 samples at the defaults, 22 from 32,768, and
+    0 past the capacity."""
+    spec = QuantizationSpec()
+    assert [dropped_bits(std_params, spec, n) for n in
+            (1, 32767, 32768, 65535, 65536)] == [23, 23, 22, 7, 0]
+
+
+@pytest.mark.parametrize("case", ROUNDED)
+def test_serialized_global_decrypts_as_the_aggregate(small_params,
+                                                     small_keys, case):
+    """A GLOBAL written and read back, its c0 rounded by d bits, loads
+    the in-memory aggregate's weights bit for bit, and the plaintext
+    arm's, with weights spread over the whole clip range, its ends
+    included."""
+    spec, total, d = ROUNDED[case]
+    counts = [total // 4] * 3 + [total - 3 * (total // 4)]
+    template = M.init_model(2, PqcArchitecture(qubit_count=2, depth=1), 2,
+                            rng_seed=1)
+    rng = np.random.default_rng(total)
+    enc, plain = [], []
+    for k, n_k in enumerate(counts):
+        w = rng.uniform(-spec.clip_range, spec.clip_range,
+                        template.param_count)
+        w[:2] = spec.clip_range, -spec.clip_range
+        m = M.unflatten_weights(template, w)
+        enc.append(encrypt_model(m, spec, small_keys, client_id=k,
+                                 sample_count=n_k, round_index=0,
+                                 rng_seed=k))
+        plain.append(plain_update(m, spec, k, n_k, 0))
+    agg = server.aggregate(enc, small_keys.public)
+    blob = transport.encode_global(agg)
+    back = transport.decode_global(blob, small_params, template.param_count,
+                                   quantization=spec)
+    assert blob[-16 - -(-template.param_count * (61 - d) // 8) - 2] == d
+    assert not np.array_equal(back.c0, agg.c0)
+    want = flatten_weights(decrypt_and_load(agg, small_keys, template, spec))
+    got = flatten_weights(decrypt_and_load(back, small_keys, template, spec))
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(got, server.aggregate_plain(plain))
 
 
 def test_decrypt_rejects_scale_beyond_capacity(small_params, small_keys):

@@ -503,3 +503,47 @@ def test_aggregate_rejects_update_at_other_level_or_scale(
     with pytest.raises(AlignmentError,
                        match="client 1 sent 1 chunks at .* expected 1 at"):
         server.aggregate([ok, bad], keys.public)
+
+
+# One desk-shaped round of each arm, after a warm-up round, in a fresh
+# interpreter: prints the CPU seconds that threads other than the main
+# one spent during the measured rounds.
+_OTHER_THREADS_CPU = """
+import time
+from cipherfed import data as D, model as M
+from cipherfed.federation.rounds import RoundConfig, run_round
+from cipherfed.fhe import default_params, keygen
+from cipherfed.qsim import PqcArchitecture
+train, test = D.generate_synthetic("blobs", 1500, 0.5, seed=1, classes=3)
+parts = D.partition(train, D.PartitionSpec(client_count=4, rng_seed=1))
+init = M.init_model(2, PqcArchitecture(qubit_count=3, depth=2), 3,
+                    rng_seed=1)
+cfg = RoundConfig.for_datasets(parts, rounds=3, learning_rate=0.15,
+                               batch_size=32, epochs_per_round=3)
+keys = keygen(default_params(), rng_seed=1)
+model = init
+for mode in ("fhe", "plaintext"):
+    model, _ = run_round(model, cfg, parts, test, keys, 0, mode)
+process, thread = time.process_time(), time.thread_time()
+for r, mode in ((1, "fhe"), (2, "plaintext")):
+    model, _ = run_round(model, cfg, parts, test, keys, r, mode)
+print((time.process_time() - process) - (time.thread_time() - thread))
+"""
+
+
+def test_desk_rounds_wake_no_worker_threads():
+    """A desk-shaped round runs on the caller's thread alone. A BLAS call
+    above the library's single-thread size wakes its worker threads,
+    which spin: they cost CPU that the round's own thread never sees
+    and slow the whole desk run. Past the warm-up, the fhe and the
+    plaintext round together leave at most 5 ms to other threads."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _OTHER_THREADS_CPU], env=env,
+                         capture_output=True, text=True, timeout=300,
+                         check=True).stdout
+    assert float(out.split()[-1]) <= 0.005

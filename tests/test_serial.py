@@ -509,23 +509,23 @@ def test_length_off_by_one_byte_refused(uploads, small_params, chunks, cut,
 
 
 @pytest.mark.parametrize("old", [b"CKV2", b"CKV3", b"CKV4", b"CKV5",
-                                 b"CKV7", b"CKV8"])
+                                 b"CKV7", b"CKV8", b"CKA1"])
 def test_retired_batch_formats_refused_by_name(old, small_params, small_keys,
                                                artifacts, uploads):
     """A batch under a magic of the 64-bit layouts, the slot-packed
-    `CKV3` or the full-ring `CKV7` and `CKV8` is refused by its reader,
-    which names what it found."""
+    `CKV3`, the full-ring `CKV7` and `CKV8` or the unrounded `CKA1` is
+    refused by its reader, which names what it found."""
+    from cipherfed.federation.transport import encode_global
     from cipherfed.fhe.serial import (deserialize_seeded,
-                                      deserialize_seeded_sum,
-                                      serialize_seeded_sum)
+                                      deserialize_seeded_sum)
     upload = (uploads[1], lambda b, p: deserialize_seeded(
         b, p, upload_count(1)))
-    total = (serialize_seeded_sum(seeded_aggregate(small_keys, 1, (2, 3))),
-             lambda b, p: deserialize_seeded_sum(b, p, 1024))
+    total = (encode_global(seeded_aggregate(small_keys, 1, (2, 3))),
+             lambda b, p: deserialize_seeded_sum(b, p, 1024, lambda n: 23))
     blob, read = {
         b"CKV2": (artifacts["ciphertext"], deserialize_ciphertext),
         b"CKV3": upload, b"CKV4": upload, b"CKV7": upload,
-        b"CKV5": total, b"CKV8": total}[old]
+        b"CKV5": total, b"CKV8": total, b"CKA1": total}[old]
     with pytest.raises(FormatError, match=rf"but found .*\({old.decode()}, "
                                           r"no longer read\) artifact"):
         read(old + blob[4:], small_params)
@@ -560,3 +560,71 @@ def test_seeded_block_roundtrip(chains, name, count, seed):
         set_pad = resealed(blob, lambda b: b[:-1] + bytes([b[-1] | 0x80]))
         with pytest.raises(FormatError, match="pad bits"):
             deserialize_seeded(set_pad, params, count)
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from([1024, 4096, "odd"]),
+       count=st.integers(1, 3 * 1024), dropped=st.integers(0, 40),
+       seed=st.integers(0, 2 ** 32))
+def test_rounded_block_roundtrip(chains, name, count, dropped, seed):
+    """A `CKA2` c0 block is d, the width w = b0 - d, then each y =
+    (c0 + 2^(d-1)) >> d at w bits, as docs/protocol.md words it, y = 0
+    where y * 2^d would reach q0. It reads back as y * 2^d, within
+    2^(d-1) of c0 mod q0, and writes back to the same bytes; a y whose
+    y * 2^d is not below q0 is refused."""
+    from cipherfed.fhe import SeededBatch
+    from cipherfed.fhe.serial import (deserialize_seeded_sum,
+                                      serialize_seeded_sum)
+    params = chains[name]
+    n, q0 = params.ring_degree, params.modulus_chain[0]
+    rng = np.random.default_rng(seed)
+    c0 = rng.integers(0, q0, count, dtype=np.uint64)
+    c0[0], c0[-1] = q0 - 1, 0
+    chunks = -(-count // n)
+    batch = SeededBatch(params, c0, params.scale * 3,
+                        tuple(bytes([j]) * 32 for j in range(chunks)), (3,))
+    blob = serialize_seeded_sum(batch, dropped)
+    half = (1 << dropped) >> 1
+    width = q0.bit_length() - dropped
+    y = [(int(c) + half) >> dropped for c in c0]
+    y = [v if v << dropped < q0 else 0 for v in y]
+    at = 23 + 2 + 8 + 32 * chunks
+    assert blob[at:-TRAILER_BYTES] == (bytes([dropped, width])
+                                       + pack_rows([y], bytes([width])))
+    back = deserialize_seeded_sum(blob, params, count, lambda total: dropped)
+    assert back.c0.tolist() == [v << dropped for v in y]
+    gap = (back.c0.astype(object) - c0.astype(object)) % q0
+    assert all(g <= half or q0 - g <= half for g in gap)
+    assert serialize_seeded_sum(back, dropped) == blob
+    top = (q0 - 1) >> dropped
+    if top + 1 < 1 << width:
+        over = with_field(blob, at + 2, 0, width, top + 1)
+        with pytest.raises(FormatError, match="not below q0"):
+            deserialize_seeded_sum(over, params, count, lambda total: dropped)
+
+
+# sha256 of a `CKU1` upload of P coefficients, as the encryption that
+# drew all N error coefficients of each chunk wrote it
+UPLOAD_DIGESTS = {1: "342d6903e855ce44", 27: "45b31389c2db690b",
+                  4095: "b82f4f875fd7451b", 4096: "bcce075ef8fe8ee2",
+                  4097: "5f925589eb8872d3", 12309: "6b88dd6d0ee3a773"}
+
+
+@pytest.mark.parametrize("count", sorted(UPLOAD_DIGESTS))
+def test_upload_bytes_pinned(std_keys, count):
+    """encrypt_symmetric draws only the error coefficients it keeps, a
+    prefix of each chunk's draw of N: its uploads stay byte for byte
+    those of a whole draw, at partial and full chunks alike."""
+    from cipherfed.federation.client import derive_seed
+    from cipherfed.fhe import encode_coeffs, encrypt_symmetric
+    from cipherfed.fhe.serial import serialize_seeded
+    n = std_keys.params.ring_degree
+    chunks = -(-count // n)
+    x = np.zeros(chunks * n)
+    x[:count] = np.round(np.linspace(-3, 3, count) * 2 ** 16) / 2 ** 16
+    batch = encrypt_symmetric(encode_coeffs(x.reshape(chunks, n),
+                                            std_keys.params, level=0),
+                              std_keys, [derive_seed(9, j)
+                                         for j in range(chunks)], count)
+    digest = hashlib.sha256(serialize_seeded(batch)).hexdigest()[:16]
+    assert digest == UPLOAD_DIGESTS[count]

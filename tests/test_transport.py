@@ -16,9 +16,11 @@ from conftest import (channel_pair, coordinator_config, count_expansions,
 from cipherfed import data as D
 from cipherfed import model as M
 from cipherfed.errors import (AlignmentError, CipherfedError, ConfigError,
-                              FormatError, LevelError, ProtocolError)
+                              DomainError, FormatError, LevelError,
+                              ProtocolError)
 from cipherfed.federation import transport as T
 from cipherfed.federation.client import (ClientUpdate, PlainUpdate,
+                                         decrypt_and_load, dropped_bits,
                                          encrypt_model)
 from cipherfed.federation.metrics import metrics_row
 from cipherfed.federation.quantize import QuantizationSpec
@@ -168,17 +170,19 @@ def test_global_payload_roundtrip_plain():
 
 @pytest.mark.parametrize("clients,chunks", [(4, 1), (4, 4), (2, 1)])
 def test_fhe_global_size_by_layout(world, small_params, clients, chunks):
-    """A GLOBAL is the `CKA1` layout of docs/protocol.md: the `CKV6`
+    """A GLOBAL is the `CKA2` layout of docs/protocol.md: the `CKV6`
     header, the client count, a u64 count per client, a seed per client
-    and chunk, the P coefficients of c0 as a one-row block (its row
-    count, q0's width byte and P residues at 61 bits, padded to a whole
-    byte), and the 16-byte trailer."""
+    and chunk, the P coefficients of c0 as a rounded block (d, its width
+    byte and P coefficients at 61 - d bits, padded to a whole byte, d =
+    23 for these totals), and the 16-byte trailer."""
     n = small_params.ring_degree
     count = (chunks - 1) * n + 27
-    payload = T.encode_global(seeded_aggregate(
-        world["keys"], chunks, range(10, 10 + clients), count))
+    counts = range(10, 10 + clients)
+    assert dropped_bits(small_params, QuantizationSpec(), sum(counts)) == 23
+    payload = T.encode_global(seeded_aggregate(world["keys"], chunks, counts,
+                                               count))
     size = (23 + 2 + 8 * clients + 32 * clients * chunks + 2
-            + -(-61 * count // 8) + 16)
+            + -(-38 * count // 8) + 16)
     assert len(payload) == size
     frame = T.encode_frame(T.Message(T.MSG_GLOBAL, 0, payload))
     assert len(frame) == 7 + size
@@ -186,15 +190,65 @@ def test_fhe_global_size_by_layout(world, small_params, clients, chunks):
 
 def test_fhe_global_roundtrip_bitwise(world, small_params):
     """The reader's c1, rebuilt from the seeds and the counts, is the
-    server's summed c1, residue for residue."""
-    agg = seeded_aggregate(world["keys"], 4, (10, 11, 12, 13), 3100)
-    back = T.decode_global(T.encode_global(agg), small_params, 3100)
-    assert np.array_equal(back.c0, agg.c0)
+    server's summed c1, residue for residue. Its c0 is the server's
+    rounded to a multiple of 2^d, d = 23 for 46 samples, so within
+    2^22 of it mod q0; it decrypts to the same weights bit for bit, and
+    it writes the same bytes again."""
+    keys, spec = world["keys"], QuantizationSpec()
+    template = M.init_model(1540, PqcArchitecture(qubit_count=2, depth=1), 2,
+                            rng_seed=5)
+    count = template.param_count
+    assert -(-count // small_params.ring_degree) == 4
+    rng = np.random.default_rng(46)
+    ups = [encrypt_model(M.unflatten_weights(template, rng.uniform(
+        -spec.clip_range, spec.clip_range, count)), spec, keys, client_id=k,
+        sample_count=n, round_index=0, rng_seed=k)
+        for k, n in enumerate((10, 11, 12, 13))]
+    agg = server.aggregate(ups, keys.public)
+    blob = T.encode_global(agg)
+    back = T.decode_global(blob, small_params, count)
+    q0 = small_params.modulus_chain[0]
+    gap = back.c0.astype(np.int64) - agg.c0.astype(np.int64)
+    gap = np.where(gap > q0 // 2, gap - q0, np.where(gap < -(q0 // 2),
+                                                     gap + q0, gap))
+    assert np.abs(gap).max() <= 1 << 22 and gap.any()
     assert back.a is None and agg.a is not None
     assert np.array_equal(back.c1.residues, agg.c1.residues)
-    assert (back.scale, back.level, back.seeds, back.counts) == (
-        agg.scale, agg.level, agg.seeds, agg.counts)
+    assert (back.scale, back.level, back.seeds, back.counts,
+            back.quantization) == (agg.scale, agg.level, agg.seeds,
+                                   agg.counts, agg.quantization)
     assert agg.counts == (10, 11, 12, 13) and len(agg.seeds) == 16
+    assert (flatten_weights(decrypt_and_load(back, keys, template)).tobytes()
+            == flatten_weights(decrypt_and_load(agg, keys, template))
+            .tobytes())
+    assert T.encode_global(back) == blob
+
+
+def test_global_read_under_another_spec_refused(world, small_params):
+    """A client reads a GLOBAL's width from its own run's spec: one
+    written for f = 16 is refused by a reader at f = 17, which drops a
+    bit fewer, before any field past the header is read; and a batch
+    stamped with one spec does not load under another."""
+    agg = seeded_aggregate(world["keys"], 1, (10, 11), 14)
+    blob = T.encode_global(agg)
+    spec = QuantizationSpec(fractional_bits=17)
+    with pytest.raises(FormatError, match="truncated"):
+        T.decode_global(blob, small_params, 14, quantization=spec)
+    m = M.init_model(2, PqcArchitecture(qubit_count=2, depth=1), 2)
+    assert m.param_count == 14
+    back = T.decode_global(blob, small_params, 14)
+    with pytest.raises(DomainError, match="does not load under"):
+        decrypt_and_load(back, world["keys"], m, spec)
+
+
+def test_uploads_of_two_specs_do_not_aggregate(world):
+    """Uploads quantized under two specs would need two GLOBAL roundings
+    and two decryption steps: the server refuses to sum them."""
+    ups = seeded_uploads(world["keys"], 1, (3, 4), 14)
+    ups[1] = replace(ups[1], chunks=replace(
+        ups[1].chunks, quantization=QuantizationSpec(fractional_bits=17)))
+    with pytest.raises(AlignmentError, match="client 1 quantized under"):
+        server.aggregate(ups, world["keys"].public)
 
 
 def test_unseeded_aggregate_is_not_a_global(world):
@@ -766,7 +820,7 @@ def global_against_client(world, small_params, make_global, monkeypatch):
 
 
 def seeded_global(upd, counts, chunks):
-    """A `CKA1` GLOBAL of `chunks` chunks, the upload's coefficients
+    """A `CKA2` GLOBAL of `chunks` chunks, the upload's coefficients
     repeated to fill all but the last one's, for clients with `counts`;
     every client's seeds are the upload's."""
     one = upd.chunks
@@ -774,13 +828,14 @@ def seeded_global(upd, counts, chunks):
     padded = SeededBatch(one.params, np.resize(one.c0, (chunks - 1) * n
                                                + one.c0.size),
                          one.scale * sum(counts),
-                         one.seeds * chunks * len(counts), tuple(counts))
+                         one.seeds * chunks * len(counts), tuple(counts),
+                         quantization=one.quantization)
     return T.encode_global(padded)
 
 
 def test_padded_global_aborts_transport_client(world, small_params,
                                                monkeypatch):
-    """A `CKA1` GLOBAL with one chunk more than the model fills is
+    """A `CKA2` GLOBAL with one chunk more than the model fills is
     refused before any seed is expanded: the client sends ABORT instead
     of loading it."""
     counts = world["cfg"].sample_counts
@@ -1177,9 +1232,10 @@ def test_updates_of_different_model_sizes_not_averaged(world):
 def test_update_and_global_frame_sizes(std_keys, clients, chunks):
     """At N = 4,096 an UPDATE frame of P coefficients in c chunks is 7 +
     23 + 32·c + 2 + ceil(61·P/8) + 16 bytes, and a GLOBAL frame of K
-    clients 7 + 23 + 2 + 8·K + 32·K·c + 2 + ceil(61·P/8) + 16, as
-    docs/protocol.md gives them: for 4 clients, 286 B up and 416 B down
-    at desk's 27 parameters, 94,033 and 94,451 B at wide's 12,309."""
+    clients 7 + 23 + 2 + 8·K + 32·K·c + 2 + ceil(38·P/8) + 16, d = 23
+    at these totals, as docs/protocol.md gives them: for 4 clients, 286
+    B up and 339 B down at desk's 27 parameters, 94,033 and 59,062 B at
+    wide's 12,309."""
     n = std_keys.params.ring_degree
     assert n == 4096
     count = {1: 27, 4: 12309}[chunks]
@@ -1193,19 +1249,19 @@ def test_update_and_global_frame_sizes(std_keys, clients, chunks):
     agg = server.aggregate(ups, std_keys.public)
     down = frame(T.MSG_GLOBAL, T.encode_global(agg))
     assert down == (7 + 23 + 2 + 8 * clients + 32 * clients * chunks + 2
-                    + -(-61 * count // 8) + 16)
+                    + -(-38 * count // 8) + 16)
     if clients == 4:
-        assert (up, down) == {1: (286, 416), 4: (94033, 94451)}[chunks]
+        assert (up, down) == {1: (286, 339), 4: (94033, 59062)}[chunks]
 
 
 def test_socket_shape_frame_sizes(std_keys):
     """The socket workload's shape, 3,093 parameters in 1 chunk and 2
-    clients: 23,665 B up and 23,715 B down."""
+    clients: 23,665 B up and 14,822 B down."""
     ups = seeded_uploads(std_keys, 1, (10, 11), 3093)
     agg = server.aggregate(ups, std_keys.public)
     assert [len(T.encode_frame(T.Message(t, 0, p))) for t, p in (
         (T.MSG_UPDATE, T.encode_update(ups[0])),
-        (T.MSG_GLOBAL, T.encode_global(agg)))] == [23665, 23715]
+        (T.MSG_GLOBAL, T.encode_global(agg)))] == [23665, 14822]
 
 
 @pytest.mark.parametrize("dims,chunks", [(2, 1), (600, 2)])
