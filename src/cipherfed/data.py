@@ -181,16 +181,6 @@ def load_csv(path, label_column: str) -> Dataset:
     return Dataset(feats, labels, class_count=len(uniq), split_tag="train")
 
 
-def export_csv(ds: Dataset, path) -> None:
-    """Write a dataset back out in the load_csv format."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        dims = ds.features.shape[1]
-        writer.writerow([f"f{i}" for i in range(dims)] + ["label"])
-        for row, lbl in zip(ds.features, ds.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(lbl)])
-
-
 def stratified_split(ds: Dataset, seed: int = 0):
     """80/20 stratified train/test split of a single dataset."""
     return _stratified_split(ds.features, ds.labels, ds.class_count, seed)

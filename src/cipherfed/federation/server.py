@@ -18,7 +18,7 @@ from contextlib import suppress
 import numpy as np
 
 from ..errors import (AlignmentError, CipherfedError, ConfigError,
-                      ParameterError, ProtocolError)
+                      ParameterError, ProtocolError, ShapeError)
 from ..fhe.keys import PublicMaterial
 from ..fhe.nttmath import multipliers, weighted_sum
 from ..fhe.ops import Ciphertext, SeededBatch
@@ -53,7 +53,8 @@ def _check_updates(updates) -> None:
     update must carry the chunk count its parameter count needs, at the
     level and scale of the first update, which the weights are encoded
     for, in the same kind of batch under the same quantization, and the
-    first update's parameter count."""
+    first update's parameter count, and a seeded one that many
+    coefficients."""
     if not updates:
         raise ProtocolError("no client updates to aggregate")
     rnd = updates[0].round_index
@@ -91,6 +92,10 @@ def _check_updates(updates) -> None:
                                  f"{first.quantization}")
         check_upload_chunks(u.client_id, got[0], u.param_count,
                             first.params.ring_degree)
+        if (isinstance(first, SeededBatch)
+                and u.chunks.c0.size != u.param_count):
+            raise ShapeError(f"client {u.client_id} sent {u.chunks.c0.size} "
+                             f"coefficients for {u.param_count} parameters")
         if u.param_count != updates[0].param_count:
             raise AlignmentError(f"client {u.client_id} sent {u.param_count} "
                                  f"parameters, not {updates[0].param_count}")
@@ -106,8 +111,13 @@ def aggregate(updates, material: PublicMaterial):
     in place of c1, and the uploads' quantization, which sets the GLOBAL's
     rounding, and sums c1 only if every upload holds it in memory
     (encryption on the direct transport): no seed is expanded here. Each
-    client's weight becomes a Shoup multiplier once, for every sum."""
+    client's weight becomes a Shoup multiplier once, for every sum. An
+    update under other parameters than the keys' is a ParameterError."""
     public = _require_public(material)
+    for u in updates:
+        if u.chunks.params != public.params:
+            raise ParameterError(f"client {u.client_id} encrypted under "
+                                 "other parameters than the server's keys")
     _check_updates(updates)
     updates = sorted(updates, key=lambda u: u.client_id)
     weights = [u.sample_count for u in updates]

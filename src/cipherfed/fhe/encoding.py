@@ -19,16 +19,14 @@ primes its other residues must agree, which holds exactly while
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..errors import CapacityError, DomainError, LevelError
 from .params import EncryptionParams
-from .poly import (COEFF, RingPoly, ShoupPoly, centered,
-                   from_signed_coeffs, ntt_forward, ntt_inverse)
+from .poly import (COEFF, RingPoly, centered, from_signed_coeffs,
+                   ntt_forward, ntt_inverse)
 
 
 @dataclass(frozen=True)
@@ -42,12 +40,6 @@ class Plaintext:
             raise DomainError("plaintext scale must be positive")
         if not 0 <= self.level <= self.poly.params.max_level:
             raise LevelError(f"level {self.level} outside the modulus chain")
-
-    @cached_property
-    def shoup(self) -> ShoupPoly:
-        """The multiplier mul_plain applies, built on first use.
-        encode_scalar sets a constant one instead."""
-        return ShoupPoly.wrap(self.poly)
 
 
 def _slot_spectrum(values: np.ndarray, params: EncryptionParams) -> np.ndarray:
@@ -127,8 +119,11 @@ def _finite_rows(values, capacity: int, unit: str) -> np.ndarray:
 def _coeff_poly(coeffs: np.ndarray, params: EncryptionParams,
                 level: int) -> RingPoly:
     """The coefficients, rounded, over the chain primes up to `level`."""
-    return from_signed_coeffs(_check_word(np.round(coeffs)).astype(np.int64),
-                              params, tuple(range(level + 1)))
+    rounded = np.round(coeffs)
+    if np.any(np.abs(rounded) > 2 ** 62):
+        raise DomainError("encoded coefficients overflow the RNS word size")
+    return from_signed_coeffs(rounded.astype(np.int64), params,
+                              tuple(range(level + 1)))
 
 
 def encode_scalar(c: float, params: EncryptionParams, level: int | None = None,
@@ -137,17 +132,10 @@ def encode_scalar(c: float, params: EncryptionParams, level: int | None = None,
 
     c in every slot encodes to the constant polynomial round(c * scale),
     as encode() computes it, and the NTT of a constant is that constant
-    in every slot, so this needs no FFT and no NTT. Its Shoup table is
-    one column that broadcasts over the ring.
+    in every slot: the NTT of encode_coeffs([c]).
     """
-    level, scale = _level_and_scale(params, level, scale)
-    if not math.isfinite(c):
-        raise DomainError("cannot encode non-finite values")
-    k = int(_check_word(np.round(float(c) * scale)))
-    fixed = ShoupPoly.constant(k, params, tuple(range(level + 1)))
-    pt = Plaintext(poly=fixed.poly, scale=scale, level=level)
-    pt.__dict__["shoup"] = fixed
-    return pt
+    pt = encode_coeffs([c], params, level, scale)
+    return replace(pt, poly=ntt_forward(pt.poly))
 
 
 def _level_and_scale(params: EncryptionParams, level: int | None,
@@ -157,12 +145,6 @@ def _level_and_scale(params: EncryptionParams, level: int | None,
     if not 0 <= level <= params.max_level:
         raise LevelError(f"level {level} outside the modulus chain")
     return level, params.scale if scale is None else scale
-
-
-def _check_word(rounded):
-    if np.any(np.abs(rounded) > 2 ** 62):
-        raise DomainError("encoded coefficients overflow the RNS word size")
-    return rounded
 
 
 def decode(pt: Plaintext, count: int) -> np.ndarray:

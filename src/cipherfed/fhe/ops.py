@@ -23,9 +23,9 @@ from .keys import KeyMaterial, public_part
 from .nttmath import (addmod, multipliers, shoup_constant, shoup_mul, submod,
                       weighted_sum)
 from .params import EncryptionParams
-from .poly import (COEFF, GAUSSIAN_STDDEV, NTT, RingPoly, centered,
-                   expand_seed, from_signed_coeffs, ntt_forward, ntt_inverse,
-                   sample_gaussian, sample_ternary)
+from .poly import (COEFF, GAUSSIAN_STDDEV, NTT, RingPoly, ShoupPoly,
+                   centered, expand_seed, from_signed_coeffs, ntt_forward,
+                   ntt_inverse, sample_gaussian, sample_ternary)
 
 SCALE_MATCH_RTOL = 2.0 ** -30
 SEED_BYTES = 32
@@ -248,13 +248,13 @@ def add_ct(a: Ciphertext, b: Ciphertext) -> Ciphertext:
 
 def mul_plain(ct: Ciphertext, pt: Plaintext) -> Ciphertext:
     """Slotwise ciphertext * plaintext through the plaintext's Shoup
-    table; scales multiply. Follow with rescale() to bring the scale back
-    down."""
+    table, built once for both halves; scales multiply. Follow with
+    rescale() to bring the scale back down."""
     if ct.level != pt.level:
         raise AlignmentError(f"level mismatch: {ct.level} vs {pt.level}")
     ct.c0._check_compatible(pt.poly, broadcast=True)
-    return Ciphertext(c0=ct.c0.mul_fixed(pt.shoup),
-                      c1=ct.c1.mul_fixed(pt.shoup),
+    fixed = ShoupPoly.wrap(pt.poly)
+    return Ciphertext(c0=ct.c0.mul_fixed(fixed), c1=ct.c1.mul_fixed(fixed),
                       scale=ct.scale * pt.scale, level=ct.level)
 
 

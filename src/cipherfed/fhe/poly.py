@@ -6,7 +6,7 @@ described by indices into the modulus chain, so level drops and key
 material share one representation. Values are immutable by convention:
 operations return new polynomials.
 
-A ShoupPoly is a fixed multiplier (a key, a plaintext, a constant): an
+A ShoupPoly is a fixed multiplier (a key or a plaintext): an
 NTT-domain polynomial with its Shoup tables. RingPoly.mul_fixed takes
 one, in word arithmetic; no multiply uses object dtype.
 """
@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DomainError, ParameterError, ShapeError
-from .nttmath import (addmod, fixed_multiplier, shoup_constant, shoup_mul,
-                      submod)
+from .nttmath import addmod, shoup_constant, shoup_mul, submod
 from .params import EncryptionParams, basis_rows
 
 GAUSSIAN_STDDEV = 3.2
@@ -107,17 +106,6 @@ class ShoupPoly:
             raise DomainError("Shoup tables require NTT domain")
         return cls(poly, shoup_constant(poly.residues, poly.q_column))
 
-    @classmethod
-    def constant(cls, k: int, params: EncryptionParams,
-                 prime_indices: tuple[int, ...]) -> "ShoupPoly":
-        """The constant polynomial k, which is k in every NTT slot: one
-        column of residues and of table, the residues broadcast over the
-        ring as a read-only view."""
-        w, shoup = fixed_multiplier(k, params.stacked_ntt(prime_indices).q)
-        poly = RingPoly(params, prime_indices,
-                        np.broadcast_to(w, (len(w), params.ring_degree)), NTT)
-        return cls(poly, shoup)
-
 
 def ntt_forward(p: RingPoly) -> RingPoly:
     """Coefficient domain -> NTT (evaluation) domain."""
@@ -157,9 +145,9 @@ def sample_ternary(params: EncryptionParams, prime_indices: tuple[int, ...],
 
 
 def sample_gaussian(params: EncryptionParams, prime_indices: tuple[int, ...],
-                    rng: np.random.Generator,
-                    stddev: float = GAUSSIAN_STDDEV) -> RingPoly:
-    v = np.round(rng.normal(0.0, stddev, params.ring_degree)).astype(np.int64)
+                    rng: np.random.Generator) -> RingPoly:
+    v = np.round(rng.normal(0.0, GAUSSIAN_STDDEV, params.ring_degree)
+                 ).astype(np.int64)
     return from_signed_coeffs(v, params, prime_indices)
 
 

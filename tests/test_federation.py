@@ -4,11 +4,12 @@ import threading
 
 import numpy as np
 import pytest
+from conftest import seeded_uploads
 
 from cipherfed import data as D
 from cipherfed import model as M
 from cipherfed.errors import (AlignmentError, ConfigError, ParameterError,
-                              ProtocolError)
+                              ProtocolError, ShapeError)
 from cipherfed.federation import server
 from cipherfed.federation.client import (PlainUpdate, decrypt_and_load,
                                          derive_seed, encrypt_model)
@@ -503,6 +504,50 @@ def test_aggregate_rejects_update_at_other_level_or_scale(
     with pytest.raises(AlignmentError,
                        match="client 1 sent 1 chunks at .* expected 1 at"):
         server.aggregate([ok, bad], keys.public)
+
+
+@pytest.fixture(scope="module")
+def ring_2048_keys():
+    from cipherfed.fhe import default_params, keygen
+    return keygen(default_params(ring_degree=2048), rng_seed=13)
+
+
+@pytest.mark.parametrize("seeded", [True, False], ids=["seeded", "public"])
+def test_aggregate_rejects_update_under_other_parameters(
+        toy_world, ring_2048_keys, seeded):
+    """An N = 2,048 upload reaches a server whose keys are N = 1,024:
+    alone or next to an N = 1,024 upload it is a ParameterError naming
+    its client, not a broadcast error or a sum under the server's ring."""
+    from cipherfed.federation.client import ClientUpdate
+
+    def upload(keys, cid):
+        if seeded:
+            return encrypt_model(toy_world["init"], QuantizationSpec(), keys,
+                                 cid, 5, 0)
+        return ClientUpdate(cid, encrypted_chunk(
+            keys.params, keys, keys.params.max_level, keys.params.scale),
+            5, 0, 3)
+
+    keys = toy_world["keys"]
+    ok, other = upload(keys, 0), upload(ring_2048_keys, 1)
+    for ups in ([ok, other], [other]):
+        with pytest.raises(ParameterError, match="client 1 encrypted under "
+                                                 "other parameters"):
+            server.aggregate(ups, keys.public)
+
+
+def test_aggregate_rejects_seeded_upload_of_other_coefficient_count(
+        toy_world):
+    """A seeded upload of 30 coefficients labelled 27 parameters is a
+    ShapeError, next to a 27-coefficient upload or alone."""
+    from dataclasses import replace
+    keys = toy_world["keys"]
+    ok = seeded_uploads(keys, 1, (10, 10), 27)[0]
+    bad = replace(seeded_uploads(keys, 1, (10, 10), 30)[1], param_count=27)
+    for ups in ([ok, bad], [bad]):
+        with pytest.raises(ShapeError, match="client 1 sent 30 coefficients "
+                                             "for 27 parameters"):
+            server.aggregate(ups, keys.public)
 
 
 # One desk-shaped round of each arm, after a warm-up round, in a fresh

@@ -1220,8 +1220,8 @@ def test_mixed_scale_update_aborts_every_client(world, small_params):
 def test_updates_of_different_model_sizes_not_averaged(world):
     """Two one-chunk uploads for models of 27 and 1,000 parameters do
     not average together."""
-    ups = [replace(u, param_count=n) for u, n in
-           zip(seeded_uploads(world["keys"], 1, (10, 10)), (27, 1000))]
+    ups = [seeded_uploads(world["keys"], 1, (10, 10), n)[k]
+           for k, n in enumerate((27, 1000))]
     with pytest.raises(AlignmentError, match="client 1 sent 1000 parameters, "
                                              "not 27"):
         server.aggregate(ups, world["keys"].public)
