@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..errors import ConfigError, DomainError, ProtocolError, ShapeError
+from ..errors import ConfigError, DomainError, ShapeError
 from ..fhe.encoding import encode_coeffs
 from ..fhe.encoding import decode, encode  # perfbench wraps; ROADMAP item 1
 from ..fhe.keys import KeyMaterial
@@ -60,18 +60,6 @@ class PlainUpdate:
 
 def chunk_count_for(param_count: int, ring_degree: int) -> int:
     return -(-param_count // ring_degree)
-
-
-def check_upload_chunks(client_id: int, chunks: int, param_count: int,
-                        ring_degree: int) -> None:
-    """ProtocolError unless an upload's chunk count is the one its
-    parameter count fills."""
-    need = chunk_count_for(param_count, ring_degree)
-    if chunks != need:
-        raise ProtocolError(
-            f"client {client_id} sent {chunks} chunks for {param_count} "
-            f"parameters, which need {need} chunks of {ring_degree} "
-            "coefficients")
 
 
 def _sample_bound(params: EncryptionParams, spec: QuantizationSpec) -> int:

@@ -83,9 +83,15 @@ def _client_rounds(channel, client_id: int, dataset, test_data,
         with _COMPUTE:
             if mode == "fhe":
                 agg = decode_global(msg.payload, keys.params,
-                                    model.param_count,
-                                    _global_check(config),
-                                    config.quantization)
+                                    model.param_count, config.quantization)
+                # before decryption expands a seed: the aggregate must
+                # carry this run's sample counts, client by client
+                if agg.counts != config.sample_counts:
+                    raise ProtocolError(
+                        f"GLOBAL carries {len(agg.counts)} sample counts "
+                        f"totalling {sum(agg.counts)}; the run's "
+                        f"{config.client_count} clients hold "
+                        f"{config.sample_counts}")
                 model = decrypt_and_load(agg, keys, model, config.quantization)
             else:
                 model = unflatten_weights(model, decode_global(
@@ -107,20 +113,6 @@ def _client_rounds(channel, client_id: int, dataset, test_data,
     for model, _rows in round_loop(config, play, initial_model, None):
         pass
     return model
-
-
-def _global_check(config: RoundConfig):
-    """The check a client runs on a GLOBAL's header before the reader
-    checks its chunks and length, and long before any seed is expanded:
-    the aggregate must carry this run's sample counts, client by
-    client."""
-    def check(_chunks, counts):
-        if counts != config.sample_counts:
-            raise ProtocolError(
-                f"GLOBAL carries {len(counts)} sample counts totalling "
-                f"{sum(counts)}; the run's {config.client_count} clients "
-                f"hold {config.sample_counts}")
-    return check
 
 
 def run_socket_federation(initial_model, config: RoundConfig,
@@ -166,12 +158,7 @@ def run_socket_federation(initial_model, config: RoundConfig,
                           for k in range(config.client_count)]
         for t in client_threads:
             t.start()
-        try:
-            coordinator.run(server_channels)
-        except Exception as exc:
-            if isinstance(exc, ProtocolError):
-                raise
-            raise ProtocolError(f"server failed: {exc}") from exc
+        coordinator.run(server_channels)
     finally:
         # a client stuck in send/recv, or in a round not played, fails now
         for ch in server_channels:

@@ -25,7 +25,7 @@ from ..fhe.ops import Ciphertext, SeededBatch
 # perfbench --trace wraps these four; ROADMAP item 1
 from ..fhe.encoding import encode_scalar
 from ..fhe.ops import add_ct, mul_plain, rescale
-from .client import check_sample_capacity, check_upload_chunks
+from .client import check_sample_capacity
 from .metrics import metrics_row
 from .transport import (MAX_WIRE_COUNT, MSG_ABORT, MSG_GLOBAL, MSG_JOIN,
                         MSG_METRICS, MSG_UPDATE, Message, decode_join,
@@ -50,11 +50,10 @@ def _require_public(material) -> PublicMaterial:
 
 def _check_updates(updates) -> None:
     """Reject a set of updates that cannot be averaged: every encrypted
-    update must carry the chunk count its parameter count needs, at the
-    level and scale of the first update, which the weights are encoded
-    for, in the same kind of batch under the same quantization, and the
-    first update's parameter count, and a seeded one that many
-    coefficients."""
+    update must carry the first update's chunk count, level and scale,
+    which the weights are encoded for, in the same kind of batch under
+    the same quantization, and the first update's parameter count, and a
+    seeded one that many coefficients, which fill its chunks."""
     if not updates:
         raise ProtocolError("no client updates to aggregate")
     rnd = updates[0].round_index
@@ -90,8 +89,6 @@ def _check_updates(updates) -> None:
             raise AlignmentError(f"client {u.client_id} quantized under "
                                  f"{u.chunks.quantization}, not "
                                  f"{first.quantization}")
-        check_upload_chunks(u.client_id, got[0], u.param_count,
-                            first.params.ring_degree)
         if (isinstance(first, SeededBatch)
                 and u.chunks.c0.size != u.param_count):
             raise ShapeError(f"client {u.client_id} sent {u.chunks.c0.size} "

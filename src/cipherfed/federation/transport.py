@@ -176,20 +176,19 @@ def encode_global(agg) -> bytes:
         agg.params, agg.quantization, sum(agg.counts)))
 
 
-def decode_global(payload: bytes, params, param_count: int, check=None,
+def decode_global(payload: bytes, params, param_count: int,
                   quantization: QuantizationSpec = QuantizationSpec()):
     """The one artifact that is a GLOBAL payload for a model of
     `param_count` parameters: on an fhe run, where `params` is given, a
     `CKA2` seeded aggregate of that many coefficients whose c0 drops the
     bits that the run's `quantization` gives for its sample counts,
     stamped with that spec, and on a plaintext run a `CKF1` vector of
-    that many values. `check(chunks, counts)`, if given, runs before the
-    aggregate's length is checked; no seed is expanded until the
-    aggregate is decrypted."""
+    that many values. Whether the counts are the run's is the caller's
+    check; no seed is expanded until the aggregate is decrypted."""
     if params is not None:
         return replace(deserialize_seeded_sum(
             payload, params, param_count,
-            lambda n: dropped_bits(params, quantization, n), check),
+            lambda n: dropped_bits(params, quantization, n)),
             quantization=quantization)
     values = deserialize_float_vector(payload)
     if values.size != param_count:

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..errors import CapacityError, DomainError, LevelError
 from .params import EncryptionParams
-from .poly import (COEFF, RingPoly, centered, from_signed_coeffs,
+from .poly import (COEFF, NTT, RingPoly, centered, from_signed_coeffs,
                    ntt_forward, ntt_inverse)
 
 
@@ -132,10 +132,12 @@ def encode_scalar(c: float, params: EncryptionParams, level: int | None = None,
 
     c in every slot encodes to the constant polynomial round(c * scale),
     as encode() computes it, and the NTT of a constant is that constant
-    in every slot: the NTT of encode_coeffs([c]).
+    at every root: coefficient 0 of encode_coeffs([c]), N times.
     """
     pt = encode_coeffs([c], params, level, scale)
-    return replace(pt, poly=ntt_forward(pt.poly))
+    residues = np.repeat(pt.poly.residues[:, :1], params.ring_degree, axis=1)
+    return replace(pt, poly=replace(pt.poly, residues=residues,
+                                    domain_tag=NTT))
 
 
 def _level_and_scale(params: EncryptionParams, level: int | None,

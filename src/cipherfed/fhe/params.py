@@ -16,6 +16,8 @@ from ..errors import ParameterError
 from .nttmath import StackedNtt, find_ntt_primes, is_prime
 
 DEFAULT_SCALE_BITS = 40
+# the largest ring in the HE security standard's tables
+MAX_RING_DEGREE = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -32,9 +34,9 @@ class EncryptionParams:
 
     def __post_init__(self):
         n = self.ring_degree
-        if n < 1024 or n & (n - 1) != 0:
-            raise ParameterError(
-                f"ring_degree must be a power of two >= 1024, got {n}")
+        if not 1024 <= n <= MAX_RING_DEGREE or n & (n - 1) != 0:
+            raise ParameterError(f"ring_degree must be a power of two from "
+                                 f"1024 to {MAX_RING_DEGREE}, got {n}")
         chain = tuple(int(q) for q in self.modulus_chain)
         object.__setattr__(self, "modulus_chain", chain)
         if len(chain) < 2:

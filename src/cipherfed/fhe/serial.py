@@ -8,10 +8,11 @@ length; a seeded upload or aggregate carries only the first P
 coefficients of its coefficient-domain c0, and seeds in place of c1: an
 upload packs them at q0's bit length, and an aggregate first rounds
 away the low bits that decryption drops anyway. One codec, word shifts
-over u64, packs and unpacks every residue block. Every artifact that
-carries residues ends with the first 16 bytes of the SHA-256 of the
-bytes before it, checked before anything past the parameter digest is
-read. See docs/protocol.md for the exact layouts.
+over u64, packs and unpacks every residue block and the secret key's
+2-bit codes. Every artifact that carries residues ends with the first
+16 bytes of the SHA-256 of the bytes before it, checked before anything
+past the parameter digest is read. See docs/protocol.md for the exact
+layouts.
 """
 
 from __future__ import annotations
@@ -73,9 +74,6 @@ MAGIC_KINDS = {MAGIC_CIPHERTEXT: "ciphertext",
 # coefficients stay within a few standard deviations (3.2) of 0; for a
 # secret key that belongs to another public key they sit near q/2
 KEY_NOISE_BOUND = 1 << 10
-# `CKS3` packs secret coefficient j into bits 2*(j % 4) of byte j // 4:
-# 0b00 = 0, 0b01 = 1, 0b10 = -1, and 0b11 is refused
-_SHIFTS = np.arange(0, 8, 2, dtype=np.uint8)
 
 
 class Reader:
@@ -444,22 +442,19 @@ def _read_rounded(r: Reader, q0: int, dropped: int, total: int,
 
 
 def _read_seeded(data: bytes, params: EncryptionParams, magic: bytes,
-                 param_count: int, dropped=None, check=None) -> SeededBatch:
+                 param_count: int, dropped=None) -> SeededBatch:
     """A `CKU1` (one upload, counts (1,)) or a `CKA2` batch of
     `param_count` coefficients, a `CKA2` rounded by `dropped(n_total)`
     bits. Every check runs before any field past the header is read:
-    the scale, `check(chunks, counts)` when it is given, a chunk count
-    of ceil(param_count / N), which no other reader of a batch checks
-    again, and the exact length that the counts, the chunks, P and the
-    width give. No seed is expanded: c1 waits for the batch's first
-    use."""
+    the scale, a chunk count of ceil(param_count / N), which no other
+    reader of a batch checks again, and the exact length that the
+    counts, the chunks, P and the width give. No seed is expanded: c1
+    waits for the batch's first use."""
     r = _open(data, magic, params)
     level, scale, chunks, counts = _read_header(r, magic)
     if scale != params.scale * sum(counts):
         raise FormatError(f"{r.what} scale {scale} is not the scale times "
                           f"its {sum(counts)} samples")
-    if check is not None:
-        check(chunks, counts)
     fill = -(-param_count // params.ring_degree)
     if chunks != fill:
         raise FormatError(f"{r.what} holds {chunks} chunks; {param_count} "
@@ -488,25 +483,24 @@ def deserialize_seeded(data: bytes, params: EncryptionParams,
 
 
 def deserialize_seeded_sum(data: bytes, params: EncryptionParams,
-                           param_count: int, dropped,
-                           check=None) -> SeededBatch:
-    """A `CKA2` aggregate of `param_count` coefficients, after
-    `check(chunks, counts)`, if given, whose c0 must drop the
-    `dropped(n_total)` low bits that the reader's run gives for the
-    sample total n_total of its counts. A `CKV5`, `CKV8` or `CKA1` is
-    refused by its magic."""
+                           param_count: int, dropped) -> SeededBatch:
+    """A `CKA2` aggregate of `param_count` coefficients whose c0 must
+    drop the `dropped(n_total)` low bits that the reader's run gives for
+    the sample total n_total of its counts. A `CKV5`, `CKV8` or `CKA1`
+    is refused by its magic."""
     return _read_seeded(data, params, MAGIC_SEEDED_SUM, param_count,
-                        dropped, check)
+                        dropped)
 
 
 def serialize_secret_key(keys: KeyMaterial) -> bytes:
-    """`CKS3`: the ternary secret's N coefficients, 2 bits each (a
-    secret that is not ternary would fail the key-pair check on load)."""
+    """`CKS3`: the ternary secret's N coefficients as 2-bit codes (0b00
+    = 0, 0b01 = 1, 0b10 = -1; a reader refuses 0b11), packed by `_pack`,
+    coefficient j at bits 2j and 2j + 1. A secret that is not ternary
+    would fail the key-pair check on load."""
     params = keys.params
     s = params.stacked_ntt((0,)).inverse(keys.secret_key.poly.residues[:1])[0]
     codes = np.where(s == params.modulus_chain[0] - 1, 2, s)
-    packed = (codes.reshape(-1, 4) << _SHIFTS).sum(axis=1, dtype=np.uint8)
-    return MAGIC_SECRET_KEY + params.digest + packed.tobytes()
+    return MAGIC_SECRET_KEY + params.digest + _pack(codes[None], 2).tobytes()
 
 
 def serialize_public_key(pub: PublicMaterial) -> bytes:
@@ -539,7 +533,7 @@ def deserialize_key_material(secret_data: bytes, public_data: bytes,
     r = _open(secret_data, MAGIC_SECRET_KEY, params)
     packed = np.frombuffer(r.take(params.ring_degree // 4), dtype=np.uint8)
     r.end()
-    codes = (packed[:, None] >> _SHIFTS & 3).ravel()
+    codes = _unpack(packed[None], params.ring_degree, 2)[0]
     if (codes == 3).any():
         raise FormatError("secret key holds coefficient code 0b11")
     pub = deserialize_public_material(public_data, params)

@@ -164,6 +164,13 @@ def test_negative_learning_rate():
         parse_config(doc)
 
 
+@pytest.mark.parametrize("ring", [512, 65536])
+def test_ring_degree_outside_the_standard_rejected(ring):
+    with pytest.raises(ConfigError, match="encryption: ring_degree must be "
+                                          "a power of two from 1024 to 32768"):
+        parse_config(with_value("encryption.ring_degree", ring))
+
+
 def test_bad_chain_bits():
     doc = minimal_doc()
     doc["encryption"] = {"chain_bits": [60]}

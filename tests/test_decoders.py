@@ -22,8 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cipherfed import model as M
-from cipherfed.errors import (CipherfedError, FormatError, ParameterError,
-                              ProtocolError)
+from cipherfed.errors import CipherfedError, FormatError, ParameterError
 from cipherfed.federation import transport as T
 from cipherfed.federation.client import (ClientUpdate, PlainUpdate,
                                          dropped_bits, encrypt_model)
@@ -174,12 +173,12 @@ def formats(small_params):
 SUM_COUNTS = {1: (12, 30), 2: (5, 1, 7)}
 
 
-def read_sum(blob: bytes, params, count: int, check=None):
+def read_sum(blob: bytes, params, count: int):
     """deserialize_seeded_sum of `count` coefficients, rounded as the
     default spec's run rounds them."""
     return deserialize_seeded_sum(
         blob, params, count,
-        lambda total: dropped_bits(params, QuantizationSpec(), total), check)
+        lambda total: dropped_bits(params, QuantizationSpec(), total))
 
 
 def tail_count(params, chunks: int) -> int:
@@ -574,23 +573,6 @@ def test_seeded_aggregate_every_truncation_rejected(formats, name):
     fmt = formats[name]
     for blob in sealed_cuts(unsealed(fmt.blob)):
         assert not decode_and_use(fmt, blob)
-
-
-def test_seeded_aggregate_check_runs_before_expansion(formats, small_params,
-                                                      monkeypatch):
-    """`check` sees the chunks and the counts first; what it raises
-    stops the reader before any seed is expanded."""
-    seen = []
-
-    def check(chunks, counts):
-        seen.append((chunks, counts))
-        raise ProtocolError("not this run's")
-
-    calls = count_expansions(monkeypatch)
-    with pytest.raises(ProtocolError, match="not this run's"):
-        read_sum(formats["CKA2-2"].blob, small_params,
-                 tail_count(small_params, 2), check)
-    assert seen == [(2, (5, 1, 7))] and calls == []
 
 
 # --- both seeded layouts -----------------------------------------------------

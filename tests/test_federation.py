@@ -479,6 +479,9 @@ def encrypted_chunk(params, keys, level, scale):
 
 def test_aggregate_rejects_param_count_that_needs_other_chunks(
         toy_world, small_params):
+    """Slot batches of one chunk labelled with other parameter counts
+    are not averaged: the counts differ. A lone slot batch's count is
+    its caller's label."""
     from cipherfed.federation.client import ClientUpdate
     keys = toy_world["keys"]
     top, scale = small_params.max_level, small_params.scale
@@ -486,8 +489,29 @@ def test_aggregate_rejects_param_count_that_needs_other_chunks(
     ok = ClientUpdate(0, one, 5, 0, 3)
     for count in (0, small_params.ring_degree + 1):
         bad = ClientUpdate(1, one, 5, 0, count)
-        with pytest.raises(ProtocolError, match="which need"):
+        with pytest.raises(AlignmentError,
+                           match=f"client 1 sent {count} parameters, not 3"):
             server.aggregate([ok, bad], keys.public)
+
+
+def test_aggregate_sums_slot_batch_of_more_values_than_half_a_ring(
+        toy_world, small_params):
+    """Two chunks of N/2 slot values hold N parameters: a slot chunk
+    holds N/2 of them, not the N of a coefficient chunk, and the server
+    averages them."""
+    from cipherfed.federation.client import ClientUpdate
+    from cipherfed.fhe import decode, decrypt, encode, encrypt
+    keys = toy_world["keys"]
+    half = small_params.slot_count
+    rng = np.random.default_rng(3)
+    values = [rng.uniform(-1, 1, (2, half)) for _ in range(2)]
+    ups = [ClientUpdate(k, encrypt(encode(v, small_params), keys,
+                                   [2 * k, 2 * k + 1]), n, 0, 2 * half)
+           for k, (v, n) in enumerate(zip(values, (5, 3)))]
+    agg = server.aggregate(ups, keys.public)
+    got = decode(decrypt(agg, keys), half)
+    want = (5 * values[0] + 3 * values[1]) / 8
+    assert np.abs(got - want).max() < 1e-6
 
 
 @pytest.mark.parametrize("level_drop,scale_div", [(1, 1), (0, 2)],

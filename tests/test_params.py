@@ -41,9 +41,12 @@ def test_rejects_non_power_of_two_degree():
 
 
 def test_rejects_small_degree():
-    with pytest.raises(ParameterError):
-        EncryptionParams(ring_degree=512,
-                         modulus_chain=tuple(find_ntt_primes(40, 2, 1024)))
+    """A degree below 1,024 is refused, and so is one above 32,768, the
+    largest ring in the HE security standard's tables."""
+    chain = tuple(find_ntt_primes(40, 2, 1024))
+    for n in (512, 65536):
+        with pytest.raises(ParameterError, match=f"1024 to 32768, got {n}"):
+            EncryptionParams(ring_degree=n, modulus_chain=chain)
 
 
 def test_rejects_short_chain():

@@ -17,7 +17,7 @@ from cipherfed import data as D
 from cipherfed import model as M
 from cipherfed.errors import (AlignmentError, CipherfedError, ConfigError,
                               DomainError, FormatError, LevelError,
-                              ProtocolError)
+                              ParameterError, ProtocolError)
 from cipherfed.federation import transport as T
 from cipherfed.federation.client import (ClientUpdate, PlainUpdate,
                                          decrypt_and_load, dropped_bits,
@@ -316,6 +316,18 @@ def test_socket_runs_byte_identical(world, tmp_path):
                                   world["test"], world["keys"], mode="fhe",
                                   sink=sink)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_socket_run_raises_coordinator_error_as_itself(world, monkeypatch):
+    """An UPDATE under another parameter digest fails the server's reader
+    with a ParameterError, which a socket run raises as it is, as the
+    coordinator and the direct transport do."""
+    monkeypatch.setattr(runner, "encode_update",
+                        lambda update: b"CKU1" + bytes(8))
+    with pytest.raises(ParameterError, match="UPDATE from client 0: artifact "
+                                             "was produced under different"):
+        run_socket_federation(world["init"], world["cfg"], world["parts"],
+                              world["test"], world["keys"], mode="fhe")
 
 
 def test_corrupted_frame_aborts_round_over_socket(world, small_params):
@@ -853,15 +865,18 @@ def test_global_naming_a_thousand_clients_expands_no_seed(world,
                                                           small_params,
                                                           monkeypatch):
     """A GLOBAL whose counts are not the run's is refused before any of
-    its 1,000 clients' seeds is expanded."""
-    reply, errors, expanded = global_against_client(
-        world, small_params, lambda upd: seeded_global(upd, [1] * 1000, 1),
-        monkeypatch)
-    assert reply.mtype == T.MSG_ABORT
-    assert reply.payload.startswith(b"ProtocolError: GLOBAL carries 1000 "
-                                    b"sample counts totalling 1000")
-    assert errors and isinstance(errors[0], ProtocolError)
-    assert expanded == 0
+    its clients' seeds is expanded: 1,000 clients, or one client of
+    40,000 samples, whose c0 drops 22 low bits, not the run's 23."""
+    for counts in ([1] * 1000, [40000]):
+        reply, errors, expanded = global_against_client(
+            world, small_params,
+            lambda upd: seeded_global(upd, counts, 1), monkeypatch)
+        assert reply.mtype == T.MSG_ABORT
+        assert reply.payload.startswith(
+            f"ProtocolError: GLOBAL carries {len(counts)} sample counts "
+            f"totalling {sum(counts)}".encode())
+        assert errors and isinstance(errors[0], ProtocolError)
+        assert expanded == 0
 
 
 def test_ckv2_global_aborts_transport_client(world, small_params,
