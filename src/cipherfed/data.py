@@ -25,7 +25,6 @@ class Dataset:
     features: np.ndarray  # (samples, dims) float64, in [-pi, pi]
     labels: np.ndarray    # (samples,) int64
     class_count: int
-    split_tag: str = "train"
 
     def __post_init__(self):
         if self.features.ndim != 2:
@@ -39,8 +38,6 @@ class Dataset:
         if self.labels.size and (self.labels.min() < 0
                                  or self.labels.max() >= self.class_count):
             raise DomainError("labels must lie in [0, class_count)")
-        if self.split_tag not in ("train", "test"):
-            raise DomainError(f"unknown split tag {self.split_tag!r}")
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -87,8 +84,8 @@ def _stratified_split(features, labels, class_count, seed):
     te = np.concatenate(test_idx)
     rng.shuffle(tr)
     rng.shuffle(te)
-    train = Dataset(features[tr], labels[tr], class_count, "train")
-    test = Dataset(features[te], labels[te], class_count, "test")
+    train = Dataset(features[tr], labels[tr], class_count)
+    test = Dataset(features[te], labels[te], class_count)
     return train, test
 
 
@@ -178,7 +175,7 @@ def load_csv(path, label_column: str) -> Dataset:
     uniq = sorted(set(raw_labels))
     remap = {v: i for i, v in enumerate(uniq)}
     labels = np.asarray([remap[v] for v in raw_labels], dtype=np.int64)
-    return Dataset(feats, labels, class_count=len(uniq), split_tag="train")
+    return Dataset(feats, labels, class_count=len(uniq))
 
 
 def stratified_split(ds: Dataset, seed: int = 0):
@@ -193,19 +190,12 @@ def partition(ds: Dataset, spec: PartitionSpec) -> list[Dataset]:
         raise ConfigError(f"{n} samples cannot cover {spec.client_count} clients")
     rng = np.random.default_rng(np.random.SeedSequence([spec.rng_seed, 0xFA27]))
     if spec.strategy == "iid":
-        order = rng.permutation(n)
-        base = n // spec.client_count
-        rem = n % spec.client_count
-        shares = []
-        pos = 0
-        for i in range(spec.client_count):
-            size = base + (1 if i < rem else 0)
-            shares.append(order[pos:pos + size])
-            pos += size
+        # the first n % client_count shares take one sample more
+        shares = np.array_split(rng.permutation(n), spec.client_count)
     else:
         shares = _dirichlet_shares(ds.labels, spec, rng)
-    return [Dataset(ds.features[idx], ds.labels[idx], ds.class_count,
-                    ds.split_tag) for idx in shares]
+    return [Dataset(ds.features[idx], ds.labels[idx], ds.class_count)
+            for idx in shares]
 
 
 def _dirichlet_shares(labels, spec, rng):

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from numbers import Integral, Real
 
 from ..errors import ConfigError, ProtocolError
-from ..fhe.keys import public_part
 from ..model import (HybridModel, TrainingConfig, check_data, evaluate,
                      evaluate_clients, train_epochs, unflatten_weights)
 from . import server
@@ -178,7 +177,8 @@ def run_round(global_model: HybridModel, config: RoundConfig, client_datasets,
         global_model, client_datasets, config, round_index,
         range(config.client_count), mode, keys)))
 
-    agg = server.server_step(updates, mode, public_part(keys))
+    agg = server.server_step(updates, mode,
+                             keys.params if mode == "fhe" else None)
     if mode == "fhe":
         new_model = decrypt_and_load(agg, keys, global_model,
                                      config.quantization)

@@ -18,7 +18,6 @@ import threading
 from contextlib import suppress
 
 from ..errors import ProtocolError
-from ..fhe.keys import public_part
 from ..model import HybridModel, evaluate, unflatten_weights
 from .client import decrypt_and_load
 from .metrics import MetricsSink, metrics_row
@@ -26,7 +25,8 @@ from .rounds import RoundConfig, _clock, check_run_inputs, client_steps
 from .server import FederationCoordinator, round_loop
 from .transport import (MSG_ABORT, MSG_GLOBAL, MSG_JOIN, MSG_METRICS,
                         MSG_UPDATE, Message, SocketChannel, decode_global,
-                        encode_join, encode_metrics, encode_update)
+                        encode_join, encode_metrics, encode_update,
+                        frame_bound)
 
 _COMPUTE = threading.Lock()  # held by a socket client while it computes
 
@@ -55,11 +55,14 @@ def _client_rounds(channel, client_id: int, dataset, test_data,
                    keys, mode: str) -> HybridModel:
     clock = _clock(config)
     evaluates = client_id == 0 or config.convergence_delta is not None
+    limit = frame_bound(initial_model.param_count,
+                        keys.params if mode == "fhe" else None,
+                        config.client_count)
 
-    def io(r, call, *args):
+    def io(r, call, *args, **kwargs):
         """A send or recv of round r; its failure names client and round."""
         try:
-            return call(*args)
+            return call(*args, **kwargs)
         except ProtocolError as exc:
             raise ProtocolError(f"client {client_id}, round {r}: {exc}") \
                 from None
@@ -73,7 +76,7 @@ def _client_rounds(channel, client_id: int, dataset, test_data,
         io(r, channel.send, Message(MSG_UPDATE, r, update))
         io(r, channel.send, Message(MSG_METRICS, r, train_row))
 
-        msg = io(r, channel.recv)
+        msg = io(r, channel.recv, limit=limit)
         if msg.mtype == MSG_ABORT:
             raise ProtocolError("server aborted: "
                                 + msg.payload.decode("utf-8", "replace"))
@@ -126,7 +129,7 @@ def run_socket_federation(initial_model, config: RoundConfig,
     check_run_inputs(config, client_datasets, keys, mode)
     coordinator = FederationCoordinator(
         config, mode, initial_model.param_count,
-        material=public_part(keys) if mode == "fhe" else None, sink=sink)
+        material=keys.params if mode == "fhe" else None, sink=sink)
     results: dict[int, HybridModel] = {}
     client_errors: dict[int, Exception] = {}
     client_channels: list[SocketChannel] = []

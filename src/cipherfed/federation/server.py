@@ -20,6 +20,7 @@ import numpy as np
 from ..errors import (AlignmentError, CipherfedError, ConfigError,
                       ParameterError, ProtocolError, ShapeError)
 from ..fhe.keys import PublicMaterial
+from ..fhe.params import EncryptionParams
 from ..fhe.nttmath import multipliers, weighted_sum
 from ..fhe.ops import Ciphertext, SeededBatch
 # perfbench --trace wraps these four; ROADMAP item 1
@@ -29,7 +30,8 @@ from .client import check_sample_capacity
 from .metrics import metrics_row
 from .transport import (MAX_WIRE_COUNT, MSG_ABORT, MSG_GLOBAL, MSG_JOIN,
                         MSG_METRICS, MSG_UPDATE, Message, decode_join,
-                        decode_metrics, decode_update, encode_global)
+                        decode_metrics, decode_update, encode_global,
+                        frame_bound)
 
 MODES = ("fhe", "plaintext")
 
@@ -40,11 +42,14 @@ def check_mode(mode: str) -> None:
         raise ConfigError(f"unknown mode {mode!r}")
 
 
-def _require_public(material) -> PublicMaterial:
-    if not isinstance(material, PublicMaterial):
-        raise ParameterError(
-            "server aggregation accepts public material only; got "
-            f"{type(material).__name__}")
+def _server_params(material) -> EncryptionParams:
+    """The parameters of public material, or parameters: never keys."""
+    if isinstance(material, PublicMaterial):
+        material = material.params
+    if not isinstance(material, EncryptionParams):
+        raise ParameterError("server aggregation accepts parameters or "
+                             "public material only; got "
+                             f"{type(material).__name__}")
     return material
 
 
@@ -98,7 +103,7 @@ def _check_updates(updates) -> None:
                                  f"parameters, not {updates[0].param_count}")
 
 
-def aggregate(updates, material: PublicMaterial):
+def aggregate(updates, material: PublicMaterial | EncryptionParams):
     """Weighted encrypted mean over the clients' ciphertext batches: S =
     sum_k n_k * E(w_k) mod the primes, at scale (input scale) * n_total,
     so that decoding divides by n_total; the result is one batch at the
@@ -109,12 +114,12 @@ def aggregate(updates, material: PublicMaterial):
     rounding, and sums c1 only if every upload holds it in memory
     (encryption on the direct transport): no seed is expanded here. Each
     client's weight becomes a Shoup multiplier once, for every sum. An
-    update under other parameters than the keys' is a ParameterError."""
-    public = _require_public(material)
+    update under other parameters than the server's is a ParameterError."""
+    params = _server_params(material)
     for u in updates:
-        if u.chunks.params != public.params:
+        if u.chunks.params != params:
             raise ParameterError(f"client {u.client_id} encrypted under "
-                                 "other parameters than the server's keys")
+                                 "other parameters than the server's")
     _check_updates(updates)
     updates = sorted(updates, key=lambda u: u.client_id)
     weights = [u.sample_count for u in updates]
@@ -122,14 +127,14 @@ def aggregate(updates, material: PublicMaterial):
     first = cts[0]
     scale = first.scale * sum(weights)
     if isinstance(first, SeededBatch):
-        q0 = public.params.stacked_ntt((0,)).q[0]
+        q0 = params.q_column((0,))[0]
         factors = multipliers(weights, q0)
         a = None
         if all(ct.a is not None for ct in cts):
             a = first.a._like(weighted_sum([ct.a.residues for ct in cts],
                                            factors, q0))
         return SeededBatch(
-            public.params, weighted_sum([ct.c0 for ct in cts], factors, q0),
+            params, weighted_sum([ct.c0 for ct in cts], factors, q0),
             scale, tuple(s for ct in cts for s in ct.seeds),
             tuple(n * c for n, ct in zip(weights, cts) for c in ct.counts),
             a, first.quantization)
@@ -159,8 +164,8 @@ def aggregate_plain(updates) -> np.ndarray:
 
 def server_step(updates, mode: str, material):
     """The server's part of a round on every transport: the encrypted
-    weighted sum under public material in fhe mode, the plain one
-    otherwise."""
+    weighted sum under `material` (as `aggregate` takes it) in fhe mode,
+    the plain one otherwise."""
     if mode == "fhe":
         return aggregate(updates, material)
     return aggregate_plain(updates)
@@ -191,7 +196,7 @@ class FederationCoordinator:
     It runs from the run's `config`, a RoundConfig, whose sample counts
     weight the clients' UPDATEs and whose quantization spec each decoded
     UPDATE carries: no peer states its own weight or spec. State is
-    limited to that config, public material, the model size
+    limited to that config, the run's parameters, the model size
     `param_count` and collected metric rows; decryption never happens
     here. An fhe sample total beyond `sample_capacity`, or rounds or
     clients that outgrow the wire's u16 fields, is a ConfigError at
@@ -201,18 +206,20 @@ class FederationCoordinator:
     """
 
     def __init__(self, config, mode: str, param_count: int,
-                 material: PublicMaterial | None = None, sink=None):
+                 material: PublicMaterial | EncryptionParams | None = None,
+                 sink=None):
         check_mode(mode)
         if max(config.rounds, config.client_count) > MAX_WIRE_COUNT:
             raise ConfigError(f"rounds and client_count must be <= "
                               f"{MAX_WIRE_COUNT} on the socket transport")
-        self.material = None
+        self.params = None
         if mode == "fhe":
-            self.material = _require_public(material)
-            check_sample_capacity(sum(config.sample_counts),
-                                  self.material.params, config.quantization)
+            self.params = _server_params(material)
+            check_sample_capacity(sum(config.sample_counts), self.params,
+                                  config.quantization)
         self.config = config
         self.param_count = param_count
+        self.frame_bound = frame_bound(param_count, self.params)
         self.mode = mode
         self.sink = sink
         self.history: list[dict] = []
@@ -229,9 +236,8 @@ class FederationCoordinator:
                 raise
             raise ProtocolError(f"server failed: {exc}") from exc
 
-    @staticmethod
-    def _recv(ch, cid: int, mtype: int, r: int) -> Message:
-        msg = ch.recv()
+    def _recv(self, ch, cid: int, mtype: int, r: int) -> Message:
+        msg = ch.recv(limit=self.frame_bound)
         if msg.mtype == MSG_ABORT:
             raise ProtocolError(f"client {cid} aborted round {r}: "
                                 f"{msg.payload.decode('utf-8', 'replace')}")
@@ -248,7 +254,7 @@ class FederationCoordinator:
                 f"{len(channels)} channels for {cfg.client_count} clients")
         by_id = {}
         for ch in channels:
-            msg = ch.recv()
+            msg = ch.recv(limit=self.frame_bound)
             if msg.mtype != MSG_JOIN:
                 raise ProtocolError(f"expected JOIN, got type {msg.mtype}")
             by_id[decode_join(msg.payload)] = ch
@@ -263,7 +269,7 @@ class FederationCoordinator:
 
     def _round(self, clients, r: int):
         """Round r: every UPDATE in, the GLOBAL out, the METRICS in."""
-        params = self.material.params if self.material is not None else None
+        params = self.params
         updates = []
         for cid, ch in clients:
             payload = self._recv(ch, cid, MSG_UPDATE, r).payload
@@ -275,8 +281,7 @@ class FederationCoordinator:
             except CipherfedError as e:
                 raise type(e)(f"UPDATE from client {cid}: {e}") from e
 
-        payload = encode_global(server_step(updates, self.mode,
-                                            self.material))
+        payload = encode_global(server_step(updates, self.mode, params))
         for _cid, ch in clients:
             ch.send(Message(MSG_GLOBAL, r, payload))
 

@@ -28,13 +28,15 @@ from dataclasses import replace
 import numpy as np
 
 from ..errors import FormatError, ProtocolError
+from ..fhe.ops import SEED_BYTES
 from ..fhe.serial import (Reader, deserialize_float_vector,
                           deserialize_seeded, deserialize_seeded_sum,
                           serialize_float_vector, serialize_seeded,
                           serialize_seeded_sum)
 # perfbench --trace wraps these two; ROADMAP item 1
 from ..fhe.serial import deserialize_ciphertext, serialize_ciphertext
-from .client import ClientUpdate, PlainUpdate, dropped_bits
+from .client import (ClientUpdate, PlainUpdate, chunk_count_for,
+                     dropped_bits)
 from .metrics import FIELDS
 from .quantize import QuantizationSpec
 
@@ -46,6 +48,9 @@ MSG_ABORT = 5
 _VALID_TYPES = (MSG_JOIN, MSG_UPDATE, MSG_GLOBAL, MSG_METRICS, MSG_ABORT)
 
 MAX_FRAME = 1 << 28  # 256 MiB sanity bound; larger lengths are corruption
+# how far a frame may pass its run's longest artifact and still reach
+# a decoder, which names what it found; past that it is refused unread
+FRAME_SLACK = 1 << 24
 # frames carry the round index, and JOIN the client id, as u16: the most
 # rounds and clients a socket run can take
 MAX_WIRE_COUNT = 0xFFFF
@@ -64,6 +69,19 @@ class Message:
 def encode_frame(msg: Message) -> bytes:
     body = struct.pack("!BH", msg.mtype, msg.round_index) + msg.payload
     return struct.pack("!I", len(body)) + body
+
+
+def frame_bound(param_count: int, params=None, clients: int = 1) -> int:
+    """The longest frame a reader in a run of `param_count` parameters
+    takes: the run's longest, an UPDATE (clients=1) or a GLOBAL, plus
+    FRAME_SLACK. Such a payload holds at most 8 bytes a parameter, 64 of
+    header and trailer and, on an fhe run (`params` given), a sample
+    count and a seed a chunk for each client."""
+    payload = 8 * param_count + 64
+    if params is not None:
+        payload += clients * (8 + SEED_BYTES * chunk_count_for(
+            param_count, params.ring_degree))
+    return 3 + payload + FRAME_SLACK
 
 
 def decode_body(body: bytes) -> Message:
@@ -105,12 +123,13 @@ class SocketChannel:
         except OSError as exc:
             raise ProtocolError(f"socket send failed: {exc}") from None
 
-    def recv(self, timeout: float = 120.0) -> Message:
+    def recv(self, timeout: float = 120.0, limit: int = MAX_FRAME) -> Message:
+        """The next frame; one longer than `limit` is refused unread."""
         self._sock.settimeout(timeout)
         (length,) = struct.unpack("!I", self._read_exact(4))
-        if length > MAX_FRAME:
+        if length > limit:
             raise ProtocolError(f"frame length {length} exceeds bound "
-                                f"(corrupted length prefix?)")
+                                f"{limit} (corrupted length prefix?)")
         return decode_body(self._read_exact(length))
 
     def close(self) -> None:

@@ -1,19 +1,21 @@
 """Key generation: the secret key and the public encryption key.
 
-Keys are poly.ShoupPolys, and keygen multiplies through their tables too.
-The public key's uniform pk1 = a travels as a 32-byte seed.
+Keys are poly.ShoupPolys. The public key's uniform pk1 = a travels as
+a 32-byte seed. A run encrypts, sums and decrypts over q0 alone, so
+key material builds s's q0 row and waits for a use of any other.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .params import EncryptionParams
-from .poly import (NTT, RingPoly, ShoupPoly, expand_seed, ntt_forward,
-                   sample_gaussian, sample_ternary)
+from .poly import (NTT, RingPoly, ShoupPoly, expand_seed, from_signed_coeffs,
+                   ntt_forward, sample_gaussian)
 
 
 def expand_a(seed: bytes, params: EncryptionParams) -> ShoupPoly:
@@ -39,33 +41,49 @@ class PublicMaterial:
     seed: bytes
 
 
-@dataclass(frozen=True)
 class KeyMaterial:
-    """Full key set: public material plus the ternary secret key."""
-    public: PublicMaterial
-    secret_key: ShoupPoly  # NTT domain, chain basis
+    """The ternary secret's N coefficients `secret` and its public
+    material: `public`, or else pk0 = -(a*s) + e and pk1 = a, built on
+    first read from `draws`, keygen's generator where the draw of s left
+    it: the seed of a, then e."""
+
+    def __init__(self, params: EncryptionParams, secret: np.ndarray,
+                 public: PublicMaterial | None = None, draws=None):
+        self.params, self.secret = params, secret  # int64 in {-1, 0, 1}
+        self._public, self._draws = public, draws
+        self._lock, self._rows = threading.Lock(), {}
+        self.secret_rows((0,))
 
     @property
-    def params(self) -> EncryptionParams:
-        return self.public.params
+    def public(self) -> PublicMaterial:
+        with self._lock:
+            if self._public is None:
+                seed = self._draws.bytes(32)
+                a = expand_a(seed, self.params)
+                e = ntt_forward(sample_gaussian(
+                    self.params, a.poly.prime_indices, self._draws))
+                pk0 = a.poly.mul_fixed(self.secret_key).neg().add(e)
+                self._public = PublicMaterial(self.params,
+                                              ShoupPoly.wrap(pk0), a, seed)
+        return self._public
 
+    def secret_rows(self, basis: tuple[int, ...]) -> ShoupPoly:
+        """s in the NTT domain over the chain primes `basis`."""
+        if basis not in self._rows:
+            self._rows[basis] = ShoupPoly.wrap(ntt_forward(
+                from_signed_coeffs(self.secret, self.params, basis)))
+        return self._rows[basis]
 
-def public_part(keys: KeyMaterial | PublicMaterial) -> PublicMaterial:
-    """The public half of a key set; public material is its own."""
-    return keys.public if isinstance(keys, KeyMaterial) else keys
+    @property
+    def secret_key(self) -> ShoupPoly:
+        """s over the chain basis."""
+        return self.secret_rows(tuple(range(len(self.params.modulus_chain))))
 
 
 def keygen(params: EncryptionParams, rng_seed: int = 0) -> KeyMaterial:
-    """Generate the secret and public keys, deterministically in the
-    seed: s first, then the seed of a, then e."""
+    """The secret key, deterministic in the seed, whose public key draws
+    on from the same generator when first read: s, then the seed of a,
+    then e."""
     rng = np.random.default_rng(np.random.SeedSequence([rng_seed, 0xC1F]))
-    chain = tuple(range(len(params.modulus_chain)))
-    secret = ShoupPoly.wrap(ntt_forward(sample_ternary(params, chain, rng)))
-
-    # pk0 = -(a*s) + e, pk1 = a
-    seed = rng.bytes(32)
-    a = expand_a(seed, params)
-    e = ntt_forward(sample_gaussian(params, chain, rng))
-    pk0 = ShoupPoly.wrap(a.poly.mul_fixed(secret).neg().add(e))
-    pub = PublicMaterial(params, pk0, a, seed)
-    return KeyMaterial(public=pub, secret_key=secret)
+    return KeyMaterial(params, rng.integers(-1, 2, params.ring_degree),
+                       draws=rng)

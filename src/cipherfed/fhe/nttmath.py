@@ -16,8 +16,6 @@ too). poly.ShoupPoly carries a fixed polynomial with its tables.
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
 _M32 = np.uint64(0xFFFFFFFF)
@@ -200,6 +198,13 @@ def submod(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:
     return np.minimum(r, r + q)
 
 
+def prime_column(primes) -> np.ndarray:
+    """The primes as a read-only (rows, 1) uint64 column."""
+    q = np.array(primes, dtype=np.uint64)[:, None]
+    q.flags.writeable = False
+    return q
+
+
 class StackedNtt:
     """Negacyclic NTT over (..., rows, n) residues, one prime per row.
 
@@ -219,8 +224,7 @@ class StackedNtt:
             if not is_prime(q) or (q - 1) % (2 * n) != 0:
                 raise ValueError(f"q={q} is not an NTT prime for degree {n}")
         self.n = n
-        self.q = np.array(primes, dtype=np.uint64)[:, None]
-        self.q.flags.writeable = False
+        self.q = prime_column(primes)
         psi = [_find_2nth_root(q, 2 * n) for q in primes]
         ipsi = [pow(p, -1, q) for p, q in zip(psi, primes)]
         # (3, rows, n) tables: twiddles w and the halves of their Shoup
@@ -242,15 +246,6 @@ class StackedNtt:
             table[1], table[2] = shoup_constant(w, self.q)
         n_inv = np.array([[pow(n, -1, q)] for q in primes], dtype=np.uint64)
         self.n_inv = np.array([n_inv, *shoup_constant(n_inv, self.q)])
-
-    def rows(self, sel) -> "StackedNtt":
-        """The context for the rows `sel` (a slice shares the tables)."""
-        sub = copy.copy(self)
-        sub.q = self.q[sel]
-        sub.q.flags.writeable = False
-        sub.psi, sub.ipsi, sub.n_inv = (t[:, sel] for t in (
-            self.psi, self.ipsi, self.n_inv))
-        return sub
 
     def _stages(self, out: np.ndarray, table, forward: bool):
         """Per butterfly stage over m blocks of 2t coefficients in each row

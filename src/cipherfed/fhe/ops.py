@@ -19,7 +19,7 @@ import numpy as np
 from ..errors import (AlignmentError, DomainError, LevelError,
                       ParameterError, ShapeError)
 from .encoding import Plaintext
-from .keys import KeyMaterial, public_part
+from .keys import KeyMaterial
 from .nttmath import (addmod, multipliers, shoup_constant, shoup_mul, submod,
                       weighted_sum)
 from .params import EncryptionParams
@@ -125,7 +125,7 @@ class SeededBatch:
 def encrypt(pt: Plaintext, keys, rng_seed=0) -> Ciphertext:
     """Public-key encryption, deterministic in rng_seed: one int per
     chunk of a batch, each seeding its chunk's noise as it would alone."""
-    pub = public_part(keys)
+    pub = keys.public if isinstance(keys, KeyMaterial) else keys
     params = pub.params
     if pt.poly.params != params:
         raise ParameterError("plaintext was encoded under different parameters")
@@ -155,7 +155,7 @@ def seeded_c1(seeds, counts, params: EncryptionParams) -> RingPoly:
     c = len(seeds) // len(counts)
     a = (np.stack([expand_seed(s, q0, n) for s in seeds[k * c:(k + 1) * c]]
                   )[:, None, :] for k in range(len(counts)))
-    q = params.stacked_ntt((0,)).q
+    q = params.q_column((0,))
     return RingPoly(params, (0,), weighted_sum(a, multipliers(counts, q), q),
                     NTT)
 
@@ -178,12 +178,8 @@ def encrypt_symmetric(pt: Plaintext, keys: KeyMaterial, rng_seed,
     under s (the sample extraction of TFHE), so the dropped ones reveal
     nothing.
     """
-    if not isinstance(keys, KeyMaterial):
-        raise ParameterError("secret-key encryption requires full key "
-                             "material")
-    params, poly = keys.params, pt.poly
-    if poly.params != params:
-        raise ParameterError("plaintext was encoded under different parameters")
+    params, poly = pt.poly.params, pt.poly
+    _check_keys(keys, params)
     if pt.level != 0 or poly.domain_tag != COEFF:
         raise DomainError("seeded encryption takes a level-0 "
                           "coefficient-domain plaintext")
@@ -207,16 +203,16 @@ def encrypt_symmetric(pt: Plaintext, keys: KeyMaterial, rng_seed,
     q0 = a.q_column[0]
     e = np.where(e < 0, e + params.modulus_chain[0], e).view(np.uint64)
     m_e = addmod(poly.residues.reshape(-1)[:count], e, q0)
-    a_s = ntt_inverse(a.mul_fixed(keys.secret_key)).residues.reshape(-1)
+    a_s = ntt_inverse(a.mul_fixed(keys.secret_rows((0,)))).residues.reshape(-1)
     return SeededBatch(params, submod(m_e, a_s[:count], q0), pt.scale, seeds,
                        (1,), a=a)
 
 
 def _check_keys(keys, params: EncryptionParams) -> None:
     if not isinstance(keys, KeyMaterial):
-        raise ParameterError("decryption requires full key material")
+        raise ParameterError("secret-key operations need full key material")
     if keys.params != params:
-        raise ParameterError("ciphertext and keys use different parameters")
+        raise ParameterError("keys and operand use different parameters")
 
 
 def decrypt_coeffs(batch: SeededBatch, keys: KeyMaterial) -> np.ndarray:
@@ -224,7 +220,7 @@ def decrypt_coeffs(batch: SeededBatch, keys: KeyMaterial) -> np.ndarray:
     as decode_coeffs gives them: the first P coefficients of INTT(c1*s),
     one inverse NTT a chunk, plus c0."""
     _check_keys(keys, batch.params)
-    c1s = ntt_inverse(batch.c1.mul_fixed(keys.secret_key)).residues
+    c1s = ntt_inverse(batch.c1.mul_fixed(keys.secret_rows((0,)))).residues
     q0 = batch.params.modulus_chain[0]
     return centered(addmod(batch.c0, c1s.reshape(-1)[:batch.c0.size],
                            np.uint64(q0)), q0)
@@ -233,7 +229,7 @@ def decrypt_coeffs(batch: SeededBatch, keys: KeyMaterial) -> np.ndarray:
 def decrypt(ct: Ciphertext, keys: KeyMaterial) -> Plaintext:
     """c0 + c1*s at the ciphertext's level and scale."""
     _check_keys(keys, ct.params)
-    m = ct.c0.add(ct.c1.mul_fixed(keys.secret_key))
+    m = ct.c0.add(ct.c1.mul_fixed(keys.secret_rows(ct.c1.prime_indices)))
     return Plaintext(poly=m, scale=ct.scale, level=ct.level)
 
 

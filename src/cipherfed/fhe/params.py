@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ..errors import ParameterError
-from .nttmath import StackedNtt, find_ntt_primes, is_prime
+from .nttmath import StackedNtt, find_ntt_primes, is_prime, prime_column
 
 DEFAULT_SCALE_BITS = 40
 # the largest ring in the HE security standard's tables
@@ -69,21 +69,28 @@ class EncryptionParams:
     def max_level(self) -> int:
         return len(self.modulus_chain) - 1
 
-    @cached_property
+    @property
     def ntt(self) -> StackedNtt:
         """NTT context over every prime of the chain."""
-        return StackedNtt(self.modulus_chain, self.ring_degree)
+        return self.stacked_ntt(tuple(range(len(self.modulus_chain))))
+
+    def _cached(self, key, build):
+        cache = self.__dict__.setdefault("_cache", {})
+        return cache[key] if key in cache else cache.setdefault(key, build())
 
     def stacked_ntt(self, prime_indices: tuple[int, ...]) -> StackedNtt:
-        """NTT context for a run of chain primes (cached), on the rows of
-        `ntt`."""
-        cache = self.__dict__.setdefault("_stacked_cache", {})
-        ctx = cache.get(prime_indices)
-        if ctx is None:
-            ctx = self.ntt.rows(basis_rows(
-                tuple(range(len(self.modulus_chain))), prime_indices))
-            cache[prime_indices] = ctx
-        return ctx
+        """NTT context for these chain primes, built on first use: a run
+        over q0 alone builds no other prime's tables."""
+        return self._cached(("ntt", prime_indices), lambda: StackedNtt(
+            self.primes(prime_indices), self.ring_degree))
+
+    def q_column(self, prime_indices: tuple[int, ...]):
+        """These chain primes as a read-only (rows, 1) uint64 column."""
+        return self._cached(("q", prime_indices),
+                            lambda: prime_column(self.primes(prime_indices)))
+
+    def primes(self, prime_indices: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(self.modulus_chain[i] for i in prime_indices)
 
     @cached_property
     def digest(self) -> bytes:

@@ -44,7 +44,7 @@ class RingPoly:
 
     @property
     def primes(self) -> tuple[int, ...]:
-        return tuple(self.params.modulus_chain[i] for i in self.prime_indices)
+        return self.params.primes(self.prime_indices)
 
     @property
     def batch_shape(self) -> tuple[int, ...]:
@@ -53,8 +53,8 @@ class RingPoly:
     @property
     def q_column(self) -> np.ndarray:
         """The basis primes as a read-only (rows, 1) column for
-        broadcasting, cached with the basis's NTT context."""
-        return self.params.stacked_ntt(self.prime_indices).q
+        broadcasting."""
+        return self.params.q_column(self.prime_indices)
 
     def _check_compatible(self, other: "RingPoly", broadcast=False) -> None:
         """Same basis, domain and batch shape (batches must not broadcast);
@@ -127,7 +127,7 @@ def from_signed_coeffs(values: np.ndarray, params: EncryptionParams,
                        prime_indices: tuple[int, ...]) -> RingPoly:
     """Build a coefficient-domain polynomial from signed int64
     coefficients, shaped (..., ring_degree)."""
-    q = params.stacked_ntt(prime_indices).q.view(np.int64)
+    q = params.q_column(prime_indices).view(np.int64)
     res = np.mod(values[..., None, :], q).view(np.uint64)
     return RingPoly(params, prime_indices, res, COEFF)
 

@@ -27,8 +27,7 @@ from ..errors import FormatError, LevelError, ParameterError
 from .keys import KeyMaterial, PublicMaterial, expand_a
 from .ops import SEED_BYTES, Ciphertext, SeededBatch
 from .params import EncryptionParams
-from .poly import (NTT, RingPoly, ShoupPoly, from_signed_coeffs, ntt_forward,
-                   ntt_inverse)
+from .poly import NTT, RingPoly, ShoupPoly, ntt_inverse
 
 MAGIC_CIPHERTEXT = b"CKV6"
 MAGIC_SEEDED = b"CKU1"
@@ -237,7 +236,7 @@ def _read_block(r: Reader, params: EncryptionParams, rows: range, m: int,
     for i, (b, size) in enumerate(zip(widths, sizes)):
         res[:, i] = _unpack(packed[:, at:at + size], n, b)
         at += size
-    if (res >= params.stacked_ntt(tuple(range(count))).q).any():
+    if (res >= params.q_column(tuple(range(count)))).any():
         raise FormatError("poly residue not below its prime")
     return res
 
@@ -497,10 +496,9 @@ def serialize_secret_key(keys: KeyMaterial) -> bytes:
     = 0, 0b01 = 1, 0b10 = -1; a reader refuses 0b11), packed by `_pack`,
     coefficient j at bits 2j and 2j + 1. A secret that is not ternary
     would fail the key-pair check on load."""
-    params = keys.params
-    s = params.stacked_ntt((0,)).inverse(keys.secret_key.poly.residues[:1])[0]
-    codes = np.where(s == params.modulus_chain[0] - 1, 2, s)
-    return MAGIC_SECRET_KEY + params.digest + _pack(codes[None], 2).tobytes()
+    codes = np.where(keys.secret < 0, 2, keys.secret).astype(np.uint64)
+    return (MAGIC_SECRET_KEY + keys.params.digest
+            + _pack(codes[None], 2).tobytes())
 
 
 def serialize_public_key(pub: PublicMaterial) -> bytes:
@@ -537,14 +535,13 @@ def deserialize_key_material(secret_data: bytes, public_data: bytes,
     if (codes == 3).any():
         raise FormatError("secret key holds coefficient code 0b11")
     pub = deserialize_public_material(public_data, params)
-    secret = ShoupPoly.wrap(ntt_forward(from_signed_coeffs(
-        np.array([0, 1, -1], dtype=np.int64)[codes], params,
-        pub.pk0.poly.prime_indices)))
-    e = ntt_inverse(pub.pk0.poly.add(pub.pk1.poly.mul_fixed(secret)))
+    keys = KeyMaterial(params, np.array([0, 1, -1])[codes], public=pub)
+    e = ntt_inverse(pub.pk0.poly.add(pub.pk1.poly.mul_fixed(
+        keys.secret_key)))
     if (np.minimum(e.residues, e.q_column - e.residues)
             > KEY_NOISE_BOUND).any():
         raise FormatError("secret key does not belong to the public key")
-    return KeyMaterial(public=pub, secret_key=secret)
+    return keys
 
 
 def serialize_float_vector(values: np.ndarray) -> bytes:

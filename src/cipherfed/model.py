@@ -305,15 +305,21 @@ def train_epochs(model: HybridModel, clients) -> list[HybridModel]:
     lrs = np.array([config.learning_rate for config in configs])
     rates = {name: lrs.reshape((-1,) + (1,) * (v.ndim - 1))
              for name, v in params.items()}
+    # client k's rows of each step go to buf[k], allocated once a call,
+    # as a fresh array a step can fault its pages in again at every step;
+    # mode="clip" copies through no temporary, and no row index clips
+    buf = np.empty((k_all, max(len(b[0]) if b else 0 for b in batches),
+                    model.feature_count))
     for t in range(max(map(len, batches))):
         groups = {}
         for k, client_batches in enumerate(batches):
             if t < len(client_batches):
                 groups.setdefault(len(client_batches[t]), []).append(k)
-        for ks in groups.values():
+        for rows, ks in groups.items():
             sel = slice(None) if len(ks) == k_all else ks
             p = {name: v[sel] for name, v in params.items()}
-            x = [data[k][0][batches[k][t]] for k in ks]
+            x = [np.take(data[k][0], batches[k][t], axis=0, out=buf[k, :rows],
+                         mode="clip") for k in ks]
             y = np.array([data[k][1][batches[k][t]] for k in ks])
             _, grads = _gradients(p, model.arch, x, y)
             for name, g in grads.items():

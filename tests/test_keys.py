@@ -77,10 +77,11 @@ def test_public_a_rows_come_from_distinct_streams(small_params, monkeypatch):
     monkeypatch.setattr(K, "expand_seed",
                         lambda s, q, n: seen.append((s, q)) or expand(s, q, n))
     keys = keygen(small_params, rng_seed=3)
+    pub = keys.public  # built, and a expanded, on first read
     chain = small_params.modulus_chain
     assert [q for _, q in seen] == list(chain)
     assert len({s for s, _ in seen}) == len(chain)
     # row i's seed is SHA-256(tag || seed || u8 i), as docs/protocol.md says
-    assert seen == [(sha256(b"cipherfed CKP2 a" + keys.public.seed
+    assert seen == [(sha256(b"cipherfed CKP2 a" + pub.seed
                             + bytes([i])).digest(), q)
                     for i, q in enumerate(chain)]

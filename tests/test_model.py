@@ -1,3 +1,4 @@
+import hashlib
 import struct
 from dataclasses import replace
 
@@ -319,6 +320,28 @@ def test_stacked_training_takes_each_clients_own_config(rng):
         [alone] = M.train_epochs(m, [client])
         assert np.array_equal(M.flatten_weights(got),
                               M.flatten_weights(alone))
+
+
+# SHA-256 of the four trained weight vectors below, as the trainer that
+# gathered each step's rows into a fresh array produced them
+WIDE_DIGEST = ("6c5104317e7fa6ed31971941bd7a0bc3"
+               "d5771dd723df95ad186eaed2a4cbec7c")
+
+
+def test_wide_shaped_training_digest_pinned():
+    """The wide workload's shape: 4,096 features, 4 clients of 80 and
+    81 rows, 32-row batches over 3 epochs. Each epoch's ragged last
+    batches, of 16 and 17 rows, step as two groups of two."""
+    rng = np.random.default_rng(41)
+    m = M.init_model(4096, PqcArchitecture(qubit_count=3, depth=2), 3,
+                     rng_seed=6)
+    clients = [(rng.uniform(-1, 1, (rows, 4096)), rng.integers(0, 3, rows),
+                M.TrainingConfig(learning_rate=0.15, batch_size=32,
+                                 epochs_per_round=3, rng_seed=k))
+               for k, rows in enumerate((80, 81, 81, 80))]
+    weights = b"".join(M.flatten_weights(got).tobytes()
+                       for got in M.train_epochs(m, clients))
+    assert hashlib.sha256(weights).hexdigest() == WIDE_DIGEST
 
 
 def test_training_checks_every_client_before_any_step(rng, monkeypatch):

@@ -140,6 +140,53 @@ def test_socket_truncated_frame():
     ch.close()
 
 
+def test_frame_past_the_runs_bound_refused_unread():
+    """A peer that sends only the length prefix of a MAX_FRAME frame is
+    refused at once, before the coordinator buffers or waits for any of
+    its body: the bound of a 2-parameter run lies far below."""
+    server_end, client_end = channel_pair()
+    client_end.send(T.Message(T.MSG_JOIN, 0, T.encode_join(0)))
+    client_end._sock.sendall(struct.pack("!I", T.MAX_FRAME))
+    coordinator = FederationCoordinator(coordinator_config([10]),
+                                        "plaintext", 2)
+    errors = []
+
+    def run():
+        try:
+            coordinator.run([server_end])
+        except CipherfedError as exc:
+            errors.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=10.0)
+    alive = thread.is_alive()
+    server_end.close()
+    thread.join(timeout=10.0)
+    client_end.close()
+    assert not alive, "the coordinator waited for the frame's body"
+    assert len(errors) == 1 and isinstance(errors[0], ProtocolError)
+    assert (f"frame length {T.MAX_FRAME} exceeds bound "
+            f"{T.frame_bound(2)}") in str(errors[0])
+
+
+def test_frame_bound_holds_the_runs_frames(small_params, world):
+    """Less its slack, a run's frame bound holds every UPDATE and GLOBAL
+    frame of the run: here of 3 chunks from 2 clients, fhe and plain."""
+    keys = world["keys"]
+    ups = seeded_uploads(keys, 3, (5, 7))
+    count = ups[0].param_count
+    plain = PlainUpdate(0, np.zeros(count), 5, 0)
+    for payload, params, clients in (
+            (T.encode_update(ups[0]), small_params, 1),
+            (T.encode_global(server.aggregate(ups, small_params)),
+             small_params, 2),
+            (T.encode_update(plain), None, 1)):
+        frame = T.encode_frame(T.Message(T.MSG_UPDATE, 0, payload))
+        assert (len(frame) - 4
+                <= T.frame_bound(count, params, clients) - T.FRAME_SLACK)
+
+
 def test_update_payload_roundtrip(world, small_params):
     from cipherfed.federation.client import encrypt_model
     from cipherfed.federation.quantize import QuantizationSpec
@@ -902,7 +949,7 @@ def test_non_protocol_failure_aborts_and_is_wrapped():
         def send(self, msg):
             self.sent.append(msg)
 
-        def recv(self, timeout=120.0):
+        def recv(self, timeout=120.0, limit=T.MAX_FRAME):
             raise RuntimeError("disk on fire")
 
     chan = Broken()
