@@ -121,8 +121,9 @@ def cmd_inspect(args) -> int:
     """Describe an artifact, read without parameters. A sealed one (see
     fhe/serial.py) is checked whole: its trailer, then its header, then
     the length its row widths give, which must fit a ring degree N (or,
-    in a seeded batch, P coefficients in its chunks, and in an aggregate
-    the low bits its c0 drops); a secret key's length must fit one too.
+    in a seeded batch, P coefficients in its chunks at the width and the
+    low bits d that its c0 block gives); a secret key's length must fit
+    one too.
     A retired key or batch is named, after its header, and exits 3."""
     from .fhe.serial import (MAGIC_CIPHERTEXT, MAGIC_FLOAT_VECTOR,
                              MAGIC_KINDS, MAGIC_PUBLIC_KEY, MAGIC_SECRET_KEY,
@@ -162,11 +163,10 @@ def cmd_inspect(args) -> int:
         if magic == MAGIC_CIPHERTEXT:
             rows += _layout_rows(read_layout(r, magic, chunks))
         else:
-            width, dropped, p = read_seeded_layout(r, magic, chunks, counts)
-            rows.append(("widths", f"{width} bits"))
-            if magic == MAGIC_SEEDED_SUM:
-                rows.append(("dropped", f"{dropped} low bits"))
-            rows.append(("P", f"{p} coefficients"))
+            width, dropped, p = read_seeded_layout(r, chunks, counts)
+            rows += [("widths", f"{width} bits"),
+                     ("dropped", f"{dropped} low bits"),
+                     ("P", f"{p} coefficients")]
     elif magic == MAGIC_FLOAT_VECTOR:
         rows = [("kind", "float vector"),
                 ("length", deserialize_float_vector(data).size)]

@@ -22,10 +22,6 @@ class QuantizationSpec:
         if not self.clip_range > 0:
             raise DomainError("clip_range must be positive")
 
-    @property
-    def step(self) -> float:
-        return 2.0 ** -self.fractional_bits
-
 
 def quantize(values, spec: QuantizationSpec) -> np.ndarray:
     """Idempotent fixed-point rounding of a real vector."""

@@ -24,9 +24,9 @@ from .metrics import MetricsSink, metrics_row
 from .rounds import RoundConfig, _clock, check_run_inputs, client_steps
 from .server import FederationCoordinator, round_loop
 from .transport import (MSG_ABORT, MSG_GLOBAL, MSG_JOIN, MSG_METRICS,
-                        MSG_UPDATE, Message, SocketChannel, decode_global,
-                        encode_join, encode_metrics, encode_update,
-                        frame_bound)
+                        MSG_UPDATE, Message, SocketChannel, abort_message,
+                        decode_global, encode_join, encode_metrics,
+                        encode_update, frame_bound)
 
 _COMPUTE = threading.Lock()  # held by a socket client while it computes
 
@@ -38,15 +38,14 @@ def run_transport_client(channel, client_id: int, dataset, test_data,
     train / UPDATE / METRICS, receive GLOBAL, decrypt and load, and
     evaluate on the test split if client 0 (which sends the global row)
     or if config.convergence_delta sets the stop rule. On any failure it
-    sends ABORT (reason `<ErrorType>: <message>`), then raises the error."""
+    sends ABORT (`transport.abort_message`), then raises the error."""
     try:
         return _client_rounds(channel, client_id, dataset, test_data,
                               initial_model, config, keys, mode)
     except Exception as exc:
         # if the channel is gone, the coordinator sees that instead
         with suppress(Exception):
-            channel.send(Message(MSG_ABORT, 0, f"{type(exc).__name__}: "
-                                 f"{exc}".encode("utf-8")))
+            channel.send(abort_message(exc))
         raise
 
 

@@ -29,9 +29,9 @@ from ..fhe.ops import add_ct, mul_plain, rescale
 from .client import check_sample_capacity
 from .metrics import metrics_row
 from .transport import (MAX_WIRE_COUNT, MSG_ABORT, MSG_GLOBAL, MSG_JOIN,
-                        MSG_METRICS, MSG_UPDATE, Message, decode_join,
-                        decode_metrics, decode_update, encode_global,
-                        frame_bound)
+                        MSG_METRICS, MSG_UPDATE, Message, abort_message,
+                        decode_join, decode_metrics, decode_update,
+                        encode_global, frame_bound)
 
 MODES = ("fhe", "plaintext")
 
@@ -228,10 +228,10 @@ class FederationCoordinator:
         try:
             return self._run(channels)
         except Exception as exc:
-            reason = f"{type(exc).__name__}: {exc}".encode("utf-8")
+            abort = abort_message(exc)
             for ch in channels:
                 with suppress(Exception):
-                    ch.send(Message(MSG_ABORT, 0, reason))
+                    ch.send(abort)
             if isinstance(exc, CipherfedError):
                 raise
             raise ProtocolError(f"server failed: {exc}") from exc

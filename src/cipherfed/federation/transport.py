@@ -7,14 +7,15 @@ socket. Serialization is lossless, so a socket run's results equal the
 direct transport's. Every binary payload is read through a
 bounds-checked `Reader` and must be consumed exactly. An UPDATE or
 GLOBAL payload is one artifact, which the run's mode picks: on an fhe
-run a `CKU1` seeded upload up and a `CKA2` seeded aggregate down, each
+run a `CKU2` seeded upload up and a `CKA2` seeded aggregate down, each
 carrying the P = param_count coefficients of c0 that hold weights and
 seeds in place of c1; on a plaintext run `CKF1` both ways. Either
 reader takes P from the run, not from the payload. A `CKA2` rounds away
 the low bits of c0 that the run's quantization spec and the GLOBAL's
 sample counts leave to decryption's rounding (`client.dropped_bits`),
 and each end stamps a decoded batch with its own run's spec. A METRICS
-payload is a row's data.
+payload is a row's data, and an ABORT payload a reason of at most
+CONTROL_BYTES.
 """
 
 from __future__ import annotations
@@ -48,9 +49,10 @@ MSG_ABORT = 5
 _VALID_TYPES = (MSG_JOIN, MSG_UPDATE, MSG_GLOBAL, MSG_METRICS, MSG_ABORT)
 
 MAX_FRAME = 1 << 28  # 256 MiB sanity bound; larger lengths are corruption
-# how far a frame may pass its run's longest artifact and still reach
-# a decoder, which names what it found; past that it is refused unread
-FRAME_SLACK = 1 << 24
+# the longest payload that is not an artifact: an ABORT reason is cut to
+# it, and a JOIN (2 bytes) or a METRICS row (five float reprs of at most
+# 24 characters or nulls, under 256 bytes) is shorter
+CONTROL_BYTES = 1 << 10
 # frames carry the round index, and JOIN the client id, as u16: the most
 # rounds and clients a socket run can take
 MAX_WIRE_COUNT = 0xFFFF
@@ -73,15 +75,24 @@ def encode_frame(msg: Message) -> bytes:
 
 def frame_bound(param_count: int, params=None, clients: int = 1) -> int:
     """The longest frame a reader in a run of `param_count` parameters
-    takes: the run's longest, an UPDATE (clients=1) or a GLOBAL, plus
-    FRAME_SLACK. Such a payload holds at most 8 bytes a parameter, 64 of
-    header and trailer and, on an fhe run (`params` given), a sample
-    count and a seed a chunk for each client."""
+    takes: the run's longest artifact, an UPDATE (clients=1) or a
+    GLOBAL, or CONTROL_BYTES if that is longer. Such an artifact holds
+    at most 8 bytes a parameter, 64 of header and trailer and, on an fhe
+    run (`params` given), a sample count and a seed a chunk for each
+    client."""
     payload = 8 * param_count + 64
     if params is not None:
         payload += clients * (8 + SEED_BYTES * chunk_count_for(
             param_count, params.ring_degree))
-    return 3 + payload + FRAME_SLACK
+    return 3 + max(payload, CONTROL_BYTES)
+
+
+def abort_message(exc: Exception) -> Message:
+    """The ABORT that reports `exc` as `<ErrorType>: <message>`, its
+    UTF-8 cut to CONTROL_BYTES; receivers decode a cut character as a
+    replacement."""
+    reason = f"{type(exc).__name__}: {exc}".encode("utf-8")
+    return Message(MSG_ABORT, 0, reason[:CONTROL_BYTES])
 
 
 def decode_body(body: bytes) -> Message:
@@ -154,7 +165,7 @@ def decode_join(payload: bytes) -> int:
 
 
 def encode_update(update) -> bytes:
-    """An UPDATE payload: the update's artifact alone, `CKU1` or `CKF1`."""
+    """An UPDATE payload: the update's artifact alone, `CKU2` or `CKF1`."""
     if isinstance(update, ClientUpdate):
         return serialize_seeded(update.chunks)
     return serialize_float_vector(update.values)

@@ -231,18 +231,21 @@ class StackedNtt:
         # constants, for forward and inverse, and (3, rows, 1) for 1/n
         self.psi, self.ipsi = np.empty((2, 3, len(primes), n),
                                        dtype=np.uint64)
+        steps = [1 << i for i in range(n.bit_length() - 1)]
         for table, roots in ((self.psi, psi), (self.ipsi, ipsi)):
             # slot rev(i) holds root^i, so each doubling step is one
             # strided product: the slots of i < k are every (n/k)-th one,
-            # and the slot of i + k lies n/2k past that of i
+            # and the slot of i + k lies n/2k past that of i; the (steps,
+            # rows, 1) powers root^k take their constants in one call
+            rk = np.array([[[pow(r, k, q)] for r, q in zip(roots, primes)]
+                           for k in steps], dtype=np.uint64)
+            rk_lo, rk_hi = shoup_constant(rk, self.q)
             w = table[0]
             w[:, 0] = 1
-            for k in (1 << i for i in range(n.bit_length() - 1)):
-                rk = np.array([[pow(r, k, q)] for r, q in zip(roots, primes)],
-                              dtype=np.uint64)
+            for i, k in enumerate(steps):
                 gap = n // k
                 w[:, gap // 2::gap] = shoup_mul(
-                    w[:, ::gap], rk, shoup_constant(rk, self.q), self.q)
+                    w[:, ::gap], rk[i], (rk_lo[i], rk_hi[i]), self.q)
             table[1], table[2] = shoup_constant(w, self.q)
         n_inv = np.array([[pow(n, -1, q)] for q in primes], dtype=np.uint64)
         self.n_inv = np.array([n_inv, *shoup_constant(n_inv, self.q)])

@@ -5,9 +5,10 @@ the 8-byte parameter digest, so a reader can reject material from a
 different parameter set before touching the payload. Polynomials are
 stored in the NTT domain, each residue row packed at its prime's bit
 length; a seeded upload or aggregate carries only the first P
-coefficients of its coefficient-domain c0, and seeds in place of c1: an
-upload packs them at q0's bit length, and an aggregate first rounds
-away the low bits that decryption drops anyway. One codec, word shifts
+coefficients of its coefficient-domain c0, and seeds in place of c1,
+in one c0 block for both: the coefficients rounded to a multiple of 2^d
+(d = 0 in an upload, and in an aggregate the low bits that decryption
+drops anyway), at the bits that are left. One codec, word shifts
 over u64, packs and unpacks every residue block and the secret key's
 2-bit codes. Every artifact that carries residues ends with the first
 16 bytes of the SHA-256 of the bytes before it, checked before anything
@@ -30,7 +31,7 @@ from .params import EncryptionParams
 from .poly import NTT, RingPoly, ShoupPoly, ntt_inverse
 
 MAGIC_CIPHERTEXT = b"CKV6"
-MAGIC_SEEDED = b"CKU1"
+MAGIC_SEEDED = b"CKU2"
 MAGIC_SEEDED_SUM = b"CKA2"
 MAGIC_SECRET_KEY = b"CKS3"
 MAGIC_PUBLIC_KEY = b"CKP3"
@@ -41,12 +42,13 @@ TRAILER_BYTES = 16
 # the batches that the current ones replaced, each with the batch whose
 # header it shares: named, so that a reader can say what it found, but
 # never read (`CKV3` held slot-packed chunks, `CKV2`, `CKV4` and `CKV5`
-# 64-bit residues, `CKV7` and `CKV8` all N coefficients of c0, and `CKA1`
-# every bit of c0's P coefficients)
+# 64-bit residues, `CKV7` and `CKV8` all N coefficients of c0, `CKA1`
+# every bit of c0's P coefficients, and `CKU1` them as a one-row residue
+# block)
 RETIRED_BATCHES = {b"CKV2": MAGIC_CIPHERTEXT, b"CKV3": MAGIC_SEEDED,
                    b"CKV4": MAGIC_SEEDED, b"CKV5": MAGIC_SEEDED_SUM,
                    b"CKV7": MAGIC_SEEDED, b"CKV8": MAGIC_SEEDED_SUM,
-                   b"CKA1": MAGIC_SEEDED_SUM}
+                   b"CKA1": MAGIC_SEEDED_SUM, b"CKU1": MAGIC_SEEDED}
 # the key files that `CKS3` and `CKP3` replaced, named likewise
 RETIRED_KEYS = (b"CKS2", b"CKP1", b"CKP2")
 _REGENERATE = "no longer read; regenerate with `cipherfed keygen`"
@@ -63,6 +65,7 @@ MAGIC_KINDS = {MAGIC_CIPHERTEXT: "ciphertext",
                         "read)",
                b"CKV8": "full-ring seeded aggregate (CKV8, no longer read)",
                b"CKA1": "unrounded seeded aggregate (CKA1, no longer read)",
+               b"CKU1": "one-row seeded ciphertext (CKU1, no longer read)",
                MAGIC_SECRET_KEY: "secret key", MAGIC_PUBLIC_KEY: "public key",
                b"CKS2": f"secret key (CKS2, {_REGENERATE})",
                b"CKP1": f"public key (CKP1, {_REGENERATE})",
@@ -200,27 +203,23 @@ def _unpack(packed: np.ndarray, n: int, width: int) -> np.ndarray:
     return (words[:, word] >> shift | high) & np.uint64((1 << width) - 1)
 
 
-def _block_bytes(res: np.ndarray, widths: bytes) -> bytes:
-    """A residue block of m polynomials with k rows of n residues each,
-    res shaped (m, k, n): the row count, each row's width byte, then
-    each polynomial's rows, row i at widths[i] bits, polynomial after
-    polynomial."""
+def _poly_bytes(p: RingPoly) -> bytes:
+    """The residue block of a polynomial, or of a batch of m of them,
+    each of k rows of n residues: the row count, each row's width byte
+    (its prime's bit length), then each polynomial's rows, row i at
+    widths[i] bits, polynomial after polynomial."""
+    res = p.residues.reshape(-1, *p.residues.shape[-2:])
+    widths = _widths(p.params, len(p.prime_indices))
     rows = [_pack(res[:, i], b) for i, b in enumerate(widths)]
     return bytes([len(widths)]) + widths + np.concatenate(rows, 1).tobytes()
 
 
-def _poly_bytes(p: RingPoly) -> bytes:
-    """The block of a polynomial or a batch, each row at its prime's bit
-    length."""
-    return _block_bytes(p.residues.reshape(-1, *p.residues.shape[-2:]),
-                        _widths(p.params, len(p.prime_indices)))
-
-
-def _read_block(r: Reader, params: EncryptionParams, rows: range, m: int,
-                n: int) -> np.ndarray:
-    """The (m, count, n) residues of a block over the first `count` basis
-    primes, `count` in `rows`, each row packed at its prime's bit length
-    and each residue below its row's prime."""
+def _read_poly(r: Reader, params: EncryptionParams, rows: range,
+               batch: tuple[int, ...] = ()) -> RingPoly:
+    """An NTT-domain polynomial, or a batch of `batch` polynomials, over
+    the first `count` basis primes, `count` in `rows`, each row packed at
+    its prime's bit length and each residue below its row's prime."""
+    n, m = params.ring_degree, math.prod(batch)
     (count,) = r.unpack("B")
     if count not in rows:
         raise FormatError(f"poly has {count} primes, expected "
@@ -238,16 +237,6 @@ def _read_block(r: Reader, params: EncryptionParams, rows: range, m: int,
         at += size
     if (res >= params.q_column(tuple(range(count)))).any():
         raise FormatError("poly residue not below its prime")
-    return res
-
-
-def _read_poly(r: Reader, params: EncryptionParams, rows: range,
-               batch: tuple[int, ...] = ()) -> RingPoly:
-    """An NTT-domain polynomial, or a batch of `batch` polynomials, read
-    as `_read_block`."""
-    n = params.ring_degree
-    res = _read_block(r, params, rows, math.prod(batch), n)
-    count = res.shape[1]
     return RingPoly(params, tuple(range(count)),
                     res.reshape(*batch, count, n), NTT)
 
@@ -282,30 +271,20 @@ def read_layout(r: Reader, magic: bytes,
     return widths, n
 
 
-def read_seeded_layout(r: Reader, magic: bytes, chunks: int,
+def read_seeded_layout(r: Reader, chunks: int,
                        counts: tuple[int, ...]) -> tuple[int, int, int]:
-    """The width w, the low bits d dropped (0 in a `CKU1`) and the
-    coefficient count P of a seeded upload or aggregate, read without
-    parameters: r is past the trailer check and the header that gave
-    `chunks` and `counts`. P is the count whose packed residues fill the
-    bytes left. Raises FormatError unless the block is one row of 1 to
-    64 bits (in a `CKA2`, d + w <= 64) and `chunks` chunks of some
+    """The width w, the low bits d dropped and the coefficient count P
+    of a seeded upload or aggregate, read without parameters: r is past
+    the trailer check and the header that gave `chunks` and `counts`. P
+    is the count whose packed values fill the bytes left. Raises
+    FormatError unless d + w <= 64, w >= 1, and `chunks` chunks of some
     power-of-two N >= 1024 hold P: (chunks - 1) * N < P <= chunks * N."""
     r.take(len(counts) * chunks * SEED_BYTES)
-    if magic == MAGIC_SEEDED_SUM:
-        dropped, width = r.unpack("BB")
-        if not 0 < width <= 64 - dropped:
-            raise FormatError(f"malformed {r.what}: its c0 drops {dropped} "
-                              f"low bits at {width} bits a coefficient, "
-                              "not 1 to 64 bits in all")
-    else:
-        (count,) = r.unpack("B")
-        widths = r.take(count)
-        if count != 1 or not 0 < widths[0] <= 64:
-            raise FormatError(f"malformed {r.what}: its c0 block has rows "
-                              f"of {list(widths)} bits, not one row of 1 "
-                              "to 64")
-        dropped, width = 0, widths[0]
+    dropped, width = r.unpack("BB")
+    if not 0 < width <= 64 - dropped:
+        raise FormatError(f"malformed {r.what}: its c0 drops {dropped} "
+                          f"low bits at {width} bits a coefficient, "
+                          "not 1 to 64 bits in all")
     left = len(r.data) - r.pos
     p = left * 8 // width
     if not (-(-p * width // 8) == left and any(
@@ -368,64 +347,62 @@ def deserialize_ciphertext(data: bytes, params: EncryptionParams) -> Ciphertext:
     return Ciphertext(c0=c0, c1=c1, scale=scale, level=level)
 
 
+def _rounding(q0: int, dropped: int) -> tuple[int, int, int]:
+    """Half of 2^d (0 when d = 0), the largest y whose y * 2^d is below
+    q0, and its bit length w = b0 - d, the width at which a c0 block
+    packs each y."""
+    top = (q0 - 1) >> dropped
+    return (1 << dropped) >> 1, top, top.bit_length()
+
+
 def _seeded_bytes(batch: SeededBatch, magic: bytes, head: bytes,
-                  c0: bytes) -> bytes:
-    """The `CKV6` header, `head`, the seeds, then the c0 block `c0`, and
-    the trailer."""
+                  dropped: int) -> bytes:
+    """The `CKV6` header, `head`, the seeds, the c0 block, and the
+    trailer. The c0 block holds the P coefficients of c0 rounded to the
+    nearest multiple of 2^d mod q0, d = `dropped`: d, the width w, and
+    each y = (c0 + 2^(d-1)) >> d at w bits, or 0 where y * 2^d would
+    reach q0. A batch read back from those bytes writes them again."""
+    q0 = batch.params.modulus_chain[0]
+    if not 0 <= dropped < q0.bit_length():
+        raise FormatError(f"a c0 block drops 0 to {q0.bit_length() - 1} "
+                          f"low bits, not {dropped}")
+    half, top, width = _rounding(q0, dropped)
+    y = (batch.c0 + np.uint64(half)) >> np.uint64(dropped)
+    # a residue within 2^(d-1) of q0 rounds to q0, which is 0 mod q0
+    y[y > np.uint64(top)] = 0
     return seal(b"".join([_header(batch, magic, len(batch)), head,
-                          *batch.seeds, c0]))
+                          *batch.seeds, bytes([dropped, width]),
+                          _pack(y[None], width).tobytes()]))
 
 
 def serialize_seeded(batch: SeededBatch) -> bytes:
-    """One `CKU1` upload, an encrypt_symmetric output: the header, each
-    chunk's seed, then the P coefficients of c0 as a one-row block at
-    q0's width; c1 is left to the seeds."""
+    """One `CKU2` upload, an encrypt_symmetric output: the header, each
+    chunk's seed, then the c0 block of its P coefficients at d = 0; c1
+    is left to the seeds."""
     if not isinstance(batch, SeededBatch) or batch.counts != (1,):
         raise FormatError("only a seeded ciphertext of one upload is "
-                          "written as CKU1")
-    return _seeded_bytes(batch, MAGIC_SEEDED, b"", _block_bytes(
-        batch.c0[None, None], _widths(batch.params, 1)))
-
-
-def _rounding(q0: int, dropped: int) -> tuple[int, int, int]:
-    """Half of 2^d (0 when d = 0), the largest y whose y * 2^d is below
-    q0, and its bit length w = b0 - d, the width at which a `CKA2` packs
-    each y."""
-    top = (q0 - 1) >> dropped
-    return (1 << dropped) >> 1, top, top.bit_length()
+                          "written as CKU2")
+    return _seeded_bytes(batch, MAGIC_SEEDED, b"", 0)
 
 
 def serialize_seeded_sum(batch: SeededBatch, dropped: int) -> bytes:
     """One `CKA2` aggregate, a weighted sum of seeded uploads from
     server.aggregate: the header, the client count K, the K sample
-    counts, each client's chunk seeds client after client, then the P
-    coefficients of c0 rounded to the nearest multiple of 2^d mod q0,
-    d = `dropped`: d, the width w, and each y = (c0 + 2^(d-1)) >> d at
-    w bits, or 0 where y * 2^d would reach q0. A batch read back from
-    those bytes writes them again."""
+    counts, each client's chunk seeds client after client, then the c0
+    block of its P coefficients at d = `dropped`."""
     if not isinstance(batch, SeededBatch):
         raise FormatError("only a sum of seeded uploads is written as CKA2")
-    q0 = batch.params.modulus_chain[0]
-    if not 0 <= dropped < q0.bit_length():
-        raise FormatError(f"a CKA2 drops 0 to {q0.bit_length() - 1} low "
-                          f"bits, not {dropped}")
-    half, top, width = _rounding(q0, dropped)
-    y = (batch.c0 + np.uint64(half)) >> np.uint64(dropped)
-    # a residue within 2^(d-1) of q0 rounds to q0, which is 0 mod q0
-    y[y > np.uint64(top)] = 0
     k = len(batch.counts)
     return _seeded_bytes(batch, MAGIC_SEEDED_SUM,
-                         struct.pack(f"<H{k}Q", k, *batch.counts),
-                         bytes([dropped, width])
-                         + _pack(y[None], width).tobytes())
+                         struct.pack(f"<H{k}Q", k, *batch.counts), dropped)
 
 
 def _read_rounded(r: Reader, q0: int, dropped: int, total: int,
                   n: int) -> np.ndarray:
-    """The n coefficients y * 2^d of a `CKA2` c0 block. Raises
-    FormatError unless the block drops d = `dropped` bits at their width
-    w, which the reader's run gives for `total` samples, every y * 2^d
-    is below q0, and every pad bit is 0."""
+    """The n coefficients y * 2^d of a c0 block. Raises FormatError
+    unless the block drops d = `dropped` bits at their width w, which
+    the reader's run gives for `total` samples, every y * 2^d is below
+    q0, and every pad bit is 0."""
     _, top, width = _rounding(q0, dropped)
     got = r.unpack("BB")
     if got != (dropped, width):
@@ -435,20 +412,20 @@ def _read_rounded(r: Reader, q0: int, dropped: int, total: int,
     y = _unpack(np.frombuffer(r.take(-(-n * width // 8)),
                               dtype=np.uint8)[None], n, width)[0]
     if (y > np.uint64(top)).any():
-        raise FormatError(f"{r.what} holds a rounded coefficient above "
-                          f"{top}: times 2^{dropped} it is not below q0")
+        raise FormatError(f"{r.what} holds a c0 value above {top}: times "
+                          f"2^{dropped} it is not below q0")
     return y << np.uint64(dropped)
 
 
 def _read_seeded(data: bytes, params: EncryptionParams, magic: bytes,
-                 param_count: int, dropped=None) -> SeededBatch:
-    """A `CKU1` (one upload, counts (1,)) or a `CKA2` batch of
-    `param_count` coefficients, a `CKA2` rounded by `dropped(n_total)`
-    bits. Every check runs before any field past the header is read:
-    the scale, a chunk count of ceil(param_count / N), which no other
-    reader of a batch checks again, and the exact length that the
-    counts, the chunks, P and the width give. No seed is expanded: c1
-    waits for the batch's first use."""
+                 param_count: int, dropped) -> SeededBatch:
+    """A `CKU2` (one upload, counts (1,)) or a `CKA2` batch of
+    `param_count` coefficients, its c0 block rounded by
+    `dropped(n_total)` bits. Every check runs before any field past the
+    header is read: the scale, a chunk count of ceil(param_count / N),
+    which no other reader of a batch checks again, and the exact length
+    that the counts, the chunks, P and the width give. No seed is
+    expanded: c1 waits for the batch's first use."""
     r = _open(data, magic, params)
     level, scale, chunks, counts = _read_header(r, magic)
     if scale != params.scale * sum(counts):
@@ -458,27 +435,24 @@ def _read_seeded(data: bytes, params: EncryptionParams, magic: bytes,
     if chunks != fill:
         raise FormatError(f"{r.what} holds {chunks} chunks; {param_count} "
                           f"parameters fill {fill}")
-    q0 = params.modulus_chain[0]
-    d = dropped(sum(counts)) if magic == MAGIC_SEEDED_SUM else 0
+    q0, d = params.modulus_chain[0], dropped(sum(counts))
     width = _rounding(q0, d)[2]
-    # the seeds, then c0: two bytes (the row count and q0's width, or d
-    # and the width) and P residues
+    # the seeds, then c0: d, the width and P values of y
     r.rest_is(len(counts) * chunks * SEED_BYTES + 2
               + -(-param_count * width // 8))
     seeds = tuple(r.take(SEED_BYTES) for _ in range(len(counts) * chunks))
-    if magic == MAGIC_SEEDED_SUM:
-        c0 = _read_rounded(r, q0, d, sum(counts), param_count)
-    else:
-        c0 = _read_block(r, params, range(1, 2), 1, param_count)[0, 0]
+    c0 = _read_rounded(r, q0, d, sum(counts), param_count)
     r.end()
     return SeededBatch(params, c0, scale, seeds, counts)
 
 
 def deserialize_seeded(data: bytes, params: EncryptionParams,
                        param_count: int) -> SeededBatch:
-    """A `CKU1` upload of `param_count` coefficients. A `CKV3`, `CKV4`
-    or `CKV7` upload is refused by its magic."""
-    return _read_seeded(data, params, MAGIC_SEEDED, param_count)
+    """A `CKU2` upload of `param_count` coefficients, whose c0 block
+    drops no bits. A `CKV3`, `CKV4`, `CKV7` or `CKU1` upload is refused
+    by its magic."""
+    return _read_seeded(data, params, MAGIC_SEEDED, param_count,
+                        lambda total: 0)
 
 
 def deserialize_seeded_sum(data: bytes, params: EncryptionParams,

@@ -341,10 +341,13 @@ def test_inspect_seeded_batch(tmp_path, capsys, small_params, small_keys):
     assert "seeded ciphertext" in out and "level  : 0" in out
     assert "scale  : 1.09951e+12" in out and "chunks : 2" in out
     assert "widths : 61 bits" in out and "P      : 1027 coefficients" in out
-    # an upload from before coefficient packing, or of all N
-    # coefficients, is named after its header, not read, and exits 3
+    assert "dropped: 0 low bits" in out
+    # an upload from before coefficient packing, of all N coefficients,
+    # or of a one-row block, is named after its header, not read, and
+    # exits 3
     for old, kind in ((b"CKV3", "slot-packed seeded ciphertext"),
-                      (b"CKV7", "full-ring seeded ciphertext")):
+                      (b"CKV7", "full-ring seeded ciphertext"),
+                      (b"CKU1", "one-row seeded ciphertext")):
         p.write_bytes(old + serialize_seeded(ct)[4:])
         assert main(["inspect", str(p)]) == 3
         captured = capsys.readouterr()
@@ -400,7 +403,8 @@ def test_inspect_unknown_magic_exits_3(tmp_path, capsys):
                                         ("CKP3", 27), ("CKU1", 9),
                                         ("CKU1", 22), ("CKA1", 9),
                                         ("CKA1", 24), ("CKA2", 9),
-                                        ("CKA2", 24)])
+                                        ("CKA2", 24), ("CKU2", 9),
+                                        ("CKU2", 22)])
 def test_inspect_truncated_header_exits_3(tmp_path, capsys, magic, size):
     p = tmp_path / "short.bin"
     p.write_bytes(magic.encode().ljust(size, b"\0"))
@@ -421,13 +425,13 @@ def batch_header(magic: str, level: int, scale: float, chunks: int,
 
 
 @pytest.mark.parametrize("blob,refusal", [
-    (batch_header("CKU1", 0, float("nan"), 0), "not finite and positive"),
+    (batch_header("CKU2", 0, float("nan"), 0), "not finite and positive"),
     (batch_header("CKV6", 0, 0.0, 1), "not finite and positive"),
-    (batch_header("CKU1", 0, 2.0 ** 40, 0), "no chunks"),
+    (batch_header("CKU2", 0, 2.0 ** 40, 0), "no chunks"),
     (batch_header("CKA2", 7, 2.0 ** 40, 1, ()), "names no clients"),
     (batch_header("CKA2", 0, 2.0 ** 40, 1, (3, 0)), "sample count of 0"),
     (batch_header("CKA2", 7, 2.0 ** 40, 1, (1,)), "at level 7"),
-    (batch_header("CKU1", 2, 2.0 ** 40, 1), "at level 2"),
+    (batch_header("CKU2", 2, 2.0 ** 40, 1), "at level 2"),
     (b"CKF1" + struct.pack("<I", 100) + b"abc", "needs 808")],
     ids=["nan-scale", "zero-scale", "no-chunks", "no-clients", "zero-count",
          "seeded-sum-level", "seeded-level", "vector-overrun"])
@@ -451,7 +455,7 @@ def seeded_upload_blob(small_params, small_keys) -> bytes:
 
 def test_inspect_refuses_a_cut_upload(tmp_path, capsys, small_params,
                                       small_keys):
-    """A `CKU1` upload cut to 100 bytes fails its trailer; cut and
+    """A `CKU2` upload cut to 100 bytes fails its trailer; cut and
     resealed, it fails the length its header and width byte imply."""
     blob = seeded_upload_blob(small_params, small_keys)
     p = tmp_path / "update.ct"

@@ -22,7 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cipherfed import model as M
-from cipherfed.errors import CipherfedError, FormatError, ParameterError
+from cipherfed.errors import (CipherfedError, FormatError, ParameterError,
+                              ProtocolError)
 from cipherfed.federation import transport as T
 from cipherfed.federation.client import (ClientUpdate, PlainUpdate,
                                          dropped_bits, encrypt_model)
@@ -148,7 +149,7 @@ def formats(small_params):
                                lambda b: deserialize_ciphertext(b, params),
                                use_ct)
            for n, c in ((1, ct), *batches.items())},
-        **{f"CKU1-{n}": Format(serialize_seeded(c),
+        **{f"CKU2-{n}": Format(serialize_seeded(c),
                                lambda b, n=n: deserialize_seeded(
                                    b, params, tail_count(params, n)),
                                use_seeded)
@@ -188,13 +189,13 @@ def tail_count(params, chunks: int) -> int:
 
 
 NAMES = ["frame-body", "JOIN", "UPDATE-fhe", "UPDATE-plain", "GLOBAL-fhe",
-         "GLOBAL-plain", "METRICS", "CKV6-1", "CKV6-2", "CKV6-7", "CKU1-1",
-         "CKU1-2", "CKU1-7", "CKA2-1", "CKA2-2", "CKP3", "CKS3", "CKF1",
+         "GLOBAL-plain", "METRICS", "CKV6-1", "CKV6-2", "CKV6-7", "CKU2-1",
+         "CKU2-2", "CKU2-7", "CKA2-1", "CKA2-2", "CKP3", "CKS3", "CKF1",
          "CKM1"]
 
 
 # the ids the formats' cases have kept across layout changes
-_CASE_IDS = {"CKV6": "CKV2", "CKU1": "CKV3", "CKA2": "CKV5", "CKP3": "CKP1",
+_CASE_IDS = {"CKV6": "CKV2", "CKU2": "CKV3", "CKA2": "CKV5", "CKP3": "CKP1",
              "CKS3": "CKS2"}
 
 
@@ -296,7 +297,7 @@ def sealed_cuts(body: bytes):
 
 
 def test_unsealed_bit_flip_anywhere_refused(formats, monkeypatch):
-    """One bit flipped anywhere in a `CKU1` UPDATE or a `CKA2` GLOBAL,
+    """One bit flipped anywhere in a `CKU2` UPDATE or a `CKA2` GLOBAL,
     trailer included, and the trailer not recomputed, is refused before
     any seed is expanded: nothing is averaged in silently."""
     calls = count_expansions(monkeypatch)
@@ -312,9 +313,9 @@ def test_unsealed_bit_flip_anywhere_refused(formats, monkeypatch):
     assert calls == []
 
 
-# --- the seeded upload, `CKU1` ----------------------------------------------
+# --- the seeded upload, `CKU2` ----------------------------------------------
 
-SEEDED = ["CKU1-1", "CKU1-2", "CKU1-7"]
+SEEDED = ["CKU2-1", "CKU2-2", "CKU2-7"]
 
 
 @pytest.mark.parametrize("name", SEEDED, ids=case_id)
@@ -339,43 +340,43 @@ def seeded_chunks(blob: bytes) -> int:
 @pytest.mark.parametrize("name", SEEDED, ids=case_id)
 def test_seeded_residue_at_prime_rejected(formats, small_params, name):
     blob = formats[name].blob
-    # c0's first residue, past the header, the seeds, the row count and
-    # the width byte, 61 bits wide
+    # c0's first residue, past the header, the seeds, d and the width
+    # byte, 61 bits wide
     at = 23 + 32 * seeded_chunks(blob) + 2
     blob = with_field(blob, at, 0, 61, small_params.modulus_chain[0])
-    with pytest.raises(FormatError, match="not below its prime"):
+    with pytest.raises(FormatError, match="not below q0"):
         formats[name].decode(blob)
 
 
 def test_seeded_without_chunks_rejected(formats):
-    blob = patched(formats["CKU1-1"].blob, "H", 21, 0)
+    blob = patched(formats["CKU2-1"].blob, "H", 21, 0)
     with pytest.raises(FormatError, match="no chunks"):
-        formats["CKU1-1"].decode(blob)
+        formats["CKU2-1"].decode(blob)
 
 
 @pytest.mark.parametrize("factor", [2.0, 0.5])
 def test_seeded_scale_other_than_delta_rejected(formats, small_params,
                                                 monkeypatch, factor):
-    """A `CKU1` upload is the case K = 1, n = 1 of the rule scale =
+    """A `CKU2` upload is the case K = 1, n = 1 of the rule scale =
     Δ·Σ n, so a scale of 2Δ or Δ/2 is refused before any expansion."""
-    blob = patched(formats["CKU1-2"].blob, "d", 13,
+    blob = patched(formats["CKU2-2"].blob, "d", 13,
                    small_params.scale * factor)
     calls = count_expansions(monkeypatch)
     with pytest.raises(FormatError, match="seeded ciphertext scale .* is "
                                           "not the scale times its 1 samples"):
-        formats["CKU1-2"].decode(blob)
+        formats["CKU2-2"].decode(blob)
     assert calls == []
 
 
 def test_seeded_wrong_digest_rejected(formats):
-    blob = patched(formats["CKU1-2"].blob, "B", 4,
-                   formats["CKU1-2"].blob[4] ^ 1)
+    blob = patched(formats["CKU2-2"].blob, "B", 4,
+                   formats["CKU2-2"].blob[4] ^ 1)
     with pytest.raises(ParameterError, match="digest mismatch"):
-        formats["CKU1-2"].decode(blob)
+        formats["CKU2-2"].decode(blob)
 
 
 def test_public_key_batch_in_fhe_update_rejected(formats, small_params):
-    """On an fhe run an UPDATE carries `CKU1` only; a `CKV6` batch is a
+    """On an fhe run an UPDATE carries `CKU2` only; a `CKV6` batch is a
     malformed payload."""
     with pytest.raises(FormatError, match="expected seeded ciphertext but "
                                           "found ciphertext artifact"):
@@ -383,10 +384,10 @@ def test_public_key_batch_in_fhe_update_rejected(formats, small_params):
 
 
 def test_seeded_header_bit_flips_decode_or_raise(formats):
-    """Every one-bit flip of a `CKU1` header and first seed, resealed,
+    """Every one-bit flip of a `CKU2` header and first seed, resealed,
     decodes to a usable batch or raises; one in the magic or the digest
     always raises."""
-    fmt = formats["CKU1-1"]
+    fmt = formats["CKU2-1"]
     for pos in range(23 + 32):
         for bit in range(8):
             def flip(b):
@@ -455,14 +456,43 @@ def test_ckv3_update_aborts_every_client(keys, small_params):
     assert [m.mtype for m in replies] == [T.MSG_ABORT, T.MSG_ABORT]
 
 
-@pytest.mark.parametrize("dims,param_count", [(3, 1026), (600, 1024)],
+def as_cku1(update_payload: bytes) -> bytes:
+    """The same UPDATE in the `CKU1` layout it replaced: that magic, and
+    a row count of 1 where `CKU2` holds d = 0, resealed."""
+    at = 23 + 32 * seeded_chunks(update_payload)
+    assert update_payload[at:at + 2] == bytes([0, 61])
+    return resealed(b"CKU1" + update_payload[4:],
+                    lambda b: b[:at] + b"\x01" + b[at + 1:])
+
+
+def test_cku1_update_aborts_every_client(keys, small_params):
+    """A client that still uploads the one-row `CKU1` is refused by its
+    magic, and the coordinator aborts every client."""
+    old = as_cku1(client_update(keys, 1))
+    count = client_model(1, 3).param_count
+    with pytest.raises(FormatError, match=r"found one-row seeded "
+                                          r"ciphertext \(CKU1, no longer "
+                                          r"read\) artifact"):
+        T.decode_update(old, 0, small_params, 1, 12, count)
+    error, replies = coordinator_against(keys, [client_update(keys, 0), old],
+                                         count)
+    assert isinstance(error, FormatError)
+    assert "UPDATE from client 1" in str(error) and "CKU1" in str(error)
+    assert [m.mtype for m in replies] == [T.MSG_ABORT, T.MSG_ABORT]
+
+
+@pytest.mark.parametrize("dims,param_count,too_long",
+                         [(3, 1026, False), (600, 1024, True)],
                          ids=["one-chunk-for-two", "two-chunks-for-one"])
 def test_chunk_count_off_ring_degree_aborts_every_client(keys, small_params,
-                                                         dims, param_count):
+                                                         dims, param_count,
+                                                         too_long):
     """The chunk count must be ceil(param_count / ring_degree) for the
     server's param count: one chunk for 1026 parameters, or two for
     1024, is refused while the other client's upload of exactly that
-    many parameters passes."""
+    many parameters passes. Two chunks of 1,210 coefficients are longer
+    than any UPDATE of 1,024, so their frame is refused by its length
+    before it is read."""
     n = small_params.ring_degree
     bad = client_update(keys, 1, dims)
     chunks = struct.unpack_from("<H", bad, 21)[0]
@@ -471,10 +501,17 @@ def test_chunk_count_off_ring_degree_aborts_every_client(keys, small_params,
     good = client_update(keys, 0, (param_count - 10) // 2)
     assert struct.unpack_from("<H", good, 21)[0] == -(-param_count // n)
     error, replies = coordinator_against(keys, [good, bad], param_count)
-    assert isinstance(error, FormatError)
-    assert (f"UPDATE from client 1: seeded ciphertext holds {chunks} "
-            f"chunks; {param_count} parameters fill "
-            f"{-(-param_count // n)}") in str(error)
+    bound = T.frame_bound(param_count, small_params)
+    assert (3 + len(bad) > bound) == too_long
+    if too_long:
+        assert isinstance(error, ProtocolError)
+        assert (f"frame length {3 + len(bad)} exceeds bound "
+                f"{bound}") in str(error)
+    else:
+        assert isinstance(error, FormatError)
+        assert (f"UPDATE from client 1: seeded ciphertext holds {chunks} "
+                f"chunks; {param_count} parameters fill "
+                f"{-(-param_count // n)}") in str(error)
     assert [m.mtype for m in replies] == [T.MSG_ABORT, T.MSG_ABORT]
 
 
@@ -583,7 +620,7 @@ BOTH = SEEDED + SUMS
 def header_bytes(blob: bytes) -> int:
     """The length of a seeded batch's header: 23 bytes, and in a `CKA2`
     the client count and its u64 counts."""
-    if blob[:4] == b"CKU1":
+    if blob[:4] == b"CKU2":
         return 23
     return AT_K + 2 + 8 * struct.unpack_from("<H", blob, AT_K)[0]
 
@@ -628,7 +665,7 @@ def test_seeded_read_for_another_param_count_refused(formats, small_params,
 
 @pytest.mark.parametrize("name", BOTH, ids=case_id)
 def test_seeded_pad_bits_refused(formats, monkeypatch, name):
-    """27 coefficients of 61 bits (`CKU1`) leave 1 pad bit in the last
+    """27 coefficients of 61 bits (`CKU2`) leave 1 pad bit in the last
     byte, and of 38 bits (`CKA2`, d = 23) 6; the top one set is
     refused."""
     fmt = formats[name]

@@ -281,7 +281,7 @@ def test_ciphertext_scale_must_be_finite_positive(scale, small_params,
         deserialize_ciphertext(blob, small_params)
 
 
-# --- the seeded upload, `CKU1` ----------------------------------------------
+# --- the seeded upload, `CKU2` ----------------------------------------------
 
 def spec_expansion(seed: bytes, q: int, n: int, shake=None) -> list[int]:
     """The expansion as docs/protocol.md words it, one word at a time."""
@@ -458,7 +458,7 @@ def upload_count(chunks: int) -> int:
 
 @pytest.fixture(scope="module")
 def uploads(small_params, small_keys):
-    """`CKU1` uploads of 1, 2 and 7 chunks."""
+    """`CKU2` uploads of 1, 2 and 7 chunks."""
     from cipherfed.fhe import encode_coeffs, encrypt_symmetric
     from cipherfed.fhe.serial import serialize_seeded
     return {c: serialize_seeded(encrypt_symmetric(encode_coeffs(
@@ -480,11 +480,14 @@ def refused_before_expansion(blob, params, refusal):
 @given(chunks=st.sampled_from([1, 2, 7]), data=st.data())
 def test_field_at_or_above_its_prime_refused(uploads, small_params, chunks,
                                              data):
+    """A y above the top of the c0 block, q0 - 1 at d = 0, is refused."""
     q0 = small_params.modulus_chain[0]
     field = data.draw(st.integers(0, upload_count(chunks) - 1))
     value = data.draw(st.integers(q0, (1 << 61) - 1))
     blob = with_field(uploads[chunks], 23 + 32 * chunks + 2, field, 61, value)
-    refused_before_expansion(blob, small_params, "not below its prime")
+    refused_before_expansion(blob, small_params,
+                             rf"c0 value above {q0 - 1}: times 2\^0 it is "
+                             "not below q0")
 
 
 @settings(max_examples=40, deadline=None)
@@ -492,10 +495,27 @@ def test_field_at_or_above_its_prime_refused(uploads, small_params, chunks,
        width=st.integers(0, 255).filter(lambda w: w != 61))
 def test_width_other_than_the_primes_refused(uploads, small_params, chunks,
                                              width):
+    """A c0 block whose width byte is not q0's 61 bits is refused, naming
+    the (d, w) it found and the run's."""
     blob = patched(uploads[chunks], "B", 23 + 32 * chunks + 1, width)
-    refused_before_expansion(blob, small_params, rf"packed at \[{width}\] "
-                                                 r"bits, not their primes' "
-                                                 r"\[61\]")
+    refused_before_expansion(blob, small_params,
+                             f"drops 0 low bits of c0 at {width} bits a "
+                             "coefficient; for 1 samples this run drops 0 "
+                             "at 61")
+
+
+@pytest.mark.parametrize("chunks", [1, 2, 7])
+@pytest.mark.parametrize("dropped", [1, 23, 255])
+def test_upload_dropping_bits_refused(uploads, small_params, chunks,
+                                      dropped):
+    """An upload drops no bits: a `CKU2` whose d byte is not 0 is
+    refused before any seed is expanded, by an error that names the d
+    it found."""
+    blob = patched(uploads[chunks], "B", 23 + 32 * chunks, dropped)
+    refused_before_expansion(blob, small_params,
+                             f"drops {dropped} low bits of c0 at 61 bits a "
+                             "coefficient; for 1 samples this run drops 0 "
+                             "at 61")
 
 
 @pytest.mark.parametrize("chunks", [1, 2, 7])
@@ -509,12 +529,13 @@ def test_length_off_by_one_byte_refused(uploads, small_params, chunks, cut,
 
 
 @pytest.mark.parametrize("old", [b"CKV2", b"CKV3", b"CKV4", b"CKV5",
-                                 b"CKV7", b"CKV8", b"CKA1"])
+                                 b"CKV7", b"CKV8", b"CKA1", b"CKU1"])
 def test_retired_batch_formats_refused_by_name(old, small_params, small_keys,
                                                artifacts, uploads):
     """A batch under a magic of the 64-bit layouts, the slot-packed
-    `CKV3`, the full-ring `CKV7` and `CKV8` or the unrounded `CKA1` is
-    refused by its reader, which names what it found."""
+    `CKV3`, the full-ring `CKV7` and `CKV8`, the unrounded `CKA1` or the
+    one-row `CKU1` is refused by its reader, which names what it
+    found."""
     from cipherfed.federation.transport import encode_global
     from cipherfed.fhe.serial import (deserialize_seeded,
                                       deserialize_seeded_sum)
@@ -524,7 +545,7 @@ def test_retired_batch_formats_refused_by_name(old, small_params, small_keys,
              lambda b, p: deserialize_seeded_sum(b, p, 1024, lambda n: 23))
     blob, read = {
         b"CKV2": (artifacts["ciphertext"], deserialize_ciphertext),
-        b"CKV3": upload, b"CKV4": upload, b"CKV7": upload,
+        b"CKV3": upload, b"CKV4": upload, b"CKV7": upload, b"CKU1": upload,
         b"CKV5": total, b"CKV8": total, b"CKA1": total}[old]
     with pytest.raises(FormatError, match=rf"but found .*\({old.decode()}, "
                                           r"no longer read\) artifact"):
@@ -535,10 +556,11 @@ def test_retired_batch_formats_refused_by_name(old, small_params, small_keys,
 @given(name=st.sampled_from([1024, 4096, "odd"]),
        count=st.integers(1, 3 * 1024), seed=st.integers(0, 2 ** 32))
 def test_seeded_block_roundtrip(chains, name, count, seed):
-    """The P coefficients of a seeded upload are one row of P residues
-    at q0's width, bit for bit as docs/protocol.md words it: P need not
-    be a multiple of 8, and the pad bits are 0. They come back as
-    written, and a pad bit set is refused."""
+    """The P coefficients of a seeded upload are a c0 block at d = 0:
+    the byte 0, q0's width, then P residues at that width, bit for bit
+    as docs/protocol.md words it: P need not be a multiple of 8, and the
+    pad bits are 0. They come back as written, and a pad bit set is
+    refused."""
     from cipherfed.fhe import SeededBatch
     from cipherfed.fhe.serial import deserialize_seeded, serialize_seeded
     params = chains[name]
@@ -551,7 +573,7 @@ def test_seeded_block_roundtrip(chains, name, count, seed):
                         tuple(bytes([j]) * 32 for j in range(chunks)), (1,))
     blob = serialize_seeded(batch)
     width = chain_widths(params, 1)
-    block = bytes([1]) + width + pack_rows(c0[None], width)
+    block = bytes([0]) + width + pack_rows(c0[None], width)
     assert blob[23 + 32 * chunks:-TRAILER_BYTES] == block
     back = deserialize_seeded(blob, params, count)
     assert np.array_equal(back.c0, c0) and back.seeds == batch.seeds
@@ -603,11 +625,16 @@ def test_rounded_block_roundtrip(chains, name, count, dropped, seed):
             deserialize_seeded_sum(over, params, count, lambda total: dropped)
 
 
-# sha256 of a `CKU1` upload of P coefficients, as the encryption that
-# drew all N error coefficients of each chunk wrote it
-UPLOAD_DIGESTS = {1: "342d6903e855ce44", 27: "45b31389c2db690b",
-                  4095: "b82f4f875fd7451b", 4096: "bcce075ef8fe8ee2",
-                  4097: "5f925589eb8872d3", 12309: "6b88dd6d0ee3a773"}
+# the length and sha256 of a `CKU2` upload of P coefficients, as the
+# encryption that drew all N error coefficients of each chunk wrote it;
+# each length is that of the `CKU1` it replaced, whose (row count,
+# width) bytes (1, 61) became (d, width) = (0, 61)
+UPLOAD_DIGESTS = {1: (81, "e9fe9a500e72de52"),
+                  27: (279, "50b433fceac947b4"),
+                  4095: (31298, "0b293968feb96102"),
+                  4096: (31305, "64e70b8622e42620"),
+                  4097: (31345, "abb568f0ebca9f1b"),
+                  12309: (94026, "3f1dbb60e0adbe75")}
 
 
 @pytest.mark.parametrize("count", sorted(UPLOAD_DIGESTS))
@@ -626,5 +653,6 @@ def test_upload_bytes_pinned(std_keys, count):
                                             std_keys.params, level=0),
                               std_keys, [derive_seed(9, j)
                                          for j in range(chunks)], count)
-    digest = hashlib.sha256(serialize_seeded(batch)).hexdigest()[:16]
-    assert digest == UPLOAD_DIGESTS[count]
+    blob = serialize_seeded(batch)
+    assert (len(blob), hashlib.sha256(blob).hexdigest()[:16]) \
+        == UPLOAD_DIGESTS[count]

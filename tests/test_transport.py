@@ -171,8 +171,8 @@ def test_frame_past_the_runs_bound_refused_unread():
 
 
 def test_frame_bound_holds_the_runs_frames(small_params, world):
-    """Less its slack, a run's frame bound holds every UPDATE and GLOBAL
-    frame of the run: here of 3 chunks from 2 clients, fhe and plain."""
+    """A run's frame bound holds every UPDATE and GLOBAL frame of the
+    run: here of 3 chunks from 2 clients, fhe and plain."""
     keys = world["keys"]
     ups = seeded_uploads(keys, 3, (5, 7))
     count = ups[0].param_count
@@ -183,8 +183,41 @@ def test_frame_bound_holds_the_runs_frames(small_params, world):
              small_params, 2),
             (T.encode_update(plain), None, 1)):
         frame = T.encode_frame(T.Message(T.MSG_UPDATE, 0, payload))
-        assert (len(frame) - 4
-                <= T.frame_bound(count, params, clients) - T.FRAME_SLACK)
+        assert len(frame) - 4 <= T.frame_bound(count, params, clients)
+
+
+def test_frame_bound_holds_every_control_frame():
+    """Past the artifacts, the bound holds a JOIN, the longest METRICS
+    row and an ABORT reason of CONTROL_BYTES, also in a plaintext run of
+    one parameter."""
+    longest = -1.2345678901234567e-308
+    assert len(repr(longest)) == 24
+    row = metrics_row(2 ** 16 - 1, "client_0", train_loss=longest,
+                      train_acc=longest, test_loss=longest,
+                      test_acc=longest, wall_ms=longest)
+    reason = T.abort_message(ProtocolError("x" * 10 ** 6)).payload
+    assert len(reason) == T.CONTROL_BYTES
+    for payload in (T.encode_join(2 ** 16 - 1), T.encode_metrics(row),
+                    reason):
+        assert 3 + len(payload) <= T.frame_bound(1)
+    assert len(T.encode_metrics(row)) < 256
+
+
+def test_long_abort_reaches_the_peer_cut_short(world, monkeypatch):
+    """A client that fails with a 1 MB message sends an ABORT cut to
+    CONTROL_BYTES: the coordinator reads it as the client's abort, not
+    as an oversize frame."""
+    def fail(*_args, **_kwargs):
+        raise ProtocolError("x" * 10 ** 6)
+    monkeypatch.setattr(runner, "client_steps", fail)
+    with pytest.raises(ProtocolError) as info:
+        run_socket_federation(world["init"], world["cfg"], world["parts"],
+                              world["test"], world["keys"], mode="fhe")
+    message = str(info.value)
+    assert "exceeds bound" not in message
+    assert message.startswith("client ")
+    assert " aborted round 0: ProtocolError: xxx" in message
+    assert len(message) < 2 * T.CONTROL_BYTES
 
 
 def test_update_payload_roundtrip(world, small_params):
@@ -370,7 +403,7 @@ def test_socket_run_raises_coordinator_error_as_itself(world, monkeypatch):
     with a ParameterError, which a socket run raises as it is, as the
     coordinator and the direct transport do."""
     monkeypatch.setattr(runner, "encode_update",
-                        lambda update: b"CKU1" + bytes(8))
+                        lambda update: b"CKU2" + bytes(8))
     with pytest.raises(ParameterError, match="UPDATE from client 0: artifact "
                                              "was produced under different"):
         run_socket_federation(world["init"], world["cfg"], world["parts"],
@@ -683,7 +716,7 @@ def client_upload(world):
 
 
 def encrypted_update(world):
-    """A client's `CKU1` batch, which is its whole UPDATE payload."""
+    """A client's `CKU2` batch, which is its whole UPDATE payload."""
     return serialize_seeded(client_upload(world).chunks)
 
 
@@ -715,18 +748,26 @@ def test_update_without_chunks_aborts_clients(world):
     assert isinstance(error, FormatError) and "no chunks" in str(error)
 
 
+def too_long(payload: bytes, bound: int) -> str:
+    """The length refusal of a frame that carries `payload`."""
+    return f"frame length {3 + len(payload)} exceeds bound {bound}"
+
+
 def test_public_key_update_aborts_clients(world):
-    """A `CKV6` batch is no UPDATE artifact; as an fhe UPDATE it is a
-    malformed payload."""
+    """A `CKV6` batch is no UPDATE artifact, and longer than any UPDATE
+    of the run: the coordinator refuses its frame by its length prefix,
+    unread, and the client gets ABORT."""
     public = serialize_ciphertext(client_upload(world).chunks[:])
     error = assert_aborted(world, public)
-    assert isinstance(error, FormatError)
-    assert "expected seeded ciphertext but found ciphertext" in str(error)
+    bound = T.frame_bound(world["init"].param_count, world["keys"].params)
+    assert isinstance(error, ProtocolError)
+    assert too_long(public, bound) in str(error)
 
 
 def test_thousand_chunk_update_expands_no_seed(world, monkeypatch):
-    """An UPDATE of 1,000 chunks for a model that fills 1 is refused
-    against the server's own param count before any seed is expanded."""
+    """An UPDATE of 1,000 chunks for a model that fills 1 is refused by
+    its frame's length, which the server's own param count bounds,
+    before any of it is read or any seed is expanded."""
     one = client_upload(world).chunks
     n = world["keys"].params.ring_degree
     padded = SeededBatch(one.params, np.resize(one.c0, 999 * n + 1),
@@ -734,10 +775,9 @@ def test_thousand_chunk_update_expands_no_seed(world, monkeypatch):
     payload = serialize_seeded(padded)
     expanded = count_expansions(monkeypatch)
     error = assert_aborted(world, payload)
-    count = world["init"].param_count
-    assert isinstance(error, FormatError)
-    assert (f"UPDATE from client 0: seeded ciphertext holds 1000 chunks; "
-            f"{count} parameters fill 1") in str(error)
+    bound = T.frame_bound(world["init"].param_count, world["keys"].params)
+    assert isinstance(error, ProtocolError)
+    assert too_long(payload, bound) in str(error)
     assert expanded == []
 
 
@@ -892,19 +932,27 @@ def seeded_global(upd, counts, chunks):
     return T.encode_global(padded)
 
 
+def client_bound(world, small_params) -> int:
+    """The frame bound of a transport client of `world`'s fhe run."""
+    return T.frame_bound(world["init"].param_count, small_params,
+                         world["cfg"].client_count)
+
+
 def test_padded_global_aborts_transport_client(world, small_params,
                                                monkeypatch):
     """A `CKA2` GLOBAL with one chunk more than the model fills is
-    refused before any seed is expanded: the client sends ABORT instead
-    of loading it."""
+    longer than any GLOBAL of the run: it is refused by its frame's
+    length before any seed is expanded, and the client sends ABORT
+    instead of loading it."""
     counts = world["cfg"].sample_counts
+    payload = seeded_global(client_upload(world), counts, 2)
     reply, errors, expanded = global_against_client(
-        world, small_params, lambda upd: seeded_global(upd, counts, 2),
-        monkeypatch)
+        world, small_params, lambda upd: payload, monkeypatch)
+    refusal = too_long(payload, client_bound(world, small_params))
     assert reply.mtype == T.MSG_ABORT
-    assert reply.payload.startswith(b"FormatError: seeded aggregate holds "
-                                    b"2 chunks")
-    assert errors and "fill 1" in str(errors[0])
+    assert reply.payload.startswith(b"ProtocolError: client 0, round 0: "
+                                    + refusal.encode())
+    assert errors and refusal in str(errors[0])
     assert expanded == 0
 
 
@@ -912,16 +960,21 @@ def test_global_naming_a_thousand_clients_expands_no_seed(world,
                                                           small_params,
                                                           monkeypatch):
     """A GLOBAL whose counts are not the run's is refused before any of
-    its clients' seeds is expanded: 1,000 clients, or one client of
-    40,000 samples, whose c0 drops 22 low bits, not the run's 23."""
-    for counts in ([1] * 1000, [40000]):
+    its clients' seeds is expanded: 1,000 clients, whose seeds make the
+    frame longer than the run's bound, by its length, and one client of
+    40,000 samples, whose c0 drops 22 low bits, not the run's 23, by its
+    counts."""
+    thousand = seeded_global(client_upload(world), [1] * 1000, 1)
+    for counts, refusal in (
+            ([1] * 1000, "client 0, round 0: " + too_long(
+                thousand, client_bound(world, small_params))),
+            ([40000], "GLOBAL carries 1 sample counts totalling 40000")):
         reply, errors, expanded = global_against_client(
             world, small_params,
             lambda upd: seeded_global(upd, counts, 1), monkeypatch)
         assert reply.mtype == T.MSG_ABORT
         assert reply.payload.startswith(
-            f"ProtocolError: GLOBAL carries {len(counts)} sample counts "
-            f"totalling {sum(counts)}".encode())
+            f"ProtocolError: {refusal}".encode())
         assert errors and isinstance(errors[0], ProtocolError)
         assert expanded == 0
 
@@ -929,15 +982,17 @@ def test_global_naming_a_thousand_clients_expands_no_seed(world,
 def test_ckv2_global_aborts_transport_client(world, small_params,
                                              monkeypatch):
     """A full `CKV6` batch, the layout of the GLOBAL before seeded
-    aggregates, is refused by name on an fhe run, and the client sends
-    ABORT."""
+    aggregates, is longer than any GLOBAL of an fhe run: it is refused
+    by its frame's length, and the client sends ABORT."""
+    payload = serialize_ciphertext(client_upload(world).chunks[:])
     reply, errors, expanded = global_against_client(
-        world, small_params,
-        lambda upd: serialize_ciphertext(upd.chunks[:]), monkeypatch)
+        world, small_params, lambda upd: payload, monkeypatch)
+    refusal = too_long(payload, client_bound(world, small_params))
     assert reply.mtype == T.MSG_ABORT
-    assert reply.payload == (b"FormatError: expected seeded aggregate but "
-                             b"found ciphertext artifact")
-    assert errors and isinstance(errors[0], FormatError)
+    assert reply.payload == (b"ProtocolError: client 0, round 0: "
+                             + refusal.encode()
+                             + b" (corrupted length prefix?)")
+    assert errors and isinstance(errors[0], ProtocolError)
     assert expanded == 0
 
 
@@ -1263,7 +1318,7 @@ def test_wrong_mode_update_aborts_every_client(world):
 
 def test_mixed_scale_update_aborts_every_client(world, small_params):
     """Client 1 sends a well-formed batch at half client 0's scale Δ.
-    A `CKU1` upload is the one-client, one-sample case of the scale rule
+    A `CKU2` upload is the one-client, one-sample case of the scale rule
     Δ·Σ n, so the server refuses it by name before it is averaged."""
     upd = encrypt_model(world["init"], QuantizationSpec(), world["keys"],
                         client_id=1, sample_count=10, round_index=0,
