@@ -23,12 +23,11 @@ from ..model import HybridModel, flatten_weights, unflatten_weights
 from .quantize import QuantizationSpec, quantize
 
 # A sample adds at most clip_range * scale to a coefficient of the
-# aggregate, plus its error e, a rounded Gaussian of deviation 3.2 that
-# stays far below this margin
+# aggregate, plus its error e, at most ops.ERROR_CLIP = 19 in magnitude
 NOISE_MARGIN = 1 << 10
-# 40 deviations of that error: a sample's share of the bound below which
-# the aggregate's summed error must stay for decryption to be exact
-# (docs/protocol.md, "Level-0 capacity and exact decryption")
+# a sample's share of the bound below which the aggregate's summed error
+# must stay for decryption to be exact, above the 19 that its error can
+# reach (docs/protocol.md, "Level-0 capacity and exact decryption")
 NOISE_TAIL = 1 << 7
 
 

@@ -29,6 +29,10 @@ from .poly import (COEFF, GAUSSIAN_STDDEV, NTT, RingPoly, ShoupPoly,
 
 SCALE_MATCH_RTOL = 2.0 ** -30
 SEED_BYTES = 32
+# a seeded upload's error is its rounded normal clipped at 6 deviations,
+# as SEAL's clipped normal sampler draws it: |e| <= 19 is a bound, not a
+# tail
+ERROR_CLIP = 19
 # hashed with a chunk's seed int into the 32-byte seed of its c1; the tag
 # predates every seeded layout since `CKV4` and keeps its bytes, so the
 # seeds do too
@@ -170,8 +174,9 @@ def encrypt_symmetric(pt: Plaintext, keys: KeyMaterial, rng_seed,
     Chunk i's 32-byte seed is SHA-256 of a tag and its int; c1 = a is
     expanded from that seed into the NTT domain, and c0 = INTT(-a*s) + m
     + e in the coefficient domain, one inverse NTT a chunk, of which the
-    first `count` coefficients are kept. The error e is drawn from a
-    generator seeded by the int itself, which never goes on the wire.
+    first `count` coefficients are kept. The error e, rounded normals
+    clipped to |e| <= ERROR_CLIP, is drawn from a generator seeded by the
+    int itself, which never goes on the wire.
     This is the compressed symmetric ciphertext of SEAL's
     Encryptor::encrypt_symmetric, cut to the coefficients that carry
     values: coefficient i of c0 with c1 is an LWE ciphertext of m_i + e_i
@@ -196,9 +201,10 @@ def encrypt_symmetric(pt: Plaintext, keys: KeyMaterial, rng_seed,
     # chunk j keeps min(N, count - j*N) coefficients, and its error is
     # that many rounded normals: the prefix of the N its generator draws
     # for a whole chunk, so the kept ones are the same
-    e = np.round(np.concatenate([np.random.default_rng(np.random.SeedSequence(
+    e = np.concatenate([np.random.default_rng(np.random.SeedSequence(
         [int(s), 0x5EC])).normal(0.0, GAUSSIAN_STDDEV, min(n, count - j * n))
-        for j, s in enumerate(ints)])).astype(np.int64)
+        for j, s in enumerate(ints)])
+    e = np.clip(np.round(e), -ERROR_CLIP, ERROR_CLIP).astype(np.int64)
     a = seeded_c1(seeds, (1,), params)
     q0 = a.q_column[0]
     e = np.where(e < 0, e + params.modulus_chain[0], e).view(np.uint64)

@@ -118,6 +118,39 @@ def test_decryption_exact_at_capacity(small_params, small_keys):
     assert np.array_equal(got, sums / (65535 * 2.0 ** 16))
 
 
+def test_clipped_errors_decrypt_exactly_at_capacity(small_params,
+                                                    small_keys, monkeypatch):
+    """With a deviation so wide that every drawn error clips, each upload
+    carries e = +-ERROR_CLIP on every coefficient, and the capacity's
+    sum of such uploads, weights at the ends of the clip range, still
+    decrypts to the plaintext arm's mean through the wire's rounded
+    GLOBAL."""
+    from cipherfed.fhe import decrypt_coeffs, ops
+    monkeypatch.setattr(ops, "GAUSSIAN_STDDEV", 1e12)
+    spec = QuantizationSpec()
+    counts = [1, 2, 999, 4096, 7000, 12345, 16384, 24708]
+    assert sum(counts) == sample_capacity(small_params, spec)
+    template = M.init_model(600, PqcArchitecture(qubit_count=3, depth=2), 3,
+                            rng_seed=1)
+    edges = spec.clip_range * np.where(
+        np.arange(template.param_count) % 3, 1.0, -1.0)
+    enc, plain = [], []
+    for k, n_k in enumerate(counts):
+        m = M.unflatten_weights(template, edges * (-1) ** k)
+        enc.append(encrypt_model(m, spec, small_keys, client_id=k,
+                                 sample_count=n_k, round_index=0,
+                                 rng_seed=k))
+        plain.append(plain_update(m, spec, k, n_k, 0))
+        error = (decrypt_coeffs(enc[-1].chunks, small_keys)
+                 - np.round(plain[-1].values * small_params.scale))
+        assert set(np.abs(error).tolist()) == {ops.ERROR_CLIP}
+    agg = transport.decode_global(transport.encode_global(
+        server.aggregate(enc, small_params)), small_params,
+        template.param_count, spec)
+    got = flatten_weights(decrypt_and_load(agg, small_keys, template, spec))
+    assert np.array_equal(got, server.aggregate_plain(plain))
+
+
 # the three specs at their capacities and the benchmark's three sample
 # totals (desk, wide, socket), each with the low bits a GLOBAL drops
 ROUNDED = {"defaults-at-capacity": (QuantizationSpec(), 65535, 7),
