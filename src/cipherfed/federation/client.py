@@ -83,7 +83,7 @@ def sample_capacity(params: EncryptionParams, spec: QuantizationSpec) -> int:
 def dropped_bits(params: EncryptionParams, spec: QuantizationSpec,
                  n_total: int) -> int:
     """The low bits d that a GLOBAL of n_total samples rounds away from
-    each coefficient of its c0 (`CKA2`): the largest d >= 0 for which
+    each coefficient of its c0 (`CKA3`): the largest d >= 0 for which
     both halves of the `sample_capacity` bound still hold with the up to
     2^(d-1) that rounding to a multiple of 2^d adds. The server rounds
     the sum, so that error enters once, not once per sample:

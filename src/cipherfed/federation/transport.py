@@ -7,10 +7,10 @@ socket. Serialization is lossless, so a socket run's results equal the
 direct transport's. Every binary payload is read through a
 bounds-checked `Reader` and must be consumed exactly. An UPDATE or
 GLOBAL payload is one artifact, which the run's mode picks: on an fhe
-run a `CKU2` seeded upload up and a `CKA2` seeded aggregate down, each
+run a `CKU3` seeded upload up and a `CKA3` seeded aggregate down, each
 carrying the P = param_count coefficients of c0 that hold weights and
 seeds in place of c1; on a plaintext run `CKF1` both ways. Either
-reader takes P from the run, not from the payload. A `CKA2` rounds away
+reader takes P from the run, not from the payload. A `CKA3` rounds away
 the low bits of c0 that the run's quantization spec and the GLOBAL's
 sample counts leave to decryption's rounding (`client.dropped_bits`),
 and each end stamps a decoded batch with its own run's spec. A METRICS
@@ -165,7 +165,7 @@ def decode_join(payload: bytes) -> int:
 
 
 def encode_update(update) -> bytes:
-    """An UPDATE payload: the update's artifact alone, `CKU2` or `CKF1`."""
+    """An UPDATE payload: the update's artifact alone, `CKU3` or `CKF1`."""
     if isinstance(update, ClientUpdate):
         return serialize_seeded(update.chunks)
     return serialize_float_vector(update.values)
@@ -194,14 +194,14 @@ def decode_update(payload: bytes, round_index: int, params, client_id: int,
 
 def encode_global(agg) -> bytes:
     """A plaintext mean as `CKF1`, an aggregate of seeded uploads as
-    `CKA2`, rounded by the bits that its quantization and sample total
+    `CKA3`, rounded by the bits that its quantization and sample total
     drop; any other aggregate, or one that records no quantization, is
     a FormatError."""
     if isinstance(agg, np.ndarray):
         return serialize_float_vector(agg)
     if getattr(agg, "quantization", None) is None:
         raise FormatError("only a sum of seeded uploads that records its "
-                          "quantization spec is written as CKA2")
+                          "quantization spec is written as CKA3")
     return serialize_seeded_sum(agg, dropped_bits(
         agg.params, agg.quantization, sum(agg.counts)))
 
@@ -210,7 +210,7 @@ def decode_global(payload: bytes, params, param_count: int,
                   quantization: QuantizationSpec = QuantizationSpec()):
     """The one artifact that is a GLOBAL payload for a model of
     `param_count` parameters: on an fhe run, where `params` is given, a
-    `CKA2` seeded aggregate of that many coefficients whose c0 drops the
+    `CKA3` seeded aggregate of that many coefficients whose c0 drops the
     bits that the run's `quantization` gives for its sample counts,
     stamped with that spec, and on a plaintext run a `CKF1` vector of
     that many values. Whether the counts are the run's is the caller's

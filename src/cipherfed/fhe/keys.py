@@ -1,8 +1,10 @@
 """Key generation: the secret key and the public encryption key.
 
-Keys are poly.ShoupPolys. The public key's uniform pk1 = a travels as
-a 32-byte seed. A run encrypts, sums and decrypts over q0 alone, so
-key material builds s's q0 row and waits for a use of any other.
+The public key and s's NTT rows are poly.ShoupPolys; the public key's
+uniform pk1 = a travels as a 32-byte seed. A run encrypts, sums and
+decrypts over q0 alone, in the coefficient domain, so key material
+builds only s's FFT spectrum (fftmath.TernaryProduct) and builds each
+NTT row of s, and the public key, on first use.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fftmath import TernaryProduct
 from .params import EncryptionParams
 from .poly import (NTT, RingPoly, ShoupPoly, expand_seed, from_signed_coeffs,
                    ntt_forward, sample_gaussian)
@@ -42,17 +45,18 @@ class PublicMaterial:
 
 
 class KeyMaterial:
-    """The ternary secret's N coefficients `secret` and its public
-    material: `public`, or else pk0 = -(a*s) + e and pk1 = a, built on
-    first read from `draws`, keygen's generator where the draw of s left
-    it: the seed of a, then e."""
+    """The ternary secret's N coefficients `secret`, `times_secret`
+    (x -> x*s mod q0 for coefficient-domain x), and its public material:
+    `public`, or else pk0 = -(a*s) + e and pk1 = a, built on first read
+    from `draws`, keygen's generator where the draw of s left it: the
+    seed of a, then e."""
 
     def __init__(self, params: EncryptionParams, secret: np.ndarray,
                  public: PublicMaterial | None = None, draws=None):
         self.params, self.secret = params, secret  # int64 in {-1, 0, 1}
         self._public, self._draws = public, draws
         self._lock, self._rows = threading.Lock(), {}
-        self.secret_rows((0,))
+        self.times_secret = TernaryProduct(secret, params)
 
     @property
     def public(self) -> PublicMaterial:

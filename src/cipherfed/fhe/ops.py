@@ -4,7 +4,9 @@ multiplication and rescaling.
 Ciphertexts are (c0, c1) pairs in the NTT domain; residues shaped
 (chunks, rows, N) make a batch with one level and one scale. A
 SeededBatch is the federation's level-0 upload or aggregate: the
-coefficients of c0 that carry values, and seeds in place of c1. Only the
+coefficients of c0 that carry values, and seeds in place of c1, all in
+the coefficient domain, where the products by s are exact float64 FFTs
+(fftmath) and no NTT runs. Only the
 operations the encrypted weighted-average pipeline needs are provided;
 there is no ciphertext-ciphertext multiplication and no bootstrapping.
 """
@@ -25,7 +27,7 @@ from .nttmath import (addmod, multipliers, shoup_constant, shoup_mul, submod,
 from .params import EncryptionParams
 from .poly import (COEFF, GAUSSIAN_STDDEV, NTT, RingPoly, ShoupPoly,
                    centered, expand_seed, from_signed_coeffs, ntt_forward,
-                   ntt_inverse, sample_gaussian, sample_ternary)
+                   sample_gaussian, sample_ternary)
 
 SCALE_MATCH_RTOL = 2.0 ** -30
 SEED_BYTES = 32
@@ -79,8 +81,8 @@ class SeededBatch:
     c0 holds the first P coefficients of sum_k counts[k] * c0_k mod q0 in
     the coefficient domain: coefficient j*N + i is coefficient i of chunk
     j, and each chunk's coefficients past P are dropped. c1 = sum_k
-    counts[k] * a_k stays in the NTT domain and never travels: chunk j of
-    a_k is expanded from seeds[k * c + j]. `a`, when given, is that c1
+    counts[k] * a_k, also in the coefficient domain, never travels: chunk
+    j of a_k is expanded from seeds[k * c + j]. `a`, when given, is that c1
     already in memory, as encryption and an aggregate of such uploads
     hold it; otherwise `c1` expands the seeds. An upload has counts (1,),
     an aggregate the clients' sample counts. `quantization` is the
@@ -117,13 +119,15 @@ class SeededBatch:
 
     def __getitem__(self, i) -> Ciphertext:
         """Chunk i (a slice gives a sub-batch) as an NTT-domain
-        Ciphertext whose dropped c0 coefficients are 0: its first P
-        coefficients decrypt as this batch's do."""
+        Ciphertext, the forward NTTs of c0, whose dropped coefficients
+        are 0, and of c1: its first P coefficients decrypt as this
+        batch's do."""
         n = self.params.ring_degree
         c0 = np.zeros((len(self), 1, n), dtype=np.uint64)
         c0.reshape(-1)[:self.c0.size] = self.c0
-        c0 = ntt_forward(RingPoly(self.params, (0,), c0, COEFF))
-        return Ciphertext(c0, self.c1, self.scale, 0)[i]
+        c0, c1 = (ntt_forward(p) for p in
+                  (RingPoly(self.params, (0,), c0, COEFF), self.c1))
+        return Ciphertext(c0, c1, self.scale, 0)[i]
 
 
 def encrypt(pt: Plaintext, keys, rng_seed=0) -> Ciphertext:
@@ -150,18 +154,19 @@ def encrypt(pt: Plaintext, keys, rng_seed=0) -> Ciphertext:
 
 
 def seeded_c1(seeds, counts, params: EncryptionParams) -> RingPoly:
-    """The level-0 NTT-domain c1 of a seeded batch: sum_k counts[k] * a_k
-    mod q0, in client order, where chunk j of a_k is expanded from
-    seeds[k * c + j] for c chunks. With counts (1,) that is one upload's
-    c1; with the clients' sample counts it is, residue for residue, the
-    sum that server.aggregate forms from the uploads' a_k."""
+    """The level-0 coefficient-domain c1 of a seeded batch: sum_k
+    counts[k] * a_k mod q0, in client order, where chunk j of a_k is
+    expanded from seeds[k * c + j] for c chunks. With counts (1,) that
+    is one upload's c1; with the clients' sample counts it is, residue
+    for residue, the sum that server.aggregate forms from the uploads'
+    a_k."""
     q0, n = params.modulus_chain[0], params.ring_degree
     c = len(seeds) // len(counts)
     a = (np.stack([expand_seed(s, q0, n) for s in seeds[k * c:(k + 1) * c]]
                   )[:, None, :] for k in range(len(counts)))
     q = params.q_column((0,))
     return RingPoly(params, (0,), weighted_sum(a, multipliers(counts, q), q),
-                    NTT)
+                    COEFF)
 
 
 def encrypt_symmetric(pt: Plaintext, keys: KeyMaterial, rng_seed,
@@ -172,9 +177,9 @@ def encrypt_symmetric(pt: Plaintext, keys: KeyMaterial, rng_seed,
     the ceil(count / N) chunks that `count` fills.
 
     Chunk i's 32-byte seed is SHA-256 of a tag and its int; c1 = a is
-    expanded from that seed into the NTT domain, and c0 = INTT(-a*s) + m
-    + e in the coefficient domain, one inverse NTT a chunk, of which the
-    first `count` coefficients are kept. The error e, rounded normals
+    expanded from that seed into the coefficient domain, and c0 = m + e
+    - a*s, a*s one exact FFT product a chunk (keys.times_secret), of
+    which the first `count` coefficients are kept. The error e, rounded normals
     clipped to |e| <= ERROR_CLIP, is drawn from a generator seeded by the
     int itself, which never goes on the wire.
     This is the compressed symmetric ciphertext of SEAL's
@@ -209,7 +214,7 @@ def encrypt_symmetric(pt: Plaintext, keys: KeyMaterial, rng_seed,
     q0 = a.q_column[0]
     e = np.where(e < 0, e + params.modulus_chain[0], e).view(np.uint64)
     m_e = addmod(poly.residues.reshape(-1)[:count], e, q0)
-    a_s = ntt_inverse(a.mul_fixed(keys.secret_rows((0,)))).residues.reshape(-1)
+    a_s = keys.times_secret(a.residues).reshape(-1)
     return SeededBatch(params, submod(m_e, a_s[:count], q0), pt.scale, seeds,
                        (1,), a=a)
 
@@ -223,10 +228,10 @@ def _check_keys(keys, params: EncryptionParams) -> None:
 
 def decrypt_coeffs(batch: SeededBatch, keys: KeyMaterial) -> np.ndarray:
     """The P coefficients of c0 + c1*s, centered mod q0 as exact int64,
-    as decode_coeffs gives them: the first P coefficients of INTT(c1*s),
-    one inverse NTT a chunk, plus c0."""
+    as decode_coeffs gives them: the first P coefficients of c1*s, one
+    exact FFT product a chunk (keys.times_secret), plus c0."""
     _check_keys(keys, batch.params)
-    c1s = ntt_inverse(batch.c1.mul_fixed(keys.secret_rows((0,)))).residues
+    c1s = keys.times_secret(batch.c1.residues)
     q0 = batch.params.modulus_chain[0]
     return centered(addmod(batch.c0, c1s.reshape(-1)[:batch.c0.size],
                            np.uint64(q0)), q0)

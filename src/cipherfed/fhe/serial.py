@@ -5,7 +5,8 @@ the 8-byte parameter digest, so a reader can reject material from a
 different parameter set before touching the payload. Polynomials are
 stored in the NTT domain, each residue row packed at its prime's bit
 length; a seeded upload or aggregate carries only the first P
-coefficients of its coefficient-domain c0, and seeds in place of c1,
+coefficients of its coefficient-domain c0, and seeds in place of its
+coefficient-domain c1,
 in one c0 block for both: the coefficients rounded to a multiple of 2^d
 (d = 0 in an upload, and in an aggregate the low bits that decryption
 drops anyway), at the bits that are left. One codec, word shifts
@@ -31,8 +32,8 @@ from .params import EncryptionParams
 from .poly import NTT, RingPoly, ShoupPoly, ntt_inverse
 
 MAGIC_CIPHERTEXT = b"CKV6"
-MAGIC_SEEDED = b"CKU2"
-MAGIC_SEEDED_SUM = b"CKA2"
+MAGIC_SEEDED = b"CKU3"
+MAGIC_SEEDED_SUM = b"CKA3"
 MAGIC_SECRET_KEY = b"CKS3"
 MAGIC_PUBLIC_KEY = b"CKP3"
 MAGIC_FLOAT_VECTOR = b"CKF1"
@@ -43,12 +44,14 @@ TRAILER_BYTES = 16
 # header it shares: named, so that a reader can say what it found, but
 # never read (`CKV3` held slot-packed chunks, `CKV2`, `CKV4` and `CKV5`
 # 64-bit residues, `CKV7` and `CKV8` all N coefficients of c0, `CKA1`
-# every bit of c0's P coefficients, and `CKU1` them as a one-row residue
-# block)
+# every bit of c0's P coefficients, `CKU1` them as a one-row residue
+# block, and `CKU2` and `CKA2` a c0 made with seeds expanded into the
+# NTT domain)
 RETIRED_BATCHES = {b"CKV2": MAGIC_CIPHERTEXT, b"CKV3": MAGIC_SEEDED,
                    b"CKV4": MAGIC_SEEDED, b"CKV5": MAGIC_SEEDED_SUM,
                    b"CKV7": MAGIC_SEEDED, b"CKV8": MAGIC_SEEDED_SUM,
-                   b"CKA1": MAGIC_SEEDED_SUM, b"CKU1": MAGIC_SEEDED}
+                   b"CKA1": MAGIC_SEEDED_SUM, b"CKU1": MAGIC_SEEDED,
+                   b"CKU2": MAGIC_SEEDED, b"CKA2": MAGIC_SEEDED_SUM}
 # the key files that `CKS3` and `CKP3` replaced, named likewise
 RETIRED_KEYS = (b"CKS2", b"CKP1", b"CKP2")
 _REGENERATE = "no longer read; regenerate with `cipherfed keygen`"
@@ -66,6 +69,8 @@ MAGIC_KINDS = {MAGIC_CIPHERTEXT: "ciphertext",
                b"CKV8": "full-ring seeded aggregate (CKV8, no longer read)",
                b"CKA1": "unrounded seeded aggregate (CKA1, no longer read)",
                b"CKU1": "one-row seeded ciphertext (CKU1, no longer read)",
+               b"CKU2": "NTT-seeded ciphertext (CKU2, no longer read)",
+               b"CKA2": "NTT-seeded aggregate (CKA2, no longer read)",
                MAGIC_SECRET_KEY: "secret key", MAGIC_PUBLIC_KEY: "public key",
                b"CKS2": f"secret key (CKS2, {_REGENERATE})",
                b"CKP1": f"public key (CKP1, {_REGENERATE})",
@@ -376,22 +381,22 @@ def _seeded_bytes(batch: SeededBatch, magic: bytes, head: bytes,
 
 
 def serialize_seeded(batch: SeededBatch) -> bytes:
-    """One `CKU2` upload, an encrypt_symmetric output: the header, each
+    """One `CKU3` upload, an encrypt_symmetric output: the header, each
     chunk's seed, then the c0 block of its P coefficients at d = 0; c1
     is left to the seeds."""
     if not isinstance(batch, SeededBatch) or batch.counts != (1,):
         raise FormatError("only a seeded ciphertext of one upload is "
-                          "written as CKU2")
+                          "written as CKU3")
     return _seeded_bytes(batch, MAGIC_SEEDED, b"", 0)
 
 
 def serialize_seeded_sum(batch: SeededBatch, dropped: int) -> bytes:
-    """One `CKA2` aggregate, a weighted sum of seeded uploads from
+    """One `CKA3` aggregate, a weighted sum of seeded uploads from
     server.aggregate: the header, the client count K, the K sample
     counts, each client's chunk seeds client after client, then the c0
     block of its P coefficients at d = `dropped`."""
     if not isinstance(batch, SeededBatch):
-        raise FormatError("only a sum of seeded uploads is written as CKA2")
+        raise FormatError("only a sum of seeded uploads is written as CKA3")
     k = len(batch.counts)
     return _seeded_bytes(batch, MAGIC_SEEDED_SUM,
                          struct.pack(f"<H{k}Q", k, *batch.counts), dropped)
@@ -419,7 +424,7 @@ def _read_rounded(r: Reader, q0: int, dropped: int, total: int,
 
 def _read_seeded(data: bytes, params: EncryptionParams, magic: bytes,
                  param_count: int, dropped) -> SeededBatch:
-    """A `CKU2` (one upload, counts (1,)) or a `CKA2` batch of
+    """A `CKU3` (one upload, counts (1,)) or a `CKA3` batch of
     `param_count` coefficients, its c0 block rounded by
     `dropped(n_total)` bits. Every check runs before any field past the
     header is read: the scale, a chunk count of ceil(param_count / N),
@@ -448,19 +453,19 @@ def _read_seeded(data: bytes, params: EncryptionParams, magic: bytes,
 
 def deserialize_seeded(data: bytes, params: EncryptionParams,
                        param_count: int) -> SeededBatch:
-    """A `CKU2` upload of `param_count` coefficients, whose c0 block
-    drops no bits. A `CKV3`, `CKV4`, `CKV7` or `CKU1` upload is refused
-    by its magic."""
+    """A `CKU3` upload of `param_count` coefficients, whose c0 block
+    drops no bits. A `CKV3`, `CKV4`, `CKV7`, `CKU1` or `CKU2` upload is
+    refused by its magic."""
     return _read_seeded(data, params, MAGIC_SEEDED, param_count,
                         lambda total: 0)
 
 
 def deserialize_seeded_sum(data: bytes, params: EncryptionParams,
                            param_count: int, dropped) -> SeededBatch:
-    """A `CKA2` aggregate of `param_count` coefficients whose c0 must
+    """A `CKA3` aggregate of `param_count` coefficients whose c0 must
     drop the `dropped(n_total)` low bits that the reader's run gives for
-    the sample total n_total of its counts. A `CKV5`, `CKV8` or `CKA1`
-    is refused by its magic."""
+    the sample total n_total of its counts. A `CKV5`, `CKV8`, `CKA1` or
+    `CKA2` is refused by its magic."""
     return _read_seeded(data, params, MAGIC_SEEDED_SUM, param_count,
                         dropped)
 

@@ -110,10 +110,10 @@ def test_seeded_batch_equals_per_chunk(small_params, small_keys):
 def per_chunk_update(model, keys, rng_seed):
     """The UPDATE payload built chunk by chunk, one coefficient packing and
     one seeded encrypt per ring_degree-sized slice, laid out by hand: the
-    `CKU2` header, every chunk's seed, then the c0 block: d = 0 low bits
+    `CKU3` header, every chunk's seed, then the c0 block: d = 0 low bits
     dropped, q0's width byte and the chunks' coefficients that hold
     parameters, chunk after chunk, at that width, then the trailer. The
-    reference for the batch path and for `CKU2`."""
+    reference for the batch path and for `CKU3`."""
     params = keys.params
     weights = quantize(flatten_weights(model), QuantizationSpec())
     n = params.ring_degree
@@ -124,7 +124,7 @@ def per_chunk_update(model, keys, rng_seed):
            for i, start in enumerate(range(0, weights.size, n))]
     top = cts[0]
     width = bytes([params.modulus_chain[0].bit_length()])
-    out = [b"CKU2", params.digest,
+    out = [b"CKU3", params.digest,
            struct.pack("<BdH", top.level, top.scale, len(cts))]
     out.extend(ct.seeds[0] for ct in cts)
     out.append(bytes([0]) + width)

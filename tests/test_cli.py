@@ -343,11 +343,12 @@ def test_inspect_seeded_batch(tmp_path, capsys, small_params, small_keys):
     assert "widths : 61 bits" in out and "P      : 1027 coefficients" in out
     assert "dropped: 0 low bits" in out
     # an upload from before coefficient packing, of all N coefficients,
-    # or of a one-row block, is named after its header, not read, and
-    # exits 3
+    # of a one-row block or with an NTT-domain a, is named after its
+    # header, not read, and exits 3
     for old, kind in ((b"CKV3", "slot-packed seeded ciphertext"),
                       (b"CKV7", "full-ring seeded ciphertext"),
-                      (b"CKU1", "one-row seeded ciphertext")):
+                      (b"CKU1", "one-row seeded ciphertext"),
+                      (b"CKU2", "NTT-seeded ciphertext")):
         p.write_bytes(old + serialize_seeded(ct)[4:])
         assert main(["inspect", str(p)]) == 3
         captured = capsys.readouterr()
@@ -356,9 +357,10 @@ def test_inspect_seeded_batch(tmp_path, capsys, small_params, small_keys):
 
 
 def test_inspect_seeded_aggregate(tmp_path, capsys, small_keys):
-    """A `CKA2` GLOBAL of 8 samples drops 23 of q0's 61 bits: inspect
-    prints its width, d, P, K and counts. The unrounded `CKA1` and the
-    full-ring `CKV8` are named after their header and exit 3."""
+    """A `CKA3` GLOBAL of 8 samples drops 23 of q0's 61 bits: inspect
+    prints its width, d, P, K and counts. The unrounded `CKA1`, the
+    full-ring `CKV8` and the NTT-seeded `CKA2` are named after their
+    header and exit 3."""
     from cipherfed.federation.transport import encode_global
     p = tmp_path / "global.ct"
     blob = encode_global(seeded_aggregate(small_keys, 2, (3, 5), 1030))
@@ -372,7 +374,8 @@ def test_inspect_seeded_aggregate(tmp_path, capsys, small_keys):
     assert "P      : 1030 coefficients" in out
     assert f"size   : {len(blob)} bytes" in out
     for old, kind in ((b"CKA1", "unrounded seeded aggregate"),
-                      (b"CKV8", "full-ring seeded aggregate")):
+                      (b"CKV8", "full-ring seeded aggregate"),
+                      (b"CKA2", "NTT-seeded aggregate")):
         p.write_bytes(old + blob[4:])
         assert main(["inspect", str(p)]) == 3
         captured = capsys.readouterr()
@@ -404,7 +407,9 @@ def test_inspect_unknown_magic_exits_3(tmp_path, capsys):
                                         ("CKU1", 22), ("CKA1", 9),
                                         ("CKA1", 24), ("CKA2", 9),
                                         ("CKA2", 24), ("CKU2", 9),
-                                        ("CKU2", 22)])
+                                        ("CKU2", 22), ("CKA3", 9),
+                                        ("CKA3", 24), ("CKU3", 9),
+                                        ("CKU3", 22)])
 def test_inspect_truncated_header_exits_3(tmp_path, capsys, magic, size):
     p = tmp_path / "short.bin"
     p.write_bytes(magic.encode().ljust(size, b"\0"))
@@ -416,7 +421,7 @@ def batch_header(magic: str, level: int, scale: float, chunks: int,
                  counts=None) -> bytes:
     """A batch header under a zero digest, and a trailer that matches;
     `counts`, if given, as the client count K and the K sample counts
-    of a `CKA2`."""
+    of a `CKA3`."""
     head = magic.encode() + bytes(8) + struct.pack("<BdH", level, scale,
                                                    chunks)
     if counts is not None:
@@ -425,13 +430,13 @@ def batch_header(magic: str, level: int, scale: float, chunks: int,
 
 
 @pytest.mark.parametrize("blob,refusal", [
-    (batch_header("CKU2", 0, float("nan"), 0), "not finite and positive"),
+    (batch_header("CKU3", 0, float("nan"), 0), "not finite and positive"),
     (batch_header("CKV6", 0, 0.0, 1), "not finite and positive"),
-    (batch_header("CKU2", 0, 2.0 ** 40, 0), "no chunks"),
-    (batch_header("CKA2", 7, 2.0 ** 40, 1, ()), "names no clients"),
-    (batch_header("CKA2", 0, 2.0 ** 40, 1, (3, 0)), "sample count of 0"),
-    (batch_header("CKA2", 7, 2.0 ** 40, 1, (1,)), "at level 7"),
-    (batch_header("CKU2", 2, 2.0 ** 40, 1), "at level 2"),
+    (batch_header("CKU3", 0, 2.0 ** 40, 0), "no chunks"),
+    (batch_header("CKA3", 7, 2.0 ** 40, 1, ()), "names no clients"),
+    (batch_header("CKA3", 0, 2.0 ** 40, 1, (3, 0)), "sample count of 0"),
+    (batch_header("CKA3", 7, 2.0 ** 40, 1, (1,)), "at level 7"),
+    (batch_header("CKU3", 2, 2.0 ** 40, 1), "at level 2"),
     (b"CKF1" + struct.pack("<I", 100) + b"abc", "needs 808")],
     ids=["nan-scale", "zero-scale", "no-chunks", "no-clients", "zero-count",
          "seeded-sum-level", "seeded-level", "vector-overrun"])
@@ -455,7 +460,7 @@ def seeded_upload_blob(small_params, small_keys) -> bytes:
 
 def test_inspect_refuses_a_cut_upload(tmp_path, capsys, small_params,
                                       small_keys):
-    """A `CKU2` upload cut to 100 bytes fails its trailer; cut and
+    """A `CKU3` upload cut to 100 bytes fails its trailer; cut and
     resealed, it fails the length its header and width byte imply."""
     blob = seeded_upload_blob(small_params, small_keys)
     p = tmp_path / "update.ct"

@@ -149,12 +149,12 @@ def formats(small_params):
                                lambda b: deserialize_ciphertext(b, params),
                                use_ct)
            for n, c in ((1, ct), *batches.items())},
-        **{f"CKU2-{n}": Format(serialize_seeded(c),
+        **{f"CKU3-{n}": Format(serialize_seeded(c),
                                lambda b, n=n: deserialize_seeded(
                                    b, params, tail_count(params, n)),
                                use_seeded)
            for n, c in seeded.items()},
-        **{f"CKA2-{n}": Format(T.encode_global(c),
+        **{f"CKA3-{n}": Format(T.encode_global(c),
                                lambda b, n=n: read_sum(
                                    b, params, tail_count(params, n)),
                                use_seeded)
@@ -170,7 +170,7 @@ def formats(small_params):
     }
 
 
-# the sample counts of the `CKA2` formats, by chunk count
+# the sample counts of the `CKA3` formats, by chunk count
 SUM_COUNTS = {1: (12, 30), 2: (5, 1, 7)}
 
 
@@ -189,13 +189,13 @@ def tail_count(params, chunks: int) -> int:
 
 
 NAMES = ["frame-body", "JOIN", "UPDATE-fhe", "UPDATE-plain", "GLOBAL-fhe",
-         "GLOBAL-plain", "METRICS", "CKV6-1", "CKV6-2", "CKV6-7", "CKU2-1",
-         "CKU2-2", "CKU2-7", "CKA2-1", "CKA2-2", "CKP3", "CKS3", "CKF1",
+         "GLOBAL-plain", "METRICS", "CKV6-1", "CKV6-2", "CKV6-7", "CKU3-1",
+         "CKU3-2", "CKU3-7", "CKA3-1", "CKA3-2", "CKP3", "CKS3", "CKF1",
          "CKM1"]
 
 
 # the ids the formats' cases have kept across layout changes
-_CASE_IDS = {"CKV6": "CKV2", "CKU2": "CKV3", "CKA2": "CKV5", "CKP3": "CKP1",
+_CASE_IDS = {"CKV6": "CKV2", "CKU3": "CKV3", "CKA3": "CKV5", "CKP3": "CKP1",
              "CKS3": "CKS2"}
 
 
@@ -297,11 +297,11 @@ def sealed_cuts(body: bytes):
 
 
 def test_unsealed_bit_flip_anywhere_refused(formats, monkeypatch):
-    """One bit flipped anywhere in a `CKU2` UPDATE or a `CKA2` GLOBAL,
+    """One bit flipped anywhere in a `CKU3` UPDATE or a `CKA3` GLOBAL,
     trailer included, and the trailer not recomputed, is refused before
     any seed is expanded: nothing is averaged in silently."""
     calls = count_expansions(monkeypatch)
-    for name in ("UPDATE-fhe", "CKA2-1"):
+    for name in ("UPDATE-fhe", "CKA3-1"):
         fmt = formats[name]
         for pos in range(len(fmt.blob)):
             blob = bytearray(fmt.blob)
@@ -313,9 +313,9 @@ def test_unsealed_bit_flip_anywhere_refused(formats, monkeypatch):
     assert calls == []
 
 
-# --- the seeded upload, `CKU2` ----------------------------------------------
+# --- the seeded upload, `CKU3` ----------------------------------------------
 
-SEEDED = ["CKU2-1", "CKU2-2", "CKU2-7"]
+SEEDED = ["CKU3-1", "CKU3-2", "CKU3-7"]
 
 
 @pytest.mark.parametrize("name", SEEDED, ids=case_id)
@@ -349,34 +349,34 @@ def test_seeded_residue_at_prime_rejected(formats, small_params, name):
 
 
 def test_seeded_without_chunks_rejected(formats):
-    blob = patched(formats["CKU2-1"].blob, "H", 21, 0)
+    blob = patched(formats["CKU3-1"].blob, "H", 21, 0)
     with pytest.raises(FormatError, match="no chunks"):
-        formats["CKU2-1"].decode(blob)
+        formats["CKU3-1"].decode(blob)
 
 
 @pytest.mark.parametrize("factor", [2.0, 0.5])
 def test_seeded_scale_other_than_delta_rejected(formats, small_params,
                                                 monkeypatch, factor):
-    """A `CKU2` upload is the case K = 1, n = 1 of the rule scale =
+    """A `CKU3` upload is the case K = 1, n = 1 of the rule scale =
     Δ·Σ n, so a scale of 2Δ or Δ/2 is refused before any expansion."""
-    blob = patched(formats["CKU2-2"].blob, "d", 13,
+    blob = patched(formats["CKU3-2"].blob, "d", 13,
                    small_params.scale * factor)
     calls = count_expansions(monkeypatch)
     with pytest.raises(FormatError, match="seeded ciphertext scale .* is "
                                           "not the scale times its 1 samples"):
-        formats["CKU2-2"].decode(blob)
+        formats["CKU3-2"].decode(blob)
     assert calls == []
 
 
 def test_seeded_wrong_digest_rejected(formats):
-    blob = patched(formats["CKU2-2"].blob, "B", 4,
-                   formats["CKU2-2"].blob[4] ^ 1)
+    blob = patched(formats["CKU3-2"].blob, "B", 4,
+                   formats["CKU3-2"].blob[4] ^ 1)
     with pytest.raises(ParameterError, match="digest mismatch"):
-        formats["CKU2-2"].decode(blob)
+        formats["CKU3-2"].decode(blob)
 
 
 def test_public_key_batch_in_fhe_update_rejected(formats, small_params):
-    """On an fhe run an UPDATE carries `CKU2` only; a `CKV6` batch is a
+    """On an fhe run an UPDATE carries `CKU3` only; a `CKV6` batch is a
     malformed payload."""
     with pytest.raises(FormatError, match="expected seeded ciphertext but "
                                           "found ciphertext artifact"):
@@ -384,10 +384,10 @@ def test_public_key_batch_in_fhe_update_rejected(formats, small_params):
 
 
 def test_seeded_header_bit_flips_decode_or_raise(formats):
-    """Every one-bit flip of a `CKU2` header and first seed, resealed,
+    """Every one-bit flip of a `CKU3` header and first seed, resealed,
     decodes to a usable batch or raises; one in the magic or the digest
     always raises."""
-    fmt = formats["CKU2-1"]
+    fmt = formats["CKU3-1"]
     for pos in range(23 + 32):
         for bit in range(8):
             def flip(b):
@@ -458,7 +458,7 @@ def test_ckv3_update_aborts_every_client(keys, small_params):
 
 def as_cku1(update_payload: bytes) -> bytes:
     """The same UPDATE in the `CKU1` layout it replaced: that magic, and
-    a row count of 1 where `CKU2` holds d = 0, resealed."""
+    a row count of 1 where `CKU3` holds d = 0, resealed."""
     at = 23 + 32 * seeded_chunks(update_payload)
     assert update_payload[at:at + 2] == bytes([0, 61])
     return resealed(b"CKU1" + update_payload[4:],
@@ -527,9 +527,9 @@ def test_update_chunk_count_checked_before_any_expansion(keys, small_params,
     assert calls == []
 
 
-# --- the seeded aggregate, `CKA2` --------------------------------------------
+# --- the seeded aggregate, `CKA3` --------------------------------------------
 
-SUMS = ["CKA2-1", "CKA2-2"]
+SUMS = ["CKA3-1", "CKA3-2"]
 AT_K = 23  # the client count, after the `CKV6` header
 
 
@@ -595,7 +595,7 @@ HOSTILE = {"no clients": "names no clients",
 @pytest.mark.parametrize("hostile", HOSTILE)
 def test_hostile_seeded_aggregate_rejected_before_expansion(
         formats, small_params, monkeypatch, name, hostile):
-    """Every malformed `CKA2` is refused with a CipherfedError before
+    """Every malformed `CKA3` is refused with a CipherfedError before
     any of its seeds is expanded."""
     blob = hostile_sums(formats[name].blob, small_params.modulus_chain[0])[
         hostile]
@@ -618,9 +618,9 @@ BOTH = SEEDED + SUMS
 
 
 def header_bytes(blob: bytes) -> int:
-    """The length of a seeded batch's header: 23 bytes, and in a `CKA2`
+    """The length of a seeded batch's header: 23 bytes, and in a `CKA3`
     the client count and its u64 counts."""
-    if blob[:4] == b"CKU2":
+    if blob[:4] == b"CKU3":
         return 23
     return AT_K + 2 + 8 * struct.unpack_from("<H", blob, AT_K)[0]
 
@@ -665,8 +665,8 @@ def test_seeded_read_for_another_param_count_refused(formats, small_params,
 
 @pytest.mark.parametrize("name", BOTH, ids=case_id)
 def test_seeded_pad_bits_refused(formats, monkeypatch, name):
-    """27 coefficients of 61 bits (`CKU2`) leave 1 pad bit in the last
-    byte, and of 38 bits (`CKA2`, d = 23) 6; the top one set is
+    """27 coefficients of 61 bits (`CKU3`) leave 1 pad bit in the last
+    byte, and of 38 bits (`CKA3`, d = 23) 6; the top one set is
     refused."""
     fmt = formats[name]
     blob = resealed(fmt.blob, set_last_bit)
@@ -697,7 +697,7 @@ def test_seeded_every_append_and_truncation_expands_nothing(formats,
                          ids=["one bit fewer", "one bit more"])
 def test_aggregate_rounded_off_the_rule_refused(formats, keys, small_params,
                                                 monkeypatch, name, delta):
-    """A `CKA2` written to drop one bit more, or one fewer, than the
+    """A `CKA3` written to drop one bit more, or one fewer, than the
     reader's spec and its own counts give (d = 23 for both formats'
     totals) is refused before any seed is expanded."""
     chunks = int(name[-1])

@@ -251,9 +251,9 @@ def test_inexact_fractional_bits_is_config_error(small_params, bits,
 
 def full_ring_upload(pt, keys, ints):
     """The full-ring seeded upload that `CKV7` carried, rebuilt from the
-    CKKS primitives: c1 = a expanded from each chunk's seed, and c0 =
-    NTT(m + e) - a*s over all N coefficients, with the seeds and the
-    error drawn as encrypt_symmetric draws them."""
+    CKKS primitives: c1 = NTT(a), a expanded from each chunk's seed, and
+    c0 = NTT(m + e) - c1*s over all N coefficients, with the seeds and
+    the error drawn as encrypt_symmetric draws them."""
     import hashlib
 
     from cipherfed.fhe import Ciphertext
@@ -262,7 +262,7 @@ def full_ring_upload(pt, keys, ints):
     params = keys.params
     seeds = [hashlib.sha256(_SEED_TAG + s.to_bytes(8, "little")).digest()
              for s in ints]
-    a = seeded_c1(seeds, (1,), params)
+    a = ntt_forward(seeded_c1(seeds, (1,), params))
     e = np.reshape([sample_gaussian(params, (0,), np.random.default_rng(
         np.random.SeedSequence([s, 0x5EC]))).residues for s in ints],
         pt.poly.residues.shape)

@@ -94,10 +94,11 @@ def test_round_config_rejects_upload_without_room_for_one_sample():
 
 @pytest.mark.parametrize("transport", ["direct", "socket"])
 def test_run_builds_only_q0_material(transport):
-    """keygen and a 2-round fhe run build q0's NTT context and q0's row
-    of s, and no public key: the run encrypts, sums and decrypts over q0
-    alone. Read afterwards, the public key is the one keygen drew before
-    it was built on first use: seed 7's `CKP3` bytes."""
+    """keygen and a 2-round fhe run build no NTT context, no NTT row of
+    s and no public key: the run encrypts, sums and decrypts over q0
+    alone, with exact FFT products by s in the coefficient domain. Read
+    afterwards, the public key is the one keygen drew before it was
+    built on first use: seed 7's `CKP3` bytes."""
     from cipherfed.fhe.serial import serialize_public_key
     cfg = parse_config({**DOC, "transport": transport,
                         "federation": {**DOC["federation"], "rounds": 2,
@@ -105,13 +106,14 @@ def test_run_builds_only_q0_material(transport):
     params = cfg.encryption
 
     def built():
-        return ([key for kind, key in params._cache if kind == "ntt"],
+        return ([key for kind, key in params.__dict__.get("_cache", ())
+                 if kind == "ntt"],
                 list(keys._rows), keys._public)
 
     keys = pipeline.build_keys(cfg)
-    assert built() == ([(0,)], [(0,)], None)
+    assert built() == ([], [], None)
     _model, history, _wall = pipeline.execute_run(cfg, "fhe", keys=keys)
     assert [r["round"] for r in history if r["actor"] == "global"] == [0, 1]
-    assert built() == ([(0,)], [(0,)], None)
+    assert built() == ([], [], None)
     digest = sha256(serialize_public_key(keys.public)).hexdigest()[:16]
     assert digest == "c7a0b2155f0340f9"

@@ -281,7 +281,7 @@ def test_ciphertext_scale_must_be_finite_positive(scale, small_params,
         deserialize_ciphertext(blob, small_params)
 
 
-# --- the seeded upload, `CKU2` ----------------------------------------------
+# --- the seeded upload, `CKU3` ----------------------------------------------
 
 def spec_expansion(seed: bytes, q: int, n: int, shake=None) -> list[int]:
     """The expansion as docs/protocol.md words it, one word at a time."""
@@ -458,7 +458,7 @@ def upload_count(chunks: int) -> int:
 
 @pytest.fixture(scope="module")
 def uploads(small_params, small_keys):
-    """`CKU2` uploads of 1, 2 and 7 chunks."""
+    """`CKU3` uploads of 1, 2 and 7 chunks."""
     from cipherfed.fhe import encode_coeffs, encrypt_symmetric
     from cipherfed.fhe.serial import serialize_seeded
     return {c: serialize_seeded(encrypt_symmetric(encode_coeffs(
@@ -508,7 +508,7 @@ def test_width_other_than_the_primes_refused(uploads, small_params, chunks,
 @pytest.mark.parametrize("dropped", [1, 23, 255])
 def test_upload_dropping_bits_refused(uploads, small_params, chunks,
                                       dropped):
-    """An upload drops no bits: a `CKU2` whose d byte is not 0 is
+    """An upload drops no bits: a `CKU3` whose d byte is not 0 is
     refused before any seed is expanded, by an error that names the d
     it found."""
     blob = patched(uploads[chunks], "B", 23 + 32 * chunks, dropped)
@@ -589,7 +589,7 @@ def test_seeded_block_roundtrip(chains, name, count, seed):
        count=st.integers(1, 3 * 1024), dropped=st.integers(0, 40),
        seed=st.integers(0, 2 ** 32))
 def test_rounded_block_roundtrip(chains, name, count, dropped, seed):
-    """A `CKA2` c0 block is d, the width w = b0 - d, then each y =
+    """A `CKA3` c0 block is d, the width w = b0 - d, then each y =
     (c0 + 2^(d-1)) >> d at w bits, as docs/protocol.md words it, y = 0
     where y * 2^d would reach q0. It reads back as y * 2^d, within
     2^(d-1) of c0 mod q0, and writes back to the same bytes; a y whose
@@ -625,16 +625,17 @@ def test_rounded_block_roundtrip(chains, name, count, dropped, seed):
             deserialize_seeded_sum(over, params, count, lambda total: dropped)
 
 
-# the length and sha256 of a `CKU2` upload of P coefficients, as the
-# encryption that drew all N error coefficients of each chunk wrote it;
-# each length is that of the `CKU1` it replaced, whose (row count,
-# width) bytes (1, 61) became (d, width) = (0, 61)
-UPLOAD_DIGESTS = {1: (81, "e9fe9a500e72de52"),
-                  27: (279, "50b433fceac947b4"),
-                  4095: (31298, "0b293968feb96102"),
-                  4096: (31305, "64e70b8622e42620"),
-                  4097: (31345, "abb568f0ebca9f1b"),
-                  12309: (94026, "3f1dbb60e0adbe75")}
+# the length and sha256 of a `CKU3` upload of P coefficients, as the
+# encryption that drew all N error coefficients of each chunk wrote it,
+# and as an NTT product by s in place of the FFT one writes it too; each
+# length is that of the `CKU2` it replaced, whose seeds expanded into
+# the NTT domain
+UPLOAD_DIGESTS = {1: (81, "2a921f68c097d8f7"),
+                  27: (279, "4b84d99e38c24b0e"),
+                  4095: (31298, "f5f6e6a6718c3859"),
+                  4096: (31305, "67659ff48958d4fb"),
+                  4097: (31345, "a263020d5a89cf88"),
+                  12309: (94026, "9ee7dbaec65a5ed0")}
 
 
 @pytest.mark.parametrize("count", sorted(UPLOAD_DIGESTS))

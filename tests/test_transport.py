@@ -250,7 +250,7 @@ def test_global_payload_roundtrip_plain():
 
 @pytest.mark.parametrize("clients,chunks", [(4, 1), (4, 4), (2, 1)])
 def test_fhe_global_size_by_layout(world, small_params, clients, chunks):
-    """A GLOBAL is the `CKA2` layout of docs/protocol.md: the `CKV6`
+    """A GLOBAL is the `CKA3` layout of docs/protocol.md: the `CKV6`
     header, the client count, a u64 count per client, a seed per client
     and chunk, the P coefficients of c0 as a rounded block (d, its width
     byte and P coefficients at 61 - d bits, padded to a whole byte, d =
@@ -403,7 +403,7 @@ def test_socket_run_raises_coordinator_error_as_itself(world, monkeypatch):
     with a ParameterError, which a socket run raises as it is, as the
     coordinator and the direct transport do."""
     monkeypatch.setattr(runner, "encode_update",
-                        lambda update: b"CKU2" + bytes(8))
+                        lambda update: b"CKU3" + bytes(8))
     with pytest.raises(ParameterError, match="UPDATE from client 0: artifact "
                                              "was produced under different"):
         run_socket_federation(world["init"], world["cfg"], world["parts"],
@@ -716,7 +716,7 @@ def client_upload(world):
 
 
 def encrypted_update(world):
-    """A client's `CKU2` batch, which is its whole UPDATE payload."""
+    """A client's `CKU3` batch, which is its whole UPDATE payload."""
     return serialize_seeded(client_upload(world).chunks)
 
 
@@ -919,7 +919,7 @@ def global_against_client(world, small_params, make_global, monkeypatch):
 
 
 def seeded_global(upd, counts, chunks):
-    """A `CKA2` GLOBAL of `chunks` chunks, the upload's coefficients
+    """A `CKA3` GLOBAL of `chunks` chunks, the upload's coefficients
     repeated to fill all but the last one's, for clients with `counts`;
     every client's seeds are the upload's."""
     one = upd.chunks
@@ -940,7 +940,7 @@ def client_bound(world, small_params) -> int:
 
 def test_padded_global_aborts_transport_client(world, small_params,
                                                monkeypatch):
-    """A `CKA2` GLOBAL with one chunk more than the model fills is
+    """A `CKA3` GLOBAL with one chunk more than the model fills is
     longer than any GLOBAL of the run: it is refused by its frame's
     length before any seed is expanded, and the client sends ABORT
     instead of loading it."""
@@ -1318,7 +1318,7 @@ def test_wrong_mode_update_aborts_every_client(world):
 
 def test_mixed_scale_update_aborts_every_client(world, small_params):
     """Client 1 sends a well-formed batch at half client 0's scale Δ.
-    A `CKU2` upload is the one-client, one-sample case of the scale rule
+    A `CKU3` upload is the one-client, one-sample case of the scale rule
     Δ·Σ n, so the server refuses it by name before it is averaged."""
     upd = encrypt_model(world["init"], QuantizationSpec(), world["keys"],
                         client_id=1, sample_count=10, round_index=0,
