@@ -16,7 +16,8 @@ TFHE does (Chillotti, Gama, Georgieva and Izabachene, J. Cryptology
 - one N/2-point FFT per limb, times s's spectrum (built once), the
   inverse FFT and the untwist give each limb's product in floats, and
   np.rint gives its exact integers while every float error is below 1/2;
-- the limbs recombine mod q0 with one Shoup product by 2^(kB) mod q0.
+- the limbs recombine mod q0: the ones past the first exactly in
+  int64, then one Shoup product by 2^B mod q0.
 
 B comes from a written bound on the FFT's error (`error_bound`, stated
 in docs/protocol.md), not from observed error, and every product checks
@@ -61,10 +62,10 @@ def error_bound(n: int, bits: int) -> float:
 
 def limb_bits(n: int, q_bits: int) -> int:
     """The limb width B for ring degree n and a q_bits-bit modulus: the
-    fewest limbs whose equal width B = ceil(q_bits / L) keeps
-    error_bound(n, B) below ROUND_MARGIN. 31 (two limbs) at N = 1,024
-    and 2,048, 21 (three) from 4,096 to 32,768 for a 61-bit q0."""
-    limbs = 1
+    fewest limbs, at least two, whose equal width B = ceil(q_bits / L)
+    keeps error_bound(n, B) below ROUND_MARGIN. 31 (two limbs) at N =
+    1,024 and 2,048, 21 (three) from 4,096 to 32,768 for a 61-bit q0."""
+    limbs = 2
     while error_bound(n, -(-q_bits // limbs)) >= ROUND_MARGIN:
         limbs += 1
     return -(-q_bits // limbs)
@@ -72,49 +73,55 @@ def limb_bits(n: int, q_bits: int) -> int:
 
 class TernaryProduct:
     """x -> x*s mod q0 in Z_q0[X]/(X^N + 1) for the ternary secret s:
-    its twist and spectrum, and the limb weights 2^(kB) mod q0 with
-    their Shoup constants, built once per key."""
+    its twist and spectrum, the limb shifts, and the weight 2^B mod q0
+    of the limbs past the first with its Shoup constant, built once per
+    key."""
 
     def __init__(self, secret: np.ndarray, params: EncryptionParams):
         n, q0 = params.ring_degree, params.modulus_chain[0]
-        self.half, self.q0 = n // 2, np.uint64(q0)
+        self.q0 = np.uint64(q0)
         self.bits = limb_bits(n, q0.bit_length())
-        self.limbs = -(-q0.bit_length() // self.bits)
-        self.twist = np.exp(1j * np.pi / n * np.arange(self.half))
-        self.spectrum = np.fft.fft(self._fold(secret.astype(np.float64)))
-        # (limbs, 1, 1) columns: each limb's shift, and past the first,
-        # its weight 2^(kB) mod q0 with the weight's Shoup constant
-        self.shifts = (np.arange(self.limbs, dtype=np.uint64)
+        limbs = -(-q0.bit_length() // self.bits)
+        self.shifts = (np.arange(limbs, dtype=np.uint64)
                        * np.uint64(self.bits)).reshape(-1, 1, 1)
-        w = np.array([pow(2, int(k), q0) for k in self.shifts[1:].flat],
-                     dtype=np.uint64).reshape(-1, 1, 1)
-        self.weights = w, shoup_constant(w, self.q0)
-
-    def _fold(self, x: np.ndarray) -> np.ndarray:
-        """Coefficients (..., N) as (..., N/2) twisted complex values."""
-        return (x[..., :self.half] + 1j * x[..., self.half:]) * self.twist
+        self.twist = np.exp(1j * np.pi / n * np.arange(n // 2))
+        self.untwist = self.twist.conj()
+        z = secret.astype(np.float64)
+        self.spectrum = np.fft.fft((z[:n // 2] + 1j * z[n // 2:])
+                                   * self.twist)
+        w = np.uint64(pow(2, self.bits, q0))
+        self.weight = w, shoup_constant(w, self.q0)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """x*s mod q0 for the uint64 coefficients x (..., N), each below
         q0, as uint64 (..., N). Raises DomainError if a product's float
         result lies farther than ROUND_MARGIN from an integer."""
-        shape = x.shape
-        x = x.reshape(1, -1, shape[-1])
-        mask = np.uint64((1 << self.bits) - 1)
-        limbs = ((x >> self.shifts) & mask).astype(np.float64)
-        z = np.fft.ifft(np.fft.fft(self._fold(limbs)) * self.spectrum)
-        z *= self.twist.conj()
+        shape, half = x.shape, x.shape[-1] // 2
+        limbs = ((x.reshape(1, -1, shape[-1]) >> self.shifts)
+                 & np.uint64((1 << self.bits) - 1)).astype(np.float64)
+        # limb k of row r is FFT row k*rows + r; numpy transforms a
+        # matrix faster than a stack of them
+        z = np.empty(limbs.shape[:-1] + (half,), dtype=np.complex128)
+        z.real, z.imag = limbs[..., :half], limbs[..., half:]
+        z = z.reshape(-1, half)
+        z *= self.twist
+        z = np.fft.ifft(np.fft.fft(z) * self.spectrum)
+        z *= self.untwist
         f = np.concatenate([z.real, z.imag], axis=-1)
         p = np.rint(f)
-        far = np.abs(f - p).max()
+        f -= p
+        far = max(f.max(), -f.min())
         if far > ROUND_MARGIN:
             raise DomainError(f"an FFT product lies {far:.3g} from an "
                               f"integer, past {ROUND_MARGIN}: this FFT is "
                               "less accurate than its error bound")
-        p = p.astype(np.int64)
-        p += np.int64(self.q0) & (p >> 63)  # p mod q0, as |p| < q0
-        p = p.view(np.uint64)
-        out = p[0]
-        for term in shoup_mul(p[1:], *self.weights, self.q0):
-            out = addmod(out, term, self.q0)
-        return out.reshape(shape)
+        p = p.astype(np.int64).reshape(len(self.shifts), -1, shape[-1])
+        # the limbs past the first, recombined exactly: (x >> B)*s, whose
+        # coefficients stay below N * q0 / 2^B < 2^63
+        high = p[-1]
+        for limb in p[-2:0:-1]:
+            high = (high << np.int64(self.bits)) + limb
+        low, high = (np.remainder(v, np.int64(self.q0)).view(np.uint64)
+                     for v in (p[0], high))
+        return addmod(low, shoup_mul(high, *self.weight, self.q0),
+                      self.q0).reshape(shape)
