@@ -74,7 +74,7 @@ def encode_coeffs(values, params: EncryptionParams, level: int | None = None,
                   scale: float | None = None) -> Plaintext:
     """Coefficient packing: value j of a row becomes coefficient j,
     round(value * scale), of a coefficient-domain plaintext, to which
-    encrypt_symmetric adds its error before the one NTT. A (chunks,
+    encrypt_symmetric adds its error and -a*s, with no NTT. A (chunks,
     count) matrix gives a batch; rows are zero-padded to ring_degree."""
     level, scale = _level_and_scale(params, level, scale)
     vals = _finite_rows(values, params.ring_degree, "coefficient")

@@ -1,29 +1,15 @@
 """Exact negacyclic products by the ternary secret in float64 FFTs.
 
-The federation's level-0 cipher multiplies a polynomial below q0 by the
-ternary secret s in Z_q0[X]/(X^N + 1): a*s to encrypt, c1*s to decrypt.
-TernaryProduct does that with numpy's complex FFT instead of an NTT, as
-TFHE does (Chillotti, Gama, Georgieva and Izabachene, J. Cryptology
-2020):
-
-- the operand is split into L limbs of B bits, so that each limb's
-  product with s is a polynomial over the integers whose coefficients
-  stay below N * 2^B in magnitude;
-- each limb is folded into N/2 complex values, coefficient j plus i
-  times coefficient j + N/2 (X^(N/2) -> i), and twisted by zeta^j for
-  zeta = exp(i*pi/N), a primitive 2N-th root of unity, which turns the
-  negacyclic product into a cyclic one of length N/2;
-- one N/2-point FFT per limb, times s's spectrum (built once), the
-  inverse FFT and the untwist give each limb's product in floats, and
-  np.rint gives its exact integers while every float error is below 1/2;
-- the limbs recombine mod q0: the ones past the first exactly in
-  int64, then one Shoup product by 2^B mod q0.
-
-B comes from a written bound on the FFT's error (`error_bound`, stated
-in docs/protocol.md), not from observed error, and every product checks
-that its largest distance from an integer stays within ROUND_MARGIN, so
-an FFT less accurate than the bound assumes raises DomainError instead
-of decrypting wrong. np.fft starts no worker threads.
+TernaryProduct computes x*s mod q0 in Z_q0[X]/(X^N + 1), a*s to encrypt
+and c1*s to decrypt, without an NTT, as TFHE does (Chillotti et al.,
+J. Cryptology 2020): x is split into limbs of B bits, each limb folded
+into N/2 complex values and twisted by the 2N-th roots of unity, one
+N/2-point FFT per limb is multiplied by s's spectrum and inverted, and
+np.rint gives each limb's integer product, which the limbs' weights
+recombine mod q0. B comes from a written error bound (`error_bound`),
+and each product checks its distance from the integers at run time;
+docs/protocol.md, "Exact products by s", states both. np.fft starts no
+worker threads.
 """
 
 from __future__ import annotations
@@ -49,9 +35,9 @@ def error_bound(n: int, bits: int) -> float:
     """The largest error of one coefficient of a limb's product with a
     ternary s at ring degree n, for limbs below 2^bits: Percival's bound
     for FFT convolution of length 2^m = n/2 (Math. Comp. 2003),
-    ||x|| ||y|| ((1+u)^3m (1+sqrt5 u)^(3m+1) (1+beta)^3m - 1), with one
-    more complex product by a root for each twist and the untwist, where
-    ||x|| <= sqrt(n) 2^bits and ||y|| <= sqrt(n)."""
+    ||x|| ||y|| ((1+u)^3m (1+sqrt5 u)^(3m+1) (1+beta)^3m - 1), with
+    ||x|| <= sqrt(n) 2^bits, ||y|| <= sqrt(n), and one more product by
+    a root for each twist and the untwist."""
     m = (n // 2).bit_length() - 1
     growth = math.expm1(3 * m * math.log1p(UNIT_ROUNDOFF)
                         + (3 * m + 4) * math.log1p(math.sqrt(5)

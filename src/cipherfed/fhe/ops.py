@@ -6,9 +6,9 @@ Ciphertexts are (c0, c1) pairs in the NTT domain; residues shaped
 SeededBatch is the federation's level-0 upload or aggregate: the
 coefficients of c0 that carry values, and seeds in place of c1, all in
 the coefficient domain, where the products by s are exact float64 FFTs
-(fftmath) and no NTT runs. Only the
-operations the encrypted weighted-average pipeline needs are provided;
-there is no ciphertext-ciphertext multiplication and no bootstrapping.
+(fftmath) and no NTT runs. Only the operations the encrypted
+weighted-average pipeline needs are provided; there is no
+ciphertext-ciphertext multiplication and no bootstrapping.
 """
 
 from __future__ import annotations
@@ -179,9 +179,9 @@ def encrypt_symmetric(pt: Plaintext, keys: KeyMaterial, rng_seed,
     Chunk i's 32-byte seed is SHA-256 of a tag and its int; c1 = a is
     expanded from that seed into the coefficient domain, and c0 = m + e
     - a*s, a*s one exact FFT product a chunk (keys.times_secret), of
-    which the first `count` coefficients are kept. The error e, rounded normals
-    clipped to |e| <= ERROR_CLIP, is drawn from a generator seeded by the
-    int itself, which never goes on the wire.
+    which the first `count` coefficients are kept. The error e, rounded
+    normals clipped to |e| <= ERROR_CLIP, is drawn from a generator
+    seeded by the int itself, which never goes on the wire.
     This is the compressed symmetric ciphertext of SEAL's
     Encryptor::encrypt_symmetric, cut to the coefficients that carry
     values: coefficient i of c0 with c1 is an LWE ciphertext of m_i + e_i
