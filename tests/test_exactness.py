@@ -257,17 +257,18 @@ def full_ring_upload(pt, keys, ints):
     import hashlib
 
     from cipherfed.fhe import Ciphertext
-    from cipherfed.fhe.ops import _SEED_TAG, seeded_c1
-    from cipherfed.fhe.poly import ntt_forward, sample_gaussian
+    from cipherfed.fhe.ops import ERROR_CLIP, _SEED_TAG, seeded_c1
+    from cipherfed.fhe.poly import (GAUSSIAN_STDDEV, from_signed_coeffs,
+                                    ntt_forward)
     params = keys.params
     seeds = [hashlib.sha256(_SEED_TAG + s.to_bytes(8, "little")).digest()
              for s in ints]
     a = ntt_forward(seeded_c1(seeds, (1,), params))
-    e = np.reshape([sample_gaussian(params, (0,), np.random.default_rng(
-        np.random.SeedSequence([s, 0x5EC]))).residues for s in ints],
-        pt.poly.residues.shape)
-    c0 = a.mul_fixed(keys.secret_key).neg().add(
-        ntt_forward(pt.poly.add(pt.poly._like(e))))
+    e = np.clip(np.round([np.random.default_rng(np.random.SeedSequence(
+        [s, 0x5EC])).normal(0.0, GAUSSIAN_STDDEV, params.ring_degree)
+        for s in ints]), -ERROR_CLIP, ERROR_CLIP).astype(np.int64)
+    c0 = a.mul_fixed(keys.secret_key).neg().add(ntt_forward(pt.poly.add(
+        from_signed_coeffs(e, params, (0,)))))
     return Ciphertext(c0, a, pt.scale, 0)
 
 
