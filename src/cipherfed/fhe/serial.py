@@ -6,12 +6,11 @@ different parameter set before touching the payload. Polynomials are
 stored in the NTT domain, each residue row packed at its prime's bit
 length; a seeded upload or aggregate carries only the first P
 coefficients of its coefficient-domain c0, and seeds in place of its
-coefficient-domain c1,
-in one c0 block for both: the coefficients rounded to a multiple of 2^d
-(d = 0 in an upload, and in an aggregate the low bits that decryption
-drops anyway), at the bits that are left. One codec, word shifts
-over u64, packs and unpacks every residue block and the secret key's
-2-bit codes. Every artifact that carries residues ends with the first
+coefficient-domain c1, in one c0 block for both: the coefficients
+rounded to a multiple of 2^d (d = 0 in an upload, and in an aggregate
+the low bits that decryption drops anyway), at the bits that are left.
+One codec, word shifts over u64, packs and unpacks every residue block
+and the secret key's 2-bit codes. Every artifact that carries residues ends with the first
 16 bytes of the SHA-256 of the bytes before it, checked before anything
 past the parameter digest is read. See docs/protocol.md for the exact
 layouts.
