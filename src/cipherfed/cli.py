@@ -125,43 +125,45 @@ def cmd_inspect(args) -> int:
     low bits d that its c0 block gives); a secret key's length must fit
     one too.
     A retired key or batch is named, after its header, and exits 3."""
+    from .fhe.ops import check_level
+    from .fhe.params import RING_DEGREE_RULE, RING_DEGREES
     from .fhe.serial import (MAGIC_CIPHERTEXT, MAGIC_FLOAT_VECTOR,
                              MAGIC_KINDS, MAGIC_PUBLIC_KEY, MAGIC_SECRET_KEY,
-                             MAGIC_SEEDED, MAGIC_SEEDED_SUM, RETIRED_BATCHES,
-                             RETIRED_KEYS, SEALED, Reader, _read_header,
-                             deserialize_float_vector, read_layout,
-                             read_seeded_layout, unseal)
-    batches = (MAGIC_CIPHERTEXT, MAGIC_SEEDED, MAGIC_SEEDED_SUM,
-               *RETIRED_BATCHES)
+                             MAGIC_SEEDED_SUM, RETIRED, SEALED, Reader,
+                             _read_header, deserialize_float_vector,
+                             read_layout, read_seeded_layout, unseal)
     data = Path(args.path).read_bytes()
     r = Reader(data, f"{data[:4]!r} artifact")
     magic = r.take(4)
-    if magic in (MAGIC_SECRET_KEY, MAGIC_PUBLIC_KEY, *RETIRED_KEYS, *batches):
+    _, current = RETIRED.get(magic, (None, magic))
+    if magic in MAGIC_KINDS and magic != MAGIC_FLOAT_VECTOR:
         rows = [("kind", MAGIC_KINDS[magic]), ("digest", r.take(8).hex())]
-    if magic in RETIRED_KEYS:
+    if current is None:
         raise FormatError(MAGIC_KINDS[magic])
     if magic in SEALED:
         unseal(r)
     if magic == MAGIC_SECRET_KEY:
         n = 4 * (len(data) - 12)
-        if n < 1024 or n & (n - 1):
+        if n not in RING_DEGREES:
             raise FormatError(f"a secret key of {len(data)} bytes is not "
-                              "12 + N/4 bytes for any power-of-two N >= 1024")
+                              f"12 + N/4 bytes for any {RING_DEGREE_RULE}")
         rows.append(("ring N", n))
     elif magic == MAGIC_PUBLIC_KEY:
-        rows += _layout_rows(read_layout(r, magic))
+        rows += _layout_rows(*read_layout(r, magic))
         rows.append(("pk1", "a from seed"))
-    elif magic in batches:
+    elif current in SEALED:  # a batch, current or retired
         level, scale, chunks, counts = _read_header(r, magic)
         rows += [("level", level), ("scale", f"{scale:.6g}"),
                  ("chunks", chunks)]
-        if RETIRED_BATCHES.get(magic, magic) == MAGIC_SEEDED_SUM:
+        if current == MAGIC_SEEDED_SUM:
             rows += [("clients", len(counts)),
                      ("counts", ", ".join(map(str, counts)))]
-        if magic in RETIRED_BATCHES:
+        if current != magic:
             raise FormatError(MAGIC_KINDS[magic])
         if magic == MAGIC_CIPHERTEXT:
-            rows += _layout_rows(read_layout(r, magic, chunks))
+            widths, n = read_layout(r, magic, chunks)
+            check_level(len(widths), level)
+            rows += _layout_rows(widths, n)
         else:
             width, dropped, p = read_seeded_layout(r, chunks, counts)
             rows += [("widths", f"{width} bits"),
@@ -187,8 +189,7 @@ def cmd_inspect(args) -> int:
     return EXIT_OK
 
 
-def _layout_rows(layout: tuple[bytes, int]) -> list[tuple[str, str]]:
-    widths, n = layout
+def _layout_rows(widths: bytes, n: int) -> list[tuple[str, str]]:
     return [("widths", ", ".join(map(str, widths)) + " bits"),
             ("ring N", n)]
 

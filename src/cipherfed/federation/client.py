@@ -22,12 +22,9 @@ from ..fhe.params import EncryptionParams
 from ..model import HybridModel, flatten_weights, unflatten_weights
 from .quantize import QuantizationSpec, quantize
 
-# A sample adds at most clip_range * scale to a coefficient of the
-# aggregate, plus its error e, at most ops.ERROR_CLIP = 19 in magnitude
+# what each half of `level0_bound` charges for a sample's error, at most
+# ops.ERROR_CLIP = 19 in magnitude: in a coefficient, and in the sum
 NOISE_MARGIN = 1 << 10
-# a sample's share of the bound below which the aggregate's summed error
-# must stay for decryption to be exact, above the 19 that its error can
-# reach (docs/protocol.md, "Level-0 capacity and exact decryption")
 NOISE_TAIL = 1 << 7
 
 
@@ -61,42 +58,38 @@ def chunk_count_for(param_count: int, ring_degree: int) -> int:
     return -(-param_count // ring_degree)
 
 
-def _sample_bound(params: EncryptionParams, spec: QuantizationSpec) -> int:
-    """The most that one sample adds to a coefficient of the aggregate:
-    clip_range * scale for its weight, plus NOISE_MARGIN for its error."""
-    return math.ceil(spec.clip_range * params.scale) + NOISE_MARGIN
+def level0_bound(params: EncryptionParams, spec: QuantizationSpec
+                 ) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The two halves of the bound within which a level-0 sum of n_total
+    samples decrypts exactly, each as (limit, cost) for the rule 2 *
+    n_total * cost < limit: the summed error, NOISE_TAIL a sample, below
+    half the step scale / 2^fractional_bits that decrypt_and_load rounds
+    by, and each coefficient, clip_range * scale + NOISE_MARGIN a
+    sample, below half the base prime q0 (docs/protocol.md, "Level-0
+    capacity and exact decryption")."""
+    return ((int(params.scale) >> spec.fractional_bits, NOISE_TAIL),
+            (params.modulus_chain[0],
+             math.ceil(spec.clip_range * params.scale) + NOISE_MARGIN))
 
 
 def sample_capacity(params: EncryptionParams, spec: QuantizationSpec) -> int:
-    """The largest sample total n_total whose level-0 aggregate decrypts
-    exactly. Every coefficient of sum_k n_k * (m_k + e_k) must stay below
-    half the base prime, n_total * (clip_range * scale + NOISE_MARGIN) <
-    q0 / 2, and the summed error below half a quantization step of the
-    scale, n_total * NOISE_TAIL < scale / 2^(fractional_bits + 1), so
-    that rounding removes it. 65,535 at the defaults; 0 when one sample
-    cannot be held or rounded back."""
-    rounds_back = params.scale / 2.0 ** (spec.fractional_bits + 1)
-    return min(params.modulus_chain[0] // 2 // _sample_bound(params, spec),
-               math.ceil(rounds_back / NOISE_TAIL) - 1)
+    """The largest sample total n_total within both halves of
+    `level0_bound`. 65,535 at the defaults; 0 when one sample cannot be
+    held or rounded back."""
+    return max(0, min((limit - 1) // (2 * cost)
+                      for limit, cost in level0_bound(params, spec)))
 
 
 def dropped_bits(params: EncryptionParams, spec: QuantizationSpec,
                  n_total: int) -> int:
     """The low bits d that a GLOBAL of n_total samples rounds away from
     each coefficient of its c0 (`CKA3`): the largest d >= 0 for which
-    both halves of the `sample_capacity` bound still hold with the up to
-    2^(d-1) that rounding to a multiple of 2^d adds. The server rounds
-    the sum, so that error enters once, not once per sample:
-    n_total * NOISE_TAIL + 2^(d-1) < scale / 2^(fractional_bits + 1) and
-    n_total * (clip_range * scale + NOISE_MARGIN) + 2^(d-1) < q0 / 2.
-    23 at the defaults for up to 32,767 samples, 7 at capacity, and 0
-    past it."""
-    # the step decrypt_and_load rounds by; twice the room each half
-    # leaves, in integers, must exceed 2 * 2^(d-1) = 2^d
-    step = int(params.scale) >> spec.fractional_bits
-    room = min(step - 2 * n_total * NOISE_TAIL,
-               params.modulus_chain[0] - 2 * n_total
-               * _sample_bound(params, spec))
+    both halves of `level0_bound` hold with the up to 2^(d-1) that the
+    server's rounding of the sum adds once, 2 * n_total * cost + 2^d <
+    limit. 23 at the defaults for up to 32,767 samples, 7 at capacity,
+    and 0 past it."""
+    room = min(limit - 2 * n_total * cost
+               for limit, cost in level0_bound(params, spec))
     return max(room - 1, 1).bit_length() - 1
 
 
@@ -171,7 +164,7 @@ def decrypt_and_load(agg: SeededBatch, keys: KeyMaterial,
     if not (total.is_integer() and 1 <= total <= capacity):
         raise DomainError(f"aggregate scale {agg.scale} is not the scale "
                           f"times a sample total from 1 to {capacity}")
-    step = int(params.scale) >> spec.fractional_bits
+    step, _ = level0_bound(params, spec)[0]
     sums = (decrypt_coeffs(agg, keys) + step // 2) // step
     return unflatten_weights(template,
                              sums / (total * 2.0 ** spec.fractional_bits))

@@ -39,7 +39,7 @@ from ..fhe.serial import deserialize_ciphertext, serialize_ciphertext
 from .client import (ClientUpdate, PlainUpdate, chunk_count_for,
                      dropped_bits)
 from .metrics import FIELDS
-from .quantize import QuantizationSpec
+from .quantize import QuantizationSpec, quantize
 
 MSG_JOIN = 1
 MSG_UPDATE = 2
@@ -179,7 +179,7 @@ def decode_update(payload: bytes, round_index: int, params, client_id: int,
     an fhe run (`params` given) that many coefficients in the chunks
     they fill, checked before any field past the header is read (no seed
     is expanded), and stamped with the run's `quantization`; on a
-    plaintext run that many values."""
+    plaintext run that many values, which `quantization` leaves as is."""
     if params is not None:
         chunks = replace(deserialize_seeded(payload, params, param_count),
                          quantization=quantization)
@@ -189,6 +189,8 @@ def decode_update(payload: bytes, round_index: int, params, client_id: int,
     if values.size != param_count:
         raise ProtocolError(f"plain update carries {values.size} values "
                             f"for {param_count} parameters")
+    if not np.array_equal(quantize(values, quantization), values):
+        raise ProtocolError(f"plain update not quantized under {quantization}")
     return PlainUpdate(client_id, values, sample_count, round_index)
 
 

@@ -41,6 +41,12 @@ ERROR_CLIP = 19
 _SEED_TAG = b"cipherfed CKV3 c1"
 
 
+def check_level(rows: int, level: int) -> None:
+    """LevelError unless a ciphertext at `level` has level + 1 rows."""
+    if rows != level + 1:
+        raise LevelError("active prime count does not match level")
+
+
 @dataclass(frozen=True)
 class Ciphertext:
     c0: RingPoly
@@ -53,8 +59,7 @@ class Ciphertext:
             raise DomainError("ciphertext halves in different domains")
         if self.c0.prime_indices != self.c1.prime_indices:
             raise AlignmentError("ciphertext halves on different bases")
-        if len(self.c0.prime_indices) != self.level + 1:
-            raise LevelError("active prime count does not match level")
+        check_level(len(self.c0.prime_indices), self.level)
 
     @property
     def params(self) -> EncryptionParams:

@@ -16,8 +16,11 @@ from ..errors import ParameterError
 from .nttmath import StackedNtt, find_ntt_primes, is_prime, prime_column
 
 DEFAULT_SCALE_BITS = 40
-# the largest ring in the HE security standard's tables
-MAX_RING_DEGREE = 1 << 15
+# the ring degrees N that parameters, and so artifacts, may have: powers
+# of two up to the largest ring in the HE security standard's tables
+RING_DEGREES = frozenset(1 << k for k in range(10, 16))
+MAX_RING_DEGREE = max(RING_DEGREES)
+RING_DEGREE_RULE = f"power-of-two N >= 1024 and <= {MAX_RING_DEGREE}"
 
 
 @dataclass(frozen=True)
@@ -34,7 +37,7 @@ class EncryptionParams:
 
     def __post_init__(self):
         n = self.ring_degree
-        if not 1024 <= n <= MAX_RING_DEGREE or n & (n - 1) != 0:
+        if n not in RING_DEGREES:
             raise ParameterError(f"ring_degree must be a power of two from "
                                  f"1024 to {MAX_RING_DEGREE}, got {n}")
         chain = tuple(int(q) for q in self.modulus_chain)

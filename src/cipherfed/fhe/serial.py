@@ -27,7 +27,7 @@ import numpy as np
 from ..errors import FormatError, LevelError, ParameterError
 from .keys import KeyMaterial, PublicMaterial, expand_a
 from .ops import SEED_BYTES, Ciphertext, SeededBatch
-from .params import EncryptionParams
+from .params import RING_DEGREE_RULE, RING_DEGREES, EncryptionParams
 from .poly import NTT, RingPoly, ShoupPoly, ntt_inverse
 
 MAGIC_CIPHERTEXT = b"CKV6"
@@ -39,42 +39,33 @@ MAGIC_FLOAT_VECTOR = b"CKF1"
 # the artifacts that carry residue blocks and end with a trailer
 SEALED = (MAGIC_CIPHERTEXT, MAGIC_SEEDED, MAGIC_SEEDED_SUM, MAGIC_PUBLIC_KEY)
 TRAILER_BYTES = 16
-# the batches that the current ones replaced, each with the batch whose
-# header it shares: named, so that a reader can say what it found, but
-# never read (`CKV3` held slot-packed chunks, `CKV2`, `CKV4` and `CKV5`
-# 64-bit residues, `CKV7` and `CKV8` all N coefficients of c0, `CKA1`
-# every bit of c0's P coefficients, `CKU1` them as a one-row residue
-# block, and `CKU2` and `CKA2` a c0 made with seeds expanded into the
-# NTT domain)
-RETIRED_BATCHES = {b"CKV2": MAGIC_CIPHERTEXT, b"CKV3": MAGIC_SEEDED,
-                   b"CKV4": MAGIC_SEEDED, b"CKV5": MAGIC_SEEDED_SUM,
-                   b"CKV7": MAGIC_SEEDED, b"CKV8": MAGIC_SEEDED_SUM,
-                   b"CKA1": MAGIC_SEEDED_SUM, b"CKU1": MAGIC_SEEDED,
-                   b"CKU2": MAGIC_SEEDED, b"CKA2": MAGIC_SEEDED_SUM}
-# the key files that `CKS3` and `CKP3` replaced, named likewise
-RETIRED_KEYS = (b"CKS2", b"CKP1", b"CKP2")
-_REGENERATE = "no longer read; regenerate with `cipherfed keygen`"
+# the artifacts that the current ones replaced (docs/protocol.md,
+# "Retired magics"), each with what it held and the current batch whose
+# header it shares (None for a key file): named, so that a reader can
+# say what it found, but never read
+RETIRED = {b"CKV2": ("ciphertext", MAGIC_CIPHERTEXT),
+           b"CKV3": ("slot-packed seeded ciphertext", MAGIC_SEEDED),
+           b"CKV4": ("seeded ciphertext", MAGIC_SEEDED),
+           b"CKV5": ("seeded aggregate", MAGIC_SEEDED_SUM),
+           b"CKV7": ("full-ring seeded ciphertext", MAGIC_SEEDED),
+           b"CKV8": ("full-ring seeded aggregate", MAGIC_SEEDED_SUM),
+           b"CKA1": ("unrounded seeded aggregate", MAGIC_SEEDED_SUM),
+           b"CKU1": ("one-row seeded ciphertext", MAGIC_SEEDED),
+           b"CKU2": ("NTT-seeded ciphertext", MAGIC_SEEDED),
+           b"CKA2": ("NTT-seeded aggregate", MAGIC_SEEDED_SUM),
+           b"CKS2": ("secret key", None), b"CKP1": ("public key", None),
+           b"CKP2": ("public key", None)}
+RETIRED_BATCHES = {m: shares for m, (_, shares) in RETIRED.items() if shares}
+_REGENERATE = "; regenerate with `cipherfed keygen`"
 
 MAGIC_KINDS = {MAGIC_CIPHERTEXT: "ciphertext",
                MAGIC_SEEDED: "seeded ciphertext",
                MAGIC_SEEDED_SUM: "seeded aggregate",
-               b"CKV2": "ciphertext (CKV2, no longer read)",
-               b"CKV3": "slot-packed seeded ciphertext (CKV3, no longer "
-                        "read)",
-               b"CKV4": "seeded ciphertext (CKV4, no longer read)",
-               b"CKV5": "seeded aggregate (CKV5, no longer read)",
-               b"CKV7": "full-ring seeded ciphertext (CKV7, no longer "
-                        "read)",
-               b"CKV8": "full-ring seeded aggregate (CKV8, no longer read)",
-               b"CKA1": "unrounded seeded aggregate (CKA1, no longer read)",
-               b"CKU1": "one-row seeded ciphertext (CKU1, no longer read)",
-               b"CKU2": "NTT-seeded ciphertext (CKU2, no longer read)",
-               b"CKA2": "NTT-seeded aggregate (CKA2, no longer read)",
                MAGIC_SECRET_KEY: "secret key", MAGIC_PUBLIC_KEY: "public key",
-               b"CKS2": f"secret key (CKS2, {_REGENERATE})",
-               b"CKP1": f"public key (CKP1, {_REGENERATE})",
-               b"CKP2": f"public key (CKP2, {_REGENERATE})",
-               MAGIC_FLOAT_VECTOR: "float vector"}
+               MAGIC_FLOAT_VECTOR: "float vector",
+               **{m: f"{held} ({m.decode()}, no longer read"
+                     f"{'' if shares else _REGENERATE})"
+                  for m, (held, shares) in RETIRED.items()}}
 
 # pk0 + pk1*s of a matching key pair is the key noise e, whose
 # coefficients stay within a few standard deviations (3.2) of 0; for a
@@ -251,8 +242,8 @@ def read_layout(r: Reader, magic: bytes,
     without parameters: r is past the trailer check and, in a batch,
     past the header that gave `chunks`. N comes from the first block's
     prime count and width bytes and the length left, and a `CKV6`'s c1
-    block must repeat them. Raises FormatError unless a power-of-two N
-    >= 1024 gives that length and every width is 1 to 64 bits."""
+    block must repeat them. Raises FormatError unless N is one of
+    RING_DEGREES and every width is 1 to 64 bits."""
     blocks, tail = (1, SEED_BYTES) if magic == MAGIC_PUBLIC_KEY else (2, 0)
     (count,) = r.unpack("B")
     widths = r.take(count)
@@ -262,11 +253,11 @@ def read_layout(r: Reader, magic: bytes,
     left = len(r.data) - r.pos - tail - (blocks - 1) * (1 + count)
     bits = blocks * chunks * sum(widths)
     n = left * 8 // bits if bits and left * 8 % bits == 0 else 0
-    if n < 1024 or n & (n - 1):
+    if n not in RING_DEGREES:
         raise FormatError(f"malformed {r.what}: {left} bytes of {blocks} x "
                           f"{chunks} polynomials with rows of "
                           f"{list(widths)} bits are not N of them for any "
-                          "power-of-two N >= 1024")
+                          f"{RING_DEGREE_RULE}")
     if blocks == 2:
         r.take(chunks * n * sum(widths) // 8)
         if r.take(1 + count) != bytes([count]) + widths:
@@ -282,7 +273,7 @@ def read_seeded_layout(r: Reader, chunks: int,
     the trailer check and the header that gave `chunks` and `counts`. P
     is the count whose packed values fill the bytes left. Raises
     FormatError unless d + w <= 64, w >= 1, and `chunks` chunks of some
-    power-of-two N >= 1024 hold P: (chunks - 1) * N < P <= chunks * N."""
+    N of RING_DEGREES hold P: (chunks - 1) * N < P <= chunks * N."""
     r.take(len(counts) * chunks * SEED_BYTES)
     dropped, width = r.unpack("BB")
     if not 0 < width <= 64 - dropped:
@@ -292,11 +283,11 @@ def read_seeded_layout(r: Reader, chunks: int,
     left = len(r.data) - r.pos
     p = left * 8 // width
     if not (-(-p * width // 8) == left and any(
-            (chunks - 1) << k < p <= chunks << k for k in range(10, 64))):
+            (chunks - 1) * n < p <= chunks * n for n in RING_DEGREES)):
         raise FormatError(f"malformed {r.what}: {left} bytes of "
                           f"{width}-bit residues are not the P "
                           f"coefficients of {chunks} chunks for any "
-                          "power-of-two N >= 1024")
+                          f"{RING_DEGREE_RULE}")
     return width, dropped, p
 
 
@@ -453,8 +444,8 @@ def _read_seeded(data: bytes, params: EncryptionParams, magic: bytes,
 def deserialize_seeded(data: bytes, params: EncryptionParams,
                        param_count: int) -> SeededBatch:
     """A `CKU3` upload of `param_count` coefficients, whose c0 block
-    drops no bits. A `CKV3`, `CKV4`, `CKV7`, `CKU1` or `CKU2` upload is
-    refused by its magic."""
+    drops no bits. A retired upload (`RETIRED`) is refused by its
+    magic."""
     return _read_seeded(data, params, MAGIC_SEEDED, param_count,
                         lambda total: 0)
 
@@ -463,8 +454,8 @@ def deserialize_seeded_sum(data: bytes, params: EncryptionParams,
                            param_count: int, dropped) -> SeededBatch:
     """A `CKA3` aggregate of `param_count` coefficients whose c0 must
     drop the `dropped(n_total)` low bits that the reader's run gives for
-    the sample total n_total of its counts. A `CKV5`, `CKV8`, `CKA1` or
-    `CKA2` is refused by its magic."""
+    the sample total n_total of its counts. A retired aggregate
+    (`RETIRED`) is refused by its magic."""
     return _read_seeded(data, params, MAGIC_SEEDED_SUM, param_count,
                         dropped)
 

@@ -7,7 +7,7 @@ import pytest
 from conftest import patched, resealed, seeded_aggregate
 
 from cipherfed.cli import main
-from cipherfed.fhe.serial import seal
+from cipherfed.fhe.serial import RETIRED, seal
 from cipherfed.model import flatten_weights, init_model, load_checkpoint
 from cipherfed.qsim import PqcArchitecture
 
@@ -255,20 +255,23 @@ def public_key_blob(primes: int, coeffs: int, extra: int = 0) -> bytes:
     (b"CKS3" + bytes(8 + 256), 1024), (b"CKS3" + bytes(8 + 2048), 8192),
     (public_key_blob(2, 1024), 1024), (public_key_blob(3, 4096), 4096),
     (b"CKS3" + bytes(8 + 8), None), (b"CKS3" + bytes(8 + 128), None),
+    (b"CKS3" + bytes(8 + 16384), None), (public_key_blob(2, 65536), None),
     (b"CKS3" + bytes(8 + 300), None), (b"CKS3" + bytes(8), None),
     (public_key_blob(2, 1024, extra=1), None),
     (public_key_blob(2, 1024, extra=-8), None),
     (public_key_blob(3, 1000), None), (public_key_blob(1, 512), None),
     (public_key_blob(0, 1024), None), (public_key_blob(2, 0), None)],
     ids=["secret-1024", "secret-8192", "public-1024", "public-4096",
-         "secret-20-bytes", "secret-512", "secret-1200", "secret-empty",
+         "secret-20-bytes", "secret-512", "secret-65536", "public-65536",
+         "secret-1200", "secret-empty",
          "public-one-extra", "public-short", "public-1000", "public-512",
          "public-no-primes", "public-no-body"])
 def test_inspect_key_length_must_give_a_ring_degree(tmp_path, capsys, blob,
                                                     degree):
     """A key file is described only if its length is 12 + N/4 (`CKS3`)
     or 12 + 1 + primes + N * (sum of widths) / 8 + 32 + 16 (`CKP3`) for
-    a power-of-two N >= 1,024; any other length exits 3."""
+    a power-of-two N from 1,024 to 32,768, the ring degrees that
+    parameters allow; any other length, N = 65,536 too, exits 3."""
     p = tmp_path / "key.bin"
     p.write_bytes(blob)
     if degree is None:
@@ -327,6 +330,18 @@ def test_inspect_ciphertext_batch(tmp_path, capsys, small_params,
     assert "ciphertext" in out and "level  : 2" in out
     assert "chunks : 3" in out
     assert "widths : 61, 41, 41 bits" in out and "ring N : 1024" in out
+    # level 0 over blocks of three rows: the reader's LevelError, exit 3
+    p.write_bytes(patched(p.read_bytes(), "B", 12, 0))
+    assert main(["inspect", str(p)]) == 3
+    assert ("active prime count does not match level"
+            in capsys.readouterr().err)
+
+
+def retired_sharing(magic: bytes) -> list[tuple[bytes, str]]:
+    """Each retired magic that shares `magic`'s header, with what it
+    held, as `serial.RETIRED` lists them."""
+    return [(old, held) for old, (held, shares) in RETIRED.items()
+            if shares == magic]
 
 
 def test_inspect_seeded_batch(tmp_path, capsys, small_params, small_keys):
@@ -342,13 +357,9 @@ def test_inspect_seeded_batch(tmp_path, capsys, small_params, small_keys):
     assert "scale  : 1.09951e+12" in out and "chunks : 2" in out
     assert "widths : 61 bits" in out and "P      : 1027 coefficients" in out
     assert "dropped: 0 low bits" in out
-    # an upload from before coefficient packing, of all N coefficients,
-    # of a one-row block or with an NTT-domain a, is named after its
-    # header, not read, and exits 3
-    for old, kind in ((b"CKV3", "slot-packed seeded ciphertext"),
-                      (b"CKV7", "full-ring seeded ciphertext"),
-                      (b"CKU1", "one-row seeded ciphertext"),
-                      (b"CKU2", "NTT-seeded ciphertext")):
+    # every retired upload that shares the `CKU3` header is named after
+    # that header, not read, and exits 3
+    for old, kind in retired_sharing(b"CKU3"):
         p.write_bytes(old + serialize_seeded(ct)[4:])
         assert main(["inspect", str(p)]) == 3
         captured = capsys.readouterr()
@@ -358,9 +369,8 @@ def test_inspect_seeded_batch(tmp_path, capsys, small_params, small_keys):
 
 def test_inspect_seeded_aggregate(tmp_path, capsys, small_keys):
     """A `CKA3` GLOBAL of 8 samples drops 23 of q0's 61 bits: inspect
-    prints its width, d, P, K and counts. The unrounded `CKA1`, the
-    full-ring `CKV8` and the NTT-seeded `CKA2` are named after their
-    header and exit 3."""
+    prints its width, d, P, K and counts. Every retired aggregate that
+    shares its header is named after that header and exits 3."""
     from cipherfed.federation.transport import encode_global
     p = tmp_path / "global.ct"
     blob = encode_global(seeded_aggregate(small_keys, 2, (3, 5), 1030))
@@ -373,9 +383,7 @@ def test_inspect_seeded_aggregate(tmp_path, capsys, small_keys):
     assert "widths : 38 bits" in out and "dropped: 23 low bits" in out
     assert "P      : 1030 coefficients" in out
     assert f"size   : {len(blob)} bytes" in out
-    for old, kind in ((b"CKA1", "unrounded seeded aggregate"),
-                      (b"CKV8", "full-ring seeded aggregate"),
-                      (b"CKA2", "NTT-seeded aggregate")):
+    for old, kind in retired_sharing(b"CKA3"):
         p.write_bytes(old + blob[4:])
         assert main(["inspect", str(p)]) == 3
         captured = capsys.readouterr()
@@ -461,12 +469,17 @@ def seeded_upload_blob(small_params, small_keys) -> bytes:
 def test_inspect_refuses_a_cut_upload(tmp_path, capsys, small_params,
                                       small_keys):
     """A `CKU3` upload cut to 100 bytes fails its trailer; cut and
-    resealed, it fails the length its header and width byte imply."""
+    resealed, it fails the length its header and width byte imply, as
+    does one chunk of more coefficients than the largest ring holds."""
     blob = seeded_upload_blob(small_params, small_keys)
     p = tmp_path / "update.ct"
+    # one chunk of 40,000 coefficients, more than N = 32,768 holds
+    long = seal(b"CKU3" + bytes(8) + struct.pack("<BdH", 0, 2.0 ** 40, 1)
+                + bytes(32) + bytes([0, 61]) + bytes(-(-40000 * 61 // 8)))
     for cut, refusal in ((blob[:100], "integrity trailer does not match"),
                          (resealed(blob, lambda b: b[:100]),
-                          "for any power-of-two N >= 1024")):
+                          "for any power-of-two N >= 1024"),
+                         (long, "for any power-of-two N >= 1024")):
         p.write_bytes(cut)
         assert main(["inspect", str(p)]) == 3
         captured = capsys.readouterr()

@@ -22,7 +22,7 @@ from cipherfed.federation.quantize import QuantizationSpec
 from cipherfed.federation.rounds import (RoundConfig, federated_rounds,
                                          run_federated_training)
 from cipherfed.federation.runner import run_socket_federation
-from cipherfed.fhe import keygen
+from cipherfed.fhe import default_params, keygen
 from cipherfed.model import flatten_weights
 from cipherfed.qsim import PqcArchitecture
 
@@ -186,6 +186,35 @@ def test_dropped_bits_edges(std_params):
     spec = QuantizationSpec()
     assert [dropped_bits(std_params, spec, n) for n in
             (1, 32767, 32768, 65535, 65536)] == [23, 23, 22, 7, 0]
+
+
+def closed_forms(params, spec, n_total) -> tuple[int, int]:
+    """The capacity and d as two separate closed forms wrote them, the
+    capacity in floats and d in integers, before `level0_bound` owned
+    both halves of the bound."""
+    per = math.ceil(spec.clip_range * params.scale) + NOISE_MARGIN
+    rounds_back = params.scale / 2.0 ** (spec.fractional_bits + 1)
+    q0 = params.modulus_chain[0]
+    capacity = min(q0 // 2 // per, math.ceil(rounds_back / NOISE_TAIL) - 1)
+    step = int(params.scale) >> spec.fractional_bits
+    room = min(step - 2 * n_total * NOISE_TAIL, q0 - 2 * n_total * per)
+    return capacity, max(room - 1, 1).bit_length() - 1
+
+
+@pytest.mark.parametrize("scale_bits", [20, 40])
+@pytest.mark.parametrize("clip", [0.5, 8.0, 1000.0])
+@pytest.mark.parametrize("bits", [1, 16, 23, 40, 41])
+def test_bound_matches_its_closed_forms(scale_bits, clip, bits):
+    """`sample_capacity` and `dropped_bits`, which read one integer
+    bound, agree with the closed forms at no samples, one, the capacity
+    and one past it, also where f exceeds the scale's bits and no sample
+    rounds back."""
+    params = default_params(ring_degree=1024, scale_bits=scale_bits)
+    spec = QuantizationSpec(fractional_bits=bits, clip_range=clip)
+    capacity = sample_capacity(params, spec)
+    for n in (0, 1, capacity, capacity + 1):
+        assert (capacity, dropped_bits(params, spec, n)) == closed_forms(
+            params, spec, n)
 
 
 @pytest.mark.parametrize("case", ROUNDED)

@@ -1302,6 +1302,24 @@ def test_nan_plain_update_aborts_every_client(world):
     assert "client 1" in str(real_err[0])
 
 
+@pytest.mark.parametrize("value", [1e300, 0.1])
+def test_unquantized_plain_update_aborts_every_client(world, value):
+    """A plain UPDATE beyond the clip range (1e300) or off the 2^-16 grid
+    (0.1) is not what quantization under the run's spec gives, so the
+    plain sum would not be exact: the coordinator names its sender and
+    aborts every client."""
+    upd = PlainUpdate(1, np.full(world["init"].param_count, value), 10, 0)
+    error, real_err, reply = rogue_round(world, "plaintext", None,
+                                         T.encode_update(upd))
+    assert isinstance(error, ProtocolError)
+    assert ("UPDATE from client 1: plain update not quantized under "
+            "QuantizationSpec(") in str(error)
+    assert reply.mtype == T.MSG_ABORT
+    assert b"client 1" in reply.payload
+    assert real_err and "server aborted" in str(real_err[0])
+    assert "client 1" in str(real_err[0])
+
+
 def test_wrong_mode_update_aborts_every_client(world):
     """A `CKF1` UPDATE on an fhe run does not decode; the coordinator
     names its sender and aborts every client."""
