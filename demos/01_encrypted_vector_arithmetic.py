@@ -42,21 +42,22 @@ print("dec(x+y) =", np.round(total, 6))
 print("max error:", f"{np.abs(total - (x + y)).max():.2e}\n")
 
 # -- the federated average: integer weights, no rescale ---------------------
-# Each client quantizes its vector to the 2^-16 grid and packs it into the
-# coefficients of one chunk, m = x * delta, an exact integer, encrypted at
-# level 0 under the secret key. Only the 8 coefficients of c0 that carry
-# values are kept, and c1 travels as a 32-byte seed. The server adds
-# n_k * c0_k mod q0 over the clients, n_k its sample count, and sets the
-# sum's scale to delta * n_total. Each decrypted coefficient is
-# sum_k n_k * (x_k * delta + e_k): dividing by delta / 2^16 with rounding
-# drops the errors e_k and leaves the integer sum_k n_k * x_k * 2^16,
-# which one division turns into the mean.
+# Each client quantizes its vector to the 2^-16 grid, multiplies it by its
+# sample count n_k and packs it into the coefficients of one chunk, m =
+# n_k * x * delta, an exact integer, encrypted at level 0 under the secret
+# key at scale delta * n_k. Only the 8 coefficients of c0 that carry values
+# are kept, and c1 travels as a 32-byte seed. The server only adds c0_k mod
+# q0 over the clients, and the sum's scale is delta * n_total. Each
+# decrypted coefficient is sum_k (n_k * x_k * delta + e_k): dividing by
+# delta / 2^16 with rounding drops the errors e_k and leaves the integer
+# sum_k n_k * x_k * 2^16, which one division turns into the mean.
 spec = QuantizationSpec()
 counts = (30, 50, 20)
 vectors = [quantize(rng.uniform(-1, 1, 8), spec) for _ in counts]
-uploads = [encrypt_symmetric(encode_coeffs(v[None, :], params, level=0),
+uploads = [encrypt_symmetric(encode_coeffs(v[None, :], params, level=0,
+                                           scale=params.scale * n_k),
                              keys, [k], count=8)
-           for k, v in enumerate(vectors)]
+           for k, (n_k, v) in enumerate(zip(counts, vectors))]
 mean_ct = aggregate([ClientUpdate(k, ct, n_k, 0, 8) for k, (n_k, ct)
                      in enumerate(zip(counts, uploads))], keys.public)
 
@@ -68,6 +69,6 @@ print(f"sample counts n_k  = {counts}")
 print("dec(weighted mean) =", np.round(got, 6))
 print("weighted mean      =", np.round(want, 6))
 print("max error         :", f"{np.abs(got - want).max():.2e}")
-delta_bits = np.log2(uploads[0].scale)
+delta_bits = np.log2(params.scale)
 print(f"level {uploads[0].level} -> {mean_ct.level}, no rescale; scale "
-      f"2^{delta_bits:.0f} -> 2^{delta_bits:.0f} * {sum(counts)}")
+      f"2^{delta_bits:.0f} * n_k -> 2^{delta_bits:.0f} * {sum(counts)}")

@@ -17,7 +17,7 @@ from ..errors import ConfigError, ProtocolError
 from ..model import (HybridModel, TrainingConfig, check_data, evaluate,
                      evaluate_clients, train_epochs, unflatten_weights)
 from . import server
-from .client import (check_sample_capacity, decrypt_and_load, derive_seed,
+from .client import (check_capacity, decrypt_and_load, derive_seed,
                      encrypt_model, plain_update)
 from .metrics import MetricsSink, metrics_row
 from .quantize import QuantizationSpec
@@ -149,7 +149,8 @@ def check_run_inputs(config: RoundConfig, client_datasets, keys,
                      mode: str) -> None:
     """ConfigError before any client trains, on every transport, unless
     the mode is known, each client has one dataset of its configured
-    size, and an fhe sample total fits `sample_capacity`."""
+    size, and on an fhe run the clients and their sample total fit the
+    capacity (`client.check_capacity`)."""
     server.check_mode(mode)
     if len(client_datasets) != config.client_count:
         raise ConfigError(f"{len(client_datasets)} datasets for "
@@ -159,8 +160,8 @@ def check_run_inputs(config: RoundConfig, client_datasets, keys,
             raise ConfigError(f"client {k} dataset size {len(ds)} does not "
                               f"match configured {config.sample_counts[k]}")
     if mode == "fhe":
-        check_sample_capacity(sum(config.sample_counts), keys.params,
-                              config.quantization)
+        check_capacity(config.sample_counts, keys.params,
+                       config.quantization)
 
 
 def run_round(global_model: HybridModel, config: RoundConfig, client_datasets,

@@ -71,7 +71,8 @@ def _client_rounds(channel, client_id: int, dataset, test_data,
         with _COMPUTE:
             [(upd, row)] = client_steps(model, [dataset], config, r,
                                         [client_id], mode, keys)
-            update, train_row = encode_update(upd), encode_metrics(row)
+            update = encode_update(upd, config.client_count)
+            train_row = encode_metrics(row)
         io(r, channel.send, Message(MSG_UPDATE, r, update))
         io(r, channel.send, Message(MSG_METRICS, r, train_row))
 

@@ -3,12 +3,13 @@
 This module is the server's entire capability surface: it imports no
 decryption routine and no secret-bearing type, and it rejects key
 material that carries more than the public part. Aggregation is one
-integer weighted sum mod the primes: each client's arrays times its
-sample count, added in client order, with the total divided out through
-the scale, so no rescale. Of seeded uploads it sums the P coefficients
-of c0, and the c1 halves only where they are already in memory; it
-never expands a seed. `round_loop` is the one round loop of every actor
-on both transports.
+integer sum mod the primes, with the total divided out through the
+scale, so no rescale. A seeded upload already holds its client's n_k *
+w_k at scale * n_k, so of seeded uploads it only adds the P
+coefficients of c0, and the c1 halves only where they are already in
+memory; it never expands a seed. Public-key ciphertexts, at one scale,
+it weights by their sample counts. `round_loop` is the one round loop
+of every actor on both transports.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ from ..errors import (AlignmentError, CipherfedError, ConfigError,
                       ParameterError, ProtocolError, ShapeError)
 from ..fhe.keys import PublicMaterial
 from ..fhe.params import EncryptionParams
-from ..fhe.nttmath import multipliers, weighted_sum
+from ..fhe.nttmath import multipliers, sum_mod, weighted_sum
 from ..fhe.ops import Ciphertext, SeededBatch
 # perfbench --trace wraps these four; ROADMAP item 1
 from ..fhe.encoding import encode_scalar
 from ..fhe.ops import add_ct, mul_plain, rescale
-from .client import check_sample_capacity
+from .client import check_capacity
 from .metrics import metrics_row
 from .transport import (MAX_WIRE_COUNT, MSG_ABORT, MSG_GLOBAL, MSG_JOIN,
                         MSG_METRICS, MSG_UPDATE, Message, abort_message,
@@ -55,10 +56,12 @@ def _server_params(material) -> EncryptionParams:
 
 def _check_updates(updates) -> None:
     """Reject a set of updates that cannot be averaged: every encrypted
-    update must carry the first update's chunk count, level and scale,
-    which the weights are encoded for, in the same kind of batch under
-    the same quantization, and the first update's parameter count, and a
-    seeded one that many coefficients, which fill its chunks."""
+    update must carry the first update's chunk count and level, in the
+    same kind of batch under the same quantization, and the first
+    update's parameter count, and a seeded one that many coefficients,
+    which fill its chunks. A seeded update's scale must be the scale
+    times its own sample count, which it is weighted by; a public-key
+    batch's the first one's, which the server weights."""
     if not updates:
         raise ProtocolError("no client updates to aggregate")
     rnd = updates[0].round_index
@@ -79,7 +82,11 @@ def _check_updates(updates) -> None:
                                 f"{u.sample_count}")
         if first is None:
             continue
-        got, want = ((len(c), c.level, c.scale) for c in (u.chunks, first))
+        seeded = isinstance(first, SeededBatch)
+        scale = (u.chunks.params.scale * u.sample_count if seeded
+                 else first.scale)
+        got, want = ((len(u.chunks), u.chunks.level, u.chunks.scale),
+                     (len(first), first.level, scale))
         if got != want:
             raise AlignmentError(
                 f"client {u.client_id} sent {got[0]} chunks at level "
@@ -89,13 +96,11 @@ def _check_updates(updates) -> None:
             raise AlignmentError(f"client {u.client_id} sent a "
                                  f"{type(u.chunks).__name__}, not a "
                                  f"{type(first).__name__}")
-        if (isinstance(first, SeededBatch)
-                and u.chunks.quantization != first.quantization):
+        if seeded and u.chunks.quantization != first.quantization:
             raise AlignmentError(f"client {u.client_id} quantized under "
                                  f"{u.chunks.quantization}, not "
                                  f"{first.quantization}")
-        if (isinstance(first, SeededBatch)
-                and u.chunks.c0.size != u.param_count):
+        if seeded and u.chunks.c0.size != u.param_count:
             raise ShapeError(f"client {u.client_id} sent {u.chunks.c0.size} "
                              f"coefficients for {u.param_count} parameters")
         if u.param_count != updates[0].param_count:
@@ -104,17 +109,18 @@ def _check_updates(updates) -> None:
 
 
 def aggregate(updates, material: PublicMaterial | EncryptionParams):
-    """Weighted encrypted mean over the clients' ciphertext batches: S =
-    sum_k n_k * E(w_k) mod the primes, at scale (input scale) * n_total,
-    so that decoding divides by n_total; the result is one batch at the
-    inputs' level. Of public-key Ciphertexts it sums both halves. Of
-    SeededBatches it sums the P coefficients of c0, carries the seeds in
-    client order and the counts times n_k, so that the GLOBAL sends them
-    in place of c1, and the uploads' quantization, which sets the GLOBAL's
-    rounding, and sums c1 only if every upload holds it in memory
-    (encryption on the direct transport): no seed is expanded here. Each
-    client's weight becomes a Shoup multiplier once, for every sum. An
-    update under other parameters than the server's is a ParameterError."""
+    """Weighted encrypted mean over the clients' ciphertext batches, at
+    scale (the scale) * n_total, so that decoding divides by n_total;
+    the result is one batch at the inputs' level. Of SeededBatches,
+    which each hold n_k * w_k, it adds the P coefficients of c0, carries
+    the seeds in client order, the sample counts, so that the GLOBAL
+    sends them in place of c1, and the uploads' quantization, which sets
+    the GLOBAL's rounding, and sums c1 only if every upload holds it in
+    memory (encryption on the direct transport): no seed is expanded
+    here. Public-key Ciphertexts it weights, S = sum_k n_k * E(w_k) mod
+    the primes, both halves, each client's weight a Shoup multiplier
+    once. An update under other parameters than the server's is a
+    ParameterError."""
     params = _server_params(material)
     for u in updates:
         if u.chunks.params != params:
@@ -125,25 +131,23 @@ def aggregate(updates, material: PublicMaterial | EncryptionParams):
     weights = [u.sample_count for u in updates]
     cts = [u.chunks for u in updates]
     first = cts[0]
-    scale = first.scale * sum(weights)
     if isinstance(first, SeededBatch):
         q0 = params.q_column((0,))[0]
-        factors = multipliers(weights, q0)
         a = None
         if all(ct.a is not None for ct in cts):
-            a = first.a._like(weighted_sum([ct.a.residues for ct in cts],
-                                           factors, q0))
+            a = first.a._like(sum_mod(np.stack([ct.a.residues for ct in cts]),
+                                      q0))
         return SeededBatch(
-            params, weighted_sum([ct.c0 for ct in cts], factors, q0),
-            scale, tuple(s for ct in cts for s in ct.seeds),
-            tuple(n * c for n, ct in zip(weights, cts) for c in ct.counts),
-            a, first.quantization)
+            params, sum_mod(np.stack([ct.c0 for ct in cts]), q0),
+            params.scale * sum(weights),
+            tuple(s for ct in cts for s in ct.seeds), tuple(weights), a,
+            first.quantization)
     q = first.c0.q_column
     factors = multipliers(weights, q)
     c0, c1 = (first.c0._like(weighted_sum(
         [getattr(ct, half).residues for ct in cts], factors, q))
         for half in ("c0", "c1"))
-    return Ciphertext(c0, c1, scale, first.level)
+    return Ciphertext(c0, c1, first.scale * sum(weights), first.level)
 
 
 def aggregate_plain(updates) -> np.ndarray:
@@ -194,15 +198,16 @@ class FederationCoordinator:
     """Server side of the wire protocol, driven over abstract channels.
 
     It runs from the run's `config`, a RoundConfig, whose sample counts
-    weight the clients' UPDATEs and whose quantization spec each decoded
-    UPDATE carries: no peer states its own weight or spec. State is
-    limited to that config, the run's parameters, the model size
-    `param_count` and collected metric rows; decryption never happens
-    here. An fhe sample total beyond `sample_capacity`, or rounds or
-    clients that outgrow the wire's u16 fields, is a ConfigError at
-    construction. `round_loop` plays its rounds, as it plays each
-    client's. On any failure it tells every client to abort, then
-    raises the error (as a ProtocolError unless a CipherfedError).
+    each UPDATE's scale must carry, whose client count sets the low bits
+    each UPDATE drops, and whose quantization spec each decoded UPDATE
+    carries: no peer states its own weight or spec. State is limited to
+    that config, the run's parameters, the model size `param_count` and
+    collected metric rows; decryption never happens here. fhe clients or
+    a sample total beyond the capacity (`client.check_capacity`), or
+    rounds or clients that outgrow the wire's u16 fields, are a
+    ConfigError at construction. `round_loop` plays its rounds, as it
+    plays each client's. On any failure it tells every client to abort,
+    then raises the error (as a ProtocolError unless a CipherfedError).
     """
 
     def __init__(self, config, mode: str, param_count: int,
@@ -215,8 +220,8 @@ class FederationCoordinator:
         self.params = None
         if mode == "fhe":
             self.params = _server_params(material)
-            check_sample_capacity(sum(config.sample_counts), self.params,
-                                  config.quantization)
+            check_capacity(config.sample_counts, self.params,
+                           config.quantization)
         self.config = config
         self.param_count = param_count
         self.frame_bound = frame_bound(param_count, self.params)
@@ -277,7 +282,8 @@ class FederationCoordinator:
                 updates.append(decode_update(payload, r, params, cid,
                                              self.config.sample_counts[cid],
                                              self.param_count,
-                                             self.config.quantization))
+                                             self.config.quantization,
+                                             self.config.client_count))
             except CipherfedError as e:
                 raise type(e)(f"UPDATE from client {cid}: {e}") from e
 

@@ -7,13 +7,14 @@ socket. Serialization is lossless, so a socket run's results equal the
 direct transport's. Every binary payload is read through a
 bounds-checked `Reader` and must be consumed exactly. An UPDATE or
 GLOBAL payload is one artifact, which the run's mode picks: on an fhe
-run a `CKU3` seeded upload up and a `CKA3` seeded aggregate down, each
+run a `CKU4` seeded upload up and a `CKA4` seeded aggregate down, each
 carrying the P = param_count coefficients of c0 that hold weights and
 seeds in place of c1; on a plaintext run `CKF1` both ways. Either
-reader takes P from the run, not from the payload. A `CKA3` rounds away
-the low bits of c0 that the run's quantization spec and the GLOBAL's
-sample counts leave to decryption's rounding (`client.dropped_bits`),
-and each end stamps a decoded batch with its own run's spec. A METRICS
+reader takes P from the run, not from the payload. A `CKU4` rounds away
+the low bits of c0 that the run's quantization spec and client count
+leave each upload (`client.upload_bits`), a `CKA4` those that they
+leave to decryption's rounding (`client.dropped_bits`), and each end
+stamps a decoded batch with its own run's spec. A METRICS
 payload is a row's data, and an ABORT payload a reason of at most
 CONTROL_BYTES.
 """
@@ -37,7 +38,7 @@ from ..fhe.serial import (Reader, deserialize_float_vector,
 # perfbench --trace wraps these two; ROADMAP item 1
 from ..fhe.serial import deserialize_ciphertext, serialize_ciphertext
 from .client import (ClientUpdate, PlainUpdate, chunk_count_for,
-                     dropped_bits)
+                     dropped_bits, upload_bits)
 from .metrics import FIELDS
 from .quantize import QuantizationSpec, quantize
 
@@ -164,25 +165,44 @@ def decode_join(payload: bytes) -> int:
     return client_id
 
 
-def encode_update(update) -> bytes:
-    """An UPDATE payload: the update's artifact alone, `CKU3` or `CKF1`."""
+def _spec(batch):
+    """The quantization spec that a seeded batch records; FormatError if
+    none, since the wire's rounding follows from it."""
+    if getattr(batch, "quantization", None) is None:
+        raise FormatError("only a seeded batch that records its "
+                          "quantization spec goes on the wire")
+    return batch.quantization
+
+
+def encode_update(update, clients: int = 1) -> bytes:
+    """An UPDATE payload: the update's artifact alone, `CKF1` or a
+    `CKU4` rounded by the low bits that its spec gives the uploads of a
+    run of `clients` clients (the same for every run of up to
+    client.SUM_CLIENTS)."""
     if isinstance(update, ClientUpdate):
-        return serialize_seeded(update.chunks)
+        batch = update.chunks
+        return serialize_seeded(batch, upload_bits(batch.params,
+                                                   _spec(batch), clients))
     return serialize_float_vector(update.values)
 
 
 def decode_update(payload: bytes, round_index: int, params, client_id: int,
                   sample_count: int, param_count: int,
-                  quantization: QuantizationSpec = QuantizationSpec()):
-    """The UPDATE of the client that joined as `client_id`, weighted by
-    the run's `sample_count` for it, for the server's `param_count`: on
-    an fhe run (`params` given) that many coefficients in the chunks
-    they fill, checked before any field past the header is read (no seed
-    is expanded), and stamped with the run's `quantization`; on a
-    plaintext run that many values, which `quantization` leaves as is."""
+                  quantization: QuantizationSpec = QuantizationSpec(),
+                  clients: int = 1):
+    """The UPDATE of the client that joined as `client_id`, holding the
+    run's `sample_count` for it, for the server's `param_count`: on an
+    fhe run (`params` given) that many coefficients in the chunks they
+    fill, at the scale times `sample_count`, rounded by the bits that
+    `quantization` gives the uploads of `clients` clients, checked
+    before any field past the header is read (no seed is expanded), and
+    stamped with the run's `quantization`; on a plaintext run that many
+    values, which `quantization` leaves as is."""
     if params is not None:
-        chunks = replace(deserialize_seeded(payload, params, param_count),
-                         quantization=quantization)
+        chunks = replace(deserialize_seeded(
+            payload, params, param_count, sample_count,
+            upload_bits(params, quantization, clients)),
+            quantization=quantization)
         return ClientUpdate(client_id, chunks, sample_count, round_index,
                             param_count)
     values = deserialize_float_vector(payload)
@@ -196,31 +216,28 @@ def decode_update(payload: bytes, round_index: int, params, client_id: int,
 
 def encode_global(agg) -> bytes:
     """A plaintext mean as `CKF1`, an aggregate of seeded uploads as
-    `CKA3`, rounded by the bits that its quantization and sample total
+    `CKA4`, rounded by the bits that its quantization and client count
     drop; any other aggregate, or one that records no quantization, is
     a FormatError."""
     if isinstance(agg, np.ndarray):
         return serialize_float_vector(agg)
-    if getattr(agg, "quantization", None) is None:
-        raise FormatError("only a sum of seeded uploads that records its "
-                          "quantization spec is written as CKA3")
-    return serialize_seeded_sum(agg, dropped_bits(
-        agg.params, agg.quantization, sum(agg.counts)))
+    return serialize_seeded_sum(agg, dropped_bits(agg.params, _spec(agg),
+                                                  len(agg.counts)))
 
 
 def decode_global(payload: bytes, params, param_count: int,
                   quantization: QuantizationSpec = QuantizationSpec()):
     """The one artifact that is a GLOBAL payload for a model of
     `param_count` parameters: on an fhe run, where `params` is given, a
-    `CKA3` seeded aggregate of that many coefficients whose c0 drops the
-    bits that the run's `quantization` gives for its sample counts,
+    `CKA4` seeded aggregate of that many coefficients whose c0 drops the
+    bits that the run's `quantization` gives for its client count,
     stamped with that spec, and on a plaintext run a `CKF1` vector of
     that many values. Whether the counts are the run's is the caller's
     check; no seed is expanded until the aggregate is decrypted."""
     if params is not None:
         return replace(deserialize_seeded_sum(
             payload, params, param_count,
-            lambda n: dropped_bits(params, quantization, n)),
+            lambda clients: dropped_bits(params, quantization, clients)),
             quantization=quantization)
     values = deserialize_float_vector(payload)
     if values.size != param_count:

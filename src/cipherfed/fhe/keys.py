@@ -49,11 +49,15 @@ class KeyMaterial:
     (x -> x*s mod q0 for coefficient-domain x), and its public material:
     `public`, or else pk0 = -(a*s) + e and pk1 = a, built on first read
     from `draws`, keygen's generator where the draw of s left it: the
-    seed of a, then e."""
+    seed of a, then e. `nonce`, which seeded encryption folds into every
+    seed it draws, is empty for keys drawn from a seed, and new to each
+    load of key files."""
 
     def __init__(self, params: EncryptionParams, secret: np.ndarray,
-                 public: PublicMaterial | None = None, draws=None):
+                 public: PublicMaterial | None = None, draws=None,
+                 nonce: bytes = b""):
         self.params, self.secret = params, secret  # int64 in {-1, 0, 1}
+        self.nonce = nonce
         self._public, self._draws = public, draws
         self._lock, self._rows = threading.Lock(), {}
         self.times_secret = TernaryProduct(secret, params)

@@ -21,15 +21,18 @@ import numpy as np
 _M32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
 
-# Deterministic Miller-Rabin witness set for n < 2^64.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# trial divisors, which settle most composites before any power
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Sinclair's Miller-Rabin bases: no composite n < 2^64 is a strong
+# probable prime to all seven, each taken mod n
+_MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test for 64-bit integers."""
     if n < 2:
         return False
-    for p in _MR_WITNESSES:
+    for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -37,7 +40,10 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_BASES:
+        a %= n
+        if a == 0:
+            continue
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -184,6 +190,19 @@ def weighted_sum(arrays, factors, q) -> np.ndarray:
             a = shoup_mul(a, *f, q)
         acc = a if acc is None else addmod(acc, a, q)
     return acc
+
+
+def sum_mod(stack: np.ndarray, q) -> np.ndarray:
+    """stack.sum(0) mod q for a stack of residues below q: a u64 sum
+    holds (2^64 - 1) // q of them, 15 at q0 = 2^60 + 57,345, so more are
+    summed in blocks of that many, each reduced, and then those sums. A
+    stack of one is its own sum."""
+    if len(stack) == 1:
+        return stack[0]
+    per = ((1 << 64) - 1) // int(np.max(q))
+    sums = [np.sum(stack[i:i + per], axis=0) % q
+            for i in range(0, len(stack), per)]
+    return sums[0] if len(sums) == 1 else sum_mod(np.stack(sums), q)
 
 
 def addmod(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:

@@ -22,8 +22,7 @@ from ..errors import (AlignmentError, DomainError, LevelError,
                       ParameterError, ShapeError)
 from .encoding import Plaintext
 from .keys import KeyMaterial
-from .nttmath import (addmod, multipliers, shoup_constant, shoup_mul, submod,
-                      weighted_sum)
+from .nttmath import addmod, shoup_constant, shoup_mul, submod, sum_mod
 from .params import EncryptionParams
 from .poly import (COEFF, GAUSSIAN_STDDEV, NTT, RingPoly, ShoupPoly,
                    centered, expand_seed, from_signed_coeffs, ntt_forward,
@@ -81,19 +80,21 @@ class Ciphertext:
 @dataclass(frozen=True)
 class SeededBatch:
     """A level-0 seeded upload of P coefficients in c = ceil(P / N)
-    chunks, or the weighted sum of K such uploads.
+    chunks, or the sum of K such uploads.
 
-    c0 holds the first P coefficients of sum_k counts[k] * c0_k mod q0 in
-    the coefficient domain: coefficient j*N + i is coefficient i of chunk
-    j, and each chunk's coefficients past P are dropped. c1 = sum_k
-    counts[k] * a_k, also in the coefficient domain, never travels: chunk
-    j of a_k is expanded from seeds[k * c + j]. `a`, when given, is that c1
-    already in memory, as encryption and an aggregate of such uploads
-    hold it; otherwise `c1` expands the seeds. An upload has counts (1,),
-    an aggregate the clients' sample counts. `quantization` is the
-    federation's QuantizationSpec of the values it holds, which
-    encrypt_model records and aggregate and the readers of the wire
-    carry, or None; decrypt_and_load and a GLOBAL's rounding read it.
+    c0 holds the first P coefficients of sum_k c0_k mod q0 in the
+    coefficient domain: coefficient j*N + i is coefficient i of chunk j,
+    and each chunk's coefficients past P are dropped. c1 = sum_k a_k,
+    also in the coefficient domain, never travels: chunk j of a_k is
+    expanded from seeds[k * c + j]. `a`, when given, is that c1 already
+    in memory, as encryption and an aggregate of such uploads hold it;
+    otherwise `c1` expands the seeds. `counts` are the sample counts of
+    the K clients, one each, which a GLOBAL carries; a federation upload
+    holds its client's n_k * w_k at scale * n_k, so that the sum needs
+    no weights. `quantization` is the federation's QuantizationSpec of
+    the values it holds, which encrypt_model records and aggregate and
+    the readers of the wire carry, or None; decrypt_and_load and the
+    wire's rounding read it.
     """
     params: EncryptionParams
     c0: np.ndarray  # (P,) uint64 below q0
@@ -120,7 +121,7 @@ class SeededBatch:
     def c1(self) -> RingPoly:
         if self.a is not None:
             return self.a
-        return seeded_c1(self.seeds, self.counts, self.params)
+        return seeded_c1(self.seeds, len(self), self.params)
 
     def __getitem__(self, i) -> Ciphertext:
         """Chunk i (a slice gives a sub-batch) as an NTT-domain
@@ -158,20 +159,16 @@ def encrypt(pt: Plaintext, keys, rng_seed=0) -> Ciphertext:
     return Ciphertext(c0=c0, c1=c1, scale=pt.scale, level=pt.level)
 
 
-def seeded_c1(seeds, counts, params: EncryptionParams) -> RingPoly:
-    """The level-0 coefficient-domain c1 of a seeded batch: sum_k
-    counts[k] * a_k mod q0, in client order, where chunk j of a_k is
-    expanded from seeds[k * c + j] for c chunks. With counts (1,) that
-    is one upload's c1; with the clients' sample counts it is, residue
-    for residue, the sum that server.aggregate forms from the uploads'
-    a_k."""
+def seeded_c1(seeds, chunks: int, params: EncryptionParams) -> RingPoly:
+    """The level-0 coefficient-domain c1 of a seeded batch of `chunks`
+    chunks: sum_k a_k mod q0, where chunk j of a_k is expanded from
+    seeds[k * chunks + j]. With one client's seeds that is its upload's
+    c1; with every client's it is, residue for residue, the sum that
+    server.aggregate forms from the uploads' a_k."""
     q0, n = params.modulus_chain[0], params.ring_degree
-    c = len(seeds) // len(counts)
-    a = (np.stack([expand_seed(s, q0, n) for s in seeds[k * c:(k + 1) * c]]
-                  )[:, None, :] for k in range(len(counts)))
-    q = params.q_column((0,))
-    return RingPoly(params, (0,), weighted_sum(a, multipliers(counts, q), q),
-                    COEFF)
+    a = np.stack([expand_seed(s, q0, n) for s in seeds])
+    return RingPoly(params, (0,), sum_mod(a.reshape(-1, chunks, 1, n),
+                                          np.uint64(q0)), COEFF)
 
 
 def encrypt_symmetric(pt: Plaintext, keys: KeyMaterial, rng_seed,
@@ -181,12 +178,16 @@ def encrypt_symmetric(pt: Plaintext, keys: KeyMaterial, rng_seed,
     (encode_coeffs), deterministic in rng_seed: one int per chunk, for
     the ceil(count / N) chunks that `count` fills.
 
-    Chunk i's 32-byte seed is SHA-256 of a tag and its int; c1 = a is
-    expanded from that seed into the coefficient domain, and c0 = m + e
-    - a*s, a*s one exact FFT product a chunk (keys.times_secret), of
-    which the first `count` coefficients are kept. The error e, rounded
-    normals clipped to |e| <= ERROR_CLIP, is drawn from a generator
-    seeded by the int itself, which never goes on the wire.
+    Chunk i's 32-byte seed is SHA-256 of a tag, the keys' nonce and its
+    int; c1 = a is expanded from that seed into the coefficient domain,
+    and c0 = m + e - a*s, a*s one exact FFT product a chunk
+    (keys.times_secret), of which the first `count` coefficients are
+    kept. The error e, rounded normals clipped to |e| <= ERROR_CLIP, is
+    drawn from a generator seeded by the int itself and the nonce, which
+    never go on the wire. Keys loaded from files hold a nonce new to
+    each run, so two runs under one key and one run seed share no a and
+    no e; keys drawn from a seed hold none, and their seeds stay those
+    of the seed alone.
     This is the compressed symmetric ciphertext of SEAL's
     Encryptor::encrypt_symmetric, cut to the coefficients that carry
     values: coefficient i of c0 with c1 is an LWE ciphertext of m_i + e_i
@@ -206,16 +207,19 @@ def encrypt_symmetric(pt: Plaintext, keys: KeyMaterial, rng_seed,
     if not 0 < count or -(-count // n) != ints.size:
         raise ShapeError(f"{count} coefficients do not fill the batch's "
                          f"{ints.size} chunks of {n}")
-    seeds = tuple(hashlib.sha256(_SEED_TAG + int(s).to_bytes(8, "little"))
-                  .digest() for s in ints)
+    nonce = keys.nonce
+    seeds = tuple(hashlib.sha256(_SEED_TAG + nonce + int(s).to_bytes(
+        8, "little")).digest() for s in ints)
+    salt = [int.from_bytes(nonce, "little")] if nonce else []
     # chunk j keeps min(N, count - j*N) coefficients, and its error is
     # that many rounded normals: the prefix of the N its generator draws
     # for a whole chunk, so the kept ones are the same
     e = np.concatenate([np.random.default_rng(np.random.SeedSequence(
-        [int(s), 0x5EC])).normal(0.0, GAUSSIAN_STDDEV, min(n, count - j * n))
+        [int(s), 0x5EC, *salt])).normal(0.0, GAUSSIAN_STDDEV,
+                                        min(n, count - j * n))
         for j, s in enumerate(ints)])
     e = np.clip(np.round(e), -ERROR_CLIP, ERROR_CLIP).astype(np.int64)
-    a = seeded_c1(seeds, (1,), params)
+    a = seeded_c1(seeds, ints.size, params)
     q0 = a.q_column[0]
     e = np.where(e < 0, e + params.modulus_chain[0], e).view(np.uint64)
     m_e = addmod(poly.residues.reshape(-1)[:count], e, q0)

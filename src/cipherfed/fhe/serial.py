@@ -7,8 +7,9 @@ stored in the NTT domain, each residue row packed at its prime's bit
 length; a seeded upload or aggregate carries only the first P
 coefficients of its coefficient-domain c0, and seeds in place of its
 coefficient-domain c1, in one c0 block for both: the coefficients
-rounded to a multiple of 2^d (d = 0 in an upload, and in an aggregate
-the low bits that decryption drops anyway), at the bits that are left.
+rounded to a multiple of 2^d (the bits u that an upload may drop, and
+in an aggregate the low bits that decryption drops anyway), at the bits
+that are left.
 One codec, word shifts over u64, packs and unpacks every residue block
 and the secret key's 2-bit codes. Every artifact that carries residues ends with the first
 16 bytes of the SHA-256 of the bytes before it, checked before anything
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
 
 import numpy as np
@@ -31,8 +33,8 @@ from .params import RING_DEGREE_RULE, RING_DEGREES, EncryptionParams
 from .poly import NTT, RingPoly, ShoupPoly, ntt_inverse
 
 MAGIC_CIPHERTEXT = b"CKV6"
-MAGIC_SEEDED = b"CKU3"
-MAGIC_SEEDED_SUM = b"CKA3"
+MAGIC_SEEDED = b"CKU4"
+MAGIC_SEEDED_SUM = b"CKA4"
 MAGIC_SECRET_KEY = b"CKS3"
 MAGIC_PUBLIC_KEY = b"CKP3"
 MAGIC_FLOAT_VECTOR = b"CKF1"
@@ -53,6 +55,8 @@ RETIRED = {b"CKV2": ("ciphertext", MAGIC_CIPHERTEXT),
            b"CKU1": ("one-row seeded ciphertext", MAGIC_SEEDED),
            b"CKU2": ("NTT-seeded ciphertext", MAGIC_SEEDED),
            b"CKA2": ("NTT-seeded aggregate", MAGIC_SEEDED_SUM),
+           b"CKU3": ("unrounded seeded ciphertext", MAGIC_SEEDED),
+           b"CKA3": ("sample-weighted seeded aggregate", MAGIC_SEEDED_SUM),
            b"CKS2": ("secret key", None), b"CKP1": ("public key", None),
            b"CKP2": ("public key", None)}
 RETIRED_BATCHES = {m: shares for m, (_, shares) in RETIRED.items() if shares}
@@ -370,40 +374,41 @@ def _seeded_bytes(batch: SeededBatch, magic: bytes, head: bytes,
                           _pack(y[None], width).tobytes()]))
 
 
-def serialize_seeded(batch: SeededBatch) -> bytes:
-    """One `CKU3` upload, an encrypt_symmetric output: the header, each
-    chunk's seed, then the c0 block of its P coefficients at d = 0; c1
-    is left to the seeds."""
-    if not isinstance(batch, SeededBatch) or batch.counts != (1,):
+def serialize_seeded(batch: SeededBatch, dropped: int) -> bytes:
+    """One `CKU4` upload, an encrypt_model output of one client: the
+    header, each chunk's seed, then the c0 block of its P coefficients
+    at d = `dropped`, the u of client.upload_bits; c1 is left to the
+    seeds."""
+    if not isinstance(batch, SeededBatch) or len(batch.counts) != 1:
         raise FormatError("only a seeded ciphertext of one upload is "
-                          "written as CKU3")
-    return _seeded_bytes(batch, MAGIC_SEEDED, b"", 0)
+                          "written as CKU4")
+    return _seeded_bytes(batch, MAGIC_SEEDED, b"", dropped)
 
 
 def serialize_seeded_sum(batch: SeededBatch, dropped: int) -> bytes:
-    """One `CKA3` aggregate, a weighted sum of seeded uploads from
+    """One `CKA4` aggregate, a sum of seeded uploads from
     server.aggregate: the header, the client count K, the K sample
     counts, each client's chunk seeds client after client, then the c0
     block of its P coefficients at d = `dropped`."""
     if not isinstance(batch, SeededBatch):
-        raise FormatError("only a sum of seeded uploads is written as CKA3")
+        raise FormatError("only a sum of seeded uploads is written as CKA4")
     k = len(batch.counts)
     return _seeded_bytes(batch, MAGIC_SEEDED_SUM,
                          struct.pack(f"<H{k}Q", k, *batch.counts), dropped)
 
 
-def _read_rounded(r: Reader, q0: int, dropped: int, total: int,
+def _read_rounded(r: Reader, q0: int, dropped: int, clients: int,
                   n: int) -> np.ndarray:
     """The n coefficients y * 2^d of a c0 block. Raises FormatError
     unless the block drops d = `dropped` bits at their width w, which
-    the reader's run gives for `total` samples, every y * 2^d is below
+    the reader's run gives for `clients` clients, every y * 2^d is below
     q0, and every pad bit is 0."""
     _, top, width = _rounding(q0, dropped)
     got = r.unpack("BB")
     if got != (dropped, width):
         raise FormatError(f"{r.what} drops {got[0]} low bits of c0 at "
-                          f"{got[1]} bits a coefficient; for {total} "
-                          f"samples this run drops {dropped} at {width}")
+                          f"{got[1]} bits a coefficient; for {clients} "
+                          f"clients this run drops {dropped} at {width}")
     y = _unpack(np.frombuffer(r.take(-(-n * width // 8)),
                               dtype=np.uint8)[None], n, width)[0]
     if (y > np.uint64(top)).any():
@@ -413,16 +418,19 @@ def _read_rounded(r: Reader, q0: int, dropped: int, total: int,
 
 
 def _read_seeded(data: bytes, params: EncryptionParams, magic: bytes,
-                 param_count: int, dropped) -> SeededBatch:
-    """A `CKU3` (one upload, counts (1,)) or a `CKA3` batch of
-    `param_count` coefficients, its c0 block rounded by
-    `dropped(n_total)` bits. Every check runs before any field past the
-    header is read: the scale, a chunk count of ceil(param_count / N),
-    which no other reader of a batch checks again, and the exact length
-    that the counts, the chunks, P and the width give. No seed is
-    expanded: c1 waits for the batch's first use."""
+                 param_count: int, dropped, counts=None) -> SeededBatch:
+    """A `CKU4` (one upload of the run's `counts`, (n_k,)) or a `CKA4`
+    batch (the counts its header names) of `param_count` coefficients,
+    its c0 block rounded by `dropped(K)` bits for its K clients. Every
+    check runs before any field past the header is read: the scale,
+    which must be the scale times the counts' total, a chunk count of
+    ceil(param_count / N), which no other reader of a batch checks
+    again, and the exact length that the counts, the chunks, P and the
+    width give. No seed is expanded: c1 waits for the batch's first
+    use."""
     r = _open(data, magic, params)
-    level, scale, chunks, counts = _read_header(r, magic)
+    level, scale, chunks, named = _read_header(r, magic)
+    counts = named if counts is None else counts
     if scale != params.scale * sum(counts):
         raise FormatError(f"{r.what} scale {scale} is not the scale times "
                           f"its {sum(counts)} samples")
@@ -430,32 +438,34 @@ def _read_seeded(data: bytes, params: EncryptionParams, magic: bytes,
     if chunks != fill:
         raise FormatError(f"{r.what} holds {chunks} chunks; {param_count} "
                           f"parameters fill {fill}")
-    q0, d = params.modulus_chain[0], dropped(sum(counts))
+    q0, d = params.modulus_chain[0], dropped(len(counts))
     width = _rounding(q0, d)[2]
     # the seeds, then c0: d, the width and P values of y
     r.rest_is(len(counts) * chunks * SEED_BYTES + 2
               + -(-param_count * width // 8))
     seeds = tuple(r.take(SEED_BYTES) for _ in range(len(counts) * chunks))
-    c0 = _read_rounded(r, q0, d, sum(counts), param_count)
+    c0 = _read_rounded(r, q0, d, len(counts), param_count)
     r.end()
     return SeededBatch(params, c0, scale, seeds, counts)
 
 
 def deserialize_seeded(data: bytes, params: EncryptionParams,
-                       param_count: int) -> SeededBatch:
-    """A `CKU3` upload of `param_count` coefficients, whose c0 block
-    drops no bits. A retired upload (`RETIRED`) is refused by its
-    magic."""
+                       param_count: int, sample_count: int,
+                       dropped: int) -> SeededBatch:
+    """The `CKU4` upload of a client of `sample_count` samples, of
+    `param_count` coefficients at scale * sample_count, whose c0 block
+    drops the `dropped` low bits that the reader's run gives its
+    uploads. A retired upload (`RETIRED`) is refused by its magic."""
     return _read_seeded(data, params, MAGIC_SEEDED, param_count,
-                        lambda total: 0)
+                        lambda clients: dropped, (sample_count,))
 
 
 def deserialize_seeded_sum(data: bytes, params: EncryptionParams,
                            param_count: int, dropped) -> SeededBatch:
-    """A `CKA3` aggregate of `param_count` coefficients whose c0 must
-    drop the `dropped(n_total)` low bits that the reader's run gives for
-    the sample total n_total of its counts. A retired aggregate
-    (`RETIRED`) is refused by its magic."""
+    """A `CKA4` aggregate of `param_count` coefficients whose c0 must
+    drop the `dropped(K)` low bits that the reader's run gives for the
+    K clients of its counts. A retired aggregate (`RETIRED`) is refused
+    by its magic."""
     return _read_seeded(data, params, MAGIC_SEEDED_SUM, param_count,
                         dropped)
 
@@ -496,7 +506,9 @@ def deserialize_public_material(public_data: bytes,
 def deserialize_key_material(secret_data: bytes, public_data: bytes,
                              params: EncryptionParams) -> KeyMaterial:
     """A secret key and the public key it belongs to; a pair whose public
-    key does not decrypt to small noise under the secret is rejected."""
+    key does not decrypt to small noise under the secret is rejected.
+    The keys hold a nonce new to this load (`KeyMaterial.nonce`): two
+    runs under the same key files draw no encryption seed twice."""
     r = _open(secret_data, MAGIC_SECRET_KEY, params)
     packed = np.frombuffer(r.take(params.ring_degree // 4), dtype=np.uint8)
     r.end()
@@ -504,7 +516,8 @@ def deserialize_key_material(secret_data: bytes, public_data: bytes,
     if (codes == 3).any():
         raise FormatError("secret key holds coefficient code 0b11")
     pub = deserialize_public_material(public_data, params)
-    keys = KeyMaterial(params, np.array([0, 1, -1])[codes], public=pub)
+    keys = KeyMaterial(params, np.array([0, 1, -1])[codes], public=pub,
+                       nonce=os.urandom(16))
     e = ntt_inverse(pub.pk0.poly.add(pub.pk1.poly.mul_fixed(
         keys.secret_key)))
     if (np.minimum(e.residues, e.q_column - e.residues)

@@ -13,7 +13,7 @@ from .errors import ConfigError
 from .fhe.keys import KeyMaterial, keygen
 from .fhe.serial import (deserialize_key_material, serialize_public_key,
                          serialize_secret_key)
-from .federation.client import check_sample_capacity
+from .federation.client import check_capacity
 from .federation.metrics import MetricsSink
 from .federation.rounds import (RoundConfig, federated_rounds,
                                 run_federated_training)
@@ -70,17 +70,17 @@ def build_model(cfg: RunConfig, feature_count: int,
 
 
 def round_config(cfg: RunConfig, parts) -> RoundConfig:
-    """The round config of a run on `parts`. Its sample total must fit a
-    level-0 encrypted sum under the run's encryption and quantization,
-    whichever arm runs, so that one config serves both."""
+    """The round config of a run on `parts`. Its clients and sample
+    total must fit a level-0 encrypted sum under the run's encryption
+    and quantization, whichever arm runs, so that one config serves
+    both."""
     rc = RoundConfig.for_datasets(
         parts, rounds=cfg.rounds, learning_rate=cfg.learning_rate,
         batch_size=cfg.batch_size, epochs_per_round=cfg.epochs_per_round,
         base_seed=cfg.seed, convergence_delta=cfg.convergence_delta,
         quantization=cfg.quantization,
         deterministic_timing=cfg.deterministic_timing)
-    check_sample_capacity(sum(rc.sample_counts), cfg.encryption,
-                          cfg.quantization)
+    check_capacity(rc.sample_counts, cfg.encryption, cfg.quantization)
     return rc
 
 

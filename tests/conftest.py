@@ -31,12 +31,15 @@ def coordinator_config(counts, rounds: int = 1) -> RoundConfig:
 def seeded_uploads(keys, chunks: int, counts, count=None) -> list:
     """One seeded upload of `chunks` chunks per client, the clients
     holding `counts` samples, each of `count` coefficients (all of the
-    chunks' by default), under the default quantization spec."""
+    chunks' by default), under the default quantization spec: client k
+    encrypts its values times n_k at the scale times n_k, as
+    encrypt_model does."""
     params = keys.params
     count = chunks * params.ring_degree if count is None else count
     return [ClientUpdate(k, replace(encrypt_symmetric(encode_coeffs(
         np.linspace(-1, 1, 8 * chunks).reshape(chunks, 8) / (k + 1), params,
-        level=0), keys, [100 * k + j for j in range(chunks)], count),
+        level=0, scale=params.scale * n), keys,
+        [100 * k + j for j in range(chunks)], count), counts=(n,),
         quantization=QuantizationSpec()), n, 0, count)
         for k, n in enumerate(counts)]
 

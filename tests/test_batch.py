@@ -107,29 +107,35 @@ def test_seeded_batch_equals_per_chunk(small_params, small_keys):
     assert_batch_equal(ct[:], [c[0] for c in cts])
 
 
-def per_chunk_update(model, keys, rng_seed):
-    """The UPDATE payload built chunk by chunk, one coefficient packing and
-    one seeded encrypt per ring_degree-sized slice, laid out by hand: the
-    `CKU3` header, every chunk's seed, then the c0 block: d = 0 low bits
-    dropped, q0's width byte and the chunks' coefficients that hold
-    parameters, chunk after chunk, at that width, then the trailer. The
-    reference for the batch path and for `CKU3`."""
+def per_chunk_update(model, keys, sample_count, rng_seed):
+    """The UPDATE payload of a client of `sample_count` samples, built
+    chunk by chunk, one coefficient packing of the weights times the
+    count and one seeded encrypt per ring_degree-sized slice, laid out
+    by hand: the `CKU4` header at the scale times the count, every
+    chunk's seed, then the c0 block: u = 19 low bits dropped, the width
+    byte of what is left of q0's bits and the chunks' coefficients that
+    hold parameters, chunk after chunk, each rounded to the nearest
+    multiple of 2^19 (0 where that reaches q0) and packed at that width,
+    then the trailer. The reference for the batch path and for
+    `CKU4`."""
     params = keys.params
     weights = quantize(flatten_weights(model), QuantizationSpec())
-    n = params.ring_degree
-    cts = [encrypt_symmetric(encode_coeffs(weights[None, start:start + n],
-                                           params, level=0), keys,
-                             [derive_seed(rng_seed, i)],
-                             weights[start:start + n].size)
-           for i, start in enumerate(range(0, weights.size, n))]
+    n, q0 = params.ring_degree, params.modulus_chain[0]
+    cts = [encrypt_symmetric(encode_coeffs(
+        weights[None, start:start + n], params, level=0,
+        scale=params.scale * sample_count), keys, [derive_seed(rng_seed, i)],
+        weights[start:start + n].size)
+        for i, start in enumerate(range(0, weights.size, n))]
     top = cts[0]
-    width = bytes([params.modulus_chain[0].bit_length()])
-    out = [b"CKU3", params.digest,
+    u = 19
+    width = bytes([q0.bit_length() - u])
+    y = [(int(c) + (1 << u - 1)) >> u
+         for c in np.concatenate([ct.c0 for ct in cts])]
+    out = [b"CKU4", params.digest,
            struct.pack("<BdH", top.level, top.scale, len(cts))]
     out.extend(ct.seeds[0] for ct in cts)
-    out.append(bytes([0]) + width)
-    out.append(pack_rows(np.concatenate([ct.c0 for ct in cts])[None],
-                         width))
+    out.append(bytes([u]) + width)
+    out.append(pack_rows([[v if v << u < q0 else 0 for v in y]], width))
     body = b"".join(out)
     return body + hashlib.sha256(body).digest()[:16]
 
@@ -143,8 +149,8 @@ def test_update_bytes_equal_per_chunk_loop(std_keys, dims, params_expected):
         upd = encrypt_model(model, QuantizationSpec(), std_keys, client_id,
                             40 + client_id, 0, rng_seed=seed)
         assert len(upd.chunks) == -(-params_expected // 4096)
-        assert T.encode_update(upd) == per_chunk_update(model, std_keys,
-                                                        seed)
+        assert T.encode_update(upd) == per_chunk_update(
+            model, std_keys, 40 + client_id, seed)
 
 
 def test_add_ct_rejects_batches_of_different_shapes(small_params, small_keys):

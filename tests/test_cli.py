@@ -350,17 +350,17 @@ def test_inspect_seeded_batch(tmp_path, capsys, small_params, small_keys):
     ct = encrypt_symmetric(encode_coeffs(np.ones((2, 4)), small_params,
                                          level=0), small_keys, [1, 2], 1027)
     p = tmp_path / "update.ct"
-    p.write_bytes(serialize_seeded(ct))
+    p.write_bytes(serialize_seeded(ct, 19))
     assert main(["inspect", str(p)]) == 0
     out = capsys.readouterr().out
     assert "seeded ciphertext" in out and "level  : 0" in out
     assert "scale  : 1.09951e+12" in out and "chunks : 2" in out
-    assert "widths : 61 bits" in out and "P      : 1027 coefficients" in out
-    assert "dropped: 0 low bits" in out
-    # every retired upload that shares the `CKU3` header is named after
+    assert "widths : 42 bits" in out and "P      : 1027 coefficients" in out
+    assert "dropped: 19 low bits" in out
+    # every retired upload that shares the `CKU4` header is named after
     # that header, not read, and exits 3
-    for old, kind in retired_sharing(b"CKU3"):
-        p.write_bytes(old + serialize_seeded(ct)[4:])
+    for old, kind in retired_sharing(b"CKU4"):
+        p.write_bytes(old + serialize_seeded(ct, 19)[4:])
         assert main(["inspect", str(p)]) == 3
         captured = capsys.readouterr()
         assert f"{kind} ({old.decode()}, no longer read)" in captured.err
@@ -368,7 +368,7 @@ def test_inspect_seeded_batch(tmp_path, capsys, small_params, small_keys):
 
 
 def test_inspect_seeded_aggregate(tmp_path, capsys, small_keys):
-    """A `CKA3` GLOBAL of 8 samples drops 23 of q0's 61 bits: inspect
+    """A `CKA4` GLOBAL of 2 clients drops 23 of q0's 61 bits: inspect
     prints its width, d, P, K and counts. Every retired aggregate that
     shares its header is named after that header and exits 3."""
     from cipherfed.federation.transport import encode_global
@@ -383,7 +383,7 @@ def test_inspect_seeded_aggregate(tmp_path, capsys, small_keys):
     assert "widths : 38 bits" in out and "dropped: 23 low bits" in out
     assert "P      : 1030 coefficients" in out
     assert f"size   : {len(blob)} bytes" in out
-    for old, kind in retired_sharing(b"CKA3"):
+    for old, kind in retired_sharing(b"CKA4"):
         p.write_bytes(old + blob[4:])
         assert main(["inspect", str(p)]) == 3
         captured = capsys.readouterr()
@@ -417,7 +417,9 @@ def test_inspect_unknown_magic_exits_3(tmp_path, capsys):
                                         ("CKA2", 24), ("CKU2", 9),
                                         ("CKU2", 22), ("CKA3", 9),
                                         ("CKA3", 24), ("CKU3", 9),
-                                        ("CKU3", 22)])
+                                        ("CKU3", 22), ("CKA4", 9),
+                                        ("CKA4", 24), ("CKU4", 9),
+                                        ("CKU4", 22)])
 def test_inspect_truncated_header_exits_3(tmp_path, capsys, magic, size):
     p = tmp_path / "short.bin"
     p.write_bytes(magic.encode().ljust(size, b"\0"))
@@ -429,7 +431,7 @@ def batch_header(magic: str, level: int, scale: float, chunks: int,
                  counts=None) -> bytes:
     """A batch header under a zero digest, and a trailer that matches;
     `counts`, if given, as the client count K and the K sample counts
-    of a `CKA3`."""
+    of a `CKA4`."""
     head = magic.encode() + bytes(8) + struct.pack("<BdH", level, scale,
                                                    chunks)
     if counts is not None:
@@ -438,13 +440,13 @@ def batch_header(magic: str, level: int, scale: float, chunks: int,
 
 
 @pytest.mark.parametrize("blob,refusal", [
-    (batch_header("CKU3", 0, float("nan"), 0), "not finite and positive"),
+    (batch_header("CKU4", 0, float("nan"), 0), "not finite and positive"),
     (batch_header("CKV6", 0, 0.0, 1), "not finite and positive"),
-    (batch_header("CKU3", 0, 2.0 ** 40, 0), "no chunks"),
-    (batch_header("CKA3", 7, 2.0 ** 40, 1, ()), "names no clients"),
-    (batch_header("CKA3", 0, 2.0 ** 40, 1, (3, 0)), "sample count of 0"),
-    (batch_header("CKA3", 7, 2.0 ** 40, 1, (1,)), "at level 7"),
-    (batch_header("CKU3", 2, 2.0 ** 40, 1), "at level 2"),
+    (batch_header("CKU4", 0, 2.0 ** 40, 0), "no chunks"),
+    (batch_header("CKA4", 7, 2.0 ** 40, 1, ()), "names no clients"),
+    (batch_header("CKA4", 0, 2.0 ** 40, 1, (3, 0)), "sample count of 0"),
+    (batch_header("CKA4", 7, 2.0 ** 40, 1, (1,)), "at level 7"),
+    (batch_header("CKU4", 2, 2.0 ** 40, 1), "at level 2"),
     (b"CKF1" + struct.pack("<I", 100) + b"abc", "needs 808")],
     ids=["nan-scale", "zero-scale", "no-chunks", "no-clients", "zero-count",
          "seeded-sum-level", "seeded-level", "vector-overrun"])
@@ -463,18 +465,18 @@ def seeded_upload_blob(small_params, small_keys) -> bytes:
     from cipherfed.fhe import encode_coeffs, encrypt_symmetric
     from cipherfed.fhe.serial import serialize_seeded
     return serialize_seeded(encrypt_symmetric(encode_coeffs(
-        np.ones((1, 4)), small_params, level=0), small_keys, [1], 1024))
+        np.ones((1, 4)), small_params, level=0), small_keys, [1], 1024), 19)
 
 
 def test_inspect_refuses_a_cut_upload(tmp_path, capsys, small_params,
                                       small_keys):
-    """A `CKU3` upload cut to 100 bytes fails its trailer; cut and
+    """A `CKU4` upload cut to 100 bytes fails its trailer; cut and
     resealed, it fails the length its header and width byte imply, as
     does one chunk of more coefficients than the largest ring holds."""
     blob = seeded_upload_blob(small_params, small_keys)
     p = tmp_path / "update.ct"
     # one chunk of 40,000 coefficients, more than N = 32,768 holds
-    long = seal(b"CKU3" + bytes(8) + struct.pack("<BdH", 0, 2.0 ** 40, 1)
+    long = seal(b"CKU4" + bytes(8) + struct.pack("<BdH", 0, 2.0 ** 40, 1)
                 + bytes(32) + bytes([0, 61]) + bytes(-(-40000 * 61 // 8)))
     for cut, refusal in ((blob[:100], "integrity trailer does not match"),
                          (resealed(blob, lambda b: b[:100]),

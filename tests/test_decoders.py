@@ -26,7 +26,8 @@ from cipherfed.errors import (CipherfedError, FormatError, ParameterError,
                               ProtocolError)
 from cipherfed.federation import transport as T
 from cipherfed.federation.client import (ClientUpdate, PlainUpdate,
-                                         dropped_bits, encrypt_model)
+                                         dropped_bits, encrypt_model,
+                                         upload_bits)
 from cipherfed.federation.metrics import metrics_row
 from cipherfed.federation.quantize import QuantizationSpec
 from cipherfed.federation.server import FederationCoordinator
@@ -64,7 +65,7 @@ def formats(small_params):
     batches = {n: encrypt(encode(np.linspace(-1, 1, 8 * n).reshape(n, 8),
                                  params), keys, list(range(n)))
                for n in (2, 7)}
-    # P = (n - 1) * N + 27 coefficients: 27 * 61 bits end in a pad bit
+    # P = (n - 1) * N + 27 coefficients: 27 * 42 bits end in 2 pad bits
     seeded = {n: encrypt_symmetric(encode_coeffs(
         np.linspace(-1, 1, 8 * n).reshape(n, 8), params, level=0), keys,
         list(range(n)), tail_count(params, n)) for n in (1, 2, 7)}
@@ -149,12 +150,13 @@ def formats(small_params):
                                lambda b: deserialize_ciphertext(b, params),
                                use_ct)
            for n, c in ((1, ct), *batches.items())},
-        **{f"CKU3-{n}": Format(serialize_seeded(c),
-                               lambda b, n=n: deserialize_seeded(
+        **{f"CKU4-{n}": Format(serialize_seeded(c, upload_bits(
+                                   params, QuantizationSpec())),
+                               lambda b, n=n: read_upload(
                                    b, params, tail_count(params, n)),
                                use_seeded)
            for n, c in seeded.items()},
-        **{f"CKA3-{n}": Format(T.encode_global(c),
+        **{f"CKA4-{n}": Format(T.encode_global(c),
                                lambda b, n=n: read_sum(
                                    b, params, tail_count(params, n)),
                                use_seeded)
@@ -170,7 +172,7 @@ def formats(small_params):
     }
 
 
-# the sample counts of the `CKA3` formats, by chunk count
+# the sample counts of the `CKA4` formats, by chunk count
 SUM_COUNTS = {1: (12, 30), 2: (5, 1, 7)}
 
 
@@ -179,7 +181,14 @@ def read_sum(blob: bytes, params, count: int):
     default spec's run rounds them."""
     return deserialize_seeded_sum(
         blob, params, count,
-        lambda total: dropped_bits(params, QuantizationSpec(), total))
+        lambda clients: dropped_bits(params, QuantizationSpec(), clients))
+
+
+def read_upload(blob: bytes, params, count: int):
+    """deserialize_seeded of `count` coefficients of a client of 1
+    sample, rounded as the default spec's run rounds its uploads."""
+    return deserialize_seeded(blob, params, count, 1,
+                              upload_bits(params, QuantizationSpec()))
 
 
 def tail_count(params, chunks: int) -> int:
@@ -189,13 +198,13 @@ def tail_count(params, chunks: int) -> int:
 
 
 NAMES = ["frame-body", "JOIN", "UPDATE-fhe", "UPDATE-plain", "GLOBAL-fhe",
-         "GLOBAL-plain", "METRICS", "CKV6-1", "CKV6-2", "CKV6-7", "CKU3-1",
-         "CKU3-2", "CKU3-7", "CKA3-1", "CKA3-2", "CKP3", "CKS3", "CKF1",
+         "GLOBAL-plain", "METRICS", "CKV6-1", "CKV6-2", "CKV6-7", "CKU4-1",
+         "CKU4-2", "CKU4-7", "CKA4-1", "CKA4-2", "CKP3", "CKS3", "CKF1",
          "CKM1"]
 
 
 # the ids the formats' cases have kept across layout changes
-_CASE_IDS = {"CKV6": "CKV2", "CKU3": "CKV3", "CKA3": "CKV5", "CKP3": "CKP1",
+_CASE_IDS = {"CKV6": "CKV2", "CKU4": "CKV3", "CKA4": "CKV5", "CKP3": "CKP1",
              "CKS3": "CKS2"}
 
 
@@ -297,11 +306,11 @@ def sealed_cuts(body: bytes):
 
 
 def test_unsealed_bit_flip_anywhere_refused(formats, monkeypatch):
-    """One bit flipped anywhere in a `CKU3` UPDATE or a `CKA3` GLOBAL,
+    """One bit flipped anywhere in a `CKU4` UPDATE or a `CKA4` GLOBAL,
     trailer included, and the trailer not recomputed, is refused before
     any seed is expanded: nothing is averaged in silently."""
     calls = count_expansions(monkeypatch)
-    for name in ("UPDATE-fhe", "CKA3-1"):
+    for name in ("UPDATE-fhe", "CKA4-1"):
         fmt = formats[name]
         for pos in range(len(fmt.blob)):
             blob = bytearray(fmt.blob)
@@ -313,9 +322,9 @@ def test_unsealed_bit_flip_anywhere_refused(formats, monkeypatch):
     assert calls == []
 
 
-# --- the seeded upload, `CKU3` ----------------------------------------------
+# --- the seeded upload, `CKU4` ----------------------------------------------
 
-SEEDED = ["CKU3-1", "CKU3-2", "CKU3-7"]
+SEEDED = ["CKU4-1", "CKU4-2", "CKU4-7"]
 
 
 @pytest.mark.parametrize("name", SEEDED, ids=case_id)
@@ -340,43 +349,46 @@ def seeded_chunks(blob: bytes) -> int:
 @pytest.mark.parametrize("name", SEEDED, ids=case_id)
 def test_seeded_residue_at_prime_rejected(formats, small_params, name):
     blob = formats[name].blob
-    # c0's first residue, past the header, the seeds, d and the width
-    # byte, 61 bits wide
+    # c0's first value, past the header, the seeds, d and the width
+    # byte: the least y whose y * 2^u is not below q0
     at = 23 + 32 * seeded_chunks(blob) + 2
-    blob = with_field(blob, at, 0, 61, small_params.modulus_chain[0])
+    u, width = blob[at - 2], blob[at - 1]
+    blob = with_field(blob, at, 0, width,
+                      ((small_params.modulus_chain[0] - 1) >> u) + 1)
     with pytest.raises(FormatError, match="not below q0"):
         formats[name].decode(blob)
 
 
 def test_seeded_without_chunks_rejected(formats):
-    blob = patched(formats["CKU3-1"].blob, "H", 21, 0)
+    blob = patched(formats["CKU4-1"].blob, "H", 21, 0)
     with pytest.raises(FormatError, match="no chunks"):
-        formats["CKU3-1"].decode(blob)
+        formats["CKU4-1"].decode(blob)
 
 
 @pytest.mark.parametrize("factor", [2.0, 0.5])
 def test_seeded_scale_other_than_delta_rejected(formats, small_params,
                                                 monkeypatch, factor):
-    """A `CKU3` upload is the case K = 1, n = 1 of the rule scale =
-    Δ·Σ n, so a scale of 2Δ or Δ/2 is refused before any expansion."""
-    blob = patched(formats["CKU3-2"].blob, "d", 13,
+    """A `CKU4` upload of a client of n samples holds the scale Δ·n, the
+    case K = 1 of the rule scale = Δ·Σ n, so for n = 1 a scale of 2Δ or
+    Δ/2 is refused before any expansion."""
+    blob = patched(formats["CKU4-2"].blob, "d", 13,
                    small_params.scale * factor)
     calls = count_expansions(monkeypatch)
     with pytest.raises(FormatError, match="seeded ciphertext scale .* is "
                                           "not the scale times its 1 samples"):
-        formats["CKU3-2"].decode(blob)
+        formats["CKU4-2"].decode(blob)
     assert calls == []
 
 
 def test_seeded_wrong_digest_rejected(formats):
-    blob = patched(formats["CKU3-2"].blob, "B", 4,
-                   formats["CKU3-2"].blob[4] ^ 1)
+    blob = patched(formats["CKU4-2"].blob, "B", 4,
+                   formats["CKU4-2"].blob[4] ^ 1)
     with pytest.raises(ParameterError, match="digest mismatch"):
-        formats["CKU3-2"].decode(blob)
+        formats["CKU4-2"].decode(blob)
 
 
 def test_public_key_batch_in_fhe_update_rejected(formats, small_params):
-    """On an fhe run an UPDATE carries `CKU3` only; a `CKV6` batch is a
+    """On an fhe run an UPDATE carries `CKU4` only; a `CKV6` batch is a
     malformed payload."""
     with pytest.raises(FormatError, match="expected seeded ciphertext but "
                                           "found ciphertext artifact"):
@@ -384,10 +396,10 @@ def test_public_key_batch_in_fhe_update_rejected(formats, small_params):
 
 
 def test_seeded_header_bit_flips_decode_or_raise(formats):
-    """Every one-bit flip of a `CKU3` header and first seed, resealed,
+    """Every one-bit flip of a `CKU4` header and first seed, resealed,
     decodes to a usable batch or raises; one in the magic or the digest
     always raises."""
-    fmt = formats["CKU3-1"]
+    fmt = formats["CKU4-1"]
     for pos in range(23 + 32):
         for bit in range(8):
             def flip(b):
@@ -457,10 +469,10 @@ def test_ckv3_update_aborts_every_client(keys, small_params):
 
 
 def as_cku1(update_payload: bytes) -> bytes:
-    """The same UPDATE in the `CKU1` layout it replaced: that magic, and
-    a row count of 1 where `CKU3` holds d = 0, resealed."""
+    """The same UPDATE in the `CKU1` layout, which `CKU4` replaced: that
+    magic, and a row count of 1 where `CKU4` holds u = 19, resealed."""
     at = 23 + 32 * seeded_chunks(update_payload)
-    assert update_payload[at:at + 2] == bytes([0, 61])
+    assert update_payload[at:at + 2] == bytes([19, 42])
     return resealed(b"CKU1" + update_payload[4:],
                     lambda b: b[:at] + b"\x01" + b[at + 1:])
 
@@ -482,7 +494,7 @@ def test_cku1_update_aborts_every_client(keys, small_params):
 
 
 @pytest.mark.parametrize("dims,param_count,too_long",
-                         [(3, 1026, False), (600, 1024, True)],
+                         [(3, 1026, False), (1000, 1024, True)],
                          ids=["one-chunk-for-two", "two-chunks-for-one"])
 def test_chunk_count_off_ring_degree_aborts_every_client(keys, small_params,
                                                          dims, param_count,
@@ -490,7 +502,7 @@ def test_chunk_count_off_ring_degree_aborts_every_client(keys, small_params,
     """The chunk count must be ceil(param_count / ring_degree) for the
     server's param count: one chunk for 1026 parameters, or two for
     1024, is refused while the other client's upload of exactly that
-    many parameters passes. Two chunks of 1,210 coefficients are longer
+    many parameters passes. Two chunks of 2,010 coefficients are longer
     than any UPDATE of 1,024, so their frame is refused by its length
     before it is read."""
     n = small_params.ring_degree
@@ -527,9 +539,9 @@ def test_update_chunk_count_checked_before_any_expansion(keys, small_params,
     assert calls == []
 
 
-# --- the seeded aggregate, `CKA3` --------------------------------------------
+# --- the seeded aggregate, `CKA4` --------------------------------------------
 
-SUMS = ["CKA3-1", "CKA3-2"]
+SUMS = ["CKA4-1", "CKA4-2"]
 AT_K = 23  # the client count, after the `CKV6` header
 
 
@@ -595,7 +607,7 @@ HOSTILE = {"no clients": "names no clients",
 @pytest.mark.parametrize("hostile", HOSTILE)
 def test_hostile_seeded_aggregate_rejected_before_expansion(
         formats, small_params, monkeypatch, name, hostile):
-    """Every malformed `CKA3` is refused with a CipherfedError before
+    """Every malformed `CKA4` is refused with a CipherfedError before
     any of its seeds is expanded."""
     blob = hostile_sums(formats[name].blob, small_params.modulus_chain[0])[
         hostile]
@@ -618,9 +630,9 @@ BOTH = SEEDED + SUMS
 
 
 def header_bytes(blob: bytes) -> int:
-    """The length of a seeded batch's header: 23 bytes, and in a `CKA3`
+    """The length of a seeded batch's header: 23 bytes, and in a `CKA4`
     the client count and its u64 counts."""
-    if blob[:4] == b"CKU3":
+    if blob[:4] == b"CKU4":
         return 23
     return AT_K + 2 + 8 * struct.unpack_from("<H", blob, AT_K)[0]
 
@@ -654,7 +666,7 @@ def test_seeded_read_for_another_param_count_refused(formats, small_params,
     fmt = formats[name]
     n = small_params.ring_degree
     chunks = struct.unpack_from("<H", fmt.blob, 21)[0]
-    read = deserialize_seeded if name in SEEDED else read_sum
+    read = read_upload if name in SEEDED else read_sum
     forbid_expansion(monkeypatch)
     for p in (tail_count(small_params, chunks) + delta,
               (chunks - 1) * n + (n if delta > 0 else 0) + delta):
@@ -665,8 +677,8 @@ def test_seeded_read_for_another_param_count_refused(formats, small_params,
 
 @pytest.mark.parametrize("name", BOTH, ids=case_id)
 def test_seeded_pad_bits_refused(formats, monkeypatch, name):
-    """27 coefficients of 61 bits (`CKU3`) leave 1 pad bit in the last
-    byte, and of 38 bits (`CKA3`, d = 23) 6; the top one set is
+    """27 coefficients of 42 bits (`CKU4`, u = 19) leave 2 pad bits in
+    the last byte, and of 38 bits (`CKA4`, d = 23) 6; the top one set is
     refused."""
     fmt = formats[name]
     blob = resealed(fmt.blob, set_last_bit)
@@ -697,12 +709,12 @@ def test_seeded_every_append_and_truncation_expands_nothing(formats,
                          ids=["one bit fewer", "one bit more"])
 def test_aggregate_rounded_off_the_rule_refused(formats, keys, small_params,
                                                 monkeypatch, name, delta):
-    """A `CKA3` written to drop one bit more, or one fewer, than the
-    reader's spec and its own counts give (d = 23 for both formats'
-    totals) is refused before any seed is expanded."""
+    """A `CKA4` written to drop one bit more, or one fewer, than the
+    reader's spec and its own client count give (d = 23 for both
+    formats' counts) is refused before any seed is expanded."""
     chunks = int(name[-1])
     count, counts = tail_count(small_params, chunks), SUM_COUNTS[chunks]
-    d = dropped_bits(small_params, QuantizationSpec(), sum(counts))
+    d = dropped_bits(small_params, QuantizationSpec(), len(counts))
     assert d == 23
     agg = seeded_aggregate(keys, chunks, counts, count)
     assert serialize_seeded_sum(agg, d) == formats[name].blob

@@ -1,11 +1,13 @@
-"""Encrypted FedAvg is exact: uploads are packed into coefficients on the
-2^-f grid, so the decrypted aggregate rounds back to the integer
-sum_k n_k * x_k * 2^f, and both arms divide that same sum once."""
+"""Encrypted FedAvg is exact: each client packs n_k times its update into
+coefficients on the 2^-f grid, so the decrypted sum rounds back to the
+integer sum_k n_k * x_k * 2^f, and both arms divide that same sum
+once."""
 
 import math
 import threading
 from collections import defaultdict
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,10 +16,11 @@ from cipherfed import data as D
 from cipherfed import model as M
 from cipherfed.errors import ConfigError, DomainError
 from cipherfed.federation import runner, server, transport
-from cipherfed.federation.client import (NOISE_MARGIN, NOISE_TAIL,
-                                         decrypt_and_load, dropped_bits,
-                                         encrypt_model, plain_update,
-                                         sample_capacity)
+from cipherfed.federation.client import (NOISE_TAIL, SUM_CLIENTS,
+                                         client_capacity, decrypt_and_load,
+                                         dropped_bits, encrypt_model,
+                                         plain_update, sample_capacity,
+                                         upload_bits)
 from cipherfed.federation.quantize import QuantizationSpec
 from cipherfed.federation.rounds import (RoundConfig, federated_rounds,
                                          run_federated_training)
@@ -118,13 +121,20 @@ def test_decryption_exact_at_capacity(small_params, small_keys):
     assert np.array_equal(got, sums / (65535 * 2.0 ** 16))
 
 
+def message(update, params, bits: int = 16) -> np.ndarray:
+    """The coefficients n_k * x * scale that a client's upload of values
+    on the 2^-bits grid packs, as exact int64."""
+    return (np.round(update.values * 2.0 ** bits).astype(np.int64)
+            * update.sample_count * (int(params.scale) >> bits))
+
+
 def test_clipped_errors_decrypt_exactly_at_capacity(small_params,
                                                     small_keys, monkeypatch):
     """With a deviation so wide that every drawn error clips, each upload
-    carries e = +-ERROR_CLIP on every coefficient, and the capacity's
-    sum of such uploads, weights at the ends of the clip range, still
-    decrypts to the plaintext arm's mean through the wire's rounded
-    GLOBAL."""
+    of n_k times its weights carries e = +-ERROR_CLIP on every
+    coefficient, and the capacity's sum of such uploads, weights at the
+    ends of the clip range, still decrypts to the plaintext arm's mean
+    through the wire's rounded GLOBAL."""
     from cipherfed.fhe import decrypt_coeffs, ops
     monkeypatch.setattr(ops, "GAUSSIAN_STDDEV", 1e12)
     spec = QuantizationSpec()
@@ -142,7 +152,7 @@ def test_clipped_errors_decrypt_exactly_at_capacity(small_params,
                                  rng_seed=k))
         plain.append(plain_update(m, spec, k, n_k, 0))
         error = (decrypt_coeffs(enc[-1].chunks, small_keys)
-                 - np.round(plain[-1].values * small_params.scale))
+                 - message(plain[-1], small_params))
         assert set(np.abs(error).tolist()) == {ops.ERROR_CLIP}
     agg = transport.decode_global(transport.encode_global(
         server.aggregate(enc, small_params)), small_params,
@@ -151,70 +161,171 @@ def test_clipped_errors_decrypt_exactly_at_capacity(small_params,
     assert np.array_equal(got, server.aggregate_plain(plain))
 
 
-# the three specs at their capacities and the benchmark's three sample
-# totals (desk, wide, socket), each with the low bits a GLOBAL drops
-ROUNDED = {"defaults-at-capacity": (QuantizationSpec(), 65535, 7),
-           "clip4-f15-at-capacity": (QuantizationSpec(15, 4.0), 131071, 7),
-           "f23-at-capacity": (QuantizationSpec(23), 511, 7),
-           "desk": (QuantizationSpec(), 1200, 23),
-           "wide": (QuantizationSpec(), 322, 23),
-           "socket": (QuantizationSpec(), 480, 23)}
+# three specs at their sample capacities and the benchmark's three
+# sample totals (desk, wide, socket), each in 4 clients, or 2 for socket,
+# with the low bits u that each upload and d that a GLOBAL drops
+ROUNDED = {"defaults-at-capacity": (QuantizationSpec(), 65535, 4, 19, 23),
+           "clip4-f15-at-capacity": (QuantizationSpec(15, 4.0), 131071, 4,
+                                     20, 24),
+           "f23-at-capacity": (QuantizationSpec(23), 65535, 4, 12, 16),
+           "desk": (QuantizationSpec(), 1200, 4, 19, 23),
+           "wide": (QuantizationSpec(), 322, 4, 19, 23),
+           "socket": (QuantizationSpec(), 480, 2, 19, 23)}
+
+
+def noise(clients: int, u: int, d: int) -> int:
+    """The noise half's sum as docs/protocol.md writes it: K * (2^7 +
+    2^(u-1)) + 2^(d-1), a rounding by 0 bits adding nothing."""
+    return clients * (NOISE_TAIL + (2 ** (u - 1) if u else 0)) + (
+        2 ** (d - 1) if d else 0)
 
 
 @pytest.mark.parametrize("case", ROUNDED)
 def test_dropped_bits_is_the_largest_within_both_bounds(std_params, case):
-    """d is the largest d >= 0 for which both halves of the capacity
-    bound hold with 2^(d-1) added once: d + 1 breaks one of them."""
-    spec, total, want = ROUNDED[case]
+    """The samples fit the q0 half; d is the largest d >= 0 for which
+    the noise half holds with the K uploads at u, and u is the largest
+    that SUM_CLIENTS uploads can drop and leave a sum d's largest value,
+    d + 1 and u + 1 break it."""
+    spec, total, clients, u, d = ROUNDED[case]
     assert total <= sample_capacity(std_params, spec)
-    d = dropped_bits(std_params, spec, total)
-    assert d == want
-
-    def fits(bits):
-        half = 2 ** (bits - 1)
-        step = std_params.scale / 2 ** spec.fractional_bits
-        q0 = std_params.modulus_chain[0]
-        per = math.ceil(spec.clip_range * std_params.scale) + NOISE_MARGIN
-        return (total * NOISE_TAIL + half < step / 2
-                and total * per + half < q0 / 2)
-    assert fits(d) and not fits(d + 1)
+    assert (upload_bits(std_params, spec, clients),
+            dropped_bits(std_params, spec, clients)) == (u, d)
+    step = std_params.scale / 2 ** spec.fractional_bits
+    q0 = std_params.modulus_chain[0]
+    assert (total * math.ceil(spec.clip_range * std_params.scale)
+            + step / 2 < q0 / 2)
+    assert noise(clients, u, d) < step / 2 <= noise(clients, u, d + 1)
+    top = math.ceil(math.log2(step / 2))
+    assert (noise(SUM_CLIENTS, u, top) < step / 2
+            <= noise(SUM_CLIENTS, u + 1, top))
 
 
 def test_dropped_bits_edges(std_params):
-    """23 bits up to 32,767 samples at the defaults, 22 from 32,768, and
-    0 past the capacity."""
+    """At the defaults every K <= 15 drops u = 19 and d = 23; from 16
+    clients d falls, from 32 u falls too, and past the client capacity,
+    65,535, both are 0."""
     spec = QuantizationSpec()
-    assert [dropped_bits(std_params, spec, n) for n in
-            (1, 32767, 32768, 65535, 65536)] == [23, 23, 22, 7, 0]
+    ks = (1, 15, 16, 31, 32, 40, 65535, 65536)
+    assert client_capacity(std_params, spec) == 65535
+    assert [upload_bits(std_params, spec, k) for k in ks] == [
+        19, 19, 19, 19, 18, 18, 0, 0]
+    assert [dropped_bits(std_params, spec, k) for k in ks] == [
+        23, 23, 22, 18, 22, 22, 7, 0]
+    assert upload_bits(std_params, spec) == 19
 
 
-def closed_forms(params, spec, n_total) -> tuple[int, int]:
-    """The capacity and d as two separate closed forms wrote them, the
-    capacity in floats and d in integers, before `level0_bound` owned
-    both halves of the bound."""
-    per = math.ceil(spec.clip_range * params.scale) + NOISE_MARGIN
-    rounds_back = params.scale / 2.0 ** (spec.fractional_bits + 1)
-    q0 = params.modulus_chain[0]
-    capacity = min(q0 // 2 // per, math.ceil(rounds_back / NOISE_TAIL) - 1)
-    step = int(params.scale) >> spec.fractional_bits
-    room = min(step - 2 * n_total * NOISE_TAIL, q0 - 2 * n_total * per)
-    return capacity, max(room - 1, 1).bit_length() - 1
+def closed_forms(params, spec, clients) -> tuple[int, int, int, int]:
+    """The client and sample capacities and K clients' u and d, in
+    floats and logarithms, as docs/protocol.md states the bound: K *
+    (2^7 + 2^(u-1)) + 2^(d-1) < L = scale / 2^(f+1), u the most bits
+    that 15 uploads can drop and leave the largest d, or the most K
+    uploads can drop at d = 0 if fewer, and n_total * ceil(clip_range *
+    scale) + L < q0 / 2; u and d are 0 past the client capacity."""
+    limit = params.scale / 2.0 ** (spec.fractional_bits + 1)
+    per = math.ceil(spec.clip_range * params.scale)
+
+    def most(room):
+        """The most bits b whose 2^(b-1) stays below room."""
+        return math.ceil(math.log2(room)) if room > 1 else 0
+
+    kmax = max(0, math.ceil(limit / NOISE_TAIL) - 1)
+    samples = 0
+    if kmax:
+        samples = max(0, math.ceil((Fraction(params.modulus_chain[0], 2)
+                                    - Fraction(limit)) / per) - 1)
+    if clients > kmax:
+        return kmax, samples, 0, 0
+    top = most(limit)
+    shared = most((limit - 2.0 ** (top - 1) * (top > 0)) / SUM_CLIENTS
+                  - NOISE_TAIL)
+    u = min(shared, most(limit / clients - NOISE_TAIL))
+    return kmax, samples, u, most(limit - noise(clients, u, 0))
 
 
 @pytest.mark.parametrize("scale_bits", [20, 40])
 @pytest.mark.parametrize("clip", [0.5, 8.0, 1000.0])
 @pytest.mark.parametrize("bits", [1, 16, 23, 40, 41])
 def test_bound_matches_its_closed_forms(scale_bits, clip, bits):
-    """`sample_capacity` and `dropped_bits`, which read one integer
-    bound, agree with the closed forms at no samples, one, the capacity
-    and one past it, also where f exceeds the scale's bits and no sample
-    rounds back."""
+    """`client_capacity`, `sample_capacity`, `upload_bits` and
+    `dropped_bits`, which read one integer bound, agree with the closed
+    forms in K and u at one client, at 15 and 16, where the uploads' u
+    stops being shared, at the client capacity and one past it, also
+    where f exceeds the scale's bits and no client rounds back."""
     params = default_params(ring_degree=1024, scale_bits=scale_bits)
     spec = QuantizationSpec(fractional_bits=bits, clip_range=clip)
-    capacity = sample_capacity(params, spec)
-    for n in (0, 1, capacity, capacity + 1):
-        assert (capacity, dropped_bits(params, spec, n)) == closed_forms(
-            params, spec, n)
+    kmax = client_capacity(params, spec)
+    for k in (1, SUM_CLIENTS, SUM_CLIENTS + 1, kmax, kmax + 1):
+        if k < 1:
+            continue
+        assert (kmax, sample_capacity(params, spec), upload_bits(
+            params, spec, k), dropped_bits(params, spec, k)) == closed_forms(
+                params, spec, k)
+
+
+# the bound's edges, each with the u and d that its K clients drop
+EDGES = {"defaults-15-clients": (QuantizationSpec(), 15, 19, 23),
+         "defaults-16-clients": (QuantizationSpec(), 16, 19, 22),
+         "defaults-40-clients": (QuantizationSpec(), 40, 18, 22),
+         "f23": (QuantizationSpec(23), 3, 12, 16)}
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["up", "down"])
+@pytest.mark.parametrize("case", EDGES)
+def test_every_error_at_its_edge_decrypts_exactly(small_keys, monkeypatch,
+                                                  case, sign):
+    """Every upload's error at +-ERROR_CLIP, every upload's rounding by
+    u bits at its half step 2^(u-1), and the GLOBAL's by d bits at
+    2^(d-1), all with one sign in each coefficient, alternating along
+    the coefficients: K such uploads, weights at the ends of the clip
+    range, still decrypt to the plaintext arm's mean bit for bit, and
+    so do the same uploads through the wire, rounded as it rounds
+    them."""
+    from cipherfed.fhe import decrypt_coeffs, ops
+    monkeypatch.setattr(ops, "GAUSSIAN_STDDEV", 1e12)
+    spec, clients, u, d = EDGES[case]
+    params = small_keys.params
+    q0 = params.modulus_chain[0]
+    assert (upload_bits(params, spec, clients),
+            dropped_bits(params, spec, clients)) == (u, d)
+    template = M.init_model(2, PqcArchitecture(qubit_count=2, depth=1), 2,
+                            rng_seed=1)
+    count = template.param_count
+    sigma = sign * np.where(np.arange(count) % 2, 1, -1)
+    edges = spec.clip_range * np.where(np.arange(count) % 3, 1.0, -1.0)
+
+    def shifted(c0, by):
+        """c0 + by mod q0, for a signed int64 `by`."""
+        return (c0 + (by % np.int64(q0)).astype(np.uint64)) % np.uint64(q0)
+
+    worst, wire, plain = [], [], []
+    for k in range(clients):
+        n_k = k % 3 + 1
+        m = M.unflatten_weights(template, edges * (-1) ** k)
+        upd = encrypt_model(m, spec, small_keys, client_id=k,
+                            sample_count=n_k, round_index=0, rng_seed=k)
+        plain.append(plain_update(m, spec, k, n_k, 0))
+        error = (decrypt_coeffs(upd.chunks, small_keys)
+                 - message(plain[-1], params, spec.fractional_bits))
+        assert set(np.abs(error).tolist()) == {ops.ERROR_CLIP}
+        edge = sigma * (ops.ERROR_CLIP + (1 << u >> 1)) - error
+        worst.append(replace(upd, chunks=replace(
+            upd.chunks, c0=shifted(upd.chunks.c0, edge.astype(np.int64)))))
+        wire.append(transport.decode_update(
+            transport.encode_update(upd, clients), 0, params, k, n_k, count,
+            spec, clients))
+    want = server.aggregate_plain(plain)
+    agg = server.aggregate(worst, small_keys.public)
+    agg = replace(agg, c0=shifted(agg.c0, sigma * (1 << d >> 1)))
+    exact = sum(message(p, params, spec.fractional_bits) for p in plain)
+    assert np.array_equal(decrypt_coeffs(agg, small_keys) - exact, sigma * (
+        clients * (ops.ERROR_CLIP + (1 << u >> 1)) + (1 << d >> 1)))
+    got = flatten_weights(decrypt_and_load(agg, small_keys, template, spec))
+    assert np.array_equal(got, want)
+    blob = transport.encode_global(server.aggregate(wire, params))
+    assert blob[-16 - -(-count * (61 - d) // 8) - 2] == d
+    back = transport.decode_global(blob, params, count, spec)
+    got = flatten_weights(decrypt_and_load(back, small_keys, template, spec))
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("case", ROUNDED)
@@ -224,8 +335,9 @@ def test_serialized_global_decrypts_as_the_aggregate(small_params,
     the in-memory aggregate's weights bit for bit, and the plaintext
     arm's, with weights spread over the whole clip range, its ends
     included."""
-    spec, total, d = ROUNDED[case]
-    counts = [total // 4] * 3 + [total - 3 * (total // 4)]
+    spec, total, clients, _, d = ROUNDED[case]
+    counts = [total // clients] * (clients - 1) + [
+        total - (clients - 1) * (total // clients)]
     template = M.init_model(2, PqcArchitecture(qubit_count=2, depth=1), 2,
                             rng_seed=1)
     rng = np.random.default_rng(total)
@@ -265,13 +377,17 @@ def test_decrypt_rejects_scale_beyond_capacity(small_params, small_keys):
 @pytest.mark.parametrize("bits,capacity", [(23, 511), (30, 3), (41, 0)])
 def test_inexact_fractional_bits_is_config_error(small_params, bits,
                                                  capacity):
-    """With more fractional bits, a smaller sum of errors fits under half
-    a quantization step: a run whose samples that bound cannot hold
-    fails before any client trains, on both transports."""
+    """With more fractional bits, fewer clients' errors fit under half a
+    quantization step: a run of one client more than that bound holds
+    fails before any client trains, on both transports, whatever its
+    sample total."""
     spec = QuantizationSpec(fractional_bits=bits)
-    assert sample_capacity(small_params, spec) == capacity
+    assert client_capacity(small_params, spec) == capacity
     init, cfg, parts, test = world("desk")
-    cfg = replace(cfg, quantization=spec)
+    blank = D.Dataset(np.zeros((1, 2)), np.zeros(1, dtype=np.int64), 3)
+    parts = [blank] * (capacity + 1)
+    cfg = replace(cfg, quantization=spec, client_count=capacity + 1,
+                  sample_counts=(1,) * (capacity + 1))
     keys = keygen(small_params, rng_seed=3)
     for run in (run_federated_training, run_socket_federation):
         with pytest.raises(ConfigError, match="holds exactly"):
@@ -292,7 +408,7 @@ def full_ring_upload(pt, keys, ints):
     params = keys.params
     seeds = [hashlib.sha256(_SEED_TAG + s.to_bytes(8, "little")).digest()
              for s in ints]
-    a = ntt_forward(seeded_c1(seeds, (1,), params))
+    a = ntt_forward(seeded_c1(seeds, len(seeds), params))
     e = np.clip(np.round([np.random.default_rng(np.random.SeedSequence(
         [s, 0x5EC])).normal(0.0, GAUSSIAN_STDDEV, params.ring_degree)
         for s in ints]), -ERROR_CLIP, ERROR_CLIP).astype(np.int64)
@@ -305,14 +421,15 @@ def full_ring_upload(pt, keys, ints):
 @pytest.mark.parametrize("count", [1, 27, 4095, 4096, 4097, 3093, 12309])
 def test_truncated_sum_decrypts_to_the_full_ring_integers(std_keys, count,
                                                           clients):
-    """The P coefficients that a client decrypts from the weighted sum of
-    truncated uploads are the integers that the full-ring uploads'
-    weighted sum (mul_plain and add_ct by each sample count) decrypts
-    to in its first P coefficients, bit for bit."""
+    """The P coefficients that a client decrypts from the sum of
+    truncated client-weighted uploads, each packing n_k times its values
+    at the scale times n_k, are the integers that the sum of the same
+    full-ring uploads decrypts to in its first P coefficients, bit for
+    bit."""
     from cipherfed.federation.client import ClientUpdate
-    from cipherfed.fhe import (add_ct, decode_coeffs, decrypt,
-                               decrypt_coeffs, encode_coeffs, encode_scalar,
-                               encrypt_symmetric, mul_plain)
+    from cipherfed.fhe import (Ciphertext, decode_coeffs, decrypt,
+                               decrypt_coeffs, encode_coeffs,
+                               encrypt_symmetric)
     params = std_keys.params
     n = params.ring_degree
     chunks = -(-count // n)
@@ -323,14 +440,16 @@ def test_truncated_sum_decrypts_to_the_full_ring_integers(std_keys, count,
         values = np.zeros(chunks * n)
         values[:count] = np.round(rng.uniform(-4, 4, count) * 2.0 ** 16)
         values /= 2.0 ** 16
-        pt = encode_coeffs(values.reshape(chunks, n), params, level=0)
+        pt = encode_coeffs(values.reshape(chunks, n), params, level=0,
+                           scale=params.scale * n_k)
         ints = [int(s) for s in rng.integers(0, 2 ** 62, chunks)]
         updates.append(ClientUpdate(k, encrypt_symmetric(pt, std_keys, ints,
                                                          count),
                                     n_k, 0, count))
-        term = mul_plain(full_ring_upload(pt, std_keys, ints), encode_scalar(
-            n_k, params, level=0, scale=1.0))
-        full = term if full is None else add_ct(full, term)
+        term = full_ring_upload(pt, std_keys, ints)
+        full = term if full is None else Ciphertext(
+            full.c0.add(term.c0), full.c1.add(term.c1),
+            full.scale + term.scale, 0)
     got = decrypt_coeffs(server.aggregate(updates, std_keys.public), std_keys)
     want = decode_coeffs(decrypt(full, std_keys), n).ravel()[:count]
     assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -65,11 +65,12 @@ def test_compare_rows_equal_each_arm_alone(tmp_path):
 def test_sample_capacity_at_the_defaults():
     cfg = parse_config(DOC)
     assert sample_capacity(cfg.encryption, cfg.quantization) == 65535
-    # half the clip range leaves room in q0 for twice the samples, but
-    # the summed error must also round away under half a 2^-16 step
+    # half the clip range leaves room in q0 for twice the samples: each
+    # client's error enters the sum once, whatever its sample count, so
+    # the rounding step bounds the clients, not the samples
     assert sample_capacity(cfg.encryption,
-                           QuantizationSpec(clip_range=4.0)) == 65535
-    # one fractional bit fewer doubles that room too
+                           QuantizationSpec(clip_range=4.0)) == 131071
+    # fractional bits move the noise's limit alone, far below q0 / 2
     assert sample_capacity(cfg.encryption, QuantizationSpec(
         clip_range=4.0, fractional_bits=15)) == 131071
 
@@ -90,6 +91,45 @@ def test_round_config_rejects_upload_without_room_for_one_sample():
                                               "chain_bits": [40, 40, 40]}})
     with pytest.raises(ConfigError, match="exceed the 0 that a level-0"):
         pipeline.round_config(cfg, [range(1), range(1)])
+
+
+def test_key_file_runs_share_no_encryption_randomness(tmp_path,
+                                                     monkeypatch):
+    """Two socket runs that load the same key files under the same seed
+    send different c0 bytes in every UPDATE, so that no server can take
+    one run's uploads from the other's, and write the same metrics,
+    since decryption is exact. Keys drawn from the seed hold no nonce:
+    two such runs send the same bytes."""
+    from cipherfed.federation import runner
+    pipeline.write_key_files(pipeline.build_keys(parse_config(DOC)),
+                             tmp_path / "keys")
+    sent, encode = {}, runner.encode_update
+
+    def recording(update, clients):
+        payload = encode(update, clients)
+        sent[update.round_index, update.client_id] = payload
+        return payload
+
+    monkeypatch.setattr(runner, "encode_update", recording)
+    runs = []
+    for keys, n in (({"dir": str(tmp_path / "keys")}, 2), (None, 2)):
+        for k in range(n):
+            cfg = parse_config({**DOC, "transport": "socket", "keys": keys})
+            path = tmp_path / f"{keys is None}-{k}.jsonl"
+            sent.clear()
+            with MetricsSink(path) as sink:
+                pipeline.execute_run(cfg, sink=sink)
+            runs.append((path.read_bytes(), dict(sent)))
+    (m0, up0), (m1, up1), (m2, up2), (m3, up3) = runs
+    assert m0 == m1 == m2 == m3 and m0
+    assert up0.keys() == up1.keys() and len(up0) >= 2
+    for key, payload in up0.items():
+        other = up1[key]
+        assert len(payload) == len(other) and payload[:23] == other[:23]
+        # one chunk: the seed, d and the width, then c0
+        assert payload[23:55] != other[23:55]
+        assert payload[57:-16] != other[57:-16]
+    assert up2 == up3
 
 
 @pytest.mark.parametrize("transport", ["direct", "socket"])

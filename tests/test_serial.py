@@ -281,7 +281,7 @@ def test_ciphertext_scale_must_be_finite_positive(scale, small_params,
         deserialize_ciphertext(blob, small_params)
 
 
-# --- the seeded upload, `CKU3` ----------------------------------------------
+# --- the seeded upload, `CKU4` ----------------------------------------------
 
 def spec_expansion(seed: bytes, q: int, n: int, shake=None) -> list[int]:
     """The expansion as docs/protocol.md words it, one word at a time."""
@@ -348,23 +348,24 @@ def test_seeded_batch_roundtrip_bitwise(chunks, small_params, small_keys,
     count = (chunks - 1) * 1024 + 16  # the last chunk's first 16
     ct = encrypt_symmetric(encode_coeffs(values, small_params, level=0),
                            small_keys, list(range(10, 10 + chunks)), count)
-    blob = serialize_seeded(ct)
-    # the header, the seeds, c0's row count and width byte, its P
-    # coefficients at 61 bits and the trailer
-    assert len(blob) == 23 + 32 * chunks + 2 + -(-61 * count // 8) + 16
-    back = deserialize_seeded(blob, small_params, count)
+    blob = serialize_seeded(ct, 19)
+    # the header, the seeds, c0's d and width byte, its P coefficients
+    # at 61 - 19 bits and the trailer
+    assert len(blob) == 23 + 32 * chunks + 2 + -(-42 * count // 8) + 16
+    back = deserialize_seeded(blob, small_params, count, 1, 19)
     assert back.seeds == ct.seeds and len(set(ct.seeds)) == chunks
-    assert np.array_equal(back.c0, ct.c0) and back.c0.size == count
+    assert back.c0.size == count and not (back.c0 % 2 ** 19).any()
     # the reader's c1, expanded from the seeds on first use, is the
     # sender's
     assert back.a is None
     assert np.array_equal(back.c1.residues, ct.c1.residues)
     assert (back.level, back.scale) == (0, small_params.scale)
-    assert serialize_seeded(back) == blob
+    assert serialize_seeded(back, 19) == blob
     got = decrypt_coeffs(back, small_keys) / small_params.scale
-    # every chunk's first 16 coefficients, which P covers
+    # every chunk's first 16 coefficients, which P covers, within the
+    # error and the rounding's 2^18
     idx = np.arange(chunks)[:, None] * 1024 + np.arange(16)
-    assert np.abs(got[idx] - values).max() < 2.0 ** -28
+    assert np.abs(got[idx] - values).max() < 2.0 ** -21
 
 
 def test_seeded_encryption_needs_secret_key_and_level_0(small_params,
@@ -388,7 +389,7 @@ def test_only_seeded_ciphertexts_are_written_as_ckv3(small_params,
     ct = encrypt(encode(np.ones((1, 4)), small_params, level=0), small_keys,
                  [3])
     with pytest.raises(FormatError, match="only a seeded ciphertext"):
-        serialize_seeded(ct)
+        serialize_seeded(ct, 0)
 
 
 # --- the packed residue block and the trailer -------------------------------
@@ -444,7 +445,7 @@ def test_trailer_is_sha256_of_the_bytes_before_it(small_params, small_keys,
     from cipherfed.fhe.serial import serialize_seeded
     seeded = serialize_seeded(encrypt_symmetric(
         encode_coeffs(np.ones((2, 4)), small_params, level=0), small_keys,
-        [1, 2], 2048))
+        [1, 2], 2048), 19)
     for blob in (artifacts["ciphertext"], artifacts["public"], seeded):
         assert blob[:4] in SEALED
         assert blob[-16:] == hashlib.sha256(blob[:-16]).digest()[:16]
@@ -456,23 +457,34 @@ def upload_count(chunks: int) -> int:
     return chunks * 1024 - 1000
 
 
+# the low bits that the default spec's uploads drop, and the width of
+# what is left of q0's 61 bits
+UPLOAD_BITS, UPLOAD_WIDTH = 19, 42
+
+
 @pytest.fixture(scope="module")
 def uploads(small_params, small_keys):
-    """`CKU3` uploads of 1, 2 and 7 chunks."""
+    """`CKU4` uploads of 1, 2 and 7 chunks, of a client of 1 sample."""
     from cipherfed.fhe import encode_coeffs, encrypt_symmetric
     from cipherfed.fhe.serial import serialize_seeded
     return {c: serialize_seeded(encrypt_symmetric(encode_coeffs(
         np.linspace(-1, 1, 8 * c).reshape(c, 8), small_params, level=0),
-        small_keys, list(range(c)), upload_count(c))) for c in (1, 2, 7)}
+        small_keys, list(range(c)), upload_count(c)), UPLOAD_BITS)
+        for c in (1, 2, 7)}
+
+
+def read_upload(blob, params):
+    from cipherfed.fhe.serial import deserialize_seeded
+    chunks = struct.unpack_from("<H", blob, 21)[0]
+    return deserialize_seeded(blob, params, upload_count(chunks), 1,
+                              UPLOAD_BITS)
 
 
 def refused_before_expansion(blob, params, refusal):
-    from cipherfed.fhe.serial import deserialize_seeded
-    chunks = struct.unpack_from("<H", blob, 21)[0]
     with pytest.MonkeyPatch.context() as patch:
         calls = count_expansions(patch)
         with pytest.raises(FormatError, match=refusal):
-            deserialize_seeded(blob, params, upload_count(chunks))
+            read_upload(blob, params)
     assert calls == []
 
 
@@ -480,42 +492,44 @@ def refused_before_expansion(blob, params, refusal):
 @given(chunks=st.sampled_from([1, 2, 7]), data=st.data())
 def test_field_at_or_above_its_prime_refused(uploads, small_params, chunks,
                                              data):
-    """A y above the top of the c0 block, q0 - 1 at d = 0, is refused."""
-    q0 = small_params.modulus_chain[0]
+    """A y above the top of the c0 block, (q0 - 1) >> 19 at u = 19, is
+    refused."""
+    top = (small_params.modulus_chain[0] - 1) >> UPLOAD_BITS
     field = data.draw(st.integers(0, upload_count(chunks) - 1))
-    value = data.draw(st.integers(q0, (1 << 61) - 1))
-    blob = with_field(uploads[chunks], 23 + 32 * chunks + 2, field, 61, value)
+    value = data.draw(st.integers(top + 1, (1 << UPLOAD_WIDTH) - 1))
+    blob = with_field(uploads[chunks], 23 + 32 * chunks + 2, field,
+                      UPLOAD_WIDTH, value)
     refused_before_expansion(blob, small_params,
-                             rf"c0 value above {q0 - 1}: times 2\^0 it is "
+                             rf"c0 value above {top}: times 2\^19 it is "
                              "not below q0")
 
 
 @settings(max_examples=40, deadline=None)
 @given(chunks=st.sampled_from([1, 2, 7]),
-       width=st.integers(0, 255).filter(lambda w: w != 61))
+       width=st.integers(0, 255).filter(lambda w: w != UPLOAD_WIDTH))
 def test_width_other_than_the_primes_refused(uploads, small_params, chunks,
                                              width):
-    """A c0 block whose width byte is not q0's 61 bits is refused, naming
-    the (d, w) it found and the run's."""
+    """A c0 block whose width byte is not the 42 bits that q0's 61 keep
+    at u = 19 is refused, naming the (d, w) it found and the run's."""
     blob = patched(uploads[chunks], "B", 23 + 32 * chunks + 1, width)
     refused_before_expansion(blob, small_params,
-                             f"drops 0 low bits of c0 at {width} bits a "
-                             "coefficient; for 1 samples this run drops 0 "
-                             "at 61")
+                             f"drops 19 low bits of c0 at {width} bits a "
+                             "coefficient; for 1 clients this run drops 19 "
+                             "at 42")
 
 
 @pytest.mark.parametrize("chunks", [1, 2, 7])
 @pytest.mark.parametrize("dropped", [1, 23, 255])
 def test_upload_dropping_bits_refused(uploads, small_params, chunks,
                                       dropped):
-    """An upload drops no bits: a `CKU3` whose d byte is not 0 is
-    refused before any seed is expanded, by an error that names the d
-    it found."""
+    """An upload drops the run's u bits: a `CKU4` whose d byte is not
+    u = 19 is refused before any seed is expanded, by an error that
+    names the d it found."""
     blob = patched(uploads[chunks], "B", 23 + 32 * chunks, dropped)
     refused_before_expansion(blob, small_params,
-                             f"drops {dropped} low bits of c0 at 61 bits a "
-                             "coefficient; for 1 samples this run drops 0 "
-                             "at 61")
+                             f"drops {dropped} low bits of c0 at 42 bits a "
+                             "coefficient; for 1 clients this run drops 19 "
+                             "at 42")
 
 
 @pytest.mark.parametrize("chunks", [1, 2, 7])
@@ -529,24 +543,24 @@ def test_length_off_by_one_byte_refused(uploads, small_params, chunks, cut,
 
 
 @pytest.mark.parametrize("old", [b"CKV2", b"CKV3", b"CKV4", b"CKV5",
-                                 b"CKV7", b"CKV8", b"CKA1", b"CKU1"])
+                                 b"CKV7", b"CKV8", b"CKA1", b"CKU1",
+                                 b"CKU3", b"CKA3"])
 def test_retired_batch_formats_refused_by_name(old, small_params, small_keys,
                                                artifacts, uploads):
     """A batch under a magic of the 64-bit layouts, the slot-packed
-    `CKV3`, the full-ring `CKV7` and `CKV8`, the unrounded `CKA1` or the
-    one-row `CKU1` is refused by its reader, which names what it
-    found."""
+    `CKV3`, the full-ring `CKV7` and `CKV8`, the unrounded `CKA1` and
+    `CKU3`, the one-row `CKU1` or the sample-weighted `CKA3` is refused
+    by its reader, which names what it found."""
     from cipherfed.federation.transport import encode_global
-    from cipherfed.fhe.serial import (deserialize_seeded,
-                                      deserialize_seeded_sum)
-    upload = (uploads[1], lambda b, p: deserialize_seeded(
-        b, p, upload_count(1)))
+    from cipherfed.fhe.serial import deserialize_seeded_sum
+    upload = (uploads[1], read_upload)
     total = (encode_global(seeded_aggregate(small_keys, 1, (2, 3))),
-             lambda b, p: deserialize_seeded_sum(b, p, 1024, lambda n: 23))
+             lambda b, p: deserialize_seeded_sum(b, p, 1024, lambda k: 23))
     blob, read = {
         b"CKV2": (artifacts["ciphertext"], deserialize_ciphertext),
         b"CKV3": upload, b"CKV4": upload, b"CKV7": upload, b"CKU1": upload,
-        b"CKV5": total, b"CKV8": total, b"CKA1": total}[old]
+        b"CKU3": upload, b"CKV5": total, b"CKV8": total, b"CKA1": total,
+        b"CKA3": total}[old]
     with pytest.raises(FormatError, match=rf"but found .*\({old.decode()}, "
                                           r"no longer read\) artifact"):
         read(old + blob[4:], small_params)
@@ -556,8 +570,9 @@ def test_retired_batch_formats_refused_by_name(old, small_params, small_keys,
 @given(name=st.sampled_from([1024, 4096, "odd"]),
        count=st.integers(1, 3 * 1024), seed=st.integers(0, 2 ** 32))
 def test_seeded_block_roundtrip(chains, name, count, seed):
-    """The P coefficients of a seeded upload are a c0 block at d = 0:
-    the byte 0, q0's width, then P residues at that width, bit for bit
+    """The P coefficients of a seeded upload that drops u = 0 bits, as
+    one does where the noise leaves no room to round, are a c0 block at
+    d = 0: the byte 0, q0's width, then P residues at that width, bit for bit
     as docs/protocol.md words it: P need not be a multiple of 8, and the
     pad bits are 0. They come back as written, and a pad bit set is
     refused."""
@@ -571,17 +586,17 @@ def test_seeded_block_roundtrip(chains, name, count, seed):
     chunks = -(-count // n)
     batch = SeededBatch(params, c0, params.scale,
                         tuple(bytes([j]) * 32 for j in range(chunks)), (1,))
-    blob = serialize_seeded(batch)
+    blob = serialize_seeded(batch, 0)
     width = chain_widths(params, 1)
     block = bytes([0]) + width + pack_rows(c0[None], width)
     assert blob[23 + 32 * chunks:-TRAILER_BYTES] == block
-    back = deserialize_seeded(blob, params, count)
+    back = deserialize_seeded(blob, params, count, 1, 0)
     assert np.array_equal(back.c0, c0) and back.seeds == batch.seeds
     pad = -count * width[0] % 8
     if pad:
         set_pad = resealed(blob, lambda b: b[:-1] + bytes([b[-1] | 0x80]))
         with pytest.raises(FormatError, match="pad bits"):
-            deserialize_seeded(set_pad, params, count)
+            deserialize_seeded(set_pad, params, count, 1, 0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -589,7 +604,7 @@ def test_seeded_block_roundtrip(chains, name, count, seed):
        count=st.integers(1, 3 * 1024), dropped=st.integers(0, 40),
        seed=st.integers(0, 2 ** 32))
 def test_rounded_block_roundtrip(chains, name, count, dropped, seed):
-    """A `CKA3` c0 block is d, the width w = b0 - d, then each y =
+    """A `CKA4` c0 block is d, the width w = b0 - d, then each y =
     (c0 + 2^(d-1)) >> d at w bits, as docs/protocol.md words it, y = 0
     where y * 2^d would reach q0. It reads back as y * 2^d, within
     2^(d-1) of c0 mod q0, and writes back to the same bytes; a y whose
@@ -625,35 +640,51 @@ def test_rounded_block_roundtrip(chains, name, count, dropped, seed):
             deserialize_seeded_sum(over, params, count, lambda total: dropped)
 
 
-# the length and sha256 of a `CKU3` upload of P coefficients, as the
+# the length and sha256 of a `CKU4` upload of P coefficients, as the
 # encryption that drew all N error coefficients of each chunk wrote it,
-# and as an NTT product by s in place of the FFT one writes it too; each
-# length is that of the `CKU2` it replaced, whose seeds expanded into
-# the NTT domain
-UPLOAD_DIGESTS = {1: (81, "2a921f68c097d8f7"),
-                  27: (279, "4b84d99e38c24b0e"),
-                  4095: (31298, "f5f6e6a6718c3859"),
-                  4096: (31305, "67659ff48958d4fb"),
-                  4097: (31345, "a263020d5a89cf88"),
-                  12309: (94026, "9ee7dbaec65a5ed0")}
+# and as an NTT product by s in place of the FFT one writes it too: its
+# c0 block at d = 0 under the magic of the `CKU3` it replaced, as that
+# sent it, whose lengths are those of the `CKU2` before it, and at the
+# u = 19 that the default spec's uploads drop
+UPLOAD_DIGESTS = {1: ((81, "2a921f68c097d8f7"), (79, "b56215d2f9165c87")),
+                  27: ((279, "4b84d99e38c24b0e"),
+                       (215, "4f676ac0b1d35412")),
+                  4095: ((31298, "f5f6e6a6718c3859"),
+                         (21572, "6219ad2cf588d9d3")),
+                  4096: ((31305, "67659ff48958d4fb"),
+                         (21577, "d0e056eba677cea0")),
+                  4097: ((31345, "a263020d5a89cf88"),
+                         (21615, "d7ddb53006e94e51")),
+                  12309: ((94026, "9ee7dbaec65a5ed0"),
+                          (64792, "924b916fedd17b5f"))}
 
 
 @pytest.mark.parametrize("count", sorted(UPLOAD_DIGESTS))
 def test_upload_bytes_pinned(std_keys, count):
     """encrypt_symmetric draws only the error coefficients it keeps, a
     prefix of each chunk's draw of N: its uploads stay byte for byte
-    those of a whole draw, at partial and full chunks alike."""
+    those of a whole draw, at partial and full chunks alike, and keys
+    drawn from a seed fold no nonce into them. Rounded by u = 19 bits,
+    each c0 value y is (c0 + 2^18) >> 19 of the unrounded one, or 0
+    where y * 2^19 would reach q0."""
     from cipherfed.federation.client import derive_seed
     from cipherfed.fhe import encode_coeffs, encrypt_symmetric
-    from cipherfed.fhe.serial import serialize_seeded
-    n = std_keys.params.ring_degree
+    from cipherfed.fhe.serial import (deserialize_seeded, seal,
+                                      serialize_seeded)
+    params = std_keys.params
+    n, q0 = params.ring_degree, params.modulus_chain[0]
     chunks = -(-count // n)
     x = np.zeros(chunks * n)
     x[:count] = np.round(np.linspace(-3, 3, count) * 2 ** 16) / 2 ** 16
-    batch = encrypt_symmetric(encode_coeffs(x.reshape(chunks, n),
-                                            std_keys.params, level=0),
+    batch = encrypt_symmetric(encode_coeffs(x.reshape(chunks, n), params,
+                                            level=0),
                               std_keys, [derive_seed(9, j)
                                          for j in range(chunks)], count)
-    blob = serialize_seeded(batch)
-    assert (len(blob), hashlib.sha256(blob).hexdigest()[:16]) \
-        == UPLOAD_DIGESTS[count]
+    blobs = [serialize_seeded(batch, u) for u in (0, 19)]
+    was = seal(b"CKU3" + blobs[0][4:-TRAILER_BYTES])
+    assert [(len(b), hashlib.sha256(b).hexdigest()[:16])
+            for b in (was, blobs[1])] == list(UPLOAD_DIGESTS[count])
+    exact, rounded = (deserialize_seeded(b, params, count, 1, u).c0
+                      for b, u in zip(blobs, (0, 19)))
+    y = [(int(c) + 2 ** 18) >> 19 for c in exact]
+    assert rounded.tolist() == [v << 19 if v << 19 < q0 else 0 for v in y]

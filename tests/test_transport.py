@@ -226,11 +226,17 @@ def test_update_payload_roundtrip(world, small_params):
     upd = encrypt_model(world["init"], QuantizationSpec(), world["keys"],
                         client_id=1, sample_count=42, round_index=0)
     blob = T.encode_update(upd)
-    assert blob == serialize_seeded(upd.chunks)  # the artifact alone
+    # the artifact alone, its c0 rounded by the u = 19 bits of the
+    # default spec
+    assert blob == serialize_seeded(upd.chunks, 19)
     back = T.decode_update(blob, 0, small_params, 1, 42, upd.param_count)
     assert back.client_id == 1 and back.sample_count == 42
     assert len(back.chunks) == len(upd.chunks)
-    assert np.array_equal(back.chunks.c0, upd.chunks.c0)
+    assert back.chunks.scale == upd.chunks.scale == 42 * small_params.scale
+    assert back.chunks.counts == upd.chunks.counts == (42,)
+    q0 = small_params.modulus_chain[0]
+    gap = (back.chunks.c0 - upd.chunks.c0 + np.uint64(2 ** 18)) % q0
+    assert gap.max() <= 2 ** 19 and not (back.chunks.c0 % 2 ** 19).any()
     assert back.chunks.c0.size == upd.param_count
 
 
@@ -250,15 +256,15 @@ def test_global_payload_roundtrip_plain():
 
 @pytest.mark.parametrize("clients,chunks", [(4, 1), (4, 4), (2, 1)])
 def test_fhe_global_size_by_layout(world, small_params, clients, chunks):
-    """A GLOBAL is the `CKA3` layout of docs/protocol.md: the `CKV6`
+    """A GLOBAL is the `CKA4` layout of docs/protocol.md: the `CKV6`
     header, the client count, a u64 count per client, a seed per client
     and chunk, the P coefficients of c0 as a rounded block (d, its width
     byte and P coefficients at 61 - d bits, padded to a whole byte, d =
-    23 for these totals), and the 16-byte trailer."""
+    23 for up to 15 clients), and the 16-byte trailer."""
     n = small_params.ring_degree
     count = (chunks - 1) * n + 27
     counts = range(10, 10 + clients)
-    assert dropped_bits(small_params, QuantizationSpec(), sum(counts)) == 23
+    assert dropped_bits(small_params, QuantizationSpec(), clients) == 23
     payload = T.encode_global(seeded_aggregate(world["keys"], chunks, counts,
                                                count))
     size = (23 + 2 + 8 * clients + 32 * clients * chunks + 2
@@ -271,7 +277,7 @@ def test_fhe_global_size_by_layout(world, small_params, clients, chunks):
 def test_fhe_global_roundtrip_bitwise(world, small_params):
     """The reader's c1, rebuilt from the seeds and the counts, is the
     server's summed c1, residue for residue. Its c0 is the server's
-    rounded to a multiple of 2^d, d = 23 for 46 samples, so within
+    rounded to a multiple of 2^d, d = 23 for 4 clients, so within
     2^22 of it mod q0; it decrypts to the same weights bit for bit, and
     it writes the same bytes again."""
     keys, spec = world["keys"], QuantizationSpec()
@@ -339,7 +345,8 @@ def test_unseeded_aggregate_is_not_a_global(world):
     agg = server.aggregate([ClientUpdate(0, ct, 3, 0, 4)],
                            world["keys"].public)
     assert isinstance(agg, Ciphertext) and agg.scale == 3 * ct.scale
-    with pytest.raises(FormatError, match="only a sum of seeded uploads"):
+    with pytest.raises(FormatError, match="only a seeded batch that "
+                                          "records its quantization"):
         T.encode_global(agg)
 
 
@@ -403,7 +410,7 @@ def test_socket_run_raises_coordinator_error_as_itself(world, monkeypatch):
     with a ParameterError, which a socket run raises as it is, as the
     coordinator and the direct transport do."""
     monkeypatch.setattr(runner, "encode_update",
-                        lambda update: b"CKU3" + bytes(8))
+                        lambda update, clients: b"CKU4" + bytes(8))
     with pytest.raises(ParameterError, match="UPDATE from client 0: artifact "
                                              "was produced under different"):
         run_socket_federation(world["init"], world["cfg"], world["parts"],
@@ -716,8 +723,8 @@ def client_upload(world):
 
 
 def encrypted_update(world):
-    """A client's `CKU3` batch, which is its whole UPDATE payload."""
-    return serialize_seeded(client_upload(world).chunks)
+    """A client's `CKU4` batch, which is its whole UPDATE payload."""
+    return T.encode_update(client_upload(world))
 
 
 def assert_aborted(world, payload):
@@ -772,7 +779,7 @@ def test_thousand_chunk_update_expands_no_seed(world, monkeypatch):
     n = world["keys"].params.ring_degree
     padded = SeededBatch(one.params, np.resize(one.c0, 999 * n + 1),
                          one.scale, one.seeds * 1000, (1,))
-    payload = serialize_seeded(padded)
+    payload = serialize_seeded(padded, 19)
     expanded = count_expansions(monkeypatch)
     error = assert_aborted(world, payload)
     bound = T.frame_bound(world["init"].param_count, world["keys"].params)
@@ -787,7 +794,7 @@ def test_update_in_parent_layout_refused_naming_client(world):
     malformed artifact that names its sender."""
     upd = client_upload(world)
     old = (struct.pack("<HQI", 1, 10, upd.param_count)
-           + serialize_seeded(upd.chunks))
+           + T.encode_update(upd))
     error, real_err, reply = rogue_round(world, "fhe", world["keys"], old)
     assert isinstance(error, FormatError)
     assert "UPDATE from client 1: unknown magic bytes" in str(error)
@@ -919,14 +926,14 @@ def global_against_client(world, small_params, make_global, monkeypatch):
 
 
 def seeded_global(upd, counts, chunks):
-    """A `CKA3` GLOBAL of `chunks` chunks, the upload's coefficients
+    """A `CKA4` GLOBAL of `chunks` chunks, the upload's coefficients
     repeated to fill all but the last one's, for clients with `counts`;
     every client's seeds are the upload's."""
     one = upd.chunks
     n = one.params.ring_degree
     padded = SeededBatch(one.params, np.resize(one.c0, (chunks - 1) * n
                                                + one.c0.size),
-                         one.scale * sum(counts),
+                         one.params.scale * sum(counts),
                          one.seeds * chunks * len(counts), tuple(counts),
                          quantization=one.quantization)
     return T.encode_global(padded)
@@ -940,7 +947,7 @@ def client_bound(world, small_params) -> int:
 
 def test_padded_global_aborts_transport_client(world, small_params,
                                                monkeypatch):
-    """A `CKA3` GLOBAL with one chunk more than the model fills is
+    """A `CKA4` GLOBAL with one chunk more than the model fills is
     longer than any GLOBAL of the run: it is refused by its frame's
     length before any seed is expanded, and the client sends ABORT
     instead of loading it."""
@@ -962,8 +969,8 @@ def test_global_naming_a_thousand_clients_expands_no_seed(world,
     """A GLOBAL whose counts are not the run's is refused before any of
     its clients' seeds is expanded: 1,000 clients, whose seeds make the
     frame longer than the run's bound, by its length, and one client of
-    40,000 samples, whose c0 drops 22 low bits, not the run's 23, by its
-    counts."""
+    40,000 samples, whose c0 drops the 23 low bits of the run's two
+    clients, by its counts."""
     thousand = seeded_global(client_upload(world), [1] * 1000, 1)
     for counts, refusal in (
             ([1] * 1000, "client 0, round 0: " + too_long(
@@ -1336,17 +1343,19 @@ def test_wrong_mode_update_aborts_every_client(world):
 
 def test_mixed_scale_update_aborts_every_client(world, small_params):
     """Client 1 sends a well-formed batch at half client 0's scale Δ.
-    A `CKU3` upload is the one-client, one-sample case of the scale rule
-    Δ·Σ n, so the server refuses it by name before it is averaged."""
+    A `CKU4` upload of a client of n samples holds the scale Δ·n, the
+    one-client case of the scale rule Δ·Σ n, so the server refuses it
+    by name, against the run's own count for it, before it is
+    averaged."""
+    n = world["cfg"].sample_counts[1]
     upd = encrypt_model(world["init"], QuantizationSpec(), world["keys"],
-                        client_id=1, sample_count=10, round_index=0,
+                        client_id=1, sample_count=n, round_index=0,
                         rng_seed=77)
-    blob = patched(serialize_seeded(upd.chunks), "d", 13,
-                   small_params.scale / 2)
+    blob = patched(T.encode_update(upd), "d", 13, small_params.scale / 2)
     error, real_err, reply = rogue_round(world, "fhe", world["keys"], blob)
     assert isinstance(error, FormatError)
     assert (f"UPDATE from client 1: seeded ciphertext scale "
-            f"{small_params.scale / 2} is not the scale times its 1 "
+            f"{small_params.scale / 2} is not the scale times its {n} "
             "samples") in str(error)
     assert reply.mtype == T.MSG_ABORT
     assert real_err and "server aborted" in str(real_err[0])
@@ -1366,11 +1375,11 @@ def test_updates_of_different_model_sizes_not_averaged(world):
 @pytest.mark.parametrize("clients", [1, 4])
 def test_update_and_global_frame_sizes(std_keys, clients, chunks):
     """At N = 4,096 an UPDATE frame of P coefficients in c chunks is 7 +
-    23 + 32·c + 2 + ceil(61·P/8) + 16 bytes, and a GLOBAL frame of K
-    clients 7 + 23 + 2 + 8·K + 32·K·c + 2 + ceil(38·P/8) + 16, d = 23
-    at these totals, as docs/protocol.md gives them: for 4 clients, 286
-    B up and 339 B down at desk's 27 parameters, 94,033 and 59,062 B at
-    wide's 12,309."""
+    23 + 32·c + 2 + ceil(42·P/8) + 16 bytes, u = 19, and a GLOBAL frame
+    of K clients 7 + 23 + 2 + 8·K + 32·K·c + 2 + ceil(38·P/8) + 16, d =
+    23, for up to 15 clients, as docs/protocol.md gives them: for 4
+    clients, 222 B up and 339 B down at desk's 27 parameters, 64,799
+    and 59,062 B at wide's 12,309."""
     n = std_keys.params.ring_degree
     assert n == 4096
     count = {1: 27, 4: 12309}[chunks]
@@ -1380,23 +1389,23 @@ def test_update_and_global_frame_sizes(std_keys, clients, chunks):
         return len(T.encode_frame(T.Message(mtype, 0, payload)))
 
     up = frame(T.MSG_UPDATE, T.encode_update(ups[0]))
-    assert up == 7 + 23 + 32 * chunks + 2 + -(-61 * count // 8) + 16
+    assert up == 7 + 23 + 32 * chunks + 2 + -(-42 * count // 8) + 16
     agg = server.aggregate(ups, std_keys.public)
     down = frame(T.MSG_GLOBAL, T.encode_global(agg))
     assert down == (7 + 23 + 2 + 8 * clients + 32 * clients * chunks + 2
                     + -(-38 * count // 8) + 16)
     if clients == 4:
-        assert (up, down) == {1: (286, 339), 4: (94033, 59062)}[chunks]
+        assert (up, down) == {1: (222, 339), 4: (64799, 59062)}[chunks]
 
 
 def test_socket_shape_frame_sizes(std_keys):
     """The socket workload's shape, 3,093 parameters in 1 chunk and 2
-    clients: 23,665 B up and 14,822 B down."""
+    clients: 16,319 B up and 14,822 B down."""
     ups = seeded_uploads(std_keys, 1, (10, 11), 3093)
     agg = server.aggregate(ups, std_keys.public)
     assert [len(T.encode_frame(T.Message(t, 0, p))) for t, p in (
         (T.MSG_UPDATE, T.encode_update(ups[0])),
-        (T.MSG_GLOBAL, T.encode_global(agg)))] == [23665, 14822]
+        (T.MSG_GLOBAL, T.encode_global(agg)))] == [16319, 14822]
 
 
 @pytest.mark.parametrize("dims,chunks", [(2, 1), (600, 2)])
@@ -1426,9 +1435,11 @@ def test_direct_fhe_round_expands_each_upload_seed_once(small_params,
 def test_coordinator_expands_no_seed_and_runs_no_ntt(world, small_params,
                                                      monkeypatch):
     """The coordinator's fhe round, `decode_update`, `aggregate` and
-    `encode_global`, reads seeds and expands none, and runs no NTT; its
-    GLOBAL is byte for byte the one the direct transport's aggregate of
-    the same uploads would send."""
+    `encode_global`, reads seeds and expands none, and runs no NTT. Its
+    GLOBAL sums the uploads as the wire rounded them, so its c0 may
+    differ from the direct transport's aggregate of the same uploads,
+    but it holds the same seeds and counts and loads the same weights,
+    bit for bit."""
     from cipherfed.fhe.nttmath import StackedNtt
     counts = world["cfg"].sample_counts
     ups = [encrypt_model(world["init"], QuantizationSpec(), world["keys"],
@@ -1443,7 +1454,15 @@ def test_coordinator_expands_no_seed_and_runs_no_ntt(world, small_params,
                                world["init"].param_count)
                for k, (p, n) in enumerate(zip(payloads, counts))]
     agg = server.server_step(decoded, "fhe", world["keys"].public)
-    assert agg.a is None and T.encode_global(agg) == direct
+    assert agg.a is None
+    monkeypatch.undo()
+    got, want = (T.decode_global(g, small_params, world["init"].param_count)
+                 for g in (T.encode_global(agg), direct))
+    assert (got.seeds, got.counts) == (want.seeds, want.counts)
+    assert (flatten_weights(decrypt_and_load(got, world["keys"],
+                                             world["init"])).tobytes()
+            == flatten_weights(decrypt_and_load(want, world["keys"],
+                                                world["init"])).tobytes())
 
 
 @pytest.mark.parametrize("transport", ["direct", "socket"])
