@@ -14,8 +14,7 @@ from ..errors import ConfigError, DomainError, ShapeError
 from ..fhe.encoding import encode_coeffs
 from ..fhe.encoding import decode, encode  # perfbench wraps; ROADMAP item 1
 from ..fhe.keys import KeyMaterial
-from ..fhe.ops import (Ciphertext, SeededBatch, decrypt_coeffs,
-                       encrypt_symmetric)
+from ..fhe.ops import SeededBatch, decrypt_coeffs, encrypt_symmetric
 # perfbench --trace wraps these two; ROADMAP item 1
 from ..fhe.ops import decrypt, encrypt
 from ..fhe.params import EncryptionParams
@@ -38,10 +37,10 @@ def derive_seed(*parts: int) -> int:
 
 @dataclass(frozen=True)
 class ClientUpdate:
-    """One ciphertext batch of quantized weights (encrypt_model's is a
-    SeededBatch of param_count coefficients), and the sample count."""
+    """One client's seeded upload of param_count quantized weights,
+    as encrypt_model builds it, and the sample count."""
     client_id: int
-    chunks: SeededBatch | Ciphertext
+    chunks: SeededBatch
     sample_count: int
     round_index: int
     param_count: int

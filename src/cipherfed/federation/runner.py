@@ -54,9 +54,9 @@ def _client_rounds(channel, client_id: int, dataset, test_data,
                    keys, mode: str) -> HybridModel:
     clock = _clock(config)
     evaluates = client_id == 0 or config.convergence_delta is not None
-    limit = frame_bound(initial_model.param_count,
+    limit = frame_bound(MSG_GLOBAL, initial_model.param_count,
                         keys.params if mode == "fhe" else None,
-                        config.client_count)
+                        config.client_count, config.quantization)
 
     def io(r, call, *args, **kwargs):
         """A send or recv of round r; its failure names client and round."""

@@ -2,14 +2,12 @@
 
 This module is the server's entire capability surface: it imports no
 decryption routine and no secret-bearing type, and it rejects key
-material that carries more than the public part. Aggregation is one
-integer sum mod the primes, with the total divided out through the
-scale, so no rescale. A seeded upload already holds its client's n_k *
-w_k at scale * n_k, so of seeded uploads it only adds the P
-coefficients of c0, and the c1 halves only where they are already in
-memory; it never expands a seed. Public-key ciphertexts, at one scale,
-it weights by their sample counts. `round_loop` is the one round loop
-of every actor on both transports.
+material that carries more than the public part. Each client uploads a
+SeededBatch that already holds its n_k * w_k at scale * n_k, so
+aggregation is one integer sum mod q0 of the uploads' c0, with the
+total divided out through the scale: no weights, no rescale, and no
+seed expanded. Any other upload is refused. `round_loop` is the one
+round loop of every actor on both transports.
 """
 
 from __future__ import annotations
@@ -22,8 +20,8 @@ from ..errors import (AlignmentError, CipherfedError, ConfigError,
                       ParameterError, ProtocolError, ShapeError)
 from ..fhe.keys import PublicMaterial
 from ..fhe.params import EncryptionParams
-from ..fhe.nttmath import multipliers, sum_mod, weighted_sum
-from ..fhe.ops import Ciphertext, SeededBatch
+from ..fhe.nttmath import sum_mod
+from ..fhe.ops import SeededBatch
 # perfbench --trace wraps these four; ROADMAP item 1
 from ..fhe.encoding import encode_scalar
 from ..fhe.ops import add_ct, mul_plain, rescale
@@ -55,71 +53,58 @@ def _server_params(material) -> EncryptionParams:
 
 
 def _check_updates(updates) -> None:
-    """Reject a set of updates that cannot be averaged: every encrypted
-    update must carry the first update's chunk count and level, in the
-    same kind of batch under the same quantization, and the first
-    update's parameter count, and a seeded one that many coefficients,
-    which fill its chunks. A seeded update's scale must be the scale
-    times its own sample count, which it is weighted by; a public-key
-    batch's the first one's, which the server weights."""
+    """Reject a set of updates that cannot be averaged: they must be of
+    one round, one per client, each of at least one sample. An encrypted
+    update must be a SeededBatch of the first update's parameter count
+    in as many coefficients, at the scale times its own sample count,
+    under the first one's quantization."""
     if not updates:
         raise ProtocolError("no client updates to aggregate")
-    rnd = updates[0].round_index
-    first = getattr(updates[0], "chunks", None)
-    if first is not None and len(first) == 0:
-        raise ProtocolError(f"client {updates[0].client_id} sent no chunks")
+    first = updates[0]
     seen = set()
     for u in updates:
-        if u.round_index != rnd:
+        if u.round_index != first.round_index:
             raise ProtocolError(
                 f"client {u.client_id} sent round {u.round_index}, "
-                f"expected {rnd}")
+                f"expected {first.round_index}")
         if u.client_id in seen:
             raise ProtocolError(f"duplicate update from client {u.client_id}")
         seen.add(u.client_id)
         if u.sample_count < 1:
             raise ProtocolError(f"client {u.client_id} sent sample count "
                                 f"{u.sample_count}")
-        if first is None:
+        batch = getattr(u, "chunks", None)
+        if batch is None:
             continue
-        seeded = isinstance(first, SeededBatch)
-        scale = (u.chunks.params.scale * u.sample_count if seeded
-                 else first.scale)
-        got, want = ((len(u.chunks), u.chunks.level, u.chunks.scale),
-                     (len(first), first.level, scale))
-        if got != want:
-            raise AlignmentError(
-                f"client {u.client_id} sent {got[0]} chunks at level "
-                f"{got[1]}, scale {got[2]}; expected {want[0]} at level "
-                f"{want[1]}, scale {want[2]}")
-        if type(u.chunks) is not type(first):
+        if not isinstance(batch, SeededBatch):
             raise AlignmentError(f"client {u.client_id} sent a "
-                                 f"{type(u.chunks).__name__}, not a "
-                                 f"{type(first).__name__}")
-        if seeded and u.chunks.quantization != first.quantization:
-            raise AlignmentError(f"client {u.client_id} quantized under "
-                                 f"{u.chunks.quantization}, not "
-                                 f"{first.quantization}")
-        if seeded and u.chunks.c0.size != u.param_count:
-            raise ShapeError(f"client {u.client_id} sent {u.chunks.c0.size} "
-                             f"coefficients for {u.param_count} parameters")
-        if u.param_count != updates[0].param_count:
+                                 f"{type(batch).__name__}, not a SeededBatch")
+        if u.param_count != first.param_count:
             raise AlignmentError(f"client {u.client_id} sent {u.param_count} "
-                                 f"parameters, not {updates[0].param_count}")
+                                 f"parameters, not {first.param_count}")
+        if batch.c0.size != u.param_count:
+            raise ShapeError(f"client {u.client_id} sent {batch.c0.size} "
+                             f"coefficients for {u.param_count} parameters")
+        scale = batch.params.scale * u.sample_count
+        if batch.scale != scale:
+            raise AlignmentError(f"client {u.client_id} sent scale "
+                                 f"{batch.scale}, not {scale}")
+        if batch.quantization != first.chunks.quantization:
+            raise AlignmentError(f"client {u.client_id} quantized under "
+                                 f"{batch.quantization}, not "
+                                 f"{first.chunks.quantization}")
 
 
-def aggregate(updates, material: PublicMaterial | EncryptionParams):
-    """Weighted encrypted mean over the clients' ciphertext batches, at
-    scale (the scale) * n_total, so that decoding divides by n_total;
-    the result is one batch at the inputs' level. Of SeededBatches,
-    which each hold n_k * w_k, it adds the P coefficients of c0, carries
-    the seeds in client order, the sample counts, so that the GLOBAL
-    sends them in place of c1, and the uploads' quantization, which sets
-    the GLOBAL's rounding, and sums c1 only if every upload holds it in
-    memory (encryption on the direct transport): no seed is expanded
-    here. Public-key Ciphertexts it weights, S = sum_k n_k * E(w_k) mod
-    the primes, both halves, each client's weight a Shoup multiplier
-    once. An update under other parameters than the server's is a
+def aggregate(updates, material: PublicMaterial | EncryptionParams
+              ) -> SeededBatch:
+    """The clients' seeded uploads, each n_k * w_k at scale * n_k,
+    summed: one SeededBatch at scale * n_total, so that decoding divides
+    by n_total. It adds the P coefficients of c0 mod q0, and c1 only
+    where every upload holds it in memory (encryption on the direct
+    transport), so no seed is expanded here; it carries the seeds and
+    sample counts in client order, which the GLOBAL sends in place of
+    c1, and the uploads' quantization, which sets the GLOBAL's rounding.
+    An upload under other parameters than the server's is a
     ParameterError."""
     params = _server_params(material)
     for u in updates:
@@ -128,26 +113,17 @@ def aggregate(updates, material: PublicMaterial | EncryptionParams):
                                  "other parameters than the server's")
     _check_updates(updates)
     updates = sorted(updates, key=lambda u: u.client_id)
-    weights = [u.sample_count for u in updates]
-    cts = [u.chunks for u in updates]
-    first = cts[0]
-    if isinstance(first, SeededBatch):
-        q0 = params.q_column((0,))[0]
-        a = None
-        if all(ct.a is not None for ct in cts):
-            a = first.a._like(sum_mod(np.stack([ct.a.residues for ct in cts]),
-                                      q0))
-        return SeededBatch(
-            params, sum_mod(np.stack([ct.c0 for ct in cts]), q0),
-            params.scale * sum(weights),
-            tuple(s for ct in cts for s in ct.seeds), tuple(weights), a,
-            first.quantization)
-    q = first.c0.q_column
-    factors = multipliers(weights, q)
-    c0, c1 = (first.c0._like(weighted_sum(
-        [getattr(ct, half).residues for ct in cts], factors, q))
-        for half in ("c0", "c1"))
-    return Ciphertext(c0, c1, first.scale * sum(weights), first.level)
+    weights = tuple(u.sample_count for u in updates)
+    batches = [u.chunks for u in updates]
+    q0 = params.q_column((0,))[0]
+    a = None
+    if all(b.a is not None for b in batches):
+        a = batches[0].a._like(sum_mod(np.stack([b.a.residues
+                                                 for b in batches]), q0))
+    return SeededBatch(params, sum_mod(np.stack([b.c0 for b in batches]), q0),
+                       params.scale * sum(weights),
+                       tuple(s for b in batches for s in b.seeds), weights, a,
+                       batches[0].quantization)
 
 
 def aggregate_plain(updates) -> np.ndarray:
@@ -224,7 +200,9 @@ class FederationCoordinator:
                            config.quantization)
         self.config = config
         self.param_count = param_count
-        self.frame_bound = frame_bound(param_count, self.params)
+        self.frame_bound = frame_bound(MSG_UPDATE, param_count, self.params,
+                                       config.client_count,
+                                       config.quantization)
         self.mode = mode
         self.sink = sink
         self.history: list[dict] = []

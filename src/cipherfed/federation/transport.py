@@ -30,15 +30,14 @@ from dataclasses import replace
 import numpy as np
 
 from ..errors import FormatError, ProtocolError
-from ..fhe.ops import SEED_BYTES
-from ..fhe.serial import (Reader, deserialize_float_vector,
-                          deserialize_seeded, deserialize_seeded_sum,
+from ..fhe.serial import (MAGIC_SEEDED, MAGIC_SEEDED_SUM, Reader,
+                          deserialize_float_vector, deserialize_seeded,
+                          deserialize_seeded_sum, seeded_length,
                           serialize_float_vector, serialize_seeded,
                           serialize_seeded_sum)
 # perfbench --trace wraps these two; ROADMAP item 1
 from ..fhe.serial import deserialize_ciphertext, serialize_ciphertext
-from .client import (ClientUpdate, PlainUpdate, chunk_count_for,
-                     dropped_bits, upload_bits)
+from .client import ClientUpdate, PlainUpdate, dropped_bits, upload_bits
 from .metrics import FIELDS
 from .quantize import QuantizationSpec, quantize
 
@@ -74,17 +73,24 @@ def encode_frame(msg: Message) -> bytes:
     return struct.pack("!I", len(body)) + body
 
 
-def frame_bound(param_count: int, params=None, clients: int = 1) -> int:
-    """The longest frame a reader in a run of `param_count` parameters
-    takes: the run's longest artifact, an UPDATE (clients=1) or a
-    GLOBAL, or CONTROL_BYTES if that is longer. Such an artifact holds
-    at most 8 bytes a parameter, 64 of header and trailer and, on an fhe
-    run (`params` given), a sample count and a seed a chunk for each
-    client."""
-    payload = 8 * param_count + 64
-    if params is not None:
-        payload += clients * (8 + SEED_BYTES * chunk_count_for(
-            param_count, params.ring_degree))
+def frame_bound(mtype: int, param_count: int, params=None, clients: int = 1,
+                quantization: QuantizationSpec = QuantizationSpec()) -> int:
+    """The longest frame that a reader of `mtype` artifacts, MSG_UPDATE
+    (the coordinator) or MSG_GLOBAL (a client), takes in a run of
+    `clients` clients and `param_count` parameters: that artifact's
+    exact length, or CONTROL_BYTES if that is longer. On an fhe run
+    (`params` given) it is a `CKU4` at the bits that `quantization`
+    leaves each upload or a `CKA4` at those that it leaves the sum, and
+    on a plaintext run a `CKF1` of magic, count and 8 bytes a value."""
+    if params is None:
+        payload = 8 + 8 * param_count
+    elif mtype == MSG_UPDATE:
+        payload = seeded_length(params, MAGIC_SEEDED, param_count, 1,
+                                upload_bits(params, quantization, clients))
+    else:
+        payload = seeded_length(params, MAGIC_SEEDED_SUM, param_count,
+                                clients,
+                                dropped_bits(params, quantization, clients))
     return 3 + max(payload, CONTROL_BYTES)
 
 

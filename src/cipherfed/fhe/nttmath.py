@@ -162,36 +162,6 @@ def shoup_mul(a: np.ndarray, w, w_shoup, q) -> np.ndarray:
                        *np.empty((4,) + shape, dtype=np.uint64))
 
 
-def fixed_multiplier(k: int, q) -> tuple[np.ndarray, tuple]:
-    """The integer k as a fixed multiplier mod each prime of
-    the uint64 array q: its residues, shaped as q, and their
-    shoup_constant."""
-    w = np.array([k % int(p) for p in q.flat],
-                 dtype=np.uint64).reshape(q.shape)
-    return w, shoup_constant(w, q)
-
-
-def multipliers(weights, q) -> list:
-    """Each non-negative integer weight as its fixed_multiplier mod the
-    primes q, or None for a weight of 1, which multiplies nothing: the
-    factors of weighted_sum, built once for every sum with these
-    weights."""
-    return [None if w == 1 else fixed_multiplier(w, q) for w in weights]
-
-
-def weighted_sum(arrays, factors, q) -> np.ndarray:
-    """sum_k w_k * arrays[k] mod q, added in order, for residue arrays
-    below q (a uint64 array of primes that broadcasts against them) and
-    factors = multipliers(weights, q). A weight of 1 adds its array
-    without a product."""
-    acc = None
-    for a, f in zip(arrays, factors):
-        if f is not None:
-            a = shoup_mul(a, *f, q)
-        acc = a if acc is None else addmod(acc, a, q)
-    return acc
-
-
 def sum_mod(stack: np.ndarray, q) -> np.ndarray:
     """stack.sum(0) mod q for a stack of residues below q: a u64 sum
     holds (2^64 - 1) // q of them, 15 at q0 = 2^60 + 57,345, so more are

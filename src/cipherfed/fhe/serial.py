@@ -354,6 +354,21 @@ def _rounding(q0: int, dropped: int) -> tuple[int, int, int]:
     return (1 << dropped) >> 1, top, top.bit_length()
 
 
+def seeded_length(params: EncryptionParams, magic: bytes, param_count: int,
+                  clients: int, dropped: int) -> int:
+    """The exact length of a `CKU4` upload (`magic`, clients = 1) or a
+    `CKA4` aggregate of `clients` clients, of `param_count` coefficients
+    in the chunks they fill, whose c0 block drops `dropped` low bits:
+    the header, a `CKA4`'s client count and sample counts, a seed per
+    client and chunk, d and the width, the c0 block and the trailer."""
+    chunks = -(-param_count // params.ring_degree)
+    width = _rounding(params.modulus_chain[0], dropped)[2]
+    counts = 2 + 8 * clients if magic == MAGIC_SEEDED_SUM else 0
+    return (4 + 8 + struct.calcsize("<BdH") + counts
+            + clients * chunks * SEED_BYTES + 2
+            + -(-param_count * width // 8) + TRAILER_BYTES)
+
+
 def _seeded_bytes(batch: SeededBatch, magic: bytes, head: bytes,
                   dropped: int) -> bytes:
     """The `CKV6` header, `head`, the seeds, the c0 block, and the
@@ -425,9 +440,8 @@ def _read_seeded(data: bytes, params: EncryptionParams, magic: bytes,
     check runs before any field past the header is read: the scale,
     which must be the scale times the counts' total, a chunk count of
     ceil(param_count / N), which no other reader of a batch checks
-    again, and the exact length that the counts, the chunks, P and the
-    width give. No seed is expanded: c1 waits for the batch's first
-    use."""
+    again, and the exact `seeded_length`. No seed is expanded: c1 waits
+    for the batch's first use."""
     r = _open(data, magic, params)
     level, scale, chunks, named = _read_header(r, magic)
     counts = named if counts is None else counts
@@ -439,10 +453,9 @@ def _read_seeded(data: bytes, params: EncryptionParams, magic: bytes,
         raise FormatError(f"{r.what} holds {chunks} chunks; {param_count} "
                           f"parameters fill {fill}")
     q0, d = params.modulus_chain[0], dropped(len(counts))
-    width = _rounding(q0, d)[2]
     # the seeds, then c0: d, the width and P values of y
-    r.rest_is(len(counts) * chunks * SEED_BYTES + 2
-              + -(-param_count * width // 8))
+    r.rest_is(seeded_length(params, magic, param_count, len(counts), d)
+              - TRAILER_BYTES - r.pos)
     seeds = tuple(r.take(SEED_BYTES) for _ in range(len(counts) * chunks))
     c0 = _read_rounded(r, q0, d, len(counts), param_count)
     r.end()

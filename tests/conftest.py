@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cipherfed.federation.client import ClientUpdate
+from cipherfed.federation.client import ClientUpdate, level0_bound
 from cipherfed.federation.quantize import QuantizationSpec
 from cipherfed.federation.rounds import RoundConfig
 from cipherfed.federation.server import aggregate
@@ -28,20 +28,41 @@ def coordinator_config(counts, rounds: int = 1) -> RoundConfig:
                        sample_counts=tuple(counts), learning_rate=0.1)
 
 
-def seeded_uploads(keys, chunks: int, counts, count=None) -> list:
-    """One seeded upload of `chunks` chunks per client, the clients
-    holding `counts` samples, each of `count` coefficients (all of the
-    chunks' by default), under the default quantization spec: client k
-    encrypts its values times n_k at the scale times n_k, as
-    encrypt_model does."""
+def seeded_upload(keys, client_id: int, values, sample_count: int,
+                  count: int, seeds, round_index: int = 0) -> ClientUpdate:
+    """A client's upload of a (chunks, width) matrix `values` as
+    encrypt_model uploads weights: values * n_k coded as coefficients at
+    the scale times n_k, the first `count` encrypted under the secret key,
+    chunk j from seeds[j], with n_k and the default quantization spec
+    recorded."""
     params = keys.params
-    count = chunks * params.ring_degree if count is None else count
-    return [ClientUpdate(k, replace(encrypt_symmetric(encode_coeffs(
-        np.linspace(-1, 1, 8 * chunks).reshape(chunks, 8) / (k + 1), params,
-        level=0, scale=params.scale * n), keys,
-        [100 * k + j for j in range(chunks)], count), counts=(n,),
-        quantization=QuantizationSpec()), n, 0, count)
-        for k, n in enumerate(counts)]
+    batch = encrypt_symmetric(encode_coeffs(values, params, level=0,
+                                            scale=params.scale * sample_count),
+                              keys, seeds, count)
+    return ClientUpdate(client_id, replace(
+        batch, counts=(sample_count,), quantization=QuantizationSpec()),
+        sample_count, round_index, count)
+
+
+def seeded_uploads(keys, chunks: int, counts, count=None) -> list:
+    """One `seeded_upload` of `chunks` chunks per client, the clients
+    holding `counts` samples, each of `count` coefficients (all of the
+    chunks' by default)."""
+    count = chunks * keys.params.ring_degree if count is None else count
+    return [seeded_upload(keys, k, np.linspace(-1, 1, 8 * chunks)
+                          .reshape(chunks, 8) / (k + 1), n, count,
+                          [100 * k + j for j in range(chunks)])
+            for k, n in enumerate(counts)]
+
+
+def decrypted_mean(agg, keys) -> np.ndarray:
+    """The weighted mean that a seeded aggregate holds, rounded as
+    decrypt_and_load rounds it."""
+    spec = agg.quantization
+    half, _ = level0_bound(keys.params, spec)
+    sums = (ops.decrypt_coeffs(agg, keys) + half) // (2 * half)
+    return sums / (agg.scale / keys.params.scale
+                   * 2.0 ** spec.fractional_bits)
 
 
 def seeded_aggregate(keys, chunks: int, counts, count=None):

@@ -7,6 +7,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import decrypted_mean, seeded_upload
 
 from cipherfed import data as D
 from cipherfed import model as M
@@ -15,8 +16,9 @@ from cipherfed.errors import ParameterError, ProtocolError
 from cipherfed.fhe import (decode, decrypt, default_params, encode, encrypt,
                            keygen)
 from cipherfed.federation import server
-from cipherfed.federation.client import ClientUpdate, derive_seed
+from cipherfed.federation.client import PlainUpdate, derive_seed
 from cipherfed.federation.metrics import MetricsSink
+from cipherfed.federation.quantize import QuantizationSpec, quantize
 from cipherfed.federation.rounds import RoundConfig, run_round
 from cipherfed.federation.runner import run_socket_federation
 from cipherfed.model import TrainingConfig, flatten_weights
@@ -96,16 +98,16 @@ def test_criterion_02_aggregation_oracle(std):
         n_clients = int(rng.integers(2, 9))
         vecs = [rng.uniform(-1, 1, length) for _ in range(n_clients)]
         counts = rng.integers(1, 1000, n_clients)
-        updates = []
-        for k, (vec, n_k) in enumerate(zip(vecs, counts)):
-            ct = encrypt(encode(vec[None, :], params), keys,
-                         rng_seed=[derive_seed(trial, k)])
-            updates.append(ClientUpdate(client_id=k, chunks=ct,
-                                        sample_count=int(n_k),
-                                        round_index=trial,
-                                        param_count=length))
-        agg = server.aggregate(updates, keys.public)
-        got = decode(decrypt(agg[0], keys), length)
+        # each client uploads its quantized vector as encrypt_model does
+        xs = [quantize(vec, QuantizationSpec()) for vec in vecs]
+        updates = [seeded_upload(keys, k, x[None, :], int(n_k), length,
+                                 [derive_seed(trial, k)], trial)
+                   for k, (x, n_k) in enumerate(zip(xs, counts))]
+        got = decrypted_mean(server.aggregate(updates, keys.public), keys)
+        # bitwise the plaintext arm's mean of the same quantized vectors
+        assert np.array_equal(got, server.aggregate_plain(
+            [PlainUpdate(k, x, int(n_k), trial)
+             for k, (x, n_k) in enumerate(zip(xs, counts))]))
         weights = counts / counts.sum()
         expect = sum(w * v for w, v in zip(weights, vecs))
         worst = max(worst, float(np.abs(got - expect).max()))
@@ -376,11 +378,10 @@ def test_criterion_09_server_blindness(std):
     assert isinstance(pub, PublicMaterial)
     rng = np.random.default_rng(909)
     vec = rng.uniform(-1, 1, 64)
-    ct = encrypt(encode(vec[None, :], params), pub, [1])
-    upd = ClientUpdate(0, ct, 5, 0, 64)
+    upd = seeded_upload(keys, 0, quantize(vec, QuantizationSpec())[None, :],
+                        5, 64, [1])
     agg = server.aggregate([upd], pub)
-    got = decode(decrypt(agg[0], keys), 64)
-    assert np.abs(got - vec).max() < 1e-4
+    assert np.abs(decrypted_mean(agg, keys) - vec).max() < 1e-4
 
     # 4. handing the full key material to the server is rejected
     with pytest.raises(ParameterError):

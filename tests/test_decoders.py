@@ -513,7 +513,7 @@ def test_chunk_count_off_ring_degree_aborts_every_client(keys, small_params,
     good = client_update(keys, 0, (param_count - 10) // 2)
     assert struct.unpack_from("<H", good, 21)[0] == -(-param_count // n)
     error, replies = coordinator_against(keys, [good, bad], param_count)
-    bound = T.frame_bound(param_count, small_params)
+    bound = T.frame_bound(T.MSG_UPDATE, param_count, small_params, 2)
     assert (3 + len(bad) > bound) == too_long
     if too_long:
         assert isinstance(error, ProtocolError)

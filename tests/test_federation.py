@@ -1,10 +1,11 @@
 import hashlib
 import json
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import seeded_uploads
+from conftest import decrypted_mean, seeded_upload, seeded_uploads
 
 from cipherfed import data as D
 from cipherfed import model as M
@@ -133,19 +134,13 @@ def test_aggregate_identical_models_fixed_point(toy_world):
     assert np.abs(flatten_weights(back) - expect).max() < 1e-4
 
 
-def test_aggregate_weighted_example(toy_world, small_params):
+def test_aggregate_weighted_example(toy_world):
     # w1=[1,2], w2=[3,4], n1=1, n2=3 -> 0.25*w1 + 0.75*w2 = [2.5, 3.5]
-    from cipherfed.fhe import encode, encrypt
-    from cipherfed.federation.client import ClientUpdate
     keys = toy_world["keys"]
-    c1 = encrypt(encode([[1.0, 2.0]], small_params), keys, [1])
-    c2 = encrypt(encode([[3.0, 4.0]], small_params), keys, [2])
-    u1 = ClientUpdate(0, c1, 1, 0, 2)
-    u2 = ClientUpdate(1, c2, 3, 0, 2)
+    u1 = seeded_upload(keys, 0, np.array([[1.0, 2.0]]), 1, 2, [1])
+    u2 = seeded_upload(keys, 1, np.array([[3.0, 4.0]]), 3, 2, [2])
     agg = server.aggregate([u1, u2], keys.public)
-    from cipherfed.fhe import decode, decrypt
-    got = decode(decrypt(agg[0], keys), 2)
-    assert np.abs(got - [2.5, 3.5]).max() < 1e-4
+    assert np.array_equal(decrypted_mean(agg, keys), [2.5, 3.5])
 
 
 def test_aggregate_requires_updates(toy_world):
@@ -163,15 +158,13 @@ def test_aggregate_round_mismatch(toy_world):
 
 
 def test_aggregate_chunk_mismatch(toy_world, small_params):
-    from cipherfed.fhe import encode, encrypt
+    """Uploads of one and two chunks hold other parameter counts."""
     keys = toy_world["keys"]
-    m = toy_world["init"]
-    u1 = encrypt_model(m, QuantizationSpec(), keys, 0, 5, 0)
-    u2 = encrypt_model(m, QuantizationSpec(), keys, 1, 5, 0)
-    two = encrypt(encode(np.zeros((2, 4)), small_params), keys, [1, 2])
-    u2 = type(u2)(client_id=1, chunks=two, sample_count=5, round_index=0,
-                  param_count=u2.param_count)
-    with pytest.raises(AlignmentError, match="chunks"):
+    n = small_params.ring_degree
+    u1 = seeded_uploads(keys, 1, (5,))[0]
+    u2 = seeded_uploads(keys, 2, (5, 5))[1]
+    with pytest.raises(AlignmentError,
+                       match=f"client 1 sent {2 * n} parameters, not {n}"):
         server.aggregate([u1, u2], keys.public)
 
 
@@ -206,12 +199,12 @@ def test_aggregate_rejects_zero_sample_count():
 
 
 def test_aggregate_rejects_update_without_chunks(toy_world):
-    from cipherfed.federation.client import ClientUpdate
-    keys = toy_world["keys"]
-    empty = encrypt_model(toy_world["init"], QuantizationSpec(), keys, 0, 5,
-                          0).chunks[:0]
-    with pytest.raises(ProtocolError, match="no chunks"):
-        server.aggregate([ClientUpdate(0, empty, 5, 0, 0)], keys.public)
+    """No upload reaches the server without chunks: a SeededBatch of
+    zero coefficients is refused when it is built."""
+    one = encrypt_model(toy_world["init"], QuantizationSpec(),
+                        toy_world["keys"], 0, 5, 0).chunks
+    with pytest.raises(ShapeError, match="at least one coefficient"):
+        replace(one, c0=one.c0[:0], seeds=())
 
 
 def test_run_round_single_client_matches_standalone(toy_world):
@@ -479,54 +472,25 @@ def encrypted_chunk(params, keys, level, scale):
 
 def test_aggregate_rejects_param_count_that_needs_other_chunks(
         toy_world, small_params):
-    """Slot batches of one chunk labelled with other parameter counts
-    are not averaged: the counts differ. A lone slot batch's count is
-    its caller's label."""
-    from cipherfed.federation.client import ClientUpdate
+    """An upload labelled with another parameter count than the first
+    one's is not averaged, whatever its coefficients."""
     keys = toy_world["keys"]
-    top, scale = small_params.max_level, small_params.scale
-    one = encrypted_chunk(small_params, keys, top, scale)
-    ok = ClientUpdate(0, one, 5, 0, 3)
+    ok, other = seeded_uploads(keys, 1, (5, 5), 3)
     for count in (0, small_params.ring_degree + 1):
-        bad = ClientUpdate(1, one, 5, 0, count)
         with pytest.raises(AlignmentError,
                            match=f"client 1 sent {count} parameters, not 3"):
-            server.aggregate([ok, bad], keys.public)
+            server.aggregate([ok, replace(other, param_count=count)],
+                             keys.public)
 
 
-def test_aggregate_sums_slot_batch_of_more_values_than_half_a_ring(
-        toy_world, small_params):
-    """Two chunks of N/2 slot values hold N parameters: a slot chunk
-    holds N/2 of them, not the N of a coefficient chunk, and the server
-    averages them."""
-    from cipherfed.federation.client import ClientUpdate
-    from cipherfed.fhe import decode, decrypt, encode, encrypt
+def test_aggregate_rejects_update_at_other_scale(toy_world, small_params):
+    """A seeded upload holds n_k * w_k at the scale times n_k; one at
+    another scale would be weighted by another count."""
     keys = toy_world["keys"]
-    half = small_params.slot_count
-    rng = np.random.default_rng(3)
-    values = [rng.uniform(-1, 1, (2, half)) for _ in range(2)]
-    ups = [ClientUpdate(k, encrypt(encode(v, small_params), keys,
-                                   [2 * k, 2 * k + 1]), n, 0, 2 * half)
-           for k, (v, n) in enumerate(zip(values, (5, 3)))]
-    agg = server.aggregate(ups, keys.public)
-    got = decode(decrypt(agg, keys), half)
-    want = (5 * values[0] + 3 * values[1]) / 8
-    assert np.abs(got - want).max() < 1e-6
-
-
-@pytest.mark.parametrize("level_drop,scale_div", [(1, 1), (0, 2)],
-                         ids=["level", "scale"])
-def test_aggregate_rejects_update_at_other_level_or_scale(
-        toy_world, small_params, level_drop, scale_div):
-    from cipherfed.federation.client import ClientUpdate
-    keys = toy_world["keys"]
-    top, scale = small_params.max_level, small_params.scale
-    ok = ClientUpdate(0, encrypted_chunk(small_params, keys, top, scale),
-                      5, 0, 3)
-    bad = ClientUpdate(1, encrypted_chunk(
-        small_params, keys, top - level_drop, scale / scale_div), 5, 0, 3)
-    with pytest.raises(AlignmentError,
-                       match="client 1 sent 1 chunks at .* expected 1 at"):
+    ok, other = seeded_uploads(keys, 1, (5, 5), 3)
+    bad = replace(other, chunks=replace(other.chunks,
+                                        scale=small_params.scale * 5 / 2))
+    with pytest.raises(AlignmentError, match=r"client 1 sent scale .*, not "):
         server.aggregate([ok, bad], keys.public)
 
 
@@ -564,7 +528,6 @@ def test_aggregate_rejects_seeded_upload_of_other_coefficient_count(
         toy_world):
     """A seeded upload of 30 coefficients labelled 27 parameters is a
     ShapeError, next to a 27-coefficient upload or alone."""
-    from dataclasses import replace
     keys = toy_world["keys"]
     ok = seeded_uploads(keys, 1, (10, 10), 27)[0]
     bad = replace(seeded_uploads(keys, 1, (10, 10), 30)[1], param_count=27)

@@ -20,8 +20,8 @@ from cipherfed.errors import DomainError
 from cipherfed.fhe import default_params, encode, encode_scalar, encrypt
 from cipherfed.fhe import Plaintext, decode_coeffs, keygen, mul_plain
 from cipherfed.fhe.nttmath import (StackedNtt, addmod, find_ntt_primes,
-                                   fixed_multiplier, is_prime, mulhi64,
-                                   shoup_constant, shoup_mul, submod)
+                                   is_prime, mulhi64, shoup_constant,
+                                   shoup_mul, submod)
 from cipherfed.fhe.poly import COEFF, NTT, RingPoly, ShoupPoly
 
 PARAMS = default_params()
@@ -276,10 +276,12 @@ def test_mul_fixed_matches_python_on_a_sub_basis(batch, sub, batched, seed):
 @given(k=st.sampled_from([0, 1, -1]) | st.integers(-2 ** 200, 2 ** 200),
        sub=st.sampled_from(SUB_BASES), seed=st.integers(0, 2 ** 32))
 def test_constant_mul_fixed_matches_python(k, sub, seed):
-    # an integer k as the fixed multiplier weighted_sum's weights use
+    # an integer k as a fixed multiplier: its residue mod each prime,
+    # with that residue's shoup_constant
     p = random_ntt_poly(np.random.default_rng(seed), sub, (2,))
-    got = shoup_mul(p.residues, *fixed_multiplier(k, p.q_column), p.q_column)
     q = np.array(p.primes, dtype=object)[:, None]
+    w = (k % q).astype(np.uint64)
+    got = shoup_mul(p.residues, w, shoup_constant(w, p.q_column), p.q_column)
     assert np.array_equal(
         got, ((p.residues.astype(object) * k) % q).astype(np.uint64))
 

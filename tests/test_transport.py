@@ -30,7 +30,7 @@ from cipherfed.federation.runner import (run_socket_federation,
                                          run_transport_client)
 from cipherfed.federation import server
 from cipherfed.federation.server import FederationCoordinator
-from cipherfed.fhe import Ciphertext, SeededBatch, encode, encrypt
+from cipherfed.fhe import SeededBatch, encode, encrypt
 from cipherfed.fhe.serial import (serialize_ciphertext, serialize_float_vector,
                                   serialize_seeded)
 from cipherfed.model import flatten_weights
@@ -167,23 +167,29 @@ def test_frame_past_the_runs_bound_refused_unread():
     assert not alive, "the coordinator waited for the frame's body"
     assert len(errors) == 1 and isinstance(errors[0], ProtocolError)
     assert (f"frame length {T.MAX_FRAME} exceeds bound "
-            f"{T.frame_bound(2)}") in str(errors[0])
+            f"{T.frame_bound(T.MSG_UPDATE, 2)}") in str(errors[0])
 
 
 def test_frame_bound_holds_the_runs_frames(small_params, world):
-    """A run's frame bound holds every UPDATE and GLOBAL frame of the
-    run: here of 3 chunks from 2 clients, fhe and plain."""
+    """A run's frame bound is the exact length of its UPDATE or GLOBAL
+    frames, wherever that is above the CONTROL_BYTES floor: here of 3
+    chunks from 2 clients, fhe and plain, and of 3 parameters, whose
+    frames the floor holds."""
     keys = world["keys"]
-    ups = seeded_uploads(keys, 3, (5, 7))
-    count = ups[0].param_count
-    plain = PlainUpdate(0, np.zeros(count), 5, 0)
-    for payload, params, clients in (
-            (T.encode_update(ups[0]), small_params, 1),
-            (T.encode_global(server.aggregate(ups, small_params)),
-             small_params, 2),
-            (T.encode_update(plain), None, 1)):
-        frame = T.encode_frame(T.Message(T.MSG_UPDATE, 0, payload))
-        assert len(frame) - 4 <= T.frame_bound(count, params, clients)
+    for ups in (seeded_uploads(keys, 3, (5, 7)),
+                seeded_uploads(keys, 1, (5, 7), 3)):
+        count = ups[0].param_count
+        plain = np.zeros(count)
+        for payload, mtype, params in (
+                (T.encode_update(ups[0], 2), T.MSG_UPDATE, small_params),
+                (T.encode_global(server.aggregate(ups, small_params)),
+                 T.MSG_GLOBAL, small_params),
+                (T.encode_update(PlainUpdate(0, plain, 5, 0)), T.MSG_UPDATE,
+                 None),
+                (T.encode_global(plain), T.MSG_GLOBAL, None)):
+            frame = T.encode_frame(T.Message(mtype, 0, payload))
+            bound = T.frame_bound(mtype, count, params, 2)
+            assert bound == max(len(frame) - 4, 3 + T.CONTROL_BYTES)
 
 
 def test_frame_bound_holds_every_control_frame():
@@ -199,7 +205,8 @@ def test_frame_bound_holds_every_control_frame():
     assert len(reason) == T.CONTROL_BYTES
     for payload in (T.encode_join(2 ** 16 - 1), T.encode_metrics(row),
                     reason):
-        assert 3 + len(payload) <= T.frame_bound(1)
+        for mtype in (T.MSG_UPDATE, T.MSG_GLOBAL):
+            assert 3 + len(payload) <= T.frame_bound(mtype, 1)
     assert len(T.encode_metrics(row)) < 256
 
 
@@ -338,16 +345,22 @@ def test_uploads_of_two_specs_do_not_aggregate(world):
 
 
 def test_unseeded_aggregate_is_not_a_global(world):
-    """A public-key encryption has no seeds: it aggregates, but it has
-    no GLOBAL encoding."""
-    ct = encrypt(encode(np.zeros((1, 4)), world["keys"].params, level=0),
-                 world["keys"], [1])
-    agg = server.aggregate([ClientUpdate(0, ct, 3, 0, 4)],
-                           world["keys"].public)
-    assert isinstance(agg, Ciphertext) and agg.scale == 3 * ct.scale
+    """A public-key encryption has no seeds, so it is no upload: alone
+    or next to a seeded upload it is an AlignmentError naming its
+    client, and it has no GLOBAL encoding either."""
+    keys = world["keys"]
+    ct = encrypt(encode(np.zeros((1, 4)), keys.params, level=0), keys, [1])
+    seeded = seeded_uploads(keys, 1, (3,), 4)[0]
+    for ups in ([ClientUpdate(0, ct, 3, 0, 4)],
+                [seeded, ClientUpdate(1, ct, 3, 0, 4)]):
+        cid = ups[-1].client_id
+        with pytest.raises(AlignmentError, match=f"client {cid} sent a "
+                                                 "Ciphertext, not a "
+                                                 "SeededBatch"):
+            server.aggregate(ups, keys.public)
     with pytest.raises(FormatError, match="only a seeded batch that "
                                           "records its quantization"):
-        T.encode_global(agg)
+        T.encode_global(ct)
 
 
 def test_malformed_update_payload():
@@ -766,9 +779,30 @@ def test_public_key_update_aborts_clients(world):
     unread, and the client gets ABORT."""
     public = serialize_ciphertext(client_upload(world).chunks[:])
     error = assert_aborted(world, public)
-    bound = T.frame_bound(world["init"].param_count, world["keys"].params)
+    bound = T.frame_bound(T.MSG_UPDATE, world["init"].param_count,
+                          world["keys"].params)
     assert isinstance(error, ProtocolError)
     assert too_long(public, bound) in str(error)
+
+
+def test_update_a_byte_past_the_runs_refused_unread(world, monkeypatch):
+    """The coordinator's bound is the exact length of the run's UPDATE
+    frame: an UPDATE one byte longer is refused by its length prefix,
+    and no byte of it reaches the decoder."""
+    keys = world["keys"]
+    [upload] = seeded_uploads(keys, 1, (10,))
+    payload = T.encode_update(upload) + b"\0"
+    decoded = []
+    monkeypatch.setattr(server, "decode_update",
+                        lambda *args: decoded.append(args))
+    error, reply = scripted_round(
+        "fhe", keys.public, (T.MSG_JOIN, 0, T.encode_join(0)),
+        (T.MSG_UPDATE, 0, payload), param_count=upload.param_count)
+    bound = T.frame_bound(T.MSG_UPDATE, upload.param_count, keys.params)
+    assert 3 + len(payload) == bound + 1 > 3 + T.CONTROL_BYTES + 1
+    assert isinstance(error, ProtocolError) and reply.mtype == T.MSG_ABORT
+    assert too_long(payload, bound) in str(error)
+    assert decoded == []
 
 
 def test_thousand_chunk_update_expands_no_seed(world, monkeypatch):
@@ -782,7 +816,8 @@ def test_thousand_chunk_update_expands_no_seed(world, monkeypatch):
     payload = serialize_seeded(padded, 19)
     expanded = count_expansions(monkeypatch)
     error = assert_aborted(world, payload)
-    bound = T.frame_bound(world["init"].param_count, world["keys"].params)
+    bound = T.frame_bound(T.MSG_UPDATE, world["init"].param_count,
+                          world["keys"].params)
     assert isinstance(error, ProtocolError)
     assert too_long(payload, bound) in str(error)
     assert expanded == []
@@ -941,8 +976,8 @@ def seeded_global(upd, counts, chunks):
 
 def client_bound(world, small_params) -> int:
     """The frame bound of a transport client of `world`'s fhe run."""
-    return T.frame_bound(world["init"].param_count, small_params,
-                         world["cfg"].client_count)
+    return T.frame_bound(T.MSG_GLOBAL, world["init"].param_count,
+                         small_params, world["cfg"].client_count)
 
 
 def test_padded_global_aborts_transport_client(world, small_params,
