@@ -10,6 +10,8 @@ into polynomial coefficients, where it is exact.
 Run: python demos/01_encrypted_vector_arithmetic.py
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from cipherfed.federation.client import ClientUpdate
@@ -45,18 +47,20 @@ print("max error:", f"{np.abs(total - (x + y)).max():.2e}\n")
 # Each client quantizes its vector to the 2^-16 grid, multiplies it by its
 # sample count n_k and packs it into the coefficients of one chunk, m =
 # n_k * x * delta, an exact integer, encrypted at level 0 under the secret
-# key at scale delta * n_k. Only the 8 coefficients of c0 that carry values
-# are kept, and c1 travels as a 32-byte seed. The server only adds c0_k mod
-# q0 over the clients, and the sum's scale is delta * n_total. Each
+# key at scale delta * n_k, mod Q = 2^60. Only the 8 coefficients of c0 that
+# carry values are kept, and c1 travels as a 32-byte seed. Each upload
+# records its n_k, and the server only adds c0_k mod Q over the clients, so
+# the sum's scale is delta * n_total. Each
 # decrypted coefficient is sum_k (n_k * x_k * delta + e_k): dividing by
 # delta / 2^16 with rounding drops the errors e_k and leaves the integer
 # sum_k n_k * x_k * 2^16, which one division turns into the mean.
 spec = QuantizationSpec()
 counts = (30, 50, 20)
 vectors = [quantize(rng.uniform(-1, 1, 8), spec) for _ in counts]
-uploads = [encrypt_symmetric(encode_coeffs(v[None, :], params, level=0,
-                                           scale=params.scale * n_k),
-                             keys, [k], count=8)
+uploads = [replace(encrypt_symmetric(encode_coeffs(v[None, :], params,
+                                                   level=0,
+                                                   scale=params.scale * n_k),
+                                     keys, [k], count=8), counts=(n_k,))
            for k, (n_k, v) in enumerate(zip(counts, vectors))]
 mean_ct = aggregate([ClientUpdate(k, ct, n_k, 0, 8) for k, (n_k, ct)
                      in enumerate(zip(counts, uploads))], keys.public)

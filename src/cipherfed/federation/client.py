@@ -24,8 +24,8 @@ from .quantize import QuantizationSpec, quantize
 # what the noise half of `level0_bound` charges for each upload's error,
 # at most ops.ERROR_CLIP = 19 in magnitude
 NOISE_TAIL = 1 << 7
-# the most uploads whose c0 sum one reduction mod q0 takes (15 * q0 <
-# 2^64): up to this many clients, each upload drops the same low bits
+# up to this many clients, each upload drops the same low bits, so that
+# a client writes its upload without the run's client count
 SUM_CLIENTS = 15
 
 
@@ -66,12 +66,12 @@ def level0_bound(params: EncryptionParams, spec: QuantizationSpec
     (docs/protocol.md, "Level-0 capacity and exact decryption"), as
     limits (L, C). Noise: with each upload's c0 rounded by u low bits
     and the sum's by d, K * (NOISE_TAIL + 2^(u-1)) + 2^(d-1) < L = scale
-    / 2^(f+1), half the step that decrypt_and_load rounds by. q0: every
+    / 2^(f+1), half the step that decrypt_and_load rounds by. Q: every
     coefficient, n_total * ceil(clip_range * scale) plus that noise,
-    stays below q0 / 2 while n_total * ceil(clip_range * scale) <= C =
-    floor(q0 / 2) - L."""
+    stays below Q / 2 = 2^(k-1) while n_total * ceil(clip_range * scale)
+    <= C = 2^(k-1) - 1 - L."""
     noise = int(params.scale) >> (spec.fractional_bits + 1)
-    return noise, params.modulus_chain[0] // 2 - noise
+    return noise, (1 << (params.seeded_bits - 1)) - 1 - noise
 
 
 def _noise(clients: int, upload: int, dropped: int) -> int:
@@ -94,7 +94,7 @@ def client_capacity(params: EncryptionParams, spec: QuantizationSpec) -> int:
 
 
 def sample_capacity(params: EncryptionParams, spec: QuantizationSpec) -> int:
-    """The largest sample total n_total within the q0 half of
+    """The largest sample total n_total within the Q half of
     `level0_bound`: 65,535 at the defaults, at f = 23 too; 0 when not
     one client's upload rounds back."""
     if client_capacity(params, spec) < 1:
@@ -106,7 +106,7 @@ def sample_capacity(params: EncryptionParams, spec: QuantizationSpec) -> int:
 def upload_bits(params: EncryptionParams, spec: QuantizationSpec,
                 clients: int = 1) -> int:
     """The low bits u that each of K clients rounds away from its
-    upload's c0 (`CKU4`): the most that SUM_CLIENTS uploads can drop and
+    upload's c0 (`CKU5`): the most that SUM_CLIENTS uploads can drop and
     leave a sum every bit that decryption's rounding leaves, so that
     every K <= SUM_CLIENTS drops the same u, and fewer once K uploads
     would break the noise half of `level0_bound` with d = 0. 19 at the
@@ -122,13 +122,25 @@ def upload_bits(params: EncryptionParams, spec: QuantizationSpec,
 def dropped_bits(params: EncryptionParams, spec: QuantizationSpec,
                  clients: int) -> int:
     """The low bits d that a GLOBAL of K clients rounds away from each
-    coefficient of its c0 (`CKA4`): the largest d for which the noise
+    coefficient of its c0 (`CKA5`): the largest d for which the noise
     half of `level0_bound` holds with K uploads at `upload_bits`. 23 at
     the defaults for K <= 15, 22 from K = 16; 0 past
     `client_capacity`."""
     limit, _ = level0_bound(params, spec)
     return _bits(limit - 1 - _noise(clients, upload_bits(params, spec,
                                                          clients), 0))
+
+
+def global_bits(params: EncryptionParams, spec: QuantizationSpec,
+                counts) -> tuple[int, int]:
+    """The bits d to b of c0 that a GLOBAL of clients holding `counts`
+    samples keeps (`CKA5`): `dropped_bits`, and the smallest b with
+    n_total * ceil(clip_range * scale) + L < 2^(b-1), L the noise half
+    of `level0_bound`: 53 for 256 to 511 samples at the defaults."""
+    noise, _ = level0_bound(params, spec)
+    return (dropped_bits(params, spec, len(counts)),
+            (sum(counts) * math.ceil(spec.clip_range * params.scale)
+             + noise).bit_length() + 1)
 
 
 def check_capacity(sample_counts, params: EncryptionParams,
@@ -148,7 +160,7 @@ def check_capacity(sample_counts, params: EncryptionParams,
             f"{total} samples across the clients exceed the {capacity} "
             "that a level-0 encrypted sum holds exactly: n_total * "
             "clip_range * scale + scale / 2^(fractional_bits + 1) must "
-            "stay below q0 / 2")
+            "stay below Q / 2")
 
 
 def encrypt_model(model: HybridModel, spec: QuantizationSpec,
@@ -195,7 +207,8 @@ def decrypt_and_load(agg: SeededBatch, keys: KeyMaterial,
     step, and a GLOBAL's dropped bits, would be another's.
 
     Each coefficient holds sum_k (n_k * x_k * scale + e_k), e_k client
-    k's error and rounding, plus the GLOBAL's rounding. Dividing by
+    k's error and rounding, plus the GLOBAL's rounding, centred mod 2^b
+    for the b of `global_bits` at n_total. Dividing by
     scale / 2^f with rounding drops them and leaves the exact integer
     sum_k n_k * x_k * 2^f, which one division by n_total * 2^f turns
     into the weighted mean, bitwise as aggregate_plain computes it.
@@ -214,6 +227,7 @@ def decrypt_and_load(agg: SeededBatch, keys: KeyMaterial,
         raise DomainError(f"aggregate scale {agg.scale} is not the scale "
                           f"times a sample total from 1 to {capacity}")
     half, _ = level0_bound(params, spec)
-    sums = (decrypt_coeffs(agg, keys) + half) // (2 * half)
+    _, bits = global_bits(params, spec, (int(total),))
+    sums = (decrypt_coeffs(agg, keys, bits) + half) // (2 * half)
     return unflatten_weights(template,
                              sums / (total * 2.0 ** spec.fractional_bits))

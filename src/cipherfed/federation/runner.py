@@ -56,7 +56,7 @@ def _client_rounds(channel, client_id: int, dataset, test_data,
     evaluates = client_id == 0 or config.convergence_delta is not None
     limit = frame_bound(MSG_GLOBAL, initial_model.param_count,
                         keys.params if mode == "fhe" else None,
-                        config.client_count, config.quantization)
+                        config.sample_counts, config.quantization)
 
     def io(r, call, *args, **kwargs):
         """A send or recv of round r; its failure names client and round."""

@@ -4,8 +4,8 @@ This module is the server's entire capability surface: it imports no
 decryption routine and no secret-bearing type, and it rejects key
 material that carries more than the public part. Each client uploads a
 SeededBatch that already holds its n_k * w_k at scale * n_k, so
-aggregation is one integer sum mod q0 of the uploads' c0, with the
-total divided out through the scale: no weights, no rescale, and no
+aggregation is one wrapping sum mod Q = 2^k of the uploads' c0, with
+the total divided out through the scale: no weights, no rescale, and no
 seed expanded. Any other upload is refused. `round_loop` is the one
 round loop of every actor on both transports.
 """
@@ -20,8 +20,7 @@ from ..errors import (AlignmentError, CipherfedError, ConfigError,
                       ParameterError, ProtocolError, ShapeError)
 from ..fhe.keys import PublicMaterial
 from ..fhe.params import EncryptionParams
-from ..fhe.nttmath import sum_mod
-from ..fhe.ops import SeededBatch
+from ..fhe.ops import SeededBatch, seeded_sum
 # perfbench --trace wraps these four; ROADMAP item 1
 from ..fhe.encoding import encode_scalar
 from ..fhe.ops import add_ct, mul_plain, rescale
@@ -57,7 +56,7 @@ def _check_updates(updates) -> None:
     one round, one per client, each of at least one sample. An encrypted
     update must be a SeededBatch of the first update's parameter count
     in as many coefficients, at the scale times its own sample count,
-    under the first one's quantization."""
+    which it alone records, under the first one's quantization."""
     if not updates:
         raise ProtocolError("no client updates to aggregate")
     first = updates[0]
@@ -85,6 +84,10 @@ def _check_updates(updates) -> None:
         if batch.c0.size != u.param_count:
             raise ShapeError(f"client {u.client_id} sent {batch.c0.size} "
                              f"coefficients for {u.param_count} parameters")
+        if batch.counts != (u.sample_count,):
+            raise AlignmentError(f"client {u.client_id} recorded counts "
+                                 f"{batch.counts}, not its sample count "
+                                 f"({u.sample_count},)")
         scale = batch.params.scale * u.sample_count
         if batch.scale != scale:
             raise AlignmentError(f"client {u.client_id} sent scale "
@@ -99,7 +102,7 @@ def aggregate(updates, material: PublicMaterial | EncryptionParams
               ) -> SeededBatch:
     """The clients' seeded uploads, each n_k * w_k at scale * n_k,
     summed: one SeededBatch at scale * n_total, so that decoding divides
-    by n_total. It adds the P coefficients of c0 mod q0, and c1 only
+    by n_total. It adds the P coefficients of c0 mod Q, and c1 only
     where every upload holds it in memory (encryption on the direct
     transport), so no seed is expanded here; it carries the seeds and
     sample counts in client order, which the GLOBAL sends in place of
@@ -115,13 +118,12 @@ def aggregate(updates, material: PublicMaterial | EncryptionParams
     updates = sorted(updates, key=lambda u: u.client_id)
     weights = tuple(u.sample_count for u in updates)
     batches = [u.chunks for u in updates]
-    q0 = params.q_column((0,))[0]
     a = None
     if all(b.a is not None for b in batches):
-        a = batches[0].a._like(sum_mod(np.stack([b.a.residues
-                                                 for b in batches]), q0))
-    return SeededBatch(params, sum_mod(np.stack([b.c0 for b in batches]), q0),
-                       params.scale * sum(weights),
+        a = batches[0].a._like(seeded_sum(
+            np.stack([b.a.residues for b in batches]), params))
+    c0 = seeded_sum(np.stack([b.c0 for b in batches]), params)
+    return SeededBatch(params, c0, params.scale * sum(weights),
                        tuple(s for b in batches for s in b.seeds), weights, a,
                        batches[0].quantization)
 
@@ -201,7 +203,7 @@ class FederationCoordinator:
         self.config = config
         self.param_count = param_count
         self.frame_bound = frame_bound(MSG_UPDATE, param_count, self.params,
-                                       config.client_count,
+                                       config.sample_counts,
                                        config.quantization)
         self.mode = mode
         self.sink = sink

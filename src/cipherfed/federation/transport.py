@@ -7,14 +7,14 @@ socket. Serialization is lossless, so a socket run's results equal the
 direct transport's. Every binary payload is read through a
 bounds-checked `Reader` and must be consumed exactly. An UPDATE or
 GLOBAL payload is one artifact, which the run's mode picks: on an fhe
-run a `CKU4` seeded upload up and a `CKA4` seeded aggregate down, each
+run a `CKU5` seeded upload up and a `CKA5` seeded aggregate down, each
 carrying the P = param_count coefficients of c0 that hold weights and
 seeds in place of c1; on a plaintext run `CKF1` both ways. Either
-reader takes P from the run, not from the payload. A `CKU4` rounds away
+reader takes P from the run, not from the payload. A `CKU5` rounds away
 the low bits of c0 that the run's quantization spec and client count
-leave each upload (`client.upload_bits`), a `CKA4` those that they
-leave to decryption's rounding (`client.dropped_bits`), and each end
-stamps a decoded batch with its own run's spec. A METRICS
+leave each upload, a `CKA5` keeps the bits d to b that they and the
+sample counts leave the sum (`client.global_bits`), and each end stamps a
+decoded batch with its own run's spec. A METRICS
 payload is a row's data, and an ABORT payload a reason of at most
 CONTROL_BYTES.
 """
@@ -37,7 +37,7 @@ from ..fhe.serial import (MAGIC_SEEDED, MAGIC_SEEDED_SUM, Reader,
                           serialize_seeded_sum)
 # perfbench --trace wraps these two; ROADMAP item 1
 from ..fhe.serial import deserialize_ciphertext, serialize_ciphertext
-from .client import ClientUpdate, PlainUpdate, dropped_bits, upload_bits
+from .client import ClientUpdate, PlainUpdate, global_bits, upload_bits
 from .metrics import FIELDS
 from .quantize import QuantizationSpec, quantize
 
@@ -73,24 +73,25 @@ def encode_frame(msg: Message) -> bytes:
     return struct.pack("!I", len(body)) + body
 
 
-def frame_bound(mtype: int, param_count: int, params=None, clients: int = 1,
+def frame_bound(mtype: int, param_count: int, params=None,
+                sample_counts=(1,),
                 quantization: QuantizationSpec = QuantizationSpec()) -> int:
     """The longest frame that a reader of `mtype` artifacts, MSG_UPDATE
     (the coordinator) or MSG_GLOBAL (a client), takes in a run of
-    `clients` clients and `param_count` parameters: that artifact's
-    exact length, or CONTROL_BYTES if that is longer. On an fhe run
-    (`params` given) it is a `CKU4` at the bits that `quantization`
-    leaves each upload or a `CKA4` at those that it leaves the sum, and
-    on a plaintext run a `CKF1` of magic, count and 8 bytes a value."""
+    clients holding `sample_counts` and of `param_count` parameters:
+    that artifact's exact length, or CONTROL_BYTES if that is longer: a
+    `CKU5` or a `CKA5` at the bits of the run's `quantization` on an fhe
+    run (`params` given), else a `CKF1` of 8 bytes a value."""
     if params is None:
         payload = 8 + 8 * param_count
     elif mtype == MSG_UPDATE:
+        u = upload_bits(params, quantization, len(sample_counts))
         payload = seeded_length(params, MAGIC_SEEDED, param_count, 1,
-                                upload_bits(params, quantization, clients))
+                                params.seeded_bits - u)
     else:
+        d, b = global_bits(params, quantization, sample_counts)
         payload = seeded_length(params, MAGIC_SEEDED_SUM, param_count,
-                                clients,
-                                dropped_bits(params, quantization, clients))
+                                len(sample_counts), b - d)
     return 3 + max(payload, CONTROL_BYTES)
 
 
@@ -182,7 +183,7 @@ def _spec(batch):
 
 def encode_update(update, clients: int = 1) -> bytes:
     """An UPDATE payload: the update's artifact alone, `CKF1` or a
-    `CKU4` rounded by the low bits that its spec gives the uploads of a
+    `CKU5` rounded by the low bits that its spec gives the uploads of a
     run of `clients` clients (the same for every run of up to
     client.SUM_CLIENTS)."""
     if isinstance(update, ClientUpdate):
@@ -222,28 +223,27 @@ def decode_update(payload: bytes, round_index: int, params, client_id: int,
 
 def encode_global(agg) -> bytes:
     """A plaintext mean as `CKF1`, an aggregate of seeded uploads as
-    `CKA4`, rounded by the bits that its quantization and client count
-    drop; any other aggregate, or one that records no quantization, is
-    a FormatError."""
+    `CKA5` at its `global_bits`; any other aggregate, or one that
+    records no quantization, is a FormatError."""
     if isinstance(agg, np.ndarray):
         return serialize_float_vector(agg)
-    return serialize_seeded_sum(agg, dropped_bits(agg.params, _spec(agg),
-                                                  len(agg.counts)))
+    return serialize_seeded_sum(agg, *global_bits(agg.params, _spec(agg),
+                                                  agg.counts))
 
 
 def decode_global(payload: bytes, params, param_count: int,
                   quantization: QuantizationSpec = QuantizationSpec()):
     """The one artifact that is a GLOBAL payload for a model of
     `param_count` parameters: on an fhe run, where `params` is given, a
-    `CKA4` seeded aggregate of that many coefficients whose c0 drops the
-    bits that the run's `quantization` gives for its client count,
+    `CKA5` seeded aggregate of that many coefficients at the bits d to b
+    of the run's `quantization` and its counts (`global_bits`),
     stamped with that spec, and on a plaintext run a `CKF1` vector of
     that many values. Whether the counts are the run's is the caller's
     check; no seed is expanded until the aggregate is decrypted."""
     if params is not None:
         return replace(deserialize_seeded_sum(
             payload, params, param_count,
-            lambda clients: dropped_bits(params, quantization, clients)),
+            lambda counts: global_bits(params, quantization, counts)),
             quantization=quantization)
     values = deserialize_float_vector(payload)
     if values.size != param_count:

@@ -2,7 +2,7 @@
 
 The public key and s's NTT rows are poly.ShoupPolys; the public key's
 uniform pk1 = a travels as a 32-byte seed. A run encrypts, sums and
-decrypts over q0 alone, in the coefficient domain, so key material
+decrypts mod Q = 2^k alone, in the coefficient domain, so key material
 builds only s's FFT spectrum (fftmath.TernaryProduct) and builds each
 NTT row of s, and the public key, on first use.
 """
@@ -46,7 +46,7 @@ class PublicMaterial:
 
 class KeyMaterial:
     """The ternary secret's N coefficients `secret`, `times_secret`
-    (x -> x*s mod q0 for coefficient-domain x), and its public material:
+    (x -> x*s mod Q for coefficient-domain x), and its public material:
     `public`, or else pk0 = -(a*s) + e and pk1 = a, built on first read
     from `draws`, keygen's generator where the draw of s left it: the
     seed of a, then e. `nonce`, which seeded encryption folds into every

@@ -162,19 +162,6 @@ def shoup_mul(a: np.ndarray, w, w_shoup, q) -> np.ndarray:
                        *np.empty((4,) + shape, dtype=np.uint64))
 
 
-def sum_mod(stack: np.ndarray, q) -> np.ndarray:
-    """stack.sum(0) mod q for a stack of residues below q: a u64 sum
-    holds (2^64 - 1) // q of them, 15 at q0 = 2^60 + 57,345, so more are
-    summed in blocks of that many, each reduced, and then those sums. A
-    stack of one is its own sum."""
-    if len(stack) == 1:
-        return stack[0]
-    per = ((1 << 64) - 1) // int(np.max(q))
-    sums = [np.sum(stack[i:i + per], axis=0) % q
-            for i in range(0, len(stack), per)]
-    return sums[0] if len(sums) == 1 else sum_mod(np.stack(sums), q)
-
-
 def addmod(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:
     """(a + b) mod q for a + b < 2q."""
     r = a + b

@@ -5,10 +5,11 @@ Ciphertexts are (c0, c1) pairs in the NTT domain; residues shaped
 (chunks, rows, N) make a batch with one level and one scale. A
 SeededBatch is the federation's level-0 upload or aggregate: the
 coefficients of c0 that carry values, and seeds in place of c1, all in
-the coefficient domain, where the products by s are exact float64 FFTs
-(fftmath) and no NTT runs. Only the operations the encrypted
-weighted-average pipeline needs are provided; there is no
-ciphertext-ciphertext multiplication and no bootstrapping.
+the coefficient domain mod Q = 2^k, where sums wrap in u64 words, the
+products by s are exact float64 FFTs (fftmath) and no NTT runs. Only
+the operations the encrypted weighted-average pipeline needs are
+provided; there is no ciphertext-ciphertext multiplication and no
+bootstrapping.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from ..errors import (AlignmentError, DomainError, LevelError,
                       ParameterError, ShapeError)
 from .encoding import Plaintext
 from .keys import KeyMaterial
-from .nttmath import addmod, shoup_constant, shoup_mul, submod, sum_mod
+from .nttmath import shoup_constant, shoup_mul, submod
 from .params import EncryptionParams
 from .poly import (COEFF, GAUSSIAN_STDDEV, NTT, RingPoly, ShoupPoly,
                    centered, expand_seed, from_signed_coeffs, ntt_forward,
@@ -82,22 +83,21 @@ class SeededBatch:
     """A level-0 seeded upload of P coefficients in c = ceil(P / N)
     chunks, or the sum of K such uploads.
 
-    c0 holds the first P coefficients of sum_k c0_k mod q0 in the
+    c0 holds the first P coefficients of sum_k c0_k mod Q = 2^k in the
     coefficient domain: coefficient j*N + i is coefficient i of chunk j,
-    and each chunk's coefficients past P are dropped. c1 = sum_k a_k,
-    also in the coefficient domain, never travels: chunk j of a_k is
-    expanded from seeds[k * c + j]. `a`, when given, is that c1 already
-    in memory, as encryption and an aggregate of such uploads hold it;
-    otherwise `c1` expands the seeds. `counts` are the sample counts of
-    the K clients, one each, which a GLOBAL carries; a federation upload
-    holds its client's n_k * w_k at scale * n_k, so that the sum needs
-    no weights. `quantization` is the federation's QuantizationSpec of
-    the values it holds, which encrypt_model records and aggregate and
-    the readers of the wire carry, or None; decrypt_and_load and the
-    wire's rounding read it.
+    and each chunk's coefficients past P are dropped. c1 = sum_k a_k mod
+    Q never travels: chunk j of a_k is expanded from seeds[k * c + j].
+    `a`, when given, is that c1 already in memory, as encryption and an
+    aggregate of such uploads hold it; otherwise `c1` expands the seeds.
+    `counts` are the sample counts of the K clients, one each, which a
+    GLOBAL carries; a federation upload holds its client's n_k * w_k at
+    scale * n_k, so that the sum needs no weights. `quantization` is the
+    federation's QuantizationSpec of the values it holds, which
+    encrypt_model records and aggregate and the readers of the wire
+    carry, or None; decrypt_and_load and the wire's rounding read it.
     """
     params: EncryptionParams
-    c0: np.ndarray  # (P,) uint64 below q0
+    c0: np.ndarray  # (P,) uint64 below Q
     scale: float
     seeds: tuple[bytes, ...]
     counts: tuple[int, ...]
@@ -125,9 +125,9 @@ class SeededBatch:
 
     def __getitem__(self, i) -> Ciphertext:
         """Chunk i (a slice gives a sub-batch) as an NTT-domain
-        Ciphertext, the forward NTTs of c0, whose dropped coefficients
-        are 0, and of c1: its first P coefficients decrypt as this
-        batch's do."""
+        Ciphertext under q0 of c0, its dropped coefficients 0, and c1: a
+        view of this batch's level and size, which no longer decrypts
+        under q0, since the batch's words are mod Q."""
         n = self.params.ring_degree
         c0 = np.zeros((len(self), 1, n), dtype=np.uint64)
         c0.reshape(-1)[:self.c0.size] = self.c0
@@ -159,28 +159,33 @@ def encrypt(pt: Plaintext, keys, rng_seed=0) -> Ciphertext:
     return Ciphertext(c0=c0, c1=c1, scale=pt.scale, level=pt.level)
 
 
+def seeded_sum(stack: np.ndarray, params: EncryptionParams) -> np.ndarray:
+    """stack.sum(0) mod Q = 2^k: one u64 sum, which wraps mod 2^64."""
+    return (stack.sum(axis=0, dtype=np.uint64)
+            & np.uint64((1 << params.seeded_bits) - 1))
+
+
 def seeded_c1(seeds, chunks: int, params: EncryptionParams) -> RingPoly:
     """The level-0 coefficient-domain c1 of a seeded batch of `chunks`
-    chunks: sum_k a_k mod q0, where chunk j of a_k is expanded from
+    chunks: sum_k a_k mod Q, where chunk j of a_k is expanded from
     seeds[k * chunks + j]. With one client's seeds that is its upload's
-    c1; with every client's it is, residue for residue, the sum that
+    c1; with every client's it is, word for word, the sum that
     server.aggregate forms from the uploads' a_k."""
-    q0, n = params.modulus_chain[0], params.ring_degree
-    a = np.stack([expand_seed(s, q0, n) for s in seeds])
-    return RingPoly(params, (0,), sum_mod(a.reshape(-1, chunks, 1, n),
-                                          np.uint64(q0)), COEFF)
+    n = params.ring_degree
+    a = np.stack([expand_seed(s, 1 << params.seeded_bits, n) for s in seeds])
+    return RingPoly(params, (0,), seeded_sum(a.reshape(-1, chunks, 1, n),
+                                             params), COEFF)
 
 
 def encrypt_symmetric(pt: Plaintext, keys: KeyMaterial, rng_seed,
                       count: int) -> SeededBatch:
-    """Seeded secret-key encryption of the first `count` coefficients
-    of a coefficient-domain level-0 batch
-    (encode_coeffs), deterministic in rng_seed: one int per chunk, for
-    the ceil(count / N) chunks that `count` fills.
+    """Seeded secret-key encryption of the first `count` coefficients of
+    a coefficient-domain level-0 batch (encode_coeffs), deterministic in
+    rng_seed: one int per chunk, for the ceil(count / N) chunks.
 
     Chunk i's 32-byte seed is SHA-256 of a tag, the keys' nonce and its
     int; c1 = a is expanded from that seed into the coefficient domain,
-    and c0 = m + e - a*s, a*s one exact FFT product a chunk
+    and c0 = m + e - a*s mod Q, a*s one exact FFT product a chunk
     (keys.times_secret), of which the first `count` coefficients are
     kept. The error e, rounded normals clipped to |e| <= ERROR_CLIP, is
     drawn from a generator seeded by the int itself and the nonce, which
@@ -219,13 +224,13 @@ def encrypt_symmetric(pt: Plaintext, keys: KeyMaterial, rng_seed,
                                         min(n, count - j * n))
         for j, s in enumerate(ints)])
     e = np.clip(np.round(e), -ERROR_CLIP, ERROR_CLIP).astype(np.int64)
+    # m + e in two's complement, whose u64 words are m + e mod Q too
+    m_e = centered(poly.residues.reshape(-1)[:count], poly.primes[0]) + e
     a = seeded_c1(seeds, ints.size, params)
-    q0 = a.q_column[0]
-    e = np.where(e < 0, e + params.modulus_chain[0], e).view(np.uint64)
-    m_e = addmod(poly.residues.reshape(-1)[:count], e, q0)
-    a_s = keys.times_secret(a.residues).reshape(-1)
-    return SeededBatch(params, submod(m_e, a_s[:count], q0), pt.scale, seeds,
-                       (1,), a=a)
+    a_s = keys.times_secret(a.residues).reshape(-1)[:count]
+    c0 = (m_e.view(np.uint64) - a_s) & np.uint64((1 << params.seeded_bits)
+                                                   - 1)
+    return SeededBatch(params, c0, pt.scale, seeds, (1,), a=a)
 
 
 def _check_keys(keys, params: EncryptionParams) -> None:
@@ -235,15 +240,18 @@ def _check_keys(keys, params: EncryptionParams) -> None:
         raise ParameterError("keys and operand use different parameters")
 
 
-def decrypt_coeffs(batch: SeededBatch, keys: KeyMaterial) -> np.ndarray:
-    """The P coefficients of c0 + c1*s, centered mod q0 as exact int64,
-    as decode_coeffs gives them: the first P coefficients of c1*s, one
-    exact FFT product a chunk (keys.times_secret), plus c0."""
+def decrypt_coeffs(batch: SeededBatch, keys: KeyMaterial,
+                   bits: int | None = None) -> np.ndarray:
+    """The P coefficients of c0 + c1*s mod 2^b, b = `bits` (k of Q by
+    default), centred as exact int64: the first P coefficients of c1*s,
+    one exact FFT product a chunk (keys.times_secret), plus c0. A GLOBAL
+    read from the wire holds c0 mod 2^b alone (client.global_bits)."""
     _check_keys(keys, batch.params)
-    c1s = keys.times_secret(batch.c1.residues)
-    q0 = batch.params.modulus_chain[0]
-    return centered(addmod(batch.c0, c1s.reshape(-1)[:batch.c0.size],
-                           np.uint64(q0)), q0)
+    drop = 64 - (batch.params.seeded_bits if bits is None else bits)
+    c1s = keys.times_secret(batch.c1.residues).reshape(-1)[:batch.c0.size]
+    # the low b bits moved to the top, then shifted back with their sign
+    return (((batch.c0 + c1s) << np.uint64(drop)).view(np.int64)
+            >> np.int64(drop))
 
 
 def decrypt(ct: Ciphertext, keys: KeyMaterial) -> Plaintext:

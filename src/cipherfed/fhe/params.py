@@ -73,6 +73,12 @@ class EncryptionParams:
         return len(self.modulus_chain) - 1
 
     @property
+    def seeded_bits(self) -> int:
+        """k of Q = 2^k, one bit below q0 (60 at the defaults): the
+        modulus of the seeded uploads and aggregates, which run no NTT."""
+        return self.modulus_chain[0].bit_length() - 1
+
+    @property
     def ntt(self) -> StackedNtt:
         """NTT context over every prime of the chain."""
         return self.stacked_ntt(tuple(range(len(self.modulus_chain))))

@@ -153,17 +153,18 @@ def sample_gaussian(params: EncryptionParams, prime_indices: tuple[int, ...],
 
 def expand_seed(seed: bytes, q: int, n: int) -> np.ndarray:
     """The n residues below q that `seed` expands to: its SHAKE-128
-    stream read as 8-byte little-endian words, each masked to q's bit
-    length and kept if below q, the first n kept in order (see
-    docs/protocol.md). The stream is read far enough for n with a wide
-    margin, and further in the rare case that is short."""
-    bits = q.bit_length()
-    mask, q64 = np.uint64((1 << bits) - 1), np.uint64(q)
-    words = n * (1 << bits) // q + n // 8 + 64
+    stream read as 8-byte little-endian words, each masked to the bit
+    length of q - 1 and kept if below q, the first n kept in order (see
+    docs/protocol.md): exactly n words below a power of two, the seeded
+    cipher's Q, and below a prime far enough for n with a wide margin,
+    further in the rare case that is short."""
+    bits = (q - 1).bit_length()
+    every = q == 1 << bits
+    words = n if every else n * (1 << bits) // q + n // 8 + 64
     while True:
         w = np.frombuffer(hashlib.shake_128(seed).digest(8 * words),
-                          dtype="<u8") & mask
-        kept = w[w < q64]
+                          dtype="<u8") & np.uint64((1 << bits) - 1)
+        kept = w if every else w[w < np.uint64(q)]
         if kept.size >= n:
-            return kept[:n].astype(np.uint64)
+            return kept[:n]
         words *= 2

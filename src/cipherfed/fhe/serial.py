@@ -5,11 +5,11 @@ the 8-byte parameter digest, so a reader can reject material from a
 different parameter set before touching the payload. Polynomials are
 stored in the NTT domain, each residue row packed at its prime's bit
 length; a seeded upload or aggregate carries only the first P
-coefficients of its coefficient-domain c0, and seeds in place of its
-coefficient-domain c1, in one c0 block for both: the coefficients
-rounded to a multiple of 2^d (the bits u that an upload may drop, and
-in an aggregate the low bits that decryption drops anyway), at the bits
-that are left.
+coefficients of its coefficient-domain c0 mod Q = 2^k, and seeds in
+place of its c1, in one c0 block for both: bits d to b of each
+coefficient, rounded to a multiple of 2^d (in an upload the bits u that
+it may drop, in an aggregate those that decryption drops anyway), b
+being k in an upload and the bits its sample total needs in a sum.
 One codec, word shifts over u64, packs and unpacks every residue block
 and the secret key's 2-bit codes. Every artifact that carries residues ends with the first
 16 bytes of the SHA-256 of the bytes before it, checked before anything
@@ -33,8 +33,8 @@ from .params import RING_DEGREE_RULE, RING_DEGREES, EncryptionParams
 from .poly import NTT, RingPoly, ShoupPoly, ntt_inverse
 
 MAGIC_CIPHERTEXT = b"CKV6"
-MAGIC_SEEDED = b"CKU4"
-MAGIC_SEEDED_SUM = b"CKA4"
+MAGIC_SEEDED = b"CKU5"
+MAGIC_SEEDED_SUM = b"CKA5"
 MAGIC_SECRET_KEY = b"CKS3"
 MAGIC_PUBLIC_KEY = b"CKP3"
 MAGIC_FLOAT_VECTOR = b"CKF1"
@@ -57,6 +57,8 @@ RETIRED = {b"CKV2": ("ciphertext", MAGIC_CIPHERTEXT),
            b"CKA2": ("NTT-seeded aggregate", MAGIC_SEEDED_SUM),
            b"CKU3": ("unrounded seeded ciphertext", MAGIC_SEEDED),
            b"CKA3": ("sample-weighted seeded aggregate", MAGIC_SEEDED_SUM),
+           b"CKU4": ("seeded ciphertext mod q0", MAGIC_SEEDED),
+           b"CKA4": ("seeded aggregate mod q0", MAGIC_SEEDED_SUM),
            b"CKS2": ("secret key", None), b"CKP1": ("public key", None),
            b"CKP2": ("public key", None)}
 RETIRED_BATCHES = {m: shares for m, (_, shares) in RETIRED.items() if shares}
@@ -346,23 +348,13 @@ def deserialize_ciphertext(data: bytes, params: EncryptionParams) -> Ciphertext:
     return Ciphertext(c0=c0, c1=c1, scale=scale, level=level)
 
 
-def _rounding(q0: int, dropped: int) -> tuple[int, int, int]:
-    """Half of 2^d (0 when d = 0), the largest y whose y * 2^d is below
-    q0, and its bit length w = b0 - d, the width at which a c0 block
-    packs each y."""
-    top = (q0 - 1) >> dropped
-    return (1 << dropped) >> 1, top, top.bit_length()
-
-
 def seeded_length(params: EncryptionParams, magic: bytes, param_count: int,
-                  clients: int, dropped: int) -> int:
-    """The exact length of a `CKU4` upload (`magic`, clients = 1) or a
-    `CKA4` aggregate of `clients` clients, of `param_count` coefficients
-    in the chunks they fill, whose c0 block drops `dropped` low bits:
-    the header, a `CKA4`'s client count and sample counts, a seed per
-    client and chunk, d and the width, the c0 block and the trailer."""
+                  clients: int, width: int) -> int:
+    """The exact length of a `CKU5` upload (`magic`, clients = 1) or a
+    `CKA5` aggregate of `clients` clients, of `param_count` coefficients
+    in the chunks they fill at `width` = b - d bits: the header, a
+    `CKA5`'s counts, the seeds, d and the width, c0 and the trailer."""
     chunks = -(-param_count // params.ring_degree)
-    width = _rounding(params.modulus_chain[0], dropped)[2]
     counts = 2 + 8 * clients if magic == MAGIC_SEEDED_SUM else 0
     return (4 + 8 + struct.calcsize("<BdH") + counts
             + clients * chunks * SEED_BYTES + 2
@@ -370,78 +362,60 @@ def seeded_length(params: EncryptionParams, magic: bytes, param_count: int,
 
 
 def _seeded_bytes(batch: SeededBatch, magic: bytes, head: bytes,
-                  dropped: int) -> bytes:
+                  dropped: int, bits: int) -> bytes:
     """The `CKV6` header, `head`, the seeds, the c0 block, and the
-    trailer. The c0 block holds the P coefficients of c0 rounded to the
-    nearest multiple of 2^d mod q0, d = `dropped`: d, the width w, and
-    each y = (c0 + 2^(d-1)) >> d at w bits, or 0 where y * 2^d would
-    reach q0. A batch read back from those bytes writes them again."""
-    q0 = batch.params.modulus_chain[0]
-    if not 0 <= dropped < q0.bit_length():
-        raise FormatError(f"a c0 block drops 0 to {q0.bit_length() - 1} "
-                          f"low bits, not {dropped}")
-    half, top, width = _rounding(q0, dropped)
-    y = (batch.c0 + np.uint64(half)) >> np.uint64(dropped)
-    # a residue within 2^(d-1) of q0 rounds to q0, which is 0 mod q0
-    y[y > np.uint64(top)] = 0
+    trailer. The c0 block is d = `dropped`, the width w = b - d for b =
+    `bits`, and each y = ((c0 + 2^(d-1)) >> d) mod 2^w at w bits. A
+    batch read back from those bytes writes them again."""
+    if not 0 <= dropped < bits <= batch.params.seeded_bits:
+        raise FormatError(f"a c0 block keeps bits d to b of at most "
+                          f"{batch.params.seeded_bits}, not {dropped} to "
+                          f"{bits}")
+    width = bits - dropped
+    y = (((batch.c0 + np.uint64((1 << dropped) >> 1)) >> np.uint64(dropped))
+         & np.uint64((1 << width) - 1))
     return seal(b"".join([_header(batch, magic, len(batch)), head,
                           *batch.seeds, bytes([dropped, width]),
                           _pack(y[None], width).tobytes()]))
 
 
 def serialize_seeded(batch: SeededBatch, dropped: int) -> bytes:
-    """One `CKU4` upload, an encrypt_model output of one client: the
+    """One `CKU5` upload, an encrypt_model output of one client: the
     header, each chunk's seed, then the c0 block of its P coefficients
-    at d = `dropped`, the u of client.upload_bits; c1 is left to the
-    seeds."""
+    at d = `dropped`, the u of client.upload_bits, and b = k; c1 is left
+    to the seeds."""
     if not isinstance(batch, SeededBatch) or len(batch.counts) != 1:
         raise FormatError("only a seeded ciphertext of one upload is "
-                          "written as CKU4")
-    return _seeded_bytes(batch, MAGIC_SEEDED, b"", dropped)
+                          "written as CKU5")
+    return _seeded_bytes(batch, MAGIC_SEEDED, b"", dropped,
+                         batch.params.seeded_bits)
 
 
-def serialize_seeded_sum(batch: SeededBatch, dropped: int) -> bytes:
-    """One `CKA4` aggregate, a sum of seeded uploads from
+def serialize_seeded_sum(batch: SeededBatch, dropped: int,
+                         bits: int) -> bytes:
+    """One `CKA5` aggregate, a sum of seeded uploads from
     server.aggregate: the header, the client count K, the K sample
     counts, each client's chunk seeds client after client, then the c0
-    block of its P coefficients at d = `dropped`."""
+    block of its P coefficients at d = `dropped` and b = `bits`."""
     if not isinstance(batch, SeededBatch):
-        raise FormatError("only a sum of seeded uploads is written as CKA4")
+        raise FormatError("only a sum of seeded uploads is written as CKA5")
     k = len(batch.counts)
     return _seeded_bytes(batch, MAGIC_SEEDED_SUM,
-                         struct.pack(f"<H{k}Q", k, *batch.counts), dropped)
-
-
-def _read_rounded(r: Reader, q0: int, dropped: int, clients: int,
-                  n: int) -> np.ndarray:
-    """The n coefficients y * 2^d of a c0 block. Raises FormatError
-    unless the block drops d = `dropped` bits at their width w, which
-    the reader's run gives for `clients` clients, every y * 2^d is below
-    q0, and every pad bit is 0."""
-    _, top, width = _rounding(q0, dropped)
-    got = r.unpack("BB")
-    if got != (dropped, width):
-        raise FormatError(f"{r.what} drops {got[0]} low bits of c0 at "
-                          f"{got[1]} bits a coefficient; for {clients} "
-                          f"clients this run drops {dropped} at {width}")
-    y = _unpack(np.frombuffer(r.take(-(-n * width // 8)),
-                              dtype=np.uint8)[None], n, width)[0]
-    if (y > np.uint64(top)).any():
-        raise FormatError(f"{r.what} holds a c0 value above {top}: times "
-                          f"2^{dropped} it is not below q0")
-    return y << np.uint64(dropped)
+                         struct.pack(f"<H{k}Q", k, *batch.counts), dropped,
+                         bits)
 
 
 def _read_seeded(data: bytes, params: EncryptionParams, magic: bytes,
-                 param_count: int, dropped, counts=None) -> SeededBatch:
-    """A `CKU4` (one upload of the run's `counts`, (n_k,)) or a `CKA4`
+                 param_count: int, rounding, counts=None) -> SeededBatch:
+    """A `CKU5` (one upload of the run's `counts`, (n_k,)) or a `CKA5`
     batch (the counts its header names) of `param_count` coefficients,
-    its c0 block rounded by `dropped(K)` bits for its K clients. Every
-    check runs before any field past the header is read: the scale,
-    which must be the scale times the counts' total, a chunk count of
+    its c0 block at the bits d to b of `rounding(counts)`. Every check
+    runs before any field past the header is read: the scale, which must
+    be the scale times the counts' total, a chunk count of
     ceil(param_count / N), which no other reader of a batch checks
-    again, and the exact `seeded_length`. No seed is expanded: c1 waits
-    for the batch's first use."""
+    again, and the exact `seeded_length`. Then the block's d and width
+    bytes must be the run's, and every pad bit 0. No seed is expanded:
+    c1 waits for the batch's first use."""
     r = _open(data, magic, params)
     level, scale, chunks, named = _read_header(r, magic)
     counts = named if counts is None else counts
@@ -452,35 +426,47 @@ def _read_seeded(data: bytes, params: EncryptionParams, magic: bytes,
     if chunks != fill:
         raise FormatError(f"{r.what} holds {chunks} chunks; {param_count} "
                           f"parameters fill {fill}")
-    q0, d = params.modulus_chain[0], dropped(len(counts))
+    d, b = rounding(counts)
+    if not 0 <= d < b <= params.seeded_bits:
+        raise FormatError(f"{r.what} of {sum(counts)} samples needs bits "
+                          f"{d} to {b}, past the {params.seeded_bits} of Q")
     # the seeds, then c0: d, the width and P values of y
-    r.rest_is(seeded_length(params, magic, param_count, len(counts), d)
+    r.rest_is(seeded_length(params, magic, param_count, len(counts), b - d)
               - TRAILER_BYTES - r.pos)
     seeds = tuple(r.take(SEED_BYTES) for _ in range(len(counts) * chunks))
-    c0 = _read_rounded(r, q0, d, len(counts), param_count)
+    got = r.unpack("BB")
+    if got != (d, b - d):
+        raise FormatError(f"{r.what} drops {got[0]} low bits of c0 at "
+                          f"{got[1]} bits a coefficient; this run reads "
+                          f"{d} at {b - d}")
+    y = _unpack(np.frombuffer(r.take(-(-param_count * (b - d) // 8)),
+                              dtype=np.uint8)[None], param_count, b - d)[0]
     r.end()
-    return SeededBatch(params, c0, scale, seeds, counts)
+    return SeededBatch(params, y << np.uint64(d), scale, seeds, counts)
 
 
 def deserialize_seeded(data: bytes, params: EncryptionParams,
                        param_count: int, sample_count: int,
                        dropped: int) -> SeededBatch:
-    """The `CKU4` upload of a client of `sample_count` samples, of
+    """The `CKU5` upload of a client of `sample_count` samples, of
     `param_count` coefficients at scale * sample_count, whose c0 block
     drops the `dropped` low bits that the reader's run gives its
-    uploads. A retired upload (`RETIRED`) is refused by its magic."""
+    uploads and keeps the rest of k. A retired upload (`RETIRED`) is
+    refused by its magic."""
     return _read_seeded(data, params, MAGIC_SEEDED, param_count,
-                        lambda clients: dropped, (sample_count,))
+                        lambda counts: (dropped, params.seeded_bits),
+                        (sample_count,))
 
 
 def deserialize_seeded_sum(data: bytes, params: EncryptionParams,
-                           param_count: int, dropped) -> SeededBatch:
-    """A `CKA4` aggregate of `param_count` coefficients whose c0 must
-    drop the `dropped(K)` low bits that the reader's run gives for the
-    K clients of its counts. A retired aggregate (`RETIRED`) is refused
-    by its magic."""
+                           param_count: int, rounding) -> SeededBatch:
+    """A `CKA5` aggregate of `param_count` coefficients whose c0 block
+    must hold the bits d to b of `rounding(counts)`, which the reader's
+    run gives for the sample counts in its header: its c0 is known mod
+    2^b alone. A retired aggregate (`RETIRED`) is refused by its
+    magic."""
     return _read_seeded(data, params, MAGIC_SEEDED_SUM, param_count,
-                        dropped)
+                        rounding)
 
 
 def serialize_secret_key(keys: KeyMaterial) -> bytes:

@@ -111,16 +111,16 @@ def per_chunk_update(model, keys, sample_count, rng_seed):
     """The UPDATE payload of a client of `sample_count` samples, built
     chunk by chunk, one coefficient packing of the weights times the
     count and one seeded encrypt per ring_degree-sized slice, laid out
-    by hand: the `CKU4` header at the scale times the count, every
+    by hand: the `CKU5` header at the scale times the count, every
     chunk's seed, then the c0 block: u = 19 low bits dropped, the width
-    byte of what is left of q0's bits and the chunks' coefficients that
-    hold parameters, chunk after chunk, each rounded to the nearest
-    multiple of 2^19 (0 where that reaches q0) and packed at that width,
+    byte of what is left of the 60 bits of Q and the chunks'
+    coefficients that hold parameters, chunk after chunk, each rounded
+    to the nearest multiple of 2^19 mod 2^60 and packed at that width,
     then the trailer. The reference for the batch path and for
-    `CKU4`."""
+    `CKU5`."""
     params = keys.params
     weights = quantize(flatten_weights(model), QuantizationSpec())
-    n, q0 = params.ring_degree, params.modulus_chain[0]
+    n = params.ring_degree
     cts = [encrypt_symmetric(encode_coeffs(
         weights[None, start:start + n], params, level=0,
         scale=params.scale * sample_count), keys, [derive_seed(rng_seed, i)],
@@ -128,14 +128,14 @@ def per_chunk_update(model, keys, sample_count, rng_seed):
         for i, start in enumerate(range(0, weights.size, n))]
     top = cts[0]
     u = 19
-    width = bytes([q0.bit_length() - u])
-    y = [(int(c) + (1 << u - 1)) >> u
+    width = bytes([60 - u])
+    y = [((int(c) + (1 << u - 1)) >> u) % (1 << 60 - u)
          for c in np.concatenate([ct.c0 for ct in cts])]
-    out = [b"CKU4", params.digest,
+    out = [b"CKU5", params.digest,
            struct.pack("<BdH", top.level, top.scale, len(cts))]
     out.extend(ct.seeds[0] for ct in cts)
     out.append(bytes([u]) + width)
-    out.append(pack_rows([[v if v << u < q0 else 0 for v in y]], width))
+    out.append(pack_rows([y], width))
     body = b"".join(out)
     return body + hashlib.sha256(body).digest()[:16]
 

@@ -16,8 +16,7 @@ import struct
 import numpy as np
 import pytest
 from conftest import (channel_pair, coordinator_config, count_expansions,
-                      forbid_expansion, patched, resealed, seeded_aggregate,
-                      with_field)
+                      forbid_expansion, patched, resealed, seeded_aggregate)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +25,7 @@ from cipherfed.errors import (CipherfedError, FormatError, ParameterError,
                               ProtocolError)
 from cipherfed.federation import transport as T
 from cipherfed.federation.client import (ClientUpdate, PlainUpdate,
-                                         dropped_bits, encrypt_model,
+                                         encrypt_model, global_bits,
                                          upload_bits)
 from cipherfed.federation.metrics import metrics_row
 from cipherfed.federation.quantize import QuantizationSpec
@@ -65,7 +64,7 @@ def formats(small_params):
     batches = {n: encrypt(encode(np.linspace(-1, 1, 8 * n).reshape(n, 8),
                                  params), keys, list(range(n)))
                for n in (2, 7)}
-    # P = (n - 1) * N + 27 coefficients: 27 * 42 bits end in 2 pad bits
+    # P = (n - 1) * N + 27 coefficients: 27 * 41 bits end in 5 pad bits
     seeded = {n: encrypt_symmetric(encode_coeffs(
         np.linspace(-1, 1, 8 * n).reshape(n, 8), params, level=0), keys,
         list(range(n)), tail_count(params, n)) for n in (1, 2, 7)}
@@ -150,13 +149,13 @@ def formats(small_params):
                                lambda b: deserialize_ciphertext(b, params),
                                use_ct)
            for n, c in ((1, ct), *batches.items())},
-        **{f"CKU4-{n}": Format(serialize_seeded(c, upload_bits(
+        **{f"CKU5-{n}": Format(serialize_seeded(c, upload_bits(
                                    params, QuantizationSpec())),
                                lambda b, n=n: read_upload(
                                    b, params, tail_count(params, n)),
                                use_seeded)
            for n, c in seeded.items()},
-        **{f"CKA4-{n}": Format(T.encode_global(c),
+        **{f"CKA5-{n}": Format(T.encode_global(c),
                                lambda b, n=n: read_sum(
                                    b, params, tail_count(params, n)),
                                use_seeded)
@@ -172,7 +171,7 @@ def formats(small_params):
     }
 
 
-# the sample counts of the `CKA4` formats, by chunk count
+# the sample counts of the `CKA5` formats, by chunk count
 SUM_COUNTS = {1: (12, 30), 2: (5, 1, 7)}
 
 
@@ -181,7 +180,7 @@ def read_sum(blob: bytes, params, count: int):
     default spec's run rounds them."""
     return deserialize_seeded_sum(
         blob, params, count,
-        lambda clients: dropped_bits(params, QuantizationSpec(), clients))
+        lambda counts: global_bits(params, QuantizationSpec(), counts))
 
 
 def read_upload(blob: bytes, params, count: int):
@@ -198,13 +197,13 @@ def tail_count(params, chunks: int) -> int:
 
 
 NAMES = ["frame-body", "JOIN", "UPDATE-fhe", "UPDATE-plain", "GLOBAL-fhe",
-         "GLOBAL-plain", "METRICS", "CKV6-1", "CKV6-2", "CKV6-7", "CKU4-1",
-         "CKU4-2", "CKU4-7", "CKA4-1", "CKA4-2", "CKP3", "CKS3", "CKF1",
+         "GLOBAL-plain", "METRICS", "CKV6-1", "CKV6-2", "CKV6-7", "CKU5-1",
+         "CKU5-2", "CKU5-7", "CKA5-1", "CKA5-2", "CKP3", "CKS3", "CKF1",
          "CKM1"]
 
 
 # the ids the formats' cases have kept across layout changes
-_CASE_IDS = {"CKV6": "CKV2", "CKU4": "CKV3", "CKA4": "CKV5", "CKP3": "CKP1",
+_CASE_IDS = {"CKV6": "CKV2", "CKU5": "CKV3", "CKA5": "CKV5", "CKP3": "CKP1",
              "CKS3": "CKS2"}
 
 
@@ -306,11 +305,11 @@ def sealed_cuts(body: bytes):
 
 
 def test_unsealed_bit_flip_anywhere_refused(formats, monkeypatch):
-    """One bit flipped anywhere in a `CKU4` UPDATE or a `CKA4` GLOBAL,
+    """One bit flipped anywhere in a `CKU5` UPDATE or a `CKA5` GLOBAL,
     trailer included, and the trailer not recomputed, is refused before
     any seed is expanded: nothing is averaged in silently."""
     calls = count_expansions(monkeypatch)
-    for name in ("UPDATE-fhe", "CKA4-1"):
+    for name in ("UPDATE-fhe", "CKA5-1"):
         fmt = formats[name]
         for pos in range(len(fmt.blob)):
             blob = bytearray(fmt.blob)
@@ -322,9 +321,9 @@ def test_unsealed_bit_flip_anywhere_refused(formats, monkeypatch):
     assert calls == []
 
 
-# --- the seeded upload, `CKU4` ----------------------------------------------
+# --- the seeded upload, `CKU5` ----------------------------------------------
 
-SEEDED = ["CKU4-1", "CKU4-2", "CKU4-7"]
+SEEDED = ["CKU5-1", "CKU5-2", "CKU5-7"]
 
 
 @pytest.mark.parametrize("name", SEEDED, ids=case_id)
@@ -346,49 +345,36 @@ def seeded_chunks(blob: bytes) -> int:
     return struct.unpack_from("<H", blob, 21)[0]
 
 
-@pytest.mark.parametrize("name", SEEDED, ids=case_id)
-def test_seeded_residue_at_prime_rejected(formats, small_params, name):
-    blob = formats[name].blob
-    # c0's first value, past the header, the seeds, d and the width
-    # byte: the least y whose y * 2^u is not below q0
-    at = 23 + 32 * seeded_chunks(blob) + 2
-    u, width = blob[at - 2], blob[at - 1]
-    blob = with_field(blob, at, 0, width,
-                      ((small_params.modulus_chain[0] - 1) >> u) + 1)
-    with pytest.raises(FormatError, match="not below q0"):
-        formats[name].decode(blob)
-
-
 def test_seeded_without_chunks_rejected(formats):
-    blob = patched(formats["CKU4-1"].blob, "H", 21, 0)
+    blob = patched(formats["CKU5-1"].blob, "H", 21, 0)
     with pytest.raises(FormatError, match="no chunks"):
-        formats["CKU4-1"].decode(blob)
+        formats["CKU5-1"].decode(blob)
 
 
 @pytest.mark.parametrize("factor", [2.0, 0.5])
 def test_seeded_scale_other_than_delta_rejected(formats, small_params,
                                                 monkeypatch, factor):
-    """A `CKU4` upload of a client of n samples holds the scale Δ·n, the
+    """A `CKU5` upload of a client of n samples holds the scale Δ·n, the
     case K = 1 of the rule scale = Δ·Σ n, so for n = 1 a scale of 2Δ or
     Δ/2 is refused before any expansion."""
-    blob = patched(formats["CKU4-2"].blob, "d", 13,
+    blob = patched(formats["CKU5-2"].blob, "d", 13,
                    small_params.scale * factor)
     calls = count_expansions(monkeypatch)
     with pytest.raises(FormatError, match="seeded ciphertext scale .* is "
                                           "not the scale times its 1 samples"):
-        formats["CKU4-2"].decode(blob)
+        formats["CKU5-2"].decode(blob)
     assert calls == []
 
 
 def test_seeded_wrong_digest_rejected(formats):
-    blob = patched(formats["CKU4-2"].blob, "B", 4,
-                   formats["CKU4-2"].blob[4] ^ 1)
+    blob = patched(formats["CKU5-2"].blob, "B", 4,
+                   formats["CKU5-2"].blob[4] ^ 1)
     with pytest.raises(ParameterError, match="digest mismatch"):
-        formats["CKU4-2"].decode(blob)
+        formats["CKU5-2"].decode(blob)
 
 
 def test_public_key_batch_in_fhe_update_rejected(formats, small_params):
-    """On an fhe run an UPDATE carries `CKU4` only; a `CKV6` batch is a
+    """On an fhe run an UPDATE carries `CKU5` only; a `CKV6` batch is a
     malformed payload."""
     with pytest.raises(FormatError, match="expected seeded ciphertext but "
                                           "found ciphertext artifact"):
@@ -396,10 +382,10 @@ def test_public_key_batch_in_fhe_update_rejected(formats, small_params):
 
 
 def test_seeded_header_bit_flips_decode_or_raise(formats):
-    """Every one-bit flip of a `CKU4` header and first seed, resealed,
+    """Every one-bit flip of a `CKU5` header and first seed, resealed,
     decodes to a usable batch or raises; one in the magic or the digest
     always raises."""
-    fmt = formats["CKU4-1"]
+    fmt = formats["CKU5-1"]
     for pos in range(23 + 32):
         for bit in range(8):
             def flip(b):
@@ -470,9 +456,9 @@ def test_ckv3_update_aborts_every_client(keys, small_params):
 
 def as_cku1(update_payload: bytes) -> bytes:
     """The same UPDATE in the `CKU1` layout, which `CKU4` replaced: that
-    magic, and a row count of 1 where `CKU4` holds u = 19, resealed."""
+    magic, and a row count of 1 where `CKU5` holds u = 19, resealed."""
     at = 23 + 32 * seeded_chunks(update_payload)
-    assert update_payload[at:at + 2] == bytes([19, 42])
+    assert update_payload[at:at + 2] == bytes([19, 41])
     return resealed(b"CKU1" + update_payload[4:],
                     lambda b: b[:at] + b"\x01" + b[at + 1:])
 
@@ -513,7 +499,7 @@ def test_chunk_count_off_ring_degree_aborts_every_client(keys, small_params,
     good = client_update(keys, 0, (param_count - 10) // 2)
     assert struct.unpack_from("<H", good, 21)[0] == -(-param_count // n)
     error, replies = coordinator_against(keys, [good, bad], param_count)
-    bound = T.frame_bound(T.MSG_UPDATE, param_count, small_params, 2)
+    bound = T.frame_bound(T.MSG_UPDATE, param_count, small_params, (12, 12))
     assert (3 + len(bad) > bound) == too_long
     if too_long:
         assert isinstance(error, ProtocolError)
@@ -539,9 +525,9 @@ def test_update_chunk_count_checked_before_any_expansion(keys, small_params,
     assert calls == []
 
 
-# --- the seeded aggregate, `CKA4` --------------------------------------------
+# --- the seeded aggregate, `CKA5` --------------------------------------------
 
-SUMS = ["CKA4-1", "CKA4-2"]
+SUMS = ["CKA5-1", "CKA5-2"]
 AT_K = 23  # the client count, after the `CKV6` header
 
 
@@ -557,7 +543,7 @@ def set_last_bit(body: bytes) -> bytes:
     return body[:-1] + bytes([body[-1] | 0x80])
 
 
-def hostile_sums(blob: bytes, q0: int) -> dict:
+def hostile_sums(blob: bytes) -> dict:
     chunks, k, seeds = sum_layout(blob)
     c0 = seeds + 32 * k * chunks + 2  # past d and the width byte
     dropped, width = blob[c0 - 2], blob[c0 - 1]
@@ -566,6 +552,10 @@ def hostile_sums(blob: bytes, q0: int) -> dict:
     # a client of 1 sample, its count and scale right, its seeds not
     one_more = patched(patched(blob, "H", AT_K, k + 1), "d", 13,
                        scale / total * (total + 1))
+    # a first count of 2^20, its scale right: b = 65 bits, past Q's 60
+    first = struct.unpack_from("<Q", blob, AT_K + 2)[0]
+    past_q = patched(patched(blob, "Q", AT_K + 2, 1 << 20), "d", 13,
+                     scale / total * (total - first + (1 << 20)))
     return {
         "no clients": patched(blob, "H", AT_K, 0),
         "a count of 0": patched(blob, "Q", AT_K + 2, 0),
@@ -578,10 +568,10 @@ def hostile_sums(blob: bytes, q0: int) -> dict:
         "one chunk more": patched(blob, "H", 21, chunks + 1),
         "pad bit set": resealed(blob, set_last_bit),
         "scale off by one count": patched(blob, "d", 13, scale * 2),
+        "a total past Q": past_q,
         "level 1": patched(blob, "B", 12, 1),
-        # the least y whose y * 2^d is not below q0
-        "residue at q0": with_field(blob, c0, 0, width,
-                                    ((q0 - 1) >> dropped) + 1),
+        "width of one bit more": patched(blob, "B", c0 - 1, width + 1),
+        "width of one bit fewer": patched(blob, "B", c0 - 1, width - 1),
         "d and width of one bit more": patched(blob, "BB", c0 - 2,
                                                dropped + 1, width - 1),
         "d and width of one bit fewer": patched(blob, "BB", c0 - 2,
@@ -597,9 +587,11 @@ HOSTILE = {"no clients": "names no clients",
            "one client more": "truncated",
            "one chunk more": "parameters fill", "pad bit set": "pad bits",
            "scale off by one count": "not the scale times",
-           "level 1": "at level 1", "residue at q0": "not below q0",
-           "d and width of one bit more": "drops 24 low bits of c0 at 37",
-           "d and width of one bit fewer": "drops 22 low bits of c0 at 39",
+           "level 1": "at level 1", "a total past Q": "past the 60 of Q",
+           "width of one bit more": "drops 23 low bits of c0 at 2[68] bits",
+           "width of one bit fewer": "drops 23 low bits of c0 at 2[46] bits",
+           "d and width of one bit more": "drops 24 low bits of c0 at 2[46]",
+           "d and width of one bit fewer": "drops 22 low bits of c0 at 2[68]",
            "trailing byte": "1 trailing bytes"}
 
 
@@ -607,10 +599,9 @@ HOSTILE = {"no clients": "names no clients",
 @pytest.mark.parametrize("hostile", HOSTILE)
 def test_hostile_seeded_aggregate_rejected_before_expansion(
         formats, small_params, monkeypatch, name, hostile):
-    """Every malformed `CKA4` is refused with a CipherfedError before
+    """Every malformed `CKA5` is refused with a CipherfedError before
     any of its seeds is expanded."""
-    blob = hostile_sums(formats[name].blob, small_params.modulus_chain[0])[
-        hostile]
+    blob = hostile_sums(formats[name].blob)[hostile]
     calls = count_expansions(monkeypatch)
     with pytest.raises(CipherfedError, match=HOSTILE[hostile]):
         formats[name].decode(blob)
@@ -630,9 +621,9 @@ BOTH = SEEDED + SUMS
 
 
 def header_bytes(blob: bytes) -> int:
-    """The length of a seeded batch's header: 23 bytes, and in a `CKA4`
+    """The length of a seeded batch's header: 23 bytes, and in a `CKA5`
     the client count and its u64 counts."""
-    if blob[:4] == b"CKU4":
+    if blob[:4] == b"CKU5":
         return 23
     return AT_K + 2 + 8 * struct.unpack_from("<H", blob, AT_K)[0]
 
@@ -677,9 +668,9 @@ def test_seeded_read_for_another_param_count_refused(formats, small_params,
 
 @pytest.mark.parametrize("name", BOTH, ids=case_id)
 def test_seeded_pad_bits_refused(formats, monkeypatch, name):
-    """27 coefficients of 42 bits (`CKU4`, u = 19) leave 2 pad bits in
-    the last byte, and of 38 bits (`CKA4`, d = 23) 6; the top one set is
-    refused."""
+    """27 coefficients of 41 bits (`CKU5`, u = 19) leave 5 pad bits in
+    the last byte, and of 27 or 25 bits (`CKA5` of 42 or 13 samples, d
+    = 23) 7 or 5; the top one set is refused."""
     fmt = formats[name]
     blob = resealed(fmt.blob, set_last_bit)
     forbid_expansion(monkeypatch)
@@ -709,18 +700,22 @@ def test_seeded_every_append_and_truncation_expands_nothing(formats,
                          ids=["one bit fewer", "one bit more"])
 def test_aggregate_rounded_off_the_rule_refused(formats, keys, small_params,
                                                 monkeypatch, name, delta):
-    """A `CKA4` written to drop one bit more, or one fewer, than the
+    """A `CKA5` written to drop one bit more, or one fewer, than the
     reader's spec and its own client count give (d = 23 for both
-    formats' counts) is refused before any seed is expanded."""
+    formats' counts), or to keep one bit more or fewer than its sample
+    total needs (b = 50 for 42 samples, 48 for 13), is refused before
+    any seed is expanded."""
     chunks = int(name[-1])
     count, counts = tail_count(small_params, chunks), SUM_COUNTS[chunks]
-    d = dropped_bits(small_params, QuantizationSpec(), len(counts))
-    assert d == 23
+    d, b = global_bits(small_params, QuantizationSpec(), counts)
+    assert (d, b) == (23, {1: 50, 2: 48}[chunks])
     agg = seeded_aggregate(keys, chunks, counts, count)
-    assert serialize_seeded_sum(agg, d) == formats[name].blob
+    assert serialize_seeded_sum(agg, d, b) == formats[name].blob
     forbid_expansion(monkeypatch)
-    with pytest.raises(FormatError, match="truncated|trailing bytes"):
-        formats[name].decode(serialize_seeded_sum(agg, d + delta))
+    for off in (serialize_seeded_sum(agg, d + delta, b),
+                serialize_seeded_sum(agg, d, b + delta)):
+        with pytest.raises(FormatError, match="truncated|trailing bytes"):
+            formats[name].decode(off)
 
 
 def test_unrounded_aggregate_refused_by_name(formats):

@@ -20,7 +20,7 @@ from cipherfed.federation.client import (NOISE_TAIL, SUM_CLIENTS,
                                          client_capacity, decrypt_and_load,
                                          dropped_bits, encrypt_model,
                                          plain_update, sample_capacity,
-                                         upload_bits)
+                                         global_bits, upload_bits)
 from cipherfed.federation.quantize import QuantizationSpec
 from cipherfed.federation.rounds import (RoundConfig, federated_rounds,
                                          run_federated_training)
@@ -163,14 +163,23 @@ def test_clipped_errors_decrypt_exactly_at_capacity(small_params,
 
 # three specs at their sample capacities and the benchmark's three
 # sample totals (desk, wide, socket), each in 4 clients, or 2 for socket,
-# with the low bits u that each upload and d that a GLOBAL drops
-ROUNDED = {"defaults-at-capacity": (QuantizationSpec(), 65535, 4, 19, 23),
+# with the low bits u that each upload and d that a GLOBAL drops, and
+# the bits b of c0 mod 2^60 that a GLOBAL keeps
+ROUNDED = {"defaults-at-capacity": (QuantizationSpec(), 65535, 4, 19, 23,
+                                    60),
            "clip4-f15-at-capacity": (QuantizationSpec(15, 4.0), 131071, 4,
-                                     20, 24),
-           "f23-at-capacity": (QuantizationSpec(23), 65535, 4, 12, 16),
-           "desk": (QuantizationSpec(), 1200, 4, 19, 23),
-           "wide": (QuantizationSpec(), 322, 4, 19, 23),
-           "socket": (QuantizationSpec(), 480, 2, 19, 23)}
+                                     20, 24, 60),
+           "f23-at-capacity": (QuantizationSpec(23), 65535, 4, 12, 16, 60),
+           "desk": (QuantizationSpec(), 1200, 4, 19, 23, 55),
+           "wide": (QuantizationSpec(), 322, 4, 19, 23, 53),
+           "socket": (QuantizationSpec(), 480, 2, 19, 23, 53)}
+
+
+def split(total: int, clients: int) -> list[int]:
+    """`total` samples over `clients` clients, as evenly as whole
+    counts go, the remainder on the last."""
+    each = total // clients
+    return [each] * (clients - 1) + [total - (clients - 1) * each]
 
 
 def noise(clients: int, u: int, d: int) -> int:
@@ -182,18 +191,21 @@ def noise(clients: int, u: int, d: int) -> int:
 
 @pytest.mark.parametrize("case", ROUNDED)
 def test_dropped_bits_is_the_largest_within_both_bounds(std_params, case):
-    """The samples fit the q0 half; d is the largest d >= 0 for which
+    """The samples fit the Q half; d is the largest d >= 0 for which
     the noise half holds with the K uploads at u, and u is the largest
     that SUM_CLIENTS uploads can drop and leave a sum d's largest value,
-    d + 1 and u + 1 break it."""
-    spec, total, clients, u, d = ROUNDED[case]
+    d + 1 and u + 1 break it; b is the fewest bits whose half holds the
+    sum and its noise, b - 1 would not."""
+    spec, total, clients, u, d, b = ROUNDED[case]
     assert total <= sample_capacity(std_params, spec)
     assert (upload_bits(std_params, spec, clients),
-            dropped_bits(std_params, spec, clients)) == (u, d)
+            dropped_bits(std_params, spec, clients),
+            *global_bits(std_params, spec, split(total, clients))) == (
+                u, d, d, b)
     step = std_params.scale / 2 ** spec.fractional_bits
-    q0 = std_params.modulus_chain[0]
-    assert (total * math.ceil(spec.clip_range * std_params.scale)
-            + step / 2 < q0 / 2)
+    most = (total * math.ceil(spec.clip_range * std_params.scale)
+            + Fraction(step) / 2)
+    assert most < 2 ** 59 and 2 ** (b - 2) <= most < 2 ** (b - 1)
     assert noise(clients, u, d) < step / 2 <= noise(clients, u, d + 1)
     top = math.ceil(math.log2(step / 2))
     assert (noise(SUM_CLIENTS, u, top) < step / 2
@@ -220,7 +232,8 @@ def closed_forms(params, spec, clients) -> tuple[int, int, int, int]:
     (2^7 + 2^(u-1)) + 2^(d-1) < L = scale / 2^(f+1), u the most bits
     that 15 uploads can drop and leave the largest d, or the most K
     uploads can drop at d = 0 if fewer, and n_total * ceil(clip_range *
-    scale) + L < q0 / 2; u and d are 0 past the client capacity."""
+    scale) + L < Q / 2 = 2^59; u and d are 0 past the client
+    capacity."""
     limit = params.scale / 2.0 ** (spec.fractional_bits + 1)
     per = math.ceil(spec.clip_range * params.scale)
 
@@ -231,7 +244,7 @@ def closed_forms(params, spec, clients) -> tuple[int, int, int, int]:
     kmax = max(0, math.ceil(limit / NOISE_TAIL) - 1)
     samples = 0
     if kmax:
-        samples = max(0, math.ceil((Fraction(params.modulus_chain[0], 2)
+        samples = max(0, math.ceil((Fraction(2 ** params.seeded_bits, 2)
                                     - Fraction(limit)) / per) - 1)
     if clients > kmax:
         return kmax, samples, 0, 0
@@ -284,7 +297,6 @@ def test_every_error_at_its_edge_decrypts_exactly(small_keys, monkeypatch,
     monkeypatch.setattr(ops, "GAUSSIAN_STDDEV", 1e12)
     spec, clients, u, d = EDGES[case]
     params = small_keys.params
-    q0 = params.modulus_chain[0]
     assert (upload_bits(params, spec, clients),
             dropped_bits(params, spec, clients)) == (u, d)
     template = M.init_model(2, PqcArchitecture(qubit_count=2, depth=1), 2,
@@ -294,8 +306,8 @@ def test_every_error_at_its_edge_decrypts_exactly(small_keys, monkeypatch,
     edges = spec.clip_range * np.where(np.arange(count) % 3, 1.0, -1.0)
 
     def shifted(c0, by):
-        """c0 + by mod q0, for a signed int64 `by`."""
-        return (c0 + (by % np.int64(q0)).astype(np.uint64)) % np.uint64(q0)
+        """c0 + by mod 2^60, for a signed int64 `by`."""
+        return (c0 + by.view(np.uint64)) & np.uint64((1 << 60) - 1)
 
     worst, wire, plain = [], [], []
     for k in range(clients):
@@ -322,7 +334,9 @@ def test_every_error_at_its_edge_decrypts_exactly(small_keys, monkeypatch,
     got = flatten_weights(decrypt_and_load(agg, small_keys, template, spec))
     assert np.array_equal(got, want)
     blob = transport.encode_global(server.aggregate(wire, params))
-    assert blob[-16 - -(-count * (61 - d) // 8) - 2] == d
+    _, b = global_bits(params, spec, [k % 3 + 1 for k in range(clients)])
+    at = -16 - -(-count * (b - d) // 8) - 2
+    assert blob[at:at + 2] == bytes([d, b - d])
     back = transport.decode_global(blob, params, count, spec)
     got = flatten_weights(decrypt_and_load(back, small_keys, template, spec))
     assert np.array_equal(got, want)
@@ -331,22 +345,22 @@ def test_every_error_at_its_edge_decrypts_exactly(small_keys, monkeypatch,
 @pytest.mark.parametrize("case", ROUNDED)
 def test_serialized_global_decrypts_as_the_aggregate(small_params,
                                                      small_keys, case):
-    """A GLOBAL written and read back, its c0 rounded by d bits, loads
-    the in-memory aggregate's weights bit for bit, and the plaintext
-    arm's, with weights spread over the whole clip range, its ends
-    included."""
-    spec, total, clients, _, d = ROUNDED[case]
-    counts = [total // clients] * (clients - 1) + [
-        total - (clients - 1) * (total // clients)]
+    """A GLOBAL written and read back, its c0 rounded by d bits and cut
+    to the b that its sample total needs, loads the in-memory
+    aggregate's weights bit for bit, and the plaintext arm's, with every
+    weight at +-clip_range, one sign per coefficient for all clients, so
+    that each sum reaches n_total * clip_range, the edge that b
+    holds."""
+    spec, total, clients, _, d, b = ROUNDED[case]
+    counts = split(total, clients)
     template = M.init_model(2, PqcArchitecture(qubit_count=2, depth=1), 2,
                             rng_seed=1)
     rng = np.random.default_rng(total)
+    signs = rng.choice([-1.0, 1.0], template.param_count)
+    signs[:2] = 1.0, -1.0
     enc, plain = [], []
     for k, n_k in enumerate(counts):
-        w = rng.uniform(-spec.clip_range, spec.clip_range,
-                        template.param_count)
-        w[:2] = spec.clip_range, -spec.clip_range
-        m = M.unflatten_weights(template, w)
+        m = M.unflatten_weights(template, spec.clip_range * signs)
         enc.append(encrypt_model(m, spec, small_keys, client_id=k,
                                  sample_count=n_k, round_index=0,
                                  rng_seed=k))
@@ -355,7 +369,8 @@ def test_serialized_global_decrypts_as_the_aggregate(small_params,
     blob = transport.encode_global(agg)
     back = transport.decode_global(blob, small_params, template.param_count,
                                    quantization=spec)
-    assert blob[-16 - -(-template.param_count * (61 - d) // 8) - 2] == d
+    at = -16 - -(-template.param_count * (b - d) // 8) - 2
+    assert blob[at:at + 2] == bytes([d, b - d])
     assert not np.array_equal(back.c0, agg.c0)
     want = flatten_weights(decrypt_and_load(agg, small_keys, template, spec))
     got = flatten_weights(decrypt_and_load(back, small_keys, template, spec))
@@ -443,9 +458,8 @@ def test_truncated_sum_decrypts_to_the_full_ring_integers(std_keys, count,
         pt = encode_coeffs(values.reshape(chunks, n), params, level=0,
                            scale=params.scale * n_k)
         ints = [int(s) for s in rng.integers(0, 2 ** 62, chunks)]
-        updates.append(ClientUpdate(k, encrypt_symmetric(pt, std_keys, ints,
-                                                         count),
-                                    n_k, 0, count))
+        updates.append(ClientUpdate(k, replace(encrypt_symmetric(
+            pt, std_keys, ints, count), counts=(n_k,)), n_k, 0, count))
         term = full_ring_upload(pt, std_keys, ints)
         full = term if full is None else Ciphertext(
             full.c0.add(term.c0), full.c1.add(term.c1),

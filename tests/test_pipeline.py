@@ -65,12 +65,12 @@ def test_compare_rows_equal_each_arm_alone(tmp_path):
 def test_sample_capacity_at_the_defaults():
     cfg = parse_config(DOC)
     assert sample_capacity(cfg.encryption, cfg.quantization) == 65535
-    # half the clip range leaves room in q0 for twice the samples: each
+    # half the clip range leaves room in Q for twice the samples: each
     # client's error enters the sum once, whatever its sample count, so
     # the rounding step bounds the clients, not the samples
     assert sample_capacity(cfg.encryption,
                            QuantizationSpec(clip_range=4.0)) == 131071
-    # fractional bits move the noise's limit alone, far below q0 / 2
+    # fractional bits move the noise's limit alone, far below Q / 2
     assert sample_capacity(cfg.encryption, QuantizationSpec(
         clip_range=4.0, fractional_bits=15)) == 131071
 
@@ -135,7 +135,7 @@ def test_key_file_runs_share_no_encryption_randomness(tmp_path,
 @pytest.mark.parametrize("transport", ["direct", "socket"])
 def test_run_builds_only_q0_material(transport):
     """keygen and a 2-round fhe run build no NTT context, no NTT row of
-    s and no public key: the run encrypts, sums and decrypts over q0
+    s and no public key: the run encrypts, sums and decrypts mod Q
     alone, with exact FFT products by s in the coefficient domain. Read
     afterwards, the public key is the one keygen drew before it was
     built on first use: seed 7's `CKP3` bytes."""

@@ -281,13 +281,14 @@ def test_ciphertext_scale_must_be_finite_positive(scale, small_params,
         deserialize_ciphertext(blob, small_params)
 
 
-# --- the seeded upload, `CKU4` ----------------------------------------------
+# --- the seeded upload, `CKU5` ----------------------------------------------
 
 def spec_expansion(seed: bytes, q: int, n: int, shake=None) -> list[int]:
-    """The expansion as docs/protocol.md words it, one word at a time."""
+    """The expansion below a prime as docs/protocol.md words it, one
+    word at a time."""
     import hashlib
     shake = shake or hashlib.shake_128
-    bits = q.bit_length()
+    bits = (q - 1).bit_length()
     out, length = [], 0
     while len(out) < n:
         length += 1024
@@ -311,6 +312,42 @@ def test_seed_expansion_follows_protocol(small_params):
     q = (1 << 40) + 1
     assert expand_seed(b"s" * 32, q, 5000).tolist() == spec_expansion(
         b"s" * 32, q, 5000)
+
+
+def masked_words(seed: bytes, bits: int, n: int) -> list[int]:
+    """The expansion below Q = 2^bits as docs/protocol.md words it: the
+    first n 8-byte little-endian words of the SHAKE-128 stream, each
+    masked to `bits` bits, and every one kept."""
+    stream = hashlib.shake_128(seed).digest(8 * n)
+    return [int.from_bytes(stream[i:i + 8], "little") & ((1 << bits) - 1)
+            for i in range(0, 8 * n, 8)]
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_seed_expansion_below_a_power_of_two_keeps_every_word(monkeypatch,
+                                                              n):
+    """Below Q = 2^60 the expansion reads exactly n words and keeps each
+    one, masked to 60 bits: a stream of all-ones words expands to n
+    values of 2^60 - 1, none skipped."""
+    from cipherfed.fhe import poly
+    for seed in (bytes(32), bytes(range(32))):
+        got = poly.expand_seed(seed, 1 << 60, n)
+        assert got.dtype == np.uint64
+        assert got.tolist() == masked_words(seed, 60, n)
+    read = []
+
+    class Ones:
+        def __init__(self, seed):
+            pass
+
+        def digest(self, size):
+            read.append(size)
+            return b"\xff" * size
+
+    monkeypatch.setattr(poly.hashlib, "shake_128", Ones)
+    assert poly.expand_seed(bytes(32), 1 << 60, n).tolist() == \
+        [(1 << 60) - 1] * n
+    assert read == [8 * n]
 
 
 def test_seed_expansion_reads_on_past_a_short_stream(monkeypatch,
@@ -350,8 +387,8 @@ def test_seeded_batch_roundtrip_bitwise(chunks, small_params, small_keys,
                            small_keys, list(range(10, 10 + chunks)), count)
     blob = serialize_seeded(ct, 19)
     # the header, the seeds, c0's d and width byte, its P coefficients
-    # at 61 - 19 bits and the trailer
-    assert len(blob) == 23 + 32 * chunks + 2 + -(-42 * count // 8) + 16
+    # at 60 - 19 bits and the trailer
+    assert len(blob) == 23 + 32 * chunks + 2 + -(-41 * count // 8) + 16
     back = deserialize_seeded(blob, small_params, count, 1, 19)
     assert back.seeds == ct.seeds and len(set(ct.seeds)) == chunks
     assert back.c0.size == count and not (back.c0 % 2 ** 19).any()
@@ -458,13 +495,13 @@ def upload_count(chunks: int) -> int:
 
 
 # the low bits that the default spec's uploads drop, and the width of
-# what is left of q0's 61 bits
-UPLOAD_BITS, UPLOAD_WIDTH = 19, 42
+# what is left of the 60 bits of Q
+UPLOAD_BITS, UPLOAD_WIDTH = 19, 41
 
 
 @pytest.fixture(scope="module")
 def uploads(small_params, small_keys):
-    """`CKU4` uploads of 1, 2 and 7 chunks, of a client of 1 sample."""
+    """`CKU5` uploads of 1, 2 and 7 chunks, of a client of 1 sample."""
     from cipherfed.fhe import encode_coeffs, encrypt_symmetric
     from cipherfed.fhe.serial import serialize_seeded
     return {c: serialize_seeded(encrypt_symmetric(encode_coeffs(
@@ -490,18 +527,17 @@ def refused_before_expansion(blob, params, refusal):
 
 @settings(max_examples=40, deadline=None)
 @given(chunks=st.sampled_from([1, 2, 7]), data=st.data())
-def test_field_at_or_above_its_prime_refused(uploads, small_params, chunks,
-                                             data):
-    """A y above the top of the c0 block, (q0 - 1) >> 19 at u = 19, is
-    refused."""
-    top = (small_params.modulus_chain[0] - 1) >> UPLOAD_BITS
+def test_every_field_value_reads_back(uploads, small_params, chunks, data):
+    """Mod Q = 2^60 every 41-bit y of a c0 block is a coefficient y *
+    2^19: the top values, which a prime modulus refused, read back
+    too."""
     field = data.draw(st.integers(0, upload_count(chunks) - 1))
-    value = data.draw(st.integers(top + 1, (1 << UPLOAD_WIDTH) - 1))
+    value = data.draw(st.integers((1 << UPLOAD_WIDTH) - 8,
+                                  (1 << UPLOAD_WIDTH) - 1))
     blob = with_field(uploads[chunks], 23 + 32 * chunks + 2, field,
                       UPLOAD_WIDTH, value)
-    refused_before_expansion(blob, small_params,
-                             rf"c0 value above {top}: times 2\^19 it is "
-                             "not below q0")
+    assert int(read_upload(blob, small_params).c0[field]) == \
+        value << UPLOAD_BITS
 
 
 @settings(max_examples=40, deadline=None)
@@ -509,27 +545,25 @@ def test_field_at_or_above_its_prime_refused(uploads, small_params, chunks,
        width=st.integers(0, 255).filter(lambda w: w != UPLOAD_WIDTH))
 def test_width_other_than_the_primes_refused(uploads, small_params, chunks,
                                              width):
-    """A c0 block whose width byte is not the 42 bits that q0's 61 keep
+    """A c0 block whose width byte is not the 41 bits that Q's 60 keep
     at u = 19 is refused, naming the (d, w) it found and the run's."""
     blob = patched(uploads[chunks], "B", 23 + 32 * chunks + 1, width)
     refused_before_expansion(blob, small_params,
                              f"drops 19 low bits of c0 at {width} bits a "
-                             "coefficient; for 1 clients this run drops 19 "
-                             "at 42")
+                             "coefficient; this run reads 19 at 41")
 
 
 @pytest.mark.parametrize("chunks", [1, 2, 7])
 @pytest.mark.parametrize("dropped", [1, 23, 255])
 def test_upload_dropping_bits_refused(uploads, small_params, chunks,
                                       dropped):
-    """An upload drops the run's u bits: a `CKU4` whose d byte is not
+    """An upload drops the run's u bits: a `CKU5` whose d byte is not
     u = 19 is refused before any seed is expanded, by an error that
     names the d it found."""
     blob = patched(uploads[chunks], "B", 23 + 32 * chunks, dropped)
     refused_before_expansion(blob, small_params,
-                             f"drops {dropped} low bits of c0 at 42 bits a "
-                             "coefficient; for 1 clients this run drops 19 "
-                             "at 42")
+                             f"drops {dropped} low bits of c0 at 41 bits a "
+                             "coefficient; this run reads 19 at 41")
 
 
 @pytest.mark.parametrize("chunks", [1, 2, 7])
@@ -544,23 +578,25 @@ def test_length_off_by_one_byte_refused(uploads, small_params, chunks, cut,
 
 @pytest.mark.parametrize("old", [b"CKV2", b"CKV3", b"CKV4", b"CKV5",
                                  b"CKV7", b"CKV8", b"CKA1", b"CKU1",
-                                 b"CKU3", b"CKA3"])
+                                 b"CKU3", b"CKA3", b"CKU4", b"CKA4"])
 def test_retired_batch_formats_refused_by_name(old, small_params, small_keys,
                                                artifacts, uploads):
     """A batch under a magic of the 64-bit layouts, the slot-packed
     `CKV3`, the full-ring `CKV7` and `CKV8`, the unrounded `CKA1` and
-    `CKU3`, the one-row `CKU1` or the sample-weighted `CKA3` is refused
-    by its reader, which names what it found."""
+    `CKU3`, the one-row `CKU1`, the sample-weighted `CKA3` or the
+    `CKU4` and `CKA4` mod q0 is refused by its reader, which names what
+    it found."""
     from cipherfed.federation.transport import encode_global
     from cipherfed.fhe.serial import deserialize_seeded_sum
     upload = (uploads[1], read_upload)
     total = (encode_global(seeded_aggregate(small_keys, 1, (2, 3))),
-             lambda b, p: deserialize_seeded_sum(b, p, 1024, lambda k: 23))
+             lambda b, p: deserialize_seeded_sum(b, p, 1024,
+                                                 lambda counts: (23, 60)))
     blob, read = {
         b"CKV2": (artifacts["ciphertext"], deserialize_ciphertext),
         b"CKV3": upload, b"CKV4": upload, b"CKV7": upload, b"CKU1": upload,
-        b"CKU3": upload, b"CKV5": total, b"CKV8": total, b"CKA1": total,
-        b"CKA3": total}[old]
+        b"CKU3": upload, b"CKU4": upload, b"CKV5": total, b"CKV8": total,
+        b"CKA1": total, b"CKA3": total, b"CKA4": total}[old]
     with pytest.raises(FormatError, match=rf"but found .*\({old.decode()}, "
                                           r"no longer read\) artifact"):
         read(old + blob[4:], small_params)
@@ -572,22 +608,22 @@ def test_retired_batch_formats_refused_by_name(old, small_params, small_keys,
 def test_seeded_block_roundtrip(chains, name, count, seed):
     """The P coefficients of a seeded upload that drops u = 0 bits, as
     one does where the noise leaves no room to round, are a c0 block at
-    d = 0: the byte 0, q0's width, then P residues at that width, bit for bit
-    as docs/protocol.md words it: P need not be a multiple of 8, and the
-    pad bits are 0. They come back as written, and a pad bit set is
-    refused."""
+    d = 0: the byte 0, the width k of Q = 2^k, then P words at that
+    width, bit for bit as docs/protocol.md words it: P need not be a
+    multiple of 8, and the pad bits are 0. They come back as written,
+    and a pad bit set is refused."""
     from cipherfed.fhe import SeededBatch
     from cipherfed.fhe.serial import deserialize_seeded, serialize_seeded
     params = chains[name]
-    n, q0 = params.ring_degree, params.modulus_chain[0]
+    n, k = params.ring_degree, params.seeded_bits
     rng = np.random.default_rng(seed)
-    c0 = rng.integers(0, q0, count, dtype=np.uint64)
-    c0[0], c0[-1] = q0 - 1, q0 - 1
+    c0 = rng.integers(0, 1 << k, count, dtype=np.uint64)
+    c0[0], c0[-1] = (1 << k) - 1, (1 << k) - 1
     chunks = -(-count // n)
     batch = SeededBatch(params, c0, params.scale,
                         tuple(bytes([j]) * 32 for j in range(chunks)), (1,))
     blob = serialize_seeded(batch, 0)
-    width = chain_widths(params, 1)
+    width = bytes([k])
     block = bytes([0]) + width + pack_rows(c0[None], width)
     assert blob[23 + 32 * chunks:-TRAILER_BYTES] == block
     back = deserialize_seeded(blob, params, count, 1, 0)
@@ -602,77 +638,69 @@ def test_seeded_block_roundtrip(chains, name, count, seed):
 @settings(max_examples=30, deadline=None)
 @given(name=st.sampled_from([1024, 4096, "odd"]),
        count=st.integers(1, 3 * 1024), dropped=st.integers(0, 40),
-       seed=st.integers(0, 2 ** 32))
-def test_rounded_block_roundtrip(chains, name, count, dropped, seed):
-    """A `CKA4` c0 block is d, the width w = b0 - d, then each y =
-    (c0 + 2^(d-1)) >> d at w bits, as docs/protocol.md words it, y = 0
-    where y * 2^d would reach q0. It reads back as y * 2^d, within
-    2^(d-1) of c0 mod q0, and writes back to the same bytes; a y whose
-    y * 2^d is not below q0 is refused."""
+       data=st.data(), seed=st.integers(0, 2 ** 32))
+def test_rounded_block_roundtrip(chains, name, count, dropped, data, seed):
+    """A `CKA5` c0 block keeps bits d to b of each coefficient below Q =
+    2^k: d, the width w = b - d, then each y = ((c0 + 2^(d-1)) >> d) mod
+    2^w at w bits, as docs/protocol.md words it. It reads back as y *
+    2^d, within 2^(d-1) of c0 mod 2^b, and writes back to the same
+    bytes."""
     from cipherfed.fhe import SeededBatch
     from cipherfed.fhe.serial import (deserialize_seeded_sum,
                                       serialize_seeded_sum)
     params = chains[name]
-    n, q0 = params.ring_degree, params.modulus_chain[0]
+    n, k = params.ring_degree, params.seeded_bits
+    bits = data.draw(st.integers(dropped + 1, k))
     rng = np.random.default_rng(seed)
-    c0 = rng.integers(0, q0, count, dtype=np.uint64)
-    c0[0], c0[-1] = q0 - 1, 0
+    c0 = rng.integers(0, 1 << k, count, dtype=np.uint64)
+    c0[0], c0[-1] = (1 << k) - 1, 0
     chunks = -(-count // n)
     batch = SeededBatch(params, c0, params.scale * 3,
                         tuple(bytes([j]) * 32 for j in range(chunks)), (3,))
-    blob = serialize_seeded_sum(batch, dropped)
+    blob = serialize_seeded_sum(batch, dropped, bits)
     half = (1 << dropped) >> 1
-    width = q0.bit_length() - dropped
-    y = [(int(c) + half) >> dropped for c in c0]
-    y = [v if v << dropped < q0 else 0 for v in y]
+    width = bits - dropped
+    y = [((int(c) + half) >> dropped) % (1 << width) for c in c0]
     at = 23 + 2 + 8 + 32 * chunks
     assert blob[at:-TRAILER_BYTES] == (bytes([dropped, width])
                                        + pack_rows([y], bytes([width])))
-    back = deserialize_seeded_sum(blob, params, count, lambda total: dropped)
+    back = deserialize_seeded_sum(blob, params, count,
+                                  lambda counts: (dropped, bits))
     assert back.c0.tolist() == [v << dropped for v in y]
-    gap = (back.c0.astype(object) - c0.astype(object)) % q0
-    assert all(g <= half or q0 - g <= half for g in gap)
-    assert serialize_seeded_sum(back, dropped) == blob
-    top = (q0 - 1) >> dropped
-    if top + 1 < 1 << width:
-        over = with_field(blob, at + 2, 0, width, top + 1)
-        with pytest.raises(FormatError, match="not below q0"):
-            deserialize_seeded_sum(over, params, count, lambda total: dropped)
+    gap = (back.c0.astype(object) - c0.astype(object)) % (1 << bits)
+    assert all(g <= half or (1 << bits) - g <= half for g in gap)
+    assert serialize_seeded_sum(back, dropped, bits) == blob
 
 
-# the length and sha256 of a `CKU4` upload of P coefficients, as the
-# encryption that drew all N error coefficients of each chunk wrote it,
-# and as an NTT product by s in place of the FFT one writes it too: its
-# c0 block at d = 0 under the magic of the `CKU3` it replaced, as that
-# sent it, whose lengths are those of the `CKU2` before it, and at the
-# u = 19 that the default spec's uploads drop
-UPLOAD_DIGESTS = {1: ((81, "2a921f68c097d8f7"), (79, "b56215d2f9165c87")),
-                  27: ((279, "4b84d99e38c24b0e"),
-                       (215, "4f676ac0b1d35412")),
-                  4095: ((31298, "f5f6e6a6718c3859"),
-                         (21572, "6219ad2cf588d9d3")),
-                  4096: ((31305, "67659ff48958d4fb"),
-                         (21577, "d0e056eba677cea0")),
-                  4097: ((31345, "a263020d5a89cf88"),
-                         (21615, "d7ddb53006e94e51")),
-                  12309: ((94026, "9ee7dbaec65a5ed0"),
-                          (64792, "924b916fedd17b5f"))}
+# the length and sha256 of a `CKU5` upload of P coefficients mod 2^60,
+# its c0 block at d = 0 and at the u = 19 that the default spec's
+# uploads drop
+UPLOAD_DIGESTS = {1: ((81, "70e4a813a431492a"), (79, "59ff1d305c000a76")),
+                  27: ((276, "4b38a57e2ccd344d"),
+                       (212, "5f8addb970bd5ce8")),
+                  4095: ((30786, "ffbc49ab8bd22718"),
+                         (21060, "814b383c28c09454")),
+                  4096: ((30793, "73fb606a878ba785"),
+                         (21065, "6a6a23294dfd2e69")),
+                  4097: ((30833, "a473e40eef396c87"),
+                         (21103, "2a17597d35200e43")),
+                  12309: ((92487, "b9c99a7a491f7fb2"),
+                          (63253, "87c782a7303b4935"))}
 
 
 @pytest.mark.parametrize("count", sorted(UPLOAD_DIGESTS))
 def test_upload_bytes_pinned(std_keys, count):
     """encrypt_symmetric draws only the error coefficients it keeps, a
-    prefix of each chunk's draw of N: its uploads stay byte for byte
-    those of a whole draw, at partial and full chunks alike, and keys
-    drawn from a seed fold no nonce into them. Rounded by u = 19 bits,
-    each c0 value y is (c0 + 2^18) >> 19 of the unrounded one, or 0
-    where y * 2^19 would reach q0."""
+    prefix of each chunk's draw of N: its c0 is the prefix of the c0
+    that the whole chunks encrypt to, at partial and full chunks alike,
+    and keys drawn from a seed fold no nonce into its pinned bytes.
+    Rounded by u = 19 bits, each c0 value y is ((c0 + 2^18) >> 19) mod
+    2^41 of the unrounded one."""
     from cipherfed.federation.client import derive_seed
     from cipherfed.fhe import encode_coeffs, encrypt_symmetric
-    from cipherfed.fhe.serial import (deserialize_seeded, seal,
-                                      serialize_seeded)
+    from cipherfed.fhe.serial import deserialize_seeded, serialize_seeded
     params = std_keys.params
-    n, q0 = params.ring_degree, params.modulus_chain[0]
+    n = params.ring_degree
     chunks = -(-count // n)
     x = np.zeros(chunks * n)
     x[:count] = np.round(np.linspace(-3, 3, count) * 2 ** 16) / 2 ** 16
@@ -680,11 +708,15 @@ def test_upload_bytes_pinned(std_keys, count):
                                             level=0),
                               std_keys, [derive_seed(9, j)
                                          for j in range(chunks)], count)
+    whole = encrypt_symmetric(encode_coeffs(x.reshape(chunks, n), params,
+                                            level=0),
+                              std_keys, [derive_seed(9, j)
+                                         for j in range(chunks)], chunks * n)
+    assert np.array_equal(batch.c0, whole.c0[:count])
     blobs = [serialize_seeded(batch, u) for u in (0, 19)]
-    was = seal(b"CKU3" + blobs[0][4:-TRAILER_BYTES])
     assert [(len(b), hashlib.sha256(b).hexdigest()[:16])
-            for b in (was, blobs[1])] == list(UPLOAD_DIGESTS[count])
+            for b in blobs] == list(UPLOAD_DIGESTS[count])
     exact, rounded = (deserialize_seeded(b, params, count, 1, u).c0
                       for b, u in zip(blobs, (0, 19)))
-    y = [(int(c) + 2 ** 18) >> 19 for c in exact]
-    assert rounded.tolist() == [v << 19 if v << 19 < q0 else 0 for v in y]
+    assert rounded.tolist() == [((int(c) + 2 ** 18) >> 19) % 2 ** 41 << 19
+                                for c in exact]

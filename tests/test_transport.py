@@ -1,4 +1,5 @@
 import json
+import re
 import socket
 import struct
 import sys
@@ -20,8 +21,8 @@ from cipherfed.errors import (AlignmentError, CipherfedError, ConfigError,
                               ParameterError, ProtocolError)
 from cipherfed.federation import transport as T
 from cipherfed.federation.client import (ClientUpdate, PlainUpdate,
-                                         decrypt_and_load, dropped_bits,
-                                         encrypt_model)
+                                         decrypt_and_load, encrypt_model,
+                                         global_bits)
 from cipherfed.federation.metrics import metrics_row
 from cipherfed.federation.quantize import QuantizationSpec
 from cipherfed.federation.rounds import RoundConfig, run_federated_training
@@ -188,8 +189,19 @@ def test_frame_bound_holds_the_runs_frames(small_params, world):
                  None),
                 (T.encode_global(plain), T.MSG_GLOBAL, None)):
             frame = T.encode_frame(T.Message(mtype, 0, payload))
-            bound = T.frame_bound(mtype, count, params, 2)
+            bound = T.frame_bound(mtype, count, params, (5, 7))
             assert bound == max(len(frame) - 4, 3 + T.CONTROL_BYTES)
+
+
+def test_global_frame_bound_follows_the_sample_total(small_params):
+    """A client bounds its GLOBAL frames by the run's sample counts: the
+    GLOBAL of 12 samples keeps b = 48 bits of c0 and that of 600
+    samples b = 54, so of 3 chunks the second bound is 6 bits a
+    coefficient longer."""
+    count = 3 * small_params.ring_degree
+    small, large = (T.frame_bound(T.MSG_GLOBAL, count, small_params, counts)
+                    for counts in ((5, 7), (300, 300)))
+    assert large - small == (31 - 25) * count // 8
 
 
 def test_frame_bound_holds_every_control_frame():
@@ -241,8 +253,8 @@ def test_update_payload_roundtrip(world, small_params):
     assert len(back.chunks) == len(upd.chunks)
     assert back.chunks.scale == upd.chunks.scale == 42 * small_params.scale
     assert back.chunks.counts == upd.chunks.counts == (42,)
-    q0 = small_params.modulus_chain[0]
-    gap = (back.chunks.c0 - upd.chunks.c0 + np.uint64(2 ** 18)) % q0
+    gap = ((back.chunks.c0 - upd.chunks.c0 + np.uint64(2 ** 18))
+           % np.uint64(1 << small_params.seeded_bits))
     assert gap.max() <= 2 ** 19 and not (back.chunks.c0 % 2 ** 19).any()
     assert back.chunks.c0.size == upd.param_count
 
@@ -263,19 +275,21 @@ def test_global_payload_roundtrip_plain():
 
 @pytest.mark.parametrize("clients,chunks", [(4, 1), (4, 4), (2, 1)])
 def test_fhe_global_size_by_layout(world, small_params, clients, chunks):
-    """A GLOBAL is the `CKA4` layout of docs/protocol.md: the `CKV6`
+    """A GLOBAL is the `CKA5` layout of docs/protocol.md: the `CKV6`
     header, the client count, a u64 count per client, a seed per client
     and chunk, the P coefficients of c0 as a rounded block (d, its width
-    byte and P coefficients at 61 - d bits, padded to a whole byte, d =
-    23 for up to 15 clients), and the 16-byte trailer."""
+    byte and P coefficients at b - d bits, padded to a whole byte, d =
+    23 for up to 15 clients and b = 50 for 46 samples, 49 for 21), and
+    the 16-byte trailer."""
     n = small_params.ring_degree
     count = (chunks - 1) * n + 27
     counts = range(10, 10 + clients)
-    assert dropped_bits(small_params, QuantizationSpec(), clients) == 23
+    d, b = global_bits(small_params, QuantizationSpec(), counts)
+    assert (d, b) == (23, {4: 50, 2: 49}[clients])
     payload = T.encode_global(seeded_aggregate(world["keys"], chunks, counts,
                                                count))
     size = (23 + 2 + 8 * clients + 32 * clients * chunks + 2
-            + -(-38 * count // 8) + 16)
+            + -(-(b - d) * count // 8) + 16)
     assert len(payload) == size
     frame = T.encode_frame(T.Message(T.MSG_GLOBAL, 0, payload))
     assert len(frame) == 7 + size
@@ -283,10 +297,10 @@ def test_fhe_global_size_by_layout(world, small_params, clients, chunks):
 
 def test_fhe_global_roundtrip_bitwise(world, small_params):
     """The reader's c1, rebuilt from the seeds and the counts, is the
-    server's summed c1, residue for residue. Its c0 is the server's
-    rounded to a multiple of 2^d, d = 23 for 4 clients, so within
-    2^22 of it mod q0; it decrypts to the same weights bit for bit, and
-    it writes the same bytes again."""
+    server's summed c1, word for word. Its c0 is the server's rounded to
+    a multiple of 2^d, d = 23 for 4 clients, and cut to b = 50 bits for
+    46 samples, so within 2^22 of it mod 2^b; it decrypts to the same
+    weights bit for bit, and it writes the same bytes again."""
     keys, spec = world["keys"], QuantizationSpec()
     template = M.init_model(1540, PqcArchitecture(qubit_count=2, depth=1), 2,
                             rng_seed=5)
@@ -300,10 +314,9 @@ def test_fhe_global_roundtrip_bitwise(world, small_params):
     agg = server.aggregate(ups, keys.public)
     blob = T.encode_global(agg)
     back = T.decode_global(blob, small_params, count)
-    q0 = small_params.modulus_chain[0]
-    gap = back.c0.astype(np.int64) - agg.c0.astype(np.int64)
-    gap = np.where(gap > q0 // 2, gap - q0, np.where(gap < -(q0 // 2),
-                                                     gap + q0, gap))
+    # back.c0 - agg.c0 mod 2^50, centred
+    gap = ((back.c0 - agg.c0) << np.uint64(14)).view(np.int64) >> 14
+    assert back.c0.max() < 1 << 50
     assert np.abs(gap).max() <= 1 << 22 and gap.any()
     assert back.a is None and agg.a is not None
     assert np.array_equal(back.c1.residues, agg.c1.residues)
@@ -423,7 +436,7 @@ def test_socket_run_raises_coordinator_error_as_itself(world, monkeypatch):
     with a ParameterError, which a socket run raises as it is, as the
     coordinator and the direct transport do."""
     monkeypatch.setattr(runner, "encode_update",
-                        lambda update, clients: b"CKU4" + bytes(8))
+                        lambda update, clients: b"CKU5" + bytes(8))
     with pytest.raises(ParameterError, match="UPDATE from client 0: artifact "
                                              "was produced under different"):
         run_socket_federation(world["init"], world["cfg"], world["parts"],
@@ -736,7 +749,7 @@ def client_upload(world):
 
 
 def encrypted_update(world):
-    """A client's `CKU4` batch, which is its whole UPDATE payload."""
+    """A client's `CKU5` batch, which is its whole UPDATE payload."""
     return T.encode_update(client_upload(world))
 
 
@@ -961,7 +974,7 @@ def global_against_client(world, small_params, make_global, monkeypatch):
 
 
 def seeded_global(upd, counts, chunks):
-    """A `CKA4` GLOBAL of `chunks` chunks, the upload's coefficients
+    """A `CKA5` GLOBAL of `chunks` chunks, the upload's coefficients
     repeated to fill all but the last one's, for clients with `counts`;
     every client's seeds are the upload's."""
     one = upd.chunks
@@ -977,12 +990,12 @@ def seeded_global(upd, counts, chunks):
 def client_bound(world, small_params) -> int:
     """The frame bound of a transport client of `world`'s fhe run."""
     return T.frame_bound(T.MSG_GLOBAL, world["init"].param_count,
-                         small_params, world["cfg"].client_count)
+                         small_params, world["cfg"].sample_counts)
 
 
 def test_padded_global_aborts_transport_client(world, small_params,
                                                monkeypatch):
-    """A `CKA4` GLOBAL with one chunk more than the model fills is
+    """A `CKA5` GLOBAL with one chunk more than the model fills is
     longer than any GLOBAL of the run: it is refused by its frame's
     length before any seed is expanded, and the client sends ABORT
     instead of loading it."""
@@ -1378,7 +1391,7 @@ def test_wrong_mode_update_aborts_every_client(world):
 
 def test_mixed_scale_update_aborts_every_client(world, small_params):
     """Client 1 sends a well-formed batch at half client 0's scale Δ.
-    A `CKU4` upload of a client of n samples holds the scale Δ·n, the
+    A `CKU5` upload of a client of n samples holds the scale Δ·n, the
     one-client case of the scale rule Δ·Σ n, so the server refuses it
     by name, against the run's own count for it, before it is
     averaged."""
@@ -1406,41 +1419,63 @@ def test_updates_of_different_model_sizes_not_averaged(world):
         server.aggregate(ups, world["keys"].public)
 
 
+@pytest.mark.parametrize("counts", [(1,), (20,), (10, 10)])
+def test_upload_recording_other_counts_not_averaged(world, counts):
+    """An upload records its own client's n_k, as encrypt_model stamps
+    it: one whose counts are not (sample_count,), as encrypt_symmetric
+    leaves them, is refused by name before the sum, so that no GLOBAL
+    carries counts that its scale does not."""
+    ups = seeded_uploads(world["keys"], 1, (10, 10), 27)
+    ups[1] = replace(ups[1], chunks=replace(
+        ups[1].chunks, counts=counts, seeds=ups[1].chunks.seeds
+        * len(counts)))
+    with pytest.raises(AlignmentError, match=r"client 1 recorded counts "
+                                             rf"{re.escape(str(counts))}, "
+                                             r"not its sample count \(10,\)"):
+        server.aggregate(ups, world["keys"].public)
+
+
 @pytest.mark.parametrize("chunks", [1, 4])
 @pytest.mark.parametrize("clients", [1, 4])
 def test_update_and_global_frame_sizes(std_keys, clients, chunks):
     """At N = 4,096 an UPDATE frame of P coefficients in c chunks is 7 +
-    23 + 32·c + 2 + ceil(42·P/8) + 16 bytes, u = 19, and a GLOBAL frame
-    of K clients 7 + 23 + 2 + 8·K + 32·K·c + 2 + ceil(38·P/8) + 16, d =
-    23, for up to 15 clients, as docs/protocol.md gives them: for 4
-    clients, 222 B up and 339 B down at desk's 27 parameters, 64,799
-    and 59,062 B at wide's 12,309."""
+    23 + 32·c + 2 + ceil(41·P/8) + 16 bytes, u = 19, and a GLOBAL frame
+    of K clients 7 + 23 + 2 + 8·K + 32·K·c + 2 + ceil((b - d)·P/8) + 16,
+    d = 23 for up to 15 clients and b from the sample total, as
+    docs/protocol.md gives them: for 4 clients, 219 B up and 318 B down
+    at desk's 27 parameters and 4 x 300 samples (b = 55), 63,260 and
+    46,753 B at wide's 12,309 and 4 x 80 (b = 53)."""
     n = std_keys.params.ring_degree
     assert n == 4096
     count = {1: 27, 4: 12309}[chunks]
-    ups = seeded_uploads(std_keys, chunks, range(10, 10 + clients), count)
+    counts = {1: (300,) * clients, 4: (80,) * clients}[chunks]
+    ups = seeded_uploads(std_keys, chunks, counts, count)
 
     def frame(mtype, payload):
         return len(T.encode_frame(T.Message(mtype, 0, payload)))
 
     up = frame(T.MSG_UPDATE, T.encode_update(ups[0]))
-    assert up == 7 + 23 + 32 * chunks + 2 + -(-42 * count // 8) + 16
+    assert up == 7 + 23 + 32 * chunks + 2 + -(-41 * count // 8) + 16
     agg = server.aggregate(ups, std_keys.public)
     down = frame(T.MSG_GLOBAL, T.encode_global(agg))
+    d, b = global_bits(std_keys.params, QuantizationSpec(), counts)
+    assert d == 23
     assert down == (7 + 23 + 2 + 8 * clients + 32 * clients * chunks + 2
-                    + -(-38 * count // 8) + 16)
+                    + -(-(b - d) * count // 8) + 16)
     if clients == 4:
-        assert (up, down) == {1: (222, 339), 4: (64799, 59062)}[chunks]
+        assert b == {1: 55, 4: 53}[chunks]
+        assert (up, down) == {1: (219, 318), 4: (63260, 46753)}[chunks]
 
 
 def test_socket_shape_frame_sizes(std_keys):
     """The socket workload's shape, 3,093 parameters in 1 chunk and 2
-    clients: 16,319 B up and 14,822 B down."""
-    ups = seeded_uploads(std_keys, 1, (10, 11), 3093)
+    clients of 240 samples each (b = 53): 15,932 B up and 11,729 B
+    down."""
+    ups = seeded_uploads(std_keys, 1, (240, 240), 3093)
     agg = server.aggregate(ups, std_keys.public)
     assert [len(T.encode_frame(T.Message(t, 0, p))) for t, p in (
         (T.MSG_UPDATE, T.encode_update(ups[0])),
-        (T.MSG_GLOBAL, T.encode_global(agg)))] == [16319, 14822]
+        (T.MSG_GLOBAL, T.encode_global(agg)))] == [15932, 11729]
 
 
 @pytest.mark.parametrize("dims,chunks", [(2, 1), (600, 2)])
